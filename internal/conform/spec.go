@@ -102,11 +102,22 @@ func BuildSpec(cfg models.Config, opts mc.Options) (*Spec, error) {
 	}
 	sp.tickID = intern(LabelTick)
 
+	// specLabel runs once per distinct model label, not per transition:
+	// specID maps the LTS's label ids to alphabet ids, -1 for hidden ones.
+	ids, names := lts.InternedLabels()
+	specID := make([]int32, len(names))
+	for i, raw := range names {
+		specID[i] = -1
+		if name, vis := specLabel(raw); vis {
+			specID[i] = intern(name)
+		}
+	}
+
 	// Two counting-sort passes build the CSR adjacency.
 	visCount := make([]int32, lts.NumStates+1)
 	tauCount := make([]int32, lts.NumStates+1)
-	for _, t := range lts.Transitions {
-		if _, vis := specLabel(t.Label); vis {
+	for i, t := range lts.Transitions {
+		if specID[ids[i]] >= 0 {
 			visCount[t.From]++
 		} else {
 			tauCount[t.From]++
@@ -122,9 +133,9 @@ func BuildSpec(cfg models.Config, opts mc.Options) (*Spec, error) {
 	sp.tauTo = make([]int32, sp.tauOff[lts.NumStates])
 	visNext := append([]int32(nil), sp.visOff...)
 	tauNext := append([]int32(nil), sp.tauOff...)
-	for _, t := range lts.Transitions {
-		if name, vis := specLabel(t.Label); vis {
-			sp.vis[visNext[t.From]] = visEdge{label: intern(name), to: int32(t.To)}
+	for i, t := range lts.Transitions {
+		if id := specID[ids[i]]; id >= 0 {
+			sp.vis[visNext[t.From]] = visEdge{label: id, to: int32(t.To)}
 			visNext[t.From]++
 		} else {
 			sp.tauTo[tauNext[t.From]] = int32(t.To)

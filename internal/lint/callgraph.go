@@ -194,7 +194,7 @@ func (prog *Program) classifyCall(pkg *Package, caller *types.Func, call *ast.Ca
 		case *types.Builtin, nil:
 			return
 		case *types.Func:
-			prog.calls[caller] = append(prog.calls[caller], callEdge{Callee: obj, Pos: call.Pos()})
+			prog.calls[caller] = append(prog.calls[caller], callEdge{Callee: obj.Origin(), Pos: call.Pos()})
 			return
 		default: // a variable or parameter of function type
 			prog.dynCalls[caller] = append(prog.dynCalls[caller], call.Pos())
@@ -204,7 +204,9 @@ func (prog *Program) classifyCall(pkg *Package, caller *types.Func, call *ast.Ca
 		if sel, ok := pkg.Info.Selections[fun]; ok {
 			switch sel.Kind() {
 			case types.MethodVal:
-				callee := sel.Obj().(*types.Func)
+				// Origin maps a method of an instantiated generic type
+				// back to the declaration the program's decls are keyed by.
+				callee := sel.Obj().(*types.Func).Origin()
 				if types.IsInterface(sel.Recv()) {
 					prog.addInterfaceEdges(caller, callee, call.Pos())
 				} else {
@@ -218,7 +220,7 @@ func (prog *Program) classifyCall(pkg *Package, caller *types.Func, call *ast.Ca
 		// Package-qualified reference: pkg.Func or pkg.Var.
 		switch obj := pkg.Info.Uses[fun.Sel].(type) {
 		case *types.Func:
-			prog.calls[caller] = append(prog.calls[caller], callEdge{Callee: obj, Pos: call.Pos()})
+			prog.calls[caller] = append(prog.calls[caller], callEdge{Callee: obj.Origin(), Pos: call.Pos()})
 		case *types.Var:
 			prog.dynCalls[caller] = append(prog.dynCalls[caller], call.Pos())
 		}

@@ -15,6 +15,9 @@ func Root(n int) int {
 	x += sitesup(n)
 	x += trailer(n)
 	x += annotated(n)
+	var st stack[int]
+	st.push(n)
+	x += firstOf(st.items)
 	if x < 0 {
 		x += coldpath(n)
 	}
@@ -109,4 +112,21 @@ func coldpath(n int) int {
 		return -n
 	}
 	return n
+}
+
+// stack and firstOf are generic: a call names an instantiation, and the
+// edge must land on the declaration it came from or the body below
+// would hide from the proof.
+type stack[T any] struct{ items []T }
+
+func (s *stack[T]) push(v T) {
+	if s.items == nil {
+		s.items = make([]T, 0, 8) // want "make allocates in function push — reachable from noalloc root: closure.Root → closure.(*stack).push"
+	}
+	s.items = append(s.items, v)
+}
+
+func firstOf[T any](xs []T) T {
+	spare := make([]T, 1) // want "make allocates in function firstOf — reachable from noalloc root: closure.Root → closure.firstOf"
+	return append(spare, xs...)[1]
 }

@@ -26,11 +26,19 @@ type LTS struct {
 	Initial     int
 	Transitions []Trans
 	// labelIDs and labelNames intern the transition labels to dense
-	// integer ids (built lazily by internLabels), so the reduction
-	// algorithms compare ints instead of strings. The exported API stays
-	// string-typed.
+	// integer ids in order of first use (BuildLTS fills them from the
+	// explorer's label table, internLabels builds them for any other
+	// LTS), so the reduction algorithms compare ints instead of strings.
 	labelIDs   []int32
 	labelNames []string
+}
+
+// InternedLabels returns every transition's label id, parallel to
+// Transitions, and the id-to-name table, so a caller can decide once per
+// distinct label. Both slices belong to the LTS: read-only.
+func (l *LTS) InternedLabels() (ids []int32, names []string) {
+	l.internLabels()
+	return l.labelIDs, l.labelNames
 }
 
 // internLabels builds the label intern table; a no-op when already built
@@ -57,11 +65,11 @@ func (l *LTS) internLabels() {
 // Transitions come out in (source id, successor enumeration) order, which
 // is identical at any Options.Workers value.
 func BuildLTS(n *ta.Network, opts Options) (*LTS, error) {
-	e, _, states, _, err := explore(n, nil, nil, opts.maxStates(), opts.numWorkers(), true)
+	e, _, _, _, err := explore(n, nil, nil, opts.maxStates(), opts.numWorkers(), true)
 	if err != nil {
 		return nil, err
 	}
-	return &LTS{NumStates: states, Transitions: e.mergeTrans()}, nil
+	return e.lts(), nil
 }
 
 // Hide renames every transition whose label satisfies hidden to Tau. The

@@ -18,6 +18,10 @@ import (
 // exhausting the state space; verification verdicts are inconclusive.
 var ErrStateLimit = errors.New("mc: state limit exceeded")
 
+// ErrLabelLimit reports a network with more distinct transition labels
+// than the 16-bit label ids of the node and transition records can number.
+var ErrLabelLimit = errors.New("mc: more than 65535 distinct transition labels")
+
 // Options tunes exploration.
 type Options struct {
 	// MaxStates bounds exploration; 0 means DefaultMaxStates.
@@ -101,10 +105,11 @@ func CheckReachability(n *ta.Network, goal func(*ta.State) bool, opts Options) (
 }
 
 // nodeInfo records how a state was first reached, for witness
-// reconstruction.
+// reconstruction: the parent's global id (-1 at the root) and the id of the
+// transition's label in the explorer's table. Pointer-free: never GC-scanned.
 type nodeInfo struct {
-	parent int
-	label  string
+	parent int32
+	label  uint16
 	delay  bool
 }
 
@@ -113,24 +118,24 @@ type nodeInfo struct {
 // the sharded store.
 func rebuildTrace(e *explorer, goal int) []Step {
 	var rev []int
-	for at := goal; at != -1; at = e.info[at].parent {
+	for at := goal; at != -1; at = int(e.info.at(at).parent) {
 		rev = append(rev, at)
 	}
 	steps := make([]Step, 0, len(rev))
 	now := 0
 	for i := len(rev) - 1; i >= 0; i-- {
 		id := rev[i]
-		if e.info[id].delay {
+		info := e.info.at(id)
+		if info.delay {
 			now++
 		}
 		var s ta.State
 		s.DecodeKey(e.key(id), e.numLocs, e.numClocks)
-		steps = append(steps, Step{
-			Label: e.info[id].label,
-			Delay: e.info[id].delay,
-			Time:  now,
-			State: s,
-		})
+		label := "" // the root was reached by no transition
+		if info.parent >= 0 {
+			label = e.labels[info.label]
+		}
+		steps = append(steps, Step{Label: label, Delay: info.delay, Time: now, State: s})
 	}
 	return steps
 }

@@ -3,6 +3,8 @@ package mc
 import (
 	"bytes"
 	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -288,5 +290,55 @@ func TestWeakTraceReduceLoop(t *testing.T) {
 	// single state with an a self-loop.
 	if r.NumStates != 1 || len(r.Transitions) != 1 || r.Transitions[0] != (Trans{0, "a", 0}) {
 		t.Fatalf("reduced = %+v", r)
+	}
+}
+
+// chattyNet is one location with a self-loop per label: a single state
+// whose every transition carries a different label (plus "tick").
+func chattyNet(labels int) *ta.Network {
+	edges := make([]ta.Edge, labels)
+	for i := range edges {
+		edges[i] = ta.Edge{Label: "a" + strconv.Itoa(i)}
+	}
+	net := ta.NewNetwork()
+	net.Add(&ta.Automaton{Name: "chatty", Locations: []ta.Location{{Name: "L"}}, Edges: edges})
+	return net
+}
+
+// TestLabelLimit pins the width of the records' label ids: 65,535
+// distinct labels explore and come back as themselves, one more is an
+// error from every entry point — never a wrapped id naming the wrong
+// label.
+func TestLabelLimit(t *testing.T) {
+	const most = math.MaxUint16 // "tick" included
+	for _, workers := range []int{1, 2} {
+		opts := Options{Workers: workers}
+		lts, err := BuildLTS(chattyNet(most-1), opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %d labels: %v", workers, most, err)
+		}
+		if lts.NumStates != 1 || len(lts.Transitions) != most {
+			t.Fatalf("workers=%d: %d states / %d transitions, want 1 / %d", workers, lts.NumStates, len(lts.Transitions), most)
+		}
+		for i, tr := range lts.Transitions[:most-1] {
+			if want := "a" + strconv.Itoa(i); tr.Label != want {
+				t.Fatalf("workers=%d: transition %d labelled %q, want %q", workers, i, tr.Label, want)
+			}
+		}
+		if last := lts.Transitions[most-1].Label; last != "tick" {
+			t.Fatalf("workers=%d: last transition labelled %q, want tick", workers, last)
+		}
+
+		over := chattyNet(most)
+		if _, err := BuildLTS(over, opts); !errors.Is(err, ErrLabelLimit) {
+			t.Fatalf("workers=%d: BuildLTS over the limit: %v, want ErrLabelLimit", workers, err)
+		}
+		if _, _, err := CountStates(over, opts); !errors.Is(err, ErrLabelLimit) {
+			t.Fatalf("workers=%d: CountStates over the limit: %v, want ErrLabelLimit", workers, err)
+		}
+		res, err := CheckReachability(over, func(*ta.State) bool { return true }, opts)
+		if !errors.Is(err, ErrLabelLimit) || res.Reachable {
+			t.Fatalf("workers=%d: CheckReachability over the limit: %+v, %v, want ErrLabelLimit", workers, res, err)
+		}
 	}
 }

@@ -87,17 +87,16 @@ type candidate struct {
 	shard   uint8
 	delay   bool
 	goalHit bool
-	label   string
+	label   uint16
 }
 
-// rawTrans is a transition recorded during phase A for LTS builds; to is
-// the target's global id, or -1 until the candidate it points at resolves.
+// rawTrans is a transition recorded for LTS builds. A negative to is
+// unresolved: ^to is the worker's candidate phase D resolves it from (never,
+// if a state-limit hit ends the run first). A worker logs in (from, successor
+// index) order and expands no state another does, so from orders the merge.
 type rawTrans struct {
-	seq   uint64
-	from  int32
-	to    int32
-	cand  int32
-	label string
+	from, to int32
+	label    uint16
 }
 
 // workerState is the per-goroutine exploration context.
@@ -115,7 +114,7 @@ type workerState struct {
 	keyBuf   []byte
 	cands    []candidate
 	perShard [numShards][]int32 // candidate indices by shard, seq-sorted
-	trans    []rawTrans
+	trans    paged[rawTrans]
 	// levelTransStart marks where this level's transitions begin, for the
 	// phase-D fixup.
 	levelTransStart int
@@ -129,11 +128,12 @@ func (ws *workerState) resetLevel() {
 	for s := range ws.perShard {
 		ws.perShard[s] = ws.perShard[s][:0]
 	}
-	ws.levelTransStart = len(ws.trans)
+	ws.levelTransStart = ws.trans.n
 }
 
-// explorer holds the sharded store and the global id maps shared by all
-// phases.
+// explorer holds the store, node records and label table shared by all
+// phases. The serial engine uses one segment and no id maps: its global
+// ids are segs[0]'s local ids.
 type explorer struct {
 	goal      func(*ta.State) bool
 	prune     func(*ta.State) bool
@@ -143,42 +143,45 @@ type explorer struct {
 	numLocs, numClocks, keyLen int
 
 	segs [numShards]*segment
-	// index maps global ids to (shard, local) pairs.
+	// index maps global ids to (shard, local) pairs; nil when serial.
 	index []uint64
-	info  []nodeInfo
+	// info has one record per committed state: info.n is the state count.
+	info paged[nodeInfo]
+
+	// labels numbers every label a transition of the network can carry,
+	// for the node and transition records; read-only while exploring.
+	labels   []string
+	labelIDs map[string]uint16
 
 	ws []*workerState
 }
 
 func packLoc(shard, local int) uint64 { return uint64(shard)<<32 | uint64(uint32(local)) }
 
-// key returns the packed key bytes of global id gid. The slice aliases a
-// segment arena; it is stable within a phase (arenas only grow in phase B).
+// key returns the packed key bytes of global id gid, aliasing a key page.
 func (e *explorer) key(gid int) []byte {
+	if e.index == nil {
+		return e.segs[0].key(gid)
+	}
 	loc := e.index[gid]
 	return e.segs[loc>>32].key(int(uint32(loc)))
 }
 
-// explore runs the level-synchronised BFS from the network's initial
-// configuration. It returns the explorer for trace/LTS reconstruction, the
-// global id of the canonical goal state (-1 if none was reached), and the
-// state/transition counts. All outputs are identical at any worker count.
-func explore(n *ta.Network, goal, prune func(*ta.State) bool, limit, workers int, withTrans bool) (*explorer, int, int, int, error) {
-	if workers < 1 {
-		workers = 1
+// labelID returns the table id of a transition label.
+func (e *explorer) labelID(label string) uint16 {
+	id, ok := e.labelIDs[label]
+	if !ok {
+		panic("mc: transition label is on no edge of the network")
 	}
-	if limit > math.MaxInt32-1 {
-		limit = math.MaxInt32 - 1 // ids are int32 internally
-	}
-	if workers == 1 {
-		// One goroutine gains nothing from the candidate/merge machinery;
-		// the direct-commit BFS in serial.go produces identical outputs at
-		// a fraction of the coordination cost (see BENCH_mc.json pr4 vs
-		// pr2 rows).
-		return exploreSerial(n, goal, prune, limit, withTrans)
-	}
+	return id
+}
+
+// newExplorer builds what both engines share — segments (one for a single
+// worker), worker contexts, the label table — and commits the initial
+// configuration as global id 0; atGoal reports that it satisfies the goal.
+func newExplorer(n *ta.Network, goal, prune func(*ta.State) bool, limit, workers int, withTrans bool) (e *explorer, atGoal bool, err error) {
 	init := n.Initial()
-	e := &explorer{
+	e = &explorer{
 		goal:      goal,
 		prune:     prune,
 		limit:     limit,
@@ -186,9 +189,25 @@ func explore(n *ta.Network, goal, prune func(*ta.State) bool, limit, workers int
 		numLocs:   len(init.Locs),
 		numClocks: len(init.Clocks),
 		keyLen:    init.KeyLen(),
+		labelIDs:  map[string]uint16{},
 	}
-	for s := range e.segs {
-		e.segs[s] = &segment{stateStore: *newStateStore(minTableSize)}
+	// A transition's label is "tick" or an edge's (ta.Transition), so the
+	// table is complete up front and workers only ever read it.
+	e.declareLabel("tick")
+	for _, a := range n.Automata() {
+		for i := range a.Edges {
+			e.declareLabel(a.Edges[i].Label)
+		}
+	}
+	if len(e.labels) > math.MaxUint16 {
+		return nil, false, fmt.Errorf("%w: %d", ErrLabelLimit, len(e.labels))
+	}
+	segs := e.segs[:1]
+	if workers > 1 {
+		segs = e.segs[:]
+	}
+	for s := range segs {
+		segs[s] = &segment{stateStore: *newStateStore(e.keyLen)}
 	}
 	e.ws = make([]*workerState, workers)
 	for i := range e.ws {
@@ -199,15 +218,49 @@ func explore(n *ta.Network, goal, prune func(*ta.State) bool, limit, workers int
 
 	key := init.AppendKey(make([]byte, 0, e.keyLen))
 	h := hashKey(key)
-	s0 := int(h >> (64 - shardBits))
-	local, _ := e.segs[s0].internHashed(key, h)
-	e.segs[s0].gids = append(e.segs[s0].gids, 0)
-	e.index = append(e.index, packLoc(s0, local))
-	e.info = append(e.info, nodeInfo{parent: -1})
-	if goal != nil && goal(&init) {
-		return e, 0, 1, 0, nil
+	s0 := 0
+	if workers > 1 {
+		s0 = int(h >> (64 - shardBits))
+		e.segs[s0].gids = append(e.segs[s0].gids, 0)
+		e.index = append(e.index, packLoc(s0, 0))
 	}
+	e.segs[s0].intern(key, h)
+	e.info.push(nodeInfo{parent: -1})
+	return e, goal != nil && goal(&init), nil
+}
 
+func (e *explorer) declareLabel(label string) {
+	if _, ok := e.labelIDs[label]; !ok {
+		e.labelIDs[label] = uint16(len(e.labels))
+		e.labels = append(e.labels, label)
+	}
+}
+
+// explore runs the BFS from the network's initial configuration. It
+// returns the explorer for trace/LTS reconstruction, the global id of the
+// canonical goal state (-1 if none was reached), and the state/transition
+// counts. All outputs are identical at any worker count.
+func explore(n *ta.Network, goal, prune func(*ta.State) bool, limit, workers int, withTrans bool) (*explorer, int, int, int, error) {
+	limit = min(limit, math.MaxInt32-1) // ids are int32 internally
+	e, atGoal, err := newExplorer(n, goal, prune, limit, workers, withTrans)
+	if err != nil {
+		return nil, -1, 0, 0, err
+	}
+	goalID := 0
+	switch {
+	case atGoal:
+	case workers == 1:
+		// One goroutine gains nothing from the candidate/merge machinery;
+		// serial.go commits directly (the benchmark's mc.scale_w2 compares).
+		goalID, err = e.exploreSerial()
+	default:
+		goalID, err = e.exploreSharded(workers)
+	}
+	return e, goalID, e.info.n, e.sumTransitions(), err
+}
+
+// exploreSharded is the level-synchronised loop over phases A to D.
+func (e *explorer) exploreSharded(workers int) (goalID int, err error) {
 	levelStart, levelEnd := 0, 1
 	for levelStart < levelEnd {
 		// Phase A: expand the level.
@@ -226,11 +279,10 @@ func explore(n *ta.Network, goal, prune func(*ta.State) bool, limit, workers int
 			// Goal wins over a same-level limit hit: it was committed
 			// before the limit crossing, exactly as a sequential check
 			// would have returned it first.
-			return e, goalID, len(e.index), e.sumTransitions(), nil
+			return goalID, nil
 		}
 		if limitHit {
-			return e, -1, len(e.index), e.sumTransitions(),
-				fmt.Errorf("%w: %d states", ErrStateLimit, e.limit)
+			return -1, fmt.Errorf("%w: %d states", ErrStateLimit, e.limit)
 		}
 
 		// Phase D: resolve candidate targets in recorded transitions.
@@ -238,7 +290,7 @@ func explore(n *ta.Network, goal, prune func(*ta.State) bool, limit, workers int
 			runPhase(workers, func(w int) { e.resolveTrans(e.ws[w]) })
 		}
 
-		levelStart, levelEnd = levelEnd, len(e.index)
+		levelStart, levelEnd = levelEnd, e.info.n
 		for _, ws := range e.ws {
 			ws.resetLevel()
 		}
@@ -246,16 +298,11 @@ func explore(n *ta.Network, goal, prune func(*ta.State) bool, limit, workers int
 			sg.news = sg.news[:0]
 		}
 	}
-	return e, -1, len(e.index), e.sumTransitions(), nil
+	return -1, nil
 }
 
-// runPhase executes fn(w) for every worker and waits for all of them; a
-// single worker runs inline with no goroutine.
+// runPhase executes fn(w) for every worker and waits for all of them.
 func runPhase(workers int, fn func(w int)) {
-	if workers == 1 {
-		fn(0)
-		return
-	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -308,15 +355,16 @@ func (e *explorer) expandState(ws *workerState, gid int) {
 		h := hashKey(key)
 		sh := int(h >> (64 - shardBits))
 		seg := e.segs[sh]
-		if local, ok := seg.lookupHashed(key, h); ok {
+		if local, _, ok := seg.find(key, h); ok {
 			// Committed in an earlier level; the probe is read-only
 			// against a table frozen for the whole phase.
 			ws.keyBuf = ws.keyBuf[:off]
 			if e.withTrans {
-				ws.trans = append(ws.trans, rawTrans{seq: seq, from: int32(gid), to: seg.gids[local], label: tr.Label})
+				ws.trans.push(rawTrans{from: int32(gid), to: seg.gids[local], label: e.labelID(tr.Label)})
 			}
 			continue
 		}
+		label := e.labelID(tr.Label)
 		ci := int32(len(ws.cands))
 		ws.cands = append(ws.cands, candidate{
 			seq:    seq,
@@ -326,7 +374,7 @@ func (e *explorer) expandState(ws *workerState, gid int) {
 			local:  -1,
 			shard:  uint8(sh),
 			delay:  tr.Delay,
-			label:  tr.Label,
+			label:  label,
 			// The goal is evaluated here, while the target is live in the
 			// successor buffer; only the first occurrence's verdict is
 			// ever used. Concurrent calls require a pure goal predicate
@@ -336,7 +384,7 @@ func (e *explorer) expandState(ws *workerState, gid int) {
 		})
 		ws.perShard[sh] = append(ws.perShard[sh], ci)
 		if e.withTrans {
-			ws.trans = append(ws.trans, rawTrans{seq: seq, from: int32(gid), to: -1, cand: ci, label: tr.Label})
+			ws.trans.push(rawTrans{from: int32(gid), to: ^ci, label: label})
 		}
 	}
 }
@@ -382,7 +430,7 @@ func (e *explorer) commitShard(sh int) {
 		heads[best]++
 		c := &wsb.cands[ci]
 		key := wsb.keyBuf[c.off : int(c.off)+e.keyLen]
-		local, added := seg.internHashed(key, c.hash)
+		local, added := seg.intern(key, c.hash)
 		c.local = int32(local)
 		if added {
 			seg.news = append(seg.news, newsRef{seq: c.seq, w: int32(best), ci: ci})
@@ -410,7 +458,7 @@ func (e *explorer) assignIDs() (goalID int, limitHit bool) {
 		sg := e.segs[best]
 		rec := sg.news[heads[best]]
 		heads[best]++
-		gid := len(e.index)
+		gid := e.info.n
 		if gid >= e.limit {
 			return goalID, true
 		}
@@ -420,7 +468,7 @@ func (e *explorer) assignIDs() (goalID int, limitHit bool) {
 		}
 		sg.gids = append(sg.gids, int32(gid))
 		e.index = append(e.index, packLoc(best, int(c.local)))
-		e.info = append(e.info, nodeInfo{parent: int(c.parent), label: c.label, delay: c.delay})
+		e.info.push(nodeInfo{parent: c.parent, label: c.label, delay: c.delay})
 		if goalID < 0 && c.goalHit {
 			goalID = gid
 		}
@@ -430,13 +478,11 @@ func (e *explorer) assignIDs() (goalID int, limitHit bool) {
 // resolveTrans is phase D: rewrite this level's candidate-targeted
 // transitions to their final global ids.
 func (e *explorer) resolveTrans(ws *workerState) {
-	for i := ws.levelTransStart; i < len(ws.trans); i++ {
-		rt := &ws.trans[i]
-		if rt.to >= 0 {
-			continue
+	for i := ws.levelTransStart; i < ws.trans.n; i++ {
+		if rt := ws.trans.at(i); rt.to < 0 {
+			c := &ws.cands[^rt.to]
+			rt.to = e.segs[c.shard].gids[c.local]
 		}
-		c := &ws.cands[rt.cand]
-		rt.to = e.segs[c.shard].gids[c.local]
 	}
 }
 
@@ -448,28 +494,34 @@ func (e *explorer) sumTransitions() int {
 	return total
 }
 
-// mergeTrans merges the workers' transition lists by seq tag, recovering
-// the exact (parent id, successor index) emission order of a sequential
-// LTS build.
-func (e *explorer) mergeTrans() []Trans {
+// lts merges the workers' transition logs into the finished LTS, in the
+// (parent id, successor index) emission order of a sequential build, with
+// its labels interned in order of first use, as LTS.internLabels would.
+func (e *explorer) lts() *LTS {
 	total := 0
 	for _, ws := range e.ws {
-		total += len(ws.trans)
+		total += ws.trans.n
 	}
-	out := make([]Trans, 0, total)
+	l := &LTS{NumStates: e.info.n, Transitions: make([]Trans, total), labelIDs: make([]int32, total)}
+	ltsID := make([]int32, len(e.labels)) // explorer label id -> LTS label id + 1
 	heads := make([]int, len(e.ws))
-	for {
-		best, bestSeq := -1, uint64(math.MaxUint64)
+	for i := range l.Transitions {
+		best, bestFrom := -1, int32(math.MaxInt32)
 		for w, ws := range e.ws {
-			if heads[w] < len(ws.trans) && ws.trans[heads[w]].seq < bestSeq {
-				best, bestSeq = w, ws.trans[heads[w]].seq
+			if heads[w] < ws.trans.n {
+				if from := ws.trans.at(heads[w]).from; from < bestFrom {
+					best, bestFrom = w, from
+				}
 			}
 		}
-		if best < 0 {
-			return out
-		}
-		rt := &e.ws[best].trans[heads[best]]
+		rt := e.ws[best].trans.at(heads[best])
 		heads[best]++
-		out = append(out, Trans{From: int(rt.from), Label: rt.label, To: int(rt.to)})
+		if ltsID[rt.label] == 0 {
+			l.labelNames = append(l.labelNames, e.labels[rt.label])
+			ltsID[rt.label] = int32(len(l.labelNames))
+		}
+		l.labelIDs[i] = ltsID[rt.label] - 1
+		l.Transitions[i] = Trans{From: int(rt.from), Label: e.labels[rt.label], To: int(rt.to)}
 	}
+	return l
 }

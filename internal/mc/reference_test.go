@@ -1,0 +1,171 @@
+package mc_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/mc"
+	"repro/internal/models"
+	"repro/internal/ta"
+)
+
+// reference is the oracle for the packed explorer: the textbook
+// breadth-first search over a map[string]int of state keys, one heap
+// state per id, string labels, no paging, no hashing of its own. It
+// shares only the level contract with the engines: a level on which the
+// goal turns up is expanded to its end, and the first goal state in
+// discovery order is the witness.
+type reference struct {
+	states []ta.State
+	parent []int
+	label  []string
+	delay  []bool
+	trans  []mc.Trans
+	goalID int
+	nTrans int
+}
+
+func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool) *reference {
+	r := &reference{goalID: -1}
+	ids := map[string]int{}
+	add := func(s *ta.State, parent int, label string, delay bool) int {
+		id := len(r.states)
+		ids[s.Key()] = id
+		r.states = append(r.states, s.Clone())
+		r.parent = append(r.parent, parent)
+		r.label = append(r.label, label)
+		r.delay = append(r.delay, delay)
+		if r.goalID < 0 && goal != nil && goal(s) {
+			r.goalID = id
+		}
+		return id
+	}
+	init := n.Initial()
+	add(&init, -1, "", false)
+	ctx := n.NewSuccCtx()
+	for lo, hi := 0, 1; lo < hi && r.goalID < 0; lo, hi = hi, len(r.states) {
+		for from := lo; from < hi; from++ {
+			src := r.states[from].Clone()
+			if prune != nil && prune(&src) {
+				continue
+			}
+			for _, tr := range ctx.Successors(&src, nil) {
+				r.nTrans++
+				to, seen := ids[tr.Target.Key()]
+				if !seen {
+					to = add(&tr.Target, from, tr.Label, tr.Delay)
+				}
+				r.trans = append(r.trans, mc.Trans{From: from, Label: tr.Label, To: to})
+			}
+		}
+	}
+	return r
+}
+
+// trace rebuilds the witness the way mc.CheckReachability documents it.
+func (r *reference) trace() []mc.Step {
+	var rev []int
+	for at := r.goalID; at != -1; at = r.parent[at] {
+		rev = append(rev, at)
+	}
+	var steps []mc.Step
+	now := 0
+	for i := len(rev) - 1; i >= 0; i-- {
+		id := rev[i]
+		if r.delay[id] {
+			now++
+		}
+		steps = append(steps, mc.Step{Label: r.label[id], Delay: r.delay[id], Time: now, State: r.states[id]})
+	}
+	return steps
+}
+
+func buildModel(t *testing.T, cfg models.Config) *models.Model {
+	t.Helper()
+	m, err := models.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestSerialMatchesReferenceLTS pins ids, labels and counts: BuildLTS
+// numbers states in discovery order and emits transitions in (source id,
+// successor index) order, so its output must equal the reference's
+// element for element.
+func TestSerialMatchesReferenceLTS(t *testing.T) {
+	cfg := models.Config{Variant: models.Binary, N: 1, TMin: 9, TMax: 10}
+	ref := referenceBFS(buildModel(t, cfg).Net, nil, nil)
+	if len(ref.states) <= 16384 {
+		t.Fatalf("reference has %d states; the model must outgrow one store page to test paging", len(ref.states))
+	}
+	for _, workers := range []int{1, 2} {
+		lts, err := mc.BuildLTS(buildModel(t, cfg).Net, mc.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lts.NumStates != len(ref.states) || len(lts.Transitions) != len(ref.trans) {
+			t.Fatalf("workers=%d: %d states / %d transitions, reference %d / %d",
+				workers, lts.NumStates, len(lts.Transitions), len(ref.states), len(ref.trans))
+		}
+		for i, tr := range lts.Transitions {
+			if tr != ref.trans[i] {
+				t.Fatalf("workers=%d: transition %d = %+v, reference %+v", workers, i, tr, ref.trans[i])
+			}
+		}
+	}
+}
+
+// TestSerialMatchesReferenceChecks pins counts, parents and witness: a
+// satisfied property (full exploration, with and without pruning) and the
+// counter-example of binary tmin=1 R1, step for step.
+func TestSerialMatchesReferenceChecks(t *testing.T) {
+	for _, tc := range []struct {
+		cfg       models.Config
+		prop      models.Property
+		prune     bool
+		reachable bool
+	}{
+		{models.Config{Variant: models.Binary, N: 1, TMin: 9, TMax: 10}, models.R1, false, false},
+		{models.Config{Variant: models.Binary, N: 1, TMin: 9, TMax: 10}, models.R2, true, false},
+		{models.Config{Variant: models.Binary, N: 1, TMin: 1, TMax: 10}, models.R1, false, true},
+	} {
+		t.Run(fmt.Sprintf("tmin=%d-%v", tc.cfg.TMin, tc.prop), func(t *testing.T) {
+			m := buildModel(t, tc.cfg)
+			goal, err := m.Violation(tc.prop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var prune func(*ta.State) bool
+			if tc.prune {
+				prune = m.MessageLost
+			}
+			ref := referenceBFS(m.Net, goal, prune)
+			res, err := mc.CheckReachability(m.Net, goal, mc.Options{Prune: prune})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Reachable != tc.reachable || res.Reachable != (ref.goalID >= 0) {
+				t.Fatalf("reachable = %v, reference goal id %d, want reachable %v", res.Reachable, ref.goalID, tc.reachable)
+			}
+			if res.StatesExplored != len(ref.states) || res.TransitionsExplored != ref.nTrans {
+				t.Fatalf("%d states / %d transitions, reference %d / %d",
+					res.StatesExplored, res.TransitionsExplored, len(ref.states), ref.nTrans)
+			}
+			if !res.Reachable {
+				return
+			}
+			want := ref.trace()
+			if len(res.Trace) != len(want) {
+				t.Fatalf("trace has %d steps, reference %d", len(res.Trace), len(want))
+			}
+			for i, got := range res.Trace {
+				w := want[i]
+				if got.Label != w.Label || got.Delay != w.Delay || got.Time != w.Time || got.State.Key() != w.State.Key() {
+					t.Fatalf("step %d = %q delay=%v t=%d %v, reference %q delay=%v t=%d %v",
+						i, got.Label, got.Delay, got.Time, got.State, w.Label, w.Delay, w.Time, w.State)
+				}
+			}
+		})
+	}
+}

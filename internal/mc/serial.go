@@ -4,14 +4,13 @@ package mc
 //
 // The level-synchronised parallel BFS (parallel.go) is byte-identical at
 // any worker count, but its machinery — candidate records, per-shard
-// seq-merges, a two-pass commit — is pure coordination overhead when one
-// goroutine explores. The pr4 rows in BENCH_mc.json show the cost: the
-// single-thread checker dropped from ~1.6M to ~1.2M states/s and from
-// ~280 to ~1600 allocs per check. This file restores the direct route: a
-// classic BFS that interns successors into a single store segment as it
-// discovers them, with no candidate buffers and no merges, while keeping
-// the exact observable semantics of the parallel engine so determinism
-// pins keep holding:
+// seq-merges, a two-pass commit, global/local id maps — is pure
+// coordination overhead when one goroutine explores (the benchmark's
+// mc.states_per_s.* and mc.allocs_per_check measure this engine,
+// mc.scale_w2 its ratio to two sharded workers). This file is the direct
+// route: a classic BFS that interns successors into a single segment as it
+// discovers them (global id = store id), on the same explorer and records,
+// with the parallel engine's exact observable semantics:
 //
 //   - states are committed in seq order (parent id, transition index) —
 //     for one worker that is simply discovery order;
@@ -20,46 +19,14 @@ package mc
 //   - the goal is only reported for committed states, and a goal in the
 //     same level as a limit crossing wins iff it was committed first;
 //   - recorded transitions carry the same final global ids (targets past
-//     the state limit stay -1, exactly like an unresolved candidate —
-//     phase D never runs on a limit hit).
-//
-// The explorer it returns is the same struct the parallel path builds
-// (single segment, single workerState), so rebuildTrace and mergeTrans
-// work unchanged.
+//     the state limit stay unresolved, as phase D never runs then).
 
-import (
-	"fmt"
-
-	"repro/internal/ta"
-)
+import "fmt"
 
 // exploreSerial is the Workers<=1 route around the parallel machinery.
-// Outputs are byte-identical to explore() with any worker count.
-func exploreSerial(n *ta.Network, goal, prune func(*ta.State) bool, limit int, withTrans bool) (*explorer, int, int, int, error) {
-	init := n.Initial()
-	e := &explorer{
-		goal:      goal,
-		prune:     prune,
-		limit:     limit,
-		withTrans: withTrans,
-		numLocs:   len(init.Locs),
-		numClocks: len(init.Clocks),
-		keyLen:    init.KeyLen(),
-	}
-	seg := &segment{stateStore: *newStateStore(minTableSize)}
-	e.segs[0] = seg
-	ws := &workerState{ctx: n.NewSuccCtx(), scratch: init.Clone()}
-	e.ws = []*workerState{ws}
-
-	key := init.AppendKey(make([]byte, 0, e.keyLen))
-	local, _ := seg.internHashed(key, hashKey(key))
-	seg.gids = append(seg.gids, 0)
-	e.index = append(e.index, packLoc(0, local))
-	e.info = append(e.info, nodeInfo{parent: -1})
-	if goal != nil && goal(&init) {
-		return e, 0, 1, 0, nil
-	}
-
+// Outputs are byte-identical to exploreSharded with any worker count.
+func (e *explorer) exploreSerial() (goalID int, err error) {
+	ws := e.ws[0]
 	levelStart, levelEnd := 0, 1
 	for levelStart < levelEnd {
 		goalID := -1
@@ -68,26 +35,26 @@ func exploreSerial(n *ta.Network, goal, prune func(*ta.State) bool, limit int, w
 			e.expandStateSerial(ws, gid, &goalID, &limitHit)
 		}
 		if goalID >= 0 {
-			return e, goalID, len(e.index), ws.transitions, nil
+			return goalID, nil
 		}
 		if limitHit {
-			return e, -1, len(e.index), ws.transitions,
-				fmt.Errorf("%w: %d states", ErrStateLimit, e.limit)
+			return -1, fmt.Errorf("%w: %d states", ErrStateLimit, e.limit)
 		}
-		levelStart, levelEnd = levelEnd, len(e.index)
+		levelStart, levelEnd = levelEnd, e.info.n
 	}
-	return e, -1, len(e.index), ws.transitions, nil
+	return -1, nil
 }
 
 //hbvet:noalloc
 // expandStateSerial generates gid's successors and commits first
-// occurrences directly: lookup, intern, assign the global id, check the
-// goal — one pass, no candidate records. Same-level duplicates dedup
+// occurrences directly: one probe, insert at the slot it ended on, check
+// the goal — one pass, no candidate records. Same-level duplicates dedup
 // against the live table (the parallel engine's frozen-probe + seq-merge
 // reaches the identical first-occurrence winner, because serial discovery
 // order IS seq order).
 func (e *explorer) expandStateSerial(ws *workerState, gid int, goalID *int, limitHit *bool) {
-	ws.scratch.DecodeKey(e.key(gid), e.numLocs, e.numClocks)
+	seg := e.segs[0]
+	ws.scratch.DecodeKey(seg.key(gid), e.numLocs, e.numClocks)
 	//lint:allow noalloc-closure prune/goal predicates are exploration configuration; the Options contract requires pure, allocation-free predicates
 	if e.prune != nil && e.prune(&ws.scratch) {
 		return
@@ -95,40 +62,28 @@ func (e *explorer) expandStateSerial(ws *workerState, gid int, goalID *int, limi
 	// Successors recycles ws.buf per the SuccCtx contract (see workerState).
 	ws.buf = ws.ctx.Successors(&ws.scratch, ws.buf[:0])
 	ws.transitions += len(ws.buf)
-	seg := e.segs[0]
-	base := uint64(gid) << seqTransBits
 	for i := range ws.buf {
 		tr := &ws.buf[i]
 		ws.keyBuf = tr.Target.AppendKey(ws.keyBuf[:0])
 		h := hashKey(ws.keyBuf)
-		if local, ok := seg.lookupHashed(ws.keyBuf, h); ok {
-			if e.withTrans {
-				ws.trans = append(ws.trans, rawTrans{seq: base | uint64(i), from: int32(gid), to: seg.gids[local], label: tr.Label})
-			}
-			continue
-		}
-		if *limitHit || len(e.index) >= e.limit {
-			// Past the limit nothing commits; the target stays unresolved
-			// (-1), matching a candidate the parallel engine never ran
-			// phase D over. The rest of the level still expands so the
-			// transition count matches.
+		to, slot, seen := seg.find(ws.keyBuf, h)
+		switch {
+		case seen:
+		case *limitHit || e.info.n >= e.limit:
+			// Past the limit nothing commits, but the rest of the level
+			// still expands so the transition count matches.
 			*limitHit = true
-			if e.withTrans {
-				ws.trans = append(ws.trans, rawTrans{seq: base | uint64(i), from: int32(gid), to: -1, label: tr.Label})
+			to = -1
+		default:
+			to = seg.insert(ws.keyBuf, h, slot)
+			e.info.push(nodeInfo{parent: int32(gid), label: e.labelID(tr.Label), delay: tr.Delay})
+			//lint:allow noalloc-closure prune/goal predicates are exploration configuration; the Options contract requires pure, allocation-free predicates
+			if *goalID < 0 && e.goal != nil && e.goal(&tr.Target) {
+				*goalID = to
 			}
-			continue
-		}
-		local, _ := seg.internHashed(ws.keyBuf, h)
-		newGid := len(e.index)
-		seg.gids = append(seg.gids, int32(newGid))
-		e.index = append(e.index, packLoc(0, local))
-		e.info = append(e.info, nodeInfo{parent: gid, label: tr.Label, delay: tr.Delay})
-		//lint:allow noalloc-closure prune/goal predicates are exploration configuration; the Options contract requires pure, allocation-free predicates
-		if *goalID < 0 && e.goal != nil && e.goal(&tr.Target) {
-			*goalID = newGid
 		}
 		if e.withTrans {
-			ws.trans = append(ws.trans, rawTrans{seq: base | uint64(i), from: int32(gid), to: int32(newGid), label: tr.Label})
+			ws.trans.push(rawTrans{from: int32(gid), to: int32(to), label: e.labelID(tr.Label)})
 		}
 	}
 }

@@ -59,12 +59,13 @@ func TestSerialStateLimitSemantics(t *testing.T) {
 	}
 }
 
-// TestSerialCheckerAllocBudget pins the workers=1 allocation regression
-// fixed in this package: the parallel machinery cost ~1600 allocs per
-// check (BENCH_mc.json pr4-maxprocs1) where the pr2 serial engine needed
-// ~280. The direct-commit path must stay in the serial engine's budget;
-// the bound includes network construction and covers growth headroom, and
-// a 3x regression like pr4's blows straight through it.
+// TestSerialCheckerAllocBudget pins the workers=1 allocation count: run
+// through the parallel machinery a check costs several times the allocs
+// of the direct-commit path (the benchmark's mc.allocs_per_check reports
+// the figure for a real model). The serial engine must stay in its own
+// budget; the bound includes network construction and covers growth
+// headroom, and candidate/merge machinery back on the path blows
+// straight through it.
 func TestSerialCheckerAllocBudget(t *testing.T) {
 	check := func() {
 		net, v := counterNet(30)

@@ -1,113 +1,146 @@
 package mc
 
+import "math/bits"
+
+// pageBits fixes the page size of key pages, node records and the
+// transition log alike. A page is allocated once at full size and never
+// copied again: growth costs one allocation per page, not the repeated
+// memmove of an append-grown slice.
+const (
+	pageBits = 14
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
+
+// paged is an append-only vector of pointer-free records in fixed pages;
+// records never move, so a *T from at stays valid.
+type paged[T any] struct {
+	pages [][]T
+	n     int
+}
+
+func (p *paged[T]) push(v T) {
+	if p.n>>pageBits == len(p.pages) {
+		p.addPage()
+	}
+	p.pages[p.n>>pageBits][p.n&pageMask] = v
+	p.n++
+}
+
+//go:noinline
+func (p *paged[T]) addPage() { // out of line: push inlines as an index and a store
+	//lint:allow noalloc-closure page allocation; one per pageSize records and absent from the steady-state pins
+	p.pages = append(p.pages, make([]T, pageSize))
+}
+
+func (p *paged[T]) at(i int) *T { return &p.pages[i>>pageBits][i&pageMask] }
+
 // stateStore is a packed, deduplicating store of state keys (the
-// ta.State.AppendKey encodings). Keys are serialised once into a growable
-// byte arena and addressed by dense integer ids through (offset, length)
-// handles; an open-addressing hash index over those handles replaces the
+// ta.State.AppendKey encodings). Every key of one network has the same
+// length, so key id sits at a fixed place in a fixed page; an
+// open-addressing table of (hash tag, id) words replaces the
 // map[string]int of the original BFS, so steady-state interning allocates
 // nothing — no per-state string, no map entry, no retained ta.State.
 type stateStore struct {
-	arena []byte
-	// offs is a prefix-offset array: key i occupies arena[offs[i]:offs[i+1]].
-	offs []uint64
-	// hashes memoises each key's full hash for cheap probe rejection and
-	// table growth without re-hashing the arena.
-	hashes []uint64
-	// table is the open-addressing index: 0 is empty, otherwise id+1.
-	// Power-of-two sized, linear probing, grown at 3/4 load.
-	table []int32
+	keyLen int
+	pages  [][]byte // pageSize keys of keyLen bytes each
+	n      int      // keys interned
+	// table is the open-addressing index: 0 is empty, otherwise
+	// tag<<32 | id+1 with tag the low 32 bits of the key's hash. A probe
+	// rejects on the tag in the word it loaded, so a miss touches the
+	// table only; a tag match is confirmed against the key bytes.
+	// Power-of-two sized, linear probing, grown at 3/4 load. The home slot
+	// is tag >> shift, the tag's top bits; the bits the parallel engine
+	// shards on lie above the tag.
+	table []uint64
+	shift uint
 }
 
 // minTableSize keeps the probe mask non-degenerate for tiny stores.
 const minTableSize = 64
 
-// newStateStore returns a store pre-sized for about hint keys.
-func newStateStore(hint int) *stateStore {
-	size := minTableSize
-	for size*3/4 < hint {
-		size *= 2
-	}
+// newStateStore returns an empty store of keyLen-byte keys.
+func newStateStore(keyLen int) *stateStore {
 	return &stateStore{
-		offs:  make([]uint64, 1, hint+1),
-		table: make([]int32, size),
+		keyLen: keyLen,
+		table:  make([]uint64, minTableSize),
+		shift:  32 - uint(bits.TrailingZeros(minTableSize)),
 	}
 }
 
-// len returns the number of interned keys.
-func (st *stateStore) len() int { return len(st.offs) - 1 }
-
-// key returns the bytes of key id. The slice aliases the arena and is
-// invalidated by the next intern, so decode or copy before interning.
+// key returns the bytes of key id. The slice aliases a key page and stays
+// valid and unchanged for the life of the store.
 func (st *stateStore) key(id int) []byte {
-	return st.arena[st.offs[id]:st.offs[id+1]]
+	off := (id & pageMask) * st.keyLen
+	return st.pages[id>>pageBits][off : off+st.keyLen : off+st.keyLen]
+}
+
+// find probes for key (with its precomputed hash): the id of the stored
+// copy when present, otherwise the empty slot the key belongs in, good for
+// insert until the next insert. It never mutates the store, so concurrent
+// finds are safe; finds concurrent with inserts are not.
+func (st *stateStore) find(key []byte, h uint64) (id int, slot uint32, found bool) {
+	tag := uint32(h)
+	mask := uint32(len(st.table) - 1)
+	i := tag >> st.shift
+	for {
+		s := st.table[i]
+		if s == 0 {
+			return 0, i, false
+		}
+		if uint32(s>>32) == tag {
+			if cand := int(uint32(s)) - 1; string(st.key(cand)) == string(key) {
+				return cand, i, true
+			}
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// insert stores a copy of key — which find just reported absent, at slot
+// — and returns its fresh id. key itself is never retained.
+func (st *stateStore) insert(key []byte, h uint64, slot uint32) int {
+	id := st.n
+	if id>>pageBits == len(st.pages) {
+		//lint:allow noalloc-closure page allocation; one per pageSize keys and absent from the steady-state pins
+		st.pages = append(st.pages, make([]byte, pageSize*st.keyLen))
+	}
+	copy(st.pages[id>>pageBits][(id&pageMask)*st.keyLen:], key[:st.keyLen])
+	st.n++
+	st.table[slot] = uint64(uint32(h))<<32 | uint64(id+1)
+	if (st.n+1)*4 > len(st.table)*3 {
+		st.grow()
+	}
+	return id
 }
 
 // intern dedups key into the store: the id of the existing copy when seen
-// before, otherwise a fresh id (added true) with the bytes appended to the
-// arena. key itself is never retained.
-func (st *stateStore) intern(key []byte) (id int, added bool) {
-	return st.internHashed(key, hashKey(key))
+// before, otherwise a fresh id (added true). The caller supplies the hash:
+// the parallel explorer has already computed it to pick the shard.
+func (st *stateStore) intern(key []byte, h uint64) (id int, added bool) {
+	id, slot, found := st.find(key, h)
+	if found {
+		return id, false
+	}
+	return st.insert(key, h, slot), true
 }
 
-// lookupHashed probes for key (with its precomputed hash) without
-// inserting. It never mutates the store, so concurrent lookups are safe;
-// lookups concurrent with interns are not.
-func (st *stateStore) lookupHashed(key []byte, h uint64) (id int, ok bool) {
-	mask := uint64(len(st.table) - 1)
-	i := h & mask
-	for {
-		slot := st.table[i]
-		if slot == 0 {
-			return 0, false
-		}
-		cand := int(slot - 1)
-		if st.hashes[cand] == h && string(st.key(cand)) == string(key) {
-			return cand, true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// internHashed is intern with the key's hash precomputed by the caller
-// (the parallel explorer hashes once to pick a shard, then interns into
-// that shard's store with the same hash).
-func (st *stateStore) internHashed(key []byte, h uint64) (id int, added bool) {
-	mask := uint64(len(st.table) - 1)
-	i := h & mask
-	for {
-		slot := st.table[i]
-		if slot == 0 {
-			break
-		}
-		cand := int(slot - 1)
-		if st.hashes[cand] == h && string(st.key(cand)) == string(key) {
-			return cand, false
-		}
-		i = (i + 1) & mask
-	}
-	id = st.len()
-	st.arena = append(st.arena, key...)
-	st.offs = append(st.offs, uint64(len(st.arena)))
-	st.hashes = append(st.hashes, h)
-	st.table[i] = int32(id + 1)
-	if (st.len()+1)*4 > len(st.table)*3 {
-		st.grow()
-	}
-	return id, true
-}
-
-// grow doubles the hash table and reinserts every id from its memoised
-// hash.
+// grow doubles the table and reinserts every slot word as it stands: the
+// tag it carries is all the placement needs, so no key is re-read.
 func (st *stateStore) grow() {
 	//lint:allow noalloc-closure amortized hash-table doubling; O(1) amortized per intern and absent from the steady-state pins
-	next := make([]int32, 2*len(st.table))
-	mask := uint64(len(next) - 1)
-	for id, h := range st.hashes {
-		i := h & mask
+	next := make([]uint64, 2*len(st.table))
+	st.shift--
+	mask := uint32(len(next) - 1)
+	for _, s := range st.table {
+		if s == 0 {
+			continue
+		}
+		i := uint32(s>>32) >> st.shift
 		for next[i] != 0 {
 			i = (i + 1) & mask
 		}
-		next[i] = int32(id + 1)
+		next[i] = s
 	}
 	st.table = next
 }

@@ -1,10 +1,12 @@
 package models
 
-import (
-	"fmt"
+import "repro/internal/ta"
 
-	"repro/internal/ta"
-)
+// validateIsolated holds the isolated processes to the constants the full
+// binary model accepts: they declare the same clocks with the same caps.
+func validateIsolated(tmin, tmax int32) error {
+	return Config{TMin: tmin, TMax: tmax, Variant: Binary, N: 1, NoMonitor: true}.Validate()
+}
 
 // BuildIsolatedP0 builds p[0] of the binary protocol composed with a
 // chaotic environment that consumes its beats and may deliver a beat from
@@ -13,8 +15,8 @@ import (
 // system). Labels match the figure: tick, receive/send beats, timeout,
 // voluntary and non-voluntary inactivation.
 func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
-	if tmin <= 0 || tmax < tmin {
-		return nil, fmt.Errorf("%w: need 0 < tmin <= tmax", ErrConfig)
+	if err := validateIsolated(tmin, tmax); err != nil {
+		return nil, err
 	}
 	net := ta.NewNetwork()
 	waiting := net.Clock("waiting", tmax+1)
@@ -80,8 +82,8 @@ func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
 // BuildIsolatedP1 builds p[1] of the binary protocol against a chaotic
 // environment, for Figure 2 of the analysis.
 func BuildIsolatedP1(tmin, tmax int32) (*ta.Network, error) {
-	if tmin <= 0 || tmax < tmin {
-		return nil, fmt.Errorf("%w: need 0 < tmin <= tmax", ErrConfig)
+	if err := validateIsolated(tmin, tmax); err != nil {
+		return nil, err
 	}
 	net := ta.NewNetwork()
 	bound := 3*tmax - tmin

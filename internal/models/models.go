@@ -133,7 +133,25 @@ func (c Config) Validate() error {
 	if c.N < 1 {
 		return fmt.Errorf("%w: need at least one participant", ErrConfig)
 	}
+	// The first test keeps the int32 bound arithmetic behind the second
+	// from overflowing.
+	if c.watchdogTMax() > ta.MaxClockCap || c.maxClockCap() > ta.MaxClockCap {
+		return fmt.Errorf("%w: tmin %d, tmax %d need a clock counting past %d, the most a state key holds",
+			ErrConfig, c.TMin, c.watchdogTMax(), ta.MaxClockCap)
+	}
 	return nil
+}
+
+// maxClockCap is the largest cap Build declares a clock with.
+func (c Config) maxClockCap() int32 {
+	most := max(c.TMax+1, c.responderBound()+1) // p[0] and join channels; watchdogs
+	if c.joinPhase() {
+		most = max(most, c.joinerBound()+1)
+	}
+	if !c.NoMonitor {
+		most = max(most, c.r1Bound()+2)
+	}
+	return most
 }
 
 // binaryFamily reports whether the variant has fixed membership.

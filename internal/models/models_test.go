@@ -2,6 +2,7 @@ package models
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/mc"
@@ -20,6 +21,17 @@ func TestConfigValidation(t *testing.T) {
 		{"tmax below tmin", Config{TMin: 5, TMax: 4, Variant: Binary, N: 1}, false},
 		{"no variant", Config{TMin: 1, TMax: 10, N: 1}, false},
 		{"zero participants", Config{TMin: 1, TMax: 10, Variant: Static, N: 0}, false},
+		// The watchdog clock's cap is 3·tmax − tmin + 1; ta.MaxClockCap
+		// (32767) is the most a state key holds.
+		{"watchdog cap at the key limit", Config{TMin: 3, TMax: 10923, Variant: Binary, N: 1}, true},
+		{"watchdog cap one past the key limit", Config{TMin: 2, TMax: 10923, Variant: Binary, N: 1}, false},
+		// Corrected bounds: the R1 monitor's 3·tmax − tmin + 2 is the largest.
+		{"monitor cap at the key limit", Config{TMin: 1, TMax: 10922, Variant: Dynamic, N: 1, Fixed: true}, true},
+		{"monitor cap past the key limit", Config{TMin: 1, TMax: 10923, Variant: Dynamic, N: 1, Fixed: true}, false},
+		{"same config without the monitor", Config{TMin: 1, TMax: 10923, Variant: Dynamic, N: 1, Fixed: true, NoMonitor: true}, true},
+		{"hbcheck -tmax 20000", Config{TMin: 1, TMax: 20000, Variant: Binary, N: 1}, false},
+		{"watchdog tmax past the key limit", Config{TMin: 1, TMax: 10, WatchdogTMax: 40000, Variant: Static, N: 2}, false},
+		{"tmax that would overflow the bound arithmetic", Config{TMin: 1, TMax: math.MaxInt32, Variant: Expanding, N: 1}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -238,5 +250,9 @@ func TestIsolatedP1StateSpace(t *testing.T) {
 	}
 	if _, err := BuildIsolatedP1(3, 2); err == nil {
 		t.Fatal("bad constants accepted")
+	}
+	// Its watchdog counts to 3·tmax − tmin: an error, not ta.Clock's panic.
+	if _, err := BuildIsolatedP1(1, 20000); !errors.Is(err, ErrConfig) {
+		t.Fatalf("watchdog past the key limit: %v, want ErrConfig", err)
 	}
 }

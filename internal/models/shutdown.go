@@ -57,8 +57,8 @@ type ShutdownModel struct {
 // errors when, bound ticks after the first voluntary inactivation, some
 // process is still active (and, for dynamic, has not left).
 func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
-	if bound < 1 {
-		return nil, fmt.Errorf("%w: shutdown bound must be positive", ErrConfig)
+	if bound < 1 || bound > ta.MaxClockCap-2 {
+		return nil, fmt.Errorf("%w: shutdown bound must be in 1..%d", ErrConfig, ta.MaxClockCap-2)
 	}
 	m, err := Build(cfg)
 	if err != nil {

@@ -1,9 +1,11 @@
 package models
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/mc"
+	"repro/internal/ta"
 )
 
 // TestShutdownGoalHolds verifies the 1998 paper's headline goal on the
@@ -83,6 +85,12 @@ func TestShutdownBoundValidation(t *testing.T) {
 	cfg := Config{TMin: 1, TMax: 4, Variant: Binary, N: 1}
 	if _, err := BuildWithShutdownMonitor(cfg, 0); err == nil {
 		t.Fatal("zero bound accepted")
+	}
+	if _, err := BuildWithShutdownMonitor(cfg, ta.MaxClockCap-2); err != nil {
+		t.Fatalf("largest bound a state key holds: %v", err)
+	}
+	if _, err := BuildWithShutdownMonitor(cfg, ta.MaxClockCap-1); !errors.Is(err, ErrConfig) {
+		t.Fatalf("bound past the key limit: %v, want ErrConfig", err)
 	}
 	if _, err := VerifyShutdown(Config{}, 10, mc.Options{}); err == nil {
 		t.Fatal("invalid config accepted")

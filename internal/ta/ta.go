@@ -22,7 +22,10 @@
 // heartbeat exchange.
 package ta
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // LocKind classifies a location's urgency.
 type LocKind int
@@ -117,6 +120,10 @@ func (s *State) DecodeKey(key []byte, numLocs, numClocks int) {
 	}
 }
 
+// MaxClockCap is the largest clock cap a network accepts: the largest
+// value AppendKey's 16-bit fields round-trip through DecodeKey.
+const MaxClockCap = math.MaxInt16
+
 // Guard is a predicate over a configuration; nil means true.
 type Guard func(s *State) bool
 
@@ -177,10 +184,11 @@ type Network struct {
 	varInit    []int32
 	// priority enables the §6.1 receive-priority rule.
 	priority bool
-	// compiled edge indices, built lazily
+	// compiled edge indices, built lazily; indexed by ChanID (dense, so
+	// Successors pays an array index per channel, not a map lookup)
 	compiled  bool
-	sendEdges map[ChanID][]edgeRef
-	recvEdges map[ChanID][]edgeRef
+	sendEdges [][]edgeRef
+	recvEdges [][]edgeRef
 	// defaultCtx backs the convenience Network.Successors method.
 	defaultCtx *SuccCtx
 }
@@ -204,10 +212,12 @@ func (n *Network) SetReceivePriority(on bool) { n.priority = on }
 // Clock declares a clock with the given state-space cap: once a clock
 // reaches its cap it stops advancing, which is sound as long as every
 // guard and invariant mentioning it only distinguishes values below the
-// cap. Returns the clock's index.
+// cap. The cap may not exceed MaxClockCap: state keys hold 16 bits per
+// clock, and a clock that could count past them would wrap and merge
+// distinct states. Returns the clock's index.
 func (n *Network) Clock(name string, cap int32) int {
-	if cap < 1 {
-		panic(fmt.Sprintf("ta: clock %q needs a positive cap", name))
+	if cap < 1 || cap > MaxClockCap {
+		panic(fmt.Sprintf("ta: clock %q needs a cap in 1..%d, got %d", name, MaxClockCap, cap))
 	}
 	n.clockNames = append(n.clockNames, name)
 	n.clockCaps = append(n.clockCaps, cap)
@@ -225,6 +235,7 @@ func (n *Network) Var(name string, init int32) int {
 // Chan declares a synchronisation channel and returns its ID.
 func (n *Network) Chan(name string, broadcast bool) ChanID {
 	n.channels = append(n.channels, Channel{Name: name, Broadcast: broadcast})
+	n.compiled = false // the edge indices are sized by channel count
 	return ChanID(len(n.channels) - 1)
 }
 
@@ -300,12 +311,12 @@ func (n *Network) compile() {
 	if n.compiled {
 		return
 	}
-	n.sendEdges = make(map[ChanID][]edgeRef)
-	n.recvEdges = make(map[ChanID][]edgeRef)
+	n.sendEdges = make([][]edgeRef, len(n.channels))
+	n.recvEdges = make([][]edgeRef, len(n.channels))
 	for ai, a := range n.automata {
 		for ei, e := range a.Edges {
-			if e.Chan == 0 {
-				continue
+			if e.Chan <= 0 || int(e.Chan) >= len(n.channels) {
+				continue // internal, or a channel never declared: no partner can exist
 			}
 			if e.Send {
 				n.sendEdges[e.Chan] = append(n.sendEdges[e.Chan], edgeRef{ai, ei})

@@ -520,11 +520,34 @@ func TestNetworkAccessors(t *testing.T) {
 }
 
 func TestClockCapValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero cap accepted")
-		}
-	}()
-	n := NewNetwork()
-	n.Clock("bad", 0)
+	for _, tt := range []struct {
+		cap int32
+		ok  bool
+	}{{0, false}, {-3, false}, {1, true}, {MaxClockCap, true}, {MaxClockCap + 1, false}, {60_000, false}} {
+		func() {
+			defer func() {
+				if (recover() == nil) != tt.ok {
+					t.Errorf("Clock(cap %d): accepted = %v, want %v", tt.cap, !tt.ok, tt.ok)
+				}
+			}()
+			NewNetwork().Clock("c", tt.cap)
+		}()
+	}
+}
+
+// TestKeyHoldsLargestClock pins why MaxClockCap is the limit: a clock at
+// the cap survives the key round trip, one tick more would come back as a
+// different (negative) value and share its key with another state.
+func TestKeyHoldsLargestClock(t *testing.T) {
+	s := State{Locs: []uint8{0}, Clocks: []int32{MaxClockCap, MaxClockCap - 1}}
+	var back State
+	back.DecodeKey(s.AppendKey(nil), 1, 2)
+	if back.Clocks[0] != MaxClockCap || back.Clocks[1] != MaxClockCap-1 {
+		t.Fatalf("clocks %v came back as %v", s.Clocks, back.Clocks)
+	}
+	wrapped := State{Locs: []uint8{0}, Clocks: []int32{MaxClockCap + 1 + 1<<16, 0}}
+	other := State{Locs: []uint8{0}, Clocks: []int32{MaxClockCap + 1, 0}}
+	if wrapped.Key() != other.Key() {
+		t.Fatal("expected values 2^16 apart to collide: the key format changed, revisit MaxClockCap")
+	}
 }
