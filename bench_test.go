@@ -10,7 +10,6 @@
 package repro
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -385,38 +384,6 @@ func BenchmarkCheckerThroughput(b *testing.B) {
 		v, err := m.Verify(models.R1, mc.Options{})
 		if err != nil {
 			b.Fatal(err)
-		}
-		states += v.Result.StatesExplored
-	}
-	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
-}
-
-// BenchmarkCheckerThroughputParallel is the same unit measured through
-// the parallel BFS with all cores. Counts must match the sequential
-// engine exactly — the benchmark doubles as a determinism check.
-func BenchmarkCheckerThroughputParallel(b *testing.B) {
-	b.ReportAllocs()
-	cfg := models.Config{TMin: 9, TMax: 10, Variant: models.Binary, N: 1}
-	base, err := models.Verify(cfg, models.R1, mc.Options{Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	states := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := models.Build(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		v, err := m.Verify(models.R1, mc.Options{Workers: runtime.GOMAXPROCS(0)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v.Result.StatesExplored != base.Result.StatesExplored ||
-			v.Result.TransitionsExplored != base.Result.TransitionsExplored {
-			b.Fatalf("parallel counts (%d, %d) diverge from sequential (%d, %d)",
-				v.Result.StatesExplored, v.Result.TransitionsExplored,
-				base.Result.StatesExplored, base.Result.TransitionsExplored)
 		}
 		states += v.Result.StatesExplored
 	}

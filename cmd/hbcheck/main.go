@@ -7,7 +7,6 @@
 //	hbcheck -table all      # everything
 //	hbcheck -table 2 -workers 4   # fan cells over 4 goroutines, same output
 //	hbcheck -variant binary -tmin 10 -prop R2 -trace
-//	hbcheck -variant binary -tmin 9 -workers 8   # parallel BFS, same verdict/trace
 //	hbcheck -analyze                  # structural analysis of all six variants
 //	hbcheck -analyze -variant dynamic # pre-flight analysis, then the check
 //
@@ -23,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/mc"
@@ -42,7 +40,7 @@ func main() {
 		fixed     = flag.Bool("fixed", false, "single check: check the corrected (§6) protocol")
 		showTrace = flag.Bool("trace", false, "single check: print the counter-example when the property fails")
 		maxStates = flag.Int("max-states", 20_000_000, "state-space limit per check")
-		workers   = flag.Int("workers", 0, "worker goroutines: parallel-BFS workers for a single check, concurrent table cells for tables (0 = GOMAXPROCS); results are identical at any count")
+		workers   = flag.Int("workers", 0, "concurrent table cells (0 = GOMAXPROCS); a single check is sequential")
 		analyze   = flag.Bool("analyze", false, "run the structural model analysis (ta.Analyze) before exploring; alone: analyze all six variants and exit")
 	)
 	flag.Parse()
@@ -59,19 +57,12 @@ func main() {
 			}
 		}
 		// Tables parallelise across cells (each cell is an independent
-		// model), so the per-cell BFS stays sequential.
+		// model); every check is itself sequential.
 		if err := runTables(*table, int32(*tmax), *workers, opts); err != nil {
 			fmt.Fprintln(os.Stderr, "hbcheck:", err)
 			os.Exit(1)
 		}
 	case *variant != "":
-		// A single check has only one model, so the workers go to the
-		// BFS itself. Counts and counter-example traces are identical
-		// at any worker count.
-		opts.Workers = *workers
-		if opts.Workers <= 0 {
-			opts.Workers = runtime.GOMAXPROCS(0)
-		}
 		if *analyze {
 			v, err := parseVariant(*variant)
 			if err != nil {

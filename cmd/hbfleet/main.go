@@ -5,12 +5,11 @@
 //
 //	hbfleet                              # default 10k-endpoint run, summary table
 //	hbfleet -clusters 16384 -members 64  # a 1,048,576-endpoint fleet
-//	hbfleet -bench -label pr7-fleet-1m   # timed run, append to BENCH_mc.json
 //	hbfleet -alloc-check                 # fail unless steady state is 0 allocs/epoch
 //
 // The run is deterministic for a given seed and topology at any -workers
 // value. -alloc-check and the missed-deadline assertion back the CI smoke
-// step; -bench appends a validated fleet entry to the benchmark history.
+// step.
 package main
 
 import (
@@ -18,11 +17,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/benchjson"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/sim"
@@ -47,9 +44,6 @@ func run(args []string, w io.Writer) int {
 		loss       = fs.Float64("loss", 0, "independent per-message loss probability")
 		killEvery  = fs.Int("kill-every", 64, "crash one endpoint per shard every this many ticks (0 = never)")
 		seed       = fs.Int64("seed", 1, "seed for the per-shard RNG streams")
-		bench      = fs.Bool("bench", false, "append a fleet entry to the benchmark history")
-		out        = fs.String("out", "BENCH_mc.json", "benchmark history file (with -bench)")
-		label      = fs.String("label", "fleet-run", "history entry label (with -bench)")
 		allocCheck = fs.Bool("alloc-check", false, "fail unless a steady-state epoch is 0 allocs")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -103,52 +97,19 @@ func run(args []string, w io.Writer) int {
 		return 1
 	}
 
-	allocsPerEpoch := int64(-1)
-	if *allocCheck || *bench {
+	if *allocCheck {
 		// The per-beat hot path holds the simulator's 0-alloc standard;
 		// measure a whole steady-state epoch on the already-warm fleet.
-		avg := testing.AllocsPerRun(5, func() {
+		allocsPerEpoch := int64(testing.AllocsPerRun(5, func() {
 			if err := f.RunEpochs(1); err != nil {
 				panic(err)
 			}
-		})
-		allocsPerEpoch = int64(avg)
+		}))
 		fmt.Fprintf(w, "steady state: %d allocs/epoch\n", allocsPerEpoch)
-		if *allocCheck && allocsPerEpoch != 0 {
+		if allocsPerEpoch != 0 {
 			fmt.Fprintln(w, "hbfleet: FAIL: steady-state epoch allocates")
 			return 1
 		}
-	}
-
-	if *bench {
-		entry := benchjson.Entry{
-			Label:    *label,
-			Date:     time.Now().UTC().Format(time.RFC3339),
-			Go:       runtime.Version(),
-			MaxProcs: runtime.GOMAXPROCS(0),
-			NumCPU:   runtime.NumCPU(),
-			Fleet: &benchjson.FleetMetrics{
-				Endpoints:        f.Endpoints(),
-				Clusters:         *clusters,
-				Shards:           *shards,
-				Workers:          *workers,
-				Epochs:           *epochs,
-				BeatsPerSec:      beatsPerSec,
-				P50Ticks:         int(p50),
-				P99Ticks:         int(p99),
-				DetectionSamples: samples,
-				AllocsPerEpoch:   allocsPerEpoch,
-				MissedDeadlines:  st.MissedDeadlines,
-			},
-		}
-		if entry.NumCPU == 1 && *workers > 1 {
-			entry.Note = benchjson.CoordinationOverheadNote
-		}
-		if err := benchjson.Append(*out, entry); err != nil {
-			fmt.Fprintln(w, "hbfleet:", err)
-			return 1
-		}
-		fmt.Fprintf(w, "appended entry %q to %s\n", *label, *out)
 	}
 	return 0
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -29,23 +28,6 @@ func TestSmoke10kEndpoints(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// -bench appends a validated fleet entry through the shared history path.
-func TestBenchAppendsEntry(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	var buf strings.Builder
-	code := run([]string{
-		"-clusters", "16", "-members", "8", "-shards", "4",
-		"-epochs", "8", "-warmup", "2", "-kill-every", "40",
-		"-bench", "-label", "test-fleet", "-out", out,
-	}, &buf)
-	if code != 0 {
-		t.Fatalf("bench run failed (%d):\n%s", code, buf.String())
-	}
-	if !strings.Contains(buf.String(), `appended entry "test-fleet"`) {
-		t.Errorf("no append confirmation:\n%s", buf.String())
 	}
 }
 

@@ -6,7 +6,6 @@
 //	hbmc                         # all three sweeps at 100k trials/point
 //	hbmc -q3 -trials 250000      # just the reliability surface, denser
 //	hbmc -baseline               # also time the per-trial simulator path
-//	hbmc -bench -label pr9-mc    # append an ensemble entry to BENCH_mc.json
 //
 // Results are deterministic for a given seed at any -workers value.
 package main
@@ -19,7 +18,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/benchjson"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/ensemble"
@@ -54,9 +52,6 @@ func run(args []string, w io.Writer) int {
 		workers  = fs.Int("workers", 1, "trial-block workers (results identical at any value)")
 		seed     = fs.Int64("seed", 7, "campaign base seed")
 		baseline = fs.Bool("baseline", false, "also time the per-trial simulator on the Q3 workload")
-		bench    = fs.Bool("bench", false, "append an ensemble entry to the benchmark history")
-		out      = fs.String("out", "BENCH_mc.json", "benchmark history file (with -bench)")
-		label    = fs.String("label", "mc-run", "history entry label (with -bench)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -105,35 +100,8 @@ func run(args []string, w io.Writer) int {
 	fmt.Fprintf(w, "ensemble: %d points, %d trials in %v (%.0f trials/s, %d workers, %d cpus)\n",
 		points, totalTrials, elapsed.Round(time.Millisecond), trialsPerSec, *workers, runtime.NumCPU())
 
-	var baseRate, speedup float64
-	if *baseline || *bench {
-		baseRate, speedup = measureBaseline(w, *seed)
-	}
-
-	if *bench {
-		entry := benchjson.Entry{
-			Label:    *label,
-			Date:     time.Now().UTC().Format(time.RFC3339),
-			Go:       runtime.Version(),
-			MaxProcs: runtime.GOMAXPROCS(0),
-			NumCPU:   runtime.NumCPU(),
-			Ensemble: &benchjson.EnsembleMetrics{
-				TrialsPerPoint:       *trials,
-				Points:               points,
-				Workers:              *workers,
-				TrialsPerSec:         trialsPerSec,
-				BaselineTrialsPerSec: baseRate,
-				Speedup:              speedup,
-			},
-		}
-		if entry.NumCPU == 1 && *workers > 1 {
-			entry.Note = benchjson.CoordinationOverheadNote
-		}
-		if err := benchjson.Append(*out, entry); err != nil {
-			fmt.Fprintln(w, "hbmc:", err)
-			return 1
-		}
-		fmt.Fprintf(w, "appended entry %q to %s\n", *label, *out)
+	if *baseline {
+		measureBaseline(w, *seed)
 	}
 	return 0
 }
@@ -155,14 +123,14 @@ func q3Workload(trials int, seed int64) ensemble.Config {
 // measureBaseline times the per-trial simulator (scenario path) and the
 // ensemble on the identical Q3 workload at workers=1 and reports both
 // rates plus the per-core speedup.
-func measureBaseline(w io.Writer, seed int64) (baseRate, speedup float64) {
+func measureBaseline(w io.Writer, seed int64) {
 	const ensTrials, simTrials = 8192, 192
 	cfg := q3Workload(ensTrials, seed)
 
 	start := time.Now()
 	if _, err := ensemble.Run(cfg); err != nil {
 		fmt.Fprintln(w, "hbmc: baseline ensemble:", err)
-		return 0, 0
+		return
 	}
 	ensRate := float64(ensTrials) / time.Since(start).Seconds()
 
@@ -178,13 +146,11 @@ func measureBaseline(w io.Writer, seed int64) (baseRate, speedup float64) {
 	})
 	if err != nil {
 		fmt.Fprintln(w, "hbmc: baseline simulator:", err)
-		return 0, 0
+		return
 	}
-	baseRate = float64(simTrials) / time.Since(start).Seconds()
-	speedup = ensRate / baseRate
+	baseRate := float64(simTrials) / time.Since(start).Seconds()
 	fmt.Fprintf(w, "q3 workload, 1 worker: ensemble %.0f trials/s, simulator %.0f trials/s, speedup %.1fx\n",
-		ensRate, baseRate, speedup)
-	return baseRate, speedup
+		ensRate, baseRate, ensRate/baseRate)
 }
 
 func printOverhead(w io.Writer, variants []ensemble.Variant, pts []ensemble.OverheadPoint) {

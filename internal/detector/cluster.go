@@ -85,11 +85,7 @@ type ClusterConfig struct {
 	// conformance tests use it to inject deliberately defective machines
 	// and check that trace inclusion catches them.
 	WrapMachine func(id netem.NodeID, m core.Machine) core.Machine
-	// TimerWheel backs the simulator's event queue with the hierarchical
-	// timer wheel instead of the 4-ary heap. Execution order — and with
-	// it every trace and event log — is identical on both backends
-	// (pinned by TestClusterTraceIdenticalAcrossQueueBackends); the wheel
-	// is the fleet-scale choice, the heap the small-cluster default.
+	// TimerWheel is ignored; it stays declared only until bench/ stops setting it.
 	TimerWheel bool
 }
 
@@ -148,11 +144,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err := cfg.Core.Validate(); err != nil {
 		return nil, err
 	}
-	simOpts := []sim.Option{sim.WithSeed(cfg.Seed)}
-	if cfg.TimerWheel {
-		simOpts = append(simOpts, sim.WithTimerWheel())
-	}
-	s := sim.New(simOpts...)
+	s := sim.New(sim.WithSeed(cfg.Seed))
 	net, err := netem.NewNetwork(s, cfg.Link)
 	if err != nil {
 		return nil, err

@@ -83,7 +83,7 @@ type Pass struct {
 type Config struct {
 	// WallClockAllow lists path suffixes of files allowed to read the
 	// wall clock and construct time-seeded state: the explicit wall-clock
-	// boundary of the system (detector.WallClock, cmd/hbbench).
+	// boundary of the system (detector.WallClock, cmd/hbfleet).
 	WallClockAllow []string
 	// Checks, when non-empty, restricts the run to the named analyzers.
 	Checks []string
@@ -96,9 +96,8 @@ type Config struct {
 var DefaultWallClockAllow = []string{
 	"internal/detector/detector.go", // WallClock implementation
 	"internal/netem/ticker.go",      // WallTicker implementation
-	"cmd/hbbench/main.go",           // benchmark timestamps and timings
-	"cmd/hbfleet/main.go",           // fleet benchmark timestamps and timings
-	"cmd/hbmc/main.go",              // ensemble sweep timestamps and timings
+	"cmd/hbfleet/main.go",           // fleet run timings
+	"cmd/hbmc/main.go",              // ensemble sweep timings
 }
 
 // Analyzers returns the per-package suite in reporting order.

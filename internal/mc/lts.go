@@ -62,10 +62,9 @@ func (l *LTS) internLabels() {
 }
 
 // BuildLTS generates the full reachable transition system of a network.
-// Transitions come out in (source id, successor enumeration) order, which
-// is identical at any Options.Workers value.
+// Transitions come out in (source id, successor enumeration) order.
 func BuildLTS(n *ta.Network, opts Options) (*LTS, error) {
-	e, _, _, _, err := explore(n, nil, nil, opts.maxStates(), opts.numWorkers(), true)
+	e, _, _, _, err := explore(n, nil, nil, opts.maxStates(), true)
 	if err != nil {
 		return nil, err
 	}

@@ -32,12 +32,7 @@ type Options struct {
 	// through a pruned state — e.g. pruning on a monotone flag the goal
 	// negates.
 	Prune func(*ta.State) bool
-	// Workers is the number of goroutines exploring inside a single
-	// check; 0 or 1 means sequential. Every result — state and transition
-	// counts, counter-example trace, LTS — is identical at any worker
-	// count. When Workers > 1, the goal predicate and Prune are called
-	// concurrently from multiple goroutines and must be pure functions of
-	// the state they receive.
+	// Workers is ignored; it stays declared only until bench/ stops setting it.
 	Workers int
 }
 
@@ -49,13 +44,6 @@ func (o Options) maxStates() int {
 		return DefaultMaxStates
 	}
 	return o.MaxStates
-}
-
-func (o Options) numWorkers() int {
-	if o.Workers <= 1 {
-		return 1
-	}
-	return o.Workers
 }
 
 // Step is one transition of a witness trace.
@@ -89,12 +77,11 @@ type Result struct {
 // reachable, together with a shortest witness.
 //
 // The check completes the BFS level a goal state is found on before
-// returning, and the witness is the first goal state in sequential
-// discovery order — shortest, and lexicographically least with respect to
-// the network's deterministic successor enumeration order — so counts and
-// trace are identical at any Options.Workers value.
+// returning, and the witness is the first goal state in discovery order —
+// shortest, and lexicographically least with respect to the network's
+// deterministic successor enumeration order (see explore.go).
 func CheckReachability(n *ta.Network, goal func(*ta.State) bool, opts Options) (Result, error) {
-	e, goalID, states, transitions, err := explore(n, goal, opts.Prune, opts.maxStates(), opts.numWorkers(), false)
+	e, goalID, states, transitions, err := explore(n, goal, opts.Prune, opts.maxStates(), false)
 	res := Result{StatesExplored: states, TransitionsExplored: transitions}
 	if goalID >= 0 {
 		res.Reachable = true
@@ -105,7 +92,7 @@ func CheckReachability(n *ta.Network, goal func(*ta.State) bool, opts Options) (
 }
 
 // nodeInfo records how a state was first reached, for witness
-// reconstruction: the parent's global id (-1 at the root) and the id of the
+// reconstruction: the parent's id (-1 at the root) and the id of the
 // transition's label in the explorer's table. Pointer-free: never GC-scanned.
 type nodeInfo struct {
 	parent int32
@@ -115,7 +102,7 @@ type nodeInfo struct {
 
 // rebuildTrace walks parent pointers back to the root and emits the
 // forward trace with cumulative times, decoding each witness state out of
-// the sharded store.
+// the store.
 func rebuildTrace(e *explorer, goal int) []Step {
 	var rev []int
 	for at := goal; at != -1; at = int(e.info.at(at).parent) {
@@ -130,7 +117,7 @@ func rebuildTrace(e *explorer, goal int) []Step {
 			now++
 		}
 		var s ta.State
-		s.DecodeKey(e.key(id), e.numLocs, e.numClocks)
+		s.DecodeKey(e.store.key(id), e.numLocs, e.numClocks)
 		label := "" // the root was reached by no transition
 		if info.parent >= 0 {
 			label = e.labels[info.label]
@@ -150,6 +137,6 @@ func Invariant(n *ta.Network, pred func(*ta.State) bool, opts Options) (Result, 
 // CountStates exhaustively generates the reachable state space and returns
 // its size; useful for regression-pinning model sizes.
 func CountStates(n *ta.Network, opts Options) (states, transitions int, err error) {
-	_, _, states, transitions, err = explore(n, nil, opts.Prune, opts.maxStates(), opts.numWorkers(), false)
+	_, _, states, transitions, err = explore(n, nil, opts.Prune, opts.maxStates(), false)
 	return states, transitions, err
 }

@@ -311,34 +311,31 @@ func chattyNet(labels int) *ta.Network {
 // label.
 func TestLabelLimit(t *testing.T) {
 	const most = math.MaxUint16 // "tick" included
-	for _, workers := range []int{1, 2} {
-		opts := Options{Workers: workers}
-		lts, err := BuildLTS(chattyNet(most-1), opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %d labels: %v", workers, most, err)
+	lts, err := BuildLTS(chattyNet(most-1), Options{})
+	if err != nil {
+		t.Fatalf("%d labels: %v", most, err)
+	}
+	if lts.NumStates != 1 || len(lts.Transitions) != most {
+		t.Fatalf("%d states / %d transitions, want 1 / %d", lts.NumStates, len(lts.Transitions), most)
+	}
+	for i, tr := range lts.Transitions[:most-1] {
+		if want := "a" + strconv.Itoa(i); tr.Label != want {
+			t.Fatalf("transition %d labelled %q, want %q", i, tr.Label, want)
 		}
-		if lts.NumStates != 1 || len(lts.Transitions) != most {
-			t.Fatalf("workers=%d: %d states / %d transitions, want 1 / %d", workers, lts.NumStates, len(lts.Transitions), most)
-		}
-		for i, tr := range lts.Transitions[:most-1] {
-			if want := "a" + strconv.Itoa(i); tr.Label != want {
-				t.Fatalf("workers=%d: transition %d labelled %q, want %q", workers, i, tr.Label, want)
-			}
-		}
-		if last := lts.Transitions[most-1].Label; last != "tick" {
-			t.Fatalf("workers=%d: last transition labelled %q, want tick", workers, last)
-		}
+	}
+	if last := lts.Transitions[most-1].Label; last != "tick" {
+		t.Fatalf("last transition labelled %q, want tick", last)
+	}
 
-		over := chattyNet(most)
-		if _, err := BuildLTS(over, opts); !errors.Is(err, ErrLabelLimit) {
-			t.Fatalf("workers=%d: BuildLTS over the limit: %v, want ErrLabelLimit", workers, err)
-		}
-		if _, _, err := CountStates(over, opts); !errors.Is(err, ErrLabelLimit) {
-			t.Fatalf("workers=%d: CountStates over the limit: %v, want ErrLabelLimit", workers, err)
-		}
-		res, err := CheckReachability(over, func(*ta.State) bool { return true }, opts)
-		if !errors.Is(err, ErrLabelLimit) || res.Reachable {
-			t.Fatalf("workers=%d: CheckReachability over the limit: %+v, %v, want ErrLabelLimit", workers, res, err)
-		}
+	over := chattyNet(most)
+	if _, err := BuildLTS(over, Options{}); !errors.Is(err, ErrLabelLimit) {
+		t.Fatalf("BuildLTS over the limit: %v, want ErrLabelLimit", err)
+	}
+	if _, _, err := CountStates(over, Options{}); !errors.Is(err, ErrLabelLimit) {
+		t.Fatalf("CountStates over the limit: %v, want ErrLabelLimit", err)
+	}
+	res, err := CheckReachability(over, func(*ta.State) bool { return true }, Options{})
+	if !errors.Is(err, ErrLabelLimit) || res.Reachable {
+		t.Fatalf("CheckReachability over the limit: %+v, %v, want ErrLabelLimit", res, err)
 	}
 }

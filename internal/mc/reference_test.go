@@ -1,6 +1,7 @@
 package mc_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -12,20 +13,22 @@ import (
 // reference is the oracle for the packed explorer: the textbook
 // breadth-first search over a map[string]int of state keys, one heap
 // state per id, string labels, no paging, no hashing of its own. It
-// shares only the level contract with the engines: a level on which the
-// goal turns up is expanded to its end, and the first goal state in
-// discovery order is the witness.
+// shares only the level contract with the explorer: a level on which the
+// goal turns up or the state limit (0: none) is crossed is expanded to
+// its end, nothing commits past the limit, and the first goal state
+// committed, in discovery order, is the witness.
 type reference struct {
-	states []ta.State
-	parent []int
-	label  []string
-	delay  []bool
-	trans  []mc.Trans
-	goalID int
-	nTrans int
+	states   []ta.State
+	parent   []int
+	label    []string
+	delay    []bool
+	trans    []mc.Trans
+	goalID   int
+	limitHit bool
+	nTrans   int
 }
 
-func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool) *reference {
+func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool, limit int) *reference {
 	r := &reference{goalID: -1}
 	ids := map[string]int{}
 	add := func(s *ta.State, parent int, label string, delay bool) int {
@@ -43,7 +46,7 @@ func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool) *reference {
 	init := n.Initial()
 	add(&init, -1, "", false)
 	ctx := n.NewSuccCtx()
-	for lo, hi := 0, 1; lo < hi && r.goalID < 0; lo, hi = hi, len(r.states) {
+	for lo, hi := 0, 1; lo < hi && r.goalID < 0 && !r.limitHit; lo, hi = hi, len(r.states) {
 		for from := lo; from < hi; from++ {
 			src := r.states[from].Clone()
 			if prune != nil && prune(&src) {
@@ -52,7 +55,12 @@ func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool) *reference {
 			for _, tr := range ctx.Successors(&src, nil) {
 				r.nTrans++
 				to, seen := ids[tr.Target.Key()]
-				if !seen {
+				switch {
+				case seen:
+				case limit > 0 && len(r.states) >= limit:
+					r.limitHit = true
+					to = -1
+				default:
 					to = add(&tr.Target, from, tr.Label, tr.Delay)
 				}
 				r.trans = append(r.trans, mc.Trans{From: from, Label: tr.Label, To: to})
@@ -95,23 +103,21 @@ func buildModel(t *testing.T, cfg models.Config) *models.Model {
 // element for element.
 func TestSerialMatchesReferenceLTS(t *testing.T) {
 	cfg := models.Config{Variant: models.Binary, N: 1, TMin: 9, TMax: 10}
-	ref := referenceBFS(buildModel(t, cfg).Net, nil, nil)
+	ref := referenceBFS(buildModel(t, cfg).Net, nil, nil, 0)
 	if len(ref.states) <= 16384 {
 		t.Fatalf("reference has %d states; the model must outgrow one store page to test paging", len(ref.states))
 	}
-	for _, workers := range []int{1, 2} {
-		lts, err := mc.BuildLTS(buildModel(t, cfg).Net, mc.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lts.NumStates != len(ref.states) || len(lts.Transitions) != len(ref.trans) {
-			t.Fatalf("workers=%d: %d states / %d transitions, reference %d / %d",
-				workers, lts.NumStates, len(lts.Transitions), len(ref.states), len(ref.trans))
-		}
-		for i, tr := range lts.Transitions {
-			if tr != ref.trans[i] {
-				t.Fatalf("workers=%d: transition %d = %+v, reference %+v", workers, i, tr, ref.trans[i])
-			}
+	lts, err := mc.BuildLTS(buildModel(t, cfg).Net, mc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lts.NumStates != len(ref.states) || len(lts.Transitions) != len(ref.trans) {
+		t.Fatalf("%d states / %d transitions, reference %d / %d",
+			lts.NumStates, len(lts.Transitions), len(ref.states), len(ref.trans))
+	}
+	for i, tr := range lts.Transitions {
+		if tr != ref.trans[i] {
+			t.Fatalf("transition %d = %+v, reference %+v", i, tr, ref.trans[i])
 		}
 	}
 }
@@ -140,32 +146,89 @@ func TestSerialMatchesReferenceChecks(t *testing.T) {
 			if tc.prune {
 				prune = m.MessageLost
 			}
-			ref := referenceBFS(m.Net, goal, prune)
+			ref := referenceBFS(m.Net, goal, prune, 0)
 			res, err := mc.CheckReachability(m.Net, goal, mc.Options{Prune: prune})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Reachable != tc.reachable || res.Reachable != (ref.goalID >= 0) {
-				t.Fatalf("reachable = %v, reference goal id %d, want reachable %v", res.Reachable, ref.goalID, tc.reachable)
+			if res.Reachable != tc.reachable {
+				t.Fatalf("reachable = %v, want %v", res.Reachable, tc.reachable)
 			}
-			if res.StatesExplored != len(ref.states) || res.TransitionsExplored != ref.nTrans {
-				t.Fatalf("%d states / %d transitions, reference %d / %d",
-					res.StatesExplored, res.TransitionsExplored, len(ref.states), ref.nTrans)
+			matchReference(t, res, ref)
+		})
+	}
+}
+
+// matchReference compares a check's verdict, counts and witness with the
+// reference's, step for step.
+func matchReference(t *testing.T, res mc.Result, ref *reference) {
+	t.Helper()
+	if res.Reachable != (ref.goalID >= 0) {
+		t.Fatalf("reachable = %v, reference goal id %d", res.Reachable, ref.goalID)
+	}
+	if res.StatesExplored != len(ref.states) || res.TransitionsExplored != ref.nTrans {
+		t.Fatalf("%d states / %d transitions, reference %d / %d",
+			res.StatesExplored, res.TransitionsExplored, len(ref.states), ref.nTrans)
+	}
+	if !res.Reachable {
+		return
+	}
+	want := ref.trace()
+	if len(res.Trace) != len(want) {
+		t.Fatalf("trace has %d steps, reference %d", len(res.Trace), len(want))
+	}
+	for i, got := range res.Trace {
+		w := want[i]
+		if got.Label != w.Label || got.Delay != w.Delay || got.Time != w.Time || got.State.Key() != w.State.Key() {
+			t.Fatalf("step %d = %q delay=%v t=%d %v, reference %q delay=%v t=%d %v",
+				i, got.Label, got.Delay, got.Time, got.State, w.Label, w.Delay, w.Time, w.State)
+		}
+	}
+}
+
+// TestSerialStateLimitSemantics pins the state limit against the
+// reference on the violated cell binary tmin=1 R1, whose witness is not
+// the last state to commit on its level: a limit crossed long before the
+// witness, by the witness itself, on its level just after it commits, and
+// a limit the run never reaches. The level that crosses the limit is
+// expanded to its end (transition counts match), nothing commits past the
+// limit, and a witness counts only if it committed before the crossing.
+func TestSerialStateLimitSemantics(t *testing.T) {
+	m := buildModel(t, models.Config{Variant: models.Binary, N: 1, TMin: 1, TMax: 10})
+	goal, err := m.Violation(models.R1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := referenceBFS(m.Net, goal, nil, 0)
+	witness, total := free.goalID, len(free.states)
+	if witness < 100 || total-witness < 2 {
+		t.Fatalf("witness id %d of %d states: the cell no longer commits states after the witness on its level", witness, total)
+	}
+	for _, tc := range []struct {
+		name      string
+		limit     int
+		reachable bool
+	}{
+		{"crossed long before the witness", witness / 2, false},
+		{"crossed by the witness", witness, false},
+		{"crossed just after the witness", witness + 1, true},
+		{"never crossed", total, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := referenceBFS(m.Net, goal, nil, tc.limit)
+			res, err := mc.CheckReachability(m.Net, goal, mc.Options{MaxStates: tc.limit})
+			if crossed := tc.limit < total; ref.limitHit != crossed {
+				t.Fatalf("reference crossed the limit: %v, want %v", ref.limitHit, crossed)
 			}
-			if !res.Reachable {
-				return
-			}
-			want := ref.trace()
-			if len(res.Trace) != len(want) {
-				t.Fatalf("trace has %d steps, reference %d", len(res.Trace), len(want))
-			}
-			for i, got := range res.Trace {
-				w := want[i]
-				if got.Label != w.Label || got.Delay != w.Delay || got.Time != w.Time || got.State.Key() != w.State.Key() {
-					t.Fatalf("step %d = %q delay=%v t=%d %v, reference %q delay=%v t=%d %v",
-						i, got.Label, got.Delay, got.Time, got.State, w.Label, w.Delay, w.Time, w.State)
+			if tc.reachable {
+				if err != nil || !res.Reachable {
+					t.Fatalf("reachable = %v, err = %v, want the witness", res.Reachable, err)
 				}
+			} else if !errors.Is(err, mc.ErrStateLimit) || res.Reachable || res.StatesExplored != tc.limit {
+				t.Fatalf("reachable = %v, %d states, err = %v, want ErrStateLimit at %d states",
+					res.Reachable, res.StatesExplored, err, tc.limit)
 			}
+			matchReference(t, res, ref)
 		})
 	}
 }

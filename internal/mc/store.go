@@ -50,8 +50,7 @@ type stateStore struct {
 	// rejects on the tag in the word it loaded, so a miss touches the
 	// table only; a tag match is confirmed against the key bytes.
 	// Power-of-two sized, linear probing, grown at 3/4 load. The home slot
-	// is tag >> shift, the tag's top bits; the bits the parallel engine
-	// shards on lie above the tag.
+	// is tag >> shift, the tag's top bits.
 	table []uint64
 	shift uint
 }
@@ -77,8 +76,7 @@ func (st *stateStore) key(id int) []byte {
 
 // find probes for key (with its precomputed hash): the id of the stored
 // copy when present, otherwise the empty slot the key belongs in, good for
-// insert until the next insert. It never mutates the store, so concurrent
-// finds are safe; finds concurrent with inserts are not.
+// insert until the next insert. It never mutates the store.
 func (st *stateStore) find(key []byte, h uint64) (id int, slot uint32, found bool) {
 	tag := uint32(h)
 	mask := uint32(len(st.table) - 1)
@@ -115,8 +113,8 @@ func (st *stateStore) insert(key []byte, h uint64, slot uint32) int {
 }
 
 // intern dedups key into the store: the id of the existing copy when seen
-// before, otherwise a fresh id (added true). The caller supplies the hash:
-// the parallel explorer has already computed it to pick the shard.
+// before, otherwise a fresh id (added true). The caller supplies the hash,
+// as for find and insert.
 func (st *stateStore) intern(key []byte, h uint64) (id int, added bool) {
 	id, slot, found := st.find(key, h)
 	if found {

@@ -3,12 +3,12 @@ package sim
 import "testing"
 
 // TestScheduleStepAllocFree pins the kernel hot path at zero allocations
-// in steady state: once the node arena and heap have grown to the working
-// set, Schedule/Step/Cancel cycles must not allocate at all.
+// in steady state: once the wheel's arena and the callback slice have grown
+// to the working set, Schedule/Step/Cancel cycles must not allocate at all.
 func TestScheduleStepAllocFree(t *testing.T) {
 	s := New()
 	fn := func() {}
-	// Warm the arena and heap to the working-set size.
+	// Warm the arena to the working-set size.
 	for i := 0; i < 64; i++ {
 		if _, err := s.Schedule(Time(i%7), fn); err != nil {
 			t.Fatal(err)
@@ -51,8 +51,8 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.idx != old.idx {
-		t.Fatalf("free list did not recycle the node (old %d, fresh %d)", old.idx, fresh.idx)
+	if fresh.wt.idx != old.wt.idx {
+		t.Fatalf("free list did not recycle the node (old %d, fresh %d)", old.wt.idx, fresh.wt.idx)
 	}
 	if old.Active() {
 		t.Fatal("stale handle reports Active")

@@ -6,10 +6,11 @@
 // lets protocol code express the "simultaneous events" races that the
 // accelerated heartbeat analysis exercises.
 //
-// The hot path is allocation-free: timers live in a pooled node arena
-// recycled through a free list, handles are plain values guarded by
-// generation counters, and the event queue is an indexed 4-ary heap of
-// node indices — no per-event allocation, no interface boxing, and exact
+// The hot path is allocation-free: the event queue is a hierarchical
+// TimerWheel whose pooled nodes are recycled through a free list, the
+// callbacks sit in a slice indexed by wheel node, and handles are plain
+// values guarded by the wheel's generation counters — no per-event
+// allocation, no interface boxing, O(1) Schedule and Cancel, and exact
 // (eager) removal on Cancel.
 //
 // A Simulator is not safe for concurrent use; it is single-threaded by
@@ -32,36 +33,28 @@ type Time int64
 // virtual time.
 var ErrPastTime = errors.New("sim: schedule time is in the past")
 
+// ErrHorizon is returned when an event is scheduled 2^48 ticks or more past
+// the event queue's horizon: the tick of the last executed event, or of the
+// next pending one once RunUntil has looked ahead to it.
+var ErrHorizon = errors.New("sim: schedule time is beyond the 2^48-tick horizon")
+
 // Event is a callback executed when its scheduled time is reached.
 type Event func()
-
-// timerNode is a pooled event record. Nodes are recycled through the
-// simulator's free list; gen distinguishes the current incarnation from
-// stale Timer handles.
-type timerNode struct {
-	at      Time
-	seq     uint64
-	fn      Event
-	heapIdx int32 // position in the heap; -1 when not queued (heap backend)
-	gen     uint32
-	wt      WheelTimer // wheel handle (wheel backend)
-}
 
 // Timer is a value handle to a scheduled event. Its zero value is inert;
 // timers are created by Simulator.Schedule and Simulator.ScheduleAt. A
 // handle survives its event: once the event fires or is cancelled the
-// underlying node is recycled and the handle's generation goes stale, so
-// Cancel and Active on an old handle are safe no-ops.
+// underlying wheel node is recycled and the handle's generation goes stale,
+// so Cancel and Active on an old handle are safe no-ops.
 type Timer struct {
-	s   *Simulator
-	idx int32
-	gen uint32
+	s  *Simulator
+	wt WheelTimer
 }
 
 // Active reports whether the timer is still pending — scheduled, and
 // neither fired nor cancelled.
 func (t Timer) Active() bool {
-	return t.s != nil && t.s.nodes[t.idx].gen == t.gen
+	return t.s != nil && t.s.wheel.Active(t.wt)
 }
 
 // At reports the virtual time a pending timer fires at; 0 once the timer
@@ -70,7 +63,7 @@ func (t Timer) At() Time {
 	if !t.Active() {
 		return 0
 	}
-	return t.s.nodes[t.idx].at
+	return t.s.wheel.nodes[t.wt.idx].at
 }
 
 //hbvet:noalloc
@@ -80,41 +73,24 @@ func (t Timer) At() Time {
 // prevented a pending event.
 func (t Timer) Cancel() bool {
 	s := t.s
-	if s == nil {
+	if s == nil || !s.wheel.Cancel(t.wt) {
 		return false
 	}
-	nd := &s.nodes[t.idx]
-	if nd.gen != t.gen {
-		return false
-	}
-	if s.wheel != nil {
-		if !s.wheel.Cancel(nd.wt) {
-			return false
-		}
-		s.release(t.idx)
-		return true
-	}
-	if nd.heapIdx < 0 {
-		return false
-	}
-	s.heapRemove(int(nd.heapIdx))
-	s.release(t.idx)
+	s.fns[t.wt.idx] = nil // release the closure
 	return true
 }
 
 // Simulator owns a virtual clock and an event queue.
 type Simulator struct {
-	now       Time
-	nodes     []timerNode
-	free      []int32
-	heap      []int32
-	seq       uint64
+	now   Time
+	wheel *TimerWheel
+	// fns[i] is the callback of wheel node i while that node is pending;
+	// the wheel owns everything else about a timer (time, order, handle
+	// generation).
+	fns       []Event
 	rng       *rand.Rand
 	executed  uint64
 	scheduled uint64
-	// wheel, when non-nil, replaces the 4-ary heap as the event queue;
-	// firing order is identical (see WithTimerWheel).
-	wheel *TimerWheel
 }
 
 // Option configures a Simulator.
@@ -126,19 +102,9 @@ func WithSeed(seed int64) Option {
 	return func(s *Simulator) { s.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// WithTimerWheel replaces the 4-ary heap event queue with the
-// hierarchical timer wheel: O(1) Schedule/Cancel instead of O(log n),
-// built for fleet-scale working sets of hundreds of thousands of pending
-// timers. Execution order is bit-for-bit identical to the heap —
-// (time, schedule order), pinned by the property tests in wheel_test.go —
-// so any run may switch backends without changing its trace.
-func WithTimerWheel() Option {
-	return func(s *Simulator) { s.wheel = NewTimerWheel() }
-}
-
 // New returns a Simulator with virtual time 0.
 func New(opts ...Option) *Simulator {
-	s := &Simulator{rng: rand.New(rand.NewSource(1))}
+	s := &Simulator{rng: rand.New(rand.NewSource(1)), wheel: NewTimerWheel()}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -159,64 +125,35 @@ func (s *Simulator) EventsScheduled() uint64 { return s.scheduled }
 
 // Pending returns the exact number of events waiting in the queue
 // (cancelled timers are removed eagerly, so none linger).
-func (s *Simulator) Pending() int {
-	if s.wheel != nil {
-		return s.wheel.Len()
-	}
-	return len(s.heap)
-}
+func (s *Simulator) Pending() int { return s.wheel.Len() }
 
 //hbvet:noalloc
 // Schedule runs fn after d ticks. A negative d is an error; d == 0 runs fn
 // at the current tick, after all events already queued for this tick.
 func (s *Simulator) Schedule(d Time, fn Event) (Timer, error) {
-	if d < 0 {
-		//lint:allow hot-path-alloc cold error path; the steady-state pin in alloc_test.go never schedules negative delays
-		return Timer{}, fmt.Errorf("%w: delay %d", ErrPastTime, d)
-	}
-	return s.scheduleAt(s.now+d, fn), nil
+	return s.ScheduleAt(s.now+d, fn)
 }
 
 //hbvet:noalloc
-// ScheduleAt runs fn at absolute virtual time t.
+// ScheduleAt runs fn at absolute virtual time t: ErrPastTime before the
+// current time, ErrHorizon 2^48 ticks or more past the queue's horizon.
 func (s *Simulator) ScheduleAt(t Time, fn Event) (Timer, error) {
 	if t < s.now {
 		//lint:allow hot-path-alloc cold error path; scheduling in the past is a caller bug, not a hot-path event
 		return Timer{}, fmt.Errorf("%w: at %d, now %d", ErrPastTime, t, s.now)
 	}
-	return s.scheduleAt(t, fn), nil
-}
-
-//hbvet:noalloc
-func (s *Simulator) scheduleAt(t Time, fn Event) Timer {
-	s.seq++
+	if t-s.wheel.Now() >= wheelHorizon {
+		//lint:allow hot-path-alloc cold error path; no protocol timer approaches the wheel's horizon
+		return Timer{}, fmt.Errorf("%w: at %d, now %d", ErrHorizon, t, s.now)
+	}
 	s.scheduled++
-	var idx int32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
+	wt := s.wheel.Schedule(t, 0)
+	if int(wt.idx) == len(s.fns) {
+		s.fns = append(s.fns, fn)
 	} else {
-		s.nodes = append(s.nodes, timerNode{})
-		idx = int32(len(s.nodes) - 1)
+		s.fns[wt.idx] = fn
 	}
-	nd := &s.nodes[idx]
-	nd.at, nd.seq, nd.fn = t, s.seq, fn
-	if s.wheel != nil {
-		nd.wt = s.wheel.Schedule(t, uint32(idx))
-	} else {
-		s.heapPush(idx)
-	}
-	return Timer{s: s, idx: idx, gen: nd.gen}
-}
-
-//hbvet:noalloc
-// release recycles a node: the generation bump invalidates every
-// outstanding handle, and dropping fn releases the closure.
-func (s *Simulator) release(idx int32) {
-	nd := &s.nodes[idx]
-	nd.gen++
-	nd.fn = nil
-	s.free = append(s.free, idx)
+	return Timer{s: s, wt: wt}, nil
 }
 
 //hbvet:noalloc
@@ -224,26 +161,17 @@ func (s *Simulator) release(idx int32) {
 // scheduled tick. It reports whether an event was executed; false means the
 // queue is empty.
 func (s *Simulator) Step() bool {
-	var idx int32
-	if s.wheel != nil {
-		payload, _, ok := s.wheel.Pop()
-		if !ok {
-			return false
-		}
-		idx = int32(payload)
-	} else {
-		if len(s.heap) == 0 {
-			return false
-		}
-		idx = s.heapRemove(0)
+	// The wheel recycles the node before fn runs: fn may re-enter Schedule,
+	// and the stale generation keeps the event's own Timer handle inert
+	// either way.
+	idx, ok := s.wheel.pop()
+	if !ok {
+		return false
 	}
-	nd := &s.nodes[idx]
-	s.now = nd.at
+	s.now = s.wheel.nodes[idx].at
 	s.executed++
-	fn := nd.fn
-	// Recycle before running: fn may re-enter Schedule, and the stale
-	// generation keeps the event's own Timer handle inert either way.
-	s.release(idx)
+	fn := s.fns[idx]
+	s.fns[idx] = nil
 	//lint:allow noalloc-closure the event callback is the scheduled work itself; each callee is proven at its own //hbvet:noalloc annotation
 	fn()
 	return true
@@ -261,18 +189,12 @@ func (s *Simulator) Run() Time {
 // the clock to deadline (even if the queue drained earlier or later events
 // remain pending).
 func (s *Simulator) RunUntil(deadline Time) Time {
-	if s.wheel != nil {
-		for {
-			at, ok := s.wheel.NextAt()
-			if !ok || at > deadline {
-				break
-			}
-			s.Step()
+	for {
+		at, ok := s.wheel.NextAt()
+		if !ok || at > deadline {
+			break
 		}
-	} else {
-		for len(s.heap) > 0 && s.nodes[s.heap[0]].at <= deadline {
-			s.Step()
-		}
+		s.Step()
 	}
 	if s.now < deadline {
 		s.now = deadline
@@ -282,87 +204,3 @@ func (s *Simulator) RunUntil(deadline Time) Time {
 
 // RunFor is RunUntil(Now()+d).
 func (s *Simulator) RunFor(d Time) Time { return s.RunUntil(s.now + d) }
-
-// The event queue is an implicit 4-ary min-heap of node indices ordered
-// by (time, sequence number); the sequence tiebreak preserves FIFO order
-// among same-tick events. A 4-ary layout halves the tree depth of a
-// binary heap, and sifting compares pooled nodes directly — no interface
-// calls, no boxing.
-
-const heapArity = 4
-
-//hbvet:noalloc
-func (s *Simulator) heapLess(a, b int32) bool {
-	na, nb := &s.nodes[a], &s.nodes[b]
-	if na.at != nb.at {
-		return na.at < nb.at
-	}
-	return na.seq < nb.seq
-}
-
-//hbvet:noalloc
-func (s *Simulator) heapSwap(i, j int) {
-	h := s.heap
-	h[i], h[j] = h[j], h[i]
-	s.nodes[h[i]].heapIdx = int32(i)
-	s.nodes[h[j]].heapIdx = int32(j)
-}
-
-//hbvet:noalloc
-func (s *Simulator) heapPush(idx int32) {
-	s.heap = append(s.heap, idx)
-	s.nodes[idx].heapIdx = int32(len(s.heap) - 1)
-	s.siftUp(len(s.heap) - 1)
-}
-
-//hbvet:noalloc
-func (s *Simulator) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !s.heapLess(s.heap[i], s.heap[p]) {
-			return
-		}
-		s.heapSwap(i, p)
-		i = p
-	}
-}
-
-//hbvet:noalloc
-func (s *Simulator) siftDown(i int) {
-	n := len(s.heap)
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			return
-		}
-		best := first
-		for c := first + 1; c < min(first+heapArity, n); c++ {
-			if s.heapLess(s.heap[c], s.heap[best]) {
-				best = c
-			}
-		}
-		if !s.heapLess(s.heap[best], s.heap[i]) {
-			return
-		}
-		s.heapSwap(i, best)
-		i = best
-	}
-}
-
-//hbvet:noalloc
-// heapRemove removes and returns the node index at heap position i,
-// restoring the heap invariant.
-func (s *Simulator) heapRemove(i int) int32 {
-	last := len(s.heap) - 1
-	if i != last {
-		s.heapSwap(i, last)
-	}
-	idx := s.heap[last]
-	s.nodes[idx].heapIdx = -1
-	s.heap = s.heap[:last]
-	if i != last {
-		s.siftDown(i)
-		s.siftUp(i)
-	}
-	return idx
-}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -62,6 +63,69 @@ func TestNegativeDelayRejected(t *testing.T) {
 	s.Run()
 	if _, err := s.ScheduleAt(5, func() {}); err == nil {
 		t.Fatal("ScheduleAt in the past succeeded, want error")
+	}
+}
+
+// TestScheduleHorizon drives the boundary of the queue's 2^48-tick horizon
+// through both entry points: one tick inside is accepted and fires at its
+// tick, the horizon itself is ErrHorizon with nothing scheduled — never the
+// wheel's panic, also when RunUntil has moved the clock past an idle queue's
+// horizon.
+func TestScheduleHorizon(t *testing.T) {
+	const horizon = Time(1) << 48
+	for _, tc := range []struct {
+		name     string
+		idleTo   Time // RunUntil on the empty queue first
+		at       Time // absolute
+		relative bool // through Schedule rather than ScheduleAt
+		wantErr  bool
+	}{
+		{name: "Schedule inside", at: horizon - 1, relative: true},
+		{name: "Schedule at horizon", at: horizon, relative: true, wantErr: true},
+		{name: "ScheduleAt inside", at: horizon - 1},
+		{name: "ScheduleAt at horizon", at: horizon, wantErr: true},
+		{name: "ScheduleAt far beyond", at: 1<<63 - 1, wantErr: true},
+		{name: "idle clock ahead of the queue", idleTo: 1000, at: horizon + 999, relative: true, wantErr: true},
+		{name: "idle clock, inside", idleTo: 1000, at: horizon - 1, relative: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			mustSchedule(t, s, 0, func() {})
+			s.RunUntil(tc.idleTo)
+			keep := mustSchedule(t, s, 5, func() {})
+			fired := Time(-1)
+			fn := func() { fired = s.Now() }
+			var tm Timer
+			var err error
+			if tc.relative {
+				tm, err = s.Schedule(tc.at-s.Now(), fn)
+			} else {
+				tm, err = s.ScheduleAt(tc.at, fn)
+			}
+			if tc.wantErr {
+				if !errors.Is(err, ErrHorizon) {
+					t.Fatalf("err = %v, want ErrHorizon", err)
+				}
+				if tm.Active() || s.Pending() != 1 || s.EventsScheduled() != 2 {
+					t.Fatalf("rejected event left a trace: active %v, pending %d, scheduled %d",
+						tm.Active(), s.Pending(), s.EventsScheduled())
+				}
+				s.Run()
+				if fired != -1 || keep.Active() {
+					t.Fatalf("after Run: rejected event fired at %d, earlier timer active %v", fired, keep.Active())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tm.At() != tc.at || s.Pending() != 2 {
+				t.Fatalf("At() = %d, Pending() = %d, want %d, 2", tm.At(), s.Pending(), tc.at)
+			}
+			if end := s.Run(); fired != tc.at || end != tc.at {
+				t.Fatalf("fired at %d, run ended at %d, want %d", fired, end, tc.at)
+			}
+		})
 	}
 }
 

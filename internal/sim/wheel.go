@@ -1,26 +1,24 @@
 package sim
 
-// Hierarchical timer wheel: the fleet-scale alternative to the 4-ary
-// indexed heap.
+// Hierarchical timer wheel: the Simulator's event queue, and the per-shard
+// watchdog queue of internal/fleet.
 //
-// The heap is exact and cache-friendly at cluster scale (hundreds of
-// pending timers), but a fleet shard carries hundreds of thousands of
-// pending watchdogs, and O(log n) sift costs on every (re)arm add up. The
-// wheel makes Schedule and Cancel O(1): six levels of 256 slots each cover
-// a 2^48-tick horizon, a timer lands in the finest level that can resolve
-// its delay, and coarser entries cascade down one level at a time as the
-// clock crosses slot boundaries.
+// Schedule and Cancel are O(1) at any population, from a cluster's handful
+// of pending timers to a fleet shard's hundreds of thousands: six levels of
+// 256 slots each cover a 2^48-tick horizon, a timer lands in the finest
+// level that can resolve its delay, and coarser entries cascade down one
+// level at a time as the clock crosses slot boundaries.
 //
-// Firing order is the heap's exact order — (time, sequence) with FIFO
-// tiebreak among same-tick timers. Slot lists are unordered (cascading
-// can interleave old and new entries), so when the wheel advances onto a
-// non-empty level-0 slot it collects the slot into a due buffer and sorts
-// it by sequence number; a level-0 slot only ever holds entries of a
-// single absolute tick (two times mapping to the same slot are >= 256
-// ticks apart, and the farther one cannot reach level 0 before the nearer
-// one fires), so the sort fully restores the global order. The
-// wheel-vs-heap property tests in wheel_test.go pin this equivalence, and
-// the 0-alloc steady state is pinned next to the heap's in alloc_test.go.
+// Firing order is exact — (time, sequence) with FIFO tiebreak among
+// same-tick timers. Slot lists are unordered (cascading can interleave old
+// and new entries), so when the wheel advances onto a non-empty level-0
+// slot it collects the slot into a due buffer and sorts it by sequence
+// number; a level-0 slot only ever holds entries of a single absolute tick
+// (two times mapping to the same slot are >= 256 ticks apart, and the
+// farther one cannot reach level 0 before the nearer one fires), so the
+// sort fully restores the global order. The property tests in
+// wheel_test.go pin this order against a sorted reference, and
+// alloc_test.go pins the 0-alloc steady state.
 //
 // Like the rest of the kernel, a TimerWheel is single-threaded by design.
 
@@ -34,6 +32,8 @@ const (
 	wheelSlots    = 1 << wheelSlotBits
 	wheelSlotMask = wheelSlots - 1
 	wheelLevels   = 6
+	// wheelHorizon is how far past the horizon an entry may be scheduled.
+	wheelHorizon = 1 << (wheelSlotBits * wheelLevels)
 )
 
 // wheelNode states, stored in the level field alongside real levels >= 0.
@@ -64,7 +64,7 @@ type WheelTimer struct {
 }
 
 // TimerWheel is a hierarchical timing wheel ordering (payload, time)
-// entries exactly like the kernel heap: by time, then by schedule order.
+// entries by time, then by schedule order.
 type TimerWheel struct {
 	now   Time // horizon: every entry still in a slot fires at or after now
 	seq   uint64
@@ -128,8 +128,9 @@ func (w *TimerWheel) Active(t WheelTimer) bool {
 
 //hbvet:noalloc
 // Schedule adds an entry firing at absolute time at. Entries at the same
-// tick fire in schedule order. Scheduling more than 2^48 ticks ahead of
-// the horizon panics (no workload in this repository approaches it).
+// tick fire in schedule order. Scheduling 2^48 ticks or more ahead of the
+// horizon panics; Simulator.ScheduleAt returns ErrHorizon before it gets
+// here, and no fleet timer approaches it.
 func (w *TimerWheel) Schedule(at Time, payload uint32) WheelTimer {
 	w.seq++
 	var idx int32
@@ -192,23 +193,33 @@ func (w *TimerWheel) Cancel(t WheelTimer) bool {
 // Pop removes and returns the next entry in (time, schedule order). The
 // horizon advances to the entry's tick.
 func (w *TimerWheel) Pop() (payload uint32, at Time, ok bool) {
+	idx, ok := w.pop()
+	if !ok {
+		return 0, 0, false
+	}
+	nd := &w.nodes[idx]
+	return nd.payload, nd.at, true
+}
+
+//hbvet:noalloc
+// pop is Pop by node index, for the Simulator, which keys its callbacks by
+// node. The node is already released; its fields stay readable until the
+// next Schedule.
+func (w *TimerWheel) pop() (idx int32, ok bool) {
 	for {
 		if w.dueCursor == len(w.due) {
 			if !w.refill() {
-				return 0, 0, false
+				return 0, false
 			}
 		}
-		idx := w.due[w.dueCursor]
+		idx = w.due[w.dueCursor]
 		w.dueCursor++
-		nd := &w.nodes[idx]
-		if nd.level == wheelDead {
-			w.release(idx)
-			continue
-		}
-		payload, at = nd.payload, nd.at
+		dead := w.nodes[idx].level == wheelDead
 		w.release(idx)
-		w.count--
-		return payload, at, true
+		if !dead {
+			w.count--
+			return idx, true
+		}
 	}
 }
 

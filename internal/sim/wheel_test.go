@@ -64,23 +64,29 @@ func TestWheelFireOrderMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWheelRandomOpsMatchHeapSimulator drives two simulators — one on the
-// 4-ary heap, one on the wheel — through an identical randomized program
-// of schedules, cancels, re-arms, and partial runs, and requires
-// bit-identical traces. This is the satellite property test: the wheel
-// must be a drop-in replacement for the heap.
-func TestWheelRandomOpsMatchHeapSimulator(t *testing.T) {
+// TestSimulatorRandomOpsMatchSortedQueue drives the Simulator and a
+// test-local reference kernel — a slice kept sorted by (time, schedule
+// order) — through an identical randomized program of schedules, cancels,
+// re-arms, cancel-inside-event, single steps and RunUntil windows, and
+// requires identical fire traces (event and clock at each fire). The
+// reference shares no code with the wheel, so any perturbation of the
+// wheel's order (cascade, same-tick sort, below-horizon insert) shows as a
+// diverging trace.
+func TestSimulatorRandomOpsMatchSortedQueue(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		traceHeap := runRandomProgram(t, seed, false)
-		traceWheel := runRandomProgram(t, seed, true)
-		if len(traceHeap) != len(traceWheel) {
-			t.Fatalf("seed %d: trace lengths differ: heap %d, wheel %d",
-				seed, len(traceHeap), len(traceWheel))
+		want := runRandomProgram(t, seed, &refKernel{})
+		got := runRandomProgram(t, seed, simKernel{New()})
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: trace lengths differ: simulator %d, reference %d",
+				seed, len(got), len(want))
 		}
-		for i := range traceHeap {
-			if traceHeap[i] != traceWheel[i] {
-				t.Fatalf("seed %d: trace[%d] differs: heap %+v, wheel %+v",
-					seed, i, traceHeap[i], traceWheel[i])
+		if len(want) < 1000 {
+			t.Fatalf("seed %d: only %d fires; the program no longer exercises the queue", seed, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: trace[%d] differs: simulator %+v, reference %+v",
+					seed, i, got[i], want[i])
 			}
 		}
 	}
@@ -91,35 +97,112 @@ type fireRecord struct {
 	id int
 }
 
-// runRandomProgram executes a deterministic mixed workload (periodic
-// re-arming timers, random one-shots, cancels, RunUntil windows) against
-// either backend and returns the fire trace.
-func runRandomProgram(t *testing.T, seed int64, wheel bool) []fireRecord {
-	t.Helper()
-	opts := []Option{WithSeed(seed)}
-	if wheel {
-		opts = append(opts, WithTimerWheel())
+// kernel is what runRandomProgram needs of an event queue; cancel is a
+// no-op on a fired or already cancelled handle.
+type kernel interface {
+	now() Time
+	schedule(d Time, fn Event) (cancel func() bool)
+	step() bool
+	runUntil(deadline Time)
+	pending() int
+}
+
+type simKernel struct{ s *Simulator }
+
+func (k simKernel) now() Time { return k.s.Now() }
+func (k simKernel) schedule(d Time, fn Event) func() bool {
+	tm, err := k.s.Schedule(d, fn)
+	if err != nil {
+		panic(err)
 	}
-	s := New(opts...)
+	return tm.Cancel
+}
+func (k simKernel) step() bool             { return k.s.Step() }
+func (k simKernel) runUntil(deadline Time) { k.s.RunUntil(deadline) }
+func (k simKernel) pending() int           { return k.s.Pending() }
+
+// refKernel is the oracle: pending events in one slice sorted by (at, seq),
+// inserted by binary search, removed by linear scan.
+type refKernel struct {
+	clock Time
+	seq   int
+	queue []*refEvent
+}
+
+type refEvent struct {
+	at  Time
+	seq int
+	fn  Event
+}
+
+func (k *refKernel) now() Time { return k.clock }
+
+func (k *refKernel) schedule(d Time, fn Event) func() bool {
+	k.seq++
+	ev := &refEvent{at: k.clock + d, seq: k.seq, fn: fn}
+	// seq is the largest so far: the event goes after every entry at or
+	// before its tick.
+	pos := sort.Search(len(k.queue), func(i int) bool { return k.queue[i].at > ev.at })
+	k.queue = append(k.queue, nil)
+	copy(k.queue[pos+1:], k.queue[pos:])
+	k.queue[pos] = ev
+	return func() bool {
+		for i, q := range k.queue {
+			if q == ev {
+				k.queue = append(k.queue[:i], k.queue[i+1:]...)
+				return true
+			}
+		}
+		return false
+	}
+}
+
+func (k *refKernel) step() bool {
+	if len(k.queue) == 0 {
+		return false
+	}
+	ev := k.queue[0]
+	k.queue = k.queue[1:]
+	k.clock = ev.at
+	ev.fn()
+	return true
+}
+
+func (k *refKernel) runUntil(deadline Time) {
+	for len(k.queue) > 0 && k.queue[0].at <= deadline {
+		k.step()
+	}
+	if k.clock < deadline {
+		k.clock = deadline
+	}
+}
+
+func (k *refKernel) pending() int { return len(k.queue) }
+
+// runRandomProgram executes a deterministic mixed workload (periodic
+// re-arming timers, random one-shots, cancels from outside and from inside
+// events, RunUntil windows) against k and returns the fire trace.
+func runRandomProgram(t *testing.T, seed int64, k kernel) []fireRecord {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed * 977))
 	var trace []fireRecord
 	nextID := 0
-	var live []Timer
+	var live []func() bool
 
 	var arm func(id int, d Time)
 	arm = func(id int, d Time) {
-		tm, err := s.Schedule(d, func() {
-			trace = append(trace, fireRecord{at: s.Now(), id: id})
-			// A third of timers re-arm themselves (watchdog pattern),
-			// deterministically from the id so both backends agree.
+		live = append(live, k.schedule(d, func() {
+			trace = append(trace, fireRecord{at: k.now(), id: id})
+			// A third of timers re-arm themselves (watchdog pattern) and a
+			// fifth cancel another timer from inside the event, both
+			// deterministically from the id so the two kernels agree.
 			if id%3 == 0 {
 				arm(id, Time(1+id%97))
 			}
-		})
-		if err != nil {
-			t.Fatalf("schedule: %v", err)
-		}
-		live = append(live, tm)
+			if id%5 == 0 {
+				live[(id*7)%len(live)]()
+			}
+		}))
 	}
 
 	for round := 0; round < 200; round++ {
@@ -139,34 +222,34 @@ func runRandomProgram(t *testing.T, seed int64, wheel bool) []fireRecord {
 			arm(nextID, d)
 			nextID++
 		}
-		// Cancel a few random handles; stale handles are no-ops on both
-		// backends, so picking from the full history is fine.
+		// Cancel a few random handles; stale handles are no-ops, so
+		// picking from the full history is fine.
 		for i := 0; i < rng.Intn(5); i++ {
 			if len(live) == 0 {
 				break
 			}
-			live[rng.Intn(len(live))].Cancel()
+			live[rng.Intn(len(live))]()
 		}
 		// Advance a random window; occasionally single-step instead.
 		if rng.Intn(4) == 0 {
-			s.Step()
+			k.step()
 		} else {
-			s.RunUntil(s.Now() + Time(rng.Int63n(4_000)))
+			k.runUntil(k.now() + Time(rng.Int63n(4_000)))
 		}
 		if rng.Intn(8) == 0 {
 			// Stop re-arm chains from keeping the run infinite: drop every
 			// pending timer.
-			for _, tm := range live {
-				tm.Cancel()
+			for _, cancel := range live {
+				cancel()
 			}
 			live = live[:0]
 		}
 	}
-	for _, tm := range live {
-		tm.Cancel()
+	for _, cancel := range live {
+		cancel()
 	}
-	if got := s.Pending(); got != 0 {
-		t.Fatalf("seed %d wheel=%v: %d timers still pending after cancel sweep", seed, wheel, got)
+	if got := k.pending(); got != 0 {
+		t.Fatalf("seed %d: %d timers still pending after cancel sweep", seed, got)
 	}
 	return trace
 }
@@ -291,10 +374,11 @@ func TestWheelSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestSimulatorWheelAllocFree mirrors sim/alloc_test.go for the wheel
-// backend: the Simulator's schedule/step hot path stays 0-alloc.
+// TestSimulatorWheelAllocFree is alloc_test.go's pin under RunUntil
+// windows, whose peeks run the wheel's horizon ahead of the clock: the
+// schedule/cancel/run cycle stays 0-alloc.
 func TestSimulatorWheelAllocFree(t *testing.T) {
-	s := New(WithTimerWheel())
+	s := New()
 	fns := make([]Event, 64)
 	for i := range fns {
 		fns[i] = func() {}
@@ -316,6 +400,6 @@ func TestSimulatorWheelAllocFree(t *testing.T) {
 		cycle()
 	}
 	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
-		t.Fatalf("steady-state wheel-backed simulator allocates %.2f/op, want 0", avg)
+		t.Fatalf("steady-state simulator allocates %.2f/op, want 0", avg)
 	}
 }
