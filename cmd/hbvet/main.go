@@ -12,12 +12,11 @@
 // The per-package checks enforce the conventions the checker and
 // simulator correctness hangs on: deterministic replay (no wall-clock
 // or global rand), map-iteration-order hygiene, the
-// ta.Successors/AppendKey buffer-reuse contract, //hbvet:noalloc
-// allocation discipline on annotated hot paths, and atomic-vs-plain
+// ta.Successors/AppendKey buffer-reuse contract, and atomic-vs-plain
 // access discipline. On top of them run the interprocedural checks over
-// the module call graph: noalloc-closure (every function reachable from
-// a //hbvet:noalloc root must be allocation-free or annotated, with
-// full call chains in findings), determinism-taint (only the
+// the module call graph: noalloc-closure (every //hbvet:noalloc root and
+// every function reachable from one must be free of likely allocation
+// sites, with full call chains in findings), determinism-taint (only the
 // allowlisted wall-clock boundary may transitively reach time.Now or
 // global math/rand), and unused-suppression (//lint:allow directives
 // that suppress nothing are findings). -escape bypasses the AST layer

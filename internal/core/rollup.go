@@ -61,7 +61,7 @@ func (s Summary) AppendMarshal(dst []byte) []byte {
 // returns the remaining bytes.
 func UnmarshalSummary(data []byte) (Summary, []byte, error) {
 	if len(data) < summaryWire {
-		//lint:allow hot-path-alloc cold error path; batches are produced by AppendMarshal and always whole records
+		//lint:allow noalloc-closure cold error path; batches are produced by AppendMarshal and always whole records
 		return Summary{}, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSummary, len(data))
 	}
 	var f [5]uint32

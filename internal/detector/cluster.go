@@ -145,6 +145,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	s := sim.New(sim.WithSeed(cfg.Seed))
+	clock := netem.SimClock{Sim: s}
 	net, err := netem.NewNetwork(s, cfg.Link)
 	if err != nil {
 		return nil, err
@@ -161,14 +162,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if seed == 0 {
 			seed = cfg.Seed
 		}
-		c.Faults = faults.Wrap(net, netem.SimTicker{Sim: s}, seed)
+		c.Faults = faults.Wrap(net, clock, seed)
 		c.Transport = c.Faults
 		c.Clocks = make(map[netem.NodeID]*faults.DriftClock, cfg.N+1)
 	}
 	sink := EventSink(EventFunc(func(e Event) { c.Events = append(c.Events, e) }))
 	if cfg.Heal != nil {
 		hc := *cfg.Heal
-		hc.Clock = SimClock{Sim: s}
+		hc.Clock = clock
 		hc.Events = sink
 		sup, err := NewSupervisor(hc)
 		if err != nil {
@@ -177,11 +178,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.Supervisor = sup
 		sink = sup
 	}
-	clockFor := func(id netem.NodeID) Clock {
+	clockFor := func(id netem.NodeID) netem.Clock {
 		if c.Clocks == nil {
-			return SimClock{Sim: s}
+			return clock
 		}
-		dc := faults.NewDriftClock(SimClock{Sim: s})
+		dc := faults.NewDriftClock(clock)
 		c.Clocks[id] = dc
 		return dc
 	}
@@ -305,7 +306,7 @@ func wrapMachine(cfg ClusterConfig, id netem.NodeID, m core.Machine) core.Machin
 // virtual time 0.
 func (c *Cluster) Start() error {
 	if c.cfg.Faults != nil {
-		cancel, err := c.cfg.Faults.Apply(netem.SimTicker{Sim: c.Sim}, faults.Target{
+		cancel, err := c.cfg.Faults.Apply(netem.SimClock{Sim: c.Sim}, faults.Target{
 			Transport: c.Faults,
 			Nodes:     c,
 			Clocks:    c,

@@ -6,81 +6,19 @@
 // decodes incoming beats, drives the machine, and executes the machine's
 // actions: sending beats, (re)arming timers, and reporting liveness events
 // to an EventSink. Nodes work identically over the discrete-event simulator
-// (SimClock + netem.Network) and the wall clock (WallClock +
-// netem.RealNetwork).
+// (netem.SimClock + netem.Network) and in real time (netem.WallClock +
+// netem.UDPTransport).
 package detector
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/netem"
 	"repro/internal/sim"
 )
-
-// Clock schedules callbacks in protocol ticks.
-type Clock interface {
-	// Now returns the current time in ticks.
-	Now() core.Tick
-	// After runs fn after d ticks and returns a cancel function.
-	// Cancelling after the callback ran is a no-op.
-	After(d core.Tick, fn func()) (cancel func())
-}
-
-// SimClock adapts a sim.Simulator to the Clock interface.
-type SimClock struct {
-	Sim *sim.Simulator
-}
-
-var _ Clock = SimClock{}
-
-// Now implements Clock.
-func (c SimClock) Now() core.Tick { return core.Tick(c.Sim.Now()) }
-
-// After implements Clock.
-func (c SimClock) After(d core.Tick, fn func()) (cancel func()) {
-	tm, err := c.Sim.Schedule(sim.Time(d), fn)
-	if err != nil {
-		// Machines only arm non-negative delays; a failure here is a
-		// programming error inside this package, and silently dropping
-		// the timer would hang the protocol.
-		//lint:allow noalloc-closure cold panic path; machines only arm non-negative delays
-		panic(fmt.Sprintf("detector: scheduling timer: %v", err))
-	}
-	//lint:allow noalloc-closure generic-clock cancel handle allocates once per arm; the hot path arms through setSimTimer
-	return func() { tm.Cancel() }
-}
-
-// WallClock implements Clock on the wall clock, mapping ticks to
-// TickLen-sized slices of real time.
-type WallClock struct {
-	// TickLen is the physical duration of one protocol tick.
-	TickLen time.Duration
-	// Epoch anchors tick 0; NewWallClock sets it to the creation time.
-	Epoch time.Time
-}
-
-// NewWallClock returns a wall clock whose tick 0 is now.
-func NewWallClock(tickLen time.Duration) WallClock {
-	return WallClock{TickLen: tickLen, Epoch: time.Now()}
-}
-
-var _ Clock = WallClock{}
-
-// Now implements Clock.
-func (c WallClock) Now() core.Tick {
-	return core.Tick(time.Since(c.Epoch) / c.TickLen)
-}
-
-// After implements Clock.
-func (c WallClock) After(d core.Tick, fn func()) (cancel func()) {
-	t := time.AfterFunc(time.Duration(d)*c.TickLen, fn)
-	//lint:allow noalloc-closure wall-clock timer handle; the 0-alloc pin drives the SimClock fast path
-	return func() { t.Stop() }
-}
 
 // EventKind classifies liveness events reported by a Node.
 type EventKind int
@@ -160,8 +98,8 @@ type Event struct {
 }
 
 // EventSink receives events. Implementations must be safe for the
-// concurrency of the chosen clock: single-threaded under SimClock,
-// concurrent under WallClock.
+// concurrency of the chosen clock: single-threaded under netem.SimClock,
+// concurrent under netem.WallClock.
 type EventSink interface {
 	HandleEvent(Event)
 }
@@ -182,7 +120,7 @@ type Config struct {
 	// Machine is the protocol role to run.
 	Machine core.Machine
 	// Clock drives timers.
-	Clock Clock
+	Clock netem.Clock
 	// Transport carries beats. The node registers itself on creation.
 	Transport netem.Transport
 	// Events, if non-nil, receives liveness notifications.
@@ -199,28 +137,25 @@ type Config struct {
 
 // Node runs one protocol machine. All methods are safe for concurrent use.
 type Node struct {
-	mu      sync.Mutex
-	cfg     Config
-	timers  map[core.TimerID]func() // pending cancels (generic clock path)
-	seq     map[core.TimerID]uint64 // generation guard against stale fires
-	started bool
-	// simc is non-nil when the clock is a plain SimClock; timers then run
-	// on the allocation-free fast path: sim.Timer cancellation is exact
-	// and the simulation is single-threaded, so no generation guards or
-	// per-arm closures are needed.
-	simc      *sim.Simulator
-	simTimers map[core.TimerID]*simTimer
+	mu        sync.Mutex
+	cfg       Config
+	timers    map[core.TimerID]*nodeTimer
+	started   bool
 	buf       []byte // scratch for marshalling outgoing beats
 	recoverFn func(id netem.NodeID, op string, recovered any)
 }
 
-// simTimer is the per-TimerID state of the SimClock fast path. Its
-// closures are built once, on the timer's first arm, and reused for every
-// subsequent (re)arm.
-type simTimer struct {
-	tm   sim.Timer
-	arm  sim.Event // scheduled at the machine's delay
-	fire sim.Event // runs the machine's OnTimer
+// nodeTimer is the state of one of the machine's logical timers, built on
+// the timer's first arm and reused for every rearm.
+type nodeTimer struct {
+	id core.TimerID
+	// gen counts the timer's SetTimer, CancelTimer and Restart events and
+	// tags every arm. An expiry whose tag is no longer gen was superseded
+	// and is dropped: a wall-clock expiry can already be waiting on n.mu
+	// when the machine rearms or cancels. Guarded by n.mu.
+	gen uint64
+	arm netem.Timer // runs out the machine's delay
+	hop netem.Timer // §6.1 zero-delay hop after arm; nil unless ReceivePriority
 }
 
 // ErrNodeConfig reports an invalid node configuration.
@@ -231,15 +166,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Machine == nil || cfg.Clock == nil || cfg.Transport == nil {
 		return nil, fmt.Errorf("%w: machine, clock and transport are required", ErrNodeConfig)
 	}
-	n := &Node{
-		cfg:    cfg,
-		timers: make(map[core.TimerID]func()),
-		seq:    make(map[core.TimerID]uint64),
-	}
-	if sc, ok := cfg.Clock.(SimClock); ok {
-		n.simc = sc.Sim
-		n.simTimers = make(map[core.TimerID]*simTimer)
-	}
+	n := &Node{cfg: cfg, timers: make(map[core.TimerID]*nodeTimer)}
 	if err := cfg.Transport.Register(cfg.ID, n.onMessage); err != nil {
 		return nil, fmt.Errorf("detector: registering node %d: %w", cfg.ID, err)
 	}
@@ -289,19 +216,12 @@ func (n *Node) Restart(m core.Machine) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for id, cancel := range n.timers {
-		cancel()
-		delete(n.timers, id)
-	}
-	for id := range n.seq {
-		n.seq[id]++ // strand any fire already past its cancel
-	}
-	for _, st := range n.simTimers {
-		st.tm.Cancel() // exact: a cancelled sim timer never fires
+	for _, t := range n.timers {
+		n.stopTimer(t)
 	}
 	n.cfg.Machine = m
 	n.started = true
-	actions := m.Start(n.cfg.Clock.Now())
+	actions := m.Start(n.now())
 	n.observe(Trigger{Kind: TriggerRestart}, actions)
 	n.apply(actions)
 	return nil
@@ -336,7 +256,7 @@ func (n *Node) Start() error {
 		return fmt.Errorf("%w: node %d already started", ErrNodeConfig, n.cfg.ID)
 	}
 	n.started = true
-	actions := n.cfg.Machine.Start(n.cfg.Clock.Now())
+	actions := n.cfg.Machine.Start(n.now())
 	n.observe(Trigger{Kind: TriggerStart}, actions)
 	n.apply(actions)
 	return nil
@@ -346,7 +266,7 @@ func (n *Node) Start() error {
 func (n *Node) Crash() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	actions := n.cfg.Machine.Crash(n.cfg.Clock.Now())
+	actions := n.cfg.Machine.Crash(n.now())
 	n.observe(Trigger{Kind: TriggerCrash}, actions)
 	n.apply(actions)
 }
@@ -360,7 +280,7 @@ func (n *Node) Leave() error {
 	if !ok {
 		return fmt.Errorf("%w: node %d machine cannot leave", ErrNodeConfig, n.cfg.ID)
 	}
-	actions, err := p.Leave(n.cfg.Clock.Now())
+	actions, err := p.Leave(n.now())
 	if err != nil {
 		return err
 	}
@@ -378,7 +298,7 @@ func (n *Node) Rejoin() error {
 	if !ok {
 		return fmt.Errorf("%w: node %d machine cannot rejoin", ErrNodeConfig, n.cfg.ID)
 	}
-	actions, err := p.Rejoin(n.cfg.Clock.Now())
+	actions, err := p.Rejoin(n.now())
 	if err != nil {
 		return err
 	}
@@ -395,7 +315,7 @@ func (n *Node) onMessage(msg netem.Message) {
 	}
 	n.mu.Lock()
 	rec := n.runGuarded(Trigger{Kind: TriggerBeat, Beat: beat}, func() []core.Action {
-		return n.cfg.Machine.OnBeat(beat, n.cfg.Clock.Now())
+		return n.cfg.Machine.OnBeat(beat, n.now())
 	})
 	h := n.recoverFn
 	n.mu.Unlock()
@@ -404,37 +324,26 @@ func (n *Node) onMessage(msg netem.Message) {
 	}
 }
 
-// onTimer is the timer callback for generation gen of timer id.
-func (n *Node) onTimer(id core.TimerID, gen uint64) {
+// fireTimer is the expiry callback of t's timers: arm's, and hop's when
+// there is one. gen is the tag of the arm that is running out.
+//
+//hbvet:noalloc
+func (n *Node) fireTimer(t *nodeTimer, gen uint64, hop bool) {
 	n.mu.Lock()
-	if n.seq[id] != gen {
+	if t.gen != gen {
 		n.mu.Unlock()
-		return // superseded by a later SetTimer
+		return // superseded by a later SetTimer, CancelTimer or Restart
 	}
-	if n.cfg.ReceivePriority {
+	if hop {
 		// §6.1: let same-instant deliveries already queued run first by
 		// taking one zero-delay hop through the scheduler.
-		n.seq[id]++
-		gen := n.seq[id]
-		//lint:allow noalloc-closure generic-clock rearm hop allocates one closure; the SimClock fast path hops through setSimTimer instead
-		n.timers[id] = n.cfg.Clock.After(0, func() { n.fireTimer(id, gen) })
+		t.hop.Reset(0, gen)
 		n.mu.Unlock()
 		return
 	}
-	n.mu.Unlock()
-	n.fireTimer(id, gen)
-}
-
-func (n *Node) fireTimer(id core.TimerID, gen uint64) {
-	n.mu.Lock()
-	if n.seq[id] != gen {
-		n.mu.Unlock()
-		return
-	}
-	delete(n.timers, id)
-	//lint:allow hot-path-alloc closure does not escape runGuarded (called inline, not retained), so it stays on the stack
-	rec := n.runGuarded(Trigger{Kind: TriggerTimer, Timer: id}, func() []core.Action {
-		return n.cfg.Machine.OnTimer(id, n.cfg.Clock.Now())
+	//lint:allow noalloc-closure closure does not escape runGuarded (called inline, not retained), so it stays on the stack
+	rec := n.runGuarded(Trigger{Kind: TriggerTimer, Timer: t.id}, func() []core.Action {
+		return n.cfg.Machine.OnTimer(t.id, n.now())
 	})
 	h := n.recoverFn
 	n.mu.Unlock()
@@ -448,7 +357,7 @@ func (n *Node) fireTimer(id core.TimerID, gen uint64) {
 //
 //hbvet:noalloc
 func (n *Node) apply(actions []core.Action) {
-	now := n.cfg.Clock.Now()
+	now := n.now()
 	for _, act := range actions {
 		switch act.Kind {
 		case core.ActSendBeat:
@@ -459,32 +368,11 @@ func (n *Node) apply(actions []core.Action) {
 			n.buf = act.Beat.AppendMarshal(n.buf[:0])
 			_ = n.cfg.Transport.Send(n.cfg.ID, netem.NodeID(act.To), n.buf)
 		case core.ActSetTimer:
-			if n.simc != nil {
-				n.setSimTimer(act.ID, act.Delay)
-				continue
-			}
-			if cancel, ok := n.timers[act.ID]; ok {
-				//lint:allow noalloc-closure timer cancel handle built (and checked) at arm time; the sim handle is allocation-free
-				cancel()
-			}
-			n.seq[act.ID]++
-			gen := n.seq[act.ID]
-			id := act.ID
-			//lint:allow hot-path-alloc generic-clock arm path; the SimClock hot path took the setSimTimer branch above
-			n.timers[id] = n.cfg.Clock.After(act.Delay, func() { n.onTimer(id, gen) })
+			n.setTimer(act.ID, act.Delay)
 		case core.ActCancelTimer:
-			if n.simc != nil {
-				if st, ok := n.simTimers[act.ID]; ok {
-					st.tm.Cancel()
-				}
-				continue
+			if t, ok := n.timers[act.ID]; ok {
+				n.stopTimer(t)
 			}
-			if cancel, ok := n.timers[act.ID]; ok {
-				//lint:allow noalloc-closure timer cancel handle built (and checked) at arm time; the sim handle is allocation-free
-				cancel()
-				delete(n.timers, act.ID)
-			}
-			n.seq[act.ID]++
 		case core.ActInactivate:
 			n.emit(Event{Time: now, Node: n.cfg.ID, Kind: EventInactivated, Voluntary: act.Voluntary})
 		case core.ActSuspect:
@@ -499,64 +387,50 @@ func (n *Node) apply(actions []core.Action) {
 	}
 }
 
-// setSimTimer (re)arms a timer on the SimClock fast path. The simTimer's
-// closures are created once per TimerID; steady-state rearms allocate
-// nothing. Callers hold n.mu; the simulation itself is single-threaded,
-// so the closures may touch st without the lock.
+// setTimer (re)arms the machine's timer id; steady-state rearms allocate
+// nothing. Callers hold n.mu.
 //
 //hbvet:noalloc
-func (n *Node) setSimTimer(id core.TimerID, d core.Tick) {
-	st, ok := n.simTimers[id]
+func (n *Node) setTimer(id core.TimerID, d core.Tick) {
+	t, ok := n.timers[id]
 	if !ok {
-		//lint:allow hot-path-alloc first-arm warm-up; one simTimer per TimerID, reused for every rearm
-		st = &simTimer{}
-		//lint:allow hot-path-alloc built once per TimerID on first arm, reused afterwards
-		st.fire = func() { n.fireSimTimer(id) }
-		if n.cfg.ReceivePriority {
-			// §6.1: when the delay elapses, take one zero-delay hop
-			// through the scheduler so same-instant deliveries already
-			// queued run first. A SetTimer or CancelTimer landing during
-			// the hop cancels it through st.tm as usual.
-			//lint:allow hot-path-alloc built once per TimerID on first arm, reused afterwards
-			st.arm = func() {
-				tm, err := n.simc.Schedule(0, st.fire)
-				if err != nil {
-					//lint:allow noalloc-closure cold panic path; the zero-delay hop only fails on scheduler misuse
-					panic(fmt.Sprintf("detector: scheduling timer hop: %v", err))
-				}
-				st.tm = tm
-			}
-		} else {
-			st.arm = st.fire
-		}
-		n.simTimers[id] = st
+		t = n.newTimer(id)
 	}
-	st.tm.Cancel() // no-op unless a previous arm is still pending
-	tm, err := n.simc.Schedule(sim.Time(d), st.arm)
-	if err != nil {
-		//lint:allow hot-path-alloc cold panic path; machines only arm non-negative delays
-		panic(fmt.Sprintf("detector: scheduling timer: %v", err))
+	t.gen++ // strands the expiry this arm supersedes
+	if t.hop != nil {
+		t.hop.Stop()
 	}
-	st.tm = tm
+	t.arm.Reset(sim.Time(d), t.gen)
 }
 
-// fireSimTimer delivers a timer expiry to the machine on the SimClock
-// fast path.
+// newTimer builds timer id's record and expiry closures on its first arm.
+//
+//lint:allow noalloc-closure first-arm warm-up; one nodeTimer per TimerID, reused for every rearm
+func (n *Node) newTimer(id core.TimerID) *nodeTimer {
+	t := &nodeTimer{id: id}
+	hop := n.cfg.ReceivePriority
+	t.arm = n.cfg.Clock.NewTimer(func(gen uint64) { n.fireTimer(t, gen, hop) })
+	if hop {
+		t.hop = n.cfg.Clock.NewTimer(func(gen uint64) { n.fireTimer(t, gen, false) })
+	}
+	n.timers[id] = t
+	return t
+}
+
+// stopTimer disarms t and strands any expiry already past its Stop.
+// Callers hold n.mu.
 //
 //hbvet:noalloc
-func (n *Node) fireSimTimer(id core.TimerID) {
-	n.mu.Lock()
-	//lint:allow hot-path-alloc closure does not escape runGuarded (called inline, not retained), so it stays on the stack
-	rec := n.runGuarded(Trigger{Kind: TriggerTimer, Timer: id}, func() []core.Action {
-		return n.cfg.Machine.OnTimer(id, n.cfg.Clock.Now())
-	})
-	h := n.recoverFn
-	n.mu.Unlock()
-	if rec != nil {
-		//lint:allow noalloc-closure recover handler runs only after a machine panic, never in steady state
-		h(n.cfg.ID, "timer", rec)
+func (n *Node) stopTimer(t *nodeTimer) {
+	t.gen++
+	t.arm.Stop()
+	if t.hop != nil {
+		t.hop.Stop()
 	}
 }
+
+// now reads the node's clock in protocol ticks.
+func (n *Node) now() core.Tick { return core.Tick(n.cfg.Clock.Now()) }
 
 func (n *Node) emit(e Event) {
 	if n.cfg.Events != nil {

@@ -230,7 +230,7 @@ func TestNodeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewNode(Config{ID: 1, Machine: m, Clock: SimClock{Sim: s}, Transport: net})
+	n, err := NewNode(Config{ID: 1, Machine: m, Clock: netem.SimClock{Sim: s}, Transport: net})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
@@ -241,7 +241,7 @@ func TestNodeValidation(t *testing.T) {
 		t.Fatal("double Start accepted")
 	}
 	// Registering a second node with the same ID must fail.
-	if _, err := NewNode(Config{ID: 1, Machine: m, Clock: SimClock{Sim: s}, Transport: net}); err == nil {
+	if _, err := NewNode(Config{ID: 1, Machine: m, Clock: netem.SimClock{Sim: s}, Transport: net}); err == nil {
 		t.Fatal("duplicate transport ID accepted")
 	}
 }

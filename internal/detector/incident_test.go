@@ -3,6 +3,7 @@ package detector
 import (
 	"testing"
 
+	"repro/internal/netem"
 	"repro/internal/sim"
 )
 
@@ -12,7 +13,7 @@ import (
 // loss-gated verdicts at Finish, after the run ends.
 func TestSupervisorReportIncident(t *testing.T) {
 	s := sim.New(sim.WithSeed(1))
-	clock := SimClock{Sim: s}
+	clock := netem.SimClock{Sim: s}
 	var events []Event
 	sup, err := NewSupervisor(SupervisorConfig{
 		Clock:  clock,

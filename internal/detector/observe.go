@@ -65,7 +65,7 @@ type Trigger struct {
 // no actions (the delivery itself is an observable event).
 //
 // ObserveStep is called with the node's lock held, so steps of a single
-// node arrive serialised in execution order; under a SimClock the whole
+// node arrive serialised in execution order; under a netem.SimClock the whole
 // cluster is single-threaded and the global order is the execution order.
 // Observers must not call back into the node. The conformance recorder
 // (internal/conform) is the intended implementation.
@@ -77,6 +77,6 @@ type Observer interface {
 // hold n.mu.
 func (n *Node) observe(tr Trigger, actions []core.Action) {
 	if n.cfg.Observe != nil {
-		n.cfg.Observe.ObserveStep(n.cfg.ID, n.cfg.Clock.Now(), tr, actions)
+		n.cfg.Observe.ObserveStep(n.cfg.ID, n.now(), tr, actions)
 	}
 }

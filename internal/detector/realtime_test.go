@@ -23,7 +23,10 @@ func TestRealTimeOverUDP(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	}()
-	clock := NewWallClock(5 * time.Millisecond)
+	clock, err := netem.NewWallClock(5 * time.Millisecond)
+	if err != nil {
+		t.Fatalf("NewWallClock: %v", err)
+	}
 	cfg := core.Config{TMin: 4, TMax: 16}
 
 	var mu sync.Mutex

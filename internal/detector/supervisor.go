@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netem"
+	"repro/internal/sim"
 )
 
 // Backoff bounds the pacing of supervisor restarts: exponential growth
@@ -78,7 +79,7 @@ func (s PeerState) String() string {
 // SupervisorConfig assembles a Supervisor.
 type SupervisorConfig struct {
 	// Clock drives health polls, backoff waits and confirmation windows.
-	Clock Clock
+	Clock netem.Clock
 	// Events, if non-nil, receives both the node events routed through
 	// the supervisor and the supervisor's own events (EventDown,
 	// EventRestarted, EventPanic, EventGaveUp).
@@ -116,10 +117,11 @@ type SupervisorConfig struct {
 type supervised struct {
 	node     *Node
 	factory  func() (core.Machine, error)
-	restarts int  // lifetime total, counts against MaxRestarts
-	attempt  int  // backoff exponent; reset to 0 by a clean rejoin
-	pending  bool // a restart is scheduled
-	wedged   bool // a panic was recovered; machine state is suspect
+	restart  netem.Timer // runs out the backoff before a restart
+	restarts int         // lifetime total, counts against MaxRestarts
+	attempt  int         // backoff exponent; reset to 0 by a clean rejoin
+	pending  bool        // a restart is scheduled
+	wedged   bool        // a panic was recovered; machine state is suspect
 	gaveUp   bool
 }
 
@@ -127,12 +129,13 @@ type supervised struct {
 // handler panics, restarts crashed or wedged nodes with bounded
 // exponential backoff plus jitter, and grades peers from suspected to
 // confirmed-down before notifying the application. It runs identically
-// over SimClock (deterministic, single-threaded) and WallClock
+// over netem.SimClock (deterministic, single-threaded) and netem.WallClock
 // (concurrent); all methods are safe for concurrent use.
 //
 // Lock discipline: the supervisor never calls into a Node while holding
 // its own lock, because nodes deliver events into HandleEvent while
-// holding theirs.
+// holding theirs. It does create and arm its timers under the lock, so
+// that Stop sees every timer and none is armed after it.
 type Supervisor struct {
 	mu       sync.Mutex
 	cfg      SupervisorConfig
@@ -140,11 +143,18 @@ type Supervisor struct {
 	nodes    map[netem.NodeID]*supervised
 	peers    map[core.ProcID]PeerState
 	peerGen  map[core.ProcID]uint64
-	polling  bool
+	confirms map[core.ProcID]*confirmation
+	poll     netem.Timer   // health-poll period; nil until the first Manage
+	timers   []netem.Timer // every timer above, in creation order, for Stop
 	stopped  bool
-	timers   map[uint64]func() // pending cancels, keyed by timerSeq
-	timerSeq uint64
 	metrics  SupervisorMetrics
+}
+
+// confirmation is one peer's confirmation-window timer, armed with the
+// peer's peerGen as its tag, and the node whose suspicion opened the window.
+type confirmation struct {
+	timer netem.Timer
+	by    netem.NodeID
 }
 
 // SupervisorMetrics exposes the supervisor's transition counters and the
@@ -194,12 +204,12 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		cfg.DegradedFactor = 4
 	}
 	return &Supervisor{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		nodes:   make(map[netem.NodeID]*supervised),
-		peers:   make(map[core.ProcID]PeerState),
-		peerGen: make(map[core.ProcID]uint64),
-		timers:  make(map[uint64]func()),
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		nodes:    make(map[netem.NodeID]*supervised),
+		peers:    make(map[core.ProcID]PeerState),
+		peerGen:  make(map[core.ProcID]uint64),
+		confirms: make(map[core.ProcID]*confirmation),
 	}, nil
 }
 
@@ -220,15 +230,19 @@ func (s *Supervisor) Manage(n *Node, factory func() (core.Machine, error)) error
 		s.mu.Unlock()
 		return fmt.Errorf("%w: node %d already supervised", ErrNodeConfig, n.ID())
 	}
-	s.nodes[n.ID()] = &supervised{node: n, factory: factory}
-	startPoll := !s.polling
-	s.polling = true
+	id := n.ID()
+	s.nodes[id] = &supervised{
+		node:    n,
+		factory: factory,
+		restart: s.newTimer(func(uint64) { s.restartNow(id) }),
+	}
+	if s.poll == nil {
+		s.poll = s.newTimer(func(uint64) { s.runPoll() })
+		s.arm(s.poll, s.cfg.CheckEvery, 0)
+	}
 	s.mu.Unlock()
 
 	n.SetRecover(s.onPanic)
-	if startPoll {
-		s.armPoll()
-	}
 	return nil
 }
 
@@ -236,24 +250,10 @@ func (s *Supervisor) Manage(n *Node, factory func() (core.Machine, error)) error
 // Managed nodes keep running; they are just no longer healed.
 func (s *Supervisor) Stop() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.stopped = true
-	// Cancel in arming order, not map order: under a SimClock the cancels
-	// mutate the shared event heap, and a stable order keeps a stopped
-	// supervisor's heap layout — and with it any replayed campaign —
-	// byte-identical run to run.
-	ids := make([]uint64, 0, len(s.timers))
-	for id := range s.timers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	cancels := make([]func(), 0, len(ids))
-	for _, id := range ids {
-		cancels = append(cancels, s.timers[id])
-	}
-	s.timers = make(map[uint64]func())
-	s.mu.Unlock()
-	for _, c := range cancels {
-		c()
+	for _, t := range s.timers {
+		t.Stop()
 	}
 }
 
@@ -274,56 +274,25 @@ func (s *Supervisor) PeerState(p core.ProcID) PeerState {
 	return s.peers[p]
 }
 
-// after arms a timer that Stop cancels and that forgets itself on firing,
-// so a long-lived supervisor does not accumulate dead cancel funcs.
-func (s *Supervisor) after(d core.Tick, fn func()) {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return
-	}
-	id := s.timerSeq
-	s.timerSeq++
-	//lint:allow noalloc-closure non-capturing placeholder closure is statically allocated by the compiler
-	s.timers[id] = func() {} // placeholder until the clock hands us a cancel
-	s.mu.Unlock()
+// newTimer creates one of the supervisor's timers and records it for
+// Stop. Callers hold s.mu.
+func (s *Supervisor) newTimer(fn func(tag uint64)) netem.Timer {
+	t := s.cfg.Clock.NewTimer(fn)
+	s.timers = append(s.timers, t)
+	return t
+}
 
-	//lint:allow noalloc-closure self-forgetting timer wrapper allocates per armed suspicion, not per heartbeat
-	cancel := s.cfg.Clock.After(d, func() {
-		s.mu.Lock()
-		if s.stopped {
-			s.mu.Unlock()
-			return
-		}
-		delete(s.timers, id)
-		s.mu.Unlock()
-		//lint:allow noalloc-closure fn is the confirmation closure checked at its construction site (noteSuspect)
-		fn()
-	})
-
-	s.mu.Lock()
-	if _, live := s.timers[id]; live {
-		s.timers[id] = cancel
-		s.mu.Unlock()
-		return
-	}
-	// The timer already fired (tiny wall-clock delay) or Stop cleared it;
-	// either way the map entry is gone and cancel is a no-op or due.
-	stopped := s.stopped
-	s.mu.Unlock()
-	if stopped {
-		//lint:allow noalloc-closure timer cancel handle built (and checked) at arm time
-		cancel()
+// arm (re)arms one of the supervisor's timers, unless Stop has run.
+// Callers hold s.mu.
+func (s *Supervisor) arm(t netem.Timer, d core.Tick, tag uint64) {
+	if !s.stopped {
+		t.Reset(sim.Time(d), tag)
 	}
 }
 
-func (s *Supervisor) armPoll() {
-	s.after(s.cfg.CheckEvery, s.poll)
-}
-
-// poll is the periodic health check: protocol-inactivated (and, if
+// runPoll is the periodic health check: protocol-inactivated (and, if
 // configured, crashed) or wedged nodes get a restart scheduled.
-func (s *Supervisor) poll() {
+func (s *Supervisor) runPoll() {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -355,7 +324,9 @@ func (s *Supervisor) poll() {
 			s.scheduleRestart(p.id)
 		}
 	}
-	s.armPoll()
+	s.mu.Lock()
+	s.arm(s.poll, s.cfg.CheckEvery, 0)
+	s.mu.Unlock()
 }
 
 // onPanic is the node recover handler: report, mark wedged, heal. The
@@ -368,7 +339,7 @@ func (s *Supervisor) onPanic(id netem.NodeID, _ string, _ any) {
 		sn.wedged = true
 	}
 	s.mu.Unlock()
-	s.emit(Event{Time: s.cfg.Clock.Now(), Node: id, Kind: EventPanic})
+	s.emit(Event{Time: s.now(), Node: id, Kind: EventPanic})
 	if ok {
 		s.scheduleRestart(id)
 	}
@@ -386,7 +357,7 @@ func (s *Supervisor) scheduleRestart(id netem.NodeID) {
 	if s.cfg.MaxRestarts > 0 && sn.restarts >= s.cfg.MaxRestarts {
 		sn.gaveUp = true
 		s.mu.Unlock()
-		s.emit(Event{Time: s.cfg.Clock.Now(), Node: id, Kind: EventGaveUp})
+		s.emit(Event{Time: s.now(), Node: id, Kind: EventGaveUp})
 		return
 	}
 	sn.pending = true
@@ -399,8 +370,8 @@ func (s *Supervisor) scheduleRestart(id netem.NodeID) {
 		d *= core.Tick(s.cfg.DegradedFactor)
 		s.metrics.RestartsHeld++
 	}
+	s.arm(sn.restart, d, 0)
 	s.mu.Unlock()
-	s.after(d, func() { s.restartNow(id) })
 }
 
 // restartNow builds the replacement machine and swaps it in.
@@ -446,7 +417,7 @@ func (s *Supervisor) restartNow(id netem.NodeID) {
 		s.scheduleRestart(id)
 		return
 	}
-	s.emit(Event{Time: s.cfg.Clock.Now(), Node: id, Kind: EventRestarted})
+	s.emit(Event{Time: s.now(), Node: id, Kind: EventRestarted})
 }
 
 // HandleEvent implements EventSink. Install the supervisor as the Events
@@ -484,7 +455,7 @@ func (s *Supervisor) ReportIncident(node netem.NodeID, detail string) {
 	s.mu.Lock()
 	s.metrics.Incidents++
 	s.mu.Unlock()
-	s.emit(Event{Time: s.cfg.Clock.Now(), Node: node, Kind: EventIncident, Detail: detail})
+	s.emit(Event{Time: s.now(), Node: node, Kind: EventIncident, Detail: detail})
 }
 
 // noteRetune tracks the adaptive coordinator's operating point for the
@@ -509,26 +480,44 @@ func (s *Supervisor) noteSuspect(e Event) {
 	s.metrics.Suspects++
 	s.peerGen[e.Proc]++
 	gen := s.peerGen[e.Proc]
+	c, ok := s.confirms[e.Proc]
+	if !ok {
+		c = s.newConfirmation(e.Proc)
+	}
+	c.by = e.Node
 	wait := s.cfg.ConfirmAfter
+	if wait > 0 {
+		s.arm(c.timer, wait, gen)
+	}
 	s.mu.Unlock()
 	if wait <= 0 {
-		s.confirmDown(e, gen)
-		return
+		s.confirmDown(e.Proc, gen)
 	}
-	//lint:allow noalloc-closure one confirmation closure per suspicion; suspicions are rare events, not steady state
-	s.after(wait, func() { s.confirmDown(e, gen) })
 }
 
-func (s *Supervisor) confirmDown(e Event, gen uint64) {
+// newConfirmation builds proc's confirmation record on its first suspicion.
+// Callers hold s.mu.
+//
+//lint:allow noalloc-closure one confirmation record and timer per peer, reused for every later suspicion
+func (s *Supervisor) newConfirmation(proc core.ProcID) *confirmation {
+	c := &confirmation{timer: s.newTimer(func(gen uint64) { s.confirmDown(proc, gen) })}
+	s.confirms[proc] = c
+	return c
+}
+
+// confirmDown ends proc's confirmation window; gen is the peerGen the
+// window was opened under.
+func (s *Supervisor) confirmDown(proc core.ProcID, gen uint64) {
 	s.mu.Lock()
-	if s.stopped || s.peerGen[e.Proc] != gen || s.peers[e.Proc] != PeerSuspected {
+	if s.stopped || s.peerGen[proc] != gen || s.peers[proc] != PeerSuspected {
 		s.mu.Unlock()
 		return // contradicted (rejoin/restart) in the meantime
 	}
-	s.peers[e.Proc] = PeerDown
+	by := s.confirms[proc].by
+	s.peers[proc] = PeerDown
 	s.metrics.Confirms++
 	s.mu.Unlock()
-	s.emit(Event{Time: s.cfg.Clock.Now(), Node: e.Node, Kind: EventDown, Proc: e.Proc})
+	s.emit(Event{Time: s.now(), Node: by, Kind: EventDown, Proc: proc})
 }
 
 func (s *Supervisor) clearPeer(p core.ProcID) {
@@ -537,6 +526,9 @@ func (s *Supervisor) clearPeer(p core.ProcID) {
 	s.peerGen[p]++
 	s.mu.Unlock()
 }
+
+// now reads the supervisor's clock in protocol ticks.
+func (s *Supervisor) now() core.Tick { return core.Tick(s.cfg.Clock.Now()) }
 
 func (s *Supervisor) emit(e Event) {
 	if s.cfg.Events != nil {

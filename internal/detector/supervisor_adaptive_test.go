@@ -11,7 +11,7 @@ import (
 // lonelyResponder builds a responder with no coordinator under sup: it
 // inactivates every ResponderBound, so the supervisor restarts it on a
 // fixed cadence — a clean probe for restart pacing.
-func lonelyResponder(t *testing.T, sup *Supervisor, clock Clock, net netem.Transport) *Node {
+func lonelyResponder(t *testing.T, sup *Supervisor, clock netem.Clock, net netem.Transport) *Node {
 	t.Helper()
 	cfg := core.Config{TMin: 2, TMax: 10}
 	m, err := core.NewResponder(cfg, 1)
@@ -53,7 +53,7 @@ func TestSupervisorBackoffResetAfterCleanRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := SimClock{Sim: s}
+	clock := netem.SimClock{Sim: s}
 	var events []Event
 	sup, err := NewSupervisor(SupervisorConfig{
 		Clock:      clock,
@@ -90,7 +90,7 @@ func TestSupervisorBackoffResetAfterCleanRejoin(t *testing.T) {
 	budget := sup.Restarts(1)
 
 	// A clean rejoin ends the episode: exponent resets, budget does not.
-	sup.HandleEvent(Event{Time: clock.Now(), Node: 1, Kind: EventJoined})
+	sup.HandleEvent(Event{Time: core.Tick(clock.Now()), Node: 1, Kind: EventJoined})
 	if got := attemptNow(); got != 0 {
 		t.Fatalf("attempt = %d after clean rejoin, want 0", got)
 	}
@@ -123,7 +123,7 @@ func TestSupervisorEnvelopeAwareBackoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clock := SimClock{Sim: s}
+		clock := netem.SimClock{Sim: s}
 		var events []Event
 		sup, err := NewSupervisor(SupervisorConfig{
 			Clock:          clock,
@@ -167,7 +167,7 @@ func TestSupervisorEnvelopeAwareBackoff(t *testing.T) {
 
 	// A retune back to the envelope floor releases the guard.
 	s := sim.New()
-	sup, err := NewSupervisor(SupervisorConfig{Clock: SimClock{Sim: s}, Envelope: &env})
+	sup, err := NewSupervisor(SupervisorConfig{Clock: netem.SimClock{Sim: s}, Envelope: &env})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSupervisorEnvelopeAwareBackoff(t *testing.T) {
 // TestSupervisorMetricsTransitions checks the suspect→confirmed counters.
 func TestSupervisorMetricsTransitions(t *testing.T) {
 	s := sim.New()
-	sup, err := NewSupervisor(SupervisorConfig{Clock: SimClock{Sim: s}, ConfirmAfter: 10})
+	sup, err := NewSupervisor(SupervisorConfig{Clock: netem.SimClock{Sim: s}, ConfirmAfter: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

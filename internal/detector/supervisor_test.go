@@ -32,7 +32,7 @@ func (p *panicMachine) OnBeat(b core.Beat, now core.Tick) []core.Action {
 // supervisedPair builds a binary coordinator/responder pair on a fresh
 // simulator with the responder's machine wrapped in pm, both nodes
 // reporting into sup, and the responder managed by sup.
-func supervisedPair(t *testing.T, sup *Supervisor, clock Clock, net netem.Transport, pm *panicMachine) (coord, resp *Node) {
+func supervisedPair(t *testing.T, sup *Supervisor, clock netem.Clock, net netem.Transport, pm *panicMachine) (coord, resp *Node) {
 	t.Helper()
 	cfg := core.Config{TMin: 2, TMax: 10}
 	coordMachine, err := core.NewCoordinator(core.CoordinatorConfig{
@@ -72,7 +72,7 @@ func TestSupervisorRestartsPanickedNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := SimClock{Sim: s}
+	clock := netem.SimClock{Sim: s}
 	var events []Event
 	sup, err := NewSupervisor(SupervisorConfig{
 		Clock:      clock,
@@ -129,7 +129,7 @@ func TestSupervisorGivesUpAfterMaxRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := SimClock{Sim: s}
+	clock := netem.SimClock{Sim: s}
 	var events []Event
 	sup, err := NewSupervisor(SupervisorConfig{
 		Clock:       clock,
@@ -183,7 +183,7 @@ func TestSupervisorRestartCrashedFlag(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clock := SimClock{Sim: s}
+		clock := netem.SimClock{Sim: s}
 		sup, err := NewSupervisor(SupervisorConfig{
 			Clock: clock, CheckEvery: 4, RestartCrashed: restartCrashed, Seed: 3,
 		})
@@ -212,7 +212,7 @@ func TestSupervisorRestartCrashedFlag(t *testing.T) {
 
 func TestSupervisorConfirmsDown(t *testing.T) {
 	s := sim.New()
-	clock := SimClock{Sim: s}
+	clock := netem.SimClock{Sim: s}
 	var events []Event
 	sup, err := NewSupervisor(SupervisorConfig{
 		Clock:        clock,
@@ -296,7 +296,7 @@ func TestSupervisorValidation(t *testing.T) {
 		t.Fatalf("clockless supervisor accepted: %v", err)
 	}
 	s := sim.New()
-	sup, err := NewSupervisor(SupervisorConfig{Clock: SimClock{Sim: s}})
+	sup, err := NewSupervisor(SupervisorConfig{Clock: netem.SimClock{Sim: s}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestSupervisorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewNode(Config{ID: 1, Machine: m, Clock: SimClock{Sim: s}, Transport: net})
+	n, err := NewNode(Config{ID: 1, Machine: m, Clock: netem.SimClock{Sim: s}, Transport: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,10 @@ func TestSupervisorHealsPanicMidRunRealTime(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	}()
-	clock := NewWallClock(5 * time.Millisecond)
+	clock, err := netem.NewWallClock(5 * time.Millisecond)
+	if err != nil {
+		t.Fatalf("NewWallClock: %v", err)
+	}
 	cfg := core.Config{TMin: 4, TMax: 16}
 
 	var mu sync.Mutex

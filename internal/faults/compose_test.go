@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/netem"
 	"repro/internal/sim"
 )
@@ -15,7 +14,7 @@ func TestLinkDelayAsymmetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := Wrap(net, netem.SimTicker{Sim: s}, 2)
+	ft := Wrap(net, netem.SimClock{Sim: s}, 2)
 	arrivals := make(map[netem.NodeID]sim.Time)
 	for i := 0; i < 2; i++ {
 		id := netem.NodeID(i)
@@ -62,7 +61,7 @@ func TestDelayViaSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := Wrap(net, netem.SimTicker{Sim: s}, 4)
+	ft := Wrap(net, netem.SimClock{Sim: s}, 4)
 	var arrivals []sim.Time
 	for i := 0; i < 2; i++ {
 		if err := ft.Register(netem.NodeID(i), func(m netem.Message) { arrivals = append(arrivals, s.Now()) }); err != nil {
@@ -73,7 +72,7 @@ func TestDelayViaSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel, err := sched.Apply(netem.SimTicker{Sim: s}, Target{Transport: ft})
+	cancel, err := sched.Apply(netem.SimClock{Sim: s}, Target{Transport: ft})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +100,6 @@ func TestDelayViaSchedule(t *testing.T) {
 	}
 }
 
-// simClock adapts the simulator to the faults.Clock interface so a
-// DriftClock can pace a workload in virtual time.
-type simClock struct{ s *sim.Simulator }
-
-func (c simClock) Now() core.Tick { return core.Tick(c.s.Now()) }
-func (c simClock) After(d core.Tick, fn func()) func() {
-	if _, err := c.s.Schedule(sim.Time(d), func() { fn() }); err != nil {
-		panic(err)
-	}
-	return func() {}
-}
-
 // TestGilbertElliottDriftComposition pins the composition of a bursty
 // loss channel and a drifted sender clock on one transport against the
 // analytic product: the drift arithmetic is exact, so a 3/2-fast clock
@@ -125,31 +112,32 @@ func TestGilbertElliottDriftComposition(t *testing.T) {
 		pgb, pbg = 0.1, 0.3
 		lg, lb   = 0.05, 0.9
 	)
-	run := func(num, den int64, localPeriod core.Tick) Stats {
+	run := func(num, den int64, localPeriod sim.Time) Stats {
 		s := sim.New(sim.WithSeed(11))
 		net, err := netem.NewNetwork(s, netem.LinkConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ft := Wrap(net, netem.SimTicker{Sim: s}, 11)
+		ft := Wrap(net, netem.SimClock{Sim: s}, 11)
 		for i := 0; i < 2; i++ {
 			if err := ft.Register(netem.NodeID(i), func(netem.Message) {}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		ft.SetLoss(&GilbertElliott{PGoodBad: pgb, PBadGood: pbg, LossGood: lg, LossBad: lb})
-		dc := NewDriftClock(simClock{s})
+		dc := NewDriftClock(netem.SimClock{Sim: s})
 		if err := dc.SetDrift(num, den, 0); err != nil {
 			t.Fatal(err)
 		}
-		var pump func()
-		pump = func() {
+		var period netem.Timer
+		pump := func(uint64) {
 			if err := ft.Send(0, 1, []byte{1}); err != nil {
 				t.Fatal(err)
 			}
-			dc.After(localPeriod, pump)
+			period.Reset(localPeriod, 0)
 		}
-		pump()
+		period = dc.NewTimer(pump)
+		pump(0)
 		s.RunUntil(deadline)
 		return ft.Stats()
 	}

@@ -9,9 +9,9 @@
 // loss, duplication, reordering, asymmetric link latency, membership churn,
 // per-node clock drift). Applying the same
 // schedule with the same seed replays identically, whether the transport
-// underneath is the virtual-time netem.Network, the wall-clock
-// netem.RealNetwork, or real UDP sockets: all three are wrapped by the
-// same FaultableTransport and driven by the same netem.Ticker abstraction.
+// underneath is the virtual-time netem.Network or real UDP sockets: both
+// are wrapped by the same FaultableTransport and driven by the same
+// netem.Clock.
 //
 // The package deliberately depends only on core, netem and sim, so both
 // the detector runtime and test code in any layer can use it.
@@ -29,6 +29,11 @@ import (
 
 // ErrSchedule reports an invalid fault schedule or fault parameter.
 var ErrSchedule = errors.New("faults: invalid schedule")
+
+// MaxTicks bounds every time and delay in a schedule. Each becomes a timer
+// delay — an event's At, a message's reordering delay plus its latency —
+// and must stay well inside the simulator's 2^48-tick horizon.
+const MaxTicks = 1 << 40
 
 // Kind enumerates the fault event types a Schedule can express.
 type Kind int
@@ -146,6 +151,9 @@ func (e Event) validate() error {
 	if e.At < 0 {
 		return fmt.Errorf("%w: %v at negative time %d", ErrSchedule, e.Kind, e.At)
 	}
+	if e.At > MaxTicks || e.MaxDelay > MaxTicks {
+		return fmt.Errorf("%w: %v time %d or delay %d above %d ticks", ErrSchedule, e.Kind, e.At, e.MaxDelay, int64(MaxTicks))
+	}
 	switch e.Kind {
 	case KindCrash, KindRestart, KindPartition, KindHeal:
 		// Node may be any registered ID; nothing further to check.
@@ -174,8 +182,8 @@ func (e Event) validate() error {
 			return fmt.Errorf("%w: reordering needs MaxDelay >= 1, got %d", ErrSchedule, e.MaxDelay)
 		}
 	case KindDrift:
-		if e.Num <= 0 || e.Den <= 0 {
-			return fmt.Errorf("%w: drift rate %d/%d must be positive", ErrSchedule, e.Num, e.Den)
+		if err := validDrift(e.Num, e.Den); err != nil {
+			return err
 		}
 	case KindDelay:
 		if e.MinDelay < 0 {
@@ -266,14 +274,14 @@ type Target struct {
 	OnError func(e Event, err error)
 }
 
-// Apply validates the schedule and arms one timer per event on tick,
+// Apply validates the schedule and arms one timer per event on clock,
 // relative to the moment of the call. It returns a cancel function that
 // disarms any events that have not fired yet.
 //
-// Apply itself performs no fault; events at time 0 fire on the tick's
-// first zero-delay callback (for netem.SimTicker that is the next
-// simulator step, before any later-scheduled work at the same tick).
-func (s *Schedule) Apply(tick netem.Ticker, tgt Target) (cancel func(), err error) {
+// Apply itself performs no fault; events at time 0 fire on the clock's
+// first zero-delay expiry (for netem.SimClock that is the next simulator
+// step, before any later-scheduled work at the same tick).
+func (s *Schedule) Apply(clock netem.Clock, tgt Target) (cancel func(), err error) {
 	if tgt.Transport == nil {
 		return nil, fmt.Errorf("%w: target transport is required", ErrSchedule)
 	}
@@ -292,7 +300,7 @@ func (s *Schedule) Apply(tick netem.Ticker, tgt Target) (cancel func(), err erro
 		}
 	}
 	// Arm in time order so that same-tick events fire in schedule order
-	// under FIFO tickers (netem.SimTicker preserves scheduling order).
+	// under FIFO clocks (netem.SimClock preserves arming order).
 	order := make([]int, len(s.Events))
 	for i := range order {
 		order[i] = i
@@ -300,14 +308,16 @@ func (s *Schedule) Apply(tick netem.Ticker, tgt Target) (cancel func(), err erro
 	sort.SliceStable(order, func(a, b int) bool {
 		return s.Events[order[a]].At < s.Events[order[b]].At
 	})
-	cancels := make([]func(), 0, len(order))
+	timers := make([]netem.Timer, 0, len(order))
 	for _, i := range order {
 		e := s.Events[i]
-		cancels = append(cancels, tick.AfterTicks(e.At, func() { applyEvent(e, tgt) }))
+		t := clock.NewTimer(func(uint64) { applyEvent(e, tgt) })
+		t.Reset(e.At, 0)
+		timers = append(timers, t)
 	}
 	return func() {
-		for _, c := range cancels {
-			c()
+		for _, t := range timers {
+			t.Stop()
 		}
 	}, nil
 }

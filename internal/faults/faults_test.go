@@ -20,7 +20,7 @@ func newSimTransport(t *testing.T, n int, seed int64) (*sim.Simulator, *Faultabl
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := Wrap(net, netem.SimTicker{Sim: s}, seed)
+	ft := Wrap(net, netem.SimClock{Sim: s}, seed)
 	rx := &[]netem.Message{}
 	for i := 0; i < n; i++ {
 		id := netem.NodeID(i)
@@ -208,7 +208,7 @@ func TestScheduleApply(t *testing.T) {
 		{At: 10, Kind: KindPartition, Node: 1},
 		{At: 20, Kind: KindHeal, Node: 1},
 	}}
-	cancel, err := sched.Apply(netem.SimTicker{Sim: s}, Target{Transport: ft})
+	cancel, err := sched.Apply(netem.SimClock{Sim: s}, Target{Transport: ft})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +233,14 @@ func TestScheduleApply(t *testing.T) {
 func TestScheduleApplyRequiresControls(t *testing.T) {
 	s, ft, _ := newSimTransport(t, 2, 5)
 	sched := &Schedule{Events: []Event{{Kind: KindDrift, Node: 1, Num: 2, Den: 1}}}
-	if _, err := sched.Apply(netem.SimTicker{Sim: s}, Target{Transport: ft}); !errors.Is(err, ErrSchedule) {
+	if _, err := sched.Apply(netem.SimClock{Sim: s}, Target{Transport: ft}); !errors.Is(err, ErrSchedule) {
 		t.Fatalf("drift without ClockControl accepted: %v", err)
 	}
 	sched = &Schedule{Events: []Event{{Kind: KindRestart, Node: 1}}}
-	if _, err := sched.Apply(netem.SimTicker{Sim: s}, Target{Transport: ft}); !errors.Is(err, ErrSchedule) {
+	if _, err := sched.Apply(netem.SimClock{Sim: s}, Target{Transport: ft}); !errors.Is(err, ErrSchedule) {
 		t.Fatalf("restart without NodeControl accepted: %v", err)
 	}
-	if _, err := sched.Apply(netem.SimTicker{Sim: s}, Target{}); !errors.Is(err, ErrSchedule) {
+	if _, err := sched.Apply(netem.SimClock{Sim: s}, Target{}); !errors.Is(err, ErrSchedule) {
 		t.Fatalf("nil transport accepted: %v", err)
 	}
 }
@@ -259,7 +259,7 @@ func TestFaultReplayDeterminism(t *testing.T) {
 			{At: 50, Kind: KindPartition, Node: 2},
 			{At: 120, Kind: KindHeal, Node: 2},
 		}}
-		cancel, err := sched.Apply(netem.SimTicker{Sim: s}, Target{Transport: ft})
+		cancel, err := sched.Apply(netem.SimClock{Sim: s}, Target{Transport: ft})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,8 @@ package faults
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // FuzzParseSchedule checks the parser/formatter round trip: any schedule
@@ -11,11 +13,16 @@ import (
 // what lets hbconform print a failing walk's schedule inline as a
 // copy-pasteable reproduction.
 //
+// Every drift event of an accepted schedule is also applied to a DriftClock
+// and must leave its timer arithmetic inside int64.
+//
 // Bugs this has caught (now fixed and covered by the seed corpus):
 //   - NaN probabilities passed validation ("prob < 0 || prob > 1" is false
 //     for NaN) and then broke DeepEqual after the round trip.
 //   - Fields of one directive were silently accepted on another (e.g.
 //     "crash t=0 prob=0.5", "crash t=0 all") and dropped by Format.
+//   - Drift rates near MaxInt64 overflowed DriftClock's delay rescaling
+//     into a negative delay, which panicked the simulator.
 func FuzzParseSchedule(f *testing.F) {
 	for _, seed := range []string{
 		"seed 42\nloss t=0 all pgb=0.05 pbg=0.5 lb=0.9\ncrash t=100 node=1",
@@ -30,6 +37,9 @@ func FuzzParseSchedule(f *testing.F) {
 		"crash t=0 all",
 		"seed -9223372036854775808",
 		"loss t=0 all pgb=1e-300 pbg=0.5 lb=0.25",
+		"drift t=0 node=1 rate=9223372036854775807/1",
+		"drift t=0 node=1 rate=1/9223372036854775807",
+		"drift t=7 node=0 rate=32768/32768 skew=-3",
 	} {
 		f.Add(seed)
 	}
@@ -48,6 +58,23 @@ func FuzzParseSchedule(f *testing.F) {
 		}
 		if got := again.Format(); got != formatted {
 			t.Fatalf("Format not a fixpoint\nfirst: %q\nsecond: %q", formatted, got)
+		}
+		fc := &fakeClock{}
+		dc := NewDriftClock(fc)
+		tm := dc.NewTimer(func(uint64) {})
+		for _, e := range s.Events {
+			if e.Kind != KindDrift {
+				continue
+			}
+			fc.now = max(fc.now, e.At)
+			if err := dc.SetDrift(e.Num, e.Den, e.Skew); err != nil {
+				t.Fatalf("validated drift %d/%d rejected by SetDrift: %v", e.Num, e.Den, err)
+			}
+			for _, d := range []sim.Time{0, 1, 1000, 1<<48 - 1} {
+				if tm.Reset(d, 0); fc.lastReset < 0 {
+					t.Fatalf("drift %d/%d: Reset(%d) armed a negative delay %d", e.Num, e.Den, d, fc.lastReset)
+				}
+			}
 		}
 	})
 }

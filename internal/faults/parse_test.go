@@ -2,9 +2,11 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/netem"
+	"repro/internal/sim"
 )
 
 func TestParseSchedule(t *testing.T) {
@@ -64,17 +66,77 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 
 func TestParseScheduleErrors(t *testing.T) {
 	for _, text := range []string{
-		"explode t=1",               // unknown directive
-		"crash node=1",              // missing time
-		"crash t=x node=1",          // bad time
-		"dup t=0 prob=nope",         // bad float
-		"crash t=0 node=1 x=2",      // unknown field
-		"drift t=0 node=1 rate=0/0", // zero rate
-		"seed",                      // missing value
-		"reorder t=0 prob=0.5",      // missing maxdelay
+		"explode t=1",                                          // unknown directive
+		"crash node=1",                                         // missing time
+		"crash t=x node=1",                                     // bad time
+		"dup t=0 prob=nope",                                    // bad float
+		"crash t=0 node=1 x=2",                                 // unknown field
+		"drift t=0 node=1 rate=0/0",                            // zero rate
+		"seed",                                                 // missing value
+		"reorder t=0 prob=0.5",                                 // missing maxdelay
+		"drift t=0 node=1 rate=32769/1",                        // MaxDriftTerm+1
+		"drift t=0 node=1 rate=1/32769",                        //
+		"drift t=0 node=1 rate=9223372036854775807/1",          // overflowed DriftClock
+		"drift t=0 node=1 rate=1/9223372036854775807",          //
+		"crash t=1099511627777 node=1",                         // MaxTicks+1
+		"reorder t=0 prob=0.5 maxdelay=1099511627777",          //
+		"delay t=0 all mindelay=0 maxdelay=999999999999999999", // past the sim horizon
 	} {
 		if _, err := ParseSchedule(text); !errors.Is(err, ErrSchedule) {
 			t.Errorf("ParseSchedule(%q) = %v, want ErrSchedule", text, err)
+		}
+	}
+}
+
+// TestScheduleBounds: the largest rate terms and times a schedule may
+// carry are accepted by the parser and by SetDrift, one more is ErrSchedule
+// from both, and at the limit the drift arithmetic stays inside int64 for
+// the longest delay the simulator can hold.
+func TestScheduleBounds(t *testing.T) {
+	for _, text := range []string{
+		"drift t=0 node=1 rate=32768/1",
+		"drift t=0 node=1 rate=1/32768",
+		"crash t=1099511627776 node=1",
+		"reorder t=0 prob=0.5 maxdelay=1099511627776",
+	} {
+		if _, err := ParseSchedule(text); err != nil {
+			t.Errorf("ParseSchedule(%q) = %v, want it accepted", text, err)
+		}
+	}
+	const horizon = 1<<48 - 1
+	for _, tc := range []struct {
+		num, den int64
+		ok       bool
+	}{
+		{MaxDriftTerm, 1, true},
+		{1, MaxDriftTerm, true},
+		{MaxDriftTerm, MaxDriftTerm, true},
+		{MaxDriftTerm + 1, 1, false},
+		{1, MaxDriftTerm + 1, false},
+		{math.MaxInt64, 1, false},
+		{1, math.MaxInt64, false},
+	} {
+		fc := &fakeClock{}
+		dc := NewDriftClock(fc)
+		err := dc.SetDrift(tc.num, tc.den, 0)
+		if verr := (Event{Kind: KindDrift, Num: tc.num, Den: tc.den}).validate(); (err == nil) != (verr == nil) {
+			t.Errorf("rate %d/%d: SetDrift = %v but validate = %v", tc.num, tc.den, err, verr)
+		}
+		if !tc.ok {
+			if !errors.Is(err, ErrSchedule) {
+				t.Errorf("SetDrift(%d/%d) = %v, want ErrSchedule", tc.num, tc.den, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("SetDrift(%d/%d) = %v, want it accepted", tc.num, tc.den, err)
+			continue
+		}
+		fc.now = horizon
+		dc.NewTimer(func(uint64) {}).Reset(horizon, 0)
+		if dc.Now() < 0 || fc.lastReset < 0 {
+			t.Errorf("rate %d/%d overflows at the horizon: Now() = %d, Reset(horizon) armed %d",
+				tc.num, tc.den, dc.Now(), fc.lastReset)
 		}
 	}
 }
@@ -98,9 +160,10 @@ func TestDriftClock(t *testing.T) {
 		t.Fatalf("fast clock at %d, want 120", got)
 	}
 	// A 10-local-tick timer needs only 5 real ticks.
-	dc.After(10, func() {})
-	if fc.lastAfter != 5 {
-		t.Fatalf("After(10) scheduled %d real ticks, want 5", fc.lastAfter)
+	tm := dc.NewTimer(func(uint64) {})
+	tm.Reset(10, 0)
+	if fc.lastReset != 5 {
+		t.Fatalf("Reset(10) armed %d real ticks, want 5", fc.lastReset)
 	}
 	// Skew jumps are applied on top, and rate changes anchor continuously.
 	if err := dc.SetDrift(1, 2, 7); err != nil {
@@ -115,29 +178,33 @@ func TestDriftClock(t *testing.T) {
 	}
 	// Rounding up: a 3-local-tick timer at rate 1/2 takes 6 real ticks;
 	// at rate 2/1 a 3-tick timer takes ceil(3/2)=2.
-	dc.After(3, func() {})
-	if fc.lastAfter != 6 {
-		t.Fatalf("After(3) at rate 1/2 scheduled %d, want 6", fc.lastAfter)
+	tm.Reset(3, 0)
+	if fc.lastReset != 6 {
+		t.Fatalf("Reset(3) at rate 1/2 armed %d, want 6", fc.lastReset)
 	}
 	if err := dc.SetDrift(2, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	dc.After(3, func() {})
-	if fc.lastAfter != 2 {
-		t.Fatalf("After(3) at rate 2/1 scheduled %d, want 2", fc.lastAfter)
+	tm.Reset(3, 0)
+	if fc.lastReset != 2 {
+		t.Fatalf("Reset(3) at rate 2/1 armed %d, want 2", fc.lastReset)
 	}
 	if err := dc.SetDrift(0, 1, 0); !errors.Is(err, ErrSchedule) {
 		t.Fatalf("zero rate accepted: %v", err)
 	}
 }
 
+// fakeClock is a netem.Clock under the test's hand: the test sets now and
+// reads back the delay of the last Reset on any of the clock's timers.
 type fakeClock struct {
-	now       int64
-	lastAfter int64
+	now       sim.Time
+	lastReset sim.Time
 }
 
-func (f *fakeClock) Now() core.Tick { return core.Tick(f.now) }
-func (f *fakeClock) After(d core.Tick, fn func()) func() {
-	f.lastAfter = int64(d)
-	return func() {}
-}
+func (f *fakeClock) Now() sim.Time                     { return f.now }
+func (f *fakeClock) NewTimer(func(uint64)) netem.Timer { return fakeTimer{f} }
+
+type fakeTimer struct{ clock *fakeClock }
+
+func (t fakeTimer) Reset(d sim.Time, _ uint64) { t.clock.lastReset = d }
+func (fakeTimer) Stop()                        {}

@@ -37,14 +37,13 @@ type Stats struct {
 // duplication, and reordering. All decisions draw from one seeded random
 // stream, so a run
 // over the deterministic simulator replays exactly; faults apply at send
-// time, uniformly across netem.Network, netem.RealNetwork and
-// netem.UDPTransport.
+// time, uniformly across netem.Network and netem.UDPTransport.
 //
 // It is safe for concurrent use (the wrapped transport permitting).
 type FaultableTransport struct {
 	mu    sync.Mutex
 	inner netem.Transport
-	tick  netem.Ticker
+	clock netem.Clock
 	rng   *rand.Rand
 
 	ids         []netem.NodeID
@@ -65,13 +64,13 @@ type FaultableTransport struct {
 
 var _ netem.Transport = (*FaultableTransport)(nil)
 
-// Wrap builds a fault layer over inner. The ticker schedules reordering
-// delays (netem.SimTicker for virtual time, netem.WallTicker for real
-// time); seed drives every random fault decision.
-func Wrap(inner netem.Transport, tick netem.Ticker, seed int64) *FaultableTransport {
+// Wrap builds a fault layer over inner. The clock times delayed deliveries
+// (netem.SimClock for virtual time, netem.WallClock for real time); seed
+// drives every random fault decision.
+func Wrap(inner netem.Transport, clock netem.Clock, seed int64) *FaultableTransport {
 	return &FaultableTransport{
 		inner:       inner,
-		tick:        tick,
+		clock:       clock,
 		rng:         rand.New(rand.NewSource(seed)),
 		muted:       make(map[netem.NodeID]bool),
 		partitioned: make(map[netem.NodeID]bool),
@@ -297,20 +296,24 @@ func (f *FaultableTransport) Send(from, to netem.NodeID, payload []byte) error {
 			}
 			continue
 		}
-		// The caller may reuse payload after Send returns; the delayed
-		// copy needs its own buffer.
-		//lint:allow noalloc-closure delayed delivery copies the payload because the caller may reuse its buffer after Send returns
-		data := append([]byte(nil), payload...)
-		//lint:allow noalloc-closure per-delayed-delivery timer closure; fault-delayed sends are off the steady-state path
-		f.tick.AfterTicks(d, func() {
-			if err := f.inner.Send(from, to, data); err != nil {
-				f.mu.Lock()
-				f.stats.SendErrors++
-				f.mu.Unlock()
-			}
-		})
+		f.sendAfter(d, from, to, payload)
 	}
 	return firstErr
+}
+
+// sendAfter hands a copy of payload to the wrapped transport d ticks from
+// now; the caller may reuse payload as soon as Send returns.
+//
+//lint:allow noalloc-closure a delayed delivery copies its payload and arms a one-shot timer; fault-delayed sends are off the steady-state path
+func (f *FaultableTransport) sendAfter(d sim.Time, from, to netem.NodeID, payload []byte) {
+	data := append([]byte(nil), payload...)
+	f.clock.NewTimer(func(uint64) {
+		if err := f.inner.Send(from, to, data); err != nil {
+			f.mu.Lock()
+			f.stats.SendErrors++
+			f.mu.Unlock()
+		}
+	}).Reset(d, 0)
 }
 
 // Broadcast implements netem.Transport as independent unicasts through

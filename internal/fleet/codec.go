@@ -56,7 +56,7 @@ func (d *batchDecoder) next() (tag byte, beat core.Beat, sum core.Summary, err e
 	switch tag {
 	case frameBeat:
 		if len(d.buf) < 1+beatFrameWire {
-			//lint:allow hot-path-alloc cold error path; batches come whole from appendBeatFrame
+			//lint:allow noalloc-closure cold error path; batches come whole from appendBeatFrame
 			return 0, beat, sum, fmt.Errorf("%w: truncated beat", ErrBadFrame)
 		}
 		beat, err = core.UnmarshalBeat(d.buf[1 : 1+beatFrameWire])
@@ -64,7 +64,7 @@ func (d *batchDecoder) next() (tag byte, beat core.Beat, sum core.Summary, err e
 	case frameSummary:
 		sum, d.buf, err = core.UnmarshalSummary(d.buf[1:])
 	default:
-		//lint:allow hot-path-alloc cold error path; an unknown tag means a codec bug, not load
+		//lint:allow noalloc-closure cold error path; an unknown tag means a codec bug, not load
 		return 0, beat, sum, fmt.Errorf("%w: unknown tag %d", ErrBadFrame, tag)
 	}
 	return tag, beat, sum, err

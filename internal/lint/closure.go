@@ -1,15 +1,11 @@
 package lint
 
-import (
-	"go/token"
-	"go/types"
-)
+import "go/types"
 
 // AnalyzerNoallocClosure proves the //hbvet:noalloc contract over the
-// whole call graph instead of one body at a time: every function
-// reachable from an annotated root must itself be allocation-free (by
-// the same site heuristics the intraprocedural check applies) or carry
-// the annotation. Call resolution is the Program call graph: static
+// whole call graph: every annotated root, and every function reachable
+// from one, must be free of the likely allocation sites listed in
+// noalloc.go. Call resolution is the Program call graph: static
 // calls exact, interface calls over the program's implementing type
 // set, and calls through function values reported as explicit
 // "dynamic call" findings — the closure cannot be proven past a callee
@@ -32,12 +28,6 @@ import (
 // never cut traversal, even when they cover the declaration's first
 // line. A boundary directive counts as live for unused-suppression
 // even though it suppresses no literal finding.
-//
-// Site-level //lint:allow hot-path-alloc directives sanction this
-// check's *reports* too: both checks enforce the one allocation
-// contract, and a justified cold error path should not need the same
-// justification twice. They never cut traversal, though — only an
-// explicit noalloc-closure directive excludes a subtree from the proof.
 var AnalyzerNoallocClosure = &ProgramAnalyzer{
 	Name: "noalloc-closure",
 	Doc:  "every function reachable from a //hbvet:noalloc root must be allocation-free or annotated",
@@ -81,7 +71,7 @@ var allocStdlibFuncs = map[string]bool{
 	"slices.Concat":       true,
 	"slices.Insert":       true,
 	"slices.Collect":      true,
-	"maps.Clone": true,
+	"maps.Clone":          true,
 	// maps.Keys is absent deliberately: it returns an iterator with no
 	// backing store.
 	"math/rand.New":       true,
@@ -97,13 +87,13 @@ var allocStdlibMethods = map[string]bool{
 	"strings.Builder.Grow":        true,
 	"strings.Builder.WriteString": true,
 	"strings.Builder.Write":       true,
-	"bytes.Buffer.String": true,
+	"bytes.Buffer.String":         true,
 	// bytes.Buffer.Bytes is absent deliberately: it aliases the internal
 	// buffer without copying.
-	"time.Time.String":            true,
-	"time.Time.Format":            true,
-	"time.Duration.String":        true,
-	"math/rand.Rand.Perm":         true,
+	"time.Time.String":     true,
+	"time.Time.Format":     true,
+	"time.Duration.String": true,
+	"math/rand.Rand.Perm":  true,
 }
 
 // knownAllocCallee classifies a callee with no body in the program.
@@ -141,15 +131,7 @@ func runNoallocClosure(pp *ProgramPass) {
 	if len(roots) == 0 {
 		return
 	}
-	// A report is sanctioned under either allocation check's name (the
-	// two checks enforce one contract); traversal is cut only by a
-	// noalloc-closure directive in the declaration's doc comment — a
-	// site-level allow justifies one finding, not a subtree.
-	reportSanctioned := func(pos token.Pos) bool {
-		a := pp.Sanctioned("noalloc-closure", pos)
-		b := pp.Sanctioned("hot-path-alloc", pos)
-		return a || b
-	}
+	check := pp.Analyzer.Name
 	w := newChainWalk(prog, roots)
 	for len(w.queue) > 0 {
 		fn := w.queue[0]
@@ -159,27 +141,27 @@ func runNoallocClosure(pp *ProgramPass) {
 			continue
 		}
 		// A doc-comment suppression marks the whole function an accepted
-		// allocation boundary: skip its body and its callees.
-		if pp.SanctionedDecl("noalloc-closure", d.decl) {
+		// allocation boundary: skip its body and its callees. Nothing else
+		// cuts traversal — a site-level allow justifies one finding, not a
+		// subtree.
+		if pp.SanctionedDecl(check, d.decl) {
 			continue
 		}
-		annotated := HasNoallocDirective(d.decl)
-		// Body allocation sites of unannotated reachable functions. The
-		// annotated ones are the intraprocedural analyzer's findings
-		// already; re-reporting them here would double every root.
-		if !annotated {
-			for _, v := range collectNoallocViolations(d.pkg.Info, d.decl) {
-				if reportSanctioned(v.Pos) {
-					continue
-				}
-				pp.Reportf(v.Pos, w.chainList(fn),
-					"%s — reachable from noalloc root: %s; make it allocation-free or annotate it //hbvet:noalloc",
-					v.Message, w.chain(fn))
+		// Body allocation sites: an annotated function answers for its own
+		// body, an unannotated one is reported with the chain that reaches it.
+		where, reached := "noalloc function "+d.decl.Name.Name, ""
+		if !HasNoallocDirective(d.decl) {
+			where = "function " + d.decl.Name.Name
+			reached = " — reachable from noalloc root: " + w.chain(fn) + "; make it allocation-free or annotate it //hbvet:noalloc"
+		}
+		for _, v := range collectNoallocViolations(d.pkg.Info, d.decl, where) {
+			if !pp.Sanctioned(check, v.Pos) {
+				pp.Reportf(v.Pos, w.chainList(fn), "%s%s", v.Message, reached)
 			}
 		}
 		// Calls the analyzer cannot resolve cut the proof short.
 		for _, pos := range prog.dynCalls[fn] {
-			if reportSanctioned(pos) {
+			if pp.Sanctioned(check, pos) {
 				continue
 			}
 			pp.Reportf(pos, w.chainList(fn),
@@ -195,7 +177,7 @@ func runNoallocClosure(pp *ProgramPass) {
 				}
 				continue
 			}
-			if knownAllocCallee(e.Callee) && !reportSanctioned(e.Pos) {
+			if knownAllocCallee(e.Callee) && !pp.Sanctioned(check, e.Pos) {
 				chain := append(w.chainList(fn), funcLabel(e.Callee))
 				pp.Reportf(e.Pos, chain,
 					"call to allocating %s inside the noalloc closure: %s → %s",

@@ -138,8 +138,10 @@ func TestGoldenBufferReuse(t *testing.T) {
 	runGolden(t, "bufreuse", "buffer-reuse", Config{})
 }
 
+// TestGoldenNoAlloc pins the allocation-site heuristics on annotated
+// bodies: each root answers for its own sites.
 func TestGoldenNoAlloc(t *testing.T) {
-	runGolden(t, "noalloc", "hot-path-alloc", Config{})
+	runGolden(t, "noalloc", "noalloc-closure", Config{})
 }
 
 func TestGoldenSyncDiscipline(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 func TestEncodeJSONGolden(t *testing.T) {
 	findings := []Finding{
 		{
-			Check:   "hot-path-alloc",
+			Check:   "noalloc-closure",
 			Pos:     token.Position{Filename: "internal/core/core.go", Line: 42, Column: 7},
 			Message: "make allocates in noalloc function Step",
 		},
@@ -27,7 +27,7 @@ func TestEncodeJSONGolden(t *testing.T) {
   "version": 1,
   "findings": [
     {
-      "check": "hot-path-alloc",
+      "check": "noalloc-closure",
       "file": "internal/core/core.go",
       "line": 42,
       "col": 7,

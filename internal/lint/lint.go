@@ -19,12 +19,13 @@
 //     ta.State.AppendKey must not retain the returned slice (or its
 //     elements) beyond the next call on the same value — see the
 //     non-reentrancy contract in internal/ta.
-//   - hot-path-alloc: functions annotated //hbvet:noalloc are rejected
-//     if their bodies contain likely allocation sites (make/new, escaping
-//     composite literals, escaping closures, appends that build fresh
-//     slices, or implicit interface conversions).
 //   - sync-discipline: a struct field accessed through sync/atomic in
 //     one place must be accessed through sync/atomic everywhere.
+//   - noalloc-closure: functions annotated //hbvet:noalloc, and every
+//     function reachable from one, are rejected on likely allocation
+//     sites (make/new, escaping composite literals, escaping closures,
+//     appends that build fresh slices, implicit interface conversions,
+//     known-allocating callees, calls through function values).
 //
 // A finding on line N is suppressed by a comment
 //
@@ -83,7 +84,7 @@ type Pass struct {
 type Config struct {
 	// WallClockAllow lists path suffixes of files allowed to read the
 	// wall clock and construct time-seeded state: the explicit wall-clock
-	// boundary of the system (detector.WallClock, cmd/hbfleet).
+	// boundary of the system (netem.WallClock, cmd/hbfleet).
 	WallClockAllow []string
 	// Checks, when non-empty, restricts the run to the named analyzers.
 	Checks []string
@@ -91,13 +92,12 @@ type Config struct {
 
 // DefaultWallClockAllow is the repository's wall-clock boundary: the
 // only files that may read physical time. Everything else must get time
-// from a sim.Simulator or detector.Clock and randomness from a seeded
+// from a sim.Simulator or netem.Clock and randomness from a seeded
 // *rand.Rand.
 var DefaultWallClockAllow = []string{
-	"internal/detector/detector.go", // WallClock implementation
-	"internal/netem/ticker.go",      // WallTicker implementation
-	"cmd/hbfleet/main.go",           // fleet run timings
-	"cmd/hbmc/main.go",              // ensemble sweep timings
+	"internal/netem/clock.go", // WallClock implementation
+	"cmd/hbfleet/main.go",     // fleet run timings
+	"cmd/hbmc/main.go",        // ensemble sweep timings
 }
 
 // Analyzers returns the per-package suite in reporting order.
@@ -106,7 +106,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerDeterminism,
 		AnalyzerMapOrder,
 		AnalyzerBufferReuse,
-		AnalyzerNoAlloc,
 		AnalyzerSyncDiscipline,
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"strings"
 )
 
-// AnalyzerNoAlloc checks functions annotated //hbvet:noalloc: the
-// steady-state hot paths whose allocation behaviour is pinned by
-// sim/alloc_test.go and the checker benchmarks. The analyzer rejects
-// likely allocation sites in the annotated body:
+// The //hbvet:noalloc annotation marks the steady-state hot paths whose
+// allocation behaviour is pinned by sim/alloc_test.go and the checker
+// benchmarks. The noalloc-closure check (closure.go) walks every annotated
+// body, and every body reachable from one, for likely allocation sites:
 //
 //   - make and new calls;
 //   - address-taken composite literals (&T{...}) and slice/map literals;
@@ -24,15 +24,10 @@ import (
 //     catches fmt.Errorf/Sprintf on hot paths;
 //   - non-constant string concatenation.
 //
-// Warm-up branches and cold error paths inside an annotated function are
-// expected to carry //lint:allow hot-path-alloc suppressions with a
+// Warm-up branches and cold error paths inside such a function are
+// expected to carry //lint:allow noalloc-closure suppressions with a
 // justification: the annotation then documents exactly which lines may
 // allocate and why.
-var AnalyzerNoAlloc = &Analyzer{
-	Name: "hot-path-alloc",
-	Doc:  "//hbvet:noalloc functions must not contain likely allocation sites",
-	Run:  runNoAlloc,
-}
 
 // noallocDirective is the annotation marking a function's body
 // allocation-free in steady state.
@@ -52,49 +47,34 @@ func HasNoallocDirective(fn *ast.FuncDecl) bool {
 	return false
 }
 
-func runNoAlloc(p *Pass) {
-	for _, file := range p.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !HasNoallocDirective(fn) {
-				continue
-			}
-			w := &noallocWalker{info: p.Info, fn: fn, where: "noalloc function " + fn.Name.Name, report: p.Reportf}
-			w.block(fn.Body)
-		}
-	}
-}
-
-// noallocViolation is one likely allocation site collected by the
-// walker when it runs detached from a Pass (the closure analyzer checks
-// unannotated reachable functions this way).
+// noallocViolation is one likely allocation site.
 type noallocViolation struct {
 	Pos     token.Pos
 	Message string
 }
 
-// collectNoallocViolations runs the allocation-site walker over fn's
-// body without reporting, returning the violations in source order.
-func collectNoallocViolations(info *types.Info, fn *ast.FuncDecl) []noallocViolation {
-	var out []noallocViolation
-	w := &noallocWalker{info: info, fn: fn, where: "function " + fn.Name.Name, report: func(pos token.Pos, format string, args ...any) {
-		out = append(out, noallocViolation{Pos: pos, Message: fmt.Sprintf(format, args...)})
-	}}
+// collectNoallocViolations walks fn's body for likely allocation sites and
+// returns them in source order. where names the function in the messages:
+// "noalloc function Step" for an annotated body, plain "function Step"
+// for an unannotated one the closure reaches.
+func collectNoallocViolations(info *types.Info, fn *ast.FuncDecl, where string) []noallocViolation {
+	w := &noallocWalker{info: info, fn: fn, where: where}
 	w.block(fn.Body)
-	return out
+	return w.out
 }
 
-// noallocWalker walks one annotated function body tracking just enough
-// context (immediate-call parents, enclosing assignment targets) to
-// classify each node.
+// noallocWalker walks one function body tracking just enough context
+// (immediate-call parents, enclosing assignment targets) to classify each
+// node.
 type noallocWalker struct {
-	info *types.Info
-	fn   *ast.FuncDecl
-	// where names the function in messages: "noalloc function Step" for
-	// annotated bodies, plain "function Step" when the closure check
-	// walks an unannotated reachable function.
-	where  string
-	report func(pos token.Pos, format string, args ...any)
+	info  *types.Info
+	fn    *ast.FuncDecl
+	where string
+	out   []noallocViolation
+}
+
+func (w *noallocWalker) report(pos token.Pos, format string, args ...any) {
+	w.out = append(w.out, noallocViolation{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
 func (w *noallocWalker) block(body *ast.BlockStmt) {

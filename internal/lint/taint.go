@@ -18,7 +18,7 @@ import (
 //
 //   - a function declared in an allowlisted file is a sanctioned
 //     boundary: it may be tainted and does not propagate (callers of
-//     detector.WallClock methods are the design, not a leak);
+//     netem.WallClock methods are the design, not a leak);
 //   - a direct nondeterminism call covered by a //lint:allow
 //     determinism suppression is likewise sanctioned and does not seed
 //     taint (the justification is the boundary documentation);

@@ -93,20 +93,18 @@ func deeper(n int) int {
 	return len(b)
 }
 
-// annotated carries its own //hbvet:noalloc: the closure pass does not
-// re-report its body sites (those are the intraprocedural hot-path-alloc
-// check's findings already).
+// annotated carries its own //hbvet:noalloc: it is a root in its own
+// right, so its body site is reported once, without a chain from Root.
 //
 //hbvet:noalloc
 func annotated(n int) int {
-	s := make([]int, n)
+	s := make([]int, n) // want "make allocates in noalloc function annotated"
 	return len(s)
 }
 
-// coldpath shares its justification with the intraprocedural check: a
-// hot-path-alloc allow sanctions the closure report for the same site.
+// coldpath justifies a known-allocating callee at its call site.
 func coldpath(n int) int {
-	//lint:allow hot-path-alloc fixture: cold error path, one shared justification
+	//lint:allow noalloc-closure fixture: cold error path
 	err := errors.New("cold")
 	if err != nil {
 		return -n

@@ -52,7 +52,7 @@ func immediateClosureIsFine(n int) int {
 //hbvet:noalloc
 func boxes(err error, n int) error {
 	if n > 0 {
-		return fmt.Errorf("n = %d", n) // want "boxes a int" "variadic call allocates its argument slice"
+		return fmt.Errorf("n = %d", n) // want "boxes a int" "variadic call allocates its argument slice" "call to allocating fmt.Errorf"
 	}
 	return err
 }
@@ -71,7 +71,7 @@ func appendsAcross(dst, src []int) []int {
 //hbvet:noalloc
 func suppressedColdPath(n int) error {
 	if n < 0 {
-		//lint:allow hot-path-alloc golden-test fixture: cold error path
+		//lint:allow noalloc-closure golden-test fixture: cold error path
 		return fmt.Errorf("negative: %d", n)
 	}
 	return nil

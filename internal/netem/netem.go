@@ -8,7 +8,8 @@
 // configured independently, so asymmetric delay and loss are expressible.
 //
 // Two implementations share the Transport interface: Network runs on a
-// sim.Simulator in virtual time, and RealNetwork runs on the wall clock.
+// sim.Simulator in virtual time, and UDPTransport on real sockets. Clock is
+// the matching time service, over virtual or real time.
 package netem
 
 import (
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -34,8 +34,8 @@ type Message struct {
 	Payload []byte
 }
 
-// Handler receives delivered messages. Handlers run on the delivering
-// goroutine (RealNetwork) or inside the simulation event (Network) and must
+// Handler receives delivered messages. Handlers run on the receiving
+// goroutine (UDPTransport) or inside the simulation event (Network) and must
 // not block. The message's Payload must not be retained past the call.
 type Handler func(Message)
 
@@ -297,170 +297,4 @@ func (n *Network) Stats() Stats {
 		out.Links[k] = v
 	}
 	return out
-}
-
-// mu-protected state makes RealNetwork safe for concurrent use.
-type realNode struct {
-	handler Handler
-}
-
-// RealNetwork is a wall-clock transport with the same loss/delay model,
-// intended for the runnable examples. Delays are expressed in ticks and
-// scaled by TickDuration.
-type RealNetwork struct {
-	mu       sync.Mutex
-	rng      *rand.Rand
-	nodes    map[NodeID]*realNode
-	links    map[[2]NodeID]LinkConfig
-	def      LinkConfig
-	stats    Stats
-	tick     Ticker
-	closed   bool
-	inflight sync.WaitGroup
-}
-
-// Ticker schedules callbacks after a number of ticks; it decouples
-// RealNetwork from the time package for testability.
-type Ticker interface {
-	AfterTicks(n sim.Time, fn func()) (cancel func())
-}
-
-// NewRealNetwork creates a wall-clock network. The ticker defines the
-// physical length of one virtual tick.
-func NewRealNetwork(tick Ticker, seed int64, def LinkConfig) (*RealNetwork, error) {
-	if err := def.validate(); err != nil {
-		return nil, err
-	}
-	return &RealNetwork{
-		rng:   rand.New(rand.NewSource(seed)),
-		nodes: make(map[NodeID]*realNode),
-		links: make(map[[2]NodeID]LinkConfig),
-		def:   def,
-		stats: Stats{Links: make(map[[2]NodeID]LinkStats)},
-		tick:  tick,
-	}, nil
-}
-
-var _ Transport = (*RealNetwork)(nil)
-
-// Register implements Transport.
-func (n *RealNetwork) Register(id NodeID, h Handler) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.nodes[id]; ok {
-		return fmt.Errorf("%w: %d", ErrDuplicateID, id)
-	}
-	n.nodes[id] = &realNode{handler: h}
-	return nil
-}
-
-// SetLink overrides the configuration of the from→to link.
-func (n *RealNetwork) SetLink(from, to NodeID, cfg LinkConfig) error {
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.links[[2]NodeID{from, to}] = cfg
-	return nil
-}
-
-// Send implements Transport.
-//
-//lint:allow noalloc-closure real-network transport; the noalloc contract covers the in-process sim path, not wall-clock I/O
-func (n *RealNetwork) Send(from, to NodeID, payload []byte) error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	if _, ok := n.nodes[from]; !ok {
-		n.mu.Unlock()
-		return fmt.Errorf("%w: sender %d", ErrUnknownNode, from)
-	}
-	node, ok := n.nodes[to]
-	if !ok {
-		n.mu.Unlock()
-		return fmt.Errorf("%w: recipient %d", ErrUnknownNode, to)
-	}
-	key := [2]NodeID{from, to}
-	cfg, okc := n.links[key]
-	if !okc {
-		cfg = n.def
-	}
-	st := n.stats.Links[key]
-	st.Sent++
-	n.stats.Total.Sent++
-	if cfg.Down || n.rng.Float64() < cfg.LossProb {
-		st.Lost++
-		n.stats.Total.Lost++
-		n.stats.Links[key] = st
-		n.mu.Unlock()
-		return nil
-	}
-	delay := cfg.MinDelay
-	if cfg.MaxDelay > cfg.MinDelay {
-		delay += sim.Time(n.rng.Int63n(int64(cfg.MaxDelay-cfg.MinDelay) + 1))
-	}
-	st.Delivered++
-	n.stats.Total.Delivered++
-	n.stats.Links[key] = st
-	msg := Message{From: from, To: to, Payload: append([]byte(nil), payload...)}
-	n.inflight.Add(1)
-	n.mu.Unlock()
-
-	n.tick.AfterTicks(delay, func() {
-		defer n.inflight.Done()
-		n.mu.Lock()
-		closed := n.closed
-		n.mu.Unlock()
-		if !closed {
-			node.handler(msg)
-		}
-	})
-	return nil
-}
-
-// Broadcast implements Transport.
-func (n *RealNetwork) Broadcast(from NodeID, payload []byte) error {
-	n.mu.Lock()
-	ids := make([]NodeID, 0, len(n.nodes))
-	for id := range n.nodes {
-		if id != from {
-			ids = append(ids, id)
-		}
-	}
-	n.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, to := range ids {
-		if err := n.Send(from, to, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Stats returns a copy of the accumulated statistics.
-func (n *RealNetwork) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := Stats{Total: n.stats.Total, Links: make(map[[2]NodeID]LinkStats, len(n.stats.Links))}
-	for k, v := range n.stats.Links {
-		out.Links[k] = v
-	}
-	return out
-}
-
-// Drain blocks until every in-flight message has been delivered. Callers
-// must not Send concurrently with Drain.
-func (n *RealNetwork) Drain() {
-	n.inflight.Wait()
-}
-
-// Close stops delivering messages and waits for in-flight timers to drain.
-func (n *RealNetwork) Close() {
-	n.mu.Lock()
-	n.closed = true
-	n.mu.Unlock()
-	n.inflight.Wait()
 }

@@ -1,10 +1,8 @@
 package netem
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -251,77 +249,5 @@ func TestPropertyConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRealNetworkDelivery(t *testing.T) {
-	n, err := NewRealNetwork(ImmediateTicker{}, 1, LinkConfig{})
-	if err != nil {
-		t.Fatalf("NewRealNetwork: %v", err)
-	}
-	var mu sync.Mutex
-	got := 0
-	register(t, n, 0, nil)
-	register(t, n, 1, func(Message) { mu.Lock(); got++; mu.Unlock() })
-	register(t, n, 2, func(Message) { mu.Lock(); got++; mu.Unlock() })
-	if err := n.Broadcast(0, []byte("x")); err != nil {
-		t.Fatalf("Broadcast: %v", err)
-	}
-	n.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if got != 2 {
-		t.Fatalf("delivered %d, want 2", got)
-	}
-}
-
-func TestRealNetworkConcurrentSends(t *testing.T) {
-	n, err := NewRealNetwork(WallTicker{TickLen: time.Microsecond}, 1, LinkConfig{MaxDelay: 3})
-	if err != nil {
-		t.Fatalf("NewRealNetwork: %v", err)
-	}
-	var mu sync.Mutex
-	got := 0
-	register(t, n, 0, nil)
-	register(t, n, 1, func(Message) { mu.Lock(); got++; mu.Unlock() })
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				if err := n.Send(0, 1, nil); err != nil {
-					t.Errorf("Send: %v", err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	n.Drain()
-	n.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if got != 400 {
-		t.Fatalf("delivered %d, want 400", got)
-	}
-}
-
-func TestRealNetworkCloseStopsDelivery(t *testing.T) {
-	n, err := NewRealNetwork(WallTicker{TickLen: 20 * time.Millisecond}, 1, LinkConfig{MinDelay: 5, MaxDelay: 5})
-	if err != nil {
-		t.Fatalf("NewRealNetwork: %v", err)
-	}
-	var mu sync.Mutex
-	got := 0
-	register(t, n, 0, nil)
-	register(t, n, 1, func(Message) { mu.Lock(); got++; mu.Unlock() })
-	if err := n.Send(0, 1, nil); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	n.Close() // close before the 100ms delivery timer fires
-	mu.Lock()
-	defer mu.Unlock()
-	if got != 0 {
-		t.Fatalf("delivered %d after Close, want 0", got)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // socket; a 10-byte header (2-byte magic, 4-byte sender, 4-byte
 // recipient) frames the payload.
 // UDP supplies the loss/duplication/reordering semantics for real
-// networks; for controlled experiments prefer Network or RealNetwork.
+// networks; for controlled experiments prefer Network.
 type UDPTransport struct {
 	mu     sync.Mutex
 	nodes  map[NodeID]*udpNode

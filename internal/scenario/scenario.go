@@ -548,7 +548,7 @@ func NewPlainCluster(cfg PlainClusterConfig) (*PlainCluster, error) {
 		Net:          net,
 		Participants: make(map[core.ProcID]*detector.Node, cfg.N),
 	}
-	clock := detector.SimClock{Sim: s}
+	clock := netem.SimClock{Sim: s}
 	sink := detector.EventFunc(func(e detector.Event) { pc.Events = append(pc.Events, e) })
 
 	members := make([]core.ProcID, 0, cfg.N)

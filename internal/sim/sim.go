@@ -139,11 +139,11 @@ func (s *Simulator) Schedule(d Time, fn Event) (Timer, error) {
 // current time, ErrHorizon 2^48 ticks or more past the queue's horizon.
 func (s *Simulator) ScheduleAt(t Time, fn Event) (Timer, error) {
 	if t < s.now {
-		//lint:allow hot-path-alloc cold error path; scheduling in the past is a caller bug, not a hot-path event
+		//lint:allow noalloc-closure cold error path; scheduling in the past is a caller bug, not a hot-path event
 		return Timer{}, fmt.Errorf("%w: at %d, now %d", ErrPastTime, t, s.now)
 	}
 	if t-s.wheel.Now() >= wheelHorizon {
-		//lint:allow hot-path-alloc cold error path; no protocol timer approaches the wheel's horizon
+		//lint:allow noalloc-closure cold error path; no protocol timer approaches the wheel's horizon
 		return Timer{}, fmt.Errorf("%w: at %d, now %d", ErrHorizon, t, s.now)
 	}
 	s.scheduled++

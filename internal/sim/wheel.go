@@ -144,7 +144,7 @@ func (w *TimerWheel) Schedule(at Time, payload uint32) WheelTimer {
 			// Reserve free-list room for every node up front, so release
 			// stays allocation-free even when the live-timer population
 			// later shrinks far below its high-water mark.
-			//lint:allow hot-path-alloc amortised arena growth, not steady state
+			//lint:allow noalloc-closure amortised arena growth, not steady state
 			grown := make([]int32, len(w.free), cap(w.nodes))
 			copy(grown, w.free)
 			w.free = grown

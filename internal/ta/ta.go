@@ -379,7 +379,7 @@ func (c *SuccCtx) committedActive(s *State) []bool {
 		if a.Locations[s.Locs[i]].Kind == Committed {
 			if mask == nil {
 				if len(c.scratchCommitted) != len(n.automata) {
-					//lint:allow hot-path-alloc scratch warm-up, sized once per context; steady state reuses the mask
+					//lint:allow noalloc-closure scratch warm-up, sized once per context; steady state reuses the mask
 					c.scratchCommitted = make([]bool, len(n.automata))
 				}
 				mask = c.scratchCommitted
@@ -546,7 +546,7 @@ func (c *SuccCtx) broadcastSuccessors(s *State, ch ChanID, committed []bool, buf
 		// broadcast channel in one automaton; the first (declaration
 		// order) wins, matching UPPAAL's deterministic model layout.
 		if len(c.scratchSeen) != len(n.automata) {
-			//lint:allow hot-path-alloc scratch warm-up, sized once per context; steady state reuses the mask
+			//lint:allow noalloc-closure scratch warm-up, sized once per context; steady state reuses the mask
 			c.scratchSeen = make([]bool, len(n.automata))
 		}
 		seen := c.scratchSeen
@@ -687,7 +687,7 @@ func (c *SuccCtx) mustMoveNow(s *State) []bool {
 		}
 	}
 	if len(c.scratchMust) != len(n.automata) {
-		//lint:allow hot-path-alloc scratch warm-up, sized once per context; steady state reuses the mask
+		//lint:allow noalloc-closure scratch warm-up, sized once per context; steady state reuses the mask
 		c.scratchMust = make([]bool, len(n.automata))
 	}
 	out := c.scratchMust
