@@ -98,23 +98,8 @@ func (c *CampaignCheck) CheckTraceAdaptive(events []Event, horizon core.Tick) (*
 	if err != nil {
 		return nil, err
 	}
-	res := &PiecewiseResult{}
-	for i, ev := range events {
-		d, err := e.feed(i, ev)
-		if err != nil {
-			return nil, err
-		}
-		if d != nil {
-			res.Unconfirmed = d.divergence(events)
-			e.fill(res)
-			return res, nil
-		}
-	}
-	if d := e.finish(horizon, len(events)); d != nil {
-		res.Unconfirmed = d.divergence(events)
-	}
-	e.fill(res)
-	return res, nil
+	defer e.release(c)
+	return e.replay(events, horizon)
 }
 
 // envelopeLevelOf locates an operating point among the envelope's levels.

@@ -1,8 +1,10 @@
 package conform
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/models"
 )
@@ -120,8 +122,24 @@ func TestParseRetuneRoundTrip(t *testing.T) {
 	if !ok || tmin != 2 || tmax != 8 {
 		t.Fatalf("parseRetune(labelRetune(2,8)) = %d, %d, %v", tmin, tmax, ok)
 	}
-	if _, _, ok := parseRetune("deliver beat to p[0] from p[1]"); ok {
-		t.Fatal("parseRetune accepted a non-retune label")
+	// Negative points are renderable, so they parse (and then fail the
+	// envelope lookup); the extremes of int32 round-trip.
+	for _, pt := range [][2]int32{{-2, 4}, {0, 0}, {math.MinInt32, math.MaxInt32}} {
+		tmin, tmax, ok := parseRetune(labelRetune(core.Tick(pt[0]), core.Tick(pt[1])))
+		if !ok || tmin != pt[0] || tmax != pt[1] {
+			t.Fatalf("parseRetune(labelRetune(%d,%d)) = %d, %d, %v", pt[0], pt[1], tmin, tmax, ok)
+		}
+	}
+	for _, label := range []string{
+		"deliver beat to p[0] from p[1]",
+		"p[0]: retune to (2,4)x", "p[0]: retune to (2,4", "p[0]: retune to (2,4))",
+		"p[0]: retune to (2)", "p[0]: retune to (2,4,8)", "p[0]: retune to (,4)", "p[0]: retune to (2,)",
+		"p[0]: retune to (+2,4)", "p[0]: retune to (02,4)", "p[0]: retune to (2, 4)", "p[0]: retune to (2,0x4)",
+		"p[0]: retune to (2,2147483648)", "p[0]: retune to (1_0,4)",
+	} {
+		if tmin, tmax, ok := parseRetune(label); ok {
+			t.Errorf("parseRetune(%q) accepted it as (%d,%d)", label, tmin, tmax)
+		}
 	}
 }
 

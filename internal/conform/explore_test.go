@@ -183,28 +183,49 @@ func TestSpecAlphabetAndCampaignCheck(t *testing.T) {
 }
 
 // TestLabelConstructors pins the event vocabulary against its parser: the
-// verdict monitors rely on parseLabel inverting every constructor.
+// verdict monitor relies on procIndex inverting every constructor it
+// dispatches on, and on nothing else parsing as one of them.
 func TestLabelConstructors(t *testing.T) {
-	var proc int
 	for _, tc := range []struct {
-		label, format string
+		label, prefix string
 		proc          int
 	}{
-		{labelDeliverToP0(3), "deliver beat to p[0] from p[%d]", 3},
-		{labelDeliverLeaveToP0(2), "deliver leave beat to p[0] from p[%d]", 2},
-		{labelDeliverToP(4), "deliver beat to p[%d]", 4},
-		{labelSendJoin(1), "p[%d]: send join beat", 1},
-		{labelSendLeave(5), "p[%d]: send leave beat", 5},
-		{labelDecideLeave(6), "p[%d]: decide leave", 6},
-		{labelInactivate(7), "inactivate nv p[%d]", 7},
-		{labelCrash(8), "crash p[%d]", 8},
+		{labelDeliverToP0(3), prefDeliverBeatP0, 3},
+		{labelDeliverLeaveToP0(2), prefDeliverLeaveP0, 2},
+		{labelInactivate(7), prefInactivate, 7},
+		{labelInactivate(0), prefInactivate, 0},
+		{labelCrash(8), prefCrash, 8},
+		{labelCrash(120), prefCrash, 120},
 	} {
-		if !parseLabel(tc.label, tc.format, &proc) || proc != tc.proc {
-			t.Fatalf("parseLabel(%q, %q) failed (proc=%d)", tc.label, tc.format, proc)
+		if proc, ok := procIndex(tc.label, tc.prefix); !ok || proc != tc.proc {
+			t.Fatalf("procIndex(%q, %q) = %d, %v, want %d", tc.label, tc.prefix, proc, ok, tc.proc)
 		}
 	}
-	if parseLabel(labelSendBeat(1), "deliver beat to p[%d]", &proc) {
-		t.Fatal("parseLabel matched the wrong shape")
+	for _, tc := range []struct{ label, prefix string }{
+		{labelSendBeat(1), prefCrash},                          // wrong shape
+		{labelDeliverLeaveToP0(1), prefDeliverBeatP0},          // a different constructor's label
+		{"crash p[01]", prefCrash},                             // leading zero
+		{"inactivate nv p[007]", prefInactivate},               // leading zeros
+		{"deliver beat to p[0] from p[00]", prefDeliverBeatP0}, // zero, twice
+		{"crash p[]", prefCrash},                               // no digits
+		{"crash p[+1]", prefCrash},                             // sign
+		{"crash p[1] ", prefCrash},                             // trailing junk
+		{"crash p[1]]", prefCrash},                             // trailing junk
+		{"crash p[99999999]", prefCrash},                       // out of range
+	} {
+		if proc, ok := procIndex(tc.label, tc.prefix); ok {
+			t.Fatalf("procIndex(%q, %q) accepted it as p[%d]", tc.label, tc.prefix, proc)
+		}
+	}
+	// The tabulated labels are the constructors' renderings, cached or not.
+	for _, i := range []int{0, 1, cachedProcs - 1, cachedProcs, 1000} {
+		if got, want := *procLabels(i), newProcLabelSet(i); got != want {
+			t.Fatalf("procLabels(%d) = %+v, want %+v", i, got, want)
+		}
+	}
+	if got := procLabels(3).deliverLeaveAck + "|" + procLabels(3).sendLeaveAck + "|" + labelDeliverStray(2, 10); got !=
+		"deliver leave ack to p[3]|p[0]: send leave ack to p[3]|deliver stray beat to p[2] from p[10]" {
+		t.Fatalf("non-model labels render as %q", got)
 	}
 }
 

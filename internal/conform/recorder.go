@@ -1,7 +1,6 @@
 package conform
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -54,9 +53,11 @@ func (r *Recorder) ObserveStep(id netem.NodeID, now core.Tick, tr detector.Trigg
 // zero or more model-alphabet labels, emitted through add in order. It is
 // the single abstraction shared by the Recorder (which retains events)
 // and the StreamChecker (which checks and discards them), so the two
-// observers cannot disagree about what a step means.
+// observers cannot disagree about what a step means. Labels come from the
+// per-process tables, so a model-alphabet step allocates nothing.
 func abstractStep(add func(string), id netem.NodeID, tr detector.Trigger, actions []core.Action) {
 	coord := id == netem.NodeID(core.CoordinatorID)
+	self := procLabels(int(id))
 
 	switch tr.Kind {
 	case detector.TriggerBeat:
@@ -66,19 +67,19 @@ func abstractStep(add func(string), id netem.NodeID, tr detector.Trigger, action
 		b := tr.Beat
 		switch {
 		case coord && b.Stay:
-			add(labelDeliverToP0(int(b.From)))
+			add(procLabels(int(b.From)).deliverToP0)
 		case coord:
-			add(labelDeliverLeaveToP0(int(b.From)))
+			add(procLabels(int(b.From)).deliverLeaveToP0)
 		case b.From == core.CoordinatorID && b.Stay:
-			add(labelDeliverToP(int(id)))
+			add(self.deliverToP)
 		case b.From == core.CoordinatorID:
 			// The coordinator's directed leave acknowledgement; no model
 			// counterpart (the model's leaver concludes from its own beat).
-			add(fmt.Sprintf("deliver leave ack to %s", pname(int(id))))
+			add(self.deliverLeaveAck)
 		default:
-			add(fmt.Sprintf("deliver stray beat to %s from %s", pname(int(id)), pname(int(b.From))))
+			add(labelDeliverStray(int(id), int(b.From)))
 		}
-		addReactions(add, id, tr, actions)
+		addReactions(add, self, coord, tr, actions)
 
 	case detector.TriggerTimer:
 		if coord && tr.Timer == core.TimerRound {
@@ -87,29 +88,29 @@ func abstractStep(add func(string), id netem.NodeID, tr detector.Trigger, action
 			}
 			add(labelTimeoutP0)
 		}
-		addReactions(add, id, tr, actions)
+		addReactions(add, self, coord, tr, actions)
 
 	case detector.TriggerStart:
-		addReactions(add, id, tr, actions)
+		addReactions(add, self, coord, tr, actions)
 
 	case detector.TriggerCrash:
 		for _, a := range actions {
 			if a.Kind == core.ActInactivate && a.Voluntary {
-				add(labelCrash(int(id)))
+				add(self.crash)
 			}
 		}
 
 	case detector.TriggerLeave:
-		add(labelDecideLeave(int(id)))
-		addReactions(add, id, tr, actions)
+		add(self.decideLeave)
+		addReactions(add, self, coord, tr, actions)
 
 	case detector.TriggerRejoin:
-		add(fmt.Sprintf("%s: rejoin", pname(int(id))))
-		addReactions(add, id, tr, actions)
+		add(self.rejoin)
+		addReactions(add, self, coord, tr, actions)
 
 	case detector.TriggerRestart:
-		add(fmt.Sprintf("%s: restart", pname(int(id))))
-		addReactions(add, id, tr, actions)
+		add(self.restart)
+		addReactions(add, self, coord, tr, actions)
 	}
 }
 
@@ -118,9 +119,9 @@ func abstractStep(add func(string), id netem.NodeID, tr detector.Trigger, action
 // (re)arming are not part of the model's trace alphabet — except that the
 // coordinator's round continuation is keyed off SetTimer{TimerRound},
 // because the model broadcasts "p[0]: send beat" even to an empty
-// membership while the runtime's send loop then emits nothing.
-func addReactions(add func(string), id netem.NodeID, tr detector.Trigger, actions []core.Action) {
-	coord := id == netem.NodeID(core.CoordinatorID)
+// membership while the runtime's send loop then emits nothing. self holds
+// the stepping process's labels (the coordinator's when coord).
+func addReactions(add func(string), self *procLabelSet, coord bool, tr detector.Trigger, actions []core.Action) {
 	sentBeat := false
 	for _, act := range actions {
 		switch act.Kind {
@@ -132,31 +133,31 @@ func addReactions(add func(string), id netem.NodeID, tr detector.Trigger, action
 				// below for timeouts; directly for the revised init.
 				if tr.Kind != detector.TriggerTimer && !sentBeat {
 					sentBeat = true
-					add(labelSendBeat(0))
+					add(self.sendBeat)
 				}
 			case coord:
-				add(fmt.Sprintf("p[0]: send leave ack to %s", pname(int(act.To))))
+				add(procLabels(int(act.To)).sendLeaveAck)
 			case act.Beat.Stay:
 				if tr.Kind == detector.TriggerBeat {
-					add(labelSendBeat(int(id))) // reply to a delivered beat
+					add(self.sendBeat) // reply to a delivered beat
 				} else {
-					add(labelSendJoin(int(id))) // join solicitation (start or resend)
+					add(self.sendJoin) // join solicitation (start or resend)
 				}
 			default:
-				add(labelSendLeave(int(id)))
+				add(self.sendLeave)
 			}
 		case core.ActSetTimer:
 			if coord && act.ID == core.TimerRound && tr.Kind == detector.TriggerTimer && !sentBeat {
 				sentBeat = true
-				add(labelSendBeat(0))
+				add(self.sendBeat)
 			}
 		case core.ActRetune:
 			add(labelRetune(act.TMin, act.TMax))
 		case core.ActInactivate:
 			if act.Voluntary {
-				add(labelCrash(int(id)))
+				add(self.crash)
 			} else {
-				add(labelInactivate(int(id)))
+				add(self.inactivate)
 			}
 		}
 	}

@@ -193,11 +193,25 @@ type CampaignCheck struct {
 
 	mu    sync.Mutex
 	specs map[int]levelSpec
+
+	// scratchPool holds checker working memory (*scratch) across the
+	// trials of the campaign: a scratch grows to the largest level a trial
+	// entered and the next trial starts with it.
+	scratchPool sync.Pool
 }
 
 type levelSpec struct {
 	sp  *Spec
 	err error
+}
+
+// getScratch takes a checker scratch from the pool; streamEngine.release
+// puts it back.
+func (c *CampaignCheck) getScratch() *scratch {
+	if sc, ok := c.scratchPool.Get().(*scratch); ok {
+		return sc
+	}
+	return new(scratch)
 }
 
 // baseLevel keys the non-envelope specification (the Model as given).

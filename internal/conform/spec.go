@@ -66,6 +66,10 @@ type Spec struct {
 	vis    []visEdge
 	tauOff []int32
 	tauTo  []int32
+
+	// region memoises the frontiers that follow an all-states reseed,
+	// shared by every checker of this specification (region.go).
+	region reseedRegion
 }
 
 // BuildSpec builds the conformance specification for a model
@@ -142,6 +146,7 @@ func BuildSpec(cfg models.Config, opts mc.Options) (*Spec, error) {
 			tauNext[t.From]++
 		}
 	}
+	sp.region.init(len(sp.labelNames), sp.NumStates)
 	return sp, nil
 }
 

@@ -47,9 +47,10 @@ func (d *divergePoint) divergence(events []Event) *Divergence {
 // never fabricate one, and the R1–R3 monitor is unaffected. The frontier
 // is intrinsically bounded by the spec's state count (states are deduped
 // per generation); the budget caps the sustained width well below that.
-// All-states reseeds after confirmed divergences are exempt (they are
-// O(NumStates) by construction and collapse on the next step); the budget
-// gates stepped frontiers only, which is also what maxFrontierSeen
+// All-states reseeds after confirmed divergences are exempt (they stand
+// for NumStates states by construction and collapse on the next step);
+// the budget gates stepped frontiers only — private or shared region
+// nodes alike, by their set size — which is also what maxFrontierSeen
 // tracks.
 type streamEngine struct {
 	check *CampaignCheck   // spec source for piecewise mode; nil in plain mode
@@ -73,15 +74,17 @@ type streamEngine struct {
 	maxFrontierSeen int
 }
 
-// newStreamEngine builds a plain (single-specification) engine.
-func newStreamEngine(sp *Spec, maxFrontier int) *streamEngine {
-	e := &streamEngine{sp: sp, ck: newChecker(sp), maxFrontier: maxFrontier}
+// newStreamEngine builds a plain (single-specification) engine over the
+// given scratch.
+func newStreamEngine(sp *Spec, sc *scratch, maxFrontier int) *streamEngine {
+	e := &streamEngine{sp: sp, ck: newChecker(sp, sc), maxFrontier: maxFrontier}
 	e.noteFrontier()
 	return e
 }
 
 // newAdaptiveEngine builds a piecewise engine over the campaign's
-// envelope, starting at level 0 (per CheckTraceAdaptive's contract).
+// envelope, starting at level 0 (per CheckTraceAdaptive's contract). Its
+// scratch comes from the campaign's pool; release returns it.
 func newAdaptiveEngine(c *CampaignCheck, maxFrontier int) (*streamEngine, error) {
 	if c.Envelope == nil {
 		return nil, fmt.Errorf("%w: piecewise streaming needs an envelope", ErrUnsupported)
@@ -90,19 +93,24 @@ func newAdaptiveEngine(c *CampaignCheck, maxFrontier int) (*streamEngine, error)
 	if err != nil {
 		return nil, err
 	}
-	e := &streamEngine{
-		check: c, env: c.Envelope, sp: sp,
-		ck: newChecker(sp), maxFrontier: maxFrontier,
-	}
-	e.noteFrontier()
+	e := newStreamEngine(sp, c.getScratch(), maxFrontier)
+	e.check, e.env = c, c.Envelope
 	return e, nil
 }
 
+// release hands the checker's scratch back to the campaign's pool. The
+// engine must not be fed, finished or asked for a divergence afterwards.
+func (e *streamEngine) release(c *CampaignCheck) {
+	c.scratchPool.Put(e.ck.scratch)
+	e.ck.scratch = nil
+}
+
 func (e *streamEngine) noteFrontier() {
-	if n := len(e.ck.cur); n > e.maxFrontierSeen {
+	n := e.ck.width()
+	if n > e.maxFrontierSeen {
 		e.maxFrontierSeen = n
 	}
-	if e.maxFrontier > 0 && len(e.ck.cur) > e.maxFrontier {
+	if e.maxFrontier > 0 && n > e.maxFrontier {
 		e.shed = true
 	}
 }
@@ -123,7 +131,7 @@ func (e *streamEngine) reseed() {
 	if e.shed {
 		return
 	}
-	e.ck = newCheckerAll(e.sp)
+	e.ck.reseed(e.sp)
 }
 
 func (e *streamEngine) diverge(idx int, label string) *divergePoint {
@@ -242,6 +250,28 @@ func (e *streamEngine) fill(res *PiecewiseResult) {
 	res.FinalLevel = e.finalLevel
 }
 
+// replay is the offline driver — the whole trace through feed, then
+// finish — behind both Spec.CheckTrace and CheckTraceAdaptive.
+func (e *streamEngine) replay(events []Event, horizon core.Tick) (*PiecewiseResult, error) {
+	res := &PiecewiseResult{}
+	for i, ev := range events {
+		d, err := e.feed(i, ev)
+		if err != nil {
+			return nil, err
+		}
+		if d != nil {
+			res.Unconfirmed = d.divergence(events)
+			e.fill(res)
+			return res, nil
+		}
+	}
+	if d := e.finish(horizon, len(events)); d != nil {
+		res.Unconfirmed = d.divergence(events)
+	}
+	e.fill(res)
+	return res, nil
+}
+
 // levelInForce is the envelope level the engine is checking against, or
 // baseLevel for a plain engine.
 func (e *streamEngine) levelInForce() int {
@@ -315,7 +345,8 @@ func newTraceMonitor(cfg models.Config, horizon core.Tick) *traceMonitor {
 }
 
 // Label prefixes of the monitor's dispatch, parsed allocation-free by
-// procIndex (strict: prefix, digits, closing bracket, nothing else).
+// procIndex (strict: prefix, canonical digits, closing bracket, nothing
+// else) and rendered by the constructors in conform.go.
 const (
 	prefDeliverBeatP0  = "deliver beat to p[0] from p["
 	prefDeliverLeaveP0 = "deliver leave beat to p[0] from p["
@@ -324,14 +355,19 @@ const (
 )
 
 // procIndex parses the process index of a label of the exact form
-// prefix + digits + "]". Unlike Sscanf it rejects signs, spaces and
-// trailing junk, so a malformed label cannot impersonate a real one.
+// prefix + canonical decimal + "]". It rejects signs, spaces, leading
+// zeros and trailing junk, so every accepted label is the one its
+// constructor renders and a malformed label cannot impersonate a real
+// one ("crash p[01]" is not p[1] crashing).
 func procIndex(label, prefix string) (int, bool) {
 	if !strings.HasPrefix(label, prefix) {
 		return 0, false
 	}
 	rest := label[len(prefix):]
 	if len(rest) < 2 || rest[len(rest)-1] != ']' {
+		return 0, false
+	}
+	if rest[0] == '0' && len(rest) > 2 {
 		return 0, false
 	}
 	p := 0
@@ -641,7 +677,9 @@ type StreamChecker struct {
 
 // NewStreamChecker builds a stream checker. Specs come from the shared
 // CampaignCheck cache, so many concurrent checkers (one per cluster under
-// a campaign) share one spec build per operating point.
+// a campaign) share one spec build per operating point, and the checker's
+// frontier scratch comes from the CampaignCheck's pool, to which Finish
+// returns it.
 func NewStreamChecker(cfg StreamConfig) (*StreamChecker, error) {
 	if cfg.Check == nil {
 		return nil, fmt.Errorf("%w: stream checker needs a CampaignCheck", ErrUnsupported)
@@ -668,7 +706,7 @@ func NewStreamChecker(cfg StreamConfig) (*StreamChecker, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng = newStreamEngine(sp, cfg.MaxFrontier)
+		eng = newStreamEngine(sp, cfg.Check.getScratch(), cfg.MaxFrontier)
 		monCfg = cfg.Check.Model
 	}
 	sc := &StreamChecker{
@@ -873,6 +911,7 @@ func (sc *StreamChecker) Finish(lost uint64) (*StreamResult, error) {
 		MaxFrontierSeen: sc.eng.maxFrontierSeen,
 		Verdicts:        sc.mon.verdicts(lost),
 	}
+	sc.eng.release(sc.cfg.Check)
 	return sc.result, sc.failed
 }
 

@@ -47,10 +47,13 @@ func parseFuzzTrace(data string) []Event {
 // FuzzStreamChecker feeds arbitrary event sequences — malformed retune
 // labels, out-of-order virtual timestamps, garbage labels — through the
 // streaming checker and demands it (a) never panics, (b) is
-// deterministic, and (c) agrees byte-for-byte with the offline replay
-// checkers on verdicts, piecewise counters, and the first divergence.
-// This target caught the trailing-junk bug in parseRetune ("p[0]: retune
-// to (2,4)x" was accepted as an envelope transition).
+// deterministic, (c) agrees byte-for-byte with the offline replay
+// checkers on verdicts, piecewise counters, and the first divergence, and
+// (d) agrees with the independent reference checker (oracle_test.go),
+// which shares none of the engine's frontier machinery. This target caught
+// the trailing-junk bug in parseRetune ("p[0]: retune to (2,4)x" was
+// accepted as an envelope transition); the non-canonical process indices
+// procIndex used to accept ("crash p[01]" as p[1]) are seeded below.
 func FuzzStreamChecker(f *testing.F) {
 	f.Add("0 p[0]: retune to (2,4)\n1 p[1]: frobnicate\n2 deliver beat to p[0] from p[1]")
 	f.Add("0 p[0]: retune to (2,4)x\n1 p[0]: retune to (2,8)\n3 timeout p[0]")
@@ -58,6 +61,8 @@ func FuzzStreamChecker(f *testing.F) {
 	f.Add("0 p[0]: retune to (3,5)\n1 p[0]: retune to (-2,4)")
 	f.Add("1 p[1]: send beat\n2 deliver beat to p[0] from p[1]\n3 timeout p[0]\n63 inactivate nv p[1]")
 	f.Add("0 p[1]: decide leave\n1 p[1]: restart\n2 p[1]: rejoin\n3 deliver stray beat to p[1] from p[2]")
+	f.Add("1 crash p[01]\n2 inactivate nv p[007]\n3 deliver beat to p[0] from p[00]\n4 deliver leave beat to p[0] from p[01]")
+	f.Add("0 p[1]: restart\n0 p[0]: send beat\n0 deliver beat to p[1]\n0 p[1]: send beat\n1 p[0]: retune to (2,8)\n1 tick\n9 timeout p[0]")
 	f.Fuzz(func(t *testing.T, data string) {
 		events := parseFuzzTrace(data)
 		adaptive, plain := fuzzChecks()
@@ -116,12 +121,32 @@ func FuzzStreamChecker(f *testing.F) {
 		}
 		requireSameDivergence(t, div, pres.Unconfirmed, events)
 
-		// parseRetune must stay a strict inverse of labelRetune.
+		// The reference checker is the oracle for the engine itself.
+		requireAgainstReference(t, adaptive, events, fuzzHorizon)
+		requireAgainstReference(t, plain, events, fuzzHorizon)
+
+		// The label parsers must stay strict inverses of the constructors:
+		// whatever the piecewise checker takes for a retune, or the R1–R3
+		// monitor attributes to a process, is exactly what the constructor
+		// renders.
 		for _, ev := range events {
 			if tmin, tmax, ok := parseRetune(ev.Label); ok {
 				if ev.Label != labelRetune(core.Tick(tmin), core.Tick(tmax)) {
 					t.Fatalf("parseRetune accepted %q as (%d,%d), which renders %q",
 						ev.Label, tmin, tmax, labelRetune(core.Tick(tmin), core.Tick(tmax)))
+				}
+			}
+			for _, c := range []struct {
+				prefix string
+				render func(int) string
+			}{
+				{prefDeliverBeatP0, labelDeliverToP0},
+				{prefDeliverLeaveP0, labelDeliverLeaveToP0},
+				{prefInactivate, labelInactivate},
+				{prefCrash, labelCrash},
+			} {
+				if p, ok := procIndex(ev.Label, c.prefix); ok && ev.Label != c.render(p) {
+					t.Fatalf("procIndex accepted %q as p[%d], which renders %q", ev.Label, p, c.render(p))
 				}
 			}
 		}

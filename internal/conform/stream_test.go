@@ -13,6 +13,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/faults"
 	"repro/internal/models"
+	"repro/internal/netem"
 	"repro/internal/sim"
 )
 
@@ -180,44 +181,14 @@ func TestStreamDifferential(t *testing.T) {
 // the trace and its loss count.
 func adaptiveClusterTrace(t *testing.T, check *CampaignCheck, seed int64, horizon core.Tick) ([]Event, uint64) {
 	t.Helper()
-	cc, err := ClusterFor(check.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := check.Envelope
-	cc.Adaptive = &core.AdaptiveOptions{
-		Envelope: core.Envelope{
-			TMinLo: core.Tick(env.TMinLo), TMinHi: core.Tick(env.TMinHi),
-			TMaxLo: core.Tick(env.TMaxLo), TMaxHi: core.Tick(env.TMaxHi),
-		},
-		Window: 2, WidenAt: 0.25, TightenAt: 0.1, HoldRounds: 4,
-	}
-	cc.Seed = seed
-	cc.Faults = &faults.Schedule{
+	return recordAdaptive(t, check, &faults.Schedule{
 		Seed: seed,
 		Events: []faults.Event{
 			{At: 100, Kind: faults.KindLoss, AllLinks: true, GE: &faults.GilbertElliott{
 				PGoodBad: 0.3, PBadGood: 0.4, LossGood: 0, LossBad: 0.9,
 			}},
 		},
-	}
-	rec := NewRecorder()
-	cc.Observe = rec
-	c, err := detector.NewCluster(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	c.Sim.RunUntil(sim.Time(horizon))
-	c.Stop()
-	lost := c.Net.Stats().Total.Lost
-	if c.Faults != nil {
-		fs := c.Faults.Stats()
-		lost += fs.DroppedMuted + fs.DroppedPartition + fs.DroppedLoss
-	}
-	return rec.Events(), lost
+	}, seed, horizon)
 }
 
 // TestStreamAdaptiveDifferential: real adaptive runs — retunes included —
@@ -448,9 +419,10 @@ func TestStreamFrontierBudget(t *testing.T) {
 
 // TestStreamMillionEventAllocFree pins bounded memory the hard way: one
 // million generated events through a saturated (degraded) piecewise
-// checker, with the incident tail ring and the R1–R3 monitor live, must
-// allocate nothing per event in steady state — the checker's footprint
-// does not grow with the stream.
+// checker, with the incident tail ring and the R1–R3 monitor live and a
+// by-design reseed every 1024 events, must allocate nothing per event in
+// steady state — the checker's footprint does not grow with the stream,
+// and a reseed is a pointer move, not two NumStates-long arrays.
 func TestStreamMillionEventAllocFree(t *testing.T) {
 	env := models.Envelope{TMinLo: 2, TMinHi: 2, TMaxLo: 4, TMaxHi: 8}
 	check := &CampaignCheck{
@@ -465,14 +437,20 @@ func TestStreamMillionEventAllocFree(t *testing.T) {
 	// mode, the sampled-observer regime whose per-event cost must be flat.
 	sc.Feed(Event{Time: 0, Label: labelRetune(2, 4)})
 
-	const events = 1 << 20
+	const (
+		events      = 1 << 20
+		reseedEvery = 1 << 10
+	)
 	now := core.Tick(0)
 	beat := labelDeliverToP0(1)
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < events; i++ {
 			now++
 			label := "p[1]: frobnicate"
-			if i%2 == 0 {
+			switch {
+			case i%reseedEvery == 0:
+				label = "p[1]: restart"
+			case i%2 == 0:
 				label = beat
 			}
 			sc.Feed(Event{Time: now, Label: label})
@@ -491,7 +469,178 @@ func TestStreamMillionEventAllocFree(t *testing.T) {
 	if res.Events < 2*events {
 		t.Fatalf("stream consumed %d events, want >= %d", res.Events, 2*events)
 	}
+	if want := 2 * events / reseedEvery; res.Confirmed != want {
+		t.Fatalf("stream reseeded %d times, want %d", res.Confirmed, want)
+	}
 	if res.MaxFrontierSeen == 0 {
 		t.Fatal("frontier high water was never tracked")
+	}
+}
+
+// stepLog is a detector.Observer that keeps the machine steps themselves,
+// so a test can replay them into another observer.
+type stepLog struct {
+	steps []loggedStep
+}
+
+type loggedStep struct {
+	id      netem.NodeID
+	now     core.Tick
+	tr      detector.Trigger
+	actions []core.Action
+}
+
+func (l *stepLog) ObserveStep(id netem.NodeID, now core.Tick, tr detector.Trigger, actions []core.Action) {
+	l.steps = append(l.steps, loggedStep{id, now, tr, append([]core.Action(nil), actions...)})
+}
+
+// TestObserveStepAllocFree replays the machine steps of a healthy cluster
+// into a live StreamChecker's ObserveStep, with a supervisor-restart step
+// (a by-design reseed) spliced in every 64 steps: past warm-up, abstracting
+// a model-alphabet step, looking its labels up, stepping the frontier —
+// through the shared region after each reseed — and feeding the monitor
+// must allocate nothing.
+func TestObserveStepAllocFree(t *testing.T) {
+	check := adaptiveCheck(t)
+	cc, err := ClusterFor(check.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const horizon = core.Tick(4000)
+	log := &stepLog{}
+	cc.Seed = 1
+	cc.Observe = log
+	cl, err := detector.NewCluster(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	cl.Sim.RunUntil(sim.Time(horizon))
+	cl.Stop()
+
+	sc, err := NewStreamChecker(StreamConfig{Check: check, Horizon: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reseedEvery = 64
+	half := len(log.steps) / 2
+	if half < 16*reseedEvery {
+		t.Fatalf("only %d steps recorded", len(log.steps))
+	}
+	// AllocsPerRun runs its function twice — warm-up, then measured — so
+	// each call replays the next half of the log.
+	next := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		for end := next + half; next < end; next++ {
+			st := log.steps[next]
+			if next%reseedEvery == 0 {
+				sc.ObserveStep(1, st.now, detector.Trigger{Kind: detector.TriggerRestart}, nil)
+			}
+			sc.ObserveStep(st.id, st.now, st.tr, st.actions)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ObserveStep allocates %v per %d steps in steady state, want 0", allocs, half)
+	}
+	res, err := sc.Finish(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unconfirmed != nil {
+		t.Fatalf("healthy run diverged: %v", res.Unconfirmed)
+	}
+	if want := (2*half + reseedEvery - 1) / reseedEvery; res.Confirmed != want {
+		t.Fatalf("stream reseeded %d times, want %d", res.Confirmed, want)
+	}
+	if res.Events < 2*half {
+		t.Fatalf("stream saw %d events from %d steps", res.Events, 2*half)
+	}
+	sp, err := check.SpecAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.region.used == 0 {
+		t.Fatal("no reseed stepped through the shared region")
+	}
+}
+
+// TestStreamSharedRegionConcurrent: checkers of one CampaignCheck share
+// its specs' reseed regions and its scratch pool. Eight goroutines
+// streaming different traces against one check, growing the regions as
+// they go, must return exactly what the same traces return one after the
+// other against a check of their own. Run under -race.
+func TestStreamSharedRegionConcurrent(t *testing.T) {
+	const (
+		horizon = core.Tick(1200)
+		streams = 8
+	)
+	tc := topoCampaigns[2] // churn storm: by-design reseeds in every trial
+	sched, err := faults.ParseSchedule(tc.schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, shared := topoCheck(tc.variant, tc.n), topoCheck(tc.variant, tc.n)
+	type trace struct {
+		events []Event
+		lost   uint64
+	}
+	traces := make([]trace, streams)
+	want := make([]*StreamResult, streams)
+	for i := range traces {
+		// Odd streams add bursty loss once the churn is over, so some
+		// retune across levels too.
+		s := *sched
+		if i%2 == 1 {
+			s.Events = append(append([]faults.Event(nil), s.Events...), faults.Event{
+				At: 400, Kind: faults.KindLoss, AllLinks: true,
+				GE: &faults.GilbertElliott{PGoodBad: 0.3, PBadGood: 0.4, LossGood: 0, LossBad: 0.9},
+			})
+		}
+		traces[i].events, traces[i].lost = recordAdaptive(t, serial, &s, int64(i+1), horizon)
+		want[i] = streamAll(t, StreamConfig{Check: serial, Horizon: horizon}, traces[i].events, traces[i].lost)
+	}
+	// Build the specs up front, as RunCampaign does; the regions stay cold.
+	for level := 0; level < topoEnvelope.Levels(); level++ {
+		if _, err := shared.SpecAt(level); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]*StreamResult, streams)
+	var wg sync.WaitGroup
+	for i := range traces {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Twice: the second round takes pooled scratch and warm regions.
+			for round := 0; round < 2; round++ {
+				sc, err := NewStreamChecker(StreamConfig{Check: shared, Horizon: horizon})
+				if err != nil {
+					t.Errorf("stream %d: NewStreamChecker: %v", i, err)
+					return
+				}
+				for _, ev := range traces[i].events {
+					sc.Feed(ev)
+				}
+				if got[i], err = sc.Finish(traces[i].lost); err != nil {
+					t.Errorf("stream %d: Finish: %v", i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	confirmed, levelChanges := 0, 0
+	for i := range traces {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("stream %d: concurrent result differs from serial:\n  concurrent: %+v\n  serial:     %+v", i, got[i], want[i])
+		}
+		confirmed += want[i].Confirmed
+		levelChanges += want[i].Retunes - want[i].Saturations
+	}
+	if confirmed == 0 || levelChanges == 0 {
+		t.Fatalf("traces made %d by-design reseeds and %d level changes: both paths must run", confirmed, levelChanges)
 	}
 }
