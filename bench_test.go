@@ -309,9 +309,17 @@ func BenchmarkReliabilitySweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			plain, err := scenario.MeasurePlainReliability(
-				scenario.PlainClusterConfig{Period: 16, MissLimit: 1, N: 1},
-				loss, 3000, 60, int64(i+1))
+			plain, err := scenario.MeasureReliability(scenario.ReliabilityConfig{
+				Cluster: detector.ClusterConfig{
+					Protocol: detector.ProtocolPlain,
+					Plain:    core.PlainConfig{Period: 16, MissLimit: 1},
+					N:        1,
+				},
+				LossProb: loss,
+				Horizon:  3000,
+				Trials:   60,
+				Seed:     int64(i + 1),
+			})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -39,4 +39,21 @@ func TestBadFlagsRejected(t *testing.T) {
 	if code := run([]string{"-nope"}, &buf); code != 2 {
 		t.Error("unknown flag not a usage error")
 	}
+	// Values fleet.New used to take on trust: the first died with
+	// "runtime: out of memory", the second silently lost every message.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-clusters", "4", "-members", "4", "-epochs", "2", "-warmup", "1", "-tmax", "4000000000"}, "4000000000"},
+		{[]string{"-clusters", "4", "-members", "4", "-epochs", "2", "-warmup", "1", "-loss", "2"}, "loss probability 2"},
+		{[]string{"-loss", "-1"}, "loss probability -1"},
+		{[]string{"-loss", "NaN"}, "loss probability NaN"},
+		{[]string{"-kill-every", "-5"}, "KillEvery -5"},
+	} {
+		buf.Reset()
+		if code := run(tc.args, &buf); code != 1 || !strings.Contains(buf.String(), tc.want) {
+			t.Errorf("run(%q) = %d, want 1 with a message naming %q:\n%s", tc.args, code, tc.want, buf.String())
+		}
+	}
 }

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/conform"
@@ -33,16 +34,26 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams passed in: tables go to w, usage and the
+// final error line to stderr.
+func run(args []string, w, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hbsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp     = flag.String("exp", "all", "experiment: overhead, detection, reliability, topo or all")
-		trials  = flag.Int("trials", 200, "Monte-Carlo trials per data point")
-		seed    = flag.Int64("seed", 1, "base random seed")
-		sched   = flag.String("faults", "", "fault campaign: a schedule file path or an inline schedule (see internal/faults)")
-		horizon = flag.Int64("horizon", 5000, "virtual ticks per fault-campaign trial")
+		exp     = fs.String("exp", "all", "experiment: overhead, detection, reliability, topo or all")
+		trials  = fs.Int("trials", 200, "Monte-Carlo trials per data point")
+		seed    = fs.Int64("seed", 1, "base random seed")
+		sched   = fs.String("faults", "", "fault campaign: a schedule file path or an inline schedule (see internal/faults)")
+		horizon = fs.Int64("horizon", 5000, "virtual ticks per fault-campaign trial")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	faultsSet := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "faults" {
 			faultsSet = true
 		}
@@ -53,34 +64,35 @@ func main() {
 	case faultsSet && *sched == "":
 		err = fmt.Errorf("-faults: empty schedule")
 	case *sched != "":
-		err = campaign(*sched, sim.Time(*horizon), *trials, *seed)
+		err = campaign(w, *sched, sim.Time(*horizon), *trials, *seed)
 	case *exp == "overhead":
-		err = overhead()
+		err = overhead(w)
 	case *exp == "detection":
-		err = detection(*trials, *seed)
+		err = detection(w, *trials, *seed)
 	case *exp == "reliability":
-		err = reliability(*trials, *seed)
+		err = reliability(w, *trials, *seed)
 	case *exp == "topo":
-		err = topo(*trials, *seed)
+		err = topo(w, stderr, *trials, *seed)
 	case *exp == "all":
-		if err = overhead(); err == nil {
-			if err = detection(*trials, *seed); err == nil {
-				err = reliability(*trials, *seed)
+		if err = overhead(w); err == nil {
+			if err = detection(w, *trials, *seed); err == nil {
+				err = reliability(w, *trials, *seed)
 			}
 		}
 	default:
 		err = fmt.Errorf("unknown experiment %q", *exp)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hbsim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "hbsim:", err)
+		return 1
 	}
+	return 0
 }
 
 // campaign: replay a scripted fault schedule over a self-healing dynamic
 // cluster and report survival, healing effort and fault-layer counters.
 // The argument is a file path if one exists, otherwise an inline schedule.
-func campaign(arg string, horizon sim.Time, trials int, seed int64) error {
+func campaign(w io.Writer, arg string, horizon sim.Time, trials int, seed int64) error {
 	text := arg
 	if b, err := os.ReadFile(arg); err == nil {
 		text = string(b)
@@ -108,16 +120,16 @@ func campaign(arg string, horizon sim.Time, trials int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("== fault campaign: dynamic protocol (tmin=2, tmax=16, n=3) + supervisor")
-	fmt.Println("   schedule:")
-	fmt.Print(indent(sched.Format(), "     "))
+	fmt.Fprintln(w, "== fault campaign: dynamic protocol (tmin=2, tmax=16, n=3) + supervisor")
+	fmt.Fprintln(w, "   schedule:")
+	fmt.Fprint(w, indent(sched.Format(), "     "))
 	surv, _ := res.Survived.Value()
-	fmt.Printf("   survived at t=%d:  %.3f of %d trials\n", horizon, surv, trials)
-	fmt.Printf("   restarts/trial:    %s\n", res.Restarts.Describe())
-	fmt.Printf("   events/trial:      %s\n", res.Events.Describe())
-	fmt.Printf("   fault layer:       %+v\n", res.Faults)
+	fmt.Fprintf(w, "   survived at t=%d:  %.3f of %d trials\n", horizon, surv, trials)
+	fmt.Fprintf(w, "   restarts/trial:    %s\n", res.Restarts.Describe())
+	fmt.Fprintf(w, "   events/trial:      %s\n", res.Events.Describe())
+	fmt.Fprintf(w, "   fault layer:       %+v\n", res.Faults)
 	if res.ScheduleErrors > 0 {
-		fmt.Printf("   WARNING: %d schedule events failed to apply (unknown node?)\n",
+		fmt.Fprintf(w, "   WARNING: %d schedule events failed to apply (unknown node?)\n",
 			res.ScheduleErrors)
 	}
 	return nil
@@ -147,9 +159,9 @@ func acceleratedCluster(tmin, tmax core.Tick) detector.ClusterConfig {
 // overhead: Q1 — steady-state message rate vs tmax, against the plain
 // baseline dimensioned for the same worst-case detection bound and the
 // same loss tolerance.
-func overhead() error {
-	fmt.Println("== Q1: steady-state overhead (messages/tick), fault-free, binary protocol")
-	fmt.Printf("%8s %8s %14s %22s %22s\n",
+func overhead(w io.Writer) error {
+	fmt.Fprintln(w, "== Q1: steady-state overhead (messages/tick), fault-free, binary protocol")
+	fmt.Fprintf(w, "%8s %8s %14s %22s %22s\n",
 		"tmax", "tmin", "accelerated", "plain @same detect", "plain @same tolerance")
 	tmin := core.Tick(2)
 	for _, tmax := range []core.Tick{8, 16, 32, 64, 128} {
@@ -169,18 +181,18 @@ func overhead() error {
 		// period = bound/(k+1).
 		k := acceleratedCluster(tmin, tmax).Core.LossTolerance()
 		plainSameTol := scenario.PlainOverhead(1, bound/core.Tick(k+1))
-		fmt.Printf("%8d %8d %14.4f %22.4f %22.4f\n",
+		fmt.Fprintf(w, "%8d %8d %14.4f %22.4f %22.4f\n",
 			tmax, tmin, res.MessagesPerTick, plainSameDetect, plainSameTol)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
 // detection: Q2 — crash-to-detection latency distribution vs (tmin, tmax),
 // checked against the corrected bound.
-func detection(trials int, seed int64) error {
-	fmt.Println("== Q2: crash detection latency (ticks), binary protocol")
-	fmt.Printf("%8s %8s %10s %43s\n", "tmax", "tmin", "bound", "measured crash→suspicion delay")
+func detection(w io.Writer, trials int, seed int64) error {
+	fmt.Fprintln(w, "== Q2: crash detection latency (ticks), binary protocol")
+	fmt.Fprintf(w, "%8s %8s %10s %43s\n", "tmax", "tmin", "bound", "measured crash→suspicion delay")
 	for _, cfg := range []struct{ tmin, tmax core.Tick }{
 		{2, 8}, {2, 16}, {4, 16}, {8, 16}, {2, 32}, {8, 32},
 	} {
@@ -200,19 +212,19 @@ func detection(trials int, seed int64) error {
 		if res.Missed > 0 {
 			return fmt.Errorf("tmax=%d: %d crashes undetected", cfg.tmax, res.Missed)
 		}
-		fmt.Printf("%8d %8d %10d %43s\n", cfg.tmax, cfg.tmin, res.Bound, res.Delays.Describe())
+		fmt.Fprintf(w, "%8d %8d %10d %43s\n", cfg.tmax, cfg.tmin, res.Bound, res.Delays.Describe())
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
 // topo: D — adaptive topology campaigns under correlated failure, with
 // piecewise conformance checking. Mirrors the TestTopologyCampaign* /
 // TestChaosSmoke gates in internal/scenario at CLI-selectable scale.
-func topo(trials int, seed int64) error {
+func topo(w, stderr io.Writer, trials int, seed int64) error {
 	env := models.Envelope{TMinLo: 2, TMinHi: 2, TMaxLo: 4, TMaxHi: 8}
-	fmt.Println("== D: adaptive topology campaigns (envelope tmin=2, tmax 4..8), piecewise conformance")
-	fmt.Printf("%22s %9s %3s %8s %10s %10s %10s %10s %12s\n",
+	fmt.Fprintln(w, "== D: adaptive topology campaigns (envelope tmin=2, tmax 4..8), piecewise conformance")
+	fmt.Fprintf(w, "%22s %9s %3s %8s %10s %10s %10s %10s %12s\n",
 		"scenario", "variant", "n", "retunes", "saturated", "confirmed", "degraded", "dropped", "unconfirmed")
 	for _, tc := range []struct {
 		variant  models.Variant
@@ -251,27 +263,27 @@ func topo(trials int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%22s %9s %3d %8d %10d %10d %10d %10d %12d\n",
+		fmt.Fprintf(w, "%22s %9s %3d %8d %10d %10d %10d %10d %12d\n",
 			sc.Name, tc.variant, tc.n, res.Retunes, res.Saturations,
 			res.ConfirmedDivergences, res.DegradedDivergences,
 			res.Faults.DroppedLoss, len(res.Divergences))
 		if len(res.Divergences) > 0 {
-			if err := res.Divergences[0].Render(os.Stderr, "unconfirmed divergence"); err != nil {
+			if err := res.Divergences[0].Render(stderr, "unconfirmed divergence"); err != nil {
 				return err
 			}
 			return fmt.Errorf("%s: %d unconfirmed divergences", sc.Name, len(res.Divergences))
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
 // reliability: Q3 — probability of a false (loss-induced) inactivation
 // within a horizon, accelerated vs plain at matched message rate.
-func reliability(trials int, seed int64) error {
-	fmt.Println("== Q3: false-detection probability within 4000 ticks vs per-message loss rate")
-	fmt.Println("   accelerated binary (tmin=2, tmax=16) vs plain (period=16, 1 miss) at equal message rate")
-	fmt.Printf("%8s %14s %14s\n", "loss", "accelerated", "plain")
+func reliability(w io.Writer, trials int, seed int64) error {
+	fmt.Fprintln(w, "== Q3: false-detection probability within 4000 ticks vs per-message loss rate")
+	fmt.Fprintln(w, "   accelerated binary (tmin=2, tmax=16) vs plain (period=16, 1 miss) at equal message rate")
+	fmt.Fprintf(w, "%8s %14s %14s\n", "loss", "accelerated", "plain")
 	horizon := sim.Time(4000)
 	for _, loss := range []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5} {
 		acc, err := scenario.MeasureReliability(scenario.ReliabilityConfig{
@@ -284,16 +296,24 @@ func reliability(trials int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		plain, err := scenario.MeasurePlainReliability(
-			scenario.PlainClusterConfig{Period: 16, MissLimit: 1, N: 1},
-			loss, horizon, trials, seed)
+		plain, err := scenario.MeasureReliability(scenario.ReliabilityConfig{
+			Cluster: detector.ClusterConfig{
+				Protocol: detector.ProtocolPlain,
+				Plain:    core.PlainConfig{Period: 16, MissLimit: 1},
+				N:        1,
+			},
+			LossProb: loss,
+			Horizon:  horizon,
+			Trials:   trials,
+			Seed:     seed,
+		})
 		if err != nil {
 			return err
 		}
 		pa, _ := acc.FalseDetection.Value()
 		pp, _ := plain.FalseDetection.Value()
-		fmt.Printf("%8.2f %14.3f %14.3f\n", loss, pa, pp)
+		fmt.Fprintf(w, "%8.2f %14.3f %14.3f\n", loss, pa, pp)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }

@@ -5,13 +5,13 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mc"
 	"repro/internal/models"
 	"repro/internal/netem"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -72,69 +72,12 @@ type ExploreResult struct {
 	Failures             []WalkFailure
 }
 
-// specCache deduplicates specification builds across concurrent walks:
-// the first walk to request a model config builds its Spec; every other
-// walk blocks on that build through the entry's once.
-type specCache struct {
-	mu      sync.Mutex
-	opts    mc.Options
-	entries map[models.Config]*specEntry
-}
-
-type specEntry struct {
-	once sync.Once
-	sp   *Spec
-	err  error
-}
-
-func (c *specCache) get(cfg models.Config) (*Spec, error) {
-	c.mu.Lock()
-	e, ok := c.entries[cfg]
-	if !ok {
-		e = &specEntry{}
-		c.entries[cfg] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.sp, e.err = BuildSpec(cfg, c.opts) })
-	return e.sp, e.err
-}
-
-// cachedVerify wraps models.Verify with a per-(config, property) cache
-// safe for concurrent walks; like specCache, concurrent requests for the
-// same key share one model-checking run.
-func cachedVerify(opts mc.Options) VerifyFunc {
-	type vkey struct {
-		cfg  models.Config
-		prop models.Property
-	}
-	type ventry struct {
-		once sync.Once
-		v    models.Verdict
-		err  error
-	}
-	var mu sync.Mutex
-	cache := make(map[vkey]*ventry)
-	return func(cfg models.Config, p models.Property) (models.Verdict, error) {
-		k := vkey{cfg, p}
-		mu.Lock()
-		e, ok := cache[k]
-		if !ok {
-			e = &ventry{}
-			cache[k] = e
-		}
-		mu.Unlock()
-		e.once.Do(func() { e.v, e.err = models.Verify(cfg, p, opts) })
-		return e.v, e.err
-	}
-}
-
 // walkOutcome is one walk's contribution to the campaign result.
 type walkOutcome struct {
 	clean      bool
 	events     int
 	consistent int
 	fail       *WalkFailure
-	err        error
 }
 
 // Explore runs the campaign. It returns an error only for infrastructure
@@ -146,11 +89,23 @@ func (ec ExploreConfig) Explore() (*ExploreResult, error) {
 		walks = 100
 	}
 	opts := mc.Options{MaxStates: ec.MaxStates}
-	specs := &specCache{opts: opts, entries: make(map[models.Config]*specEntry)}
+	// Walks share one Spec per model config and one model-checking run per
+	// (config, property), whichever walk asks first.
+	var specs par.Memo[models.Config, *Spec]
+	buildSpec := func(cfg models.Config) (*Spec, error) { return BuildSpec(cfg, opts) }
 	verify := ec.Verify
 	switch {
 	case verify == nil:
-		verify = cachedVerify(opts)
+		type vkey struct {
+			cfg  models.Config
+			prop models.Property
+		}
+		var verdicts par.Memo[vkey, models.Verdict]
+		verify = func(cfg models.Config, p models.Property) (models.Verdict, error) {
+			return verdicts.Get(vkey{cfg, p}, func(k vkey) (models.Verdict, error) {
+				return models.Verify(k.cfg, k.prop, opts)
+			})
+		}
 	case ec.Workers > 1:
 		// A caller-supplied backend makes no thread-safety promise.
 		var mu sync.Mutex
@@ -162,23 +117,27 @@ func (ec ExploreConfig) Explore() (*ExploreResult, error) {
 		}
 	}
 
-	runWalk := func(w int) walkOutcome {
+	// Walks write per-walk slots and are folded in walk order below, so the
+	// result is the sequential loop's at any worker count (par.Do).
+	outs := make([]walkOutcome, walks)
+	runWalk := func(_, w int) error {
 		rng := rand.New(rand.NewSource(ec.Seed + int64(w)*0x9e3779b97f4a7c))
 		rc := walkRun(ec.Variant, rng)
-		sp, err := specs.get(rc.Model)
+		sp, err := specs.Get(rc.Model, buildSpec)
 		if err != nil {
-			return walkOutcome{err: err}
+			return err
 		}
 		out, err := Run(rc)
 		if err != nil {
-			return walkOutcome{err: fmt.Errorf("conform: walk %d: %w", w, err)}
+			return fmt.Errorf("conform: walk %d: %w", w, err)
 		}
-		o := walkOutcome{events: len(out.Events)}
+		o := &outs[w]
+		o.events = len(out.Events)
 		div := sp.CheckTrace(out.Events, rc.Horizon)
 		tv := EvaluateTrace(rc.Model, out.Events, out.Lost, rc.Horizon)
 		diffs, err := DiffVerdicts(rc.Model, tv, verify)
 		if err != nil {
-			return walkOutcome{err: fmt.Errorf("conform: walk %d: %w", w, err)}
+			return fmt.Errorf("conform: walk %d: %w", w, err)
 		}
 		var mismatches []VerdictDiff
 		for _, d := range diffs {
@@ -190,53 +149,22 @@ func (ec ExploreConfig) Explore() (*ExploreResult, error) {
 		}
 		if div == nil && len(mismatches) == 0 {
 			o.clean = true
-			return o
+			return nil
 		}
-		fail := &WalkFailure{Walk: w, Run: rc, Div: div, Mismatches: mismatches}
+		o.fail = &WalkFailure{Walk: w, Run: rc, Div: div, Mismatches: mismatches}
 		if ec.Shrink && div != nil {
 			if shrunk, sdiv, err := ShrinkRun(rc, sp); err == nil {
-				fail.Shrunk, fail.ShrunkDiv = &shrunk, sdiv
+				o.fail.Shrunk, o.fail.ShrunkDiv = &shrunk, sdiv
 			}
 		}
-		o.fail = fail
-		return o
+		return nil
 	}
-
-	outs := make([]walkOutcome, walks)
-	if workers := min(ec.Workers, walks); workers > 1 {
-		// Workers claim walk indices from an atomic counter and write into
-		// per-walk slots; aggregation below runs in walk order, so the
-		// result is independent of claim interleaving.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					w := int(next.Add(1)) - 1
-					if w >= walks {
-						return
-					}
-					outs[w] = runWalk(w)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for w := 0; w < walks; w++ {
-			outs[w] = runWalk(w)
-			if outs[w].err != nil {
-				break // later slots stay zero; aggregation stops here anyway
-			}
-		}
+	if _, err := par.Do(walks, ec.Workers, runWalk); err != nil {
+		return nil, err
 	}
 
 	res := &ExploreResult{Variant: ec.Variant, Walks: walks}
 	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
 		res.Events += o.events
 		res.ConsistentViolations += o.consistent
 		if o.clean {

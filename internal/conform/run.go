@@ -11,6 +11,7 @@ import (
 	"repro/internal/mc"
 	"repro/internal/models"
 	"repro/internal/netem"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -167,13 +168,7 @@ func runObserved(rc RunConfig, obs detector.Observer) (*detector.Cluster, uint64
 	if errs := cl.FaultErrors(); len(errs) > 0 {
 		return nil, 0, fmt.Errorf("conform: fault schedule failed: %w", errs[0])
 	}
-
-	lost := cl.Net.Stats().Total.Lost
-	if cl.Faults != nil {
-		fs := cl.Faults.Stats()
-		lost += fs.DroppedMuted + fs.DroppedPartition + fs.DroppedLoss
-	}
-	return cl, lost, nil
+	return cl, cl.Lost(), nil
 }
 
 // CampaignCheck attaches conformance checking to scenario campaigns: the
@@ -191,18 +186,14 @@ type CampaignCheck struct {
 	Envelope *models.Envelope
 	Opts     mc.Options
 
-	mu    sync.Mutex
-	specs map[int]levelSpec
+	// specs holds one Spec per envelope level (baseLevel for Model as
+	// given), built by whichever trial needs it first.
+	specs par.Memo[int, *Spec]
 
 	// scratchPool holds checker working memory (*scratch) across the
 	// trials of the campaign: a scratch grows to the largest level a trial
 	// entered and the next trial starts with it.
 	scratchPool sync.Pool
-}
-
-type levelSpec struct {
-	sp  *Spec
-	err error
 }
 
 // getScratch takes a checker scratch from the pool; streamEngine.release
@@ -234,19 +225,13 @@ func (c *CampaignCheck) SpecAt(level int) (*Spec, error) {
 }
 
 func (c *CampaignCheck) specAt(level int) (*Spec, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.specs[level]; ok {
-		return e.sp, e.err
-	}
+	return c.specs.Get(level, c.buildSpec)
+}
+
+func (c *CampaignCheck) buildSpec(level int) (*Spec, error) {
 	cfg := c.Model
 	if level != baseLevel {
 		cfg = c.Envelope.LevelConfig(c.Model, level)
 	}
-	sp, err := BuildSpec(cfg, c.Opts)
-	if c.specs == nil {
-		c.specs = make(map[int]levelSpec, 4)
-	}
-	c.specs[level] = levelSpec{sp: sp, err: err}
-	return sp, err
+	return BuildSpec(cfg, c.Opts)
 }

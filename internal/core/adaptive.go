@@ -215,9 +215,6 @@ func NewAdaptiveCoordinator(cc CoordinatorConfig, opts AdaptiveOptions) (*Adapti
 	}, nil
 }
 
-// Inner exposes the wrapped coordinator (membership inspection in tests).
-func (a *AdaptiveCoordinator) Inner() *Coordinator { return a.inner }
-
 // Envelope returns the clamp the coordinator retunes within.
 func (a *AdaptiveCoordinator) Envelope() Envelope { return a.opts.Envelope }
 

@@ -155,74 +155,3 @@ func (c *PlainCoordinator) Crash(now Tick) []Action {
 	c.acts = append(c.acts[:0], CancelTimer(TimerRound), Inactivate(true))
 	return c.acts
 }
-
-// PlainResponder answers beats and inactivates after Bound ticks without
-// one; it pairs with PlainCoordinator.
-type PlainResponder struct {
-	id      ProcID
-	bound   Tick
-	status  Status
-	started bool
-	// acts is the scratch slice behind every returned action list (see
-	// the Machine contract).
-	acts []Action
-}
-
-var _ Machine = (*PlainResponder)(nil)
-
-// NewPlainResponder builds the baseline responder. A sound bound is
-// (MissLimit+1)·Period plus the one-way delay allowance.
-func NewPlainResponder(id ProcID, bound Tick) (*PlainResponder, error) {
-	if id == CoordinatorID {
-		return nil, fmt.Errorf("%w: responder cannot be process 0", ErrConfig)
-	}
-	if bound <= 0 {
-		return nil, fmt.Errorf("%w: bound %d must be positive", ErrConfig, bound)
-	}
-	return &PlainResponder{id: id, bound: bound, status: StatusActive}, nil
-}
-
-// Status implements Machine.
-func (r *PlainResponder) Status() Status { return r.status }
-
-// Start implements Machine.
-func (r *PlainResponder) Start(now Tick) []Action {
-	if r.started {
-		return nil
-	}
-	r.started = true
-	r.acts = append(r.acts[:0], SetTimer(TimerExpiry, r.bound))
-	return r.acts
-}
-
-// OnBeat implements Machine.
-func (r *PlainResponder) OnBeat(b Beat, now Tick) []Action {
-	if r.status != StatusActive || b.From != CoordinatorID {
-		return nil
-	}
-	r.acts = append(r.acts[:0],
-		SendBeat(CoordinatorID, Beat{From: r.id, Stay: true}),
-		SetTimer(TimerExpiry, r.bound),
-	)
-	return r.acts
-}
-
-// OnTimer implements Machine.
-func (r *PlainResponder) OnTimer(id TimerID, now Tick) []Action {
-	if r.status != StatusActive || id != TimerExpiry {
-		return nil
-	}
-	r.status = StatusInactive
-	r.acts = append(r.acts[:0], Inactivate(false))
-	return r.acts
-}
-
-// Crash implements Machine.
-func (r *PlainResponder) Crash(now Tick) []Action {
-	if r.status != StatusActive {
-		return nil
-	}
-	r.status = StatusCrashed
-	r.acts = append(r.acts[:0], CancelTimer(TimerExpiry), Inactivate(true))
-	return r.acts
-}

@@ -2,12 +2,14 @@ package core
 
 import "fmt"
 
-// Responder implements p[1] of the binary protocol and p[i] of the static
-// protocol: it answers every beat from p[0] immediately and inactivates
-// after ResponderBound ticks without one.
+// Responder implements p[1] of the binary protocol, p[i] of the static
+// protocol and the plain baseline's responder: it answers every beat from
+// p[0] immediately and inactivates after bound ticks without one.
 type Responder struct {
-	cfg     Config
-	id      ProcID
+	id ProcID
+	// bound is the watchdog, computed once at construction: the variant's
+	// ResponderBound, or whatever NewPlainResponder was given.
+	bound   Tick
 	status  Status
 	started bool
 	// acts is the scratch slice behind every returned action list (see
@@ -23,10 +25,20 @@ func NewResponder(cfg Config, id ProcID) (*Responder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return NewPlainResponder(id, cfg.ResponderBound())
+}
+
+// NewPlainResponder builds a responder with an explicit watchdog bound, for
+// the plain baseline (PlainCoordinator). A sound bound is
+// (MissLimit+1)·Period plus the one-way delay allowance.
+func NewPlainResponder(id ProcID, bound Tick) (*Responder, error) {
 	if id == CoordinatorID {
 		return nil, fmt.Errorf("%w: responder cannot be process 0", ErrConfig)
 	}
-	return &Responder{cfg: cfg, id: id, status: StatusActive}, nil
+	if bound <= 0 {
+		return nil, fmt.Errorf("%w: bound %d must be positive", ErrConfig, bound)
+	}
+	return &Responder{id: id, bound: bound, status: StatusActive}, nil
 }
 
 // ID returns the responder's process ID.
@@ -41,7 +53,7 @@ func (r *Responder) Start(now Tick) []Action {
 		return nil
 	}
 	r.started = true
-	r.acts = append(r.acts[:0], SetTimer(TimerExpiry, r.cfg.ResponderBound()))
+	r.acts = append(r.acts[:0], SetTimer(TimerExpiry, r.bound))
 	return r.acts
 }
 
@@ -52,7 +64,7 @@ func (r *Responder) OnBeat(b Beat, now Tick) []Action {
 	}
 	r.acts = append(r.acts[:0],
 		SendBeat(CoordinatorID, Beat{From: r.id, Stay: true}),
-		SetTimer(TimerExpiry, r.cfg.ResponderBound()),
+		SetTimer(TimerExpiry, r.bound),
 	)
 	return r.acts
 }

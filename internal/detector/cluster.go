@@ -24,6 +24,9 @@ const (
 	ProtocolExpanding
 	// ProtocolDynamic additionally supports graceful leave.
 	ProtocolDynamic
+	// ProtocolPlain is the non-accelerated baseline the 1998 paper compares
+	// against: fixed period, fixed miss limit (ClusterConfig.Plain).
+	ProtocolPlain
 )
 
 // String implements fmt.Stringer.
@@ -37,6 +40,8 @@ func (p Protocol) String() string {
 		return "expanding"
 	case ProtocolDynamic:
 		return "dynamic"
+	case ProtocolPlain:
+		return "plain"
 	default:
 		return fmt.Sprintf("Protocol(%d)", int(p))
 	}
@@ -49,6 +54,11 @@ type ClusterConfig struct {
 	Protocol Protocol
 	// Core carries tmin/tmax and the variant/fix switches.
 	Core core.Config
+	// Plain carries the baseline's period and miss limit; ProtocolPlain
+	// reads it instead of Core and derives its Members from N. Each
+	// responder's watchdog is (MissLimit+2)·Period: the coordinator's
+	// detection bound plus a round-trip allowance.
+	Plain core.PlainConfig
 	// N is the number of participants (ignored for ProtocolBinary,
 	// which always has exactly one).
 	N int
@@ -133,6 +143,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("%w: cluster needs at least one participant", ErrNodeConfig)
 	}
 	if cfg.Adaptive != nil {
+		if cfg.Protocol == ProtocolPlain {
+			return nil, fmt.Errorf("%w: the plain baseline has no adaptive variant", ErrNodeConfig)
+		}
 		if err := cfg.Adaptive.Validate(); err != nil {
 			return nil, err
 		}
@@ -141,8 +154,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// derivations (bounds, link-delay sanity) see real values.
 		cfg.Core.TMin, cfg.Core.TMax = cfg.Adaptive.Envelope.Point(0)
 	}
-	if err := cfg.Core.Validate(); err != nil {
-		return nil, err
+	// The baseline is shaped by Plain alone, which NewPlainCoordinator
+	// validates; its Core stays zero.
+	if cfg.Protocol != ProtocolPlain {
+		if err := cfg.Core.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	s := sim.New(sim.WithSeed(cfg.Seed))
 	clock := netem.SimClock{Sim: s}
@@ -246,10 +263,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 func newCoordinatorMachine(cfg ClusterConfig) (core.Machine, error) {
 	cc := core.CoordinatorConfig{Config: cfg.Core}
 	switch cfg.Protocol {
-	case ProtocolBinary, ProtocolStatic:
+	case ProtocolBinary, ProtocolStatic, ProtocolPlain:
 		cc.Membership = core.MembershipFixed
-		for i := 1; i <= cfg.N; i++ {
-			cc.Members = append(cc.Members, core.ProcID(i))
+		cc.Members = make([]core.ProcID, cfg.N)
+		for i := range cc.Members {
+			cc.Members[i] = core.ProcID(i + 1)
 		}
 	case ProtocolExpanding:
 		cc.Membership = core.MembershipExpanding
@@ -261,9 +279,13 @@ func newCoordinatorMachine(cfg ClusterConfig) (core.Machine, error) {
 	}
 	var m core.Machine
 	var err error
-	if cfg.Adaptive != nil {
+	switch {
+	case cfg.Protocol == ProtocolPlain:
+		cfg.Plain.Members = cc.Members
+		m, err = core.NewPlainCoordinator(cfg.Plain)
+	case cfg.Adaptive != nil:
 		m, err = core.NewAdaptiveCoordinator(cc, *cfg.Adaptive)
-	} else {
+	default:
 		m, err = core.NewCoordinator(cc)
 	}
 	if err != nil {
@@ -285,6 +307,8 @@ func newParticipantMachine(cfg ClusterConfig, pid core.ProcID) (core.Machine, er
 		m, err = core.NewParticipant(cfg.Core, pid, false)
 	case ProtocolDynamic:
 		m, err = core.NewParticipant(cfg.Core, pid, true)
+	case ProtocolPlain:
+		m, err = core.NewPlainResponder(pid, core.Tick(cfg.Plain.MissLimit+2)*cfg.Plain.Period)
 	default:
 		return nil, fmt.Errorf("%w: unknown protocol %d", ErrNodeConfig, int(cfg.Protocol))
 	}
@@ -353,6 +377,19 @@ func (c *Cluster) FaultErrors() []error {
 	c.faultErrMu.Lock()
 	defer c.faultErrMu.Unlock()
 	return append([]error(nil), c.faultErrs...)
+}
+
+// Lost counts the messages dropped anywhere between a send and its
+// delivery — link loss, and the fault layer's muted senders, partitions,
+// downed links and loss channels. Zero is the no-loss premise of
+// requirements R2/R3.
+func (c *Cluster) Lost() uint64 {
+	lost := c.Net.Stats().Total.Lost
+	if c.Faults != nil {
+		fs := c.Faults.Stats()
+		lost += fs.DroppedMuted + fs.DroppedPartition + fs.DroppedLoss
+	}
+	return lost
 }
 
 // node resolves a transport ID to its Node.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/sim"
 )
@@ -94,10 +95,19 @@ func TestBinaryClusterDetectsCoordinatorCrash(t *testing.T) {
 }
 
 func TestBinaryClusterChannelCrash(t *testing.T) {
-	c := newCluster(t, binaryConfig())
-	c.Sim.RunUntil(100)
-	c.Net.PartitionNode(1, true)
+	cfg := binaryConfig()
+	cfg.Faults = &faults.Schedule{Events: []faults.Event{
+		{At: 100, Kind: faults.KindPartition, Node: 1},
+	}}
+	c := newCluster(t, cfg)
+	c.Sim.RunUntil(99)
+	if c.Lost() != 0 {
+		t.Fatalf("%d messages lost before the partition", c.Lost())
+	}
 	c.Sim.RunUntil(1000)
+	if c.Lost() == 0 {
+		t.Fatal("partition dropped nothing: Lost() must count fault-layer drops")
+	}
 	if c.Coordinator.Status() != core.StatusInactive {
 		t.Fatalf("p[0] = %v after channel crash", c.Coordinator.Status())
 	}
@@ -278,6 +288,11 @@ func TestClusterConfigValidation(t *testing.T) {
 		{Protocol: ProtocolStatic, Core: core.Config{TMin: 1, TMax: 2}, N: 0},
 		{Protocol: ProtocolStatic, Core: core.Config{TMin: 0, TMax: 2}, N: 1},
 		{Protocol: Protocol(99), Core: core.Config{TMin: 1, TMax: 2}, N: 1},
+		{Protocol: ProtocolPlain, Plain: core.PlainConfig{Period: 8, MissLimit: 1}, N: 0},
+		{Protocol: ProtocolPlain, Plain: core.PlainConfig{Period: 0, MissLimit: 1}, N: 1},
+		{Protocol: ProtocolPlain, Plain: core.PlainConfig{Period: 8, MissLimit: 0}, N: 1},
+		{Protocol: ProtocolPlain, Plain: core.PlainConfig{Period: 8, MissLimit: 1}, N: 1,
+			Adaptive: &core.AdaptiveOptions{Envelope: core.Envelope{TMinLo: 2, TMinHi: 2, TMaxLo: 4, TMaxHi: 8}}},
 	}
 	for _, cfg := range bad {
 		if _, err := NewCluster(cfg); err == nil {
@@ -292,6 +307,7 @@ func TestProtocolString(t *testing.T) {
 		ProtocolStatic:    "static",
 		ProtocolExpanding: "expanding",
 		ProtocolDynamic:   "dynamic",
+		ProtocolPlain:     "plain",
 		Protocol(42):      "Protocol(42)",
 	} {
 		if got := p.String(); got != want {

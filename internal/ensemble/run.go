@@ -2,12 +2,11 @@ package ensemble
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/netem"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -29,15 +28,16 @@ const (
 // crash injection (the Q2 detection workload) on top of the always-on
 // false-detection bookkeeping (the Q3 reliability workload).
 type Config struct {
-	// Protocol selects the variant; ProtocolBinary forces N to 1.
+	// Protocol selects the variant; ProtocolBinary forces N to 1. The plain
+	// baseline (detector.ProtocolPlain) is not vectorized and is rejected.
 	Protocol Protocol
 	// Core carries tmin/tmax and the TwoPhase/Revised/Fixed variant flags.
 	Core core.Config
 	// N is the number of members (participants for joining protocols).
 	N int
-	// Link is the loss/delay model. DupProb and Down must be zero, and
-	// MaxDelay < TMin so per-link in-flight traffic stays bounded (the
-	// papers' timing analyses assume 2·delay < tmin anyway).
+	// Link is the loss/delay model. MaxDelay must stay below TMin so
+	// per-link in-flight traffic stays bounded (the papers' timing analyses
+	// assume 2·delay < tmin anyway).
 	Link netem.LinkConfig
 	// Trials is the number of independent trials.
 	Trials int
@@ -138,9 +138,6 @@ func (cfg Config) validate() (Config, error) {
 	if cfg.Link.MinDelay < 0 || cfg.Link.MaxDelay < cfg.Link.MinDelay {
 		return cfg, fmt.Errorf("ensemble: bad delay range [%d,%d]", cfg.Link.MinDelay, cfg.Link.MaxDelay)
 	}
-	if cfg.Link.DupProb != 0 || cfg.Link.Down {
-		return cfg, fmt.Errorf("ensemble: duplication and down links are not vectorized; use the scenario path")
-	}
 	if int64(cfg.Link.MaxDelay) >= int64(cfg.Core.TMin) {
 		return cfg, fmt.Errorf("ensemble: MaxDelay %d must stay below TMin %d (bounded in-flight slots)",
 			cfg.Link.MaxDelay, cfg.Core.TMin)
@@ -240,12 +237,11 @@ func (e *engine) collect(out *blockResult, delayQ, ttfQ *stats.QuantileSketch, o
 	}
 }
 
-// Run executes the campaign: workers claim contiguous trial blocks from
-// an atomic cursor, run each block's trials to their horizon with a
-// private engine, and park partial aggregates in per-block slots; after
-// the barrier the partials merge in block order. The aggregate is
-// byte-identical at any worker count (same discipline as internal/fleet
-// and scenario.RunCampaign).
+// Run executes the campaign: par.Do fans contiguous trial blocks out over
+// the workers, each of which runs its blocks' trials to their horizon on a
+// private engine (built on its first block) and parks partial aggregates
+// in per-block slots; afterwards the partials merge in block order. The
+// aggregate is byte-identical at any worker count.
 func Run(cfg Config) (*Result, error) {
 	cfg, err := cfg.validate()
 	if err != nil {
@@ -253,38 +249,31 @@ func Run(cfg Config) (*Result, error) {
 	}
 	nBlocks := (cfg.Trials + cfg.Block - 1) / cfg.Block
 	blocks := make([]blockResult, nBlocks)
-	workers := min(cfg.Workers, nBlocks)
-	delayQs := make([]*stats.QuantileSketch, workers)
-	ttfQs := make([]*stats.QuantileSketch, workers)
+	// Per-worker state, indexed by par.Do's worker id and so never shared.
+	type worker struct {
+		eng          *engine
+		delayQ, ttfQ *stats.QuantileSketch
+	}
+	ws := make([]worker, min(cfg.Workers, nBlocks))
 	var outcomes []Outcome
 	if cfg.Record {
 		outcomes = make([]Outcome, cfg.Trials)
 	}
-
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			eng := newEngine(cfg, cfg.Block)
-			delayQ, ttfQ := newSketches(cfg)
-			delayQs[w], ttfQs[w] = delayQ, ttfQ
-			for {
-				b := int(cursor.Add(1)) - 1
-				if b >= nBlocks {
-					return
-				}
-				lo := b * cfg.Block
-				hi := min(lo+cfg.Block, cfg.Trials)
-				eng.reset(lo, hi-lo)
-				for eng.stepRound() {
-				}
-				eng.collect(&blocks[b], delayQ, ttfQ, outcomes)
-			}
-		}(w)
-	}
-	wg.Wait()
+	// A block cannot fail, so Do's (done, err) is always (nBlocks, nil).
+	par.Do(nBlocks, len(ws), func(w, b int) error {
+		wk := &ws[w]
+		if wk.eng == nil {
+			wk.eng = newEngine(cfg, cfg.Block)
+			wk.delayQ, wk.ttfQ = newSketches(cfg)
+		}
+		lo := b * cfg.Block
+		hi := min(lo+cfg.Block, cfg.Trials)
+		wk.eng.reset(lo, hi-lo)
+		for wk.eng.stepRound() {
+		}
+		wk.eng.collect(&blocks[b], wk.delayQ, wk.ttfQ, outcomes)
+		return nil
+	})
 
 	res := &Result{Trials: cfg.Trials, Outcomes: outcomes}
 	res.DelayQ, res.TimeToFalseQ = newSketches(cfg)
@@ -298,11 +287,12 @@ func Run(cfg Config) (*Result, error) {
 		res.Delay.Merge(blocks[b].delay)
 		res.TimeToFalse.Merge(blocks[b].ttf)
 	}
-	for w := 0; w < workers; w++ {
-		if err := res.DelayQ.Merge(delayQs[w]); err != nil {
+	// A worker that never won a block has nil sketches, which merge as empty.
+	for _, wk := range ws {
+		if err := res.DelayQ.Merge(wk.delayQ); err != nil {
 			return nil, err
 		}
-		if err := res.TimeToFalseQ.Merge(ttfQs[w]); err != nil {
+		if err := res.TimeToFalseQ.Merge(wk.ttfQ); err != nil {
 			return nil, err
 		}
 	}

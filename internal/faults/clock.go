@@ -15,13 +15,18 @@ import (
 // product inside int64.
 const MaxDriftTerm = 1 << 15
 
-// validDrift checks a drift rate num/den.
-func validDrift(num, den int64) error {
+// validDrift checks a drift rate num/den and the skew jump that comes with
+// it: a skew is added to local time as is, so one beyond ±MaxTicks could
+// wrap the node's clock.
+func validDrift(num, den int64, skew core.Tick) error {
 	if num <= 0 || den <= 0 {
 		return fmt.Errorf("%w: drift rate %d/%d must be positive", ErrSchedule, num, den)
 	}
 	if num > MaxDriftTerm || den > MaxDriftTerm {
 		return fmt.Errorf("%w: drift rate %d/%d has a term above %d", ErrSchedule, num, den, MaxDriftTerm)
+	}
+	if skew < -MaxTicks || skew > MaxTicks {
+		return fmt.Errorf("%w: clock skew %d outside ±%d ticks", ErrSchedule, skew, int64(MaxTicks))
 	}
 	return nil
 }
@@ -53,9 +58,9 @@ func NewDriftClock(inner netem.Clock) *DriftClock {
 
 // SetDrift changes the rate to num/den local ticks per real tick and jumps
 // local time forward by skew ticks. It returns ErrSchedule for rate terms
-// outside 1..MaxDriftTerm.
+// outside 1..MaxDriftTerm or a skew outside ±MaxTicks.
 func (c *DriftClock) SetDrift(num, den int64, skew core.Tick) error {
-	if err := validDrift(num, den); err != nil {
+	if err := validDrift(num, den, skew); err != nil {
 		return err
 	}
 	c.mu.Lock()

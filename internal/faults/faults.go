@@ -182,7 +182,7 @@ func (e Event) validate() error {
 			return fmt.Errorf("%w: reordering needs MaxDelay >= 1, got %d", ErrSchedule, e.MaxDelay)
 		}
 	case KindDrift:
-		if err := validDrift(e.Num, e.Den); err != nil {
+		if err := validDrift(e.Num, e.Den, e.Skew); err != nil {
 			return err
 		}
 	case KindDelay:

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/netem"
@@ -85,23 +84,6 @@ func TestMutedNodeSendsNothingButReceives(t *testing.T) {
 	// The papers' channel model: crashed processes still receive.
 	if len(*rx) != 1 || (*rx)[0].To != 1 {
 		t.Fatalf("unexpected deliveries %+v", *rx)
-	}
-}
-
-func TestBroadcastGoesThroughFaultLayer(t *testing.T) {
-	s, ft, rx := newSimTransport(t, 4, 1)
-	ft.SetPartitioned(2, true)
-	if err := ft.Broadcast(0, []byte{9}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	var tos []netem.NodeID
-	for _, m := range *rx {
-		tos = append(tos, m.To)
-	}
-	sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
-	if fmt.Sprint(tos) != "[1 3]" {
-		t.Fatalf("broadcast recipients = %v, want [1 3]", tos)
 	}
 }
 
@@ -269,8 +251,13 @@ func TestFaultReplayDeterminism(t *testing.T) {
 		var pump func()
 		pump = func() {
 			for from := netem.NodeID(0); from < 3; from++ {
-				if err := ft.Broadcast(from, []byte{byte(from), 0, 0, 0}); err != nil {
-					t.Fatal(err)
+				for to := netem.NodeID(0); to < 3; to++ {
+					if to == from {
+						continue
+					}
+					if err := ft.Send(from, to, []byte{byte(from), 0, 0, 0}); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			if s.Now() < 200 {

@@ -23,6 +23,7 @@ import (
 //     "crash t=0 prob=0.5", "crash t=0 all") and dropped by Format.
 //   - Drift rates near MaxInt64 overflowed DriftClock's delay rescaling
 //     into a negative delay, which panicked the simulator.
+//   - A skew near MaxInt64 wrapped the node's local clock negative.
 func FuzzParseSchedule(f *testing.F) {
 	for _, seed := range []string{
 		"seed 42\nloss t=0 all pgb=0.05 pbg=0.5 lb=0.9\ncrash t=100 node=1",
@@ -40,6 +41,8 @@ func FuzzParseSchedule(f *testing.F) {
 		"drift t=0 node=1 rate=9223372036854775807/1",
 		"drift t=0 node=1 rate=1/9223372036854775807",
 		"drift t=7 node=0 rate=32768/32768 skew=-3",
+		"drift t=5 node=1 rate=1/1 skew=9223372036854775807",
+		"drift t=5 node=1 rate=1/1 skew=-9223372036854775808",
 	} {
 		f.Add(seed)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/netem"
 	"repro/internal/sim"
 )
@@ -80,6 +81,9 @@ func TestParseScheduleErrors(t *testing.T) {
 		"drift t=0 node=1 rate=1/9223372036854775807",          //
 		"crash t=1099511627777 node=1",                         // MaxTicks+1
 		"reorder t=0 prob=0.5 maxdelay=1099511627777",          //
+		"drift t=0 node=1 rate=1/1 skew=1099511627777",         //
+		"drift t=0 node=1 rate=1/1 skew=-1099511627777",        //
+		"drift t=5 node=1 rate=1/1 skew=9223372036854775807",   // wrapped local time negative
 		"delay t=0 all mindelay=0 maxdelay=999999999999999999", // past the sim horizon
 	} {
 		if _, err := ParseSchedule(text); !errors.Is(err, ErrSchedule) {
@@ -98,6 +102,8 @@ func TestScheduleBounds(t *testing.T) {
 		"drift t=0 node=1 rate=1/32768",
 		"crash t=1099511627776 node=1",
 		"reorder t=0 prob=0.5 maxdelay=1099511627776",
+		"drift t=0 node=1 rate=1/1 skew=1099511627776",
+		"drift t=0 node=1 rate=1/1 skew=-1099511627776",
 	} {
 		if _, err := ParseSchedule(text); err != nil {
 			t.Errorf("ParseSchedule(%q) = %v, want it accepted", text, err)
@@ -106,30 +112,45 @@ func TestScheduleBounds(t *testing.T) {
 	const horizon = 1<<48 - 1
 	for _, tc := range []struct {
 		num, den int64
+		skew     core.Tick
 		ok       bool
 	}{
-		{MaxDriftTerm, 1, true},
-		{1, MaxDriftTerm, true},
-		{MaxDriftTerm, MaxDriftTerm, true},
-		{MaxDriftTerm + 1, 1, false},
-		{1, MaxDriftTerm + 1, false},
-		{math.MaxInt64, 1, false},
-		{1, math.MaxInt64, false},
+		{MaxDriftTerm, 1, 0, true},
+		{1, MaxDriftTerm, 0, true},
+		{MaxDriftTerm, MaxDriftTerm, 0, true},
+		{MaxDriftTerm + 1, 1, 0, false},
+		{1, MaxDriftTerm + 1, 0, false},
+		{math.MaxInt64, 1, 0, false},
+		{1, math.MaxInt64, 0, false},
+		{1, 1, MaxTicks, true},
+		{1, 1, -MaxTicks, true},
+		{1, 1, MaxTicks + 1, false},
+		{1, 1, -MaxTicks - 1, false},
+		{1, 1, math.MaxInt64, false},
+		{1, 1, math.MinInt64, false},
 	} {
 		fc := &fakeClock{}
 		dc := NewDriftClock(fc)
-		err := dc.SetDrift(tc.num, tc.den, 0)
-		if verr := (Event{Kind: KindDrift, Num: tc.num, Den: tc.den}).validate(); (err == nil) != (verr == nil) {
-			t.Errorf("rate %d/%d: SetDrift = %v but validate = %v", tc.num, tc.den, err, verr)
+		err := dc.SetDrift(tc.num, tc.den, tc.skew)
+		if verr := (Event{Kind: KindDrift, Num: tc.num, Den: tc.den, Skew: tc.skew}).validate(); (err == nil) != (verr == nil) {
+			t.Errorf("rate %d/%d skew %d: SetDrift = %v but validate = %v", tc.num, tc.den, tc.skew, err, verr)
 		}
 		if !tc.ok {
 			if !errors.Is(err, ErrSchedule) {
-				t.Errorf("SetDrift(%d/%d) = %v, want ErrSchedule", tc.num, tc.den, err)
+				t.Errorf("SetDrift(%d/%d, skew %d) = %v, want ErrSchedule", tc.num, tc.den, tc.skew, err)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("SetDrift(%d/%d) = %v, want it accepted", tc.num, tc.den, err)
+			t.Errorf("SetDrift(%d/%d, skew %d) = %v, want it accepted", tc.num, tc.den, tc.skew, err)
+			continue
+		}
+		if tc.skew != 0 {
+			// Local time is real time plus the jump, on both sides of zero.
+			fc.now = MaxTicks
+			if got, want := dc.Now(), sim.Time(MaxTicks)+sim.Time(tc.skew); got != want {
+				t.Errorf("skew %d: Now() = %d at real time %d, want %d", tc.skew, got, int64(MaxTicks), want)
+			}
 			continue
 		}
 		fc.now = horizon

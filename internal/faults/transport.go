@@ -1,9 +1,7 @@
 package faults
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"repro/internal/netem"
@@ -46,7 +44,6 @@ type FaultableTransport struct {
 	clock netem.Clock
 	rng   *rand.Rand
 
-	ids         []netem.NodeID
 	muted       map[netem.NodeID]bool
 	partitioned map[netem.NodeID]bool
 	linkDown    map[[2]netem.NodeID]bool
@@ -87,17 +84,10 @@ type delayRange struct {
 	min, max sim.Time
 }
 
-// Register implements netem.Transport, tracking the node set so that
-// Broadcast can fan out through the fault layer.
+// Register implements netem.Transport: nodes attach to the wrapped
+// transport directly, faults apply on the sending side only.
 func (f *FaultableTransport) Register(id netem.NodeID, h netem.Handler) error {
-	if err := f.inner.Register(id, h); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.ids = append(f.ids, id)
-	sort.Slice(f.ids, func(i, j int) bool { return f.ids[i] < f.ids[j] })
-	return nil
+	return f.inner.Register(id, h)
 }
 
 // SetNodeMuted drops (or stops dropping) every send from id — the
@@ -314,21 +304,4 @@ func (f *FaultableTransport) sendAfter(d sim.Time, from, to netem.NodeID, payloa
 			f.mu.Unlock()
 		}
 	}).Reset(d, 0)
-}
-
-// Broadcast implements netem.Transport as independent unicasts through
-// the fault layer, in ascending ID order for determinism.
-func (f *FaultableTransport) Broadcast(from netem.NodeID, payload []byte) error {
-	f.mu.Lock()
-	ids := append([]netem.NodeID(nil), f.ids...)
-	f.mu.Unlock()
-	for _, to := range ids {
-		if to == from {
-			continue
-		}
-		if err := f.Send(from, to, payload); err != nil {
-			return fmt.Errorf("faults: broadcast %d→%d: %w", from, to, err)
-		}
-	}
-	return nil
 }

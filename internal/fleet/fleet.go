@@ -21,11 +21,10 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -46,16 +45,20 @@ type Config struct {
 	// Core carries tmin/tmax and the protocol variant switches.
 	Core core.Config
 	// LinkDelay is the one-way beat/reply latency in ticks (default 1).
+	// Together with Core.TMax it sizes the detection-latency histogram,
+	// which is capped at MaxLatencyBuckets.
 	LinkDelay sim.Time
-	// LossProb is the independent per-message loss probability.
+	// LossProb is the independent per-message loss probability, in [0, 1].
 	LossProb float64
 	// Burst, if non-nil, replaces Bernoulli loss with one shared-fate
 	// Gilbert–Elliott chain per cluster.
 	Burst *faults.GilbertElliott
 	// KillEvery, if positive, crashes one random live endpoint per shard
-	// every KillEvery ticks — the detection-latency workload.
+	// every KillEvery ticks — the detection-latency workload. At most
+	// faults.MaxTicks, like every scheduled time.
 	KillEvery sim.Time
-	// Epoch is the rollup barrier period in ticks (default 2*TMax).
+	// Epoch is the rollup barrier period in ticks (default 2*TMax; at most
+	// faults.MaxTicks).
 	Epoch sim.Time
 	// AggFanout is the number of leaf clusters per aggregator subtree
 	// (default 64).
@@ -66,20 +69,44 @@ type Config struct {
 
 // Fleet is a running multiplexed detector fleet.
 type Fleet struct {
-	cfg      Config
-	shards   []*shard
-	numAggs  int
-	epoch    uint32
-	clock    sim.Time
-	root     core.Summary
-	ingestMu sync.Mutex
-	ingErr   error
+	cfg     Config
+	shards  []*shard
+	numAggs int
+	epoch   uint32
+	clock   sim.Time
+	root    core.Summary
+	// stepShard and ingestShard are the two halves of an epoch as par.Do
+	// units over the shard index, reading the epoch in progress from the
+	// fields above. They are built once, in New, so that an epoch creates
+	// no closure (TestFleetSteadyStateAllocFree).
+	stepShard, ingestShard func(worker, i int) error
 }
 
-// New builds a fleet at virtual time 0; defaults are filled in place.
+// MaxLatencyBuckets caps the per-shard detection-latency histogram, which
+// has one bucket per tick up to the worst-case detection latency (a few
+// TMax plus the wire): 2^16 buckets are 256 KiB a shard. Every waiting
+// time — at most TMax — therefore also fits the int32 rows with room to
+// spare.
+const MaxLatencyBuckets = 1 << 16
+
+// New builds a fleet at virtual time 0; defaults are filled in place. Zero
+// selects a field's documented default; values outside a field's range are
+// errors, never read as "unset".
 func New(cfg Config) (*Fleet, error) {
 	if cfg.Clusters <= 0 || cfg.ClusterSize <= 0 {
 		return nil, fmt.Errorf("fleet: need positive Clusters and ClusterSize")
+	}
+	// Written positively so that NaN, which compares false, is rejected.
+	if !(cfg.LossProb >= 0 && cfg.LossProb <= 1) {
+		return nil, fmt.Errorf("fleet: loss probability %v out of [0,1]", cfg.LossProb)
+	}
+	for _, t := range []struct {
+		name string
+		v    sim.Time
+	}{{"KillEvery", cfg.KillEvery}, {"LinkDelay", cfg.LinkDelay}, {"Epoch", cfg.Epoch}} {
+		if t.v < 0 || t.v > faults.MaxTicks {
+			return nil, fmt.Errorf("fleet: %s %d outside [0, %d] ticks", t.name, t.v, int64(faults.MaxTicks))
+		}
 	}
 	if cfg.Core.TMax == 0 {
 		cfg.Core = core.Config{TMin: 2, TMax: 16}
@@ -99,10 +126,22 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.LinkDelay <= 0 {
+	if cfg.LinkDelay == 0 {
 		cfg.LinkDelay = 1
 	}
-	if cfg.Epoch <= 0 {
+	// Detection latency cannot exceed the corrected coordinator bound
+	// plus one round and the wire; everything past that is an overflow
+	// bucket (asserted empty under loss-free runs). The terms are checked
+	// one by one first, so the sum cannot overflow.
+	latCap := MaxLatencyBuckets + 1
+	if cfg.Core.TMax <= MaxLatencyBuckets && cfg.LinkDelay <= MaxLatencyBuckets {
+		latCap = int(cfg.Core.CoordinatorDetectionBound()) + int(cfg.Core.TMax) + 2*int(cfg.LinkDelay) + 1
+	}
+	if latCap > MaxLatencyBuckets {
+		return nil, fmt.Errorf("fleet: tmax %d with link delay %d needs more than %d latency buckets",
+			cfg.Core.TMax, cfg.LinkDelay, MaxLatencyBuckets)
+	}
+	if cfg.Epoch == 0 {
 		cfg.Epoch = 2 * sim.Time(cfg.Core.TMax)
 	}
 	if cfg.AggFanout <= 0 {
@@ -116,10 +155,6 @@ func New(cfg Config) (*Fleet, error) {
 	f := &Fleet{cfg: cfg, numAggs: numAggs}
 	perShard := (cfg.Clusters + cfg.Shards - 1) / cfg.Shards
 	respBound := sim.Time(cfg.Core.ResponderBound())
-	// Detection latency cannot exceed the corrected coordinator bound
-	// plus one round and the wire; everything past that is an overflow
-	// bucket (asserted empty under loss-free runs).
-	latCap := int(cfg.Core.CoordinatorDetectionBound()) + int(cfg.Core.TMax) + 2*int(cfg.LinkDelay) + 1
 	tmax := sim.Time(cfg.Core.TMax)
 
 	for id := 0; id < cfg.Shards; id++ {
@@ -186,6 +221,12 @@ func New(cfg Config) (*Fleet, error) {
 			children: hi - lo,
 		})
 	}
+	f.stepShard = func(_, i int) error {
+		f.shards[i].runUntil(f.clock + f.cfg.Epoch)
+		f.shards[i].emitSummaries(f.epoch)
+		return nil
+	}
+	f.ingestShard = func(_, i int) error { return f.shards[i].ingest(f.shards, f.epoch) }
 	return f, nil
 }
 
@@ -203,46 +244,18 @@ func (f *Fleet) Endpoints() int { return f.cfg.Clusters * f.cfg.ClusterSize }
 
 // RunEpochs advances the fleet n epochs: each shard runs its slice of
 // virtual time independently, then a barrier exchanges the batched
-// cross-shard buffers and rolls summaries up to the root.
+// cross-shard buffers and rolls summaries up to the root. Shards are
+// disjoint and each half is one par.Do over them, so the worker count is
+// unobservable — including which shard's ingest error is returned.
 func (f *Fleet) RunEpochs(n int) error {
-	serial := min(f.cfg.Workers, len(f.shards)) <= 1
 	for i := 0; i < n; i++ {
 		f.epoch++
-		epoch := f.epoch
-		end := f.clock + f.cfg.Epoch
-		if serial {
-			// Closure-free inline path: one epoch of a warmed-up fleet
-			// performs zero allocations (TestFleetSteadyStateAllocFree).
-			for _, s := range f.shards {
-				s.runUntil(end)
-				s.emitSummaries(epoch)
-			}
-			f.clock = end
-			for _, s := range f.shards {
-				if err := s.ingest(f.shards, epoch); err != nil {
-					return err
-				}
-			}
-		} else {
-			f.each(func(s *shard) {
-				s.runUntil(end)
-				s.emitSummaries(epoch)
-			})
-			f.clock = end
-			f.each(func(s *shard) {
-				if err := s.ingest(f.shards, epoch); err != nil {
-					f.ingestMu.Lock()
-					if f.ingErr == nil {
-						f.ingErr = err
-					}
-					f.ingestMu.Unlock()
-				}
-			})
-			if f.ingErr != nil {
-				return f.ingErr
-			}
+		par.Do(len(f.shards), f.cfg.Workers, f.stepShard) // stepShard never fails
+		f.clock += f.cfg.Epoch
+		if _, err := par.Do(len(f.shards), f.cfg.Workers, f.ingestShard); err != nil {
+			return err
 		}
-		f.rollup(epoch)
+		f.rollup(f.epoch)
 	}
 	return nil
 }
@@ -263,35 +276,6 @@ func (f *Fleet) rollup(epoch uint32) {
 		root.Add(ag.sum)
 	}
 	f.root = root
-}
-
-// each applies fn to every shard, inline with one worker or over a
-// shard-claiming goroutine pool otherwise. Shards are disjoint, so fn
-// application order is unobservable.
-func (f *Fleet) each(fn func(*shard)) {
-	workers := min(f.cfg.Workers, len(f.shards))
-	if workers <= 1 {
-		for _, s := range f.shards {
-			fn(s)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(f.shards) {
-					return
-				}
-				fn(f.shards[i])
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Stats is the fleet-wide counter roll-up.

@@ -1,10 +1,14 @@
 package fleet
 
 import (
+	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -301,6 +305,94 @@ func TestSummaryWireAndAdd(t *testing.T) {
 	want := core.Summary{Cluster: 500, Epoch: 5, Total: 150, Alive: 147, Detections: 3}
 	if agg != want {
 		t.Errorf("Add: %+v, want %+v", agg, want)
+	}
+}
+
+// TestFleetConfigBounds drives every bounded Config field through New at
+// its limit (accepted) and one step past it (an error — never a clamp, a
+// silent "unset", an out-of-memory crash or a wheel-horizon panic).
+func TestFleetConfigBounds(t *testing.T) {
+	base := func(edit func(*Config)) Config {
+		c := Config{Clusters: 1, ClusterSize: 1, Core: core.Config{TMin: 2, TMax: 16}}
+		edit(&c)
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"loss 0", base(func(c *Config) { c.LossProb = 0 }), true},
+		{"loss 1", base(func(c *Config) { c.LossProb = 1 }), true},
+		{"loss just above 1", base(func(c *Config) { c.LossProb = math.Nextafter(1, 2) }), false},
+		{"loss 2", base(func(c *Config) { c.LossProb = 2 }), false},
+		{"loss just below 0", base(func(c *Config) { c.LossProb = -math.SmallestNonzeroFloat64 }), false},
+		{"loss -1", base(func(c *Config) { c.LossProb = -1 }), false},
+		{"loss NaN", base(func(c *Config) { c.LossProb = math.NaN() }), false},
+		{"kill-every 0 (never)", base(func(c *Config) { c.KillEvery = 0 }), true},
+		{"kill-every -1", base(func(c *Config) { c.KillEvery = -1 }), false},
+		{"kill-every at MaxTicks", base(func(c *Config) { c.KillEvery = faults.MaxTicks }), true},
+		{"kill-every past MaxTicks", base(func(c *Config) { c.KillEvery = faults.MaxTicks + 1 }), false},
+		{"epoch 0 (default)", base(func(c *Config) { c.Epoch = 0 }), true},
+		{"epoch -1", base(func(c *Config) { c.Epoch = -1 }), false},
+		{"epoch at MaxTicks", base(func(c *Config) { c.Epoch = faults.MaxTicks }), true},
+		{"epoch past MaxTicks", base(func(c *Config) { c.Epoch = faults.MaxTicks + 1 }), false},
+		{"link delay 0 (default)", base(func(c *Config) { c.LinkDelay = 0 }), true},
+		{"link delay -1", base(func(c *Config) { c.LinkDelay = -1 }), false},
+		// latCap = (3·tmax − tmin) + tmax + 2·delay + 1.
+		{"latency buckets at the cap", base(func(c *Config) { c.Core = core.Config{TMin: 3, TMax: 16384} }), true},
+		{"latency buckets one past the cap", base(func(c *Config) { c.Core = core.Config{TMin: 2, TMax: 16384} }), false},
+		{"link delay at the cap", base(func(c *Config) { c.LinkDelay = (MaxLatencyBuckets - 63) / 2 }), true},
+		{"link delay one past the cap", base(func(c *Config) { c.LinkDelay = (MaxLatencyBuckets-63)/2 + 1 }), false},
+		{"hbfleet -tmax 4000000000", base(func(c *Config) { c.Core.TMax = 4000000000 }), false},
+		{"tmax that would overflow the sum", base(func(c *Config) { c.Core.TMax = math.MaxInt64 }), false},
+		{"link delay that would overflow the sum", base(func(c *Config) { c.LinkDelay = faults.MaxTicks }), false},
+	} {
+		f, err := New(tc.cfg)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: New = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		for _, s := range f.shards {
+			if len(s.latHist) > MaxLatencyBuckets {
+				t.Errorf("%s: %d latency buckets, cap %d", tc.name, len(s.latHist), MaxLatencyBuckets)
+			}
+			for _, w := range s.wait {
+				if core.Tick(w) != tc.cfg.Core.TMax {
+					t.Errorf("%s: initial wait %d, want tmax %d", tc.name, w, tc.cfg.Core.TMax)
+				}
+			}
+		}
+	}
+}
+
+// TestFleetIngestErrorIsLowestShards: when more than one shard's batch is
+// malformed, the error returned is the lowest-numbered failing shard's at
+// every worker count — what the sequential loop returns — not whichever
+// goroutine lost a race. The two halves of an epoch are driven exactly as
+// RunEpochs drives them, with the corruption injected at the barrier.
+func TestFleetIngestErrorIsLowestShards(t *testing.T) {
+	for _, workers := range []int{1, 4, 8} {
+		f, err := New(testConfig(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.epoch++
+		par.Do(len(f.shards), workers, f.stepShard)
+		f.clock += f.cfg.Epoch
+		// Unknown frame tags 0xF0|dst on the batches for shards 6, 2 and 5.
+		for _, dst := range []int{6, 2, 5} {
+			f.shards[0].outbuf[dst] = append(f.shards[0].outbuf[dst], 0xF0|byte(dst))
+		}
+		for round := 0; round < 100; round++ {
+			done, err := par.Do(len(f.shards), workers, f.ingestShard)
+			if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "unknown tag 242") || done != 2 {
+				t.Fatalf("workers=%d round %d: ingest = (%d, %v), want shard 2's unknown tag 242", workers, round, done, err)
+			}
+		}
 	}
 }
 

@@ -140,10 +140,6 @@ func (prog *Program) indexNamedTypes() {
 	}
 }
 
-// Decl returns the declaration of fn, or nil for functions without a
-// body in the program (stdlib, interface methods).
-func (prog *Program) Decl(fn *types.Func) *declInfo { return prog.decls[fn] }
-
 // addEdges walks one function body (including nested function literals,
 // whose calls are attributed to the enclosing declaration: literals that
 // escape are flagged by the intraprocedural noalloc check, and literals

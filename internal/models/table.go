@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/mc"
+	"repro/internal/par"
 )
 
 // TableSpec describes a verification table: a tmin sweep checked for
@@ -43,10 +42,9 @@ type Cell struct {
 }
 
 // RunTable evaluates every (variant, tmin, property) combination. Cells
-// fan out over spec.Workers goroutines (each cell builds its own model, so
-// they share nothing) and are reassembled in spec order: the result — and
-// on failure, the error and the completed-cell prefix — is identical for
-// every worker count. The first error cancels the remaining cells.
+// are independent models fanned out by par.Do and reassembled in spec
+// order: the result — and on failure, the error and the completed-cell
+// prefix — is identical for every worker count.
 func RunTable(spec TableSpec) ([]Cell, error) {
 	jobs := make([]Cell, 0, len(spec.Variants)*len(spec.TMins)*3)
 	for _, variant := range spec.Variants {
@@ -56,7 +54,12 @@ func RunTable(spec TableSpec) ([]Cell, error) {
 			}
 		}
 	}
-	run := func(c *Cell) error {
+	workers := spec.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	done, err := par.Do(len(jobs), workers, func(_, i int) error {
+		c := &jobs[i]
 		cfg := Config{
 			TMin:    c.TMin,
 			TMax:    spec.TMax,
@@ -70,57 +73,8 @@ func RunTable(spec TableSpec) ([]Cell, error) {
 		}
 		c.Verdict = v
 		return nil
-	}
-
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for i := range jobs {
-			if err := run(&jobs[i]); err != nil {
-				return jobs[:i], err
-			}
-		}
-		return jobs, nil
-	}
-
-	// Workers claim cell indices in order from a shared counter and stop
-	// claiming after the first error. Claims are monotone, so once the
-	// earliest-failing index is known, every earlier cell has completed
-	// cleanly — exactly the prefix a sequential run would return.
-	var (
-		next atomic.Int64
-		stop atomic.Bool
-		wg   sync.WaitGroup
-	)
-	errs := make([]error, len(jobs))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				if errs[i] = run(&jobs[i]); errs[i] != nil {
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return jobs[:i], err
-		}
-	}
-	return jobs, nil
+	})
+	return jobs[:done], err
 }
 
 // FormatTable renders cells in the layout of the paper's tables: one block

@@ -6,6 +6,10 @@
 // messages are never corrupted; messages sent to crashed processes are still
 // delivered (the crashed process ignores them). Links are unidirectional and
 // configured independently, so asymmetric delay and loss are expressible.
+// That channel is all netem carries: everything a real network does beyond
+// it — duplication, reordering, partitions, downed links, burst loss, crashed
+// senders — is a fault, injected by internal/faults wrapped around a
+// Transport.
 //
 // Two implementations share the Transport interface: Network runs on a
 // sim.Simulator in virtual time, and UDPTransport on real sockets. Clock is
@@ -16,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -44,11 +47,6 @@ type Transport interface {
 	// Send queues payload from one node to another. It returns an error
 	// only for unknown nodes; loss is silent, as on a real network.
 	Send(from, to NodeID, payload []byte) error
-	// Broadcast sends payload from the given node to every other
-	// registered node, as independent unicasts (each may be lost or
-	// delayed independently, like the per-recipient channels in the
-	// static heartbeat protocol).
-	Broadcast(from NodeID, payload []byte) error
 	// Register attaches a node and its delivery handler.
 	Register(id NodeID, h Handler) error
 }
@@ -63,20 +61,11 @@ type LinkConfig struct {
 	// MaxDelay <= tmin/2 (the conservative per-direction split).
 	MinDelay sim.Time
 	MaxDelay sim.Time
-	// DupProb is the probability that a delivered message is delivered
-	// twice (second copy gets an independent delay). The heartbeat
-	// protocols are idempotent, so duplication is a useful stressor.
-	DupProb float64
-	// Down drops every message; models a channel crash.
-	Down bool
 }
 
 func (c LinkConfig) validate() error {
 	if c.LossProb < 0 || c.LossProb > 1 {
 		return fmt.Errorf("netem: loss probability %v out of [0,1]", c.LossProb)
-	}
-	if c.DupProb < 0 || c.DupProb > 1 {
-		return fmt.Errorf("netem: duplication probability %v out of [0,1]", c.DupProb)
 	}
 	if c.MinDelay < 0 || c.MaxDelay < c.MinDelay {
 		return fmt.Errorf("netem: bad delay bounds [%d,%d]", c.MinDelay, c.MaxDelay)
@@ -86,10 +75,9 @@ func (c LinkConfig) validate() error {
 
 // LinkStats counts traffic on one unidirectional link.
 type LinkStats struct {
-	Sent       uint64
-	Delivered  uint64
-	Lost       uint64
-	Duplicated uint64
+	Sent      uint64
+	Delivered uint64
+	Lost      uint64
 }
 
 // Stats aggregates link statistics.
@@ -183,28 +171,6 @@ func (n *Network) SetLink(from, to NodeID, cfg LinkConfig) error {
 	return nil
 }
 
-// SetLinkDown raises or clears the Down flag on the from→to link.
-func (n *Network) SetLinkDown(from, to NodeID, down bool) {
-	key := [2]NodeID{from, to}
-	cfg, ok := n.links[key]
-	if !ok {
-		cfg = n.def
-	}
-	cfg.Down = down
-	n.links[key] = cfg
-}
-
-// PartitionNode takes every link to and from id down (or back up).
-func (n *Network) PartitionNode(id NodeID, down bool) {
-	for other := range n.handlers {
-		if other == id {
-			continue
-		}
-		n.SetLinkDown(id, other, down)
-		n.SetLinkDown(other, id, down)
-	}
-}
-
 func (n *Network) linkConfig(from, to NodeID) LinkConfig {
 	if cfg, ok := n.links[[2]NodeID{from, to}]; ok {
 		return cfg
@@ -228,66 +194,30 @@ func (n *Network) Send(from, to NodeID, payload []byte) error {
 	st := n.stats.Links[key]
 	st.Sent++
 	n.stats.Total.Sent++
-	if cfg.Down || n.rng.Float64() < cfg.LossProb {
+	if n.rng.Float64() < cfg.LossProb {
 		st.Lost++
 		n.stats.Total.Lost++
 		n.stats.Links[key] = st
 		return nil
 	}
-	copies := 1
-	if cfg.DupProb > 0 && n.rng.Float64() < cfg.DupProb {
-		copies = 2
-		st.Duplicated++
-		n.stats.Total.Duplicated++
+	delay := cfg.MinDelay
+	if cfg.MaxDelay > cfg.MinDelay {
+		delay += sim.Time(n.rng.Int63n(int64(cfg.MaxDelay-cfg.MinDelay) + 1))
 	}
-	for i := 0; i < copies; i++ {
-		delay := cfg.MinDelay
-		if cfg.MaxDelay > cfg.MinDelay {
-			delay += sim.Time(n.rng.Int63n(int64(cfg.MaxDelay-cfg.MinDelay) + 1))
-		}
-		// Each copy gets its own pooled record; the payload is copied into
-		// the record's reusable buffer, so the caller may reuse payload as
-		// soon as Send returns.
-		d := n.newDelivery()
-		d.h = h
-		d.msg = Message{From: from, To: to, Payload: append(d.msg.Payload[:0], payload...)}
-		if _, err := n.simr.Schedule(delay, d.fn); err != nil {
-			d.h = nil
-			n.pool = append(n.pool, d)
-			return fmt.Errorf("netem: scheduling delivery: %w", err)
-		}
-		st.Delivered++
-		n.stats.Total.Delivered++
+	// The payload is copied into a pooled record's reusable buffer, so the
+	// caller may reuse payload as soon as Send returns.
+	d := n.newDelivery()
+	d.h = h
+	d.msg = Message{From: from, To: to, Payload: append(d.msg.Payload[:0], payload...)}
+	if _, err := n.simr.Schedule(delay, d.fn); err != nil {
+		d.h = nil
+		n.pool = append(n.pool, d)
+		return fmt.Errorf("netem: scheduling delivery: %w", err)
 	}
+	st.Delivered++
+	n.stats.Total.Delivered++
 	n.stats.Links[key] = st
 	return nil
-}
-
-// Broadcast implements Transport.
-func (n *Network) Broadcast(from NodeID, payload []byte) error {
-	if _, ok := n.handlers[from]; !ok {
-		return fmt.Errorf("%w: sender %d", ErrUnknownNode, from)
-	}
-	for _, to := range n.nodeIDs() {
-		if to == from {
-			continue
-		}
-		if err := n.Send(from, to, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// nodeIDs returns registered node IDs in ascending order so that broadcasts
-// are deterministic.
-func (n *Network) nodeIDs() []NodeID {
-	ids := make([]NodeID, 0, len(n.handlers))
-	for id := range n.handlers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // Stats returns a copy of the accumulated statistics.

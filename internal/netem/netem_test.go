@@ -97,73 +97,43 @@ func TestTotalLoss(t *testing.T) {
 	}
 }
 
-func TestLinkDownAndPartition(t *testing.T) {
+// TestSetLinkIsPerDirection: a link override shapes one direction of one
+// pair and nothing else, and a later override replaces it.
+func TestSetLinkIsPerDirection(t *testing.T) {
 	s, n := newTestNetwork(t, LinkConfig{})
 	delivered := map[NodeID]int{}
 	for id := NodeID(0); id < 3; id++ {
-		id := id
 		register(t, n, id, func(Message) { delivered[id]++ })
 	}
-	n.SetLinkDown(0, 1, true)
-	if err := n.Send(0, 1, nil); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if err := n.Send(0, 2, nil); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	s.Run()
-	if delivered[1] != 0 || delivered[2] != 1 {
-		t.Fatalf("delivered = %v", delivered)
-	}
-	n.SetLinkDown(0, 1, false)
-	n.PartitionNode(2, true)
-	if err := n.Send(0, 1, nil); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if err := n.Send(0, 2, nil); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if err := n.Send(2, 0, nil); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	s.Run()
-	if delivered[1] != 1 || delivered[2] != 1 || delivered[0] != 0 {
-		t.Fatalf("after partition, delivered = %v", delivered)
-	}
-}
-
-func TestBroadcastReachesAllOthers(t *testing.T) {
-	s, n := newTestNetwork(t, LinkConfig{MinDelay: 1, MaxDelay: 3})
-	delivered := map[NodeID]int{}
-	for id := NodeID(0); id < 5; id++ {
-		id := id
-		register(t, n, id, func(Message) { delivered[id]++ })
-	}
-	if err := n.Broadcast(0, []byte("hb")); err != nil {
-		t.Fatalf("Broadcast: %v", err)
-	}
-	s.Run()
-	if delivered[0] != 0 {
-		t.Fatal("broadcast delivered to sender")
-	}
-	for id := NodeID(1); id < 5; id++ {
-		if delivered[id] != 1 {
-			t.Fatalf("node %d got %d copies", id, delivered[id])
+	send := func(from, to NodeID) {
+		t.Helper()
+		if err := n.Send(from, to, nil); err != nil {
+			t.Fatalf("Send: %v", err)
 		}
 	}
-}
-
-func TestDuplication(t *testing.T) {
-	s, n := newTestNetwork(t, LinkConfig{DupProb: 1})
-	delivered := 0
-	register(t, n, 0, nil)
-	register(t, n, 1, func(Message) { delivered++ })
-	if err := n.Send(0, 1, nil); err != nil {
-		t.Fatalf("Send: %v", err)
+	if err := n.SetLink(0, 1, LinkConfig{LossProb: 1}); err != nil {
+		t.Fatal(err)
 	}
+	send(0, 1)
+	send(0, 2)
+	send(1, 0)
 	s.Run()
-	if delivered != 2 {
-		t.Fatalf("delivered %d copies, want 2", delivered)
+	if delivered[1] != 0 || delivered[2] != 1 || delivered[0] != 1 {
+		t.Fatalf("delivered = %v", delivered)
+	}
+	if st := n.Stats().Links[[2]NodeID{0, 1}]; st.Sent != 1 || st.Lost != 1 {
+		t.Fatalf("0→1 link stats = %+v", st)
+	}
+	if err := n.SetLink(0, 1, LinkConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	send(0, 1)
+	s.Run()
+	if delivered[1] != 1 {
+		t.Fatalf("after restoring the link, delivered = %v", delivered)
+	}
+	if err := n.SetLink(0, 1, LinkConfig{LossProb: 2}); err == nil {
+		t.Fatal("invalid link override accepted")
 	}
 }
 
@@ -172,7 +142,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []LinkConfig{
 		{LossProb: -0.1},
 		{LossProb: 1.5},
-		{DupProb: 2},
 		{MinDelay: -1},
 		{MinDelay: 5, MaxDelay: 2},
 	}
@@ -222,8 +191,7 @@ func TestPropertyDelayWithinBounds(t *testing.T) {
 	}
 }
 
-// TestPropertyConservation: sent == delivered + lost when duplication is
-// off, for any loss rate.
+// TestPropertyConservation: sent == delivered + lost, for any loss rate.
 func TestPropertyConservation(t *testing.T) {
 	f := func(seed int64, lossRaw uint8) bool {
 		loss := float64(lossRaw%101) / 100

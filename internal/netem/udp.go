@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 )
 
@@ -157,27 +156,6 @@ func putNodeID(b []byte, id NodeID) {
 	b[1] = byte(v >> 16)
 	b[2] = byte(v >> 8)
 	b[3] = byte(v)
-}
-
-// Broadcast implements Transport.
-func (u *UDPTransport) Broadcast(from NodeID, payload []byte) error {
-	u.mu.Lock()
-	ids := make([]NodeID, 0, len(u.addrs))
-	for id := range u.addrs {
-		if id != from {
-			ids = append(ids, id)
-		}
-	}
-	u.mu.Unlock()
-	// Send in id order, not map order: UDP itself may reorder, but the
-	// transport should not inject nondeterminism of its own.
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, to := range ids {
-		if err := u.Send(from, to, payload); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Close shuts every socket and waits for the receive loops to exit.

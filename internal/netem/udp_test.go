@@ -68,25 +68,6 @@ func TestUDPRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUDPBroadcast(t *testing.T) {
-	u := newUDP(t)
-	var rx1, rx2 collector
-	if err := u.Register(0, func(Message) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Register(1, rx1.handle); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Register(2, rx2.handle); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Broadcast(0, []byte("hb")); err != nil {
-		t.Fatalf("Broadcast: %v", err)
-	}
-	rx1.waitFor(t, 1)
-	rx2.waitFor(t, 1)
-}
-
 func TestUDPManyMessages(t *testing.T) {
 	u := newUDP(t)
 	var rx collector

@@ -10,14 +10,13 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/conform"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/faults"
 	"repro/internal/netem"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -67,9 +66,7 @@ func MeasureDetection(cfg DetectionConfig) (*DetectionResult, error) {
 	if cfg.Victim == 0 {
 		cfg.Victim = 1
 	}
-	out := &DetectionResult{
-		Bound: cfg.Cluster.Core.CoordinatorDetectionBound() + cfg.Cluster.Core.TMin,
-	}
+	out := &DetectionResult{Bound: detectionBound(cfg.Cluster)}
 	for trial := 0; trial < cfg.Trials; trial++ {
 		cc := cfg.Cluster
 		cc.Seed = cfg.Seed + int64(trial)
@@ -98,6 +95,17 @@ func MeasureDetection(cfg DetectionConfig) (*DetectionResult, error) {
 		}
 	}
 	return out, nil
+}
+
+// detectionBound is the configured protocol's worst-case crash-to-suspicion
+// latency: the coordinator's detection bound from the last beat it received,
+// plus the offset from that beat to the crash (at most one tmin round trip;
+// one tick for the plain baseline's zero-delay exchange).
+func detectionBound(cc detector.ClusterConfig) core.Tick {
+	if cc.Protocol == detector.ProtocolPlain {
+		return cc.Plain.DetectionBound() + 1
+	}
+	return cc.Core.CoordinatorDetectionBound() + cc.Core.TMin
 }
 
 // OverheadConfig parameterises a steady-state message-rate experiment.
@@ -335,7 +343,8 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 					ErrScenario, ce, *env)
 			}
 			adaptive = true
-			// Build every level's spec up front, outside the workers.
+			// A level that cannot be built fails the campaign before any
+			// trial runs, not at the first retune that reaches it.
 			for level := 0; level < env.Levels(); level++ {
 				if _, err := cfg.Conform.SpecAt(level); err != nil {
 					return nil, err
@@ -363,9 +372,11 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		degraded    int
 		retunes     int
 		saturations int
-		err         error
 	}
-	runTrial := func(trial int) trialOutcome {
+	// Trials write per-trial slots and are folded in trial order below, so
+	// the result is the sequential loop's at any worker count (par.Do).
+	outs := make([]trialOutcome, cfg.Trials)
+	runTrial := func(_, trial int) error {
 		cc := cfg.Cluster
 		cc.Seed = cfg.Seed + int64(trial)
 		// Vary the fault layer across trials while keeping the campaign
@@ -387,7 +398,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 				Horizon: core.Tick(cfg.Horizon),
 			})
 			if err != nil {
-				return trialOutcome{err: err}
+				return err
 			}
 			cc.Observe = sc
 		} else if spec != nil || adaptive {
@@ -396,28 +407,22 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		}
 		c, err := detector.NewCluster(cc)
 		if err != nil {
-			return trialOutcome{err: err}
+			return err
 		}
 		if sc != nil && c.Supervisor != nil {
 			sc.BindSupervisor(c.Supervisor)
 		}
 		if err := c.Start(); err != nil {
-			return trialOutcome{err: err}
+			return err
 		}
 		c.Sim.RunUntil(cfg.Horizon)
 		c.Stop()
-		var o trialOutcome
+		o := &outs[trial]
 		switch {
 		case sc != nil:
-			// The no-loss premise of R2/R3, mirroring conform.Run.
-			lost := c.Net.Stats().Total.Lost
-			if c.Faults != nil {
-				fs := c.Faults.Stats()
-				lost += fs.DroppedMuted + fs.DroppedPartition + fs.DroppedLoss
-			}
-			sres, err := sc.Finish(lost)
+			sres, err := sc.Finish(c.Lost())
 			if err != nil {
-				return trialOutcome{err: err}
+				return err
 			}
 			o.incidents = sres.Incidents
 			o.confirmed = sres.Confirmed
@@ -427,7 +432,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		case adaptive:
 			pr, err := cfg.Conform.CheckTraceAdaptive(rec.Events(), core.Tick(cfg.Horizon))
 			if err != nil {
-				return trialOutcome{err: err}
+				return err
 			}
 			o.div = pr.Unconfirmed
 			o.confirmed = pr.Confirmed
@@ -448,44 +453,15 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		o.events = float64(len(c.Events))
 		o.faults = c.Faults.Stats()
 		o.schedErrs = len(c.FaultErrors())
-		return o
+		return nil
 	}
 
-	outs := make([]trialOutcome, cfg.Trials)
-	if workers := min(cfg.Workers, cfg.Trials); workers > 1 {
-		// Workers claim trial indices from an atomic counter and write to
-		// per-trial slots; aggregation below runs in trial order, so the
-		// result is independent of claim interleaving.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					trial := int(next.Add(1)) - 1
-					if trial >= cfg.Trials {
-						return
-					}
-					outs[trial] = runTrial(trial)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for trial := 0; trial < cfg.Trials; trial++ {
-			outs[trial] = runTrial(trial)
-			if outs[trial].err != nil {
-				break // aggregation below stops at this trial
-			}
-		}
+	if _, err := par.Do(cfg.Trials, cfg.Workers, runTrial); err != nil {
+		return nil, err
 	}
 
 	out := &CampaignResult{}
 	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
 		if o.div != nil {
 			out.Divergences = append(out.Divergences, o.div)
 		}
@@ -508,149 +484,6 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		out.DegradedDivergences += o.degraded
 		out.Retunes += o.retunes
 		out.Saturations += o.saturations
-	}
-	return out, nil
-}
-
-// PlainCluster assembles a plain-heartbeat baseline deployment with the
-// same shape as detector.NewCluster, for the comparison experiments.
-type PlainCluster struct {
-	Sim          *sim.Simulator
-	Net          *netem.Network
-	Coordinator  *detector.Node
-	Participants map[core.ProcID]*detector.Node
-	Events       []detector.Event
-}
-
-// PlainClusterConfig parameterises the baseline deployment.
-type PlainClusterConfig struct {
-	// Plain carries the baseline constants; its Members list is derived
-	// from N.
-	Period    core.Tick
-	MissLimit int
-	N         int
-	Link      netem.LinkConfig
-	Seed      int64
-}
-
-// NewPlainCluster builds and starts a baseline cluster.
-func NewPlainCluster(cfg PlainClusterConfig) (*PlainCluster, error) {
-	if cfg.N < 1 {
-		return nil, fmt.Errorf("%w: need at least one participant", ErrScenario)
-	}
-	s := sim.New(sim.WithSeed(cfg.Seed))
-	net, err := netem.NewNetwork(s, cfg.Link)
-	if err != nil {
-		return nil, err
-	}
-	pc := &PlainCluster{
-		Sim:          s,
-		Net:          net,
-		Participants: make(map[core.ProcID]*detector.Node, cfg.N),
-	}
-	clock := netem.SimClock{Sim: s}
-	sink := detector.EventFunc(func(e detector.Event) { pc.Events = append(pc.Events, e) })
-
-	members := make([]core.ProcID, 0, cfg.N)
-	for i := 1; i <= cfg.N; i++ {
-		members = append(members, core.ProcID(i))
-	}
-	coord, err := core.NewPlainCoordinator(core.PlainConfig{
-		Period: cfg.Period, MissLimit: cfg.MissLimit, Members: members,
-	})
-	if err != nil {
-		return nil, err
-	}
-	pc.Coordinator, err = detector.NewNode(detector.Config{
-		ID: netem.NodeID(core.CoordinatorID), Machine: coord,
-		Clock: clock, Transport: net, Events: sink,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The responder bound mirrors the coordinator's detection bound plus
-	// a round-trip allowance.
-	bound := core.Tick(cfg.MissLimit+2) * cfg.Period
-	for _, pid := range members {
-		r, err := core.NewPlainResponder(pid, bound)
-		if err != nil {
-			return nil, err
-		}
-		node, err := detector.NewNode(detector.Config{
-			ID: netem.NodeID(pid), Machine: r,
-			Clock: clock, Transport: net, Events: sink,
-		})
-		if err != nil {
-			return nil, err
-		}
-		pc.Participants[pid] = node
-	}
-	if err := pc.Coordinator.Start(); err != nil {
-		return nil, err
-	}
-	for _, pid := range members {
-		if err := pc.Participants[pid].Start(); err != nil {
-			return nil, err
-		}
-	}
-	return pc, nil
-}
-
-// MeasurePlainReliability is MeasureReliability for the baseline.
-func MeasurePlainReliability(cfg PlainClusterConfig, lossProb float64, horizon sim.Time, trials int, seed int64) (*ReliabilityResult, error) {
-	if trials < 1 || horizon <= 0 {
-		return nil, fmt.Errorf("%w: need trials >= 1 and a positive horizon", ErrScenario)
-	}
-	out := &ReliabilityResult{}
-	for trial := 0; trial < trials; trial++ {
-		cc := cfg
-		cc.Seed = seed + int64(trial)
-		cc.Link.LossProb = lossProb
-		pc, err := NewPlainCluster(cc)
-		if err != nil {
-			return nil, err
-		}
-		pc.Sim.RunUntil(horizon)
-		failed := false
-		for _, e := range pc.Events {
-			if e.Kind == detector.EventInactivated && !e.Voluntary {
-				failed = true
-				out.TimeToFalse.Add(float64(e.Time))
-				break
-			}
-		}
-		out.FalseDetection.Observe(failed)
-	}
-	return out, nil
-}
-
-// MeasurePlainDetection crashes the victim under the baseline protocol.
-func MeasurePlainDetection(cfg PlainClusterConfig, crashAt, horizon sim.Time, trials int, seed int64) (*DetectionResult, error) {
-	if trials < 1 || horizon <= crashAt {
-		return nil, fmt.Errorf("%w: need trials >= 1 and horizon > crash time", ErrScenario)
-	}
-	out := &DetectionResult{Bound: core.Tick(cfg.MissLimit+1)*cfg.Period + 1}
-	for trial := 0; trial < trials; trial++ {
-		cc := cfg
-		cc.Seed = seed + int64(trial)
-		pc, err := NewPlainCluster(cc)
-		if err != nil {
-			return nil, err
-		}
-		pc.Sim.RunUntil(crashAt)
-		pc.Participants[1].Crash()
-		pc.Sim.RunUntil(horizon)
-		detected := false
-		for _, e := range pc.Events {
-			if e.Kind == detector.EventSuspect && e.Node == 0 {
-				out.Delays.Add(float64(e.Time - core.Tick(crashAt)))
-				detected = true
-				break
-			}
-		}
-		if !detected {
-			out.Missed++
-		}
 	}
 	return out, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/models"
 	"repro/internal/netem"
+	"repro/internal/sim"
 )
 
 func binaryCluster() detector.ClusterConfig {
@@ -109,11 +110,21 @@ func TestMeasureReliabilityMonotoneInLoss(t *testing.T) {
 	}
 }
 
+// plainCluster is the baseline as one more detector.ClusterConfig.
+func plainCluster(period core.Tick, missLimit, n int) detector.ClusterConfig {
+	return detector.ClusterConfig{
+		Protocol: detector.ProtocolPlain,
+		Plain:    core.PlainConfig{Period: period, MissLimit: missLimit},
+		N:        n,
+	}
+}
+
 func TestPlainClusterRunsAndDetects(t *testing.T) {
-	cfg := PlainClusterConfig{Period: 8, MissLimit: 3, N: 2}
-	res, err := MeasurePlainDetection(cfg, 100, 400, 10, 3)
+	res, err := MeasureDetection(DetectionConfig{
+		Cluster: plainCluster(8, 3, 2), CrashAt: 100, Horizon: 400, Trials: 10, Seed: 3,
+	})
 	if err != nil {
-		t.Fatalf("MeasurePlainDetection: %v", err)
+		t.Fatalf("MeasureDetection: %v", err)
 	}
 	if res.Missed != 0 {
 		t.Fatalf("missed %d", res.Missed)
@@ -140,9 +151,13 @@ func TestPlainMoreFragileAtEqualRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := MeasurePlainReliability(
-		PlainClusterConfig{Period: 16, MissLimit: 1, N: 1}, // 2/16 msgs/tick
-		loss, 3000, 60, 11)
+	plain, err := MeasureReliability(ReliabilityConfig{
+		Cluster:  plainCluster(16, 1, 1), // 2/16 msgs/tick
+		LossProb: loss,
+		Horizon:  3000,
+		Trials:   60,
+		Seed:     11,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +170,109 @@ func TestPlainMoreFragileAtEqualRate(t *testing.T) {
 }
 
 func TestPlainClusterValidation(t *testing.T) {
-	if _, err := NewPlainCluster(PlainClusterConfig{Period: 8, MissLimit: 1, N: 0}); err == nil {
+	if _, err := detector.NewCluster(plainCluster(8, 1, 0)); err == nil {
 		t.Fatal("zero participants accepted")
 	}
-	if _, err := MeasurePlainReliability(PlainClusterConfig{Period: 8, MissLimit: 1, N: 1}, 0.1, 0, 1, 1); err == nil {
+	if _, err := MeasureReliability(ReliabilityConfig{Cluster: plainCluster(8, 1, 1), LossProb: 0.1, Horizon: 0, Trials: 1, Seed: 1}); err == nil {
 		t.Fatal("zero horizon accepted")
 	}
-	if _, err := MeasurePlainDetection(PlainClusterConfig{Period: 8, MissLimit: 1, N: 1}, 10, 5, 1, 1); err == nil {
+	if _, err := MeasureDetection(DetectionConfig{Cluster: plainCluster(8, 1, 1), CrashAt: 10, Horizon: 5, Trials: 1, Seed: 1}); err == nil {
 		t.Fatal("bad horizon accepted")
+	}
+}
+
+// TestPlainThroughOneAssemblerMatchesRecorded pins the baseline assembled
+// by detector.NewCluster to what the deleted scenario.PlainCluster /
+// MeasurePlainReliability / MeasurePlainDetection produced, recorded from
+// the last commit that had them: same seeds, same draws, same numbers.
+func TestPlainThroughOneAssemblerMatchesRecorded(t *testing.T) {
+	for _, tc := range []struct {
+		cluster          detector.ClusterConfig
+		crashAt, horizon int
+		trials           int
+		seed             int64
+		n                int
+		sum              float64
+		bound            core.Tick
+	}{
+		{plainCluster(8, 3, 2), 100, 400, 10, 3, 10, 280, 33},
+		{plainCluster(8, 1, 1), 10, 100, 5, 1, 5, 70, 17},
+	} {
+		res, err := MeasureDetection(DetectionConfig{
+			Cluster: tc.cluster, CrashAt: sim.Time(tc.crashAt), Horizon: sim.Time(tc.horizon),
+			Trials: tc.trials, Seed: tc.seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Missed != 0 || res.Delays.N() != tc.n || res.Delays.Sum() != tc.sum || res.Bound != tc.bound {
+			t.Errorf("detection %+v: missed %d, n %d, sum %v, bound %d; recorded 0, %d, %v, %d",
+				tc.cluster.Plain, res.Missed, res.Delays.N(), res.Delays.Sum(), res.Bound, tc.n, tc.sum, tc.bound)
+		}
+	}
+	for _, tc := range []struct {
+		cluster detector.ClusterConfig
+		loss    float64
+		horizon int
+		trials  int
+		seed    int64
+		failed  int
+		sum     float64
+	}{
+		{plainCluster(16, 1, 1), 0.15, 3000, 60, 11, 60, 4336},
+		{plainCluster(16, 1, 1), 0.02, 1000, 40, 7, 33, 10864},
+		{plainCluster(8, 1, 1), 0.02, 1000, 40, 7, 40, 9736},
+		{plainCluster(8, 3, 2), 0.2, 1000, 40, 7, 40, 5704},
+	} {
+		res, err := MeasureReliability(ReliabilityConfig{
+			Cluster: tc.cluster, LossProb: tc.loss, Horizon: sim.Time(tc.horizon),
+			Trials: tc.trials, Seed: tc.seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FalseDetection.Successes != tc.failed || res.FalseDetection.Trials != tc.trials ||
+			res.TimeToFalse.N() != tc.failed || res.TimeToFalse.Sum() != tc.sum {
+			t.Errorf("reliability %+v loss %v: %+v, time-to-false n %d sum %v; recorded %d/%d, sum %v",
+				tc.cluster.Plain, tc.loss, res.FalseDetection, res.TimeToFalse.N(), res.TimeToFalse.Sum(),
+				tc.failed, tc.trials, tc.sum)
+		}
+	}
+}
+
+// TestPlainClusterUnderFaultSchedule is what the old assembler could not
+// express: the baseline under a scripted crash from a faults.Schedule, with
+// an observer attached, detects within its own configured bound.
+func TestPlainClusterUnderFaultSchedule(t *testing.T) {
+	const crashAt = 203
+	cc := plainCluster(8, 3, 2)
+	sched, err := faults.ParseSchedule("crash t=203 node=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := conform.NewRecorder()
+	cc.Faults, cc.Observe = sched, rec
+	c, err := detector.NewCluster(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c.Sim.RunUntil(600)
+	c.Stop()
+	if errs := c.FaultErrors(); len(errs) != 0 {
+		t.Fatalf("schedule errors: %v", errs)
+	}
+	ev, ok := c.FirstEvent(netem.NodeID(core.CoordinatorID), detector.EventSuspect)
+	if !ok || ev.Proc != 1 {
+		t.Fatalf("coordinator never suspected p[1]: %+v (events %v)", ev, c.Events)
+	}
+	if delay, bound := ev.Time-crashAt, cc.Plain.DetectionBound(); delay <= 0 || delay > bound {
+		t.Fatalf("suspected %d ticks after the crash, want within (0, %d]", delay, bound)
+	}
+	if len(rec.Events()) == 0 {
+		t.Fatal("observer saw no machine steps")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // ErrEmpty is returned by queries on samples with no observations.
@@ -25,13 +24,6 @@ type Sample struct {
 func (s *Sample) Add(v float64) {
 	s.values = append(s.values, v)
 	s.sorted = false
-}
-
-// AddN records an observation with multiplicity n.
-func (s *Sample) AddN(v float64, n int) {
-	for i := 0; i < n; i++ {
-		s.Add(v)
-	}
 }
 
 // Merge absorbs every observation of other into s, as if each had been
@@ -208,53 +200,4 @@ func (r *Ratio) Wilson95() (lo, hi float64, err error) {
 	center := (p + z*z/(2*n)) / denom
 	half := z / denom * math.Sqrt(p*(1-p)/n+z*z/(4*n*n))
 	return math.Max(0, center-half), math.Min(1, center+half), nil
-}
-
-// Histogram counts observations into fixed-width buckets over [Lo, Hi);
-// out-of-range observations land in the first/last bucket.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-}
-
-// NewHistogram builds a histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n < 1 || hi <= lo {
-		return nil, fmt.Errorf("stats: bad histogram shape [%v,%v) x%d", lo, hi, n)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}, nil
-}
-
-// Add records an observation.
-func (h *Histogram) Add(v float64) {
-	idx := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
-}
-
-// Render draws the histogram with proportional bars of at most width
-// characters.
-func (h *Histogram) Render(width int) string {
-	maxCount := 0
-	for _, c := range h.Buckets {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var sb strings.Builder
-	step := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		bar := 0
-		if maxCount > 0 {
-			bar = c * width / maxCount
-		}
-		fmt.Fprintf(&sb, "[%8.3g, %8.3g) %6d %s\n",
-			h.Lo+float64(i)*step, h.Lo+float64(i+1)*step, c, strings.Repeat("#", bar))
-	}
-	return sb.String()
 }

@@ -102,14 +102,6 @@ func TestPercentileAfterAddResorts(t *testing.T) {
 	}
 }
 
-func TestAddN(t *testing.T) {
-	var s Sample
-	s.AddN(2, 3)
-	if s.N() != 3 || s.Sum() != 6 {
-		t.Fatalf("AddN: n=%d sum=%v", s.N(), s.Sum())
-	}
-}
-
 // TestPropertyMeanWithinRange: a mean always lies within [min, max].
 func TestPropertyMeanWithinRange(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -220,32 +212,6 @@ func TestPropertyWilsonContainsPointEstimate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-1, 0, 1.9, 2, 9.9, 10, 42} {
-		h.Add(v)
-	}
-	want := []int{3, 1, 0, 0, 3}
-	for i, w := range want {
-		if h.Buckets[i] != w {
-			t.Fatalf("buckets = %v, want %v", h.Buckets, want)
-		}
-	}
-	out := h.Render(10)
-	if !strings.Contains(out, "#") || strings.Count(out, "\n") != 5 {
-		t.Fatalf("render:\n%s", out)
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("degenerate range accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Fatal("zero buckets accepted")
 	}
 }
 
