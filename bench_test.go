@@ -114,7 +114,8 @@ func BenchmarkTableFixed(b *testing.B) {
 }
 
 // BenchmarkTableFixedStatic is the heavyweight cell block: the corrected
-// static protocol with two participants (millions of states per check).
+// static protocol with two participants (up to 625k quotient states per
+// check; 4.35M on the unreduced network).
 func BenchmarkTableFixedStatic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cells, err := models.RunTable(models.TableSpec{

@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -30,80 +31,77 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams passed in: verdicts, tables and traces go
+// to w, usage, analysis problems and the final error line to stderr. It
+// returns the exit status: 0, 1 for an error, 2 for a violated single check
+// (and, as the flag package has it, for a malformed command line).
+func run(args []string, w, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hbcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		table     = flag.String("table", "", "regenerate a verification table: 1, 2, fixed, or all")
-		variant   = flag.String("variant", "", "single check: binary, revised-binary, two-phase, static, expanding, dynamic")
-		prop      = flag.String("prop", "R1", "single check: property R1, R2 or R3")
-		tmin      = flag.Int("tmin", 1, "single check: tmin")
-		tmax      = flag.Int("tmax", 10, "tmax (tables use the paper's 10)")
-		n         = flag.Int("n", 0, "participants (default: 2 for static, 1 otherwise)")
-		fixed     = flag.Bool("fixed", false, "single check: check the corrected (§6) protocol")
-		showTrace = flag.Bool("trace", false, "single check: print the counter-example when the property fails")
-		maxStates = flag.Int("max-states", 20_000_000, "state-space limit per check")
-		workers   = flag.Int("workers", 0, "concurrent table cells (0 = GOMAXPROCS); a single check is sequential")
-		analyze   = flag.Bool("analyze", false, "run the structural model analysis (ta.Analyze) before exploring; alone: analyze all six variants and exit")
+		table     = fs.String("table", "", "regenerate a verification table: 1, 2, fixed, or all")
+		variant   = fs.String("variant", "", "single check: binary, revised-binary, two-phase, static, expanding, dynamic")
+		prop      = fs.String("prop", "R1", "single check: property R1, R2 or R3")
+		tmin      = fs.Int("tmin", 1, "single check: tmin")
+		tmax      = fs.Int("tmax", 10, "tmax (tables use the paper's 10)")
+		n         = fs.Int("n", 0, "participants (default: 2 for static, 1 otherwise)")
+		fixed     = fs.Bool("fixed", false, "single check: check the corrected (§6) protocol")
+		showTrace = fs.Bool("trace", false, "single check: print the counter-example when the property fails")
+		maxStates = fs.Int("max-states", 20_000_000, "state-space limit per check")
+		workers   = fs.Int("workers", 0, "concurrent table cells (0 = GOMAXPROCS); a single check is sequential")
+		analyze   = fs.Bool("analyze", false, "run the structural model analysis (ta.Analyze) before exploring; alone: analyze all six variants and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	opts := mc.Options{MaxStates: *maxStates}
+	satisfied := true
+	var err error
 	switch {
 	case *table != "":
 		// Pre-flight every variant the tables will build before spending
-		// minutes of BFS on a structurally broken model.
+		// the BFS on a structurally broken model.
 		if *analyze {
-			if err := runAnalyzeAll(int32(*tmin), int32(*tmax)); err != nil {
-				fmt.Fprintln(os.Stderr, "hbcheck:", err)
-				os.Exit(1)
-			}
+			err = runAnalyzeAll(w, stderr, int32(*tmin), int32(*tmax))
 		}
 		// Tables parallelise across cells (each cell is an independent
 		// model); every check is itself sequential.
-		if err := runTables(*table, int32(*tmax), *workers, opts); err != nil {
-			fmt.Fprintln(os.Stderr, "hbcheck:", err)
-			os.Exit(1)
+		if err == nil {
+			err = runTables(w, *table, int32(*tmax), *workers, opts)
 		}
 	case *variant != "":
-		if *analyze {
-			v, err := parseVariant(*variant)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "hbcheck:", err)
-				os.Exit(1)
-			}
-			cfg := models.Config{TMin: int32(*tmin), TMax: int32(*tmax), Variant: v, N: defaultN(v, *n), Fixed: *fixed}
-			if err := analyzeConfig(cfg); err != nil {
-				fmt.Fprintln(os.Stderr, "hbcheck:", err)
-				os.Exit(1)
-			}
-		}
-		ok, err := runSingle(*variant, *prop, int32(*tmin), int32(*tmax), *n, *fixed, *showTrace, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hbcheck:", err)
-			os.Exit(1)
-		}
-		if !ok {
-			os.Exit(2)
-		}
+		cfg := models.Config{TMin: int32(*tmin), TMax: int32(*tmax), N: *n, Fixed: *fixed}
+		satisfied, err = runSingle(w, stderr, *variant, *prop, cfg, *analyze, *showTrace, opts)
 	case *analyze:
-		if err := runAnalyzeAll(int32(*tmin), int32(*tmax)); err != nil {
-			fmt.Fprintln(os.Stderr, "hbcheck:", err)
-			os.Exit(1)
-		}
+		err = runAnalyzeAll(w, stderr, int32(*tmin), int32(*tmax))
 	default:
-		flag.Usage()
-		os.Exit(1)
+		fs.Usage()
+		return 1
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "hbcheck:", err)
+		return 1
+	}
+	if !satisfied {
+		return 2
+	}
+	return 0
 }
 
 // analyzeConfig builds cfg's network and runs the structural analysis,
 // printing every problem; a non-nil error means the model failed.
-func analyzeConfig(cfg models.Config) error {
+func analyzeConfig(stderr io.Writer, cfg models.Config) error {
 	m, err := models.Build(cfg)
 	if err != nil {
 		return err
 	}
 	problems := m.Net.Analyze()
 	for _, p := range problems {
-		fmt.Fprintf(os.Stderr, "analyze %v tmin=%d tmax=%d fixed=%v: %s\n",
+		fmt.Fprintf(stderr, "analyze %v tmin=%d tmax=%d fixed=%v: %s\n",
 			cfg.Variant, cfg.TMin, cfg.TMax, cfg.Fixed, p)
 	}
 	if len(problems) > 0 {
@@ -115,17 +113,17 @@ func analyzeConfig(cfg models.Config) error {
 
 // runAnalyzeAll analyzes all six variants, original and corrected, at the
 // given constants.
-func runAnalyzeAll(tmin, tmax int32) error {
+func runAnalyzeAll(w, stderr io.Writer, tmin, tmax int32) error {
 	for _, v := range []models.Variant{
 		models.Binary, models.RevisedBinary, models.TwoPhase,
 		models.Static, models.Expanding, models.Dynamic,
 	} {
 		for _, fixed := range []bool{false, true} {
 			cfg := models.Config{TMin: tmin, TMax: tmax, Variant: v, N: defaultN(v, 0), Fixed: fixed}
-			if err := analyzeConfig(cfg); err != nil {
+			if err := analyzeConfig(stderr, cfg); err != nil {
 				return err
 			}
-			fmt.Printf("analyze %v tmin=%d tmax=%d fixed=%v: ok\n", v, tmin, tmax, fixed)
+			fmt.Fprintf(w, "analyze %v tmin=%d tmax=%d fixed=%v: ok\n", v, tmin, tmax, fixed)
 		}
 	}
 	return nil
@@ -165,7 +163,12 @@ func defaultN(v models.Variant, n int) int {
 	return 1
 }
 
-func runSingle(variant, prop string, tmin, tmax int32, n int, fixed, showTrace bool, opts mc.Options) (bool, error) {
+// runSingle checks one property of one configuration — cfg completed by
+// the named variant and its default participant count — after the
+// pre-flight analysis if asked for. It prints the verdict with the size of
+// the quotient explored (models.Verify), then the counter-example if asked
+// for.
+func runSingle(w, stderr io.Writer, variant, prop string, cfg models.Config, analyze, showTrace bool, opts mc.Options) (bool, error) {
 	v, err := parseVariant(variant)
 	if err != nil {
 		return false, err
@@ -174,7 +177,12 @@ func runSingle(variant, prop string, tmin, tmax int32, n int, fixed, showTrace b
 	if err != nil {
 		return false, err
 	}
-	cfg := models.Config{TMin: tmin, TMax: tmax, Variant: v, N: defaultN(v, n), Fixed: fixed}
+	cfg.Variant, cfg.N = v, defaultN(v, cfg.N)
+	if analyze {
+		if err := analyzeConfig(stderr, cfg); err != nil {
+			return false, err
+		}
+	}
 	verdict, err := models.Verify(cfg, p, opts)
 	if err != nil {
 		return false, err
@@ -183,26 +191,26 @@ func runSingle(variant, prop string, tmin, tmax int32, n int, fixed, showTrace b
 	if !verdict.Satisfied {
 		status = "VIOLATED"
 	}
-	fmt.Printf("%v %v tmin=%d tmax=%d fixed=%v: %s (%d states, %d transitions)\n",
-		v, p, tmin, tmax, fixed, status,
+	fmt.Fprintf(w, "%v %v tmin=%d tmax=%d fixed=%v: %s (%d states, %d transitions)\n",
+		cfg.Variant, p, cfg.TMin, cfg.TMax, cfg.Fixed, status,
 		verdict.Result.StatesExplored, verdict.Result.TransitionsExplored)
 	if !verdict.Satisfied && showTrace {
-		title := fmt.Sprintf("counter-example for %v on the %v protocol (tmin=%d, tmax=%d)", p, v, tmin, tmax)
-		if err := trace.Render(os.Stdout, title, verdict.Result.Trace); err != nil {
+		title := fmt.Sprintf("counter-example for %v on the %v protocol (tmin=%d, tmax=%d)", p, cfg.Variant, cfg.TMin, cfg.TMax)
+		if err := trace.Render(w, title, verdict.Result.Trace); err != nil {
 			return false, err
 		}
 	}
 	return verdict.Satisfied, nil
 }
 
-func runTables(which string, tmax int32, workers int, opts mc.Options) error {
+func runTables(w io.Writer, which string, tmax int32, workers int, opts mc.Options) error {
 	run := func(title string, spec models.TableSpec) error {
-		fmt.Println("==", title)
+		fmt.Fprintln(w, "==", title)
 		cells, err := models.RunTable(spec)
 		if err != nil {
 			return err
 		}
-		fmt.Print(models.FormatTable(cells))
+		fmt.Fprint(w, models.FormatTable(cells))
 		return nil
 	}
 	tmins := models.DefaultTMins()

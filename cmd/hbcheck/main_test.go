@@ -1,0 +1,96 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// checkGolden runs hbcheck with args, expects the given exit status and
+// compares stdout against testdata/<name>.golden. The table goldens were
+// written by the binary of the commit before the verdict path explored a
+// quotient, so they pin "the tables did not move"; the single-check goldens
+// carry the quotient's state count, which a deliberate change to the
+// dead-clock table moves: regenerate with
+// `go run ./cmd/hbcheck <args> > cmd/hbcheck/testdata/<name>.golden`.
+func checkGolden(t *testing.T, name string, code int, args ...string) {
+	t.Helper()
+	var out, errs bytes.Buffer
+	if got := run(args, &out, &errs); got != code {
+		t.Fatalf("run(%v) = %d, want %d\n%s%s", args, got, code, out.String(), errs.String())
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("hbcheck %v differs from testdata/%s.golden:\ngot:\n%s\nwant:\n%s", args, name, out.Bytes(), want)
+	}
+}
+
+func TestGoldenSatisfied(t *testing.T) {
+	checkGolden(t, "satisfied", 0, "-variant", "binary", "-tmin", "9", "-prop", "R2", "-trace")
+}
+
+// TestGoldenFigure11: a violated check exits 2 and -trace renders the
+// counter-example of the analysis' Figure 11.
+func TestGoldenFigure11(t *testing.T) {
+	checkGolden(t, "figure11", 2, "-variant", "binary", "-tmin", "10", "-prop", "R2", "-trace")
+}
+
+func TestGoldenTable2(t *testing.T) { checkGolden(t, "table_2", 0, "-table", "2") }
+
+// TestGoldenTableAll is `hbcheck -table all`, byte for byte, at two worker
+// counts; CI diffs the built command against the same file.
+func TestGoldenTableAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("180 cells, static n=2 among them; skipped in -short")
+	}
+	checkGolden(t, "table_all", 0, "-table", "all", "-workers", "1")
+	checkGolden(t, "table_all", 0, "-table", "all", "-workers", "4")
+}
+
+// TestBadInputRejected: what arrives on the command line fails with one
+// error line naming it, and nothing on stdout.
+func TestBadInputRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-nope"}, 2, "-nope"},
+		{[]string{"-variant", "ternary"}, 1, `unknown variant "ternary"`},
+		{[]string{"-variant", "binary", "-prop", "R4"}, 1, `unknown property "R4"`},
+		{[]string{"-table", "3"}, 1, `unknown table "3"`},
+		{[]string{"-variant", "binary", "-tmin", "11"}, 1, "tmin"},
+		{[]string{"-variant", "binary", "-tmax", "20000"}, 1, "20000"},
+	} {
+		var out, errs bytes.Buffer
+		if code := run(tc.args, &out, &errs); code != tc.code {
+			t.Errorf("run(%q) = %d, want %d\n%s", tc.args, code, tc.code, errs.String())
+		}
+		if !strings.Contains(errs.String(), tc.want) {
+			t.Errorf("run(%q) stderr does not name %s:\n%s", tc.args, tc.want, errs.String())
+		}
+		if tc.code == 1 && strings.Count(errs.String(), "\n") != 1 {
+			t.Errorf("run(%q) stderr is not one line:\n%s", tc.args, errs.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%q) wrote to stdout:\n%s", tc.args, out.String())
+		}
+	}
+}
+
+// TestMaxStatesIsAnError: a check the limit cuts short is inconclusive, not
+// satisfied.
+func TestMaxStatesIsAnError(t *testing.T) {
+	var out, errs bytes.Buffer
+	if code := run([]string{"-variant", "binary", "-tmin", "9", "-max-states", "100"}, &out, &errs); code != 1 {
+		t.Fatalf("exit %d, want 1\n%s%s", code, out.String(), errs.String())
+	}
+	if !strings.Contains(errs.String(), "state limit exceeded") {
+		t.Fatalf("stderr does not name the limit:\n%s", errs.String())
+	}
+}

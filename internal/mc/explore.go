@@ -41,6 +41,7 @@ type rawTrans struct {
 type explorer struct {
 	goal      func(*ta.State) bool
 	prune     func(*ta.State) bool
+	canon     func(*ta.State)
 	limit     int
 	withTrans bool
 
@@ -86,12 +87,13 @@ func (e *explorer) declareLabel(label string) {
 
 // newExplorer builds the store and the label table and commits the initial
 // configuration as state 0; atGoal reports that it satisfies the goal.
-func newExplorer(n *ta.Network, goal, prune func(*ta.State) bool, limit int, withTrans bool) (e *explorer, atGoal bool, err error) {
+func newExplorer(n *ta.Network, goal func(*ta.State) bool, opts Options, withTrans bool) (e *explorer, atGoal bool, err error) {
 	init := n.Initial()
 	e = &explorer{
 		goal:      goal,
-		prune:     prune,
-		limit:     limit,
+		prune:     opts.Prune,
+		canon:     opts.Canon,
+		limit:     min(opts.maxStates(), math.MaxInt32-1), // ids are int32 in the records
 		withTrans: withTrans,
 		numLocs:   len(init.Locs),
 		numClocks: len(init.Clocks),
@@ -120,9 +122,8 @@ func newExplorer(n *ta.Network, goal, prune func(*ta.State) bool, limit int, wit
 // explore runs the BFS from the network's initial configuration. It
 // returns the explorer for trace/LTS reconstruction, the id of the witness
 // goal state (-1 if none was reached), and the state/transition counts.
-func explore(n *ta.Network, goal, prune func(*ta.State) bool, limit int, withTrans bool) (*explorer, int, int, int, error) {
-	limit = min(limit, math.MaxInt32-1) // ids are int32 in the records
-	e, atGoal, err := newExplorer(n, goal, prune, limit, withTrans)
+func explore(n *ta.Network, goal func(*ta.State) bool, opts Options, withTrans bool) (*explorer, int, int, int, error) {
+	e, atGoal, err := newExplorer(n, goal, opts, withTrans)
 	if err != nil {
 		return nil, -1, 0, 0, err
 	}
@@ -155,9 +156,10 @@ func (e *explorer) run() (int, error) {
 }
 
 //hbvet:noalloc
-// expand generates id's successors and commits first occurrences as it
-// meets them: one probe, insert at the slot the probe ended on, check the
-// goal.
+// expand generates id's successors, rewrites each to its class
+// representative when a canonicaliser is set, and commits first
+// occurrences as it meets them: one probe, insert at the slot the probe
+// ended on, check the goal.
 func (e *explorer) expand(id int, goalID *int, limitHit *bool) {
 	st := e.store
 	e.scratch.DecodeKey(st.key(id), e.numLocs, e.numClocks)
@@ -169,6 +171,10 @@ func (e *explorer) expand(id int, goalID *int, limitHit *bool) {
 	e.transitions += len(e.buf)
 	for i := range e.buf {
 		tr := &e.buf[i]
+		if e.canon != nil {
+			//lint:allow noalloc-closure the canonicaliser is exploration configuration; the Options contract requires it pure and allocation-free
+			e.canon(&tr.Target)
+		}
 		e.keyBuf = tr.Target.AppendKey(e.keyBuf[:0])
 		h := hashKey(e.keyBuf)
 		to, slot, seen := st.find(e.keyBuf, h)

@@ -8,24 +8,85 @@ import (
 
 // TestSerialCheckerAllocBudget pins the allocation count of one small
 // check (the benchmark's mc.allocs_per_check reports the figure for a
-// real model). The bound includes network construction and covers growth
-// headroom; per-state or per-level allocation back on the path blows
-// straight through it.
+// real model), without and with a canonicaliser on the path. The bound
+// includes network construction and covers growth headroom; per-state or
+// per-level allocation back on the path blows straight through it.
 func TestSerialCheckerAllocBudget(t *testing.T) {
-	check := func() {
-		net, v := counterNet(30)
-		res, err := CheckReachability(net, func(s *ta.State) bool { return s.Vars[v] == 29 }, Options{})
-		if err != nil {
-			t.Fatal(err)
+	for _, quotient := range []bool{false, true} {
+		check := func() {
+			net, v := counterNet(30)
+			var opts Options
+			if quotient {
+				// The count is never read again once the counter is done.
+				opts.Canon = func(s *ta.State) {
+					if s.Locs[0] == 1 {
+						s.Vars[v] = 0
+					}
+				}
+			}
+			res, err := CheckReachability(net, func(s *ta.State) bool { return s.Vars[v] == 29 }, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Reachable {
+				t.Fatal("goal unreachable")
+			}
 		}
-		if !res.Reachable {
-			t.Fatal("goal unreachable")
+		check() // warm any lazy package state
+		avg := testing.AllocsPerRun(20, check)
+		// The counter model plus one exploration sits around 100 allocs.
+		if avg > 200 {
+			t.Fatalf("quotient=%v: check allocates %.0f/op, budget 200", quotient, avg)
 		}
 	}
-	check() // warm any lazy package state
-	avg := testing.AllocsPerRun(20, check)
-	// The counter model plus one exploration sits around 100 allocs.
-	if avg > 200 {
-		t.Fatalf("check allocates %.0f/op, budget 200", avg)
+}
+
+// TestCanonExploresQuotient: a clock nothing reads after the one edge out
+// of Run splits End into a state per value it can hold; a canonicaliser
+// that stores it as 0 there leaves one. The witness to End is the same run
+// either way, and BuildLTS ignores the hook.
+func TestCanonExploresQuotient(t *testing.T) {
+	net := ta.NewNetwork()
+	x := net.Clock("x", 5)
+	net.Add(&ta.Automaton{
+		Name:      "once",
+		Locations: []ta.Location{{Name: "Run"}, {Name: "End"}},
+		Edges:     []ta.Edge{{From: 0, To: 1, Label: "stop"}},
+	})
+	canon := func(s *ta.State) {
+		if s.Locs[0] == 1 {
+			s.Clocks[x] = 0
+		}
+	}
+	whole, _, err := CountStates(net, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quotient, _, err := CountStates(net, Options{Canon: canon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Run and End at x = 0..5 each; End once in the quotient.
+	if whole != 12 || quotient != 7 {
+		t.Fatalf("%d states, %d in the quotient; want 12 and 7", whole, quotient)
+	}
+	atEnd := func(s *ta.State) bool { return s.Locs[0] == 1 }
+	plain, err := CheckReachability(net, atEnd, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reduced, err := CheckReachability(net, atEnd, Options{Canon: canon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reduced.Reachable || len(reduced.Trace) != len(plain.Trace) || reduced.Trace[1].Label != "stop" {
+		t.Fatalf("witness %+v, on the network %+v", reduced.Trace, plain.Trace)
+	}
+	lts, err := BuildLTS(net, Options{Canon: canon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lts.NumStates != whole {
+		t.Fatalf("BuildLTS with a canonicaliser has %d states, the network %d", lts.NumStates, whole)
 	}
 }

@@ -64,7 +64,7 @@ func (l *LTS) internLabels() {
 // BuildLTS generates the full reachable transition system of a network.
 // Transitions come out in (source id, successor enumeration) order.
 func BuildLTS(n *ta.Network, opts Options) (*LTS, error) {
-	e, _, _, _, err := explore(n, nil, nil, opts.maxStates(), true)
+	e, _, _, _, err := explore(n, nil, Options{MaxStates: opts.MaxStates}, true)
 	if err != nil {
 		return nil, err
 	}

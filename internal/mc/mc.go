@@ -32,6 +32,18 @@ type Options struct {
 	// through a pruned state — e.g. pruning on a monotone flag the goal
 	// negates.
 	Prune func(*ta.State) bool
+	// Canon, if non-nil, rewrites every generated successor in place to
+	// the representative of its equivalence class before it is hashed, so
+	// the search visits the quotient instead of the network. Sound only
+	// when the rewrite is a functional strong bisimulation the predicates
+	// cannot see through: Canon is idempotent, goal and Prune agree on s
+	// and Canon(s), and the successors of s and of Canon(s), enumerated in
+	// order and rewritten, are the same labelled states. Then verdict,
+	// witness labels and witness times are those of the unreduced search;
+	// the states of a witness are the representatives. Like Prune it must
+	// be pure and allocation-free. The initial configuration is stored as
+	// given. BuildLTS ignores Canon, as it ignores Prune.
+	Canon func(*ta.State)
 	// Workers is ignored; it stays declared only until bench/ stops setting it.
 	Workers int
 }
@@ -62,7 +74,9 @@ type Step struct {
 type Result struct {
 	// Reachable reports whether a goal state was found.
 	Reachable bool
-	// StatesExplored counts distinct configurations visited.
+	// StatesExplored counts distinct configurations visited: states of
+	// the explored quotient when Options.Canon is set (under the models
+	// verdict path it always is), of the network otherwise.
 	StatesExplored int
 	// TransitionsExplored counts transitions generated.
 	TransitionsExplored int
@@ -81,7 +95,7 @@ type Result struct {
 // shortest, and lexicographically least with respect to the network's
 // deterministic successor enumeration order (see explore.go).
 func CheckReachability(n *ta.Network, goal func(*ta.State) bool, opts Options) (Result, error) {
-	e, goalID, states, transitions, err := explore(n, goal, opts.Prune, opts.maxStates(), false)
+	e, goalID, states, transitions, err := explore(n, goal, opts, false)
 	res := Result{StatesExplored: states, TransitionsExplored: transitions}
 	if goalID >= 0 {
 		res.Reachable = true
@@ -137,6 +151,6 @@ func Invariant(n *ta.Network, pred func(*ta.State) bool, opts Options) (Result, 
 // CountStates exhaustively generates the reachable state space and returns
 // its size; useful for regression-pinning model sizes.
 func CountStates(n *ta.Network, opts Options) (states, transitions int, err error) {
-	_, _, states, transitions, err = explore(n, nil, opts.Prune, opts.maxStates(), false)
+	_, _, states, transitions, err = explore(n, nil, opts, false)
 	return states, transitions, err
 }

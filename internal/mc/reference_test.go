@@ -16,7 +16,9 @@ import (
 // shares only the level contract with the explorer: a level on which the
 // goal turns up or the state limit (0: none) is crossed is expanded to
 // its end, nothing commits past the limit, and the first goal state
-// committed, in discovery order, is the witness.
+// committed, in discovery order, is the witness. A canonicaliser (nil:
+// none) rewrites each successor before it is looked up, as Options.Canon
+// does.
 type reference struct {
 	states   []ta.State
 	parent   []int
@@ -28,7 +30,7 @@ type reference struct {
 	nTrans   int
 }
 
-func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool, limit int) *reference {
+func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool, canon func(*ta.State), limit int) *reference {
 	r := &reference{goalID: -1}
 	ids := map[string]int{}
 	add := func(s *ta.State, parent int, label string, delay bool) int {
@@ -54,6 +56,9 @@ func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool, limit int) *r
 			}
 			for _, tr := range ctx.Successors(&src, nil) {
 				r.nTrans++
+				if canon != nil {
+					canon(&tr.Target)
+				}
 				to, seen := ids[tr.Target.Key()]
 				switch {
 				case seen:
@@ -97,13 +102,41 @@ func buildModel(t *testing.T, cfg models.Config) *models.Model {
 	return m
 }
 
+// inactiveWatchdogCanon is a canonicaliser for a one-participant model,
+// put together from the network's names: p[1]'s watchdog clock reads 0 once
+// p[1] is inactivated. It is one row of the models package's dead-clock
+// table, so the search it steers is the kind the verdict path runs — though
+// explorer and reference must agree under any rewrite.
+func inactiveWatchdogCanon(t *testing.T, n *ta.Network) func(*ta.State) {
+	t.Helper()
+	aut, vInact, nvInact, wfb := -1, -1, -1, -1
+	for i, a := range n.Automata() {
+		if a.Name == "Pp[1]" {
+			aut, vInact, nvInact = i, n.LocationIndex(a, "VInact"), n.LocationIndex(a, "NVInact")
+		}
+	}
+	for c := 0; c < n.NumClocks(); c++ {
+		if n.ClockName(c) == "wfb_p[1]" {
+			wfb = c
+		}
+	}
+	if aut < 0 || vInact < 0 || nvInact < 0 || wfb < 0 {
+		t.Fatalf("no p[1] in the network: automaton %d, VInact %d, NVInact %d, clock %d", aut, vInact, nvInact, wfb)
+	}
+	return func(s *ta.State) {
+		if loc := int(s.Locs[aut]); loc == vInact || loc == nvInact {
+			s.Clocks[wfb] = 0
+		}
+	}
+}
+
 // TestSerialMatchesReferenceLTS pins ids, labels and counts: BuildLTS
 // numbers states in discovery order and emits transitions in (source id,
 // successor index) order, so its output must equal the reference's
 // element for element.
 func TestSerialMatchesReferenceLTS(t *testing.T) {
 	cfg := models.Config{Variant: models.Binary, N: 1, TMin: 9, TMax: 10}
-	ref := referenceBFS(buildModel(t, cfg).Net, nil, nil, 0)
+	ref := referenceBFS(buildModel(t, cfg).Net, nil, nil, nil, 0)
 	if len(ref.states) <= 16384 {
 		t.Fatalf("reference has %d states; the model must outgrow one store page to test paging", len(ref.states))
 	}
@@ -124,7 +157,8 @@ func TestSerialMatchesReferenceLTS(t *testing.T) {
 
 // TestSerialMatchesReferenceChecks pins counts, parents and witness: a
 // satisfied property (full exploration, with and without pruning) and the
-// counter-example of binary tmin=1 R1, step for step.
+// counter-example of binary tmin=1 R1, step for step — each on the network
+// and on the quotient a canonicaliser leaves of it.
 func TestSerialMatchesReferenceChecks(t *testing.T) {
 	for _, tc := range []struct {
 		cfg       models.Config
@@ -136,26 +170,41 @@ func TestSerialMatchesReferenceChecks(t *testing.T) {
 		{models.Config{Variant: models.Binary, N: 1, TMin: 9, TMax: 10}, models.R2, true, false},
 		{models.Config{Variant: models.Binary, N: 1, TMin: 1, TMax: 10}, models.R1, false, true},
 	} {
-		t.Run(fmt.Sprintf("tmin=%d-%v", tc.cfg.TMin, tc.prop), func(t *testing.T) {
-			m := buildModel(t, tc.cfg)
-			goal, err := m.Violation(tc.prop)
-			if err != nil {
-				t.Fatal(err)
+		for _, quotient := range []bool{false, true} {
+			name := fmt.Sprintf("tmin=%d-%v", tc.cfg.TMin, tc.prop)
+			if quotient {
+				name += "-quotient"
 			}
-			var prune func(*ta.State) bool
-			if tc.prune {
-				prune = m.MessageLost
-			}
-			ref := referenceBFS(m.Net, goal, prune, 0)
-			res, err := mc.CheckReachability(m.Net, goal, mc.Options{Prune: prune})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Reachable != tc.reachable {
-				t.Fatalf("reachable = %v, want %v", res.Reachable, tc.reachable)
-			}
-			matchReference(t, res, ref)
-		})
+			t.Run(name, func(t *testing.T) {
+				m := buildModel(t, tc.cfg)
+				goal, err := m.Violation(tc.prop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var prune func(*ta.State) bool
+				if tc.prune {
+					prune = m.MessageLost
+				}
+				var canon func(*ta.State)
+				if quotient {
+					canon = inactiveWatchdogCanon(t, m.Net)
+				}
+				ref := referenceBFS(m.Net, goal, prune, canon, 0)
+				res, err := mc.CheckReachability(m.Net, goal, mc.Options{Prune: prune, Canon: canon})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Reachable != tc.reachable {
+					t.Fatalf("reachable = %v, want %v", res.Reachable, tc.reachable)
+				}
+				matchReference(t, res, ref)
+				if quotient && !tc.reachable {
+					if whole := referenceBFS(m.Net, goal, prune, nil, 0); len(ref.states) >= len(whole.states) {
+						t.Fatalf("the quotient has %d states, the network %d: the canonicaliser merges nothing", len(ref.states), len(whole.states))
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -199,36 +248,42 @@ func TestSerialStateLimitSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	free := referenceBFS(m.Net, goal, nil, 0)
-	witness, total := free.goalID, len(free.states)
-	if witness < 100 || total-witness < 2 {
-		t.Fatalf("witness id %d of %d states: the cell no longer commits states after the witness on its level", witness, total)
-	}
-	for _, tc := range []struct {
-		name      string
-		limit     int
-		reachable bool
-	}{
-		{"crossed long before the witness", witness / 2, false},
-		{"crossed by the witness", witness, false},
-		{"crossed just after the witness", witness + 1, true},
-		{"never crossed", total, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ref := referenceBFS(m.Net, goal, nil, tc.limit)
-			res, err := mc.CheckReachability(m.Net, goal, mc.Options{MaxStates: tc.limit})
-			if crossed := tc.limit < total; ref.limitHit != crossed {
-				t.Fatalf("reference crossed the limit: %v, want %v", ref.limitHit, crossed)
-			}
-			if tc.reachable {
-				if err != nil || !res.Reachable {
-					t.Fatalf("reachable = %v, err = %v, want the witness", res.Reachable, err)
+	for _, side := range []struct {
+		name  string
+		canon func(*ta.State)
+	}{{"", nil}, {"quotient: ", inactiveWatchdogCanon(t, m.Net)}} {
+		name, canon := side.name, side.canon
+		free := referenceBFS(m.Net, goal, nil, canon, 0)
+		witness, total := free.goalID, len(free.states)
+		if witness < 100 || total-witness < 2 {
+			t.Fatalf("%switness id %d of %d states: the cell no longer commits states after the witness on its level", name, witness, total)
+		}
+		for _, tc := range []struct {
+			name      string
+			limit     int
+			reachable bool
+		}{
+			{"crossed long before the witness", witness / 2, false},
+			{"crossed by the witness", witness, false},
+			{"crossed just after the witness", witness + 1, true},
+			{"never crossed", total, true},
+		} {
+			t.Run(name+tc.name, func(t *testing.T) {
+				ref := referenceBFS(m.Net, goal, nil, canon, tc.limit)
+				res, err := mc.CheckReachability(m.Net, goal, mc.Options{MaxStates: tc.limit, Canon: canon})
+				if crossed := tc.limit < total; ref.limitHit != crossed {
+					t.Fatalf("reference crossed the limit: %v, want %v", ref.limitHit, crossed)
 				}
-			} else if !errors.Is(err, mc.ErrStateLimit) || res.Reachable || res.StatesExplored != tc.limit {
-				t.Fatalf("reachable = %v, %d states, err = %v, want ErrStateLimit at %d states",
-					res.Reachable, res.StatesExplored, err, tc.limit)
-			}
-			matchReference(t, res, ref)
-		})
+				if tc.reachable {
+					if err != nil || !res.Reachable {
+						t.Fatalf("reachable = %v, err = %v, want the witness", res.Reachable, err)
+					}
+				} else if !errors.Is(err, mc.ErrStateLimit) || res.Reachable || res.StatesExplored != tc.limit {
+					t.Fatalf("reachable = %v, %d states, err = %v, want ErrStateLimit at %d states",
+						res.Reachable, res.StatesExplored, err, tc.limit)
+				}
+				matchReference(t, res, ref)
+			})
+		}
 	}
 }

@@ -131,6 +131,9 @@ func (m *Model) buildChannel(i int) {
 	c.aut = len(net.Automata())
 	net.Add(a)
 	m.chs = append(m.chs, c)
+	// Only the Fwd and Reply invariants read the budget, and the one way
+	// out of Idle resets it.
+	m.dead = append(m.dead, deadClock{clock: rt, aut: c.aut, locs: locSet(c.idle), v: noVar})
 }
 
 // buildJoinChannel carries p[i+1]'s solicitations to p[0]. Its delay is
@@ -179,4 +182,6 @@ func (m *Model) buildJoinChannel(i int) {
 	c.aut = len(net.Automata())
 	net.Add(a)
 	m.jchs = append(m.jchs, c)
+	// As for the pair channel: read in Fwd only, reset on leaving Idle.
+	m.dead = append(m.dead, deadClock{clock: rt, aut: c.aut, locs: locSet(c.idle), v: noVar})
 }

@@ -270,6 +270,9 @@ type Model struct {
 	chs  []chanRefs
 	jchs []joinChanRefs
 	mons []monRefs
+	// dead is the dead-clock table the verdict path canonicalises with
+	// (deadclock.go); each build function appends its own clocks' rows.
+	dead []deadClock
 
 	// variables
 	vActive0 int
@@ -277,7 +280,7 @@ type Model struct {
 	vRcvd    []int
 	vTM      []int
 	vJnd     []int
-	vLeave   []int // dynamic only; -1 otherwise
+	vLeave   []int // dynamic only; noVar otherwise
 	vEver    []int // p[0] ever received a beat from p[i]
 	vLost    int
 
@@ -339,7 +342,7 @@ func (m *Model) declareVars() {
 		if cfg.Variant == Dynamic {
 			m.vLeave = append(m.vLeave, n.Var(fmt.Sprintf("leave%d", i+1), 0))
 		} else {
-			m.vLeave = append(m.vLeave, -1)
+			m.vLeave = append(m.vLeave, noVar)
 		}
 		m.vEver = append(m.vEver, n.Var(fmt.Sprintf("ever%d", i+1), 0))
 	}

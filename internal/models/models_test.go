@@ -93,6 +93,7 @@ func TestVariantAndPropertyStrings(t *testing.T) {
 // deadlock would indicate a synchronisation bug (e.g. a committed location
 // with no enabled edge).
 func TestNoDeadlocks(t *testing.T) {
+	t.Parallel()
 	configs := []Config{
 		{TMin: 2, TMax: 4, Variant: Binary, N: 1},
 		{TMin: 4, TMax: 4, Variant: Binary, N: 1},

@@ -72,4 +72,9 @@ func (m *Model) buildMonitor(i int) {
 	mo.aut = len(net.Automata())
 	net.Add(a)
 	m.mons = append(m.mons, mo)
+	// Only the error edge out of Watch reads the watchdog, and only under
+	// active0 = 1, which never comes back; arming from Idle resets it,
+	// Error and Off are final.
+	notWatch := ^locSet(mo.watch)
+	m.dead = append(m.dead, deadClock{clock: delay, aut: mo.aut, locs: notWatch, v: active0, val: 0})
 }

@@ -89,6 +89,8 @@ func (m *Model) buildP0() {
 
 	m.p0.aut = len(net.Automata())
 	net.Add(a)
+	// An inactivated p[0] never leaves its location and times no round.
+	m.dead = append(m.dead, deadClock{clock: waiting, aut: m.p0.aut, locs: locSet(m.p0.vInact, m.p0.nvInact), v: noVar})
 }
 
 // wireP0Edges adds p[0]'s receive edges; deferred until all channels

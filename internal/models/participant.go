@@ -69,6 +69,8 @@ func (m *Model) buildResponder(i int) {
 	p.aut = len(net.Automata())
 	net.Add(a)
 	m.ps = append(m.ps, p)
+	// An inactivated process never leaves its location and watches nothing.
+	m.dead = append(m.dead, deadClock{clock: wfb, aut: p.aut, locs: locSet(p.vInact, p.nvInact), v: noVar})
 }
 
 // buildJoiner is Figure 6 (expanding) / Figure 8 (dynamic): solicit every
@@ -222,4 +224,13 @@ func (m *Model) buildJoiner(i int) {
 	p.aut = len(net.Automata())
 	net.Add(a)
 	m.ps = append(m.ps, p)
+	// An inactivated process never leaves its location and watches
+	// nothing. While it lives, the solicitation timer is read only under
+	// joined = 0 and joined never falls back; the watchdog is waived under
+	// leave = 1 and leave never falls back (leave is noVar outside the
+	// dynamic protocol).
+	inact := locSet(p.vInact, p.nvInact)
+	m.dead = append(m.dead,
+		deadClock{clock: wtj, aut: p.aut, locs: inact, v: joined, val: 1},
+		deadClock{clock: wfb, aut: p.aut, locs: inact, v: leave, val: 1})
 }

@@ -122,28 +122,47 @@ type Verdict struct {
 	Result mc.Result
 }
 
-// Verify model-checks one property. R2 and R3 exclude lossy traces by
-// premise, so exploration is pruned at the first message loss (sound: the
-// lostMsg flag is monotone and both predicates require it clear).
+// Verify model-checks one property of cfg on a strongly bisimilar quotient
+// of its network. R2 and R3 never read the R1 monitor — a passive observer
+// with no invariant, broadcast receives only and no write to a shared
+// variable — so they are checked on the model built without it; every
+// property is checked with dead clocks stored as 0 (see (*Model).Verify).
+// Result.StatesExplored therefore counts quotient states (mc.CountStates on
+// Build(cfg).Net gives the size of the network itself), and the states of a
+// counter-example to R2 or R3 are laid out as in the model Build returns
+// for cfg with NoMonitor set.
 func Verify(cfg Config, prop Property, opts mc.Options) (Verdict, error) {
-	m, err := Build(cfg)
+	// The verdict is about cfg, monitor and all: constants only the slice
+	// could build are refused for every property alike.
+	if err := cfg.Validate(); err != nil {
+		return Verdict{}, err
+	}
+	sliced := cfg
+	if prop == R2 || prop == R3 {
+		sliced.NoMonitor = true
+	}
+	m, err := Build(sliced)
 	if err != nil {
 		return Verdict{}, err
 	}
-	return m.Verify(prop, opts)
+	v, err := m.Verify(prop, opts)
+	if err != nil {
+		return Verdict{}, err
+	}
+	v.Cfg.NoMonitor = cfg.NoMonitor
+	return v, nil
 }
 
-// Verify model-checks one property on an already-built model.
+// Verify model-checks one property on an already-built model, monitors and
+// all, with its dead clocks stored as 0. R2 and R3 exclude lossy traces by
+// premise, so exploration is pruned at the first message loss. A caller's
+// opts.Prune and opts.Canon stay in force beside the model's own.
 func (m *Model) Verify(prop Property, opts mc.Options) (Verdict, error) {
 	pred, err := m.Violation(prop)
 	if err != nil {
 		return Verdict{}, err
 	}
-	if prop == R2 || prop == R3 {
-		lost := m.vLost
-		opts.Prune = func(s *ta.State) bool { return s.Vars[lost] == 1 }
-	}
-	res, err := mc.CheckReachability(m.Net, pred, opts)
+	res, err := mc.CheckReachability(m.Net, pred, m.reduced(opts, prop == R2 || prop == R3))
 	if err != nil {
 		return Verdict{}, fmt.Errorf("checking %v on %v: %w", prop, m.Cfg.Variant, err)
 	}

@@ -69,6 +69,9 @@ func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 
 	sm.vCrashed = net.Var("crashed", 0)
 	clock := net.Clock("shutdown_delay", bound+2)
+	// The monitor reads its clock only under crashed = 1, and arming — the
+	// one way crashed leaves 0 — resets it. No location condition.
+	m.dead = append(m.dead, deadClock{clock: clock, v: sm.vCrashed, val: 0})
 
 	// Arm the monitor when a crash concerns the network: p[0] crashing,
 	// a joined participant crashing, or a beat from an already-crashed
@@ -170,15 +173,22 @@ func (sm *ShutdownModel) Violated(s *ta.State) bool {
 	return int(s.Locs[sm.monAut]) == sm.errLoc
 }
 
-// VerifyShutdown builds the monitored model and checks the property.
-// Satisfied means every reachable post-crash configuration winds the whole
-// network down within the bound.
+// VerifyShutdown builds the model with the shutdown monitor in place of
+// the R1 monitors, which the property never reads, and checks it on the
+// dead-clock quotient, as Verify does R2 and R3. Satisfied means every
+// reachable post-crash configuration winds the whole network down within
+// the bound.
 func VerifyShutdown(cfg Config, bound int32, opts mc.Options) (Verdict, error) {
-	sm, err := BuildWithShutdownMonitor(cfg, bound)
+	if err := cfg.Validate(); err != nil {
+		return Verdict{}, err
+	}
+	sliced := cfg
+	sliced.NoMonitor = true
+	sm, err := BuildWithShutdownMonitor(sliced, bound)
 	if err != nil {
 		return Verdict{}, err
 	}
-	res, err := mc.CheckReachability(sm.Net, sm.Violated, opts)
+	res, err := mc.CheckReachability(sm.Net, sm.Violated, sm.reduced(opts, false))
 	if err != nil {
 		return Verdict{}, fmt.Errorf("checking shutdown on %v: %w", cfg.Variant, err)
 	}

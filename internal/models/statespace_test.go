@@ -12,6 +12,7 @@ import (
 // map-based BFS, so any drift here means the checker's semantics — not
 // just its speed — changed.
 func TestStateSpacePins(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		variant             Variant
 		n                   int
