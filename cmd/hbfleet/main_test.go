@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -9,16 +10,16 @@ import (
 // must hold every health invariant (zero missed deadlines, no silent
 // shard links, no stale aggregator children) and a 0-alloc steady state.
 func TestSmoke10kEndpoints(t *testing.T) {
-	var buf strings.Builder
+	var buf, errs strings.Builder
 	code := run([]string{
 		"-clusters", "157", "-members", "64",
 		"-epochs", "10", "-warmup", "2",
 		"-kill-every", "50",
 		"-alloc-check",
-	}, &buf)
+	}, &buf, &errs)
 	out := buf.String()
-	if code != 0 {
-		t.Fatalf("smoke run failed (%d):\n%s", code, out)
+	if code != 0 || errs.Len() != 0 {
+		t.Fatalf("smoke run failed (%d):\n%s%s", code, out, errs.String())
 	}
 	for _, want := range []string{
 		"fleet: 10048 endpoints",
@@ -32,11 +33,11 @@ func TestSmoke10kEndpoints(t *testing.T) {
 }
 
 func TestBadFlagsRejected(t *testing.T) {
-	var buf strings.Builder
-	if code := run([]string{"-clusters", "0"}, &buf); code == 0 {
+	var out, buf strings.Builder
+	if code := run([]string{"-clusters", "0"}, &out, &buf); code == 0 {
 		t.Error("zero clusters accepted")
 	}
-	if code := run([]string{"-nope"}, &buf); code != 2 {
+	if code := run([]string{"-nope"}, &out, &buf); code != 2 {
 		t.Error("unknown flag not a usage error")
 	}
 	// Values fleet.New used to take on trust: the first died with
@@ -52,8 +53,28 @@ func TestBadFlagsRejected(t *testing.T) {
 		{[]string{"-kill-every", "-5"}, "KillEvery -5"},
 	} {
 		buf.Reset()
-		if code := run(tc.args, &buf); code != 1 || !strings.Contains(buf.String(), tc.want) {
-			t.Errorf("run(%q) = %d, want 1 with a message naming %q:\n%s", tc.args, code, tc.want, buf.String())
+		if code := run(tc.args, &out, &buf); code != 1 || !strings.Contains(buf.String(), tc.want) {
+			t.Errorf("run(%q) = %d, want 1 with a message on stderr naming %q:\n%s", tc.args, code, tc.want, buf.String())
 		}
+	}
+}
+
+// An epoch that fails inside -alloc-check used to panic out of
+// testing.AllocsPerRun; it is one "hbfleet:" line on stderr and exit
+// status 1, and no steady-state verdict is printed over the wreck.
+func TestAllocCheckEpochError(t *testing.T) {
+	var out, errs strings.Builder
+	calls := 0
+	code := steadyStateAllocs(func() error {
+		if calls++; calls == 3 {
+			return errors.New("fleet: bad frame: unknown tag 242")
+		}
+		return nil
+	}, &out, &errs)
+	if code != 1 || errs.String() != "hbfleet: fleet: bad frame: unknown tag 242\n" || out.Len() != 0 {
+		t.Errorf("steadyStateAllocs = %d, stdout %q, stderr %q; want 1, nothing, one hbfleet: line", code, out.String(), errs.String())
+	}
+	if calls != 3 {
+		t.Errorf("%d epochs ran, want the check to stop at the failing third", calls)
 	}
 }

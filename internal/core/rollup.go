@@ -34,9 +34,10 @@ const summaryWire = 20
 // ErrBadSummary reports a malformed encoded summary.
 var ErrBadSummary = fmt.Errorf("core: malformed summary")
 
-//hbvet:noalloc
 // Add merges a child subtree's summary into an aggregate. Epoch follows
 // the newest child so staleness checks compare against the merge result.
+//
+//hbvet:noalloc
 func (s *Summary) Add(child Summary) {
 	s.Total += child.Total
 	s.Alive += child.Alive
@@ -46,9 +47,10 @@ func (s *Summary) Add(child Summary) {
 	}
 }
 
-//hbvet:noalloc
 // AppendMarshal appends the summary's wire encoding to dst and returns
 // the extended slice; with capacity in dst it allocates nothing.
+//
+//hbvet:noalloc
 func (s Summary) AppendMarshal(dst []byte) []byte {
 	for _, v := range [5]uint32{s.Cluster, s.Epoch, s.Total, s.Alive, s.Detections} {
 		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
@@ -56,9 +58,10 @@ func (s Summary) AppendMarshal(dst []byte) []byte {
 	return dst
 }
 
-//hbvet:noalloc
 // UnmarshalSummary decodes one summary from the front of data and
 // returns the remaining bytes.
+//
+//hbvet:noalloc
 func UnmarshalSummary(data []byte) (Summary, []byte, error) {
 	if len(data) < summaryWire {
 		//lint:allow noalloc-closure cold error path; batches are produced by AppendMarshal and always whole records

@@ -58,10 +58,11 @@ func (g GilbertElliott) NewProcess() GEProcess { return GEProcess{params: g} }
 // geChannel is the per-link chain state of the fault-injection transport.
 type geChannel = GEProcess
 
-//hbvet:noalloc
 // Lose advances the chain one message and reports whether that message is
 // lost. The caller supplies the random source so each owner (fault layer,
 // fleet shard) draws from its own seeded stream.
+//
+//hbvet:noalloc
 func (c *GEProcess) Lose(rng *rand.Rand) bool {
 	if c.bad {
 		if rng.Float64() < c.params.PBadGood {

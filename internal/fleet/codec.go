@@ -28,14 +28,16 @@ const beatFrameWire = 4 // encoded core.Beat
 // ErrBadFrame reports a malformed cross-shard batch.
 var ErrBadFrame = fmt.Errorf("fleet: malformed frame batch")
 
-//hbvet:noalloc
 // appendBeatFrame appends a shard-liveness beat frame.
+//
+//hbvet:noalloc
 func appendBeatFrame(dst []byte, b core.Beat) []byte {
 	return b.AppendMarshal(append(dst, frameBeat))
 }
 
-//hbvet:noalloc
 // appendSummaryFrame appends a rollup summary frame.
+//
+//hbvet:noalloc
 func appendSummaryFrame(dst []byte, s core.Summary) []byte {
 	return s.AppendMarshal(append(dst, frameSummary))
 }
@@ -48,9 +50,10 @@ type batchDecoder struct {
 //hbvet:noalloc
 func (d *batchDecoder) done() bool { return len(d.buf) == 0 }
 
-//hbvet:noalloc
 // next decodes the next frame, returning exactly one of beat or summary
 // (tag tells which).
+//
+//hbvet:noalloc
 func (d *batchDecoder) next() (tag byte, beat core.Beat, sum core.Summary, err error) {
 	tag = d.buf[0]
 	switch tag {

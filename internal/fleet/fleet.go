@@ -289,10 +289,10 @@ type Stats struct {
 	Losses  uint64
 	// Kills/Detections/FalseSuspects/Inactivations follow the injector
 	// and the protocol's verdicts.
-	Kills          uint64
-	Detections     uint64
-	FalseSuspects  uint64
-	Inactivations  uint64
+	Kills         uint64
+	Detections    uint64
+	FalseSuspects uint64
+	Inactivations uint64
 	// MissedDeadlines counts virtual-time monotonicity violations in the
 	// shard loops (always 0; asserted by the CI smoke run).
 	MissedDeadlines uint64

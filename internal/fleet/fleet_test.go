@@ -212,18 +212,97 @@ func TestFleetSteadyStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up: outbufs grow to steady-state capacity, the wheel's node
-	// arena and due buffer reach their working set.
+	// Warm up: outbufs grow to steady-state capacity, the wheel's id
+	// table, chunk arena and due buffer reach their working set.
 	if err := f.RunEpochs(10); err != nil {
 		t.Fatal(err)
 	}
-	avg := testing.AllocsPerRun(50, func() {
+	epoch := func() {
 		if err := f.RunEpochs(1); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg != 0 {
+	}
+	if avg := testing.AllocsPerRun(50, epoch); avg != 0 {
 		t.Errorf("steady-state epoch allocates %.1f times, want 0", avg)
+	}
+
+	// The steady state holds between a half and one cancelled watchdog per
+	// pending timer and never reaches the wheel's sweep rule (2 per pending
+	// timer). A population collapse does: with every beat lost, all 1536
+	// members of one shard are suspected between ticks 30 and 45, each
+	// leaving its watchdog's tombstone behind, and in epoch 2 the wheel
+	// sweeps them out from under the 408 timers still pending (counted once
+	// by instrumenting the wheel). That must not allocate either: epoch 1 is
+	// AllocsPerRun's warm-up call, epoch 2 its one measured run, so nothing
+	// rounds away.
+	cfg.Shards, cfg.LossProb, cfg.KillEvery = 1, 1, 0
+	if f, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1, epoch); n != 0 {
+		t.Errorf("the epoch a fleet collapses in allocates %v times, want 0", n)
+	}
+	if st := f.Stats(); int(st.Detections) != f.Endpoints() {
+		t.Errorf("%d of %d members suspected under total loss", st.Detections, f.Endpoints())
+	}
+}
+
+// TestFleetRecordedDigests compares the fleet with the past, not with
+// itself: the other tests here hold a run against a re-run, which a queue
+// that reorders same-tick events consistently passes (shards draw their
+// loss verdicts in event order, so any reordering moves every later
+// verdict). The constants were printed by the commit before the timer
+// wheel's slots became logs (PR 21, list-based wheel); a change that moves
+// them has changed what the fleet computes, and says so in its PR.
+func TestFleetRecordedDigests(t *testing.T) {
+	type point struct {
+		epochs                                          int
+		digest                                          uint64
+		beats, detections, falseSuspects, inactivations uint64
+	}
+	for _, tc := range []struct {
+		name   string
+		edit   func(*Config)
+		points []point
+	}{
+		{"bernoulli 1% loss + kills", func(c *Config) { c.LossProb = 0.01 }, []point{
+			{1, 0xc94c370d8854a144, 1551, 0, 0, 0},
+			{7, 0x8e9f01b4453a0e75, 20136, 18, 0, 0},
+			{20, 0x4bbd901a1d4a79d5, 59428, 73, 1, 0},
+		}},
+		{"gilbert-elliott bursts + kills", func(c *Config) {
+			c.LossProb = 0
+			c.Burst = &faults.GilbertElliott{PGoodBad: 0.05, PBadGood: 0.3, LossBad: 0.9}
+		}, []point{
+			{1, 0xbb617221cb7a69e2, 1699, 0, 0, 0},
+			{7, 0x3ad62f6f66fdcb10, 21213, 257, 239, 0},
+			{20, 0xf6a6244ad88651b9, 51850, 758, 686, 0},
+		}},
+		{"loss-free, quiet", func(c *Config) { c.LossProb, c.KillEvery = 0, 0 }, []point{
+			{1, 0x1fe2c3f2b03860c4, 1536, 0, 0, 0},
+			{7, 0xece3bc60873b1982, 19968, 0, 0, 0},
+			{20, 0x5e70575059a39571, 59904, 0, 0, 0},
+		}},
+	} {
+		cfg := testConfig(1)
+		tc.edit(&cfg)
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range tc.points {
+			if err := f.RunEpochs(want.epochs - int(f.Epochs())); err != nil {
+				t.Fatal(err)
+			}
+			st := f.Stats()
+			got := point{want.epochs, f.Digest(), st.Beats, st.Detections, st.FalseSuspects, st.Inactivations}
+			if got != want {
+				t.Errorf("%s, %d epochs:\n got digest %#x, %d beats, %d detections, %d false suspects, %d inactivations\nwant digest %#x, %d beats, %d detections, %d false suspects, %d inactivations",
+					tc.name, want.epochs,
+					got.digest, got.beats, got.detections, got.falseSuspects, got.inactivations,
+					want.digest, want.beats, want.detections, want.falseSuspects, want.inactivations)
+			}
+		}
 	}
 }
 

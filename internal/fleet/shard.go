@@ -34,9 +34,9 @@ const (
 
 // Endpoint flag bits.
 const (
-	fKilled uint8 = 1 << iota // fault injector crashed the endpoint
-	fSuspected                // coordinator declared it down
-	fInactive                 // its responder watchdog self-inactivated it
+	fKilled    uint8 = 1 << iota // fault injector crashed the endpoint
+	fSuspected                   // coordinator declared it down
+	fInactive                    // its responder watchdog self-inactivated it
 )
 
 // shard owns a contiguous block of clusters and all their member rows.
@@ -77,13 +77,13 @@ type shard struct {
 	outbuf [][]byte
 
 	// Counters (merged by Fleet.Stats).
-	beats, replies, losses  uint64
-	kills, detections       uint64
-	falseSuspects           uint64
-	inactivations           uint64
-	missedDeadlines         uint64
-	latHist                 []uint32
-	latOverflow             uint64
+	beats, replies, losses uint64
+	kills, detections      uint64
+	falseSuspects          uint64
+	inactivations          uint64
+	missedDeadlines        uint64
+	latHist                []uint32
+	latOverflow            uint64
 }
 
 // aggregator accumulates one subtree's child summaries per epoch.
@@ -95,10 +95,11 @@ type aggregator struct {
 	stale    uint64 // cumulative children missing at a barrier
 }
 
-//hbvet:noalloc
 // runUntil drains every event strictly before end. Virtual time must
 // never move backwards — a violation counts as a missed deadline and is
 // asserted zero by the CI smoke run.
+//
+//hbvet:noalloc
 func (s *shard) runUntil(end sim.Time) {
 	for {
 		at, ok := s.wheel.NextAt()
@@ -122,10 +123,11 @@ func (s *shard) runUntil(end sim.Time) {
 	}
 }
 
-//hbvet:noalloc
 // roll draws one loss verdict for a message in cluster cl. With a burst
 // channel configured the whole cluster shares one Gilbert–Elliott chain
 // (shared fate); otherwise losses are independent Bernoulli draws.
+//
+//hbvet:noalloc
 func (s *shard) roll(cl int32) bool {
 	if s.burst {
 		return s.clGE[cl].Lose(s.rng)
@@ -133,13 +135,14 @@ func (s *shard) roll(cl int32) bool {
 	return s.lossProb > 0 && s.rng.Float64() < s.lossProb
 }
 
-//hbvet:noalloc
 // onRound closes member e's protocol round: the coordinator sent a beat
 // when the round opened (now - wait), the member replied iff the beat
 // survived, the member was alive at arrival, and the reply's round trip
 // fit inside the waiting time; the waiting time then follows the paper's
 // acceleration rule (core.Config.NextWait) and either the next round is
 // scheduled or the member is suspected.
+//
+//hbvet:noalloc
 func (s *shard) onRound(e int32) {
 	fl := s.flags[e]
 	if fl&fSuspected != 0 {
@@ -191,9 +194,10 @@ func (s *shard) onRound(e int32) {
 	s.wheel.Schedule(s.now+sim.Time(next), kRound<<kindShift|uint32(e))
 }
 
-//hbvet:noalloc
 // onWatch fires when a member went a whole responder bound without a
 // beat: it self-inactivates, exactly like the paper's responder.
+//
+//hbvet:noalloc
 func (s *shard) onWatch(e int32) {
 	s.watch[e] = sim.WheelTimer{}
 	if s.flags[e]&(fInactive|fSuspected) == 0 {
@@ -202,10 +206,11 @@ func (s *shard) onWatch(e int32) {
 	}
 }
 
-//hbvet:noalloc
 // onKill crashes one live endpoint at random (the fault injector's tick)
 // and re-arms itself. A handful of draws that all land on dead rows
 // simply skip the tick.
+//
+//hbvet:noalloc
 func (s *shard) onKill() {
 	for try := 0; try < 8; try++ {
 		e := int32(s.rng.Intn(len(s.flags)))
@@ -219,11 +224,12 @@ func (s *shard) onKill() {
 	s.wheel.Schedule(s.now+s.killEvery, kKill<<kindShift)
 }
 
-//hbvet:noalloc
 // emitSummaries encodes this shard's per-cluster rollups into the
 // outbound batches, one per destination shard, prefixed by a shard
 // liveness beat on every link. Buffers are reset in place, so the steady
 // state allocates nothing.
+//
+//hbvet:noalloc
 func (s *shard) emitSummaries(epoch uint32) {
 	for d := range s.outbuf {
 		s.outbuf[d] = appendBeatFrame(s.outbuf[d][:0], core.Beat{From: core.ProcID(s.id), Stay: true})

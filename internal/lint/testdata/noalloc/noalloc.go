@@ -24,6 +24,14 @@ func makes(n int) []int {
 	return make([]int, n) // want "make allocates in noalloc function makes"
 }
 
+// makesDocumented carries the directive where gofmt moves it: the last
+// line of the doc comment, behind a blank comment line.
+//
+//hbvet:noalloc
+func makesDocumented(n int) []int {
+	return make([]int, n) // want "make allocates in noalloc function makesDocumented"
+}
+
 //hbvet:noalloc
 func news() *point {
 	return new(point) // want "new allocates in noalloc function news"

@@ -155,11 +155,12 @@ func (e *explorer) run() (int, error) {
 	return -1, nil
 }
 
-//hbvet:noalloc
 // expand generates id's successors, rewrites each to its class
 // representative when a canonicaliser is set, and commits first
 // occurrences as it meets them: one probe, insert at the slot the probe
 // ended on, check the goal.
+//
+//hbvet:noalloc
 func (e *explorer) expand(id int, goalID *int, limitHit *bool) {
 	st := e.store
 	e.scratch.DecodeKey(st.key(id), e.numLocs, e.numClocks)

@@ -35,7 +35,7 @@ func TestScheduleStepAllocFree(t *testing.T) {
 	}
 }
 
-// TestStaleHandleAfterReuse pins the generation guard: once a node is
+// TestStaleHandleAfterReuse pins the generation guard: once a timer id is
 // recycled into a new timer, handles to the old incarnation must stay
 // inert — Cancel must not kill the new occupant.
 func TestStaleHandleAfterReuse(t *testing.T) {
@@ -44,7 +44,7 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run() // old fires; its node returns to the free list
+	s.Run() // old fires; its id returns to the free list
 
 	fired := false
 	fresh, err := s.Schedule(1, func() { fired = true })
@@ -52,13 +52,13 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fresh.wt.idx != old.wt.idx {
-		t.Fatalf("free list did not recycle the node (old %d, fresh %d)", old.wt.idx, fresh.wt.idx)
+		t.Fatalf("free list did not recycle the id (old %d, fresh %d)", old.wt.idx, fresh.wt.idx)
 	}
 	if old.Active() {
 		t.Fatal("stale handle reports Active")
 	}
 	if old.Cancel() {
-		t.Fatal("stale handle cancelled the recycled node's event")
+		t.Fatal("stale handle cancelled the recycled id's event")
 	}
 	s.Run()
 	if !fired {
@@ -66,8 +66,9 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 	}
 }
 
-// TestCancelInsideEvent pins eager removal under re-entrancy: an event
-// cancelling a later timer must prevent it, and Pending must be exact.
+// TestCancelInsideEvent pins that a cancel counts at once under
+// re-entrancy: an event cancelling a later timer must prevent it, and
+// Pending must be exact, whenever the tombstone's storage is reclaimed.
 func TestCancelInsideEvent(t *testing.T) {
 	s := New()
 	fired := false

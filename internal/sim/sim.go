@@ -7,11 +7,13 @@
 // accelerated heartbeat analysis exercises.
 //
 // The hot path is allocation-free: the event queue is a hierarchical
-// TimerWheel whose pooled nodes are recycled through a free list, the
-// callbacks sit in a slice indexed by wheel node, and handles are plain
-// values guarded by the wheel's generation counters — no per-event
-// allocation, no interface boxing, O(1) Schedule and Cancel, and exact
-// (eager) removal on Cancel.
+// TimerWheel whose slots are append-only logs of 8-byte entries in pooled
+// chunks, the callbacks sit in a slice indexed by the wheel's timer id, and
+// handles are plain values guarded by the wheel's generation counters — no
+// per-event allocation, no interface boxing, O(1) Schedule and Cancel.
+// Cancel takes effect at once (the event will not run and Pending drops);
+// the cancelled entry's storage is reclaimed when its slot is next read or
+// swept, and stays within a constant factor of the pending population.
 //
 // A Simulator is not safe for concurrent use; it is single-threaded by
 // design so that every run with the same seed and the same scheduling
@@ -44,8 +46,8 @@ type Event func()
 // Timer is a value handle to a scheduled event. Its zero value is inert;
 // timers are created by Simulator.Schedule and Simulator.ScheduleAt. A
 // handle survives its event: once the event fires or is cancelled the
-// underlying wheel node is recycled and the handle's generation goes stale,
-// so Cancel and Active on an old handle are safe no-ops.
+// underlying wheel id is recycled and the handle's generation goes stale, so
+// Cancel and Active on an old handle are safe no-ops.
 type Timer struct {
 	s  *Simulator
 	wt WheelTimer
@@ -63,20 +65,21 @@ func (t Timer) At() Time {
 	if !t.Active() {
 		return 0
 	}
-	return t.s.wheel.nodes[t.wt.idx].at
+	return t.s.slots[t.wt.idx].at
 }
 
+// Cancel prevents the timer's event from running and takes it out of
+// Pending immediately. Cancelling an already fired or already cancelled
+// timer is a no-op. It reports whether the cancellation prevented a pending
+// event.
+//
 //hbvet:noalloc
-// Cancel prevents the timer's event from running, removing it from the
-// event queue immediately. Cancelling an already fired or already
-// cancelled timer is a no-op. It reports whether the cancellation
-// prevented a pending event.
 func (t Timer) Cancel() bool {
 	s := t.s
 	if s == nil || !s.wheel.Cancel(t.wt) {
 		return false
 	}
-	s.fns[t.wt.idx] = nil // release the closure
+	s.slots[t.wt.idx].fn = nil // release the closure
 	return true
 }
 
@@ -84,13 +87,18 @@ func (t Timer) Cancel() bool {
 type Simulator struct {
 	now   Time
 	wheel *TimerWheel
-	// fns[i] is the callback of wheel node i while that node is pending;
-	// the wheel owns everything else about a timer (time, order, handle
+	// slots[i] is the callback and tick of wheel timer id i while it is
+	// pending; the wheel owns everything else about a timer (order, handle
 	// generation).
-	fns       []Event
+	slots     []timerSlot
 	rng       *rand.Rand
 	executed  uint64
 	scheduled uint64
+}
+
+type timerSlot struct {
+	fn Event
+	at Time
 }
 
 // Option configures a Simulator.
@@ -123,20 +131,23 @@ func (s *Simulator) EventsExecuted() uint64 { return s.executed }
 // EventsScheduled returns the number of events scheduled so far.
 func (s *Simulator) EventsScheduled() uint64 { return s.scheduled }
 
-// Pending returns the exact number of events waiting in the queue
-// (cancelled timers are removed eagerly, so none linger).
+// Pending returns the exact number of events waiting in the queue:
+// cancelled timers leave the count at once, whenever the wheel gets round
+// to reclaiming their storage.
 func (s *Simulator) Pending() int { return s.wheel.Len() }
 
-//hbvet:noalloc
 // Schedule runs fn after d ticks. A negative d is an error; d == 0 runs fn
 // at the current tick, after all events already queued for this tick.
+//
+//hbvet:noalloc
 func (s *Simulator) Schedule(d Time, fn Event) (Timer, error) {
 	return s.ScheduleAt(s.now+d, fn)
 }
 
-//hbvet:noalloc
 // ScheduleAt runs fn at absolute virtual time t: ErrPastTime before the
 // current time, ErrHorizon 2^48 ticks or more past the queue's horizon.
+//
+//hbvet:noalloc
 func (s *Simulator) ScheduleAt(t Time, fn Event) (Timer, error) {
 	if t < s.now {
 		//lint:allow noalloc-closure cold error path; scheduling in the past is a caller bug, not a hot-path event
@@ -148,30 +159,31 @@ func (s *Simulator) ScheduleAt(t Time, fn Event) (Timer, error) {
 	}
 	s.scheduled++
 	wt := s.wheel.Schedule(t, 0)
-	if int(wt.idx) == len(s.fns) {
-		s.fns = append(s.fns, fn)
+	if int(wt.idx) == len(s.slots) {
+		s.slots = append(s.slots, timerSlot{fn: fn, at: t})
 	} else {
-		s.fns[wt.idx] = fn
+		s.slots[wt.idx] = timerSlot{fn: fn, at: t}
 	}
 	return Timer{s: s, wt: wt}, nil
 }
 
-//hbvet:noalloc
 // Step executes the next pending event, advancing virtual time to its
 // scheduled tick. It reports whether an event was executed; false means the
 // queue is empty.
+//
+//hbvet:noalloc
 func (s *Simulator) Step() bool {
-	// The wheel recycles the node before fn runs: fn may re-enter Schedule,
+	// The wheel recycles the id before fn runs: fn may re-enter Schedule,
 	// and the stale generation keeps the event's own Timer handle inert
 	// either way.
-	idx, ok := s.wheel.pop()
+	id, _, at, ok := s.wheel.pop()
 	if !ok {
 		return false
 	}
-	s.now = s.wheel.nodes[idx].at
+	s.now = at
 	s.executed++
-	fn := s.fns[idx]
-	s.fns[idx] = nil
+	fn := s.slots[id].fn
+	s.slots[id].fn = nil
 	//lint:allow noalloc-closure the event callback is the scheduled work itself; each callee is proven at its own //hbvet:noalloc annotation
 	fn()
 	return true

@@ -346,11 +346,15 @@ func TestWheelHorizonPanic(t *testing.T) {
 }
 
 // TestWheelSteadyStateAllocFree pins the wheel's own 0-alloc steady
-// state: once the arena and due buffer are warm, schedule/cancel/pop
-// cycles allocate nothing.
+// state: once the id table, chunk arena and due buffer are warm,
+// schedule/cancel/pop cycles allocate nothing — including the sweeps forced
+// by a far watchdog that is pushed out every cycle and never reached, one
+// tombstone a cycle against a sweep rule of a few hundred.
 func TestWheelSteadyStateAllocFree(t *testing.T) {
 	w := NewTimerWheel()
 	var at Time
+	var far WheelTimer
+	maxLen := 0
 	cycle := func() {
 		at += 3
 		a := w.Schedule(at+7, 1)
@@ -358,6 +362,9 @@ func TestWheelSteadyStateAllocFree(t *testing.T) {
 		w.Schedule(at+257, 3) // level-1 insert + later cascade
 		w.Cancel(b)
 		_ = a
+		w.Cancel(far)
+		far = w.Schedule(at+1<<20, 4) // level 2
+		maxLen = max(maxLen, w.Len())
 		for {
 			nx, ok := w.NextAt()
 			if !ok || nx > at {
@@ -366,17 +373,26 @@ func TestWheelSteadyStateAllocFree(t *testing.T) {
 			w.Pop()
 		}
 	}
-	for i := 0; i < 1000; i++ {
-		cycle() // warm the arena, free list, and due buffer
+	// AllocsPerRun rounds its average down, which would hide a sweep that
+	// allocates once every few hundred cycles: measure one run of 2000
+	// cycles. Its warm-up call fills the id table, chunk arena and due
+	// buffer and passes the first sweeps.
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 2000; i++ {
+			cycle()
+		}
+	}); n != 0 {
+		t.Fatalf("2000 steady-state wheel cycles allocate %v times, want 0", n)
 	}
-	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
-		t.Fatalf("steady-state wheel cycle allocates %.2f/op, want 0", avg)
+	if _, ids := wheelFootprint(w); ids > 3*maxLen+sweepSlack+1 {
+		t.Fatalf("%d ids for at most %d pending entries: 4000 far re-arms were never swept", ids, maxLen)
 	}
 }
 
 // TestSimulatorWheelAllocFree is alloc_test.go's pin under RunUntil
 // windows, whose peeks run the wheel's horizon ahead of the clock: the
-// schedule/cancel/run cycle stays 0-alloc.
+// schedule/cancel/run cycle stays 0-alloc, sweeps of a never-reached
+// watchdog's tombstones included.
 func TestSimulatorWheelAllocFree(t *testing.T) {
 	s := New()
 	fns := make([]Event, 64)
@@ -384,6 +400,7 @@ func TestSimulatorWheelAllocFree(t *testing.T) {
 		fns[i] = func() {}
 	}
 	i := 0
+	var far Timer
 	cycle := func() {
 		fn := fns[i%len(fns)]
 		i++
@@ -394,12 +411,22 @@ func TestSimulatorWheelAllocFree(t *testing.T) {
 		if i%5 == 0 {
 			tm.Cancel()
 		}
+		far.Cancel()
+		if far, err = s.Schedule(1<<20, fn); err != nil {
+			t.Fatalf("schedule: %v", err)
+		}
 		s.RunUntil(s.Now() + 2)
 	}
-	for j := 0; j < 500; j++ {
-		cycle()
+	// One measured run of 2000 cycles, so that no allocation rounds away;
+	// the warm-up call passes the first sweeps, one every ~530 cycles.
+	if n := testing.AllocsPerRun(1, func() {
+		for j := 0; j < 2000; j++ {
+			cycle()
+		}
+	}); n != 0 {
+		t.Fatalf("2000 steady-state simulator cycles allocate %v times, want 0", n)
 	}
-	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
-		t.Fatalf("steady-state simulator allocates %.2f/op, want 0", avg)
+	if len(s.slots) > 3*8+sweepSlack+1 {
+		t.Fatalf("%d callback slots for a handful of pending timers: 3500 far re-arms were never swept", len(s.slots))
 	}
 }

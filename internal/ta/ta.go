@@ -73,11 +73,12 @@ func (s *State) Clone() State {
 	}
 }
 
-//hbvet:noalloc
 // AppendKey appends the state's canonical key encoding to buf and returns
 // the extended slice: the location vector verbatim, then each clock and
 // variable as a big-endian 16-bit truncation. It never allocates beyond
 // growing buf, so a caller reusing one buffer encodes states alloc-free.
+//
+//hbvet:noalloc
 func (s *State) AppendKey(buf []byte) []byte {
 	buf = append(buf, s.Locs...)
 	for _, c := range s.Clocks {
@@ -99,13 +100,14 @@ func (s *State) Key() string {
 	return string(s.AppendKey(make([]byte, 0, s.KeyLen())))
 }
 
-//hbvet:noalloc
 // DecodeKey rebuilds the state encoded by AppendKey into s, reusing s's
 // slice capacity. numLocs and numClocks fix the layout; the variable count
 // is the remainder of the key. Values round-trip exactly when they fit in
 // int16 — the same 16-bit truncation AppendKey applies (wider values
 // already collide as keys, so no checker that dedups on keys can tell the
 // difference).
+//
+//hbvet:noalloc
 func (s *State) DecodeKey(key []byte, numLocs, numClocks int) {
 	s.Locs = append(s.Locs[:0], key[:numLocs]...)
 	key = key[numLocs:]
@@ -328,9 +330,10 @@ func (n *Network) compile() {
 	n.compiled = true
 }
 
-//hbvet:noalloc
 // enabled reports whether edge e of automaton a can fire in s (location
 // and guard only; synchronisation is the caller's concern).
+//
+//hbvet:noalloc
 func (n *Network) enabled(s *State, a int, e *Edge) bool {
 	if int(s.Locs[a]) != e.From {
 		return false
@@ -368,10 +371,11 @@ func (n *Network) NewSuccCtx() *SuccCtx {
 	return &SuccCtx{n: n}
 }
 
-//hbvet:noalloc
 // committedActive returns the set of automata in committed locations, or
 // nil if none. The returned mask is a scratch buffer valid only until the
 // next Successors call on this context.
+//
+//hbvet:noalloc
 func (c *SuccCtx) committedActive(s *State) []bool {
 	n := c.n
 	var mask []bool
@@ -391,7 +395,6 @@ func (c *SuccCtx) committedActive(s *State) []bool {
 	return mask
 }
 
-//hbvet:noalloc
 // appendTarget extends buf by one transition whose target starts as a
 // copy of src, reusing the spare slot's slice capacity (dead entries left
 // beyond len(buf) by a caller recycling its buffer with buf[:0] donate
@@ -401,6 +404,8 @@ func (c *SuccCtx) committedActive(s *State) []bool {
 // backing array, not a stack local that escape analysis would box per
 // transition. A caller that decides against the transition simply keeps
 // the shorter original buffer.
+//
+//hbvet:noalloc
 func appendTarget(buf []Transition, src *State) ([]Transition, *Transition) {
 	i := len(buf)
 	if i < cap(buf) {
@@ -433,11 +438,12 @@ func (n *Network) Successors(s *State, buf []Transition) []Transition {
 	return n.defaultCtx.Successors(s, buf)
 }
 
-//hbvet:noalloc
 // Successors appends all outgoing transitions of s to buf and returns it.
 // See Network.Successors for the buffer-reuse contract; the enumeration
 // order is fixed by the network's declaration order and identical across
 // contexts.
+//
+//hbvet:noalloc
 func (c *SuccCtx) Successors(s *State, buf []Transition) []Transition {
 	n := c.n
 	committed := c.committedActive(s)
@@ -484,9 +490,10 @@ func (c *SuccCtx) Successors(s *State, buf []Transition) []Transition {
 	return n.appendDelay(s, committed, buf)
 }
 
-//hbvet:noalloc
 // handshakeSuccessors pairs each enabled sender with each enabled receiver
 // in a different automaton.
+//
+//hbvet:noalloc
 func (n *Network) handshakeSuccessors(s *State, ch ChanID, committed []bool, buf []Transition) []Transition {
 	for _, sr := range n.sendEdges[ch] {
 		se := &n.automata[sr.aut].Edges[sr.edge]
@@ -531,9 +538,10 @@ func (n *Network) handshakeSuccessors(s *State, ch ChanID, committed []bool, buf
 	return buf
 }
 
-//hbvet:noalloc
 // broadcastSuccessors fires each enabled sender together with every
 // enabled receiver (receivers never block a broadcast).
+//
+//hbvet:noalloc
 func (c *SuccCtx) broadcastSuccessors(s *State, ch ChanID, committed []bool, buf []Transition) []Transition {
 	n := c.n
 	for _, sr := range n.sendEdges[ch] {
@@ -599,8 +607,9 @@ func (c *SuccCtx) broadcastSuccessors(s *State, ch ChanID, committed []bool, buf
 	return buf
 }
 
-//hbvet:noalloc
 // appendDelay appends the tick transition to buf if time may pass.
+//
+//hbvet:noalloc
 func (n *Network) appendDelay(s *State, committed []bool, buf []Transition) []Transition {
 	if committed != nil {
 		return buf
@@ -630,7 +639,6 @@ func (n *Network) appendDelay(s *State, committed []bool, buf []Transition) []Tr
 	return grown
 }
 
-//hbvet:noalloc
 // applyPriority implements the §6.1 fix: ClassTimeout transitions are
 // suppressed while some enabled ClassDeliver transition is DUE — its
 // initiating automaton (the channel) can no longer let time pass, so the
@@ -638,6 +646,8 @@ func (n *Network) appendDelay(s *State, committed []bool, buf []Transition) []Tr
 // still wait does not pre-empt timeouts: the fix re-orders simultaneous
 // events, it does not shrink channel delays. Only entries from index
 // start on are considered.
+//
+//hbvet:noalloc
 func (c *SuccCtx) applyPriority(s *State, buf []Transition, start int) []Transition {
 	anyDue := false
 	var mustMove []bool // lazily computed per initiating automaton
@@ -669,12 +679,13 @@ func (c *SuccCtx) applyPriority(s *State, buf []Transition, start int) []Transit
 	return buf[:keep]
 }
 
-//hbvet:noalloc
 // mustMoveNow reports, per automaton, whether its current location's
 // invariant would fail after one tick — i.e. the automaton must take a
 // discrete transition before time passes. The returned mask and the ticked
 // state are scratch buffers valid only until the next Successors call on
 // this context.
+//
+//hbvet:noalloc
 func (c *SuccCtx) mustMoveNow(s *State) []bool {
 	n := c.n
 	t := &c.scratchTick
