@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,7 +34,7 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 var variants = []models.Variant{
@@ -71,9 +72,11 @@ func loadSchedule(spec string) (*faults.Schedule, error) {
 	return faults.ParseSchedule(text)
 }
 
-func run(args []string, w io.Writer) int {
+// run writes reports to stdout; flag errors and every "hbconform:"
+// diagnostic (exit status 2) go to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hbconform", flag.ContinueOnError)
-	fs.SetOutput(w)
+	fs.SetOutput(stderr)
 	var (
 		variant   = fs.String("variant", "all", "protocol variant, or all (walk mode only)")
 		walks     = fs.Int("walks", 200, "random walks per variant")
@@ -94,17 +97,32 @@ func run(args []string, w io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *horizon > 0 {
-		if *stream {
-			return runStreamSingle(w, *variant, *tmin, *tmax, *n, *fixed, *horizon, *maxDelay, *seed, *maxStates, *schedule, *mutate)
+	var (
+		status int
+		err    error
+	)
+	switch {
+	case *horizon > 0:
+		var rc conform.RunConfig
+		if rc, err = singleConfig(*variant, *tmin, *tmax, *n, *fixed, *horizon, *maxDelay, *seed, *schedule, *mutate); err != nil {
+			break
 		}
-		return runSingle(w, *variant, *tmin, *tmax, *n, *fixed, *horizon, *maxDelay, *seed, *maxStates, *schedule, *mutate)
+		opts := mc.Options{MaxStates: *maxStates}
+		if *stream {
+			status, err = runStreamSingle(stdout, rc, opts, *mutate)
+		} else {
+			status, err = runSingle(stdout, rc, opts)
+		}
+	case *schedule != "" || *mutate != "" || *stream:
+		err = errors.New("-schedule/-mutate/-stream need single-run mode (set -horizon)")
+	default:
+		status, err = runWalks(stdout, *variant, *walks, *seed, *maxStates, *shrink, *workers)
 	}
-	if *schedule != "" || *mutate != "" || *stream {
-		fmt.Fprintln(w, "hbconform: -schedule/-mutate/-stream need single-run mode (set -horizon)")
+	if err != nil {
+		fmt.Fprintf(stderr, "hbconform: %v\n", err)
 		return 2
 	}
-	return runWalks(w, *variant, *walks, *seed, *maxStates, *shrink, *workers)
+	return status
 }
 
 // singleConfig assembles the RunConfig for single-run mode from flags.
@@ -134,32 +152,26 @@ func singleConfig(variantName string, tmin, tmax, n int, fixed bool, horizon, ma
 	}, nil
 }
 
-func runSingle(w io.Writer, variantName string, tmin, tmax, n int, fixed bool, horizon, maxDelay int, seed int64, maxStates int, schedule, mutate string) int {
-	rc, err := singleConfig(variantName, tmin, tmax, n, fixed, horizon, maxDelay, seed, schedule, mutate)
-	if err != nil {
-		fmt.Fprintf(w, "hbconform: %v\n", err)
-		return 2
-	}
-	opts := mc.Options{MaxStates: maxStates}
+// runSingle checks one deterministic run by offline replay. Like the other
+// modes it returns the exit status of a completed check, or the error that
+// kept it from completing.
+func runSingle(w io.Writer, rc conform.RunConfig, opts mc.Options) (int, error) {
 	sp, err := conform.BuildSpec(rc.Model, opts)
 	if err != nil {
-		fmt.Fprintf(w, "hbconform: %v\n", err)
-		return 2
+		return 0, err
 	}
 	out, err := conform.Run(rc)
 	if err != nil {
-		fmt.Fprintf(w, "hbconform: %v\n", err)
-		return 2
+		return 0, err
 	}
 	fmt.Fprintf(w, "run %s: tmin=%d tmax=%d n=%d fixed=%v seed=%d horizon=%d events=%d lost=%d\n",
-		rc.Model.Variant, tmin, tmax, n, fixed, seed, horizon, len(out.Events), out.Lost)
+		rc.Model.Variant, rc.Model.TMin, rc.Model.TMax, rc.Model.N, rc.Model.Fixed, rc.Seed, rc.Horizon, len(out.Events), out.Lost)
 
 	status := 0
 	if d := sp.CheckTrace(out.Events, rc.Horizon); d != nil {
 		fmt.Fprintln(w)
 		if err := d.Render(w, "trace before divergence"); err != nil {
-			fmt.Fprintf(w, "hbconform: render: %v\n", err)
-			return 2
+			return 0, fmt.Errorf("render: %v", err)
 		}
 		status = 1
 	} else {
@@ -169,15 +181,14 @@ func runSingle(w io.Writer, variantName string, tmin, tmax, n int, fixed bool, h
 	tv := conform.EvaluateTrace(rc.Model, out.Events, out.Lost, rc.Horizon)
 	if len(tv.Violations) == 0 {
 		fmt.Fprintln(w, "verdicts: no R1-R3 violations observed")
-		return status
+		return status, nil
 	}
 	verify := func(cfg models.Config, p models.Property) (models.Verdict, error) {
 		return models.Verify(cfg, p, opts)
 	}
 	diffs, err := conform.DiffVerdicts(rc.Model, tv, verify)
 	if err != nil {
-		fmt.Fprintf(w, "hbconform: verdicts: %v\n", err)
-		return 2
+		return 0, fmt.Errorf("verdicts: %v", err)
 	}
 	for _, d := range diffs {
 		state := "model agrees (violation reachable)"
@@ -189,20 +200,14 @@ func runSingle(w io.Writer, variantName string, tmin, tmax, n int, fixed bool, h
 			fmt.Fprintf(w, "verdict %v violated at t=%d (p[%d]): %s\n", d.Prop, viol.Time, viol.Proc, state)
 		}
 	}
-	return status
+	return status, nil
 }
 
 // runStreamSingle checks one deterministic run online: the stream checker
 // rides the cluster as its observer, violations are cross-checked against
 // the model checker as they fire, and a divergence is shrunk to a minimal
 // offline reproduction before reporting.
-func runStreamSingle(w io.Writer, variantName string, tmin, tmax, n int, fixed bool, horizon, maxDelay int, seed int64, maxStates int, schedule, mutate string) int {
-	rc, err := singleConfig(variantName, tmin, tmax, n, fixed, horizon, maxDelay, seed, schedule, mutate)
-	if err != nil {
-		fmt.Fprintf(w, "hbconform: %v\n", err)
-		return 2
-	}
-	opts := mc.Options{MaxStates: maxStates}
+func runStreamSingle(w io.Writer, rc conform.RunConfig, opts mc.Options, mutate string) (int, error) {
 	cc := &conform.CampaignCheck{Model: rc.Model, Opts: opts}
 	verify := func(cfg models.Config, p models.Property) (models.Verdict, error) {
 		return models.Verify(cfg, p, opts)
@@ -211,16 +216,14 @@ func runStreamSingle(w io.Writer, variantName string, tmin, tmax, n int, fixed b
 		Check: cc, Horizon: rc.Horizon, Verify: verify,
 	})
 	if err != nil {
-		fmt.Fprintf(w, "hbconform: %v\n", err)
-		return 2
+		return 0, err
 	}
 	res, err := conform.RunStream(rc, sc)
 	if err != nil {
-		fmt.Fprintf(w, "hbconform: %v\n", err)
-		return 2
+		return 0, err
 	}
 	fmt.Fprintf(w, "stream %s: tmin=%d tmax=%d n=%d fixed=%v seed=%d horizon=%d events=%d frontier=%d\n",
-		rc.Model.Variant, tmin, tmax, n, fixed, seed, horizon, res.Events, res.MaxFrontierSeen)
+		rc.Model.Variant, rc.Model.TMin, rc.Model.TMax, rc.Model.N, rc.Model.Fixed, rc.Seed, rc.Horizon, res.Events, res.MaxFrontierSeen)
 
 	status := 0
 	switch {
@@ -234,8 +237,7 @@ func runStreamSingle(w io.Writer, variantName string, tmin, tmax, n int, fixed b
 		}
 		fmt.Fprintln(w)
 		if err := inc.Render(w, "trace before divergence"); err != nil {
-			fmt.Fprintf(w, "hbconform: render: %v\n", err)
-			return 2
+			return 0, fmt.Errorf("render: %v", err)
 		}
 		if src := inc.Shrunk; src != nil {
 			fmt.Fprintf(w, "\nshrunk reproduction:\n  hbconform -variant %s -tmin %d -tmax %d -n %d -fixed=%v -seed %d -horizon %d -maxdelay %d",
@@ -268,16 +270,15 @@ func runStreamSingle(w io.Writer, variantName string, tmin, tmax, n int, fixed b
 	if violations == 0 {
 		fmt.Fprintln(w, "verdicts: no R1-R3 violations observed")
 	}
-	return status
+	return status, nil
 }
 
-func runWalks(w io.Writer, variantName string, walks int, seed int64, maxStates int, shrink bool, workers int) int {
+func runWalks(w io.Writer, variantName string, walks int, seed int64, maxStates int, shrink bool, workers int) (int, error) {
 	list := variants
 	if variantName != "all" {
 		v, err := parseVariant(variantName)
 		if err != nil {
-			fmt.Fprintf(w, "hbconform: %v\n", err)
-			return 2
+			return 0, err
 		}
 		list = []models.Variant{v}
 	}
@@ -289,20 +290,21 @@ func runWalks(w io.Writer, variantName string, walks int, seed int64, maxStates 
 		}
 		res, err := ec.Explore()
 		if err != nil {
-			fmt.Fprintf(w, "hbconform: %s: %v\n", v, err)
-			return 2
+			return 0, fmt.Errorf("%s: %v", v, err)
 		}
 		fmt.Fprintf(w, "conform %s: walks=%d clean=%d events=%d consistent-violations=%d failures=%d\n",
 			v, res.Walks, res.Clean, res.Events, res.ConsistentViolations, len(res.Failures))
 		for _, f := range res.Failures {
 			status = 1
-			reportFailure(w, v, f)
+			if err := reportFailure(w, v, f); err != nil {
+				return 0, err
+			}
 		}
 	}
-	return status
+	return status, nil
 }
 
-func reportFailure(w io.Writer, v models.Variant, f conform.WalkFailure) {
+func reportFailure(w io.Writer, v models.Variant, f conform.WalkFailure) error {
 	rc, div := f.Run, f.Div
 	if f.Shrunk != nil {
 		rc, div = *f.Shrunk, f.ShrunkDiv
@@ -315,7 +317,7 @@ func reportFailure(w io.Writer, v models.Variant, f conform.WalkFailure) {
 	fmt.Fprintln(w)
 	if div != nil {
 		if err := div.Render(w, "trace before divergence"); err != nil {
-			fmt.Fprintf(w, "hbconform: render: %v\n", err)
+			return fmt.Errorf("render: %v", err)
 		}
 	}
 	for _, d := range f.Mismatches {
@@ -324,4 +326,5 @@ func reportFailure(w io.Writer, v models.Variant, f conform.WalkFailure) {
 				d.Prop, viol.Time, viol.Proc)
 		}
 	}
+	return nil
 }

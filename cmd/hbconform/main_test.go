@@ -5,19 +5,20 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// checkGolden runs hbconform with args, requires exit status want, and
-// compares the output against testdata/<name>.golden. `go test -update`
-// rewrites the files.
+// checkGolden runs hbconform with args, requires exit status want and a
+// silent stderr, and compares stdout against testdata/<name>.golden.
+// `go test -update` rewrites the files.
 func checkGolden(t *testing.T, name string, want int, args ...string) {
 	t.Helper()
-	var buf bytes.Buffer
-	if code := run(args, &buf); code != want {
-		t.Fatalf("run(%v) = %d, want %d\n%s", args, code, want, buf.String())
+	var buf, errs bytes.Buffer
+	if code := run(args, &buf, &errs); code != want || errs.Len() != 0 {
+		t.Fatalf("run(%v) = %d, want %d\n%s%s", args, code, want, buf.String(), errs.String())
 	}
 	path := filepath.Join("testdata", name+".golden")
 	if *update {
@@ -105,12 +106,12 @@ func TestStreamRenderMatchesOffline(t *testing.T) {
 		"-horizon", "30", "-schedule", "crash t=9 node=0",
 		"-mutate", "expiry+1", "-seed", "3",
 	}
-	var offline, stream bytes.Buffer
-	if code := run(args, &offline); code != 1 {
-		t.Fatalf("offline run = %d, want 1\n%s", code, offline.String())
+	var offline, stream, errs bytes.Buffer
+	if code := run(args, &offline, &errs); code != 1 {
+		t.Fatalf("offline run = %d, want 1\n%s%s", code, offline.String(), errs.String())
 	}
-	if code := run(append([]string{"-stream"}, args...), &stream); code != 1 {
-		t.Fatalf("stream run = %d, want 1\n%s", code, stream.String())
+	if code := run(append([]string{"-stream"}, args...), &stream, &errs); code != 1 {
+		t.Fatalf("stream run = %d, want 1\n%s%s", code, stream.String(), errs.String())
 	}
 	off := offline.Bytes()
 	start := bytes.Index(off, []byte("trace before divergence"))
@@ -125,17 +126,34 @@ func TestStreamRenderMatchesOffline(t *testing.T) {
 	}
 }
 
+// TestBadFlags: what the command line got wrong is one "hbconform:" line
+// on stderr (the flag package's own report for an unknown flag), exit
+// status 2, and nothing on stdout in front of a report.
 func TestBadFlags(t *testing.T) {
-	var buf bytes.Buffer
-	if code := run([]string{"-variant", "nope", "-horizon", "5"}, &buf); code != 2 {
-		t.Fatalf("unknown variant: run = %d, want 2\n%s", code, buf.String())
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-variant", "nope", "-horizon", "5"}, `hbconform: unknown variant "nope"`},
+		{[]string{"-variant", "nope"}, `hbconform: unknown variant "nope"`},
+		{[]string{"-mutate", "expiry+1"}, "hbconform: -schedule/-mutate/-stream need single-run mode"},
+		{[]string{"-stream"}, "hbconform: -schedule/-mutate/-stream need single-run mode"},
+		{[]string{"-variant", "binary", "-horizon", "5", "-mutate", "nope"}, `unknown mutation "nope"`},
+		{[]string{"-variant", "binary", "-horizon", "5", "-schedule", "frobnicate t=1"}, "hbconform: schedule:"},
+		{[]string{"-variant", "binary", "-horizon", "5", "-tmin", "0"}, "hbconform:"},
+		{[]string{"-variant", "binary", "-horizon", "5", "-stream", "-tmin", "0"}, "hbconform:"},
+	} {
+		var out, errs bytes.Buffer
+		if code := run(tc.args, &out, &errs); code != 2 {
+			t.Errorf("run(%q) = %d, want 2\n%s", tc.args, code, errs.String())
+		}
+		msg := errs.String()
+		if out.Len() != 0 || !strings.Contains(msg, tc.want) || strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") {
+			t.Errorf("run(%q): stdout %q, stderr %q; want the one line %q on stderr", tc.args, out.String(), msg, tc.want)
+		}
 	}
-	buf.Reset()
-	if code := run([]string{"-mutate", "expiry+1"}, &buf); code != 2 {
-		t.Fatalf("mutate without -horizon: run = %d, want 2\n%s", code, buf.String())
-	}
-	buf.Reset()
-	if code := run([]string{"-stream"}, &buf); code != 2 {
-		t.Fatalf("stream without -horizon: run = %d, want 2\n%s", code, buf.String())
+	var out, errs bytes.Buffer
+	if code := run([]string{"-nope"}, &out, &errs); code != 2 || out.Len() != 0 || !strings.Contains(errs.String(), "-nope") {
+		t.Errorf("run(-nope) = %d, stdout %q, stderr %q", code, out.String(), errs.String())
 	}
 }

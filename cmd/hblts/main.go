@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/mc"
@@ -19,23 +20,31 @@ import (
 )
 
 func main() {
-	var (
-		proc     = flag.String("proc", "p0", "process to isolate: p0 or p1")
-		tmin     = flag.Int("tmin", 1, "tmin (the figures use 1)")
-		tmax     = flag.Int("tmax", 2, "tmax (the figures use 2)")
-		format   = flag.String("format", "text", "output: text, aut or dot")
-		noReduce = flag.Bool("no-reduce", false, "emit the full graph instead of the weak-trace reduction")
-		hideTick = flag.Bool("hide-tick", false, "hide tick transitions before reducing")
-	)
-	flag.Parse()
-
-	if err := run(*proc, int32(*tmin), int32(*tmax), *format, !*noReduce, *hideTick); err != nil {
-		fmt.Fprintln(os.Stderr, "hblts:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(proc string, tmin, tmax int32, format string, reduce, hideTick bool) error {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hblts", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		proc     = fs.String("proc", "p0", "process to isolate: p0 or p1")
+		tmin     = fs.Int("tmin", 1, "tmin (the figures use 1)")
+		tmax     = fs.Int("tmax", 2, "tmax (the figures use 2)")
+		format   = fs.String("format", "text", "output: text, aut or dot")
+		noReduce = fs.Bool("no-reduce", false, "emit the full graph instead of the weak-trace reduction")
+		hideTick = fs.Bool("hide-tick", false, "hide tick transitions before reducing")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := export(stdout, *proc, int32(*tmin), int32(*tmax), *format, !*noReduce, *hideTick); err != nil {
+		fmt.Fprintln(stderr, "hblts:", err)
+		return 1
+	}
+	return 0
+}
+
+func export(w io.Writer, proc string, tmin, tmax int32, format string, reduce, hideTick bool) error {
 	var (
 		net *ta.Network
 		err error
@@ -67,20 +76,20 @@ func run(proc string, tmin, tmax int32, format string, reduce, hideTick bool) er
 	}
 	switch format {
 	case "text":
-		fmt.Printf("isolated %s (tmin=%d, tmax=%d): %d states, %d transitions",
+		fmt.Fprintf(w, "isolated %s (tmin=%d, tmax=%d): %d states, %d transitions",
 			proc, tmin, tmax, full.NumStates, len(full.Transitions))
 		if reduce {
-			fmt.Printf(" -> reduced: %d states, %d transitions", l.NumStates, len(l.Transitions))
+			fmt.Fprintf(w, " -> reduced: %d states, %d transitions", l.NumStates, len(l.Transitions))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, t := range l.Transitions {
-			fmt.Printf("  s%d --%s--> s%d\n", t.From, t.Label, t.To)
+			fmt.Fprintf(w, "  s%d --%s--> s%d\n", t.From, t.Label, t.To)
 		}
 		return nil
 	case "aut":
-		return l.WriteAUT(os.Stdout)
+		return l.WriteAUT(w)
 	case "dot":
-		return l.WriteDOT(os.Stdout, proc)
+		return l.WriteDOT(w, proc)
 	default:
 		return fmt.Errorf("unknown format %q (want text, aut or dot)", format)
 	}

@@ -13,8 +13,9 @@
 //
 // -exp topo runs the adaptive topology campaigns (rack-correlated loss,
 // asymmetric WAN latency, churn storm) with piecewise conformance
-// checking attached: every retune is confirmed against its envelope
-// level and the run fails on any unconfirmed divergence.
+// checking attached online (a conform.StreamChecker rides each trial):
+// every retune is confirmed against its envelope level and the run fails
+// on any unconfirmed divergence.
 package main
 
 import (
@@ -259,19 +260,28 @@ func topo(w, stderr io.Writer, trials int, seed int64) error {
 				Model:    models.Config{TMin: tmin, TMax: tmax, Variant: tc.variant, N: tc.n, Fixed: true},
 				Envelope: &env,
 			},
+			Stream: true,
 		})
 		if err != nil {
 			return err
 		}
+		// Checked online, a trial reports its unconfirmed divergence as an
+		// incident (R1–R3 violations are incidents too, and not failures).
+		var diverged []*conform.Incident
+		for _, inc := range res.Incidents {
+			if inc.Kind == conform.IncidentDivergence {
+				diverged = append(diverged, inc)
+			}
+		}
 		fmt.Fprintf(w, "%22s %9s %3d %8d %10d %10d %10d %10d %12d\n",
 			sc.Name, tc.variant, tc.n, res.Retunes, res.Saturations,
 			res.ConfirmedDivergences, res.DegradedDivergences,
-			res.Faults.DroppedLoss, len(res.Divergences))
-		if len(res.Divergences) > 0 {
-			if err := res.Divergences[0].Render(stderr, "unconfirmed divergence"); err != nil {
+			res.Faults.DroppedLoss, len(diverged))
+		if len(diverged) > 0 {
+			if err := diverged[0].Render(stderr, "unconfirmed divergence"); err != nil {
 				return err
 			}
-			return fmt.Errorf("%s: %d unconfirmed divergences", sc.Name, len(res.Divergences))
+			return fmt.Errorf("%s: %d unconfirmed divergences", sc.Name, len(diverged))
 		}
 	}
 	fmt.Fprintln(w)

@@ -2,7 +2,6 @@ package conform
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/models"
@@ -37,25 +36,6 @@ type PiecewiseResult struct {
 	FinalLevel int
 }
 
-// confirmedByDesign classifies divergence labels the conformance scope
-// excludes on purpose (see the package comment): the runtime's
-// leaver-initiated leave handshake (decide/send/deliver leave, leave
-// acks), supervisor restarts, churn rejoins, and the stray beats a
-// departed or restarted node may still receive. Anything else — including
-// LabelTick, a forced model action the runtime never produced — stays
-// unconfirmed.
-func confirmedByDesign(label string) bool {
-	switch {
-	case strings.Contains(label, "leave"):
-		return true
-	case strings.HasSuffix(label, ": restart"), strings.HasSuffix(label, ": rejoin"):
-		return true
-	case strings.HasPrefix(label, "deliver stray beat"):
-		return true
-	}
-	return false
-}
-
 // CheckTraceAdaptive replays a recorded trace of an adaptive cluster
 // against the envelope's family of specifications, piecewise:
 //
@@ -68,7 +48,7 @@ func confirmedByDesign(label string) bool {
 //     specification with the frontier reseeded to every state: the model
 //     family has no transition connecting the levels, so the suffix is
 //     checked against all continuations of the new level.
-//   - Divergences at by-design non-model events (confirmedByDesign) are
+//   - Divergences at by-design non-model events (alphabet.Kind.ByDesign) are
 //     counted and the frontier likewise reseeded at the current level.
 //   - A retune that re-holds the current point is saturation: the
 //     coordinator is at the envelope ceiling under sustained loss,

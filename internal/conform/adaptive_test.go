@@ -1,13 +1,20 @@
 package conform
 
 import (
-	"math"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/alphabet"
 	"repro/internal/faults"
 	"repro/internal/models"
 )
+
+// garbage is a label of no kind — what a text that is not in the alphabet
+// becomes on its way to a checker (parseFuzzLabel).
+var garbage = alphabet.Label{Kind: alphabet.NumKinds + 1, A: 1}
+
+func retune(tmin, tmax int32) alphabet.Label {
+	return alphabet.Label{Kind: alphabet.Retune, A: tmin, B: tmax}
+}
 
 // adaptiveCheck builds a CampaignCheck for the smallest adaptive shape:
 // a static coordinator-plus-one cluster over a two-level envelope.
@@ -30,7 +37,7 @@ func TestCheckTraceAdaptiveNeedsEnvelope(t *testing.T) {
 
 func TestCheckTraceAdaptiveRetuneOutsideEnvelope(t *testing.T) {
 	c := adaptiveCheck(t)
-	events := []Event{{Time: 0, Label: labelRetune(3, 5)}}
+	events := []Event{{Time: 0, Label: retune(3, 5)}}
 	res, err := c.CheckTraceAdaptive(events, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -38,14 +45,14 @@ func TestCheckTraceAdaptiveRetuneOutsideEnvelope(t *testing.T) {
 	if res.Unconfirmed == nil {
 		t.Fatal("retune to a point outside the envelope was confirmed")
 	}
-	if res.Unconfirmed.Label != labelRetune(3, 5) {
+	if res.Unconfirmed.Label != "p[0]: retune to (3,5)" {
 		t.Fatalf("divergence label = %q", res.Unconfirmed.Label)
 	}
 }
 
 func TestCheckTraceAdaptiveUnknownLabelUnconfirmed(t *testing.T) {
 	c := adaptiveCheck(t)
-	events := []Event{{Time: 0, Label: "p[1]: frobnicate"}}
+	events := []Event{{Time: 0, Label: garbage}}
 	res, err := c.CheckTraceAdaptive(events, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +64,7 @@ func TestCheckTraceAdaptiveUnknownLabelUnconfirmed(t *testing.T) {
 
 func TestCheckTraceAdaptiveByDesignConfirmed(t *testing.T) {
 	c := adaptiveCheck(t)
-	events := []Event{{Time: 0, Label: "p[1]: restart"}}
+	events := []Event{{Time: 0, Label: alphabet.Restart.Of(1)}}
 	res, err := c.CheckTraceAdaptive(events, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +83,8 @@ func TestCheckTraceAdaptiveByDesignConfirmed(t *testing.T) {
 func TestCheckTraceAdaptiveSaturation(t *testing.T) {
 	c := adaptiveCheck(t)
 	events := []Event{
-		{Time: 0, Label: labelRetune(2, 4)},
-		{Time: 0, Label: "p[1]: frobnicate"},
+		{Time: 0, Label: retune(2, 4)},
+		{Time: 0, Label: garbage},
 	}
 	res, err := c.CheckTraceAdaptive(events, 600)
 	if err != nil {
@@ -99,10 +106,10 @@ func TestCheckTraceAdaptiveSaturation(t *testing.T) {
 func TestCheckTraceAdaptiveLevelChangeResumes(t *testing.T) {
 	c := adaptiveCheck(t)
 	events := []Event{
-		{Time: 0, Label: labelRetune(2, 4)},
-		{Time: 0, Label: "p[1]: frobnicate"},
-		{Time: 0, Label: labelRetune(2, 8)},
-		{Time: 0, Label: "p[1]: frobnicate"},
+		{Time: 0, Label: retune(2, 4)},
+		{Time: 0, Label: garbage},
+		{Time: 0, Label: retune(2, 8)},
+		{Time: 0, Label: garbage},
 	}
 	res, err := c.CheckTraceAdaptive(events, 600)
 	if err != nil {
@@ -117,49 +124,74 @@ func TestCheckTraceAdaptiveLevelChangeResumes(t *testing.T) {
 	}
 }
 
+// TestParseRetuneRoundTrip: a retune reaches the piecewise checker as its
+// operating point, and a text that only resembles one never does — it
+// parses to no label, so it cannot be confirmed as an envelope transition
+// and reseed the frontier (the trailing-junk bug FuzzStreamChecker found
+// in the first, Sscanf-based parser).
 func TestParseRetuneRoundTrip(t *testing.T) {
-	tmin, tmax, ok := parseRetune(labelRetune(2, 8))
-	if !ok || tmin != 2 || tmax != 8 {
-		t.Fatalf("parseRetune(labelRetune(2,8)) = %d, %d, %v", tmin, tmax, ok)
-	}
-	// Negative points are renderable, so they parse (and then fail the
-	// envelope lookup); the extremes of int32 round-trip.
-	for _, pt := range [][2]int32{{-2, 4}, {0, 0}, {math.MinInt32, math.MaxInt32}} {
-		tmin, tmax, ok := parseRetune(labelRetune(core.Tick(pt[0]), core.Tick(pt[1])))
-		if !ok || tmin != pt[0] || tmax != pt[1] {
-			t.Fatalf("parseRetune(labelRetune(%d,%d)) = %d, %d, %v", pt[0], pt[1], tmin, tmax, ok)
-		}
-	}
-	for _, label := range []string{
-		"deliver beat to p[0] from p[1]",
-		"p[0]: retune to (2,4)x", "p[0]: retune to (2,4", "p[0]: retune to (2,4))",
-		"p[0]: retune to (2)", "p[0]: retune to (2,4,8)", "p[0]: retune to (,4)", "p[0]: retune to (2,)",
-		"p[0]: retune to (+2,4)", "p[0]: retune to (02,4)", "p[0]: retune to (2, 4)", "p[0]: retune to (2,0x4)",
-		"p[0]: retune to (2,2147483648)", "p[0]: retune to (1_0,4)",
+	c := adaptiveCheck(t)
+	for _, tc := range []struct {
+		text    string
+		retunes int
+	}{
+		{"p[0]: retune to (2,8)", 1},
+		{"p[0]: retune to (2,4)", 1},
+		// Renderable, so they parse — and then fail the envelope lookup.
+		{"p[0]: retune to (-2,4)", 0}, {"p[0]: retune to (0,0)", 0},
+		{"p[0]: retune to (-2147483648,2147483647)", 0},
+		{"deliver beat to p[0] from p[1]", 0},
+		{"p[0]: retune to (2,4)x", 0}, {"p[0]: retune to (2,4", 0}, {"p[0]: retune to (2,4))", 0},
+		{"p[0]: retune to (2)", 0}, {"p[0]: retune to (2,4,8)", 0}, {"p[0]: retune to (,4)", 0}, {"p[0]: retune to (2,)", 0},
+		{"p[0]: retune to (+2,4)", 0}, {"p[0]: retune to (02,4)", 0}, {"p[0]: retune to (2, 4)", 0}, {"p[0]: retune to (2,0x4)", 0},
+		{"p[0]: retune to (2,2147483648)", 0}, {"p[0]: retune to (1_0,4)", 0},
 	} {
-		if tmin, tmax, ok := parseRetune(label); ok {
-			t.Errorf("parseRetune(%q) accepted it as (%d,%d)", label, tmin, tmax)
+		res, err := c.CheckTraceAdaptive([]Event{{Time: 0, Label: parseFuzzLabel(tc.text)}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Retunes != tc.retunes || (res.Unconfirmed == nil) != (tc.retunes == 1) {
+			t.Errorf("%q: Retunes = %d, unconfirmed = %v; want %d retunes", tc.text, res.Retunes, res.Unconfirmed, tc.retunes)
 		}
 	}
 }
 
+// TestConfirmedByDesign: the by-design events are confirmed wherever they
+// fall, and nothing else is.
 func TestConfirmedByDesign(t *testing.T) {
-	for _, label := range []string{
-		"p[1]: decide leave", "p[1]: send leave beat",
+	c := adaptiveCheck(t)
+	confirmed := func(text string) int {
+		l, ok := alphabet.Parse(text)
+		if !ok {
+			t.Fatalf("%q is not in the alphabet", text)
+		}
+		res, err := c.CheckTraceAdaptive([]Event{{Time: 0, Label: l}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.Confirmed == 1) == (res.Unconfirmed != nil) {
+			t.Fatalf("%q: Confirmed = %d with unconfirmed = %v", text, res.Confirmed, res.Unconfirmed)
+		}
+		return res.Confirmed
+	}
+	for _, text := range []string{
+		"p[1]: decide leave", "p[1]: send leave beat", "deliver leave beat to p[0] from p[1]",
 		"deliver leave ack to p[1]", "p[0]: send leave ack to p[1]",
 		"p[1]: restart", "p[1]: rejoin",
 		"deliver stray beat to p[1] from p[2]",
 	} {
-		if !confirmedByDesign(label) {
-			t.Errorf("confirmedByDesign(%q) = false", label)
+		if confirmed(text) != 1 {
+			t.Errorf("%q was not confirmed by design", text)
 		}
 	}
-	for _, label := range []string{
+	// None of these is enabled in the initial state, so each is a
+	// divergence no rule explains.
+	for _, text := range []string{
 		"deliver beat to p[0] from p[1]", "p[1]: send beat",
-		"timeout p[0]", "tick", "crash p[1]",
+		"timeout p[0]", "inactivate nv p[1]", "deliver join beat to p[0] from p[1]",
 	} {
-		if confirmedByDesign(label) {
-			t.Errorf("confirmedByDesign(%q) = true", label)
+		if confirmed(text) != 0 {
+			t.Errorf("%q was confirmed by design", text)
 		}
 	}
 }

@@ -8,9 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/mc"
 	"repro/internal/models"
-	"repro/internal/trace"
 )
 
 // Divergence reports the first point where a recorded trace leaves the
@@ -49,37 +47,17 @@ const mscTail = 40
 
 // Render writes a human-readable divergence report: the consumed trace
 // prefix as an ASCII message sequence chart (internal/trace), then the
-// offending step and what the model would have allowed.
+// offending step and what the model would have allowed. It is the
+// streaming Incident's renderer over the offline report bound, so the two
+// reports of one divergence are the same bytes.
 func (d *Divergence) Render(w io.Writer, title string) error {
-	prefix := d.Events[:d.Index]
-	skipped := 0
-	if len(prefix) > mscTail {
-		skipped = len(prefix) - mscTail
-		prefix = prefix[skipped:]
+	skipped := max(0, d.Index-mscTail)
+	inc := Incident{
+		Kind: IncidentDivergence, Seq: d.Index, Time: d.Time,
+		Label: d.Label, Expected: d.Expected,
+		Skipped: skipped, Tail: d.Events[skipped:d.Index],
 	}
-	steps := make([]mc.Step, 0, len(prefix))
-	for _, ev := range prefix {
-		steps = append(steps, mc.Step{Label: ev.Label, Time: int(ev.Time)})
-	}
-	if skipped > 0 {
-		if _, err := fmt.Fprintf(w, "… %d earlier events omitted …\n", skipped); err != nil {
-			return err
-		}
-	}
-	if err := trace.Render(w, title, steps); err != nil {
-		return err
-	}
-	if d.Label == LabelTick {
-		if _, err := fmt.Fprintf(w, "\nstuck at t=%d: the model forces a visible action before time can pass\n", d.Time); err != nil {
-			return err
-		}
-	} else {
-		if _, err := fmt.Fprintf(w, "\ndivergence at t=%d (event %d): runtime produced %q\n", d.Time, d.Index, d.Label); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "model allows: %s\n", strings.Join(d.Expected, ", "))
-	return err
+	return inc.Render(w, title)
 }
 
 // scratch is a checker's working memory: the generation-stamped membership
@@ -253,7 +231,7 @@ func (c *checker) enabled() []string {
 		for j := sp.visOff[s]; j < sp.visOff[s+1]; j++ {
 			if id := sp.vis[j].label; !seen[id] {
 				seen[id] = true
-				out = append(out, sp.labelNames[id])
+				out = append(out, sp.labels[id].String())
 			}
 		}
 	}

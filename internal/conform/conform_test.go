@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alphabet"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mc"
@@ -163,7 +164,7 @@ func TestEvaluateTraceR1(t *testing.T) {
 	// p[1] delivers once at t=2, then goes silent; p[0] stays active
 	// beyond the bound.
 	events := []Event{
-		{Time: 2, Label: "deliver beat to p[0] from p[1]"},
+		{Time: 2, Label: alphabet.DeliverBeatP0.Of(1)},
 	}
 	tv := EvaluateTrace(cfg, events, 0, 2+bound+4)
 	if len(tv.ByProp(models.R1)) != 1 {
@@ -173,7 +174,7 @@ func TestEvaluateTraceR1(t *testing.T) {
 		t.Fatalf("R1 violation at t=%d, want %d", got, 2+bound+1)
 	}
 	// Same trace, but p[0] inactivates within the bound: clean.
-	events2 := append(events, Event{Time: 2 + bound, Label: "inactivate nv p[0]"})
+	events2 := append(events, Event{Time: 2 + bound, Label: alphabet.Inactivate.Of(0)})
 	tv2 := EvaluateTrace(cfg, events2, 0, 2+bound+4)
 	if len(tv2.ByProp(models.R1)) != 0 {
 		t.Fatalf("unexpected R1 violation: %+v", tv2.Violations)

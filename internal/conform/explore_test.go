@@ -1,14 +1,17 @@
 package conform
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/alphabet"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/faults"
 	"repro/internal/mc"
 	"repro/internal/models"
+	"repro/internal/netem"
 )
 
 // TestExploreSmallCampaign runs a miniature walk campaign end to end and
@@ -182,50 +185,56 @@ func TestSpecAlphabetAndCampaignCheck(t *testing.T) {
 	}
 }
 
-// TestLabelConstructors pins the event vocabulary against its parser: the
-// verdict monitor relies on procIndex inverting every constructor it
-// dispatches on, and on nothing else parsing as one of them.
+// TestLabelConstructors pins the abstraction as the reports spell it: one
+// machine step of each shape through the Recorder, at process ids small
+// and large, renders the texts the model LTS is labelled with (or the
+// honest non-model ones), and each text parses back to the recorded value.
 func TestLabelConstructors(t *testing.T) {
+	beat := func(from core.ProcID, stay bool) detector.Trigger {
+		return detector.Trigger{Kind: detector.TriggerBeat, Beat: core.Beat{From: from, Stay: stay}}
+	}
+	timer := detector.Trigger{Kind: detector.TriggerTimer, Timer: core.TimerRound}
 	for _, tc := range []struct {
-		label, prefix string
-		proc          int
+		id      netem.NodeID
+		tr      detector.Trigger
+		actions []core.Action
+		want    []string
 	}{
-		{labelDeliverToP0(3), prefDeliverBeatP0, 3},
-		{labelDeliverLeaveToP0(2), prefDeliverLeaveP0, 2},
-		{labelInactivate(7), prefInactivate, 7},
-		{labelInactivate(0), prefInactivate, 0},
-		{labelCrash(8), prefCrash, 8},
-		{labelCrash(120), prefCrash, 120},
+		{0, beat(3, true), nil, []string{"deliver beat to p[0] from p[3]"}},
+		{0, beat(2, false), []core.Action{core.SendBeat(2, core.Beat{})},
+			[]string{"deliver leave beat to p[0] from p[2]", "p[0]: send leave ack to p[2]"}},
+		{7, beat(0, true), []core.Action{core.SendBeat(0, core.Beat{Stay: true})},
+			[]string{"deliver beat to p[7]", "p[7]: send beat"}},
+		{3, beat(0, false), nil, []string{"deliver leave ack to p[3]"}},
+		{2, beat(10, true), nil, []string{"deliver stray beat to p[2] from p[10]"}},
+		{0, timer, []core.Action{core.SetTimer(core.TimerRound, 4), core.RetuneAction(2, 8)},
+			[]string{"timeout p[0]", "p[0]: send beat", "p[0]: retune to (2,8)"}},
+		{0, timer, []core.Action{core.Inactivate(false)}, []string{"timeout p[0]", "inactivate nv p[0]"}},
+		{0, timer, []core.Action{core.RetuneAction(1<<40, -1<<40)},
+			[]string{"timeout p[0]", "p[0]: retune to (2147483647,-2147483648)"}},
+		{120, detector.Trigger{Kind: detector.TriggerTimer, Timer: core.TimerExpiry}, []core.Action{core.Inactivate(false)},
+			[]string{"inactivate nv p[120]"}},
+		{1000, detector.Trigger{Kind: detector.TriggerCrash}, []core.Action{core.Inactivate(true)}, []string{"crash p[1000]"}},
+		{1, detector.Trigger{Kind: detector.TriggerStart}, []core.Action{core.SendBeat(0, core.Beat{Stay: true})},
+			[]string{"p[1]: send join beat"}},
+		{1, detector.Trigger{Kind: detector.TriggerLeave}, []core.Action{core.SendBeat(0, core.Beat{})},
+			[]string{"p[1]: decide leave", "p[1]: send leave beat"}},
+		{4, detector.Trigger{Kind: detector.TriggerRejoin}, nil, []string{"p[4]: rejoin"}},
+		{4, detector.Trigger{Kind: detector.TriggerRestart}, nil, []string{"p[4]: restart"}},
 	} {
-		if proc, ok := procIndex(tc.label, tc.prefix); !ok || proc != tc.proc {
-			t.Fatalf("procIndex(%q, %q) = %d, %v, want %d", tc.label, tc.prefix, proc, ok, tc.proc)
+		r := NewRecorder()
+		r.ObserveStep(tc.id, 1, tc.tr, tc.actions)
+		var got []string
+		for _, ev := range r.Events() {
+			s := ev.Label.String()
+			if l, ok := alphabet.Parse(s); !ok || l != ev.Label {
+				t.Errorf("%+v renders %q, which parses back as %+v, %v", ev.Label, s, l, ok)
+			}
+			got = append(got, s)
 		}
-	}
-	for _, tc := range []struct{ label, prefix string }{
-		{labelSendBeat(1), prefCrash},                          // wrong shape
-		{labelDeliverLeaveToP0(1), prefDeliverBeatP0},          // a different constructor's label
-		{"crash p[01]", prefCrash},                             // leading zero
-		{"inactivate nv p[007]", prefInactivate},               // leading zeros
-		{"deliver beat to p[0] from p[00]", prefDeliverBeatP0}, // zero, twice
-		{"crash p[]", prefCrash},                               // no digits
-		{"crash p[+1]", prefCrash},                             // sign
-		{"crash p[1] ", prefCrash},                             // trailing junk
-		{"crash p[1]]", prefCrash},                             // trailing junk
-		{"crash p[99999999]", prefCrash},                       // out of range
-	} {
-		if proc, ok := procIndex(tc.label, tc.prefix); ok {
-			t.Fatalf("procIndex(%q, %q) accepted it as p[%d]", tc.label, tc.prefix, proc)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("node %d, trigger %+v: recorded %q, want %q", tc.id, tc.tr, got, tc.want)
 		}
-	}
-	// The tabulated labels are the constructors' renderings, cached or not.
-	for _, i := range []int{0, 1, cachedProcs - 1, cachedProcs, 1000} {
-		if got, want := *procLabels(i), newProcLabelSet(i); got != want {
-			t.Fatalf("procLabels(%d) = %+v, want %+v", i, got, want)
-		}
-	}
-	if got := procLabels(3).deliverLeaveAck + "|" + procLabels(3).sendLeaveAck + "|" + labelDeliverStray(2, 10); got !=
-		"deliver leave ack to p[3]|p[0]: send leave ack to p[3]|deliver stray beat to p[2] from p[10]" {
-		t.Fatalf("non-model labels render as %q", got)
 	}
 }
 
@@ -233,7 +242,7 @@ func TestRecorderReset(t *testing.T) {
 	r := NewRecorder()
 	r.ObserveStep(1, 3, detector.Trigger{Kind: detector.TriggerCrash},
 		[]core.Action{core.Inactivate(true)})
-	if ev := r.Events(); len(ev) != 1 || ev[0].Label != labelCrash(1) || ev[0].Time != 3 {
+	if ev := r.Events(); len(ev) != 1 || ev[0].Label != alphabet.Crash.Of(1) || ev[0].Time != 3 {
 		t.Fatalf("events = %v", ev)
 	}
 	r.Reset()

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/alphabet"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/faults"
@@ -35,6 +36,27 @@ type outcome struct {
 type refChecker struct {
 	sp  *Spec
 	cur []int32
+}
+
+// refIDs is the reference's own way from an event to a label id: a map
+// keyed by the rendered text, checked against Spec.Alphabet — so it shares
+// nothing with the dense (kind, process) table it is holding Spec.id to.
+func refIDs(t *testing.T, sp *Spec) map[string]int32 {
+	t.Helper()
+	ids := make(map[string]int32, len(sp.labels))
+	for id, l := range sp.labels {
+		ids[l.String()] = int32(id)
+	}
+	alpha := sp.Alphabet()
+	if len(alpha) != len(ids) {
+		t.Fatalf("spec has %d label ids for an alphabet of %d: %v", len(ids), len(alpha), alpha)
+	}
+	for _, name := range alpha {
+		if _, ok := ids[name]; !ok {
+			t.Fatalf("alphabet label %q has no id", name)
+		}
+	}
+	return ids
 }
 
 func refClosure(sp *Spec, set []int32, seen map[int32]bool) []int32 {
@@ -84,7 +106,7 @@ func (c *refChecker) enabled() []string {
 	seen := map[string]bool{}
 	for _, s := range c.cur {
 		for _, e := range c.sp.vis[c.sp.visOff[s]:c.sp.visOff[s+1]] {
-			seen[c.sp.labelNames[e.label]] = true
+			seen[c.sp.labels[e.label].String()] = true
 		}
 	}
 	var out []string
@@ -115,14 +137,15 @@ func refCheck(t *testing.T, c *CampaignCheck, events []Event, horizon core.Tick)
 	var (
 		o        outcome
 		sp       = specAt(level)
+		ids      = refIDs(t, sp)
 		ck       = newRefChecker(sp)
 		now      core.Tick
 		degraded bool
 	)
 	note := func() { o.MaxFrontierSeen = max(o.MaxFrontierSeen, len(ck.cur)) }
 	note()
-	diverge := func(i int, label string) outcome {
-		o.Diverged, o.Index, o.Time, o.Label, o.Expected = true, i, now, label, ck.enabled()
+	diverge := func(i int, label alphabet.Label) outcome {
+		o.Diverged, o.Index, o.Time, o.Label, o.Expected = true, i, now, label.String(), ck.enabled()
 		return o
 	}
 	advance := func(to core.Tick) bool {
@@ -141,9 +164,9 @@ func refCheck(t *testing.T, c *CampaignCheck, events []Event, horizon core.Tick)
 	}
 	for i, ev := range events {
 		if !advance(ev.Time) {
-			return diverge(i, LabelTick)
+			return diverge(i, tick)
 		}
-		id, known := sp.labelIDs[ev.Label]
+		id, known := ids[ev.Label.String()]
 		if !piecewise {
 			if !known || !ck.step(id) {
 				return diverge(i, ev.Label)
@@ -160,8 +183,8 @@ func refCheck(t *testing.T, c *CampaignCheck, events []Event, horizon core.Tick)
 				continue
 			}
 		}
-		if tmin, tmax, ok := parseRetune(ev.Label); ok {
-			next, ok := envelopeLevelOf(*c.Envelope, tmin, tmax)
+		if ev.Label.Kind == alphabet.Retune {
+			next, ok := envelopeLevelOf(*c.Envelope, ev.Label.A, ev.Label.B)
 			if !ok {
 				return diverge(i, ev.Label)
 			}
@@ -174,11 +197,12 @@ func refCheck(t *testing.T, c *CampaignCheck, events []Event, horizon core.Tick)
 			degraded = false
 			level, o.FinalLevel = next, next
 			sp = specAt(level)
+			ids = refIDs(t, sp)
 			ck = newRefCheckerAll(sp)
 			continue
 		}
 		switch {
-		case confirmedByDesign(ev.Label):
+		case ev.Label.Kind.ByDesign():
 			o.Confirmed++
 			ck = newRefCheckerAll(sp)
 		case degraded:
@@ -188,7 +212,7 @@ func refCheck(t *testing.T, c *CampaignCheck, events []Event, horizon core.Tick)
 		}
 	}
 	if !advance(horizon) {
-		return diverge(len(events), LabelTick)
+		return diverge(len(events), tick)
 	}
 	return o
 }
@@ -237,7 +261,7 @@ func engineOutcome(t *testing.T, c *CampaignCheck, events []Event, horizon core.
 		MaxFrontierSeen: e.maxFrontierSeen,
 	}
 	if d != nil {
-		o.Diverged, o.Index, o.Time, o.Label, o.Expected = true, d.index, d.time, d.label, d.expected
+		o.Diverged, o.Index, o.Time, o.Label, o.Expected = true, d.index, d.time, d.label.String(), d.expected
 	}
 	return o
 }
@@ -399,7 +423,7 @@ func TestEngineMatchesReferenceOnTopoCampaigns(t *testing.T) {
 					t.Fatalf("level %d: a region with no budget memoised %d states", level, sp.region.used)
 				}
 				sp.region = reseedRegion{}
-				sp.region.init(len(sp.labelNames), sp.NumStates)
+				sp.region.init(len(sp.labels), sp.NumStates)
 			}
 			for i, events := range traces {
 				requireOutcome(t, "engine", engineOutcome(t, check, events, horizon, nil), want[i])

@@ -1,8 +1,10 @@
 package conform
 
 import (
+	"math"
 	"sync"
 
+	"repro/internal/alphabet"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/netem"
@@ -44,7 +46,7 @@ func (r *Recorder) Reset() {
 func (r *Recorder) ObserveStep(id netem.NodeID, now core.Tick, tr detector.Trigger, actions []core.Action) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	abstractStep(func(label string) {
+	abstractStep(func(label alphabet.Label) {
 		r.events = append(r.events, Event{Time: now, Label: label})
 	}, id, tr, actions)
 }
@@ -53,11 +55,11 @@ func (r *Recorder) ObserveStep(id netem.NodeID, now core.Tick, tr detector.Trigg
 // zero or more model-alphabet labels, emitted through add in order. It is
 // the single abstraction shared by the Recorder (which retains events)
 // and the StreamChecker (which checks and discards them), so the two
-// observers cannot disagree about what a step means. Labels come from the
-// per-process tables, so a model-alphabet step allocates nothing.
-func abstractStep(add func(string), id netem.NodeID, tr detector.Trigger, actions []core.Action) {
+// observers cannot disagree about what a step means. Labels are values,
+// so a step allocates nothing, whatever process ids it names.
+func abstractStep(add func(alphabet.Label), id netem.NodeID, tr detector.Trigger, actions []core.Action) {
 	coord := id == netem.NodeID(core.CoordinatorID)
-	self := procLabels(int(id))
+	self := int(id)
 
 	switch tr.Kind {
 	case detector.TriggerBeat:
@@ -67,17 +69,17 @@ func abstractStep(add func(string), id netem.NodeID, tr detector.Trigger, action
 		b := tr.Beat
 		switch {
 		case coord && b.Stay:
-			add(procLabels(int(b.From)).deliverToP0)
+			add(alphabet.DeliverBeatP0.Of(int(b.From)))
 		case coord:
-			add(procLabels(int(b.From)).deliverLeaveToP0)
+			add(alphabet.DeliverLeaveP0.Of(int(b.From)))
 		case b.From == core.CoordinatorID && b.Stay:
-			add(self.deliverToP)
+			add(alphabet.DeliverBeat.Of(self))
 		case b.From == core.CoordinatorID:
 			// The coordinator's directed leave acknowledgement; no model
 			// counterpart (the model's leaver concludes from its own beat).
-			add(self.deliverLeaveAck)
+			add(alphabet.DeliverLeaveAck.Of(self))
 		default:
-			add(labelDeliverStray(int(id), int(b.From)))
+			add(alphabet.Label{Kind: alphabet.DeliverStray, A: int32(id), B: int32(b.From)})
 		}
 		addReactions(add, self, coord, tr, actions)
 
@@ -86,7 +88,7 @@ func abstractStep(add func(string), id netem.NodeID, tr detector.Trigger, action
 			if len(actions) == 0 {
 				return // stale fire on an inactive machine
 			}
-			add(labelTimeoutP0)
+			add(alphabet.Timeout.Of(self))
 		}
 		addReactions(add, self, coord, tr, actions)
 
@@ -96,20 +98,20 @@ func abstractStep(add func(string), id netem.NodeID, tr detector.Trigger, action
 	case detector.TriggerCrash:
 		for _, a := range actions {
 			if a.Kind == core.ActInactivate && a.Voluntary {
-				add(self.crash)
+				add(alphabet.Crash.Of(self))
 			}
 		}
 
 	case detector.TriggerLeave:
-		add(self.decideLeave)
+		add(alphabet.DecideLeave.Of(self))
 		addReactions(add, self, coord, tr, actions)
 
 	case detector.TriggerRejoin:
-		add(self.rejoin)
+		add(alphabet.Rejoin.Of(self))
 		addReactions(add, self, coord, tr, actions)
 
 	case detector.TriggerRestart:
-		add(self.restart)
+		add(alphabet.Restart.Of(self))
 		addReactions(add, self, coord, tr, actions)
 	}
 }
@@ -118,10 +120,10 @@ func abstractStep(add func(string), id netem.NodeID, tr detector.Trigger, action
 // inactivations and retunes. Suspect/Joined/Left notifications and timer
 // (re)arming are not part of the model's trace alphabet — except that the
 // coordinator's round continuation is keyed off SetTimer{TimerRound},
-// because the model broadcasts "p[0]: send beat" even to an empty
-// membership while the runtime's send loop then emits nothing. self holds
-// the stepping process's labels (the coordinator's when coord).
-func addReactions(add func(string), self *procLabelSet, coord bool, tr detector.Trigger, actions []core.Action) {
+// because the model broadcasts p[0]'s beat even to an empty membership
+// while the runtime's send loop then emits nothing. self is the stepping
+// process (the coordinator when coord).
+func addReactions(add func(alphabet.Label), self int, coord bool, tr detector.Trigger, actions []core.Action) {
 	sentBeat := false
 	for _, act := range actions {
 		switch act.Kind {
@@ -133,32 +135,40 @@ func addReactions(add func(string), self *procLabelSet, coord bool, tr detector.
 				// below for timeouts; directly for the revised init.
 				if tr.Kind != detector.TriggerTimer && !sentBeat {
 					sentBeat = true
-					add(self.sendBeat)
+					add(alphabet.SendBeat.Of(self))
 				}
 			case coord:
-				add(procLabels(int(act.To)).sendLeaveAck)
+				add(alphabet.SendLeaveAck.Of(int(act.To)))
 			case act.Beat.Stay:
 				if tr.Kind == detector.TriggerBeat {
-					add(self.sendBeat) // reply to a delivered beat
+					add(alphabet.SendBeat.Of(self)) // reply to a delivered beat
 				} else {
-					add(self.sendJoin) // join solicitation (start or resend)
+					add(alphabet.SendJoin.Of(self)) // join solicitation (start or resend)
 				}
 			default:
-				add(self.sendLeave)
+				add(alphabet.SendLeave.Of(self))
 			}
 		case core.ActSetTimer:
 			if coord && act.ID == core.TimerRound && tr.Kind == detector.TriggerTimer && !sentBeat {
 				sentBeat = true
-				add(self.sendBeat)
+				add(alphabet.SendBeat.Of(self))
 			}
 		case core.ActRetune:
-			add(labelRetune(act.TMin, act.TMax))
+			add(alphabet.Label{Kind: alphabet.Retune, A: sat32(act.TMin), B: sat32(act.TMax)})
 		case core.ActInactivate:
 			if act.Voluntary {
-				add(self.crash)
+				add(alphabet.Crash.Of(self))
 			} else {
-				add(self.inactivate)
+				add(alphabet.Inactivate.Of(self))
 			}
 		}
 	}
+}
+
+// sat32 narrows a timing constant to the alphabet's argument width. A
+// value that does not fit saturates instead of wrapping: no verified
+// envelope reaches that far, so the retune stays unconfirmed rather than
+// aliasing a small operating point.
+func sat32(t core.Tick) int32 {
+	return int32(min(max(t, math.MinInt32), math.MaxInt32))
 }

@@ -3,48 +3,11 @@ package conform
 import (
 	"fmt"
 	"sort"
-	"strings"
 
+	"repro/internal/alphabet"
 	"repro/internal/mc"
 	"repro/internal/models"
 )
-
-// specLabel maps a raw model-LTS label to the conformance alphabet. The
-// second result is false for labels the runtime cannot observe, which
-// become internal (tau) steps of the specification:
-//
-//   - the empty label and mc.Tau (internal model transitions, including
-//     channel busy-drops),
-//   - "p[0]: start" (the unrevised coordinator's silent init),
-//   - every "lose …" label (loss leaves no runtime event; the checker
-//     tracks lost-versus-delivered ambiguity in its frontier),
-//   - "p[i] gives no reply" (an inactive responder consuming a beat on
-//     the model's channel; the runtime-side delivery is recorded at the
-//     node, not the channel),
-//   - "p[i]: suppress duplicate join" (internal joiner bookkeeping),
-//   - "error R1 …" (monitor transitions; specs are built monitor-free,
-//     this is belt and braces).
-//
-// Join-beat deliveries to the coordinator are merged into the plain
-// delivery label: on the wire a join solicitation is an ordinary beat,
-// and the runtime cannot tell which model channel carried it.
-func specLabel(label string) (string, bool) {
-	switch {
-	case label == "" || label == mc.Tau || label == "p[0]: start":
-		return "", false
-	case strings.HasPrefix(label, "lose "):
-		return "", false
-	case strings.HasSuffix(label, "gives no reply"):
-		return "", false
-	case strings.HasSuffix(label, "suppress duplicate join"):
-		return "", false
-	case strings.HasPrefix(label, "error R1"):
-		return "", false
-	case strings.HasPrefix(label, "deliver join beat "):
-		return strings.Replace(label, "deliver join beat", "deliver beat", 1), true
-	}
-	return label, true
-}
 
 // visEdge is one visible transition: an interned label and a target state.
 type visEdge struct {
@@ -58,9 +21,13 @@ type Spec struct {
 	// NumStates and NumTransitions report the size of the underlying LTS.
 	NumStates, NumTransitions int
 
-	labelIDs   map[string]int32
-	labelNames []string
-	tickID     int32
+	// labels lists the visible alphabet by id; ids is its inverse, dense
+	// over (kind, process): ids[kind*stride+A], -1 where the specification
+	// has no such label. id is the bounds-checked way in.
+	labels []alphabet.Label
+	ids    []int32
+	stride int32
+	tickID int32
 
 	visOff []int32
 	vis    []visEdge
@@ -93,27 +60,44 @@ func BuildSpec(cfg models.Config, opts mc.Options) (*Spec, error) {
 		Cfg:            cfg,
 		NumStates:      lts.NumStates,
 		NumTransitions: len(lts.Transitions),
-		labelIDs:       make(map[string]int32, 32),
 	}
-	intern := func(name string) int32 {
-		id, ok := sp.labelIDs[name]
-		if !ok {
-			id = int32(len(sp.labelNames))
-			sp.labelNames = append(sp.labelNames, name)
-			sp.labelIDs[name] = id
-		}
-		return id
-	}
-	sp.tickID = intern(LabelTick)
 
-	// specLabel runs once per distinct model label, not per transition:
-	// specID maps the LTS's label ids to alphabet ids, -1 for hidden ones.
+	// The model's labels are about p[0]..p[N], N as Build settled it; the
+	// table spans exactly those.
+	sp.stride = int32(m.Cfg.N) + 1
+	sp.ids = make([]int32, int(alphabet.NumKinds)*int(sp.stride))
+	for i := range sp.ids {
+		sp.ids[i] = -1
+	}
+	intern := func(l alphabet.Label) int32 {
+		slot := &sp.ids[int32(l.Kind)*sp.stride+l.A]
+		if *slot < 0 {
+			*slot = int32(len(sp.labels))
+			sp.labels = append(sp.labels, l)
+		}
+		return *slot
+	}
+	sp.tickID = intern(tick)
+
+	// Each distinct model label is read once, not per transition: specID
+	// maps the LTS's label ids to the specification's, -1 for what the
+	// runtime cannot observe, which become internal (tau) steps — the LTS's
+	// own unlabelled and mc.Tau transitions (channel busy-drops among them)
+	// and the alphabet's hidden kinds. Join deliveries are interned as the
+	// plain deliveries they are on the wire.
 	ids, names := lts.InternedLabels()
 	specID := make([]int32, len(names))
 	for i, raw := range names {
 		specID[i] = -1
-		if name, vis := specLabel(raw); vis {
-			specID[i] = intern(name)
+		if raw == "" || raw == mc.Tau {
+			continue
+		}
+		l, ok := alphabet.Parse(raw)
+		if !ok || uint32(l.A) >= uint32(sp.stride) {
+			return nil, fmt.Errorf("conform: %v model label %q is not in the alphabet of %d participants", cfg.Variant, raw, m.Cfg.N)
+		}
+		if l.Kind.Observable() {
+			specID[i] = intern(alphabet.Label{Kind: l.Kind.Wire(), A: l.A})
 		}
 	}
 
@@ -146,13 +130,26 @@ func BuildSpec(cfg models.Config, opts mc.Options) (*Spec, error) {
 			tauNext[t.From]++
 		}
 	}
-	sp.region.init(len(sp.labelNames), sp.NumStates)
+	sp.region.init(len(sp.labels), sp.NumStates)
 	return sp, nil
+}
+
+// id returns the specification's id of l, or -1 when l is outside its
+// alphabet — which every label is whose kind or process the table does not
+// span, and every two-argument (runtime-only) kind.
+func (sp *Spec) id(l alphabet.Label) int32 {
+	if l.Kind >= alphabet.NumKinds || uint32(l.A) >= uint32(sp.stride) {
+		return -1
+	}
+	return sp.ids[int32(l.Kind)*sp.stride+l.A]
 }
 
 // Alphabet returns the sorted visible labels of the specification.
 func (sp *Spec) Alphabet() []string {
-	out := append([]string(nil), sp.labelNames...)
+	out := make([]string, len(sp.labels))
+	for i, l := range sp.labels {
+		out[i] = l.String()
+	}
 	sort.Strings(out)
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/alphabet"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/mc"
@@ -21,14 +22,14 @@ type divergePoint struct {
 	cfg      models.Config
 	index    int
 	time     core.Tick
-	label    string
+	label    alphabet.Label
 	expected []string
 }
 
 func (d *divergePoint) divergence(events []Event) *Divergence {
 	return &Divergence{
 		Cfg: d.cfg, Events: events, Index: d.index,
-		Time: d.time, Label: d.label, Expected: d.expected,
+		Time: d.time, Label: d.label.String(), Expected: d.expected,
 	}
 }
 
@@ -134,7 +135,7 @@ func (e *streamEngine) reseed() {
 	e.ck.reseed(e.sp)
 }
 
-func (e *streamEngine) diverge(idx int, label string) *divergePoint {
+func (e *streamEngine) diverge(idx int, label alphabet.Label) *divergePoint {
 	return &divergePoint{
 		cfg: e.sp.Cfg, index: idx, time: e.now,
 		label: label, expected: e.ck.enabled(),
@@ -156,7 +157,7 @@ func (e *streamEngine) advance(to core.Tick, idx int) *divergePoint {
 			return nil
 		}
 		if !e.ck.step(e.sp.tickID) {
-			return e.diverge(idx, LabelTick)
+			return e.diverge(idx, tick)
 		}
 		e.now++
 		e.noteFrontier()
@@ -176,8 +177,7 @@ func (e *streamEngine) feed(i int, ev Event) (*divergePoint, error) {
 			e.shedEvents++
 			return nil, nil
 		}
-		id, known := e.sp.labelIDs[ev.Label]
-		if !known || !e.stepNoted(id) {
+		if id := e.sp.id(ev.Label); id < 0 || !e.stepNoted(id) {
 			return e.diverge(i, ev.Label), nil
 		}
 		return nil, nil
@@ -185,7 +185,7 @@ func (e *streamEngine) feed(i int, ev Event) (*divergePoint, error) {
 	// Piecewise adaptive mode, mirroring CheckTraceAdaptive's rules in
 	// order: in-alphabet step, envelope-confirmed retune, by-design
 	// divergence, degraded tolerance, unconfirmed.
-	if id, known := e.sp.labelIDs[ev.Label]; known {
+	if id := e.sp.id(ev.Label); id >= 0 {
 		if e.degraded {
 			return nil, nil
 		}
@@ -197,8 +197,10 @@ func (e *streamEngine) feed(i int, ev Event) (*divergePoint, error) {
 			return nil, nil
 		}
 	}
-	if tmin, tmax, ok := parseRetune(ev.Label); ok {
-		next, ok := envelopeLevelOf(*e.env, tmin, tmax)
+	kind := ev.Label.Kind
+	switch {
+	case kind == alphabet.Retune:
+		next, ok := envelopeLevelOf(*e.env, ev.Label.A, ev.Label.B)
 		if !ok {
 			return e.diverge(i, ev.Label), nil
 		}
@@ -216,20 +218,15 @@ func (e *streamEngine) feed(i int, ev Event) (*divergePoint, error) {
 			return nil, err
 		}
 		e.sp = sp
-		e.reseed()
-		return nil, nil
-	}
-	switch {
-	case confirmedByDesign(ev.Label):
+	case kind.ByDesign():
 		e.confirmed++
 	case e.degraded:
 		e.degradedEvs++
 		return nil, nil
+	case e.shed:
+		e.shedEvents++
+		return nil, nil
 	default:
-		if e.shed {
-			e.shedEvents++
-			return nil, nil
-		}
 		return e.diverge(i, ev.Label), nil
 	}
 	e.reseed()
@@ -301,9 +298,6 @@ type traceMonitor struct {
 	bound   core.Tick
 	horizon core.Tick
 
-	inact0 string // labelInactivate(0), built once
-	crash0 string // labelCrash(0), built once
-
 	active0  bool
 	p0End    core.Tick
 	activeP  []bool
@@ -327,8 +321,6 @@ func newTraceMonitor(cfg models.Config, horizon core.Tick) *traceMonitor {
 		n:        n,
 		bound:    core.Tick(cfg.DetectionBound()),
 		horizon:  horizon,
-		inact0:   labelInactivate(0),
-		crash0:   labelCrash(0),
 		active0:  true,
 		p0End:    farFuture,
 		activeP:  make([]bool, n+1),
@@ -342,46 +334,6 @@ func newTraceMonitor(cfg models.Config, horizon core.Tick) *traceMonitor {
 		m.armed[i] = fixedMembers
 	}
 	return m
-}
-
-// Label prefixes of the monitor's dispatch, parsed allocation-free by
-// procIndex (strict: prefix, canonical digits, closing bracket, nothing
-// else) and rendered by the constructors in conform.go.
-const (
-	prefDeliverBeatP0  = "deliver beat to p[0] from p["
-	prefDeliverLeaveP0 = "deliver leave beat to p[0] from p["
-	prefInactivate     = "inactivate nv p["
-	prefCrash          = "crash p["
-)
-
-// procIndex parses the process index of a label of the exact form
-// prefix + canonical decimal + "]". It rejects signs, spaces, leading
-// zeros and trailing junk, so every accepted label is the one its
-// constructor renders and a malformed label cannot impersonate a real
-// one ("crash p[01]" is not p[1] crashing).
-func procIndex(label, prefix string) (int, bool) {
-	if !strings.HasPrefix(label, prefix) {
-		return 0, false
-	}
-	rest := label[len(prefix):]
-	if len(rest) < 2 || rest[len(rest)-1] != ']' {
-		return 0, false
-	}
-	if rest[0] == '0' && len(rest) > 2 {
-		return 0, false
-	}
-	p := 0
-	for i := 0; i < len(rest)-1; i++ {
-		c := rest[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		p = p*10 + int(c-'0')
-		if p > 1<<20 {
-			return 0, false
-		}
-	}
-	return p, true
 }
 
 // closeR1 checks the monitoring interval (lastBeat, next] for p[i]: a
@@ -407,12 +359,15 @@ func (m *traceMonitor) allOKExcept(skip int) bool {
 
 // observe consumes one event and returns the R1 violations it confirmed.
 // The returned slice is valid until the next observe or finishTime call.
-// The dispatch order mirrors EvaluateTrace's switch exactly.
+// Only deliveries at p[0], inactivations and crashes move the monitor, and
+// only when they are about p[0] or a participant it tracks.
 func (m *traceMonitor) observe(ev Event) []ReqViolation {
 	m.fresh = m.fresh[:0]
-	label := ev.Label
-	if p, ok := procIndex(label, prefDeliverBeatP0); ok {
-		if p >= 1 && p <= m.n {
+	p := int(ev.Label.A)
+	member := p >= 1 && p <= m.n
+	switch ev.Label.Kind {
+	case alphabet.DeliverBeatP0:
+		if member {
 			if m.armed[p] {
 				m.closeR1(p, ev.Time)
 			}
@@ -420,52 +375,46 @@ func (m *traceMonitor) observe(ev Event) []ReqViolation {
 			m.lastBeat[p] = ev.Time
 			m.jnd[p] = true
 		}
-		return m.fresh
-	}
-	if p, ok := procIndex(label, prefDeliverLeaveP0); ok {
-		if p >= 1 && p <= m.n {
+	case alphabet.DeliverLeaveP0:
+		if member {
 			if m.armed[p] {
 				m.closeR1(p, ev.Time)
 			}
 			m.armed[p] = false
 			m.jnd[p] = false
 		}
-		return m.fresh
-	}
-	switch label {
-	case m.inact0:
-		if m.allOKExcept(0) {
-			v := ReqViolation{Prop: models.R3, Time: ev.Time}
-			m.viol = append(m.viol, monViolation{v: v, needsLossFree: true})
-		}
-		m.active0 = false
-		if m.p0End == farFuture {
-			m.p0End = ev.Time
-		}
-		return m.fresh
-	case m.crash0:
-		m.active0 = false
-		if m.p0End == farFuture {
-			m.p0End = ev.Time
-		}
-		return m.fresh
-	}
-	if p, ok := procIndex(label, prefInactivate); ok {
-		if p >= 1 && p <= m.n {
+	case alphabet.Inactivate:
+		switch {
+		case p == 0:
+			if m.allOKExcept(0) {
+				v := ReqViolation{Prop: models.R3, Time: ev.Time}
+				m.viol = append(m.viol, monViolation{v: v, needsLossFree: true})
+			}
+			m.endP0(ev.Time)
+		case member:
 			if m.active0 && m.allOKExcept(p) {
 				v := ReqViolation{Prop: models.R2, Proc: p, Time: ev.Time}
 				m.viol = append(m.viol, monViolation{v: v, needsLossFree: true})
 			}
 			m.activeP[p] = false
 		}
-		return m.fresh
-	}
-	if p, ok := procIndex(label, prefCrash); ok {
-		if p >= 1 && p <= m.n {
+	case alphabet.Crash:
+		switch {
+		case p == 0:
+			m.endP0(ev.Time)
+		case member:
 			m.activeP[p] = false
 		}
 	}
 	return m.fresh
+}
+
+// endP0 records p[0]'s inactivation; the first one ends its obligations.
+func (m *traceMonitor) endP0(at core.Tick) {
+	m.active0 = false
+	if m.p0End == farFuture {
+		m.p0End = at
+	}
 }
 
 // finishTime closes the still-armed R1 monitoring intervals at the end of
@@ -578,8 +527,8 @@ func (inc *Incident) String() string {
 				note = ", model disagrees"
 			}
 		}
-		return fmt.Sprintf("%v violated at t=%d by %s (event %d%s)",
-			inc.Prop, inc.Time, pname(inc.Proc), inc.Seq, note)
+		return fmt.Sprintf("%v violated at t=%d by p[%d] (event %d%s)",
+			inc.Prop, inc.Time, inc.Proc, inc.Seq, note)
 	}
 	if inc.Label == LabelTick {
 		return fmt.Sprintf("divergence at t=%d: model forces one of [%s], runtime produced nothing",
@@ -590,9 +539,10 @@ func (inc *Incident) String() string {
 }
 
 // Render writes the incident report: the bounded tail as an ASCII message
-// sequence chart, then the incident line. For divergences the output is
-// byte-identical to Divergence.Render on the offline trace, provided the
-// stream's tail budget matches the offline report bound (the default).
+// sequence chart (internal/trace), then the incident line. It is the one
+// renderer: Divergence.Render calls it over the offline trace, so for a
+// divergence the two reports are byte-identical whenever the stream's tail
+// budget is the offline report bound (the default).
 func (inc *Incident) Render(w io.Writer, title string) error {
 	if inc.Skipped > 0 {
 		if _, err := fmt.Fprintf(w, "… %d earlier events omitted …\n", inc.Skipped); err != nil {
@@ -601,7 +551,7 @@ func (inc *Incident) Render(w io.Writer, title string) error {
 	}
 	steps := make([]mc.Step, 0, len(inc.Tail))
 	for _, ev := range inc.Tail {
-		steps = append(steps, mc.Step{Label: ev.Label, Time: int(ev.Time)})
+		steps = append(steps, mc.Step{Label: ev.Label.String(), Time: int(ev.Time)})
 	}
 	if err := trace.Render(w, title, steps); err != nil {
 		return err
@@ -662,7 +612,7 @@ type StreamChecker struct {
 	monCfg models.Config
 	sup    *detector.Supervisor
 
-	add    func(string) // pre-bound abstractStep target (no per-step closure)
+	add    func(alphabet.Label) // pre-bound abstractStep target (no per-step closure)
 	obsNow core.Tick
 
 	seq         int
@@ -716,7 +666,7 @@ func NewStreamChecker(cfg StreamConfig) (*StreamChecker, error) {
 		monCfg: monCfg,
 		tail:   make([]Event, cfg.Tail),
 	}
-	sc.add = func(label string) { sc.feedLocked(Event{Time: sc.obsNow, Label: label}) }
+	sc.add = func(label alphabet.Label) { sc.feedLocked(Event{Time: sc.obsNow, Label: label}) }
 	return sc, nil
 }
 
@@ -806,7 +756,7 @@ func (sc *StreamChecker) divergenceIncident(d *divergePoint) *Incident {
 	inc := sc.newIncident(IncidentDivergence, d.index)
 	inc.Cfg = d.cfg
 	inc.Time = d.time
-	inc.Label = d.label
+	inc.Label = d.label.String()
 	inc.Expected = d.expected
 	return inc
 }

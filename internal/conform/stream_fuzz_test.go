@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/alphabet"
 	"repro/internal/core"
 	"repro/internal/models"
 )
@@ -22,9 +23,25 @@ var fuzzChecks = sync.OnceValues(func() (*CampaignCheck, *CampaignCheck) {
 	return &CampaignCheck{Model: model, Envelope: &env}, &CampaignCheck{Model: model}
 })
 
+// parseFuzzLabel reads a label text through the alphabet's one parser. A
+// text that is not a label becomes some label of no kind, derived from its
+// bytes, so garbage still reaches the engine — as the out-of-alphabet
+// value a corrupted event would be.
+func parseFuzzLabel(text string) alphabet.Label {
+	if l, ok := alphabet.Parse(text); ok {
+		return l
+	}
+	h := uint32(2166136261)
+	for i := 0; i < len(text); i++ {
+		h = (h ^ uint32(text[i])) * 16777619
+	}
+	outside := uint32(256 - int(alphabet.NumKinds))
+	return alphabet.Label{Kind: alphabet.NumKinds + alphabet.Kind(h%outside), A: int32(h >> 8), B: int32(len(text))}
+}
+
 // parseFuzzTrace decodes an event per line, "<time> <label>", skipping
-// lines that don't parse. Times are arbitrary (negative, out of order);
-// labels are arbitrary bytes. Capped so a single input stays cheap.
+// lines with no time. Times are arbitrary (negative, out of order); labels
+// are arbitrary bytes. Capped so a single input stays cheap.
 func parseFuzzTrace(data string) []Event {
 	var events []Event
 	for _, line := range strings.Split(data, "\n") {
@@ -36,7 +53,7 @@ func parseFuzzTrace(data string) []Event {
 		if err != nil {
 			continue
 		}
-		events = append(events, Event{Time: core.Tick(n), Label: label})
+		events = append(events, Event{Time: core.Tick(n), Label: parseFuzzLabel(label)})
 		if len(events) >= 1<<12 {
 			break
 		}
@@ -50,10 +67,14 @@ func parseFuzzTrace(data string) []Event {
 // deterministic, (c) agrees byte-for-byte with the offline replay
 // checkers on verdicts, piecewise counters, and the first divergence, and
 // (d) agrees with the independent reference checker (oracle_test.go),
-// which shares none of the engine's frontier machinery. This target caught
-// the trailing-junk bug in parseRetune ("p[0]: retune to (2,4)x" was
-// accepted as an envelope transition); the non-canonical process indices
-// procIndex used to accept ("crash p[01]" as p[1]) are seeded below.
+// which shares none of the engine's frontier machinery and looks labels up
+// by text, not through the dense table. This target caught the
+// trailing-junk bug of the first retune parser ("p[0]: retune to (2,4)x"
+// was accepted as an envelope transition); that text, the non-canonical
+// process indices an early monitor accepted ("crash p[01]" as p[1]), and
+// the shapes that fall outside the specification's table — a negative
+// sender, a process the model does not have, a label of no kind — are
+// seeded below.
 func FuzzStreamChecker(f *testing.F) {
 	f.Add("0 p[0]: retune to (2,4)\n1 p[1]: frobnicate\n2 deliver beat to p[0] from p[1]")
 	f.Add("0 p[0]: retune to (2,4)x\n1 p[0]: retune to (2,8)\n3 timeout p[0]")
@@ -63,6 +84,8 @@ func FuzzStreamChecker(f *testing.F) {
 	f.Add("0 p[1]: decide leave\n1 p[1]: restart\n2 p[1]: rejoin\n3 deliver stray beat to p[1] from p[2]")
 	f.Add("1 crash p[01]\n2 inactivate nv p[007]\n3 deliver beat to p[0] from p[00]\n4 deliver leave beat to p[0] from p[01]")
 	f.Add("0 p[1]: restart\n0 p[0]: send beat\n0 deliver beat to p[1]\n0 p[1]: send beat\n1 p[0]: retune to (2,8)\n1 tick\n9 timeout p[0]")
+	f.Add("0 p[0]: send beat\n0 deliver beat to p[1]\n0 p[1]: send beat\n1 deliver beat to p[0] from p[-3]\n1 crash p[2]")
+	f.Add("0 p[0]: retune to (2,4)\n1 crash p[2147483647]\n2 inactivate nv p[-2147483648]\n3 \xff\xfe\n4 deliver stray beat to p[-1] from p[-1]")
 	f.Fuzz(func(t *testing.T, data string) {
 		events := parseFuzzTrace(data)
 		adaptive, plain := fuzzChecks()
@@ -124,31 +147,5 @@ func FuzzStreamChecker(f *testing.F) {
 		// The reference checker is the oracle for the engine itself.
 		requireAgainstReference(t, adaptive, events, fuzzHorizon)
 		requireAgainstReference(t, plain, events, fuzzHorizon)
-
-		// The label parsers must stay strict inverses of the constructors:
-		// whatever the piecewise checker takes for a retune, or the R1–R3
-		// monitor attributes to a process, is exactly what the constructor
-		// renders.
-		for _, ev := range events {
-			if tmin, tmax, ok := parseRetune(ev.Label); ok {
-				if ev.Label != labelRetune(core.Tick(tmin), core.Tick(tmax)) {
-					t.Fatalf("parseRetune accepted %q as (%d,%d), which renders %q",
-						ev.Label, tmin, tmax, labelRetune(core.Tick(tmin), core.Tick(tmax)))
-				}
-			}
-			for _, c := range []struct {
-				prefix string
-				render func(int) string
-			}{
-				{prefDeliverBeatP0, labelDeliverToP0},
-				{prefDeliverLeaveP0, labelDeliverLeaveToP0},
-				{prefInactivate, labelInactivate},
-				{prefCrash, labelCrash},
-			} {
-				if p, ok := procIndex(ev.Label, c.prefix); ok && ev.Label != c.render(p) {
-					t.Fatalf("procIndex accepted %q as p[%d], which renders %q", ev.Label, p, c.render(p))
-				}
-			}
-		}
 	})
 }

@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"math/rand"
 
+	"repro/internal/alphabet"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/faults"
@@ -435,21 +437,21 @@ func TestStreamMillionEventAllocFree(t *testing.T) {
 	}
 	// Saturate: a retune re-holding the level-0 point enters degraded
 	// mode, the sampled-observer regime whose per-event cost must be flat.
-	sc.Feed(Event{Time: 0, Label: labelRetune(2, 4)})
+	sc.Feed(Event{Time: 0, Label: retune(2, 4)})
 
 	const (
 		events      = 1 << 20
 		reseedEvery = 1 << 10
 	)
 	now := core.Tick(0)
-	beat := labelDeliverToP0(1)
+	beat, restart := alphabet.DeliverBeatP0.Of(1), alphabet.Restart.Of(1)
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < events; i++ {
 			now++
-			label := "p[1]: frobnicate"
+			label := garbage
 			switch {
 			case i%reseedEvery == 0:
-				label = "p[1]: restart"
+				label = restart
 			case i%2 == 0:
 				label = beat
 			}
@@ -643,4 +645,93 @@ func TestStreamSharedRegionConcurrent(t *testing.T) {
 	if confirmed == 0 || levelChanges == 0 {
 		t.Fatalf("traces made %d by-design reseeds and %d level changes: both paths must run", confirmed, levelChanges)
 	}
+}
+
+// TestOutOfRangeEventsDiverge: what falls outside the specification's
+// dense (kind, process) table — a beat whose sender decoded negative
+// (core.UnmarshalBeat sign-extends the 16-bit field), a process the model
+// does not have, a label of no kind — renders, diverges as an
+// out-of-alphabet label and indexes nothing out of bounds, on every way
+// in: the Recorder plus offline replay, the StreamChecker as an observer,
+// and StreamChecker.Feed, plain and piecewise.
+func TestOutOfRangeEventsDiverge(t *testing.T) {
+	crash := detector.Trigger{Kind: detector.TriggerCrash}
+	for _, tc := range []struct {
+		want  string
+		label alphabet.Label
+		// The machine step that abstracts to label; nil when only Feed can
+		// carry it (the abstraction emits enumerated kinds only).
+		step *loggedStep
+	}{
+		{"deliver beat to p[0] from p[-3]", alphabet.DeliverBeatP0.Of(-3), &loggedStep{id: 0,
+			tr: detector.Trigger{Kind: detector.TriggerBeat, Beat: core.Beat{From: -3, Stay: true}}}},
+		{"deliver beat to p[0] from p[-32768]", alphabet.DeliverBeatP0.Of(-32768), &loggedStep{id: 0,
+			tr: detector.Trigger{Kind: detector.TriggerBeat, Beat: core.Beat{From: -32768, Stay: true}}}},
+		{"crash p[2]", alphabet.Crash.Of(2), &loggedStep{id: 2, tr: crash, actions: []core.Action{core.Inactivate(true)}}},
+		{"crash p[2147483647]", alphabet.Crash.Of(math.MaxInt32),
+			&loggedStep{id: math.MaxInt32, tr: crash, actions: []core.Action{core.Inactivate(true)}}},
+		{"inactivate nv p[-1]", alphabet.Inactivate.Of(-1), &loggedStep{id: -1,
+			tr: detector.Trigger{Kind: detector.TriggerTimer, Timer: core.TimerExpiry}, actions: []core.Action{core.Inactivate(false)}}},
+		{"unknown kind 27 (0,0)", alphabet.Label{Kind: alphabet.NumKinds}, nil},
+		{"unknown kind 255 (-7,9)", alphabet.Label{Kind: 255, A: -7, B: 9}, nil},
+	} {
+		for _, check := range []*CampaignCheck{adaptiveCheck(t), {Model: adaptiveCheck(t).Model}} {
+			cfg := StreamConfig{Check: check, Horizon: 4}
+			requireDiverged := func(how string, inc *Incident) {
+				t.Helper()
+				if inc == nil || inc.Seq != 0 || inc.Label != tc.want {
+					t.Fatalf("%s (envelope %v): %q did not diverge at event 0: %+v", how, check.Envelope != nil, tc.want, inc)
+				}
+			}
+			fed, err := NewStreamChecker(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fed.Feed(Event{Time: 0, Label: tc.label})
+			res, err := fed.Finish(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireDiverged("Feed", res.Unconfirmed)
+			if tc.step == nil {
+				continue
+			}
+
+			observed, err := NewStreamChecker(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			observed.ObserveStep(tc.step.id, 0, tc.step.tr, tc.step.actions)
+			if res, err = observed.Finish(0); err != nil {
+				t.Fatal(err)
+			}
+			requireDiverged("StreamChecker.ObserveStep", res.Unconfirmed)
+
+			rec := NewRecorder()
+			rec.ObserveStep(tc.step.id, 0, tc.step.tr, tc.step.actions)
+			events := rec.Events()
+			if len(events) != 1 || events[0].Label != tc.label {
+				t.Fatalf("recorded %+v, want one %+v", events, tc.label)
+			}
+			requireSameDivergence(t, offlineDivergence(t, check, events, cfg.Horizon), res.Unconfirmed, events)
+		}
+	}
+}
+
+// offlineDivergence replays a trace offline, piecewise when the check has
+// an envelope.
+func offlineDivergence(t *testing.T, check *CampaignCheck, events []Event, horizon core.Tick) *Divergence {
+	t.Helper()
+	if check.Envelope != nil {
+		res, err := check.CheckTraceAdaptive(events, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Unconfirmed
+	}
+	sp, err := check.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp.CheckTrace(events, horizon)
 }

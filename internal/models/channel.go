@@ -1,6 +1,7 @@
 package models
 
 import (
+	"repro/internal/alphabet"
 	"repro/internal/ta"
 )
 
@@ -56,12 +57,12 @@ func (m *Model) buildChannel(i int) {
 		ta.Edge{
 			From: c.fly, To: c.await,
 			Chan: m.chDlv[i], Send: true,
-			Label: "deliver beat to " + pname(i),
+			Label: label(alphabet.DeliverBeat, i+1),
 			Class: ta.ClassDeliver,
 		},
 		ta.Edge{
 			From: c.fly, To: c.idle,
-			Label:  "lose beat to " + pname(i),
+			Label:  label(alphabet.LoseBeatTo, i+1),
 			Update: func(s *ta.State) { s.Vars[lost] = 1 },
 		},
 	)
@@ -71,7 +72,7 @@ func (m *Model) buildChannel(i int) {
 		ta.Edge{
 			From: c.await, To: c.idle,
 			Guard: func(s *ta.State) bool { return s.Vars[active] == 0 },
-			Label: pname(i) + " gives no reply",
+			Label: label(alphabet.NoReply, i+1),
 		},
 	)
 	if dynamic {
@@ -84,12 +85,12 @@ func (m *Model) buildChannel(i int) {
 		ta.Edge{
 			From: c.replyTrue, To: c.idle,
 			Chan: m.chDlvTrue[i], Send: true,
-			Label: "deliver beat to p[0] from " + pname(i),
+			Label: label(alphabet.DeliverBeatP0, i+1),
 			Class: ta.ClassDeliver,
 		},
 		ta.Edge{
 			From: c.replyTrue, To: c.idle,
-			Label:  "lose beat from " + pname(i),
+			Label:  label(alphabet.LoseBeatFrom, i+1),
 			Update: func(s *ta.State) { s.Vars[lost] = 1 },
 		},
 	)
@@ -98,12 +99,12 @@ func (m *Model) buildChannel(i int) {
 			ta.Edge{
 				From: c.replyFalse, To: c.idle,
 				Chan: m.chDlvFalse[i], Send: true,
-				Label: "deliver leave beat to p[0] from " + pname(i),
+				Label: label(alphabet.DeliverLeaveP0, i+1),
 				Class: ta.ClassDeliver,
 			},
 			ta.Edge{
 				From: c.replyFalse, To: c.idle,
-				Label:  "lose leave beat from " + pname(i),
+				Label:  label(alphabet.LoseLeaveFrom, i+1),
 				Update: func(s *ta.State) { s.Vars[lost] = 1 },
 			},
 		)
@@ -170,12 +171,12 @@ func (m *Model) buildJoinChannel(i int) {
 		ta.Edge{
 			From: c.fly, To: c.idle,
 			Chan: m.chDlvTrue[i], Send: true,
-			Label: "deliver join beat to p[0] from " + pname(i),
+			Label: label(alphabet.DeliverJoinP0, i+1),
 			Class: ta.ClassDeliver,
 		},
 		ta.Edge{
 			From: c.fly, To: c.idle,
-			Label:  "lose join beat from " + pname(i),
+			Label:  label(alphabet.LoseJoinFrom, i+1),
 			Update: func(s *ta.State) { s.Vars[lost] = 1 },
 		},
 	)

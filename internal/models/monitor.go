@@ -1,6 +1,7 @@
 package models
 
 import (
+	"repro/internal/alphabet"
 	"repro/internal/ta"
 )
 
@@ -60,7 +61,7 @@ func (m *Model) buildMonitor(i int) {
 			Guard: func(s *ta.State) bool {
 				return s.Clocks[delay] > bound && s.Vars[active0] == 1
 			},
-			Label: "error R1 " + pname(i),
+			Label: label(alphabet.ErrorR1, i+1),
 		},
 	)
 	if cfg.Variant == Dynamic {

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"repro/internal/alphabet"
 	"repro/internal/ta"
 )
 
@@ -45,21 +46,21 @@ func (m *Model) buildResponder(i int) {
 		ta.Edge{
 			From: p.rcvd, To: p.alive,
 			Chan: m.chReply[i], Send: true,
-			Label:  pname(i) + ": send beat",
+			Label:  label(alphabet.SendBeat, i+1),
 			Update: func(s *ta.State) { s.Clocks[wfb] = 0 },
 		},
 		// Watchdog expiry.
 		ta.Edge{
 			From: p.alive, To: p.nvInact,
 			Guard:  func(s *ta.State) bool { return s.Clocks[wfb] == bound },
-			Label:  "inactivate nv " + pname(i),
+			Label:  label(alphabet.Inactivate, i+1),
 			Update: func(s *ta.State) { s.Vars[active] = 0 },
 			Class:  ta.ClassTimeout,
 		},
 		// Voluntary inactivation.
 		ta.Edge{
 			From: p.alive, To: p.vInact,
-			Label:  "crash " + pname(i),
+			Label:  label(alphabet.Crash, i+1),
 			Update: func(s *ta.State) { s.Vars[active] = 0 },
 		},
 		// Inactivated processes receive without reacting.
@@ -125,7 +126,7 @@ func (m *Model) buildJoiner(i int) {
 	a.Edges = append(a.Edges, ta.Edge{
 		From: p.start, To: p.alive,
 		Chan: m.chJoin[i], Send: true,
-		Label: pname(i) + ": send join beat",
+		Label: label(alphabet.SendJoin, i+1),
 		Update: func(s *ta.State) {
 			s.Clocks[wtj] = 0
 			s.Clocks[wfb] = 0
@@ -143,7 +144,7 @@ func (m *Model) buildJoiner(i int) {
 				return s.Vars[joined] == 0 && s.Clocks[wtj] == cfg.TMin && jchIdle(s)
 			},
 			Chan: m.chJoin[i], Send: true,
-			Label:  pname(i) + ": send join beat",
+			Label:  label(alphabet.SendJoin, i+1),
 			Update: func(s *ta.State) { s.Clocks[wtj] = 0 },
 		},
 		ta.Edge{
@@ -151,7 +152,7 @@ func (m *Model) buildJoiner(i int) {
 			Guard: func(s *ta.State) bool {
 				return s.Vars[joined] == 0 && s.Clocks[wtj] == cfg.TMin && !jchIdle(s)
 			},
-			Label:  pname(i) + ": suppress duplicate join",
+			Label:  label(alphabet.SuppressJoin, i+1),
 			Update: func(s *ta.State) { s.Clocks[wtj] = 0 },
 		},
 	)
@@ -173,7 +174,7 @@ func (m *Model) buildJoiner(i int) {
 		From: p.rcvd, To: p.alive,
 		Guard: replyGuard(false),
 		Chan:  m.chReply[i], Send: true,
-		Label:  pname(i) + ": send beat",
+		Label:  label(alphabet.SendBeat, i+1),
 		Update: func(s *ta.State) { s.Clocks[wfb] = 0 },
 	})
 	if dynamic {
@@ -181,7 +182,7 @@ func (m *Model) buildJoiner(i int) {
 			From: p.rcvd, To: p.alive,
 			Guard: replyGuard(true),
 			Chan:  m.chReplyFalse[i], Send: true,
-			Label:  pname(i) + ": send leave beat",
+			Label:  label(alphabet.SendLeave, i+1),
 			Update: func(s *ta.State) { s.Clocks[wfb] = 0 },
 		})
 		// The decision to leave, any time after joining.
@@ -190,7 +191,7 @@ func (m *Model) buildJoiner(i int) {
 			Guard: func(s *ta.State) bool {
 				return s.Vars[joined] == 1 && s.Vars[leave] == 0
 			},
-			Label:  pname(i) + ": decide leave",
+			Label:  label(alphabet.DecideLeave, i+1),
 			Update: func(s *ta.State) { s.Vars[leave] = 1 },
 		})
 	}
@@ -205,7 +206,7 @@ func (m *Model) buildJoiner(i int) {
 				}
 				return (s.Vars[joined] == 1) == wantJoined && s.Clocks[wfb] == bound
 			},
-			Label:  "inactivate nv " + pname(i),
+			Label:  label(alphabet.Inactivate, i+1),
 			Update: func(s *ta.State) { s.Vars[active] = 0 },
 			Class:  ta.ClassTimeout,
 		}
@@ -215,7 +216,7 @@ func (m *Model) buildJoiner(i int) {
 	a.Edges = append(a.Edges,
 		ta.Edge{
 			From: p.alive, To: p.vInact,
-			Label:  "crash " + pname(i),
+			Label:  label(alphabet.Crash, i+1),
 			Update: func(s *ta.State) { s.Vars[active] = 0 },
 		},
 		ta.Edge{From: p.vInact, To: p.vInact, Chan: m.chDlv[i]},

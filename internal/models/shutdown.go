@@ -3,6 +3,7 @@ package models
 import (
 	"fmt"
 
+	"repro/internal/alphabet"
 	"repro/internal/mc"
 	"repro/internal/ta"
 )
@@ -97,20 +98,17 @@ func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 			}
 		}
 	}
-	for ai, a := range net.Automata() {
+	for _, a := range net.Automata() {
 		for ei := range a.Edges {
 			e := &a.Edges[ei]
+			l, ok := alphabet.Parse(e.Label)
 			switch {
-			case e.Label == "crash p[0]":
+			case !ok || l.Kind != alphabet.Crash:
+			case l.A == 0:
 				instrument(e, nil)
-			case len(e.Label) >= 5 && e.Label[:5] == "crash":
-				// A participant: find which one by automaton index.
-				for i, p := range m.ps {
-					if p.aut == ai {
-						jnd := m.vJnd[i]
-						instrument(e, func(s *ta.State) bool { return s.Vars[jnd] == 1 })
-					}
-				}
+			default: // participant p[A], which is m.ps[A-1]
+				jnd := m.vJnd[l.A-1]
+				instrument(e, func(s *ta.State) bool { return s.Vars[jnd] == 1 })
 			}
 		}
 	}
@@ -161,7 +159,7 @@ func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 		Guard: func(s *ta.State) bool {
 			return s.Vars[crashed] == 1 && s.Clocks[clock] > bound && wronglyLive(s)
 		},
-		Label: "error shutdown",
+		Label: label(alphabet.ErrorShutdown, 0),
 	})
 	sm.monAut = len(net.Automata())
 	net.Add(mon)
