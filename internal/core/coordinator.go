@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Membership selects how the coordinator learns its peer set.
@@ -93,13 +93,15 @@ type memberState struct {
 // protocol is the same with n members; the expanding and dynamic protocols
 // grow (and, for dynamic, shrink) the member set at run time.
 type Coordinator struct {
-	cfg     CoordinatorConfig
-	status  Status
-	t       Tick // current round length
-	members map[ProcID]*memberState
-	// order caches the member IDs in ascending order, maintained on every
-	// join and leave, so per-round iteration neither sorts nor allocates.
+	cfg    CoordinatorConfig
+	status Status
+	t      Tick // current round length
+	// order holds the member IDs in ascending order and state[i] the
+	// bookkeeping of order[i]; both move together on every join and leave.
+	// Per-round iteration neither sorts nor allocates, and a beat finds its
+	// member by binary search.
 	order []ProcID
+	state []memberState
 	// left records departed peers and the incarnation that left; without
 	// AllowRejoin, departure is permanent.
 	left    map[ProcID]uint8
@@ -117,36 +119,25 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		status:  StatusActive,
-		t:       cfg.TMax,
-		members: make(map[ProcID]*memberState),
-		left:    make(map[ProcID]uint8),
+		cfg:    cfg,
+		status: StatusActive,
+		t:      cfg.TMax,
+		left:   make(map[ProcID]uint8),
 	}
 	for _, id := range cfg.Members {
 		// rcvd starts true, as in the mCRL2 model: the first round is a
 		// grace round; a peer is only suspected after missing a full
 		// exchange it was given the chance to answer.
-		c.members[id] = &memberState{rcvd: true, tm: cfg.TMax}
-		c.insertOrdered(id)
+		i, _ := slices.BinarySearch(c.order, id)
+		c.insert(i, id, memberState{rcvd: true, tm: cfg.TMax})
 	}
 	return c, nil
 }
 
-// insertOrdered adds id to the sorted order cache.
-func (c *Coordinator) insertOrdered(id ProcID) {
-	i := sort.Search(len(c.order), func(i int) bool { return c.order[i] >= id })
-	c.order = append(c.order, 0)
-	copy(c.order[i+1:], c.order[i:])
-	c.order[i] = id
-}
-
-// removeOrdered drops id from the sorted order cache.
-func (c *Coordinator) removeOrdered(id ProcID) {
-	i := sort.Search(len(c.order), func(i int) bool { return c.order[i] >= id })
-	if i < len(c.order) && c.order[i] == id {
-		c.order = append(c.order[:i], c.order[i+1:]...)
-	}
+// insert admits id with state m at position i of the sorted member list.
+func (c *Coordinator) insert(i int, id ProcID, m memberState) {
+	c.order = slices.Insert(c.order, i, id)
+	c.state = slices.Insert(c.state, i, m)
 }
 
 // Status implements Machine.
@@ -165,9 +156,9 @@ func (c *Coordinator) Retune(tmin, tmax Tick) error {
 	}
 	c.cfg.TMin, c.cfg.TMax = tmin, tmax
 	c.t = tmax
-	for _, m := range c.members {
-		m.tm = tmax
-		m.rcvd = true
+	for i := range c.state {
+		c.state[i].tm = tmax
+		c.state[i].rcvd = true
 	}
 	return nil
 }
@@ -176,13 +167,12 @@ func (c *Coordinator) Retune(tmin, tmax Tick) error {
 // how many members it counted on and how many failed to reply. Meaningful
 // immediately before OnTimer(TimerRound), which clears the rcvd flags.
 func (c *Coordinator) roundObservation() (members, missed int) {
-	for _, pid := range c.order {
-		members++
-		if !c.members[pid].rcvd {
+	for _, m := range c.state {
+		if !m.rcvd {
 			missed++
 		}
 	}
-	return members, missed
+	return len(c.state), missed
 }
 
 // RoundLength returns the current waiting time t.
@@ -234,8 +224,9 @@ func (c *Coordinator) OnBeat(b Beat, now Tick) []Action {
 	if !b.Stay && c.cfg.Membership == MembershipDynamic {
 		return c.onLeave(b.From, b.Inc)
 	}
-	m, known := c.members[b.From]
+	i, known := slices.BinarySearch(c.order, b.From)
 	if known {
+		m := &c.state[i]
 		if b.Inc < m.inc {
 			return nil // stale beat from an earlier incarnation
 		}
@@ -255,8 +246,7 @@ func (c *Coordinator) OnBeat(b Beat, now Tick) []Action {
 		// Admit the joiner. It learns of its admission from p[0]'s next
 		// round broadcast, exactly as in the expanding protocol: p[0]
 		// does not acknowledge out of band.
-		c.members[b.From] = &memberState{rcvd: true, tm: c.cfg.TMax, inc: b.Inc}
-		c.insertOrdered(b.From)
+		c.insert(i, b.From, memberState{rcvd: true, tm: c.cfg.TMax, inc: b.Inc})
 		return nil
 	default:
 		return nil // fixed membership ignores strangers
@@ -269,12 +259,12 @@ func (c *Coordinator) OnBeat(b Beat, now Tick) []Action {
 // from an incarnation older than the current member is stale — the peer
 // has already rejoined — and is ignored.
 func (c *Coordinator) onLeave(from ProcID, inc uint8) []Action {
-	if m, known := c.members[from]; known {
-		if inc < m.inc {
+	if i, known := slices.BinarySearch(c.order, from); known {
+		if inc < c.state[i].inc {
 			return nil // stale leave from a previous incarnation
 		}
-		delete(c.members, from)
-		c.removeOrdered(from)
+		c.order = slices.Delete(c.order, i, i+1)
+		c.state = slices.Delete(c.state, i, i+1)
 	}
 	if prev, ok := c.left[from]; !ok || inc > prev {
 		c.left[from] = inc
@@ -292,15 +282,15 @@ func (c *Coordinator) OnTimer(id TimerID, now Tick) []Action {
 	if c.status != StatusActive || id != TimerRound {
 		return nil
 	}
-	// Iterating the sorted order cache emits suspects in ascending ID
+	// Walking the sorted member list emits suspects in ascending ID
 	// order directly, with no per-round sort or allocation.
 	actions := c.acts[:0]
 	next := c.cfg.TMax // round length with no members: idle at tmax
-	for _, pid := range c.order {
-		m := c.members[pid]
+	for i := range c.state {
+		m := &c.state[i]
 		tm, ok := c.cfg.NextWait(m.tm, m.rcvd)
 		if !ok {
-			actions = append(actions, Suspect(pid))
+			actions = append(actions, Suspect(c.order[i]))
 		}
 		m.tm = tm
 		m.rcvd = false

@@ -77,8 +77,9 @@ func (s Status) String() string {
 }
 
 // TimerID names the logical timers a machine may arm. Arming an ID that is
-// already pending replaces it.
-type TimerID int
+// already pending replaces it. It is a byte so that it shares Action's
+// first word with Kind.
+type TimerID uint8
 
 // Timer identifiers used by the protocol machines.
 const (
@@ -182,18 +183,20 @@ func (k ActionKind) String() string {
 // an allocation per action. Which fields are meaningful depends on Kind
 // (see the ActionKind constants); the constructor functions SendBeat,
 // SetTimer, CancelTimer, Inactivate, Joined, Left, and Suspect build
-// well-formed values.
+// well-formed values. The three one-byte fields share the first word, which
+// keeps an Action at 64 bytes: appending and ranging over actions copies
+// eight words inline (TestActionSize).
 type Action struct {
 	Kind ActionKind
-	// To and Beat accompany ActSendBeat.
-	To   ProcID
-	Beat Beat
+	// Voluntary accompanies ActInactivate.
+	Voluntary bool
 	// ID accompanies ActSetTimer and ActCancelTimer; Delay only the
 	// former.
 	ID    TimerID
 	Delay Tick
-	// Voluntary accompanies ActInactivate.
-	Voluntary bool
+	// To and Beat accompany ActSendBeat.
+	To   ProcID
+	Beat Beat
 	// Proc accompanies ActSuspect.
 	Proc ProcID
 	// TMin and TMax accompany ActRetune: the new operating point.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PlainConfig configures the plain (non-accelerated) heartbeat baseline:
@@ -54,14 +54,23 @@ func (c PlainConfig) DetectionBound() Tick {
 
 // PlainCoordinator is p[0] of the baseline protocol.
 type PlainCoordinator struct {
-	cfg     PlainConfig
-	status  Status
-	rcvd    map[ProcID]bool
-	misses  map[ProcID]int
+	cfg    PlainConfig
+	status Status
+	// order is cfg.Members in ascending order and state[i] the bookkeeping
+	// of order[i], as in Coordinator: a beat finds its member by binary
+	// search and a round emits its suspects already sorted.
+	order   []ProcID
+	state   []plainState
 	started bool
 	// acts is the scratch slice behind every returned action list (see
 	// the Machine contract).
 	acts []Action
+}
+
+// plainState is the baseline's per-peer bookkeeping.
+type plainState struct {
+	rcvd   bool
+	misses int
 }
 
 var _ Machine = (*PlainCoordinator)(nil)
@@ -74,11 +83,12 @@ func NewPlainCoordinator(cfg PlainConfig) (*PlainCoordinator, error) {
 	c := &PlainCoordinator{
 		cfg:    cfg,
 		status: StatusActive,
-		rcvd:   make(map[ProcID]bool, len(cfg.Members)),
-		misses: make(map[ProcID]int, len(cfg.Members)),
+		order:  append([]ProcID(nil), cfg.Members...),
+		state:  make([]plainState, len(cfg.Members)),
 	}
-	for _, id := range cfg.Members {
-		c.rcvd[id] = true // first round is a grace round, as in Coordinator
+	slices.Sort(c.order)
+	for i := range c.state {
+		c.state[i].rcvd = true // first round is a grace round, as in Coordinator
 	}
 	return c, nil
 }
@@ -101,8 +111,8 @@ func (c *PlainCoordinator) OnBeat(b Beat, now Tick) []Action {
 	if c.status != StatusActive {
 		return nil
 	}
-	if _, known := c.rcvd[b.From]; known {
-		c.rcvd[b.From] = true
+	if i, known := slices.BinarySearch(c.order, b.From); known {
+		c.state[i].rcvd = true
 	}
 	return nil
 }
@@ -112,32 +122,22 @@ func (c *PlainCoordinator) OnTimer(id TimerID, now Tick) []Action {
 	if c.status != StatusActive || id != TimerRound {
 		return nil
 	}
-	var suspects []ProcID
-	for _, pid := range c.cfg.Members {
-		if c.rcvd[pid] {
-			c.misses[pid] = 0
-		} else {
-			c.misses[pid]++
-			if c.misses[pid] >= c.cfg.MissLimit {
-				suspects = append(suspects, pid)
-			}
+	actions := c.acts[:0]
+	for i := range c.state {
+		m := &c.state[i]
+		if m.rcvd {
+			m.misses = 0
+		} else if m.misses++; m.misses >= c.cfg.MissLimit {
+			actions = append(actions, Suspect(c.order[i]))
 		}
-		c.rcvd[pid] = false
+		m.rcvd = false
 	}
-	if len(suspects) > 0 {
-		// Terminal (inactivating) path; the sort's allocation is harmless.
-		//lint:allow noalloc-closure the naive baseline coordinator sorts per tick by design; kept for comparison benchmarks, outside the 0-alloc pin
-		sort.Slice(suspects, func(i, j int) bool { return suspects[i] < suspects[j] })
+	if len(actions) > 0 {
 		c.status = StatusInactive
-		actions := c.acts[:0]
-		for _, pid := range suspects {
-			actions = append(actions, Suspect(pid))
-		}
 		actions = append(actions, Inactivate(false))
 		c.acts = actions
 		return actions
 	}
-	actions := c.acts[:0]
 	for _, pid := range c.cfg.Members {
 		actions = append(actions, SendBeat(pid, Beat{From: CoordinatorID, Stay: true}))
 	}

@@ -137,9 +137,11 @@ type Config struct {
 
 // Node runs one protocol machine. All methods are safe for concurrent use.
 type Node struct {
-	mu        sync.Mutex
-	cfg       Config
-	timers    map[core.TimerID]*nodeTimer
+	mu  sync.Mutex
+	cfg Config
+	// timers holds a record per TimerID the machine has armed, in first-arm
+	// order: three at most, so a scan beats hashing.
+	timers    []*nodeTimer
 	started   bool
 	buf       []byte // scratch for marshalling outgoing beats
 	recoverFn func(id netem.NodeID, op string, recovered any)
@@ -166,7 +168,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Machine == nil || cfg.Clock == nil || cfg.Transport == nil {
 		return nil, fmt.Errorf("%w: machine, clock and transport are required", ErrNodeConfig)
 	}
-	n := &Node{cfg: cfg, timers: make(map[core.TimerID]*nodeTimer)}
+	n := &Node{cfg: cfg}
 	if err := cfg.Transport.Register(cfg.ID, n.onMessage); err != nil {
 		return nil, fmt.Errorf("detector: registering node %d: %w", cfg.ID, err)
 	}
@@ -358,7 +360,8 @@ func (n *Node) fireTimer(t *nodeTimer, gen uint64, hop bool) {
 //hbvet:noalloc
 func (n *Node) apply(actions []core.Action) {
 	now := n.now()
-	for _, act := range actions {
+	for i := range actions {
+		act := &actions[i]
 		switch act.Kind {
 		case core.ActSendBeat:
 			// Marshal into the node's scratch buffer; transports copy the
@@ -370,7 +373,7 @@ func (n *Node) apply(actions []core.Action) {
 		case core.ActSetTimer:
 			n.setTimer(act.ID, act.Delay)
 		case core.ActCancelTimer:
-			if t, ok := n.timers[act.ID]; ok {
+			if t := n.timer(act.ID); t != nil {
 				n.stopTimer(t)
 			}
 		case core.ActInactivate:
@@ -392,8 +395,8 @@ func (n *Node) apply(actions []core.Action) {
 //
 //hbvet:noalloc
 func (n *Node) setTimer(id core.TimerID, d core.Tick) {
-	t, ok := n.timers[id]
-	if !ok {
+	t := n.timer(id)
+	if t == nil {
 		t = n.newTimer(id)
 	}
 	t.gen++ // strands the expiry this arm supersedes
@@ -401,6 +404,18 @@ func (n *Node) setTimer(id core.TimerID, d core.Tick) {
 		t.hop.Stop()
 	}
 	t.arm.Reset(sim.Time(d), t.gen)
+}
+
+// timer returns timer id's record, or nil before its first arm.
+//
+//hbvet:noalloc
+func (n *Node) timer(id core.TimerID) *nodeTimer {
+	for _, t := range n.timers {
+		if t.id == id {
+			return t
+		}
+	}
+	return nil
 }
 
 // newTimer builds timer id's record and expiry closures on its first arm.
@@ -413,7 +428,7 @@ func (n *Node) newTimer(id core.TimerID) *nodeTimer {
 	if hop {
 		t.hop = n.cfg.Clock.NewTimer(func(gen uint64) { n.fireTimer(t, gen, false) })
 	}
-	n.timers[id] = t
+	n.timers = append(n.timers, t)
 	return t
 }
 

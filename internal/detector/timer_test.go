@@ -215,6 +215,50 @@ func TestTimerRearmAllocFreeUnderDriftClock(t *testing.T) {
 	}
 }
 
+// rearmMachine rearms all three timer IDs on every trigger and counts the
+// expiries it is shown per ID.
+type rearmMachine struct {
+	scriptMachine
+	fired [4]int
+}
+
+func (m *rearmMachine) OnTimer(id core.TimerID, now core.Tick) []core.Action {
+	m.fired[id]++
+	return m.scriptMachine.OnTimer(id, now)
+}
+
+// TestNodeRearmsAllThreeTimersAllocFree: the node keeps one record per
+// TimerID in a slice it scans, so once each ID has been armed once, rearming
+// and cancelling any of them allocates nothing, builds no second record, and
+// an expiry reaches the machine under the ID that was armed.
+func TestNodeRearmsAllThreeTimersAllocFree(t *testing.T) {
+	for _, priority := range []bool{false, true} {
+		s := sim.New()
+		rearm := []core.Action{
+			core.SetTimer(core.TimerJoinResend, 2),
+			core.SetTimer(core.TimerRound, 3),
+			core.SetTimer(core.TimerExpiry, 9),
+			core.SetTimer(core.TimerExpiry, 5),
+			core.CancelTimer(core.TimerRound),
+			core.SetTimer(core.TimerRound, 4),
+		}
+		m := &rearmMachine{scriptMachine: scriptMachine{onStart: rearm, onTimer: rearm}}
+		n := scriptNode(t, netem.SimClock{Sim: s}, m, priority)
+		s.RunUntil(20)
+		if allocs := testing.AllocsPerRun(200, func() { s.Step() }); allocs != 0 {
+			t.Errorf("priority=%v: rearming three timers allocates %v per event, want 0", priority, allocs)
+		}
+		if len(n.timers) != 3 {
+			t.Errorf("priority=%v: node holds %d timer records, want one per TimerID", priority, len(n.timers))
+		}
+		// Every trigger rearms all three, so only the shortest delay ever
+		// runs out.
+		if m.fired[core.TimerJoinResend] == 0 || m.fired[core.TimerRound] != 0 || m.fired[core.TimerExpiry] != 0 {
+			t.Errorf("priority=%v: expiries per TimerID %v, want only join-resend's", priority, m.fired)
+		}
+	}
+}
+
 // TestSupervisorStopLeavesNothingArmed: with a poll, a restart backoff and
 // a confirmation window all pending, Stop disarms every one of them, and
 // expiries delivered late anyway do nothing.

@@ -17,8 +17,8 @@
 // simulator's nondeterminism is fully captured by two artifacts the
 // engine reproduces bit-for-bit:
 //
-//   - RNG draw order. netem.Network draws one Float64 per Send (always,
-//     unless the link is Down) and one Int63n per delivery when
+//   - RNG draw order. netem.Network draws one Float64 per Send between
+//     registered nodes (always) and one Int63n per surviving delivery when
 //     MaxDelay > MinDelay; MeasureDetection draws one Int63n of crash
 //     jitter after Cluster.Start. Draws happen in event-execution order,
 //     so replaying events in the simulator's order replays the stream.

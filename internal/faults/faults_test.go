@@ -279,3 +279,99 @@ func TestFaultReplayDeterminism(t *testing.T) {
 		t.Fatalf("replay diverged:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
 	}
 }
+
+// TestLinkLossOverridesAndReverts walks the per-link loss state through
+// the table: an override applies to its one direction only, nil reverts the
+// link to the default channel, clearing the default leaves overrides in
+// place, and installing a channel restarts every link's chain in Good.
+func TestLinkLossOverridesAndReverts(t *testing.T) {
+	s, ft, rx := newSimTransport(t, 3, 1)
+	always := &GilbertElliott{LossGood: 1, LossBad: 1}
+	never := &GilbertElliott{}
+	arrives := func(from, to netem.NodeID) bool {
+		t.Helper()
+		before := len(*rx)
+		if err := ft.Send(from, to, []byte{1}); err != nil {
+			t.Fatalf("Send %d→%d: %v", from, to, err)
+		}
+		s.Run()
+		return len(*rx) > before
+	}
+	ft.SetLoss(always)
+	ft.SetLinkLoss(0, 1, never)
+	if !arrives(0, 1) || arrives(1, 0) || arrives(0, 2) {
+		t.Fatal("a 0→1 override must spare 0→1 and nothing else")
+	}
+	ft.SetLinkLoss(0, 1, nil)
+	if arrives(0, 1) {
+		t.Fatal("0→1 still spared after its override was cleared")
+	}
+	ft.SetLinkLoss(2, 0, always)
+	ft.SetLoss(nil)
+	if !arrives(0, 1) || !arrives(1, 0) || arrives(2, 0) {
+		t.Fatal("clearing the default must leave only the 2→0 override losing")
+	}
+	// Installing a channel replaces every link's chain: 0→1 enters Bad for
+	// good on its first send, and is back in Good under the next channel.
+	ft.SetLoss(&GilbertElliott{PGoodBad: 1, LossBad: 1})
+	if arrives(0, 1) {
+		t.Fatal("0→1 survived a chain that enters Bad at once")
+	}
+	ft.SetLoss(&GilbertElliott{LossBad: 1})
+	if !arrives(0, 1) {
+		t.Fatal("0→1 kept its old chain after SetLoss")
+	}
+	if st := ft.Stats(); st.DroppedLoss == 0 || st.Intercepted == 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestFaultTableBounds: fault state lives in a table indexed by NodeID, so
+// an ID at or past netem.MaxNodes, or negative, must be refused or ignored —
+// a schedule may name any integer — never indexed or allocated for.
+func TestFaultTableBounds(t *testing.T) {
+	h := func(netem.Message) {}
+	for _, tc := range []struct {
+		id netem.NodeID
+		ok bool
+	}{
+		{netem.MaxNodes - 1, true},
+		{netem.MaxNodes, false},
+		{netem.MaxNodes + 1, false},
+		{-1, false},
+		{1<<63 - 1, false},
+		{-1 << 63, false},
+	} {
+		s, ft, rx := newSimTransport(t, 2, 1)
+		if err := ft.Register(tc.id, h); (err == nil) != tc.ok || (err != nil && !errors.Is(err, netem.ErrUnknownNode)) {
+			t.Errorf("Register(%d) = %v, want ok=%v", tc.id, err, tc.ok)
+		}
+		// Faults on the ID, and on links to and from it: no-ops out of range.
+		ft.SetNodeMuted(tc.id, true)
+		ft.SetNodeMuted(tc.id, false)
+		ft.SetPartitioned(tc.id, true)
+		ft.SetPartitioned(tc.id, false)
+		for _, pair := range [][2]netem.NodeID{{tc.id, 1}, {1, tc.id}} {
+			ft.SetLinkDown(pair[0], pair[1], true)
+			ft.SetLinkDown(pair[0], pair[1], false)
+			ft.SetLinkLoss(pair[0], pair[1], &GilbertElliott{LossGood: 1})
+			ft.SetLinkLoss(pair[0], pair[1], nil)
+			ft.SetLinkDelay(pair[0], pair[1], 1, 2)
+			ft.SetLinkDelay(pair[0], pair[1], 0, 0)
+			if err := ft.Send(pair[0], pair[1], []byte{1}); (err == nil) != tc.ok || (err != nil && !errors.Is(err, netem.ErrUnknownNode)) {
+				t.Errorf("Send(%d, %d) = %v, want ok=%v", pair[0], pair[1], err, tc.ok)
+			}
+		}
+		// The nodes in range are untouched by any of it.
+		if err := ft.Send(0, 1, []byte{1}); err != nil {
+			t.Errorf("id %d: Send(0, 1) = %v", tc.id, err)
+		}
+		want := 1
+		if tc.ok {
+			want++ // tc.id→1 went through as well
+		}
+		if s.Run(); len(*rx) != want {
+			t.Errorf("id %d: %d deliveries to the in-range nodes, want %d", tc.id, len(*rx), want)
+		}
+	}
+}

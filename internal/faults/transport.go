@@ -44,14 +44,13 @@ type FaultableTransport struct {
 	clock netem.Clock
 	rng   *rand.Rand
 
-	muted       map[netem.NodeID]bool
-	partitioned map[netem.NodeID]bool
-	linkDown    map[[2]netem.NodeID]bool
+	// tab holds the per-node and per-link fault state, indexed by NodeID
+	// as in netem.Network: a Send hashes nothing. A fault naming an ID
+	// outside [0, netem.MaxNodes) is a fault on a node that cannot exist,
+	// and a no-op.
+	tab         netem.Table[faultNode, faultLink]
 	lossDefault *GilbertElliott
-	lossLinks   map[[2]netem.NodeID]*GilbertElliott
-	channels    map[[2]netem.NodeID]*geChannel
 	delayAll    delayRange
-	delayLinks  map[[2]netem.NodeID]delayRange
 	dupProb     float64
 	reorderProb float64
 	reorderMax  sim.Time
@@ -65,17 +64,23 @@ var _ netem.Transport = (*FaultableTransport)(nil)
 // (netem.SimClock for virtual time, netem.WallClock for real time); seed
 // drives every random fault decision.
 func Wrap(inner netem.Transport, clock netem.Clock, seed int64) *FaultableTransport {
-	return &FaultableTransport{
-		inner:       inner,
-		clock:       clock,
-		rng:         rand.New(rand.NewSource(seed)),
-		muted:       make(map[netem.NodeID]bool),
-		partitioned: make(map[netem.NodeID]bool),
-		linkDown:    make(map[[2]netem.NodeID]bool),
-		lossLinks:   make(map[[2]netem.NodeID]*GilbertElliott),
-		channels:    make(map[[2]netem.NodeID]*geChannel),
-		delayLinks:  make(map[[2]netem.NodeID]delayRange),
-	}
+	return &FaultableTransport{inner: inner, clock: clock, rng: rand.New(rand.NewSource(seed))}
+}
+
+// faultNode is one node's fault state.
+type faultNode struct {
+	muted, partitioned bool
+}
+
+// faultLink is one unidirectional link's fault state.
+type faultLink struct {
+	down bool
+	// loss overrides lossDefault when non-nil; ch is the chain state, built
+	// lazily from whichever applies on the link's next Send.
+	loss *GilbertElliott
+	ch   *geChannel
+	// delay overrides delayAll unless empty.
+	delay delayRange
 }
 
 // delayRange is a uniform extra-latency band; the zero value means no
@@ -85,8 +90,15 @@ type delayRange struct {
 }
 
 // Register implements netem.Transport: nodes attach to the wrapped
-// transport directly, faults apply on the sending side only.
+// transport directly, faults apply on the sending side only. The ID must
+// lie in [0, netem.MaxNodes), whatever the wrapped transport accepts.
 func (f *FaultableTransport) Register(id netem.NodeID, h netem.Handler) error {
+	f.mu.Lock()
+	_, err := f.tab.GrowNode(id)
+	f.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	return f.inner.Register(id, h)
 }
 
@@ -95,21 +107,27 @@ func (f *FaultableTransport) Register(id netem.NodeID, h netem.Handler) error {
 func (f *FaultableTransport) SetNodeMuted(id netem.NodeID, muted bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.muted[id] = muted
+	if n, err := f.tab.GrowNode(id); err == nil {
+		n.muted = muted
+	}
 }
 
 // SetPartitioned isolates (or heals) a node in both directions.
 func (f *FaultableTransport) SetPartitioned(id netem.NodeID, down bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.partitioned[id] = down
+	if n, err := f.tab.GrowNode(id); err == nil {
+		n.partitioned = down
+	}
 }
 
 // SetLinkDown takes the unidirectional from→to link down or up.
 func (f *FaultableTransport) SetLinkDown(from, to netem.NodeID, down bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.linkDown[[2]netem.NodeID{from, to}] = down
+	if l, err := f.tab.GrowLink(from, to); err == nil {
+		l.down = down
+	}
 }
 
 // SetLoss installs ge as the Gilbert–Elliott loss channel for every link
@@ -118,7 +136,7 @@ func (f *FaultableTransport) SetLoss(ge *GilbertElliott) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.lossDefault = ge
-	f.channels = make(map[[2]netem.NodeID]*geChannel)
+	f.tab.EachLink(func(_, _ netem.NodeID, l *faultLink) { l.ch = nil })
 }
 
 // SetLinkLoss installs a per-link Gilbert–Elliott channel; nil reverts the
@@ -126,13 +144,9 @@ func (f *FaultableTransport) SetLoss(ge *GilbertElliott) {
 func (f *FaultableTransport) SetLinkLoss(from, to netem.NodeID, ge *GilbertElliott) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	key := [2]netem.NodeID{from, to}
-	if ge == nil {
-		delete(f.lossLinks, key)
-	} else {
-		f.lossLinks[key] = ge
+	if l, err := f.tab.GrowLink(from, to); err == nil {
+		l.loss, l.ch = ge, nil
 	}
-	delete(f.channels, key)
 }
 
 // SetDelay adds a uniform min..max extra latency to every surviving
@@ -150,12 +164,8 @@ func (f *FaultableTransport) SetDelay(min, max sim.Time) {
 func (f *FaultableTransport) SetLinkDelay(from, to netem.NodeID, min, max sim.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	key := [2]netem.NodeID{from, to}
-	d := normDelay(min, max)
-	if d == (delayRange{}) {
-		delete(f.delayLinks, key)
-	} else {
-		f.delayLinks[key] = d
+	if l, err := f.tab.GrowLink(from, to); err == nil {
+		l.delay = normDelay(min, max)
 	}
 }
 
@@ -210,21 +220,20 @@ func (f *FaultableTransport) Stats() Stats {
 
 // channel returns the chain state for a link, creating it lazily from the
 // per-link or default parameters. Callers hold f.mu.
-func (f *FaultableTransport) channel(key [2]netem.NodeID) *geChannel {
-	if ch, ok := f.channels[key]; ok {
-		return ch
+func (f *FaultableTransport) channel(l *faultLink) *geChannel {
+	if l.ch != nil {
+		return l.ch
 	}
 	params := f.lossDefault
-	if p, ok := f.lossLinks[key]; ok {
-		params = p
+	if l.loss != nil {
+		params = l.loss
 	}
 	if params == nil {
 		return nil
 	}
 	//lint:allow noalloc-closure one Gilbert-Elliott channel per link, built lazily on first use and cached
-	ch := &geChannel{params: *params}
-	f.channels[key] = ch
-	return ch
+	l.ch = &geChannel{params: *params}
+	return l.ch
 }
 
 // Send implements netem.Transport. Fault decisions happen at send time:
@@ -233,18 +242,23 @@ func (f *FaultableTransport) channel(key [2]netem.NodeID) *geChannel {
 func (f *FaultableTransport) Send(from, to netem.NodeID, payload []byte) error {
 	f.mu.Lock()
 	f.stats.Intercepted++
-	if f.muted[from] {
+	l, err := f.tab.GrowLink(from, to)
+	if err != nil {
+		f.mu.Unlock()
+		return err
+	}
+	src, dst := f.tab.Node(from), f.tab.Node(to)
+	if src.muted {
 		f.stats.DroppedMuted++
 		f.mu.Unlock()
 		return nil
 	}
-	key := [2]netem.NodeID{from, to}
-	if f.partitioned[from] || f.partitioned[to] || f.linkDown[key] {
+	if src.partitioned || dst.partitioned || l.down {
 		f.stats.DroppedPartition++
 		f.mu.Unlock()
 		return nil
 	}
-	if ch := f.channel(key); ch != nil && ch.Lose(f.rng) {
+	if ch := f.channel(l); ch != nil && ch.Lose(f.rng) {
 		f.stats.DroppedLoss++
 		f.mu.Unlock()
 		return nil
@@ -255,8 +269,8 @@ func (f *FaultableTransport) Send(from, to netem.NodeID, payload []byte) error {
 		f.stats.Duplicated++
 	}
 	lat := f.delayAll
-	if d, ok := f.delayLinks[key]; ok {
-		lat = d
+	if l.delay != (delayRange{}) {
+		lat = l.delay
 	}
 	var delayBuf [2]sim.Time
 	delays := delayBuf[:copies]

@@ -102,11 +102,10 @@ type aggregator struct {
 //hbvet:noalloc
 func (s *shard) runUntil(end sim.Time) {
 	for {
-		at, ok := s.wheel.NextAt()
-		if !ok || at >= end {
+		payload, at, ok := s.wheel.PopUntil(end - 1)
+		if !ok {
 			return
 		}
-		payload, at, _ := s.wheel.Pop()
 		if at < s.now {
 			s.missedDeadlines++
 		}

@@ -7,7 +7,9 @@ import (
 	"go/token"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,13 +70,16 @@ func EscapeSites(root string, patterns []string) ([]EscapeSite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: go build -gcflags=-m: %v\n%s", err, out)
 	}
-	return parseEscapeOutput(root, string(out))
+	return parseEscapeOutput(root, patterns, string(out))
 }
 
 // parseEscapeOutput reduces compiler -m output to sorted site classes.
 // Only heap diagnostics count ("escapes to heap", "moved to heap");
-// inlining chatter and "does not escape" proofs are ignored.
-func parseEscapeOutput(root string, out string) ([]EscapeSite, error) {
+// inlining chatter and "does not escape" proofs are ignored, and so are
+// sites in files outside the pattern directories: a package that
+// instantiates another package's generic function (or the standard
+// library's) has that function's sites reported again, under shape names.
+func parseEscapeOutput(root string, patterns []string, out string) ([]EscapeSite, error) {
 	type raw struct {
 		file string
 		line int
@@ -97,6 +102,9 @@ func parseEscapeOutput(root string, out string) ([]EscapeSite, error) {
 			continue
 		}
 		file := filepath.ToSlash(parts[0])
+		if !slices.ContainsFunc(patterns, func(p string) bool { return path.Clean(p) == path.Dir(file) }) {
+			continue
+		}
 		raws = append(raws, raw{file: file, line: ln, msg: strings.TrimSpace(parts[3])})
 		files[file] = true
 	}

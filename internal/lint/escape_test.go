@@ -49,9 +49,12 @@ func TestParseEscapeOutput(t *testing.T) {
 		"internal/core/wheel.go:6:28: make([]int, n) escapes to heap", // same class, second line
 		"internal/core/wheel.go:10:2: moved to heap: x",
 		"internal/core/wheel.go:11:9: &x does not escape", // proof, not a heap site: ignored
+		// Generic functions instantiated from elsewhere: not this package's sites.
+		"internal/netem/table.go:88:19: make([]go.shape.struct { netem.down bool }, netem.n) escapes to heap",
+		"/usr/local/go/src/slices/slices.go:150:27: make(go.shape.[]int, slices.n) escapes to heap",
 		"",
 	}, "\n")
-	sites, err := parseEscapeOutput(root, out)
+	sites, err := parseEscapeOutput(root, []string{"./internal/core"}, out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,16 +95,26 @@ var (
 // Network is a simulated-time transport driven by a sim.Simulator.
 // It is not safe for concurrent use (the simulator is single-threaded).
 type Network struct {
-	simr     *sim.Simulator
-	rng      *rand.Rand
-	handlers map[NodeID]Handler
-	links    map[[2]NodeID]LinkConfig
-	def      LinkConfig
-	stats    Stats
+	simr *sim.Simulator
+	rng  *rand.Rand
+	// tab holds every node's handler (nil until registered) and every
+	// link's override and counters, indexed by NodeID: a Send hashes
+	// nothing.
+	tab   Table[Handler, link]
+	def   LinkConfig
+	total LinkStats
 	// pool recycles delivery records so the send hot path does not
 	// allocate: each record carries a reusable payload buffer and a
 	// pre-built scheduling closure.
 	pool []*delivery
+}
+
+// link is the state of one unidirectional link: its SetLink override, if
+// any, and its traffic counters.
+type link struct {
+	cfg    LinkConfig
+	hasCfg bool
+	stats  LinkStats
 }
 
 // delivery is a pooled in-flight message.
@@ -143,61 +153,63 @@ func NewNetwork(s *sim.Simulator, def LinkConfig) (*Network, error) {
 	if err := def.validate(); err != nil {
 		return nil, err
 	}
-	return &Network{
-		simr:     s,
-		rng:      s.Rand(),
-		handlers: make(map[NodeID]Handler),
-		links:    make(map[[2]NodeID]LinkConfig),
-		def:      def,
-		stats:    Stats{Links: make(map[[2]NodeID]LinkStats)},
-	}, nil
+	return &Network{simr: s, rng: s.Rand(), def: def}, nil
 }
 
-// Register attaches a node.
+// Register attaches a node. The handler is required, and the ID must lie
+// in [0, MaxNodes).
 func (n *Network) Register(id NodeID, h Handler) error {
-	if _, ok := n.handlers[id]; ok {
+	if h == nil {
+		return fmt.Errorf("netem: registering node %d: nil handler", id)
+	}
+	slot, err := n.tab.GrowNode(id)
+	if err != nil {
+		return err
+	}
+	if *slot != nil {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, id)
 	}
-	n.handlers[id] = h
+	*slot = h
 	return nil
 }
 
-// SetLink overrides the configuration of the from→to link.
+// SetLink overrides the configuration of the from→to link; the nodes need
+// not be registered yet, but their IDs must lie in [0, MaxNodes).
 func (n *Network) SetLink(from, to NodeID, cfg LinkConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	n.links[[2]NodeID{from, to}] = cfg
-	return nil
-}
-
-func (n *Network) linkConfig(from, to NodeID) LinkConfig {
-	if cfg, ok := n.links[[2]NodeID{from, to}]; ok {
-		return cfg
+	l, err := n.tab.GrowLink(from, to)
+	if err != nil {
+		return err
 	}
-	return n.def
+	l.cfg, l.hasCfg = cfg, true
+	return nil
 }
 
 // Send implements Transport.
 //
 //lint:allow noalloc-closure queued-delivery network allocates pooled deliveries per send; the 0-alloc pin drives nodes over the zero-copy sim transport
 func (n *Network) Send(from, to NodeID, payload []byte) error {
-	if _, ok := n.handlers[from]; !ok {
+	if src := n.tab.Node(from); src == nil || *src == nil {
 		return fmt.Errorf("%w: sender %d", ErrUnknownNode, from)
 	}
-	h, ok := n.handlers[to]
-	if !ok {
+	dst := n.tab.Node(to)
+	if dst == nil || *dst == nil {
 		return fmt.Errorf("%w: recipient %d", ErrUnknownNode, to)
 	}
-	key := [2]NodeID{from, to}
-	cfg := n.linkConfig(from, to)
-	st := n.stats.Links[key]
-	st.Sent++
-	n.stats.Total.Sent++
+	h := *dst
+	// Both IDs are registered, so in range: growing the link cannot fail.
+	l, _ := n.tab.GrowLink(from, to)
+	cfg := &n.def
+	if l.hasCfg {
+		cfg = &l.cfg
+	}
+	n.total.Sent++
 	if n.rng.Float64() < cfg.LossProb {
-		st.Lost++
-		n.stats.Total.Lost++
-		n.stats.Links[key] = st
+		l.stats.Sent++
+		l.stats.Lost++
+		n.total.Lost++
 		return nil
 	}
 	delay := cfg.MinDelay
@@ -214,17 +226,20 @@ func (n *Network) Send(from, to NodeID, payload []byte) error {
 		n.pool = append(n.pool, d)
 		return fmt.Errorf("netem: scheduling delivery: %w", err)
 	}
-	st.Delivered++
-	n.stats.Total.Delivered++
-	n.stats.Links[key] = st
+	l.stats.Sent++
+	l.stats.Delivered++
+	n.total.Delivered++
 	return nil
 }
 
-// Stats returns a copy of the accumulated statistics.
+// Stats returns a copy of the accumulated statistics; Links has an entry
+// for every link a Send was counted on.
 func (n *Network) Stats() Stats {
-	out := Stats{Total: n.stats.Total, Links: make(map[[2]NodeID]LinkStats, len(n.stats.Links))}
-	for k, v := range n.stats.Links {
-		out.Links[k] = v
-	}
+	out := Stats{Total: n.total, Links: make(map[[2]NodeID]LinkStats)}
+	n.tab.EachLink(func(from, to NodeID, l *link) {
+		if l.stats.Sent > 0 {
+			out.Links[[2]NodeID{from, to}] = l.stats
+		}
+	})
 	return out
 }

@@ -23,6 +23,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -172,11 +173,16 @@ func (s *Simulator) ScheduleAt(t Time, fn Event) (Timer, error) {
 // queue is empty.
 //
 //hbvet:noalloc
-func (s *Simulator) Step() bool {
+func (s *Simulator) Step() bool { return s.stepUntil(math.MaxInt64) }
+
+// stepUntil is Step restricted to events at or before deadline.
+//
+//hbvet:noalloc
+func (s *Simulator) stepUntil(deadline Time) bool {
 	// The wheel recycles the id before fn runs: fn may re-enter Schedule,
 	// and the stale generation keeps the event's own Timer handle inert
 	// either way.
-	id, _, at, ok := s.wheel.pop()
+	id, _, at, ok := s.wheel.popUntil(deadline)
 	if !ok {
 		return false
 	}
@@ -201,12 +207,7 @@ func (s *Simulator) Run() Time {
 // the clock to deadline (even if the queue drained earlier or later events
 // remain pending).
 func (s *Simulator) RunUntil(deadline Time) Time {
-	for {
-		at, ok := s.wheel.NextAt()
-		if !ok || at > deadline {
-			break
-		}
-		s.Step()
+	for s.stepUntil(deadline) {
 	}
 	if s.now < deadline {
 		s.now = deadline

@@ -64,6 +64,7 @@ package sim
 // Like the rest of the kernel, a TimerWheel is single-threaded by design.
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -262,30 +263,34 @@ func (w *TimerWheel) Cancel(t WheelTimer) bool {
 //
 //hbvet:noalloc
 func (w *TimerWheel) Pop() (payload uint32, at Time, ok bool) {
-	_, payload, at, ok = w.pop()
+	return w.PopUntil(math.MaxInt64)
+}
+
+// PopUntil is Pop if the next entry fires at or before deadline; otherwise
+// the entry stays and ok is false. It is NextAt and Pop in one pass over
+// the due buffer, and like NextAt may advance the horizon to an entry it
+// leaves behind.
+//
+//hbvet:noalloc
+func (w *TimerWheel) PopUntil(deadline Time) (payload uint32, at Time, ok bool) {
+	_, payload, at, ok = w.popUntil(deadline)
 	return payload, at, ok
 }
 
-// pop is Pop plus the entry's id, for the Simulator, which keys its
-// callbacks by id. The id is already recycled when pop returns.
+// popUntil is PopUntil plus the entry's id, for the Simulator, which keys
+// its callbacks by id. The id is already recycled when popUntil returns.
 //
 //hbvet:noalloc
-func (w *TimerWheel) pop() (id int32, payload uint32, at Time, ok bool) {
-	for {
-		if w.dueCursor == len(w.due) {
-			if !w.refill() {
-				return 0, 0, 0, false
-			}
-		}
-		e := w.due[w.dueCursor]
-		w.dueCursor++
-		if !w.reclaim(e.word) {
-			id = int32(e.word & wheelIDMask)
-			w.recycle(id)
-			w.count--
-			return id, uint32(e.word >> wheelPayloadShift), e.at, true
-		}
+func (w *TimerWheel) popUntil(deadline Time) (id int32, payload uint32, at Time, ok bool) {
+	e, ok := w.peek()
+	if !ok || e.at > deadline {
+		return 0, 0, 0, false
 	}
+	w.dueCursor++
+	id = int32(e.word & wheelIDMask)
+	w.recycle(id)
+	w.count--
+	return id, uint32(e.word >> wheelPayloadShift), e.at, true
 }
 
 // NextAt reports the tick of the next pending entry without consuming it.
@@ -294,16 +299,25 @@ func (w *TimerWheel) pop() (id int32, payload uint32, at Time, ok bool) {
 //
 //hbvet:noalloc
 func (w *TimerWheel) NextAt() (Time, bool) {
+	e, ok := w.peek()
+	return e.at, ok
+}
+
+// peek drops tombstones up to the next pending entry and returns it,
+// leaving it at the due cursor.
+//
+//hbvet:noalloc
+func (w *TimerWheel) peek() (dueEntry, bool) {
 	for {
 		for w.dueCursor < len(w.due) {
 			e := w.due[w.dueCursor]
 			if !w.reclaim(e.word) {
-				return e.at, true
+				return e, true
 			}
 			w.dueCursor++
 		}
 		if !w.refill() {
-			return 0, false
+			return dueEntry{}, false
 		}
 	}
 }

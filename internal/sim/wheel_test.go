@@ -430,3 +430,55 @@ func TestSimulatorWheelAllocFree(t *testing.T) {
 		t.Fatalf("%d callback slots for a handful of pending timers: 3500 far re-arms were never swept", len(s.slots))
 	}
 }
+
+// TestWheelPopUntilIsPeekThenPop drives two wheels through the same random
+// schedule/cancel/drain program, one drained with PopUntil and one with the
+// NextAt-then-Pop pair it replaces: same entries in the same order, the
+// same entries left behind, and the same horizon afterwards — a deadline
+// that stops short of the next entry still looks ahead to it.
+func TestWheelPopUntilIsPeekThenPop(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		one, two := NewTimerWheel(), NewTimerWheel()
+		var pending [][2]WheelTimer
+		var now Time
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(4); {
+			case op <= 1:
+				// Spread over three levels; never below the horizon's tick.
+				at := max(now, one.Now()) + Time(rng.Intn(3))*Time(rng.Intn(70000)) + Time(rng.Intn(40))
+				payload := uint32(step)
+				pending = append(pending, [2]WheelTimer{one.Schedule(at, payload), two.Schedule(at, payload)})
+			case op == 2 && len(pending) > 0:
+				i := rng.Intn(len(pending))
+				if one.Cancel(pending[i][0]) != two.Cancel(pending[i][1]) {
+					t.Fatalf("seed %d step %d: Cancel disagrees", seed, step)
+				}
+				pending = append(pending[:i], pending[i+1:]...)
+			default:
+				now += Time(rng.Intn(300))
+				for {
+					p1, at1, ok1 := one.PopUntil(now)
+					at2, ok2 := two.NextAt()
+					var p2 uint32
+					if ok2 = ok2 && at2 <= now; ok2 {
+						p2, at2, _ = two.Pop()
+					} else {
+						at2 = 0
+					}
+					if p1 != p2 || at1 != at2 || ok1 != ok2 {
+						t.Fatalf("seed %d step %d: PopUntil(%d) = (%d, %d, %v), NextAt+Pop = (%d, %d, %v)",
+							seed, step, now, p1, at1, ok1, p2, at2, ok2)
+					}
+					if !ok1 {
+						break
+					}
+				}
+			}
+			if one.Len() != two.Len() || one.Now() != two.Now() {
+				t.Fatalf("seed %d step %d: Len %d horizon %d, peek-then-pop twin %d %d",
+					seed, step, one.Len(), one.Now(), two.Len(), two.Now())
+			}
+		}
+	}
+}
