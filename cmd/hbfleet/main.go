@@ -31,6 +31,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// run parses args, drives the fleet and prints the report.
+//
+//lint:allow determinism the two timing lines measure physical elapsed time; the fleet itself runs on virtual ticks
 func run(args []string, w, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hbfleet", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -7,7 +7,9 @@
 //	hbmc -q3 -trials 250000      # just the reliability surface, denser
 //	hbmc -baseline               # also time the per-trial simulator path
 //
-// Results are deterministic for a given seed at any -workers value.
+// Results are deterministic for a given seed at any -workers value. The
+// tables go to stdout; flag errors and every "hbmc:" diagnostic go to
+// stderr.
 package main
 
 import (
@@ -26,7 +28,7 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // Canonical sweep parameters, matching cmd/hbsim's protocols so the
@@ -40,9 +42,13 @@ var (
 	q3TMax   = core.Tick(16)
 )
 
-func run(args []string, w io.Writer) int {
+// run parses args, prints the requested sweeps and returns the exit
+// status.
+//
+//lint:allow determinism the closing ensemble line reports physical trials/s; every table above it is a function of the flags
+func run(args []string, w, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hbmc", flag.ContinueOnError)
-	fs.SetOutput(w)
+	fs.SetOutput(stderr)
 	var (
 		q1       = fs.Bool("q1", false, "Q1: steady-state overhead sweep")
 		q2       = fs.Bool("q2", false, "Q2: detection-latency sweep")
@@ -68,7 +74,7 @@ func run(args []string, w io.Writer) int {
 	if *q1 {
 		pts, err := ensemble.SweepOverhead(variants, q1TMin, q1TMaxes)
 		if err != nil {
-			fmt.Fprintln(w, "hbmc:", err)
+			fmt.Fprintln(stderr, "hbmc:", err)
 			return 1
 		}
 		printOverhead(w, variants, pts)
@@ -78,7 +84,7 @@ func run(args []string, w io.Writer) int {
 	if *q2 {
 		pts, err := ensemble.SweepDetection(variants, q2Times, *trials, *seed, *workers)
 		if err != nil {
-			fmt.Fprintln(w, "hbmc:", err)
+			fmt.Fprintln(stderr, "hbmc:", err)
 			return 1
 		}
 		printDetection(w, pts)
@@ -88,7 +94,7 @@ func run(args []string, w io.Writer) int {
 	if *q3 {
 		pts, err := ensemble.SweepReliability(variants, q3TMin, q3TMax, q3Losses, *trials, *seed, *workers)
 		if err != nil {
-			fmt.Fprintln(w, "hbmc:", err)
+			fmt.Fprintln(stderr, "hbmc:", err)
 			return 1
 		}
 		printReliability(w, pts)
@@ -101,7 +107,7 @@ func run(args []string, w io.Writer) int {
 		points, totalTrials, elapsed.Round(time.Millisecond), trialsPerSec, *workers, runtime.NumCPU())
 
 	if *baseline {
-		measureBaseline(w, *seed)
+		measureBaseline(w, stderr, *seed)
 	}
 	return 0
 }
@@ -123,13 +129,15 @@ func q3Workload(trials int, seed int64) ensemble.Config {
 // measureBaseline times the per-trial simulator (scenario path) and the
 // ensemble on the identical Q3 workload at workers=1 and reports both
 // rates plus the per-core speedup.
-func measureBaseline(w io.Writer, seed int64) {
+//
+//lint:allow determinism the baseline is a physical throughput measurement; both paths it times are seeded
+func measureBaseline(w, stderr io.Writer, seed int64) {
 	const ensTrials, simTrials = 8192, 192
 	cfg := q3Workload(ensTrials, seed)
 
 	start := time.Now()
 	if _, err := ensemble.Run(cfg); err != nil {
-		fmt.Fprintln(w, "hbmc: baseline ensemble:", err)
+		fmt.Fprintln(stderr, "hbmc: baseline ensemble:", err)
 		return
 	}
 	ensRate := float64(ensTrials) / time.Since(start).Seconds()
@@ -145,7 +153,7 @@ func measureBaseline(w io.Writer, seed int64) {
 		Seed:     seed,
 	})
 	if err != nil {
-		fmt.Fprintln(w, "hbmc: baseline simulator:", err)
+		fmt.Fprintln(stderr, "hbmc: baseline simulator:", err)
 		return
 	}
 	baseRate := float64(simTrials) / time.Since(start).Seconds()

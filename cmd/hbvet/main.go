@@ -9,55 +9,74 @@
 //	hbvet -escape -update            # regenerate the escape budget
 //	hbvet -list                      # describe the checks
 //
-// The per-package checks enforce the conventions the checker and
-// simulator correctness hangs on: deterministic replay (no wall-clock
-// or global rand), map-iteration-order hygiene, the
-// ta.Successors/AppendKey buffer-reuse contract, and atomic-vs-plain
-// access discipline. On top of them run the interprocedural checks over
-// the module call graph: noalloc-closure (every //hbvet:noalloc root and
-// every function reachable from one must be free of likely allocation
-// sites, with full call chains in findings), determinism-taint (only the
-// allowlisted wall-clock boundary may transitively reach time.Now or
-// global math/rand), and unused-suppression (//lint:allow directives
-// that suppress nothing are findings). -escape bypasses the AST layer
-// entirely: it diffs the compiler's own heap diagnostics for the
-// hot-path packages against the checked-in escape_budget.txt.
+// The checks enforce the conventions the checker and simulator
+// correctness hangs on, over the loaded program and its call graph:
+// determinism (nothing outside a //lint:allow determinism doc-comment
+// boundary reaches the wall clock or global math/rand, directly or
+// through any chain of calls, reported with the laundering chain),
+// map-iteration-order hygiene, the ta.Successors/AppendKey buffer-reuse
+// contract, atomic-vs-plain access discipline, noalloc-closure (every
+// //hbvet:noalloc root and every function reachable from one must be
+// free of likely allocation sites, with full call chains in findings),
+// and unused-suppression (//lint:allow directives that suppress nothing
+// are findings). -escape bypasses the AST layer entirely: it diffs the
+// compiler's own heap diagnostics for the hot-path packages against the
+// checked-in escape_budget.txt.
 //
 // Findings print as file:line:col: message [check]; exit status is 1
 // when any finding survives //lint:allow suppression, 2 on usage or
-// load errors.
+// load errors — an unknown -check name, -update without -escape.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/lint"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hbvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		checks  = flag.String("check", "", "comma-separated subset of checks to run (default: all)")
-		list    = flag.Bool("list", false, "list the available checks and exit")
-		root    = flag.String("root", "", "module root (default: nearest go.mod above the working directory)")
-		jsonOut = flag.Bool("json", false, "emit findings as schema-versioned JSON on stdout")
-		escape  = flag.Bool("escape", false, "run the compiler escape-budget gate instead of the AST checks")
-		update  = flag.Bool("update", false, "with -escape: regenerate the budget file instead of diffing")
+		checks  = fs.String("check", "", "comma-separated subset of checks to run (default: all)")
+		list    = fs.Bool("list", false, "list the available checks and exit")
+		root    = fs.String("root", "", "module root (default: nearest go.mod above the working directory)")
+		jsonOut = fs.Bool("json", false, "emit findings as schema-versioned JSON on stdout")
+		escape  = fs.Bool("escape", false, "run the compiler escape-budget gate instead of the AST checks")
+		update  = fs.Bool("update", false, "with -escape: regenerate the budget file instead of diffing")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-20s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-20s %s\n", a.Name, a.Doc)
 		}
-		for _, a := range lint.ProgramAnalyzers() {
-			fmt.Printf("%-20s %s\n", a.Name, a.Doc)
+		fmt.Fprintf(stdout, "%-20s %s\n", "escape-budget", "compiler heap diagnostics for hot-path packages must match escape_budget.txt (-escape)")
+		return 0
+	}
+
+	names := splitChecks(*checks)
+	for _, c := range names {
+		if !slices.ContainsFunc(lint.Analyzers(), func(a *lint.Analyzer) bool { return a.Name == c }) {
+			fmt.Fprintf(stderr, "hbvet: unknown check %q (hbvet -list names them; escape-budget runs under -escape)\n", c)
+			return 2
 		}
-		fmt.Printf("%-20s %s\n", "escape-budget", "compiler heap diagnostics for hot-path packages must match escape_budget.txt (-escape)")
-		return
+	}
+	if *update && !*escape {
+		fmt.Fprintln(stderr, "hbvet: -update regenerates the escape budget and needs -escape")
+		return 2
 	}
 
 	moduleRoot := *root
@@ -65,8 +84,8 @@ func main() {
 		var err error
 		moduleRoot, err = findModuleRoot()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hbvet:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "hbvet:", err)
+			return 2
 		}
 	}
 
@@ -75,28 +94,26 @@ func main() {
 		err error
 	)
 	if *escape {
-		n, err = runEscape(moduleRoot, *update, *jsonOut)
+		n, err = runEscape(stdout, moduleRoot, *update, *jsonOut)
 	} else {
-		patterns := flag.Args()
+		patterns := fs.Args()
 		if len(patterns) == 0 {
 			patterns = []string{"./..."}
 		}
-		n, err = run(moduleRoot, patterns, splitChecks(*checks), *jsonOut)
+		n, err = vet(stdout, moduleRoot, patterns, names, *jsonOut)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hbvet:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "hbvet:", err)
+		return 2
 	}
 	if n > 0 {
-		fmt.Fprintf(os.Stderr, "hbvet: %d finding(s)\n", n)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "hbvet: %d finding(s)\n", n)
+		return 1
 	}
+	return 0
 }
 
 func splitChecks(s string) []string {
-	if s == "" {
-		return nil
-	}
 	var out []string
 	for _, c := range strings.Split(s, ",") {
 		if c = strings.TrimSpace(c); c != "" {
@@ -125,10 +142,9 @@ func findModuleRoot() (string, error) {
 	}
 }
 
-// run loads the packages as one program, runs the per-package and
-// interprocedural analyzers, and prints the findings, returning how
-// many there were.
-func run(root string, patterns, checks []string, jsonOut bool) (int, error) {
+// vet loads the packages as one program, runs the analyzers, and prints
+// the findings, returning how many there were.
+func vet(w io.Writer, root string, patterns, checks []string, jsonOut bool) (int, error) {
 	ld, err := lint.NewLoader(root)
 	if err != nil {
 		return 0, err
@@ -139,12 +155,12 @@ func run(root string, patterns, checks []string, jsonOut bool) (int, error) {
 	}
 	findings := lint.NewProgram(pkgs).Run(lint.Config{Checks: checks})
 	relativize(root, findings)
-	return len(findings), emit(findings, jsonOut)
+	return len(findings), emit(w, findings, jsonOut)
 }
 
 // runEscape diffs (or regenerates, with update) the compiler escape
 // budget for the hot-path packages.
-func runEscape(root string, update, jsonOut bool) (int, error) {
+func runEscape(w io.Writer, root string, update, jsonOut bool) (int, error) {
 	sites, err := lint.EscapeSites(root, lint.HotPathPackages)
 	if err != nil {
 		return 0, err
@@ -154,7 +170,7 @@ func runEscape(root string, update, jsonOut bool) (int, error) {
 		if err := lint.WriteEscapeBudget(budgetPath, sites); err != nil {
 			return 0, err
 		}
-		fmt.Printf("hbvet: wrote %s: %d heap-allocation site classes across %d packages\n",
+		fmt.Fprintf(w, "hbvet: wrote %s: %d heap-allocation site classes across %d packages\n",
 			lint.EscapeBudgetFile, len(sites), len(lint.HotPathPackages))
 		return 0, nil
 	}
@@ -163,7 +179,7 @@ func runEscape(root string, update, jsonOut bool) (int, error) {
 		return 0, fmt.Errorf("loading escape budget (run `hbvet -escape -update` to create it): %w", err)
 	}
 	findings := lint.DiffEscapeBudget(budget, sites)
-	return len(findings), emit(findings, jsonOut)
+	return len(findings), emit(w, findings, jsonOut)
 }
 
 // relativize rewrites absolute finding paths to module-relative ones.
@@ -175,12 +191,12 @@ func relativize(root string, findings []lint.Finding) {
 	}
 }
 
-func emit(findings []lint.Finding, jsonOut bool) error {
+func emit(w io.Writer, findings []lint.Finding, jsonOut bool) error {
 	if jsonOut {
-		return lint.EncodeJSON(os.Stdout, findings)
+		return lint.EncodeJSON(w, findings)
 	}
 	for _, f := range findings {
-		fmt.Println(f.String())
+		fmt.Fprintln(w, f.String())
 	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/netem"
@@ -534,26 +533,4 @@ func (s *Supervisor) emit(e Event) {
 	if s.cfg.Events != nil {
 		s.cfg.Events.HandleEvent(e)
 	}
-}
-
-// Retry runs op up to attempts times, sleeping base, 2·base, 4·base, …
-// (wall-clock) between failures. It is the remedy for transient UDP
-// bind/send errors — a socket still in TIME_WAIT, a momentarily full
-// buffer — and is therefore wall-clock by design; do not call it under a
-// simulated clock.
-func Retry(attempts int, base time.Duration, op func() error) error {
-	if attempts < 1 {
-		return fmt.Errorf("%w: retry needs at least one attempt", ErrNodeConfig)
-	}
-	var err error
-	for k := 0; k < attempts; k++ {
-		if err = op(); err == nil {
-			return nil
-		}
-		if k < attempts-1 {
-			//lint:allow determinism Retry is a wall-clock utility for real deployments; simulated runs pace restarts through the Supervisor's Clock instead.
-			time.Sleep(base << k)
-		}
-	}
-	return fmt.Errorf("detector: %d attempts failed: %w", attempts, err)
 }

@@ -330,28 +330,6 @@ func TestSupervisorValidation(t *testing.T) {
 	}
 }
 
-func TestRetry(t *testing.T) {
-	calls := 0
-	err := Retry(5, time.Microsecond, func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("Retry: err=%v calls=%d", err, calls)
-	}
-	sentinel := errors.New("bind: address already in use")
-	err = Retry(2, 0, func() error { return sentinel })
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("exhausted Retry did not wrap the last error: %v", err)
-	}
-	if err := Retry(0, 0, func() error { return nil }); !errors.Is(err, ErrNodeConfig) {
-		t.Fatalf("Retry with zero attempts accepted: %v", err)
-	}
-}
-
 // TestSupervisorHealsPanicMidRunRealTime is the wall-clock, -race variant:
 // a handler panic strikes a live UDP cluster and the supervisor restarts
 // the node while beats keep flowing on other goroutines.

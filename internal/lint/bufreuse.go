@@ -29,7 +29,7 @@ import (
 var AnalyzerBufferReuse = &Analyzer{
 	Name: "buffer-reuse",
 	Doc:  "results of ta.Successors/AppendKey with a recycled buffer must not be retained or aliased",
-	Run:  runBufferReuse,
+	Run:  eachFuncBody(checkBufReuseFunc),
 }
 
 // taPkgPath is the package whose buffer-reuse contract is enforced.
@@ -79,26 +79,8 @@ func reusedBufferBase(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-func runBufferReuse(p *Pass) {
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			}
-			if body != nil {
-				checkBufReuseFunc(p, body)
-			}
-			return true
-		})
-	}
-}
-
 // checkBufReuseFunc applies both rules within one function body.
-func checkBufReuseFunc(p *Pass, body *ast.BlockStmt) {
+func checkBufReuseFunc(p *Pass, info *types.Info, body *ast.BlockStmt) {
 	// Pass 1: find contract calls with recycled buffers and the variables
 	// their results land in.
 	resultVars := map[types.Object]string{} // result var -> target name
@@ -114,23 +96,23 @@ func checkBufReuseFunc(p *Pass, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		name, ok := isBufReuseTarget(p.Info, call)
+		name, ok := isBufReuseTarget(info, call)
 		if !ok {
 			return true
 		}
-		bufBase := reusedBufferBase(p.Info, call)
+		bufBase := reusedBufferBase(info, call)
 		if bufBase == nil {
 			return true // fresh buffer: nothing recycled, nothing to enforce
 		}
 		if len(st.Lhs) != 1 {
 			return true
 		}
-		dst := baseObject(p.Info, st.Lhs[0])
+		dst := baseObject(info, st.Lhs[0])
 		if dst == nil {
 			return true
 		}
 		if dst != bufBase {
-			p.Reportf(st.Pos(), "result of %s aliases recycled buffer %q; assign back to %q (buf = ...Successors(s, buf[:0])) or pass a fresh buffer", name, bufBase.Name(), bufBase.Name())
+			p.Reportf(st.Pos(), nil, "result of %s aliases recycled buffer %q; assign back to %q (buf = ...Successors(s, buf[:0])) or pass a fresh buffer", name, bufBase.Name(), bufBase.Name())
 			return true
 		}
 		resultVars[dst] = name
@@ -143,19 +125,19 @@ func checkBufReuseFunc(p *Pass, body *ast.BlockStmt) {
 		return
 	}
 	// Pass 2: hunt retention sinks for the recycled result variables.
-	checkRetention(p, body, resultVars)
+	checkRetention(p, info, body, resultVars)
 }
 
 // checkRetention flags expressions that let a recycled buffer (or its
 // elements) outlive the next contract call.
-func checkRetention(p *Pass, body *ast.BlockStmt, vars map[types.Object]string) {
+func checkRetention(p *Pass, info *types.Info, body *ast.BlockStmt, vars map[types.Object]string) {
 	usesVar := func(e ast.Expr) (types.Object, bool) {
 		// The raw variable, an index/subslice of it, or its address.
 		inner := ast.Unparen(e)
 		if u, ok := inner.(*ast.UnaryExpr); ok {
 			inner = ast.Unparen(u.X)
 		}
-		obj := baseObject(p.Info, inner)
+		obj := baseObject(info, inner)
 		if obj == nil {
 			return nil, false
 		}
@@ -168,14 +150,14 @@ func checkRetention(p *Pass, body *ast.BlockStmt, vars map[types.Object]string) 
 			return false
 		}
 		// string(key) copies the bytes out of the arena.
-		if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() {
+		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 			if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Kind() == types.String {
 				return true
 			}
 			return false
 		}
 		// state.Clone() deep-copies the target configuration.
-		if obj := calleeObj(p.Info, call); obj != nil && obj.Name() == "Clone" {
+		if obj := calleeObj(info, call); obj != nil && obj.Name() == "Clone" {
 			return true
 		}
 		return false
@@ -187,8 +169,8 @@ func checkRetention(p *Pass, body *ast.BlockStmt, vars map[types.Object]string) 
 			// A closure capturing the recycled buffer can run after any
 			// number of further contract calls.
 			for obj, name := range vars {
-				if mentionsObject(p.Info, st, obj) {
-					p.Reportf(st.Pos(), "closure captures %q, the recycled %s buffer; copy what it needs first", obj.Name(), name)
+				if mentionsObject(info, st, obj) {
+					p.Reportf(st.Pos(), nil, "closure captures %q, the recycled %s buffer; copy what it needs first", obj.Name(), name)
 				}
 			}
 			return false
@@ -198,7 +180,7 @@ func checkRetention(p *Pass, body *ast.BlockStmt, vars map[types.Object]string) 
 					continue
 				}
 				if obj, ok := usesVar(res); ok {
-					p.Reportf(res.Pos(), "returning %q leaks the recycled %s buffer to the caller; copy it (or its elements) first", obj.Name(), vars[obj])
+					p.Reportf(res.Pos(), nil, "returning %q leaks the recycled %s buffer to the caller; copy it (or its elements) first", obj.Name(), vars[obj])
 				}
 			}
 		case *ast.SendStmt:
@@ -206,10 +188,10 @@ func checkRetention(p *Pass, body *ast.BlockStmt, vars map[types.Object]string) 
 				return true
 			}
 			if obj, ok := usesVar(st.Value); ok {
-				p.Reportf(st.Value.Pos(), "sending %q on a channel retains the recycled %s buffer; copy it first", obj.Name(), vars[obj])
+				p.Reportf(st.Value.Pos(), nil, "sending %q on a channel retains the recycled %s buffer; copy it first", obj.Name(), vars[obj])
 			}
 		case *ast.AssignStmt:
-			checkRetainingAssign(p, st, vars, usesVar, isCopy)
+			checkRetainingAssign(p, info, st, vars, usesVar, isCopy)
 		}
 		return true
 	})
@@ -219,7 +201,7 @@ func checkRetention(p *Pass, body *ast.BlockStmt, vars map[types.Object]string) 
 // (or a piece of it) into something that outlives the next call: struct
 // fields, globals, map/slice elements, dereferenced pointers, or other
 // slices via append.
-func checkRetainingAssign(p *Pass, st *ast.AssignStmt, vars map[types.Object]string,
+func checkRetainingAssign(p *Pass, info *types.Info, st *ast.AssignStmt, vars map[types.Object]string,
 	usesVar func(ast.Expr) (types.Object, bool), isCopy func(ast.Expr) bool) {
 	for i, rhs := range st.Rhs {
 		if i >= len(st.Lhs) {
@@ -227,14 +209,14 @@ func checkRetainingAssign(p *Pass, st *ast.AssignStmt, vars map[types.Object]str
 		}
 		// append(other, v...) or append(other, v[i]) grafts the scratch
 		// memory (or Transition values aliasing it) into another slice.
-		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isBuiltinAppend(p.Info, call) {
-			dst := baseObject(p.Info, st.Lhs[i])
+		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isBuiltinAppend(info, call) {
+			dst := baseObject(info, st.Lhs[i])
 			for _, arg := range call.Args[1:] {
 				if isCopy(arg) {
 					continue
 				}
 				if obj, ok := usesVar(arg); ok && obj != dst {
-					p.Reportf(arg.Pos(), "appending %q into another slice retains the recycled %s buffer; copy the element first", obj.Name(), vars[obj])
+					p.Reportf(arg.Pos(), nil, "appending %q into another slice retains the recycled %s buffer; copy the element first", obj.Name(), vars[obj])
 				}
 			}
 			continue
@@ -246,14 +228,14 @@ func checkRetainingAssign(p *Pass, st *ast.AssignStmt, vars map[types.Object]str
 		if !ok {
 			continue
 		}
-		if baseObject(p.Info, st.Lhs[i]) == obj {
+		if baseObject(info, st.Lhs[i]) == obj {
 			continue // self-assignment (truncation/reslice) retains nothing new
 		}
 		// Reassigning the contract call's own result is pass 1's concern;
 		// here flag stores into longer-lived places.
 		switch lhs := ast.Unparen(st.Lhs[i]).(type) {
 		case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-			p.Reportf(st.Pos(), "storing %q into %s retains the recycled %s buffer past the next call; copy it first", obj.Name(), lvalueKind(lhs), vars[obj])
+			p.Reportf(st.Pos(), nil, "storing %q into %s retains the recycled %s buffer past the next call; copy it first", obj.Name(), lvalueKind(lhs), vars[obj])
 		}
 	}
 }

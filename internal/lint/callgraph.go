@@ -8,7 +8,7 @@ import (
 )
 
 // Program is a set of loaded packages analyzed as one unit: the
-// interprocedural analyzers (noalloc closure, determinism taint) need a
+// call-graph analyzers (noalloc-closure, determinism) need a
 // module-wide call graph, not a per-package view. The loader memoizes
 // packages in one shared FileSet and type-checks module-internal imports
 // once, so *types.Func objects are canonical across every package in
@@ -199,7 +199,7 @@ func (prog *Program) classifyCall(pkg *Package, caller *types.Func, call *ast.Ca
 	case *ast.SelectorExpr:
 		if sel, ok := pkg.Info.Selections[fun]; ok {
 			switch sel.Kind() {
-			case types.MethodVal:
+			case types.MethodVal, types.MethodExpr: // x.M(...) and T.M(x, ...)
 				// Origin maps a method of an instantiated generic type
 				// back to the declaration the program's decls are keyed by.
 				callee := sel.Obj().(*types.Func).Origin()
@@ -291,64 +291,4 @@ func funcLabel(f *types.Func) string {
 		return pkg + "(" + star + recv + ")." + name
 	}
 	return pkg + recv + "." + name
-}
-
-// chainWalk is a multi-source BFS over the call graph used by both
-// interprocedural analyzers. Parents records the tree for chain
-// reconstruction; order is deterministic (roots in sorted label order,
-// edges in source order).
-type chainWalk struct {
-	prog    *Program
-	parent  map[*types.Func]*types.Func
-	visited map[*types.Func]bool
-	queue   []*types.Func
-}
-
-func newChainWalk(prog *Program, roots []*types.Func) *chainWalk {
-	w := &chainWalk{
-		prog:    prog,
-		parent:  map[*types.Func]*types.Func{},
-		visited: map[*types.Func]bool{},
-	}
-	sorted := append([]*types.Func(nil), roots...)
-	sort.Slice(sorted, func(i, j int) bool { return funcLabel(sorted[i]) < funcLabel(sorted[j]) })
-	for _, r := range sorted {
-		if !w.visited[r] {
-			w.visited[r] = true
-			w.queue = append(w.queue, r)
-		}
-	}
-	return w
-}
-
-// chain renders the call chain from the nearest root down to fn,
-// "root → mid → fn".
-func (w *chainWalk) chain(fn *types.Func) string {
-	var labels []string
-	for f := fn; f != nil; f = w.parent[f] {
-		labels = append(labels, funcLabel(f))
-	}
-	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {
-		labels[i], labels[j] = labels[j], labels[i]
-	}
-	s := ""
-	for i, l := range labels {
-		if i > 0 {
-			s += " → "
-		}
-		s += l
-	}
-	return s
-}
-
-// chainList returns the chain as a label slice for structured output.
-func (w *chainWalk) chainList(fn *types.Func) []string {
-	var labels []string
-	for f := fn; f != nil; f = w.parent[f] {
-		labels = append(labels, funcLabel(f))
-	}
-	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {
-		labels[i], labels[j] = labels[j], labels[i]
-	}
-	return labels
 }

@@ -1,6 +1,11 @@
 package lint
 
-import "go/types"
+import (
+	"go/types"
+	"slices"
+	"sort"
+	"strings"
+)
 
 // AnalyzerNoallocClosure proves the //hbvet:noalloc contract over the
 // whole call graph: every annotated root, and every function reachable
@@ -27,8 +32,9 @@ import "go/types"
 // directives inside the body suppress individual findings only and
 // never cut traversal, even when they cover the declaration's first
 // line. A boundary directive counts as live for unused-suppression
-// even though it suppresses no literal finding.
-var AnalyzerNoallocClosure = &ProgramAnalyzer{
+// even though it suppresses no literal finding. determinism draws its
+// wall-clock boundary by the same rule.
+var AnalyzerNoallocClosure = &Analyzer{
 	Name: "noalloc-closure",
 	Doc:  "every function reachable from a //hbvet:noalloc root must be allocation-free or annotated",
 	Run:  runNoallocClosure,
@@ -120,68 +126,81 @@ func knownAllocCallee(f *types.Func) bool {
 	return allocStdlibMethods[path+"."+named.Obj().Name()+"."+f.Name()]
 }
 
-func runNoallocClosure(pp *ProgramPass) {
-	prog := pp.Prog
-	var roots []*types.Func
+// runNoallocClosure is a multi-source BFS over the call graph. parent
+// records the tree for chain reconstruction; order is deterministic
+// (roots in sorted label order, edges in source order).
+func runNoallocClosure(p *Pass) {
+	prog := p.Prog
+	var queue []*types.Func
 	for _, fn := range prog.declList {
-		if HasNoallocDirective(prog.decls[fn].decl) {
-			roots = append(roots, fn)
+		if hasNoallocDirective(prog.decls[fn].decl) {
+			queue = append(queue, fn)
 		}
 	}
-	if len(roots) == 0 {
-		return
+	sort.Slice(queue, func(i, j int) bool { return funcLabel(queue[i]) < funcLabel(queue[j]) })
+	parent := map[*types.Func]*types.Func{}
+	visited := map[*types.Func]bool{}
+	for _, fn := range queue {
+		visited[fn] = true
 	}
-	check := pp.Analyzer.Name
-	w := newChainWalk(prog, roots)
-	for len(w.queue) > 0 {
-		fn := w.queue[0]
-		w.queue = w.queue[1:]
+	// chain is the call chain from the nearest root down to fn, outermost
+	// first.
+	chain := func(fn *types.Func) []string {
+		var labels []string
+		for f := fn; f != nil; f = parent[f] {
+			labels = append(labels, funcLabel(f))
+		}
+		slices.Reverse(labels)
+		return labels
+	}
+	check := p.Analyzer.Name
+	for len(queue) > 0 {
+		fn := queue[0]
+		queue = queue[1:]
 		d := prog.decls[fn]
-		if d == nil || d.decl.Body == nil {
+		if d.decl.Body == nil {
 			continue
 		}
 		// A doc-comment suppression marks the whole function an accepted
 		// allocation boundary: skip its body and its callees. Nothing else
 		// cuts traversal — a site-level allow justifies one finding, not a
 		// subtree.
-		if pp.SanctionedDecl(check, d.decl) {
+		if p.SanctionedDecl(check, d.decl) {
 			continue
 		}
 		// Body allocation sites: an annotated function answers for its own
 		// body, an unannotated one is reported with the chain that reaches it.
 		where, reached := "noalloc function "+d.decl.Name.Name, ""
-		if !HasNoallocDirective(d.decl) {
+		if !hasNoallocDirective(d.decl) {
 			where = "function " + d.decl.Name.Name
-			reached = " — reachable from noalloc root: " + w.chain(fn) + "; make it allocation-free or annotate it //hbvet:noalloc"
+			reached = " — reachable from noalloc root: " + strings.Join(chain(fn), " → ") + "; make it allocation-free or annotate it //hbvet:noalloc"
 		}
 		for _, v := range collectNoallocViolations(d.pkg.Info, d.decl, where) {
-			if !pp.Sanctioned(check, v.Pos) {
-				pp.Reportf(v.Pos, w.chainList(fn), "%s%s", v.Message, reached)
+			if !p.Sanctioned(check, v.Pos) {
+				p.Reportf(v.Pos, chain(fn), "%s%s", v.Message, reached)
 			}
 		}
 		// Calls the analyzer cannot resolve cut the proof short.
 		for _, pos := range prog.dynCalls[fn] {
-			if pp.Sanctioned(check, pos) {
+			if p.Sanctioned(check, pos) {
 				continue
 			}
-			pp.Reportf(pos, w.chainList(fn),
+			p.Reportf(pos, chain(fn),
 				"dynamic call through a function value inside the noalloc closure (%s); the callee set is unprovable — restructure to a static call or justify with //lint:allow noalloc-closure",
-				w.chain(fn))
+				strings.Join(chain(fn), " → "))
 		}
 		for _, e := range prog.calls[fn] {
 			if prog.decls[e.Callee] != nil {
-				if !w.visited[e.Callee] {
-					w.visited[e.Callee] = true
-					w.parent[e.Callee] = fn
-					w.queue = append(w.queue, e.Callee)
+				if !visited[e.Callee] {
+					visited[e.Callee] = true
+					parent[e.Callee] = fn
+					queue = append(queue, e.Callee)
 				}
 				continue
 			}
-			if knownAllocCallee(e.Callee) && !pp.Sanctioned(check, e.Pos) {
-				chain := append(w.chainList(fn), funcLabel(e.Callee))
-				pp.Reportf(e.Pos, chain,
-					"call to allocating %s inside the noalloc closure: %s → %s",
-					funcLabel(e.Callee), w.chain(fn), funcLabel(e.Callee))
+			if knownAllocCallee(e.Callee) && !p.Sanctioned(check, e.Pos) {
+				c := append(chain(fn), funcLabel(e.Callee))
+				p.Reportf(e.Pos, c, "call to allocating %s inside the noalloc closure: %s", funcLabel(e.Callee), strings.Join(c, " → "))
 			}
 		}
 	}

@@ -67,22 +67,10 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) []*want 
 
 // runGolden loads one testdata package, runs the named check, and
 // reconciles the findings against the package's want comments.
-func runGolden(t *testing.T, pkgdir, check string, cfg Config) {
+func runGolden(t *testing.T, pkgdir, check string) {
 	t.Helper()
-	loader, err := NewLoader(moduleRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load(filepath.Join("internal/lint/testdata", pkgdir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("want one package, got %d", len(pkgs))
-	}
-	pkg := pkgs[0]
-	cfg.Checks = []string{check}
-	findings := RunPackage(pkg, cfg)
+	pkg := loadFixture(t, pkgdir)
+	findings := NewProgram([]*Package{pkg}).Run(Config{Checks: []string{check}})
 	wants := collectWants(t, pkg.Fset, pkg.Files)
 
 	for _, f := range findings {
@@ -105,6 +93,23 @@ func runGolden(t *testing.T, pkgdir, check string, cfg Config) {
 	}
 }
 
+// loadFixture loads internal/lint/testdata/<pkgdir> as one package.
+func loadFixture(t *testing.T, pkgdir string) *Package {
+	t.Helper()
+	loader, err := NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load(filepath.Join("internal/lint/testdata", pkgdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("want one package, got %d", len(pkgs))
+	}
+	return pkgs[0]
+}
+
 // moduleRoot walks up from the package directory to go.mod.
 func moduleRoot(t *testing.T) string {
 	t.Helper()
@@ -124,28 +129,22 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
-func TestGoldenDeterminism(t *testing.T) {
-	runGolden(t, "determinism", "determinism", Config{
-		WallClockAllow: []string{"testdata/determinism/allowed_clock.go"},
-	})
-}
-
 func TestGoldenMapOrder(t *testing.T) {
-	runGolden(t, "maporder", "map-order", Config{})
+	runGolden(t, "maporder", "map-order")
 }
 
 func TestGoldenBufferReuse(t *testing.T) {
-	runGolden(t, "bufreuse", "buffer-reuse", Config{})
+	runGolden(t, "bufreuse", "buffer-reuse")
 }
 
 // TestGoldenNoAlloc pins the allocation-site heuristics on annotated
 // bodies: each root answers for its own sites.
 func TestGoldenNoAlloc(t *testing.T) {
-	runGolden(t, "noalloc", "noalloc-closure", Config{})
+	runGolden(t, "noalloc", "noalloc-closure")
 }
 
 func TestGoldenSyncDiscipline(t *testing.T) {
-	runGolden(t, "syncdiscipline", "sync-discipline", Config{})
+	runGolden(t, "syncdiscipline", "sync-discipline")
 }
 
 // TestGoldenNoallocClosure is the seeded-mutant proof for the
@@ -153,29 +152,30 @@ func TestGoldenSyncDiscipline(t *testing.T) {
 // levels below a //hbvet:noalloc root must be reported with the full
 // call chain, boundaries cut traversal, and site-level allows do not.
 func TestGoldenNoallocClosure(t *testing.T) {
-	runGolden(t, "closure", "noalloc-closure", Config{})
+	runGolden(t, "closure", "noalloc-closure")
 }
 
+// TestGoldenDeterminismTaint pins the one determinism check: every direct
+// wall-clock or global-rand site at its own position, every function
+// reaching one only through calls or function values once with its
+// laundering chain, and the sanctioned sites and doc-comment boundary that
+// stop it. The fixture also holds every case of the retired intraprocedural
+// check's fixture but one expectation: `time.Now().Sub(start)` no longer
+// reports "time.Time.Sub over a wall-clock read" beside the time.Now read
+// on the same line, which is still reported.
 func TestGoldenDeterminismTaint(t *testing.T) {
-	runGolden(t, "taint", "determinism-taint", Config{
-		WallClockAllow: []string{"testdata/taint/boundary.go"},
-	})
+	runGolden(t, "taint", "determinism")
 }
 
 // TestDirectiveHygiene pins the //lint:allow bookkeeping: justified and
-// used directives are silent, unjustified and unused ones are findings of
-// their own. (Expectations are asserted here rather than with want
-// comments, which cannot share a line with the directive they describe.)
+// used directives are silent; unjustified and unused ones, and ones naming
+// no registered check (a misspelled or retired name would otherwise linger
+// as a no-op), are findings of their own. (Expectations are asserted here
+// rather than with want comments, which cannot share a line with the
+// directive they describe.)
 func TestDirectiveHygiene(t *testing.T) {
-	loader, err := NewLoader(moduleRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load("internal/lint/testdata/directives")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := RunPackage(pkgs[0], Config{Checks: []string{"determinism", "unused-suppression"}})
+	prog := NewProgram([]*Package{loadFixture(t, "directives")})
+	findings := prog.Run(Config{Checks: []string{"determinism", "unused-suppression"}})
 	var got []string
 	for _, f := range findings {
 		got = append(got, f.Check+": "+f.Message)
@@ -183,6 +183,7 @@ func TestDirectiveHygiene(t *testing.T) {
 	wantSubstr := []string{
 		"lint: //lint:allow determinism needs a justification",
 		"unused-suppression: //lint:allow determinism suppresses nothing",
+		`lint: //lint:allow names no registered check "determinism-taint"`,
 	}
 	if len(got) != len(wantSubstr) {
 		t.Fatalf("want %d findings, got %v", len(wantSubstr), got)
@@ -195,7 +196,7 @@ func TestDirectiveHygiene(t *testing.T) {
 
 	// A run restricted away from the directive's check cannot know the
 	// directive is dead: unused-suppression must stay silent about it.
-	restricted := RunPackage(pkgs[0], Config{Checks: []string{"map-order", "unused-suppression"}})
+	restricted := prog.Run(Config{Checks: []string{"map-order", "unused-suppression"}})
 	for _, f := range restricted {
 		if f.Check == "unused-suppression" {
 			t.Errorf("unused-suppression fired for a check that did not run: %s", f)

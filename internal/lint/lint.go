@@ -6,11 +6,15 @@
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis in
 // miniature — Analyzer, Pass, Findings — but is self-contained so the
-// container needs nothing beyond the Go toolchain. Checks:
+// container needs nothing beyond the Go toolchain. Every analyzer sees
+// the whole loaded program; the per-package checks walk its packages,
+// the call-graph checks its call graph. Checks:
 //
-//   - determinism: no wall-clock reads (time.Now and friends) or global
-//     math/rand calls outside explicitly allowlisted wall-clock files;
-//     every *rand.Rand must be built from an explicit seed expression.
+//   - determinism: no function outside the wall-clock boundary may reach
+//     a wall-clock read (time.Now and friends) or the global math/rand
+//     generator, directly or through any chain of calls and function
+//     values; a function whose doc comment carries //lint:allow
+//     determinism is a boundary.
 //   - map-order: a range over a map whose body appends to an outer
 //     slice, writes output, or sends on a channel is flagged unless the
 //     collected slice is sorted afterwards — the campaign-replay bug
@@ -26,13 +30,15 @@
 //     sites (make/new, escaping composite literals, escaping closures,
 //     appends that build fresh slices, implicit interface conversions,
 //     known-allocating callees, calls through function values).
+//   - unused-suppression: a //lint:allow directive that suppressed
+//     nothing is a finding.
 //
 // A finding on line N is suppressed by a comment
 //
 //	//lint:allow <check> <justification>
 //
-// on line N or line N-1. Suppressions without a justification are
-// themselves findings.
+// on line N or line N-1. Suppressions without a justification, or
+// naming no registered check, are themselves findings.
 package lint
 
 import (
@@ -40,6 +46,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -50,8 +57,8 @@ type Finding struct {
 	Pos     token.Position
 	Message string
 	// Chain is the call chain from an interprocedural root to the
-	// offending site (noalloc-closure, determinism-taint), outermost
-	// first; empty for intraprocedural findings.
+	// offending site (noalloc-closure, determinism), outermost first;
+	// empty for intraprocedural findings.
 	Chain []string
 }
 
@@ -67,107 +74,33 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// Pass carries one type-checked package through one analyzer.
+// Pass carries the program through one analyzer.
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
-	// Config is the driver-level configuration shared by all analyzers.
-	Config Config
+	Prog     *Program
 
 	findings *[]Finding
+	supp     *suppressions
 }
 
 // Config tunes the analyzer suite.
 type Config struct {
-	// WallClockAllow lists path suffixes of files allowed to read the
-	// wall clock and construct time-seeded state: the explicit wall-clock
-	// boundary of the system (netem.WallClock, cmd/hbfleet).
-	WallClockAllow []string
 	// Checks, when non-empty, restricts the run to the named analyzers.
 	Checks []string
 }
 
-// DefaultWallClockAllow is the repository's wall-clock boundary: the
-// only files that may read physical time. Everything else must get time
-// from a sim.Simulator or netem.Clock and randomness from a seeded
-// *rand.Rand.
-var DefaultWallClockAllow = []string{
-	"internal/netem/clock.go", // WallClock implementation
-	"cmd/hbfleet/main.go",     // fleet run timings
-	"cmd/hbmc/main.go",        // ensemble sweep timings
+func (c Config) enabled(name string) bool {
+	return len(c.Checks) == 0 || slices.Contains(c.Checks, name)
 }
 
-// Analyzers returns the per-package suite in reporting order.
+// Analyzers returns the suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerDeterminism,
 		AnalyzerMapOrder,
 		AnalyzerBufferReuse,
 		AnalyzerSyncDiscipline,
-	}
-}
-
-// ProgramAnalyzer is one interprocedural check: it sees the whole
-// loaded program (and its call graph) at once instead of one package.
-type ProgramAnalyzer struct {
-	Name string
-	Doc  string
-	Run  func(*ProgramPass)
-}
-
-// ProgramPass carries the program through one interprocedural analyzer.
-type ProgramPass struct {
-	Analyzer *ProgramAnalyzer
-	Prog     *Program
-	Config   Config
-
-	findings *[]Finding
-	supp     *suppressions
-}
-
-// Sanctioned reports whether pos is covered by a //lint:allow directive
-// for the named check, marking the directive used. Interprocedural
-// analyzers call it at decision points that produce no finding — cutting
-// closure traversal through a call edge, declining to seed taint — so
-// the directive still registers as live for unused-suppression.
-func (p *ProgramPass) Sanctioned(check string, pos token.Pos) bool {
-	return p.supp != nil && p.supp.sanction(check, p.Prog.Fset.Position(pos))
-}
-
-// SanctionedDecl reports whether the declaration carries a //lint:allow
-// directive for the named check *in its doc comment*, marking the
-// directive used. Declaration-level semantics (marking a whole function
-// an accepted boundary) demand the doc-comment position so a site-level
-// directive covering the declaration's first line — same line or the
-// line above, per the suppression placement contract — cannot silently
-// act as a boundary.
-func (p *ProgramPass) SanctionedDecl(check string, decl *ast.FuncDecl) bool {
-	if p.supp == nil || decl.Doc == nil {
-		return false
-	}
-	return p.supp.sanctionRange(check, decl.Doc.Pos(), decl.Doc.End())
-}
-
-// Reportf records a finding at pos with an optional call chain.
-func (p *ProgramPass) Reportf(pos token.Pos, chain []string, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
-		Check:   p.Analyzer.Name,
-		Pos:     p.Prog.Fset.Position(pos),
-		Message: fmt.Sprintf(format, args...),
-		Chain:   chain,
-	})
-}
-
-// ProgramAnalyzers returns the interprocedural suite in reporting
-// order. unused-suppression is listed here but implemented by the
-// driver (it must see every other analyzer's surviving findings).
-func ProgramAnalyzers() []*ProgramAnalyzer {
-	return []*ProgramAnalyzer{
 		AnalyzerNoallocClosure,
-		AnalyzerDeterminismTaint,
 		AnalyzerUnusedSuppression,
 	}
 }
@@ -178,23 +111,65 @@ func ProgramAnalyzers() []*ProgramAnalyzer {
 // ran but matched no finding is dead weight — it documents a risk that
 // no longer exists. Directives for checks that did not run this
 // invocation are left alone (a restricted -check run cannot know).
-var AnalyzerUnusedSuppression = &ProgramAnalyzer{
+var AnalyzerUnusedSuppression = &Analyzer{
 	Name: "unused-suppression",
 	Doc:  "//lint:allow directives must suppress at least one finding of a check that ran",
-	Run:  nil, // driver-implemented, see applySuppressions
+	Run:  nil, // driver-implemented, see suppressions.apply
 }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Finding{
+// Sanctioned reports whether pos is covered by a //lint:allow directive
+// for the named check, marking the directive used. The call-graph
+// analyzers call it at decision points that produce no finding — cutting
+// closure traversal through a call edge, declining to seed taint — so
+// the directive still registers as live for unused-suppression.
+func (p *Pass) Sanctioned(check string, pos token.Pos) bool {
+	return p.supp.sanction(check, p.Prog.Fset.Position(pos))
+}
+
+// SanctionedDecl reports whether the declaration carries a //lint:allow
+// directive for the named check *in its doc comment*, marking the
+// directive used: the one boundary rule of the call-graph checks.
+// Declaration-level semantics (marking a whole function an accepted
+// boundary) demand the doc-comment position so a site-level directive
+// covering the declaration's first line — same line or the line above,
+// per the suppression placement contract — cannot silently act as a
+// boundary.
+func (p *Pass) SanctionedDecl(check string, decl *ast.FuncDecl) bool {
+	return decl.Doc != nil && p.supp.sanctionRange(check, decl.Doc.Pos(), decl.Doc.End())
+}
+
+// Reportf records a finding at pos with the call chain that reaches it
+// (nil for intraprocedural findings).
+func (p *Pass) Reportf(pos token.Pos, chain []string, format string, args ...any) {
+	*p.findings = append(*p.findings, Finding{
 		Check:   p.Analyzer.Name,
-		Pos:     p.Fset.Position(pos),
+		Pos:     p.Prog.Fset.Position(pos),
 		Message: fmt.Sprintf(format, args...),
+		Chain:   chain,
 	})
 }
 
-func (p *Pass) report(f Finding) {
-	*p.findings = append(*p.findings, f)
+// eachFuncBody lifts a check of one function body to a whole-program
+// run: check sees every declaration and literal body of the program
+// with its package's type info.
+func eachFuncBody(check func(p *Pass, info *types.Info, body *ast.BlockStmt)) func(*Pass) {
+	return func(p *Pass) {
+		for _, pkg := range p.Prog.Pkgs {
+			for _, file := range pkg.Files {
+				ast.Inspect(file, func(n ast.Node) bool {
+					switch fn := n.(type) {
+					case *ast.FuncDecl:
+						if fn.Body != nil {
+							check(p, pkg.Info, fn.Body)
+						}
+					case *ast.FuncLit:
+						check(p, pkg.Info, fn.Body)
+					}
+					return true
+				})
+			}
+		}
+	}
 }
 
 // allowDirective is one parsed //lint:allow comment.
@@ -205,42 +180,39 @@ type allowDirective struct {
 	pos       token.Pos
 }
 
-// collectAllows parses every //lint:allow directive in the files.
-func collectAllows(fset *token.FileSet, files []*ast.File) []allowDirective {
-	var out []allowDirective
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//lint:allow")
-				if !ok {
-					continue
-				}
-				fields := strings.Fields(text)
-				d := allowDirective{line: fset.Position(c.Pos()).Line, pos: c.Pos()}
-				if len(fields) > 0 {
-					d.check = fields[0]
-				}
-				d.justified = len(fields) > 1
-				out = append(out, d)
-			}
-		}
-	}
-	return out
-}
-
 // suppressions is the shared //lint:allow state of one run: the parsed
 // directives plus per-directive liveness. A directive is live when it
 // suppressed a finding or when an analyzer consulted it at a
-// non-reporting decision point (ProgramPass.Sanctioned).
+// non-reporting decision point (Pass.Sanctioned, Pass.SanctionedDecl).
 type suppressions struct {
 	fset   *token.FileSet
 	allows []allowDirective
 	used   []bool
 }
 
-func newSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
-	allows := collectAllows(fset, files)
-	return &suppressions{fset: fset, allows: allows, used: make([]bool, len(allows))}
+// newSuppressions parses every //lint:allow directive in the program.
+func newSuppressions(prog *Program) *suppressions {
+	s := &suppressions{fset: prog.Fset}
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					text, ok := strings.CutPrefix(c.Text, "//lint:allow")
+					if !ok {
+						continue
+					}
+					fields := strings.Fields(text)
+					d := allowDirective{line: s.fset.Position(c.Pos()).Line, pos: c.Pos(), justified: len(fields) > 1}
+					if len(fields) > 0 {
+						d.check = fields[0]
+					}
+					s.allows = append(s.allows, d)
+				}
+			}
+		}
+	}
+	s.used = make([]bool, len(s.allows))
+	return s
 }
 
 // covers reports whether directive i sits on the same or the preceding
@@ -279,86 +251,48 @@ func (s *suppressions) sanctionRange(check string, lo, hi token.Pos) bool {
 }
 
 // apply drops findings covered by an //lint:allow on the same or the
-// preceding line, reports unjustified directives, and — when the
-// unused-suppression check is enabled — reports directives that
-// suppressed nothing although their check ran (ran holds the names of
-// the checks that ran this invocation).
+// preceding line, reports directives naming no registered check or
+// carrying no justification, and — when the unused-suppression check is
+// enabled — reports directives that suppressed nothing although their
+// check ran (ran holds the names of the checks that ran this
+// invocation).
 func (s *suppressions) apply(findings []Finding, ran map[string]bool, reportUnused bool) []Finding {
-	if len(s.allows) == 0 {
-		return findings
-	}
-	kept := findings[:0]
-	for _, f := range findings {
-		suppressed := false
-		for i, d := range s.allows {
-			if d.check == f.Check && s.covers(i, f.Pos) {
-				s.used[i] = true
-				suppressed = true
-			}
-		}
-		if !suppressed {
-			kept = append(kept, f)
-		}
-	}
+	kept := slices.DeleteFunc(findings, func(f Finding) bool {
+		return s.sanction(f.Check, f.Pos)
+	})
+	known := Analyzers()
 	for i, d := range s.allows {
-		if !d.justified {
-			kept = append(kept, Finding{
-				Check:   "lint",
-				Pos:     s.fset.Position(d.pos),
-				Message: fmt.Sprintf("//lint:allow %s needs a justification comment", d.check),
-			})
-		} else if reportUnused && !s.used[i] && ran[d.check] {
-			kept = append(kept, Finding{
-				Check:   "unused-suppression",
-				Pos:     s.fset.Position(d.pos),
-				Message: fmt.Sprintf("//lint:allow %s suppresses nothing; the risk it documents no longer exists — delete it", d.check),
-			})
+		f := Finding{Check: "lint", Pos: s.fset.Position(d.pos)}
+		switch {
+		case !slices.ContainsFunc(known, func(a *Analyzer) bool { return a.Name == d.check }):
+			f.Message = fmt.Sprintf("//lint:allow names no registered check %q; hbvet -list names them", d.check)
+		case !d.justified:
+			f.Message = fmt.Sprintf("//lint:allow %s needs a justification comment", d.check)
+		case reportUnused && !s.used[i] && ran[d.check]:
+			f.Check = AnalyzerUnusedSuppression.Name
+			f.Message = fmt.Sprintf("//lint:allow %s suppresses nothing; the risk it documents no longer exists — delete it", d.check)
+		default:
+			continue
 		}
+		kept = append(kept, f)
 	}
 	return kept
 }
 
-// Run runs the configured analyzers — per-package and interprocedural —
-// over the whole program and returns the surviving findings sorted by
-// position.
+// Run runs the configured analyzers over the whole program and returns
+// the surviving findings sorted by position.
 func (prog *Program) Run(cfg Config) []Finding {
 	var findings []Finding
 	ran := map[string]bool{}
-	enabled := func(name string) bool {
-		return len(cfg.Checks) == 0 || containsString(cfg.Checks, name)
-	}
-	var allFiles []*ast.File
-	for _, pkg := range prog.Pkgs {
-		allFiles = append(allFiles, pkg.Files...)
-	}
-	supp := newSuppressions(prog.Fset, allFiles)
-	for _, pkg := range prog.Pkgs {
-		for _, a := range Analyzers() {
-			if !enabled(a.Name) {
-				continue
-			}
-			ran[a.Name] = true
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				Config:   cfg,
-				findings: &findings,
-			}
-			a.Run(pass)
-		}
-	}
-	for _, a := range ProgramAnalyzers() {
-		if a.Run == nil || !enabled(a.Name) {
+	supp := newSuppressions(prog)
+	for _, a := range Analyzers() {
+		if a.Run == nil || !cfg.enabled(a.Name) {
 			continue
 		}
 		ran[a.Name] = true
-		pass := &ProgramPass{Analyzer: a, Prog: prog, Config: cfg, findings: &findings, supp: supp}
-		a.Run(pass)
+		a.Run(&Pass{Analyzer: a, Prog: prog, findings: &findings, supp: supp})
 	}
-	findings = supp.apply(findings, ran, enabled(AnalyzerUnusedSuppression.Name))
+	findings = supp.apply(findings, ran, cfg.enabled(AnalyzerUnusedSuppression.Name))
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i].Pos, findings[j].Pos
 		if a.Filename != b.Filename {
@@ -375,35 +309,6 @@ func (prog *Program) Run(cfg Config) []Finding {
 	return findings
 }
 
-// RunPackage runs the configured analyzers over one loaded package
-// (treated as a single-package program) and returns the surviving
-// findings sorted by position.
-func RunPackage(pkg *Package, cfg Config) []Finding {
-	return NewProgram([]*Package{pkg}).Run(cfg)
-}
-
-func containsString(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-// fileAllowed reports whether the file at pos matches one of the
-// allowlisted path suffixes.
-func (p *Pass) fileAllowed(pos token.Pos, allow []string) bool {
-	name := p.Fset.Position(pos).Filename
-	name = strings.ReplaceAll(name, "\\", "/")
-	for _, suf := range allow {
-		if strings.HasSuffix(name, suf) {
-			return true
-		}
-	}
-	return false
-}
-
 // calleeObj resolves the called function object of a call expression, or
 // nil (builtin, indirect call, type conversion).
 func calleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -418,15 +323,6 @@ func calleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// isPkgFunc reports whether obj is the package-level function pkgPath.name
-// (not a method).
-func isPkgFunc(obj *types.Func, pkgPath, name string) bool {
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return obj.Pkg().Path() == pkgPath && obj.Name() == name && obj.Type().(*types.Signature).Recv() == nil
 }
 
 // isMethod reports whether obj is a method named name whose receiver's

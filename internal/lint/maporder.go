@@ -20,33 +20,15 @@ import (
 var AnalyzerMapOrder = &Analyzer{
 	Name: "map-order",
 	Doc:  "map iteration order must not leak into slices, output streams, or channels",
-	Run:  runMapOrder,
-}
-
-func runMapOrder(p *Pass) {
-	for _, file := range p.Files {
-		// Walk function bodies so the post-loop context (for sort
-		// detection) is available.
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			}
-			if body != nil {
-				checkMapRanges(p, body)
-			}
-			return true
-		})
-	}
+	// Whole function bodies, so the post-loop context (for sort
+	// detection) is available.
+	Run: eachFuncBody(checkMapRanges),
 }
 
 // checkMapRanges finds map ranges directly inside fnBody (at any depth)
 // and validates each; fnBody provides the scope searched for post-loop
 // sort calls.
-func checkMapRanges(p *Pass, fnBody *ast.BlockStmt) {
+func checkMapRanges(p *Pass, info *types.Info, fnBody *ast.BlockStmt) {
 	ast.Inspect(fnBody, func(n ast.Node) bool {
 		if _, nested := n.(*ast.FuncLit); nested {
 			return false // visited separately with its own body scope
@@ -55,34 +37,34 @@ func checkMapRanges(p *Pass, fnBody *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		t := p.Info.TypeOf(rng.X)
+		t := info.TypeOf(rng.X)
 		if t == nil {
 			return true
 		}
 		if _, isMap := t.Underlying().(*types.Map); !isMap {
 			return true
 		}
-		checkMapRangeBody(p, rng, fnBody)
+		checkMapRangeBody(p, info, rng, fnBody)
 		return true
 	})
 }
 
-func checkMapRangeBody(p *Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt) {
+func checkMapRangeBody(p *Pass, info *types.Info, rng *ast.RangeStmt, fnBody *ast.BlockStmt) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.SendStmt:
-			p.Reportf(st.Pos(), "channel send inside a map range leaks map iteration order")
+			p.Reportf(st.Pos(), nil, "channel send inside a map range leaks map iteration order")
 		case *ast.CallExpr:
-			if isOutputCall(p.Info, st) {
-				p.Reportf(st.Pos(), "output write inside a map range leaks map iteration order")
+			if isOutputCall(info, st) {
+				p.Reportf(st.Pos(), nil, "output write inside a map range leaks map iteration order")
 			}
 		case *ast.AssignStmt:
 			for i, rhs := range st.Rhs {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || !isBuiltinAppend(p.Info, call) || i >= len(st.Lhs) {
+				if !ok || !isBuiltinAppend(info, call) || i >= len(st.Lhs) {
 					continue
 				}
-				dst := baseObject(p.Info, st.Lhs[i])
+				dst := baseObject(info, st.Lhs[i])
 				if dst == nil {
 					continue
 				}
@@ -91,10 +73,10 @@ func checkMapRangeBody(p *Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt) {
 				if dst.Pos() >= rng.Pos() && dst.Pos() <= rng.End() {
 					continue
 				}
-				if sortedAfter(p.Info, fnBody, rng.End(), dst) {
+				if sortedAfter(info, fnBody, rng.End(), dst) {
 					continue
 				}
-				p.Reportf(st.Pos(), "append to %q inside a map range records map iteration order; sort it after the loop (or iterate sorted keys)", dst.Name())
+				p.Reportf(st.Pos(), nil, "append to %q inside a map range records map iteration order; sort it after the loop (or iterate sorted keys)", dst.Name())
 			}
 		}
 		return true

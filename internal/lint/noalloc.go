@@ -33,9 +33,9 @@ import (
 // allocation-free in steady state.
 const noallocDirective = "//hbvet:noalloc"
 
-// HasNoallocDirective reports whether the declaration carries the
-// //hbvet:noalloc annotation (exported for the driver's self-tests).
-func HasNoallocDirective(fn *ast.FuncDecl) bool {
+// hasNoallocDirective reports whether the declaration carries the
+// //hbvet:noalloc annotation.
+func hasNoallocDirective(fn *ast.FuncDecl) bool {
 	if fn.Doc == nil {
 		return false
 	}

@@ -5,10 +5,9 @@ import (
 	"go/types"
 )
 
-// AnalyzerSyncDiscipline enforces the access-discipline rule the
-// parallel checker relies on (see internal/mc/parallel.go): a memory
-// location accessed through sync/atomic anywhere must be accessed
-// through sync/atomic everywhere. Mixing an atomic.AddInt64 on one path
+// AnalyzerSyncDiscipline enforces the access discipline of memory shared
+// across goroutines: a location accessed through sync/atomic anywhere in
+// its package must be accessed through sync/atomic everywhere in it. Mixing an atomic.AddInt64 on one path
 // with a plain read or a mutex-guarded write on another is a data race
 // the race detector only catches when both paths happen to run — the
 // analyzer catches it statically.
@@ -26,20 +25,24 @@ import (
 var AnalyzerSyncDiscipline = &Analyzer{
 	Name: "sync-discipline",
 	Doc:  "locations accessed via sync/atomic must be accessed via sync/atomic everywhere",
-	Run:  runSyncDiscipline,
+	Run: func(p *Pass) {
+		for _, pkg := range p.Prog.Pkgs {
+			checkSyncDiscipline(p, pkg)
+		}
+	},
 }
 
-func runSyncDiscipline(p *Pass) {
+func checkSyncDiscipline(p *Pass, pkg *Package) {
 	// Pass 1: collect locations whose address flows into sync/atomic.
 	// atomicLocs hold locations passed whole (&c.hits); atomicElems hold
 	// containers passed by element (&a.ring[i]), whose discipline covers
 	// the elements but not the container header.
 	atomicLocs := map[types.Object]bool{}
 	atomicElems := map[types.Object]bool{}
-	for _, file := range p.Files {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(p.Info, call) {
+			if !ok || !isAtomicCall(pkg.Info, call) {
 				return true
 			}
 			for _, arg := range call.Args {
@@ -48,12 +51,12 @@ func runSyncDiscipline(p *Pass) {
 					continue
 				}
 				if ix, ok := ast.Unparen(u.X).(*ast.IndexExpr); ok {
-					if obj := addressableLoc(p.Info, ix.X); obj != nil {
+					if obj := addressableLoc(pkg.Info, ix.X); obj != nil {
 						atomicElems[obj] = true
 					}
 					continue
 				}
-				if obj := addressableLoc(p.Info, u.X); obj != nil {
+				if obj := addressableLoc(pkg.Info, u.X); obj != nil {
 					atomicLocs[obj] = true
 				}
 			}
@@ -66,7 +69,7 @@ func runSyncDiscipline(p *Pass) {
 	// Composite-literal keys (Counter{hits: 0}) are construction, not
 	// shared access; collect them so pass 2 can skip them.
 	litKeys := map[*ast.Ident]bool{}
-	for _, file := range p.Files {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			lit, ok := n.(*ast.CompositeLit)
 			if !ok {
@@ -85,26 +88,26 @@ func runSyncDiscipline(p *Pass) {
 	// Pass 2: flag every plain (non-atomic) access to those locations —
 	// any mention of a whole-location one, element accesses of an
 	// element-atomic one.
-	for _, file := range p.Files {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if isAtomicCall(p.Info, n) {
+				if isAtomicCall(pkg.Info, n) {
 					return false // accesses inside the atomic call are the point
 				}
 			case *ast.IndexExpr:
-				obj := addressableLoc(p.Info, n.X)
+				obj := addressableLoc(pkg.Info, n.X)
 				if obj == nil || !atomicElems[obj] {
 					return true
 				}
-				p.Reportf(n.Pos(), "elements of %q are accessed via sync/atomic elsewhere; this plain element access races with it (use atomic, or a //lint:allow sync-discipline with the publication argument)", obj.Name())
+				p.Reportf(n.Pos(), nil, "elements of %q are accessed via sync/atomic elsewhere; this plain element access races with it (use atomic, or a //lint:allow sync-discipline with the publication argument)", obj.Name())
 				return true
 			case *ast.Ident:
-				obj := p.Info.ObjectOf(n)
+				obj := pkg.Info.ObjectOf(n)
 				if obj == nil || !atomicLocs[obj] || obj.Pos() == n.Pos() || litKeys[n] {
 					return true
 				}
-				p.Reportf(n.Pos(), "%q is accessed via sync/atomic elsewhere; this plain access races with it (use atomic, or a //lint:allow sync-discipline with the publication argument)", obj.Name())
+				p.Reportf(n.Pos(), nil, "%q is accessed via sync/atomic elsewhere; this plain access races with it (use atomic, or a //lint:allow sync-discipline with the publication argument)", obj.Name())
 				return true
 			}
 			return true

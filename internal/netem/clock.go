@@ -94,6 +94,8 @@ type WallClock struct {
 
 // NewWallClock returns a wall clock whose tick 0 is now. A tick must have
 // a positive length.
+//
+//lint:allow determinism WallClock is the runtime's wall-clock boundary; simulated runs use SimClock
 func NewWallClock(tickLen time.Duration) (*WallClock, error) {
 	if tickLen <= 0 {
 		return nil, fmt.Errorf("netem: wall clock tick length %v must be positive", tickLen)
@@ -104,6 +106,8 @@ func NewWallClock(tickLen time.Duration) (*WallClock, error) {
 var _ Clock = (*WallClock)(nil)
 
 // Now implements Clock.
+//
+//lint:allow determinism WallClock is the runtime's wall-clock boundary; simulated runs use SimClock
 func (c *WallClock) Now() sim.Time { return sim.Time(time.Since(c.epoch) / c.tickLen) }
 
 // NewTimer implements Clock.
@@ -121,6 +125,7 @@ type wallTimer struct {
 // Reset implements Timer.
 //
 //lint:allow noalloc-closure physical timers allocate per arm; the noalloc contract covers the sim path
+//lint:allow determinism WallClock is the runtime's wall-clock boundary; simulated runs use SimClock
 func (w *wallTimer) Reset(d sim.Time, tag uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
