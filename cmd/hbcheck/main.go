@@ -177,6 +177,12 @@ func runSingle(w, stderr io.Writer, variant, prop string, cfg models.Config, ana
 	if err != nil {
 		return false, err
 	}
+	switch {
+	case cfg.N < 0:
+		return false, fmt.Errorf("-n %d: the participant count must be positive (0 means the variant's default)", cfg.N)
+	case cfg.N > 1 && (v == models.Binary || v == models.RevisedBinary || v == models.TwoPhase):
+		return false, fmt.Errorf("-n %d: the %v protocol has exactly one participant", cfg.N, v)
+	}
 	cfg.Variant, cfg.N = v, defaultN(v, cfg.N)
 	if analyze {
 		if err := analyzeConfig(stderr, cfg); err != nil {

@@ -13,7 +13,7 @@ import (
 // written by the binary of the commit before the verdict path explored a
 // quotient, so they pin "the tables did not move"; the single-check goldens
 // carry the quotient's state count, which a deliberate change to the
-// dead-clock table moves: regenerate with
+// dead-clock table or the participant blocks moves: regenerate with
 // `go run ./cmd/hbcheck <args> > cmd/hbcheck/testdata/<name>.golden`.
 func checkGolden(t *testing.T, name string, code int, args ...string) {
 	t.Helper()
@@ -38,6 +38,16 @@ func TestGoldenSatisfied(t *testing.T) {
 // counter-example of the analysis' Figure 11.
 func TestGoldenFigure11(t *testing.T) {
 	checkGolden(t, "figure11", 2, "-variant", "binary", "-tmin", "10", "-prop", "R2", "-trace")
+}
+
+// TestGoldenStaticTwoParticipants: two-participant checks, where the count
+// is that of the symmetric quotient. The first is the benchmark's
+// check_large cell; the second's witness, a race at p[1], is replayed
+// through the network, and every line of its chart is the one the
+// dead-clock quotient printed.
+func TestGoldenStaticTwoParticipants(t *testing.T) {
+	checkGolden(t, "static_n2", 0, "-variant", "static", "-tmin", "9", "-prop", "R2")
+	checkGolden(t, "static_n2_witness", 2, "-variant", "static", "-tmin", "10", "-prop", "R2", "-trace")
 }
 
 func TestGoldenTable2(t *testing.T) { checkGolden(t, "table_2", 0, "-table", "2") }
@@ -66,6 +76,10 @@ func TestBadInputRejected(t *testing.T) {
 		{[]string{"-table", "3"}, 1, `unknown table "3"`},
 		{[]string{"-variant", "binary", "-tmin", "11"}, 1, "tmin"},
 		{[]string{"-variant", "binary", "-tmax", "20000"}, 1, "20000"},
+		{[]string{"-variant", "static", "-n", "-3"}, 1, "-n -3"},
+		{[]string{"-variant", "binary", "-n", "5", "-tmin", "9"}, 1, "binary protocol has exactly one participant"},
+		{[]string{"-variant", "revised-binary", "-n", "2"}, 1, "revised-binary protocol has exactly one participant"},
+		{[]string{"-variant", "two-phase", "-n", "2"}, 1, "two-phase protocol has exactly one participant"},
 	} {
 		var out, errs bytes.Buffer
 		if code := run(tc.args, &out, &errs); code != tc.code {

@@ -56,7 +56,7 @@ type explorer struct {
 	transitions int
 
 	// labels numbers every label a transition of the network can carry,
-	// for the node and transition records; complete before exploring.
+	// for the transition records; complete before exploring.
 	labels   []string
 	labelIDs map[string]uint16
 
@@ -64,6 +64,7 @@ type explorer struct {
 	// scratch masks and, handed buf back, the previous call's Transition
 	// slice (hbvet's buffer-reuse check enforces the caller side).
 	ctx     *ta.SuccCtx
+	init    ta.State
 	scratch ta.State
 	buf     []ta.Transition
 	keyBuf  []byte
@@ -100,6 +101,7 @@ func newExplorer(n *ta.Network, goal func(*ta.State) bool, opts Options, withTra
 		store:     newStateStore(init.KeyLen()),
 		labelIDs:  map[string]uint16{},
 		ctx:       n.NewSuccCtx(),
+		init:      init,
 		scratch:   init.Clone(),
 	}
 	// A transition's label is "tick" or an edge's (ta.Transition), so the
@@ -186,7 +188,7 @@ func (e *explorer) expand(id int, goalID *int, limitHit *bool) {
 			to = -1
 		default:
 			to = st.insert(e.keyBuf, h, slot)
-			e.info.push(nodeInfo{parent: int32(id), label: e.labelID(tr.Label), delay: tr.Delay})
+			e.info.push(nodeInfo{parent: int32(id), delay: tr.Delay})
 			//lint:allow noalloc-closure prune/goal predicates are exploration configuration; the Options contract requires pure, allocation-free predicates
 			if *goalID < 0 && e.goal != nil && e.goal(&tr.Target) {
 				*goalID = to

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ta"
@@ -88,5 +89,39 @@ func TestCanonExploresQuotient(t *testing.T) {
 	}
 	if lts.NumStates != whole {
 		t.Fatalf("BuildLTS with a canonicaliser has %d states, the network %d", lts.NumStates, whole)
+	}
+}
+
+// TestCanonWitnessIsReplayed: two identical processes step L0 -> L1 -> L2,
+// and the canonicaliser stores the pair in ascending order. a1 first reaches
+// the class of (L1, L0), stored as (L0, L1), from which b2 first reaches the
+// goal class (L0, L2). "a1, b2" is no run of the network; the replay turns
+// the path into the run "a1, a2" that visits the same classes.
+func TestCanonWitnessIsReplayed(t *testing.T) {
+	net := ta.NewNetwork()
+	for _, p := range []string{"a", "b"} {
+		net.Add(&ta.Automaton{
+			Name:      p,
+			Locations: []ta.Location{{Name: "L0"}, {Name: "L1"}, {Name: "L2"}},
+			Edges:     []ta.Edge{{From: 0, To: 1, Label: p + "1"}, {From: 1, To: 2, Label: p + "2"}},
+		})
+	}
+	canon := func(s *ta.State) {
+		if s.Locs[0] > s.Locs[1] {
+			s.Locs[0], s.Locs[1] = s.Locs[1], s.Locs[0]
+		}
+	}
+	oneDone := func(s *ta.State) bool { return s.Locs[0]+s.Locs[1] == 2 && s.Locs[0] != 1 }
+	res, err := CheckReachability(net, oneDone, Options{Canon: canon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	var locs [][]uint8
+	for _, step := range res.Trace {
+		labels, locs = append(labels, step.Label), append(locs, step.State.Locs)
+	}
+	if !slices.Equal(labels, []string{"", "a1", "a2"}) || !slices.EqualFunc(locs, [][]uint8{{0, 0}, {1, 0}, {2, 0}}, slices.Equal) {
+		t.Fatalf("witness %v through %v, want a1, a2 through (0,0), (1,0), (2,0)", labels, locs)
 	}
 }

@@ -9,7 +9,9 @@
 package mc
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 
 	"repro/internal/ta"
 )
@@ -33,16 +35,19 @@ type Options struct {
 	// negates.
 	Prune func(*ta.State) bool
 	// Canon, if non-nil, rewrites every generated successor in place to
-	// the representative of its equivalence class before it is hashed, so
-	// the search visits the quotient instead of the network. Sound only
-	// when the rewrite is a functional strong bisimulation the predicates
-	// cannot see through: Canon is idempotent, goal and Prune agree on s
-	// and Canon(s), and the successors of s and of Canon(s), enumerated in
-	// order and rewritten, are the same labelled states. Then verdict,
-	// witness labels and witness times are those of the unreduced search;
-	// the states of a witness are the representatives. Like Prune it must
-	// be pure and allocation-free. The initial configuration is stored as
-	// given. BuildLTS ignores Canon, as it ignores Prune.
+	// the canonical member of its class before it is hashed, so the search
+	// visits the quotient instead of the network. Sound only when the
+	// classes are those of a strong bisimulation that goal and Prune
+	// respect: states of one class satisfy both alike, Canon maps every
+	// member of a class to the same member, and for each transition of
+	// one member every other member has a transition with the same delay
+	// flag into the same class. Labels may differ (a permutation of
+	// identical processes renames them) and successor order need not be
+	// preserved. The verdict is then the network's, and the witness is a
+	// shortest run of the network: its path through the quotient, replayed
+	// from the initial configuration (see CheckReachability). Like Prune
+	// it must be pure and allocation-free. The initial configuration is
+	// stored as given. BuildLTS ignores Canon, as it ignores Prune.
 	Canon func(*ta.State)
 	// Workers is ignored; it stays declared only until bench/ stops setting it.
 	Workers int
@@ -74,15 +79,15 @@ type Step struct {
 type Result struct {
 	// Reachable reports whether a goal state was found.
 	Reachable bool
-	// StatesExplored counts distinct configurations visited: states of
+	// StatesExplored counts distinct configurations visited: classes of
 	// the explored quotient when Options.Canon is set (under the models
-	// verdict path it always is), of the network otherwise.
+	// verdict path it always is), states of the network otherwise.
 	StatesExplored int
 	// TransitionsExplored counts transitions generated.
 	TransitionsExplored int
 	// Trace is a minimal-length witness when Reachable: Trace[0] is the
-	// initial configuration (empty label), the last step satisfies the
-	// goal.
+	// initial configuration (empty label), every step is a transition of
+	// the network, and the last step satisfies the goal.
 	Trace []Step
 }
 
@@ -91,9 +96,14 @@ type Result struct {
 // reachable, together with a shortest witness.
 //
 // The check completes the BFS level a goal state is found on before
-// returning, and the witness is the first goal state in discovery order —
-// shortest, and lexicographically least with respect to the network's
-// deterministic successor enumeration order (see explore.go).
+// returning, and the witness leads to the first goal state in discovery
+// order, so it is shortest. Without a canonicaliser, or with one that
+// preserves successor order, it is also the lexicographically least
+// shortest run with respect to the network's deterministic successor
+// enumeration order (see explore.go). Under any canonicaliser the witness
+// is rebuilt by replaying its quotient path through the network, taking at
+// each step the first successor in enumeration order that falls into the
+// next class.
 func CheckReachability(n *ta.Network, goal func(*ta.State) bool, opts Options) (Result, error) {
 	e, goalID, states, transitions, err := explore(n, goal, opts, false)
 	res := Result{StatesExplored: states, TransitionsExplored: transitions}
@@ -106,39 +116,61 @@ func CheckReachability(n *ta.Network, goal func(*ta.State) bool, opts Options) (
 }
 
 // nodeInfo records how a state was first reached, for witness
-// reconstruction: the parent's id (-1 at the root) and the id of the
-// transition's label in the explorer's table. Pointer-free: never GC-scanned.
+// reconstruction: the parent's id (-1 at the root) and whether the
+// transition was a delay. Pointer-free: never GC-scanned.
 type nodeInfo struct {
 	parent int32
-	label  uint16
 	delay  bool
 }
 
-// rebuildTrace walks parent pointers back to the root and emits the
-// forward trace with cumulative times, decoding each witness state out of
-// the store.
+// rebuildTrace walks parent pointers back to the root, then replays that
+// path through the network from its initial configuration: each step takes
+// the first successor of the configuration reached so far whose canonical
+// key is the recorded state's and whose delay flag is the recorded one.
+// Under a canonicaliser the recorded states are class representatives that
+// need not be reachable, nor connected by the labels that reached them; the
+// replay turns them back into a run of the network, one step per level, so
+// the witness stays shortest. With no canonicaliser it is the recorded path.
 func rebuildTrace(e *explorer, goal int) []Step {
-	var rev []int
-	for at := goal; at != -1; at = int(e.info.at(at).parent) {
-		rev = append(rev, at)
+	var path []int
+	for at := goal; at > 0; at = int(e.info.at(at).parent) {
+		path = append(path, at)
 	}
-	steps := make([]Step, 0, len(rev))
-	now := 0
-	for i := len(rev) - 1; i >= 0; i-- {
-		id := rev[i]
-		info := e.info.at(id)
-		if info.delay {
+	slices.Reverse(path)
+	steps := make([]Step, 1, len(path)+1)
+	steps[0].State = e.init // reached by no transition
+	for _, id := range path {
+		want, delay := e.store.key(id), e.info.at(id).delay
+		last := &steps[len(steps)-1]
+		e.buf = e.ctx.Successors(&last.State, e.buf[:0])
+		k := 0
+		for k < len(e.buf) && (e.buf[k].Delay != delay || !e.recordedAs(&e.buf[k].Target, want)) {
+			k++
+		}
+		if k == len(e.buf) {
+			panic("mc: a witness step has no matching successor; Options.Canon is not a bisimulation")
+		}
+		now := last.Time
+		if delay {
 			now++
 		}
-		var s ta.State
-		s.DecodeKey(e.store.key(id), e.numLocs, e.numClocks)
-		label := "" // the root was reached by no transition
-		if info.parent >= 0 {
-			label = e.labels[info.label]
-		}
-		steps = append(steps, Step{Label: label, Delay: info.delay, Time: now, State: s})
+		steps = append(steps, Step{Label: e.buf[k].Label, Delay: delay, Time: now, State: e.buf[k].Target.Clone()})
 	}
 	return steps
+}
+
+// recordedAs reports whether s is stored under key: whether the key of its
+// representative, computed on a copy so that s keeps its values, is key.
+func (e *explorer) recordedAs(s *ta.State, key []byte) bool {
+	if e.canon != nil {
+		e.scratch.Locs = append(e.scratch.Locs[:0], s.Locs...)
+		e.scratch.Clocks = append(e.scratch.Clocks[:0], s.Clocks...)
+		e.scratch.Vars = append(e.scratch.Vars[:0], s.Vars...)
+		e.canon(&e.scratch)
+		s = &e.scratch
+	}
+	e.keyBuf = s.AppendKey(e.keyBuf[:0])
+	return bytes.Equal(e.keyBuf, key)
 }
 
 // Invariant explores the full state space and reports the first violation

@@ -3,6 +3,7 @@ package mc_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/mc"
@@ -75,7 +76,11 @@ func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool, canon func(*t
 	return r
 }
 
-// trace rebuilds the witness the way mc.CheckReachability documents it.
+// trace is the witness's path through the quotient. Under a canonicaliser
+// that keeps successor order, as the one here does, its labels, delays and
+// times are those the replay reproduces and its states the representatives
+// the witness's states rewrite to. Without a canonicaliser it is the
+// witness.
 func (r *reference) trace() []mc.Step {
 	var rev []int
 	for at := r.goalID; at != -1; at = r.parent[at] {
@@ -197,7 +202,7 @@ func TestSerialMatchesReferenceChecks(t *testing.T) {
 				if res.Reachable != tc.reachable {
 					t.Fatalf("reachable = %v, want %v", res.Reachable, tc.reachable)
 				}
-				matchReference(t, res, ref)
+				matchReference(t, m.Net, canon, res, ref)
 				if quotient && !tc.reachable {
 					if whole := referenceBFS(m.Net, goal, prune, nil, 0); len(ref.states) >= len(whole.states) {
 						t.Fatalf("the quotient has %d states, the network %d: the canonicaliser merges nothing", len(ref.states), len(whole.states))
@@ -209,8 +214,11 @@ func TestSerialMatchesReferenceChecks(t *testing.T) {
 }
 
 // matchReference compares a check's verdict, counts and witness with the
-// reference's, step for step.
-func matchReference(t *testing.T, res mc.Result, ref *reference) {
+// reference's, step for step. The reference records class representatives;
+// the witness is a run of the network (canon nil: no rewrite), so each of
+// its states must be a successor of the one before and, rewritten, the
+// reference's.
+func matchReference(t *testing.T, n *ta.Network, canon func(*ta.State), res mc.Result, ref *reference) {
 	t.Helper()
 	if res.Reachable != (ref.goalID >= 0) {
 		t.Fatalf("reachable = %v, reference goal id %d", res.Reachable, ref.goalID)
@@ -227,10 +235,18 @@ func matchReference(t *testing.T, res mc.Result, ref *reference) {
 		t.Fatalf("trace has %d steps, reference %d", len(res.Trace), len(want))
 	}
 	for i, got := range res.Trace {
-		w := want[i]
-		if got.Label != w.Label || got.Delay != w.Delay || got.Time != w.Time || got.State.Key() != w.State.Key() {
+		w, rep := want[i], got.State.Clone()
+		if canon != nil {
+			canon(&rep)
+		}
+		if got.Label != w.Label || got.Delay != w.Delay || got.Time != w.Time || rep.Key() != w.State.Key() {
 			t.Fatalf("step %d = %q delay=%v t=%d %v, reference %q delay=%v t=%d %v",
 				i, got.Label, got.Delay, got.Time, got.State, w.Label, w.Delay, w.Time, w.State)
+		}
+		if i > 0 && !slices.ContainsFunc(n.Successors(&res.Trace[i-1].State, nil), func(tr ta.Transition) bool {
+			return tr.Label == got.Label && tr.Delay == got.Delay && tr.Target.Key() == got.State.Key()
+		}) {
+			t.Fatalf("step %d, %q to %v, is no transition of the network", i, got.Label, got.State)
 		}
 	}
 }
@@ -282,7 +298,7 @@ func TestSerialStateLimitSemantics(t *testing.T) {
 					t.Fatalf("reachable = %v, %d states, err = %v, want ErrStateLimit at %d states",
 						res.Reachable, res.StatesExplored, err, tc.limit)
 				}
-				matchReference(t, res, ref)
+				matchReference(t, m.Net, canon, res, ref)
 			})
 		}
 	}

@@ -135,6 +135,8 @@ func (m *Model) buildChannel(i int) {
 	// Only the Fwd and Reply invariants read the budget, and the one way
 	// out of Idle resets it.
 	m.dead = append(m.dead, deadClock{clock: rt, aut: c.aut, locs: locSet(c.idle), v: noVar})
+	b := &m.blocks[i]
+	b.auts, b.clocks = append(b.auts, c.aut), append(b.clocks, rt)
 }
 
 // buildJoinChannel carries p[i+1]'s solicitations to p[0]. Its delay is
@@ -185,4 +187,6 @@ func (m *Model) buildJoinChannel(i int) {
 	m.jchs = append(m.jchs, c)
 	// As for the pair channel: read in Fwd only, reset on leaving Idle.
 	m.dead = append(m.dead, deadClock{clock: rt, aut: c.aut, locs: locSet(c.idle), v: noVar})
+	b := &m.blocks[i]
+	b.auts, b.clocks = append(b.auts, c.aut), append(b.clocks, rt)
 }

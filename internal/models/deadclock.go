@@ -43,8 +43,9 @@ func locSet(locs ...int) uint64 {
 }
 
 // canon rewrites s to the representative of its class: every clock that is
-// dead in s reads 0. It is the mc.Options.Canon of the verdict path, so it
-// must stay pure and allocation-free.
+// dead in s reads 0, then the interchangeable participants' blocks are
+// sorted (symmetry.go). It is the mc.Options.Canon of the verdict path, so
+// it must stay pure and allocation-free.
 func (m *Model) canon(s *ta.State) {
 	for i := range m.dead {
 		d := &m.dead[i]
@@ -52,10 +53,11 @@ func (m *Model) canon(s *ta.State) {
 			s.Clocks[d.clock] = 0
 		}
 	}
+	m.sym.sort(s)
 }
 
 // reduced folds the model's hooks into the caller's so that neither side's
-// is dropped: the dead-clock canonicaliser always, and for a requirement
+// is dropped: the canonicaliser always, and for a requirement
 // that excludes lossy traces by premise the prune at the first message
 // loss (sound: lostMsg is monotone and the predicate requires it clear).
 func (m *Model) reduced(opts mc.Options, lossless bool) mc.Options {

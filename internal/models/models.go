@@ -273,6 +273,11 @@ type Model struct {
 	// dead is the dead-clock table the verdict path canonicalises with
 	// (deadclock.go); each build function appends its own clocks' rows.
 	dead []deadClock
+	// blocks holds each participant's slots, appended by the same build
+	// functions; sym is the interchangeable group canon sorts
+	// (symmetry.go).
+	blocks []block
+	sym    symmetry
 
 	// variables
 	vActive0 int
@@ -321,6 +326,7 @@ func Build(cfg Config) (*Model, error) {
 		}
 	}
 	m.wireP0Edges()
+	m.sym = m.group()
 	return m, nil
 }
 
@@ -334,6 +340,7 @@ func (m *Model) declareVars() {
 	if cfg.binaryFamily() {
 		jndInit = 1
 	}
+	m.blocks = make([]block, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		m.vActive = append(m.vActive, n.Var(fmt.Sprintf("active%d", i+1), 1))
 		m.vRcvd = append(m.vRcvd, n.Var(fmt.Sprintf("rcvd%d", i+1), 1))
@@ -345,6 +352,12 @@ func (m *Model) declareVars() {
 			m.vLeave = append(m.vLeave, noVar)
 		}
 		m.vEver = append(m.vEver, n.Var(fmt.Sprintf("ever%d", i+1), 0))
+		b := &m.blocks[i]
+		b.vars = append(b.vars, m.vActive[i], m.vRcvd[i], m.vTM[i], m.vJnd[i])
+		if m.vLeave[i] != noVar {
+			b.vars = append(b.vars, m.vLeave[i])
+		}
+		b.vars = append(b.vars, m.vEver[i])
 	}
 }
 

@@ -78,4 +78,6 @@ func (m *Model) buildMonitor(i int) {
 	// Error and Off are final.
 	notWatch := ^locSet(mo.watch)
 	m.dead = append(m.dead, deadClock{clock: delay, aut: mo.aut, locs: notWatch, v: active0, val: 0})
+	b := &m.blocks[i]
+	b.auts, b.clocks = append(b.auts, mo.aut), append(b.clocks, delay)
 }

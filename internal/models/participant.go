@@ -72,6 +72,8 @@ func (m *Model) buildResponder(i int) {
 	m.ps = append(m.ps, p)
 	// An inactivated process never leaves its location and watches nothing.
 	m.dead = append(m.dead, deadClock{clock: wfb, aut: p.aut, locs: locSet(p.vInact, p.nvInact), v: noVar})
+	b := &m.blocks[i]
+	b.auts, b.clocks = append(b.auts, p.aut), append(b.clocks, wfb)
 }
 
 // buildJoiner is Figure 6 (expanding) / Figure 8 (dynamic): solicit every
@@ -234,4 +236,6 @@ func (m *Model) buildJoiner(i int) {
 	m.dead = append(m.dead,
 		deadClock{clock: wtj, aut: p.aut, locs: inact, v: joined, val: 1},
 		deadClock{clock: wfb, aut: p.aut, locs: inact, v: leave, val: 1})
+	b := &m.blocks[i]
+	b.auts, b.vars, b.clocks = append(b.auts, p.aut), append(b.vars, joined), append(b.clocks, wfb, wtj)
 }

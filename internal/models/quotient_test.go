@@ -1,19 +1,22 @@
 package models
 
 import (
+	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"slices"
 	"testing"
 
+	"repro/internal/alphabet"
 	"repro/internal/mc"
 	"repro/internal/ta"
 	"repro/internal/trace"
 )
 
-// The verdict path explores a quotient (deadclock.go). The unreduced
-// successor relation — which CountStates, BuildLTS, VerifyGoal and every
-// conformance spec stay on — is the oracle for it.
+// The verdict path explores a quotient (deadclock.go, symmetry.go). The
+// unreduced successor relation — which CountStates, BuildLTS, VerifyGoal
+// and every conformance spec stay on — is the oracle for it.
 
 // bisimOracle is a goal predicate for the unreduced checker: broken(s)
 // reports that s -> canon(s) fails, at s, to be a functional strong
@@ -21,10 +24,10 @@ import (
 // idempotent on s, when a predicate tells s from canon(s), or when the
 // successors of s and of canon(s), each rewritten by canon, are not the
 // same labelled states in the same order. Set equality is what bisimilarity
-// needs; equal order is what makes the breadth-first witness of the
-// quotient the witness of the network, label for label. Explored with no
-// canonicaliser the goal is evaluated on every reachable state of the
-// network, so "unreachable" is the proof.
+// needs; equal order is what makes the dead-clock quotient's breadth-first
+// witness the network's, label for label. Explored with no canonicaliser
+// the goal is evaluated on every reachable state of the network, so
+// "unreachable" is the proof.
 type bisimOracle struct {
 	canon func(*ta.State)
 	preds []func(*ta.State) bool
@@ -82,24 +85,161 @@ func (o *bisimOracle) broken(s *ta.State) bool {
 	return false
 }
 
-// checkBisimulation runs the oracle over every reachable state of the
-// unreduced network, or under -short (the -race sweep) over a breadth-first
-// prefix of it. It returns the number of states checked and, if the oracle
-// held anywhere, what failed and the shortest run that gets there.
+// checkBisimulation runs the bisimulation oracle; see runOracle.
 func checkBisimulation(net *ta.Network, canon func(*ta.State), preds []func(*ta.State) bool, opts mc.Options) (states int, failure string, err error) {
 	o := &bisimOracle{canon: canon, preds: preds, ctx: net.NewSuccCtx(), repCtx: net.NewSuccCtx()}
-	if testing.Short() {
+	return runOracle(net, o.broken, &o.why, testing.Short(), opts)
+}
+
+// runOracle hands the unreduced checker an oracle's goal, broken, over
+// every reachable state of the network, or with prefix (under -short, the
+// -race sweep) over a breadth-first prefix of it. It returns the number of
+// states checked and, if broken held anywhere, what failed (*why) and the
+// shortest run that gets there.
+func runOracle(net *ta.Network, broken func(*ta.State) bool, why *string, prefix bool, opts mc.Options) (states int, failure string, err error) {
+	if prefix {
 		opts.MaxStates = 20_000
 	}
-	res, err := mc.CheckReachability(net, o.broken, opts)
-	if testing.Short() && errors.Is(err, mc.ErrStateLimit) {
+	res, err := mc.CheckReachability(net, broken, opts)
+	if prefix && errors.Is(err, mc.ErrStateLimit) {
 		err = nil
 	}
 	if res.Reachable {
 		last := res.Trace[len(res.Trace)-1]
-		failure = fmt.Sprintf("at %v: %s\n%s", last.State, o.why, trace.Summary(res.Trace))
+		failure = fmt.Sprintf("at %v: %s\n%s", last.State, *why, trace.Summary(res.Trace))
 	}
 	return res.StatesExplored, failure, err
+}
+
+// equivOracle is a goal predicate for the unreduced checker: broken(s)
+// reports that, at s, exchanging two adjacent members of the group fails to
+// be an automorphism of the network the predicates respect, or that canon
+// fails to map the orbit of s to one state. For each transposition π it
+// holds when a predicate tells s from πs, when the successors of πs are not
+// π of the successors of s — as multisets of (label with its process
+// renamed, delay, state) — or when canon(πs) differs from canon(s); and
+// when canon is not idempotent on s. Adjacent transpositions generate every
+// permutation of the group, so "unreachable" proves canon constant on
+// orbits and the orbits bisimilar.
+type equivOracle struct {
+	sym   symmetry
+	first int // participant index of member 0: 1 when p[1] is set apart
+	canon func(*ta.State)
+	preds []func(*ta.State) bool
+	// A successor context of its own: broken runs inside the explorer's.
+	ctx              *ta.SuccCtx
+	succ             []ta.Transition
+	perm, rep, again ta.State
+	mine, theirs     succSet
+	renamed          []map[string]string // per transposition: label -> label with its process renamed
+	why              string
+}
+
+func (o *equivOracle) broken(s *ta.State) bool {
+	copyState(&o.rep, s)
+	o.canon(&o.rep)
+	copyState(&o.again, &o.rep)
+	o.canon(&o.again)
+	if !sameState(&o.again, &o.rep) {
+		o.why = fmt.Sprintf("canon is not idempotent: %v, then %v", o.rep, o.again)
+		return true
+	}
+	for g := 0; g+1 < o.sym.members; g++ {
+		copyState(&o.perm, s)
+		o.sym.swap(&o.perm, g, g+1)
+		for i, pred := range o.preds {
+			if pred(s) != pred(&o.perm) {
+				o.why = fmt.Sprintf("predicate %d tells the state from its transposition %d/%d %v", i, g, g+1, o.perm)
+				return true
+			}
+		}
+		copyState(&o.again, &o.perm)
+		o.canon(&o.again)
+		if !sameState(&o.again, &o.rep) {
+			o.why = fmt.Sprintf("canon maps it to %v, its transposition %d/%d %v to %v", o.rep, g, g+1, o.perm, o.again)
+			return true
+		}
+		o.succ = o.ctx.Successors(s, o.succ[:0])
+		o.mine.reset()
+		for k := range o.succ {
+			tr := &o.succ[k]
+			o.sym.swap(&tr.Target, g, g+1)
+			o.mine.add(o.rename(g, tr.Label), tr.Delay, &tr.Target)
+		}
+		o.succ = o.ctx.Successors(&o.perm, o.succ[:0])
+		o.theirs.reset()
+		for k := range o.succ {
+			tr := &o.succ[k]
+			o.theirs.add(tr.Label, tr.Delay, &tr.Target)
+		}
+		if !o.mine.same(&o.theirs) {
+			o.why = fmt.Sprintf("the successors of its transposition %d/%d %v are not the transposed successors:\n%q\n%q",
+				g, g+1, o.perm, o.mine.items, o.theirs.items)
+			return true
+		}
+	}
+	return false
+}
+
+// rename exchanges the processes of transposition g, p[first+g+1] and the
+// next, in a model label.
+func (o *equivOracle) rename(g int, label string) string {
+	if r, ok := o.renamed[g][label]; ok {
+		return r
+	}
+	a, b := int32(o.first+g+1), int32(o.first+g+2)
+	r := label
+	if l, ok := alphabet.Parse(label); ok && (l.A == a || l.A == b) {
+		l.A = a + b - l.A
+		r = l.String()
+	}
+	o.renamed[g][label] = r
+	return r
+}
+
+// succSet is a multiset of successors, each rendered as label, delay flag
+// and state key into one reused buffer.
+type succSet struct {
+	buf   []byte
+	ends  []int
+	items [][]byte
+}
+
+func (ss *succSet) reset() { ss.buf, ss.ends = ss.buf[:0], ss.ends[:0] }
+
+func (ss *succSet) add(label string, delay bool, target *ta.State) {
+	d := byte(0)
+	if delay {
+		d = 1
+	}
+	ss.buf = target.AppendKey(append(append(ss.buf, label...), 0, d))
+	ss.ends = append(ss.ends, len(ss.buf))
+}
+
+// same reports whether two multisets are equal, leaving each one's
+// elements sorted in items.
+func (ss *succSet) same(other *succSet) bool {
+	ss.sort()
+	other.sort()
+	return slices.EqualFunc(ss.items, other.items, bytes.Equal)
+}
+
+func (ss *succSet) sort() {
+	ss.items = ss.items[:0]
+	start := 0
+	for _, end := range ss.ends {
+		ss.items = append(ss.items, ss.buf[start:end])
+		start = end
+	}
+	slices.SortFunc(ss.items, bytes.Compare)
+}
+
+// deadClocksOnly strips m of its symmetry, which leaves canon the
+// dead-clock rewrite alone: the layer the bisimulation oracle checks, and
+// the quotient the symmetric one is compared with.
+func deadClocksOnly(m *Model) *Model {
+	m.sym = symmetry{}
+	return m
 }
 
 // quotientCase is one model the oracle covers.
@@ -148,7 +288,9 @@ func (m *Model) requirementPreds() []func(*ta.State) bool {
 }
 
 // TestQuotientIsBisimulation is the oracle for every shipped dead-clock
-// row: exhaustive over the grid, 0 violations.
+// row: exhaustive over the grid, 0 violations. Sorting the participants
+// reorders and renames successors, which this oracle forbids; the
+// equivariance oracle checks that layer.
 func TestQuotientIsBisimulation(t *testing.T) {
 	t.Parallel()
 	grid, total := quotientGrid(), 0
@@ -157,6 +299,7 @@ func TestQuotientIsBisimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		deadClocksOnly(m)
 		var opts mc.Options
 		if tc.lossless {
 			opts.Prune = m.MessageLost
@@ -173,21 +316,27 @@ func TestQuotientIsBisimulation(t *testing.T) {
 	t.Logf("%d models, %d unreduced states checked", len(grid), total)
 }
 
+// shutdownOracleConfigs are the five shutdown-monitor models the oracles
+// cover, sliced as VerifyShutdown builds them.
+func shutdownOracleConfigs() []Config {
+	return []Config{
+		{TMin: 1, TMax: 3, Variant: Binary, N: 1, NoMonitor: true},
+		{TMin: 2, TMax: 2, Variant: TwoPhase, N: 1, Fixed: true, NoMonitor: true},
+		{TMin: 1, TMax: 2, Variant: Static, N: 2, NoMonitor: true},
+		{TMin: 2, TMax: 3, Variant: Expanding, N: 1, NoMonitor: true},
+		{TMin: 1, TMax: 3, Variant: Dynamic, N: 1, Fixed: true, NoMonitor: true},
+	}
+}
+
 // TestQuotientIsBisimulationShutdown: the same for the shutdown monitor's
 // model as VerifyShutdown builds it.
 func TestQuotientIsBisimulationShutdown(t *testing.T) {
-	for _, cfg := range []Config{
-		{TMin: 1, TMax: 3, Variant: Binary, N: 1},
-		{TMin: 2, TMax: 2, Variant: TwoPhase, N: 1, Fixed: true},
-		{TMin: 1, TMax: 2, Variant: Static, N: 2},
-		{TMin: 2, TMax: 3, Variant: Expanding, N: 1},
-		{TMin: 1, TMax: 3, Variant: Dynamic, N: 1, Fixed: true},
-	} {
-		cfg.NoMonitor = true
+	for _, cfg := range shutdownOracleConfigs() {
 		sm, err := BuildWithShutdownMonitor(cfg, cfg.ShutdownBound())
 		if err != nil {
 			t.Fatal(err)
 		}
+		deadClocksOnly(sm.Model)
 		_, failure, err := checkBisimulation(sm.Net, sm.canon, []func(*ta.State) bool{sm.Violated}, mc.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -227,6 +376,160 @@ func TestQuotientOracleCatchesWrongRow(t *testing.T) {
 			t.Fatalf("%s: clock %d has %d rows, want 1", tc.name, clock, rows)
 		}
 		_, failure, err := checkBisimulation(m.Net, m.canon, m.requirementPreds(), mc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failure == "" {
+			t.Errorf("%s: the oracle found nothing wrong", tc.name)
+		} else {
+			t.Logf("%s: %s", tc.name, failure)
+		}
+	}
+}
+
+// fullScale reports whether the test binary was asked for tests by name
+// (-run), as CI's "Verdict quotient" step asks for the symmetry oracle and
+// the symmetric-vs-dead-clock differential. Those cost minutes at the scale
+// their contract names, so a plain `go test ./...` walks a breadth-first
+// prefix of each oracle model and compares a sample of cells instead.
+func fullScale() bool {
+	f := flag.Lookup("test.run")
+	return f != nil && f.Value.String() != "" && !testing.Short()
+}
+
+// symmetryGrid is every model the equivariance oracle covers: the grid's
+// static N=2 rows; static N=3 at (1,3) and (2,2), original and corrected,
+// with the R1 monitor (p[1] set apart, p[2] and p[3] exchangeable) and
+// sliced, at (1,3) on its loss-free runs (with the monitor the whole passes
+// 8M states); and the grid's two-joiner networks, sliced and with every
+// participant monitored.
+func symmetryGrid() []quotientCase {
+	var grid []quotientCase
+	for _, tc := range quotientGrid() {
+		if tc.cfg.N < 2 {
+			continue
+		}
+		grid = append(grid, tc)
+		if tc.cfg.Variant != Static {
+			all := tc
+			all.cfg.NoMonitor, all.cfg.MonitorAll = false, true
+			grid = append(grid, all)
+		}
+	}
+	for _, c := range [][2]int32{{1, 3}, {2, 2}} {
+		for _, fixed := range []bool{false, true} {
+			for _, sliced := range []bool{false, true} {
+				cfg := Config{TMin: c[0], TMax: c[1], Variant: Static, N: 3, Fixed: fixed, NoMonitor: sliced}
+				grid = append(grid, quotientCase{cfg: cfg, lossless: c[0] == 1})
+			}
+		}
+	}
+	return grid
+}
+
+// checkModelEquivariance runs the equivariance oracle on m's network with
+// m's group, over every reachable state at full scale (loss-free ones if
+// lossless) and over a breadth-first prefix otherwise.
+func checkModelEquivariance(m *Model, canon func(*ta.State), preds []func(*ta.State) bool, lossless bool) (states int, failure string, err error) {
+	var opts mc.Options
+	if lossless {
+		opts.Prune = m.MessageLost
+	}
+	o := &equivOracle{sym: m.sym, first: m.Cfg.N - m.sym.members, canon: canon, preds: preds, ctx: m.Net.NewSuccCtx()}
+	for range max(m.sym.members-1, 0) {
+		o.renamed = append(o.renamed, map[string]string{})
+	}
+	return runOracle(m.Net, o.broken, &o.why, !fullScale(), opts)
+}
+
+// TestQuotientIsEquivariant is the oracle for the participant blocks and
+// the group rule: 0 violations over the symmetry grid.
+func TestQuotientIsEquivariant(t *testing.T) {
+	t.Parallel()
+	grid, total := symmetryGrid(), 0
+	for _, tc := range grid {
+		m, err := Build(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states, failure, err := checkModelEquivariance(m, m.canon, m.requirementPreds(), tc.lossless)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failure != "" {
+			t.Errorf("%+v lossless=%v: %s", tc.cfg, tc.lossless, failure)
+		}
+		total += states
+	}
+	t.Logf("%d models, %d unreduced states checked (full scale: %v)", len(grid), total, fullScale())
+}
+
+// TestQuotientIsEquivariantShutdown: the shutdown monitor is global, so
+// VerifyShutdown explores the symmetric quotient too; the same oracle
+// covers its five models.
+func TestQuotientIsEquivariantShutdown(t *testing.T) {
+	for _, cfg := range shutdownOracleConfigs() {
+		sm, err := BuildWithShutdownMonitor(cfg, cfg.ShutdownBound())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, failure, err := checkModelEquivariance(sm.Model, sm.canon, []func(*ta.State) bool{sm.Violated}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failure != "" {
+			t.Errorf("%+v: %s", cfg, failure)
+		}
+	}
+}
+
+// TestQuotientEquivarianceCatchesMutants: the oracle can fail. One mutant
+// leaves ever out of every block, so a sort carries a participant's
+// bookkeeping at p[0] off to another; the other sorts by locations alone,
+// so two members apart only in their variables keep their order.
+func TestQuotientEquivarianceCatchesMutants(t *testing.T) {
+	cfg := Config{TMin: 1, TMax: 3, Variant: Static, N: 2, NoMonitor: true}
+	noEver, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := slices.Clone(noEver.blocks)
+	for i := range blocks {
+		blocks[i].vars = slices.DeleteFunc(slices.Clone(blocks[i].vars), func(v int) bool { return v == noEver.vEver[i] })
+	}
+	noEver.sym = newSymmetry(blocks)
+	if noEver.sym.nVars != len(noEver.blocks[0].vars)-1 {
+		t.Fatalf("the mutant blocks hold %d variables, want %d", noEver.sym.nVars, len(noEver.blocks[0].vars)-1)
+	}
+
+	locsOnly, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadClocksOnly(dead)
+	sy := &locsOnly.sym
+	sortByLocs := func(s *ta.State) {
+		dead.canon(s)
+		for i := 1; i < sy.members; i++ {
+			for j := i; j > 0 && compareSlots(s.Locs, sy.auts, sy.nAuts, j, j-1) < 0; j-- {
+				sy.swap(s, j, j-1)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		m     *Model
+		canon func(*ta.State)
+	}{
+		{"ever left out of the block", noEver, noEver.canon},
+		{"sort key compares locations only", locsOnly, sortByLocs},
+	} {
+		_, failure, err := checkModelEquivariance(tc.m, tc.canon, tc.m.requirementPreds(), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,6 +644,128 @@ func sameRun(got, want []mc.Step) error {
 	return nil
 }
 
+// TestQuotientSymmetryMatchesDeadClocks is the differential for the
+// symmetric layer: Verify against the dead-clock-only quotient on the 30
+// static n=2 cells (Table 1 and fixed) and the 30 Table 2 cells at N=2 —
+// among them the 25 cells TestQuotientMatchesNetworkAtTableScale leaves
+// out. Verdicts are equal, the symmetric quotient is no larger, and each
+// replayed witness is as long as the dead-clock one, a run of the network
+// and ends in a goal state. An R1 cell at N=2 has a group of one (p[1]
+// alone carries the monitor), so its two quotients are one search, run
+// once. The whole costs minutes (Table 2 at N=2 alone is 31M states);
+// outside full scale it compares the check_large cell, with both counts
+// pinned, and violated cells of both tables.
+func TestQuotientSymmetryMatchesDeadClocks(t *testing.T) {
+	t.Parallel()
+	type cell struct {
+		cfg  Config
+		prop Property
+	}
+	var cells []cell
+	for _, row := range []struct {
+		variant Variant
+		fixed   bool
+	}{{Static, false}, {Static, true}, {Expanding, false}, {Dynamic, false}} {
+		for _, tmin := range DefaultTMins() {
+			for _, prop := range []Property{R1, R2, R3} {
+				cells = append(cells, cell{Config{TMin: tmin, TMax: 10, Variant: row.variant, N: 2, Fixed: row.fixed}, prop})
+			}
+		}
+	}
+	checkLarge := cell{Config{TMin: 9, TMax: 10, Variant: Static, N: 2}, R2} // the benchmark's cell
+	if !fullScale() {
+		cells = []cell{
+			checkLarge,
+			{Config{TMin: 10, TMax: 10, Variant: Static, N: 2}, R2},
+			{Config{TMin: 10, TMax: 10, Variant: Static, N: 2}, R3},
+			{Config{TMin: 5, TMax: 10, Variant: Expanding, N: 2}, R2},
+			{Config{TMin: 9, TMax: 10, Variant: Dynamic, N: 2}, R2},
+		}
+	}
+	opts := mc.Options{MaxStates: 20_000_000}
+	symmetric, deadOnly := 0, 0
+	for _, c := range cells {
+		name := fmt.Sprintf("%v n=2 tmin=%d fixed=%v %v", c.cfg.Variant, c.cfg.TMin, c.cfg.Fixed, c.prop)
+		got, err := Verify(c.cfg, c.prop, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Build(verifiedConfig(c.cfg, c.prop))
+		if err != nil {
+			t.Fatal(err)
+		}
+		goal, err := m.Violation(c.prop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := got
+		if m.sym.members > 1 {
+			if want, err = deadClocksOnly(m).Verify(c.prop, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		symmetric += got.Result.StatesExplored
+		deadOnly += want.Result.StatesExplored
+		if c == checkLarge && (got.Result.StatesExplored != 29_869 || want.Result.StatesExplored != 58_902) {
+			t.Errorf("%s: %d symmetric and %d dead-clock states, pinned 29,869 and 58,902",
+				name, got.Result.StatesExplored, want.Result.StatesExplored)
+		}
+		if got.Satisfied != want.Satisfied {
+			t.Errorf("%s: satisfied=%v, %v on the dead-clock quotient", name, got.Satisfied, want.Satisfied)
+		}
+		if got.Result.StatesExplored > want.Result.StatesExplored {
+			t.Errorf("%s: %d symmetric states, %d on the dead-clock quotient", name, got.Result.StatesExplored, want.Result.StatesExplored)
+		}
+		if got.Satisfied {
+			continue
+		}
+		if len(got.Result.Trace) != len(want.Result.Trace) {
+			t.Errorf("%s: witness has %d steps, the dead-clock one %d", name, len(got.Result.Trace), len(want.Result.Trace))
+		}
+		if err := checkWitness(m.Net, got.Result.Trace, goal); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	t.Logf("%d cells: %d symmetric states for %d dead-clock ones (full scale: %v)", len(cells), symmetric, deadOnly, fullScale())
+}
+
+// verifiedConfig is the configuration Verify builds for prop: R2 and R3 on
+// the model without the R1 monitor.
+func verifiedConfig(cfg Config, prop Property) Config {
+	cfg.NoMonitor = cfg.NoMonitor || prop != R1
+	return cfg
+}
+
+// checkWitness reports why steps is not a run of net from its initial
+// configuration, with consistent times, that ends in a goal state.
+func checkWitness(net *ta.Network, steps []mc.Step, goal func(*ta.State) bool) error {
+	if init := net.Initial(); len(steps) == 0 || !sameState(&steps[0].State, &init) {
+		return fmt.Errorf("the witness does not start at the initial configuration")
+	}
+	ctx := net.NewSuccCtx()
+	var succ []ta.Transition
+	for i := 1; i < len(steps); i++ {
+		prev, step := &steps[i-1], &steps[i]
+		succ = ctx.Successors(&prev.State, succ[:0])
+		if !slices.ContainsFunc(succ, func(tr ta.Transition) bool {
+			return tr.Label == step.Label && tr.Delay == step.Delay && sameState(&tr.Target, &step.State)
+		}) {
+			return fmt.Errorf("step %d, %q to %v, is no transition of the network", i, step.Label, step.State)
+		}
+		wantTime := prev.Time
+		if step.Delay {
+			wantTime++
+		}
+		if step.Time != wantTime {
+			return fmt.Errorf("step %d is at time %d, want %d", i, step.Time, wantTime)
+		}
+	}
+	if !goal(&steps[len(steps)-1].State) {
+		return fmt.Errorf("the witness ends outside the goal")
+	}
+	return nil
+}
+
 // TestVerifyKeepsCallerHooks: the verdict path folds its own Prune and
 // Canon into the caller's instead of overwriting them — through RunTable,
 // whose TableSpec.Opts reaches R2 and R3 cells that prune on their own.
@@ -363,7 +788,8 @@ func TestVerifyKeepsCallerHooks(t *testing.T) {
 		}
 	}
 	// A caller's canonicaliser sees every successor, after the model's own
-	// has rewritten it, and the model's prune and rewrite still apply.
+	// has rewritten it (and, for a violated cell, the candidates the witness
+	// replay tries besides), and the model's prune and rewrite still apply.
 	spec.Opts.Prune = nil
 	calls, live := 0, 0
 	m, err := Build(Config{TMin: 2, TMax: 4, Variant: Binary, N: 1})
@@ -389,7 +815,7 @@ func TestVerifyKeepsCallerHooks(t *testing.T) {
 				c.Prop, c.Verdict.Result.StatesExplored, free[i].Verdict.Result.StatesExplored)
 		}
 	}
-	if calls != transitions || live != 0 {
+	if calls < transitions || live != 0 {
 		t.Errorf("caller's canonicaliser saw %d of %d successors, %d of them not yet rewritten", calls, transitions, live)
 	}
 }

@@ -126,10 +126,11 @@ type Verdict struct {
 // of its network. R2 and R3 never read the R1 monitor — a passive observer
 // with no invariant, broadcast receives only and no write to a shared
 // variable — so they are checked on the model built without it; every
-// property is checked with dead clocks stored as 0 (see (*Model).Verify).
-// Result.StatesExplored therefore counts quotient states (mc.CountStates on
-// Build(cfg).Net gives the size of the network itself), and the states of a
-// counter-example to R2 or R3 are laid out as in the model Build returns
+// property is checked with dead clocks stored as 0 and the identical
+// participants sorted (see (*Model).Verify). Result.StatesExplored
+// therefore counts quotient states (mc.CountStates on Build(cfg).Net gives
+// the size of the network itself). A counter-example is a run of the
+// network the check built: for R2 or R3, that of the model Build returns
 // for cfg with NoMonitor set.
 func Verify(cfg Config, prop Property, opts mc.Options) (Verdict, error) {
 	// The verdict is about cfg, monitor and all: constants only the slice
@@ -154,7 +155,8 @@ func Verify(cfg Config, prop Property, opts mc.Options) (Verdict, error) {
 }
 
 // Verify model-checks one property on an already-built model, monitors and
-// all, with its dead clocks stored as 0. R2 and R3 exclude lossy traces by
+// all, with its dead clocks stored as 0 and its interchangeable
+// participants sorted into one order. R2 and R3 exclude lossy traces by
 // premise, so exploration is pruned at the first message loss. A caller's
 // opts.Prune and opts.Canon stay in force beside the model's own.
 func (m *Model) Verify(prop Property, opts mc.Options) (Verdict, error) {

@@ -173,7 +173,8 @@ func (sm *ShutdownModel) Violated(s *ta.State) bool {
 
 // VerifyShutdown builds the model with the shutdown monitor in place of
 // the R1 monitors, which the property never reads, and checks it on the
-// dead-clock quotient, as Verify does R2 and R3. Satisfied means every
+// quotient Verify explores for R2 and R3: the monitor is global, so the
+// participants stay interchangeable. Satisfied means every
 // reachable post-crash configuration winds the whole network down within
 // the bound.
 func VerifyShutdown(cfg Config, bound int32, opts mc.Options) (Verdict, error) {

@@ -87,20 +87,25 @@ func (u *UDPTransport) receiveLoop(id NodeID, n *udpNode) {
 		if err != nil {
 			return // socket closed
 		}
-		if sz < udpHeader {
-			continue
+		from, to, payload, err := decodeFrame(buf[:sz])
+		if err != nil || to != id {
+			continue // stray or misdelivered
 		}
-		if uint16(buf[0])<<8|uint16(buf[1]) != udpMagic {
-			continue
-		}
-		from := NodeID(int32(uint32(buf[2])<<24 | uint32(buf[3])<<16 | uint32(buf[4])<<8 | uint32(buf[5])))
-		to := NodeID(int32(uint32(buf[6])<<24 | uint32(buf[7])<<16 | uint32(buf[8])<<8 | uint32(buf[9])))
-		if to != id {
-			continue // misdelivered
-		}
-		payload := append([]byte(nil), buf[udpHeader:sz]...)
-		n.handler(Message{From: from, To: to, Payload: payload})
+		n.handler(Message{From: from, To: to, Payload: append([]byte(nil), payload...)})
 	}
+}
+
+// errBadFrame reports a datagram that is not a frame of this transport.
+var errBadFrame = errors.New("netem: malformed UDP frame")
+
+// decodeFrame is the inverse of encodeFrame: it splits a received datagram
+// into its addressing and its payload, which aliases frame. A datagram
+// shorter than the header or without the magic is malformed.
+func decodeFrame(frame []byte) (from, to NodeID, payload []byte, err error) {
+	if len(frame) < udpHeader || uint16(frame[0])<<8|uint16(frame[1]) != udpMagic {
+		return 0, 0, nil, errBadFrame
+	}
+	return getNodeID(frame[2:6]), getNodeID(frame[6:10]), frame[udpHeader:], nil
 }
 
 // Send implements Transport. A closed transport is reported before any
@@ -156,6 +161,10 @@ func putNodeID(b []byte, id NodeID) {
 	b[1] = byte(v >> 16)
 	b[2] = byte(v >> 8)
 	b[3] = byte(v)
+}
+
+func getNodeID(b []byte) NodeID {
+	return NodeID(int32(uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])))
 }
 
 // Close shuts every socket and waits for the receive loops to exit.
