@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/alphabet"
 	"repro/internal/mc"
 	"repro/internal/models"
 	"repro/internal/ta"
@@ -66,7 +67,7 @@ func export(w io.Writer, proc string, tmin, tmax int32, format string, reduce, h
 	}
 	full := l
 	if hideTick {
-		l = l.Hide(func(label string) bool { return label == "tick" })
+		l = l.Hide(func(l alphabet.Label) bool { return l.Kind == alphabet.Tick })
 	}
 	if reduce {
 		l, err = l.WeakTraceReduce(mc.Options{})

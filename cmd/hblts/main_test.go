@@ -39,6 +39,15 @@ func TestGoldenP1AUTTau(t *testing.T) {
 	checkGolden(t, "p1_aut_tau", "-proc", "p1", "-format", "aut", "-hide-tick", "-no-reduce")
 }
 
+// Hidden ticks are tau, which the weak-trace reduction closes over: the
+// reduced Figure 2 as text, and the reduced Figure 1 as Graphviz. These two
+// goldens were written by the binary of the commit before labels were typed.
+func TestGoldenP1TextTau(t *testing.T) { checkGolden(t, "p1_text_tau", "-proc", "p1", "-hide-tick") }
+
+func TestGoldenP0DOTTau(t *testing.T) {
+	checkGolden(t, "p0_dot_tau", "-proc", "p0", "-hide-tick", "-format", "dot")
+}
+
 // The Graphviz export (mc.LTS.WriteDOT) of the unreduced graph.
 func TestGoldenP0DOTFull(t *testing.T) {
 	checkGolden(t, "p0_dot_full", "-proc", "p0", "-format", "dot", "-no-reduce")

@@ -9,14 +9,18 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/netem"
 )
 
-func main() {
+func main() { os.Exit(run(os.Stdout)) }
+
+// run narrates the run to w and returns the exit status.
+func run(w io.Writer) int {
 	cluster, err := detector.NewCluster(detector.ClusterConfig{
 		Protocol: detector.ProtocolDynamic,
 		Core:     core.Config{TMin: 2, TMax: 16},
@@ -24,28 +28,30 @@ func main() {
 		Link:     netem.LinkConfig{MaxDelay: 1},
 		Seed:     99,
 	})
-	if err != nil {
-		log.Fatalf("building cluster: %v", err)
+	if err == nil {
+		err = cluster.Start()
 	}
-	if err := cluster.Start(); err != nil {
-		log.Fatalf("starting cluster: %v", err)
+	if err != nil {
+		fmt.Fprintln(w, "membership:", err)
+		return 1
 	}
 
 	// Everyone joins.
 	cluster.Sim.RunUntil(100)
-	printNew(cluster, 0)
-	fmt.Printf("t=%-4d members joined: p[1], p[2], p[3] all %v\n",
+	printNew(w, cluster, 0)
+	fmt.Fprintf(w, "t=%-4d members joined: p[1], p[2], p[3] all %v\n",
 		cluster.Sim.Now(), cluster.Participants[1].Status())
 
 	// p[2] leaves gracefully.
 	if err := cluster.Participants[2].Leave(); err != nil {
-		log.Fatalf("leave: %v", err)
+		fmt.Fprintln(w, "membership: leave:", err)
+		return 1
 	}
-	fmt.Printf("t=%-4d p[2] requests to leave\n", cluster.Sim.Now())
+	fmt.Fprintf(w, "t=%-4d p[2] requests to leave\n", cluster.Sim.Now())
 	mark := len(cluster.Events)
 	cluster.Sim.RunUntil(300)
-	printNew(cluster, mark)
-	fmt.Printf("t=%-4d after the leave: p[1] %v, p[2] %v, p[3] %v, p[0] %v (undisturbed)\n",
+	printNew(w, cluster, mark)
+	fmt.Fprintf(w, "t=%-4d after the leave: p[1] %v, p[2] %v, p[3] %v, p[0] %v (undisturbed)\n",
 		cluster.Sim.Now(),
 		cluster.Participants[1].Status(), cluster.Participants[2].Status(),
 		cluster.Participants[3].Status(), cluster.Coordinator.Status())
@@ -53,29 +59,30 @@ func main() {
 	// p[3] crashes — this one takes the network down.
 	mark = len(cluster.Events)
 	cluster.Participants[3].Crash()
-	fmt.Printf("t=%-4d p[3] crashes\n", cluster.Sim.Now())
+	fmt.Fprintf(w, "t=%-4d p[3] crashes\n", cluster.Sim.Now())
 	cluster.Sim.RunUntil(700)
-	printNew(cluster, mark)
-	fmt.Printf("t=%-4d final: p[0] %v, p[1] %v, p[2] %v (left earlier, unaffected)\n",
+	printNew(w, cluster, mark)
+	fmt.Fprintf(w, "t=%-4d final: p[0] %v, p[1] %v, p[2] %v (left earlier, unaffected)\n",
 		cluster.Sim.Now(), cluster.Coordinator.Status(),
 		cluster.Participants[1].Status(), cluster.Participants[2].Status())
+	return 0
 }
 
 // printNew prints events recorded at or after index from.
-func printNew(cluster *detector.Cluster, from int) {
+func printNew(w io.Writer, cluster *detector.Cluster, from int) {
 	for _, e := range cluster.Events[from:] {
 		switch e.Kind {
 		case detector.EventJoined:
-			fmt.Printf("t=%-4d p[%d] joined the protocol\n", e.Time, e.Node)
+			fmt.Fprintf(w, "t=%-4d p[%d] joined the protocol\n", e.Time, e.Node)
 		case detector.EventLeft:
-			fmt.Printf("t=%-4d p[%d] left the protocol (acknowledged by p[0])\n", e.Time, e.Node)
+			fmt.Fprintf(w, "t=%-4d p[%d] left the protocol (acknowledged by p[0])\n", e.Time, e.Node)
 		case detector.EventSuspect:
-			fmt.Printf("t=%-4d p[0] suspects p[%d]\n", e.Time, e.Proc)
+			fmt.Fprintf(w, "t=%-4d p[0] suspects p[%d]\n", e.Time, e.Proc)
 		case detector.EventInactivated:
 			if e.Voluntary {
-				fmt.Printf("t=%-4d node %d crashed\n", e.Time, e.Node)
+				fmt.Fprintf(w, "t=%-4d node %d crashed\n", e.Time, e.Node)
 			} else {
-				fmt.Printf("t=%-4d node %d wound down\n", e.Time, e.Node)
+				fmt.Fprintf(w, "t=%-4d node %d wound down\n", e.Time, e.Node)
 			}
 		}
 	}

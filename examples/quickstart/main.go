@@ -7,13 +7,17 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/detector"
 )
 
-func main() {
+func main() { os.Exit(run(os.Stdout)) }
+
+// run narrates the run to w and returns the exit status.
+func run(w io.Writer) int {
 	cluster, err := detector.NewCluster(detector.ClusterConfig{
 		Protocol: detector.ProtocolBinary,
 		// tmin=2, tmax=16: one heartbeat exchange per 16 ticks when all
@@ -21,40 +25,42 @@ func main() {
 		Core: core.Config{TMin: 2, TMax: 16},
 		Seed: 42,
 	})
-	if err != nil {
-		log.Fatalf("building cluster: %v", err)
+	if err == nil {
+		err = cluster.Start()
 	}
-	if err := cluster.Start(); err != nil {
-		log.Fatalf("starting cluster: %v", err)
+	if err != nil {
+		fmt.Fprintln(w, "quickstart:", err)
+		return 1
 	}
 
 	// Let the protocol idle in steady state for a while.
 	cluster.Sim.RunUntil(200)
-	fmt.Printf("t=%-4d steady state: p[0] %v, p[1] %v, %d beats on the wire\n",
+	fmt.Fprintf(w, "t=%-4d steady state: p[0] %v, p[1] %v, %d beats on the wire\n",
 		cluster.Sim.Now(), cluster.Coordinator.Status(),
 		cluster.Participants[1].Status(), cluster.Net.Stats().Total.Sent)
 
 	// Crash p[1] and let the protocol notice.
 	cluster.Participants[1].Crash()
-	fmt.Printf("t=%-4d p[1] crashes\n", cluster.Sim.Now())
+	fmt.Fprintf(w, "t=%-4d p[1] crashes\n", cluster.Sim.Now())
 	cluster.Sim.RunUntil(400)
 
 	for _, e := range cluster.Events {
 		switch e.Kind {
 		case detector.EventSuspect:
-			fmt.Printf("t=%-4d p[0] suspects p[%d] (waiting time decayed below tmin)\n", e.Time, e.Proc)
+			fmt.Fprintf(w, "t=%-4d p[0] suspects p[%d] (waiting time decayed below tmin)\n", e.Time, e.Proc)
 		case detector.EventInactivated:
 			kind := "non-voluntarily"
 			if e.Voluntary {
 				kind = "voluntarily (crash)"
 			}
-			fmt.Printf("t=%-4d node %d inactivated %s\n", e.Time, e.Node, kind)
+			fmt.Fprintf(w, "t=%-4d node %d inactivated %s\n", e.Time, e.Node, kind)
 		}
 	}
-	fmt.Printf("t=%-4d final: p[0] %v, p[1] %v\n",
+	fmt.Fprintf(w, "t=%-4d final: p[0] %v, p[1] %v\n",
 		cluster.Sim.Now(), cluster.Coordinator.Status(), cluster.Participants[1].Status())
 
 	cfg := core.Config{TMin: 2, TMax: 16}
-	fmt.Printf("corrected worst-case detection bound: %d ticks (3·tmax − tmin)\n",
+	fmt.Fprintf(w, "corrected worst-case detection bound: %d ticks (3·tmax − tmin)\n",
 		cfg.CoordinatorDetectionBound())
+	return 0
 }

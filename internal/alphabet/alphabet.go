@@ -1,18 +1,22 @@
 // Package alphabet owns the event vocabulary the timed-automata models and
 // the detector runtime share: every action either side can name is a Label
 // — a Kind plus up to two integers — and the text a human reads is produced
-// and accepted here and nowhere else. internal/models labels its edges by
-// rendering Labels, internal/conform records and checks them as values, and
-// strings reappear only in reports.
+// here and nowhere else. internal/models puts Labels on its edges,
+// internal/ta and internal/mc carry them through successors, transition
+// systems and witnesses, internal/conform records and checks them, and
+// strings appear only where a report or an export is written.
 //
 // The grammar is the table below, one row per kind: "%" stands for an
-// argument, rendered in canonical decimal (strconv.Itoa's form). Parse is
-// the exact inverse of String on the enumerated kinds — it rejects signs,
-// leading zeros and trailing bytes, so a malformed text cannot impersonate
-// a real label ("crash p[01]" is not p[1] crashing).
+// argument, rendered in canonical decimal (strconv.Itoa's form). An
+// argument a row does not render is not part of the label: labels that
+// render alike are alike to an Index too.
 package alphabet
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+	"strings"
+)
 
 // Kind enumerates the alphabet.
 type Kind uint8
@@ -20,8 +24,12 @@ type Kind uint8
 // The kinds, grouped as DESIGN.md "Event alphabet" tabulates them. A is the
 // process the label is about unless noted.
 const (
+	// Tau is the internal step: an edge with no label, or a transition an
+	// LTS hides. It is the zero Kind, so the zero Label is tau.
+	Tau Kind = iota
+
 	// Tick is the passage of one time unit in the model LTS.
-	Tick Kind = iota
+	Tick
 
 	// Visible: model actions the runtime observes.
 	SendBeat
@@ -56,9 +64,26 @@ const (
 	DeliverStray // a beat from p[B], not the coordinator, arriving at p[A]
 	Retune       // p[0] moving to the operating point (tmin A, tmax B)
 
+	// Figure-only: the isolated processes of Figures 1 and 2
+	// (models.BuildIsolatedP0/P1), spelled as the figures spell them.
+	FigVInactivate
+	FigNVInactivate
+	FigTimeout
+	FigBeatFor  // a beat of p[B] sent for p[A]
+	FigBeatFrom // beat hb[B] received from p[A]
+
 	// NumKinds bounds the enumeration; a Label whose Kind is not below it
 	// is outside every alphabet.
 	NumKinds
+)
+
+// lane is where a message-sequence chart draws a kind (internal/trace).
+type lane uint8
+
+const (
+	laneChannel lane = iota // the channel lane
+	laneA                   // p[A]'s lane; the channel lane for a negative A
+	laneP0                  // p[0]'s lane
 )
 
 // table is the grammar and the classification, one row per kind.
@@ -66,22 +91,24 @@ var table = [NumKinds]struct {
 	text     string
 	hidden   bool
 	byDesign bool
+	lane     lane
 }{
+	Tau:  {text: "tau", hidden: true},
 	Tick: {text: "tick"},
 
-	SendBeat:       {text: "p[%]: send beat"},
-	SendJoin:       {text: "p[%]: send join beat"},
-	SendLeave:      {text: "p[%]: send leave beat", byDesign: true},
-	DecideLeave:    {text: "p[%]: decide leave", byDesign: true},
+	SendBeat:       {text: "p[%]: send beat", lane: laneA},
+	SendJoin:       {text: "p[%]: send join beat", lane: laneA},
+	SendLeave:      {text: "p[%]: send leave beat", byDesign: true, lane: laneA},
+	DecideLeave:    {text: "p[%]: decide leave", byDesign: true, lane: laneA},
 	DeliverBeat:    {text: "deliver beat to p[%]"},
 	DeliverBeatP0:  {text: "deliver beat to p[0] from p[%]"},
 	DeliverJoinP0:  {text: "deliver join beat to p[0] from p[%]"},
 	DeliverLeaveP0: {text: "deliver leave beat to p[0] from p[%]", byDesign: true},
-	Timeout:        {text: "timeout p[%]"},
-	Inactivate:     {text: "inactivate nv p[%]"},
-	Crash:          {text: "crash p[%]"},
+	Timeout:        {text: "timeout p[%]", lane: laneA},
+	Inactivate:     {text: "inactivate nv p[%]", lane: laneA},
+	Crash:          {text: "crash p[%]", lane: laneA},
 
-	Start:        {text: "p[%]: start", hidden: true},
+	Start:        {text: "p[%]: start", hidden: true, lane: laneA},
 	LoseBeatTo:   {text: "lose beat to p[%]", hidden: true},
 	LoseBeatFrom: {text: "lose beat from p[%]", hidden: true},
 	LoseJoinFrom: {text: "lose join beat from p[%]", hidden: true},
@@ -89,37 +116,30 @@ var table = [NumKinds]struct {
 	// reaches a checker's event path.
 	LoseLeaveFrom: {text: "lose leave beat from p[%]", hidden: true, byDesign: true},
 	NoReply:       {text: "p[%] gives no reply", hidden: true},
-	SuppressJoin:  {text: "p[%]: suppress duplicate join", hidden: true},
-	ErrorR1:       {text: "error R1 p[%]", hidden: true},
+	SuppressJoin:  {text: "p[%]: suppress duplicate join", hidden: true, lane: laneA},
+	ErrorR1:       {text: "error R1 p[%]", hidden: true, lane: laneA},
 	ErrorShutdown: {text: "error shutdown", hidden: true},
 
 	DeliverLeaveAck: {text: "deliver leave ack to p[%]", byDesign: true},
-	SendLeaveAck:    {text: "p[0]: send leave ack to p[%]", byDesign: true},
-	Rejoin:          {text: "p[%]: rejoin", byDesign: true},
-	Restart:         {text: "p[%]: restart", byDesign: true},
+	SendLeaveAck:    {text: "p[0]: send leave ack to p[%]", byDesign: true, lane: laneP0},
+	Rejoin:          {text: "p[%]: rejoin", byDesign: true, lane: laneA},
+	Restart:         {text: "p[%]: restart", byDesign: true, lane: laneA},
 	DeliverStray:    {text: "deliver stray beat to p[%] from p[%]", byDesign: true},
-	Retune:          {text: "p[0]: retune to (%,%)"},
+	Retune:          {text: "p[0]: retune to (%,%)", lane: laneP0},
+
+	FigVInactivate:  {text: "inactivate v p%"},
+	FigNVInactivate: {text: "inactivate nv p%"},
+	FigTimeout:      {text: "timeout at P%"},
+	FigBeatFor:      {text: "for p%(hb%)"},
+	FigBeatFrom:     {text: "from p%(hb%)"},
 }
 
-// form is a table text cut at its "%"s: part[0] A part[1] B part[2].
-type form struct {
-	part [3]string
-	args int
-}
-
-var forms = func() (fs [NumKinds]form) {
+// arity counts the arguments each kind's text renders.
+var arity = func() (n [NumKinds]int) {
 	for k, row := range table {
-		f, start := &fs[k], 0
-		for i := 0; i < len(row.text); i++ {
-			if row.text[i] == '%' {
-				f.part[f.args] = row.text[start:i]
-				f.args++
-				start = i + 1
-			}
-		}
-		f.part[f.args] = row.text[start:]
+		n[k] = strings.Count(row.text, "%")
 	}
-	return fs
+	return n
 }()
 
 // Observable reports whether the runtime can see an action of kind k. The
@@ -152,7 +172,7 @@ type Label struct {
 }
 
 // String renders l. It is total: a Kind outside the enumeration renders as
-// a text Parse rejects.
+// "unknown kind" with both arguments.
 func (l Label) String() string {
 	var buf [80]byte
 	b := buf[:0]
@@ -162,57 +182,85 @@ func (l Label) String() string {
 		b = strconv.AppendInt(append(b, ','), int64(l.B), 10)
 		return string(append(b, ')'))
 	}
-	f, args := &forms[l.Kind], [2]int32{l.A, l.B}
-	b = append(b, f.part[0]...)
-	for i, arg := range args[:f.args] {
-		b = append(strconv.AppendInt(b, int64(arg), 10), f.part[i+1]...)
+	text, arg := table[l.Kind].text, [2]int32{l.A, l.B}
+	for i, n := 0, 0; i < len(text); i++ {
+		if text[i] != '%' {
+			b = append(b, text[i])
+			continue
+		}
+		b = strconv.AppendInt(b, int64(arg[n]), 10)
+		n++
 	}
 	return string(b)
 }
 
-// Parse is the inverse of String on the enumerated kinds: it accepts s
-// exactly when some Label renders to it, and returns that Label with its
-// unused arguments zero.
-func Parse(s string) (Label, bool) {
-	for k := range forms {
-		if args, ok := forms[k].match(s); ok {
-			return Label{Kind: Kind(k), A: args[0], B: args[1]}, true
-		}
+// Lane returns the process whose lane of a message-sequence chart l is drawn
+// in, and false for the channel lane: the lane of every kind outside the
+// enumeration, and of a label about a negative process.
+func (l Label) Lane() (int32, bool) {
+	switch {
+	case l.Kind >= NumKinds:
+		return 0, false
+	case table[l.Kind].lane == laneA:
+		return l.A, l.A >= 0
 	}
-	return Label{}, false
+	return 0, table[l.Kind].lane == laneP0
 }
 
-func (f *form) match(s string) (args [2]int32, ok bool) {
-	rest, ok := cutPrefix(s, f.part[0])
-	for i := 0; ok && i < f.args; i++ {
-		n := 0
-		for n < len(rest) && (rest[n] == '-' || '0' <= rest[n] && rest[n] <= '9') {
-			n++
-		}
-		if args[i], ok = atoi(rest[:n]); ok {
-			rest, ok = cutPrefix(rest[n:], f.part[i+1])
-		}
+// canonical zeroes the arguments l's row does not render, and reports
+// false for a kind outside the enumeration.
+func (l Label) canonical() (Label, bool) {
+	if l.Kind >= NumKinds {
+		return l, false
 	}
-	return args, ok && rest == ""
+	switch arity[l.Kind] {
+	case 0:
+		l.A = 0
+		fallthrough
+	case 1:
+		l.B = 0
+	}
+	return l, true
 }
 
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) < len(prefix) || s[:len(prefix)] != prefix {
-		return s, false
+// Index numbers labels densely, for tables indexed by label: kind-major,
+// then A, then B, over the arguments [0, maxA] × [0, maxB] of the labels it
+// has been widened to cover. Only the arguments a kind renders count, so
+// labels that render alike share an id. The zero Index covers exactly the
+// labels whose rendered arguments are 0 — tau and tick among them.
+type Index struct{ maxA, maxB int32 }
+
+// Cover widens x to number l. It reports false, leaving x as it was, for a
+// label no Index numbers: one outside the enumeration, one with a negative
+// argument, or one that would take Len past math.MaxInt32.
+func (x *Index) Cover(l Label) bool {
+	l, ok := l.canonical()
+	if !ok || l.A < 0 || l.B < 0 {
+		return false
 	}
-	return s[len(prefix):], true
+	w := Index{maxA: max(x.maxA, l.A), maxB: max(x.maxB, l.B)}
+	if (int64(w.maxA)+1)*(int64(w.maxB)+1) > math.MaxInt32/int64(NumKinds) {
+		return false
+	}
+	*x = w
+	return true
 }
 
-// atoi parses a canonical decimal int32: what strconv.Itoa renders and
-// nothing else (ParseInt alone also takes "+2", "02" and "-0").
-func atoi(s string) (int32, bool) {
-	digits := s
-	if digits != "" && digits[0] == '-' {
-		digits = digits[1:]
-	}
-	if digits == "" || digits[0] == '-' || digits[0] == '0' && s != "0" {
+// Len is the number of ids: every id lies in [0, Len).
+func (x Index) Len() int { return int(NumKinds) * int(x.maxA+1) * int(x.maxB+1) }
+
+// ID returns l's id, and false when x does not cover l.
+func (x Index) ID(l Label) (int, bool) {
+	l, ok := l.canonical()
+	if !ok || uint32(l.A) > uint32(x.maxA) || uint32(l.B) > uint32(x.maxB) {
 		return 0, false
 	}
-	v, err := strconv.ParseInt(s, 10, 32)
-	return int32(v), err == nil
+	return (int(l.Kind)*int(x.maxA+1)+int(l.A))*int(x.maxB+1) + int(l.B), true
+}
+
+// Label returns the label numbered id, with the arguments its row does not
+// render zero: ID's inverse.
+func (x Index) Label(id int) Label {
+	nA, nB := int(x.maxA+1), int(x.maxB+1)
+	return Label{Kind: Kind(id / nB / nA), A: int32(id / nB % nA), B: int32(id % nB)}
 }

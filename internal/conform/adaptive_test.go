@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/alphabet"
@@ -8,8 +9,7 @@ import (
 	"repro/internal/models"
 )
 
-// garbage is a label of no kind — what a text that is not in the alphabet
-// becomes on its way to a checker (parseFuzzLabel).
+// garbage is a label of no kind, as a corrupted event would carry.
 var garbage = alphabet.Label{Kind: alphabet.NumKinds + 1, A: 1}
 
 func retune(tmin, tmax int32) alphabet.Label {
@@ -124,34 +124,34 @@ func TestCheckTraceAdaptiveLevelChangeResumes(t *testing.T) {
 	}
 }
 
-// TestParseRetuneRoundTrip: a retune reaches the piecewise checker as its
-// operating point, and a text that only resembles one never does — it
-// parses to no label, so it cannot be confirmed as an envelope transition
-// and reseed the frontier (the trailing-junk bug FuzzStreamChecker found
-// in the first, Sscanf-based parser).
+// TestParseRetuneRoundTrip: a retune decoded from FuzzStreamChecker's
+// fields is the label it spells and reaches the piecewise checker as its
+// operating point — confirmed on an envelope level, a divergence off the
+// levels or with a negative bound — and a label of any other kind with the
+// same arguments is never confirmed as an envelope transition.
 func TestParseRetuneRoundTrip(t *testing.T) {
 	c := adaptiveCheck(t)
 	for _, tc := range []struct {
-		text    string
+		label   alphabet.Label
 		retunes int
 	}{
-		{"p[0]: retune to (2,8)", 1},
-		{"p[0]: retune to (2,4)", 1},
-		// Renderable, so they parse — and then fail the envelope lookup.
-		{"p[0]: retune to (-2,4)", 0}, {"p[0]: retune to (0,0)", 0},
-		{"p[0]: retune to (-2147483648,2147483647)", 0},
-		{"deliver beat to p[0] from p[1]", 0},
-		{"p[0]: retune to (2,4)x", 0}, {"p[0]: retune to (2,4", 0}, {"p[0]: retune to (2,4))", 0},
-		{"p[0]: retune to (2)", 0}, {"p[0]: retune to (2,4,8)", 0}, {"p[0]: retune to (,4)", 0}, {"p[0]: retune to (2,)", 0},
-		{"p[0]: retune to (+2,4)", 0}, {"p[0]: retune to (02,4)", 0}, {"p[0]: retune to (2, 4)", 0}, {"p[0]: retune to (2,0x4)", 0},
-		{"p[0]: retune to (2,2147483648)", 0}, {"p[0]: retune to (1_0,4)", 0},
+		{retune(2, 8), 1}, {retune(2, 4), 1},
+		{retune(-2, 4), 0}, {retune(2, -4), 0}, {retune(0, 0), 0}, {retune(3, 5), 0}, {retune(2, 5), 0},
+		{retune(math.MinInt32, math.MaxInt32), 0},
+		{alphabet.Label{Kind: alphabet.DeliverBeatP0, A: 2, B: 8}, 0},
+		{alphabet.Label{Kind: alphabet.NumKinds, A: 2, B: 8}, 0},
+		{alphabet.Label{Kind: 255, A: 2, B: 8}, 0},
 	} {
-		res, err := c.CheckTraceAdaptive([]Event{{Time: 0, Label: parseFuzzLabel(tc.text)}}, 0)
+		events := parseFuzzTrace(fuzzEvent(0, tc.label.Kind, int64(tc.label.A), int64(tc.label.B)))
+		if len(events) != 1 || events[0].Label != tc.label {
+			t.Fatalf("%+v decodes as %+v", tc.label, events)
+		}
+		res, err := c.CheckTraceAdaptive(events, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Retunes != tc.retunes || (res.Unconfirmed == nil) != (tc.retunes == 1) {
-			t.Errorf("%q: Retunes = %d, unconfirmed = %v; want %d retunes", tc.text, res.Retunes, res.Unconfirmed, tc.retunes)
+			t.Errorf("%v: Retunes = %d, unconfirmed = %v; want %d retunes", tc.label, res.Retunes, res.Unconfirmed, tc.retunes)
 		}
 	}
 }
@@ -160,38 +160,34 @@ func TestParseRetuneRoundTrip(t *testing.T) {
 // fall, and nothing else is.
 func TestConfirmedByDesign(t *testing.T) {
 	c := adaptiveCheck(t)
-	confirmed := func(text string) int {
-		l, ok := alphabet.Parse(text)
-		if !ok {
-			t.Fatalf("%q is not in the alphabet", text)
-		}
+	confirmed := func(l alphabet.Label) int {
 		res, err := c.CheckTraceAdaptive([]Event{{Time: 0, Label: l}}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if (res.Confirmed == 1) == (res.Unconfirmed != nil) {
-			t.Fatalf("%q: Confirmed = %d with unconfirmed = %v", text, res.Confirmed, res.Unconfirmed)
+			t.Fatalf("%v: Confirmed = %d with unconfirmed = %v", l, res.Confirmed, res.Unconfirmed)
 		}
 		return res.Confirmed
 	}
-	for _, text := range []string{
-		"p[1]: decide leave", "p[1]: send leave beat", "deliver leave beat to p[0] from p[1]",
-		"deliver leave ack to p[1]", "p[0]: send leave ack to p[1]",
-		"p[1]: restart", "p[1]: rejoin",
-		"deliver stray beat to p[1] from p[2]",
+	for _, l := range []alphabet.Label{
+		alphabet.DecideLeave.Of(1), alphabet.SendLeave.Of(1), alphabet.DeliverLeaveP0.Of(1),
+		alphabet.DeliverLeaveAck.Of(1), alphabet.SendLeaveAck.Of(1),
+		alphabet.Restart.Of(1), alphabet.Rejoin.Of(1),
+		{Kind: alphabet.DeliverStray, A: 1, B: 2},
 	} {
-		if confirmed(text) != 1 {
-			t.Errorf("%q was not confirmed by design", text)
+		if confirmed(l) != 1 {
+			t.Errorf("%v was not confirmed by design", l)
 		}
 	}
 	// None of these is enabled in the initial state, so each is a
 	// divergence no rule explains.
-	for _, text := range []string{
-		"deliver beat to p[0] from p[1]", "p[1]: send beat",
-		"timeout p[0]", "inactivate nv p[1]", "deliver join beat to p[0] from p[1]",
+	for _, l := range []alphabet.Label{
+		alphabet.DeliverBeatP0.Of(1), alphabet.SendBeat.Of(1),
+		alphabet.Timeout.Of(0), alphabet.Inactivate.Of(1), alphabet.DeliverJoinP0.Of(1),
 	} {
-		if confirmed(text) != 0 {
-			t.Errorf("%q was confirmed by design", text)
+		if confirmed(l) != 0 {
+			t.Errorf("%v was confirmed by design", l)
 		}
 	}
 }

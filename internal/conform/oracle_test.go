@@ -40,7 +40,7 @@ type refChecker struct {
 
 // refIDs is the reference's own way from an event to a label id: a map
 // keyed by the rendered text, checked against Spec.Alphabet — so it shares
-// nothing with the dense (kind, process) table it is holding Spec.id to.
+// nothing with the dense label index it is holding Spec.id to.
 func refIDs(t *testing.T, sp *Spec) map[string]int32 {
 	t.Helper()
 	ids := make(map[string]int32, len(sp.labels))

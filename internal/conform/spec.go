@@ -21,12 +21,12 @@ type Spec struct {
 	// NumStates and NumTransitions report the size of the underlying LTS.
 	NumStates, NumTransitions int
 
-	// labels lists the visible alphabet by id; ids is its inverse, dense
-	// over (kind, process): ids[kind*stride+A], -1 where the specification
-	// has no such label. id is the bounds-checked way in.
+	// labels lists the visible alphabet by its compact ids; ids is the
+	// inverse, over the dense index of the labels about p[0]..p[N]: -1
+	// where the specification has no such label. id is the way in.
 	labels []alphabet.Label
+	index  alphabet.Index
 	ids    []int32
-	stride int32
 	tickID int32
 
 	visOff []int32
@@ -63,49 +63,48 @@ func BuildSpec(cfg models.Config, opts mc.Options) (*Spec, error) {
 	}
 
 	// The model's labels are about p[0]..p[N], N as Build settled it; the
-	// table spans exactly those.
-	sp.stride = int32(m.Cfg.N) + 1
-	sp.ids = make([]int32, int(alphabet.NumKinds)*int(sp.stride))
+	// index spans exactly those.
+	sp.index.Cover(alphabet.SendBeat.Of(m.Cfg.N))
+	sp.ids = make([]int32, sp.index.Len())
 	for i := range sp.ids {
 		sp.ids[i] = -1
 	}
 	intern := func(l alphabet.Label) int32 {
-		slot := &sp.ids[int32(l.Kind)*sp.stride+l.A]
-		if *slot < 0 {
-			*slot = int32(len(sp.labels))
+		id, _ := sp.index.ID(l)
+		if sp.ids[id] < 0 {
+			sp.ids[id] = int32(len(sp.labels))
 			sp.labels = append(sp.labels, l)
 		}
-		return *slot
+		return sp.ids[id]
 	}
 	sp.tickID = intern(tick)
 
-	// Each distinct model label is read once, not per transition: specID
-	// maps the LTS's label ids to the specification's, -1 for what the
-	// runtime cannot observe, which become internal (tau) steps — the LTS's
-	// own unlabelled and mc.Tau transitions (channel busy-drops among them)
-	// and the alphabet's hidden kinds. Join deliveries are interned as the
-	// plain deliveries they are on the wire.
-	ids, names := lts.InternedLabels()
-	specID := make([]int32, len(names))
-	for i, raw := range names {
-		specID[i] = -1
-		if raw == "" || raw == mc.Tau {
-			continue
-		}
-		l, ok := alphabet.Parse(raw)
-		if !ok || uint32(l.A) >= uint32(sp.stride) {
-			return nil, fmt.Errorf("conform: %v model label %q is not in the alphabet of %d participants", cfg.Variant, raw, m.Cfg.N)
-		}
-		if l.Kind.Observable() {
-			specID[i] = intern(alphabet.Label{Kind: l.Kind.Wire(), A: l.A})
-		}
+	// Each distinct model label is classified once, not per transition:
+	// specID maps a label's index id to the specification's, -1 for what
+	// the runtime cannot observe, which become internal (tau) steps — the
+	// LTS's unlabelled transitions (channel busy-drops among them) and the
+	// alphabet's hidden kinds. Join deliveries are interned as the plain
+	// deliveries they are on the wire. Two counting-sort passes then build
+	// the CSR adjacency.
+	const unseen = -2
+	specID := make([]int32, sp.index.Len())
+	for i := range specID {
+		specID[i] = unseen
 	}
-
-	// Two counting-sort passes build the CSR adjacency.
 	visCount := make([]int32, lts.NumStates+1)
 	tauCount := make([]int32, lts.NumStates+1)
-	for i, t := range lts.Transitions {
-		if specID[ids[i]] >= 0 {
+	for _, t := range lts.Transitions {
+		id, ok := sp.index.ID(t.Label)
+		if !ok {
+			return nil, fmt.Errorf("conform: %v model label %q is about a process the %d participants lack", cfg.Variant, t.Label, m.Cfg.N)
+		}
+		if specID[id] == unseen {
+			specID[id] = -1
+			if t.Label.Kind.Observable() {
+				specID[id] = intern(alphabet.Label{Kind: t.Label.Kind.Wire(), A: t.Label.A})
+			}
+		}
+		if specID[id] >= 0 {
 			visCount[t.From]++
 		} else {
 			tauCount[t.From]++
@@ -121,8 +120,9 @@ func BuildSpec(cfg models.Config, opts mc.Options) (*Spec, error) {
 	sp.tauTo = make([]int32, sp.tauOff[lts.NumStates])
 	visNext := append([]int32(nil), sp.visOff...)
 	tauNext := append([]int32(nil), sp.tauOff...)
-	for i, t := range lts.Transitions {
-		if id := specID[ids[i]]; id >= 0 {
+	for _, t := range lts.Transitions {
+		id, _ := sp.index.ID(t.Label)
+		if id := specID[id]; id >= 0 {
 			sp.vis[visNext[t.From]] = visEdge{label: id, to: int32(t.To)}
 			visNext[t.From]++
 		} else {
@@ -135,13 +135,14 @@ func BuildSpec(cfg models.Config, opts mc.Options) (*Spec, error) {
 }
 
 // id returns the specification's id of l, or -1 when l is outside its
-// alphabet — which every label is whose kind or process the table does not
-// span, and every two-argument (runtime-only) kind.
+// alphabet — which every label is whose kind or process the index does not
+// span, and every runtime-only two-argument label.
 func (sp *Spec) id(l alphabet.Label) int32 {
-	if l.Kind >= alphabet.NumKinds || uint32(l.A) >= uint32(sp.stride) {
+	id, ok := sp.index.ID(l)
+	if !ok {
 		return -1
 	}
-	return sp.ids[int32(l.Kind)*sp.stride+l.A]
+	return sp.ids[id]
 }
 
 // Alphabet returns the sorted visible labels of the specification.

@@ -551,7 +551,7 @@ func (inc *Incident) Render(w io.Writer, title string) error {
 	}
 	steps := make([]mc.Step, 0, len(inc.Tail))
 	for _, ev := range inc.Tail {
-		steps = append(steps, mc.Step{Label: ev.Label.String(), Time: int(ev.Time)})
+		steps = append(steps, mc.Step{Label: ev.Label, Time: int(ev.Time)})
 	}
 	if err := trace.Render(w, title, steps); err != nil {
 		return err

@@ -1,6 +1,9 @@
 package conform
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -23,37 +26,28 @@ var fuzzChecks = sync.OnceValues(func() (*CampaignCheck, *CampaignCheck) {
 	return &CampaignCheck{Model: model, Envelope: &env}, &CampaignCheck{Model: model}
 })
 
-// parseFuzzLabel reads a label text through the alphabet's one parser. A
-// text that is not a label becomes some label of no kind, derived from its
-// bytes, so garbage still reaches the engine — as the out-of-alphabet
-// value a corrupted event would be.
-func parseFuzzLabel(text string) alphabet.Label {
-	if l, ok := alphabet.Parse(text); ok {
-		return l
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(text); i++ {
-		h = (h ^ uint32(text[i])) * 16777619
-	}
-	outside := uint32(256 - int(alphabet.NumKinds))
-	return alphabet.Label{Kind: alphabet.NumKinds + alphabet.Kind(h%outside), A: int32(h >> 8), B: int32(len(text))}
-}
-
-// parseFuzzTrace decodes an event per line, "<time> <label>", skipping
-// lines with no time. Times are arbitrary (negative, out of order); labels
-// are arbitrary bytes. Capped so a single input stays cheap.
+// parseFuzzTrace decodes an event per line, "<time> <kind> <a> <b>" in
+// decimal, skipping lines whose fields do not all parse. Times are
+// arbitrary (negative, out of order); the kind is any byte, in the
+// enumeration or not, and the arguments any int32 — so a label can name a
+// process the model lacks, carry an argument its kind does not render, or
+// be of no kind at all, as a corrupted event would. Capped so a single
+// input stays cheap.
 func parseFuzzTrace(data string) []Event {
 	var events []Event
 	for _, line := range strings.Split(data, "\n") {
-		t, label, ok := strings.Cut(line, " ")
-		if !ok {
+		f := strings.Fields(line)
+		if len(f) != 4 {
 			continue
 		}
-		n, err := strconv.ParseInt(t, 10, 64)
-		if err != nil {
+		t, errT := strconv.ParseInt(f[0], 10, 64)
+		k, errK := strconv.ParseUint(f[1], 10, 8)
+		a, errA := strconv.ParseInt(f[2], 10, 32)
+		b, errB := strconv.ParseInt(f[3], 10, 32)
+		if errors.Join(errT, errK, errA, errB) != nil {
 			continue
 		}
-		events = append(events, Event{Time: core.Tick(n), Label: parseFuzzLabel(label)})
+		events = append(events, Event{Time: core.Tick(t), Label: alphabet.Label{Kind: alphabet.Kind(k), A: int32(a), B: int32(b)}})
 		if len(events) >= 1<<12 {
 			break
 		}
@@ -61,31 +55,49 @@ func parseFuzzTrace(data string) []Event {
 	return events
 }
 
-// FuzzStreamChecker feeds arbitrary event sequences — malformed retune
-// labels, out-of-order virtual timestamps, garbage labels — through the
-// streaming checker and demands it (a) never panics, (b) is
+// fuzzEvent renders one event line of the fuzz input.
+func fuzzEvent(time int64, k alphabet.Kind, a, b int64) string {
+	return fmt.Sprintf("%d %d %d %d\n", time, k, a, b)
+}
+
+// FuzzStreamChecker feeds arbitrary event sequences — retunes outside the
+// envelope, out-of-order virtual timestamps, labels outside the alphabet —
+// through the streaming checker and demands it (a) never panics, (b) is
 // deterministic, (c) agrees byte-for-byte with the offline replay
 // checkers on verdicts, piecewise counters, and the first divergence, and
 // (d) agrees with the independent reference checker (oracle_test.go),
 // which shares none of the engine's frontier machinery and looks labels up
-// by text, not through the dense table. This target caught the
-// trailing-junk bug of the first retune parser ("p[0]: retune to (2,4)x"
-// was accepted as an envelope transition); that text, the non-canonical
-// process indices an early monitor accepted ("crash p[01]" as p[1]), and
-// the shapes that fall outside the specification's table — a negative
-// sender, a process the model does not have, a label of no kind — are
-// seeded below.
+// by text, not through the dense index. Seeded below: the shapes that fall
+// outside the specification's index — a negative sender, a process the
+// model does not have, a kind outside the enumeration, int32 extremes, an
+// argument the kind does not render — and retunes with a negative bound
+// or off the envelope's levels. The checked-in corpus spells kinds by
+// number (Retune is 27, DeliverBeatP0 7): a kind added before those
+// renumbers them.
 func FuzzStreamChecker(f *testing.F) {
-	f.Add("0 p[0]: retune to (2,4)\n1 p[1]: frobnicate\n2 deliver beat to p[0] from p[1]")
-	f.Add("0 p[0]: retune to (2,4)x\n1 p[0]: retune to (2,8)\n3 timeout p[0]")
-	f.Add("5 deliver beat to p[0] from p[1]\n2 p[1]: send beat\n-3 tick")
-	f.Add("0 p[0]: retune to (3,5)\n1 p[0]: retune to (-2,4)")
-	f.Add("1 p[1]: send beat\n2 deliver beat to p[0] from p[1]\n3 timeout p[0]\n63 inactivate nv p[1]")
-	f.Add("0 p[1]: decide leave\n1 p[1]: restart\n2 p[1]: rejoin\n3 deliver stray beat to p[1] from p[2]")
-	f.Add("1 crash p[01]\n2 inactivate nv p[007]\n3 deliver beat to p[0] from p[00]\n4 deliver leave beat to p[0] from p[01]")
-	f.Add("0 p[1]: restart\n0 p[0]: send beat\n0 deliver beat to p[1]\n0 p[1]: send beat\n1 p[0]: retune to (2,8)\n1 tick\n9 timeout p[0]")
-	f.Add("0 p[0]: send beat\n0 deliver beat to p[1]\n0 p[1]: send beat\n1 deliver beat to p[0] from p[-3]\n1 crash p[2]")
-	f.Add("0 p[0]: retune to (2,4)\n1 crash p[2147483647]\n2 inactivate nv p[-2147483648]\n3 \xff\xfe\n4 deliver stray beat to p[-1] from p[-1]")
+	const garbage = alphabet.NumKinds + 7
+	for _, seed := range [][]string{
+		{fuzzEvent(0, alphabet.Retune, 2, 4), fuzzEvent(1, garbage, 1, 0), fuzzEvent(2, alphabet.DeliverBeatP0, 1, 0)},
+		{fuzzEvent(0, alphabet.Retune, 2, -4), fuzzEvent(1, alphabet.Retune, 2, 8), fuzzEvent(3, alphabet.Timeout, 0, 0)},
+		{fuzzEvent(5, alphabet.DeliverBeatP0, 1, 0), fuzzEvent(2, alphabet.SendBeat, 1, 0), fuzzEvent(-3, alphabet.Tick, 0, 0)},
+		{fuzzEvent(0, alphabet.Retune, 3, 5), fuzzEvent(1, alphabet.Retune, -2, 4)},
+		{fuzzEvent(1, alphabet.SendBeat, 1, 0), fuzzEvent(2, alphabet.DeliverBeatP0, 1, 0), fuzzEvent(3, alphabet.Timeout, 0, 0),
+			fuzzEvent(63, alphabet.Inactivate, 1, 0)},
+		{fuzzEvent(0, alphabet.DecideLeave, 1, 0), fuzzEvent(1, alphabet.Restart, 1, 0), fuzzEvent(2, alphabet.Rejoin, 1, 0),
+			fuzzEvent(3, alphabet.DeliverStray, 1, 2)},
+		{fuzzEvent(1, alphabet.Crash, 2, 0), fuzzEvent(2, alphabet.Inactivate, 7, 0), fuzzEvent(3, alphabet.DeliverBeatP0, 0, 5),
+			fuzzEvent(4, alphabet.DeliverLeaveP0, 1, 9), fuzzEvent(5, alphabet.Tau, 0, 0), fuzzEvent(6, alphabet.FigTimeout, 0, 0)},
+		{fuzzEvent(0, alphabet.Restart, 1, 0), fuzzEvent(0, alphabet.SendBeat, 0, 0), fuzzEvent(0, alphabet.DeliverBeat, 1, 0),
+			fuzzEvent(0, alphabet.SendBeat, 1, 0), fuzzEvent(1, alphabet.Retune, 2, 8), fuzzEvent(1, alphabet.Tick, 3, 0),
+			fuzzEvent(9, alphabet.Timeout, 0, 0)},
+		{fuzzEvent(0, alphabet.SendBeat, 0, 0), fuzzEvent(0, alphabet.DeliverBeat, 1, 0), fuzzEvent(0, alphabet.SendBeat, 1, 0),
+			fuzzEvent(1, alphabet.DeliverBeatP0, -3, 0), fuzzEvent(1, alphabet.Crash, 2, 0)},
+		{fuzzEvent(0, alphabet.Retune, 2, 4), fuzzEvent(1, alphabet.Crash, math.MaxInt32, 0),
+			fuzzEvent(2, alphabet.Inactivate, math.MinInt32, 0), "3 \xff\xfe\n", fuzzEvent(4, alphabet.DeliverStray, -1, -1),
+			fuzzEvent(5, 255, math.MinInt32, math.MaxInt32)},
+	} {
+		f.Add(strings.Join(seed, ""))
+	}
 	f.Fuzz(func(t *testing.T, data string) {
 		events := parseFuzzTrace(data)
 		adaptive, plain := fuzzChecks()

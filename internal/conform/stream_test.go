@@ -648,7 +648,7 @@ func TestStreamSharedRegionConcurrent(t *testing.T) {
 }
 
 // TestOutOfRangeEventsDiverge: what falls outside the specification's
-// dense (kind, process) table — a beat whose sender decoded negative
+// dense label index — a beat whose sender decoded negative
 // (core.UnmarshalBeat sign-extends the 16-bit field), a process the model
 // does not have, a label of no kind — renders, diverges as an
 // out-of-alphabet label and indexes nothing out of bounds, on every way
@@ -672,7 +672,7 @@ func TestOutOfRangeEventsDiverge(t *testing.T) {
 			&loggedStep{id: math.MaxInt32, tr: crash, actions: []core.Action{core.Inactivate(true)}}},
 		{"inactivate nv p[-1]", alphabet.Inactivate.Of(-1), &loggedStep{id: -1,
 			tr: detector.Trigger{Kind: detector.TriggerTimer, Timer: core.TimerExpiry}, actions: []core.Action{core.Inactivate(false)}}},
-		{"unknown kind 27 (0,0)", alphabet.Label{Kind: alphabet.NumKinds}, nil},
+		{"unknown kind 33 (0,0)", alphabet.Label{Kind: alphabet.NumKinds}, nil},
 		{"unknown kind 255 (-7,9)", alphabet.Label{Kind: 255, A: -7, B: 9}, nil},
 	} {
 		for _, check := range []*CampaignCheck{adaptiveCheck(t), {Model: adaptiveCheck(t).Model}} {

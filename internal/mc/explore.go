@@ -26,18 +26,20 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/alphabet"
 	"repro/internal/ta"
 )
 
 // rawTrans is a transition recorded for LTS builds, in (from, successor
-// index) order. to is -1 for a target past the state limit.
+// index) order: label is the label's id in the explorer's index. to is -1
+// for a target past the state limit.
 type rawTrans struct {
 	from, to int32
 	label    uint16
 }
 
 // explorer holds one exploration: the store, the node records, the label
-// table and the scratch the expansion loop recycles.
+// index and the scratch the expansion loop recycles.
 type explorer struct {
 	goal      func(*ta.State) bool
 	prune     func(*ta.State) bool
@@ -57,8 +59,7 @@ type explorer struct {
 
 	// labels numbers every label a transition of the network can carry,
 	// for the transition records; complete before exploring.
-	labels   []string
-	labelIDs map[string]uint16
+	labels alphabet.Index
 
 	// ctx.Successors is not reentrant: each call recycles the context's
 	// scratch masks and, handed buf back, the previous call's Transition
@@ -70,23 +71,7 @@ type explorer struct {
 	keyBuf  []byte
 }
 
-// labelID returns the table id of a transition label.
-func (e *explorer) labelID(label string) uint16 {
-	id, ok := e.labelIDs[label]
-	if !ok {
-		panic("mc: transition label is on no edge of the network")
-	}
-	return id
-}
-
-func (e *explorer) declareLabel(label string) {
-	if _, ok := e.labelIDs[label]; !ok {
-		e.labelIDs[label] = uint16(len(e.labels))
-		e.labels = append(e.labels, label)
-	}
-}
-
-// newExplorer builds the store and the label table and commits the initial
+// newExplorer builds the store and the label index and commits the initial
 // configuration as state 0; atGoal reports that it satisfies the goal.
 func newExplorer(n *ta.Network, goal func(*ta.State) bool, opts Options, withTrans bool) (e *explorer, atGoal bool, err error) {
 	init := n.Initial()
@@ -99,21 +84,21 @@ func newExplorer(n *ta.Network, goal func(*ta.State) bool, opts Options, withTra
 		numLocs:   len(init.Locs),
 		numClocks: len(init.Clocks),
 		store:     newStateStore(init.KeyLen()),
-		labelIDs:  map[string]uint16{},
 		ctx:       n.NewSuccCtx(),
 		init:      init,
 		scratch:   init.Clone(),
 	}
-	// A transition's label is "tick" or an edge's (ta.Transition), so the
-	// table is complete up front.
-	e.declareLabel("tick")
+	// A transition's label is tick, which every index covers, or an edge's
+	// (ta.Transition), so the index is complete up front.
 	for _, a := range n.Automata() {
 		for i := range a.Edges {
-			e.declareLabel(a.Edges[i].Label)
+			if !e.labels.Cover(a.Edges[i].Label) {
+				return nil, false, fmt.Errorf("%w: %v", ErrLabelLimit, a.Edges[i].Label)
+			}
 		}
 	}
-	if len(e.labels) > math.MaxUint16 {
-		return nil, false, fmt.Errorf("%w: %d", ErrLabelLimit, len(e.labels))
+	if e.labels.Len() > math.MaxUint16+1 {
+		return nil, false, fmt.Errorf("%w: %d ids", ErrLabelLimit, e.labels.Len())
 	}
 	key := init.AppendKey(make([]byte, 0, e.store.keyLen))
 	e.store.intern(key, hashKey(key))
@@ -195,25 +180,18 @@ func (e *explorer) expand(id int, goalID *int, limitHit *bool) {
 			}
 		}
 		if e.withTrans {
-			e.trans.push(rawTrans{from: int32(id), to: int32(to), label: e.labelID(tr.Label)})
+			label, _ := e.labels.ID(tr.Label)
+			e.trans.push(rawTrans{from: int32(id), to: int32(to), label: uint16(label)})
 		}
 	}
 }
 
-// lts copies the transition log into the finished LTS, with its labels
-// interned in order of first use, as LTS.internLabels would.
+// lts copies the transition log into the finished LTS.
 func (e *explorer) lts() *LTS {
-	total := e.trans.n
-	l := &LTS{NumStates: e.info.n, Transitions: make([]Trans, total), labelIDs: make([]int32, total)}
-	ltsID := make([]int32, len(e.labels)) // explorer label id -> LTS label id + 1
+	l := &LTS{NumStates: e.info.n, Transitions: make([]Trans, e.trans.n)}
 	for i := range l.Transitions {
 		rt := e.trans.at(i)
-		if ltsID[rt.label] == 0 {
-			l.labelNames = append(l.labelNames, e.labels[rt.label])
-			ltsID[rt.label] = int32(len(l.labelNames))
-		}
-		l.labelIDs[i] = ltsID[rt.label] - 1
-		l.Transitions[i] = Trans{From: int(rt.from), Label: e.labels[rt.label], To: int(rt.to)}
+		l.Transitions[i] = Trans{From: int(rt.from), Label: e.labels.Label(int(rt.label)), To: int(rt.to)}
 	}
 	return l
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/alphabet"
 	"repro/internal/ta"
 )
 
@@ -52,7 +53,7 @@ func TestCanonExploresQuotient(t *testing.T) {
 	net.Add(&ta.Automaton{
 		Name:      "once",
 		Locations: []ta.Location{{Name: "Run"}, {Name: "End"}},
-		Edges:     []ta.Edge{{From: 0, To: 1, Label: "stop"}},
+		Edges:     []ta.Edge{{From: 0, To: 1, Label: alphabet.Crash.Of(0)}},
 	})
 	canon := func(s *ta.State) {
 		if s.Locs[0] == 1 {
@@ -80,7 +81,7 @@ func TestCanonExploresQuotient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reduced.Reachable || len(reduced.Trace) != len(plain.Trace) || reduced.Trace[1].Label != "stop" {
+	if !reduced.Reachable || len(reduced.Trace) != len(plain.Trace) || reduced.Trace[1].Label != alphabet.Crash.Of(0) {
 		t.Fatalf("witness %+v, on the network %+v", reduced.Trace, plain.Trace)
 	}
 	lts, err := BuildLTS(net, Options{Canon: canon})
@@ -92,18 +93,20 @@ func TestCanonExploresQuotient(t *testing.T) {
 	}
 }
 
-// TestCanonWitnessIsReplayed: two identical processes step L0 -> L1 -> L2,
-// and the canonicaliser stores the pair in ascending order. a1 first reaches
-// the class of (L1, L0), stored as (L0, L1), from which b2 first reaches the
-// goal class (L0, L2). "a1, b2" is no run of the network; the replay turns
-// the path into the run "a1, a2" that visits the same classes.
+// TestCanonWitnessIsReplayed: two identical processes p[1] and p[2] step
+// L0 -> L1 -> L2, sending a beat and then crashing, and the canonicaliser
+// stores the pair in ascending order. p[1]'s beat first reaches the class of
+// (L1, L0), stored as (L0, L1), from which p[2]'s crash first reaches the
+// goal class (L0, L2). That is no run of the network; the replay turns the
+// path into the run "p[1] beats, p[1] crashes" that visits the same classes.
 func TestCanonWitnessIsReplayed(t *testing.T) {
 	net := ta.NewNetwork()
-	for _, p := range []string{"a", "b"} {
+	for i, name := range []string{"p1", "p2"} {
+		p := i + 1
 		net.Add(&ta.Automaton{
-			Name:      p,
+			Name:      name,
 			Locations: []ta.Location{{Name: "L0"}, {Name: "L1"}, {Name: "L2"}},
-			Edges:     []ta.Edge{{From: 0, To: 1, Label: p + "1"}, {From: 1, To: 2, Label: p + "2"}},
+			Edges:     []ta.Edge{{From: 0, To: 1, Label: alphabet.SendBeat.Of(p)}, {From: 1, To: 2, Label: alphabet.Crash.Of(p)}},
 		})
 	}
 	canon := func(s *ta.State) {
@@ -116,12 +119,13 @@ func TestCanonWitnessIsReplayed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var labels []string
+	var labels []alphabet.Label
 	var locs [][]uint8
 	for _, step := range res.Trace {
 		labels, locs = append(labels, step.Label), append(locs, step.State.Locs)
 	}
-	if !slices.Equal(labels, []string{"", "a1", "a2"}) || !slices.EqualFunc(locs, [][]uint8{{0, 0}, {1, 0}, {2, 0}}, slices.Equal) {
-		t.Fatalf("witness %v through %v, want a1, a2 through (0,0), (1,0), (2,0)", labels, locs)
+	want := []alphabet.Label{{}, alphabet.SendBeat.Of(1), alphabet.Crash.Of(1)}
+	if !slices.Equal(labels, want) || !slices.EqualFunc(locs, [][]uint8{{0, 0}, {1, 0}, {2, 0}}, slices.Equal) {
+		t.Fatalf("witness %v through %v, want %v through (0,0), (1,0), (2,0)", labels, locs, want)
 	}
 }

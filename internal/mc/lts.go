@@ -1,64 +1,31 @@
 package mc
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
+	"repro/internal/alphabet"
 	"repro/internal/ta"
 )
-
-// Tau is the label of hidden (internal) transitions in an LTS.
-const Tau = "tau"
 
 // Trans is one labelled transition of an LTS.
 type Trans struct {
 	From  int
-	Label string
+	Label alphabet.Label
 	To    int
 }
 
-// LTS is an explicit labelled transition system.
+// LTS is an explicit labelled transition system. A hidden transition
+// carries tau, the zero Label. Every label is one an alphabet.Index
+// covers — an enumerated kind with non-negative arguments — as BuildLTS's
+// are; the reductions number them with one.
 type LTS struct {
 	NumStates   int
 	Initial     int
 	Transitions []Trans
-	// labelIDs and labelNames intern the transition labels to dense
-	// integer ids in order of first use (BuildLTS fills them from the
-	// explorer's label table, internLabels builds them for any other
-	// LTS), so the reduction algorithms compare ints instead of strings.
-	labelIDs   []int32
-	labelNames []string
-}
-
-// InternedLabels returns every transition's label id, parallel to
-// Transitions, and the id-to-name table, so a caller can decide once per
-// distinct label. Both slices belong to the LTS: read-only.
-func (l *LTS) InternedLabels() (ids []int32, names []string) {
-	l.internLabels()
-	return l.labelIDs, l.labelNames
-}
-
-// internLabels builds the label intern table; a no-op when already built
-// for the current transition count.
-func (l *LTS) internLabels() {
-	if l.labelIDs != nil && len(l.labelIDs) == len(l.Transitions) {
-		return
-	}
-	idx := make(map[string]int32, 16)
-	l.labelNames = l.labelNames[:0]
-	l.labelIDs = make([]int32, len(l.Transitions))
-	for i, t := range l.Transitions {
-		id, ok := idx[t.Label]
-		if !ok {
-			id = int32(len(l.labelNames))
-			l.labelNames = append(l.labelNames, t.Label)
-			idx[t.Label] = id
-		}
-		l.labelIDs[i] = id
-	}
 }
 
 // BuildLTS generates the full reachable transition system of a network.
@@ -71,48 +38,51 @@ func BuildLTS(n *ta.Network, opts Options) (*LTS, error) {
 	return e.lts(), nil
 }
 
-// Hide renames every transition whose label satisfies hidden to Tau. The
-// predicate is evaluated once per distinct label, not once per transition.
-func (l *LTS) Hide(hidden func(string) bool) *LTS {
-	l.internLabels()
-	renamed := make([]string, len(l.labelNames))
-	for i, name := range l.labelNames {
-		if hidden(name) {
-			renamed[i] = Tau
-		} else {
-			renamed[i] = name
-		}
-	}
-	out := &LTS{NumStates: l.NumStates, Initial: l.Initial}
-	out.Transitions = make([]Trans, len(l.Transitions))
+// Hide renames every transition whose label satisfies hidden to tau.
+func (l *LTS) Hide(hidden func(alphabet.Label) bool) *LTS {
+	out := &LTS{NumStates: l.NumStates, Initial: l.Initial, Transitions: make([]Trans, len(l.Transitions))}
 	for i, t := range l.Transitions {
-		t.Label = renamed[l.labelIDs[i]]
+		if hidden(t.Label) {
+			t.Label = alphabet.Label{}
+		}
 		out.Transitions[i] = t
 	}
 	return out
 }
 
-// Labels returns the sorted set of labels.
-func (l *LTS) Labels() []string {
-	l.internLabels()
-	out := append([]string(nil), l.labelNames...)
-	sort.Strings(out)
-	return out
-}
-
-// lEdge is an interned transition: a label id and a target state.
+// lEdge is a numbered transition: a label id and a target state.
 type lEdge struct {
 	label, to int32
 }
 
-// succEdges builds the per-state interned successor lists.
-func (l *LTS) succEdges() [][]lEdge {
-	l.internLabels()
-	succ := make([][]lEdge, l.NumStates)
-	for i, t := range l.Transitions {
-		succ[t.From] = append(succ[t.From], lEdge{l.labelIDs[i], int32(t.To)})
+// succEdges numbers the labels with an index that covers them all and
+// builds the per-state successor lists over the ids.
+func (l *LTS) succEdges() (alphabet.Index, [][]lEdge) {
+	var x alphabet.Index
+	for _, t := range l.Transitions {
+		if !x.Cover(t.Label) {
+			panic(fmt.Sprintf("mc: LTS label %v is outside every alphabet.Index", t.Label))
+		}
 	}
-	return succ
+	succ := make([][]lEdge, l.NumStates)
+	for _, t := range l.Transitions {
+		id, _ := x.ID(t.Label)
+		succ[t.From] = append(succ[t.From], lEdge{int32(id), int32(t.To)})
+	}
+	return x, succ
+}
+
+// texts renders each label of ts once, by its id in x; "" marks an id no
+// transition carries. The reductions order by text, as they did when
+// labels were strings.
+func texts(x alphabet.Index, ts []Trans) []string {
+	text := make([]string, x.Len())
+	for _, t := range ts {
+		if id, _ := x.ID(t.Label); text[id] == "" {
+			text[id] = t.Label.String()
+		}
+	}
+	return text
 }
 
 // appendUint32/appendUint64 extend binary signature keys.
@@ -130,7 +100,7 @@ func appendUint64(buf []byte, v uint64) []byte {
 // packed (label id, successor block) integers — sorted and deduplicated in
 // a reused buffer, with no per-state maps or string formatting.
 func (l *LTS) MinimizeStrong() *LTS {
-	succ := l.succEdges()
+	x, succ := l.succEdges()
 	block := make([]int32, l.NumStates) // all in block 0 initially
 	numBlocks := 1
 	var sigBuf []uint64
@@ -165,11 +135,12 @@ func (l *LTS) MinimizeStrong() *LTS {
 		numBlocks = len(sigs)
 		block = next
 	}
-	return l.quotient(block, numBlocks)
+	return l.quotient(x, block, numBlocks)
 }
 
-// quotient collapses states by block assignment.
-func (l *LTS) quotient(block []int32, numBlocks int) *LTS {
+// quotient collapses states by block assignment, ordering the transitions
+// by source, label text and target.
+func (l *LTS) quotient(x alphabet.Index, block []int32, numBlocks int) *LTS {
 	out := &LTS{NumStates: numBlocks, Initial: int(block[l.Initial])}
 	seen := map[Trans]bool{}
 	for _, t := range l.Transitions {
@@ -179,15 +150,11 @@ func (l *LTS) quotient(block []int32, numBlocks int) *LTS {
 			out.Transitions = append(out.Transitions, q)
 		}
 	}
-	sort.Slice(out.Transitions, func(i, j int) bool {
-		a, b := out.Transitions[i], out.Transitions[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		return a.To < b.To
+	text := texts(x, l.Transitions)
+	slices.SortFunc(out.Transitions, func(a, b Trans) int {
+		ia, _ := x.ID(a.Label)
+		ib, _ := x.ID(b.Label)
+		return cmp.Or(cmp.Compare(a.From, b.From), strings.Compare(text[ia], text[ib]), cmp.Compare(a.To, b.To))
 	})
 	return out
 }
@@ -200,14 +167,9 @@ func (l *LTS) quotient(block []int32, numBlocks int) *LTS {
 // state limit applies.
 func (l *LTS) WeakTraceReduce(opts Options) (*LTS, error) {
 	limit := opts.maxStates()
-	succ := l.succEdges()
-	numLabels := len(l.labelNames)
-	tau := int32(-1)
-	for i, name := range l.labelNames {
-		if name == Tau {
-			tau = int32(i)
-		}
-	}
+	x, succ := l.succEdges()
+	id, _ := x.ID(alphabet.Label{})
+	tau := int32(id)
 
 	closure := func(set map[int]bool) map[int]bool {
 		stack := make([]int, 0, len(set))
@@ -245,25 +207,24 @@ func (l *LTS) WeakTraceReduce(opts Options) (*LTS, error) {
 		return keyBuf
 	}
 
-	// byName lists the visible label ids in label-name order, so subset
+	// byName lists the visible label ids in label-text order, so subset
 	// states are discovered in exactly the order of the original
 	// string-keyed construction (figure tests pin the output).
-	byName := make([]int32, 0, numLabels)
-	for i := int32(0); i < int32(numLabels); i++ {
-		if i != tau {
-			byName = append(byName, i)
+	text := texts(x, l.Transitions)
+	var byName []int32
+	for id, t := range text {
+		if t != "" && int32(id) != tau {
+			byName = append(byName, int32(id))
 		}
 	}
-	slices.SortFunc(byName, func(a, b int32) int {
-		return strings.Compare(l.labelNames[a], l.labelNames[b])
-	})
+	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(text[a], text[b]) })
 
 	initSet := closure(map[int]bool{l.Initial: true})
 	sets := []map[int]bool{initSet}
 	index := map[string]int{string(keyOf(initSet)): 0}
 	out := &LTS{NumStates: 1}
 
-	byLabel := make([]map[int]bool, numLabels)
+	byLabel := make([]map[int]bool, x.Len())
 	for head := 0; head < len(sets); head++ {
 		// Group visible successors by label id.
 		for s := range sets[head] {
@@ -294,7 +255,7 @@ func (l *LTS) WeakTraceReduce(opts Options) (*LTS, error) {
 				sets = append(sets, target)
 				out.NumStates++
 			}
-			out.Transitions = append(out.Transitions, Trans{From: head, Label: l.labelNames[lab], To: id})
+			out.Transitions = append(out.Transitions, Trans{From: head, Label: x.Label(int(lab)), To: id})
 		}
 	}
 	return out.MinimizeStrong(), nil
@@ -306,9 +267,9 @@ func (l *LTS) WriteAUT(w io.Writer) error {
 		return err
 	}
 	for _, t := range l.Transitions {
-		label := t.Label
-		if label == Tau {
-			label = "i" // CADP's internal action
+		label := "i" // CADP's internal action
+		if t.Label.Kind != alphabet.Tau {
+			label = t.Label.String()
 		}
 		if _, err := fmt.Fprintf(w, "(%d, %q, %d)\n", t.From, label, t.To); err != nil {
 			return err

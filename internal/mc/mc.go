@@ -13,6 +13,7 @@ import (
 	"errors"
 	"slices"
 
+	"repro/internal/alphabet"
 	"repro/internal/ta"
 )
 
@@ -20,9 +21,10 @@ import (
 // exhausting the state space; verification verdicts are inconclusive.
 var ErrStateLimit = errors.New("mc: state limit exceeded")
 
-// ErrLabelLimit reports a network with more distinct transition labels
-// than the 16-bit label ids of the node and transition records can number.
-var ErrLabelLimit = errors.New("mc: more than 65535 distinct transition labels")
+// ErrLabelLimit reports a network whose edge labels no alphabet.Index of
+// at most 65,536 ids covers: the 16-bit label ids of the transition
+// records cannot number them.
+var ErrLabelLimit = errors.New("mc: edge labels outside the 16-bit label ids")
 
 // Options tunes exploration.
 type Options struct {
@@ -65,8 +67,8 @@ func (o Options) maxStates() int {
 
 // Step is one transition of a witness trace.
 type Step struct {
-	// Label is the action name ("tick" for delays).
-	Label string
+	// Label is the action (tick for delays).
+	Label alphabet.Label
 	// Delay marks delay steps.
 	Delay bool
 	// Time is the cumulative virtual time after this step.
@@ -86,8 +88,8 @@ type Result struct {
 	// TransitionsExplored counts transitions generated.
 	TransitionsExplored int
 	// Trace is a minimal-length witness when Reachable: Trace[0] is the
-	// initial configuration (empty label), every step is a transition of
-	// the network, and the last step satisfies the goal.
+	// initial configuration (the zero label), every step is a transition
+	// of the network, and the last step satisfies the goal.
 	Trace []Step
 }
 

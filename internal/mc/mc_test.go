@@ -4,15 +4,24 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/alphabet"
 	"repro/internal/ta"
 )
 
-// counterNet builds a single automaton that counts to n with internal
-// steps, then reaches "End".
+// The test models' action labels.
+var (
+	inc  = alphabet.SendBeat.Of(0)
+	done = alphabet.Crash.Of(0)
+	a    = alphabet.DeliverBeat.Of(1)
+	b    = alphabet.DeliverBeatP0.Of(1)
+	tau  = alphabet.Label{}
+)
+
+// counterNet builds a single automaton that counts to n with inc steps,
+// then reaches "End" by done.
 func counterNet(n int32) (*ta.Network, int) {
 	net := ta.NewNetwork()
 	v := net.Var("count", 0)
@@ -21,12 +30,12 @@ func counterNet(n int32) (*ta.Network, int) {
 		Locations: []ta.Location{{Name: "Run"}, {Name: "End"}},
 		Edges: []ta.Edge{
 			{
-				From: 0, To: 0, Label: "inc",
+				From: 0, To: 0, Label: inc,
 				Guard:  func(s *ta.State) bool { return s.Vars[v] < n },
 				Update: func(s *ta.State) { s.Vars[v]++ },
 			},
 			{
-				From: 0, To: 1, Label: "done",
+				From: 0, To: 1, Label: done,
 				Guard: func(s *ta.State) bool { return s.Vars[v] == n },
 			},
 		},
@@ -48,10 +57,10 @@ func TestReachabilityFindsGoal(t *testing.T) {
 		t.Fatalf("trace length = %d, want 7", len(res.Trace))
 	}
 	last := res.Trace[len(res.Trace)-1]
-	if last.Label != "done" || last.State.Vars[v] != 5 {
+	if last.Label != done || last.State.Vars[v] != 5 {
 		t.Fatalf("last step = %+v", last)
 	}
-	if res.Trace[0].Label != "" {
+	if res.Trace[0].Label != tau {
 		t.Fatal("trace must start with the initial pseudo-step")
 	}
 }
@@ -100,7 +109,7 @@ func TestTraceTimesCountTicks(t *testing.T) {
 			{Name: "Done"},
 		},
 		Edges: []ta.Edge{{
-			From: 0, To: 1, Label: "fire",
+			From: 0, To: 1, Label: alphabet.Timeout.Of(0),
 			Guard: func(s *ta.State) bool { return s.Clocks[c] == 3 },
 		}},
 	})
@@ -163,7 +172,7 @@ func TestBuildLTSAndExport(t *testing.T) {
 	if err := l.WriteDOT(&dot, "counter"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(dot.String(), "digraph") || !strings.Contains(dot.String(), "inc") {
+	if !strings.Contains(dot.String(), "digraph") || !strings.Contains(dot.String(), inc.String()) {
 		t.Fatal("dot output incomplete")
 	}
 }
@@ -175,10 +184,10 @@ func diamond() *LTS {
 		NumStates: 4,
 		Initial:   0,
 		Transitions: []Trans{
-			{0, "a", 1},
-			{0, "a", 2},
-			{1, "b", 3},
-			{2, "b", 3},
+			{0, a, 1},
+			{0, a, 2},
+			{1, b, 3},
+			{2, b, 3},
 		},
 	}
 }
@@ -198,8 +207,8 @@ func TestMinimizeStrongKeepsDistinct(t *testing.T) {
 		NumStates: 3,
 		Initial:   0,
 		Transitions: []Trans{
-			{0, "a", 1},
-			{1, "b", 2},
+			{0, a, 1},
+			{1, b, 2},
 		},
 	}
 	m := l.MinimizeStrong()
@@ -209,14 +218,11 @@ func TestMinimizeStrongKeepsDistinct(t *testing.T) {
 }
 
 func TestHide(t *testing.T) {
-	l := diamond().Hide(func(label string) bool { return label == "a" })
-	for _, tr := range l.Transitions {
-		if tr.Label == "a" {
-			t.Fatal("label a survived hiding")
+	l := diamond().Hide(func(l alphabet.Label) bool { return l == a })
+	for i, tr := range l.Transitions {
+		if want := []alphabet.Label{tau, tau, b, b}[i]; tr.Label != want {
+			t.Fatalf("transition %d labelled %v, want %v", i, tr.Label, want)
 		}
-	}
-	if got := l.Labels(); len(got) != 2 || got[0] != "b" || got[1] != Tau {
-		t.Fatalf("labels = %v", got)
 	}
 }
 
@@ -226,16 +232,16 @@ func TestWeakTraceReduce(t *testing.T) {
 		NumStates: 4,
 		Initial:   0,
 		Transitions: []Trans{
-			{0, Tau, 1},
-			{1, "a", 2},
-			{0, "a", 3},
+			{0, tau, 1},
+			{1, a, 2},
+			{0, a, 3},
 		},
 	}
 	r, err := l.WeakTraceReduce(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumStates != 2 || len(r.Transitions) != 1 || r.Transitions[0].Label != "a" {
+	if r.NumStates != 2 || len(r.Transitions) != 1 || r.Transitions[0].Label != a {
 		t.Fatalf("reduced = %+v", r)
 	}
 }
@@ -246,8 +252,8 @@ func TestWeakTraceReducePreservesOrder(t *testing.T) {
 		NumStates: 3,
 		Initial:   0,
 		Transitions: []Trans{
-			{0, "a", 1},
-			{1, "b", 2},
+			{0, a, 1},
+			{1, b, 2},
 		},
 	}
 	r, err := l.WeakTraceReduce(Options{})
@@ -257,7 +263,7 @@ func TestWeakTraceReducePreservesOrder(t *testing.T) {
 	if len(r.Transitions) != 2 {
 		t.Fatalf("transitions = %v", r.Transitions)
 	}
-	var first, second string
+	var first, second alphabet.Label
 	for _, tr := range r.Transitions {
 		if tr.From == r.Initial {
 			first = tr.Label
@@ -265,7 +271,7 @@ func TestWeakTraceReducePreservesOrder(t *testing.T) {
 			second = tr.Label
 		}
 	}
-	if first != "a" || second != "b" {
+	if first != a || second != b {
 		t.Fatalf("order broken: %v", r.Transitions)
 	}
 }
@@ -277,9 +283,9 @@ func TestWeakTraceReduceLoop(t *testing.T) {
 		NumStates: 2,
 		Initial:   0,
 		Transitions: []Trans{
-			{0, Tau, 0},
-			{0, "a", 1},
-			{1, "a", 1},
+			{0, tau, 0},
+			{0, a, 1},
+			{1, a, 1},
 		},
 	}
 	r, err := l.WeakTraceReduce(Options{})
@@ -288,54 +294,62 @@ func TestWeakTraceReduceLoop(t *testing.T) {
 	}
 	// Both subset states have weak-trace set a*, so they collapse into a
 	// single state with an a self-loop.
-	if r.NumStates != 1 || len(r.Transitions) != 1 || r.Transitions[0] != (Trans{0, "a", 0}) {
+	if r.NumStates != 1 || len(r.Transitions) != 1 || r.Transitions[0] != (Trans{0, a, 0}) {
 		t.Fatalf("reduced = %+v", r)
 	}
 }
 
-// chattyNet is one location with a self-loop per label: a single state
-// whose every transition carries a different label (plus "tick").
-func chattyNet(labels int) *ta.Network {
-	edges := make([]ta.Edge, labels)
-	for i := range edges {
-		edges[i] = ta.Edge{Label: "a" + strconv.Itoa(i)}
+// chattyNet is one location with a self-loop per label (plus tick): a
+// single state whose transitions carry those labels.
+func chattyNet(labels []alphabet.Label) *ta.Network {
+	edges := make([]ta.Edge, len(labels))
+	for i, l := range labels {
+		edges[i] = ta.Edge{Label: l}
 	}
 	net := ta.NewNetwork()
 	net.Add(&ta.Automaton{Name: "chatty", Locations: []ta.Location{{Name: "L"}}, Edges: edges})
 	return net
 }
 
-// TestLabelLimit pins the width of the records' label ids: 65,535
-// distinct labels explore and come back as themselves, one more is an
-// error from every entry point — never a wrapped id naming the wrong
-// label.
+// TestLabelLimit pins the width of the records' label ids: the widest
+// label space 16-bit ids number explores and comes back as itself; one
+// process more, or a label no index numbers, is an error from every entry
+// point — never a wrapped id naming the wrong label.
 func TestLabelLimit(t *testing.T) {
-	const most = math.MaxUint16 // "tick" included
-	lts, err := BuildLTS(chattyNet(most-1), Options{})
+	most := (math.MaxUint16 + 1) / int(alphabet.NumKinds) // processes p[0]..p[most-1]
+	var labels []alphabet.Label
+	for p := range most {
+		labels = append(labels, alphabet.SendBeat.Of(p))
+	}
+	lts, err := BuildLTS(chattyNet(labels), Options{})
 	if err != nil {
-		t.Fatalf("%d labels: %v", most, err)
+		t.Fatalf("%d labels: %v", len(labels), err)
 	}
-	if lts.NumStates != 1 || len(lts.Transitions) != most {
-		t.Fatalf("%d states / %d transitions, want 1 / %d", lts.NumStates, len(lts.Transitions), most)
+	if lts.NumStates != 1 || len(lts.Transitions) != most+1 {
+		t.Fatalf("%d states / %d transitions, want 1 / %d", lts.NumStates, len(lts.Transitions), most+1)
 	}
-	for i, tr := range lts.Transitions[:most-1] {
-		if want := "a" + strconv.Itoa(i); tr.Label != want {
-			t.Fatalf("transition %d labelled %q, want %q", i, tr.Label, want)
+	for i, tr := range lts.Transitions[:most] {
+		if tr.Label != labels[i] {
+			t.Fatalf("transition %d labelled %v, want %v", i, tr.Label, labels[i])
 		}
 	}
-	if last := lts.Transitions[most-1].Label; last != "tick" {
-		t.Fatalf("last transition labelled %q, want tick", last)
+	if last := lts.Transitions[most].Label; last != (alphabet.Label{Kind: alphabet.Tick}) {
+		t.Fatalf("last transition labelled %v, want tick", last)
 	}
 
-	over := chattyNet(most)
-	if _, err := BuildLTS(over, Options{}); !errors.Is(err, ErrLabelLimit) {
-		t.Fatalf("BuildLTS over the limit: %v, want ErrLabelLimit", err)
-	}
-	if _, _, err := CountStates(over, Options{}); !errors.Is(err, ErrLabelLimit) {
-		t.Fatalf("CountStates over the limit: %v, want ErrLabelLimit", err)
-	}
-	res, err := CheckReachability(over, func(*ta.State) bool { return true }, Options{})
-	if !errors.Is(err, ErrLabelLimit) || res.Reachable {
-		t.Fatalf("CheckReachability over the limit: %+v, %v, want ErrLabelLimit", res, err)
+	for _, extra := range []alphabet.Label{
+		alphabet.SendBeat.Of(most), alphabet.SendBeat.Of(-1), {Kind: alphabet.NumKinds},
+	} {
+		over := chattyNet(append(labels[:most:most], extra))
+		if _, err := BuildLTS(over, Options{}); !errors.Is(err, ErrLabelLimit) {
+			t.Fatalf("BuildLTS with %v: %v, want ErrLabelLimit", extra, err)
+		}
+		if _, _, err := CountStates(over, Options{}); !errors.Is(err, ErrLabelLimit) {
+			t.Fatalf("CountStates with %v: %v, want ErrLabelLimit", extra, err)
+		}
+		res, err := CheckReachability(over, func(*ta.State) bool { return true }, Options{})
+		if !errors.Is(err, ErrLabelLimit) || res.Reachable {
+			t.Fatalf("CheckReachability with %v: %+v, %v, want ErrLabelLimit", extra, res, err)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/alphabet"
 	"repro/internal/mc"
 	"repro/internal/models"
 	"repro/internal/ta"
@@ -13,7 +14,7 @@ import (
 
 // reference is the oracle for the packed explorer: the textbook
 // breadth-first search over a map[string]int of state keys, one heap
-// state per id, string labels, no paging, no hashing of its own. It
+// state per id, labels as the successors carry them, no paging, no hashing of its own. It
 // shares only the level contract with the explorer: a level on which the
 // goal turns up or the state limit (0: none) is crossed is expanded to
 // its end, nothing commits past the limit, and the first goal state
@@ -23,7 +24,7 @@ import (
 type reference struct {
 	states   []ta.State
 	parent   []int
-	label    []string
+	label    []alphabet.Label
 	delay    []bool
 	trans    []mc.Trans
 	goalID   int
@@ -34,7 +35,7 @@ type reference struct {
 func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool, canon func(*ta.State), limit int) *reference {
 	r := &reference{goalID: -1}
 	ids := map[string]int{}
-	add := func(s *ta.State, parent int, label string, delay bool) int {
+	add := func(s *ta.State, parent int, label alphabet.Label, delay bool) int {
 		id := len(r.states)
 		ids[s.Key()] = id
 		r.states = append(r.states, s.Clone())
@@ -47,7 +48,7 @@ func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool, canon func(*t
 		return id
 	}
 	init := n.Initial()
-	add(&init, -1, "", false)
+	add(&init, -1, alphabet.Label{}, false)
 	ctx := n.NewSuccCtx()
 	for lo, hi := 0, 1; lo < hi && r.goalID < 0 && !r.limitHit; lo, hi = hi, len(r.states) {
 		for from := lo; from < hi; from++ {

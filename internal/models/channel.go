@@ -57,12 +57,12 @@ func (m *Model) buildChannel(i int) {
 		ta.Edge{
 			From: c.fly, To: c.await,
 			Chan: m.chDlv[i], Send: true,
-			Label: label(alphabet.DeliverBeat, i+1),
+			Label: alphabet.DeliverBeat.Of(i + 1),
 			Class: ta.ClassDeliver,
 		},
 		ta.Edge{
 			From: c.fly, To: c.idle,
-			Label:  label(alphabet.LoseBeatTo, i+1),
+			Label:  alphabet.LoseBeatTo.Of(i + 1),
 			Update: func(s *ta.State) { s.Vars[lost] = 1 },
 		},
 	)
@@ -72,7 +72,7 @@ func (m *Model) buildChannel(i int) {
 		ta.Edge{
 			From: c.await, To: c.idle,
 			Guard: func(s *ta.State) bool { return s.Vars[active] == 0 },
-			Label: label(alphabet.NoReply, i+1),
+			Label: alphabet.NoReply.Of(i + 1),
 		},
 	)
 	if dynamic {
@@ -85,12 +85,12 @@ func (m *Model) buildChannel(i int) {
 		ta.Edge{
 			From: c.replyTrue, To: c.idle,
 			Chan: m.chDlvTrue[i], Send: true,
-			Label: label(alphabet.DeliverBeatP0, i+1),
+			Label: alphabet.DeliverBeatP0.Of(i + 1),
 			Class: ta.ClassDeliver,
 		},
 		ta.Edge{
 			From: c.replyTrue, To: c.idle,
-			Label:  label(alphabet.LoseBeatFrom, i+1),
+			Label:  alphabet.LoseBeatFrom.Of(i + 1),
 			Update: func(s *ta.State) { s.Vars[lost] = 1 },
 		},
 	)
@@ -99,12 +99,12 @@ func (m *Model) buildChannel(i int) {
 			ta.Edge{
 				From: c.replyFalse, To: c.idle,
 				Chan: m.chDlvFalse[i], Send: true,
-				Label: label(alphabet.DeliverLeaveP0, i+1),
+				Label: alphabet.DeliverLeaveP0.Of(i + 1),
 				Class: ta.ClassDeliver,
 			},
 			ta.Edge{
 				From: c.replyFalse, To: c.idle,
-				Label:  label(alphabet.LoseLeaveFrom, i+1),
+				Label:  alphabet.LoseLeaveFrom.Of(i + 1),
 				Update: func(s *ta.State) { s.Vars[lost] = 1 },
 			},
 		)
@@ -173,12 +173,12 @@ func (m *Model) buildJoinChannel(i int) {
 		ta.Edge{
 			From: c.fly, To: c.idle,
 			Chan: m.chDlvTrue[i], Send: true,
-			Label: label(alphabet.DeliverJoinP0, i+1),
+			Label: alphabet.DeliverJoinP0.Of(i + 1),
 			Class: ta.ClassDeliver,
 		},
 		ta.Edge{
 			From: c.fly, To: c.idle,
-			Label:  label(alphabet.LoseJoinFrom, i+1),
+			Label:  alphabet.LoseJoinFrom.Of(i + 1),
 			Update: func(s *ta.State) { s.Vars[lost] = 1 },
 		},
 	)

@@ -1,6 +1,9 @@
 package models
 
-import "repro/internal/ta"
+import (
+	"repro/internal/alphabet"
+	"repro/internal/ta"
+)
 
 // validateIsolated holds the isolated processes to the constants the full
 // binary model accepts: they declare the same clocks with the same caps.
@@ -37,7 +40,7 @@ func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
 	snd := net.Chan("snd_hb0", false)
 
 	p0.Edges = append(p0.Edges,
-		ta.Edge{From: alive, To: vInact, Label: "inactivate v p0"},
+		ta.Edge{From: alive, To: vInact, Label: alphabet.FigVInactivate.Of(0)},
 		ta.Edge{
 			From: alive, To: alive, Chan: rcv,
 			Update: func(s *ta.State) { s.Vars[rcvd] = 1 },
@@ -47,7 +50,7 @@ func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
 		ta.Edge{
 			From: alive, To: timeout,
 			Guard: func(s *ta.State) bool { return s.Clocks[waiting] == s.Vars[t] },
-			Label: "timeout at P0",
+			Label: alphabet.FigTimeout.Of(0),
 		},
 		ta.Edge{
 			From: timeout, To: alive,
@@ -55,7 +58,7 @@ func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
 				return s.Vars[rcvd] == 1 || s.Vars[t]/2 >= tmin
 			},
 			Chan: snd, Send: true,
-			Label: "for p1(hb0)",
+			Label: alphabet.Label{Kind: alphabet.FigBeatFor, A: 1, B: 0},
 			Update: func(s *ta.State) {
 				if s.Vars[rcvd] == 1 {
 					s.Vars[t] = tmax
@@ -71,11 +74,11 @@ func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
 			Guard: func(s *ta.State) bool {
 				return s.Vars[rcvd] == 0 && s.Vars[t]/2 < tmin
 			},
-			Label: "inactivate nv p0",
+			Label: alphabet.FigNVInactivate.Of(0),
 		},
 	)
 	net.Add(p0)
-	addChaoticPeer(net, rcv, snd, "from p1(hb1)")
+	addChaoticPeer(net, rcv, snd, alphabet.Label{Kind: alphabet.FigBeatFrom, A: 1, B: 1})
 	return net, nil
 }
 
@@ -103,30 +106,30 @@ func BuildIsolatedP1(tmin, tmax int32) (*ta.Network, error) {
 	snd := net.Chan("snd_hb1", false)
 
 	p1.Edges = append(p1.Edges,
-		ta.Edge{From: alive, To: vInact, Label: "inactivate v p1"},
+		ta.Edge{From: alive, To: vInact, Label: alphabet.FigVInactivate.Of(1)},
 		ta.Edge{From: alive, To: rcvd, Chan: rcv},
 		ta.Edge{
 			From: rcvd, To: alive, Chan: snd, Send: true,
-			Label:  "for p0(hb1)",
+			Label:  alphabet.Label{Kind: alphabet.FigBeatFor, A: 0, B: 1},
 			Update: func(s *ta.State) { s.Clocks[wfb] = 0 },
 		},
 		ta.Edge{
 			From: alive, To: nvInact,
 			Guard: func(s *ta.State) bool { return s.Clocks[wfb] == bound },
-			Label: "inactivate nv p1",
+			Label: alphabet.FigNVInactivate.Of(1),
 		},
 		ta.Edge{From: vInact, To: vInact, Chan: rcv},
 		ta.Edge{From: nvInact, To: nvInact, Chan: rcv},
 	)
 	net.Add(p1)
-	addChaoticPeer(net, rcv, snd, "from p0(hb0)")
+	addChaoticPeer(net, rcv, snd, alphabet.Label{Kind: alphabet.FigBeatFrom, A: 0, B: 0})
 	return net, nil
 }
 
 // addChaoticPeer adds an environment automaton that may send on rcv at any
 // time and always accepts snd — the most general context, so the composed
 // system's behaviour is exactly the process's own.
-func addChaoticPeer(net *ta.Network, rcv, snd ta.ChanID, rcvLabel string) {
+func addChaoticPeer(net *ta.Network, rcv, snd ta.ChanID, rcvLabel alphabet.Label) {
 	env := &ta.Automaton{Name: "Env"}
 	idle := addLoc(env, ta.Location{Name: "Chaos"})
 	env.Init = idle

@@ -61,7 +61,7 @@ func (m *Model) buildMonitor(i int) {
 			Guard: func(s *ta.State) bool {
 				return s.Clocks[delay] > bound && s.Vars[active0] == 1
 			},
-			Label: label(alphabet.ErrorR1, i+1),
+			Label: alphabet.ErrorR1.Of(i + 1),
 		},
 	)
 	if cfg.Variant == Dynamic {

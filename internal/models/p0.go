@@ -41,12 +41,12 @@ func (m *Model) buildP0() {
 		a.Edges = append(a.Edges, ta.Edge{
 			From: m.p0.init, To: m.p0.alive,
 			Chan: m.chBcast, Send: true,
-			Label: label(alphabet.SendBeat, 0),
+			Label: alphabet.SendBeat.Of(0),
 		})
 	} else {
 		a.Edges = append(a.Edges, ta.Edge{
 			From: m.p0.init, To: m.p0.alive,
-			Label: label(alphabet.Start, 0),
+			Label: alphabet.Start.Of(0),
 		})
 	}
 
@@ -54,7 +54,7 @@ func (m *Model) buildP0() {
 	active0 := m.vActive0
 	a.Edges = append(a.Edges, ta.Edge{
 		From: m.p0.alive, To: m.p0.vInact,
-		Label:  label(alphabet.Crash, 0),
+		Label:  alphabet.Crash.Of(0),
 		Update: func(s *ta.State) { s.Vars[active0] = 0 },
 	})
 
@@ -62,7 +62,7 @@ func (m *Model) buildP0() {
 	a.Edges = append(a.Edges, ta.Edge{
 		From: m.p0.alive, To: m.p0.timeout,
 		Guard: func(s *ta.State) bool { return s.Clocks[waiting] == s.Vars[tVar] },
-		Label: label(alphabet.Timeout, 0),
+		Label: alphabet.Timeout.Of(0),
 		Class: ta.ClassTimeout,
 	})
 
@@ -74,7 +74,7 @@ func (m *Model) buildP0() {
 			_, ok := m.timeoutOutcome(s)
 			return !ok
 		},
-		Label:  label(alphabet.Inactivate, 0),
+		Label:  alphabet.Inactivate.Of(0),
 		Update: func(s *ta.State) { s.Vars[active0] = 0 },
 	})
 	a.Edges = append(a.Edges, ta.Edge{
@@ -84,7 +84,7 @@ func (m *Model) buildP0() {
 			return ok
 		},
 		Chan: m.chBcast, Send: true,
-		Label:  label(alphabet.SendBeat, 0),
+		Label:  alphabet.SendBeat.Of(0),
 		Update: func(s *ta.State) { m.applyTimeout(s) },
 	})
 
@@ -149,8 +149,3 @@ func addLoc(a *ta.Automaton, l ta.Location) int {
 
 // pname renders the conventional process name p[i+1].
 func pname(i int) string { return fmt.Sprintf("p[%d]", i+1) }
-
-// label renders the edge label of kind k about p[proc]. Every label of
-// the protocol models comes from internal/alphabet, which is also what
-// reads them back (conformance specifications, the shutdown monitor).
-func label(k alphabet.Kind, proc int) string { return k.Of(proc).String() }

@@ -46,21 +46,21 @@ func (m *Model) buildResponder(i int) {
 		ta.Edge{
 			From: p.rcvd, To: p.alive,
 			Chan: m.chReply[i], Send: true,
-			Label:  label(alphabet.SendBeat, i+1),
+			Label:  alphabet.SendBeat.Of(i + 1),
 			Update: func(s *ta.State) { s.Clocks[wfb] = 0 },
 		},
 		// Watchdog expiry.
 		ta.Edge{
 			From: p.alive, To: p.nvInact,
 			Guard:  func(s *ta.State) bool { return s.Clocks[wfb] == bound },
-			Label:  label(alphabet.Inactivate, i+1),
+			Label:  alphabet.Inactivate.Of(i + 1),
 			Update: func(s *ta.State) { s.Vars[active] = 0 },
 			Class:  ta.ClassTimeout,
 		},
 		// Voluntary inactivation.
 		ta.Edge{
 			From: p.alive, To: p.vInact,
-			Label:  label(alphabet.Crash, i+1),
+			Label:  alphabet.Crash.Of(i + 1),
 			Update: func(s *ta.State) { s.Vars[active] = 0 },
 		},
 		// Inactivated processes receive without reacting.
@@ -128,7 +128,7 @@ func (m *Model) buildJoiner(i int) {
 	a.Edges = append(a.Edges, ta.Edge{
 		From: p.start, To: p.alive,
 		Chan: m.chJoin[i], Send: true,
-		Label: label(alphabet.SendJoin, i+1),
+		Label: alphabet.SendJoin.Of(i + 1),
 		Update: func(s *ta.State) {
 			s.Clocks[wtj] = 0
 			s.Clocks[wfb] = 0
@@ -146,7 +146,7 @@ func (m *Model) buildJoiner(i int) {
 				return s.Vars[joined] == 0 && s.Clocks[wtj] == cfg.TMin && jchIdle(s)
 			},
 			Chan: m.chJoin[i], Send: true,
-			Label:  label(alphabet.SendJoin, i+1),
+			Label:  alphabet.SendJoin.Of(i + 1),
 			Update: func(s *ta.State) { s.Clocks[wtj] = 0 },
 		},
 		ta.Edge{
@@ -154,7 +154,7 @@ func (m *Model) buildJoiner(i int) {
 			Guard: func(s *ta.State) bool {
 				return s.Vars[joined] == 0 && s.Clocks[wtj] == cfg.TMin && !jchIdle(s)
 			},
-			Label:  label(alphabet.SuppressJoin, i+1),
+			Label:  alphabet.SuppressJoin.Of(i + 1),
 			Update: func(s *ta.State) { s.Clocks[wtj] = 0 },
 		},
 	)
@@ -176,7 +176,7 @@ func (m *Model) buildJoiner(i int) {
 		From: p.rcvd, To: p.alive,
 		Guard: replyGuard(false),
 		Chan:  m.chReply[i], Send: true,
-		Label:  label(alphabet.SendBeat, i+1),
+		Label:  alphabet.SendBeat.Of(i + 1),
 		Update: func(s *ta.State) { s.Clocks[wfb] = 0 },
 	})
 	if dynamic {
@@ -184,7 +184,7 @@ func (m *Model) buildJoiner(i int) {
 			From: p.rcvd, To: p.alive,
 			Guard: replyGuard(true),
 			Chan:  m.chReplyFalse[i], Send: true,
-			Label:  label(alphabet.SendLeave, i+1),
+			Label:  alphabet.SendLeave.Of(i + 1),
 			Update: func(s *ta.State) { s.Clocks[wfb] = 0 },
 		})
 		// The decision to leave, any time after joining.
@@ -193,7 +193,7 @@ func (m *Model) buildJoiner(i int) {
 			Guard: func(s *ta.State) bool {
 				return s.Vars[joined] == 1 && s.Vars[leave] == 0
 			},
-			Label:  label(alphabet.DecideLeave, i+1),
+			Label:  alphabet.DecideLeave.Of(i + 1),
 			Update: func(s *ta.State) { s.Vars[leave] = 1 },
 		})
 	}
@@ -208,7 +208,7 @@ func (m *Model) buildJoiner(i int) {
 				}
 				return (s.Vars[joined] == 1) == wantJoined && s.Clocks[wfb] == bound
 			},
-			Label:  label(alphabet.Inactivate, i+1),
+			Label:  alphabet.Inactivate.Of(i + 1),
 			Update: func(s *ta.State) { s.Vars[active] = 0 },
 			Class:  ta.ClassTimeout,
 		}
@@ -218,7 +218,7 @@ func (m *Model) buildJoiner(i int) {
 	a.Edges = append(a.Edges,
 		ta.Edge{
 			From: p.alive, To: p.vInact,
-			Label:  label(alphabet.Crash, i+1),
+			Label:  alphabet.Crash.Of(i + 1),
 			Update: func(s *ta.State) { s.Vars[active] = 0 },
 		},
 		ta.Edge{From: p.vInact, To: p.vInact, Chan: m.chDlv[i]},

@@ -131,7 +131,6 @@ type equivOracle struct {
 	succ             []ta.Transition
 	perm, rep, again ta.State
 	mine, theirs     succSet
-	renamed          []map[string]string // per transposition: label -> label with its process renamed
 	why              string
 }
 
@@ -183,36 +182,39 @@ func (o *equivOracle) broken(s *ta.State) bool {
 
 // rename exchanges the processes of transposition g, p[first+g+1] and the
 // next, in a model label.
-func (o *equivOracle) rename(g int, label string) string {
-	if r, ok := o.renamed[g][label]; ok {
-		return r
-	}
-	a, b := int32(o.first+g+1), int32(o.first+g+2)
-	r := label
-	if l, ok := alphabet.Parse(label); ok && (l.A == a || l.A == b) {
+func (o *equivOracle) rename(g int, l alphabet.Label) alphabet.Label {
+	if a, b := int32(o.first+g+1), int32(o.first+g+2); l.A == a || l.A == b {
 		l.A = a + b - l.A
-		r = l.String()
 	}
-	o.renamed[g][label] = r
-	return r
+	return l
 }
 
-// succSet is a multiset of successors, each rendered as label, delay flag
-// and state key into one reused buffer.
+// succSet is a multiset of successors, each rendered as label text, delay
+// flag and state key into one reused buffer. Each distinct label is
+// rendered once.
 type succSet struct {
 	buf   []byte
 	ends  []int
 	items [][]byte
+	text  map[alphabet.Label]string
 }
 
 func (ss *succSet) reset() { ss.buf, ss.ends = ss.buf[:0], ss.ends[:0] }
 
-func (ss *succSet) add(label string, delay bool, target *ta.State) {
+func (ss *succSet) add(label alphabet.Label, delay bool, target *ta.State) {
 	d := byte(0)
 	if delay {
 		d = 1
 	}
-	ss.buf = target.AppendKey(append(append(ss.buf, label...), 0, d))
+	text, ok := ss.text[label]
+	if !ok {
+		if ss.text == nil {
+			ss.text = map[alphabet.Label]string{}
+		}
+		text = label.String()
+		ss.text[label] = text
+	}
+	ss.buf = target.AppendKey(append(append(ss.buf, text...), 0, d))
 	ss.ends = append(ss.ends, len(ss.buf))
 }
 
@@ -436,9 +438,6 @@ func checkModelEquivariance(m *Model, canon func(*ta.State), preds []func(*ta.St
 		opts.Prune = m.MessageLost
 	}
 	o := &equivOracle{sym: m.sym, first: m.Cfg.N - m.sym.members, canon: canon, preds: preds, ctx: m.Net.NewSuccCtx()}
-	for range max(m.sym.members-1, 0) {
-		o.renamed = append(o.renamed, map[string]string{})
-	}
 	return runOracle(m.Net, o.broken, &o.why, !fullScale(), opts)
 }
 

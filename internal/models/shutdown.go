@@ -101,13 +101,12 @@ func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 	for _, a := range net.Automata() {
 		for ei := range a.Edges {
 			e := &a.Edges[ei]
-			l, ok := alphabet.Parse(e.Label)
 			switch {
-			case !ok || l.Kind != alphabet.Crash:
-			case l.A == 0:
+			case e.Label.Kind != alphabet.Crash:
+			case e.Label.A == 0:
 				instrument(e, nil)
 			default: // participant p[A], which is m.ps[A-1]
-				jnd := m.vJnd[l.A-1]
+				jnd := m.vJnd[e.Label.A-1]
 				instrument(e, func(s *ta.State) bool { return s.Vars[jnd] == 1 })
 			}
 		}
@@ -159,7 +158,7 @@ func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 		Guard: func(s *ta.State) bool {
 			return s.Vars[crashed] == 1 && s.Clocks[clock] > bound && wronglyLive(s)
 		},
-		Label: label(alphabet.ErrorShutdown, 0),
+		Label: alphabet.ErrorShutdown.Of(0),
 	})
 	sm.monAut = len(net.Automata())
 	net.Add(mon)

@@ -119,11 +119,7 @@ func (a *analysis) edgeDesc(ai, ei int) string {
 		}
 		return fmt.Sprintf("#%d", loc)
 	}
-	label := e.Label
-	if label == "" {
-		label = "tau"
-	}
-	return fmt.Sprintf("edge %s -> %s (%s)", name(e.From), name(e.To), label)
+	return fmt.Sprintf("edge %s -> %s (%s)", name(e.From), name(e.To), e.Label)
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ package ta
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/alphabet"
 )
 
 // twoLoc builds a minimal healthy network: Idle --(x>=1, reset x)--> Busy
-// --(tau)--> Idle with an invariant keeping x at most 3. Every mutant test
+// --(timeout)--> Idle with an invariant keeping x at most 3. Every mutant test
 // below starts from a broken variation of this shape.
 func twoLoc() *Network {
 	n := NewNetwork()
@@ -17,10 +19,10 @@ func twoLoc() *Network {
 		{Name: "Busy"},
 	}
 	a.Edges = []Edge{
-		{From: 0, To: 1, Label: "go",
+		{From: 0, To: 1, Label: alphabet.SendBeat.Of(0),
 			Guard:  func(s *State) bool { return s.Clocks[x] >= 1 },
 			Update: func(s *State) { s.Clocks[x] = 0 }},
-		{From: 1, To: 0, Label: "done",
+		{From: 1, To: 0, Label: alphabet.Timeout.Of(0),
 			Guard: func(s *State) bool { return s.Clocks[x] >= 2 }},
 	}
 	n.Add(a)
@@ -57,11 +59,11 @@ func TestAnalyzeDeadLocation(t *testing.T) {
 func TestAnalyzeContradictoryGuard(t *testing.T) {
 	n := twoLoc()
 	a := n.Automata()[0]
-	a.Edges = append(a.Edges, Edge{From: 1, To: 0, Label: "never",
+	a.Edges = append(a.Edges, Edge{From: 1, To: 0, Label: alphabet.Crash.Of(0),
 		Guard: func(s *State) bool { return s.Clocks[0] < 2 && s.Clocks[0] > 5 }})
 	ps := problemsWith(t, n, "unsat-guard")
-	if len(ps) != 1 || !strings.Contains(ps[0].Where, "never") {
-		t.Fatalf("want one unsat-guard problem on edge 'never', got %v", ps)
+	if len(ps) != 1 || !strings.Contains(ps[0].Where, "crash p[0]") {
+		t.Fatalf("want one unsat-guard problem on the crash edge, got %v", ps)
 	}
 }
 
@@ -79,7 +81,7 @@ func TestAnalyzeSwappedBounds(t *testing.T) {
 		{Name: "Fired"},
 	}
 	a.Edges = []Edge{
-		{From: 0, To: 1, Label: "timeout",
+		{From: 0, To: 1, Label: alphabet.Timeout.Of(0),
 			Guard: func(s *State) bool { return s.Clocks[x] >= tmin }},
 	}
 	n.Add(a)
@@ -101,7 +103,7 @@ func TestAnalyzeUnsatInvariant(t *testing.T) {
 func TestAnalyzeDuplicateEdge(t *testing.T) {
 	n := twoLoc()
 	a := n.Automata()[0]
-	a.Edges = append(a.Edges, Edge{From: 1, To: 0, Label: "done",
+	a.Edges = append(a.Edges, Edge{From: 1, To: 0, Label: alphabet.Timeout.Of(0),
 		Guard: func(s *State) bool { return s.Clocks[0] >= 2 }})
 	ps := problemsWith(t, n, "nondet-pair")
 	if len(ps) != 1 || !strings.Contains(ps[0].Message, "duplicate") {
@@ -113,11 +115,11 @@ func TestAnalyzeNondetPair(t *testing.T) {
 	n := twoLoc()
 	a := n.Automata()[0]
 	a.Locations = append(a.Locations, Location{Name: "Other"})
-	// Same label and guard as "done" but a different target.
+	// Same label and guard as the timeout but a different target.
 	a.Edges = append(a.Edges,
-		Edge{From: 1, To: 2, Label: "done",
+		Edge{From: 1, To: 2, Label: alphabet.Timeout.Of(0),
 			Guard: func(s *State) bool { return s.Clocks[0] >= 2 }},
-		Edge{From: 2, To: 0, Label: "back"})
+		Edge{From: 2, To: 0, Label: alphabet.Start.Of(0)})
 	ps := problemsWith(t, n, "nondet-pair")
 	if len(ps) != 1 || !strings.Contains(ps[0].Message, "nondeterminism") {
 		t.Fatalf("want one nondeterminism problem, got %v", ps)
@@ -142,7 +144,7 @@ func TestAnalyzeClockCapTooSmall(t *testing.T) {
 	a.Locations = []Location{{Name: "L"}, {Name: "M"}}
 	// x == 3 at cap 3: the capped clock parks at 3 and stays enabled
 	// forever, while the true unbounded run passes 3 and disables it.
-	a.Edges = []Edge{{From: 0, To: 1, Label: "exact",
+	a.Edges = []Edge{{From: 0, To: 1, Label: alphabet.Crash.Of(1),
 		Guard: func(s *State) bool { return s.Clocks[x] == 3 }}}
 	n.Add(a)
 	ps := problemsWith(t, n, "clock-cap")
@@ -164,7 +166,7 @@ func TestAnalyzeHandshakeWithoutPartner(t *testing.T) {
 	n := twoLoc()
 	ch := n.Chan("lonely", false)
 	a := n.Automata()[0]
-	a.Edges = append(a.Edges, Edge{From: 0, To: 1, Chan: ch, Send: true, Label: "offer"})
+	a.Edges = append(a.Edges, Edge{From: 0, To: 1, Chan: ch, Send: true, Label: alphabet.SendJoin.Of(1)})
 	ps := problemsWith(t, n, "structure")
 	if len(ps) != 1 || !strings.Contains(ps[0].Message, "no receiver") {
 		t.Fatalf("want one missing-receiver problem, got %v", ps)
@@ -174,7 +176,7 @@ func TestAnalyzeHandshakeWithoutPartner(t *testing.T) {
 func TestAnalyzeEdgeOutOfRange(t *testing.T) {
 	n := twoLoc()
 	a := n.Automata()[0]
-	a.Edges = append(a.Edges, Edge{From: 0, To: 7, Label: "off the map"})
+	a.Edges = append(a.Edges, Edge{From: 0, To: 7, Label: alphabet.Inactivate.Of(1)})
 	ps := problemsWith(t, n, "structure")
 	if len(ps) != 1 || !strings.Contains(ps[0].Message, "out of range") {
 		t.Fatalf("want one out-of-range problem, got %v", ps)
@@ -192,7 +194,7 @@ func TestAnalyzeEdgeOutOfRange(t *testing.T) {
 func TestAnalyzePanickyGuard(t *testing.T) {
 	n := twoLoc()
 	a := n.Automata()[0]
-	a.Edges = append(a.Edges, Edge{From: 0, To: 1, Label: "touchy",
+	a.Edges = append(a.Edges, Edge{From: 0, To: 1, Label: alphabet.Crash.Of(2),
 		Guard: func(s *State) bool {
 			if s.Clocks[0] > 2 {
 				panic("synthetic state")
@@ -200,7 +202,7 @@ func TestAnalyzePanickyGuard(t *testing.T) {
 			return s.Clocks[0] == 1
 		}})
 	for _, p := range n.Analyze() {
-		if p.Check != "nondet-pair" { // touchy vs go may be indistinguishable; fine
+		if p.Check != "nondet-pair" { // the touchy edge and the send edge may look alike; fine
 			t.Errorf("unexpected problem: %s", p)
 		}
 	}

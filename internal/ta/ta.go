@@ -25,6 +25,8 @@ package ta
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/alphabet"
 )
 
 // LocKind classifies a location's urgency.
@@ -156,8 +158,8 @@ type Edge struct {
 	Send   bool
 	Update Update
 	// Label names the action for traces (the sending side's label wins
-	// for synchronisations).
-	Label string
+	// for synchronisations unless it is tau, the zero Label).
+	Label alphabet.Label
 	Class EdgeClass
 }
 
@@ -295,8 +297,8 @@ func (n *Network) Initial() State {
 
 // Transition is one outgoing move of a configuration.
 type Transition struct {
-	// Label is "tick" for delay transitions, otherwise the action label.
-	Label string
+	// Label is tick for delay transitions, otherwise the action label.
+	Label alphabet.Label
 	// Delay marks the delay (tick) transition.
 	Delay bool
 	// Class carries the edge class for priority filtering.
@@ -414,7 +416,7 @@ func appendTarget(buf []Transition, src *State) ([]Transition, *Transition) {
 		buf = append(buf, Transition{})
 	}
 	tr := &buf[i]
-	tr.Label, tr.Delay, tr.Class, tr.src = "", false, ClassDefault, 0
+	tr.Label, tr.Delay, tr.Class, tr.src = alphabet.Label{}, false, ClassDefault, 0
 	t := &tr.Target
 	t.Locs = append(t.Locs[:0], src.Locs...)
 	t.Clocks = append(t.Clocks[:0], src.Clocks...)
@@ -525,7 +527,7 @@ func (n *Network) handshakeSuccessors(s *State, ch ChanID, committed []bool, buf
 				re.Update(t)
 			}
 			tr.Label = se.Label
-			if tr.Label == "" {
+			if tr.Label == (alphabet.Label{}) {
 				tr.Label = re.Label
 			}
 			tr.Class = se.Class
@@ -635,7 +637,7 @@ func (n *Network) appendDelay(s *State, committed []bool, buf []Transition) []Tr
 			return buf
 		}
 	}
-	tr.Label, tr.Delay = "tick", true
+	tr.Label, tr.Delay = alphabet.Label{Kind: alphabet.Tick}, true
 	return grown
 }
 

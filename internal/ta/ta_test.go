@@ -3,6 +3,20 @@ package ta
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/alphabet"
+)
+
+// The test networks' action labels.
+var (
+	fire        = alphabet.Timeout.Of(1)
+	msg         = alphabet.SendBeat.Of(1)
+	hb          = alphabet.SendBeat.Of(0)
+	commitStep  = alphabet.Start.Of(0)
+	hurryStep   = alphabet.Start.Of(1)
+	otherStep   = alphabet.Crash.Of(2)
+	deliver     = alphabet.DeliverBeat.Of(1)
+	timeoutStep = alphabet.Timeout.Of(0)
 )
 
 // tinyTimer builds a one-automaton network: wait until clock == limit,
@@ -20,7 +34,7 @@ func tinyTimer(limit int32) (*Network, *Automaton) {
 			From:  0,
 			To:    1,
 			Guard: func(s *State) bool { return s.Clocks[c] == limit },
-			Label: "fire",
+			Label: fire,
 		}},
 	})
 	return n, a
@@ -29,7 +43,7 @@ func tinyTimer(limit int32) (*Network, *Automaton) {
 func labels(trs []Transition) []string {
 	out := make([]string, len(trs))
 	for i, t := range trs {
-		out[i] = t.Label
+		out[i] = t.Label.String()
 	}
 	return out
 }
@@ -52,7 +66,7 @@ func TestDelayUntilInvariantBound(t *testing.T) {
 		s = tick.Target
 	}
 	trs := n.Successors(&s, nil)
-	if len(trs) != 1 || trs[0].Label != "fire" || trs[0].Delay {
+	if len(trs) != 1 || trs[0].Label != fire || trs[0].Delay {
 		t.Fatalf("at the bound, successors = %v, want only fire", labels(trs))
 	}
 	s = trs[0].Target
@@ -76,7 +90,7 @@ func TestGuardBeforeBoundAllowsBoth(t *testing.T) {
 			{Name: "Wait", Invariant: func(s *State) bool { return s.Clocks[c] <= 3 }},
 			{Name: "Done"},
 		},
-		Edges: []Edge{{From: 0, To: 1, Guard: func(s *State) bool { return s.Clocks[c] >= 1 }, Label: "fire"}},
+		Edges: []Edge{{From: 0, To: 1, Guard: func(s *State) bool { return s.Clocks[c] >= 1 }, Label: fire}},
 	})
 	s := n.Initial()
 	s = n.Successors(&s, nil)[0].Target // only tick at x=0
@@ -108,7 +122,7 @@ func TestHandshake(t *testing.T) {
 		Name:      "sender",
 		Locations: []Location{{Name: "S0"}, {Name: "S1"}},
 		Edges: []Edge{{
-			From: 0, To: 1, Chan: ch, Send: true, Label: "msg!",
+			From: 0, To: 1, Chan: ch, Send: true, Label: msg,
 			Update: func(s *State) { s.Vars[v] += 1 },
 		}},
 	})
@@ -124,7 +138,7 @@ func TestHandshake(t *testing.T) {
 	trs := n.Successors(&s, nil)
 	var sync *Transition
 	for i := range trs {
-		if trs[i].Label == "msg!" {
+		if trs[i].Label == msg {
 			sync = &trs[i]
 		}
 	}
@@ -152,7 +166,7 @@ func TestHandshakeBlocksWithoutPartner(t *testing.T) {
 	n.Add(&Automaton{
 		Name:      "sender",
 		Locations: []Location{{Name: "S0"}, {Name: "S1"}},
-		Edges:     []Edge{{From: 0, To: 1, Chan: ch, Send: true, Label: "msg!"}},
+		Edges:     []Edge{{From: 0, To: 1, Chan: ch, Send: true, Label: msg}},
 	})
 	s := n.Initial()
 	trs := n.Successors(&s, nil)
@@ -167,7 +181,7 @@ func TestBroadcastReachesAllEnabledReceivers(t *testing.T) {
 	n.Add(&Automaton{
 		Name:      "caster",
 		Locations: []Location{{Name: "C0"}, {Name: "C1"}},
-		Edges:     []Edge{{From: 0, To: 1, Chan: ch, Send: true, Label: "hb!"}},
+		Edges:     []Edge{{From: 0, To: 1, Chan: ch, Send: true, Label: hb}},
 	})
 	for i := 0; i < 3; i++ {
 		n.Add(&Automaton{
@@ -187,7 +201,7 @@ func TestBroadcastReachesAllEnabledReceivers(t *testing.T) {
 	trs := n.Successors(&s, nil)
 	var cast *Transition
 	for i := range trs {
-		if trs[i].Label == "hb!" {
+		if trs[i].Label == hb {
 			cast = &trs[i]
 		}
 	}
@@ -208,13 +222,13 @@ func TestBroadcastWithNoReceiversStillFires(t *testing.T) {
 	n.Add(&Automaton{
 		Name:      "caster",
 		Locations: []Location{{Name: "C0"}, {Name: "C1"}},
-		Edges:     []Edge{{From: 0, To: 1, Chan: ch, Send: true, Label: "hb!"}},
+		Edges:     []Edge{{From: 0, To: 1, Chan: ch, Send: true, Label: hb}},
 	})
 	s := n.Initial()
 	trs := n.Successors(&s, nil)
 	found := false
 	for _, tr := range trs {
-		if tr.Label == "hb!" {
+		if tr.Label == hb {
 			found = true
 		}
 	}
@@ -231,16 +245,16 @@ func TestCommittedPriorityAndNoDelay(t *testing.T) {
 			{Name: "Go", Kind: Committed},
 			{Name: "Done"},
 		},
-		Edges: []Edge{{From: 0, To: 1, Label: "commit-step"}},
+		Edges: []Edge{{From: 0, To: 1, Label: commitStep}},
 	})
 	n.Add(&Automaton{
 		Name:      "other",
 		Locations: []Location{{Name: "O0"}, {Name: "O1"}},
-		Edges:     []Edge{{From: 0, To: 1, Label: "other-step"}},
+		Edges:     []Edge{{From: 0, To: 1, Label: otherStep}},
 	})
 	s := n.Initial()
 	trs := n.Successors(&s, nil)
-	if len(trs) != 1 || trs[0].Label != "commit-step" {
+	if len(trs) != 1 || trs[0].Label != commitStep {
 		t.Fatalf("committed state: successors = %v, want only commit-step", labels(trs))
 	}
 }
@@ -253,12 +267,12 @@ func TestUrgentBlocksDelayOnly(t *testing.T) {
 			{Name: "Hurry", Kind: Urgent},
 			{Name: "Done"},
 		},
-		Edges: []Edge{{From: 0, To: 1, Label: "hurry-step"}},
+		Edges: []Edge{{From: 0, To: 1, Label: hurryStep}},
 	})
 	n.Add(&Automaton{
 		Name:      "other",
 		Locations: []Location{{Name: "O0"}, {Name: "O1"}},
-		Edges:     []Edge{{From: 0, To: 1, Label: "other-step"}},
+		Edges:     []Edge{{From: 0, To: 1, Label: otherStep}},
 	})
 	s := n.Initial()
 	trs := n.Successors(&s, nil)
@@ -285,7 +299,7 @@ func priorityNet(priority bool, bound int32) *Network {
 			{Name: "Fly", Invariant: func(s *State) bool { return s.Clocks[c] <= bound }},
 			{Name: "Done"},
 		},
-		Edges: []Edge{{From: 0, To: 1, Label: "deliver", Class: ClassDeliver}},
+		Edges: []Edge{{From: 0, To: 1, Label: deliver, Class: ClassDeliver}},
 	})
 	n.Add(&Automaton{
 		Name: "proc",
@@ -294,7 +308,7 @@ func priorityNet(priority bool, bound int32) *Network {
 			{Name: "Dead"},
 		},
 		Edges: []Edge{{
-			From: 0, To: 1, Label: "timeout", Class: ClassTimeout,
+			From: 0, To: 1, Label: timeoutStep, Class: ClassTimeout,
 			Guard: func(s *State) bool { return s.Clocks[c] == bound },
 		}},
 	})
@@ -325,14 +339,14 @@ func TestReceivePrioritySuppressesTimeoutAtDueDelivery(t *testing.T) {
 	// At the bound both deliver and timeout are enabled and the delivery
 	// is due: the timeout must be suppressed.
 	trs := n.Successors(&s, nil)
-	seen := map[string]bool{}
+	seen := map[alphabet.Label]bool{}
 	for _, tr := range trs {
 		seen[tr.Label] = true
 	}
-	if seen["timeout"] {
+	if seen[timeoutStep] {
 		t.Fatalf("timeout survived a due delivery: %v", labels(trs))
 	}
-	if !seen["deliver"] {
+	if !seen[deliver] {
 		t.Fatalf("delivery missing: %v", labels(trs))
 	}
 }
@@ -349,7 +363,7 @@ func TestReceivePriorityAllowsTimeoutWhileDeliveryCanWait(t *testing.T) {
 			{Name: "Fly", Invariant: func(s *State) bool { return s.Clocks[c] <= 8 }},
 			{Name: "Done"},
 		},
-		Edges: []Edge{{From: 0, To: 1, Label: "deliver", Class: ClassDeliver}},
+		Edges: []Edge{{From: 0, To: 1, Label: deliver, Class: ClassDeliver}},
 	})
 	n.Add(&Automaton{
 		Name: "proc",
@@ -358,17 +372,17 @@ func TestReceivePriorityAllowsTimeoutWhileDeliveryCanWait(t *testing.T) {
 			{Name: "Dead"},
 		},
 		Edges: []Edge{{
-			From: 0, To: 1, Label: "timeout", Class: ClassTimeout,
+			From: 0, To: 1, Label: timeoutStep, Class: ClassTimeout,
 			Guard: func(s *State) bool { return s.Clocks[c] == 3 },
 		}},
 	})
 	s := advanceTo(t, n, n.Initial(), 3)
 	trs := n.Successors(&s, nil)
-	seen := map[string]bool{}
+	seen := map[alphabet.Label]bool{}
 	for _, tr := range trs {
 		seen[tr.Label] = true
 	}
-	if !seen["timeout"] || !seen["deliver"] {
+	if !seen[timeoutStep] || !seen[deliver] {
 		t.Fatalf("want both orders while delivery can wait: %v", labels(trs))
 	}
 }
@@ -377,11 +391,11 @@ func TestReceivePriorityOffKeepsBothOrders(t *testing.T) {
 	n := priorityNet(false, 3)
 	s := advanceTo(t, n, n.Initial(), 3)
 	trs := n.Successors(&s, nil)
-	seen := map[string]bool{}
+	seen := map[alphabet.Label]bool{}
 	for _, tr := range trs {
 		seen[tr.Label] = true
 	}
-	if !seen["timeout"] || !seen["deliver"] {
+	if !seen[timeoutStep] || !seen[deliver] {
 		t.Fatalf("without priority, want both: %v", labels(trs))
 	}
 }
@@ -392,13 +406,13 @@ func TestReceivePriorityKeepsTimeoutWhenNoDelivery(t *testing.T) {
 	n.Add(&Automaton{
 		Name:      "p",
 		Locations: []Location{{Name: "L"}, {Name: "T"}},
-		Edges:     []Edge{{From: 0, To: 1, Label: "timeout", Class: ClassTimeout}},
+		Edges:     []Edge{{From: 0, To: 1, Label: timeoutStep, Class: ClassTimeout}},
 	})
 	s := n.Initial()
 	trs := n.Successors(&s, nil)
 	found := false
 	for _, tr := range trs {
-		if tr.Label == "timeout" {
+		if tr.Label == timeoutStep {
 			found = true
 		}
 	}

@@ -6,10 +6,11 @@ package trace
 import (
 	"fmt"
 	"io"
-	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 
+	"repro/internal/alphabet"
 	"repro/internal/mc"
 )
 
@@ -27,40 +28,27 @@ type Event struct {
 // ChannelLane is the lane used for message loss and delivery events.
 const ChannelLane = "channel"
 
-var procRe = regexp.MustCompile(`p\[\d+\]`)
-
-// laneOf classifies a transition label into a lane using the labelling
-// conventions of internal/models.
-func laneOf(label string) string {
-	switch {
-	case strings.HasPrefix(label, "deliver "),
-		strings.HasPrefix(label, "lose "),
-		strings.Contains(label, "gives no reply"):
-		return ChannelLane
-	}
-	if m := procRe.FindString(label); m != "" {
-		return m
+// laneOf names the lane the alphabet draws a label in.
+func laneOf(l alphabet.Label) string {
+	if p, ok := l.Lane(); ok {
+		return "p[" + strconv.Itoa(int(p)) + "]"
 	}
 	return ChannelLane
 }
 
-// textOf strips the lane prefix from a label for display.
-func textOf(label, lane string) string {
-	if lane == ChannelLane {
-		return label
-	}
-	if rest, ok := strings.CutPrefix(label, lane+": "); ok {
-		return rest
-	}
-	return label
+// textOf renders a label for display in its lane: without the "p[…]: "
+// that opens the texts of the kinds a process lane names.
+func textOf(l alphabet.Label, lane string) string {
+	text, _ := strings.CutPrefix(l.String(), lane+": ")
+	return text
 }
 
 // Events extracts the visible events of a trace, dropping delay steps and
-// the initial pseudo-step.
+// the steps labelled tau: internal steps and the initial pseudo-step.
 func Events(steps []mc.Step) []Event {
 	var out []Event
 	for _, s := range steps {
-		if s.Delay || s.Label == "" {
+		if s.Delay || s.Label == (alphabet.Label{}) {
 			continue
 		}
 		lane := laneOf(s.Label)
