@@ -186,9 +186,10 @@ var walkTimings = [...][2]int32{{1, 1}, {1, 2}, {1, 3}, {2, 2}, {2, 3}, {2, 4}}
 func walkRun(variant models.Variant, rng *rand.Rand) RunConfig {
 	tm := walkTimings[rng.Intn(len(walkTimings))]
 	n := 1
-	// Two participants only for the static variant: its N=2 LTS stays
-	// around 10^5 states, while the expanding/dynamic join machinery
-	// pushes N=2 into the tens of millions (minutes per spec build).
+	// Two participants only for the static variant: its N=2 spec stays
+	// around 3·10^4 states at (2,4) (1.6·10^5 in the network), while the
+	// expanding/dynamic join machinery pushes the N=2 network into the
+	// tens of millions.
 	// Static N=2 covers multi-participant interleaving; the join protocol
 	// is exercised at N=1.
 	if variant == models.Static {

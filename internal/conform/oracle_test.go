@@ -4,13 +4,16 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/alphabet"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/faults"
+	"repro/internal/mc"
 	"repro/internal/models"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -19,7 +22,33 @@ import (
 // reference: the frontier as the checker first had it — a materialised
 // all-states slice after every reseed, a fresh map for dedup on every
 // step, nothing shared, pooled or memoised — under the same piecewise
-// rules, and holds the engine to it.
+// rules, over a specification of the unreduced network rather than the
+// quotient BuildSpec explores, and holds the engine to it.
+
+// refSpecs caches the reference's specifications by model configuration.
+var refSpecs par.Memo[models.Config, *Spec]
+
+// refSpec is the reference's specification of cfg: newSpec over the LTS of
+// the network as built, with no canonicaliser.
+func refSpec(t *testing.T, cfg models.Config) *Spec {
+	t.Helper()
+	sp, err := refSpecs.Get(cfg, func(cfg models.Config) (*Spec, error) {
+		cfg.NoMonitor = true
+		m, err := models.Build(cfg)
+		if err != nil {
+			return nil, err
+		}
+		lts, err := mc.BuildLTS(m.Net, mc.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return newSpec(cfg, m, lts)
+	})
+	if err != nil {
+		t.Fatalf("reference spec of %+v: %v", cfg, err)
+	}
+	return sp
+}
 
 // outcome is what the reference and the engine are compared on.
 type outcome struct {
@@ -119,16 +148,10 @@ func (c *refChecker) enabled() []string {
 
 // refCheck replays a trace by the piecewise rules (DESIGN.md, "Adaptive
 // variant"; plain single-spec checking when the check has no envelope) on
-// the reference frontier, unbudgeted.
+// the reference frontier over the network's specifications, unbudgeted.
 func refCheck(t *testing.T, c *CampaignCheck, events []Event, horizon core.Tick) outcome {
 	t.Helper()
-	specAt := func(level int) *Spec {
-		sp, err := c.specAt(level)
-		if err != nil {
-			t.Fatalf("spec level %d: %v", level, err)
-		}
-		return sp
-	}
+	specAt := func(level int) *Spec { return refSpec(t, c.levelConfig(level)) }
 	piecewise := c.Envelope != nil
 	level := baseLevel
 	if piecewise {
@@ -276,8 +299,15 @@ func wrapSoon(e *streamEngine) {
 	}
 }
 
+// requireOutcome holds an engine outcome to the reference's: equal in every
+// field but MaxFrontierSeen, which on the quotient may be smaller than on
+// the network and must not be larger.
 func requireOutcome(t *testing.T, what string, got, want outcome) {
 	t.Helper()
+	if got.MaxFrontierSeen > want.MaxFrontierSeen {
+		t.Fatalf("%s saw a frontier of %d states, the reference at most %d", what, got.MaxFrontierSeen, want.MaxFrontierSeen)
+	}
+	got.MaxFrontierSeen = want.MaxFrontierSeen
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s differs from the reference checker:\n  got:  %+v\n  want: %+v", what, got, want)
 	}
@@ -434,5 +464,49 @@ func TestEngineMatchesReferenceOnTopoCampaigns(t *testing.T) {
 				t.Fatalf("the reseeds at level %d memoised nothing", level)
 			}
 		})
+	}
+}
+
+// TestSpecQuotientKeepsWeakTraces pins the claim the specs rest on: the
+// quotient BuildSpec explores has the network's weak traces. For every
+// variant at (2,4), and static at n=2, original and corrected, the
+// unobservable labels are hidden and the weak-trace reductions of the
+// network's LTS and of the quotient's are written out: the bytes are equal.
+func TestSpecQuotientKeepsWeakTraces(t *testing.T) {
+	var cfgs []models.Config
+	for _, v := range []models.Variant{models.Binary, models.RevisedBinary, models.TwoPhase, models.Static, models.Expanding, models.Dynamic} {
+		cfgs = append(cfgs, models.Config{TMin: 2, TMax: 4, Variant: v, N: 1})
+	}
+	cfgs = append(cfgs, models.Config{TMin: 2, TMax: 4, Variant: models.Static, N: 2})
+	hidden := func(l alphabet.Label) bool { return !l.Kind.Observable() }
+	weak := func(lts *mc.LTS, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reduced, err := lts.Hide(hidden).WeakTraceReduce(mc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := reduced.WriteAUT(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for _, cfg := range cfgs {
+		for _, fixed := range []bool{false, true} {
+			cfg.Fixed, cfg.NoMonitor = fixed, true
+			m, err := models.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			network, quotient := weak(mc.BuildLTS(m.Net, mc.Options{})), weak(m.BuildLTS(mc.Options{}))
+			if network != quotient {
+				got, _, _ := strings.Cut(quotient, "\n")
+				want, _, _ := strings.Cut(network, "\n")
+				t.Errorf("%+v: the quotient's weak traces differ from the network's: %s, the network's %s", cfg, got, want)
+			}
+		}
 	}
 }

@@ -48,17 +48,18 @@ const (
 	// post-reseed steps every trial repeats instead of following each
 	// trial's own path, and a private step over so few states costs about
 	// what the lookup does. Measured on the three topology campaigns of
-	// hbsim -exp topo (go run ./bench -workload sim_campaign, 4 s runs):
-	// 8 → 2775–2907 ops/s, 64 → 2748–2750, 512 → 2624–2658, 4096 →
-	// 2238–2322; at 64 the six specs settle at 59,293 memoised states
-	// (0.24 MB, the widest trie 19 nodes) within the first 20-trial pass
-	// and do not grow again.
+	// hbsim -exp topo (go run ./bench -workload sim_campaign, 4 s runs,
+	// five rounds on 2 CPUs): 8 → 1505–2982 ops/s, 64 → 1645–3290, 512 →
+	// 1577–3059, 4096 → 1470–2872, flat within the machine's swing now that
+	// the specs are quotients. At 64 the six specs settle at 12,893
+	// memoised states (0.05 MB, the widest trie 13 nodes) within the first
+	// 20-trial pass and do not grow again.
 	regionSmall = 64
 	// regionBudgetFactor caps a spec's memoised states at this multiple
 	// of NumStates: 16 bytes per state at most, against the ~27 its CSR
-	// arrays hold. The campaigns above peak at 0.97× (churn storm at
-	// level 0: 24,909 states over 19 nodes) and 0.07× (rack loss at level
-	// 1: 34,384 over 12); the cap is for streams that reseed along many
+	// arrays hold. The campaigns above peak at 1.22× (churn storm at
+	// level 0: 4,999 states over 13 nodes) and 0.09× (rack loss at level
+	// 1: 7,894 over 9); the cap is for streams that reseed along many
 	// distinct wide paths, which then step privately with identical
 	// results.
 	regionBudgetFactor = 4

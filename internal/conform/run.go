@@ -229,9 +229,14 @@ func (c *CampaignCheck) specAt(level int) (*Spec, error) {
 }
 
 func (c *CampaignCheck) buildSpec(level int) (*Spec, error) {
-	cfg := c.Model
-	if level != baseLevel {
-		cfg = c.Envelope.LevelConfig(c.Model, level)
+	return BuildSpec(c.levelConfig(level), c.Opts)
+}
+
+// levelConfig is the model configuration of one envelope level, or of the
+// Model as given at baseLevel.
+func (c *CampaignCheck) levelConfig(level int) models.Config {
+	if level == baseLevel {
+		return c.Model
 	}
-	return BuildSpec(cfg, c.Opts)
+	return c.Envelope.LevelConfig(c.Model, level)
 }

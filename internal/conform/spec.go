@@ -41,17 +41,24 @@ type Spec struct {
 
 // BuildSpec builds the conformance specification for a model
 // configuration. The R1 monitors are dropped (they are observers, not
-// protocol behaviour, and their clocks inflate the state space).
+// protocol behaviour, and their clocks inflate the state space), and the
+// LTS is the model's label-preserving quotient ((*models.Model).BuildLTS),
+// which has the network's weak traces.
 func BuildSpec(cfg models.Config, opts mc.Options) (*Spec, error) {
 	cfg.NoMonitor = true
 	m, err := models.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	lts, err := mc.BuildLTS(m.Net, opts)
+	lts, err := m.BuildLTS(opts)
 	if err != nil {
 		return nil, fmt.Errorf("conform: building %v LTS: %w", cfg.Variant, err)
 	}
+	return newSpec(cfg, m, lts)
+}
+
+// newSpec prepares lts, an LTS of model m built from cfg, for checking.
+func newSpec(cfg models.Config, m *models.Model, lts *mc.LTS) (*Spec, error) {
 	if lts.Initial != 0 {
 		return nil, fmt.Errorf("conform: unexpected initial state %d", lts.Initial)
 	}

@@ -80,7 +80,8 @@ type walkDiff struct {
 // TestStreamDifferential is the corpus differential: every variant's
 // random-walk corpus, replayed event by event through the StreamChecker,
 // must produce verdicts and first-divergence reports identical to offline
-// CheckTrace/EvaluateTrace on the recorded trace — at 1 worker and at 8.
+// CheckTrace/EvaluateTrace on the recorded trace — at 1 worker and at 8 —
+// and the engine's outcome must be the network reference's.
 func TestStreamDifferential(t *testing.T) {
 	const walksPerVariant = 6
 	variants := []models.Variant{
@@ -127,6 +128,7 @@ func TestStreamDifferential(t *testing.T) {
 		if !reflect.DeepEqual(sres.Verdicts, tv) {
 			t.Fatalf("verdicts differ:\n  stream:  %+v\n  offline: %+v", sres.Verdicts, tv)
 		}
+		requireAgainstReference(t, check, out.Events, rc.Horizon)
 		return walkDiff{variant: variant, walk: w, events: len(out.Events), diverged: div != nil}
 	}
 

@@ -46,7 +46,7 @@ func TestSerialCheckerAllocBudget(t *testing.T) {
 // TestCanonExploresQuotient: a clock nothing reads after the one edge out
 // of Run splits End into a state per value it can hold; a canonicaliser
 // that stores it as 0 there leaves one. The witness to End is the same run
-// either way, and BuildLTS ignores the hook.
+// either way, and BuildLTS builds the quotient's LTS.
 func TestCanonExploresQuotient(t *testing.T) {
 	net := ta.NewNetwork()
 	x := net.Clock("x", 5)
@@ -84,13 +84,56 @@ func TestCanonExploresQuotient(t *testing.T) {
 	if !reduced.Reachable || len(reduced.Trace) != len(plain.Trace) || reduced.Trace[1].Label != alphabet.Crash.Of(0) {
 		t.Fatalf("witness %+v, on the network %+v", reduced.Trace, plain.Trace)
 	}
+	// The LTS is the quotient's, and each of its transitions is the
+	// canonical image of a network transition with the same label.
+	full, err := BuildLTS(net, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	lts, err := BuildLTS(net, Options{Canon: canon})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lts.NumStates != whole {
-		t.Fatalf("BuildLTS with a canonicaliser has %d states, the network %d", lts.NumStates, whole)
+	if full.NumStates != whole || lts.NumStates != quotient {
+		t.Fatalf("BuildLTS has %d states, %d with the canonicaliser; want %d and %d", full.NumStates, lts.NumStates, whole, quotient)
 	}
+	type step struct {
+		from  string
+		label alphabet.Label
+		to    string
+	}
+	key := func(s ta.State) string { return string(s.AppendKey(nil)) }
+	fullStates, states := committedStates(t, net, Options{}), committedStates(t, net, Options{Canon: canon})
+	images := map[step]bool{}
+	for _, tr := range full.Transitions {
+		to := fullStates[tr.To].Clone()
+		canon(&to)
+		images[step{key(fullStates[tr.From]), tr.Label, key(to)}] = true
+	}
+	for _, tr := range lts.Transitions {
+		if !images[step{key(states[tr.From]), tr.Label, key(states[tr.To])}] {
+			t.Errorf("quotient transition %v %v -> %v is no network transition's image", states[tr.From], tr.Label, states[tr.To])
+		}
+	}
+	if len(lts.Transitions) == 0 || len(lts.Transitions) >= len(full.Transitions) {
+		t.Fatalf("%d quotient transitions, %d in the network", len(lts.Transitions), len(full.Transitions))
+	}
+}
+
+// committedStates lists the states an exploration stored, by id: the LTS
+// states BuildLTS numbers.
+func committedStates(t *testing.T, net *ta.Network, opts Options) []ta.State {
+	t.Helper()
+	e, _, _, _, err := explore(net, nil, opts, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := make([]ta.State, e.info.n)
+	for id := range states {
+		states[id] = e.init.Clone()
+		states[id].DecodeKey(e.store.key(id), e.numLocs, e.numClocks)
+	}
+	return states
 }
 
 // TestCanonWitnessIsReplayed: two identical processes p[1] and p[2] step

@@ -28,10 +28,12 @@ type LTS struct {
 	Transitions []Trans
 }
 
-// BuildLTS generates the full reachable transition system of a network.
-// Transitions come out in (source id, successor enumeration) order.
+// BuildLTS generates the full reachable transition system of a network, or
+// of its quotient under opts.Canon (see Options.Canon for the stricter
+// contract that hook has here). Transitions come out in (source id,
+// successor enumeration) order.
 func BuildLTS(n *ta.Network, opts Options) (*LTS, error) {
-	e, _, _, _, err := explore(n, nil, Options{MaxStates: opts.MaxStates}, true)
+	e, _, _, _, err := explore(n, nil, Options{MaxStates: opts.MaxStates, Canon: opts.Canon}, true)
 	if err != nil {
 		return nil, err
 	}

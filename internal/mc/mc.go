@@ -49,7 +49,14 @@ type Options struct {
 	// shortest run of the network: its path through the quotient, replayed
 	// from the initial configuration (see CheckReachability). Like Prune
 	// it must be pure and allocation-free. The initial configuration is
-	// stored as given. BuildLTS ignores Canon, as it ignores Prune.
+	// stored as given.
+	//
+	// Under BuildLTS the contract is stricter, because an LTS keeps every
+	// label: Canon must be a label-preserving functional strong
+	// bisimulation — for each transition of one member every other member
+	// has one with the same label into the same class — and a class's
+	// transitions are those of its representative, the state stored for it.
+	// BuildLTS still ignores Prune.
 	Canon func(*ta.State)
 	// Workers is ignored; it stays declared only until bench/ stops setting it.
 	Workers int

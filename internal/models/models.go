@@ -278,6 +278,9 @@ type Model struct {
 	// (symmetry.go).
 	blocks []block
 	sym    symmetry
+	// observers lists the observer-only variables, which traceCanon stores
+	// as 0; declareVars records them with the reason.
+	observers []int
 
 	// variables
 	vActive0 int
@@ -359,6 +362,11 @@ func (m *Model) declareVars() {
 		}
 		b.vars = append(b.vars, m.vEver[i])
 	}
+	// lostMsg and ever_i are written by channel and p[0] edges and read only
+	// by the requirement predicates and the loss prune: no guard, invariant
+	// or update reads them, so a conformance spec, which evaluates no
+	// predicate, need not keep them.
+	m.observers = append(append(m.observers, m.vLost), m.vEver...)
 }
 
 // declareChans creates the synchronisation channels.

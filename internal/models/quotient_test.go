@@ -14,9 +14,9 @@ import (
 	"repro/internal/trace"
 )
 
-// The verdict path explores a quotient (deadclock.go, symmetry.go). The
-// unreduced successor relation — which CountStates, BuildLTS, VerifyGoal
-// and every conformance spec stay on — is the oracle for it.
+// The verdict path and the conformance specs explore quotients
+// (deadclock.go, symmetry.go). The unreduced successor relation — which
+// CountStates, mc.BuildLTS and VerifyGoal stay on — is the oracle for them.
 
 // bisimOracle is a goal predicate for the unreduced checker: broken(s)
 // reports that s -> canon(s) fails, at s, to be a functional strong
@@ -85,10 +85,11 @@ func (o *bisimOracle) broken(s *ta.State) bool {
 	return false
 }
 
-// checkBisimulation runs the bisimulation oracle; see runOracle.
-func checkBisimulation(net *ta.Network, canon func(*ta.State), preds []func(*ta.State) bool, opts mc.Options) (states int, failure string, err error) {
+// checkBisimulation runs the bisimulation oracle, over a breadth-first
+// prefix under -short or when prefix is set; see runOracle.
+func checkBisimulation(net *ta.Network, canon func(*ta.State), preds []func(*ta.State) bool, prefix bool, opts mc.Options) (states int, failure string, err error) {
 	o := &bisimOracle{canon: canon, preds: preds, ctx: net.NewSuccCtx(), repCtx: net.NewSuccCtx()}
-	return runOracle(net, o.broken, &o.why, testing.Short(), opts)
+	return runOracle(net, o.broken, &o.why, prefix || testing.Short(), opts)
 }
 
 // runOracle hands the unreduced checker an oracle's goal, broken, over
@@ -251,6 +252,9 @@ type quotientCase struct {
 	// network the R2/R3 verdicts can reach — where the whole is out of
 	// reach for an unreduced walk.
 	lossless bool
+	// wide marks a model walked in full only at full scale (fullScale), and
+	// over a breadth-first prefix otherwise.
+	wide bool
 }
 
 // quotientGrid is every model the oracle covers: all six variants, original
@@ -306,7 +310,7 @@ func TestQuotientIsBisimulation(t *testing.T) {
 		if tc.lossless {
 			opts.Prune = m.MessageLost
 		}
-		states, failure, err := checkBisimulation(m.Net, m.canon, m.requirementPreds(), opts)
+		states, failure, err := checkBisimulation(m.Net, m.canon, m.requirementPreds(), false, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,6 +320,102 @@ func TestQuotientIsBisimulation(t *testing.T) {
 		total += states
 	}
 	t.Logf("%d models, %d unreduced states checked", len(grid), total)
+}
+
+// traceQuotientGrid is every model the oracle covers for traceCanon: the
+// sliced models of the grid, and the six specifications the streaming
+// checker of hbsim -exp topo builds — rack loss (static, n=2), WAN delay
+// (expanding) and churn storm (dynamic), corrected, at both levels of the
+// campaigns' envelope. Those six hold 0.8M unreduced states, rack loss at
+// level 1 alone 517,108, so they are wide.
+func traceQuotientGrid() []quotientCase {
+	var grid []quotientCase
+	for _, tc := range quotientGrid() {
+		if tc.cfg.NoMonitor {
+			grid = append(grid, tc)
+		}
+	}
+	env := Envelope{TMinLo: 2, TMinHi: 2, TMaxLo: 4, TMaxHi: 8}
+	for _, c := range []struct {
+		variant Variant
+		n       int
+	}{{Static, 2}, {Expanding, 1}, {Dynamic, 1}} {
+		for level := 0; level < env.Levels(); level++ {
+			cfg := env.LevelConfig(Config{Variant: c.variant, N: c.n, Fixed: true, NoMonitor: true}, level)
+			grid = append(grid, quotientCase{cfg: cfg, wide: true})
+		}
+	}
+	return grid
+}
+
+// TestTraceQuotientIsBisimulation is the oracle for the conformance specs'
+// quotient: traceCanon is a label-preserving functional strong bisimulation
+// on every model of the trace grid, checked with no predicate, as a spec
+// evaluates none. A plain go test walks a prefix of the six wide ones.
+func TestTraceQuotientIsBisimulation(t *testing.T) {
+	t.Parallel()
+	grid, total := traceQuotientGrid(), 0
+	for _, tc := range grid {
+		m, err := Build(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var opts mc.Options
+		if tc.lossless {
+			opts.Prune = m.MessageLost
+		}
+		states, failure, err := checkBisimulation(m.Net, m.traceCanon, nil, tc.wide && !fullScale(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failure != "" {
+			t.Errorf("%+v lossless=%v: %s", tc.cfg, tc.lossless, failure)
+		}
+		total += states
+	}
+	t.Logf("%d models, %d unreduced states checked (full scale: %v)", len(grid), total, fullScale())
+}
+
+// TestTraceCanonAllocFree: traceCanon runs on every successor BuildLTS
+// generates, inside the explorer's allocation-free expansion loop.
+func TestTraceCanonAllocFree(t *testing.T) {
+	m, err := Build(Config{TMin: 2, TMax: 4, Variant: Dynamic, N: 2, Fixed: true, NoMonitor: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := m.Net.Initial()
+	if allocs := testing.AllocsPerRun(100, func() { m.traceCanon(&s) }); allocs != 0 {
+		t.Fatalf("traceCanon allocates %.0f/op", allocs)
+	}
+}
+
+// TestTraceQuotientOracleCatchesMutants: the oracle can fail. One mutant
+// zeroes rcvd, which p[0]'s timeout decision reads, in place of ever; the
+// other lists jnd, which the channels' guards read, as observer-only.
+func TestTraceQuotientOracleCatchesMutants(t *testing.T) {
+	cfg := Config{TMin: 2, TMax: 3, Variant: Expanding, N: 1, Fixed: true, NoMonitor: true}
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *Model) []int
+	}{
+		{"rcvd in place of ever", func(m *Model) []int { return append([]int{m.vLost}, m.vRcvd...) }},
+		{"jnd listed as observer-only", func(m *Model) []int { return append(slices.Clone(m.observers), m.vJnd...) }},
+	} {
+		m, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.observers = tc.mutate(m)
+		_, failure, err := checkBisimulation(m.Net, m.traceCanon, nil, false, mc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failure == "" {
+			t.Errorf("%s: the oracle found nothing wrong", tc.name)
+		} else {
+			t.Logf("%s: %s", tc.name, failure)
+		}
+	}
 }
 
 // shutdownOracleConfigs are the five shutdown-monitor models the oracles
@@ -339,7 +439,7 @@ func TestQuotientIsBisimulationShutdown(t *testing.T) {
 			t.Fatal(err)
 		}
 		deadClocksOnly(sm.Model)
-		_, failure, err := checkBisimulation(sm.Net, sm.canon, []func(*ta.State) bool{sm.Violated}, mc.Options{})
+		_, failure, err := checkBisimulation(sm.Net, sm.canon, []func(*ta.State) bool{sm.Violated}, false, mc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +477,7 @@ func TestQuotientOracleCatchesWrongRow(t *testing.T) {
 		if rows != 1 {
 			t.Fatalf("%s: clock %d has %d rows, want 1", tc.name, clock, rows)
 		}
-		_, failure, err := checkBisimulation(m.Net, m.canon, m.requirementPreds(), mc.Options{})
+		_, failure, err := checkBisimulation(m.Net, m.canon, m.requirementPreds(), false, mc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
