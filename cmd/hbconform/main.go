@@ -115,6 +115,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	case *schedule != "" || *mutate != "" || *stream:
 		err = errors.New("-schedule/-mutate/-stream need single-run mode (set -horizon)")
+	case *walks < 1:
+		err = fmt.Errorf("-walks %d: a campaign needs at least one walk", *walks)
 	default:
 		status, err = runWalks(stdout, *variant, *walks, *seed, *maxStates, *shrink, *workers)
 	}

@@ -142,6 +142,8 @@ func TestBadFlags(t *testing.T) {
 		{[]string{"-variant", "binary", "-horizon", "5", "-schedule", "frobnicate t=1"}, "hbconform: schedule:"},
 		{[]string{"-variant", "binary", "-horizon", "5", "-tmin", "0"}, "hbconform:"},
 		{[]string{"-variant", "binary", "-horizon", "5", "-stream", "-tmin", "0"}, "hbconform:"},
+		{[]string{"-variant", "binary", "-walks", "0"}, "hbconform: -walks 0:"},
+		{[]string{"-variant", "binary", "-walks", "-1"}, "hbconform: -walks -1:"},
 	} {
 		var out, errs bytes.Buffer
 		if code := run(tc.args, &out, &errs); code != 2 {
@@ -155,5 +157,19 @@ func TestBadFlags(t *testing.T) {
 	var out, errs bytes.Buffer
 	if code := run([]string{"-nope"}, &out, &errs); code != 2 || out.Len() != 0 || !strings.Contains(errs.String(), "-nope") {
 		t.Errorf("run(-nope) = %d, stdout %q, stderr %q", code, out.String(), errs.String())
+	}
+	// One walk is the smallest campaign.
+	out.Reset()
+	errs.Reset()
+	if code := run([]string{"-variant", "binary", "-walks", "1"}, &out, &errs); code != 0 || errs.Len() != 0 {
+		t.Errorf("run(-walks 1) = %d, stderr %q", code, errs.String())
+	}
+}
+
+// TestConformGoldenWalksAll pins walk mode: every variant's 200-walk
+// campaign, byte for byte at one worker and at four.
+func TestConformGoldenWalksAll(t *testing.T) {
+	for _, workers := range []string{"1", "4"} {
+		checkGolden(t, "walks_all", 0, "-variant", "all", "-walks", "200", "-seed", "1", "-workers", workers)
 	}
 }
