@@ -10,10 +10,10 @@
 //	hbconform -variant binary -tmin 2 -tmax 4 -fixed -horizon 30 \
 //	    -schedule 'crash t=9 node=0' -mutate expiry+1
 //
-// With -stream the single run is checked online while it executes
-// (internal/conform.StreamChecker) instead of by offline replay: incidents
-// are reported as they fire, violations are cross-checked against the
-// model inline, and a divergence is shrunk to a minimal reproduction.
+// Every run is checked online while it executes
+// (internal/conform.StreamChecker): in single-run mode incidents are
+// reported as they fire, violations are cross-checked against the model
+// inline, and a divergence is shrunk to a minimal reproduction.
 //
 // Exit status 1 when any divergence or verdict mismatch is found.
 package main
@@ -42,21 +42,20 @@ var variants = []models.Variant{
 	models.Static, models.Expanding, models.Dynamic,
 }
 
-func parseVariant(name string) (models.Variant, error) {
-	for _, v := range variants {
+// parseVariant resolves one variant name. Walk mode takes "all" as well,
+// and handles it before calling; the error names the choices of the mode.
+func parseVariant(name string, walk bool) (models.Variant, error) {
+	names := make([]string, len(variants))
+	for i, v := range variants {
 		if v.String() == name {
 			return v, nil
 		}
-	}
-	return 0, fmt.Errorf("unknown variant %q (have all, %s)", name, variantNames())
-}
-
-func variantNames() string {
-	names := make([]string, len(variants))
-	for i, v := range variants {
 		names[i] = v.String()
 	}
-	return strings.Join(names, ", ")
+	if walk {
+		return 0, fmt.Errorf("unknown variant %q (have all, %s)", name, strings.Join(names, ", "))
+	}
+	return 0, fmt.Errorf("unknown variant %q (single-run mode has %s)", name, strings.Join(names, ", "))
 }
 
 // loadSchedule reads a fault schedule from a file, or parses the flag
@@ -91,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		horizon   = fs.Int("horizon", 0, "virtual run length; > 0 selects single-run mode")
 		maxDelay  = fs.Int("maxdelay", 0, "per-direction link delay bound (single-run mode)")
 		mutate    = fs.String("mutate", "", "inject a named detector defect (single-run mode)")
-		stream    = fs.Bool("stream", false, "check online while the run executes (single-run mode)")
 		workers   = fs.Int("workers", 1, "concurrent walks per campaign; results are identical at any count (walk mode only)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -107,14 +105,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if rc, err = singleConfig(*variant, *tmin, *tmax, *n, *fixed, *horizon, *maxDelay, *seed, *schedule, *mutate); err != nil {
 			break
 		}
-		opts := mc.Options{MaxStates: *maxStates}
-		if *stream {
-			status, err = runStreamSingle(stdout, rc, opts, *mutate)
-		} else {
-			status, err = runSingle(stdout, rc, opts)
-		}
-	case *schedule != "" || *mutate != "" || *stream:
-		err = errors.New("-schedule/-mutate/-stream need single-run mode (set -horizon)")
+		status, err = runSingle(stdout, rc, mc.Options{MaxStates: *maxStates}, *mutate)
+	case *schedule != "" || *mutate != "":
+		err = errors.New("-schedule/-mutate need single-run mode (set -horizon)")
 	case *walks < 1:
 		err = fmt.Errorf("-walks %d: a campaign needs at least one walk", *walks)
 	default:
@@ -129,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // singleConfig assembles the RunConfig for single-run mode from flags.
 func singleConfig(variantName string, tmin, tmax, n int, fixed bool, horizon, maxDelay int, seed int64, schedule, mutate string) (conform.RunConfig, error) {
-	v, err := parseVariant(variantName)
+	v, err := parseVariant(variantName, false)
 	if err != nil {
 		return conform.RunConfig{}, err
 	}
@@ -154,73 +147,17 @@ func singleConfig(variantName string, tmin, tmax, n int, fixed bool, horizon, ma
 	}, nil
 }
 
-// runSingle checks one deterministic run by offline replay. Like the other
-// modes it returns the exit status of a completed check, or the error that
-// kept it from completing.
-func runSingle(w io.Writer, rc conform.RunConfig, opts mc.Options) (int, error) {
-	sp, err := conform.BuildSpec(rc.Model, opts)
-	if err != nil {
-		return 0, err
-	}
-	out, err := conform.Run(rc)
-	if err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(w, "run %s: tmin=%d tmax=%d n=%d fixed=%v seed=%d horizon=%d events=%d lost=%d\n",
-		rc.Model.Variant, rc.Model.TMin, rc.Model.TMax, rc.Model.N, rc.Model.Fixed, rc.Seed, rc.Horizon, len(out.Events), out.Lost)
-
-	status := 0
-	if d := sp.CheckTrace(out.Events, rc.Horizon); d != nil {
-		fmt.Fprintln(w)
-		if err := d.Render(w, "trace before divergence"); err != nil {
-			return 0, fmt.Errorf("render: %v", err)
-		}
-		status = 1
-	} else {
-		fmt.Fprintln(w, "trace inclusion: conforms")
-	}
-
-	tv := conform.EvaluateTrace(rc.Model, out.Events, out.Lost, rc.Horizon)
-	if len(tv.Violations) == 0 {
-		fmt.Fprintln(w, "verdicts: no R1-R3 violations observed")
-		return status, nil
-	}
-	verify := func(cfg models.Config, p models.Property) (models.Verdict, error) {
-		return models.Verify(cfg, p, opts)
-	}
-	diffs, err := conform.DiffVerdicts(rc.Model, tv, verify)
-	if err != nil {
-		return 0, fmt.Errorf("verdicts: %v", err)
-	}
-	for _, d := range diffs {
-		state := "model agrees (violation reachable)"
-		if d.Mismatch {
-			state = "MISMATCH: model proves the property satisfied"
-			status = 1
-		}
-		for _, viol := range d.Runtime {
-			fmt.Fprintf(w, "verdict %v violated at t=%d (p[%d]): %s\n", d.Prop, viol.Time, viol.Proc, state)
-		}
-	}
-	return status, nil
-}
-
-// runStreamSingle checks one deterministic run online: the stream checker
-// rides the cluster as its observer, violations are cross-checked against
-// the model checker as they fire, and a divergence is shrunk to a minimal
-// offline reproduction before reporting.
-func runStreamSingle(w io.Writer, rc conform.RunConfig, opts mc.Options, mutate string) (int, error) {
+// runSingle checks one deterministic run online: the stream checker rides
+// the cluster as its observer, violations are cross-checked against the
+// model checker as they fire, and a divergence is shrunk to a minimal
+// reproduction before reporting. Like the other modes it returns the exit
+// status of a completed check, or the error that kept it from completing.
+func runSingle(w io.Writer, rc conform.RunConfig, opts mc.Options, mutate string) (int, error) {
 	cc := &conform.CampaignCheck{Model: rc.Model, Opts: opts}
 	verify := func(cfg models.Config, p models.Property) (models.Verdict, error) {
 		return models.Verify(cfg, p, opts)
 	}
-	sc, err := conform.NewStreamChecker(conform.StreamConfig{
-		Check: cc, Horizon: rc.Horizon, Verify: verify,
-	})
-	if err != nil {
-		return 0, err
-	}
-	res, err := conform.RunStream(rc, sc)
+	res, err := conform.RunStream(rc, conform.StreamConfig{Check: cc, Verify: verify})
 	if err != nil {
 		return 0, err
 	}
@@ -232,10 +169,8 @@ func runStreamSingle(w io.Writer, rc conform.RunConfig, opts mc.Options, mutate 
 	case res.Unconfirmed != nil:
 		status = 1
 		inc := res.Unconfirmed
-		if sp, err := cc.Spec(); err == nil {
-			if shr, sdiv, err := conform.ShrinkRun(rc, sp); err == nil && sdiv != nil {
-				inc.Shrunk, inc.ShrunkDiv = &shr, sdiv
-			}
+		if shr, sdiv, err := conform.ShrinkRun(rc, cc); err == nil {
+			inc.Shrunk, inc.ShrunkDiv = &shr, sdiv
 		}
 		fmt.Fprintln(w)
 		if err := inc.Render(w, "trace before divergence"); err != nil {
@@ -278,7 +213,7 @@ func runStreamSingle(w io.Writer, rc conform.RunConfig, opts mc.Options, mutate 
 func runWalks(w io.Writer, variantName string, walks int, seed int64, maxStates int, shrink bool, workers int) (int, error) {
 	list := variants
 	if variantName != "all" {
-		v, err := parseVariant(variantName)
+		v, err := parseVariant(variantName, true)
 		if err != nil {
 			return 0, err
 		}
@@ -308,8 +243,8 @@ func runWalks(w io.Writer, variantName string, walks int, seed int64, maxStates 
 
 func reportFailure(w io.Writer, v models.Variant, f conform.WalkFailure) error {
 	rc, div := f.Run, f.Div
-	if f.Shrunk != nil {
-		rc, div = *f.Shrunk, f.ShrunkDiv
+	if div != nil && div.Shrunk != nil {
+		rc, div = *div.Shrunk, div.ShrunkDiv
 	}
 	fmt.Fprintf(w, "\nwalk %d FAILED; reproduce with:\n  hbconform -variant %s -tmin %d -tmax %d -n %d -fixed=%v -seed %d -horizon %d -maxdelay %d",
 		f.Walk, v, rc.Model.TMin, rc.Model.TMax, rc.Model.N, rc.Model.Fixed, rc.Seed, rc.Horizon, rc.MaxDelay)
@@ -322,11 +257,9 @@ func reportFailure(w io.Writer, v models.Variant, f conform.WalkFailure) error {
 			return fmt.Errorf("render: %v", err)
 		}
 	}
-	for _, d := range f.Mismatches {
-		for _, viol := range d.Runtime {
-			fmt.Fprintf(w, "verdict %v violated at t=%d (p[%d]) but the model proves it satisfied\n",
-				d.Prop, viol.Time, viol.Proc)
-		}
+	for _, inc := range f.Mismatches {
+		fmt.Fprintf(w, "verdict %v violated at t=%d (p[%d]) but the model proves it satisfied\n",
+			inc.Prop, inc.Time, inc.Proc)
 	}
 	return nil
 }

@@ -260,7 +260,6 @@ func topo(w, stderr io.Writer, trials int, seed int64) error {
 				Model:    models.Config{TMin: tmin, TMax: tmax, Variant: tc.variant, N: tc.n, Fixed: true},
 				Envelope: &env,
 			},
-			Stream: true,
 		})
 		if err != nil {
 			return err

@@ -61,6 +61,6 @@ func TestBadInputRejected(t *testing.T) {
 
 // TestGoldenTopo: the golden was written while -exp topo still recorded
 // each trial and replayed it offline, so it also pins that checking online
-// (CampaignConfig.Stream, what the sim_campaign benchmark runs) reports the
-// same campaigns.
+// (what every conformance campaign, and the sim_campaign benchmark, runs)
+// reports the same campaigns.
 func TestGoldenTopo(t *testing.T) { checkGolden(t, "topo", "-exp", "topo", "-trials", "3") }

@@ -77,6 +77,34 @@ func TestCheckTraceAdaptiveByDesignConfirmed(t *testing.T) {
 	}
 }
 
+// TestCheckTraceAdaptiveAssumesLoss: with no loss count to go on,
+// CheckTraceAdaptive never takes R2/R3's no-loss premise for granted, so
+// p[0]'s inactivation with its participant alive is no R3 violation there,
+// and is one for a stream finished as loss-free.
+func TestCheckTraceAdaptiveAssumesLoss(t *testing.T) {
+	c := adaptiveCheck(t)
+	events := []Event{{Time: 1, Label: alphabet.Inactivate.Of(0)}}
+	res, err := c.CheckTraceAdaptive(events, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdicts.LossFree || len(res.Verdicts.Violations) != 0 {
+		t.Fatalf("verdicts = %+v, want no loss-free premise and no violation", res.Verdicts)
+	}
+	sc, err := NewStreamChecker(StreamConfig{Check: c, Horizon: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Feed(events[0])
+	lossFree, err := sc.Finish(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r3 := lossFree.Verdicts.ByProp(models.R3); len(r3) != 1 {
+		t.Fatalf("loss-free verdicts = %+v, want one R3 violation", lossFree.Verdicts)
+	}
+}
+
 // TestCheckTraceAdaptiveSaturation drives the checker into degraded mode
 // with a retune that re-holds the level-0 point: unexplained events are
 // then tolerated (and counted), and time passes unchecked.

@@ -1,64 +1,13 @@
 package conform
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strings"
-
-	"repro/internal/core"
-	"repro/internal/models"
 )
 
-// Divergence reports the first point where a recorded trace leaves the
-// model's behaviour.
-type Divergence struct {
-	Cfg models.Config
-	// Events is the full recorded trace; Events[:Index] was consumed
-	// before the divergence.
-	Events []Event
-	// Index is the offending event's position, or len(Events) when the
-	// trace ran out while the model still forced an action.
-	Index int
-	// Time is the virtual time of the divergence.
-	Time core.Tick
-	// Label is the runtime event no model execution matches; LabelTick
-	// when the model refused to let time pass (a forced visible action the
-	// runtime never produced).
-	Label string
-	// Expected lists the visible labels (and possibly LabelTick) the model
-	// allows at the divergence point, sorted.
-	Expected []string
-}
-
-// Error implements error, so a Divergence can travel as one.
-func (d *Divergence) Error() string {
-	if d.Label == LabelTick {
-		return fmt.Sprintf("conform: %v diverges at t=%d: model forces one of [%s], runtime produced nothing",
-			d.Cfg.Variant, d.Time, strings.Join(d.Expected, ", "))
-	}
-	return fmt.Sprintf("conform: %v diverges at t=%d (event %d): runtime produced %q, model allows [%s]",
-		d.Cfg.Variant, d.Time, d.Index, d.Label, strings.Join(d.Expected, ", "))
-}
-
-// mscTail bounds the rendered prefix of a divergence report.
+// mscTail bounds the MSC context of an incident report (StreamConfig.Tail's
+// default).
 const mscTail = 40
-
-// Render writes a human-readable divergence report: the consumed trace
-// prefix as an ASCII message sequence chart (internal/trace), then the
-// offending step and what the model would have allowed. It is the
-// streaming Incident's renderer over the offline report bound, so the two
-// reports of one divergence are the same bytes.
-func (d *Divergence) Render(w io.Writer, title string) error {
-	skipped := max(0, d.Index-mscTail)
-	inc := Incident{
-		Kind: IncidentDivergence, Seq: d.Index, Time: d.Time,
-		Label: d.Label, Expected: d.Expected,
-		Skipped: skipped, Tail: d.Events[skipped:d.Index],
-	}
-	return inc.Render(w, title)
-}
 
 // scratch is a checker's working memory: the generation-stamped membership
 // array (no clearing between steps) and the two frontier buffers. It
@@ -143,6 +92,35 @@ func (c *checker) frontier() (src []int32, n int) {
 func (c *checker) width() int {
 	src, _ := c.frontier()
 	return len(src)
+}
+
+// equals reports whether the frontier is the set whose i-th state, i < n,
+// is src[i] (or i, for a nil src) — a frontier taken before the last step,
+// which a step leaves intact. It overwrites the scratch's marks, which no
+// step carries over.
+func (c *checker) equals(src []int32, n int) bool {
+	cur, m := c.frontier()
+	if m != n {
+		return false
+	}
+	c.bump()
+	for i := 0; i < m; i++ {
+		c.mark[stateAt(cur, i)] = c.gen
+	}
+	for i := 0; i < n; i++ {
+		if c.mark[stateAt(src, i)] != c.gen {
+			return false
+		}
+	}
+	return true
+}
+
+// stateAt is the i-th state of a frontier returned by frontier.
+func stateAt(src []int32, i int) int32 {
+	if src == nil {
+		return int32(i)
+	}
+	return src[i]
 }
 
 // closure extends set (whose members are marked with the current
@@ -237,18 +215,4 @@ func (c *checker) enabled() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// CheckTrace replays a recorded trace against the specification and
-// returns the first divergence, or nil when every event (and the passage
-// of time up to horizon) is matched by some model execution. Events must
-// be in recorded order; an event timestamped earlier than the checker's
-// current time (possible under wall clocks) is replayed at the current
-// time. It is a thin offline loop over the incremental streamEngine, so
-// replaying a recorded trace and streaming it (StreamChecker) return
-// identical results by construction.
-func (sp *Spec) CheckTrace(events []Event, horizon core.Tick) *Divergence {
-	// A plain engine's feed never errors (no level switches).
-	res, _ := newStreamEngine(sp, new(scratch), 0).replay(events, horizon)
-	return res.Unconfirmed
 }

@@ -4,28 +4,30 @@
 //
 // The pieces:
 //
-//   - A Recorder (a detector.Observer) abstracts every machine step of a
-//     running cluster into the event alphabet internal/models labels its
+//   - A StreamChecker (a detector.Observer) abstracts every machine step of
+//     a running cluster into the event alphabet internal/models labels its
 //     LTS with (internal/alphabet: send beat, deliver beat, timeout,
-//     inactivate, …), as typed values with virtual timestamps. It works
-//     over any clock; under the discrete-event simulator the recorded
-//     order is the execution order.
+//     inactivate, …), as typed values with virtual timestamps, and checks
+//     each event as it happens. It is the one checker: a live run attaches
+//     it as the cluster's observer (RunStream, campaign trials, walks,
+//     shrinking), and a recorded trace (Recorder, Run) is checked by
+//     calling Feed per event, then Finish.
 //   - A Spec is the variant's model LTS (built monitor-free via
 //     mc.BuildLTS) with unobservable labels hidden and the join-delivery
 //     labels merged into the plain delivery labels (the wire does not
-//     distinguish them). Spec.CheckTrace replays a recorded trace by
-//     antichain simulation: a frontier of model states is advanced through
-//     tau-closure, "tick" steps for time passing, and the visible labels of
-//     the trace. An empty frontier is a divergence — the runtime did
-//     something (or let time pass) that no model execution matches — and is
-//     reported with the consumed prefix as an ASCII message sequence chart.
-//   - EvaluateTrace re-evaluates the paper's requirements R1–R3 directly
-//     on a recorded trace, so chaos campaigns double as spec-conformance
-//     runs, and DiffVerdicts cross-checks runtime verdicts against the
-//     model checker's.
+//     distinguish them). The checker advances a frontier of model states
+//     by antichain simulation through tau-closure, "tick" steps for time
+//     passing, and the visible labels of the trace. An empty frontier is a
+//     divergence — the runtime did something (or let time pass) that no
+//     model execution matches — and is reported as an Incident with the
+//     preceding events as an ASCII message sequence chart.
+//   - Alongside inclusion, the checker evaluates the paper's requirements
+//     R1–R3 on the trace, so chaos campaigns double as spec-conformance
+//     runs, and cross-checks each violation against the model checker
+//     (StreamConfig.Verify).
 //   - Explore drives seeded random walks (randomised timing constants,
 //     node counts, fault schedules) through all of the above and shrinks
-//     failing runs to minimal schedules.
+//     failing runs to minimal schedules (ShrinkRun).
 //
 // Scope: message loss is unobservable at the runtime level (a lost beat
 // leaves no event), so the checker tracks the lost-versus-in-flight
@@ -38,9 +40,9 @@
 // silently accepted.
 //
 // Adaptive clusters retune their timing constants inside a verified
-// envelope; no single model covers such a run. CampaignCheck.
-// CheckTraceAdaptive checks those traces piecewise: each segment against
-// the specification of the envelope level in force, each retune confirmed
+// envelope; no single model covers such a run. A CampaignCheck with an
+// Envelope has the checker work piecewise: each segment against the
+// specification of the envelope level in force, each retune confirmed
 // against the envelope's level set, and the by-design non-model events
 // above classified as confirmed divergences instead of failures.
 package conform
@@ -60,7 +62,7 @@ type Event struct {
 // tick is the time-passing label of the model LTS.
 var tick = alphabet.Label{Kind: alphabet.Tick}
 
-// LabelTick is tick as reports spell it. A Divergence with this label
-// means the model forced a visible action at Time that the runtime did not
-// produce.
+// LabelTick is tick as reports spell it. A divergence Incident with this
+// label means the model forced a visible action at Time that the runtime
+// did not produce.
 var LabelTick = tick.String()

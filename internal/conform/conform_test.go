@@ -1,30 +1,33 @@
 package conform
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/alphabet"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/mc"
 	"repro/internal/models"
 	"repro/internal/sim"
 )
 
-// checkRun executes one run and requires conformance, dumping the trace
-// and divergence report on failure.
+// runChecked executes one run with a stream checker of its model attached
+// and returns the first divergence, if any.
+func runChecked(t *testing.T, rc RunConfig) *Incident {
+	t.Helper()
+	res, err := RunStream(rc, StreamConfig{Check: &CampaignCheck{Model: rc.Model}})
+	if err != nil {
+		t.Fatalf("RunStream: %v", err)
+	}
+	return res.Unconfirmed
+}
+
+// checkRun executes one run and requires conformance, dumping the
+// divergence report on failure.
 func checkRun(t *testing.T, rc RunConfig) {
 	t.Helper()
-	sp, err := BuildSpec(rc.Model, mc.Options{})
-	if err != nil {
-		t.Fatalf("BuildSpec: %v", err)
-	}
-	out, err := Run(rc)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if d := sp.CheckTrace(out.Events, rc.Horizon); d != nil {
+	if d := runChecked(t, rc); d != nil {
 		var b strings.Builder
 		if err := d.Render(&b, "divergence"); err != nil {
 			t.Fatalf("render: %v", err)
@@ -93,15 +96,7 @@ func TestConformMutantExpiryCaught(t *testing.T) {
 		Horizon: 30,
 		Wrap:    wrap,
 	}
-	sp, err := BuildSpec(model, mc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := sp.CheckTrace(out.Events, rc.Horizon)
+	d := runChecked(t, rc)
 	if d == nil {
 		t.Fatal("mutant expiry+1 not caught")
 	}
@@ -128,16 +123,7 @@ func TestConformMutantRoundEarlyCaught(t *testing.T) {
 	}
 	model := models.Config{TMin: 2, TMax: 4, Variant: models.Binary, N: 1, Fixed: true}
 	rc := RunConfig{Model: model, Seed: 3, Horizon: 20, Wrap: wrap}
-	sp, err := BuildSpec(model, mc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := sp.CheckTrace(out.Events, rc.Horizon)
-	if d == nil {
+	if runChecked(t, rc) == nil {
 		t.Fatal("mutant round-1 not caught")
 	}
 }
@@ -158,6 +144,24 @@ func TestCheckScheduleRejectsUnsupported(t *testing.T) {
 	}
 }
 
+// verdictsOf feeds a trace through a stream checker of cfg and returns
+// its R1–R3 verdicts.
+func verdictsOf(t *testing.T, cfg models.Config, events []Event, lost uint64, horizon core.Tick) TraceVerdicts {
+	t.Helper()
+	sc, err := NewStreamChecker(StreamConfig{Check: &CampaignCheck{Model: cfg}, Horizon: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		sc.Feed(ev)
+	}
+	res, err := sc.Finish(lost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Verdicts
+}
+
 func TestEvaluateTraceR1(t *testing.T) {
 	cfg := models.Config{TMin: 2, TMax: 4, Variant: models.Binary, N: 1, Fixed: true}
 	bound := core.Tick(cfg.DetectionBound()) // 8
@@ -166,7 +170,7 @@ func TestEvaluateTraceR1(t *testing.T) {
 	events := []Event{
 		{Time: 2, Label: alphabet.DeliverBeatP0.Of(1)},
 	}
-	tv := EvaluateTrace(cfg, events, 0, 2+bound+4)
+	tv := verdictsOf(t, cfg, events, 0, 2+bound+4)
 	if len(tv.ByProp(models.R1)) != 1 {
 		t.Fatalf("want one R1 violation, got %+v", tv.Violations)
 	}
@@ -175,7 +179,7 @@ func TestEvaluateTraceR1(t *testing.T) {
 	}
 	// Same trace, but p[0] inactivates within the bound: clean.
 	events2 := append(events, Event{Time: 2 + bound, Label: alphabet.Inactivate.Of(0)})
-	tv2 := EvaluateTrace(cfg, events2, 0, 2+bound+4)
+	tv2 := verdictsOf(t, cfg, events2, 0, 2+bound+4)
 	if len(tv2.ByProp(models.R1)) != 0 {
 		t.Fatalf("unexpected R1 violation: %+v", tv2.Violations)
 	}
@@ -186,9 +190,16 @@ func TestEvaluateTraceR1(t *testing.T) {
 		t.Fatalf("want one R3 violation, got %+v", tv2.Violations)
 	}
 	// Lossy run: R3 vacuous.
-	tv3 := EvaluateTrace(cfg, events2, 1, 2+bound+4)
+	tv3 := verdictsOf(t, cfg, events2, 1, 2+bound+4)
 	if len(tv3.ByProp(models.R3)) != 0 {
 		t.Fatalf("R3 must be vacuous under loss: %+v", tv3.Violations)
+	}
+	// A beat so late that its deadline would overflow: the silence before
+	// it violates R1, and the interval it opens ends past the horizon.
+	late := []Event{{Time: math.MaxInt64 - 1, Label: alphabet.DeliverBeatP0.Of(1)}}
+	tv4 := verdictsOf(t, cfg, late, 0, 2+bound+4)
+	if r1 := tv4.ByProp(models.R1); len(r1) != 1 || r1[0].Time != bound+1 {
+		t.Fatalf("want one R1 violation at t=%d, got %+v", bound+1, tv4.Violations)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 
 // ExploreConfig drives a seeded random-walk conformance campaign for one
 // variant: many short deterministic runs with randomised timing
-// constants, node counts, link delays and fault schedules, each recorded
-// and checked for trace inclusion plus R1–R3 verdict consistency.
+// constants, node counts, link delays and fault schedules, each checked
+// online for trace inclusion plus R1–R3 verdict consistency.
 type ExploreConfig struct {
 	Variant models.Variant
 	// Walks is the number of runs (default 100).
@@ -31,9 +31,10 @@ type ExploreConfig struct {
 	// Shrink minimises failing runs (drop schedule events, trim horizon,
 	// zero link delay) before reporting.
 	Shrink bool
-	// Verify overrides the model-checking backend for verdict diffing;
-	// nil uses models.Verify, cached per (config, property). With Workers
-	// above one, a custom Verify is serialised behind a mutex.
+	// Verify overrides the model-checking backend that cross-checks each
+	// runtime violation; nil uses models.Verify, cached per (config,
+	// property). With Workers above one, a custom Verify is serialised
+	// behind a mutex. An error from it fails the campaign.
 	Verify VerifyFunc
 	// Workers is the number of concurrent walks; values below 2 run the
 	// campaign on the calling goroutine. The result is identical at any
@@ -46,15 +47,13 @@ type ExploreConfig struct {
 type WalkFailure struct {
 	Walk int
 	Run  RunConfig
-	// Div is the trace divergence (nil for pure verdict mismatches).
-	Div *Divergence
-	// Mismatches are verdict diffs where the runtime violated a property
-	// the model checker proves satisfied.
-	Mismatches []VerdictDiff
-	// Shrunk is the minimised reproduction, when shrinking was on and
-	// succeeded; ShrunkDiv is its divergence.
-	Shrunk    *RunConfig
-	ShrunkDiv *Divergence
+	// Div is the trace divergence (nil for pure verdict mismatches). When
+	// shrinking was on and succeeded, Div.Shrunk is the minimised
+	// reproduction and Div.ShrunkDiv its divergence.
+	Div *Incident
+	// Mismatches are the violation incidents of properties the model
+	// checker proves satisfied, in R1, R2, R3 order, then trace order.
+	Mismatches []*Incident
 }
 
 // ExploreResult summarises a campaign.
@@ -63,7 +62,7 @@ type ExploreResult struct {
 	Walks   int
 	// Clean counts fully conforming walks.
 	Clean int
-	// Events counts recorded events across all walks.
+	// Events counts checked events across all walks.
 	Events int
 	// ConsistentViolations counts runtime requirement violations that the
 	// model checker confirms are possible in the model too — expected for
@@ -89,10 +88,12 @@ func (ec ExploreConfig) Explore() (*ExploreResult, error) {
 		walks = 100
 	}
 	opts := mc.Options{MaxStates: ec.MaxStates}
-	// Walks share one Spec per model config and one model-checking run per
-	// (config, property), whichever walk asks first.
-	var specs par.Memo[models.Config, *Spec]
-	buildSpec := func(cfg models.Config) (*Spec, error) { return BuildSpec(cfg, opts) }
+	// Walks share one CampaignCheck (so one Spec) per model config and one
+	// model-checking run per (config, property), whichever walk asks first.
+	var checks par.Memo[models.Config, *CampaignCheck]
+	newCheck := func(cfg models.Config) (*CampaignCheck, error) {
+		return &CampaignCheck{Model: cfg, Opts: opts}, nil
+	}
 	verify := ec.Verify
 	switch {
 	case verify == nil:
@@ -123,38 +124,48 @@ func (ec ExploreConfig) Explore() (*ExploreResult, error) {
 	runWalk := func(_, w int) error {
 		rng := rand.New(rand.NewSource(ec.Seed + int64(w)*0x9e3779b97f4a7c))
 		rc := walkRun(ec.Variant, rng)
-		sp, err := specs.Get(rc.Model, buildSpec)
-		if err != nil {
-			return err
+		check, _ := checks.Get(rc.Model, newCheck) // newCheck cannot fail
+		// The checker keeps a violation it could not verify as an
+		// unverified incident; a campaign fails on the first such error.
+		var verifyErr error
+		res, err := RunStream(rc, StreamConfig{
+			Check: check,
+			Verify: func(cfg models.Config, p models.Property) (models.Verdict, error) {
+				v, err := verify(cfg, p)
+				if err != nil && verifyErr == nil {
+					verifyErr = err
+				}
+				return v, err
+			},
+		})
+		if err == nil {
+			err = verifyErr
 		}
-		out, err := Run(rc)
 		if err != nil {
 			return fmt.Errorf("conform: walk %d: %w", w, err)
 		}
 		o := &outs[w]
-		o.events = len(out.Events)
-		div := sp.CheckTrace(out.Events, rc.Horizon)
-		tv := EvaluateTrace(rc.Model, out.Events, out.Lost, rc.Horizon)
-		diffs, err := DiffVerdicts(rc.Model, tv, verify)
-		if err != nil {
-			return fmt.Errorf("conform: walk %d: %w", w, err)
-		}
-		var mismatches []VerdictDiff
-		for _, d := range diffs {
-			if d.Mismatch {
-				mismatches = append(mismatches, d)
-			} else {
-				o.consistent += len(d.Runtime)
+		o.events = res.Events
+		var mismatches []*Incident
+		for _, inc := range res.Incidents {
+			switch {
+			case inc.Kind != IncidentViolation:
+			case inc.ModelAgrees:
+				o.consistent++
+			default:
+				mismatches = append(mismatches, inc)
 			}
 		}
+		div := res.Unconfirmed
 		if div == nil && len(mismatches) == 0 {
 			o.clean = true
 			return nil
 		}
+		slices.SortStableFunc(mismatches, func(a, b *Incident) int { return int(a.Prop) - int(b.Prop) })
 		o.fail = &WalkFailure{Walk: w, Run: rc, Div: div, Mismatches: mismatches}
 		if ec.Shrink && div != nil {
-			if shrunk, sdiv, err := ShrinkRun(rc, sp); err == nil {
-				o.fail.Shrunk, o.fail.ShrunkDiv = &shrunk, sdiv
+			if shrunk, sdiv, err := ShrinkRun(rc, check); err == nil {
+				div.Shrunk, div.ShrunkDiv = &shrunk, sdiv
 			}
 		}
 		return nil
@@ -263,17 +274,17 @@ func walkSchedule(rng *rand.Rand, n int, horizon core.Tick) *faults.Schedule {
 	return s
 }
 
-// ShrinkRun minimises a failing run while it keeps diverging: greedily
-// drop schedule events, then trim the horizon to just past the
-// divergence, then zero the link delay. Runs are deterministic, so every
-// candidate is simply re-executed.
-func ShrinkRun(rc RunConfig, sp *Spec) (RunConfig, *Divergence, error) {
-	fails := func(c RunConfig) *Divergence {
-		out, err := Run(c)
+// ShrinkRun minimises a failing run while it keeps diverging from check's
+// specification: greedily drop schedule events, then trim the horizon to
+// just past the divergence, then zero the link delay. Runs are
+// deterministic, so every candidate is simply re-run through RunStream.
+func ShrinkRun(rc RunConfig, check *CampaignCheck) (RunConfig, *Incident, error) {
+	fails := func(c RunConfig) *Incident {
+		res, err := RunStream(c, StreamConfig{Check: check})
 		if err != nil {
 			return nil
 		}
-		return sp.CheckTrace(out.Events, c.Horizon)
+		return res.Unconfirmed
 	}
 	best := rc
 	div := fails(best)

@@ -1,7 +1,9 @@
 package conform
 
 import (
+	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/faults"
-	"repro/internal/mc"
 	"repro/internal/models"
 	"repro/internal/netem"
 )
@@ -87,11 +88,8 @@ func TestShrinkRunMinimisesMutant(t *testing.T) {
 		Horizon: 40,
 		Wrap:    wrap,
 	}
-	sp, err := BuildSpec(model, mc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shrunk, div, err := ShrinkRun(rc, sp)
+	check := &CampaignCheck{Model: model}
+	shrunk, div, err := ShrinkRun(rc, check)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +103,10 @@ func TestShrinkRunMinimisesMutant(t *testing.T) {
 		t.Fatalf("horizon %d not trimmed to %d", shrunk.Horizon, div.Time+1)
 	}
 
-	// The report surface: Error() names the stuck time, Render draws the
+	// The report surface: String() names the divergence, Render draws the
 	// MSC prefix plus the model's allowed set.
-	if msg := div.Error(); !strings.Contains(msg, "stuck") && !strings.Contains(msg, "diverge") {
-		t.Fatalf("unhelpful divergence error: %q", msg)
+	if msg := div.String(); !strings.Contains(msg, "divergence") || !strings.Contains(msg, "inactivate nv p[1]") {
+		t.Fatalf("unhelpful divergence summary: %q", msg)
 	}
 	var b strings.Builder
 	if err := div.Render(&b, "shrunk divergence"); err != nil {
@@ -121,16 +119,21 @@ func TestShrinkRunMinimisesMutant(t *testing.T) {
 	}
 
 	// A healthy run refuses to shrink.
-	if _, _, err := ShrinkRun(RunConfig{Model: model, Seed: 3, Horizon: 20}, sp); err == nil {
+	if _, _, err := ShrinkRun(RunConfig{Model: model, Seed: 3, Horizon: 20}, check); err == nil {
 		t.Fatal("ShrinkRun accepted a conforming run")
 	}
 }
 
+// TestDiffVerdicts: a runtime violation is cross-checked against the model
+// checker as it fires — a mismatch when the model proves the property
+// satisfied, a consistent violation when the model admits it — and
+// properties the trace did not violate are never model-checked.
 func TestDiffVerdicts(t *testing.T) {
 	cfg := models.Config{TMin: 2, TMax: 4, Variant: models.Binary, N: 1, Fixed: true}
-	tv := TraceVerdicts{LossFree: true, Violations: []ReqViolation{
-		{Prop: models.R1, Proc: 1, Time: 11},
-	}}
+	// p[1]'s only beat arrives at t=2 and p[0] stays active past the bound:
+	// one R1 violation, observable the tick after it.
+	events := []Event{{Time: 2, Label: alphabet.DeliverBeatP0.Of(1)}}
+	observable := 2 + core.Tick(cfg.DetectionBound()) + 1
 	calls := 0
 	fake := func(satisfied bool) VerifyFunc {
 		return func(models.Config, models.Property) (models.Verdict, error) {
@@ -138,23 +141,73 @@ func TestDiffVerdicts(t *testing.T) {
 			return models.Verdict{Satisfied: satisfied}, nil
 		}
 	}
-	diffs, err := DiffVerdicts(cfg, tv, fake(true))
-	if err != nil {
-		t.Fatal(err)
+	violations := func(verify VerifyFunc) []*Incident {
+		t.Helper()
+		sc, err := NewStreamChecker(StreamConfig{Check: &CampaignCheck{Model: cfg}, Horizon: observable + 4, Verify: verify})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			sc.Feed(ev)
+		}
+		res, err := sc.Finish(1) // lossy: R2/R3 vacuous
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []*Incident
+		for _, inc := range res.Incidents {
+			if inc.Kind == IncidentViolation {
+				out = append(out, inc)
+			}
+		}
+		return out
 	}
-	if len(diffs) != 1 || !diffs[0].Mismatch || diffs[0].Prop != models.R1 {
+	diffs := violations(fake(true))
+	if len(diffs) != 1 || !diffs[0].Verified || diffs[0].ModelAgrees || diffs[0].Prop != models.R1 || diffs[0].Time != observable {
 		t.Fatalf("diffs = %+v", diffs)
 	}
-	diffs, err = DiffVerdicts(cfg, tv, fake(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diffs) != 1 || diffs[0].Mismatch {
+	diffs = violations(fake(false))
+	if len(diffs) != 1 || !diffs[0].Verified || !diffs[0].ModelAgrees {
 		t.Fatalf("consistent violation flagged as mismatch: %+v", diffs)
 	}
 	// Properties without runtime violations are never model-checked.
 	if calls != 2 {
 		t.Fatalf("verify called %d times, want 2", calls)
+	}
+}
+
+// TestExploreFailsWhenVerifyErrors: a model-checking backend that fails
+// fails the campaign, naming the walk — a runtime violation is never
+// counted as consistent (or clean) on a verdict nobody computed.
+func TestExploreFailsWhenVerifyErrors(t *testing.T) {
+	errBackend := errors.New("backend down")
+	ec := ExploreConfig{
+		Variant: models.Binary, Walks: 6, Seed: 2,
+		Verify: func(models.Config, models.Property) (models.Verdict, error) {
+			return models.Verdict{}, errBackend
+		},
+	}
+	// The same campaign with a backend that admits every violation sees
+	// an R1 violation.
+	var asked []models.Property
+	ok := ec
+	ok.Verify = func(_ models.Config, p models.Property) (models.Verdict, error) {
+		asked = append(asked, p)
+		return models.Verdict{}, nil
+	}
+	res, err := ok.Explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ConsistentViolations == 0 || !slices.Contains(asked, models.R1) {
+		t.Fatalf("no walk violated R1 (asked about %v): %+v", asked, res)
+	}
+	for _, workers := range []int{1, 4} {
+		ec.Workers = workers
+		_, err := ec.Explore()
+		if !errors.Is(err, errBackend) || !strings.Contains(err.Error(), "conform: walk ") {
+			t.Fatalf("workers=%d: Explore error = %v, want the backend's error wrapped with its walk", workers, err)
+		}
 	}
 }
 

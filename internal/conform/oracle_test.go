@@ -17,13 +17,14 @@ import (
 	"repro/internal/sim"
 )
 
-// Offline ≡ online holds by construction (one engine), so it cannot catch
-// a bug in the engine's frontier machinery. This file keeps an independent
-// reference: the frontier as the checker first had it — a materialised
-// all-states slice after every reseed, a fresh map for dedup on every
-// step, nothing shared, pooled or memoised — under the same piecewise
-// rules, over a specification of the unreduced network rather than the
-// quotient BuildSpec explores, and holds the engine to it.
+// This file keeps two references the StreamChecker is held to, sharing
+// none of its machinery. The inclusion reference is the frontier as the
+// checker first had it — a materialised all-states slice after every
+// reseed, a fresh map for dedup on every step, nothing shared, pooled or
+// memoised — under the same piecewise rules, over a specification of the
+// unreduced network rather than the quotient BuildSpec explores. The
+// R1–R3 reference (refVerdicts) evaluates the requirements over the whole
+// trace from their definitions instead of event by event.
 
 // refSpecs caches the reference's specifications by model configuration.
 var refSpecs par.Memo[models.Config, *Spec]
@@ -146,6 +147,27 @@ func (c *refChecker) enabled() []string {
 	return out
 }
 
+// refLongGap is the remaining time past which the reference lets a
+// repeating frontier skip the rest of a gap.
+const refLongGap = 1 << 16
+
+// sameStates reports whether two frontiers hold the same states.
+func sameStates(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	in := make(map[int32]bool, len(a))
+	for _, s := range a {
+		in[s] = true
+	}
+	for _, s := range b {
+		if !in[s] {
+			return false
+		}
+	}
+	return true
+}
+
 // refCheck replays a trace by the piecewise rules (DESIGN.md, "Adaptive
 // variant"; plain single-spec checking when the check has no envelope) on
 // the reference frontier over the network's specifications, unbudgeted.
@@ -177,11 +199,19 @@ func refCheck(t *testing.T, c *CampaignCheck, events []Event, horizon core.Tick)
 			return true
 		}
 		for now < to {
+			prev := ck.cur
 			if !ck.step(sp.tickID) {
 				return false
 			}
 			now++
 			note()
+			// Past refLongGap, a frontier a tick leaves as it was lets the
+			// rest of the gap pass at once. The threshold is far above the
+			// engine's longGap, so shorter gaps hold the engine's jump to
+			// tick-by-tick stepping.
+			if to-now >= refLongGap && sameStates(prev, ck.cur) {
+				now = to
+			}
 		}
 		return true
 	}
@@ -313,12 +343,147 @@ func requireOutcome(t *testing.T, what string, got, want outcome) {
 	}
 }
 
-// requireAgainstReference holds the engine to the reference on one trace.
-func requireAgainstReference(t *testing.T, c *CampaignCheck, events []Event, horizon core.Tick) outcome {
+// streamOutcome is a finished stream's result in the reference's terms.
+func streamOutcome(c *CampaignCheck, res *StreamResult) outcome {
+	o := outcome{
+		Confirmed: res.Confirmed, Degraded: res.Degraded, Retunes: res.Retunes,
+		Saturations: res.Saturations, MaxFrontierSeen: res.MaxFrontierSeen,
+	}
+	if c.Envelope != nil {
+		o.FinalLevel = res.FinalLevel
+	}
+	if d := res.Unconfirmed; d != nil {
+		o.Diverged, o.Index, o.Time, o.Label, o.Expected = true, d.Seq, d.Time, d.Label, d.Expected
+	}
+	return o
+}
+
+// monitorConfig is the configuration the checker evaluates R1–R3 at: the
+// model's, or the envelope ceiling's for a piecewise check.
+func monitorConfig(c *CampaignCheck) models.Config {
+	if env := c.Envelope; env != nil {
+		return env.LevelConfig(c.Model, env.Levels()-1)
+	}
+	return c.Model
+}
+
+// requireAgainstReference holds a stream's result on one trace to both
+// references: its inclusion outcome to refCheck's, its R1–R3 verdicts to
+// refVerdicts'. It returns the reference outcome.
+func requireAgainstReference(t *testing.T, c *CampaignCheck, events []Event, lost uint64, horizon core.Tick, res *StreamResult) outcome {
 	t.Helper()
 	want := refCheck(t, c, events, horizon)
-	requireOutcome(t, "engine", engineOutcome(t, c, events, horizon, nil), want)
+	requireOutcome(t, "stream checker", streamOutcome(c, res), want)
+	if tv := refVerdicts(monitorConfig(c), events, lost, horizon); !reflect.DeepEqual(res.Verdicts, tv) {
+		t.Fatalf("R1–R3 verdicts differ from the reference:\n  got:  %+v\n  want: %+v", res.Verdicts, tv)
+	}
 	return want
+}
+
+// refVerdicts evaluates R1–R3 (traceMonitor's doc states them) over a whole
+// trace, straight from their definitions: each requirement looks back over
+// the trace prefix it needs, and nothing is carried from event to event.
+// Violations are listed in the order the trace reveals them — at the event
+// that makes one observable, then the R1 intervals still open at the end,
+// by participant — which is the order a live checker finds them in.
+func refVerdicts(cfg models.Config, events []Event, lost uint64, horizon core.Tick) TraceVerdicts {
+	n := cfg.N
+	bound := core.Tick(cfg.DetectionBound())
+	fixedMembers := cfg.Variant != models.Expanding && cfg.Variant != models.Dynamic
+	is := func(ev Event, k alphabet.Kind, p int) bool { return ev.Label.Kind == k && int(ev.Label.A) == p }
+	stops := func(ev Event, p int) bool { return is(ev, alphabet.Inactivate, p) || is(ev, alphabet.Crash, p) }
+	delivery := func(ev Event, p int) bool {
+		return is(ev, alphabet.DeliverBeatP0, p) || is(ev, alphabet.DeliverLeaveP0, p)
+	}
+	// stoppedBy is the time p stopped within events[:k], if it did.
+	stoppedBy := func(p, k int) (core.Tick, bool) {
+		for _, ev := range events[:k] {
+			if stops(ev, p) {
+				return ev.Time, true
+			}
+		}
+		return 0, false
+	}
+	// excused: participant j is alive, or p[0] does not count it as a
+	// member, before event k.
+	excused := func(j, k int) bool {
+		if _, dead := stoppedBy(j, k); !dead {
+			return true
+		}
+		joined := fixedMembers
+		for _, ev := range events[:k] {
+			if delivery(ev, j) {
+				joined = ev.Label.Kind == alphabet.DeliverBeatP0
+			}
+		}
+		return !joined
+	}
+	allExcusedBut := func(skip, k int) bool {
+		for j := 1; j <= n; j++ {
+			if j != skip && !excused(j, k) {
+				return false
+			}
+		}
+		return true
+	}
+
+	type found struct {
+		at int // the event that reveals it; len(events) for the end of the run
+		v  ReqViolation
+	}
+	var all []found
+	// R1: an interval opens at time 0 for a fixed member and at every beat
+	// p[0] receives, and lasts until p[0]'s next delivery from the same
+	// participant. It is violated when the bound elapses inside it, before
+	// the horizon, with p[0] still active.
+	for i := 1; i <= n; i++ {
+		open, start := fixedMembers, core.Tick(0)
+		closeAt := func(k int, next core.Tick, ended bool) {
+			if !open || start >= horizon-bound {
+				return
+			}
+			deadline := start + bound
+			if stop, ok := stoppedBy(0, k); ok && stop <= deadline {
+				return
+			}
+			if ended || next > deadline {
+				all = append(all, found{k, ReqViolation{Prop: models.R1, Proc: i, Time: deadline + 1}})
+			}
+		}
+		for k, ev := range events {
+			if delivery(ev, i) {
+				closeAt(k, ev.Time, false)
+				open, start = ev.Label.Kind == alphabet.DeliverBeatP0, ev.Time
+			}
+		}
+		closeAt(len(events), 0, true)
+	}
+	// R2 and R3 are judged at each non-voluntary inactivation, and only
+	// on loss-free runs.
+	for k, ev := range events {
+		if lost != 0 || ev.Label.Kind != alphabet.Inactivate {
+			continue
+		}
+		switch p := int(ev.Label.A); {
+		case p == 0 && allExcusedBut(0, k):
+			all = append(all, found{k, ReqViolation{Prop: models.R3, Time: ev.Time}})
+		case p >= 1 && p <= n:
+			if _, down := stoppedBy(0, k); !down && allExcusedBut(p, k) {
+				all = append(all, found{k, ReqViolation{Prop: models.R2, Proc: p, Time: ev.Time}})
+			}
+		}
+	}
+	sort.SliceStable(all, func(a, b int) bool {
+		if all[a].at != all[b].at {
+			return all[a].at < all[b].at
+		}
+		return all[a].v.Proc < all[b].v.Proc
+	})
+	tv := TraceVerdicts{LossFree: lost == 0}
+	for _, f := range all {
+		tv.Violations = append(tv.Violations, f.v)
+	}
+	return tv
 }
 
 // Schedules of the three topology campaigns of hbsim -exp topo, as

@@ -19,7 +19,7 @@ import (
 // soundly check.
 var ErrUnsupported = errors.New("conform: unsupported configuration")
 
-// RunConfig describes one recorded conformance run.
+// RunConfig describes one conformance run.
 type RunConfig struct {
 	// Model is the configuration whose runtime realisation to drive. The
 	// ablation knobs FixPriority/FixBounds are unsupported (the runtime
@@ -60,9 +60,9 @@ type RunResult struct {
 // rides the model's nondeterministic message transit (keep delays within
 // the round-trip bound, see RunConfig.MaxDelay). Graceful leaves and
 // rejoins are admitted too — their runtime handshake differs from the
-// model's by design, so their events carry honest non-model labels that
-// plain CheckTrace reports as divergent and the piecewise checker
-// (CheckTraceAdaptive) classifies as confirmed. Restarts, duplication,
+// model's by design, so their events carry honest non-model labels that a
+// plain check reports as divergent and a piecewise one (a CampaignCheck
+// with an Envelope) classifies as confirmed. Restarts, duplication,
 // reordering and clock drift have no model counterpart at all.
 func CheckSchedule(s *faults.Schedule) error {
 	if s == nil {
@@ -96,6 +96,10 @@ func clusterConfig(m models.Config) (detector.ClusterConfig, error) {
 	}
 	if (m.FixPriority || m.FixBounds) && !m.Fixed {
 		return detector.ClusterConfig{}, fmt.Errorf("%w: runtime has no ablation knobs, use Fixed", ErrUnsupported)
+	}
+	if m.N > 1 && (m.Variant == models.Binary || m.Variant == models.RevisedBinary || m.Variant == models.TwoPhase) {
+		// models.Build would quietly model one participant.
+		return detector.ClusterConfig{}, fmt.Errorf("%w: the %v protocol has exactly one participant, not %d", ErrUnsupported, m.Variant, m.N)
 	}
 	cc := detector.ClusterConfig{
 		N: m.N,
@@ -179,7 +183,7 @@ type CampaignCheck struct {
 	Model models.Config
 	// Envelope, if non-nil, marks the campaign as adaptive: the runtime
 	// coordinator retunes within this envelope and traces are checked
-	// piecewise against the per-level specifications (CheckTraceAdaptive).
+	// piecewise against the per-level specifications (newAdaptiveEngine).
 	// Model.TMin/TMax are then overridden per level via
 	// models.Envelope.LevelConfig; the rest of Model (variant, N, Fixed)
 	// still shapes every level.

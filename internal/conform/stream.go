@@ -15,9 +15,8 @@ import (
 	"repro/internal/trace"
 )
 
-// divergePoint is a divergence located by the shared streaming engine,
-// before it is bound to a full offline trace (Divergence) or to a bounded
-// incident tail (Incident).
+// divergePoint is a divergence located by the engine, before the
+// StreamChecker binds it to its bounded incident tail (Incident).
 type divergePoint struct {
 	cfg      models.Config
 	index    int
@@ -26,19 +25,8 @@ type divergePoint struct {
 	expected []string
 }
 
-func (d *divergePoint) divergence(events []Event) *Divergence {
-	return &Divergence{
-		Cfg: d.cfg, Events: events, Index: d.index,
-		Time: d.time, Label: d.label.String(), Expected: d.expected,
-	}
-}
-
-// streamEngine advances the antichain frontier one event at a time. It is
-// the single implementation behind offline replay (Spec.CheckTrace,
-// CampaignCheck.CheckTraceAdaptive) and the online StreamChecker, so the
-// two cannot drift: the offline checkers are thin loops over feed/finish,
-// and streaming verdicts are byte-identical to offline replay by
-// construction.
+// streamEngine advances the antichain frontier one event at a time: the
+// trace-inclusion half of the StreamChecker.
 //
 // With a positive maxFrontier the engine enforces a hard antichain
 // budget: a frontier stepped past the budget sheds the inclusion check —
@@ -84,8 +72,37 @@ func newStreamEngine(sp *Spec, sc *scratch, maxFrontier int) *streamEngine {
 }
 
 // newAdaptiveEngine builds a piecewise engine over the campaign's
-// envelope, starting at level 0 (per CheckTraceAdaptive's contract). Its
-// scratch comes from the campaign's pool; release returns it.
+// envelope, starting at level 0. Its scratch comes from the campaign's
+// pool; release returns it. No single model covers an adaptive run, so
+// feed checks it piecewise:
+//
+//   - Between retunes the trace must be included in the LTS of the level
+//     in force — the same antichain simulation and tick discipline as a
+//     plain engine.
+//   - A retune label is confirmed by locating its operating point among
+//     the envelope's levels (a point outside the verified family is an
+//     unconfirmed divergence). The engine then switches to that level's
+//     specification with the frontier reseeded to every state: the model
+//     family has no transition connecting the levels, so the suffix is
+//     checked against all continuations of the new level.
+//   - Divergences at by-design non-model events (alphabet.Kind.ByDesign)
+//     are counted as confirmed and the frontier likewise reseeded at the
+//     current level.
+//   - A retune that re-holds the current point is saturation: the
+//     coordinator is at the envelope ceiling under sustained loss,
+//     converting every round into a grace round — plain-heartbeat
+//     behaviour that is deliberately NOT a trace of the fixed top-level
+//     model (whose reachable states correlate a silent member's watchdog
+//     with the coordinator's decayed budget and so force a suspicion the
+//     degraded runtime refuses). Until the next level change the engine
+//     is in degraded mode: trace inclusion is suspended, events outside
+//     the level's alphabet are counted as degraded, and checking resumes
+//     from the all-states frontier at the next level change.
+//
+// The all-states reseed — and degraded mode's suspended checking — make
+// the piecewise check an over-approximation after the first confirmed
+// divergence: it can miss a real divergence, never invent one, so "zero
+// unconfirmed divergences" remains a sound campaign gate.
 func newAdaptiveEngine(c *CampaignCheck, maxFrontier int) (*streamEngine, error) {
 	if c.Envelope == nil {
 		return nil, fmt.Errorf("%w: piecewise streaming needs an envelope", ErrUnsupported)
@@ -142,10 +159,16 @@ func (e *streamEngine) diverge(idx int, label alphabet.Label) *divergePoint {
 	}
 }
 
+// longGap is the remaining time past which advance checks whether a tick
+// left the frontier as it was. From such a frontier every further tick
+// does the same, so the rest of the gap passes at once instead of one
+// step per tick. A run's events are a few ticks apart; far-future
+// timestamps in a corrupt stream are what this is for.
+const longGap = 64
+
 // advance moves time forward to target, stepping the model's tick label.
-// In degraded mode time passes unchecked (and, matching the offline
-// piecewise checker exactly, out-of-order timestamps move it backwards);
-// a shed engine advances monotonically without stepping.
+// In degraded mode time passes unchecked (and out-of-order timestamps move
+// it backwards); a shed engine advances monotonically without stepping.
 func (e *streamEngine) advance(to core.Tick, idx int) *divergePoint {
 	if e.degraded {
 		e.now = to
@@ -156,11 +179,15 @@ func (e *streamEngine) advance(to core.Tick, idx int) *divergePoint {
 			e.now = to
 			return nil
 		}
+		src, n := e.ck.frontier()
 		if !e.ck.step(e.sp.tickID) {
 			return e.diverge(idx, tick)
 		}
 		e.now++
 		e.noteFrontier()
+		if to-e.now >= longGap && e.ck.equals(src, n) {
+			e.now = to
+		}
 	}
 	return nil
 }
@@ -182,9 +209,9 @@ func (e *streamEngine) feed(i int, ev Event) (*divergePoint, error) {
 		}
 		return nil, nil
 	}
-	// Piecewise adaptive mode, mirroring CheckTraceAdaptive's rules in
-	// order: in-alphabet step, envelope-confirmed retune, by-design
-	// divergence, degraded tolerance, unconfirmed.
+	// Piecewise adaptive mode, by newAdaptiveEngine's rules in order:
+	// in-alphabet step, envelope-confirmed retune, by-design divergence,
+	// degraded tolerance, unconfirmed.
 	if id := e.sp.id(ev.Label); id >= 0 {
 		if e.degraded {
 			return nil, nil
@@ -238,37 +265,6 @@ func (e *streamEngine) finish(horizon core.Tick, idx int) *divergePoint {
 	return e.advance(horizon, idx)
 }
 
-// fill copies the piecewise counters into an offline result.
-func (e *streamEngine) fill(res *PiecewiseResult) {
-	res.Confirmed = e.confirmed
-	res.Degraded = e.degradedEvs
-	res.Retunes = e.retunes
-	res.Saturations = e.saturations
-	res.FinalLevel = e.finalLevel
-}
-
-// replay is the offline driver — the whole trace through feed, then
-// finish — behind both Spec.CheckTrace and CheckTraceAdaptive.
-func (e *streamEngine) replay(events []Event, horizon core.Tick) (*PiecewiseResult, error) {
-	res := &PiecewiseResult{}
-	for i, ev := range events {
-		d, err := e.feed(i, ev)
-		if err != nil {
-			return nil, err
-		}
-		if d != nil {
-			res.Unconfirmed = d.divergence(events)
-			e.fill(res)
-			return res, nil
-		}
-	}
-	if d := e.finish(horizon, len(events)); d != nil {
-		res.Unconfirmed = d.divergence(events)
-	}
-	e.fill(res)
-	return res, nil
-}
-
 // levelInForce is the envelope level the engine is checking against, or
 // baseLevel for a plain engine.
 func (e *streamEngine) levelInForce() int {
@@ -286,13 +282,25 @@ type monViolation struct {
 	needsLossFree bool
 }
 
-// traceMonitor evaluates R1–R3 incrementally, one event at a time, with
-// O(n) state and no retained trace. It is the engine behind EvaluateTrace
-// (which knows the loss count up front) and the StreamChecker (which
-// learns it at Finish). R1 violations are definitive the moment their
-// monitoring interval closes; R2/R3 candidates are buffered in trace
-// order and resolved against the loss count, so the final Violations list
-// is identical to offline evaluation.
+// traceMonitor evaluates the paper's requirements incrementally, one event
+// at a time, with O(n) state and no retained trace, mirroring the model
+// predicates of internal/models/requirements.go:
+//
+//   - R1: after the last beat delivered from p[i] (or from the start, for
+//     fixed-membership variants), p[0] must stop being active within the
+//     claimed detection bound. Only violations observable within the
+//     horizon are reported (the bound must elapse before the run ends).
+//   - R2: no participant non-voluntarily inactivates while no message was
+//     lost, p[0] is active, and every other participant is alive or
+//     excused (never joined, or left).
+//   - R3: p[0] does not non-voluntarily inactivate while no message was
+//     lost and every participant is alive or excused.
+//
+// "Joined" is p[0]'s view, reconstructed from delivery events exactly as
+// the model's jnd variables are driven by the delivery channels. R1
+// violations are definitive the moment their monitoring interval closes;
+// R2/R3 candidates are buffered in trace order and resolved against the
+// loss count, which a live checker only learns at Finish.
 type traceMonitor struct {
 	n       int
 	bound   core.Tick
@@ -340,8 +348,13 @@ func newTraceMonitor(cfg models.Config, horizon core.Tick) *traceMonitor {
 // violation exists when the deadline elapsed with no delivery while p[0]
 // stayed active, observably within the horizon.
 func (m *traceMonitor) closeR1(i int, next core.Tick) {
+	if m.lastBeat[i] >= m.horizon-m.bound {
+		// The bound elapses at or past the horizon. Testing this first also
+		// keeps the deadline below from overflowing on far-future times.
+		return
+	}
 	deadline := m.lastBeat[i] + m.bound
-	if next > deadline && m.p0End > deadline && m.horizon > deadline {
+	if next > deadline && m.p0End > deadline {
 		v := ReqViolation{Prop: models.R1, Proc: i, Time: deadline + 1}
 		m.viol = append(m.viol, monViolation{v: v})
 		m.fresh = append(m.fresh, v)
@@ -434,7 +447,7 @@ func (m *traceMonitor) finishTime() []ReqViolation {
 }
 
 // verdicts resolves the loss-contingent candidates against the final loss
-// count; the result is identical to EvaluateTrace on the full trace.
+// count.
 func (m *traceMonitor) verdicts(lost uint64) TraceVerdicts {
 	tv := TraceVerdicts{LossFree: lost == 0}
 	for _, pv := range m.viol {
@@ -471,9 +484,8 @@ func (k IncidentKind) String() string {
 }
 
 // Incident is a structured conformance incident assembled online from
-// bounded state: enough to render the same first-divergence report as
-// offline replay (from the bounded tail), plus triage fields for the
-// supervisor's grading path.
+// bounded state: enough to render a first-divergence report (from the
+// bounded tail), plus triage fields for the supervisor's grading path.
 type Incident struct {
 	Kind IncidentKind
 	// Cfg is the model configuration in force (the envelope level's, for
@@ -482,8 +494,9 @@ type Incident struct {
 	// Level is the envelope level in force when the incident fired, or -1
 	// for non-adaptive streams.
 	Level int
-	// Seq is the offending event's position in the full stream — the
-	// offline Divergence.Index equivalent.
+	// Seq is the offending event's position in the full stream, or the
+	// stream's length when the model forced an action the stream never
+	// produced before it ended.
 	Seq int
 	// Time is the virtual time of the incident (for violations, the time
 	// the violation became observable, which can precede the current
@@ -506,14 +519,14 @@ type Incident struct {
 	ModelAgrees bool
 	// Skipped and Tail are the bounded MSC context: the last events
 	// preceding the incident and how many earlier ones the memory budget
-	// dropped. With the default tail size, Render output is byte-identical
-	// to the offline Divergence.Render of the same divergence.
+	// dropped.
 	Skipped int
 	Tail    []Event
-	// Shrunk and ShrunkDiv hold a minimised offline reproduction when
-	// triage ran ShrinkRun on the incident's run configuration.
+	// Shrunk and ShrunkDiv hold a minimised reproduction of a divergence
+	// and its own divergence incident, when triage ran ShrinkRun on the
+	// incident's run configuration.
 	Shrunk    *RunConfig
-	ShrunkDiv *Divergence
+	ShrunkDiv *Incident
 }
 
 // String is the one-line summary forwarded to the supervisor.
@@ -539,10 +552,8 @@ func (inc *Incident) String() string {
 }
 
 // Render writes the incident report: the bounded tail as an ASCII message
-// sequence chart (internal/trace), then the incident line. It is the one
-// renderer: Divergence.Render calls it over the offline trace, so for a
-// divergence the two reports are byte-identical whenever the stream's tail
-// budget is the offline report bound (the default).
+// sequence chart (internal/trace), then the incident line and, for a
+// divergence, what the model would have allowed.
 func (inc *Incident) Render(w io.Writer, title string) error {
 	if inc.Skipped > 0 {
 		if _, err := fmt.Fprintf(w, "… %d earlier events omitted …\n", inc.Skipped); err != nil {
@@ -577,17 +588,17 @@ func (inc *Incident) Render(w io.Writer, title string) error {
 type StreamConfig struct {
 	// Check supplies the model and the shared per-level spec cache.
 	// Check.Envelope == nil checks against the single base specification;
-	// otherwise the stream is checked piecewise across envelope levels,
-	// exactly as CheckTraceAdaptive would offline.
+	// otherwise the stream is checked piecewise across envelope levels
+	// (newAdaptiveEngine's rules).
 	Check *CampaignCheck
 	// Horizon is the virtual time Finish checks the passage of time up to.
+	// RunStream sets it to the run's horizon.
 	Horizon core.Tick
 	// MaxFrontier, when positive, is the hard antichain budget: past it
 	// the checker sheds inclusion checking (monitor-only degradation)
 	// instead of growing without bound. 0 means unbudgeted.
 	MaxFrontier int
-	// Tail bounds the incident MSC context (default 40, matching offline
-	// divergence reports; incident renders are then byte-identical).
+	// Tail bounds the incident MSC context (default 40).
 	Tail int
 	// Verify, if non-nil, cross-checks each violation incident against
 	// the model checker (use cachedVerify-style backends: it runs inline
@@ -598,12 +609,14 @@ type StreamConfig struct {
 	OnIncident func(*Incident)
 }
 
-// StreamChecker is the online conformance checker: a detector.Observer
-// that abstracts machine steps into model-alphabet events (exactly as
-// Recorder does) and checks them incrementally — antichain frontier
-// advance per event, piecewise across envelope retunes, plus the
-// streaming R1–R3 monitor — in bounded memory, with no retained trace
-// beyond the incident tail ring. Safe for concurrent use.
+// StreamChecker is the conformance checker, the one way a trace is
+// checked: a detector.Observer that abstracts machine steps into
+// model-alphabet events (exactly as Recorder does) and checks them
+// incrementally — antichain frontier advance per event, piecewise across
+// envelope retunes, plus the streaming R1–R3 monitor — in bounded memory,
+// with no retained trace beyond the incident tail ring. A live cluster
+// attaches it as its observer (RunStream); a recorded trace is checked by
+// Feed per event, then Finish. Safe for concurrent use.
 type StreamChecker struct {
 	mu     sync.Mutex
 	cfg    StreamConfig
@@ -691,9 +704,9 @@ func (sc *StreamChecker) ObserveStep(id netem.NodeID, now core.Tick, tr detector
 	abstractStep(sc.add, id, tr, actions)
 }
 
-// Feed consumes one pre-abstracted event — a recorded trace replayed
-// incrementally, or a generated corpus. Live clusters attach the checker
-// as an Observer instead.
+// Feed consumes one pre-abstracted event — of a recorded trace, or a
+// generated corpus. Live clusters attach the checker as an Observer
+// instead.
 func (sc *StreamChecker) Feed(ev Event) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -733,8 +746,8 @@ func (sc *StreamChecker) tailLen() int {
 }
 
 // newIncident snapshots the bounded context shared by all incident kinds.
-// The tail holds the events before the current one (the offline report's
-// prefix), so it excludes the offending event itself.
+// The tail holds the events before the current one, so it excludes the
+// offending event itself.
 func (sc *StreamChecker) newIncident(kind IncidentKind, seq int) *Incident {
 	n := sc.tailLen()
 	t := make([]Event, n)
@@ -798,9 +811,15 @@ type StreamResult struct {
 	// stopped there; the R1–R3 monitor kept running), nil when the stream
 	// conformed.
 	Unconfirmed *Incident
-	// Piecewise counters, field-for-field what CheckTraceAdaptive's
-	// PiecewiseResult reports offline. For a non-adaptive stream FinalLevel
-	// is -1 and the other four are zero.
+	// Piecewise counters (newAdaptiveEngine's rules). Confirmed counts
+	// divergences explained by design: the runtime leave handshake,
+	// restarts, rejoins, and stray beats between participants. Degraded
+	// counts events outside the level alphabet seen in degraded mode, where
+	// trace inclusion is suspended. Retunes counts envelope transitions,
+	// each confirmed against the envelope's level set; Saturations those
+	// that re-held the current point. FinalLevel is the envelope level in
+	// force when the stream ended. For a non-adaptive stream FinalLevel is
+	// -1 and the other four are zero.
 	Confirmed, Degraded, Retunes, Saturations, FinalLevel int
 	// Shed reports the inclusion check was dropped by the frontier budget;
 	// ShedEvents counts events skipped while shed, and MaxFrontierSeen is
@@ -808,8 +827,7 @@ type StreamResult struct {
 	Shed            bool
 	ShedEvents      int
 	MaxFrontierSeen int
-	// Verdicts is the run's R1–R3 outcome, identical to EvaluateTrace on
-	// the full trace.
+	// Verdicts is the run's R1–R3 outcome.
 	Verdicts TraceVerdicts
 }
 
@@ -865,11 +883,15 @@ func (sc *StreamChecker) Finish(lost uint64) (*StreamResult, error) {
 	return sc.result, sc.failed
 }
 
-// RunStream drives one simulated cluster with the stream checker attached
-// as its observer — the online counterpart of Run+CheckTrace — and
-// finishes the stream with the run's loss count. Build the checker with
-// Horizon equal to rc.Horizon.
-func RunStream(rc RunConfig, sc *StreamChecker) (*StreamResult, error) {
+// RunStream drives one simulated cluster with a stream checker attached as
+// its observer and finishes the stream with the run's loss count. The
+// checker is built from cfg with Horizon set to rc.Horizon.
+func RunStream(rc RunConfig, cfg StreamConfig) (*StreamResult, error) {
+	cfg.Horizon = rc.Horizon
+	sc, err := NewStreamChecker(cfg)
+	if err != nil {
+		return nil, err
+	}
 	_, lost, err := runObserved(rc, sc)
 	if err != nil {
 		return nil, err

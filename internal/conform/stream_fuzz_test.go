@@ -62,18 +62,21 @@ func fuzzEvent(time int64, k alphabet.Kind, a, b int64) string {
 
 // FuzzStreamChecker feeds arbitrary event sequences — retunes outside the
 // envelope, out-of-order virtual timestamps, labels outside the alphabet —
-// through the streaming checker and demands it (a) never panics, (b) is
-// deterministic, (c) agrees byte-for-byte with the offline replay
-// checkers on verdicts, piecewise counters, and the first divergence, and
-// (d) agrees with the independent reference checker (oracle_test.go),
-// which shares none of the engine's frontier machinery and looks labels up
-// by text, not through the dense index. Seeded below: the shapes that fall
-// outside the specification's index — a negative sender, a process the
-// model does not have, a kind outside the enumeration, int32 extremes, an
-// argument the kind does not render — and retunes with a negative bound
-// or off the envelope's levels. The checked-in corpus spells kinds by
-// number (Retune is 27, DeliverBeatP0 7): a kind added before those
-// renumbers them.
+// through the stream checker, piecewise and plain, and demands it (a)
+// never panics, (b) is deterministic, and (c) agrees with the independent
+// references (oracle_test.go): the reference checker, which shares none of
+// the engine's frontier machinery and looks labels up by text, not through
+// the dense index, on inclusion and the piecewise counters, and
+// refVerdicts on R1–R3. Seeded below: the shapes that fall outside the
+// specification's index — a negative sender, a process the model does not
+// have, a kind outside the enumeration, int32 extremes, an argument the
+// kind does not render — retunes with a negative bound or off the
+// envelope's levels, a participant that left and then crashed (R3's
+// excuse for a non-member), and a reseed followed by a gap of 14 million
+// ticks (which time passing must cross without a step per tick). The
+// checked-in corpus spells kinds by number
+// (Retune is 27, DeliverBeatP0 7): a kind added before those renumbers
+// them.
 func FuzzStreamChecker(f *testing.F) {
 	const garbage = alphabet.NumKinds + 7
 	for _, seed := range [][]string{
@@ -95,69 +98,34 @@ func FuzzStreamChecker(f *testing.F) {
 		{fuzzEvent(0, alphabet.Retune, 2, 4), fuzzEvent(1, alphabet.Crash, math.MaxInt32, 0),
 			fuzzEvent(2, alphabet.Inactivate, math.MinInt32, 0), "3 \xff\xfe\n", fuzzEvent(4, alphabet.DeliverStray, -1, -1),
 			fuzzEvent(5, 255, math.MinInt32, math.MaxInt32)},
+		{fuzzEvent(1, alphabet.DeliverLeaveP0, 1, 0), fuzzEvent(2, alphabet.Crash, 1, 0), fuzzEvent(3, alphabet.Inactivate, 0, 0)},
+		{fuzzEvent(0, alphabet.DeliverStray, 0, 0), fuzzEvent(14444444, alphabet.Retune, 0, 0)},
 	} {
 		f.Add(strings.Join(seed, ""))
 	}
 	f.Fuzz(func(t *testing.T, data string) {
 		events := parseFuzzTrace(data)
 		adaptive, plain := fuzzChecks()
-
-		// Piecewise: offline CheckTraceAdaptive is the oracle.
-		pr, err := adaptive.CheckTraceAdaptive(events, fuzzHorizon)
-		if err != nil {
-			t.Fatalf("CheckTraceAdaptive: %v", err)
-		}
-		run := func() *StreamResult {
-			sc, err := NewStreamChecker(StreamConfig{Check: adaptive, Horizon: fuzzHorizon})
-			if err != nil {
-				t.Fatalf("NewStreamChecker: %v", err)
+		for _, check := range []*CampaignCheck{adaptive, plain} {
+			run := func() *StreamResult {
+				sc, err := NewStreamChecker(StreamConfig{Check: check, Horizon: fuzzHorizon})
+				if err != nil {
+					t.Fatalf("NewStreamChecker: %v", err)
+				}
+				for _, ev := range events {
+					sc.Feed(ev)
+				}
+				res, err := sc.Finish(0)
+				if err != nil {
+					t.Fatalf("Finish: %v", err)
+				}
+				return res
 			}
-			for _, ev := range events {
-				sc.Feed(ev)
+			res := run()
+			if again := run(); !reflect.DeepEqual(again, res) {
+				t.Fatalf("stream checking is nondeterministic:\n  first:  %+v\n  second: %+v", res, again)
 			}
-			res, err := sc.Finish(0)
-			if err != nil {
-				t.Fatalf("Finish: %v", err)
-			}
-			return res
+			requireAgainstReference(t, check, events, 0, fuzzHorizon, res)
 		}
-		sres := run()
-		requireSameDivergence(t, pr.Unconfirmed, sres.Unconfirmed, events)
-		if sres.Confirmed != pr.Confirmed || sres.Degraded != pr.Degraded ||
-			sres.Retunes != pr.Retunes || sres.Saturations != pr.Saturations ||
-			sres.FinalLevel != pr.FinalLevel {
-			t.Fatalf("piecewise counters differ:\n  stream:  %+v\n  offline: %+v", sres, pr)
-		}
-		env := adaptive.Envelope
-		monCfg := env.LevelConfig(adaptive.Model, env.Levels()-1)
-		if tv := EvaluateTrace(monCfg, events, 0, fuzzHorizon); !reflect.DeepEqual(sres.Verdicts, tv) {
-			t.Fatalf("verdicts differ:\n  stream:  %+v\n  offline: %+v", sres.Verdicts, tv)
-		}
-		if again := run(); !reflect.DeepEqual(again, sres) {
-			t.Fatalf("stream checking is nondeterministic:\n  first:  %+v\n  second: %+v", sres, again)
-		}
-
-		// Plain: offline Spec.CheckTrace is the oracle.
-		sp, err := plain.Spec()
-		if err != nil {
-			t.Fatalf("Spec: %v", err)
-		}
-		div := sp.CheckTrace(events, fuzzHorizon)
-		psc, err := NewStreamChecker(StreamConfig{Check: plain, Horizon: fuzzHorizon})
-		if err != nil {
-			t.Fatalf("NewStreamChecker(plain): %v", err)
-		}
-		for _, ev := range events {
-			psc.Feed(ev)
-		}
-		pres, err := psc.Finish(0)
-		if err != nil {
-			t.Fatalf("Finish(plain): %v", err)
-		}
-		requireSameDivergence(t, div, pres.Unconfirmed, events)
-
-		// The reference checker is the oracle for the engine itself.
-		requireAgainstReference(t, adaptive, events, fuzzHorizon)
-		requireAgainstReference(t, plain, events, fuzzHorizon)
 	})
 }

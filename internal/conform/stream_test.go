@@ -3,7 +3,7 @@ package conform
 import (
 	"math"
 	"reflect"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,53 +19,27 @@ import (
 	"repro/internal/sim"
 )
 
-// streamAll replays a trace through a fresh StreamChecker one event at a
-// time and finishes it, mirroring what a live cluster's observer does.
-func streamAll(t *testing.T, cfg StreamConfig, events []Event, lost uint64) *StreamResult {
-	t.Helper()
+// feedAll feeds a trace through a fresh StreamChecker one event at a time
+// and finishes it, mirroring what a live cluster's observer does.
+func feedAll(cfg StreamConfig, events []Event, lost uint64) (*StreamResult, error) {
 	sc, err := NewStreamChecker(cfg)
 	if err != nil {
-		t.Fatalf("NewStreamChecker: %v", err)
+		return nil, err
 	}
 	for _, ev := range events {
 		sc.Feed(ev)
 	}
-	res, err := sc.Finish(lost)
-	if err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	return res
+	return sc.Finish(lost)
 }
 
-// requireSameDivergence checks a streaming incident against the offline
-// divergence of the same trace: same location, same diagnosis, and a
-// byte-identical rendered report.
-func requireSameDivergence(t *testing.T, d *Divergence, inc *Incident, events []Event) {
+// streamAll is feedAll on the test goroutine: an error fails the test.
+func streamAll(t *testing.T, cfg StreamConfig, events []Event, lost uint64) *StreamResult {
 	t.Helper()
-	if (d == nil) != (inc == nil) {
-		t.Fatalf("offline divergence %v vs streaming incident %v", d, inc)
+	res, err := feedAll(cfg, events, lost)
+	if err != nil {
+		t.Fatalf("feed: %v", err)
 	}
-	if d == nil {
-		return
-	}
-	if inc.Kind != IncidentDivergence {
-		t.Fatalf("incident kind = %v", inc.Kind)
-	}
-	if inc.Seq != d.Index || inc.Time != d.Time || inc.Label != d.Label ||
-		!reflect.DeepEqual(inc.Expected, d.Expected) {
-		t.Fatalf("incident (seq=%d t=%d %q %v) != divergence (index=%d t=%d %q %v)",
-			inc.Seq, inc.Time, inc.Label, inc.Expected, d.Index, d.Time, d.Label, d.Expected)
-	}
-	var off, on strings.Builder
-	if err := d.Render(&off, "report"); err != nil {
-		t.Fatal(err)
-	}
-	if err := inc.Render(&on, "report"); err != nil {
-		t.Fatal(err)
-	}
-	if off.String() != on.String() {
-		t.Fatalf("rendered reports differ:\n--- offline ---\n%s\n--- streaming ---\n%s", off.String(), on.String())
-	}
+	return res
 }
 
 // walkDiff is one walk's comparison summary; identical across worker
@@ -78,17 +52,17 @@ type walkDiff struct {
 }
 
 // TestStreamDifferential is the corpus differential: every variant's
-// random-walk corpus, replayed event by event through the StreamChecker,
-// must produce verdicts and first-divergence reports identical to offline
-// CheckTrace/EvaluateTrace on the recorded trace — at 1 worker and at 8 —
-// and the engine's outcome must be the network reference's.
+// random-walk corpus is checked by the StreamChecker live (RunStream, as
+// Explore does) and fed from the recorded trace. The two must agree, and
+// the outcome must be the references' — the network reference checker's
+// for inclusion, refVerdicts' for R1–R3 — at 1 worker and at 8.
 func TestStreamDifferential(t *testing.T) {
 	const walksPerVariant = 6
 	variants := []models.Variant{
 		models.Binary, models.RevisedBinary, models.TwoPhase,
 		models.Static, models.Expanding, models.Dynamic,
 	}
-	// One CampaignCheck per model config: streaming and offline share the
+	// One CampaignCheck per model config: live and fed checking share the
 	// same cached spec, and concurrent walks share one build.
 	var (
 		checksMu sync.Mutex
@@ -105,34 +79,34 @@ func TestStreamDifferential(t *testing.T) {
 		return c
 	}
 
-	runWalk := func(t *testing.T, variant models.Variant, w int) walkDiff {
+	// walk is one walk's run, checked from its recorded trace and live.
+	type walk struct {
+		variant   models.Variant
+		index     int
+		rc        RunConfig
+		check     *CampaignCheck
+		out       *RunResult
+		fed, live *StreamResult
+		err       error
+	}
+	runWalk := func(variant models.Variant, w int) walk {
+		wk := walk{variant: variant, index: w}
 		rng := rand.New(rand.NewSource(23 + int64(w)*0x9e3779b97f4a7c))
-		rc := walkRun(variant, rng)
-		check := checkFor(rc.Model)
-		sp, err := check.Spec()
-		if err != nil {
-			t.Fatalf("spec: %v", err)
+		wk.rc = walkRun(variant, rng)
+		wk.check = checkFor(wk.rc.Model)
+		if wk.out, wk.err = Run(wk.rc); wk.err != nil {
+			return wk
 		}
-		out, err := Run(rc)
-		if err != nil {
-			t.Fatalf("run: %v", err)
+		if wk.fed, wk.err = feedAll(StreamConfig{Check: wk.check, Horizon: wk.rc.Horizon}, wk.out.Events, wk.out.Lost); wk.err != nil {
+			return wk
 		}
-		div := sp.CheckTrace(out.Events, rc.Horizon)
-		tv := EvaluateTrace(rc.Model, out.Events, out.Lost, rc.Horizon)
-
-		sres := streamAll(t, StreamConfig{Check: check, Horizon: rc.Horizon}, out.Events, out.Lost)
-		if sres.Events != len(out.Events) {
-			t.Fatalf("stream consumed %d events, trace has %d", sres.Events, len(out.Events))
-		}
-		requireSameDivergence(t, div, sres.Unconfirmed, out.Events)
-		if !reflect.DeepEqual(sres.Verdicts, tv) {
-			t.Fatalf("verdicts differ:\n  stream:  %+v\n  offline: %+v", sres.Verdicts, tv)
-		}
-		requireAgainstReference(t, check, out.Events, rc.Horizon)
-		return walkDiff{variant: variant, walk: w, events: len(out.Events), diverged: div != nil}
+		wk.live, wk.err = RunStream(wk.rc, StreamConfig{Check: wk.check})
+		return wk
 	}
 
-	corpus := func(t *testing.T, workers int) []walkDiff {
+	// corpus runs the walks on workers goroutines, then checks them on the
+	// test goroutine.
+	corpus := func(workers int) []walkDiff {
 		type job struct {
 			variant models.Variant
 			walk    int
@@ -143,7 +117,7 @@ func TestStreamDifferential(t *testing.T) {
 				jobs = append(jobs, job{v, w})
 			}
 		}
-		outs := make([]walkDiff, len(jobs))
+		walks := make([]walk, len(jobs))
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for k := 0; k < workers; k++ {
@@ -155,16 +129,30 @@ func TestStreamDifferential(t *testing.T) {
 					if i >= len(jobs) {
 						return
 					}
-					outs[i] = runWalk(t, jobs[i].variant, jobs[i].walk)
+					walks[i] = runWalk(jobs[i].variant, jobs[i].walk)
 				}
 			}()
 		}
 		wg.Wait()
+		outs := make([]walkDiff, len(walks))
+		for i, wk := range walks {
+			if wk.err != nil {
+				t.Fatalf("%v walk %d: %v", wk.variant, wk.index, wk.err)
+			}
+			if wk.fed.Events != len(wk.out.Events) {
+				t.Fatalf("%v walk %d: stream consumed %d events, trace has %d", wk.variant, wk.index, wk.fed.Events, len(wk.out.Events))
+			}
+			if !reflect.DeepEqual(wk.live, wk.fed) {
+				t.Fatalf("%v walk %d: live and fed checking differ:\n  live: %+v\n  fed:  %+v", wk.variant, wk.index, wk.live, wk.fed)
+			}
+			requireAgainstReference(t, wk.check, wk.out.Events, wk.out.Lost, wk.rc.Horizon, wk.fed)
+			outs[i] = walkDiff{variant: wk.variant, walk: wk.index, events: len(wk.out.Events), diverged: wk.fed.Unconfirmed != nil}
+		}
 		return outs
 	}
 
-	seq := corpus(t, 1)
-	par := corpus(t, 8)
+	seq := corpus(1)
+	par := corpus(8)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("worker count changed the corpus outcome:\n  1: %+v\n  8: %+v", seq, par)
 	}
@@ -196,10 +184,9 @@ func adaptiveClusterTrace(t *testing.T, check *CampaignCheck, seed int64, horizo
 }
 
 // TestStreamAdaptiveDifferential: real adaptive runs — retunes included —
-// checked piecewise online must match CheckTraceAdaptive on the recorded
-// trace, counter for counter, and the R1–R3 verdicts must match
-// EvaluateTrace at the envelope ceiling (the StreamChecker's monitor
-// configuration).
+// checked piecewise must match the reference checker counter for counter,
+// and the R1–R3 verdicts must match refVerdicts at the envelope ceiling
+// (the StreamChecker's monitor configuration).
 func TestStreamAdaptiveDifferential(t *testing.T) {
 	env := models.Envelope{TMinLo: 2, TMinHi: 2, TMaxLo: 4, TMaxHi: 8}
 	check := &CampaignCheck{
@@ -207,29 +194,15 @@ func TestStreamAdaptiveDifferential(t *testing.T) {
 		Envelope: &env,
 	}
 	const horizon = core.Tick(1200)
-	monCfg := env.LevelConfig(check.Model, env.Levels()-1)
 
 	totalRetunes := 0
 	for seed := int64(1); seed <= 6; seed++ {
 		events, lost := adaptiveClusterTrace(t, check, seed, horizon)
-		pr, err := check.CheckTraceAdaptive(events, horizon)
-		if err != nil {
-			t.Fatalf("seed %d: CheckTraceAdaptive: %v", seed, err)
-		}
-		if pr.Unconfirmed != nil {
-			t.Fatalf("seed %d: healthy adaptive run diverged: %v", seed, pr.Unconfirmed)
-		}
 		sres := streamAll(t, StreamConfig{Check: check, Horizon: horizon}, events, lost)
-		requireSameDivergence(t, pr.Unconfirmed, sres.Unconfirmed, events)
-		if sres.Confirmed != pr.Confirmed || sres.Degraded != pr.Degraded ||
-			sres.Retunes != pr.Retunes || sres.Saturations != pr.Saturations ||
-			sres.FinalLevel != pr.FinalLevel {
-			t.Fatalf("seed %d: piecewise counters differ:\n  stream:  %+v\n  offline: %+v", seed, sres, pr)
+		if sres.Unconfirmed != nil {
+			t.Fatalf("seed %d: healthy adaptive run diverged: %v", seed, sres.Unconfirmed)
 		}
-		tv := EvaluateTrace(monCfg, events, lost, horizon)
-		if !reflect.DeepEqual(sres.Verdicts, tv) {
-			t.Fatalf("seed %d: verdicts differ:\n  stream:  %+v\n  offline: %+v", seed, sres.Verdicts, tv)
-		}
+		requireAgainstReference(t, check, events, lost, horizon, sres)
 		totalRetunes += sres.Retunes
 	}
 	if totalRetunes == 0 {
@@ -257,11 +230,8 @@ func TestRunStreamMatchesFeed(t *testing.T) {
 	}
 	fed := streamAll(t, StreamConfig{Check: check, Horizon: rc.Horizon}, out.Events, out.Lost)
 
-	live, err := NewStreamChecker(StreamConfig{Check: check, Horizon: rc.Horizon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lres, err := RunStream(rc, live)
+	// RunStream takes the horizon from the run, whatever the config says.
+	lres, err := RunStream(rc, StreamConfig{Check: check, Horizon: rc.Horizon + 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +273,31 @@ func streamEarliest(t *testing.T, check *CampaignCheck, events []Event, horizon 
 	return res.Unconfirmed, firedAt
 }
 
-// TestStreamMutantExpiryEarliest ports the expiry+1 mutation to the
-// streaming path: the stuck-time divergence must fire at the earliest
-// possible event — exactly where offline replay locates it — not at
-// teardown.
+// requireEarliest checks a mutant's divergence incident against the
+// reference checker's on the same trace: it fired while the event the
+// reference diverges at was fed, and reports the same location, label and
+// allowed set.
+func requireEarliest(t *testing.T, check *CampaignCheck, events []Event, horizon core.Tick) outcome {
+	t.Helper()
+	want := refCheck(t, check, events, horizon)
+	if !want.Diverged {
+		t.Fatal("the reference checker missed the mutant")
+	}
+	inc, firedAt := streamEarliest(t, check, events, horizon)
+	if firedAt != want.Index {
+		t.Fatalf("incident fired while feeding event %d, earliest possible is %d", firedAt, want.Index)
+	}
+	if inc.Kind != IncidentDivergence || inc.Seq != want.Index || inc.Time != want.Time ||
+		inc.Label != want.Label || !reflect.DeepEqual(inc.Expected, want.Expected) {
+		t.Fatalf("incident (seq=%d t=%d %q %v) != reference (index=%d t=%d %q %v)",
+			inc.Seq, inc.Time, inc.Label, inc.Expected, want.Index, want.Time, want.Label, want.Expected)
+	}
+	return want
+}
+
+// TestStreamMutantExpiryEarliest: the expiry+1 mutation's stuck-time
+// divergence must fire at the earliest possible event — exactly where the
+// reference checker locates it — not at teardown.
 func TestStreamMutantExpiryEarliest(t *testing.T) {
 	wrap, err := Mutation("expiry+1")
 	if err != nil {
@@ -323,26 +314,13 @@ func TestStreamMutantExpiryEarliest(t *testing.T) {
 		Horizon: 30,
 		Wrap:    wrap,
 	}
-	sp, err := check.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
 	out, err := Run(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sp.CheckTrace(out.Events, rc.Horizon)
-	if d == nil {
-		t.Fatal("offline replay missed the mutant")
-	}
-	if d.Label != LabelTick {
+	if d := requireEarliest(t, check, out.Events, rc.Horizon); d.Label != LabelTick {
 		t.Fatalf("expected a stuck-time divergence, got %q", d.Label)
 	}
-	inc, firedAt := streamEarliest(t, check, out.Events, rc.Horizon)
-	if firedAt != d.Index {
-		t.Fatalf("incident fired while feeding event %d, earliest possible is %d", firedAt, d.Index)
-	}
-	requireSameDivergence(t, d, inc, out.Events)
 }
 
 // TestStreamMutantRoundEarliest: the round-1 mutation's forbidden
@@ -355,23 +333,57 @@ func TestStreamMutantRoundEarliest(t *testing.T) {
 	model := models.Config{TMin: 2, TMax: 4, Variant: models.Binary, N: 1, Fixed: true}
 	check := &CampaignCheck{Model: model}
 	rc := RunConfig{Model: model, Seed: 3, Horizon: 20, Wrap: wrap}
-	sp, err := check.Spec()
+	out, err := Run(rc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := requireEarliest(t, check, out.Events, rc.Horizon); d.Label != "timeout p[0]" {
+		t.Fatalf("expected the forbidden timeout, got %q", d.Label)
+	}
+}
+
+// TestLongQuietGap: once p[0] has crashed and p[1] has inactivated,
+// nothing happens for the rest of the run, and a tick soon leaves the
+// frontier as it was; the checker then skips the rest of the gap. At a
+// 5,000-tick horizon it must match the reference, which steps every tick
+// at that gap; at a 2^40-tick horizon it must still finish, and match the
+// reference's own skip. Cut before p[1] inactivates, the same trace leaves
+// the model a forced action inside the gap: the skip must not jump over
+// it.
+func TestLongQuietGap(t *testing.T) {
+	model := models.Config{TMin: 2, TMax: 4, Variant: models.Binary, N: 1, Fixed: true}
+	check := &CampaignCheck{Model: model}
+	rc := RunConfig{
+		Model: model,
+		Seed:  3,
+		Schedule: &faults.Schedule{Events: []faults.Event{
+			{At: 9, Kind: faults.KindCrash, Node: 0},
+		}},
+		Horizon: 5000,
 	}
 	out, err := Run(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sp.CheckTrace(out.Events, rc.Horizon)
-	if d == nil {
-		t.Fatal("offline replay missed the mutant")
+	crash := slices.IndexFunc(out.Events, func(ev Event) bool { return ev.Label == alphabet.Crash.Of(0) })
+	if crash < 0 {
+		t.Fatalf("no crash of p[0] in %v", out.Events)
 	}
-	inc, firedAt := streamEarliest(t, check, out.Events, rc.Horizon)
-	if firedAt != d.Index {
-		t.Fatalf("incident fired while feeding event %d, earliest possible is %d", firedAt, d.Index)
+	for _, tc := range []struct {
+		events  []Event
+		diverge bool
+	}{
+		{out.Events, false},
+		{out.Events[:crash+1], true},
+	} {
+		for _, horizon := range []core.Tick{rc.Horizon, 1 << 40} {
+			res := streamAll(t, StreamConfig{Check: check, Horizon: horizon}, tc.events, out.Lost)
+			if (res.Unconfirmed != nil) != tc.diverge {
+				t.Fatalf("%d events, horizon %d: divergence %v, want one: %v", len(tc.events), horizon, res.Unconfirmed, tc.diverge)
+			}
+			requireAgainstReference(t, check, tc.events, out.Lost, horizon, res)
+		}
 	}
-	requireSameDivergence(t, d, inc, out.Events)
 }
 
 // TestStreamFrontierBudget pins the memory-budget degradation contract: a
@@ -386,12 +398,11 @@ func TestStreamFrontierBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv := EvaluateTrace(model, out.Events, out.Lost, rc.Horizon)
-
 	base := streamAll(t, StreamConfig{Check: check, Horizon: rc.Horizon}, out.Events, out.Lost)
 	if base.Shed || base.Unconfirmed != nil {
 		t.Fatalf("unbudgeted healthy run degraded: %+v", base)
 	}
+	tv := refVerdicts(model, out.Events, out.Lost, rc.Horizon)
 	high := base.MaxFrontierSeen
 	if high < 2 {
 		t.Fatalf("trace never widened the frontier (high water %d); pick a richer run", high)
@@ -654,8 +665,8 @@ func TestStreamSharedRegionConcurrent(t *testing.T) {
 // (core.UnmarshalBeat sign-extends the 16-bit field), a process the model
 // does not have, a label of no kind — renders, diverges as an
 // out-of-alphabet label and indexes nothing out of bounds, on every way
-// in: the Recorder plus offline replay, the StreamChecker as an observer,
-// and StreamChecker.Feed, plain and piecewise.
+// in: StreamChecker.Feed, the StreamChecker as an observer, and the
+// Recorder's trace fed back in, plain and piecewise.
 func TestOutOfRangeEventsDiverge(t *testing.T) {
 	crash := detector.Trigger{Kind: detector.TriggerCrash}
 	for _, tc := range []struct {
@@ -715,25 +726,9 @@ func TestOutOfRangeEventsDiverge(t *testing.T) {
 			if len(events) != 1 || events[0].Label != tc.label {
 				t.Fatalf("recorded %+v, want one %+v", events, tc.label)
 			}
-			requireSameDivergence(t, offlineDivergence(t, check, events, cfg.Horizon), res.Unconfirmed, events)
+			if replayed := streamAll(t, cfg, events, 0); !reflect.DeepEqual(replayed.Unconfirmed, res.Unconfirmed) {
+				t.Fatalf("recorded trace diverges as %+v, the observed step as %+v", replayed.Unconfirmed, res.Unconfirmed)
+			}
 		}
 	}
-}
-
-// offlineDivergence replays a trace offline, piecewise when the check has
-// an envelope.
-func offlineDivergence(t *testing.T, check *CampaignCheck, events []Event, horizon core.Tick) *Divergence {
-	t.Helper()
-	if check.Envelope != nil {
-		res, err := check.CheckTraceAdaptive(events, horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Unconfirmed
-	}
-	sp, err := check.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sp.CheckTrace(events, horizon)
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/models"
 )
 
-// ReqViolation is one requirement violation observed on a recorded trace.
+// ReqViolation is one requirement violation observed on a trace.
 type ReqViolation struct {
 	Prop models.Property
 	// Proc is the blamed participant (R1: the silent one p[0] failed to
@@ -17,7 +17,7 @@ type ReqViolation struct {
 	Time core.Tick
 }
 
-// TraceVerdicts is the outcome of evaluating R1–R3 on one recorded trace.
+// TraceVerdicts is the outcome of evaluating R1–R3 on one trace.
 type TraceVerdicts struct {
 	// LossFree reports the no-loss premise of R2/R3 held (no message was
 	// dropped by links, faults, partitions, or crashed senders).
@@ -41,69 +41,6 @@ func (tv TraceVerdicts) ByProp(p models.Property) []ReqViolation {
 
 const farFuture = core.Tick(math.MaxInt64 / 2)
 
-// EvaluateTrace re-evaluates the paper's requirements directly on a
-// recorded trace, mirroring the model predicates of
-// internal/models/requirements.go:
-//
-//   - R1: after the last beat delivered from p[i] (or from the start, for
-//     fixed-membership variants), p[0] must stop being active within the
-//     claimed detection bound. Only violations observable within horizon
-//     are reported (the bound must elapse before the run ends).
-//   - R2: no participant non-voluntarily inactivates while no message was
-//     lost, p[0] is active, and every other participant is alive or
-//     excused (never joined, or left).
-//   - R3: p[0] does not non-voluntarily inactivate while no message was
-//     lost and every participant is alive or excused.
-//
-// "Joined" is p[0]'s view, reconstructed from delivery events exactly as
-// the model's jnd variables are driven by the delivery channels.
-//
-// EvaluateTrace is the offline loop over the incremental traceMonitor
-// (the same engine the StreamChecker runs online), so streaming and
-// offline verdicts are identical by construction: here the loss count is
-// known up front, online the loss-contingent R2/R3 candidates resolve at
-// Finish.
-func EvaluateTrace(cfg models.Config, events []Event, lost uint64, horizon core.Tick) TraceVerdicts {
-	m := newTraceMonitor(cfg, horizon)
-	for _, ev := range events {
-		m.observe(ev)
-	}
-	m.finishTime()
-	return m.verdicts(lost)
-}
-
 // VerifyFunc model-checks one property of one configuration; usually
 // models.Verify with fixed options, possibly behind a cache.
 type VerifyFunc func(models.Config, models.Property) (models.Verdict, error)
-
-// VerdictDiff cross-references one property's runtime violations with the
-// model checker's verdict.
-type VerdictDiff struct {
-	Prop    models.Property
-	Runtime []ReqViolation
-	Model   models.Verdict
-	// Mismatch: the runtime violated a property the model checker proves
-	// satisfied — a conformance failure. (The converse — model violable,
-	// runtime trace clean — is expected: one trace cannot witness every
-	// schedule.)
-	Mismatch bool
-}
-
-// DiffVerdicts checks every property the trace violated against the
-// model. Properties with no runtime violation are skipped (nothing to
-// contradict), so the expensive model check only runs on suspicious runs.
-func DiffVerdicts(cfg models.Config, tv TraceVerdicts, verify VerifyFunc) ([]VerdictDiff, error) {
-	var out []VerdictDiff
-	for _, p := range []models.Property{models.R1, models.R2, models.R3} {
-		viol := tv.ByProp(p)
-		if len(viol) == 0 {
-			continue
-		}
-		v, err := verify(cfg, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, VerdictDiff{Prop: p, Runtime: viol, Model: v, Mismatch: v.Satisfied})
-	}
-	return out, nil
-}

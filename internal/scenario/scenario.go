@@ -229,33 +229,29 @@ type CampaignConfig struct {
 	Trials int
 	// Seed derives per-trial seeds.
 	Seed int64
-	// Conform, if non-nil, records every trial's abstract event trace and
-	// checks it for inclusion in the named model's LTS; divergences land in
-	// CampaignResult.Divergences. The cluster's protocol shape (variant,
+	// Conform, if non-nil, checks every trial online for inclusion in the
+	// named model's LTS: a conform.StreamChecker rides the cluster as its
+	// observer and advances the model frontier event by event, so a defect
+	// surfaces the moment it happens, with bounded memory, not at trial
+	// teardown. Unconfirmed divergences and R1–R3 violations land as
+	// structured incidents in CampaignResult.Incidents, and — when Heal is
+	// set — on the trial supervisor's grading path (detector.EventIncident,
+	// SupervisorMetrics.Incidents). The cluster's protocol shape (variant,
 	// timing constants, N) is derived from Conform.Model, overriding the
 	// corresponding Cluster fields, so runtime and model cannot drift
 	// apart; the Cluster's Link and Seed knobs still apply. Requires a
-	// model-expressible Schedule (conform.CheckSchedule) and Heal == nil —
-	// supervisor restarts have no model counterpart.
+	// model-expressible Schedule (conform.CheckSchedule).
 	//
 	// When Conform.Envelope is set the campaign is adaptive: the Cluster
 	// must carry matching core.AdaptiveOptions (the envelopes are compared
 	// field by field), traces are checked piecewise across the envelope's
-	// per-level specifications, and only unconfirmed divergences land in
-	// Divergences — confirmed ones (envelope retunes, by-design leave and
-	// rejoin events) are tallied in Retunes and ConfirmedDivergences.
+	// per-level specifications, and confirmed divergences (envelope
+	// retunes, by-design leave, rejoin and restart events) are tallied in
+	// Retunes and ConfirmedDivergences, not reported as incidents. Heal
+	// needs an Envelope: only the piecewise checker classifies supervisor
+	// restarts as by-design.
 	Conform *conform.CampaignCheck
-	// Stream, if set (requires Conform), checks each trial online instead
-	// of record-and-replay: a conform.StreamChecker rides the cluster as
-	// its observer and advances the model frontier event by event, so a
-	// defect surfaces the moment it happens, with bounded memory, not at
-	// trial teardown. Divergences and R1–R3 violations land as structured
-	// incidents in CampaignResult.Incidents, and — when Heal is set — on
-	// the trial supervisor's grading path (detector.EventIncident,
-	// SupervisorMetrics.Incidents). Streaming adaptive campaigns
-	// (Conform.Envelope set) are the one conformance mode that composes
-	// with Heal: supervisor restarts carry by-design non-model labels the
-	// piecewise checker classifies as confirmed divergences.
+	// Stream is ignored; it stays declared only until bench/ stops setting it.
 	Stream bool
 	// Workers is the number of concurrent trials; values below 2 run on
 	// the calling goroutine. Each trial owns its simulator and cluster and
@@ -279,10 +275,6 @@ type CampaignResult struct {
 	// across all trials (see detector.Cluster.FaultErrors); nonzero
 	// means part of the schedule never took effect.
 	ScheduleErrors int
-	// Divergences holds one trace divergence per non-conforming trial
-	// (conformance checking enabled and the detector stepped outside its
-	// model). Adaptive campaigns only report unconfirmed divergences here.
-	Divergences []*conform.Divergence
 	// ConfirmedDivergences counts by-design divergences across all trials
 	// of an adaptive campaign (leave handshakes, rejoins, stray beats).
 	ConfirmedDivergences int
@@ -296,11 +288,10 @@ type CampaignResult struct {
 	// Saturations counts retunes that re-held the envelope ceiling — the
 	// entries into degraded (plain-heartbeat) operation.
 	Saturations int
-	// Incidents aggregates the structured incidents of streaming trials
-	// (Stream set), in trial order: unconfirmed model divergences and
-	// R1–R3 trace-monitor violations, each with its event tail and blamed
-	// process. Offline campaigns report divergences in Divergences
-	// instead.
+	// Incidents aggregates the structured incidents of conformance-checked
+	// trials (Conform set), in trial order: unconfirmed model divergences
+	// (at most one per trial) and R1–R3 trace-monitor violations, each with
+	// its event tail and blamed process.
 	Incidents []*conform.Incident
 }
 
@@ -312,14 +303,9 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	if cfg.Schedule == nil {
 		return nil, fmt.Errorf("%w: campaign needs a fault schedule", ErrScenario)
 	}
-	var spec *conform.Spec
-	adaptive := false
-	if cfg.Stream && cfg.Conform == nil {
-		return nil, fmt.Errorf("%w: streaming conformance needs Conform", ErrScenario)
-	}
 	if cfg.Conform != nil {
-		if cfg.Heal != nil && (!cfg.Stream || cfg.Conform.Envelope == nil) {
-			return nil, fmt.Errorf("%w: offline conformance checking cannot model supervisor restarts (use Stream with an envelope)", ErrScenario)
+		if cfg.Heal != nil && cfg.Conform.Envelope == nil {
+			return nil, fmt.Errorf("%w: conformance checking without an envelope cannot model supervisor restarts", ErrScenario)
 		}
 		if err := conform.CheckSchedule(cfg.Schedule); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrScenario, err)
@@ -342,7 +328,6 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 				return nil, fmt.Errorf("%w: cluster envelope %+v does not match model envelope %+v",
 					ErrScenario, ce, *env)
 			}
-			adaptive = true
 			// A level that cannot be built fails the campaign before any
 			// trial runs, not at the first retune that reaches it.
 			for level := 0; level < env.Levels(); level++ {
@@ -350,13 +335,8 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 					return nil, err
 				}
 			}
-		} else {
-			if cfg.Cluster.Adaptive != nil {
-				return nil, fmt.Errorf("%w: adaptive cluster needs Conform.Envelope", ErrScenario)
-			}
-			if spec, err = cfg.Conform.Spec(); err != nil {
-				return nil, err
-			}
+		} else if cfg.Cluster.Adaptive != nil {
+			return nil, fmt.Errorf("%w: adaptive cluster needs Conform.Envelope", ErrScenario)
 		}
 	}
 	type trialOutcome struct {
@@ -366,7 +346,6 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		events      float64
 		faults      faults.Stats
 		schedErrs   int
-		div         *conform.Divergence
 		incidents   []*conform.Incident
 		confirmed   int
 		degraded    int
@@ -389,9 +368,8 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		}
 		cc.Faults = &sched
 		cc.Heal = cfg.Heal
-		var rec *conform.Recorder
 		var sc *conform.StreamChecker
-		if cfg.Stream {
+		if cfg.Conform != nil {
 			var err error
 			sc, err = conform.NewStreamChecker(conform.StreamConfig{
 				Check:   cfg.Conform,
@@ -401,9 +379,6 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 				return err
 			}
 			cc.Observe = sc
-		} else if spec != nil || adaptive {
-			rec = conform.NewRecorder()
-			cc.Observe = rec
 		}
 		c, err := detector.NewCluster(cc)
 		if err != nil {
@@ -418,8 +393,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		c.Sim.RunUntil(cfg.Horizon)
 		c.Stop()
 		o := &outs[trial]
-		switch {
-		case sc != nil:
+		if sc != nil {
 			sres, err := sc.Finish(c.Lost())
 			if err != nil {
 				return err
@@ -429,18 +403,6 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 			o.degraded = sres.Degraded
 			o.retunes = sres.Retunes
 			o.saturations = sres.Saturations
-		case adaptive:
-			pr, err := cfg.Conform.CheckTraceAdaptive(rec.Events(), core.Tick(cfg.Horizon))
-			if err != nil {
-				return err
-			}
-			o.div = pr.Unconfirmed
-			o.confirmed = pr.Confirmed
-			o.degraded = pr.Degraded
-			o.retunes = pr.Retunes
-			o.saturations = pr.Saturations
-		case rec != nil:
-			o.div = spec.CheckTrace(rec.Events(), core.Tick(cfg.Horizon))
 		}
 		o.survived = c.Coordinator.Status() == core.StatusActive
 		if c.Supervisor != nil {
@@ -462,9 +424,6 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 
 	out := &CampaignResult{}
 	for _, o := range outs {
-		if o.div != nil {
-			out.Divergences = append(out.Divergences, o.div)
-		}
 		out.Incidents = append(out.Incidents, o.incidents...)
 		out.Survived.Observe(o.survived)
 		if o.hasRestarts {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/conform"
@@ -401,7 +402,7 @@ func TestCampaignWorkersDeterminism(t *testing.T) {
 			got.Events.N() != want.Events.N() || got.Events.Sum() != want.Events.Sum() ||
 			got.Faults != want.Faults ||
 			got.ScheduleErrors != want.ScheduleErrors ||
-			len(got.Divergences) != len(want.Divergences) {
+			len(got.Incidents) != len(want.Incidents) {
 			t.Fatalf("workers=%d diverged:\n got %+v\nwant %+v", workers, got, want)
 		}
 	}
@@ -415,6 +416,14 @@ func TestRunCampaignValidation(t *testing.T) {
 		Cluster: binaryCluster(), Schedule: &faults.Schedule{}, Horizon: 0, Trials: 1,
 	}); err == nil {
 		t.Fatal("zero horizon accepted")
+	}
+	// The binary family has one participant; a model of three would be
+	// checked as a model of one.
+	if _, err := RunCampaign(CampaignConfig{
+		Schedule: &faults.Schedule{}, Horizon: 10, Trials: 1,
+		Conform: &conform.CampaignCheck{Model: models.Config{TMin: 2, TMax: 4, Variant: models.Binary, N: 3}},
+	}); !errors.Is(err, conform.ErrUnsupported) {
+		t.Fatalf("binary conformance at n=3: err = %v, want ErrUnsupported", err)
 	}
 }
 
@@ -439,8 +448,8 @@ func TestRunCampaignConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Divergences) != 0 {
-		t.Fatalf("healthy detector diverged: %v", res.Divergences[0])
+	if divs := divergences(res); len(divs) != 0 {
+		t.Fatalf("healthy detector diverged: %v", divs[0])
 	}
 
 	wrap, err := conform.Mutation("expiry+1")
@@ -458,8 +467,8 @@ func TestRunCampaignConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Divergences) != 5 {
-		t.Fatalf("mutant divergences = %d, want one per trial", len(res.Divergences))
+	if divs := divergences(res); len(divs) != 5 {
+		t.Fatalf("mutant divergences = %d, want one per trial", len(divs))
 	}
 
 	// Guard rails: supervisors and non-model faults are rejected.

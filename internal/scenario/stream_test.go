@@ -3,7 +3,6 @@ package scenario
 import (
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/conform"
@@ -12,83 +11,37 @@ import (
 	"repro/internal/models"
 )
 
-// streamCampaign is adaptiveCampaign with online checking: the trials run
-// a StreamChecker as their observer instead of record-and-replay.
-func streamCampaign(variant models.Variant, sc TopologyScenario, trials, workers int) CampaignConfig {
-	cfg := adaptiveCampaign(variant, sc, trials, workers)
-	cfg.Stream = true
-	return cfg
-}
-
-// requireNoDivergenceIncidents runs a streaming campaign and fails on any
-// unconfirmed-divergence incident, rendering the first one.
-func requireNoDivergenceIncidents(t *testing.T, cfg CampaignConfig) *CampaignResult {
-	t.Helper()
-	res, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
-	}
-	for _, inc := range res.Incidents {
-		if inc.Kind == conform.IncidentDivergence {
-			var b strings.Builder
-			if err := inc.Render(&b, "divergence incident"); err != nil {
-				t.Fatalf("render: %v", err)
-			}
-			t.Fatalf("unconfirmed divergence incident:\n%s", b.String())
-		}
-	}
-	return res
-}
-
-// TestStreamCampaignMatchesOffline pins the campaign-scale differential:
-// the same chaos campaign checked online (StreamChecker per trial) and
-// offline (record, then replay) must agree on every aggregate — same
-// retunes, saturations, confirmed/degraded divergences, survival — with
-// the streaming run reporting no incidents the offline run did not.
-func TestStreamCampaignMatchesOffline(t *testing.T) {
-	sc, err := RackLossScenario(campaignN(models.Static))
-	if err != nil {
-		t.Fatal(err)
-	}
-	offline := requireNoUnconfirmed(t, adaptiveCampaign(models.Static, sc, 20, 4))
-	stream := requireNoDivergenceIncidents(t, streamCampaign(models.Static, sc, 20, 4))
-	if stream.Retunes == 0 {
-		t.Fatal("streaming campaign saw no retunes — the adaptive path was never exercised")
-	}
-	// Campaigns must agree aggregate-for-aggregate once the streaming-only
-	// incident list is set aside.
-	norm := *stream
-	norm.Incidents = nil
-	if !reflect.DeepEqual(&norm, offline) {
-		t.Fatalf("streaming and offline campaigns disagree:\n  stream:  %+v\n  offline: %+v", &norm, offline)
-	}
-}
-
 // TestStreamCampaignWorkerDeterminism: online checking preserves the
-// campaign determinism guarantee at any worker count.
+// campaign determinism guarantee at any worker count, with a supervisor
+// bound to every trial's checker as well.
 func TestStreamCampaignWorkerDeterminism(t *testing.T) {
 	sc, err := RackLossScenario(campaignN(models.Static))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := requireNoDivergenceIncidents(t, streamCampaign(models.Static, sc, 20, 1))
-	par := requireNoDivergenceIncidents(t, streamCampaign(models.Static, sc, 20, 8))
+	healed := func(workers int) CampaignConfig {
+		cfg := adaptiveCampaign(models.Static, sc, 20, workers)
+		cfg.Heal = &detector.SupervisorConfig{}
+		return cfg
+	}
+	seq := requireNoUnconfirmed(t, healed(1))
+	par := requireNoUnconfirmed(t, healed(8))
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("worker count changed the streaming campaign result:\n  1 worker: %+v\n  8 workers: %+v", seq, par)
 	}
 }
 
-// TestStreamCampaignComposesWithHeal: streaming adaptive conformance is
-// the one mode that runs under a supervisor — restarts surface as
-// by-design labels the piecewise checker confirms, not as failures.
+// TestStreamCampaignComposesWithHeal: adaptive conformance is the one
+// mode that runs under a supervisor — restarts surface as by-design
+// labels the piecewise checker confirms, not as failures.
 func TestStreamCampaignComposesWithHeal(t *testing.T) {
 	sc, err := RackLossScenario(campaignN(models.Static))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := streamCampaign(models.Static, sc, 10, 2)
+	cfg := adaptiveCampaign(models.Static, sc, 10, 2)
 	cfg.Heal = &detector.SupervisorConfig{}
-	res := requireNoDivergenceIncidents(t, cfg)
+	res := requireNoUnconfirmed(t, cfg)
 	if res.Restarts.N() != 10 {
 		t.Fatalf("restart samples = %d, want one per trial", res.Restarts.N())
 	}
@@ -102,30 +55,15 @@ func TestStreamCampaignValidation(t *testing.T) {
 	}
 	base := CampaignConfig{Schedule: sc.Schedule, Horizon: 100, Trials: 1}
 
-	noConform := base
-	noConform.Stream = true
-	if _, err := RunCampaign(noConform); !errors.Is(err, ErrScenario) {
-		t.Fatalf("Stream without Conform: err = %v, want ErrScenario", err)
-	}
-
-	// Heal still cannot combine with offline conformance…
-	offlineHeal := streamCampaign(models.Static, sc, 1, 1)
-	offlineHeal.Stream = false
-	offlineHeal.Heal = &detector.SupervisorConfig{}
-	if _, err := RunCampaign(offlineHeal); !errors.Is(err, ErrScenario) {
-		t.Fatalf("offline Conform+Heal: err = %v, want ErrScenario", err)
-	}
-
-	// …nor with a streaming check that has no envelope (restarts would be
-	// unconfirmed divergences, not by-design ones).
+	// Heal cannot combine with a check that has no envelope (restarts
+	// would be unconfirmed divergences, not by-design ones).
 	plainHeal := base
-	plainHeal.Stream = true
 	plainHeal.Heal = &detector.SupervisorConfig{}
 	plainHeal.Conform = &conform.CampaignCheck{
 		Model: models.Config{TMin: 2, TMax: 4, Variant: models.Static, N: 2, Fixed: true},
 	}
 	if _, err := RunCampaign(plainHeal); !errors.Is(err, ErrScenario) {
-		t.Fatalf("plain streaming Conform+Heal: err = %v, want ErrScenario", err)
+		t.Fatalf("plain Conform+Heal: err = %v, want ErrScenario", err)
 	}
 }
 
@@ -201,8 +139,8 @@ func TestStreamFleetScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := streamCampaign(models.Static, sc, trials, 8)
-	res := requireNoDivergenceIncidents(t, cfg)
+	cfg := adaptiveCampaign(models.Static, sc, trials, 8)
+	res := requireNoUnconfirmed(t, cfg)
 	if got := res.Survived.Trials; got != trials {
 		t.Fatalf("observed %d trials, want %d", got, trials)
 	}
@@ -212,19 +150,16 @@ func TestStreamFleetScale(t *testing.T) {
 	}
 }
 
-// benchCampaign is the online-vs-offline cost comparison behind
-// EXPERIMENTS.md's streaming-overhead numbers: the same 10-trial
-// rack-loss chaos campaign, checked by record-then-replay (offline) or by
-// a StreamChecker riding each trial's cluster (online).
-func benchCampaign(b *testing.B, stream bool) {
+// BenchmarkCampaignStream times a 10-trial rack-loss chaos campaign with
+// a StreamChecker riding each trial's cluster.
+func BenchmarkCampaignStream(b *testing.B) {
 	sc, err := RackLossScenario(campaignN(models.Static))
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := adaptiveCampaign(models.Static, sc, 10, 1)
-	cfg.Stream = stream
 	// Warm the shared per-level spec cache so the one-off LTS builds are
-	// not attributed to whichever benchmark runs first.
+	// not timed.
 	if _, err := RunCampaign(cfg); err != nil {
 		b.Fatal(err)
 	}
@@ -236,6 +171,3 @@ func benchCampaign(b *testing.B, stream bool) {
 		}
 	}
 }
-
-func BenchmarkCampaignOffline(b *testing.B) { benchCampaign(b, false) }
-func BenchmarkCampaignStream(b *testing.B)  { benchCampaign(b, true) }

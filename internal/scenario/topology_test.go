@@ -82,6 +82,17 @@ func adaptiveCampaign(variant models.Variant, sc TopologyScenario, trials, worke
 	}
 }
 
+// divergences lists a campaign's unconfirmed-divergence incidents.
+func divergences(res *CampaignResult) []*conform.Incident {
+	var out []*conform.Incident
+	for _, inc := range res.Incidents {
+		if inc.Kind == conform.IncidentDivergence {
+			out = append(out, inc)
+		}
+	}
+	return out
+}
+
 // requireNoUnconfirmed runs the campaign and fails on any unconfirmed
 // divergence, rendering the first one.
 func requireNoUnconfirmed(t *testing.T, cfg CampaignConfig) *CampaignResult {
@@ -90,12 +101,12 @@ func requireNoUnconfirmed(t *testing.T, cfg CampaignConfig) *CampaignResult {
 	if err != nil {
 		t.Fatalf("RunCampaign: %v", err)
 	}
-	if len(res.Divergences) != 0 {
+	if divs := divergences(res); len(divs) != 0 {
 		var b strings.Builder
-		if err := res.Divergences[0].Render(&b, "unconfirmed divergence"); err != nil {
+		if err := divs[0].Render(&b, "unconfirmed divergence"); err != nil {
 			t.Fatalf("render: %v", err)
 		}
-		t.Fatalf("%d unconfirmed divergences; first:\n%s", len(res.Divergences), b.String())
+		t.Fatalf("%d unconfirmed divergences; first:\n%s", len(divs), b.String())
 	}
 	return res
 }
