@@ -8,28 +8,44 @@ import (
 	"testing"
 )
 
-// TestGoldenQ1 pins the Q1 overhead table, one deterministic trial per
-// point. The golden was written by the binary of the commit before hbmc's
-// diagnostics moved to stderr and excludes only the closing
-// "ensemble: … trials/s" line, which times the run; a deliberate change
-// regenerates it with `go run ./cmd/hbmc -q1 | sed '$d' > cmd/hbmc/testdata/q1.golden`.
-func TestGoldenQ1(t *testing.T) {
+// checkGolden runs hbmc with args and compares its stdout, minus the
+// closing "ensemble: … trials/s" line that times the run, with
+// testdata/<golden>.
+func checkGolden(t *testing.T, golden string, args ...string) {
+	t.Helper()
 	var out, errs bytes.Buffer
-	if code := run([]string{"-q1"}, &out, &errs); code != 0 {
-		t.Fatalf("run(-q1) = %d\n%s", code, errs.String())
+	if code := run(args, &out, &errs); code != 0 {
+		t.Fatalf("run(%q) = %d\n%s", args, code, errs.String())
 	}
 	body := strings.TrimSuffix(out.String(), "\n")
 	cut := strings.LastIndex(body, "\n") + 1
 	if !strings.HasPrefix(body[cut:], "ensemble: ") {
 		t.Fatalf("last line %q is not the ensemble timing line", body[cut:])
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "q1.golden"))
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := body[:cut]; got != string(want) {
-		t.Fatalf("hbmc -q1 differs from testdata/q1.golden:\ngot:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("hbmc %q differs from testdata/%s:\ngot:\n%s\nwant:\n%s", args, golden, got, want)
 	}
+}
+
+// TestGoldenQ1 pins the Q1 overhead table, one deterministic trial per
+// point. The golden was written by the binary of the commit before hbmc's
+// diagnostics moved to stderr; a deliberate change regenerates it with
+// `go run ./cmd/hbmc -q1 | sed '$d' > cmd/hbmc/testdata/q1.golden`.
+func TestGoldenQ1(t *testing.T) {
+	checkGolden(t, "q1.golden", "-q1")
+}
+
+// TestGoldenQ2Q3 pins the Q2 and Q3 tables at 500 trials per point: loss
+// rolls, jittered delays and crash ticks, every variant. The golden was
+// written by the binary of the commit before the ensemble ran its trials
+// one tick at a time; a deliberate change regenerates it with
+// `go run ./cmd/hbmc -q2 -q3 -trials 500 -seed 7 | sed '$d' > cmd/hbmc/testdata/q2q3.golden`.
+func TestGoldenQ2Q3(t *testing.T) {
+	checkGolden(t, "q2q3.golden", "-q2", "-q3", "-trials", "500", "-seed", "7")
 }
 
 // TestBadFlagOnStderr: flag errors land on stderr, never in front of the

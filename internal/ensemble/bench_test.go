@@ -25,6 +25,29 @@ func BenchmarkEnsembleThroughput(b *testing.B) {
 	b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/sec")
 }
 
+// BenchmarkEnsembleGeneric measures the generic tick kernel on the same
+// Q3 shape with static membership at n=3 — the path every multi-member
+// variant and every Fixed variant takes. BenchmarkEnsembleThroughput
+// only reaches the binary path.
+func BenchmarkEnsembleGeneric(b *testing.B) {
+	const trials = 512
+	cfg := q3Config(trials, 1)
+	cfg.Protocol, cfg.N = ProtocolStatic, 3
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rounds uint64
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds += res.Rounds
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/sec")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
+}
+
 // BenchmarkScenarioBaseline runs the identical workload through the
 // per-trial simulator path (scenario.MeasureReliability) — the oracle
 // the ensemble is pinned against and the baseline for its speedup.

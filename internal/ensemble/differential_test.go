@@ -19,7 +19,9 @@ type diffVariant struct {
 }
 
 // diffVariants covers all six paper variants plus §6-fixed instances (the
-// Fixed flag switches the engine onto the receive-priority hop path).
+// Fixed flag switches the engine onto the receive-priority hop path), and
+// a static row at n=16, whose ticks queue more events than one member's
+// five slots hold.
 func diffVariants(tmin, tmax core.Tick) []diffVariant {
 	return []diffVariant{
 		{"binary", ProtocolBinary, core.Config{TMin: tmin, TMax: tmax}, 1},
@@ -31,16 +33,67 @@ func diffVariants(tmin, tmax core.Tick) []diffVariant {
 		{"binary-fixed", ProtocolBinary, core.Config{TMin: tmin, TMax: tmax, Fixed: true}, 1},
 		{"static-fixed", ProtocolStatic, core.Config{TMin: tmin, TMax: tmax, Fixed: true}, 3},
 		{"expanding-fixed", ProtocolExpanding, core.Config{TMin: tmin, TMax: tmax, Fixed: true}, 2},
+		{"dynamic-fixed", ProtocolDynamic, core.Config{TMin: tmin, TMax: tmax, Fixed: true}, 2},
+		{"static-16", ProtocolStatic, core.Config{TMin: tmin, TMax: tmax}, 16},
+	}
+}
+
+// checkDetection pins one detection campaign's per-trial verdicts —
+// (suspected, suspicion_tick - crash_tick) in trial order, and the missed
+// count — against scenario.MeasureDetection.
+func checkDetection(t *testing.T, v diffVariant, link netem.LinkConfig, crashAt, jitter, horizon sim.Time, trials int) {
+	t.Helper()
+	oracle, err := scenario.MeasureDetection(scenario.DetectionConfig{
+		Cluster: detector.ClusterConfig{
+			Protocol: v.protocol, Core: v.core, N: v.n, Link: link,
+		},
+		CrashAt:     crashAt,
+		CrashJitter: jitter,
+		Victim:      1,
+		Horizon:     horizon,
+		Trials:      trials,
+		Seed:        977,
+	})
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", v.name, err)
+	}
+	oracleDelays := oracle.Delays.Values() // insertion order: per detecting trial
+	res, err := Run(Config{
+		Protocol: v.protocol, Core: v.core, N: v.n, Link: link,
+		CrashAt: crashAt, CrashJitter: jitter, Victim: 1,
+		Horizon: horizon, Trials: trials, Seed: 977,
+		Exact: true, Record: true, Block: 7, // odd block size: exercise reset reuse
+	})
+	if err != nil {
+		t.Fatalf("%s: ensemble: %v", v.name, err)
+	}
+	if res.Missed != oracle.Missed {
+		t.Errorf("%s link %+v: missed %d (ensemble) vs %d (oracle)",
+			v.name, link, res.Missed, oracle.Missed)
+	}
+	var delays []float64
+	for _, o := range res.Outcomes {
+		if o.Suspected {
+			delays = append(delays, float64(o.SuspectAt-o.CrashedAt))
+		}
+	}
+	if len(delays) != len(oracleDelays) {
+		t.Fatalf("%s link %+v: %d detections (ensemble) vs %d (oracle)",
+			v.name, link, len(delays), len(oracleDelays))
+	}
+	for i := range delays {
+		if delays[i] != oracleDelays[i] {
+			t.Fatalf("%s link %+v: trial-order delay %d: %g (ensemble) vs %g (oracle)",
+				v.name, link, i, delays[i], oracleDelays[i])
+		}
 	}
 }
 
 // TestEnsembleDifferentialDetection pins the ensemble's per-trial
-// detection verdicts — (suspected, suspicion_tick - crash_tick) in trial
-// order — against scenario.MeasureDetection on the Q2 workload shape
-// (delay jitter up to tmin/2, crash jitter up to tmax), with and without
-// loss, for every variant.
+// detection verdicts against scenario.MeasureDetection on the Q2 workload
+// shape (delay jitter up to tmin/2, crash jitter up to tmax), with and
+// without loss, for every variant.
 func TestEnsembleDifferentialDetection(t *testing.T) {
-	const trials = 40
 	for _, link := range []netem.LinkConfig{
 		{MaxDelay: 1},                 // Q2's jittered zero-loss shape (tmin=2)
 		{},                            // degenerate zero-delay links
@@ -49,51 +102,26 @@ func TestEnsembleDifferentialDetection(t *testing.T) {
 	} {
 		for _, v := range diffVariants(2, 16) {
 			tmax := sim.Time(v.core.TMax)
-			oracle, err := scenario.MeasureDetection(scenario.DetectionConfig{
-				Cluster: detector.ClusterConfig{
-					Protocol: v.protocol, Core: v.core, N: v.n, Link: link,
-				},
-				CrashAt:     tmax * 10,
-				CrashJitter: tmax,
-				Victim:      1,
-				Horizon:     tmax * 22,
-				Trials:      trials,
-				Seed:        977,
-			})
-			if err != nil {
-				t.Fatalf("%s: oracle: %v", v.name, err)
-			}
-			oracleDelays := oracle.Delays.Values() // insertion order: per detecting trial
-			res, err := Run(Config{
-				Protocol: v.protocol, Core: v.core, N: v.n, Link: link,
-				CrashAt: tmax * 10, CrashJitter: tmax, Victim: 1,
-				Horizon: tmax * 22, Trials: trials, Seed: 977,
-				Exact: true, Record: true, Block: 7, // odd block size: exercise reset reuse
-			})
-			if err != nil {
-				t.Fatalf("%s: ensemble: %v", v.name, err)
-			}
-			if res.Missed != oracle.Missed {
-				t.Errorf("%s link %+v: missed %d (ensemble) vs %d (oracle)",
-					v.name, link, res.Missed, oracle.Missed)
-			}
-			var delays []float64
-			for _, o := range res.Outcomes {
-				if o.Suspected {
-					delays = append(delays, float64(o.SuspectAt-o.CrashedAt))
-				}
-			}
-			if len(delays) != len(oracleDelays) {
-				t.Fatalf("%s link %+v: %d detections (ensemble) vs %d (oracle)",
-					v.name, link, len(delays), len(oracleDelays))
-			}
-			for i := range delays {
-				if delays[i] != oracleDelays[i] {
-					t.Fatalf("%s link %+v: trial-order delay %d: %g (ensemble) vs %g (oracle)",
-						v.name, link, i, delays[i], oracleDelays[i])
-				}
-			}
+			checkDetection(t, v, link, tmax*10, tmax, tmax*22, 40)
 		}
+	}
+}
+
+// TestEnsembleDifferentialCrashTicks pins the crash rules of the tick
+// kernel per trial: a crash loses same-tick ties, so on a round tick of
+// zero-delay links the victim still answers that round's beat; and a
+// crash past the horizon stretches the bound, so the events up to the
+// crash tick run and a suspicion among them counts.
+func TestEnsembleDifferentialCrashTicks(t *testing.T) {
+	for _, v := range diffVariants(2, 16) {
+		tmax := sim.Time(v.core.TMax)
+		// Loss-free zero-delay rounds of the fixed-membership variants
+		// fire on multiples of tmax; the crash lands on one.
+		checkDetection(t, v, netem.LinkConfig{}, tmax*10, 0, tmax*22, 8)
+		// Crash ticks fall in [10·tmax, 16·tmax), the horizon is
+		// 10·tmax+1: almost every trial runs past it, and 20% loss
+		// makes suspicions before the crash common.
+		checkDetection(t, v, netem.LinkConfig{LossProb: 0.2}, tmax*10, tmax*6, tmax*10+1, 60)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package ensemble is the vectorized Monte-Carlo engine: a trial is a row
-// of struct-of-arrays state, not a simulator. A block of independent
-// trials advances round-by-round in lockstep — loss rolls, NextWait
-// acceleration, watchdog expiry and crash/suspicion bookkeeping evaluated
-// as tight batch loops with zero allocations per step — at 1-2 orders of
-// magnitude more trials per core than the event-driven
-// detector/scenario path, which stays on as the differential oracle.
+// of struct-of-arrays state, not a simulator. Each trial of a block runs
+// to completion one tick at a time — one scan of its row per tick, then
+// the tick's events (loss rolls, NextWait acceleration, watchdog expiry,
+// crash/suspicion bookkeeping) fire from a preallocated queue with zero
+// allocations per step — at 1-2 orders of magnitude more trials per core
+// than the event-driven detector/scenario path, which stays on as the
+// differential oracle.
 //
 // # Determinism contract
 //
@@ -25,12 +26,13 @@
 //   - Event order. internal/sim orders by (time, seq) with seq assigned
 //     at Schedule time. The engine keeps an explicit (at, seq) pair per
 //     pending-event slot — packed into one uint64 key (at<<seqBits | seq)
-//     so selecting the next event is a single-word min-scan — and assigns
-//     seqs from a per-trial counter at the same moments the simulator
-//     would call Schedule. The §6.1 receive-priority fix
-//     (core.Config.Fixed) is a one-shot re-queue of a due timer at the
-//     same tick with a fresh seq — exactly the zero-delay hop
-//     detector.Node uses.
+//     so (time, seq) order is integer order — and assigns seqs from a
+//     per-trial counter at the same moments the simulator would call
+//     Schedule. Within a tick, events fire in key order; one armed for
+//     the running tick has the largest seq yet and so runs last. The
+//     §6.1 receive-priority fix (core.Config.Fixed) is a one-shot
+//     re-queue of a due timer at the same tick with a fresh seq —
+//     exactly the zero-delay hop detector.Node uses.
 //
 // Pending events per trial are a fixed set of slots, not a queue: one
 // round timer, one crash injection, and per member one watchdog, one
@@ -49,7 +51,6 @@ import (
 const (
 	tfCoordInactive uint8 = 1 << iota // p[0] suspected someone and stopped
 	tfRoundHop                        // round timer took its §6.1 hop
-	tfDone                            // no more events inside the bound
 )
 
 // Per-member flag bits (mflags).
@@ -63,24 +64,21 @@ const (
 	mfResendHop                   // join-resend timer took its §6.1 hop
 )
 
-// Candidate event kinds returned by pick.
+// Event kinds the binary kernel selects between.
 const (
-	kNone uint8 = iota
-	kRound
+	kRound uint8 = iota
 	kWatch
-	kResend
 	kDown
 	kUp0
 	kUp1
-	kCrash
 )
 
 // inert marks an unset per-trial tick (crash, suspicion, failure).
 const inert = int64(-1)
 
 // Event-slot keys pack (at, seq) into one uint64 — uint64(at)<<seqBits |
-// seq — so (time, seq) order is plain integer order and pick is a
-// single-word min-scan. seqBits leaves 42 bits of tick range; validation
+// seq — so (time, seq) order is plain integer order and a tick's earliest
+// event is a single-word min-scan. seqBits leaves 42 bits of tick range; validation
 // caps ticks at maxTick and nextSeq panics before a seq can wrap into
 // the tick field.
 const (
@@ -96,8 +94,8 @@ func evkey(at int64, seq uint64) uint64 {
 }
 
 // Per-member slot offsets inside a trial's contiguous key row. A row is
-// [round, then 5 slots per member]: pick scans it as one cache-friendly
-// streaming min over stride = 1 + 5n words.
+// [round, then 5 slots per member]: runTrial scans it as one
+// cache-friendly streaming min over stride = 1 + 5n words per tick.
 const (
 	sWatch = iota
 	sResend
@@ -107,9 +105,16 @@ const (
 	slotsPerMember
 )
 
+// qent is one tick-queue entry: a key slot and the key it held when
+// queued.
+type qent struct {
+	key  uint64
+	slot int
+}
+
 // engine holds one worker's struct-of-arrays trial block. All slices are
-// sized once at construction and reused across blocks; after the first
-// reset the steady-state step path performs no allocations.
+// sized once at construction and reused across blocks; the step path
+// performs no allocations.
 type engine struct {
 	// protocol constants, resolved from Config
 	cc        core.Config
@@ -133,7 +138,6 @@ type engine struct {
 	cap    int // trial capacity
 	trials int // active trials this block
 	first  int // global index of trial 0 in this block
-	live   int
 
 	// per-trial state
 	rng       []rngState
@@ -149,10 +153,14 @@ type engine struct {
 	// keys holds every pending-event slot as packed (at, seq) keys, one
 	// contiguous row of stride words per trial: [round timer, then per
 	// member watch/resend/down/up0/up1]. Row-contiguity is what makes
-	// pick's min-scan stream a couple of cache lines instead of touching
-	// six arrays.
+	// the per-tick scan stream a couple of cache lines instead of
+	// touching six arrays.
 	stride int // 1 + slotsPerMember*n
 	keys   []uint64
+
+	// q[:qn] is the running tick's queue, in key order (see runTrial).
+	q  []qent
+	qn int
 
 	// per-trial x member state (index t*n + m)
 	tm     []int64
@@ -195,6 +203,7 @@ func newEngine(cfg Config, capacity int) *engine {
 
 		stride: 1 + slotsPerMember*n,
 		keys:   make([]uint64, capacity*(1+slotsPerMember*n)),
+		q:      make([]qent, 2*(1+slotsPerMember*n)),
 
 		tm:     make([]int64, capacity*n),
 		mflags: make([]uint8, capacity*n),
@@ -205,10 +214,6 @@ func newEngine(cfg Config, capacity int) *engine {
 	return e
 }
 
-// nextSeq mirrors sim.Simulator's Schedule-time sequence assignment. A
-// trial that exhausts the seq field of the packed key panics rather than
-// silently corrupting event order (2^22 events per trial).
-//
 // slot returns the key index of member m's slot s in trial t's row; the
 // row's word 0 is the coordinator round timer.
 //
@@ -217,6 +222,10 @@ func (e *engine) slot(t, m, s int) int {
 	return t*e.stride + 1 + slotsPerMember*m + s
 }
 
+// nextSeq mirrors sim.Simulator's Schedule-time sequence assignment. A
+// trial that exhausts the seq field of the packed key panics rather than
+// silently corrupting event order (2^22 events per trial).
+//
 //hbvet:noalloc
 func (e *engine) nextSeq(t int) uint64 {
 	e.seqc[t]++
@@ -226,77 +235,71 @@ func (e *engine) nextSeq(t int) uint64 {
 	return e.seqc[t]
 }
 
-// reset initialises trials [first, first+count) and replays each trial's
-// Cluster.Start: the coordinator first (round timer, then the revised
-// variant's immediate broadcast), then participants in ascending ID order
-// (fixed membership arms watchdogs; joining membership sends the first
+// start initialises trial t of the block and replays its Cluster.Start:
+// the coordinator first (round timer, then the revised variant's
+// immediate broadcast), then participants in ascending ID order (fixed
+// membership arms watchdogs; joining membership sends the first
 // solicitation and arms resend + give-up timers), then the
 // MeasureDetection crash-jitter draw. Exact RNG mode allocates one
 // math/rand source per trial; the fast counter-stream mode allocates
-// nothing.
-func (e *engine) reset(first, count int) {
-	if count > e.cap {
-		panic("ensemble: block larger than engine capacity")
+// nothing. Zero-delay sends enqueue as they would inside a tick; the
+// trial's first tick collects its row afresh.
+func (e *engine) start(t int) {
+	e.rng[t].init(e.seed, int64(e.first+t), e.exact)
+	e.seqc[t] = 0
+	e.tflags[t] = 0
+	e.crashDue[t] = inert
+	e.crashTick[t] = inert
+	e.sent[t] = 0
+	e.rounds[t] = 0
+	e.suspectAt[t] = inert
+	e.falseAt[t] = inert
+	e.qn = 0
+	base := t * e.n
+	row := e.keys[t*e.stride : (t+1)*e.stride]
+	for p := range row {
+		row[p] = inertKey
 	}
-	e.first = first
-	e.trials = count
-	e.live = count
-	for t := 0; t < count; t++ {
-		e.rng[t].init(e.seed, int64(first+t), e.exact)
-		e.seqc[t] = 0
-		e.tflags[t] = 0
-		e.crashDue[t] = inert
-		e.crashTick[t] = inert
-		e.sent[t] = 0
-		e.rounds[t] = 0
-		e.suspectAt[t] = inert
-		e.falseAt[t] = inert
-		base := t * e.n
-		row := e.keys[t*e.stride : (t+1)*e.stride]
-		for p := range row {
-			row[p] = inertKey
+	for m := 0; m < e.n; m++ {
+		i := base + m
+		e.tm[i] = e.tmax
+		if e.joining {
+			e.mflags[i] = 0
+		} else {
+			// Fixed members start known with rcvd=true: the first
+			// round is a grace round (see core.NewCoordinator).
+			e.mflags[i] = mfKnown | mfRcvd
 		}
+	}
+	// Coordinator.Start: SetTimer(Round, tmax) first, then the
+	// revised variant's immediate broadcast in ascending ID order.
+	row[0] = evkey(e.tmax, e.nextSeq(t))
+	if e.cc.Revised && !e.joining {
 		for m := 0; m < e.n; m++ {
-			i := base + m
-			e.tm[i] = e.tmax
-			if e.joining {
-				e.mflags[i] = 0
-			} else {
-				// Fixed members start known with rcvd=true: the first
-				// round is a grace round (see core.NewCoordinator).
-				e.mflags[i] = mfKnown | mfRcvd
-			}
+			e.sendDown(t, m, 0)
 		}
-		// Coordinator.Start: SetTimer(Round, tmax) first, then the
-		// revised variant's immediate broadcast in ascending ID order.
-		e.keys[t*e.stride] = evkey(e.tmax, e.nextSeq(t))
-		if e.cc.Revised && !e.joining {
-			for m := 0; m < e.n; m++ {
-				e.sendDown(t, m, 0)
-			}
+	}
+	// Participant/Responder.Start in ascending ID order.
+	for m := 0; m < e.n; m++ {
+		if e.joining {
+			// SendBeat(solicit), SetTimer(JoinResend, tmin),
+			// SetTimer(Expiry, JoinerBound) — in that action order.
+			e.sendUp(t, m, 0)
+			e.keys[e.slot(t, m, sResend)] = evkey(e.tmin, e.nextSeq(t))
+			e.keys[e.slot(t, m, sWatch)] = evkey(e.joinBound, e.nextSeq(t))
+		} else {
+			e.keys[e.slot(t, m, sWatch)] = evkey(e.respBound, e.nextSeq(t))
 		}
-		// Participant/Responder.Start in ascending ID order.
-		for m := 0; m < e.n; m++ {
-			if e.joining {
-				// SendBeat(solicit), SetTimer(JoinResend, tmin),
-				// SetTimer(Expiry, JoinerBound) — in that action order.
-				e.sendUp(t, m, 0)
-				e.keys[e.slot(t, m, sResend)] = evkey(e.tmin, e.nextSeq(t))
-				e.keys[e.slot(t, m, sWatch)] = evkey(e.joinBound, e.nextSeq(t))
-			} else {
-				e.keys[e.slot(t, m, sWatch)] = evkey(e.respBound, e.nextSeq(t))
-			}
+	}
+	// MeasureDetection resolves the crash tick after Start, before
+	// any event runs: one Int63n draw when jitter is configured.
+	if e.crashBase >= 0 {
+		at := e.crashBase
+		if e.jitter > 0 {
+			at += e.rng[t].int63n(e.jitter)
 		}
-		// MeasureDetection resolves the crash tick after Start, before
-		// any event runs: one Int63n draw when jitter is configured.
-		if e.crashBase >= 0 {
-			at := e.crashBase
-			if e.jitter > 0 {
-				at += e.rng[t].int63n(e.jitter)
-			}
-			e.crashDue[t] = at
-			e.crashTick[t] = at
-		}
+		e.crashDue[t] = at
+		e.crashTick[t] = at
 	}
 }
 
@@ -321,6 +324,9 @@ func (e *engine) sendDown(t, m int, now int64) {
 		panic("ensemble: down-slot overflow (MaxDelay too large for TMin)")
 	}
 	e.keys[i] = evkey(now+d, e.nextSeq(t))
+	if d == 0 {
+		e.enqueue(i)
+	}
 }
 
 // sendUp rolls one member->p[0] beat (reply or join solicitation) into a
@@ -346,132 +352,165 @@ func (e *engine) sendUp(t, m int, now int64) {
 		}
 	}
 	e.keys[i] = evkey(now+d, e.nextSeq(t))
+	if d == 0 {
+		e.enqueue(i)
+	}
 }
 
-// pick selects trial t's next event by the simulator's (time, seq) order.
+// runBlock runs trials [first, first+count) one at a time, each from its
+// Start to the end of its bound: on runTrialBinary for one member with
+// neither joins nor §6.1 hops, on the tick kernel runTrial otherwise.
+func (e *engine) runBlock(first, count int) {
+	if count > e.cap {
+		panic("ensemble: block larger than engine capacity")
+	}
+	e.first = first
+	e.trials = count
+	binary := e.n == 1 && !e.fixed && !e.joining
+	for t := 0; t < count; t++ {
+		e.start(t)
+		if binary {
+			e.runTrialBinary(t)
+		} else {
+			e.runTrial(t)
+		}
+	}
+}
+
+// runTrial runs trial t to completion one tick at a time: one scan of the
+// row finds the earliest tick T, a second collects the slots due at T in
+// key (so seq) order into the tick queue, and the queue fires in order.
+// An event armed for T while the tick runs — a zero-delay delivery or a
+// §6.1 hop — takes a fresh seq, larger than every pending one, so it
+// joins at the tail; a queued entry whose slot no longer holds its key
+// was cancelled or re-armed and is skipped. This is the simulator's
+// (time, seq) order without a per-event scan.
+//
 // The crash injection behaves as an event with infinite seq at its tick:
 // scenario.MeasureDetection runs every event at or before the crash tick
-// (even past the horizon), then crashes the victim.
+// (even past the horizon), then crashes the victim. So a pending crash
+// fires once the queue of its tick has drained, before any later tick.
 //
 //hbvet:noalloc
-func (e *engine) pick(t int) (kind uint8, mem int) {
-	row := e.keys[t*e.stride : (t+1)*e.stride]
-	best := row[0]
-	kind = kRound
-	for m := 0; m < e.n; m++ {
-		o := 1 + slotsPerMember*m
-		if k := row[o+sWatch]; k < best {
-			best, kind, mem = k, kWatch, m
-		}
-		if k := row[o+sResend]; k < best {
-			best, kind, mem = k, kResend, m
-		}
-		if k := row[o+sDown]; k < best {
-			best, kind, mem = k, kDown, m
-		}
-		if k := row[o+sUp0]; k < best {
-			best, kind, mem = k, kUp0, m
-		}
-		if k := row[o+sUp1]; k < best {
-			best, kind, mem = k, kUp1, m
-		}
-	}
-	// A pending crash has infinite seq at its tick: it loses same-tick
-	// ties but beats any strictly later event — and an all-inert scan
-	// (best == inertKey) by construction.
-	if c := e.crashDue[t]; c != inert && uint64(c) < best>>seqBits {
-		return kCrash, 0
-	}
-	// Events run while they are at or before the bound: the horizon,
-	// stretched to the crash tick while a later crash is still pending.
-	bound := e.horizon
-	if c := e.crashDue[t]; c != inert && c > bound {
-		bound = c
-	}
-	if best == inertKey || int64(best>>seqBits) > bound {
-		return kNone, 0
-	}
-	return kind, mem
-}
-
-// stepTrial advances trial t through one coordinator round: every due
-// event in (time, seq) order up to and including the next round-timer
-// fire. Returns false when the trial has no further events inside its
-// bound.
-//
-//hbvet:noalloc
-func (e *engine) stepTrial(t int) bool {
+func (e *engine) runTrial(t int) {
+	base := t * e.stride
+	row := e.keys[base : base+e.stride]
 	for {
-		kind, m := e.pick(t)
-		switch kind {
-		case kNone:
-			return false
-		case kRound:
-			// §6.1 receive priority: a due timer yields one zero-delay
-			// hop (fresh seq, same tick) so same-instant deliveries run
-			// first — exactly detector.Node's arm/fire split.
-			ki := t * e.stride
-			if e.fixed && e.tflags[t]&tfRoundHop == 0 {
-				e.tflags[t] |= tfRoundHop
-				e.keys[ki] = e.keys[ki]&^seqMask | e.nextSeq(t)
-				continue
+		best := inertKey
+		for _, k := range row {
+			if k < best {
+				best = k
 			}
-			e.tflags[t] &^= tfRoundHop
-			e.fireRound(t, int64(e.keys[ki]>>seqBits))
-			return true
-		case kWatch:
-			i := t*e.n + m
-			ki := e.slot(t, m, sWatch)
-			if e.fixed && e.mflags[i]&mfWatchHop == 0 {
-				e.mflags[i] |= mfWatchHop
-				e.keys[ki] = e.keys[ki]&^seqMask | e.nextSeq(t)
-				continue
-			}
-			e.mflags[i] &^= mfWatchHop
-			e.fireWatch(t, m, int64(e.keys[ki]>>seqBits))
-		case kResend:
-			i := t*e.n + m
-			ki := e.slot(t, m, sResend)
-			if e.fixed && e.mflags[i]&mfResendHop == 0 {
-				e.mflags[i] |= mfResendHop
-				e.keys[ki] = e.keys[ki]&^seqMask | e.nextSeq(t)
-				continue
-			}
-			e.mflags[i] &^= mfResendHop
-			e.fireResend(t, m, int64(e.keys[ki]>>seqBits))
-		case kDown:
-			ki := e.slot(t, m, sDown)
-			at := int64(e.keys[ki] >> seqBits)
-			e.keys[ki] = inertKey
-			e.fireDown(t, m, at)
-		case kUp0:
-			ki := e.slot(t, m, sUp0)
-			at := int64(e.keys[ki] >> seqBits)
-			e.keys[ki] = inertKey
-			e.fireUp(t, m, at)
-		case kUp1:
-			ki := e.slot(t, m, sUp1)
-			at := int64(e.keys[ki] >> seqBits)
-			e.keys[ki] = inertKey
-			e.fireUp(t, m, at)
-		case kCrash:
-			at := e.crashDue[t]
+		}
+		now := int64(best >> seqBits)
+		// A pending crash loses same-tick ties but beats any strictly
+		// later tick — and an all-inert row by construction.
+		if c := e.crashDue[t]; c != inert && c < now {
 			e.crashDue[t] = inert
-			e.fireCrash(t, at)
+			e.fireCrash(t, c)
+			continue
+		}
+		// Ticks run while they are at or before the bound: the horizon,
+		// stretched to the crash tick while a later crash is still pending.
+		bound := max(e.horizon, e.crashDue[t])
+		if best == inertKey || now > bound {
+			return
+		}
+		// Insertion sort: rows are nearly in seq order already, since
+		// a round arms its members' slots in ascending order.
+		lim := uint64(now+1) << seqBits
+		e.qn = 0
+		for p, k := range row {
+			if k >= lim {
+				continue
+			}
+			j := e.qn
+			for ; j > 0 && e.q[j-1].key > k; j-- {
+				e.q[j] = e.q[j-1]
+			}
+			e.q[j] = qent{key: k, slot: base + p}
+			e.qn++
+		}
+		for h := 0; h < e.qn; h++ {
+			if q := e.q[h]; e.keys[q.slot] == q.key {
+				e.fire(t, q.slot, now)
+			}
 		}
 	}
 }
 
-// stepTrialBinary is stepTrial specialised for single-member fixed
-// membership without the §6.1 hop — the binary/revised/two-phase Q2/Q3
-// workloads. The trial's event slots live in registers across the whole
-// round instead of being re-scanned from memory per event; the protocol
-// logic is the same inlined for member 0 (i = t; the resend slot stays
-// inert), and the differential tests drive this path for every binary
-// variant.
+// fire runs the event in key slot i of trial t's row at tick now.
 //
 //hbvet:noalloc
-func (e *engine) stepTrialBinary(t int) bool {
+func (e *engine) fire(t, i int, now int64) {
+	p := i - t*e.stride
+	if p == 0 {
+		if !e.hop(t, i, &e.tflags[t], tfRoundHop, now) {
+			e.fireRound(t, now)
+		}
+		return
+	}
+	m := (p - 1) / slotsPerMember
+	switch (p - 1) % slotsPerMember {
+	case sWatch:
+		if !e.hop(t, i, &e.mflags[t*e.n+m], mfWatchHop, now) {
+			e.fireWatch(t, m, now)
+		}
+	case sResend:
+		if !e.hop(t, i, &e.mflags[t*e.n+m], mfResendHop, now) {
+			e.fireResend(t, m, now)
+		}
+	case sDown:
+		e.keys[i] = inertKey
+		e.fireDown(t, m, now)
+	default: // sUp0, sUp1
+		e.keys[i] = inertKey
+		e.fireUp(t, m, now)
+	}
+}
+
+// hop is the §6.1 receive priority (core.Config.Fixed): a due timer first
+// yields one zero-delay hop — a fresh seq at the same tick, so it rejoins
+// the tick's queue at the tail and same-instant deliveries run first,
+// exactly detector.Node's arm/fire split. It reports whether the timer in
+// slot i hopped; when it fires instead, its hop bit is cleared.
+//
+//hbvet:noalloc
+func (e *engine) hop(t, i int, flags *uint8, bit uint8, now int64) bool {
+	if !e.fixed || *flags&bit != 0 {
+		*flags &^= bit
+		return false
+	}
+	*flags |= bit
+	e.keys[i] = evkey(now, e.nextSeq(t))
+	e.enqueue(i)
+	return true
+}
+
+// enqueue appends slot i, just armed for the running tick, to the tail of
+// the tick queue. The queue never outgrows 2·stride: a tick collects at
+// most one entry per slot and arms at most 1 + 5n more — the round's hop,
+// and per member a watchdog hop, a resend hop, one down beat and two up
+// beats (a reply and a re-solicitation). One down beat, because
+// validation's MaxDelay < TMin lets at most one round's beat arrive per
+// tick.
+//
+//hbvet:noalloc
+func (e *engine) enqueue(i int) {
+	e.q[e.qn] = qent{key: e.keys[i], slot: i}
+	e.qn++
+}
+
+// runTrialBinary is runTrial specialised for single-member fixed
+// membership without the §6.1 hop — the binary/revised/two-phase Q2/Q3
+// workloads. The trial's five event slots live in registers for the whole
+// trial and are min-scanned per event, which at n=1 beats collecting a
+// tick queue; the protocol logic is the same inlined for member 0 (i = t;
+// the resend slot stays inert), and the differential tests drive this
+// path for every binary variant.
+//
+//hbvet:noalloc
+func (e *engine) runTrialBinary(t int) {
 	base := t * e.stride
 	round := e.keys[base]
 	watch := e.keys[base+1+sWatch]
@@ -479,9 +518,7 @@ func (e *engine) stepTrialBinary(t int) bool {
 	up0 := e.keys[base+1+sUp0]
 	up1 := e.keys[base+1+sUp1]
 	crash := e.crashDue[t]
-	fired := false
 
-loop:
 	for {
 		best := round
 		kind := kRound
@@ -510,7 +547,7 @@ loop:
 			bound = crash
 		}
 		if best == inertKey || int64(best>>seqBits) > bound {
-			break loop
+			return
 		}
 		now := int64(best >> seqBits)
 		switch kind {
@@ -528,8 +565,7 @@ loop:
 					e.falseAt[t] = now
 				}
 				round = inertKey
-				fired = true
-				break loop
+				continue
 			}
 			// sendDown for member 0.
 			e.sent[t]++
@@ -545,8 +581,6 @@ loop:
 				down = evkey(now+d, e.nextSeq(t))
 			}
 			round = evkey(now+int64(tm), e.nextSeq(t))
-			fired = true
-			break loop
 		case kWatch:
 			watch = inertKey
 			if e.mflags[t]&(mfCrashed|mfInactive) == 0 {
@@ -589,14 +623,6 @@ loop:
 			}
 		}
 	}
-
-	e.keys[base] = round
-	e.keys[base+1+sWatch] = watch
-	e.keys[base+1+sDown] = down
-	e.keys[base+1+sUp0] = up0
-	e.keys[base+1+sUp1] = up1
-	e.crashDue[t] = crash
-	return fired
 }
 
 // fireRound is Coordinator.OnTimer(TimerRound): apply the acceleration
@@ -731,35 +757,4 @@ func (e *engine) fireCrash(t int, now int64) {
 	e.mflags[i] |= mfCrashed
 	e.keys[e.slot(t, e.victim, sWatch)] = inertKey
 	e.keys[e.slot(t, e.victim, sResend)] = inertKey
-}
-
-// stepRound is the lockstep batch step: every live trial advances one
-// coordinator round (tight loops over the SoA rows, no allocations).
-// Returns false once every trial in the block has run out of events.
-//
-//hbvet:noalloc
-func (e *engine) stepRound() bool {
-	if e.live == 0 {
-		return false
-	}
-	live := 0
-	fast := e.n == 1 && !e.fixed && !e.joining
-	for t := 0; t < e.trials; t++ {
-		if e.tflags[t]&tfDone != 0 {
-			continue
-		}
-		var more bool
-		if fast {
-			more = e.stepTrialBinary(t)
-		} else {
-			more = e.stepTrial(t)
-		}
-		if !more {
-			e.tflags[t] |= tfDone
-			continue
-		}
-		live++
-	}
-	e.live = live
-	return live > 0
 }

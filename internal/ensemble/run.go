@@ -88,7 +88,7 @@ type Outcome struct {
 type Result struct {
 	Trials int
 	// Rounds is the total number of coordinator rounds processed — the
-	// lockstep work unit behind trials/sec throughput numbers.
+	// work unit behind the per-round throughput numbers.
 	Rounds uint64
 	// Sent is the total message count across trials.
 	Sent uint64
@@ -263,14 +263,13 @@ func Run(cfg Config) (*Result, error) {
 	par.Do(nBlocks, len(ws), func(w, b int) error {
 		wk := &ws[w]
 		if wk.eng == nil {
-			wk.eng = newEngine(cfg, cfg.Block)
+			// No block holds more than Trials trials.
+			wk.eng = newEngine(cfg, min(cfg.Block, cfg.Trials))
 			wk.delayQ, wk.ttfQ = newSketches(cfg)
 		}
 		lo := b * cfg.Block
 		hi := min(lo+cfg.Block, cfg.Trials)
-		wk.eng.reset(lo, hi-lo)
-		for wk.eng.stepRound() {
-		}
+		wk.eng.runBlock(lo, hi-lo)
 		wk.eng.collect(&blocks[b], wk.delayQ, wk.ttfQ, outcomes)
 		return nil
 	})
