@@ -187,8 +187,6 @@ func runSingle(w io.Writer, rc conform.RunConfig, opts mc.Options, mutate string
 			}
 			fmt.Fprintln(w)
 		}
-	case res.Shed:
-		fmt.Fprintf(w, "stream inclusion: shed at frontier budget (%d events unchecked)\n", res.ShedEvents)
 	default:
 		fmt.Fprintln(w, "stream inclusion: conforms")
 	}

@@ -17,10 +17,13 @@
 //     labels merged into the plain delivery labels (the wire does not
 //     distinguish them). The checker advances a frontier of model states
 //     by antichain simulation through tau-closure, "tick" steps for time
-//     passing, and the visible labels of the trace. An empty frontier is a
-//     divergence — the runtime did something (or let time pass) that no
-//     model execution matches — and is reported as an Incident with the
-//     preceding events as an ASCII message sequence chart.
+//     passing, and the visible labels of the trace. Frontiers are the
+//     nodes of one graph per Spec, shared by all its checkers: equal sets
+//     are one node, and a step is a lookup of the node's successor. An
+//     empty frontier is a divergence — the runtime did something (or let
+//     time pass) that no model execution matches — and is reported as an
+//     Incident with the preceding events as an ASCII message sequence
+//     chart.
 //   - Alongside inclusion, the checker evaluates the paper's requirements
 //     R1–R3 on the trace, so chaos campaigns double as spec-conformance
 //     runs, and cross-checks each violation against the model checker

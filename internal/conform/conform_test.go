@@ -12,6 +12,17 @@ import (
 	"repro/internal/sim"
 )
 
+// ByProp filters the violations of one property.
+func (tv TraceVerdicts) ByProp(p models.Property) []ReqViolation {
+	var out []ReqViolation
+	for _, v := range tv.Violations {
+		if v.Prop == p {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // runChecked executes one run with a stream checker of its model attached
 // and returns the first divergence, if any.
 func runChecked(t *testing.T, rc RunConfig) *Incident {

@@ -89,6 +89,16 @@ func refIDs(t *testing.T, sp *Spec) map[string]int32 {
 	return ids
 }
 
+// Alphabet returns the sorted visible labels of the specification.
+func (sp *Spec) Alphabet() []string {
+	out := make([]string, len(sp.labels))
+	for i, l := range sp.labels {
+		out[i] = l.String()
+	}
+	sort.Strings(out)
+	return out
+}
+
 func refClosure(sp *Spec, set []int32, seen map[int32]bool) []int32 {
 	for i := 0; i < len(set); i++ {
 		s := set[i]
@@ -206,8 +216,8 @@ func refCheck(t *testing.T, c *CampaignCheck, events []Event, horizon core.Tick)
 			now++
 			note()
 			// Past refLongGap, a frontier a tick leaves as it was lets the
-			// rest of the gap pass at once. The threshold is far above the
-			// engine's longGap, so shorter gaps hold the engine's jump to
+			// rest of the gap pass at once. The engine skips at the first
+			// such tick, so on every shorter gap its jump is held to
 			// tick-by-tick stepping.
 			if to-now >= refLongGap && sameStates(prev, ck.cur) {
 				now = to
@@ -278,7 +288,7 @@ func engineOutcome(t *testing.T, c *CampaignCheck, events []Event, horizon core.
 	var e *streamEngine
 	if c.Envelope != nil {
 		var err error
-		if e, err = newAdaptiveEngine(c, 0); err != nil {
+		if e, err = newAdaptiveEngine(c); err != nil {
 			t.Fatal(err)
 		}
 	} else {
@@ -286,9 +296,8 @@ func engineOutcome(t *testing.T, c *CampaignCheck, events []Event, horizon core.
 		if err != nil {
 			t.Fatal(err)
 		}
-		e = newStreamEngine(sp, c.getScratch(), 0)
+		e = newStreamEngine(sp)
 	}
-	defer e.release(c)
 	var d *divergePoint
 	for i, ev := range events {
 		if prepare != nil {
@@ -319,13 +328,13 @@ func engineOutcome(t *testing.T, c *CampaignCheck, events []Event, horizon core.
 	return o
 }
 
-// wrapSoon keeps the scratch's generation counter within 8 steps of
-// wrapping, so the clear-and-restart path runs every few steps. It only
-// raises a counter that has wrapped (or not yet been raised): every stamp
-// in mark is then far below the new value.
+// wrapSoon keeps the generation counter of the engine's spec graph within
+// 8 images of wrapping, so the clear-and-restart path runs every few
+// misses. It only raises a counter that has wrapped (or not yet been
+// raised): every mark is then far below the new value.
 func wrapSoon(e *streamEngine) {
-	if e.ck.gen < 1<<24 {
-		e.ck.gen = math.MaxInt32 - 8
+	if g := &e.sp.graph; g.gen < 1<<24 {
+		g.gen = math.MaxInt32 - 8
 	}
 }
 
@@ -494,7 +503,7 @@ var topoCampaigns = []struct {
 	name      string
 	variant   models.Variant
 	n         int
-	reseedsAt int // the envelope level whose region the campaign must grow; -1: none
+	reseedsAt int // the envelope level whose reseeds the campaign must take; -1: none
 	schedule  string
 }{
 	{"rack_loss", models.Static, 2, 1, "topo racks=0:0,1:0,2:1 zones=1:1\n" +
@@ -553,12 +562,22 @@ func recordAdaptive(t *testing.T, check *CampaignCheck, sched *faults.Schedule, 
 	return rec.Events(), c.Net.Stats().Total.Lost + fs.DroppedMuted + fs.DroppedPartition + fs.DroppedLoss
 }
 
+// rootStepped reports whether some reseed has stepped out of sp's root.
+func rootStepped(sp *Spec) bool {
+	for i := range sp.graph.root.kids {
+		if sp.graph.root.kids[i].Load() != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // TestEngineMatchesReferenceOnTopoCampaigns replays recorded trials of
 // the three topology campaigns — retunes into both envelope levels,
 // saturations, churn's by-design reseeds — through the engine three ways
-// and holds each to the reference: with the region's budget forced to 0
-// (every reseed steps privately), as shipped (shared region), and with the
-// generation counter wrapping every few steps.
+// and holds each to the reference: with the graph's budget forced to 0
+// (every step past the initial node goes through unpublished nodes), with
+// the generation counter wrapping every few images, and as shipped.
 func TestEngineMatchesReferenceOnTopoCampaigns(t *testing.T) {
 	const horizon = core.Tick(1200)
 	seeds := 3
@@ -607,26 +626,28 @@ func TestEngineMatchesReferenceOnTopoCampaigns(t *testing.T) {
 			}
 
 			for _, sp := range specs {
-				sp.region.budget = 0
+				sp.graph.budget = 0
 			}
 			for i, events := range traces {
-				requireOutcome(t, "engine with a spent region budget",
+				requireOutcome(t, "engine with a spent graph budget",
 					engineOutcome(t, check, events, horizon, nil), want[i])
 			}
 			for level, sp := range specs {
-				if sp.region.used != 0 {
-					t.Fatalf("level %d: a region with no budget memoised %d states", level, sp.region.used)
+				if initial := len(sp.graph.initial.set); sp.graph.used != initial {
+					t.Fatalf("level %d: a graph with no budget published %d states beside the %d of its initial node", level, sp.graph.used-initial, initial)
 				}
-				sp.region = reseedRegion{}
-				sp.region.init(len(sp.labels), sp.NumStates)
+				sp.graph = frontierGraph{}
+				sp.initGraph()
 			}
+			// The wrapping counter runs first on each trace, while the
+			// graph still misses and computes images.
 			for i, events := range traces {
-				requireOutcome(t, "engine", engineOutcome(t, check, events, horizon, nil), want[i])
 				requireOutcome(t, "engine with a wrapping generation counter",
 					engineOutcome(t, check, events, horizon, wrapSoon), want[i])
+				requireOutcome(t, "engine", engineOutcome(t, check, events, horizon, nil), want[i])
 			}
-			if level := tc.reseedsAt; level >= 0 && specs[level].region.used == 0 {
-				t.Fatalf("the reseeds at level %d memoised nothing", level)
+			if level := tc.reseedsAt; level >= 0 && !rootStepped(specs[level]) {
+				t.Fatalf("no reseed at level %d stepped out of the root", level)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package conform
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/detector"
@@ -86,11 +85,6 @@ func CheckSchedule(s *faults.Schedule) error {
 // checking attached — use it to guarantee the deployment matches the model
 // being checked against.
 func ClusterFor(m models.Config) (detector.ClusterConfig, error) {
-	return clusterConfig(m)
-}
-
-// clusterConfig maps a model configuration onto a runtime cluster.
-func clusterConfig(m models.Config) (detector.ClusterConfig, error) {
 	if err := m.Validate(); err != nil {
 		return detector.ClusterConfig{}, err
 	}
@@ -150,7 +144,7 @@ func runObserved(rc RunConfig, obs detector.Observer) (*detector.Cluster, uint64
 	if err := CheckSchedule(rc.Schedule); err != nil {
 		return nil, 0, err
 	}
-	cc, err := clusterConfig(rc.Model)
+	cc, err := ClusterFor(rc.Model)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -193,20 +187,6 @@ type CampaignCheck struct {
 	// specs holds one Spec per envelope level (baseLevel for Model as
 	// given), built by whichever trial needs it first.
 	specs par.Memo[int, *Spec]
-
-	// scratchPool holds checker working memory (*scratch) across the
-	// trials of the campaign: a scratch grows to the largest level a trial
-	// entered and the next trial starts with it.
-	scratchPool sync.Pool
-}
-
-// getScratch takes a checker scratch from the pool; streamEngine.release
-// puts it back.
-func (c *CampaignCheck) getScratch() *scratch {
-	if sc, ok := c.scratchPool.Get().(*scratch); ok {
-		return sc
-	}
-	return new(scratch)
 }
 
 // baseLevel keys the non-envelope specification (the Model as given).

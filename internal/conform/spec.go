@@ -2,7 +2,6 @@ package conform
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/alphabet"
 	"repro/internal/mc"
@@ -34,9 +33,9 @@ type Spec struct {
 	tauOff []int32
 	tauTo  []int32
 
-	// region memoises the frontiers that follow an all-states reseed,
-	// shared by every checker of this specification (region.go).
-	region reseedRegion
+	// graph holds the frontiers every checker of this specification
+	// steps through (check.go).
+	graph frontierGraph
 }
 
 // BuildSpec builds the conformance specification for a model
@@ -137,7 +136,7 @@ func newSpec(cfg models.Config, m *models.Model, lts *mc.LTS) (*Spec, error) {
 			tauNext[t.From]++
 		}
 	}
-	sp.region.init(len(sp.labels), sp.NumStates)
+	sp.initGraph()
 	return sp, nil
 }
 
@@ -150,14 +149,4 @@ func (sp *Spec) id(l alphabet.Label) int32 {
 		return -1
 	}
 	return sp.ids[id]
-}
-
-// Alphabet returns the sorted visible labels of the specification.
-func (sp *Spec) Alphabet() []string {
-	out := make([]string, len(sp.labels))
-	for i, l := range sp.labels {
-		out[i] = l.String()
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,6 +3,7 @@ package conform
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -25,27 +26,17 @@ type divergePoint struct {
 	expected []string
 }
 
-// streamEngine advances the antichain frontier one event at a time: the
-// trace-inclusion half of the StreamChecker.
-//
-// With a positive maxFrontier the engine enforces a hard antichain
-// budget: a frontier stepped past the budget sheds the inclusion check —
-// the sampled-observer degradation of a production checker under a trace
-// its memory envelope cannot follow — instead of growing without bound.
-// Shedding is one-way and sound: it can only under-report divergences,
-// never fabricate one, and the R1–R3 monitor is unaffected. The frontier
-// is intrinsically bounded by the spec's state count (states are deduped
-// per generation); the budget caps the sustained width well below that.
-// All-states reseeds after confirmed divergences are exempt (they stand
-// for NumStates states by construction and collapse on the next step);
-// the budget gates stepped frontiers only — private or shared region
-// nodes alike, by their set size — which is also what maxFrontierSeen
-// tracks.
+// streamEngine advances the frontier one event at a time: the
+// trace-inclusion half of the StreamChecker. The frontier is a node of the
+// current spec's frontier graph (check.go), so a step is a successor
+// lookup and the engine holds no state sets of its own. maxFrontierSeen is
+// the widest stepped frontier; the all-states root a reseed points at
+// does not count, as it collapses on the next step.
 type streamEngine struct {
 	check *CampaignCheck   // spec source for piecewise mode; nil in plain mode
 	env   *models.Envelope // nil: plain single-spec mode
 	sp    *Spec
-	ck    *checker
+	at    *node // the frontier, a node of sp's graph
 	now   core.Tick
 
 	level    int
@@ -57,24 +48,18 @@ type streamEngine struct {
 	saturations int
 	finalLevel  int
 
-	maxFrontier     int
-	shed            bool
-	shedEvents      int
 	maxFrontierSeen int
 }
 
-// newStreamEngine builds a plain (single-specification) engine over the
-// given scratch.
-func newStreamEngine(sp *Spec, sc *scratch, maxFrontier int) *streamEngine {
-	e := &streamEngine{sp: sp, ck: newChecker(sp, sc), maxFrontier: maxFrontier}
-	e.noteFrontier()
-	return e
+// newStreamEngine builds a plain (single-specification) engine.
+func newStreamEngine(sp *Spec) *streamEngine {
+	first := sp.graph.initial
+	return &streamEngine{sp: sp, at: first, maxFrontierSeen: len(first.set)}
 }
 
 // newAdaptiveEngine builds a piecewise engine over the campaign's
-// envelope, starting at level 0. Its scratch comes from the campaign's
-// pool; release returns it. No single model covers an adaptive run, so
-// feed checks it piecewise:
+// envelope, starting at level 0. No single model covers an adaptive run,
+// so feed checks it piecewise:
 //
 //   - Between retunes the trace must be included in the LTS of the level
 //     in force — the same antichain simulation and tick discipline as a
@@ -103,7 +88,7 @@ func newStreamEngine(sp *Spec, sc *scratch, maxFrontier int) *streamEngine {
 // the piecewise check an over-approximation after the first confirmed
 // divergence: it can miss a real divergence, never invent one, so "zero
 // unconfirmed divergences" remains a sound campaign gate.
-func newAdaptiveEngine(c *CampaignCheck, maxFrontier int) (*streamEngine, error) {
+func newAdaptiveEngine(c *CampaignCheck) (*streamEngine, error) {
 	if c.Envelope == nil {
 		return nil, fmt.Errorf("%w: piecewise streaming needs an envelope", ErrUnsupported)
 	}
@@ -111,81 +96,56 @@ func newAdaptiveEngine(c *CampaignCheck, maxFrontier int) (*streamEngine, error)
 	if err != nil {
 		return nil, err
 	}
-	e := newStreamEngine(sp, c.getScratch(), maxFrontier)
+	e := newStreamEngine(sp)
 	e.check, e.env = c, c.Envelope
 	return e, nil
 }
 
-// release hands the checker's scratch back to the campaign's pool. The
-// engine must not be fed, finished or asked for a divergence afterwards.
-func (e *streamEngine) release(c *CampaignCheck) {
-	c.scratchPool.Put(e.ck.scratch)
-	e.ck.scratch = nil
-}
-
-func (e *streamEngine) noteFrontier() {
-	n := e.ck.width()
-	if n > e.maxFrontierSeen {
-		e.maxFrontierSeen = n
-	}
-	if e.maxFrontier > 0 && n > e.maxFrontier {
-		e.shed = true
-	}
-}
-
-// stepNoted steps the frontier and applies the budget on success.
-func (e *streamEngine) stepNoted(id int32) bool {
-	if !e.ck.step(id) {
+// step advances the frontier over one visible label. It reports false —
+// leaving the frontier untouched, so the expected labels can be listed —
+// when no model state can take the label.
+func (e *streamEngine) step(label int32) bool {
+	next := e.sp.step(e.at, label)
+	if len(next.set) == 0 {
 		return false
 	}
-	e.noteFrontier()
+	e.at = next
+	e.maxFrontierSeen = max(e.maxFrontierSeen, len(next.set))
 	return true
 }
 
 // reseed restarts the frontier from every state of the current spec, the
-// over-approximation used after confirmed divergences. A shed engine
-// skips it: inclusion checking is already suspended for good.
+// over-approximation used after confirmed divergences: the root of the
+// spec's graph.
 func (e *streamEngine) reseed() {
-	if e.shed {
-		return
-	}
-	e.ck.reseed(e.sp)
+	e.at = &e.sp.graph.root
 }
 
 func (e *streamEngine) diverge(idx int, label alphabet.Label) *divergePoint {
 	return &divergePoint{
 		cfg: e.sp.Cfg, index: idx, time: e.now,
-		label: label, expected: e.ck.enabled(),
+		label: label, expected: e.sp.enabled(e.at),
 	}
 }
 
-// longGap is the remaining time past which advance checks whether a tick
-// left the frontier as it was. From such a frontier every further tick
-// does the same, so the rest of the gap passes at once instead of one
-// step per tick. A run's events are a few ticks apart; far-future
-// timestamps in a corrupt stream are what this is for.
-const longGap = 64
-
 // advance moves time forward to target, stepping the model's tick label.
-// In degraded mode time passes unchecked (and out-of-order timestamps move
-// it backwards); a shed engine advances monotonically without stepping.
+// A tick that leaves the frontier as it was leaves it so at every later
+// tick, so the rest of the gap then passes at once: a pointer compare, as
+// equal published sets are one node, or a set compare between unpublished
+// nodes. In degraded mode time passes unchecked (and out-of-order
+// timestamps move it backwards).
 func (e *streamEngine) advance(to core.Tick, idx int) *divergePoint {
 	if e.degraded {
 		e.now = to
 		return nil
 	}
 	for e.now < to {
-		if e.shed {
-			e.now = to
-			return nil
-		}
-		src, n := e.ck.frontier()
-		if !e.ck.step(e.sp.tickID) {
+		prev := e.at
+		if !e.step(e.sp.tickID) {
 			return e.diverge(idx, tick)
 		}
 		e.now++
-		e.noteFrontier()
-		if to-e.now >= longGap && e.ck.equals(src, n) {
+		if e.at == prev || e.at.kids == nil && slices.Equal(e.at.set, prev.set) {
 			e.now = to
 		}
 	}
@@ -200,11 +160,7 @@ func (e *streamEngine) feed(i int, ev Event) (*divergePoint, error) {
 		return d, nil
 	}
 	if e.env == nil {
-		if e.shed {
-			e.shedEvents++
-			return nil, nil
-		}
-		if id := e.sp.id(ev.Label); id < 0 || !e.stepNoted(id) {
+		if id := e.sp.id(ev.Label); id < 0 || !e.step(id) {
 			return e.diverge(i, ev.Label), nil
 		}
 		return nil, nil
@@ -216,11 +172,7 @@ func (e *streamEngine) feed(i int, ev Event) (*divergePoint, error) {
 		if e.degraded {
 			return nil, nil
 		}
-		if e.shed {
-			e.shedEvents++
-			return nil, nil
-		}
-		if e.stepNoted(id) {
+		if e.step(id) {
 			return nil, nil
 		}
 	}
@@ -249,9 +201,6 @@ func (e *streamEngine) feed(i int, ev Event) (*divergePoint, error) {
 		e.confirmed++
 	case e.degraded:
 		e.degradedEvs++
-		return nil, nil
-	case e.shed:
-		e.shedEvents++
 		return nil, nil
 	default:
 		return e.diverge(i, ev.Label), nil
@@ -594,19 +543,10 @@ type StreamConfig struct {
 	// Horizon is the virtual time Finish checks the passage of time up to.
 	// RunStream sets it to the run's horizon.
 	Horizon core.Tick
-	// MaxFrontier, when positive, is the hard antichain budget: past it
-	// the checker sheds inclusion checking (monitor-only degradation)
-	// instead of growing without bound. 0 means unbudgeted.
-	MaxFrontier int
-	// Tail bounds the incident MSC context (default 40).
-	Tail int
 	// Verify, if non-nil, cross-checks each violation incident against
 	// the model checker (use cachedVerify-style backends: it runs inline
 	// on the event path at incident time).
 	Verify VerifyFunc
-	// OnIncident, if non-nil, receives each incident as it is assembled.
-	// Called under the checker's lock — do not call back into the checker.
-	OnIncident func(*Incident)
 }
 
 // StreamChecker is the conformance checker, the one way a trace is
@@ -640,22 +580,18 @@ type StreamChecker struct {
 
 // NewStreamChecker builds a stream checker. Specs come from the shared
 // CampaignCheck cache, so many concurrent checkers (one per cluster under
-// a campaign) share one spec build per operating point, and the checker's
-// frontier scratch comes from the CampaignCheck's pool, to which Finish
-// returns it.
+// a campaign) share one spec build, and one frontier graph, per operating
+// point.
 func NewStreamChecker(cfg StreamConfig) (*StreamChecker, error) {
 	if cfg.Check == nil {
 		return nil, fmt.Errorf("%w: stream checker needs a CampaignCheck", ErrUnsupported)
-	}
-	if cfg.Tail <= 0 {
-		cfg.Tail = mscTail
 	}
 	var (
 		eng    *streamEngine
 		monCfg models.Config
 	)
 	if env := cfg.Check.Envelope; env != nil {
-		e, err := newAdaptiveEngine(cfg.Check, cfg.MaxFrontier)
+		e, err := newAdaptiveEngine(cfg.Check)
 		if err != nil {
 			return nil, err
 		}
@@ -669,7 +605,7 @@ func NewStreamChecker(cfg StreamConfig) (*StreamChecker, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng = newStreamEngine(sp, cfg.Check.getScratch(), cfg.MaxFrontier)
+		eng = newStreamEngine(sp)
 		monCfg = cfg.Check.Model
 	}
 	sc := &StreamChecker{
@@ -677,7 +613,7 @@ func NewStreamChecker(cfg StreamConfig) (*StreamChecker, error) {
 		eng:    eng,
 		mon:    newTraceMonitor(monCfg, cfg.Horizon),
 		monCfg: monCfg,
-		tail:   make([]Event, cfg.Tail),
+		tail:   make([]Event, mscTail),
 	}
 	sc.add = func(label alphabet.Label) { sc.feedLocked(Event{Time: sc.obsNow, Label: label}) }
 	return sc, nil
@@ -792,9 +728,6 @@ func (sc *StreamChecker) violationIncident(v ReqViolation, seq int) {
 
 func (sc *StreamChecker) emit(inc *Incident) {
 	sc.incidents = append(sc.incidents, inc)
-	if sc.cfg.OnIncident != nil {
-		sc.cfg.OnIncident(inc)
-	}
 	if sc.sup != nil {
 		sc.sup.ReportIncident(netem.NodeID(inc.Proc), inc.String())
 	}
@@ -821,11 +754,7 @@ type StreamResult struct {
 	// force when the stream ended. For a non-adaptive stream FinalLevel is
 	// -1 and the other four are zero.
 	Confirmed, Degraded, Retunes, Saturations, FinalLevel int
-	// Shed reports the inclusion check was dropped by the frontier budget;
-	// ShedEvents counts events skipped while shed, and MaxFrontierSeen is
-	// the high-water stepped antichain width.
-	Shed            bool
-	ShedEvents      int
+	// MaxFrontierSeen is the high-water stepped frontier width.
 	MaxFrontierSeen int
 	// Verdicts is the run's R1–R3 outcome.
 	Verdicts TraceVerdicts
@@ -874,12 +803,9 @@ func (sc *StreamChecker) Finish(lost uint64) (*StreamResult, error) {
 		Retunes:         sc.eng.retunes,
 		Saturations:     sc.eng.saturations,
 		FinalLevel:      finalLevel,
-		Shed:            sc.eng.shed,
-		ShedEvents:      sc.eng.shedEvents,
 		MaxFrontierSeen: sc.eng.maxFrontierSeen,
 		Verdicts:        sc.mon.verdicts(lost),
 	}
-	sc.eng.release(sc.cfg.Check)
 	return sc.result, sc.failed
 }
 

@@ -244,25 +244,25 @@ func TestRunStreamMatchesFeed(t *testing.T) {
 }
 
 // streamEarliest replays a mutant trace one event at a time and returns
-// the feed index at which the first divergence incident fired.
+// the feed index at which the first divergence incident fired: the index
+// of the event after which the checker's incidents first hold one, or
+// len(events) when Finish emits it.
 func streamEarliest(t *testing.T, check *CampaignCheck, events []Event, horizon core.Tick) (*Incident, int) {
 	t.Helper()
-	firedAt := -1
-	feeding := -1
-	cfg := StreamConfig{Check: check, Horizon: horizon, OnIncident: func(inc *Incident) {
-		if inc.Kind == IncidentDivergence && firedAt == -1 {
-			firedAt = feeding
-		}
-	}}
-	sc, err := NewStreamChecker(cfg)
+	sc, err := NewStreamChecker(StreamConfig{Check: check, Horizon: horizon})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, ev := range events {
-		feeding = i
-		sc.Feed(ev)
+	diverged := func() bool {
+		return slices.ContainsFunc(sc.incidents, func(inc *Incident) bool { return inc.Kind == IncidentDivergence })
 	}
-	feeding = len(events)
+	firedAt := len(events)
+	for i, ev := range events {
+		sc.Feed(ev)
+		if firedAt == len(events) && diverged() {
+			firedAt = i
+		}
+	}
 	res, err := sc.Finish(0)
 	if err != nil {
 		t.Fatal(err)
@@ -349,10 +349,17 @@ func TestStreamMutantRoundEarliest(t *testing.T) {
 // at that gap; at a 2^40-tick horizon it must still finish, and match the
 // reference's own skip. Cut before p[1] inactivates, the same trace leaves
 // the model a forced action inside the gap: the skip must not jump over
-// it.
+// it. Every row runs twice: as shipped, and with the spec's graph budget
+// at 0, where the frontier past the initial node is unpublished and the
+// skip fires on set equality instead of node identity.
 func TestLongQuietGap(t *testing.T) {
 	model := models.Config{TMin: 2, TMax: 4, Variant: models.Binary, N: 1, Fixed: true}
-	check := &CampaignCheck{Model: model}
+	check, spent := &CampaignCheck{Model: model}, &CampaignCheck{Model: model}
+	sp, err := spent.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.graph.budget = 0
 	rc := RunConfig{
 		Model: model,
 		Seed:  3,
@@ -377,58 +384,18 @@ func TestLongQuietGap(t *testing.T) {
 		{out.Events[:crash+1], true},
 	} {
 		for _, horizon := range []core.Tick{rc.Horizon, 1 << 40} {
-			res := streamAll(t, StreamConfig{Check: check, Horizon: horizon}, tc.events, out.Lost)
-			if (res.Unconfirmed != nil) != tc.diverge {
-				t.Fatalf("%d events, horizon %d: divergence %v, want one: %v", len(tc.events), horizon, res.Unconfirmed, tc.diverge)
+			for _, check := range []*CampaignCheck{check, spent} {
+				res := streamAll(t, StreamConfig{Check: check, Horizon: horizon}, tc.events, out.Lost)
+				if (res.Unconfirmed != nil) != tc.diverge {
+					t.Fatalf("%d events, horizon %d, spent budget %v: divergence %v, want one: %v",
+						len(tc.events), horizon, check == spent, res.Unconfirmed, tc.diverge)
+				}
+				requireAgainstReference(t, check, tc.events, out.Lost, horizon, res)
 			}
-			requireAgainstReference(t, check, tc.events, out.Lost, horizon, res)
 		}
 	}
-}
-
-// TestStreamFrontierBudget pins the memory-budget degradation contract: a
-// budget at the trace's high-water frontier width changes nothing; a
-// budget below it sheds the inclusion check — monitor still live, no
-// fabricated divergence — instead of growing the frontier.
-func TestStreamFrontierBudget(t *testing.T) {
-	model := models.Config{TMin: 2, TMax: 4, Variant: models.Binary, N: 1, Fixed: true}
-	check := &CampaignCheck{Model: model}
-	rc := RunConfig{Model: model, Seed: 5, Horizon: 40}
-	out, err := Run(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := streamAll(t, StreamConfig{Check: check, Horizon: rc.Horizon}, out.Events, out.Lost)
-	if base.Shed || base.Unconfirmed != nil {
-		t.Fatalf("unbudgeted healthy run degraded: %+v", base)
-	}
-	tv := refVerdicts(model, out.Events, out.Lost, rc.Horizon)
-	high := base.MaxFrontierSeen
-	if high < 2 {
-		t.Fatalf("trace never widened the frontier (high water %d); pick a richer run", high)
-	}
-
-	within := streamAll(t, StreamConfig{Check: check, Horizon: rc.Horizon, MaxFrontier: high}, out.Events, out.Lost)
-	if within.Shed || within.ShedEvents != 0 || within.Unconfirmed != nil {
-		t.Fatalf("budget at the high-water mark degraded the check: %+v", within)
-	}
-	if within.MaxFrontierSeen != high {
-		t.Fatalf("high water changed under an inert budget: %d vs %d", within.MaxFrontierSeen, high)
-	}
-
-	shed := streamAll(t, StreamConfig{Check: check, Horizon: rc.Horizon, MaxFrontier: 1}, out.Events, out.Lost)
-	if !shed.Shed {
-		t.Fatal("budget of 1 did not shed")
-	}
-	if shed.Unconfirmed != nil {
-		t.Fatalf("shedding fabricated a divergence: %v", shed.Unconfirmed)
-	}
-	if shed.ShedEvents == 0 {
-		t.Fatal("shed run skipped no events")
-	}
-	// The R1–R3 monitor is independent of the frontier budget.
-	if !reflect.DeepEqual(shed.Verdicts, tv) {
-		t.Fatalf("shedding changed the verdicts: %+v vs %+v", shed.Verdicts, tv)
+	if initial := len(sp.graph.initial.set); sp.graph.used != initial {
+		t.Fatalf("a graph with no budget published %d states beside the %d of its initial node", sp.graph.used-initial, initial)
 	}
 }
 
@@ -513,8 +480,8 @@ func (l *stepLog) ObserveStep(id netem.NodeID, now core.Tick, tr detector.Trigge
 // into a live StreamChecker's ObserveStep, with a supervisor-restart step
 // (a by-design reseed) spliced in every 64 steps: past warm-up, abstracting
 // a model-alphabet step, looking its labels up, stepping the frontier —
-// through the shared region after each reseed — and feeding the monitor
-// must allocate nothing.
+// through the shared graph, from its root after each reseed — and feeding
+// the monitor must allocate nothing.
 func TestObserveStepAllocFree(t *testing.T) {
 	check := adaptiveCheck(t)
 	cc, err := ClusterFor(check.Model)
@@ -576,16 +543,16 @@ func TestObserveStepAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.region.used == 0 {
-		t.Fatal("no reseed stepped through the shared region")
+	if !rootStepped(sp) {
+		t.Fatal("no reseed stepped through the shared graph")
 	}
 }
 
 // TestStreamSharedRegionConcurrent: checkers of one CampaignCheck share
-// its specs' reseed regions and its scratch pool. Eight goroutines
-// streaming different traces against one check, growing the regions as
-// they go, must return exactly what the same traces return one after the
-// other against a check of their own. Run under -race.
+// its specs' frontier graphs. Eight goroutines streaming different traces
+// against one check, growing the graphs as they go, must return exactly
+// what the same traces return one after the other against a check of
+// their own. Run under -race.
 func TestStreamSharedRegionConcurrent(t *testing.T) {
 	const (
 		horizon = core.Tick(1200)
@@ -616,7 +583,7 @@ func TestStreamSharedRegionConcurrent(t *testing.T) {
 		traces[i].events, traces[i].lost = recordAdaptive(t, serial, &s, int64(i+1), horizon)
 		want[i] = streamAll(t, StreamConfig{Check: serial, Horizon: horizon}, traces[i].events, traces[i].lost)
 	}
-	// Build the specs up front, as RunCampaign does; the regions stay cold.
+	// Build the specs up front, as RunCampaign does; the graphs stay cold.
 	for level := 0; level < topoEnvelope.Levels(); level++ {
 		if _, err := shared.SpecAt(level); err != nil {
 			t.Fatal(err)
@@ -629,7 +596,7 @@ func TestStreamSharedRegionConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Twice: the second round takes pooled scratch and warm regions.
+			// Twice: the second round steps through warm graphs.
 			for round := 0; round < 2; round++ {
 				sc, err := NewStreamChecker(StreamConfig{Check: shared, Horizon: horizon})
 				if err != nil {

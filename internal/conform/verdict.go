@@ -28,17 +28,6 @@ type TraceVerdicts struct {
 	Violations []ReqViolation
 }
 
-// ByProp filters the violations of one property.
-func (tv TraceVerdicts) ByProp(p models.Property) []ReqViolation {
-	var out []ReqViolation
-	for _, v := range tv.Violations {
-		if v.Prop == p {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 const farFuture = core.Tick(math.MaxInt64 / 2)
 
 // VerifyFunc model-checks one property of one configuration; usually
