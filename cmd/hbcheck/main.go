@@ -114,10 +114,7 @@ func analyzeConfig(stderr io.Writer, cfg models.Config) error {
 // runAnalyzeAll analyzes all six variants, original and corrected, at the
 // given constants.
 func runAnalyzeAll(w, stderr io.Writer, tmin, tmax int32) error {
-	for _, v := range []models.Variant{
-		models.Binary, models.RevisedBinary, models.TwoPhase,
-		models.Static, models.Expanding, models.Dynamic,
-	} {
+	for _, v := range models.Variants {
 		for _, fixed := range []bool{false, true} {
 			cfg := models.Config{TMin: tmin, TMax: tmax, Variant: v, N: defaultN(v, 0), Fixed: fixed}
 			if err := analyzeConfig(stderr, cfg); err != nil {
@@ -127,18 +124,6 @@ func runAnalyzeAll(w, stderr io.Writer, tmin, tmax int32) error {
 		}
 	}
 	return nil
-}
-
-func parseVariant(s string) (models.Variant, error) {
-	for _, v := range []models.Variant{
-		models.Binary, models.RevisedBinary, models.TwoPhase,
-		models.Static, models.Expanding, models.Dynamic,
-	} {
-		if v.String() == s {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown variant %q", s)
 }
 
 func parseProp(s string) (models.Property, error) {
@@ -169,7 +154,7 @@ func defaultN(v models.Variant, n int) int {
 // the quotient explored (models.Verify), then the counter-example if asked
 // for.
 func runSingle(w, stderr io.Writer, variant, prop string, cfg models.Config, analyze, showTrace bool, opts mc.Options) (bool, error) {
-	v, err := parseVariant(variant)
+	v, err := models.ParseVariant(variant)
 	if err != nil {
 		return false, err
 	}

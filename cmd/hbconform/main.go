@@ -37,25 +37,21 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-var variants = []models.Variant{
-	models.Binary, models.RevisedBinary, models.TwoPhase,
-	models.Static, models.Expanding, models.Dynamic,
-}
-
 // parseVariant resolves one variant name. Walk mode takes "all" as well,
 // and handles it before calling; the error names the choices of the mode.
 func parseVariant(name string, walk bool) (models.Variant, error) {
-	names := make([]string, len(variants))
-	for i, v := range variants {
-		if v.String() == name {
-			return v, nil
-		}
+	v, err := models.ParseVariant(name)
+	if err == nil {
+		return v, nil
+	}
+	names := make([]string, len(models.Variants))
+	for i, v := range models.Variants {
 		names[i] = v.String()
 	}
 	if walk {
-		return 0, fmt.Errorf("unknown variant %q (have all, %s)", name, strings.Join(names, ", "))
+		return 0, fmt.Errorf("%v (have all, %s)", err, strings.Join(names, ", "))
 	}
-	return 0, fmt.Errorf("unknown variant %q (single-run mode has %s)", name, strings.Join(names, ", "))
+	return 0, fmt.Errorf("%v (single-run mode has %s)", err, strings.Join(names, ", "))
 }
 
 // loadSchedule reads a fault schedule from a file, or parses the flag
@@ -177,15 +173,8 @@ func runSingle(w io.Writer, rc conform.RunConfig, opts mc.Options, mutate string
 			return 0, fmt.Errorf("render: %v", err)
 		}
 		if src := inc.Shrunk; src != nil {
-			fmt.Fprintf(w, "\nshrunk reproduction:\n  hbconform -variant %s -tmin %d -tmax %d -n %d -fixed=%v -seed %d -horizon %d -maxdelay %d",
-				src.Model.Variant, src.Model.TMin, src.Model.TMax, src.Model.N, src.Model.Fixed, src.Seed, src.Horizon, src.MaxDelay)
-			if src.Schedule != nil {
-				fmt.Fprintf(w, " -schedule '%s'", strings.TrimSpace(strings.ReplaceAll(src.Schedule.Format(), "\n", "; ")))
-			}
-			if mutate != "" {
-				fmt.Fprintf(w, " -mutate %s", mutate)
-			}
-			fmt.Fprintln(w)
+			fmt.Fprint(w, "\nshrunk reproduction:\n")
+			reproduce(w, *src, mutate)
 		}
 	default:
 		fmt.Fprintln(w, "stream inclusion: conforms")
@@ -209,7 +198,7 @@ func runSingle(w io.Writer, rc conform.RunConfig, opts mc.Options, mutate string
 }
 
 func runWalks(w io.Writer, variantName string, walks int, seed int64, maxStates int, shrink bool, workers int) (int, error) {
-	list := variants
+	list := models.Variants
 	if variantName != "all" {
 		v, err := parseVariant(variantName, true)
 		if err != nil {
@@ -231,7 +220,7 @@ func runWalks(w io.Writer, variantName string, walks int, seed int64, maxStates 
 			v, res.Walks, res.Clean, res.Events, res.ConsistentViolations, len(res.Failures))
 		for _, f := range res.Failures {
 			status = 1
-			if err := reportFailure(w, v, f); err != nil {
+			if err := reportFailure(w, f); err != nil {
 				return 0, err
 			}
 		}
@@ -239,17 +228,27 @@ func runWalks(w io.Writer, variantName string, walks int, seed int64, maxStates 
 	return status, nil
 }
 
-func reportFailure(w io.Writer, v models.Variant, f conform.WalkFailure) error {
+// reproduce writes the indented single-run command line that replays rc,
+// with the detector defect mutate injected when it is not empty.
+func reproduce(w io.Writer, rc conform.RunConfig, mutate string) {
+	fmt.Fprintf(w, "  hbconform -variant %s -tmin %d -tmax %d -n %d -fixed=%v -seed %d -horizon %d -maxdelay %d",
+		rc.Model.Variant, rc.Model.TMin, rc.Model.TMax, rc.Model.N, rc.Model.Fixed, rc.Seed, rc.Horizon, rc.MaxDelay)
+	if rc.Schedule != nil {
+		fmt.Fprintf(w, " -schedule '%s'", strings.TrimSpace(strings.ReplaceAll(rc.Schedule.Format(), "\n", "; ")))
+	}
+	if mutate != "" {
+		fmt.Fprintf(w, " -mutate %s", mutate)
+	}
+	fmt.Fprintln(w)
+}
+
+func reportFailure(w io.Writer, f conform.WalkFailure) error {
 	rc, div := f.Run, f.Div
 	if div != nil && div.Shrunk != nil {
 		rc, div = *div.Shrunk, div.ShrunkDiv
 	}
-	fmt.Fprintf(w, "\nwalk %d FAILED; reproduce with:\n  hbconform -variant %s -tmin %d -tmax %d -n %d -fixed=%v -seed %d -horizon %d -maxdelay %d",
-		f.Walk, v, rc.Model.TMin, rc.Model.TMax, rc.Model.N, rc.Model.Fixed, rc.Seed, rc.Horizon, rc.MaxDelay)
-	if rc.Schedule != nil {
-		fmt.Fprintf(w, " -schedule '%s'", strings.TrimSpace(strings.ReplaceAll(rc.Schedule.Format(), "\n", "; ")))
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "\nwalk %d FAILED; reproduce with:\n", f.Walk)
+	reproduce(w, rc, "")
 	if div != nil {
 		if err := div.Render(w, "trace before divergence"); err != nil {
 			return fmt.Errorf("render: %v", err)

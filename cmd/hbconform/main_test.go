@@ -7,6 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/conform"
+	"repro/internal/faults"
+	"repro/internal/models"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -120,5 +124,35 @@ func TestBadFlags(t *testing.T) {
 func TestConformGoldenWalksAll(t *testing.T) {
 	for _, workers := range []string{"1", "4"} {
 		checkGolden(t, "walks_all", 0, "-variant", "all", "-walks", "200", "-seed", "1", "-workers", workers)
+	}
+}
+
+// TestReportFailure pins walk mode's failure report, which no golden
+// reaches: a clean campaign has no failures to report.
+func TestReportFailure(t *testing.T) {
+	sched, err := faults.ParseSchedule("crash t=200 node=1; restart t=260 node=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := conform.WalkFailure{
+		Walk: 7,
+		Run: conform.RunConfig{
+			Model:    models.Config{TMin: 2, TMax: 4, Variant: models.Expanding, N: 2, Fixed: true},
+			Seed:     9,
+			Horizon:  300,
+			MaxDelay: 1,
+			Schedule: sched,
+		},
+		Mismatches: []*conform.Incident{{Kind: conform.IncidentViolation, Prop: models.R1, Time: 42, Proc: 1}},
+	}
+	var buf bytes.Buffer
+	if err := reportFailure(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	const want = "\nwalk 7 FAILED; reproduce with:\n" +
+		"  hbconform -variant expanding -tmin 2 -tmax 4 -n 2 -fixed=true -seed 9 -horizon 300 -maxdelay 1 -schedule 'crash t=200 node=1; restart t=260 node=1;'\n" +
+		"verdict R1 violated at t=42 (p[1]) but the model proves it satisfied\n"
+	if got := buf.String(); got != want {
+		t.Errorf("report:\n%q\nwant\n%q", got, want)
 	}
 }

@@ -244,11 +244,8 @@ func topo(w, stderr io.Writer, trials int, seed int64) error {
 		res, err := scenario.RunCampaign(scenario.CampaignConfig{
 			Cluster: detector.ClusterConfig{
 				Adaptive: &core.AdaptiveOptions{
-					Envelope: core.Envelope{
-						TMinLo: core.Tick(env.TMinLo), TMinHi: core.Tick(env.TMinHi),
-						TMaxLo: core.Tick(env.TMaxLo), TMaxHi: core.Tick(env.TMaxHi),
-					},
-					Window: 2, WidenAt: 0.25, TightenAt: 0.1, HoldRounds: 4,
+					Envelope: env.Core(),
+					Window:   2, WidenAt: 0.25, TightenAt: 0.1, HoldRounds: 4,
 				},
 				AllowRejoin: tc.variant == models.Dynamic,
 			},

@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -32,6 +33,17 @@ func TestCheckTraceAdaptiveNeedsEnvelope(t *testing.T) {
 	c.Envelope = nil
 	if _, err := c.CheckTraceAdaptive(nil, 0); err == nil {
 		t.Fatal("CheckTraceAdaptive without an envelope succeeded")
+	}
+}
+
+// TestStreamCheckerRejectsUnfixedEnvelope: the piecewise engine checks
+// the envelope it is given, since levels of an envelope whose tmin varies
+// are not what the runtime deploys.
+func TestStreamCheckerRejectsUnfixedEnvelope(t *testing.T) {
+	c := adaptiveCheck(t)
+	c.Envelope = &models.Envelope{TMinLo: 1, TMinHi: 2, TMaxLo: 2, TMaxHi: 4}
+	if _, err := NewStreamChecker(StreamConfig{Check: c}); !errors.Is(err, models.ErrConfig) {
+		t.Fatalf("NewStreamChecker = %v, want models.ErrConfig", err)
 	}
 }
 

@@ -59,10 +59,7 @@ func TestConformCleanBinary(t *testing.T) {
 }
 
 func TestConformCleanAllVariantsSmoke(t *testing.T) {
-	for _, v := range []models.Variant{
-		models.Binary, models.RevisedBinary, models.TwoPhase,
-		models.Static, models.Expanding, models.Dynamic,
-	} {
+	for _, v := range models.Variants {
 		n := 1
 		if v == models.Static {
 			n = 2

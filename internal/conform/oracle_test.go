@@ -660,7 +660,7 @@ func TestEngineMatchesReferenceOnTopoCampaigns(t *testing.T) {
 // network's LTS and of the quotient's are written out: the bytes are equal.
 func TestSpecQuotientKeepsWeakTraces(t *testing.T) {
 	var cfgs []models.Config
-	for _, v := range []models.Variant{models.Binary, models.RevisedBinary, models.TwoPhase, models.Static, models.Expanding, models.Dynamic} {
+	for _, v := range models.Variants {
 		cfgs = append(cfgs, models.Config{TMin: 2, TMax: 4, Variant: v, N: 1})
 	}
 	cfgs = append(cfgs, models.Config{TMin: 2, TMax: 4, Variant: models.Static, N: 2})

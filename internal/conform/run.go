@@ -95,23 +95,10 @@ func ClusterFor(m models.Config) (detector.ClusterConfig, error) {
 		// models.Build would quietly model one participant.
 		return detector.ClusterConfig{}, fmt.Errorf("%w: the %v protocol has exactly one participant, not %d", ErrUnsupported, m.Variant, m.N)
 	}
-	cc := detector.ClusterConfig{
-		N: m.N,
-		Core: core.Config{
-			TMin:  core.Tick(m.TMin),
-			TMax:  core.Tick(m.TMax),
-			Fixed: m.Fixed,
-		},
-	}
+	cc := detector.ClusterConfig{N: m.N, Core: m.Core()}
 	switch m.Variant {
-	case models.Binary:
+	case models.Binary, models.RevisedBinary, models.TwoPhase:
 		cc.Protocol = detector.ProtocolBinary
-	case models.RevisedBinary:
-		cc.Protocol = detector.ProtocolBinary
-		cc.Core.Revised = true
-	case models.TwoPhase:
-		cc.Protocol = detector.ProtocolBinary
-		cc.Core.TwoPhase = true
 	case models.Static:
 		cc.Protocol = detector.ProtocolStatic
 	case models.Expanding:

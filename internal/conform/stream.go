@@ -92,6 +92,9 @@ func newAdaptiveEngine(c *CampaignCheck) (*streamEngine, error) {
 	if c.Envelope == nil {
 		return nil, fmt.Errorf("%w: piecewise streaming needs an envelope", ErrUnsupported)
 	}
+	if err := c.Envelope.Validate(); err != nil {
+		return nil, err
+	}
 	sp, err := c.SpecAt(0)
 	if err != nil {
 		return nil, err

@@ -58,10 +58,6 @@ type walkDiff struct {
 // for inclusion, refVerdicts' for R1–R3 — at 1 worker and at 8.
 func TestStreamDifferential(t *testing.T) {
 	const walksPerVariant = 6
-	variants := []models.Variant{
-		models.Binary, models.RevisedBinary, models.TwoPhase,
-		models.Static, models.Expanding, models.Dynamic,
-	}
 	// One CampaignCheck per model config: live and fed checking share the
 	// same cached spec, and concurrent walks share one build.
 	var (
@@ -112,7 +108,7 @@ func TestStreamDifferential(t *testing.T) {
 			walk    int
 		}
 		var jobs []job
-		for _, v := range variants {
+		for _, v := range models.Variants {
 			for w := 0; w < walksPerVariant; w++ {
 				jobs = append(jobs, job{v, w})
 			}

@@ -14,7 +14,7 @@ import (
 // the plain-heartbeat-like top. The constraint TMinHi <= TMaxLo makes
 // every (tmin, tmax) pair of every level a valid Config, so the envelope
 // as a whole — not any single constant pair — is the object the model
-// checker verifies (internal/models.Envelope mirrors this arithmetic).
+// checker verifies (internal/models.Envelope delegates to this arithmetic).
 type Envelope struct {
 	// TMinLo and TMinHi bound tmin; must satisfy 0 < TMinLo <= TMinHi.
 	TMinLo, TMinHi Tick
@@ -44,10 +44,19 @@ func (e Envelope) Validate() error {
 // TMaxLo until it reaches (clamped) TMaxHi.
 func (e Envelope) Levels() int {
 	n := 1
-	for t := e.TMaxLo; t < e.TMaxHi; t *= 2 {
+	for t := e.TMaxLo; t < e.TMaxHi; t = doubleTo(t, e.TMaxHi) {
 		n++
 	}
 	return n
+}
+
+// doubleTo doubles t, clamped at hi. It compares against hi/2 rather than
+// computing t*2, which would overflow for t above half of Tick's range.
+func doubleTo(t, hi Tick) Tick {
+	if t > hi/2 {
+		return hi
+	}
+	return t * 2
 }
 
 // Point returns the operating point of a level (clamped to the valid
@@ -62,16 +71,7 @@ func (e Envelope) Point(level int) (tmin, tmax Tick) {
 	}
 	tmin, tmax = e.TMinLo, e.TMaxLo
 	for i := 0; i < level; i++ {
-		if tmin*2 <= e.TMinHi {
-			tmin *= 2
-		} else {
-			tmin = e.TMinHi
-		}
-		if tmax*2 <= e.TMaxHi {
-			tmax *= 2
-		} else {
-			tmax = e.TMaxHi
-		}
+		tmin, tmax = doubleTo(tmin, e.TMinHi), doubleTo(tmax, e.TMaxHi)
 	}
 	return tmin, tmax
 }

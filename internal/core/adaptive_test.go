@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestEnvelopeValidate(t *testing.T) {
 	tests := []struct {
@@ -38,6 +41,35 @@ func TestEnvelopeLevels(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.env.Levels(); got != tt.levels {
 			t.Errorf("%+v.Levels() = %d, want %d", tt.env, got, tt.levels)
+		}
+	}
+}
+
+// TestEnvelopeBounds: an envelope whose tmax doubling would pass the top
+// of Tick's range still has finitely many levels, and no level's point
+// passes its Hi bound. The first row is the last TMaxLo whose double fits,
+// the second one more; the third clamps tmin at the same limit.
+func TestEnvelopeBounds(t *testing.T) {
+	const top = Tick(math.MaxInt64)
+	for _, tc := range []struct {
+		env  Envelope
+		want []Tick // tmax per level
+	}{
+		{Envelope{TMinLo: 1, TMinHi: 1, TMaxLo: top / 2, TMaxHi: top}, []Tick{top / 2, top - 1, top}},
+		{Envelope{TMinLo: 1, TMinHi: 1, TMaxLo: top/2 + 1, TMaxHi: top}, []Tick{top/2 + 1, top}},
+		{Envelope{TMinLo: top/2 + 1, TMinHi: top/2 + 1, TMaxLo: top/2 + 1, TMaxHi: top}, []Tick{top/2 + 1, top}},
+	} {
+		if err := tc.env.Validate(); err != nil {
+			t.Fatalf("%+v: %v", tc.env, err)
+		}
+		if got := tc.env.Levels(); got != len(tc.want) {
+			t.Fatalf("%+v.Levels() = %d, want %d", tc.env, got, len(tc.want))
+		}
+		for lv, want := range tc.want {
+			tmin, tmax := tc.env.Point(lv)
+			if tmax != want || tmin != tc.env.TMinLo {
+				t.Errorf("%+v.Point(%d) = (%d, %d), want (%d, %d)", tc.env, lv, tmin, tmax, tc.env.TMinLo, want)
+			}
 		}
 	}
 }

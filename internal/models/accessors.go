@@ -7,26 +7,9 @@ import (
 	"repro/internal/ta"
 )
 
-// P0Alive reports whether p[0] is in its Alive location.
-func (m *Model) P0Alive(s *ta.State) bool {
-	return int(s.Locs[m.p0.aut]) == m.p0.alive
-}
-
 // P0NVInactivated reports whether p[0] was non-voluntarily inactivated.
 func (m *Model) P0NVInactivated(s *ta.State) bool {
 	return int(s.Locs[m.p0.aut]) == m.p0.nvInact
-}
-
-// ParticipantAlive reports whether p[i+1] is alive (Alive or mid-reply).
-func (m *Model) ParticipantAlive(s *ta.State, i int) bool {
-	loc := int(s.Locs[m.ps[i].aut])
-	return loc == m.ps[i].alive || loc == m.ps[i].rcvd
-}
-
-// ParticipantNVInactivated reports whether p[i+1] was non-voluntarily
-// inactivated.
-func (m *Model) ParticipantNVInactivated(s *ta.State, i int) bool {
-	return int(s.Locs[m.ps[i].aut]) == m.ps[i].nvInact
 }
 
 // EverDelivered reports whether p[0] has ever received a beat from p[i+1].
@@ -37,11 +20,6 @@ func (m *Model) EverDelivered(s *ta.State, i int) bool {
 // MessageLost reports whether any message was lost so far.
 func (m *Model) MessageLost(s *ta.State) bool {
 	return s.Vars[m.vLost] == 1
-}
-
-// Joined reports whether p[0] currently counts p[i+1] as a member.
-func (m *Model) Joined(s *ta.State, i int) bool {
-	return s.Vars[m.vJnd[i]] == 1
 }
 
 // VerifyGoal checks reachability of an arbitrary goal predicate on the

@@ -3,75 +3,51 @@ package models
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/mc"
 )
 
-// Envelope is the model-side mirror of core.Envelope: the degradation
-// clamp of the adaptive variant, discretised into operating points by the
-// same doubling arithmetic (level 0 at (TMinLo, TMaxLo), each level
-// doubling both constants clamped at their Hi bounds). The runtime
-// coordinator only ever retunes to one of these points, so verifying
-// R1–R3 at every level verifies every configuration the adaptive variant
-// can reach; the cross-check test in adaptive_test.go pins this
-// arithmetic against core's tick-domain original.
+// Envelope is the model-side view of core.Envelope, the degradation
+// clamp of the adaptive variant, in the model's int32 constants. Its
+// levels and points are core's: the runtime coordinator only ever retunes
+// to one of them, so verifying R1–R3 at every level verifies every
+// configuration the adaptive variant can reach.
 type Envelope struct {
-	// TMinLo and TMinHi bound tmin; 0 < TMinLo <= TMinHi.
+	// TMinLo and TMinHi bound tmin; the model needs TMinLo == TMinHi.
 	TMinLo, TMinHi int32
 	// TMaxLo and TMaxHi bound tmax; TMinHi <= TMaxLo <= TMaxHi.
 	TMaxLo, TMaxHi int32
 }
 
-// Validate checks the envelope ordering constraints (same rules as
-// core.Envelope.Validate).
+// Core returns the runtime envelope with the same bounds.
+func (e Envelope) Core() core.Envelope {
+	return core.Envelope{
+		TMinLo: core.Tick(e.TMinLo), TMinHi: core.Tick(e.TMinHi),
+		TMaxLo: core.Tick(e.TMaxLo), TMaxHi: core.Tick(e.TMaxHi),
+	}
+}
+
+// Validate checks core's ordering constraints and that tmin is fixed.
 func (e Envelope) Validate() error {
-	if e.TMinLo <= 0 {
-		return fmt.Errorf("%w: envelope tmin lower bound %d must be positive", ErrConfig, e.TMinLo)
+	if err := e.Core().Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrConfig, err)
 	}
-	if e.TMinHi < e.TMinLo {
-		return fmt.Errorf("%w: envelope tmin bounds inverted (%d > %d)", ErrConfig, e.TMinLo, e.TMinHi)
-	}
-	if e.TMaxLo < e.TMinHi {
-		return fmt.Errorf("%w: envelope needs TMinHi <= TMaxLo, got %d > %d", ErrConfig, e.TMinHi, e.TMaxLo)
-	}
-	if e.TMaxHi < e.TMaxLo {
-		return fmt.Errorf("%w: envelope tmax bounds inverted (%d > %d)", ErrConfig, e.TMaxLo, e.TMaxHi)
+	if e.TMinHi != e.TMinLo {
+		// A level's model runs p[0], its channels and its participants at
+		// one tmin, while the runtime's participants stay at TMinLo.
+		return fmt.Errorf("%w: envelope tmin must be fixed, got %d..%d: the runtime's participants run at TMinLo while a level's model runs all processes at its one tmin",
+			ErrConfig, e.TMinLo, e.TMinHi)
 	}
 	return nil
 }
 
-// Levels is the number of operating points: tmax doubles from TMaxLo
-// until it reaches (clamped) TMaxHi.
-func (e Envelope) Levels() int {
-	n := 1
-	for t := e.TMaxLo; t < e.TMaxHi; t *= 2 {
-		n++
-	}
-	return n
-}
+// Levels is the number of operating points (core.Envelope.Levels).
+func (e Envelope) Levels() int { return e.Core().Levels() }
 
-// Point returns the operating point of a level, clamped to the valid
-// range exactly as core.Envelope.Point.
+// Point returns the operating point of a level (core.Envelope.Point).
 func (e Envelope) Point(level int) (tmin, tmax int32) {
-	if level < 0 {
-		level = 0
-	}
-	if max := e.Levels() - 1; level > max {
-		level = max
-	}
-	tmin, tmax = e.TMinLo, e.TMaxLo
-	for i := 0; i < level; i++ {
-		if tmin*2 <= e.TMinHi {
-			tmin *= 2
-		} else {
-			tmin = e.TMinHi
-		}
-		if tmax*2 <= e.TMaxHi {
-			tmax *= 2
-		} else {
-			tmax = e.TMaxHi
-		}
-	}
-	return tmin, tmax
+	lo, hi := e.Core().Point(level)
+	return int32(lo), int32(hi)
 }
 
 // LevelConfig derives the model configuration of one envelope level: the

@@ -2,6 +2,8 @@ package models
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -9,42 +11,80 @@ import (
 	"repro/internal/trace"
 )
 
-// TestEnvelopeMirrorsCore pins the model-side envelope arithmetic against
-// the runtime original: every level of every envelope must agree, or the
-// verified family is not the family the coordinator retunes through.
-func TestEnvelopeMirrorsCore(t *testing.T) {
-	envs := []Envelope{
+// TestEnvelopeAgreesWithCore: the verified family is the deployed one.
+// For every accepted envelope, at every level, original and fixed, the
+// model's coordinator runs core's operating point, and its participants
+// give up and re-solicit exactly when the runtime's participants, which
+// run core.Envelope.ResponderConfig, do.
+func TestEnvelopeAgreesWithCore(t *testing.T) {
+	for _, env := range []Envelope{
 		{TMinLo: 2, TMinHi: 2, TMaxLo: 8, TMaxHi: 64},
 		{TMinLo: 2, TMinHi: 2, TMaxLo: 4, TMaxHi: 16},
-		{TMinLo: 1, TMinHi: 4, TMaxLo: 5, TMaxHi: 40},
+		{TMinLo: 2, TMinHi: 2, TMaxLo: 4, TMaxHi: 8},
+		{TMinLo: 1, TMinHi: 1, TMaxLo: 5, TMaxHi: 40},
 		{TMinLo: 3, TMinHi: 3, TMaxLo: 3, TMaxHi: 3},
-		{TMinLo: 2, TMinHi: 6, TMaxLo: 7, TMaxHi: 100},
-	}
-	for _, env := range envs {
-		ce := core.Envelope{
-			TMinLo: core.Tick(env.TMinLo), TMinHi: core.Tick(env.TMinHi),
-			TMaxLo: core.Tick(env.TMaxLo), TMaxHi: core.Tick(env.TMaxHi),
-		}
+		{TMinLo: 2, TMinHi: 2, TMaxLo: 7, TMaxHi: 100},
+	} {
 		if err := env.Validate(); err != nil {
 			t.Fatalf("%+v: %v", env, err)
 		}
-		if err := ce.Validate(); err != nil {
-			t.Fatalf("core %+v: %v", ce, err)
-		}
+		ce := env.Core()
 		if env.Levels() != ce.Levels() {
 			t.Fatalf("%+v: levels %d vs core %d", env, env.Levels(), ce.Levels())
 		}
-		for level := -1; level <= env.Levels(); level++ {
-			tmin, tmax := env.Point(level)
-			ctmin, ctmax := ce.Point(level)
-			if core.Tick(tmin) != ctmin || core.Tick(tmax) != ctmax {
-				t.Fatalf("%+v level %d: point (%d,%d) vs core (%d,%d)",
-					env, level, tmin, tmax, ctmin, ctmax)
+		for _, fixed := range []bool{false, true} {
+			rc := ce.ResponderConfig(core.Config{Fixed: fixed})
+			for level := -1; level <= env.Levels(); level++ {
+				cfg := env.LevelConfig(Config{Variant: Expanding, N: 1, Fixed: fixed}, level)
+				tmin, tmax := ce.Point(level)
+				if core.Tick(cfg.TMin) != tmin || core.Tick(cfg.TMax) != tmax {
+					t.Errorf("%+v level %d: coordinator at (%d,%d), core point (%d,%d)",
+						env, level, cfg.TMin, cfg.TMax, tmin, tmax)
+				}
+				got := []core.Tick{core.Tick(cfg.responderBound()), core.Tick(cfg.joinerBound()), core.Tick(cfg.TMin)}
+				want := []core.Tick{rc.ResponderBound(), rc.JoinerBound(), rc.TMin}
+				if !slices.Equal(got, want) {
+					t.Errorf("%+v level %d fixed=%v: responder, joiner bound and resend period %v, runtime %v",
+						env, level, fixed, got, want)
+				}
 			}
 		}
 	}
-	if err := (Envelope{TMinLo: 4, TMinHi: 2, TMaxLo: 8, TMaxHi: 8}).Validate(); !errors.Is(err, ErrConfig) {
-		t.Fatalf("inverted envelope accepted: %v", err)
+	for _, env := range []Envelope{
+		{TMinLo: 4, TMinHi: 2, TMaxLo: 8, TMaxHi: 8},
+		{TMinLo: 1, TMinHi: 2, TMaxLo: 2, TMaxHi: 4},
+		{TMinLo: 1, TMinHi: 4, TMaxLo: 5, TMaxHi: 40},
+		{TMinLo: 2, TMinHi: 6, TMaxLo: 7, TMaxHi: 100},
+	} {
+		if err := env.Validate(); !errors.Is(err, ErrConfig) {
+			t.Errorf("%+v accepted: %v", env, err)
+		}
+	}
+}
+
+// TestEnvelopeBounds: an int32 envelope whose tmax doubling would pass
+// MaxInt32 still has finitely many levels, each inside the envelope. The
+// first row is the last TMaxLo whose double fits, the second one more.
+func TestEnvelopeBounds(t *testing.T) {
+	const top = int32(math.MaxInt32)
+	for _, tc := range []struct {
+		env  Envelope
+		want []int32 // tmax per level
+	}{
+		{Envelope{TMinLo: 1, TMinHi: 1, TMaxLo: top / 2, TMaxHi: top}, []int32{top / 2, top - 1, top}},
+		{Envelope{TMinLo: 1, TMinHi: 1, TMaxLo: top/2 + 1, TMaxHi: top}, []int32{top/2 + 1, top}},
+	} {
+		if err := tc.env.Validate(); err != nil {
+			t.Fatalf("%+v: %v", tc.env, err)
+		}
+		if got := tc.env.Levels(); got != len(tc.want) {
+			t.Fatalf("%+v.Levels() = %d, want %d", tc.env, got, len(tc.want))
+		}
+		for lv, want := range tc.want {
+			if tmin, tmax := tc.env.Point(lv); tmin != 1 || tmax != want {
+				t.Errorf("%+v.Point(%d) = (%d, %d), want (1, %d)", tc.env, lv, tmin, tmax, want)
+			}
+		}
 	}
 }
 
@@ -78,8 +118,8 @@ func TestWatchdogDecoupledBounds(t *testing.T) {
 	}
 	fixedBase := base
 	fixedBase.Fixed = true
-	if fixedDec.r1Bound() != fixedBase.r1Bound() {
-		t.Fatalf("r1 bound leaked the watchdog tmax: %d vs %d", fixedDec.r1Bound(), fixedBase.r1Bound())
+	if fixedDec.DetectionBound() != fixedBase.DetectionBound() {
+		t.Fatalf("r1 bound leaked the watchdog tmax: %d vs %d", fixedDec.DetectionBound(), fixedBase.DetectionBound())
 	}
 	if _, err := Build(Config{TMin: 2, TMax: 10, WatchdogTMax: 5, Variant: Binary, N: 1}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("watchdog below tmax accepted: %v", err)

@@ -50,7 +50,7 @@ func TestEveryModelLabelParses(t *testing.T) {
 	}
 	// seen marks each kind about p[0] (A 0) and about a participant (A 1).
 	seen := map[alphabet.Label]bool{}
-	for _, v := range []Variant{Binary, RevisedBinary, TwoPhase, Static, Expanding, Dynamic} {
+	for _, v := range Variants {
 		for _, fixed := range []bool{false, true} {
 			for n := 1; n <= 2; n++ {
 				m, err := Build(Config{TMin: 2, TMax: 4, Variant: v, N: n, Fixed: fixed, MonitorAll: true})

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/mc"
+	"repro/internal/ta"
 )
 
 // TestAnalyzeAllVariantsClean runs the structural model analysis over
@@ -15,7 +16,7 @@ import (
 // `hbcheck -analyze` CI gate.
 func TestAnalyzeAllVariantsClean(t *testing.T) {
 	t.Parallel()
-	for _, v := range []Variant{Binary, RevisedBinary, TwoPhase, Static, Expanding, Dynamic} {
+	for _, v := range Variants {
 		for _, fixed := range []bool{false, true} {
 			n := 1
 			if v == Static || v == Expanding || v == Dynamic {
@@ -27,6 +28,20 @@ func TestAnalyzeAllVariantsClean(t *testing.T) {
 			}
 			for _, p := range m.Net.Analyze() {
 				t.Errorf("%v fixed=%v: %s", v, fixed, p)
+			}
+		}
+	}
+	// The isolated processes of Figures 1 and 2.
+	for _, tm := range [][2]int32{{1, 2}, {5, 10}} {
+		for name, build := range map[string]func(int32, int32) (*ta.Network, error){
+			"p0": BuildIsolatedP0, "p1": BuildIsolatedP1,
+		} {
+			net, err := build(tm[0], tm[1])
+			if err != nil {
+				t.Fatalf("isolated %s %v: %v", name, tm, err)
+			}
+			for _, p := range net.Analyze() {
+				t.Errorf("isolated %s %v: %s", name, tm, p)
 			}
 		}
 	}

@@ -2,13 +2,16 @@ package models
 
 import (
 	"repro/internal/alphabet"
+	"repro/internal/core"
 	"repro/internal/ta"
 )
 
-// validateIsolated holds the isolated processes to the constants the full
-// binary model accepts: they declare the same clocks with the same caps.
-func validateIsolated(tmin, tmax int32) error {
-	return Config{TMin: tmin, TMax: tmax, Variant: Binary, N: 1, NoMonitor: true}.Validate()
+// isolated holds the isolated processes to the constants the full binary
+// model accepts, since they declare the same clocks with the same caps, and
+// returns the original binary protocol's timing rules at those constants.
+func isolated(tmin, tmax int32) (core.Config, error) {
+	cfg := Config{TMin: tmin, TMax: tmax, Variant: Binary, N: 1, NoMonitor: true}
+	return cfg.Core(), cfg.Validate()
 }
 
 // BuildIsolatedP0 builds p[0] of the binary protocol composed with a
@@ -18,7 +21,8 @@ func validateIsolated(tmin, tmax int32) error {
 // system). Labels match the figure: tick, receive/send beats, timeout,
 // voluntary and non-voluntary inactivation.
 func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
-	if err := validateIsolated(tmin, tmax); err != nil {
+	cc, err := isolated(tmin, tmax)
+	if err != nil {
 		return nil, err
 	}
 	net := ta.NewNetwork()
@@ -38,6 +42,12 @@ func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
 
 	rcv := net.Chan("rcv_hb1", false)
 	snd := net.Chan("snd_hb0", false)
+	// next is the acceleration rule at a timeout: the round length p[0]
+	// moves to, and whether it stays active.
+	next := func(s *ta.State) (int32, bool) {
+		w, ok := cc.NextWait(core.Tick(s.Vars[t]), s.Vars[rcvd] == 1)
+		return int32(w), ok
+	}
 
 	p0.Edges = append(p0.Edges,
 		ta.Edge{From: alive, To: vInact, Label: alphabet.FigVInactivate.Of(0)},
@@ -54,26 +64,18 @@ func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
 		},
 		ta.Edge{
 			From: timeout, To: alive,
-			Guard: func(s *ta.State) bool {
-				return s.Vars[rcvd] == 1 || s.Vars[t]/2 >= tmin
-			},
-			Chan: snd, Send: true,
+			Guard: func(s *ta.State) bool { _, ok := next(s); return ok },
+			Chan:  snd, Send: true,
 			Label: alphabet.Label{Kind: alphabet.FigBeatFor, A: 1, B: 0},
 			Update: func(s *ta.State) {
-				if s.Vars[rcvd] == 1 {
-					s.Vars[t] = tmax
-				} else {
-					s.Vars[t] = s.Vars[t] / 2
-				}
+				s.Vars[t], _ = next(s)
 				s.Vars[rcvd] = 0
 				s.Clocks[waiting] = 0
 			},
 		},
 		ta.Edge{
 			From: timeout, To: nvInact,
-			Guard: func(s *ta.State) bool {
-				return s.Vars[rcvd] == 0 && s.Vars[t]/2 < tmin
-			},
+			Guard: func(s *ta.State) bool { _, ok := next(s); return !ok },
 			Label: alphabet.FigNVInactivate.Of(0),
 		},
 	)
@@ -85,11 +87,12 @@ func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
 // BuildIsolatedP1 builds p[1] of the binary protocol against a chaotic
 // environment, for Figure 2 of the analysis.
 func BuildIsolatedP1(tmin, tmax int32) (*ta.Network, error) {
-	if err := validateIsolated(tmin, tmax); err != nil {
+	cc, err := isolated(tmin, tmax)
+	if err != nil {
 		return nil, err
 	}
 	net := ta.NewNetwork()
-	bound := 3*tmax - tmin
+	bound := int32(cc.ResponderBound())
 	wfb := net.Clock("waitingforbeat", bound+1)
 
 	p1 := &ta.Automaton{Name: "P1"}

@@ -33,7 +33,9 @@ package models
 import (
 	"errors"
 	"fmt"
+	"slices"
 
+	"repro/internal/core"
 	"repro/internal/ta"
 )
 
@@ -74,6 +76,19 @@ func (v Variant) String() string {
 	default:
 		return fmt.Sprintf("Variant(%d)", int(v))
 	}
+}
+
+// Variants lists every variant, in declaration order.
+var Variants = []Variant{Binary, RevisedBinary, TwoPhase, Static, Expanding, Dynamic}
+
+// ParseVariant resolves a variant by its String name.
+func ParseVariant(name string) (Variant, error) {
+	for _, v := range Variants {
+		if v.String() == name {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown variant %q", name)
 }
 
 // Config parameterises a model build.
@@ -125,16 +140,13 @@ func (c Config) Validate() error {
 	if c.WatchdogTMax != 0 && c.WatchdogTMax < c.TMax {
 		return fmt.Errorf("%w: watchdog tmax %d below tmax %d", ErrConfig, c.WatchdogTMax, c.TMax)
 	}
-	switch c.Variant {
-	case Binary, RevisedBinary, TwoPhase, Static, Expanding, Dynamic:
-	default:
+	if !slices.Contains(Variants, c.Variant) {
 		return fmt.Errorf("%w: unknown variant %d", ErrConfig, int(c.Variant))
 	}
 	if c.N < 1 {
 		return fmt.Errorf("%w: need at least one participant", ErrConfig)
 	}
-	// The first test keeps the int32 bound arithmetic behind the second
-	// from overflowing.
+	// The first test keeps the bounds behind the second inside int32.
 	if c.watchdogTMax() > ta.MaxClockCap || c.maxClockCap() > ta.MaxClockCap {
 		return fmt.Errorf("%w: tmin %d, tmax %d need a clock counting past %d, the most a state key holds",
 			ErrConfig, c.TMin, c.watchdogTMax(), ta.MaxClockCap)
@@ -149,7 +161,7 @@ func (c Config) maxClockCap() int32 {
 		most = max(most, c.joinerBound()+1)
 	}
 	if !c.NoMonitor {
-		most = max(most, c.r1Bound()+2)
+		most = max(most, c.DetectionBound()+2)
 	}
 	return most
 }
@@ -182,44 +194,43 @@ func (c Config) watchdogTMax() int32 {
 	return c.TMax
 }
 
-// responderBound is p[i]'s steady-state watchdog bound.
-func (c Config) responderBound() int32 {
-	if c.fixBounds() {
-		return 2 * c.watchdogTMax()
+// Core maps the configuration onto the runtime's timing rules: the same
+// constants, the variant's flags, and the §6.2 bounds as Fixed. Every
+// acceleration step and bound the model uses is read from it.
+func (c Config) Core() core.Config {
+	return core.Config{
+		TMin:     core.Tick(c.TMin),
+		TMax:     core.Tick(c.TMax),
+		TwoPhase: c.Variant == TwoPhase,
+		Revised:  c.Variant == RevisedBinary,
+		Fixed:    c.fixBounds(),
 	}
-	return 3*c.watchdogTMax() - c.TMin
 }
 
-// joinerBound is p[i]'s solicitation-phase bound.
-func (c Config) joinerBound() int32 {
-	if c.fixBounds() {
-		return 2*c.watchdogTMax() + c.TMin
-	}
-	return 3*c.watchdogTMax() - c.TMin
+// watchdog is the participants' view of Core: the same rules at the
+// watchdog tmax.
+func (c Config) watchdog() core.Config {
+	w := c.Core()
+	w.TMax = core.Tick(c.watchdogTMax())
+	return w
 }
+
+// responderBound is p[i]'s steady-state watchdog bound.
+func (c Config) responderBound() int32 { return int32(c.watchdog().ResponderBound()) }
+
+// joinerBound is p[i]'s solicitation-phase bound.
+func (c Config) joinerBound() int32 { return int32(c.watchdog().JoinerBound()) }
 
 // DetectionBound is the R1 detection bound the configuration claims:
 // p[0] must inactivate within this many ticks of the last beat delivered
-// from a silent participant. Exported for the runtime verdict monitors of
+// from a silent participant. It is the 1998 paper's claim of 2·tmax, or
+// the corrected §6.2 bound. Exported for the runtime verdict monitors of
 // internal/conform, which re-evaluate R1 on recorded traces.
-func (c Config) DetectionBound() int32 { return c.r1Bound() }
-
-// r1Bound is the monitored detection bound for R1: the 1998 claim of
-// 2·tmax, or the corrected §6.2 bound.
-func (c Config) r1Bound() int32 {
+func (c Config) DetectionBound() int32 {
 	if !c.fixBounds() {
 		return 2 * c.TMax
 	}
-	switch {
-	case c.Variant == TwoPhase && c.TMax == c.TMin:
-		return 2 * c.TMax
-	case c.Variant == TwoPhase:
-		return 2*c.TMax + c.TMin
-	case 2*c.TMin > c.TMax:
-		return 2 * c.TMax
-	default:
-		return 3*c.TMax - c.TMin
-	}
+	return int32(c.Core().CoordinatorDetectionBound())
 }
 
 // p0Refs locates p[0]'s pieces in the network.
@@ -397,24 +408,11 @@ func (m *Model) declareChans() {
 	}
 }
 
-// nextTM computes the §2 acceleration rule for one participant given the
-// pre-timeout state.
+// nextTM applies the §2 acceleration rule to one participant's waiting
+// time given the pre-timeout state.
 func (m *Model) nextTM(s *ta.State, i int) (next int32, alive bool) {
-	tm := s.Vars[m.vTM[i]]
-	if s.Vars[m.vRcvd[i]] == 1 {
-		return m.Cfg.TMax, true
-	}
-	if m.Cfg.Variant == TwoPhase {
-		if tm <= m.Cfg.TMin {
-			return tm, false
-		}
-		return m.Cfg.TMin, true
-	}
-	next = tm / 2
-	if next < m.Cfg.TMin {
-		return next, false
-	}
-	return next, true
+	t, ok := m.Cfg.Core().NextWait(core.Tick(s.Vars[m.vTM[i]]), s.Vars[m.vRcvd[i]] == 1)
+	return int32(t), ok
 }
 
 // timeoutOutcome evaluates p[0]'s decision at a round timeout: ok is false

@@ -60,22 +60,22 @@ func TestBinaryVariantsForceSingleParticipant(t *testing.T) {
 
 func TestBoundsSelection(t *testing.T) {
 	orig := Config{TMin: 4, TMax: 10, Variant: Expanding, N: 1}
-	if orig.responderBound() != 26 || orig.joinerBound() != 26 || orig.r1Bound() != 20 {
-		t.Fatalf("original bounds: %d %d %d", orig.responderBound(), orig.joinerBound(), orig.r1Bound())
+	if orig.responderBound() != 26 || orig.joinerBound() != 26 || orig.DetectionBound() != 20 {
+		t.Fatalf("original bounds: %d %d %d", orig.responderBound(), orig.joinerBound(), orig.DetectionBound())
 	}
 	fixed := orig
 	fixed.Fixed = true
-	if fixed.responderBound() != 20 || fixed.joinerBound() != 24 || fixed.r1Bound() != 26 {
-		t.Fatalf("fixed bounds: %d %d %d", fixed.responderBound(), fixed.joinerBound(), fixed.r1Bound())
+	if fixed.responderBound() != 20 || fixed.joinerBound() != 24 || fixed.DetectionBound() != 26 {
+		t.Fatalf("fixed bounds: %d %d %d", fixed.responderBound(), fixed.joinerBound(), fixed.DetectionBound())
 	}
 	// Fixed R1 bound collapses to 2·tmax when 2·tmin > tmax.
 	tight := Config{TMin: 9, TMax: 10, Variant: Binary, N: 1, Fixed: true}
-	if tight.r1Bound() != 20 {
-		t.Fatalf("fixed tight r1 bound = %d, want 20", tight.r1Bound())
+	if tight.DetectionBound() != 20 {
+		t.Fatalf("fixed tight r1 bound = %d, want 20", tight.DetectionBound())
 	}
 	tp := Config{TMin: 4, TMax: 10, Variant: TwoPhase, N: 1, Fixed: true}
-	if tp.r1Bound() != 24 {
-		t.Fatalf("fixed two-phase r1 bound = %d, want 24", tp.r1Bound())
+	if tp.DetectionBound() != 24 {
+		t.Fatalf("fixed two-phase r1 bound = %d, want 24", tp.DetectionBound())
 	}
 }
 

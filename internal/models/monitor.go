@@ -14,7 +14,7 @@ import (
 func (m *Model) buildMonitor(i int) {
 	cfg := m.Cfg
 	net := m.Net
-	bound := cfg.r1Bound()
+	bound := cfg.DetectionBound()
 	delay := net.Clock("r1delay_"+pname(i), bound+2)
 	active0 := m.vActive0
 

@@ -266,7 +266,7 @@ type quotientCase struct {
 // tmax = 3 most two-joiner networks pass 3M states).
 func quotientGrid() []quotientCase {
 	var grid []quotientCase
-	for _, variant := range []Variant{Binary, RevisedBinary, TwoPhase, Static, Expanding, Dynamic} {
+	for _, variant := range Variants {
 		ns := []int{1}
 		if variant == Static {
 			ns = []int{1, 2}
@@ -927,7 +927,7 @@ func TestShutdownQuotientMatchesNetwork(t *testing.T) {
 		{TMin: 1, TMax: 4, Variant: Binary, N: 1},
 		{TMin: 2, TMax: 4, Variant: Dynamic, N: 1, Fixed: true},
 	} {
-		for _, bound := range []int32{cfg.ShutdownBound(), cfg.CoordinatorDetectionBoundInt() - 1} {
+		for _, bound := range []int32{cfg.ShutdownBound(), int32(cfg.Core().CoordinatorDetectionBound()) - 1} {
 			got, err := VerifyShutdown(cfg, bound, mc.Options{})
 			if err != nil {
 				t.Fatal(err)

@@ -28,22 +28,7 @@ func (c Config) ShutdownBound() int32 {
 	if c.joinPhase() {
 		inflight = c.TMax // solicitations are bounded by tmax, not tmin
 	}
-	return inflight + c.CoordinatorDetectionBoundInt() + c.TMin + c.responderBound()
-}
-
-// CoordinatorDetectionBoundInt mirrors core.Config.
-// CoordinatorDetectionBound for the model's constants.
-func (c Config) CoordinatorDetectionBoundInt() int32 {
-	if c.Variant == TwoPhase {
-		if c.TMax == c.TMin {
-			return 2 * c.TMax
-		}
-		return 2*c.TMax + c.TMin
-	}
-	if 2*c.TMin > c.TMax {
-		return 2 * c.TMax
-	}
-	return 3*c.TMax - c.TMin
+	return inflight + int32(c.Core().CoordinatorDetectionBound()) + c.TMin + c.responderBound()
 }
 
 // ShutdownModel wraps a Model with the shutdown monitor attached.

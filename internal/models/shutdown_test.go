@@ -56,7 +56,7 @@ func TestShutdownGoalStatic(t *testing.T) {
 // the property is not vacuous.
 func TestShutdownBoundTight(t *testing.T) {
 	cfg := Config{TMin: 1, TMax: 4, Variant: Binary, N: 1}
-	tight := cfg.CoordinatorDetectionBoundInt() - 1 // below even the detection bound
+	tight := int32(cfg.Core().CoordinatorDetectionBound()) - 1 // below even the detection bound
 	v, err := VerifyShutdown(cfg, tight, mc.Options{MaxStates: 10_000_000})
 	if err != nil {
 		t.Fatal(err)

@@ -318,15 +318,16 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		cfg.Cluster.Core = base.Core
 		cfg.Cluster.N = base.N
 		if env := cfg.Conform.Envelope; env != nil {
+			if err := env.Validate(); err != nil {
+				return nil, err
+			}
 			ad := cfg.Cluster.Adaptive
 			if ad == nil {
 				return nil, fmt.Errorf("%w: envelope conformance needs an adaptive cluster", ErrScenario)
 			}
-			ce := ad.Envelope
-			if int32(ce.TMinLo) != env.TMinLo || int32(ce.TMinHi) != env.TMinHi ||
-				int32(ce.TMaxLo) != env.TMaxLo || int32(ce.TMaxHi) != env.TMaxHi {
+			if ad.Envelope != env.Core() {
 				return nil, fmt.Errorf("%w: cluster envelope %+v does not match model envelope %+v",
-					ErrScenario, ce, *env)
+					ErrScenario, ad.Envelope, *env)
 			}
 			// A level that cannot be built fails the campaign before any
 			// trial runs, not at the first retune that reaches it.

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -65,11 +66,8 @@ func adaptiveCampaign(variant models.Variant, sc TopologyScenario, trials, worke
 	return CampaignConfig{
 		Cluster: detector.ClusterConfig{
 			Adaptive: &core.AdaptiveOptions{
-				Envelope: core.Envelope{
-					TMinLo: core.Tick(campaignEnvelope.TMinLo), TMinHi: core.Tick(campaignEnvelope.TMinHi),
-					TMaxLo: core.Tick(campaignEnvelope.TMaxLo), TMaxHi: core.Tick(campaignEnvelope.TMaxHi),
-				},
-				Window: 2, WidenAt: 0.25, TightenAt: 0.1, HoldRounds: 4,
+				Envelope: campaignEnvelope.Core(),
+				Window:   2, WidenAt: 0.25, TightenAt: 0.1, HoldRounds: 4,
 			},
 			AllowRejoin: variant == models.Dynamic,
 		},
@@ -109,6 +107,27 @@ func requireNoUnconfirmed(t *testing.T, cfg CampaignConfig) *CampaignResult {
 		t.Fatalf("%d unconfirmed divergences; first:\n%s", len(divs), b.String())
 	}
 	return res
+}
+
+// TestCampaignRejectsUnfixedEnvelope: a model envelope whose tmin varies
+// describes participants the runtime never deploys, so the campaign
+// refuses it before any trial runs, even when the cluster runs the same
+// envelope.
+func TestCampaignRejectsUnfixedEnvelope(t *testing.T) {
+	sc, err := RackLossScenario(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := models.Envelope{TMinLo: 1, TMinHi: 2, TMaxLo: 2, TMaxHi: 4}
+	cfg := adaptiveCampaign(models.Static, sc, 1, 1)
+	cfg.Cluster.Adaptive.Envelope = env.Core()
+	cfg.Conform = &conform.CampaignCheck{
+		Model:    models.Config{TMin: 1, TMax: 2, Variant: models.Static, N: 1, Fixed: true},
+		Envelope: &env,
+	}
+	if _, err := RunCampaign(cfg); !errors.Is(err, models.ErrConfig) {
+		t.Fatalf("RunCampaign = %v, want models.ErrConfig", err)
+	}
 }
 
 func TestTopologyCampaignRackLoss(t *testing.T) {
