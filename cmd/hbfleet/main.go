@@ -1,6 +1,6 @@
 // Command hbfleet drives a fleet-scale heartbeat monitoring run: many
 // thousands of independent accelerated-heartbeat clusters multiplexed
-// into one process as struct-of-arrays rows over sharded timer wheels
+// into one process as struct-of-arrays rows over sharded calendar rings
 // (internal/fleet), with per-epoch rollup up an aggregation tree.
 //
 //	hbfleet                              # default 10k-endpoint run, summary table

@@ -4,13 +4,14 @@
 // A detector.Cluster wires a handful of nodes 1:1 to goroutines and
 // transports; a Fleet splits machine identity from transport endpoint and
 // keeps every monitored endpoint as a row in a struct-of-arrays store,
-// sharded across independent event loops backed by hierarchical timer
-// wheels (sim.TimerWheel). Liveness rolls up a tree: leaf clusters report
+// sharded across independent event loops, each driven by a calendar ring:
+// one slot per tick, since every delay a shard schedules is bounded
+// (calendar.go). Liveness rolls up a tree: leaf clusters report
 // per-epoch summaries to aggregator subtrees hosted on other shards
 // through a batched wire codec, and aggregators merge into a fleet-wide
 // root summary at every barrier.
 //
-// Determinism: each shard owns a private RNG and timer wheel, consumed in
+// Determinism: each shard owns a private RNG and calendar, consumed in
 // the shard's own event order; cross-shard traffic moves only at epoch
 // barriers, in per-(source, destination) buffers ingested in source
 // order. Worker goroutines claim whole shards, so the worker count
@@ -156,6 +157,9 @@ func New(cfg Config) (*Fleet, error) {
 	perShard := (cfg.Clusters + cfg.Shards - 1) / cfg.Shards
 	respBound := sim.Time(cfg.Core.ResponderBound())
 	tmax := sim.Time(cfg.Core.TMax)
+	// The longest delay New or a round schedules is a watchdog's: the
+	// initial stagger (< tmax), the wire and the responder bound.
+	maxDelay := tmax - 1 + cfg.LinkDelay + respBound
 
 	for id := 0; id < cfg.Shards; id++ {
 		lo := min(id*perShard, cfg.Clusters)
@@ -166,7 +170,7 @@ func New(cfg Config) (*Fleet, error) {
 			id:          id,
 			numShards:   cfg.Shards,
 			aggFanout:   uint32(cfg.AggFanout),
-			wheel:       sim.NewTimerWheel(),
+			cal:         newCalendar(maxDelay),
 			rng:         rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9E3779B9)),
 			cfg:         cfg.Core,
 			respBound:   respBound,
@@ -178,7 +182,7 @@ func New(cfg Config) (*Fleet, error) {
 			clusterLo:   int32(lo),
 			wait:        make([]int32, nEp),
 			flags:       make([]uint8, nEp),
-			watch:       make([]sim.WheelTimer, nEp),
+			watch:       make([]int32, nEp),
 			killAt:      make([]int64, nEp),
 			clAlive:     make([]int32, nCl),
 			clDet:       make([]uint32, nCl),
@@ -202,11 +206,15 @@ func New(cfg Config) (*Fleet, error) {
 			g := lo*cfg.ClusterSize + e
 			stagger := sim.Time(g) % tmax
 			s.wait[e] = int32(tmax)
-			s.wheel.Schedule(stagger+tmax, kRound<<kindShift|uint32(e))
-			s.watch[e] = s.wheel.Schedule(stagger+cfg.LinkDelay+respBound, kWatch<<kindShift|uint32(e))
+			s.schedule(stagger+tmax, kRound<<kindShift|uint32(e))
+			s.watch[e] = s.schedule(stagger+cfg.LinkDelay+respBound, kWatch<<kindShift|uint32(e))
 		}
 		if cfg.KillEvery > 0 && nEp > 0 {
-			s.wheel.Schedule(cfg.KillEvery, kKill<<kindShift)
+			if cfg.KillEvery > s.cal.mask {
+				s.nextKill = cfg.KillEvery
+			} else {
+				s.schedule(cfg.KillEvery, kKill<<kindShift)
+			}
 		}
 		f.shards = append(f.shards, s)
 	}
@@ -293,8 +301,9 @@ type Stats struct {
 	Detections    uint64
 	FalseSuspects uint64
 	Inactivations uint64
-	// MissedDeadlines counts virtual-time monotonicity violations in the
-	// shard loops (always 0; asserted by the CI smoke run).
+	// MissedDeadlines counts events a shard could not file in its calendar
+	// ring, due at or before the tick being drained or a whole ring or more
+	// past it (always 0; asserted by the CI smoke run).
 	MissedDeadlines uint64
 	// StaleChildren counts aggregator children missing at a barrier.
 	StaleChildren uint64

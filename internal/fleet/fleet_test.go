@@ -212,8 +212,8 @@ func TestFleetSteadyStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up: outbufs grow to steady-state capacity, the wheel's id
-	// table, chunk arena and due buffer reach their working set.
+	// Warm up: outbufs grow to steady-state capacity, the calendar's
+	// chunk arena reaches its working set.
 	if err := f.RunEpochs(10); err != nil {
 		t.Fatal(err)
 	}
@@ -226,15 +226,12 @@ func TestFleetSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("steady-state epoch allocates %.1f times, want 0", avg)
 	}
 
-	// The steady state holds between a half and one cancelled watchdog per
-	// pending timer and never reaches the wheel's sweep rule (2 per pending
-	// timer). A population collapse does: with every beat lost, all 1536
-	// members of one shard are suspected between ticks 30 and 45, each
-	// leaving its watchdog's tombstone behind, and in epoch 2 the wheel
-	// sweeps them out from under the 408 timers still pending (counted once
-	// by instrumenting the wheel). That must not allocate either: epoch 1 is
-	// AllocsPerRun's warm-up call, epoch 2 its one measured run, so nothing
-	// rounds away.
+	// A population collapse must not allocate either: with every beat
+	// lost, all 1536 members of one shard are suspected between ticks 30
+	// and 45, each leaving a disarmed watchdog word behind, and epoch 2
+	// drains those stale words while the ring empties, every chunk going
+	// back to the free list. Epoch 1 is AllocsPerRun's warm-up call,
+	// epoch 2 its one measured run, so nothing rounds away.
 	cfg.Shards, cfg.LossProb, cfg.KillEvery = 1, 1, 0
 	if f, err = New(cfg); err != nil {
 		t.Fatal(err)
@@ -251,9 +248,12 @@ func TestFleetSteadyStateAllocFree(t *testing.T) {
 // itself: the other tests here hold a run against a re-run, which a queue
 // that reorders same-tick events consistently passes (shards draw their
 // loss verdicts in event order, so any reordering moves every later
-// verdict). The constants were printed by the commit before the timer
-// wheel's slots became logs (PR 21, list-based wheel); a change that moves
-// them has changed what the fleet computes, and says so in its PR.
+// verdict). The first three rows' constants were printed by the commit
+// before the timer wheel's slots became logs (the list-based wheel); the
+// rest by commit 1791eee, the last whose shards ran on sim.TimerWheel, for
+// configs that pin when watchdogs fire (inactivations > 0) and kills with
+// periods below and above the calendar ring's size. A change that moves
+// them has changed what the fleet computes, and says so.
 func TestFleetRecordedDigests(t *testing.T) {
 	type point struct {
 		epochs                                          int
@@ -282,6 +282,36 @@ func TestFleetRecordedDigests(t *testing.T) {
 			{1, 0x1fe2c3f2b03860c4, 1536, 0, 0, 0},
 			{7, 0xece3bc60873b1982, 19968, 0, 0, 0},
 			{20, 0x5e70575059a39571, 59904, 0, 0, 0},
+		}},
+		{"fixed, 10% loss + kills", func(c *Config) { c.Core.Fixed, c.LossProb = true, 0.10 }, []point{
+			{1, 0x7583e47882bcefb7, 1687, 1, 1, 0},
+			{7, 0x67167ac6be39d529, 17169, 974, 957, 981},
+			{20, 0xcd13fdaa0edda275, 24011, 1492, 1443, 1428},
+		}},
+		{"kill every tick", func(c *Config) { c.KillEvery = 1 }, []point{
+			{1, 0x488b7cbd5fbfa11e, 1592, 3, 0, 0},
+			{7, 0x833c5bdc94bfee3a, 15179, 1400, 0, 0},
+			{20, 0x43ccdc0cf658eef3, 15779, 1536, 0, 0},
+		}},
+		{"kill every 5 ticks", func(c *Config) { c.KillEvery = 5 }, []point{
+			{1, 0xe89192d05450041a, 1566, 0, 0, 0},
+			{7, 0x48510de2626fc9e3, 19414, 295, 0, 0},
+			{20, 0xd5034923d253e983, 45185, 957, 1, 0},
+		}},
+		{"kill every 300 ticks", func(c *Config) { c.KillEvery = 300 }, []point{
+			{1, 0x867483c58b1ea0b2, 1566, 0, 0, 0},
+			{7, 0x68724e3698278513, 20378, 3, 3, 0},
+			{20, 0x2b1003db57440b2a, 60907, 17, 4, 0},
+		}},
+		{"fixed, link delay 3", func(c *Config) { c.Core.Fixed, c.LinkDelay = true, 3 }, []point{
+			{1, 0xac63a23d0a72c1b2, 1566, 0, 0, 0},
+			{7, 0x4abfa8c2490ccc05, 19009, 366, 348, 360},
+			{20, 0xe3be62177253bebd, 43774, 879, 807, 856},
+		}},
+		{"two-phase", func(c *Config) { c.Core.TwoPhase = true }, []point{
+			{1, 0x40df2566bff10880, 1581, 45, 45, 0},
+			{7, 0x210de20ab1b15de1, 16385, 672, 650, 0},
+			{20, 0xb7a95eb42eb4dea9, 30472, 1260, 1191, 0},
 		}},
 	} {
 		cfg := testConfig(1)
@@ -426,6 +456,10 @@ func TestFleetConfigBounds(t *testing.T) {
 		{"hbfleet -tmax 4000000000", base(func(c *Config) { c.Core.TMax = 4000000000 }), false},
 		{"tmax that would overflow the sum", base(func(c *Config) { c.Core.TMax = math.MaxInt64 }), false},
 		{"link delay that would overflow the sum", base(func(c *Config) { c.LinkDelay = faults.MaxTicks }), false},
+		// The largest calendar ring (TestCalendarLargestRing): with 2·tmin >
+		// tmax the buckets are 3·tmax + 3, one short of the cap at tmax 21844.
+		{"largest calendar ring", base(func(c *Config) { c.Core = core.Config{TMin: 10923, TMax: 21844} }), true},
+		{"one tick of tmax past it", base(func(c *Config) { c.Core = core.Config{TMin: 10923, TMax: 21845} }), false},
 	} {
 		f, err := New(tc.cfg)
 		if (err == nil) != tc.ok {
@@ -438,6 +472,9 @@ func TestFleetConfigBounds(t *testing.T) {
 		for _, s := range f.shards {
 			if len(s.latHist) > MaxLatencyBuckets {
 				t.Errorf("%s: %d latency buckets, cap %d", tc.name, len(s.latHist), MaxLatencyBuckets)
+			}
+			if len(s.cal.slots) > 1<<17 {
+				t.Errorf("%s: calendar ring of %d slots, cap 2^17 (1 MiB of headers)", tc.name, len(s.cal.slots))
 			}
 			for _, w := range s.wait {
 				if core.Tick(w) != tc.cfg.Core.TMax {

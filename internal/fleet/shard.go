@@ -1,15 +1,15 @@
 package fleet
 
 // One shard of the fleet: a slice of the endpoint population driven by a
-// private timer wheel, a private RNG, and nothing else — shards share no
-// mutable state during an epoch, which is what makes fleet runs
-// byte-identical at any worker count (see fleet.go).
+// private calendar ring (calendar.go), a private RNG, and nothing else —
+// shards share no mutable state during an epoch, which is what makes fleet
+// runs byte-identical at any worker count (see fleet.go).
 //
 // Machine identity is split from transport: a monitored endpoint is not a
 // goroutine with a socket but a row across parallel arrays (wait, flags,
 // watch, killAt), and every protocol action is a handful of array reads
-// and O(1) wheel operations. The hot path is allocation-free at steady
-// state and pinned by TestFleetSteadyStateAllocFree.
+// and a word appended to the ring. The hot path is allocation-free at
+// steady state and pinned by TestFleetSteadyStateAllocFree.
 
 import (
 	"math/rand"
@@ -19,7 +19,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Wheel payloads carry the event kind in the top bits and the endpoint's
+// Calendar words carry the event kind in the top bits and the endpoint's
 // local row index in the rest.
 const (
 	kindShift = 29
@@ -28,7 +28,7 @@ const (
 
 const (
 	kRound uint32 = iota // close member e's protocol round
-	kWatch               // member e's responder watchdog expired
+	kWatch               // member e's responder watchdog expires, unless re-armed since
 	kKill                // shard-level fault injector tick
 )
 
@@ -44,9 +44,12 @@ type shard struct {
 	id        int
 	numShards int
 	aggFanout uint32
-	wheel     *sim.TimerWheel
+	cal       calendar
 	rng       *rand.Rand
-	now       sim.Time
+	now       sim.Time // the tick being drained, or the last one drained
+	// nextKill is the injector's next tick when KillEvery is at least the
+	// ring size, 0 when its word goes into the ring like any other.
+	nextKill sim.Time
 
 	cfg         core.Config
 	respBound   sim.Time
@@ -58,10 +61,10 @@ type shard struct {
 	clusterLo   int32 // global id of this shard's first cluster
 
 	// Endpoint rows, struct-of-arrays; the row's cluster is row/clusterSize.
-	wait   []int32          // coordinator's current waiting time for the member
-	flags  []uint8          // fKilled | fSuspected | fInactive
-	watch  []sim.WheelTimer // member's responder watchdog
-	killAt []int64          // injection time, 0 = never killed
+	wait   []int32 // coordinator's current waiting time for the member
+	flags  []uint8 // fKilled | fSuspected | fInactive
+	watch  []int32 // calendar position of the member's armed watchdog word, -1 = none
+	killAt []int64 // injection time, 0 = never killed
 
 	// Per-cluster rollup state.
 	clAlive []int32
@@ -95,31 +98,63 @@ type aggregator struct {
 	stale    uint64 // cumulative children missing at a barrier
 }
 
-// runUntil drains every event strictly before end. Virtual time must
-// never move backwards — a violation counts as a missed deadline and is
-// asserted zero by the CI smoke run.
+// runUntil drains every tick strictly before end, in tick order and each
+// tick's words in schedule order: events fire in (time, schedule order),
+// as from any exact event queue. A held kill (nextKill) runs first in its tick: it
+// was scheduled KillEvery >= R ticks before it, every word in the ring
+// less than R ticks before. A kWatch word fires only if it is still its
+// member's armed word (watch[e]); the others were superseded by a re-arm
+// or disarmed by suspicion, and are skipped in place of a cancel.
 //
 //hbvet:noalloc
 func (s *shard) runUntil(end sim.Time) {
-	for {
-		payload, at, ok := s.wheel.PopUntil(end - 1)
-		if !ok {
-			return
+	for t := s.now + 1; t < end; t++ {
+		if s.cal.queued == 0 {
+			// An empty ring: jump to the held kill, if it is due before end.
+			if s.nextKill == 0 || s.nextKill >= end {
+				break
+			}
+			t = s.nextKill
 		}
-		if at < s.now {
-			s.missedDeadlines++
-		}
-		s.now = at
-		e := int32(payload & idxMask)
-		switch payload >> kindShift {
-		case kRound:
-			s.onRound(e)
-		case kWatch:
-			s.onWatch(e)
-		default:
+		s.now = t
+		if t == s.nextKill {
 			s.onKill()
 		}
+		for r := s.cal.take(t); ; {
+			first, words := s.cal.run(&r)
+			if len(words) == 0 {
+				break
+			}
+			for i, word := range words {
+				e := int32(word & idxMask)
+				switch word >> kindShift {
+				case kRound:
+					s.onRound(e)
+				case kWatch:
+					if s.watch[e] == first+int32(i) {
+						s.onWatch(e)
+					}
+				default:
+					s.onKill()
+				}
+			}
+		}
 	}
+	s.now = end - 1
+}
+
+// schedule adds word to the calendar at tick at and returns its position.
+// A tick outside the ring's window, at or before now or R or more ticks
+// past it, cannot be filed without firing late; it counts as a missed
+// deadline (asserted zero by the CI smoke run) and is dropped, -1.
+//
+//hbvet:noalloc
+func (s *shard) schedule(at sim.Time, word uint32) int32 {
+	if d := at - s.now; d < 1 || d > s.cal.mask {
+		s.missedDeadlines++
+		return -1
+	}
+	return s.cal.add(at, word)
 }
 
 // roll draws one loss verdict for a message in cluster cl. With a burst
@@ -160,8 +195,7 @@ func (s *shard) onRound(e int32) {
 		if aliveAtArrival {
 			// The member processed the beat: its responder watchdog
 			// re-arms from the receipt time (the paper's responder bound).
-			s.wheel.Cancel(s.watch[e])
-			s.watch[e] = s.wheel.Schedule(arriveAt+s.respBound, kWatch<<kindShift|uint32(e))
+			s.watch[e] = s.schedule(arriveAt+s.respBound, kWatch<<kindShift|uint32(e))
 			if s.roll(cl) {
 				s.losses++
 			} else if 2*s.linkDelay < w {
@@ -176,8 +210,7 @@ func (s *shard) onRound(e int32) {
 		s.clAlive[cl]--
 		s.clDet[cl]++
 		s.detections++
-		s.wheel.Cancel(s.watch[e])
-		s.watch[e] = sim.WheelTimer{}
+		s.watch[e] = -1
 		if s.killAt[e] != 0 {
 			if lat := s.now - sim.Time(s.killAt[e]); int(lat) < len(s.latHist) {
 				s.latHist[lat]++
@@ -190,7 +223,7 @@ func (s *shard) onRound(e int32) {
 		return
 	}
 	s.wait[e] = int32(next)
-	s.wheel.Schedule(s.now+sim.Time(next), kRound<<kindShift|uint32(e))
+	s.schedule(s.now+sim.Time(next), kRound<<kindShift|uint32(e))
 }
 
 // onWatch fires when a member went a whole responder bound without a
@@ -198,7 +231,7 @@ func (s *shard) onRound(e int32) {
 //
 //hbvet:noalloc
 func (s *shard) onWatch(e int32) {
-	s.watch[e] = sim.WheelTimer{}
+	s.watch[e] = -1
 	if s.flags[e]&(fInactive|fSuspected) == 0 {
 		s.flags[e] |= fInactive
 		s.inactivations++
@@ -206,8 +239,8 @@ func (s *shard) onWatch(e int32) {
 }
 
 // onKill crashes one live endpoint at random (the fault injector's tick)
-// and re-arms itself. A handful of draws that all land on dead rows
-// simply skip the tick.
+// and re-arms itself, held or in the ring as before. A handful of draws
+// that all land on dead rows simply skip the tick.
 //
 //hbvet:noalloc
 func (s *shard) onKill() {
@@ -220,7 +253,11 @@ func (s *shard) onKill() {
 			break
 		}
 	}
-	s.wheel.Schedule(s.now+s.killEvery, kKill<<kindShift)
+	if s.nextKill != 0 {
+		s.nextKill += s.killEvery
+	} else {
+		s.schedule(s.now+s.killEvery, kKill<<kindShift)
+	}
 }
 
 // emitSummaries encodes this shard's per-cluster rollups into the

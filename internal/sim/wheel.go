@@ -1,13 +1,14 @@
 package sim
 
-// Hierarchical timer wheel: the Simulator's event queue, and the per-shard
-// watchdog queue of internal/fleet.
+// Hierarchical timer wheel: the Simulator's event queue. (A fleet shard,
+// whose delays are all bounded, runs on the simpler calendar ring in
+// internal/fleet instead.)
 //
 // Schedule and Cancel are O(1) at any population, from a cluster's handful
-// of pending timers to a fleet shard's tens of thousands: six levels of
-// 256 slots each cover a 2^48-tick horizon, a timer lands in the finest
-// level that can resolve its delay, and coarser entries cascade down as
-// the clock crosses slot boundaries.
+// of pending timers to tens of thousands: six levels of 256 slots each
+// cover a 2^48-tick horizon, a timer lands in the finest level that can
+// resolve its delay, and coarser entries cascade down as the clock crosses
+// slot boundaries.
 //
 // A slot is an append-only log, not a list. An entry is one 8-byte word,
 //
@@ -16,17 +17,16 @@ package sim
 // appended to the slot's tail chunk. Chunks live in one arena, word 0 of
 // each linking to the slot's next, and go back to a free list as the slot is
 // read; a slot's first chunk is 8 words (a cluster's slot rarely holds more
-// than a few entries), the rest 64 (a fleet shard's holds a thousand). A
-// level-0 slot holds a single absolute tick
-// (two times mapping to the same slot are >= 256 ticks apart, and the
-// farther one cannot reach level 0 before the nearer one fires), so its
+// than a few entries), the rest 64. A level-0 slot holds a single
+// absolute tick (two times mapping to the same slot are >= 256 ticks apart,
+// and the farther one cannot reach level 0 before the nearer one fires), so its
 // entries need nothing else; at levels >= 1 the tick follows as a second
 // word. The heartbeat protocols re-arm a timer on almost every message and
 // almost none fires, so the wheel's cost is the cost of Cancel + Schedule,
 // and both are sequential here: Schedule writes the next word of a chunk
 // it wrote a moment ago, and Cancel never goes near the slot — it sets a
 // tombstone bit in state[id] (generation<<1 | cancelled) and leaves the
-// word where it is. Whoever reads the word next (pop, NextAt, a cascade, a
+// word where it is. Whoever reads the word next (pop, nextAt, a cascade, a
 // sweep) sees the bit, drops the word and only then recycles the id, so an
 // id is never reused while a stale word still names it. Len stays exact
 // throughout: Cancel decrements it.
@@ -49,7 +49,7 @@ package sim
 // schedule order), and collect restores it with a stable sort on the three
 // origin bits — run only when a slot actually mixes origins, which a
 // cascade appending old entries behind newer ones is the one way to cause
-// (never in the fleet, whose delays all resolve at level 0).
+// (never while every delay resolves at level 0).
 //
 // Memory follows the live population even if the clock never reaches the
 // garbage: once cancelled-but-unread entries outnumber 2*Len() +
@@ -91,13 +91,10 @@ const (
 	// A full-size chunk is 64 words, 512 bytes: the link word and 63
 	// entries. A slot is read as runs of one chunk, and each occupied slot
 	// wastes half a tail chunk on average, so the size trades run length
-	// against arena slack. Measured with every chunk this size, on the
-	// 1,048,576-endpoint fleet (2 CPUs, a box that swings 20-35 %, M beats/s
-	// per alternating round): bench's fleet_epochs at 256 B 11.6 15.0 16.4
-	// 13.4, at 512 B 13.0 16.0 15.0 16.1, at 1 KiB 14.4 16.1 14.7 16.3 (peak
-	// RSS 134-148 MB for all three); a Go benchmark of the same fleet at
-	// 128 B 10.5 14.5 12.5, at 256 B 11.4 13.1 12.3, at 512 B 13.2 14.1
-	// 13.2. The smallest size that is not slower.
+	// against arena slack. The size was measured on a workload of
+	// thousands of entries per slot that no longer runs on the wheel (see
+	// EXPERIMENTS.md); with the Simulator's handful per slot it awaits a
+	// re-measurement on bench's sim_cluster and sim_campaign.
 	chunkShift = 6
 	chunkWords = 1 << chunkShift
 	chunkMask  = chunkWords - 1
@@ -110,8 +107,7 @@ const (
 	// list-based wheel's 56 KB, and bench's sim_campaign read 3597 -> 3414
 	// trials/s, losing 5 pairs of 5; with the small first chunk (and levels
 	// allocated on first use) the trial allocates 57 KB and sim_campaign
-	// reads level, 2952 vs 2967, 3 pairs of 6. The fleet pays one more link
-	// per slot of ~1000 entries.
+	// reads level, 2952 vs 2967, 3 pairs of 6.
 	smallShift = 3
 	smallWords = 1 << smallShift
 	smallMask  = smallWords - 1
@@ -121,9 +117,10 @@ const (
 	// population and makes a sweep, which reads every word live or dead,
 	// cost at most 1.5 reads per cancel since the last one; the constant
 	// spreads a sweep's fixed cost (the bitmap scan, a detach and a chunk
-	// per occupied slot) over enough cancels when few timers are live. The
-	// fleet's steady state, half to one tombstone per pending timer, never
-	// sweeps. A watchdog set re-armed under a frozen clock — bench's
+	// per occupied slot) over enough cancels when few timers are live. A
+	// steady state that re-arms each timer about once before it would fire
+	// holds half to one tombstone per pending timer and never sweeps. A
+	// watchdog set re-armed under a frozen clock — bench's
 	// sim.wheel_rearm_ns / sim.heap_rearm_ns probes, 64 timers — does; its
 	// cost per re-arm, raw wheel / Simulator, best of 4 in each of three
 	// interleaved rounds: slack 0, 27-37 / 31-42 ns; 64, 22-28 / 27-34;
@@ -180,7 +177,7 @@ type TimerWheel struct {
 	words                []uint64
 	freeChunk, freeSmall int32 // heads of the free lists, -1 when empty
 	// slots[l] is allocated when level l is first filed into: a cluster's
-	// simulator uses two levels, a fleet shard one.
+	// simulator uses two levels.
 	slots [wheelLevels]*[wheelSlots]slotLog
 	// occ mirrors slots: bit s of occ[l] is set iff slots[l][s] holds a
 	// word, cancelled or not. refill uses it to jump straight to the next
@@ -205,7 +202,7 @@ func (w *TimerWheel) Len() int { return w.count }
 
 // Now returns the wheel's horizon: the tick of the entries most recently
 // collected for firing. It trails the caller's logical clock between
-// events and can run ahead of it after a NextAt peek.
+// events and can run ahead of it after a nextAt peek.
 func (w *TimerWheel) Now() Time { return w.now }
 
 // Active reports whether the handle's entry is still pending.
@@ -216,7 +213,7 @@ func (w *TimerWheel) Active(t WheelTimer) bool {
 // Schedule adds an entry firing at absolute time at. Entries at the same
 // tick fire in schedule order. Scheduling 2^48 ticks or more ahead of the
 // horizon panics; Simulator.ScheduleAt returns ErrHorizon before it gets
-// here, and no fleet timer approaches it.
+// here.
 //
 //hbvet:noalloc
 func (w *TimerWheel) Schedule(at Time, payload uint32) WheelTimer {
@@ -263,22 +260,16 @@ func (w *TimerWheel) Cancel(t WheelTimer) bool {
 //
 //hbvet:noalloc
 func (w *TimerWheel) Pop() (payload uint32, at Time, ok bool) {
-	return w.PopUntil(math.MaxInt64)
-}
-
-// PopUntil is Pop if the next entry fires at or before deadline; otherwise
-// the entry stays and ok is false. It is NextAt and Pop in one pass over
-// the due buffer, and like NextAt may advance the horizon to an entry it
-// leaves behind.
-//
-//hbvet:noalloc
-func (w *TimerWheel) PopUntil(deadline Time) (payload uint32, at Time, ok bool) {
-	_, payload, at, ok = w.popUntil(deadline)
+	_, payload, at, ok = w.popUntil(math.MaxInt64)
 	return payload, at, ok
 }
 
-// popUntil is PopUntil plus the entry's id, for the Simulator, which keys
-// its callbacks by id. The id is already recycled when popUntil returns.
+// popUntil is Pop if the next entry fires at or before deadline; otherwise
+// the entry stays and ok is false. It is nextAt and Pop in one pass over
+// the due buffer, and like nextAt may advance the horizon to an entry it
+// leaves behind. It also returns the entry's id, for the Simulator, which
+// keys its callbacks by id; the id is already recycled when popUntil
+// returns.
 //
 //hbvet:noalloc
 func (w *TimerWheel) popUntil(deadline Time) (id int32, payload uint32, at Time, ok bool) {
@@ -293,12 +284,12 @@ func (w *TimerWheel) popUntil(deadline Time) (id int32, payload uint32, at Time,
 	return id, uint32(e.word >> wheelPayloadShift), e.at, true
 }
 
-// NextAt reports the tick of the next pending entry without consuming it.
+// nextAt reports the tick of the next pending entry without consuming it.
 // Peeking may advance the horizon past the caller's clock; entries
 // scheduled in between land in the due buffer in order (see Schedule).
 //
 //hbvet:noalloc
-func (w *TimerWheel) NextAt() (Time, bool) {
+func (w *TimerWheel) nextAt() (Time, bool) {
 	e, ok := w.peek()
 	return e.at, ok
 }
@@ -373,7 +364,7 @@ func (w *TimerWheel) refill() bool {
 }
 
 // collect drains level-0 slot i — every entry fires at the horizon tick —
-// into the due buffer, tombstones included (pop and NextAt drop them), and
+// into the due buffer, tombstones included (pop and nextAt drop them), and
 // restores schedule order if the slot mixes origin levels. It is the one
 // reader that takes a chunk's words as a run: nothing is appended to any
 // slot in the meantime.

@@ -112,9 +112,9 @@ func runWheelProgram(prog []byte) error {
 				clock = at
 			}
 		default: // peek
-			at, ok := w.NextAt()
+			at, ok := w.nextAt()
 			if ok != (len(ref) > 0) || (ok && at != ref[refMin()].at) {
-				return fmt.Errorf("step %d: NextAt = (%d, %v) with %d entries in the reference", step/2, at, ok, len(ref))
+				return fmt.Errorf("step %d: nextAt = (%d, %v) with %d entries in the reference", step/2, at, ok, len(ref))
 			}
 		}
 		if w.Len() != len(ref) {
@@ -232,8 +232,8 @@ func TestWheelMemoryFollowsLivePopulation(t *testing.T) {
 }
 
 // TestWheelGenerationWrapSkipsZero: an id recycled 2^31 times must not come
-// round to the state word 0, which is the zero WheelTimer's — the fleet
-// cancels zero handles routinely.
+// round to the state word 0, which is the zero WheelTimer's — a caller
+// that keeps zero handles for "no timer" cancels them routinely.
 func TestWheelGenerationWrapSkipsZero(t *testing.T) {
 	w := NewTimerWheel()
 	w.Schedule(1, 7)

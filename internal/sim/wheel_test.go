@@ -273,8 +273,8 @@ func TestWheelCancelSemantics(t *testing.T) {
 	}
 	// Peek collects the tick-10 slot into the due buffer; cancelling a
 	// due entry must still work and must not break the pop sequence.
-	if at, ok := w.NextAt(); !ok || at != 10 {
-		t.Fatalf("NextAt = (%d, %v), want (10, true)", at, ok)
+	if at, ok := w.nextAt(); !ok || at != 10 {
+		t.Fatalf("nextAt = (%d, %v), want (10, true)", at, ok)
 	}
 	if !w.Cancel(c) {
 		t.Fatal("cancel of due entry failed")
@@ -305,14 +305,14 @@ func TestWheelCancelSemantics(t *testing.T) {
 	}
 }
 
-// TestWheelScheduleBelowHorizon pins the peek-ahead contract: NextAt may
+// TestWheelScheduleBelowHorizon pins the peek-ahead contract: nextAt may
 // advance the wheel's horizon past the caller's clock, and a subsequent
 // Schedule below the horizon still fires in exact (time, seq) order.
 func TestWheelScheduleBelowHorizon(t *testing.T) {
 	w := NewTimerWheel()
 	w.Schedule(100, 1)
-	if at, ok := w.NextAt(); !ok || at != 100 {
-		t.Fatalf("NextAt = (%d, %v), want (100, true)", at, ok)
+	if at, ok := w.nextAt(); !ok || at != 100 {
+		t.Fatalf("nextAt = (%d, %v), want (100, true)", at, ok)
 	}
 	if w.Now() != 100 {
 		t.Fatalf("horizon = %d, want 100 after peek", w.Now())
@@ -366,7 +366,7 @@ func TestWheelSteadyStateAllocFree(t *testing.T) {
 		far = w.Schedule(at+1<<20, 4) // level 2
 		maxLen = max(maxLen, w.Len())
 		for {
-			nx, ok := w.NextAt()
+			nx, ok := w.nextAt()
 			if !ok || nx > at {
 				break
 			}
@@ -432,8 +432,8 @@ func TestSimulatorWheelAllocFree(t *testing.T) {
 }
 
 // TestWheelPopUntilIsPeekThenPop drives two wheels through the same random
-// schedule/cancel/drain program, one drained with PopUntil and one with the
-// NextAt-then-Pop pair it replaces: same entries in the same order, the
+// schedule/cancel/drain program, one drained with popUntil and one with the
+// nextAt-then-Pop pair it replaces: same entries in the same order, the
 // same entries left behind, and the same horizon afterwards — a deadline
 // that stops short of the next entry still looks ahead to it.
 func TestWheelPopUntilIsPeekThenPop(t *testing.T) {
@@ -458,8 +458,8 @@ func TestWheelPopUntilIsPeekThenPop(t *testing.T) {
 			default:
 				now += Time(rng.Intn(300))
 				for {
-					p1, at1, ok1 := one.PopUntil(now)
-					at2, ok2 := two.NextAt()
+					_, p1, at1, ok1 := one.popUntil(now)
+					at2, ok2 := two.nextAt()
 					var p2 uint32
 					if ok2 = ok2 && at2 <= now; ok2 {
 						p2, at2, _ = two.Pop()
@@ -467,7 +467,7 @@ func TestWheelPopUntilIsPeekThenPop(t *testing.T) {
 						at2 = 0
 					}
 					if p1 != p2 || at1 != at2 || ok1 != ok2 {
-						t.Fatalf("seed %d step %d: PopUntil(%d) = (%d, %d, %v), NextAt+Pop = (%d, %d, %v)",
+						t.Fatalf("seed %d step %d: popUntil(%d) = (%d, %d, %v), nextAt+Pop = (%d, %d, %v)",
 							seed, step, now, p1, at1, ok1, p2, at2, ok2)
 					}
 					if !ok1 {
