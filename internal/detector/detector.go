@@ -223,18 +223,24 @@ func (n *Node) Restart(m core.Machine) error {
 	}
 	n.cfg.Machine = m
 	n.started = true
-	actions := m.Start(n.now())
-	n.observe(Trigger{Kind: TriggerRestart}, actions)
-	n.apply(actions)
+	now := n.now()
+	n.step(Trigger{Kind: TriggerRestart}, now, m.Start(now))
 	return nil
 }
 
-// runGuarded calls fn, reports the step to the observer, and applies its
-// actions; callers hold n.mu. When a recover handler is installed, a panic
-// from the machine (or from applying its actions) is captured and returned
-// instead of propagating; otherwise it propagates unchanged. A step whose
-// machine call panics is not observed.
-func (n *Node) runGuarded(tr Trigger, fn func() []core.Action) (recovered any) {
+// step reports one machine step taken at now to the observer and applies
+// its actions. Callers hold n.mu.
+func (n *Node) step(tr Trigger, now core.Tick, actions []core.Action) {
+	n.observe(tr, now, actions)
+	n.apply(now, actions)
+}
+
+// runGuarded reads the clock once and runs fn at that time as one step
+// (see step); callers hold n.mu. When a recover handler is installed, a
+// panic from the machine (or from applying its actions) is captured and
+// returned instead of propagating; otherwise it propagates unchanged. A
+// step whose machine call panics is not observed.
+func (n *Node) runGuarded(tr Trigger, fn func(now core.Tick) []core.Action) (recovered any) {
 	defer func() {
 		if r := recover(); r != nil {
 			if n.recoverFn == nil {
@@ -243,10 +249,9 @@ func (n *Node) runGuarded(tr Trigger, fn func() []core.Action) (recovered any) {
 			recovered = r
 		}
 	}()
+	now := n.now()
 	//lint:allow noalloc-closure fn is the machine-step closure built at each call site; its body is attributed to and checked at those sites
-	actions := fn()
-	n.observe(tr, actions)
-	n.apply(actions)
+	n.step(tr, now, fn(now))
 	return nil
 }
 
@@ -258,9 +263,8 @@ func (n *Node) Start() error {
 		return fmt.Errorf("%w: node %d already started", ErrNodeConfig, n.cfg.ID)
 	}
 	n.started = true
-	actions := n.cfg.Machine.Start(n.now())
-	n.observe(Trigger{Kind: TriggerStart}, actions)
-	n.apply(actions)
+	now := n.now()
+	n.step(Trigger{Kind: TriggerStart}, now, n.cfg.Machine.Start(now))
 	return nil
 }
 
@@ -268,9 +272,8 @@ func (n *Node) Start() error {
 func (n *Node) Crash() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	actions := n.cfg.Machine.Crash(n.now())
-	n.observe(Trigger{Kind: TriggerCrash}, actions)
-	n.apply(actions)
+	now := n.now()
+	n.step(Trigger{Kind: TriggerCrash}, now, n.cfg.Machine.Crash(now))
 }
 
 // Leave starts a graceful departure; the machine must be a dynamic
@@ -282,12 +285,12 @@ func (n *Node) Leave() error {
 	if !ok {
 		return fmt.Errorf("%w: node %d machine cannot leave", ErrNodeConfig, n.cfg.ID)
 	}
-	actions, err := p.Leave(n.now())
+	now := n.now()
+	actions, err := p.Leave(now)
 	if err != nil {
 		return err
 	}
-	n.observe(Trigger{Kind: TriggerLeave}, actions)
-	n.apply(actions)
+	n.step(Trigger{Kind: TriggerLeave}, now, actions)
 	return nil
 }
 
@@ -300,12 +303,12 @@ func (n *Node) Rejoin() error {
 	if !ok {
 		return fmt.Errorf("%w: node %d machine cannot rejoin", ErrNodeConfig, n.cfg.ID)
 	}
-	actions, err := p.Rejoin(n.now())
+	now := n.now()
+	actions, err := p.Rejoin(now)
 	if err != nil {
 		return err
 	}
-	n.observe(Trigger{Kind: TriggerRejoin}, actions)
-	n.apply(actions)
+	n.step(Trigger{Kind: TriggerRejoin}, now, actions)
 	return nil
 }
 
@@ -316,8 +319,8 @@ func (n *Node) onMessage(msg netem.Message) {
 		return // garbage on the wire is dropped, like a lost message
 	}
 	n.mu.Lock()
-	rec := n.runGuarded(Trigger{Kind: TriggerBeat, Beat: beat}, func() []core.Action {
-		return n.cfg.Machine.OnBeat(beat, n.now())
+	rec := n.runGuarded(Trigger{Kind: TriggerBeat, Beat: beat}, func(now core.Tick) []core.Action {
+		return n.cfg.Machine.OnBeat(beat, now)
 	})
 	h := n.recoverFn
 	n.mu.Unlock()
@@ -344,8 +347,8 @@ func (n *Node) fireTimer(t *nodeTimer, gen uint64, hop bool) {
 		return
 	}
 	//lint:allow noalloc-closure closure does not escape runGuarded (called inline, not retained), so it stays on the stack
-	rec := n.runGuarded(Trigger{Kind: TriggerTimer, Timer: t.id}, func() []core.Action {
-		return n.cfg.Machine.OnTimer(t.id, n.now())
+	rec := n.runGuarded(Trigger{Kind: TriggerTimer, Timer: t.id}, func(now core.Tick) []core.Action {
+		return n.cfg.Machine.OnTimer(t.id, now)
 	})
 	h := n.recoverFn
 	n.mu.Unlock()
@@ -355,11 +358,11 @@ func (n *Node) fireTimer(t *nodeTimer, gen uint64, hop bool) {
 	}
 }
 
-// apply executes the machine's actions. Callers hold n.mu.
+// apply executes the actions of a machine step taken at now, which stamps
+// the events it emits. Callers hold n.mu.
 //
 //hbvet:noalloc
-func (n *Node) apply(actions []core.Action) {
-	now := n.now()
+func (n *Node) apply(now core.Tick, actions []core.Action) {
 	for i := range actions {
 		act := &actions[i]
 		switch act.Kind {
@@ -444,7 +447,8 @@ func (n *Node) stopTimer(t *nodeTimer) {
 	}
 }
 
-// now reads the node's clock in protocol ticks.
+// now reads the node's clock in protocol ticks. Each step reads it once:
+// the machine, the observer and the emitted events all see that reading.
 func (n *Node) now() core.Tick { return core.Tick(n.cfg.Clock.Now()) }
 
 func (n *Node) emit(e Event) {

@@ -73,10 +73,10 @@ type Observer interface {
 	ObserveStep(id netem.NodeID, now core.Tick, tr Trigger, actions []core.Action)
 }
 
-// observe reports one machine step to the configured observer. Callers
-// hold n.mu.
-func (n *Node) observe(tr Trigger, actions []core.Action) {
+// observe reports one machine step taken at now to the configured
+// observer. Callers hold n.mu.
+func (n *Node) observe(tr Trigger, now core.Tick, actions []core.Action) {
 	if n.cfg.Observe != nil {
-		n.cfg.Observe.ObserveStep(n.cfg.ID, n.now(), tr, actions)
+		n.cfg.Observe.ObserveStep(n.cfg.ID, now, tr, actions)
 	}
 }

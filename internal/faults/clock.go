@@ -3,6 +3,7 @@ package faults
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/netem"
@@ -39,21 +40,38 @@ func validDrift(num, den int64, skew core.Tick) error {
 //
 // The arithmetic is integer-only, so drifting clocks stay deterministic
 // under the simulator. DriftClock is safe for concurrent use when the
-// wrapped clock is.
+// wrapped clock is: readers (Now, a timer's Reset) load the current rate
+// segment, an immutable driftRate, without locking, and SetDrift publishes
+// a new one. A read that races a SetDrift maps its time through the old
+// segment or the new one.
 type DriftClock struct {
-	mu          sync.Mutex
-	inner       netem.Clock
+	mu    sync.Mutex // serialises SetDrift
+	inner netem.Clock
+	rate  atomic.Pointer[driftRate]
+}
+
+// driftRate is one rate segment of a DriftClock, never written once
+// published: from inner time anchorReal, when local time was anchorLocal,
+// the clock runs num local ticks per den real ticks.
+type driftRate struct {
 	num, den    int64
-	anchorReal  sim.Time // inner time of the last rate change
+	anchorReal  sim.Time // inner time of the rate change
 	anchorLocal sim.Time // local time at that moment
 }
+
+// undrifted is the segment every DriftClock starts on: rate 1/1 from time
+// 0, local time equal to inner time. It is immutable, so all clocks share
+// it.
+var undrifted = &driftRate{num: 1, den: 1}
 
 var _ netem.Clock = (*DriftClock)(nil)
 
 // NewDriftClock wraps inner with an initially undrifted (rate 1/1, skew 0)
 // clock.
 func NewDriftClock(inner netem.Clock) *DriftClock {
-	return &DriftClock{inner: inner, num: 1, den: 1}
+	c := &DriftClock{inner: inner}
+	c.rate.Store(undrifted)
+	return c
 }
 
 // SetDrift changes the rate to num/den local ticks per real tick and jumps
@@ -66,22 +84,27 @@ func (c *DriftClock) SetDrift(num, den int64, skew core.Tick) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.inner.Now()
-	c.anchorLocal = c.localAt(now) + sim.Time(skew)
-	c.anchorReal = now
-	c.num, c.den = num, den
+	c.rate.Store(&driftRate{
+		num: num, den: den,
+		anchorReal:  now,
+		anchorLocal: c.rate.Load().localAt(now) + sim.Time(skew),
+	})
 	return nil
 }
 
-// localAt maps an inner time to local time. Callers hold c.mu.
-func (c *DriftClock) localAt(real sim.Time) sim.Time {
-	return c.anchorLocal + sim.Time(int64(real-c.anchorReal)*c.num/c.den)
+// localAt maps an inner time to local time. A rate of k/k skips the
+// divide: k·d/k is d exactly.
+func (r *driftRate) localAt(real sim.Time) sim.Time {
+	d := real - r.anchorReal
+	if r.num != r.den {
+		d = sim.Time(int64(d) * r.num / r.den)
+	}
+	return r.anchorLocal + d
 }
 
 // Now returns the drifted local time.
 func (c *DriftClock) Now() sim.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.localAt(c.inner.Now())
+	return c.rate.Load().localAt(c.inner.Now())
 }
 
 // NewTimer returns a timer of the wrapped clock whose delays are local.
@@ -95,13 +118,13 @@ type driftTimer struct {
 }
 
 // Reset arms the timer d local ticks ahead, which is d·den/num real ticks
-// (rounded up, so a timer never fires locally early).
+// (rounded up, so a timer never fires locally early). A rate of k/k skips
+// the divide: for d >= 0, (d·k+k−1)/k is d.
 func (t *driftTimer) Reset(d sim.Time, tag uint64) {
-	c := t.clock
-	c.mu.Lock()
-	num, den := c.num, c.den
-	c.mu.Unlock()
-	t.inner.Reset(sim.Time((int64(d)*den+num-1)/num), tag)
+	if r := t.clock.rate.Load(); r.num != r.den {
+		d = sim.Time((int64(d)*r.den + r.num - 1) / r.num)
+	}
+	t.inner.Reset(d, tag)
 }
 
 func (t *driftTimer) Stop() { t.inner.Stop() }

@@ -33,16 +33,17 @@ type Stats struct {
 // fault state a Schedule drives: per-node crash muting and partitions,
 // per-link downs, Gilbert–Elliott loss channels and latency bands,
 // duplication, and reordering. All decisions draw from one seeded random
-// stream, so a run
-// over the deterministic simulator replays exactly; faults apply at send
-// time, uniformly across netem.Network and netem.UDPTransport.
+// stream (seeded on its first draw), so a run over the deterministic
+// simulator replays exactly; faults apply at send time, uniformly across
+// netem.Network and netem.UDPTransport.
 //
 // It is safe for concurrent use (the wrapped transport permitting).
 type FaultableTransport struct {
 	mu    sync.Mutex
 	inner netem.Transport
 	clock netem.Clock
-	rng   *rand.Rand
+	seed  int64
+	rng   *rand.Rand // nil until the first draw; see stream
 
 	// tab holds the per-node and per-link fault state, indexed by NodeID
 	// as in netem.Network: a Send hashes nothing. A fault naming an ID
@@ -64,7 +65,19 @@ var _ netem.Transport = (*FaultableTransport)(nil)
 // (netem.SimClock for virtual time, netem.WallClock for real time); seed
 // drives every random fault decision.
 func Wrap(inner netem.Transport, clock netem.Clock, seed int64) *FaultableTransport {
-	return &FaultableTransport{inner: inner, clock: clock, rng: rand.New(rand.NewSource(seed))}
+	return &FaultableTransport{inner: inner, clock: clock, seed: seed}
+}
+
+// stream returns the fault layer's random stream, seeding it on the first
+// draw: a schedule that never draws never seeds. The stream, and so every
+// decision, is the one an eagerly seeded source would give. Callers hold
+// f.mu.
+func (f *FaultableTransport) stream() *rand.Rand {
+	if f.rng == nil {
+		//lint:allow noalloc-closure one seeded source per transport, built on the first draw and kept, like channel's Gilbert-Elliott state
+		f.rng = rand.New(rand.NewSource(f.seed))
+	}
+	return f.rng
 }
 
 // faultNode is one node's fault state.
@@ -258,13 +271,13 @@ func (f *FaultableTransport) Send(from, to netem.NodeID, payload []byte) error {
 		f.mu.Unlock()
 		return nil
 	}
-	if ch := f.channel(l); ch != nil && ch.Lose(f.rng) {
+	if ch := f.channel(l); ch != nil && ch.Lose(f.stream()) {
 		f.stats.DroppedLoss++
 		f.mu.Unlock()
 		return nil
 	}
 	copies := 1
-	if f.dupProb > 0 && f.rng.Float64() < f.dupProb {
+	if f.dupProb > 0 && f.stream().Float64() < f.dupProb {
 		copies = 2
 		f.stats.Duplicated++
 	}
@@ -275,14 +288,14 @@ func (f *FaultableTransport) Send(from, to netem.NodeID, payload []byte) error {
 	var delayBuf [2]sim.Time
 	delays := delayBuf[:copies]
 	for i := range delays {
-		if f.reorderProb > 0 && f.rng.Float64() < f.reorderProb {
-			delays[i] = 1 + sim.Time(f.rng.Int63n(int64(f.reorderMax)))
+		if f.reorderProb > 0 && f.stream().Float64() < f.reorderProb {
+			delays[i] = 1 + sim.Time(f.stream().Int63n(int64(f.reorderMax)))
 			f.stats.Delayed++
 		}
 		if lat.max > 0 {
 			extra := lat.min
 			if span := int64(lat.max - lat.min); span > 0 {
-				extra += sim.Time(f.rng.Int63n(span + 1))
+				extra += sim.Time(f.stream().Int63n(span + 1))
 			}
 			if extra > 0 {
 				delays[i] += extra

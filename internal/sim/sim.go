@@ -91,9 +91,11 @@ type Simulator struct {
 	// slots[i] is the callback and tick of wheel timer id i while it is
 	// pending; the wheel owns everything else about a timer (order, handle
 	// generation).
-	slots     []timerSlot
-	rng       *rand.Rand
-	executed  uint64
+	slots    []timerSlot
+	rng      *rand.Rand
+	executed uint64
+	// scheduled counts accepted Schedule calls; the package's tests read
+	// it.
 	scheduled uint64
 }
 
@@ -111,11 +113,15 @@ func WithSeed(seed int64) Option {
 	return func(s *Simulator) { s.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// New returns a Simulator with virtual time 0.
+// New returns a Simulator with virtual time 0, seeded with 1 unless an
+// option seeds it.
 func New(opts ...Option) *Simulator {
-	s := &Simulator{rng: rand.New(rand.NewSource(1)), wheel: NewTimerWheel()}
+	s := &Simulator{wheel: NewTimerWheel()}
 	for _, opt := range opts {
 		opt(s)
+	}
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(1))
 	}
 	return s
 }
@@ -128,9 +134,6 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // EventsExecuted returns the number of events run so far.
 func (s *Simulator) EventsExecuted() uint64 { return s.executed }
-
-// EventsScheduled returns the number of events scheduled so far.
-func (s *Simulator) EventsScheduled() uint64 { return s.scheduled }
 
 // Pending returns the exact number of events waiting in the queue:
 // cancelled timers leave the count at once, whenever the wheel gets round
@@ -214,6 +217,3 @@ func (s *Simulator) RunUntil(deadline Time) Time {
 	}
 	return s.now
 }
-
-// RunFor is RunUntil(Now()+d).
-func (s *Simulator) RunFor(d Time) Time { return s.RunUntil(s.now + d) }

@@ -106,9 +106,9 @@ func TestScheduleHorizon(t *testing.T) {
 				if !errors.Is(err, ErrHorizon) {
 					t.Fatalf("err = %v, want ErrHorizon", err)
 				}
-				if tm.Active() || s.Pending() != 1 || s.EventsScheduled() != 2 {
+				if tm.Active() || s.Pending() != 1 || s.scheduled != 2 {
 					t.Fatalf("rejected event left a trace: active %v, pending %d, scheduled %d",
-						tm.Active(), s.Pending(), s.EventsScheduled())
+						tm.Active(), s.Pending(), s.scheduled)
 				}
 				s.Run()
 				if fired != -1 || keep.Active() {
@@ -168,8 +168,8 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	if len(fired) != 1 || fired[0] != 10 {
 		t.Fatalf("fired = %v, want [10]", fired)
 	}
-	if got := s.RunFor(25); got != 50 {
-		t.Fatalf("RunFor(25) = %d, want 50", got)
+	if got := s.RunUntil(s.Now() + 25); got != 50 {
+		t.Fatalf("RunUntil(Now()+25) = %d, want 50", got)
 	}
 	if len(fired) != 2 {
 		t.Fatalf("fired = %v, want two events", fired)
@@ -192,8 +192,8 @@ func TestCounters(t *testing.T) {
 	mustSchedule(t, s, 2, func() {})
 	tm.Cancel()
 	s.Run()
-	if s.EventsScheduled() != 2 {
-		t.Fatalf("scheduled = %d, want 2", s.EventsScheduled())
+	if s.scheduled != 2 {
+		t.Fatalf("scheduled = %d, want 2", s.scheduled)
 	}
 	if s.EventsExecuted() != 1 {
 		t.Fatalf("executed = %d, want 1", s.EventsExecuted())
