@@ -64,3 +64,11 @@ func TestBadInputRejected(t *testing.T) {
 // (what every conformance campaign, and the sim_campaign benchmark, runs)
 // reports the same campaigns.
 func TestGoldenTopo(t *testing.T) { checkGolden(t, "topo", "-exp", "topo", "-trials", "3") }
+
+// TestGoldenFaults pins a supervised fault campaign: a crash, a partition
+// and a bursty loss episode, so restarts, backoff jitter, EventDown and
+// rejoins all occur in every trial.
+func TestGoldenFaults(t *testing.T) {
+	checkGolden(t, "faults", "-trials", "20", "-seed", "7", "-faults",
+		"seed 42; loss t=0 all pgb=0.02 pbg=0.4 lb=0.8; crash t=200 node=1; partition t=400 node=2; heal t=900 node=2; restart t=800 node=1")
+}

@@ -18,10 +18,12 @@
 // contract, atomic-vs-plain access discipline, noalloc-closure (every
 // //hbvet:noalloc root and every function reachable from one must be
 // free of likely allocation sites, with full call chains in findings),
-// and unused-suppression (//lint:allow directives that suppress nothing
-// are findings). -escape bypasses the AST layer entirely: it diffs the
-// compiler's own heap diagnostics for the hot-path packages against the
-// checked-in escape_budget.txt.
+// unused-export (exported functions and *Config/*Options fields that no
+// cmd/ or examples/ main reaches or sets; a load without such a main
+// reports nothing), and unused-suppression (//lint:allow directives that
+// suppress nothing are findings). -escape bypasses the AST layer
+// entirely: it diffs the compiler's own heap diagnostics for the hot-path
+// packages against the checked-in escape_budget.txt.
 //
 // Findings print as file:line:col: message [check]; exit status is 1
 // when any finding survives //lint:allow suppression, 2 on usage or

@@ -17,6 +17,8 @@ const unknownLoss = math.MaxUint64
 // every event, then finished at horizon. It is given no loss count, so it
 // never reports the loss-contingent R2/R3 violations; feed a StreamChecker
 // and call Finish with the run's loss count for those.
+//
+//lint:allow unused-export bench/ is its only caller; ROADMAP item 2 folds it into the probe
 func (c *CampaignCheck) CheckTraceAdaptive(events []Event, horizon core.Tick) (*StreamResult, error) {
 	if c.Envelope == nil {
 		return nil, fmt.Errorf("%w: CheckTraceAdaptive needs an envelope", ErrUnsupported)

@@ -7,10 +7,34 @@ import (
 
 	"repro/internal/alphabet"
 	"repro/internal/core"
+	"repro/internal/detector"
 	"repro/internal/faults"
 	"repro/internal/models"
 	"repro/internal/sim"
 )
+
+// recordedRun is a recorded conformance run.
+type recordedRun struct {
+	// Events is the recorded abstract trace.
+	Events []Event
+	// Lost counts messages dropped anywhere (link loss, fault-layer loss,
+	// partitions, crashed senders): the no-loss premise of R2/R3.
+	Lost uint64
+	// Cluster is the finished cluster, for further inspection.
+	Cluster *detector.Cluster
+}
+
+// Run drives one simulated cluster with the recorder attached and returns
+// the recorded trace. The run is deterministic in (Model, Seed, Horizon,
+// MaxDelay, Schedule).
+func recordRun(rc RunConfig) (*recordedRun, error) {
+	rec := NewRecorder()
+	cl, lost, err := runObserved(rc, rec)
+	if err != nil {
+		return nil, err
+	}
+	return &recordedRun{Events: rec.Events(), Lost: lost, Cluster: cl}, nil
+}
 
 // ByProp filters the violations of one property.
 func (tv TraceVerdicts) ByProp(p models.Property) []ReqViolation {
@@ -147,7 +171,7 @@ func TestCheckScheduleRejectsUnsupported(t *testing.T) {
 		Model:    models.Config{TMin: 1, TMax: 2, Variant: models.Binary, N: 1, Fixed: true},
 		Schedule: s, Horizon: 10,
 	}
-	if _, err := Run(rc); err == nil {
+	if _, err := recordRun(rc); err == nil {
 		t.Fatal("Run accepted a drift schedule")
 	}
 }
@@ -217,7 +241,7 @@ func TestRecorderResetAndEvents(t *testing.T) {
 		Seed:    1,
 		Horizon: 8,
 	}
-	out, err := Run(rc)
+	out, err := recordRun(rc)
 	if err != nil {
 		t.Fatal(err)
 	}

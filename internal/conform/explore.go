@@ -35,6 +35,8 @@ type ExploreConfig struct {
 	// runtime violation; nil uses models.Verify, cached per (config,
 	// property). With Workers above one, a custom Verify is serialised
 	// behind a mutex. An error from it fails the campaign.
+	//
+	//lint:allow unused-export test fake: explore_test.go stands in a failing backend to prove a model-check error fails the campaign
 	Verify VerifyFunc
 	// Workers is the number of concurrent walks; values below 2 run the
 	// campaign on the calling goroutine. The result is identical at any

@@ -300,6 +300,13 @@ func TestRecorderReset(t *testing.T) {
 	}
 }
 
+// Reset clears the recorded trace.
+func (r *Recorder) Reset() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.events = r.events[:0]
+}
+
 // TestSkewMachineClamp: the mutation wrapper clamps skewed delays to one
 // tick so a mutant cannot busy-loop the simulator, and passes everything
 // else through.

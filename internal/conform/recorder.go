@@ -24,20 +24,17 @@ type Recorder struct {
 }
 
 // NewRecorder returns an empty recorder.
+//
+//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Events returns a copy of the recorded trace.
+//
+//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.events...)
-}
-
-// Reset clears the recorded trace.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = r.events[:0]
 }
 
 // ObserveStep implements detector.Observer.

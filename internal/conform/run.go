@@ -42,17 +42,6 @@ type RunConfig struct {
 	Wrap func(id netem.NodeID, m core.Machine) core.Machine
 }
 
-// RunResult is a recorded conformance run.
-type RunResult struct {
-	// Events is the recorded abstract trace.
-	Events []Event
-	// Lost counts messages dropped anywhere (link loss, fault-layer loss,
-	// partitions, crashed senders): the no-loss premise of R2/R3.
-	Lost uint64
-	// Cluster is the finished cluster, for further inspection.
-	Cluster *detector.Cluster
-}
-
 // CheckSchedule reports whether a fault schedule stays within the
 // model's world: crashes, message loss, partitions and link failures map
 // onto model transitions ("crash p[i]", "lose …"), and added latency
@@ -111,20 +100,8 @@ func ClusterFor(m models.Config) (detector.ClusterConfig, error) {
 	return cc, nil
 }
 
-// Run drives one simulated cluster with the recorder attached and returns
-// the recorded trace. The run is deterministic in (Model, Seed, Horizon,
-// MaxDelay, Schedule).
-func Run(rc RunConfig) (*RunResult, error) {
-	rec := NewRecorder()
-	cl, lost, err := runObserved(rc, rec)
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{Events: rec.Events(), Lost: lost, Cluster: cl}, nil
-}
-
 // runObserved drives one simulated cluster with an observer attached —
-// the shared guts of Run (Recorder) and RunStream (StreamChecker) — and
+// the guts of RunStream (StreamChecker) — and
 // returns the stopped cluster plus the run's total loss count (the
 // no-loss premise of R2/R3).
 func runObserved(rc RunConfig, obs detector.Observer) (*detector.Cluster, uint64, error) {

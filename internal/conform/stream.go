@@ -646,6 +646,8 @@ func (sc *StreamChecker) ObserveStep(id netem.NodeID, now core.Tick, tr detector
 // Feed consumes one pre-abstracted event — of a recorded trace, or a
 // generated corpus. Live clusters attach the checker as an Observer
 // instead.
+//
+//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 func (sc *StreamChecker) Feed(ev Event) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()

@@ -81,7 +81,7 @@ func TestStreamDifferential(t *testing.T) {
 		index     int
 		rc        RunConfig
 		check     *CampaignCheck
-		out       *RunResult
+		out       *recordedRun
 		fed, live *StreamResult
 		err       error
 	}
@@ -90,7 +90,7 @@ func TestStreamDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(23 + int64(w)*0x9e3779b97f4a7c))
 		wk.rc = walkRun(variant, rng)
 		wk.check = checkFor(wk.rc.Model)
-		if wk.out, wk.err = Run(wk.rc); wk.err != nil {
+		if wk.out, wk.err = recordRun(wk.rc); wk.err != nil {
 			return wk
 		}
 		if wk.fed, wk.err = feedAll(StreamConfig{Check: wk.check, Horizon: wk.rc.Horizon}, wk.out.Events, wk.out.Lost); wk.err != nil {
@@ -220,7 +220,7 @@ func TestRunStreamMatchesFeed(t *testing.T) {
 		}},
 		Horizon: 30,
 	}
-	out, err := Run(rc)
+	out, err := recordRun(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestStreamMutantExpiryEarliest(t *testing.T) {
 		Horizon: 30,
 		Wrap:    wrap,
 	}
-	out, err := Run(rc)
+	out, err := recordRun(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestStreamMutantRoundEarliest(t *testing.T) {
 	model := models.Config{TMin: 2, TMax: 4, Variant: models.Binary, N: 1, Fixed: true}
 	check := &CampaignCheck{Model: model}
 	rc := RunConfig{Model: model, Seed: 3, Horizon: 20, Wrap: wrap}
-	out, err := Run(rc)
+	out, err := recordRun(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestLongQuietGap(t *testing.T) {
 		}},
 		Horizon: 5000,
 	}
-	out, err := Run(rc)
+	out, err := recordRun(rc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 )
 
 // Envelope clamps the adaptive variant's retuning: every operating point
@@ -141,24 +140,10 @@ func (o AdaptiveOptions) Validate() error {
 	return nil
 }
 
-// LossSample is one round's estimator input: how many members the
+// lossSample is one round's estimator input: how many members the
 // coordinator counted on and how many failed to reply.
-type LossSample struct {
+type lossSample struct {
 	Expected, Missed int32
-}
-
-// AdaptiveState is a monitoring snapshot of the estimator; see
-// AdaptiveCoordinator.Snapshot.
-type AdaptiveState struct {
-	// Level is the current envelope level.
-	Level int
-	// TMin and TMax are the current operating point.
-	TMin, TMax Tick
-	// LossMilli is the windowed loss estimate in thousandths.
-	LossMilli int64
-	// Window holds the retained samples in ring order (not time order —
-	// the snapshot is a gauge, not a trace).
-	Window []LossSample
 }
 
 // AdaptiveCoordinator wraps a Coordinator with loss-driven retuning: it
@@ -169,23 +154,13 @@ type AdaptiveState struct {
 // instead of false-confirming, tightening back only after a full streak
 // of clean rounds. Every move is surfaced as an ActRetune action, so
 // supervisors and conformance checkers see each transition.
-//
-// Like every Machine it is driven under its node's lock; the level and
-// estimator window are additionally published through sync/atomic so
-// Snapshot may be called from any goroutine under a wall clock.
 type AdaptiveCoordinator struct {
 	inner  *Coordinator
 	opts   AdaptiveOptions
 	levels int
 
-	// level and lossMilli are gauges: written by the machine goroutine,
-	// readable concurrently. Atomic-everywhere (see hbvet
-	// sync-discipline).
-	level     int32
-	lossMilli int64
-	// ring is the estimator window, one packed LossSample per slot;
-	// every access is atomic so Snapshot can read it lock-free.
-	ring []int64
+	level int          // current envelope level
+	ring  []lossSample // the estimator window; slots [0, filled) are in use
 
 	pos, filled     int
 	sumExp, sumMiss int64
@@ -211,46 +186,8 @@ func NewAdaptiveCoordinator(cc CoordinatorConfig, opts AdaptiveOptions) (*Adapti
 		inner:  inner,
 		opts:   opts,
 		levels: opts.Envelope.Levels(),
-		ring:   make([]int64, opts.Window),
+		ring:   make([]lossSample, opts.Window),
 	}, nil
-}
-
-// Envelope returns the clamp the coordinator retunes within.
-func (a *AdaptiveCoordinator) Envelope() Envelope { return a.opts.Envelope }
-
-// Level returns the current envelope level.
-func (a *AdaptiveCoordinator) Level() int { return int(atomic.LoadInt32(&a.level)) }
-
-// OperatingPoint returns the current (tmin, tmax).
-func (a *AdaptiveCoordinator) OperatingPoint() (tmin, tmax Tick) {
-	return a.opts.Envelope.Point(a.Level())
-}
-
-// Snapshot returns the estimator gauges; safe from any goroutine.
-func (a *AdaptiveCoordinator) Snapshot() AdaptiveState {
-	st := AdaptiveState{
-		Level:     a.Level(),
-		LossMilli: atomic.LoadInt64(&a.lossMilli),
-	}
-	st.TMin, st.TMax = a.opts.Envelope.Point(st.Level)
-	for i := range a.ring {
-		packed := atomic.LoadInt64(&a.ring[i])
-		if packed == 0 {
-			continue
-		}
-		st.Window = append(st.Window, unpackSample(packed))
-	}
-	return st
-}
-
-// packSample encodes a sample with a presence marker in the top bit
-// region (Expected+1), so an all-zero slot means "empty".
-func packSample(s LossSample) int64 {
-	return int64(s.Expected+1)<<32 | int64(s.Missed)
-}
-
-func unpackSample(packed int64) LossSample {
-	return LossSample{Expected: int32(packed>>32) - 1, Missed: int32(packed & 0xFFFFFFFF)}
 }
 
 // Start implements Machine.
@@ -291,15 +228,14 @@ func (a *AdaptiveCoordinator) OnTimer(id TimerID, now Tick) []Action {
 // rule. It reports the new operating point when the level changed.
 func (a *AdaptiveCoordinator) observeRound(members, missed int) (tmin, tmax Tick, retuned bool) {
 	if members > 0 {
-		evicted := atomic.LoadInt64(&a.ring[a.pos])
-		if evicted != 0 {
-			s := unpackSample(evicted)
+		if a.filled == len(a.ring) {
+			s := a.ring[a.pos]
 			a.sumExp -= int64(s.Expected)
 			a.sumMiss -= int64(s.Missed)
 		} else {
 			a.filled++
 		}
-		atomic.StoreInt64(&a.ring[a.pos], packSample(LossSample{Expected: int32(members), Missed: int32(missed)}))
+		a.ring[a.pos] = lossSample{Expected: int32(members), Missed: int32(missed)}
 		a.pos = (a.pos + 1) % len(a.ring)
 		a.sumExp += int64(members)
 		a.sumMiss += int64(missed)
@@ -308,9 +244,8 @@ func (a *AdaptiveCoordinator) observeRound(members, missed int) (tmin, tmax Tick
 		return 0, 0, false
 	}
 	rate := float64(a.sumMiss) / float64(a.sumExp)
-	atomic.StoreInt64(&a.lossMilli, a.sumMiss*1000/a.sumExp)
 
-	level := int(atomic.LoadInt32(&a.level))
+	level := a.level
 	switch {
 	case rate >= a.opts.WidenAt:
 		a.clean = 0
@@ -319,7 +254,7 @@ func (a *AdaptiveCoordinator) observeRound(members, missed int) (tmin, tmax Tick
 			// not argue about the new one, so the window restarts.
 			level++
 			a.resetWindow()
-			atomic.StoreInt32(&a.level, int32(level))
+			a.level = level
 		}
 		// At the top of the envelope this is a saturated grace: the point
 		// is unchanged, but the retune still resets every member budget,
@@ -342,7 +277,7 @@ func (a *AdaptiveCoordinator) observeRound(members, missed int) (tmin, tmax Tick
 	}
 	a.clean = 0
 	a.resetWindow()
-	atomic.StoreInt32(&a.level, int32(level))
+	a.level = level
 	tmin, tmax = a.opts.Envelope.Point(level)
 	return tmin, tmax, true
 }
@@ -350,10 +285,6 @@ func (a *AdaptiveCoordinator) observeRound(members, missed int) (tmin, tmax Tick
 // resetWindow clears the estimator after a retune: samples gathered at
 // the abandoned operating point do not argue about the new one.
 func (a *AdaptiveCoordinator) resetWindow() {
-	for i := range a.ring {
-		atomic.StoreInt64(&a.ring[i], 0)
-	}
 	a.pos, a.filled = 0, 0
 	a.sumExp, a.sumMiss = 0, 0
-	atomic.StoreInt64(&a.lossMilli, 0)
 }

@@ -5,6 +5,31 @@ import (
 	"testing"
 )
 
+// adaptiveState is a snapshot of an adaptive coordinator's estimator.
+type adaptiveState struct {
+	// Level is the current envelope level.
+	Level int
+	// TMin and TMax are the current operating point.
+	TMin, TMax Tick
+	// LossMilli is the windowed loss estimate in thousandths.
+	LossMilli int64
+	// Window holds the retained samples in ring order.
+	Window []lossSample
+}
+
+// level returns a's current envelope level.
+func level(a *AdaptiveCoordinator) int { return a.level }
+
+// snapshot reads a's estimator state.
+func snapshot(a *AdaptiveCoordinator) adaptiveState {
+	st := adaptiveState{Level: a.level, Window: a.ring[:a.filled]}
+	if a.sumExp > 0 {
+		st.LossMilli = a.sumMiss * 1000 / a.sumExp
+	}
+	st.TMin, st.TMax = a.opts.Envelope.Point(st.Level)
+	return st
+}
+
 func TestEnvelopeValidate(t *testing.T) {
 	tests := []struct {
 		name string
@@ -169,10 +194,10 @@ func TestAdaptiveWidensUnderLoss(t *testing.T) {
 	env := Envelope{TMinLo: 2, TMinHi: 2, TMaxLo: 8, TMaxHi: 32} // 3 levels
 	a := newAdaptiveP0(t, AdaptiveOptions{Envelope: env, Window: 4}, 2)
 	a.Start(0)
-	if lv := a.Level(); lv != 0 {
+	if lv := level(a); lv != 0 {
 		t.Fatalf("initial level = %d, want 0", lv)
 	}
-	tmin, tmax := a.OperatingPoint()
+	tmin, tmax := a.opts.Envelope.Point(level(a))
 	if tmin != 2 || tmax != 8 {
 		t.Fatalf("initial point = (%d, %d), want (2, 8)", tmin, tmax)
 	}
@@ -193,8 +218,8 @@ func TestAdaptiveWidensUnderLoss(t *testing.T) {
 	if retunes[0].TMin != 2 || retunes[0].TMax != 16 {
 		t.Fatalf("retune point = (%d, %d), want (2, 16)", retunes[0].TMin, retunes[0].TMax)
 	}
-	if a.Level() != 1 {
-		t.Fatalf("level after widen = %d, want 1", a.Level())
+	if level(a) != 1 {
+		t.Fatalf("level after widen = %d, want 1", level(a))
 	}
 	// The widen converts the round into a grace round: no suspects even
 	// though both members were silent, and beats go out again.
@@ -208,8 +233,8 @@ func TestAdaptiveWidensUnderLoss(t *testing.T) {
 	// Sustained silence escalates to the top level and stays clamped:
 	// the post-widen window holds a single all-missed sample, 100% loss.
 	runRound(a, nil, 32)
-	if a.Level() != 2 {
-		t.Fatalf("level = %d, want 2 (top)", a.Level())
+	if level(a) != 2 {
+		t.Fatalf("level = %d, want 2 (top)", level(a))
 	}
 	// At the top of the envelope further loss holds saturated grace
 	// rounds: each round retunes to the same (clamped) point instead of
@@ -224,8 +249,8 @@ func TestAdaptiveWidensUnderLoss(t *testing.T) {
 			t.Fatalf("false confirmation at the top of the envelope: %v", acts)
 		}
 	}
-	if a.Level() != 2 {
-		t.Fatalf("level left the envelope: %d", a.Level())
+	if level(a) != 2 {
+		t.Fatalf("level left the envelope: %d", level(a))
 	}
 }
 
@@ -252,8 +277,8 @@ func TestAdaptiveTightensAfterHold(t *testing.T) {
 	a.Start(0)
 	runRound(a, nil, 8)  // grace round, clean sample
 	runRound(a, nil, 16) // (1,0),(1,1): 50% loss, widen to level 1
-	if a.Level() != 1 {
-		t.Fatalf("level = %d, want 1", a.Level())
+	if level(a) != 1 {
+		t.Fatalf("level = %d, want 1", level(a))
 	}
 	// Clean rounds: no tighten until the hold streak is met.
 	for i := 0; i < 2; i++ {
@@ -267,8 +292,8 @@ func TestAdaptiveTightensAfterHold(t *testing.T) {
 	if len(retunes) != 1 || retunes[0].TMax != 8 {
 		t.Fatalf("expected tighten to (2, 8), got %v", acts)
 	}
-	if a.Level() != 0 {
-		t.Fatalf("level after tighten = %d, want 0", a.Level())
+	if level(a) != 0 {
+		t.Fatalf("level after tighten = %d, want 0", level(a))
 	}
 }
 
@@ -284,8 +309,8 @@ func TestAdaptiveHysteresisMiddlingLossHolds(t *testing.T) {
 			t.Fatalf("retune inside the hysteresis band at round %d: %v", i, acts)
 		}
 	}
-	if a.Level() != 0 {
-		t.Fatalf("level = %d, want 0", a.Level())
+	if level(a) != 0 {
+		t.Fatalf("level = %d, want 0", level(a))
 	}
 }
 
@@ -295,7 +320,7 @@ func TestAdaptiveSnapshot(t *testing.T) {
 	a.Start(0)
 	runRound(a, nil, 8)                // grace round: (4,0)
 	runRound(a, []ProcID{1, 2, 3}, 16) // (4,1)
-	st := a.Snapshot()
+	st := snapshot(a)
 	if st.Level != 0 {
 		t.Fatalf("Snapshot.Level = %d, want 0", st.Level)
 	}
@@ -312,7 +337,7 @@ func TestAdaptiveSnapshot(t *testing.T) {
 	// Silence until the widen threshold; the retune resets the window.
 	runRound(a, nil, 24) // window 5/12 missed, below WidenAt
 	runRound(a, nil, 32) // window 9/16 missed: widen
-	st = a.Snapshot()
+	st = snapshot(a)
 	if st.Level != 1 {
 		t.Fatalf("Snapshot.Level = %d, want 1", st.Level)
 	}
@@ -329,11 +354,11 @@ func TestAdaptiveWindowEviction(t *testing.T) {
 	runRound(a, nil, 8)             // grace: (2,0)
 	runRound(a, nil, 16)            // (2,2)
 	runRound(a, []ProcID{1, 2}, 24) // (2,0) — evicts the grace sample
-	if st := a.Snapshot(); st.LossMilli != 500 {
+	if st := snapshot(a); st.LossMilli != 500 {
 		t.Fatalf("LossMilli = %d with (2,2),(2,0) in window, want 500", st.LossMilli)
 	}
 	runRound(a, []ProcID{1, 2}, 32) // (2,0) — evicts (2,2)
-	if st := a.Snapshot(); st.LossMilli != 0 {
+	if st := snapshot(a); st.LossMilli != 0 {
 		t.Fatalf("LossMilli = %d after lossy sample evicted, want 0", st.LossMilli)
 	}
 }
@@ -354,7 +379,7 @@ func TestAdaptiveRetuneWhileDegradedMembership(t *testing.T) {
 			t.Fatalf("retune with empty membership: %v", acts)
 		}
 	}
-	if st := a.Snapshot(); len(st.Window) != 0 {
+	if st := snapshot(a); len(st.Window) != 0 {
 		t.Fatalf("empty rounds must not produce samples: %v", st.Window)
 	}
 }
@@ -367,8 +392,8 @@ func TestCoordinatorRetuneGraceRound(t *testing.T) {
 	if err := c.Retune(2, 16); err != nil {
 		t.Fatalf("Retune: %v", err)
 	}
-	if c.RoundLength() != 16 {
-		t.Fatalf("RoundLength = %d, want 16", c.RoundLength())
+	if c.t != 16 {
+		t.Fatalf("round length = %d, want 16", c.t)
 	}
 	// The member's budget was reset and its rcvd flag raised: four more
 	// silent rounds before any suspicion (grace, then 16 -> 8 -> 4 -> 2).

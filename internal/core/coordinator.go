@@ -175,15 +175,6 @@ func (c *Coordinator) roundObservation() (members, missed int) {
 	return len(c.state), missed
 }
 
-// RoundLength returns the current waiting time t.
-func (c *Coordinator) RoundLength() Tick { return c.t }
-
-// Members returns the current peer set in ascending order. The slice is
-// freshly allocated; callers may keep it.
-func (c *Coordinator) Members() []ProcID {
-	return append([]ProcID(nil), c.order...)
-}
-
 // Start implements Machine. The original protocol waits out a full round
 // before the first beat; the revised variant beats immediately.
 func (c *Coordinator) Start(now Tick) []Action {

@@ -76,8 +76,8 @@ func TestBinaryCoordinatorFirstRound(t *testing.T) {
 	if len(beats) != 1 || beats[0].To != 1 || !beats[0].Beat.Stay {
 		t.Fatalf("first round beats = %v", beats)
 	}
-	if c.RoundLength() != 10 {
-		t.Fatalf("t = %d after grace round, want 10", c.RoundLength())
+	if c.t != 10 {
+		t.Fatalf("t = %d after grace round, want 10", c.t)
 	}
 }
 
@@ -98,16 +98,16 @@ func TestBinaryCoordinatorAcceleratesAndInactivates(t *testing.T) {
 	// Silence from p[1]: t decays 10→5→2→1, then p[0] inactivates.
 	wantT := []Tick{5, 2, 1}
 	for _, w := range wantT {
-		now += c.RoundLength()
+		now += c.t
 		acts := c.OnTimer(TimerRound, now)
-		if c.RoundLength() != w {
-			t.Fatalf("t = %d, want %d", c.RoundLength(), w)
+		if c.t != w {
+			t.Fatalf("t = %d, want %d", c.t, w)
 		}
 		if !hasAction(acts, ActSendBeat) {
 			t.Fatalf("round at t=%d did not beat", w)
 		}
 	}
-	now += c.RoundLength()
+	now += c.t
 	acts := c.OnTimer(TimerRound, now)
 	sus := actionsOf(acts, ActSuspect)
 	if len(sus) != 1 || sus[0].Proc != 1 {
@@ -137,13 +137,13 @@ func TestBinaryCoordinatorBeatResetsWait(t *testing.T) {
 	c.Start(0)
 	c.OnTimer(TimerRound, 10)
 	c.OnTimer(TimerRound, 20) // miss: t=5
-	if c.RoundLength() != 5 {
-		t.Fatalf("t = %d, want 5", c.RoundLength())
+	if c.t != 5 {
+		t.Fatalf("t = %d, want 5", c.t)
 	}
 	c.OnBeat(Beat{From: 1, Stay: true}, 22)
 	c.OnTimer(TimerRound, 25)
-	if c.RoundLength() != 10 {
-		t.Fatalf("t = %d after receipt, want 10", c.RoundLength())
+	if c.t != 10 {
+		t.Fatalf("t = %d after receipt, want 10", c.t)
 	}
 }
 
@@ -160,7 +160,7 @@ func TestBinaryCoordinatorStaleBeatExtendsDetection(t *testing.T) {
 	now := Tick(20)
 	c.OnTimer(TimerRound, now) // rcvd → t=tmax: the stale reset
 	for c.Status() == StatusActive {
-		now += c.RoundLength()
+		now += c.t
 		c.OnTimer(TimerRound, now)
 	}
 	detection := now - lastBeat
@@ -190,8 +190,8 @@ func TestStaticCoordinatorMinRule(t *testing.T) {
 	c.OnBeat(Beat{From: 2, Stay: true}, 12)
 	acts := c.OnTimer(TimerRound, 20)
 	// tm = [5, 10, 5] → t = 5, and all three still get beats.
-	if c.RoundLength() != 5 {
-		t.Fatalf("t = %d, want min(tm)=5", c.RoundLength())
+	if c.t != 5 {
+		t.Fatalf("t = %d, want min(tm)=5", c.t)
 	}
 	if got := len(actionsOf(acts, ActSendBeat)); got != 3 {
 		t.Fatalf("beats = %d, want 3", got)
@@ -200,13 +200,13 @@ func TestStaticCoordinatorMinRule(t *testing.T) {
 	// shrink with the silent members' tm while p[2] stays at tmax.
 	c.OnBeat(Beat{From: 2, Stay: true}, 22)
 	c.OnTimer(TimerRound, 25) // tm = [2,10,2]
-	if c.RoundLength() != 2 {
-		t.Fatalf("t = %d, want 2", c.RoundLength())
+	if c.t != 2 {
+		t.Fatalf("t = %d, want 2", c.t)
 	}
 	c.OnBeat(Beat{From: 2, Stay: true}, 26)
 	c.OnTimer(TimerRound, 27) // tm = [1,10,1]
-	if c.RoundLength() != 1 {
-		t.Fatalf("t = %d, want 1", c.RoundLength())
+	if c.t != 1 {
+		t.Fatalf("t = %d, want 1", c.t)
 	}
 	c.OnBeat(Beat{From: 2, Stay: true}, 27)
 	acts = c.OnTimer(TimerRound, 28) // p1,p3 exhausted
@@ -228,19 +228,19 @@ func TestExpandingCoordinatorAdmitsJoiner(t *testing.T) {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	c.Start(0)
-	if len(c.Members()) != 0 {
+	if len(c.order) != 0 {
 		t.Fatal("expanding coordinator must start with no members")
 	}
 	// Idle rounds with no members keep t at tmax and send nothing.
 	acts := c.OnTimer(TimerRound, 10)
-	if hasAction(acts, ActSendBeat) || c.RoundLength() != 10 {
-		t.Fatalf("idle round: %v, t=%d", acts, c.RoundLength())
+	if hasAction(acts, ActSendBeat) || c.t != 10 {
+		t.Fatalf("idle round: %v, t=%d", acts, c.t)
 	}
 	// A join request is admitted silently; the ack is the next broadcast.
 	if acts := c.OnBeat(Beat{From: 7, Stay: true}, 12); hasAction(acts, ActSendBeat) {
 		t.Fatal("join must not be acknowledged out of band")
 	}
-	if got := c.Members(); len(got) != 1 || got[0] != 7 {
+	if got := c.order; len(got) != 1 || got[0] != 7 {
 		t.Fatalf("members = %v, want [7]", got)
 	}
 	acts = c.OnTimer(TimerRound, 20)
@@ -261,8 +261,8 @@ func TestDynamicCoordinatorLeave(t *testing.T) {
 	c.Start(0)
 	c.OnBeat(Beat{From: 3, Stay: true}, 1)
 	c.OnBeat(Beat{From: 4, Stay: true}, 1)
-	if len(c.Members()) != 2 {
-		t.Fatalf("members = %v", c.Members())
+	if len(c.order) != 2 {
+		t.Fatalf("members = %v", c.order)
 	}
 	// p[3] leaves; the ack carries the same false parameter.
 	acts := c.OnBeat(Beat{From: 3, Stay: false}, 5)
@@ -270,12 +270,12 @@ func TestDynamicCoordinatorLeave(t *testing.T) {
 	if len(beats) != 1 || beats[0].To != 3 || beats[0].Beat.Stay {
 		t.Fatalf("leave ack = %v", beats)
 	}
-	if got := c.Members(); len(got) != 1 || got[0] != 4 {
+	if got := c.order; len(got) != 1 || got[0] != 4 {
 		t.Fatalf("members after leave = %v, want [4]", got)
 	}
 	// Leaving is permanent: a rejoin attempt is ignored...
 	c.OnBeat(Beat{From: 3, Stay: true}, 6)
-	if len(c.Members()) != 1 {
+	if len(c.order) != 1 {
 		t.Fatal("departed process rejoined")
 	}
 	// ...but a retried leave is re-acknowledged (ack loss tolerance).
@@ -289,7 +289,7 @@ func TestDynamicCoordinatorLeave(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.OnBeat(Beat{From: 4, Stay: true}, now)
 		c.OnTimer(TimerRound, now)
-		now += c.RoundLength()
+		now += c.t
 	}
 	if c.Status() != StatusActive {
 		t.Fatalf("status = %v, want active", c.Status())
@@ -325,12 +325,12 @@ func TestCoordinatorIgnoresSelfAndStrangers(t *testing.T) {
 		t.Fatal("self-beat accepted")
 	}
 	c.OnBeat(Beat{From: 42, Stay: true}, 1) // stranger: fixed membership ignores
-	if len(c.Members()) != 1 {
-		t.Fatalf("members = %v", c.Members())
+	if len(c.order) != 1 {
+		t.Fatalf("members = %v", c.order)
 	}
 	c.OnTimer(TimerRound, 10)
 	c.OnTimer(TimerRound, 20) // no beat from p[1] → decay
-	if c.RoundLength() != 5 {
+	if c.t != 5 {
 		t.Fatal("stranger beat must not count as p[1]'s reply")
 	}
 }
@@ -350,8 +350,8 @@ func TestTwoPhaseCoordinatorDropsToTMin(t *testing.T) {
 	c.Start(0)
 	c.OnTimer(TimerRound, 10) // grace
 	c.OnTimer(TimerRound, 20) // miss → t=tmin
-	if c.RoundLength() != 4 {
-		t.Fatalf("t = %d, want tmin=4", c.RoundLength())
+	if c.t != 4 {
+		t.Fatalf("t = %d, want tmin=4", c.t)
 	}
 	acts := c.OnTimer(TimerRound, 24) // second miss → inactivate
 	if !hasAction(acts, ActInactivate) || c.Status() != StatusInactive {

@@ -387,6 +387,8 @@ var ErrBadBeat = errors.New("core: malformed beat")
 // Marshal encodes the beat for a datagram transport: version, 16-bit
 // sender, then a packed byte with the stay flag in bit 0 and the
 // incarnation in bits 1–7.
+//
+//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 func (b Beat) Marshal() []byte {
 	return b.AppendMarshal(make([]byte, 0, beatWire))
 }

@@ -126,12 +126,12 @@ func (p *coordinatorPair) check(what string, got, want []Action) {
 	if !slices.Equal(got, want) {
 		p.t.Fatalf("%s at %d: actions %+v, reference %+v", what, p.now, got, want)
 	}
-	if got, want := p.c.Members(), p.ref.sorted(); !slices.Equal(got, want) {
+	if got, want := p.c.order, p.ref.sorted(); !slices.Equal(got, want) {
 		p.t.Fatalf("%s at %d: members %v, reference %v", what, p.now, got, want)
 	}
-	if p.c.RoundLength() != p.ref.t || p.c.Status() != p.ref.status {
+	if p.c.t != p.ref.t || p.c.Status() != p.ref.status {
 		p.t.Fatalf("%s at %d: round %d status %v, reference %d %v",
-			what, p.now, p.c.RoundLength(), p.c.Status(), p.ref.t, p.ref.status)
+			what, p.now, p.c.t, p.c.Status(), p.ref.t, p.ref.status)
 	}
 	for i, id := range p.c.order {
 		if p.c.state[i] != *p.ref.members[id] {
@@ -175,8 +175,8 @@ func TestCoordinatorChurnKeepsStateWithOrder(t *testing.T) {
 	p.beat(stay(3, 0)) // joins below 5 and 7
 	p.beat(stay(5, 0))
 	p.round() // 7 missed again: tm 4; the round length follows it
-	if p.c.RoundLength() != 4 {
-		t.Fatalf("round length %d, want member 7's decayed 4", p.c.RoundLength())
+	if p.c.t != 4 {
+		t.Fatalf("round length %d, want member 7's decayed 4", p.c.t)
 	}
 	p.beat(Beat{From: 3, Stay: false, Inc: 0}) // 3 leaves
 	p.beat(stay(5, 0))

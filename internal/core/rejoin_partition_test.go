@@ -50,7 +50,6 @@ func TestRejoinAfterLongPartition(t *testing.T) {
 		Heal: &detector.SupervisorConfig{
 			CheckEvery: 8,
 			Backoff:    detector.Backoff{Base: 2, Max: 32},
-			Seed:       31,
 		},
 	})
 	if err != nil {

@@ -28,11 +28,11 @@ func joinLeave(t *testing.T, c *Coordinator, p *Participant, now Tick) Tick {
 	// Join: participant's solicitation reaches p[0]; p[0]'s beat acks.
 	c.OnBeat(p.beat(true), now)
 	p.OnBeat(Beat{From: 0, Stay: true}, now+1)
-	if !p.JoinedProtocol() {
+	if !p.joined {
 		t.Fatal("participant did not join")
 	}
-	if len(c.Members()) != 1 {
-		t.Fatalf("members = %v", c.Members())
+	if len(c.order) != 1 {
+		t.Fatalf("members = %v", c.order)
 	}
 	// Leave: false beat, ack with matching incarnation.
 	acts, err := p.Leave(now + 2)
@@ -46,8 +46,8 @@ func joinLeave(t *testing.T, c *Coordinator, p *Participant, now Tick) Tick {
 	if p.Status() != StatusLeft {
 		t.Fatalf("status = %v, want left", p.Status())
 	}
-	if len(c.Members()) != 0 {
-		t.Fatalf("members after leave = %v", c.Members())
+	if len(c.order) != 0 {
+		t.Fatalf("members after leave = %v", c.order)
 	}
 	return now + 5
 }
@@ -60,8 +60,8 @@ func TestRejoinHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Rejoin: %v", err)
 	}
-	if p.Incarnation() != 1 {
-		t.Fatalf("incarnation = %d, want 1", p.Incarnation())
+	if p.inc != 1 {
+		t.Fatalf("incarnation = %d, want 1", p.inc)
 	}
 	beats := actionsOf(acts, ActSendBeat)
 	if len(beats) != 1 || !beats[0].Beat.Stay || beats[0].Beat.Inc != 1 {
@@ -69,7 +69,7 @@ func TestRejoinHandshake(t *testing.T) {
 	}
 	// The coordinator readmits the higher incarnation.
 	c.OnBeat(beats[0].Beat, now+1)
-	if got := c.Members(); len(got) != 1 || got[0] != 5 {
+	if got := c.order; len(got) != 1 || got[0] != 5 {
 		t.Fatalf("members after rejoin = %v", got)
 	}
 	// And the participant joins again on p[0]'s next beat.
@@ -90,7 +90,7 @@ func TestRejoinStaleBeatsIgnored(t *testing.T) {
 	// A stale LEAVE from incarnation 0 (delayed in the network) must not
 	// evict the new incarnation.
 	c.OnBeat(Beat{From: 5, Stay: false, Inc: 0}, now+2)
-	if got := c.Members(); len(got) != 1 {
+	if got := c.order; len(got) != 1 {
 		t.Fatalf("stale leave evicted the rejoined member: %v", got)
 	}
 	// A stale JOIN from incarnation 0 must not resurrect a member after
@@ -100,12 +100,12 @@ func TestRejoinStaleBeatsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.OnBeat(actionsOf(acts, ActSendBeat)[0].Beat, now+4)
-	if len(c.Members()) != 0 {
+	if len(c.order) != 0 {
 		t.Fatal("leave of incarnation 1 not processed")
 	}
 	c.OnBeat(Beat{From: 5, Stay: true, Inc: 0}, now+5)
 	c.OnBeat(Beat{From: 5, Stay: true, Inc: 1}, now+5)
-	if len(c.Members()) != 0 {
+	if len(c.order) != 0 {
 		t.Fatal("stale join resurrected a departed member")
 	}
 }
@@ -185,7 +185,7 @@ func TestRejoinWithoutCoordinatorSupport(t *testing.T) {
 	// Without AllowRejoin the coordinator ignores the higher incarnation:
 	// departure stays permanent, as in the original dynamic protocol.
 	c.OnBeat(p.beat(true), now+1)
-	if len(c.Members()) != 0 {
+	if len(c.order) != 0 {
 		t.Fatal("coordinator without AllowRejoin readmitted a departed peer")
 	}
 }

@@ -41,9 +41,6 @@ func NewPlainResponder(id ProcID, bound Tick) (*Responder, error) {
 	return &Responder{id: id, bound: bound, status: StatusActive}, nil
 }
 
-// ID returns the responder's process ID.
-func (r *Responder) ID() ProcID { return r.id }
-
 // Status implements Machine.
 func (r *Responder) Status() Status { return r.status }
 
@@ -121,17 +118,8 @@ func NewParticipant(cfg Config, id ProcID, dynamic bool) (*Participant, error) {
 	return &Participant{cfg: cfg, id: id, dynamic: dynamic, status: StatusActive}, nil
 }
 
-// ID returns the participant's process ID.
-func (p *Participant) ID() ProcID { return p.id }
-
 // Status implements Machine.
 func (p *Participant) Status() Status { return p.status }
-
-// JoinedProtocol reports whether p[0] has acknowledged this participant.
-func (p *Participant) JoinedProtocol() bool { return p.joined }
-
-// Incarnation returns the participant's current incarnation number.
-func (p *Participant) Incarnation() uint8 { return p.inc }
 
 // beat returns this participant's heartbeat with the given Stay parameter.
 func (p *Participant) beat(stay bool) Beat {

@@ -126,7 +126,7 @@ func TestParticipantSolicitsUntilJoined(t *testing.T) {
 	if !hasAction(acts, ActSendBeat) || !hasAction(acts, ActSetTimer) {
 		t.Fatalf("resend = %v", acts)
 	}
-	if p.JoinedProtocol() {
+	if p.joined {
 		t.Fatal("joined before any beat from p[0]")
 	}
 	// p[0]'s first beat acknowledges the join.
@@ -134,8 +134,8 @@ func TestParticipantSolicitsUntilJoined(t *testing.T) {
 	if !hasAction(acts, ActJoined) {
 		t.Fatalf("join ack missing: %v", acts)
 	}
-	if !p.JoinedProtocol() {
-		t.Fatal("JoinedProtocol() = false after ack")
+	if !p.joined {
+		t.Fatal("not joined after ack")
 	}
 	replies := actionsOf(acts, ActSendBeat)
 	if len(replies) != 1 || !replies[0].Beat.Stay {
@@ -248,7 +248,7 @@ func TestParticipantIgnoresStrayLeaveAck(t *testing.T) {
 	if acts := p.OnBeat(Beat{From: 0, Stay: false}, 1); acts != nil {
 		t.Fatalf("stray false beat processed: %v", acts)
 	}
-	if p.Status() != StatusActive || p.JoinedProtocol() {
+	if p.Status() != StatusActive || p.joined {
 		t.Fatal("stray false beat changed state")
 	}
 }

@@ -82,7 +82,7 @@ func TestPropertyCrashAlwaysDetectedWithinBound(t *testing.T) {
 		}
 		// The rest of the network follows within the responder bound.
 		c.Sim.RunUntil(horizon + sim.Time(cfg.Core.ResponderBound()+cfg.Core.TMin))
-		if !c.AllInactiveBy() {
+		if !allInactive(c) {
 			t.Logf("cfg %+v: network still partially active after shutdown window", cfg)
 			return false
 		}

@@ -96,6 +96,8 @@ type ClusterConfig struct {
 	// and check that trace inclusion catches them.
 	WrapMachine func(id netem.NodeID, m core.Machine) core.Machine
 	// TimerWheel is ignored; it stays declared only until bench/ stops setting it.
+	//
+	//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 	TimerWheel bool
 }
 
@@ -459,20 +461,6 @@ func (c *Cluster) SetDrift(id netem.NodeID, num, den int64, skew core.Tick) erro
 		return fmt.Errorf("%w: node %d has no driftable clock (fault injection off?)", ErrNodeConfig, id)
 	}
 	return dc.SetDrift(num, den, skew)
-}
-
-// AllInactiveBy reports whether every node has stopped participating
-// (crashed, inactivated, or left).
-func (c *Cluster) AllInactiveBy() bool {
-	if c.Coordinator.Status() == core.StatusActive {
-		return false
-	}
-	for _, n := range c.Participants {
-		if n.Status() == core.StatusActive {
-			return false
-		}
-	}
-	return true
 }
 
 // FirstEvent returns the first recorded event matching kind on node, or

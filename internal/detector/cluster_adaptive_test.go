@@ -36,9 +36,11 @@ func TestClusterAdaptiveSurvivesLossEpisode(t *testing.T) {
 		t.Fatalf("adaptive coordinator inactivated under survivable loss: %v", c.Events)
 	}
 	var widened, tightened bool
+	var last Event
 	for _, e := range c.Events {
 		switch e.Kind {
 		case EventRetuned:
+			last = e
 			if e.TMax > env.TMaxLo {
 				widened = true
 			} else if widened {
@@ -54,12 +56,8 @@ func TestClusterAdaptiveSurvivesLossEpisode(t *testing.T) {
 	if !tightened {
 		t.Fatalf("no tighten after the episode ended: %v", c.Events)
 	}
-	ac, ok := c.Coordinator.Machine().(*core.AdaptiveCoordinator)
-	if !ok {
-		t.Fatalf("coordinator machine is %T, want *core.AdaptiveCoordinator", c.Coordinator.Machine())
-	}
-	if ac.Level() != 0 {
-		t.Fatalf("level = %d after recovery, want 0", ac.Level())
+	if tmin, tmax := env.Point(0); last.TMin != tmin || last.TMax != tmax {
+		t.Fatalf("last retune to (%d, %d), want level 0's (%d, %d) after recovery", last.TMin, last.TMax, tmin, tmax)
 	}
 
 	// The same episode against the fixed level-0 constants tears the

@@ -69,7 +69,7 @@ func TestClusterScheduledCrashDetected(t *testing.T) {
 	if delay <= 0 || delay > bound {
 		t.Fatalf("detection delay %d outside (0, %d]", delay, bound)
 	}
-	if !c.AllInactiveBy() {
+	if !allInactive(c) {
 		t.Fatal("cluster not fully inactive after detection")
 	}
 }
@@ -88,7 +88,7 @@ func TestClusterScheduledRestartRevives(t *testing.T) {
 			{At: 200, Kind: faults.KindCrash, Node: 1},
 			{At: 600, Kind: faults.KindRestart, Node: 1},
 		}},
-		Heal: &SupervisorConfig{CheckEvery: 8, Backoff: Backoff{Base: 2, Max: 16}, Seed: 21},
+		Heal: &SupervisorConfig{CheckEvery: 8, Backoff: Backoff{Base: 2, Max: 16}},
 	}
 	c := newCluster(t, cfg)
 	defer c.Stop()

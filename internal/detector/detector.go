@@ -34,16 +34,15 @@ const (
 	EventJoined
 	// EventLeft: a dynamic participant completed a graceful leave.
 	EventLeft
-	// EventDown: a Supervisor confirmed a suspected peer as down after
-	// the confirmation window elapsed with no contradicting evidence.
+	// EventDown: a Supervisor confirmed a suspected peer as down; it
+	// follows the peer's first suspicion since it last (re)joined or was
+	// restarted.
 	EventDown
 	// EventRestarted: a Supervisor restarted the node with a fresh
 	// machine.
 	EventRestarted
 	// EventPanic: a handler panic on the node was recovered.
 	EventPanic
-	// EventGaveUp: the Supervisor exhausted the node's restart budget.
-	EventGaveUp
 	// EventRetuned: an adaptive coordinator moved its timing constants to
 	// a new operating point (TMin, TMax) within its envelope.
 	EventRetuned
@@ -70,8 +69,6 @@ func (k EventKind) String() string {
 		return "restarted"
 	case EventPanic:
 		return "panic"
-	case EventGaveUp:
-		return "gave-up"
 	case EventRetuned:
 		return "retuned"
 	case EventIncident:
@@ -183,14 +180,6 @@ func (n *Node) Status() core.Status {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.cfg.Machine.Status()
-}
-
-// Machine returns the node's current protocol machine. After a Restart
-// this is the replacement machine, not the one the node was built with.
-func (n *Node) Machine() core.Machine {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cfg.Machine
 }
 
 // SetRecover installs a handler for panics escaping the protocol machine.

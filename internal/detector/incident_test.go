@@ -8,7 +8,7 @@ import (
 )
 
 // TestSupervisorReportIncident: incidents from an attached conformance
-// checker are counted and emitted as EventIncident with the summary in
+// checker are emitted as EventIncident with the summary in
 // Detail — including after Stop, since streaming checkers file their
 // loss-gated verdicts at Finish, after the run ends.
 func TestSupervisorReportIncident(t *testing.T) {
@@ -18,7 +18,6 @@ func TestSupervisorReportIncident(t *testing.T) {
 	sup, err := NewSupervisor(SupervisorConfig{
 		Clock:  clock,
 		Events: EventFunc(func(e Event) { events = append(events, e) }),
-		Seed:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -28,9 +27,6 @@ func TestSupervisorReportIncident(t *testing.T) {
 	sup.Stop()
 	sup.ReportIncident(2, "R2 violated at t=40 by p[2] (event 9)")
 
-	if got := sup.Metrics().Incidents; got != 2 {
-		t.Fatalf("Incidents = %d, want 2", got)
-	}
 	var inc []Event
 	for _, e := range events {
 		if e.Kind == EventIncident {

@@ -45,7 +45,7 @@ func restartTimes(events []Event) []core.Tick {
 // TestSupervisorBackoffResetAfterCleanRejoin is the regression test for
 // the backoff exponent: repeated restarts grow it, but a clean rejoin
 // (EventJoined from the node) must reset it to zero so the next failure
-// episode starts from Base again — only the lifetime restart budget keeps
+// episode starts from Base again — only the lifetime restart count keeps
 // counting.
 func TestSupervisorBackoffResetAfterCleanRejoin(t *testing.T) {
 	s := sim.New(sim.WithSeed(7))
@@ -60,7 +60,6 @@ func TestSupervisorBackoffResetAfterCleanRejoin(t *testing.T) {
 		Events:     EventFunc(func(e Event) { events = append(events, e) }),
 		CheckEvery: 4,
 		Backoff:    Backoff{Base: 2, Max: 256},
-		Seed:       7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,100 +110,42 @@ func TestSupervisorBackoffResetAfterCleanRejoin(t *testing.T) {
 	}
 }
 
-// TestSupervisorEnvelopeAwareBackoff drives the same failing node twice —
-// once healthy, once after a retune above the envelope floor — and checks
-// that the degraded guard stretches every restart delay by
-// DegradedFactor, and releases once the coordinator tightens back.
-func TestSupervisorEnvelopeAwareBackoff(t *testing.T) {
-	env := core.Envelope{TMinLo: 2, TMinHi: 2, TMaxLo: 8, TMaxHi: 32}
-	run := func(retuneTMax core.Tick) ([]core.Tick, SupervisorMetrics) {
-		s := sim.New(sim.WithSeed(9))
-		net, err := netem.NewNetwork(s, netem.LinkConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		clock := netem.SimClock{Sim: s}
-		var events []Event
-		sup, err := NewSupervisor(SupervisorConfig{
-			Clock:          clock,
-			Events:         EventFunc(func(e Event) { events = append(events, e) }),
-			CheckEvery:     4,
-			Backoff:        Backoff{Base: 8, Max: 8},
-			Envelope:       &env,
-			DegradedFactor: 4,
-			Seed:           9,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lonelyResponder(t, sup, clock, net)
-		if retuneTMax != 0 {
-			sup.HandleEvent(Event{Node: 0, Kind: EventRetuned, TMin: 2, TMax: retuneTMax})
-		}
-		s.RunUntil(120)
-		return restartTimes(events), sup.Metrics()
-	}
-
-	healthy, hm := run(0)
-	degraded, dm := run(32)
-	if len(healthy) == 0 || len(degraded) == 0 {
-		t.Fatalf("expected restarts in both runs: %v / %v", healthy, degraded)
-	}
-	if hm.Degraded || hm.RestartsHeld != 0 {
-		t.Fatalf("healthy run tripped the guard: %+v", hm)
-	}
-	if !dm.Degraded || dm.RestartsHeld == 0 {
-		t.Fatalf("degraded run did not trip the guard: %+v", dm)
-	}
-	if dm.TMax != 32 {
-		t.Fatalf("guard did not record the operating point: %+v", dm)
-	}
-	// Same seed, same poll cadence: the only difference is the stretched
-	// backoff, Base·(DegradedFactor-1) = 24 ticks on the first restart.
-	if d := degraded[0] - healthy[0]; d != 24 {
-		t.Fatalf("first restart delayed by %d, want 24", d)
-	}
-
-	// A retune back to the envelope floor releases the guard.
-	s := sim.New()
-	sup, err := NewSupervisor(SupervisorConfig{Clock: netem.SimClock{Sim: s}, Envelope: &env})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup.HandleEvent(Event{Kind: EventRetuned, TMin: 2, TMax: 32})
-	if !sup.Metrics().Degraded {
-		t.Fatal("widened retune did not degrade")
-	}
-	sup.HandleEvent(Event{Kind: EventRetuned, TMin: 2, TMax: 8})
-	m := sup.Metrics()
-	if m.Degraded {
-		t.Fatal("floor retune did not release the guard")
-	}
-	if m.Retunes != 2 {
-		t.Fatalf("Retunes = %d, want 2", m.Retunes)
-	}
-}
-
-// TestSupervisorMetricsTransitions checks the suspect→confirmed counters.
+// TestSupervisorMetricsTransitions counts the suspect→down transitions in
+// the event stream: every suspicion is forwarded, only the first one per
+// failure becomes an EventDown, and a rejoin starts a new failure.
 func TestSupervisorMetricsTransitions(t *testing.T) {
 	s := sim.New()
-	sup, err := NewSupervisor(SupervisorConfig{Clock: netem.SimClock{Sim: s}, ConfirmAfter: 10})
+	suspects, downs := map[core.ProcID]int{}, map[core.ProcID]int{}
+	sup, err := NewSupervisor(SupervisorConfig{
+		Clock: netem.SimClock{Sim: s},
+		Events: EventFunc(func(e Event) {
+			switch e.Kind {
+			case EventSuspect:
+				suspects[e.Proc]++
+			case EventDown:
+				downs[e.Proc]++
+			}
+		}),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Peer 2: suspicion hardens into a confirm. Duplicate suspicions of an
-	// already-suspected peer do not double-count.
+	// Peer 2: a duplicate suspicion of an already-down peer is forwarded
+	// but not confirmed twice.
 	sup.HandleEvent(Event{Node: 0, Kind: EventSuspect, Proc: 2})
 	sup.HandleEvent(Event{Node: 0, Kind: EventSuspect, Proc: 2})
-	// Peer 3: contradicted inside the window, never confirmed.
+	// Peer 3: down, rejoins, and is suspected again — two failures.
 	sup.HandleEvent(Event{Node: 3, Kind: EventSuspect, Proc: 3})
 	sup.HandleEvent(Event{Node: 3, Kind: EventJoined})
+	sup.HandleEvent(Event{Node: 0, Kind: EventSuspect, Proc: 3})
 	s.RunUntil(30)
-	m := sup.Metrics()
-	if m.Suspects != 2 {
-		t.Fatalf("Suspects = %d, want 2", m.Suspects)
+	if suspects[2] != 2 || suspects[3] != 2 {
+		t.Fatalf("suspicions forwarded = %v, want 2 for each of peers 2 and 3", suspects)
 	}
-	if m.Confirms != 1 {
-		t.Fatalf("Confirms = %d, want 1", m.Confirms)
+	if downs[2] != 1 {
+		t.Fatalf("peer 2 confirmed down %d times, want once", downs[2])
+	}
+	if downs[3] != 2 {
+		t.Fatalf("peer 3 confirmed down %d times across a rejoin, want twice", downs[3])
 	}
 }

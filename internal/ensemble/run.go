@@ -54,6 +54,8 @@ type Config struct {
 	// Exact selects per-trial math/rand streams, verdict-identical to
 	// the detector/scenario path (differential testing); the default
 	// fast mode uses allocation-free splitmix64 counter streams.
+	//
+	//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 	Exact bool
 	// Workers shards the trial space by contiguous blocks; results are
 	// byte-identical at any worker count. 0 means 1.
@@ -62,6 +64,8 @@ type Config struct {
 	Block int
 	// Record keeps per-trial Outcomes (costs 40B/trial; differential
 	// tests and small campaigns only).
+	//
+	//lint:allow unused-export oracle: the differential against scenario compares recorded per-trial values (differential_test.go)
 	Record bool
 }
 

@@ -43,27 +43,19 @@ func (g GilbertElliott) Validate() error {
 	return nil
 }
 
-// GEProcess is the mutable chain state of one Gilbert–Elliott channel.
-// The fault layer keeps one per link; the fleet keeps one per cluster to
-// model shared-fate bursts across a cluster's whole membership. The zero
-// value is not meaningful — build processes with NewProcess.
-type GEProcess struct {
+// geChannel is the mutable chain state of one Gilbert–Elliott channel:
+// the fault-injection transport keeps one per link, starting in the Good
+// state.
+type geChannel struct {
 	params GilbertElliott
 	bad    bool
 }
 
-// NewProcess returns a chain in the Good state with these parameters.
-func (g GilbertElliott) NewProcess() GEProcess { return GEProcess{params: g} }
-
-// geChannel is the per-link chain state of the fault-injection transport.
-type geChannel = GEProcess
-
 // Lose advances the chain one message and reports whether that message is
-// lost. The caller supplies the random source so each owner (fault layer,
-// fleet shard) draws from its own seeded stream.
+// lost, drawing from the caller's seeded stream.
 //
 //hbvet:noalloc
-func (c *GEProcess) Lose(rng *rand.Rand) bool {
+func (c *geChannel) Lose(rng *rand.Rand) bool {
 	if c.bad {
 		if rng.Float64() < c.params.PBadGood {
 			c.bad = false

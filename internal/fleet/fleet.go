@@ -51,9 +51,6 @@ type Config struct {
 	LinkDelay sim.Time
 	// LossProb is the independent per-message loss probability, in [0, 1].
 	LossProb float64
-	// Burst, if non-nil, replaces Bernoulli loss with one shared-fate
-	// Gilbert–Elliott chain per cluster.
-	Burst *faults.GilbertElliott
 	// KillEvery, if positive, crashes one random live endpoint per shard
 	// every KillEvery ticks — the detection-latency workload. At most
 	// faults.MaxTicks, like every scheduled time.
@@ -115,11 +112,6 @@ func New(cfg Config) (*Fleet, error) {
 	if err := cfg.Core.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Burst != nil {
-		if err := cfg.Burst.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 64
 	}
@@ -176,7 +168,6 @@ func New(cfg Config) (*Fleet, error) {
 			respBound:   respBound,
 			linkDelay:   cfg.LinkDelay,
 			lossProb:    cfg.LossProb,
-			burst:       cfg.Burst != nil,
 			killEvery:   cfg.KillEvery,
 			clusterSize: int32(cfg.ClusterSize),
 			clusterLo:   int32(lo),
@@ -189,12 +180,6 @@ func New(cfg Config) (*Fleet, error) {
 			heard:       make([]uint32, cfg.Shards),
 			outbuf:      make([][]byte, cfg.Shards),
 			latHist:     make([]uint32, latCap),
-		}
-		if cfg.Burst != nil {
-			s.clGE = make([]faults.GEProcess, nCl)
-			for i := range s.clGE {
-				s.clGE[i] = cfg.Burst.NewProcess()
-			}
 		}
 		for cl := 0; cl < nCl; cl++ {
 			s.clAlive[cl] = int32(cfg.ClusterSize)
@@ -240,9 +225,6 @@ func New(cfg Config) (*Fleet, error) {
 
 // Now returns the fleet's virtual clock (the last completed barrier).
 func (f *Fleet) Now() sim.Time { return f.clock }
-
-// Epochs returns the number of completed epochs.
-func (f *Fleet) Epochs() uint32 { return f.epoch }
 
 // Root returns the fleet-wide rollup from the most recent barrier.
 func (f *Fleet) Root() core.Summary { return f.root }
@@ -383,6 +365,8 @@ func (f *Fleet) DetectionLatency() (p50, p99 sim.Time, samples uint64) {
 // Digest folds every shard's protocol state and counters into one FNV-1a
 // hash, in shard order. Two runs with the same Config (Workers aside)
 // must produce the same digest — the determinism pin for the fleet.
+//
+//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 func (f *Fleet) Digest() uint64 {
 	const (
 		offset64 = 14695981039346656037

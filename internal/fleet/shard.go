@@ -15,7 +15,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
@@ -55,7 +54,6 @@ type shard struct {
 	respBound   sim.Time
 	linkDelay   sim.Time
 	lossProb    float64
-	burst       bool
 	killEvery   sim.Time
 	clusterSize int32
 	clusterLo   int32 // global id of this shard's first cluster
@@ -69,7 +67,6 @@ type shard struct {
 	// Per-cluster rollup state.
 	clAlive []int32
 	clDet   []uint32
-	clGE    []faults.GEProcess
 
 	// Aggregators hosted on this shard (global id ≡ shard id mod numShards).
 	aggs []aggregator
@@ -157,15 +154,10 @@ func (s *shard) schedule(at sim.Time, word uint32) int32 {
 	return s.cal.add(at, word)
 }
 
-// roll draws one loss verdict for a message in cluster cl. With a burst
-// channel configured the whole cluster shares one Gilbert–Elliott chain
-// (shared fate); otherwise losses are independent Bernoulli draws.
+// roll draws one independent Bernoulli loss verdict for a message.
 //
 //hbvet:noalloc
-func (s *shard) roll(cl int32) bool {
-	if s.burst {
-		return s.clGE[cl].Lose(s.rng)
-	}
+func (s *shard) roll() bool {
 	return s.lossProb > 0 && s.rng.Float64() < s.lossProb
 }
 
@@ -184,10 +176,9 @@ func (s *shard) onRound(e int32) {
 	}
 	s.beats++
 	w := sim.Time(s.wait[e])
-	cl := e / s.clusterSize
 	arriveAt := s.now - w + s.linkDelay
 	received := false
-	if s.roll(cl) {
+	if s.roll() {
 		s.losses++
 	} else {
 		aliveAtArrival := fl&fInactive == 0 &&
@@ -196,7 +187,7 @@ func (s *shard) onRound(e int32) {
 			// The member processed the beat: its responder watchdog
 			// re-arms from the receipt time (the paper's responder bound).
 			s.watch[e] = s.schedule(arriveAt+s.respBound, kWatch<<kindShift|uint32(e))
-			if s.roll(cl) {
+			if s.roll() {
 				s.losses++
 			} else if 2*s.linkDelay < w {
 				received = true
@@ -207,6 +198,7 @@ func (s *shard) onRound(e int32) {
 	next, ok := s.cfg.NextWait(core.Tick(w), received)
 	if !ok {
 		s.flags[e] = fl | fSuspected
+		cl := e / s.clusterSize
 		s.clAlive[cl]--
 		s.clDet[cl]++
 		s.detections++

@@ -69,9 +69,18 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) []*want 
 // reconciles the findings against the package's want comments.
 func runGolden(t *testing.T, pkgdir, check string) {
 	t.Helper()
-	pkg := loadFixture(t, pkgdir)
-	findings := NewProgram([]*Package{pkg}).Run(Config{Checks: []string{check}})
-	wants := collectWants(t, pkg.Fset, pkg.Files)
+	checkWants(t, []*Package{loadFixture(t, pkgdir)}, check)
+}
+
+// checkWants runs the named check over pkgs as one program and reconciles
+// the findings against their want comments.
+func checkWants(t *testing.T, pkgs []*Package, check string) {
+	t.Helper()
+	findings := NewProgram(pkgs).Run(Config{Checks: []string{check}})
+	var wants []*want
+	for _, pkg := range pkgs {
+		wants = append(wants, collectWants(t, pkg.Fset, pkg.Files)...)
+	}
 
 	for _, f := range findings {
 		ok := false
@@ -96,18 +105,25 @@ func runGolden(t *testing.T, pkgdir, check string) {
 // loadFixture loads internal/lint/testdata/<pkgdir> as one package.
 func loadFixture(t *testing.T, pkgdir string) *Package {
 	t.Helper()
-	loader, err := NewLoader(moduleRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load(filepath.Join("internal/lint/testdata", pkgdir))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadFixtures(t, pkgdir)
 	if len(pkgs) != 1 {
 		t.Fatalf("want one package, got %d", len(pkgs))
 	}
 	return pkgs[0]
+}
+
+// loadFixtures loads the packages internal/lint/testdata/<pattern> names.
+func loadFixtures(t *testing.T, pattern string) []*Package {
+	t.Helper()
+	loader, err := NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load(filepath.Join("internal/lint/testdata", pattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
 }
 
 // moduleRoot walks up from the package directory to go.mod.
@@ -201,5 +217,30 @@ func TestDirectiveHygiene(t *testing.T) {
 		if f.Check == "unused-suppression" {
 			t.Errorf("unused-suppression fired for a check that did not run: %s", f)
 		}
+	}
+}
+
+// TestGoldenUnusedExport pins what counts as used by a command: a call, an
+// interface dispatch, a method value, a generic instantiation's method, a
+// package-level initialiser and a standard-library String all do; a call
+// from bench/ or a test does not, and neither does a Config field only
+// they set. The allow on the bench shim is live.
+func TestGoldenUnusedExport(t *testing.T) {
+	checkWants(t, loadFixtures(t, "unusedexport/..."), "unused-export")
+	prog := NewProgram(loadFixtures(t, "unusedexport/..."))
+	for _, f := range prog.Run(Config{Checks: []string{"unused-export", "unused-suppression"}}) {
+		if f.Check != "unused-export" {
+			t.Errorf("unexpected finding: %s", f)
+		}
+	}
+}
+
+// TestUnusedExportNeedsACommand: without a cmd/ main in the load there is
+// nothing to measure against, so the check reports nothing and leaves its
+// directives unjudged.
+func TestUnusedExportNeedsACommand(t *testing.T) {
+	prog := NewProgram(loadFixtures(t, "unusedexport/lib"))
+	if got := prog.Run(Config{Checks: []string{"unused-export", "unused-suppression"}}); len(got) != 0 {
+		t.Fatalf("findings without a command: %v", got)
 	}
 }

@@ -30,6 +30,10 @@
 //     sites (make/new, escaping composite literals, escaping closures,
 //     appends that build fresh slices, implicit interface conversions,
 //     known-allocating callees, calls through function values).
+//   - unused-export: an exported function or method that no main package
+//     under cmd/ or examples/ reaches, or an exported field of a *Config
+//     or *Options struct that no reached code sets, is a finding; bench/
+//     and tests do not count as callers.
 //   - unused-suppression: a //lint:allow directive that suppressed
 //     nothing is a finding.
 //
@@ -81,6 +85,9 @@ type Pass struct {
 
 	findings *[]Finding
 	supp     *suppressions
+	// inert is set by an analyzer that found nothing to judge in this
+	// load; its directives then count as not run for unused-suppression.
+	inert bool
 }
 
 // Config tunes the analyzer suite.
@@ -101,6 +108,7 @@ func Analyzers() []*Analyzer {
 		AnalyzerBufferReuse,
 		AnalyzerSyncDiscipline,
 		AnalyzerNoallocClosure,
+		AnalyzerUnusedExport,
 		AnalyzerUnusedSuppression,
 	}
 }
@@ -289,8 +297,9 @@ func (prog *Program) Run(cfg Config) []Finding {
 		if a.Run == nil || !cfg.enabled(a.Name) {
 			continue
 		}
-		ran[a.Name] = true
-		a.Run(&Pass{Analyzer: a, Prog: prog, findings: &findings, supp: supp})
+		pass := &Pass{Analyzer: a, Prog: prog, findings: &findings, supp: supp}
+		a.Run(pass)
+		ran[a.Name] = !pass.inert
 	}
 	findings = supp.apply(findings, ran, cfg.enabled(AnalyzerUnusedSuppression.Name))
 	sort.Slice(findings, func(i, j int) bool {

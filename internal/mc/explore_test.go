@@ -60,11 +60,11 @@ func TestCanonExploresQuotient(t *testing.T) {
 			s.Clocks[x] = 0
 		}
 	}
-	whole, _, err := CountStates(net, Options{})
+	whole, _, err := countStates(net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	quotient, _, err := CountStates(net, Options{Canon: canon})
+	quotient, _, err := countStates(net, Options{Canon: canon})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,6 +59,8 @@ type Options struct {
 	// BuildLTS still ignores Prune.
 	Canon func(*ta.State)
 	// Workers is ignored; it stays declared only until bench/ stops setting it.
+	//
+	//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 	Workers int
 }
 
@@ -102,7 +104,8 @@ type Result struct {
 
 // CheckReachability explores the network breadth-first from its initial
 // configuration and reports whether any configuration satisfying goal is
-// reachable, together with a shortest witness.
+// reachable, together with a shortest witness. A nil goal matches
+// nothing: the whole reachable space is explored and counted.
 //
 // The check completes the BFS level a goal state is found on before
 // returning, and the witness leads to the first goal state in discovery
@@ -180,18 +183,4 @@ func (e *explorer) recordedAs(s *ta.State, key []byte) bool {
 	}
 	e.keyBuf = s.AppendKey(e.keyBuf[:0])
 	return bytes.Equal(e.keyBuf, key)
-}
-
-// Invariant explores the full state space and reports the first violation
-// of pred (a safety check: pred must hold in every reachable state). It is
-// CheckReachability with the goal negated, packaged for readability.
-func Invariant(n *ta.Network, pred func(*ta.State) bool, opts Options) (Result, error) {
-	return CheckReachability(n, func(s *ta.State) bool { return !pred(s) }, opts)
-}
-
-// CountStates exhaustively generates the reachable state space and returns
-// its size; useful for regression-pinning model sizes.
-func CountStates(n *ta.Network, opts Options) (states, transitions int, err error) {
-	_, _, states, transitions, err = explore(n, nil, opts, false)
-	return states, transitions, err
 }

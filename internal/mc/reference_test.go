@@ -37,7 +37,7 @@ func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool, canon func(*t
 	ids := map[string]int{}
 	add := func(s *ta.State, parent int, label alphabet.Label, delay bool) int {
 		id := len(r.states)
-		ids[s.Key()] = id
+		ids[string(s.AppendKey(nil))] = id
 		r.states = append(r.states, s.Clone())
 		r.parent = append(r.parent, parent)
 		r.label = append(r.label, label)
@@ -61,7 +61,7 @@ func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool, canon func(*t
 				if canon != nil {
 					canon(&tr.Target)
 				}
-				to, seen := ids[tr.Target.Key()]
+				to, seen := ids[string(tr.Target.AppendKey(nil))]
 				switch {
 				case seen:
 				case limit > 0 && len(r.states) >= limit:
@@ -117,8 +117,17 @@ func inactiveWatchdogCanon(t *testing.T, n *ta.Network) func(*ta.State) {
 	t.Helper()
 	aut, vInact, nvInact, wfb := -1, -1, -1, -1
 	for i, a := range n.Automata() {
-		if a.Name == "Pp[1]" {
-			aut, vInact, nvInact = i, n.LocationIndex(a, "VInact"), n.LocationIndex(a, "NVInact")
+		if a.Name != "Pp[1]" {
+			continue
+		}
+		aut = i
+		for l, loc := range a.Locations {
+			switch loc.Name {
+			case "VInact":
+				vInact = l
+			case "NVInact":
+				nvInact = l
+			}
 		}
 	}
 	for c := 0; c < n.NumClocks(); c++ {
@@ -240,12 +249,12 @@ func matchReference(t *testing.T, n *ta.Network, canon func(*ta.State), res mc.R
 		if canon != nil {
 			canon(&rep)
 		}
-		if got.Label != w.Label || got.Delay != w.Delay || got.Time != w.Time || rep.Key() != w.State.Key() {
+		if got.Label != w.Label || got.Delay != w.Delay || got.Time != w.Time || string(rep.AppendKey(nil)) != string(w.State.AppendKey(nil)) {
 			t.Fatalf("step %d = %q delay=%v t=%d %v, reference %q delay=%v t=%d %v",
 				i, got.Label, got.Delay, got.Time, got.State, w.Label, w.Delay, w.Time, w.State)
 		}
 		if i > 0 && !slices.ContainsFunc(n.Successors(&res.Trace[i-1].State, nil), func(tr ta.Transition) bool {
-			return tr.Label == got.Label && tr.Delay == got.Delay && tr.Target.Key() == got.State.Key()
+			return tr.Label == got.Label && tr.Delay == got.Delay && string(tr.Target.AppendKey(nil)) == string(got.State.AppendKey(nil))
 		}) {
 			t.Fatalf("step %d, %q to %v, is no transition of the network", i, got.Label, got.State)
 		}

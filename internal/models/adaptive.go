@@ -64,6 +64,8 @@ func (e Envelope) LevelConfig(base Config, level int) Config {
 // envelope — the closure argument for the adaptive variant: each retune
 // lands on a verified operating point, so the degradation path as a whole
 // inherits R1–R3 from its corner points and everything between.
+//
+//lint:allow unused-export experiment D's verified envelope: go test -run TestVerifyEnvelope ./internal/models/
 func VerifyEnvelope(base Config, env Envelope, props []Property, opts mc.Options) ([]Verdict, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err

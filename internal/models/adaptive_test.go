@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mc"
-	"repro/internal/trace"
 )
 
 // TestEnvelopeAgreesWithCore: the verified family is the deployed one.
@@ -143,7 +142,7 @@ func TestVerifyEnvelopeBinary(t *testing.T) {
 	for _, v := range verdicts {
 		if !v.Satisfied {
 			t.Errorf("%v fails at (%d,%d):\n%s", v.Property, v.Cfg.TMin, v.Cfg.TMax,
-				trace.Summary(v.Result.Trace))
+				summary(v.Result.Trace))
 		}
 		if v.Cfg.WatchdogTMax != env.TMaxHi {
 			t.Fatalf("level config lost the watchdog ceiling: %+v", v.Cfg)
@@ -171,7 +170,7 @@ func TestVerifyEnvelopeDynamic(t *testing.T) {
 	for _, v := range verdicts {
 		if !v.Satisfied {
 			t.Errorf("%v fails at (%d,%d):\n%s", v.Property, v.Cfg.TMin, v.Cfg.TMax,
-				trace.Summary(v.Result.Trace))
+				summary(v.Result.Trace))
 		}
 	}
 }

@@ -11,12 +11,11 @@ import (
 	"repro/internal/alphabet"
 	"repro/internal/mc"
 	"repro/internal/ta"
-	"repro/internal/trace"
 )
 
 // The verdict path and the conformance specs explore quotients
 // (deadclock.go, symmetry.go). The unreduced successor relation — which
-// CountStates, mc.BuildLTS and VerifyGoal stay on — is the oracle for them.
+// countStates, mc.BuildLTS and VerifyGoal stay on — is the oracle for them.
 
 // bisimOracle is a goal predicate for the unreduced checker: broken(s)
 // reports that s -> canon(s) fails, at s, to be a functional strong
@@ -107,7 +106,7 @@ func runOracle(net *ta.Network, broken func(*ta.State) bool, why *string, prefix
 	}
 	if res.Reachable {
 		last := res.Trace[len(res.Trace)-1]
-		failure = fmt.Sprintf("at %v: %s\n%s", last.State, *why, trace.Summary(res.Trace))
+		failure = fmt.Sprintf("at %v: %s\n%s", last.State, *why, summary(res.Trace))
 	}
 	return res.StatesExplored, failure, err
 }

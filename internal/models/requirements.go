@@ -128,10 +128,10 @@ type Verdict struct {
 // variable — so they are checked on the model built without it; every
 // property is checked with dead clocks stored as 0 and the identical
 // participants sorted (see (*Model).Verify). Result.StatesExplored
-// therefore counts quotient states (mc.CountStates on Build(cfg).Net gives
-// the size of the network itself). A counter-example is a run of the
-// network the check built: for R2 or R3, that of the model Build returns
-// for cfg with NoMonitor set.
+// therefore counts quotient states (mc.CheckReachability on Build(cfg).Net
+// with a nil goal gives the size of the network itself). A counter-example
+// is a run of the network the check built: for R2 or R3, that of the
+// model Build returns for cfg with NoMonitor set.
 func Verify(cfg Config, prop Property, opts mc.Options) (Verdict, error) {
 	// The verdict is about cfg, monitor and all: constants only the slice
 	// could build are refused for every property alike.

@@ -23,6 +23,8 @@ import (
 // take up to tmin to land, and the surviving participants' watchdogs
 // expire a responder bound later. A crashed coordinator needs only the
 // last two terms, so the sum covers both directions.
+//
+//lint:allow unused-export experiment G: go test -bench BenchmarkShutdownGoal -benchtime 1x .
 func (c Config) ShutdownBound() int32 {
 	inflight := c.TMin
 	if c.joinPhase() {
@@ -42,6 +44,8 @@ type ShutdownModel struct {
 // BuildWithShutdownMonitor builds the protocol model plus a monitor that
 // errors when, bound ticks after the first voluntary inactivation, some
 // process is still active (and, for dynamic, has not left).
+//
+//lint:allow unused-export experiment G: go test -bench BenchmarkShutdownGoal -benchtime 1x .
 func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 	if bound < 1 || bound > ta.MaxClockCap-2 {
 		return nil, fmt.Errorf("%w: shutdown bound must be in 1..%d", ErrConfig, ta.MaxClockCap-2)
@@ -151,6 +155,8 @@ func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 }
 
 // Violated reports whether the shutdown monitor reached Error.
+//
+//lint:allow unused-export experiment G: go test -bench BenchmarkShutdownGoal -benchtime 1x .
 func (sm *ShutdownModel) Violated(s *ta.State) bool {
 	return int(s.Locs[sm.monAut]) == sm.errLoc
 }
@@ -161,6 +167,8 @@ func (sm *ShutdownModel) Violated(s *ta.State) bool {
 // participants stay interchangeable. Satisfied means every
 // reachable post-crash configuration winds the whole network down within
 // the bound.
+//
+//lint:allow unused-export experiment G: go test -bench BenchmarkShutdownGoal -benchtime 1x .
 func VerifyShutdown(cfg Config, bound int32, opts mc.Options) (Verdict, error) {
 	if err := cfg.Validate(); err != nil {
 		return Verdict{}, err

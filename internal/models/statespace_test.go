@@ -30,9 +30,9 @@ func TestStateSpacePins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%+v): %v", cfg, err)
 		}
-		states, transitions, err := mc.CountStates(m.Net, mc.Options{})
+		states, transitions, err := countStates(m.Net, mc.Options{})
 		if err != nil {
-			t.Fatalf("CountStates(%+v): %v", cfg, err)
+			t.Fatalf("countStates(%+v): %v", cfg, err)
 		}
 		if states != wantStates || transitions != wantTransitions {
 			t.Errorf("%+v: %d states, %d transitions; pinned %d, %d",

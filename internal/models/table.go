@@ -129,6 +129,8 @@ func FormatTable(cells []Cell) string {
 
 // VerdictString flattens the R1R2R3 verdicts for one variant and tmin into
 // a compact "FTT"-style string, for tests.
+//
+//lint:allow unused-export Tables 1-2 check every row with it: go test -bench BenchmarkTable -benchtime 1x .
 func VerdictString(cells []Cell, variant Variant, tmin int32) string {
 	out := ""
 	for _, prop := range []Property{R1, R2, R3} {

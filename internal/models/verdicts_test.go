@@ -1,6 +1,7 @@
 package models
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -56,7 +57,7 @@ func checkRow(t *testing.T, variant Variant, prop Property, fixed bool, want str
 		if v.Satisfied != wantSat {
 			detail := ""
 			if !v.Satisfied {
-				detail = "\n" + trace.Summary(v.Result.Trace)
+				detail = "\n" + summary(v.Result.Trace)
 			}
 			t.Errorf("%v %v tmin=%d fixed=%v: satisfied=%v, want %v%s",
 				variant, prop, tmin, fixed, v.Satisfied, wantSat, detail)
@@ -176,8 +177,8 @@ func TestFigureCatalogue(t *testing.T) {
 		if last.Time <= 20 {
 			t.Fatalf("error at %d, want after 2·tmax=20", last.Time)
 		}
-		if !contains(trace.Summary(res.Trace), "deliver beat to p[0]") {
-			t.Fatalf("trace lacks the stale delivery:\n%s", trace.Summary(res.Trace))
+		if !contains(summary(res.Trace), "deliver beat to p[0]") {
+			t.Fatalf("trace lacks the stale delivery:\n%s", summary(res.Trace))
 		}
 	})
 
@@ -292,4 +293,14 @@ func TestReproduceFailsWhenSatisfied(t *testing.T) {
 	if _, err := f.Reproduce(mc.Options{MaxStates: 5_000_000}); err == nil {
 		t.Fatal("Reproduce on a satisfied property must fail")
 	}
+}
+
+// summary renders a witness one line per displayed event, for failure
+// messages.
+func summary(steps []mc.Step) string {
+	var sb strings.Builder
+	for _, e := range trace.Events(steps) {
+		fmt.Fprintf(&sb, "t=%-4d %-8s %s\n", e.Time, e.Lane, e.Text)
+	}
+	return sb.String()
 }

@@ -96,6 +96,7 @@ type WallClock struct {
 // a positive length.
 //
 //lint:allow determinism WallClock is the runtime's wall-clock boundary; simulated runs use SimClock
+//lint:allow unused-export ROADMAP item 10's real-time cluster is its first caller; TestRealTimeOverUDP drives it today
 func NewWallClock(tickLen time.Duration) (*WallClock, error) {
 	if tickLen <= 0 {
 		return nil, fmt.Errorf("netem: wall clock tick length %v must be positive", tickLen)

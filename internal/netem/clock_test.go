@@ -22,8 +22,9 @@ func TestSimTimerResetAndStopAreExact(t *testing.T) {
 	tm.Reset(4, 3)
 	tm.Stop()
 	tm.Stop() // idempotent
-	if s.Pending() != 0 {
-		t.Fatalf("Stop left %d events pending", s.Pending())
+	s.Run()
+	if len(got) != 1 {
+		t.Fatalf("a stopped timer fired: %v", got)
 	}
 	tm.Reset(0, 4) // a stopped timer arms again
 	s.Run()

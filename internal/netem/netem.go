@@ -59,6 +59,8 @@ type LinkConfig struct {
 	// drawn uniformly from [MinDelay, MaxDelay]. To respect the papers'
 	// round-trip bound tmin, configure each direction with
 	// MaxDelay <= tmin/2 (the conservative per-direction split).
+	//
+	//lint:allow unused-export test fake: the §6.1 race tests shape one link with it (detector/priority_test.go)
 	MinDelay sim.Time
 	MaxDelay sim.Time
 }
@@ -175,6 +177,8 @@ func (n *Network) Register(id NodeID, h Handler) error {
 
 // SetLink overrides the configuration of the from→to link; the nodes need
 // not be registered yet, but their IDs must lie in [0, MaxNodes).
+//
+//lint:allow unused-export test fake: the §6.1 race tests shape one link with it (detector/priority_test.go), checked against netem's reference network
 func (n *Network) SetLink(from, to NodeID, cfg LinkConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err

@@ -235,8 +235,8 @@ type CampaignConfig struct {
 	// surfaces the moment it happens, with bounded memory, not at trial
 	// teardown. Unconfirmed divergences and R1–R3 violations land as
 	// structured incidents in CampaignResult.Incidents, and — when Heal is
-	// set — on the trial supervisor's grading path (detector.EventIncident,
-	// SupervisorMetrics.Incidents). The cluster's protocol shape (variant,
+	// set — in the trial's events through its supervisor
+	// (detector.EventIncident). The cluster's protocol shape (variant,
 	// timing constants, N) is derived from Conform.Model, overriding the
 	// corresponding Cluster fields, so runtime and model cannot drift
 	// apart; the Cluster's Link and Seed knobs still apply. Requires a
@@ -252,11 +252,15 @@ type CampaignConfig struct {
 	// restarts as by-design.
 	Conform *conform.CampaignCheck
 	// Stream is ignored; it stays declared only until bench/ stops setting it.
+	//
+	//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 	Stream bool
 	// Workers is the number of concurrent trials; values below 2 run on
 	// the calling goroutine. Each trial owns its simulator and cluster and
 	// derives its seed from Seed and the trial index alone, so the result
 	// is identical at any worker count.
+	//
+	//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 	Workers int
 }
 

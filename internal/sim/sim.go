@@ -48,25 +48,10 @@ type Event func()
 // timers are created by Simulator.Schedule and Simulator.ScheduleAt. A
 // handle survives its event: once the event fires or is cancelled the
 // underlying wheel id is recycled and the handle's generation goes stale, so
-// Cancel and Active on an old handle are safe no-ops.
+// Cancel on an old handle is a safe no-op.
 type Timer struct {
 	s  *Simulator
 	wt WheelTimer
-}
-
-// Active reports whether the timer is still pending — scheduled, and
-// neither fired nor cancelled.
-func (t Timer) Active() bool {
-	return t.s != nil && t.s.wheel.Active(t.wt)
-}
-
-// At reports the virtual time a pending timer fires at; 0 once the timer
-// has fired or been cancelled.
-func (t Timer) At() Time {
-	if !t.Active() {
-		return 0
-	}
-	return t.s.slots[t.wt.idx].at
 }
 
 // Cancel prevents the timer's event from running and takes it out of
@@ -133,12 +118,9 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // EventsExecuted returns the number of events run so far.
+//
+//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 func (s *Simulator) EventsExecuted() uint64 { return s.executed }
-
-// Pending returns the exact number of events waiting in the queue:
-// cancelled timers leave the count at once, whenever the wheel gets round
-// to reclaiming their storage.
-func (s *Simulator) Pending() int { return s.wheel.Len() }
 
 // Schedule runs fn after d ticks. A negative d is an error; d == 0 runs fn
 // at the current tick, after all events already queued for this tick.
@@ -176,6 +158,7 @@ func (s *Simulator) ScheduleAt(t Time, fn Event) (Timer, error) {
 // queue is empty.
 //
 //hbvet:noalloc
+//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 func (s *Simulator) Step() bool { return s.stepUntil(math.MaxInt64) }
 
 // stepUntil is Step restricted to events at or before deadline.
@@ -200,6 +183,8 @@ func (s *Simulator) stepUntil(deadline Time) bool {
 
 // Run executes events until the queue is empty and returns the final
 // virtual time.
+//
+//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 func (s *Simulator) Run() Time {
 	for s.Step() {
 	}

@@ -196,19 +196,10 @@ func NewTimerWheel() *TimerWheel {
 	return &TimerWheel{freeChunk: -1, freeSmall: -1}
 }
 
-// Len returns the number of pending (scheduled, neither fired nor
-// cancelled) entries.
-func (w *TimerWheel) Len() int { return w.count }
-
 // Now returns the wheel's horizon: the tick of the entries most recently
 // collected for firing. It trails the caller's logical clock between
 // events and can run ahead of it after a nextAt peek.
 func (w *TimerWheel) Now() Time { return w.now }
-
-// Active reports whether the handle's entry is still pending.
-func (w *TimerWheel) Active(t WheelTimer) bool {
-	return uint(t.idx) < uint(len(w.state)) && w.state[t.idx] == t.gen
-}
 
 // Schedule adds an entry firing at absolute time at. Entries at the same
 // tick fire in schedule order. Scheduling 2^48 ticks or more ahead of the
@@ -259,6 +250,7 @@ func (w *TimerWheel) Cancel(t WheelTimer) bool {
 // horizon advances to the entry's tick.
 //
 //hbvet:noalloc
+//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 func (w *TimerWheel) Pop() (payload uint32, at Time, ok bool) {
 	_, payload, at, ok = w.popUntil(math.MaxInt64)
 	return payload, at, ok

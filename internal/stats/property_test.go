@@ -98,3 +98,13 @@ func TestMergeDegenerate(t *testing.T) {
 		t.Fatalf("N source=%d dst=%d", s.N(), dst.N())
 	}
 }
+
+// Merge absorbs every observation of other into s, as if each had been
+// Added individually; other is unchanged.
+func (s *Sample) Merge(other *Sample) {
+	if other == nil || len(other.values) == 0 {
+		return
+	}
+	s.values = append(s.values, other.values...)
+	s.sorted = false
+}

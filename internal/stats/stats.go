@@ -26,24 +26,17 @@ func (s *Sample) Add(v float64) {
 	s.sorted = false
 }
 
-// Merge absorbs every observation of other into s, as if each had been
-// Added individually; other is unchanged. Useful for combining per-worker
-// samples after a parallel sweep.
-func (s *Sample) Merge(other *Sample) {
-	if other == nil || len(other.values) == 0 {
-		return
-	}
-	s.values = append(s.values, other.values...)
-	s.sorted = false
-}
-
 // N returns the number of observations.
+//
+//lint:allow unused-export oracle: the recorded plain-baseline pins and the worker-determinism test compare sample sizes (scenario_test.go)
 func (s *Sample) N() int { return len(s.values) }
 
 // Values returns a copy of the observations in insertion order — unless an
 // order-statistic query (Min/Max/Percentile) has already run, which sorts
 // the backing store in place. Callers needing insertion order must read
 // Values before such queries.
+//
+//lint:allow unused-export oracle: ensemble's differential against scenario compares per-trial values in insertion order (differential_test.go)
 func (s *Sample) Values() []float64 {
 	return append([]float64(nil), s.values...)
 }

@@ -72,15 +72,9 @@ func (w *Welford) Merge(o Welford) {
 }
 
 // N returns the number of observations.
+//
+//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 func (w *Welford) N() uint64 { return w.Count }
-
-// Mean returns the arithmetic mean.
-func (w *Welford) Mean() (float64, error) {
-	if w.Count == 0 {
-		return 0, ErrEmpty
-	}
-	return w.MeanV, nil
-}
 
 // Variance returns the unbiased sample variance.
 func (w *Welford) Variance() (float64, error) {
@@ -97,14 +91,6 @@ func (w *Welford) StdDev() (float64, error) {
 		return 0, err
 	}
 	return math.Sqrt(v), nil
-}
-
-// Min returns the smallest observation.
-func (w *Welford) Min() (float64, error) {
-	if w.Count == 0 {
-		return 0, ErrEmpty
-	}
-	return w.MinV, nil
 }
 
 // Max returns the largest observation.
@@ -177,6 +163,8 @@ func (q *QuantileSketch) Merge(o *QuantileSketch) error {
 }
 
 // N returns the number of observations.
+//
+//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 func (q *QuantileSketch) N() uint64 { return q.Total }
 
 // Width returns the bucket width — the resolution of every quantile

@@ -25,7 +25,7 @@ func TestWelfordMatchesSample(t *testing.T) {
 			t.Fatalf("trial %d: n %d != %d", trial, got, want)
 		}
 		sm, _ := s.Mean()
-		wm, _ := w.Mean()
+		wm := w.MeanV
 		if !closeRel(sm, wm, 1e-9) {
 			t.Fatalf("trial %d: mean %g (welford) vs %g (sample)", trial, wm, sm)
 		}
@@ -41,7 +41,7 @@ func TestWelfordMatchesSample(t *testing.T) {
 		}
 		smin, _ := s.Min()
 		smax, _ := s.Max()
-		wmin, _ := w.Min()
+		wmin := w.MinV
 		wmax, _ := w.Max()
 		if smin != wmin || smax != wmax {
 			t.Fatalf("trial %d: min/max (%g,%g) vs (%g,%g)", trial, wmin, wmax, smin, smax)

@@ -97,11 +97,6 @@ func (s *State) KeyLen() int {
 	return len(s.Locs) + 2*len(s.Clocks) + 2*len(s.Vars)
 }
 
-// Key returns the AppendKey encoding as a string, usable as a map key.
-func (s *State) Key() string {
-	return string(s.AppendKey(make([]byte, 0, s.KeyLen())))
-}
-
 // DecodeKey rebuilds the state encoded by AppendKey into s, reusing s's
 // slice capacity. numLocs and numClocks fix the layout; the variable count
 // is the remainder of the key. Values round-trip exactly when they fit in
@@ -255,32 +250,14 @@ func (n *Network) Add(a *Automaton) *Automaton {
 func (n *Network) Automata() []*Automaton { return n.automata }
 
 // ClockName returns the declared name of clock i.
+//
+//lint:allow unused-export oracle: mc's reference explorer finds p[1]'s watchdog clock by name (mc/reference_test.go)
 func (n *Network) ClockName(i int) string { return n.clockNames[i] }
 
-// VarName returns the declared name of variable i.
-func (n *Network) VarName(i int) string { return n.varNames[i] }
-
 // NumClocks returns the number of declared clocks.
+//
+//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 func (n *Network) NumClocks() int { return len(n.clockNames) }
-
-// NumVars returns the number of declared variables.
-func (n *Network) NumVars() int { return len(n.varNames) }
-
-// LocationName resolves automaton aut's location loc.
-func (n *Network) LocationName(aut int, loc uint8) string {
-	return n.automata[aut].Locations[loc].Name
-}
-
-// LocationIndex finds the index of the named location in automaton aut,
-// or -1.
-func (n *Network) LocationIndex(aut *Automaton, name string) int {
-	for i, l := range aut.Locations {
-		if l.Name == name {
-			return i
-		}
-	}
-	return -1
-}
 
 // Initial returns the initial configuration.
 func (n *Network) Initial() State {
@@ -433,6 +410,8 @@ func appendTarget(buf []Transition, src *State) ([]Transition, *Transition) {
 // must not be called concurrently on one Network, nor re-entered from a
 // Guard, Invariant, or Update closure. Concurrent exploration goes through
 // per-worker contexts from NewSuccCtx instead.
+//
+//lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
 func (n *Network) Successors(s *State, buf []Transition) []Transition {
 	if n.defaultCtx == nil || !n.compiled {
 		n.defaultCtx = n.NewSuccCtx()

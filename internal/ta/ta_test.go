@@ -426,7 +426,7 @@ func TestStateKeyInjective(t *testing.T) {
 		a := State{Locs: []uint8{l1}, Clocks: []int32{int32(c1)}, Vars: []int32{int32(v1)}}
 		b := State{Locs: []uint8{l2}, Clocks: []int32{int32(c2)}, Vars: []int32{int32(v1)}}
 		same := l1 == l2 && c1 == c2
-		return (a.Key() == b.Key()) == same
+		return (string(a.AppendKey(nil)) == string(b.AppendKey(nil))) == same
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -437,7 +437,7 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 	f := func(l uint8, c1, c2, v int16) bool {
 		s := State{Locs: []uint8{l, l + 1}, Clocks: []int32{int32(c1), int32(c2)}, Vars: []int32{int32(v)}}
 		buf := s.AppendKey(make([]byte, 0, s.KeyLen()))
-		return string(buf) == s.Key() && len(buf) == s.KeyLen()
+		return string(buf) == string(s.AppendKey(nil)) && len(buf) == s.KeyLen()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -453,7 +453,7 @@ func TestDecodeKeyRoundTrip(t *testing.T) {
 		}
 		var d State
 		d.DecodeKey(s.AppendKey(nil), len(s.Locs), len(s.Clocks))
-		return d.Key() == s.Key() &&
+		return string(d.AppendKey(nil)) == string(s.AppendKey(nil)) &&
 			d.Locs[0] == l1 && d.Locs[1] == l2 &&
 			d.Clocks[0] == int32(c1) && d.Clocks[1] == int32(c2) &&
 			d.Vars[0] == int32(v1) && d.Vars[1] == int32(v2) && d.Vars[2] == int32(v3)
@@ -515,17 +515,14 @@ func TestNetworkAccessors(t *testing.T) {
 	c := n.Clock("x", 5)
 	v := n.Var("flag", 1)
 	a := n.Add(&Automaton{Name: "a", Locations: []Location{{Name: "Init"}, {Name: "End"}}})
-	if n.ClockName(c) != "x" || n.VarName(v) != "flag" {
+	if n.ClockName(c) != "x" || n.varNames[v] != "flag" {
 		t.Fatal("name accessors")
 	}
-	if n.NumClocks() != 1 || n.NumVars() != 1 {
+	if n.NumClocks() != 1 || len(n.varNames) != 1 {
 		t.Fatal("count accessors")
 	}
-	if n.LocationName(0, 0) != "Init" {
-		t.Fatal("LocationName")
-	}
-	if n.LocationIndex(a, "End") != 1 || n.LocationIndex(a, "Nope") != -1 {
-		t.Fatal("LocationIndex")
+	if n.Automata()[0] != a || a.Locations[1].Name != "End" {
+		t.Fatal("locations")
 	}
 	s := n.Initial()
 	if s.Vars[v] != 1 {
@@ -561,7 +558,7 @@ func TestKeyHoldsLargestClock(t *testing.T) {
 	}
 	wrapped := State{Locs: []uint8{0}, Clocks: []int32{MaxClockCap + 1 + 1<<16, 0}}
 	other := State{Locs: []uint8{0}, Clocks: []int32{MaxClockCap + 1, 0}}
-	if wrapped.Key() != other.Key() {
+	if string(wrapped.AppendKey(nil)) != string(other.AppendKey(nil)) {
 		t.Fatal("expected values 2^16 apart to collide: the key format changed, revisit MaxClockCap")
 	}
 }

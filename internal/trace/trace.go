@@ -146,13 +146,3 @@ func Render(w io.Writer, title string, steps []mc.Step) error {
 	}
 	return nil
 }
-
-// Summary returns a one-line-per-event rendering, convenient for test
-// failure messages and logs.
-func Summary(steps []mc.Step) string {
-	var sb strings.Builder
-	for _, e := range Events(steps) {
-		fmt.Fprintf(&sb, "t=%-4d %-8s %s\n", e.Time, e.Lane, e.Text)
-	}
-	return sb.String()
-}

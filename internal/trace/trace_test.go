@@ -213,13 +213,19 @@ func TestRenderEmpty(t *testing.T) {
 	}
 }
 
+// TestSummary: the sample trace reduces to seven displayed events, one of
+// them at t=10, on p[1]'s lane among others.
 func TestSummary(t *testing.T) {
-	s := Summary(sampleTrace())
-	if !strings.Contains(s, "t=10") || !strings.Contains(s, "p[1]") {
-		t.Fatalf("summary = %q", s)
+	evs := Events(sampleTrace())
+	if len(evs) != 7 {
+		t.Fatalf("events = %d, want 7: %v", len(evs), evs)
 	}
-	lines := strings.Count(s, "\n")
-	if lines != 7 {
-		t.Fatalf("summary lines = %d, want 7", lines)
+	var at10, p1 bool
+	for _, e := range evs {
+		at10 = at10 || e.Time == 10
+		p1 = p1 || e.Lane == "p[1]"
+	}
+	if !at10 || !p1 {
+		t.Fatalf("no event at t=10 or on p[1]: %v", evs)
 	}
 }
