@@ -3,24 +3,31 @@ package mc
 // Breadth-first exploration over the packed state store.
 //
 // One goroutine explores; a state's id is its store id, assigned in
-// discovery order — (parent id, successor index), level by level. Every
-// output (counts, witness, LTS) follows from four rules:
+// discovery order — (parent id, successor index), level by level. One
+// exploration serves a set of goals, and every output (counts, witnesses,
+// LTS) follows from four rules, each of which holds per goal:
 //
 //   - states commit in discovery order, and a successor already in the
 //     store — from an earlier level or earlier in this one — is the stored
 //     state, so the first occurrence names the parent of the witness;
 //   - the level on which a goal state commits, or on which the state limit
 //     is crossed, is still expanded to its end, so TransitionsExplored
-//     counts whole levels;
-//   - the goal is evaluated only on states as they commit; the first to
-//     satisfy it is the witness. On a level that also crosses the limit
-//     the goal wins if it committed before the crossing, otherwise the
-//     run ends in ErrStateLimit;
+//     counts whole levels: a goal's counts are those at the end of the
+//     level its witness committed on, and the run stops once every goal
+//     has a witness;
+//   - a goal is evaluated only on states as they commit; the first to
+//     satisfy it is its witness. On a level that also crosses the limit a
+//     goal wins if it committed before the crossing, otherwise it ends in
+//     ErrStateLimit — as every goal still without a witness does;
 //   - past the limit nothing commits, and a recorded transition to such a
 //     state has no target id (BuildLTS fails with ErrStateLimit then, so
 //     no LTS ever shows one).
 //
-// reference_test.go's map-based BFS pins all four against real models.
+// Which states commit, and in what order, depends on the network, the
+// prune, the canonicaliser and the limit alone — never on the goals — so
+// each goal's witness, counts and error are exactly those of an
+// exploration for it alone. reference_test.go's map-based BFS pins all
+// four rules against real models, one goal at a time and shared.
 
 import (
 	"fmt"
@@ -38,10 +45,23 @@ type rawTrans struct {
 	label    uint16
 }
 
-// explorer holds one exploration: the store, the node records, the label
-// index and the scratch the expansion loop recycles.
+// goal is one reachability goal of an exploration and what it found.
+type goal struct {
+	pred func(*ta.State) bool // nil matches nothing
+	// witness is the id of the first committed state satisfying pred, -1
+	// while none has.
+	witness int
+	// states and transitions are the counts at the end of the level the
+	// witness committed on, once that level is done.
+	states, transitions int
+}
+
+// explorer holds one exploration: the store, the node records, the goals,
+// the label index and the scratch the expansion loop recycles.
 type explorer struct {
-	goal      func(*ta.State) bool
+	goals []goal
+	// open counts the goals whose witness level has not ended.
+	open      int
 	prune     func(*ta.State) bool
 	canon     func(*ta.State)
 	limit     int
@@ -72,11 +92,12 @@ type explorer struct {
 }
 
 // newExplorer builds the store and the label index and commits the initial
-// configuration as state 0; atGoal reports that it satisfies the goal.
-func newExplorer(n *ta.Network, goal func(*ta.State) bool, opts Options, withTrans bool) (e *explorer, atGoal bool, err error) {
+// configuration as state 0, level 0 of the search.
+func newExplorer(n *ta.Network, preds []func(*ta.State) bool, opts Options, withTrans bool) (*explorer, error) {
 	init := n.Initial()
-	e = &explorer{
-		goal:      goal,
+	e := &explorer{
+		goals:     make([]goal, len(preds)),
+		open:      len(preds),
 		prune:     opts.Prune,
 		canon:     opts.Canon,
 		limit:     min(opts.maxStates(), math.MaxInt32-1), // ids are int32 in the records
@@ -93,62 +114,85 @@ func newExplorer(n *ta.Network, goal func(*ta.State) bool, opts Options, withTra
 	for _, a := range n.Automata() {
 		for i := range a.Edges {
 			if !e.labels.Cover(a.Edges[i].Label) {
-				return nil, false, fmt.Errorf("%w: %v", ErrLabelLimit, a.Edges[i].Label)
+				return nil, fmt.Errorf("%w: %v", ErrLabelLimit, a.Edges[i].Label)
 			}
 		}
 	}
 	if e.labels.Len() > math.MaxUint16+1 {
-		return nil, false, fmt.Errorf("%w: %d ids", ErrLabelLimit, e.labels.Len())
+		return nil, fmt.Errorf("%w: %d ids", ErrLabelLimit, e.labels.Len())
 	}
 	key := init.AppendKey(make([]byte, 0, e.store.keyLen))
 	e.store.intern(key, hashKey(key))
 	e.info.push(nodeInfo{parent: -1})
-	return e, goal != nil && goal(&init), nil
+	for i, pred := range preds {
+		e.goals[i] = goal{pred: pred, witness: -1}
+		e.evalGoal(i, 0, &init)
+	}
+	e.endLevel()
+	return e, nil
 }
 
-// explore runs the BFS from the network's initial configuration. It
-// returns the explorer for trace/LTS reconstruction, the id of the witness
-// goal state (-1 if none was reached), and the state/transition counts.
-func explore(n *ta.Network, goal func(*ta.State) bool, opts Options, withTrans bool) (*explorer, int, int, int, error) {
-	e, atGoal, err := newExplorer(n, goal, opts, withTrans)
+// explore runs the BFS from the network's initial configuration for the
+// goals preds, until every goal has a witness, the space is exhausted or
+// the state limit is crossed (ErrStateLimit, which concerns only the goals
+// left without a witness). The explorer it returns holds each goal's
+// outcome and serves trace and LTS reconstruction.
+func explore(n *ta.Network, preds []func(*ta.State) bool, opts Options, withTrans bool) (*explorer, error) {
+	e, err := newExplorer(n, preds, opts, withTrans)
 	if err != nil {
-		return nil, -1, 0, 0, err
+		return nil, err
 	}
-	goalID := 0
-	if !atGoal {
-		goalID, err = e.run()
-	}
-	return e, goalID, e.info.n, e.transitions, err
+	return e, e.run()
 }
 
-// run is the level loop: the witness's id (-1 if no goal state committed)
-// or ErrStateLimit.
-func (e *explorer) run() (int, error) {
+// run is the level loop after level 0: nil, or ErrStateLimit. With no
+// goals at all it runs to the end, as for one that matches nothing.
+func (e *explorer) run() error {
 	levelStart, levelEnd := 0, 1
-	for levelStart < levelEnd {
-		goalID := -1
+	for levelStart < levelEnd && (e.open > 0 || len(e.goals) == 0) {
 		limitHit := false
 		for id := levelStart; id < levelEnd; id++ {
-			e.expand(id, &goalID, &limitHit)
+			e.expand(id, &limitHit)
 		}
-		if goalID >= 0 {
-			return goalID, nil
-		}
+		e.endLevel()
 		if limitHit {
-			return -1, fmt.Errorf("%w: %d states", ErrStateLimit, e.limit)
+			return fmt.Errorf("%w: %d states", ErrStateLimit, e.limit)
 		}
 		levelStart, levelEnd = levelEnd, e.info.n
 	}
-	return -1, nil
+	return nil
+}
+
+// evalGoal evaluates goal i on s, just committed as id, unless the goal has
+// a witness already.
+//
+//hbvet:noalloc
+func (e *explorer) evalGoal(i, id int, s *ta.State) {
+	g := &e.goals[i]
+	//lint:allow noalloc-closure prune/goal predicates are exploration configuration; the Options contract requires pure, allocation-free predicates
+	if g.witness < 0 && g.pred != nil && g.pred(s) {
+		g.witness = id
+	}
+}
+
+// endLevel snapshots the counts of every goal whose witness committed on
+// the level just expanded.
+func (e *explorer) endLevel() {
+	for i := range e.goals {
+		if g := &e.goals[i]; g.witness >= 0 && g.states == 0 {
+			g.states, g.transitions = e.info.n, e.transitions
+			e.open--
+		}
+	}
 }
 
 // expand generates id's successors, rewrites each to its class
 // representative when a canonicaliser is set, and commits first
 // occurrences as it meets them: one probe, insert at the slot the probe
-// ended on, check the goal.
+// ended on, check the goals.
 //
 //hbvet:noalloc
-func (e *explorer) expand(id int, goalID *int, limitHit *bool) {
+func (e *explorer) expand(id int, limitHit *bool) {
 	st := e.store
 	e.scratch.DecodeKey(st.key(id), e.numLocs, e.numClocks)
 	//lint:allow noalloc-closure prune/goal predicates are exploration configuration; the Options contract requires pure, allocation-free predicates
@@ -174,9 +218,8 @@ func (e *explorer) expand(id int, goalID *int, limitHit *bool) {
 		default:
 			to = st.insert(e.keyBuf, h, slot)
 			e.info.push(nodeInfo{parent: int32(id), delay: tr.Delay})
-			//lint:allow noalloc-closure prune/goal predicates are exploration configuration; the Options contract requires pure, allocation-free predicates
-			if *goalID < 0 && e.goal != nil && e.goal(&tr.Target) {
-				*goalID = to
+			for g := range e.goals {
+				e.evalGoal(g, to, &tr.Target)
 			}
 		}
 		if e.withTrans {

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -8,11 +9,14 @@ import (
 	"repro/internal/ta"
 )
 
-// TestSerialCheckerAllocBudget pins the allocation count of one small
-// check (the benchmark's mc.allocs_per_check reports the figure for a
-// real model), without and with a canonicaliser on the path. The bound
-// includes network construction and covers growth headroom; per-state or
-// per-level allocation back on the path blows straight through it.
+// TestSerialCheckerAllocBudget pins the allocation count and the bytes
+// allocated of one small check (the benchmark's mc.allocs_per_check reports
+// the count for a real model), without and with a canonicaliser on the
+// path. The bounds include network construction and cover growth headroom;
+// per-state or per-level allocation back on the path blows straight
+// through the count, and a store that sizes its pages for large checks up
+// front — 2^14 keys and node records, over 150 KB for these 30 states —
+// blows through the bytes.
 func TestSerialCheckerAllocBudget(t *testing.T) {
 	for _, quotient := range []bool{false, true} {
 		check := func() {
@@ -39,6 +43,16 @@ func TestSerialCheckerAllocBudget(t *testing.T) {
 		// The counter model plus one exploration sits around 100 allocs.
 		if avg > 200 {
 			t.Fatalf("quotient=%v: check allocates %.0f/op, budget 200", quotient, avg)
+		}
+		const runs, budget = 20, 48 << 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			check()
+		}
+		runtime.ReadMemStats(&after)
+		if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > budget {
+			t.Fatalf("quotient=%v: check allocates %d B/op, budget %d", quotient, bytes, budget)
 		}
 	}
 }
@@ -124,7 +138,7 @@ func TestCanonExploresQuotient(t *testing.T) {
 // states BuildLTS numbers.
 func committedStates(t *testing.T, net *ta.Network, opts Options) []ta.State {
 	t.Helper()
-	e, _, _, _, err := explore(net, nil, opts, true)
+	e, err := explore(net, nil, opts, true)
 	if err != nil {
 		t.Fatal(err)
 	}

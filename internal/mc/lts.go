@@ -33,7 +33,7 @@ type LTS struct {
 // contract that hook has here). Transitions come out in (source id,
 // successor enumeration) order.
 func BuildLTS(n *ta.Network, opts Options) (*LTS, error) {
-	e, _, _, _, err := explore(n, nil, Options{MaxStates: opts.MaxStates, Canon: opts.Canon}, true)
+	e, err := explore(n, nil, Options{MaxStates: opts.MaxStates, Canon: opts.Canon}, true)
 	if err != nil {
 		return nil, err
 	}

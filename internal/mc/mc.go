@@ -105,7 +105,8 @@ type Result struct {
 // CheckReachability explores the network breadth-first from its initial
 // configuration and reports whether any configuration satisfying goal is
 // reachable, together with a shortest witness. A nil goal matches
-// nothing: the whole reachable space is explored and counted.
+// nothing: the whole reachable space is explored and counted. It is
+// CheckGoals with one goal.
 //
 // The check completes the BFS level a goal state is found on before
 // returning, and the witness leads to the first goal state in discovery
@@ -117,14 +118,35 @@ type Result struct {
 // each step the first successor in enumeration order that falls into the
 // next class.
 func CheckReachability(n *ta.Network, goal func(*ta.State) bool, opts Options) (Result, error) {
-	e, goalID, states, transitions, err := explore(n, goal, opts, false)
-	res := Result{StatesExplored: states, TransitionsExplored: transitions}
-	if goalID >= 0 {
-		res.Reachable = true
-		res.Trace = rebuildTrace(e, goalID)
-		return res, nil
+	res, errs := CheckGoals(n, []func(*ta.State) bool{goal}, opts)
+	return res[0], errs[0]
+}
+
+// CheckGoals answers several reachability questions about one network
+// with one exploration: res[i] and errs[i] are exactly what
+// CheckReachability(n, goals[i], opts) returns — verdict, counts, witness
+// and error (ErrStateLimit when the limit is crossed before goals[i] has a
+// witness, even if an earlier goal got one). The goals share opts, so
+// Prune and Canon must be sound for each of them. The search stops at the
+// end of the level on which the last goal's witness commits.
+func CheckGoals(n *ta.Network, goals []func(*ta.State) bool, opts Options) (res []Result, errs []error) {
+	res, errs = make([]Result, len(goals)), make([]error, len(goals))
+	e, err := explore(n, goals, opts, false)
+	if e == nil {
+		for i := range errs {
+			errs[i] = err
+		}
+		return res, errs
 	}
-	return res, err
+	for i, g := range e.goals {
+		if g.witness < 0 {
+			res[i] = Result{StatesExplored: e.info.n, TransitionsExplored: e.transitions}
+			errs[i] = err
+			continue
+		}
+		res[i] = Result{Reachable: true, StatesExplored: g.states, TransitionsExplored: g.transitions, Trace: rebuildTrace(e, g.witness)}
+	}
+	return res, errs
 }
 
 // nodeInfo records how a state was first reached, for witness

@@ -2,6 +2,7 @@ package mc_test
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"slices"
 	"testing"
@@ -311,5 +312,79 @@ func TestSerialStateLimitSemantics(t *testing.T) {
 				matchReference(t, m.Net, canon, res, ref)
 			})
 		}
+	}
+}
+
+// TestSerialSharedGoalsMatchSoloReference pins the per-goal contract of a
+// shared exploration: checked together by CheckGoals, R2 and R3 each get
+// exactly what a search for it alone gets — verdict, counts, witness and
+// error — on the sliced model of every table cell (variant × tmin at tmax
+// 10, original and corrected), pruned at the first loss as the verdict
+// path prunes, on the network and on a quotient of it. Each goal's solo
+// run is the reference BFS. State limits go just before, between and just
+// after the two witnesses (or around the one witness when a goal is
+// unreachable), so that a limit can end one goal in ErrStateLimit after
+// the other has its witness. Asked for by name (-run) it covers every
+// cell; a plain `go test` takes binary and expanding at tmin 5 and 10,
+// which still hold models with two witnesses, with one and with none.
+func TestSerialSharedGoalsMatchSoloReference(t *testing.T) {
+	variants := []models.Variant{models.Binary, models.Expanding}
+	tmins := []int32{5, 10}
+	if f := flag.Lookup("test.run"); f != nil && f.Value.String() != "" && !testing.Short() {
+		variants = []models.Variant{models.Binary, models.RevisedBinary, models.TwoPhase, models.Expanding, models.Dynamic}
+		tmins = models.DefaultTMins()
+	}
+	var both, one, none int
+	for _, v := range variants {
+		for _, tmin := range tmins {
+			for _, fixed := range []bool{false, true} {
+				cfg := models.Config{Variant: v, N: 1, TMin: tmin, TMax: 10, Fixed: fixed, NoMonitor: true}
+				m := buildModel(t, cfg)
+				goals := []func(*ta.State) bool{m.R2Violated, m.R3Violated}
+				for _, canon := range []func(*ta.State){nil, inactiveWatchdogCanon(t, m.Net)} {
+					free := []*reference{
+						referenceBFS(m.Net, goals[0], m.MessageLost, canon, 0),
+						referenceBFS(m.Net, goals[1], m.MessageLost, canon, 0),
+					}
+					limits := []int{0}
+					var witnesses []int
+					for _, r := range free {
+						if r.goalID >= 0 {
+							witnesses = append(witnesses, r.goalID)
+						}
+					}
+					switch len(witnesses) {
+					case 2:
+						both++
+						lo, hi := min(witnesses[0], witnesses[1]), max(witnesses[0], witnesses[1])
+						limits = append(limits, lo, lo+1, hi, hi+1)
+					case 1:
+						one++
+						limits = append(limits, witnesses[0], witnesses[0]+1)
+					default:
+						none++
+						limits = append(limits, len(free[0].states)/2)
+					}
+					for _, limit := range limits {
+						t.Run(fmt.Sprintf("%v/tmin=%d/fixed=%v/quotient=%v/limit=%d", v, tmin, fixed, canon != nil, limit), func(t *testing.T) {
+							res, errs := mc.CheckGoals(m.Net, goals, mc.Options{MaxStates: limit, Prune: m.MessageLost, Canon: canon})
+							for i, goal := range goals {
+								ref := free[i]
+								if limit > 0 {
+									ref = referenceBFS(m.Net, goal, m.MessageLost, canon, limit)
+								}
+								if stopped := ref.goalID < 0 && ref.limitHit; stopped != errors.Is(errs[i], mc.ErrStateLimit) || !stopped && errs[i] != nil {
+									t.Fatalf("R%d: err = %v, reference stopped at the limit: %v", i+2, errs[i], stopped)
+								}
+								matchReference(t, m.Net, canon, res[i], ref)
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+	if both == 0 || one == 0 || none == 0 {
+		t.Fatalf("%d models with both witnesses, %d with one, %d with none: every kind must occur", both, one, none)
 	}
 }

@@ -5,9 +5,15 @@ import "math/bits"
 // pageBits fixes the page size of key pages, node records and the
 // transition log alike. A page is allocated once at full size and never
 // copied again: growth costs one allocation per page, not the repeated
-// memmove of an append-grown slice.
+// memmove of an append-grown slice. Every check pays for its first pages
+// up front, and most table cells store a few thousand states, so the pages
+// are small: 2^11 keys (57–90 KB at the table models' 28–44-byte keys) and
+// 16 KB of node records, where 2^14 made even a 269-state cell allocate
+// 0.6–0.85 MB. A check of millions of states holds one more page pointer
+// per 2,048 states and runs no slower (EXPERIMENTS.md, "Table checks:
+// one exploration per sliced model, indexed successors, small pages").
 const (
-	pageBits = 14
+	pageBits = 11
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
 )

@@ -63,7 +63,8 @@ func (e Envelope) LevelConfig(base Config, level int) Config {
 // VerifyEnvelope model-checks the given properties at every level of the
 // envelope — the closure argument for the adaptive variant: each retune
 // lands on a verified operating point, so the degradation path as a whole
-// inherits R1–R3 from its corner points and everything between.
+// inherits R1–R3 from its corner points and everything between. At each
+// level R2 and R3 share one exploration, as under RunTable.
 //
 //lint:allow unused-export experiment D's verified envelope: go test -run TestVerifyEnvelope ./internal/models/
 func VerifyEnvelope(base Config, env Envelope, props []Property, opts mc.Options) ([]Verdict, error) {
@@ -72,14 +73,11 @@ func VerifyEnvelope(base Config, env Envelope, props []Property, opts mc.Options
 	}
 	verdicts := make([]Verdict, 0, env.Levels()*len(props))
 	for level := 0; level < env.Levels(); level++ {
-		cfg := env.LevelConfig(base, level)
-		for _, p := range props {
-			v, err := Verify(cfg, p, opts)
-			if err != nil {
-				return nil, fmt.Errorf("level %d: %w", level, err)
-			}
-			verdicts = append(verdicts, v)
+		vs, err := verifyAll(env.LevelConfig(base, level), props, opts)
+		if err != nil {
+			return nil, fmt.Errorf("level %d: %w", level, err)
 		}
+		verdicts = append(verdicts, vs...)
 	}
 	return verdicts, nil
 }

@@ -133,25 +133,71 @@ type Verdict struct {
 // is a run of the network the check built: for R2 or R3, that of the
 // model Build returns for cfg with NoMonitor set.
 func Verify(cfg Config, prop Property, opts mc.Options) (Verdict, error) {
+	vs, err := verifyAll(cfg, []Property{prop}, opts)
+	if err != nil {
+		return Verdict{}, err
+	}
+	return vs[0], nil
+}
+
+// verifyAll checks props of cfg as Verify checks each, and returns what
+// calling Verify on each in turn returns, stopping at the first error: the
+// verdicts before it, in order, and that error. The properties one model
+// answers under one prune — R2 and R3 on the sliced model — share one
+// exploration, run when the first of them comes up.
+func verifyAll(cfg Config, props []Property, opts mc.Options) ([]Verdict, error) {
 	// The verdict is about cfg, monitor and all: constants only the slice
 	// could build are refused for every property alike.
 	if err := cfg.Validate(); err != nil {
-		return Verdict{}, err
+		return nil, err
 	}
-	sliced := cfg
-	if prop == R2 || prop == R3 {
-		sliced.NoMonitor = true
+	verdicts, errs := make([]Verdict, len(props)), make([]error, len(props))
+	checked := make([]bool, len(props))
+	for i, p := range props {
+		if !checked[i] {
+			// Check p with every later property its exploration answers.
+			var at []int
+			var group []Property
+			for j := i; j < len(props); j++ {
+				if q := props[j]; q == p || sliced(p) && sliced(q) {
+					at, group = append(at, j), append(group, q)
+					checked[j] = true
+				}
+			}
+			vs, gerrs := verifyGroup(cfg, group, opts)
+			for k, j := range at {
+				verdicts[j], errs[j] = vs[k], gerrs[k]
+			}
+		}
+		if errs[i] != nil {
+			return verdicts[:i], errs[i]
+		}
 	}
-	m, err := Build(sliced)
+	return verdicts, nil
+}
+
+// sliced reports whether prop is checked on the model built without the R1
+// monitor, pruned at the first message loss.
+func sliced(prop Property) bool { return prop == R2 || prop == R3 }
+
+// verifyGroup checks props, which one model answers under one prune, in
+// one exploration of that model.
+func verifyGroup(cfg Config, props []Property, opts mc.Options) ([]Verdict, []error) {
+	built := cfg
+	built.NoMonitor = cfg.NoMonitor || sliced(props[0])
+	m, err := Build(built)
 	if err != nil {
-		return Verdict{}, err
+		errs := make([]error, len(props))
+		for i := range errs {
+			errs[i] = err
+		}
+		return make([]Verdict, len(props)), errs
 	}
-	v, err := m.Verify(prop, opts)
-	if err != nil {
-		return Verdict{}, err
+	vs, errs := m.verify(props, opts)
+	for i := range vs {
+		vs[i].Cfg.NoMonitor = cfg.NoMonitor
 	}
-	v.Cfg.NoMonitor = cfg.NoMonitor
-	return v, nil
+	return vs, errs
 }
 
 // Verify model-checks one property on an already-built model, monitors and
@@ -159,14 +205,35 @@ func Verify(cfg Config, prop Property, opts mc.Options) (Verdict, error) {
 // participants sorted into one order. R2 and R3 exclude lossy traces by
 // premise, so exploration is pruned at the first message loss. A caller's
 // opts.Prune and opts.Canon stay in force beside the model's own.
+//
+//lint:allow unused-export oracle: the symmetric-vs-dead-clock differential checks hand-built models with it (go test -run TestQuotientSymmetryMatchesDeadClocks ./internal/models/)
 func (m *Model) Verify(prop Property, opts mc.Options) (Verdict, error) {
-	pred, err := m.Violation(prop)
-	if err != nil {
-		return Verdict{}, err
+	vs, errs := m.verify([]Property{prop}, opts)
+	return vs[0], errs[0]
+}
+
+// verify checks props on m in one exploration, as Verify checks each; they
+// must share the loss prune (all sliced or none).
+func (m *Model) verify(props []Property, opts mc.Options) ([]Verdict, []error) {
+	verdicts, errs := make([]Verdict, len(props)), make([]error, len(props))
+	preds := make([]func(*ta.State) bool, len(props))
+	for i, p := range props {
+		pred, err := m.Violation(p)
+		if err != nil {
+			for k := range errs {
+				errs[k] = err
+			}
+			return verdicts, errs
+		}
+		preds[i] = pred
 	}
-	res, err := mc.CheckReachability(m.Net, pred, m.reduced(opts, prop == R2 || prop == R3))
-	if err != nil {
-		return Verdict{}, fmt.Errorf("checking %v on %v: %w", prop, m.Cfg.Variant, err)
+	res, cerrs := mc.CheckGoals(m.Net, preds, m.reduced(opts, sliced(props[0])))
+	for i, p := range props {
+		if cerrs[i] != nil {
+			errs[i] = fmt.Errorf("checking %v on %v: %w", p, m.Cfg.Variant, cerrs[i])
+			continue
+		}
+		verdicts[i] = Verdict{Cfg: m.Cfg, Property: p, Satisfied: !res[i].Reachable, Result: res[i]}
 	}
-	return Verdict{Cfg: m.Cfg, Property: prop, Satisfied: !res.Reachable, Result: res}, nil
+	return verdicts, errs
 }

@@ -41,16 +41,24 @@ type Cell struct {
 	Verdict Verdict
 }
 
-// RunTable evaluates every (variant, tmin, property) combination. Cells
-// are independent models fanned out by par.Do and reassembled in spec
-// order: the result — and on failure, the error and the completed-cell
-// prefix — is identical for every worker count.
+// RunTable evaluates every (variant, tmin, property) combination. Each
+// (variant, tmin) is two independent units of work: R1 on the model, and
+// R2 with R3 in one exploration of the sliced model. Units are fanned out
+// by par.Do and their cells reassembled in spec order: the result — and on
+// failure, the error of the earliest failing cell and the completed-cell
+// prefix before it — is identical for every worker count, and to checking
+// each cell on its own with Verify.
 func RunTable(spec TableSpec) ([]Cell, error) {
+	groups := [][]Property{{R1}, {R2, R3}}
 	jobs := make([]Cell, 0, len(spec.Variants)*len(spec.TMins)*3)
+	var units [][2]int // each unit's cells, jobs[lo:hi]
 	for _, variant := range spec.Variants {
 		for _, tmin := range spec.TMins {
-			for _, prop := range []Property{R1, R2, R3} {
-				jobs = append(jobs, Cell{Variant: variant, TMin: tmin, Prop: prop})
+			for _, props := range groups {
+				units = append(units, [2]int{len(jobs), len(jobs) + len(props)})
+				for _, prop := range props {
+					jobs = append(jobs, Cell{Variant: variant, TMin: tmin, Prop: prop})
+				}
 			}
 		}
 	}
@@ -58,23 +66,36 @@ func RunTable(spec TableSpec) ([]Cell, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	done, err := par.Do(len(jobs), workers, func(_, i int) error {
-		c := &jobs[i]
+	// clean[u] counts unit u's leading cells that completed cleanly.
+	clean := make([]int, len(units))
+	done, err := par.Do(len(units), workers, func(_, u int) error {
+		cells := jobs[units[u][0]:units[u][1]]
+		props := make([]Property, len(cells))
+		for k, c := range cells {
+			props[k] = c.Prop
+		}
 		cfg := Config{
-			TMin:    c.TMin,
+			TMin:    cells[0].TMin,
 			TMax:    spec.TMax,
-			Variant: c.Variant,
+			Variant: cells[0].Variant,
 			N:       spec.N,
 			Fixed:   spec.Fixed,
 		}
-		v, err := Verify(cfg, c.Prop, spec.Opts)
+		vs, err := verifyAll(cfg, props, spec.Opts)
+		for k, v := range vs {
+			cells[k].Verdict = v
+		}
+		clean[u] = len(vs)
 		if err != nil {
+			c := cells[len(vs)]
 			return fmt.Errorf("table cell %v tmin=%d %v: %w", c.Variant, c.TMin, c.Prop, err)
 		}
-		c.Verdict = v
 		return nil
 	})
-	return jobs[:done], err
+	if err != nil {
+		return jobs[:units[done][0]+clean[done]], err
+	}
+	return jobs, nil
 }
 
 // FormatTable renders cells in the layout of the paper's tables: one block

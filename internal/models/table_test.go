@@ -1,7 +1,12 @@
 package models
 
 import (
+	"errors"
+	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/mc"
 )
 
 // TestRunTableParallelDeterminism pins the parallel-table contract: any
@@ -56,29 +61,51 @@ func TestRunTableParallelDeterminism(t *testing.T) {
 
 // TestRunTableErrorPrefix pins the failure contract: the error of the
 // earliest failing cell is reported and the returned cells are exactly the
-// clean prefix before it, for sequential and parallel runs alike.
+// clean prefix before it, each equal to its solo Verify, for sequential and
+// parallel runs alike.
+//
+// In the first case a one-state limit fails every cell immediately; the
+// earliest is (Binary, tmin=1, R1), so no clean prefix exists. In the
+// second R2 and R3 share one exploration and the limit falls between their
+// verdicts: R2's witness commits under it and R3 needs more states, so the
+// R2 cell is clean and the error is R3's. (No table model settles R1 in
+// fewer states than R3's witness needs when R2 and R3 both fail, so R3 is
+// satisfied there without the limit; mc's shared-goal differential places
+// limits between two witnesses.)
 func TestRunTableErrorPrefix(t *testing.T) {
-	spec := TableSpec{
-		Variants: []Variant{Binary},
-		TMins:    []int32{1, 2},
-		TMax:     4,
-		N:        1,
-	}
-	// A one-state limit fails every cell immediately; the earliest is
-	// (Binary, tmin=1, R1), so no clean prefix exists.
-	spec.Opts.MaxStates = 1
-	for _, workers := range []int{1, 4} {
-		spec.Workers = workers
-		cells, err := RunTable(spec)
-		if err == nil {
-			t.Fatalf("workers=%d: expected state-limit error", workers)
+	for _, tc := range []struct {
+		cfg   Config
+		limit int
+		want  string
+		clean []Property
+	}{
+		{Config{Variant: Binary, N: 1, TMin: 1, TMax: 4}, 1, "table cell binary tmin=1 R1", nil},
+		{Config{Variant: Expanding, N: 1, TMin: 1, TMax: 2}, 1115, "table cell expanding tmin=1 R3", []Property{R1, R2}},
+	} {
+		opts := mc.Options{MaxStates: tc.limit}
+		solo := map[Property]Verdict{}
+		for _, p := range tc.clean {
+			v, err := Verify(tc.cfg, p, opts)
+			if err != nil {
+				t.Fatalf("solo %v at %d states: %v", p, tc.limit, err)
+			}
+			solo[p] = v
 		}
-		want := "table cell binary tmin=1 R1"
-		if got := err.Error(); len(got) < len(want) || got[:len(want)] != want {
-			t.Fatalf("workers=%d: error %q, want prefix %q", workers, got, want)
-		}
-		if len(cells) != 0 {
-			t.Fatalf("workers=%d: %d cells returned before earliest failure, want 0", workers, len(cells))
+		spec := TableSpec{Variants: []Variant{tc.cfg.Variant}, TMins: []int32{tc.cfg.TMin, tc.cfg.TMin + 1}, TMax: tc.cfg.TMax, N: 1, Opts: opts}
+		for _, workers := range []int{1, 4} {
+			spec.Workers = workers
+			cells, err := RunTable(spec)
+			if !errors.Is(err, mc.ErrStateLimit) || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("workers=%d: error %v, want prefix %q wrapping ErrStateLimit", workers, err, tc.want)
+			}
+			if len(cells) != len(tc.clean) {
+				t.Fatalf("workers=%d: %d cells returned before the earliest failure, want %d", workers, len(cells), len(tc.clean))
+			}
+			for i, c := range cells {
+				if c.Prop != tc.clean[i] || !reflect.DeepEqual(c.Verdict, solo[c.Prop]) {
+					t.Fatalf("workers=%d: cell %d is %v %+v, want %v %+v", workers, i, c.Prop, c.Verdict, tc.clean[i], solo[tc.clean[i]])
+				}
+			}
 		}
 	}
 }

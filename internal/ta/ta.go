@@ -25,6 +25,7 @@ package ta
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/alphabet"
 )
@@ -188,6 +189,15 @@ type Network struct {
 	compiled  bool
 	sendEdges [][]edgeRef
 	recvEdges [][]edgeRef
+	// internalAt[a][l] lists, in declaration order, the internal edges of
+	// automaton a that leave its location l.
+	internalAt [][][]int
+	// sendsAt[a] holds chanWords words per location of automaton a: the
+	// bit set of the channels that location has a send edge on. A channel
+	// fires only with an enabled sender, so the union over the current
+	// locations is every channel Successors must look at.
+	sendsAt   [][]uint64
+	chanWords int
 	// defaultCtx backs the convenience Network.Successors method.
 	defaultCtx *SuccCtx
 }
@@ -287,20 +297,34 @@ type Transition struct {
 	Target State
 }
 
-// compile builds the channel-to-edge indices.
+// compile builds the channel-to-edge indices and the per-location ones.
+// An edge whose source is no location of its automaton can never fire and
+// is left out of the location indices.
 func (n *Network) compile() {
 	if n.compiled {
 		return
 	}
 	n.sendEdges = make([][]edgeRef, len(n.channels))
 	n.recvEdges = make([][]edgeRef, len(n.channels))
+	n.chanWords = (len(n.channels) + 63) / 64
+	n.internalAt = make([][][]int, len(n.automata))
+	n.sendsAt = make([][]uint64, len(n.automata))
 	for ai, a := range n.automata {
+		n.internalAt[ai] = make([][]int, len(a.Locations))
+		n.sendsAt[ai] = make([]uint64, len(a.Locations)*n.chanWords)
 		for ei, e := range a.Edges {
+			from := e.From >= 0 && e.From < len(a.Locations)
+			if e.Chan == 0 && from {
+				n.internalAt[ai][e.From] = append(n.internalAt[ai][e.From], ei)
+			}
 			if e.Chan <= 0 || int(e.Chan) >= len(n.channels) {
 				continue // internal, or a channel never declared: no partner can exist
 			}
 			if e.Send {
 				n.sendEdges[e.Chan] = append(n.sendEdges[e.Chan], edgeRef{ai, ei})
+				if from {
+					n.sendsAt[ai][e.From*n.chanWords+int(e.Chan)/64] |= 1 << (uint(e.Chan) % 64)
+				}
 			} else {
 				n.recvEdges[e.Chan] = append(n.recvEdges[e.Chan], edgeRef{ai, ei})
 			}
@@ -325,7 +349,11 @@ func (n *Network) enabled(s *State, a int, e *Edge) bool {
 // Successors reuses between calls, so distinct contexts over one (fully
 // built, read-only) Network may generate successors concurrently — one
 // context per worker goroutine. The network must not be modified (Add,
-// Clock, Var, Chan, SetReceivePriority) after contexts are created.
+// Clock, Var, Chan, SetReceivePriority) after contexts are created, and
+// its automata's Edges and Locations are frozen from then on too: the
+// indices Successors walks — edges by channel, internal edges and send
+// channels by location — are built when the first context is, and nothing
+// rebuilds them when an automaton changes in place.
 //
 // A SuccCtx itself is not safe for concurrent use, and its buffer-reuse
 // contract matches Network.Successors: targets live in buf's spare
@@ -339,6 +367,7 @@ type SuccCtx struct {
 	scratchMust      []bool
 	scratchSeen      []bool
 	scratchRecv      []edgeRef
+	scratchChans     []uint64
 	scratchTick      State
 }
 
@@ -422,7 +451,10 @@ func (n *Network) Successors(s *State, buf []Transition) []Transition {
 // Successors appends all outgoing transitions of s to buf and returns it.
 // See Network.Successors for the buffer-reuse contract; the enumeration
 // order is fixed by the network's declaration order and identical across
-// contexts.
+// contexts: internal edges by (automaton, edge), then channels ascending,
+// each pairing senders and receivers by (automaton, edge), then the
+// receive-priority filter, then the delay. Only the edges out of the
+// current locations and the channels those locations send on are visited.
 //
 //hbvet:noalloc
 func (c *SuccCtx) Successors(s *State, buf []Transition) []Transition {
@@ -432,12 +464,13 @@ func (c *SuccCtx) Successors(s *State, buf []Transition) []Transition {
 
 	// Internal edges.
 	for ai, a := range n.automata {
-		for ei := range a.Edges {
+		if committed != nil && !committed[ai] {
+			continue
+		}
+		for _, ei := range n.internalAt[ai][s.Locs[ai]] {
 			e := &a.Edges[ei]
-			if e.Chan != 0 || !n.enabled(s, ai, e) {
-				continue
-			}
-			if committed != nil && !committed[ai] {
+			//lint:allow noalloc-closure model-defined predicate (guard/update/invariant); the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
+			if e.Guard != nil && !e.Guard(s) {
 				continue
 			}
 			var tr *Transition
@@ -451,12 +484,27 @@ func (c *SuccCtx) Successors(s *State, buf []Transition) []Transition {
 		}
 	}
 
-	// Handshakes and broadcasts.
-	for ch := ChanID(1); ch < ChanID(len(n.channels)); ch++ {
-		if n.channels[ch].Broadcast {
-			buf = c.broadcastSuccessors(s, ch, committed, buf)
-		} else {
-			buf = n.handshakeSuccessors(s, ch, committed, buf)
+	// Handshakes and broadcasts, on the channels some current location
+	// sends on.
+	if len(c.scratchChans) != n.chanWords {
+		//lint:allow noalloc-closure scratch warm-up, sized once per context; steady state reuses the set
+		c.scratchChans = make([]uint64, n.chanWords)
+	}
+	chans := c.scratchChans
+	clear(chans)
+	for ai, l := range s.Locs {
+		for w, m := range n.sendsAt[ai][int(l)*n.chanWords : (int(l)+1)*n.chanWords] {
+			chans[w] |= m
+		}
+	}
+	for w, set := range chans {
+		for ; set != 0; set &= set - 1 {
+			ch := ChanID(w*64 + bits.TrailingZeros64(set))
+			if n.channels[ch].Broadcast {
+				buf = c.broadcastSuccessors(s, ch, committed, buf)
+			} else {
+				buf = n.handshakeSuccessors(s, ch, committed, buf)
+			}
 		}
 	}
 
