@@ -9,7 +9,7 @@
 //
 // -fleet scales the same protocol up three orders of magnitude: hundreds
 // of independent clusters multiplexed into one process as rows over
-// sharded timer wheels (internal/fleet), with per-epoch liveness rollup
+// sharded calendar rings (internal/fleet), with per-epoch liveness rollup
 // up an aggregation tree instead of per-node event logs.
 //
 //	go run ./examples/clustermon

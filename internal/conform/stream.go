@@ -5,7 +5,6 @@ import (
 	"io"
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/alphabet"
 	"repro/internal/core"
@@ -559,9 +558,10 @@ type StreamConfig struct {
 // envelope retunes, plus the streaming R1–R3 monitor — in bounded memory,
 // with no retained trace beyond the incident tail ring. A live cluster
 // attaches it as its observer (RunStream); a recorded trace is checked by
-// Feed per event, then Finish. Safe for concurrent use.
+// Feed per event, then Finish. It takes no lock: as an observer it runs on
+// the cluster's clock, one step at a time (see netem.Clock), and Finish
+// runs after the cluster has stopped, or through the clock's Do.
 type StreamChecker struct {
-	mu     sync.Mutex
 	cfg    StreamConfig
 	eng    *streamEngine
 	mon    *traceMonitor
@@ -618,7 +618,7 @@ func NewStreamChecker(cfg StreamConfig) (*StreamChecker, error) {
 		monCfg: monCfg,
 		tail:   make([]Event, mscTail),
 	}
-	sc.add = func(label alphabet.Label) { sc.feedLocked(Event{Time: sc.obsNow, Label: label}) }
+	sc.add = func(label alphabet.Label) { sc.feed(Event{Time: sc.obsNow, Label: label}) }
 	return sc, nil
 }
 
@@ -626,9 +626,7 @@ func NewStreamChecker(cfg StreamConfig) (*StreamChecker, error) {
 // grading path (detector.Supervisor.ReportIncident). Bind after building
 // the cluster and before starting it.
 func (sc *StreamChecker) BindSupervisor(sup *detector.Supervisor) {
-	sc.mu.Lock()
 	sc.sup = sup
-	sc.mu.Unlock()
 }
 
 // ObserveStep implements detector.Observer: the machine step is
@@ -637,8 +635,6 @@ func (sc *StreamChecker) BindSupervisor(sup *detector.Supervisor) {
 //
 //lint:allow noalloc-closure the streaming checker allocates incident records by design; conformance runs trade allocations for checking
 func (sc *StreamChecker) ObserveStep(id netem.NodeID, now core.Tick, tr detector.Trigger, actions []core.Action) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	sc.obsNow = now
 	abstractStep(sc.add, id, tr, actions)
 }
@@ -648,13 +644,9 @@ func (sc *StreamChecker) ObserveStep(id netem.NodeID, now core.Tick, tr detector
 // instead.
 //
 //lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
-func (sc *StreamChecker) Feed(ev Event) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.feedLocked(ev)
-}
+func (sc *StreamChecker) Feed(ev Event) { sc.feed(ev) }
 
-func (sc *StreamChecker) feedLocked(ev Event) {
+func (sc *StreamChecker) feed(ev Event) {
 	if sc.finished {
 		return
 	}
@@ -772,8 +764,6 @@ type StreamResult struct {
 // the same result. The error reports an internal failure (a level spec
 // that could not be built), never non-conformance.
 func (sc *StreamChecker) Finish(lost uint64) (*StreamResult, error) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	if sc.finished {
 		return sc.result, sc.failed
 	}

@@ -2,7 +2,6 @@ package detector
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -125,7 +124,6 @@ type Cluster struct {
 
 	cfg          ClusterConfig
 	cancelFaults func()
-	faultErrMu   sync.Mutex
 	faultErrs    []error
 }
 
@@ -338,8 +336,6 @@ func (c *Cluster) Start() error {
 			Clocks:    c,
 			Members:   c,
 			OnError: func(e faults.Event, err error) {
-				c.faultErrMu.Lock()
-				defer c.faultErrMu.Unlock()
 				c.faultErrs = append(c.faultErrs,
 					fmt.Errorf("t=%d %s node=%d: %w", e.At, e.Kind, e.Node, err))
 			},
@@ -376,8 +372,6 @@ func (c *Cluster) Stop() {
 // (e.g. a crash naming a node the cluster does not have). A non-empty
 // result usually means the schedule does not do what its author thinks.
 func (c *Cluster) FaultErrors() []error {
-	c.faultErrMu.Lock()
-	defer c.faultErrMu.Unlock()
 	return append([]error(nil), c.faultErrs...)
 }
 

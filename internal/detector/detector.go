@@ -13,7 +13,6 @@ package detector
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/netem"
@@ -94,9 +93,9 @@ type Event struct {
 	Detail string
 }
 
-// EventSink receives events. Implementations must be safe for the
-// concurrency of the chosen clock: single-threaded under netem.SimClock,
-// concurrent under netem.WallClock.
+// EventSink receives events. A node delivers them on its clock (see
+// netem.Clock), one at a time, so a sink shared by the nodes of one clock
+// needs no lock.
 type EventSink interface {
 	HandleEvent(Event)
 }
@@ -132,9 +131,11 @@ type Config struct {
 	ReceivePriority bool
 }
 
-// Node runs one protocol machine. All methods are safe for concurrent use.
+// Node runs one protocol machine. It runs on its clock (see netem.Clock):
+// its timer expiries and message deliveries arrive one at a time, and a
+// caller on another goroutine — a test or a runner over a netem.WallClock
+// — calls its methods through WallClock.Do. It takes no lock of its own.
 type Node struct {
-	mu  sync.Mutex
 	cfg Config
 	// timers holds a record per TimerID the machine has armed, in first-arm
 	// order: three at most, so a scan beats hashing.
@@ -150,8 +151,8 @@ type nodeTimer struct {
 	id core.TimerID
 	// gen counts the timer's SetTimer, CancelTimer and Restart events and
 	// tags every arm. An expiry whose tag is no longer gen was superseded
-	// and is dropped: a wall-clock expiry can already be waiting on n.mu
-	// when the machine rearms or cancels. Guarded by n.mu.
+	// and is dropped: a wall-clock expiry can already be waiting for the
+	// clock when the machine rearms or cancels.
 	gen uint64
 	arm netem.Timer // runs out the machine's delay
 	hop netem.Timer // §6.1 zero-delay hop after arm; nil unless ReceivePriority
@@ -177,8 +178,6 @@ func (n *Node) ID() netem.NodeID { return n.cfg.ID }
 
 // Status reports the machine's liveness state.
 func (n *Node) Status() core.Status {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.cfg.Machine.Status()
 }
 
@@ -186,11 +185,9 @@ func (n *Node) Status() core.Status {
 // With a handler installed, a panic in OnBeat/OnTimer is recovered, the
 // node's remaining state is left as the machine last wrote it (possibly
 // corrupt — the handler should arrange a Restart), and the handler is
-// called outside the node's lock. Without a handler panics propagate, as
+// called once the step has unwound. Without a handler panics propagate, as
 // before.
 func (n *Node) SetRecover(fn func(id netem.NodeID, op string, recovered any)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.recoverFn = fn
 }
 
@@ -205,8 +202,6 @@ func (n *Node) Restart(m core.Machine) error {
 	if m == nil {
 		return fmt.Errorf("%w: restart needs a machine", ErrNodeConfig)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for _, t := range n.timers {
 		n.stopTimer(t)
 	}
@@ -218,14 +213,14 @@ func (n *Node) Restart(m core.Machine) error {
 }
 
 // step reports one machine step taken at now to the observer and applies
-// its actions. Callers hold n.mu.
+// its actions.
 func (n *Node) step(tr Trigger, now core.Tick, actions []core.Action) {
 	n.observe(tr, now, actions)
 	n.apply(now, actions)
 }
 
 // runGuarded reads the clock once and runs fn at that time as one step
-// (see step); callers hold n.mu. When a recover handler is installed, a
+// (see step). When a recover handler is installed, a
 // panic from the machine (or from applying its actions) is captured and
 // returned instead of propagating; otherwise it propagates unchanged. A
 // step whose machine call panics is not observed.
@@ -246,8 +241,6 @@ func (n *Node) runGuarded(tr Trigger, fn func(now core.Tick) []core.Action) (rec
 
 // Start delivers Start to the machine. It must be called exactly once.
 func (n *Node) Start() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.started {
 		return fmt.Errorf("%w: node %d already started", ErrNodeConfig, n.cfg.ID)
 	}
@@ -259,8 +252,6 @@ func (n *Node) Start() error {
 
 // Crash injects a voluntary inactivation.
 func (n *Node) Crash() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	now := n.now()
 	n.step(Trigger{Kind: TriggerCrash}, now, n.cfg.Machine.Crash(now))
 }
@@ -268,8 +259,6 @@ func (n *Node) Crash() {
 // Leave starts a graceful departure; the machine must be a dynamic
 // core.Participant.
 func (n *Node) Leave() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	p, ok := n.cfg.Machine.(*core.Participant)
 	if !ok {
 		return fmt.Errorf("%w: node %d machine cannot leave", ErrNodeConfig, n.cfg.ID)
@@ -286,8 +275,6 @@ func (n *Node) Leave() error {
 // Rejoin re-enters the protocol after a completed leave; the machine must
 // be a dynamic core.Participant and the coordinator must allow rejoin.
 func (n *Node) Rejoin() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	p, ok := n.cfg.Machine.(*core.Participant)
 	if !ok {
 		return fmt.Errorf("%w: node %d machine cannot rejoin", ErrNodeConfig, n.cfg.ID)
@@ -307,14 +294,10 @@ func (n *Node) onMessage(msg netem.Message) {
 	if err != nil {
 		return // garbage on the wire is dropped, like a lost message
 	}
-	n.mu.Lock()
-	rec := n.runGuarded(Trigger{Kind: TriggerBeat, Beat: beat}, func(now core.Tick) []core.Action {
+	if rec := n.runGuarded(Trigger{Kind: TriggerBeat, Beat: beat}, func(now core.Tick) []core.Action {
 		return n.cfg.Machine.OnBeat(beat, now)
-	})
-	h := n.recoverFn
-	n.mu.Unlock()
-	if rec != nil {
-		h(n.cfg.ID, "beat", rec)
+	}); rec != nil {
+		n.recoverFn(n.cfg.ID, "beat", rec)
 	}
 }
 
@@ -323,32 +306,26 @@ func (n *Node) onMessage(msg netem.Message) {
 //
 //hbvet:noalloc
 func (n *Node) fireTimer(t *nodeTimer, gen uint64, hop bool) {
-	n.mu.Lock()
 	if t.gen != gen {
-		n.mu.Unlock()
 		return // superseded by a later SetTimer, CancelTimer or Restart
 	}
 	if hop {
 		// §6.1: let same-instant deliveries already queued run first by
 		// taking one zero-delay hop through the scheduler.
 		t.hop.Reset(0, gen)
-		n.mu.Unlock()
 		return
 	}
 	//lint:allow noalloc-closure closure does not escape runGuarded (called inline, not retained), so it stays on the stack
-	rec := n.runGuarded(Trigger{Kind: TriggerTimer, Timer: t.id}, func(now core.Tick) []core.Action {
+	if rec := n.runGuarded(Trigger{Kind: TriggerTimer, Timer: t.id}, func(now core.Tick) []core.Action {
 		return n.cfg.Machine.OnTimer(t.id, now)
-	})
-	h := n.recoverFn
-	n.mu.Unlock()
-	if rec != nil {
+	}); rec != nil {
 		//lint:allow noalloc-closure recover handler runs only after a machine panic, never in steady state
-		h(n.cfg.ID, "timer", rec)
+		n.recoverFn(n.cfg.ID, "timer", rec)
 	}
 }
 
 // apply executes the actions of a machine step taken at now, which stamps
-// the events it emits. Callers hold n.mu.
+// the events it emits.
 //
 //hbvet:noalloc
 func (n *Node) apply(now core.Tick, actions []core.Action) {
@@ -383,7 +360,7 @@ func (n *Node) apply(now core.Tick, actions []core.Action) {
 }
 
 // setTimer (re)arms the machine's timer id; steady-state rearms allocate
-// nothing. Callers hold n.mu.
+// nothing.
 //
 //hbvet:noalloc
 func (n *Node) setTimer(id core.TimerID, d core.Tick) {
@@ -425,7 +402,6 @@ func (n *Node) newTimer(id core.TimerID) *nodeTimer {
 }
 
 // stopTimer disarms t and strands any expiry already past its Stop.
-// Callers hold n.mu.
 //
 //hbvet:noalloc
 func (n *Node) stopTimer(t *nodeTimer) {

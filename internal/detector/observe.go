@@ -64,17 +64,17 @@ type Trigger struct {
 // executes them. A beat delivery is observed even when the machine returns
 // no actions (the delivery itself is an observable event).
 //
-// ObserveStep is called with the node's lock held, so steps of a single
-// node arrive serialised in execution order; under a netem.SimClock the whole
-// cluster is single-threaded and the global order is the execution order.
-// Observers must not call back into the node. The conformance recorder
+// ObserveStep runs on the node's clock (see netem.Clock), so the steps of
+// every node on that clock arrive one at a time, in execution order: an
+// observer shared by a cluster sees no concurrent calls and needs no lock.
+// Observers must not call back into the node. The conformance checker
 // (internal/conform) is the intended implementation.
 type Observer interface {
 	ObserveStep(id netem.NodeID, now core.Tick, tr Trigger, actions []core.Action)
 }
 
 // observe reports one machine step taken at now to the configured
-// observer. Callers hold n.mu.
+// observer.
 func (n *Node) observe(tr Trigger, now core.Tick, actions []core.Action) {
 	if n.cfg.Observe != nil {
 		n.cfg.Observe.ObserveStep(n.cfg.ID, now, tr, actions)

@@ -3,8 +3,7 @@ package detector
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/netem"
@@ -61,6 +60,7 @@ type SupervisorConfig struct {
 
 // supervised is the per-node bookkeeping.
 type supervised struct {
+	id       netem.NodeID
 	node     *Node
 	factory  func() (core.Machine, error)
 	restart  netem.Timer // runs out the backoff before a restart
@@ -75,19 +75,17 @@ type supervised struct {
 // bounded exponential backoff plus jitter, and confirms a suspected peer
 // down, once per failure, before notifying the application. A voluntary
 // crash is an operator action (or a scripted fault whose restart is
-// likewise scripted) and is not healed. It runs identically over
-// netem.SimClock (deterministic, single-threaded) and netem.WallClock
-// (concurrent); all methods are safe for concurrent use.
-//
-// Lock discipline: the supervisor never calls into a Node while holding
-// its own lock, because nodes deliver events into HandleEvent while
-// holding theirs. It does create and arm its timers under the lock, so
-// that Stop sees every timer and none is armed after it.
+// likewise scripted) and is not healed. It runs on its clock, as its nodes
+// do (see netem.Clock), and takes no lock of its own: under a
+// netem.WallClock, call its methods from another goroutine through
+// WallClock.Do.
 type Supervisor struct {
-	mu    sync.Mutex
-	cfg   SupervisorConfig
-	rng   *rand.Rand // backoff jitter
-	nodes map[netem.NodeID]*supervised
+	cfg SupervisorConfig
+	rng *rand.Rand // backoff jitter; nil until the first jittered delay
+	// nodes is sorted by id: polls probe in a stable order, since
+	// restart scheduling draws from the jitter rng and arms same-tick
+	// timers, and map order would leak into the replay trace.
+	nodes []*supervised
 	// down holds the peers confirmed down since they last (re)joined or
 	// were restarted.
 	down    map[core.ProcID]bool
@@ -104,12 +102,7 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = 8
 	}
-	return &Supervisor{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(0)),
-		nodes: make(map[netem.NodeID]*supervised),
-		down:  make(map[core.ProcID]bool),
-	}, nil
+	return &Supervisor{cfg: cfg, down: make(map[core.ProcID]bool)}, nil
 }
 
 // Manage places a node under supervision. factory builds the replacement
@@ -120,27 +113,28 @@ func (s *Supervisor) Manage(n *Node, factory func() (core.Machine, error)) error
 	if n == nil {
 		return fmt.Errorf("%w: supervisor needs a node", ErrNodeConfig)
 	}
-	s.mu.Lock()
 	if s.stopped {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: supervisor stopped", ErrNodeConfig)
 	}
-	if _, ok := s.nodes[n.ID()]; ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: node %d already supervised", ErrNodeConfig, n.ID())
-	}
 	id := n.ID()
-	s.nodes[id] = &supervised{
+	if s.find(id) != nil {
+		return fmt.Errorf("%w: node %d already supervised", ErrNodeConfig, id)
+	}
+	sn := &supervised{
+		id:      id,
 		node:    n,
 		factory: factory,
 		restart: s.newTimer(func(uint64) { s.restartNow(id) }),
 	}
+	i := 0
+	for i < len(s.nodes) && s.nodes[i].id < id {
+		i++
+	}
+	s.nodes = slices.Insert(s.nodes, i, sn)
 	if s.poll == nil {
 		s.poll = s.newTimer(func(uint64) { s.runPoll() })
 		s.arm(s.poll, s.cfg.CheckEvery, 0)
 	}
-	s.mu.Unlock()
-
 	n.SetRecover(s.onPanic)
 	return nil
 }
@@ -148,8 +142,6 @@ func (s *Supervisor) Manage(n *Node, factory func() (core.Machine, error)) error
 // Stop halts polling and cancels scheduled restarts.
 // Managed nodes keep running; they are just no longer healed.
 func (s *Supervisor) Stop() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.stopped = true
 	for _, t := range s.timers {
 		t.Stop()
@@ -158,16 +150,25 @@ func (s *Supervisor) Stop() {
 
 // Restarts reports how many times a node has been restarted.
 func (s *Supervisor) Restarts(id netem.NodeID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sn, ok := s.nodes[id]; ok {
+	if sn := s.find(id); sn != nil {
 		return sn.restarts
 	}
 	return 0
 }
 
+// find returns id's bookkeeping, or nil for a node the supervisor does not
+// manage.
+func (s *Supervisor) find(id netem.NodeID) *supervised {
+	for _, sn := range s.nodes {
+		if sn.id == id {
+			return sn
+		}
+	}
+	return nil
+}
+
 // newTimer creates one of the supervisor's timers and records it for
-// Stop. Callers hold s.mu.
+// Stop.
 func (s *Supervisor) newTimer(fn func(tag uint64)) netem.Timer {
 	t := s.cfg.Clock.NewTimer(fn)
 	s.timers = append(s.timers, t)
@@ -175,7 +176,6 @@ func (s *Supervisor) newTimer(fn func(tag uint64)) netem.Timer {
 }
 
 // arm (re)arms one of the supervisor's timers, unless Stop has run.
-// Callers hold s.mu.
 func (s *Supervisor) arm(t netem.Timer, d core.Tick, tag uint64) {
 	if !s.stopped {
 		t.Reset(sim.Time(d), tag)
@@ -185,109 +185,71 @@ func (s *Supervisor) arm(t netem.Timer, d core.Tick, tag uint64) {
 // runPoll is the periodic health check: protocol-inactivated or wedged
 // nodes get a restart scheduled.
 func (s *Supervisor) runPoll() {
-	s.mu.Lock()
 	if s.stopped {
-		s.mu.Unlock()
 		return
 	}
-	type probe struct {
-		id netem.NodeID
-		sn *supervised
-	}
-	probes := make([]probe, 0, len(s.nodes))
-	for id, sn := range s.nodes {
-		probes = append(probes, probe{id, sn})
-	}
-	s.mu.Unlock()
-	// Probe in a stable order: restart scheduling draws from the jitter
-	// rng and arms same-tick timers, so map order would leak into the
-	// replay trace.
-	sort.Slice(probes, func(i, j int) bool { return probes[i].id < probes[j].id })
-
-	for _, p := range probes {
-		status := p.sn.node.Status()
-		s.mu.Lock()
-		wedged := p.sn.wedged
-		s.mu.Unlock()
-		if wedged || status == core.StatusInactive {
-			s.scheduleRestart(p.id)
+	for _, sn := range s.nodes {
+		if sn.wedged || sn.node.Status() == core.StatusInactive {
+			s.scheduleRestart(sn)
 		}
 	}
-	s.mu.Lock()
 	s.arm(s.poll, s.cfg.CheckEvery, 0)
-	s.mu.Unlock()
 }
 
 // onPanic is the node recover handler: report, mark wedged, heal. The
 // panic value and operation are deliberately not rethrown — the whole
 // point of supervision is to turn them into a restart.
 func (s *Supervisor) onPanic(id netem.NodeID, _ string, _ any) {
-	s.mu.Lock()
-	sn, ok := s.nodes[id]
-	if ok {
+	sn := s.find(id)
+	if sn != nil {
 		sn.wedged = true
 	}
-	s.mu.Unlock()
 	s.emit(Event{Time: s.now(), Node: id, Kind: EventPanic})
-	if ok {
-		s.scheduleRestart(id)
+	if sn != nil {
+		s.scheduleRestart(sn)
 	}
 }
 
 // scheduleRestart arms a backoff-delayed restart for the node unless one
 // is already pending.
-func (s *Supervisor) scheduleRestart(id netem.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sn, ok := s.nodes[id]
-	if !ok || sn.pending || sn.factory == nil {
+func (s *Supervisor) scheduleRestart(sn *supervised) {
+	if sn.pending || sn.factory == nil {
 		return
 	}
 	sn.pending = true
-	s.arm(sn.restart, s.cfg.Backoff.delay(sn.attempt, s.rng), 0)
+	var rng *rand.Rand
+	if s.cfg.Backoff.Jitter > 0 {
+		if s.rng == nil {
+			s.rng = rand.New(rand.NewSource(0))
+		}
+		rng = s.rng
+	}
+	s.arm(sn.restart, s.cfg.Backoff.delay(sn.attempt, rng), 0)
 }
 
 // restartNow builds the replacement machine and swaps it in.
 func (s *Supervisor) restartNow(id netem.NodeID) {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
+	sn := s.find(id)
+	if s.stopped || sn == nil {
 		return
 	}
-	sn, ok := s.nodes[id]
-	if !ok {
-		s.mu.Unlock()
-		return
+	m, err := sn.factory()
+	if err == nil {
+		err = sn.node.Restart(m)
 	}
-	factory := sn.factory
-	s.mu.Unlock()
-
-	m, err := factory()
-	var restartErr error
-	if err != nil {
-		restartErr = err
-	} else {
-		restartErr = sn.node.Restart(m)
-	}
-
-	s.mu.Lock()
 	sn.pending = false
 	sn.restarts++
 	sn.attempt++
-	if restartErr == nil {
-		sn.wedged = false
-		// A restarted process is a fresh incarnation; forget old
-		// suspicions about it.
-		delete(s.down, core.ProcID(id))
-	}
-	s.mu.Unlock()
-
-	if restartErr != nil {
+	if err != nil {
 		// The factory or swap failed (e.g. a transient bind error under a
 		// real transport): try again with grown backoff.
-		s.scheduleRestart(id)
+		s.scheduleRestart(sn)
 		return
 	}
+	sn.wedged = false
+	// A restarted process is a fresh incarnation; forget old suspicions
+	// about it.
+	delete(s.down, core.ProcID(id))
 	s.emit(Event{Time: s.now(), Node: id, Kind: EventRestarted})
 }
 
@@ -298,10 +260,8 @@ func (s *Supervisor) HandleEvent(e Event) {
 	s.emit(e)
 	switch e.Kind {
 	case EventSuspect:
-		s.mu.Lock()
 		first := !s.down[e.Proc] && !s.stopped
 		s.down[e.Proc] = true
-		s.mu.Unlock()
 		if first {
 			s.emit(Event{Time: s.now(), Node: e.Node, Kind: EventDown, Proc: e.Proc})
 		}
@@ -309,12 +269,10 @@ func (s *Supervisor) HandleEvent(e Event) {
 		// The node itself (re)joined: it is alive, clear opinions of it,
 		// and let its restart backoff start over — a clean rejoin ends
 		// the failure episode the exponent was counting.
-		s.mu.Lock()
 		delete(s.down, core.ProcID(e.Node))
-		if sn, ok := s.nodes[e.Node]; ok {
+		if sn := s.find(e.Node); sn != nil {
 			sn.attempt = 0
 		}
-		s.mu.Unlock()
 	}
 }
 

@@ -77,11 +77,7 @@ func TestSupervisorBackoffResetAfterCleanRejoin(t *testing.T) {
 	if gap(1) <= gap(0) {
 		t.Fatalf("backoff not growing: gaps %d then %d", gap(0), gap(1))
 	}
-	attemptNow := func() int {
-		sup.mu.Lock()
-		defer sup.mu.Unlock()
-		return sup.nodes[1].attempt
-	}
+	attemptNow := func() int { return sup.find(1).attempt }
 	grown := attemptNow()
 	if grown < 3 {
 		t.Fatalf("attempt = %d after %d restarts, want >= 3", grown, len(times))

@@ -3,7 +3,6 @@ package detector
 import (
 	"errors"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,10 +114,7 @@ func TestSupervisorRestartsPanickedNode(t *testing.T) {
 			coord.Status(), resp.Status())
 	}
 	// The replacement machine is a fresh responder, not the wrapper.
-	resp.mu.Lock()
-	_, wrapped := resp.cfg.Machine.(*panicMachine)
-	resp.mu.Unlock()
-	if wrapped {
+	if _, wrapped := resp.cfg.Machine.(*panicMachine); wrapped {
 		t.Fatal("restart kept the broken machine")
 	}
 }
@@ -252,39 +248,35 @@ func TestSupervisorValidation(t *testing.T) {
 
 // TestSupervisorHealsPanicMidRunRealTime is the wall-clock, -race variant:
 // a handler panic strikes a live UDP cluster and the supervisor restarts
-// the node while beats keep flowing on other goroutines.
+// the node while beats keep flowing on other goroutines. Everything runs
+// on the clock; the test reaches in through clock.Do.
 func TestSupervisorHealsPanicMidRunRealTime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test; skipped in -short")
 	}
-	transport := netem.NewUDPTransport()
+	clock, err := netem.NewWallClock(5 * time.Millisecond)
+	if err != nil {
+		t.Fatalf("NewWallClock: %v", err)
+	}
+	transport := netem.NewUDPTransport(clock)
 	defer func() {
 		if err := transport.Close(); err != nil {
 			t.Errorf("Close: %v", err)
 		}
 	}()
-	clock, err := netem.NewWallClock(5 * time.Millisecond)
-	if err != nil {
-		t.Fatalf("NewWallClock: %v", err)
-	}
 	cfg := core.Config{TMin: 4, TMax: 16}
 
-	var mu sync.Mutex
 	var events []Event
 	sup, err := NewSupervisor(SupervisorConfig{
-		Clock: clock,
-		Events: EventFunc(func(e Event) {
-			mu.Lock()
-			defer mu.Unlock()
-			events = append(events, e)
-		}),
+		Clock:      clock,
+		Events:     EventFunc(func(e Event) { events = append(events, e) }),
 		CheckEvery: 8,
 		Backoff:    Backoff{Base: 1, Max: 8, Jitter: 0.3},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sup.Stop()
+	defer clock.Do(sup.Stop)
 
 	coordMachine, err := core.NewCoordinator(core.CoordinatorConfig{
 		Config: cfg, Membership: core.MembershipFixed, Members: []core.ProcID{1},
@@ -306,14 +298,24 @@ func TestSupervisorHealsPanicMidRunRealTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.Manage(resp, func() (core.Machine, error) { return core.NewResponder(cfg, 1) }); err != nil {
-		t.Fatal(err)
+	clock.Do(func() {
+		if err := sup.Manage(resp, func() (core.Machine, error) { return core.NewResponder(cfg, 1) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Start(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	restarts := func() (n int) {
+		clock.Do(func() { n = sup.Restarts(1) })
+		return n
 	}
-	if err := coord.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := resp.Start(); err != nil {
-		t.Fatal(err)
+	status := func(n *Node) (st core.Status) {
+		clock.Do(func() { st = n.Status() })
+		return st
 	}
 
 	// Let the pair reach steady state, then break the responder mid-run.
@@ -322,34 +324,32 @@ func TestSupervisorHealsPanicMidRunRealTime(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if sup.Restarts(1) >= 1 && resp.Status() == core.StatusActive {
+		if restarts() >= 1 && status(resp) == core.StatusActive {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if sup.Restarts(1) < 1 {
+	if restarts() < 1 {
 		t.Fatal("supervisor never restarted the panicked node")
 	}
 	// Give the healed pair a few more rounds; nobody may wind down.
 	time.Sleep(300 * time.Millisecond)
-	if coord.Status() != core.StatusActive || resp.Status() != core.StatusActive {
-		mu.Lock()
-		defer mu.Unlock()
-		t.Fatalf("cluster did not survive the panic: p0=%v p1=%v events=%v",
-			coord.Status(), resp.Status(), events)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	var sawPanic, sawRestart bool
-	for _, e := range events {
-		if e.Node == 1 && e.Kind == EventPanic {
-			sawPanic = true
+	clock.Do(func() {
+		if coord.Status() != core.StatusActive || resp.Status() != core.StatusActive {
+			t.Fatalf("cluster did not survive the panic: p0=%v p1=%v events=%v",
+				coord.Status(), resp.Status(), events)
 		}
-		if e.Node == 1 && e.Kind == EventRestarted {
-			sawRestart = true
+		var sawPanic, sawRestart bool
+		for _, e := range events {
+			if e.Node == 1 && e.Kind == EventPanic {
+				sawPanic = true
+			}
+			if e.Node == 1 && e.Kind == EventRestarted {
+				sawRestart = true
+			}
 		}
-	}
-	if !sawPanic || !sawRestart {
-		t.Fatalf("panic/restart events missing: %v", events)
-	}
+		if !sawPanic || !sawRestart {
+			t.Fatalf("panic/restart events missing: %v", events)
+		}
+	})
 }

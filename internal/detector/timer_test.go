@@ -276,7 +276,7 @@ func TestSupervisorStopLeavesNothingArmed(t *testing.T) {
 	if err := sup.Manage(n, func() (core.Machine, error) { return &scriptMachine{}, nil }); err != nil {
 		t.Fatal(err)
 	}
-	sup.scheduleRestart(n.ID())
+	sup.scheduleRestart(sup.find(n.ID()))
 	sup.HandleEvent(Event{Node: 0, Kind: EventSuspect, Proc: 1})
 	if got := clock.armed(); got != 2 {
 		t.Fatalf("%d supervisor timers armed, want poll + restart", got)

@@ -11,9 +11,10 @@ import (
 )
 
 // MaxDriftTerm bounds both terms of a drift rate. Rescaling multiplies a
-// tick count by one term, and the largest count the simulator can hold is
-// its 2^48-tick horizon, so 2^15 is the largest bound that keeps every
-// product inside int64.
+// tick count by one term, and every count a drifting clock rescales stays
+// below 2^48 — schedule times and delays are at most MaxTicks, protocol
+// delays far less — so 2^15 is the largest bound that keeps every product
+// inside int64.
 const MaxDriftTerm = 1 << 15
 
 // validDrift checks a drift rate num/den and the skew jump that comes with

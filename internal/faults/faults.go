@@ -32,7 +32,8 @@ var ErrSchedule = errors.New("faults: invalid schedule")
 
 // MaxTicks bounds every time and delay in a schedule. Each becomes a timer
 // delay — an event's At, a message's reordering delay plus its latency —
-// and must stay well inside the simulator's 2^48-tick horizon.
+// and must stay well inside the 2^48 ticks a drifting clock can rescale
+// exactly (MaxDriftTerm).
 const MaxTicks = 1 << 40
 
 // Kind enumerates the fault event types a Schedule can express.

@@ -84,7 +84,7 @@ func TestParseScheduleErrors(t *testing.T) {
 		"drift t=0 node=1 rate=1/1 skew=1099511627777",         //
 		"drift t=0 node=1 rate=1/1 skew=-1099511627777",        //
 		"drift t=5 node=1 rate=1/1 skew=9223372036854775807",   // wrapped local time negative
-		"delay t=0 all mindelay=0 maxdelay=999999999999999999", // past the sim horizon
+		"delay t=0 all mindelay=0 maxdelay=999999999999999999", // far past MaxTicks
 	} {
 		if _, err := ParseSchedule(text); !errors.Is(err, ErrSchedule) {
 			t.Errorf("ParseSchedule(%q) = %v, want ErrSchedule", text, err)

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/netem"
 	"repro/internal/sim"
@@ -37,9 +36,9 @@ type Stats struct {
 // simulator replays exactly; faults apply at send time, uniformly across
 // netem.Network and netem.UDPTransport.
 //
-// It is safe for concurrent use (the wrapped transport permitting).
+// It runs on its clock (see netem.Clock), as the nodes sending through it
+// do, and takes no lock of its own.
 type FaultableTransport struct {
-	mu    sync.Mutex
 	inner netem.Transport
 	clock netem.Clock
 	seed  int64
@@ -57,6 +56,7 @@ type FaultableTransport struct {
 	reorderMax  sim.Time
 
 	stats Stats
+	pool  []*delayed // delayed deliveries that have fired, for reuse
 }
 
 var _ netem.Transport = (*FaultableTransport)(nil)
@@ -70,8 +70,7 @@ func Wrap(inner netem.Transport, clock netem.Clock, seed int64) *FaultableTransp
 
 // stream returns the fault layer's random stream, seeding it on the first
 // draw: a schedule that never draws never seeds. The stream, and so every
-// decision, is the one an eagerly seeded source would give. Callers hold
-// f.mu.
+// decision, is the one an eagerly seeded source would give.
 func (f *FaultableTransport) stream() *rand.Rand {
 	if f.rng == nil {
 		//lint:allow noalloc-closure one seeded source per transport, built on the first draw and kept, like channel's Gilbert-Elliott state
@@ -106,10 +105,7 @@ type delayRange struct {
 // transport directly, faults apply on the sending side only. The ID must
 // lie in [0, netem.MaxNodes), whatever the wrapped transport accepts.
 func (f *FaultableTransport) Register(id netem.NodeID, h netem.Handler) error {
-	f.mu.Lock()
-	_, err := f.tab.GrowNode(id)
-	f.mu.Unlock()
-	if err != nil {
+	if _, err := f.tab.GrowNode(id); err != nil {
 		return err
 	}
 	return f.inner.Register(id, h)
@@ -118,8 +114,6 @@ func (f *FaultableTransport) Register(id netem.NodeID, h netem.Handler) error {
 // SetNodeMuted drops (or stops dropping) every send from id — the
 // network-visible half of a process crash.
 func (f *FaultableTransport) SetNodeMuted(id netem.NodeID, muted bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if n, err := f.tab.GrowNode(id); err == nil {
 		n.muted = muted
 	}
@@ -127,8 +121,6 @@ func (f *FaultableTransport) SetNodeMuted(id netem.NodeID, muted bool) {
 
 // SetPartitioned isolates (or heals) a node in both directions.
 func (f *FaultableTransport) SetPartitioned(id netem.NodeID, down bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if n, err := f.tab.GrowNode(id); err == nil {
 		n.partitioned = down
 	}
@@ -136,8 +128,6 @@ func (f *FaultableTransport) SetPartitioned(id netem.NodeID, down bool) {
 
 // SetLinkDown takes the unidirectional from→to link down or up.
 func (f *FaultableTransport) SetLinkDown(from, to netem.NodeID, down bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if l, err := f.tab.GrowLink(from, to); err == nil {
 		l.down = down
 	}
@@ -146,8 +136,6 @@ func (f *FaultableTransport) SetLinkDown(from, to netem.NodeID, down bool) {
 // SetLoss installs ge as the Gilbert–Elliott loss channel for every link
 // without a per-link override; nil clears it. Chain state is reset.
 func (f *FaultableTransport) SetLoss(ge *GilbertElliott) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.lossDefault = ge
 	f.tab.EachLink(func(_, _ netem.NodeID, l *faultLink) { l.ch = nil })
 }
@@ -155,8 +143,6 @@ func (f *FaultableTransport) SetLoss(ge *GilbertElliott) {
 // SetLinkLoss installs a per-link Gilbert–Elliott channel; nil reverts the
 // link to the default channel.
 func (f *FaultableTransport) SetLinkLoss(from, to netem.NodeID, ge *GilbertElliott) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if l, err := f.tab.GrowLink(from, to); err == nil {
 		l.loss, l.ch = ge, nil
 	}
@@ -166,8 +152,6 @@ func (f *FaultableTransport) SetLinkLoss(from, to netem.NodeID, ge *GilbertEllio
 // message on links without a per-link override; min = max = 0 clears it.
 // Inverted or negative bounds are normalised to empty.
 func (f *FaultableTransport) SetDelay(min, max sim.Time) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.delayAll = normDelay(min, max)
 }
 
@@ -175,8 +159,6 @@ func (f *FaultableTransport) SetDelay(min, max sim.Time) {
 // only — one direction, so an asymmetric path is two calls with different
 // bounds. min = max = 0 reverts the link to the default delay.
 func (f *FaultableTransport) SetLinkDelay(from, to netem.NodeID, min, max sim.Time) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if l, err := f.tab.GrowLink(from, to); err == nil {
 		l.delay = normDelay(min, max)
 	}
@@ -195,8 +177,6 @@ func normDelay(min, max sim.Time) delayRange {
 // SetDuplication sets the probability that a surviving message is sent
 // twice. Out-of-range values are clamped to [0,1].
 func (f *FaultableTransport) SetDuplication(p float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.dupProb = clamp01(p)
 }
 
@@ -204,8 +184,6 @@ func (f *FaultableTransport) SetDuplication(p float64) {
 // by a uniform 1..max extra ticks before reaching the wrapped transport,
 // letting later messages overtake it.
 func (f *FaultableTransport) SetReordering(p float64, max sim.Time) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.reorderProb = clamp01(p)
 	if max < 1 {
 		f.reorderProb = 0
@@ -226,13 +204,11 @@ func clamp01(p float64) float64 {
 
 // Stats returns a copy of the intervention counters.
 func (f *FaultableTransport) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.stats
 }
 
 // channel returns the chain state for a link, creating it lazily from the
-// per-link or default parameters. Callers hold f.mu.
+// per-link or default parameters.
 func (f *FaultableTransport) channel(l *faultLink) *geChannel {
 	if l.ch != nil {
 		return l.ch
@@ -253,27 +229,22 @@ func (f *FaultableTransport) channel(l *faultLink) *geChannel {
 // a message en route when a partition starts still arrives, exactly as on
 // a physical network.
 func (f *FaultableTransport) Send(from, to netem.NodeID, payload []byte) error {
-	f.mu.Lock()
 	f.stats.Intercepted++
 	l, err := f.tab.GrowLink(from, to)
 	if err != nil {
-		f.mu.Unlock()
 		return err
 	}
 	src, dst := f.tab.Node(from), f.tab.Node(to)
 	if src.muted {
 		f.stats.DroppedMuted++
-		f.mu.Unlock()
 		return nil
 	}
 	if src.partitioned || dst.partitioned || l.down {
 		f.stats.DroppedPartition++
-		f.mu.Unlock()
 		return nil
 	}
 	if ch := f.channel(l); ch != nil && ch.Lose(f.stream()) {
 		f.stats.DroppedLoss++
-		f.mu.Unlock()
 		return nil
 	}
 	copies := 1
@@ -303,7 +274,6 @@ func (f *FaultableTransport) Send(from, to netem.NodeID, payload []byte) error {
 			}
 		}
 	}
-	f.mu.Unlock()
 
 	var firstErr error
 	for _, d := range delays {
@@ -319,16 +289,43 @@ func (f *FaultableTransport) Send(from, to netem.NodeID, payload []byte) error {
 }
 
 // sendAfter hands a copy of payload to the wrapped transport d ticks from
-// now; the caller may reuse payload as soon as Send returns.
-//
-//lint:allow noalloc-closure a delayed delivery copies its payload and arms a one-shot timer; fault-delayed sends are off the steady-state path
+// now; the caller may reuse payload as soon as Send returns. The copy and
+// its timer come from a pool, so a stream of delayed sends allocates only
+// while the pool grows to the number in flight.
 func (f *FaultableTransport) sendAfter(d sim.Time, from, to netem.NodeID, payload []byte) {
-	data := append([]byte(nil), payload...)
-	f.clock.NewTimer(func(uint64) {
-		if err := f.inner.Send(from, to, data); err != nil {
-			f.mu.Lock()
-			f.stats.SendErrors++
-			f.mu.Unlock()
-		}
-	}).Reset(d, 0)
+	var dl *delayed
+	if n := len(f.pool); n > 0 {
+		dl = f.pool[n-1]
+		f.pool = f.pool[:n-1]
+	} else {
+		dl = f.newDelayed()
+	}
+	dl.from, dl.to = from, to
+	dl.data = append(dl.data[:0], payload...)
+	dl.timer.Reset(d, 0)
+}
+
+// delayed is a pooled fault-delayed delivery.
+type delayed struct {
+	from, to netem.NodeID
+	data     []byte
+	timer    netem.Timer // fires deliver; built once with the record
+}
+
+// newDelayed builds a pool record and its timer.
+//
+//lint:allow noalloc-closure a pool miss builds one record and its timer, reused for every later delayed send
+func (f *FaultableTransport) newDelayed() *delayed {
+	dl := &delayed{}
+	dl.timer = f.clock.NewTimer(func(uint64) { f.deliver(dl) })
+	return dl
+}
+
+// deliver hands a delayed copy to the wrapped transport, which copies it
+// in turn, and returns the record to the pool.
+func (f *FaultableTransport) deliver(dl *delayed) {
+	if err := f.inner.Send(dl.from, dl.to, dl.data); err != nil {
+		f.stats.SendErrors++
+	}
+	f.pool = append(f.pool, dl)
 }

@@ -26,19 +26,19 @@ type timerSet interface {
 // it, a disarm clears it, and a word that is no longer its row's is
 // skipped.
 type ringSet struct {
-	c     calendar
+	c     sim.Calendar
 	watch []int32
 }
 
-func (r *ringSet) add(at sim.Time, row int32) { r.c.add(at, kRound<<kindShift|uint32(row)) }
+func (r *ringSet) add(at sim.Time, row int32) { r.c.Add(at, kRound<<kindShift|uint32(row)) }
 func (r *ringSet) arm(at sim.Time, row int32) {
-	r.watch[row] = r.c.add(at, kWatch<<kindShift|uint32(row))
+	r.watch[row] = r.c.Add(at, kWatch<<kindShift|uint32(row))
 }
 func (r *ringSet) disarm(row int32) { r.watch[row] = -1 }
-func (r *ringSet) pending() int     { return r.c.queued }
+func (r *ringSet) pending() int     { return r.c.Queued() }
 func (r *ringSet) drain(t sim.Time, fire func(int32, bool)) {
-	for lr := r.c.take(t); ; {
-		first, words := r.c.run(&lr)
+	for lr := r.c.Take(t); ; {
+		first, words := r.c.Run(&lr)
 		if len(words) == 0 {
 			return
 		}
@@ -158,9 +158,9 @@ func TestCalendarMatchesSortedReference(t *testing.T) {
 		rows, step int
 	}{{8, 5, 400}, {8, 300, 8000}, {64, 40, 3000}, {64, 1000, 12000}} {
 		for seed := int64(1); seed <= 4; seed++ {
-			ring := &ringSet{c: newCalendar(tc.window - 1), watch: make([]int32, tc.rows)}
-			if got := ring.c.mask + 1; got != tc.window {
-				t.Fatalf("newCalendar(%d) has %d slots, want %d", tc.window-1, got, tc.window)
+			ring := &ringSet{c: sim.NewCalendar(tc.window - 1), watch: make([]int32, tc.rows)}
+			if got := ring.c.Size(); got != tc.window {
+				t.Fatalf("NewCalendar(%d) has %d slots, want %d", tc.window-1, got, tc.window)
 			}
 			for i := range ring.watch {
 				ring.watch[i] = -1
@@ -179,8 +179,8 @@ func TestCalendarMatchesSortedReference(t *testing.T) {
 				t.Fatalf("window %d rows %d seed %d: %d words fired, reference %d; first difference at %d",
 					tc.window, tc.rows, seed, len(got), len(want), i)
 			}
-			if ring.c.queued != 0 {
-				t.Errorf("window %d rows %d seed %d: %d words left queued", tc.window, tc.rows, seed, ring.c.queued)
+			if ring.c.Queued() != 0 {
+				t.Errorf("window %d rows %d seed %d: %d words left queued", tc.window, tc.rows, seed, ring.c.Queued())
 			}
 		}
 	}
@@ -192,8 +192,8 @@ func TestCalendarMatchesSortedReference(t *testing.T) {
 // same slot one lap early, so both are counted as missed deadlines and
 // never fire, R ticks late or otherwise.
 func TestCalendarWindowGuard(t *testing.T) {
-	s := &shard{cal: newCalendar(62), now: 100}
-	r := s.cal.mask + 1
+	s := &shard{cal: sim.NewCalendar(62), now: 100}
+	r := s.cal.Size()
 	if r != 64 {
 		t.Fatalf("ring of %d slots, want 64", r)
 	}
@@ -210,8 +210,8 @@ func TestCalendarWindowGuard(t *testing.T) {
 	}
 	fired := map[sim.Time]sim.Time{}
 	for tick := s.now + 1; tick <= s.now+2*r; tick++ {
-		for lr := s.cal.take(tick); ; {
-			_, words := s.cal.run(&lr)
+		for lr := s.cal.Take(tick); ; {
+			_, words := s.cal.Run(&lr)
 			if len(words) == 0 {
 				break
 			}
@@ -223,8 +223,8 @@ func TestCalendarWindowGuard(t *testing.T) {
 	if want := map[sim.Time]sim.Time{1: 1, r - 1: r - 1}; !maps.Equal(fired, want) {
 		t.Errorf("fired delay -> after ticks %v, want %v", fired, want)
 	}
-	if s.cal.queued != 0 {
-		t.Errorf("%d words left queued", s.cal.queued)
+	if s.cal.Queued() != 0 {
+		t.Errorf("%d words left queued", s.cal.Queued())
 	}
 }
 
@@ -239,7 +239,7 @@ func TestCalendarLargestRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := len(f.shards[0].cal.slots); r != 1<<17 {
+	if r := f.shards[0].cal.Size(); r != 1<<17 {
 		t.Errorf("ring of %d slots, want 2^17", r)
 	}
 	if err := f.RunEpochs(3); err != nil {

@@ -6,10 +6,10 @@
 // keeps every monitored endpoint as a row in a struct-of-arrays store,
 // sharded across independent event loops, each driven by a calendar ring:
 // one slot per tick, since every delay a shard schedules is bounded
-// (calendar.go). Liveness rolls up a tree: leaf clusters report
-// per-epoch summaries to aggregator subtrees hosted on other shards
-// through a batched wire codec, and aggregators merge into a fleet-wide
-// root summary at every barrier.
+// (sim.Calendar, the ring the Simulator's queue runs on too). Liveness
+// rolls up a tree: leaf clusters report per-epoch summaries to aggregator
+// subtrees hosted on other shards through a batched wire codec, and
+// aggregators merge into a fleet-wide root summary at every barrier.
 //
 // Determinism: each shard owns a private RNG and calendar, consumed in
 // the shard's own event order; cross-shard traffic moves only at epoch
@@ -162,7 +162,7 @@ func New(cfg Config) (*Fleet, error) {
 			id:          id,
 			numShards:   cfg.Shards,
 			aggFanout:   uint32(cfg.AggFanout),
-			cal:         newCalendar(maxDelay),
+			cal:         sim.NewCalendar(maxDelay),
 			rng:         rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9E3779B9)),
 			cfg:         cfg.Core,
 			respBound:   respBound,
@@ -195,7 +195,7 @@ func New(cfg Config) (*Fleet, error) {
 			s.watch[e] = s.schedule(stagger+cfg.LinkDelay+respBound, kWatch<<kindShift|uint32(e))
 		}
 		if cfg.KillEvery > 0 && nEp > 0 {
-			if cfg.KillEvery > s.cal.mask {
+			if cfg.KillEvery >= s.cal.Size() {
 				s.nextKill = cfg.KillEvery
 			} else {
 				s.schedule(cfg.KillEvery, kKill<<kindShift)

@@ -441,8 +441,8 @@ func TestFleetConfigBounds(t *testing.T) {
 			if len(s.latHist) > MaxLatencyBuckets {
 				t.Errorf("%s: %d latency buckets, cap %d", tc.name, len(s.latHist), MaxLatencyBuckets)
 			}
-			if len(s.cal.slots) > 1<<17 {
-				t.Errorf("%s: calendar ring of %d slots, cap 2^17 (1 MiB of headers)", tc.name, len(s.cal.slots))
+			if s.cal.Size() > 1<<17 {
+				t.Errorf("%s: calendar ring of %d slots, cap 2^17 (1 MiB of headers)", tc.name, s.cal.Size())
 			}
 			for _, w := range s.wait {
 				if core.Tick(w) != tc.cfg.Core.TMax {

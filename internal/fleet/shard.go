@@ -1,7 +1,7 @@
 package fleet
 
 // One shard of the fleet: a slice of the endpoint population driven by a
-// private calendar ring (calendar.go), a private RNG, and nothing else —
+// private calendar ring (sim.Calendar), a private RNG, and nothing else —
 // shards share no mutable state during an epoch, which is what makes fleet
 // runs byte-identical at any worker count (see fleet.go).
 //
@@ -43,7 +43,7 @@ type shard struct {
 	id        int
 	numShards int
 	aggFanout uint32
-	cal       calendar
+	cal       sim.Calendar
 	rng       *rand.Rand
 	now       sim.Time // the tick being drained, or the last one drained
 	// nextKill is the injector's next tick when KillEvery is at least the
@@ -106,7 +106,7 @@ type aggregator struct {
 //hbvet:noalloc
 func (s *shard) runUntil(end sim.Time) {
 	for t := s.now + 1; t < end; t++ {
-		if s.cal.queued == 0 {
+		if s.cal.Queued() == 0 {
 			// An empty ring: jump to the held kill, if it is due before end.
 			if s.nextKill == 0 || s.nextKill >= end {
 				break
@@ -117,8 +117,8 @@ func (s *shard) runUntil(end sim.Time) {
 		if t == s.nextKill {
 			s.onKill()
 		}
-		for r := s.cal.take(t); ; {
-			first, words := s.cal.run(&r)
+		for r := s.cal.Take(t); ; {
+			first, words := s.cal.Run(&r)
 			if len(words) == 0 {
 				break
 			}
@@ -147,11 +147,11 @@ func (s *shard) runUntil(end sim.Time) {
 //
 //hbvet:noalloc
 func (s *shard) schedule(at sim.Time, word uint32) int32 {
-	if d := at - s.now; d < 1 || d > s.cal.mask {
+	if d := at - s.now; d < 1 || d >= s.cal.Size() {
 		s.missedDeadlines++
 		return -1
 	}
-	return s.cal.add(at, word)
+	return s.cal.Add(at, word)
 }
 
 // roll draws one independent Bernoulli loss verdict for a message.

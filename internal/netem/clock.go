@@ -2,6 +2,7 @@ package netem
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -11,6 +12,14 @@ import (
 // Clock is the one time service of the runtime: the detector, its
 // supervisor and the fault layer all read time and arm callbacks through
 // it, over virtual time (SimClock) or real time (WallClock).
+//
+// The clock is also what serialises the runtime. Everything built on one
+// clock — nodes, their supervisor, the fault layer, an observer — runs on
+// that clock, one callback at a time, and takes no lock of its own: a
+// SimClock runs every callback on the simulator's goroutine, and a
+// WallClock runs every timer expiry and every UDPTransport delivery under
+// its one mutex, which a call from any other goroutine takes through
+// WallClock.Do.
 type Clock interface {
 	// Now returns the current time in ticks.
 	Now() sim.Time
@@ -23,9 +32,9 @@ type Clock interface {
 //
 // Reset and Stop supersede the pending expiry, if any. Under a SimClock
 // that is exact: a superseded expiry never runs. Under a WallClock an
-// expiry that is already running on its own goroutine cannot be recalled,
-// so every expiry carries the tag of the Reset that armed it and the owner
-// drops, under its own lock, any expiry whose tag is no longer current.
+// expiry whose goroutine is already waiting for the clock cannot be
+// recalled, so every expiry carries the tag of the Reset that armed it and
+// the owner drops any expiry whose tag is no longer current.
 type Timer interface {
 	// Reset arms the timer to call fn(tag) after d ticks, replacing any
 	// pending expiry. d must not be negative.
@@ -64,19 +73,22 @@ type simTimer struct {
 	tag  uint64
 }
 
-// Reset implements Timer.
+// Reset implements Timer. It cannot fail: a negative d, which the
+// interface rules out, arms the timer for now rather than dropping it (a
+// dropped timer would hang the protocol), and a d past the largest Time
+// arms it for the largest Time.
 //
 //hbvet:noalloc
 func (t *simTimer) Reset(d sim.Time, tag uint64) {
 	t.tm.Cancel()
-	tm, err := t.sim.Schedule(d, t.fire)
-	if err != nil {
-		// A negative or beyond-horizon delay is a bug in the caller, and
-		// silently dropping the timer would hang the protocol.
-		//lint:allow noalloc-closure cold panic path; callers arm validated, non-negative delays
-		panic(fmt.Sprintf("netem: arming timer: %v", err))
+	now := t.sim.Now()
+	at := now + max(d, 0)
+	if at < now {
+		at = math.MaxInt64
 	}
-	t.tm, t.tag = tm, tag
+	// at >= now, so ScheduleAt has no error left to return.
+	t.tm, _ = t.sim.ScheduleAt(at, t.fire)
+	t.tag = tag
 }
 
 // Stop implements Timer.
@@ -85,11 +97,15 @@ func (t *simTimer) Reset(d sim.Time, tag uint64) {
 func (t *simTimer) Stop() { t.tm.Cancel() }
 
 // WallClock is the Clock of real time, in ticks of a fixed physical length
-// counted from the clock's creation. It is safe for concurrent use, and so
-// are its timers.
+// counted from the clock's creation. Now is safe from any goroutine. Its
+// timers' expiries run holding the clock's mutex, as do the deliveries of
+// a UDPTransport built on it, so the runtime on the clock runs one
+// callback at a time; anything else that calls into that runtime — starting
+// a node, reading its status, stopping a supervisor — does so through Do.
 type WallClock struct {
 	tickLen time.Duration
 	epoch   time.Time
+	mu      sync.Mutex
 }
 
 // NewWallClock returns a wall clock whose tick 0 is now. A tick must have
@@ -111,16 +127,26 @@ var _ Clock = (*WallClock)(nil)
 //lint:allow determinism WallClock is the runtime's wall-clock boundary; simulated runs use SimClock
 func (c *WallClock) Now() sim.Time { return sim.Time(time.Since(c.epoch) / c.tickLen) }
 
-// NewTimer implements Clock.
-func (c *WallClock) NewTimer(fn func(tag uint64)) Timer {
-	return &wallTimer{tickLen: c.tickLen, fn: fn}
+// Do runs fn on the clock: after every expiry and delivery already running,
+// and before the next. fn must not call Do, nor close a UDPTransport built
+// on the clock.
+func (c *WallClock) Do(fn func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fn()
 }
 
+// NewTimer implements Clock.
+func (c *WallClock) NewTimer(fn func(tag uint64)) Timer {
+	return &wallTimer{clock: c, fn: fn}
+}
+
+// wallTimer is a Timer on physical time. Reset and Stop run on the clock,
+// so t needs no lock of its own; an expiry takes the clock's mutex.
 type wallTimer struct {
-	tickLen time.Duration
-	fn      func(tag uint64)
-	mu      sync.Mutex
-	t       *time.Timer
+	clock *WallClock
+	fn    func(tag uint64)
+	t     *time.Timer
 }
 
 // Reset implements Timer.
@@ -128,18 +154,14 @@ type wallTimer struct {
 //lint:allow noalloc-closure physical timers allocate per arm; the noalloc contract covers the sim path
 //lint:allow determinism WallClock is the runtime's wall-clock boundary; simulated runs use SimClock
 func (w *wallTimer) Reset(d sim.Time, tag uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.t != nil {
 		w.t.Stop()
 	}
-	w.t = time.AfterFunc(time.Duration(d)*w.tickLen, func() { w.fn(tag) })
+	w.t = time.AfterFunc(time.Duration(d)*w.clock.tickLen, func() { w.clock.Do(func() { w.fn(tag) }) })
 }
 
 // Stop implements Timer.
 func (w *wallTimer) Stop() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.t != nil {
 		w.t.Stop()
 	}

@@ -98,7 +98,14 @@ var (
 // It is not safe for concurrent use (the simulator is single-threaded).
 type Network struct {
 	simr *sim.Simulator
+	// rng is the simulator's source, taken on the first lossy or jittered
+	// send. owed counts the loss draws of the lossless, jitter-free sends
+	// since the last draw: they cannot lose, so they draw nothing, and the
+	// next draw takes them first (settle). Every draw is therefore the
+	// one an eagerly seeded network would make, and a run that never loses
+	// or jitters never seeds a source.
 	rng  *rand.Rand
+	owed int
 	// tab holds every node's handler (nil until registered) and every
 	// link's override and counters, indexed by NodeID: a Send hashes
 	// nothing.
@@ -155,7 +162,26 @@ func NewNetwork(s *sim.Simulator, def LinkConfig) (*Network, error) {
 	if err := def.validate(); err != nil {
 		return nil, err
 	}
-	return &Network{simr: s, rng: s.Rand(), def: def}, nil
+	return &Network{simr: s, def: def}, nil
+}
+
+// Rand returns the network's random stream, the simulator's, with every
+// loss draw the network owes taken first: a caller sharing the stream with
+// the network draws what it would draw beside an eagerly seeded one.
+func (n *Network) Rand() *rand.Rand {
+	n.settle()
+	return n.rng
+}
+
+// settle takes the simulator's source if the network has not yet, and the
+// loss draws it owes.
+func (n *Network) settle() {
+	if n.rng == nil {
+		n.rng = n.simr.Rand()
+	}
+	for ; n.owed > 0; n.owed-- {
+		n.rng.Float64()
+	}
 }
 
 // Register attaches a node. The handler is required, and the ID must lie
@@ -210,15 +236,23 @@ func (n *Network) Send(from, to NodeID, payload []byte) error {
 		cfg = &l.cfg
 	}
 	n.total.Sent++
-	if n.rng.Float64() < cfg.LossProb {
-		l.stats.Sent++
-		l.stats.Lost++
-		n.total.Lost++
-		return nil
-	}
 	delay := cfg.MinDelay
-	if cfg.MaxDelay > cfg.MinDelay {
-		delay += sim.Time(n.rng.Int63n(int64(cfg.MaxDelay-cfg.MinDelay) + 1))
+	if cfg.LossProb > 0 || cfg.MaxDelay > cfg.MinDelay {
+		// One loss draw per send, and a delay draw per jittered delivery.
+		if n.owed != 0 || n.rng == nil {
+			n.settle()
+		}
+		if n.rng.Float64() < cfg.LossProb {
+			l.stats.Sent++
+			l.stats.Lost++
+			n.total.Lost++
+			return nil
+		}
+		if cfg.MaxDelay > cfg.MinDelay {
+			delay += sim.Time(n.rng.Int63n(int64(cfg.MaxDelay-cfg.MinDelay) + 1))
+		}
+	} else {
+		n.owed++
 	}
 	// The payload is copied into a pooled record's reusable buffer, so the
 	// caller may reuse payload as soon as Send returns.

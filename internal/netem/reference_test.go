@@ -94,20 +94,31 @@ type arrival struct {
 	payload  string
 }
 
+// Rand is the reference's stream: the simulator's, taken eagerly.
+func (n *refNetwork) Rand() *rand.Rand { return n.rng }
+
 // netUnderTest is what a random program drives: Network and refNetwork.
 type netUnderTest interface {
 	Transport
 	SetLink(from, to NodeID, cfg LinkConfig) error
+	Rand() *rand.Rand
 }
 
 // runProgram drives one random Register/SetLink/Send/RunUntil program,
 // a function of seed alone, and returns everything observable: each call's
 // error text (and whether it wraps ErrUnknownNode), and the deliveries in
-// order.
-func runProgram(seed int64, build func(*sim.Simulator, LinkConfig) netUnderTest) (errs []string, got []arrival) {
+// order. A lossless program starts every link lossless and jitter-free,
+// makes half its SetLinks so too, and now and then draws from the
+// network's stream the way a caller sharing it does; the draws are
+// recorded among the deliveries.
+func runProgram(seed int64, lossless bool, build func(*sim.Simulator, LinkConfig) netUnderTest) (errs []string, got []arrival) {
 	prog := rand.New(rand.NewSource(seed))
 	s := sim.New(sim.WithSeed(seed))
-	n := build(s, LinkConfig{LossProb: 0.1, MaxDelay: sim.Time(prog.Intn(4))})
+	def := LinkConfig{LossProb: 0.1, MaxDelay: sim.Time(prog.Intn(4))}
+	if lossless {
+		def = LinkConfig{}
+	}
+	n := build(s, def)
 	note := func(err error) {
 		if err == nil {
 			errs = append(errs, "")
@@ -134,10 +145,15 @@ func runProgram(seed int64, build func(*sim.Simulator, LinkConfig) netUnderTest)
 			}))
 		case op == 1:
 			lo := sim.Time(prog.Intn(3))
-			note(n.SetLink(NodeID(prog.Intn(ids)), NodeID(prog.Intn(ids)),
-				LinkConfig{LossProb: prog.Float64() / 2, MinDelay: lo, MaxDelay: lo + sim.Time(prog.Intn(3))}))
+			cfg := LinkConfig{LossProb: prog.Float64() / 2, MinDelay: lo, MaxDelay: lo + sim.Time(prog.Intn(3))}
+			if lossless && prog.Intn(2) == 0 {
+				cfg = LinkConfig{MinDelay: lo, MaxDelay: lo}
+			}
+			note(n.SetLink(NodeID(prog.Intn(ids)), NodeID(prog.Intn(ids)), cfg))
 		case op == 2:
 			s.RunUntil(s.Now() + sim.Time(prog.Intn(3)))
+		case op == 3 && lossless:
+			got = append(got, arrival{tick: s.Now(), payload: fmt.Sprintf("draw %d", n.Rand().Int63n(1000))})
 		default:
 			note(n.Send(id(), id(), []byte{byte(step), byte(step >> 8)}))
 		}
@@ -154,7 +170,7 @@ func TestNetworkMatchesMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		var dense *Network
 		var ref *refNetwork
-		errsD, gotD := runProgram(seed, func(s *sim.Simulator, def LinkConfig) netUnderTest {
+		errsD, gotD := runProgram(seed, false, func(s *sim.Simulator, def LinkConfig) netUnderTest {
 			n, err := NewNetwork(s, def)
 			if err != nil {
 				t.Fatalf("NewNetwork: %v", err)
@@ -162,7 +178,7 @@ func TestNetworkMatchesMapReference(t *testing.T) {
 			dense = n
 			return n
 		})
-		errsR, gotR := runProgram(seed, func(s *sim.Simulator, def LinkConfig) netUnderTest {
+		errsR, gotR := runProgram(seed, false, func(s *sim.Simulator, def LinkConfig) netUnderTest {
 			ref = newRefNetwork(s, def)
 			return ref
 		})
@@ -191,6 +207,65 @@ func TestNetworkMatchesMapReference(t *testing.T) {
 		}
 		if len(st.Links) != len(ref.stats.Links) {
 			t.Fatalf("seed %d: dense has %d link entries, reference %d", seed, len(st.Links), len(ref.stats.Links))
+		}
+	}
+}
+
+// TestLazyNetworkDrawsEagerStream: a network takes the simulator's source
+// only on its first lossy or jittered send, and a lossless, jitter-free
+// send draws nothing; yet every draw — the network's own and a caller's
+// through Rand — is the one the eagerly seeded reference makes, which draws
+// a loss verdict on every send.
+func TestLazyNetworkDrawsEagerStream(t *testing.T) {
+	// Straight: lossless traffic, then one draw.
+	s := sim.New(sim.WithSeed(7))
+	n, err := NewNetwork(s, LinkConfig{MinDelay: 1, MaxDelay: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefNetwork(sim.New(sim.WithSeed(7)), LinkConfig{MinDelay: 1, MaxDelay: 1})
+	for id := NodeID(0); id < 2; id++ {
+		register(t, n, id, func(Message) {})
+		if err := ref.Register(id, func(Message) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if err := n.Send(0, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Send(0, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run()
+	if n.rng != nil || n.owed != 100 {
+		t.Fatalf("100 lossless sends took a source (%v) and owe %d draws, want none and 100", n.rng != nil, n.owed)
+	}
+	if got, want := n.Rand().Int63(), ref.Rand().Int63(); got != want {
+		t.Fatalf("first draw after 100 lossless sends = %d, eager stream gives %d", got, want)
+	}
+	if n.owed != 0 {
+		t.Fatalf("%d draws still owed after Rand", n.owed)
+	}
+
+	// Mixed: random programs over lossless, lossy and jittered links.
+	for seed := int64(1); seed <= 200; seed++ {
+		errsL, gotL := runProgram(seed, true, func(s *sim.Simulator, def LinkConfig) netUnderTest {
+			n, err := NewNetwork(s, def)
+			if err != nil {
+				t.Fatalf("NewNetwork: %v", err)
+			}
+			return n
+		})
+		errsE, gotE := runProgram(seed, true, func(s *sim.Simulator, def LinkConfig) netUnderTest {
+			return newRefNetwork(s, def)
+		})
+		if i := firstDiff(errsL, errsE); i >= 0 {
+			t.Fatalf("seed %d: call %d: lazy %q, eager %q", seed, i, at(errsL, i), at(errsE, i))
+		}
+		if i := firstDiff(gotL, gotE); i >= 0 {
+			t.Fatalf("seed %d: delivery or draw %d: lazy %+v, eager %+v", seed, i, at(gotL, i), at(gotE, i))
 		}
 	}
 }

@@ -14,7 +14,13 @@ import (
 // recipient) frames the payload.
 // UDP supplies the loss/duplication/reordering semantics for real
 // networks; for controlled experiments prefer Network.
+//
+// Deliveries run on the transport's WallClock: each receive goroutine
+// holds the clock's mutex while its handler runs, so the nodes see their
+// deliveries and timer expiries one at a time (see netem.Clock). mu only
+// guards the transport's own tables.
 type UDPTransport struct {
+	clock  *WallClock
 	mu     sync.Mutex
 	nodes  map[NodeID]*udpNode
 	addrs  map[NodeID]*net.UDPAddr
@@ -44,11 +50,13 @@ var (
 // is generous.
 const maxUDPPayload = 1024
 
-// NewUDPTransport creates an empty UDP transport.
+// NewUDPTransport creates an empty UDP transport whose deliveries run on
+// clock.
 //
 //lint:allow unused-export ROADMAP item 10's real-time cluster is its first caller; TestRealTimeOverUDP drives it today
-func NewUDPTransport() *UDPTransport {
+func NewUDPTransport(clock *WallClock) *UDPTransport {
 	return &UDPTransport{
+		clock: clock,
 		nodes: make(map[NodeID]*udpNode),
 		addrs: make(map[NodeID]*net.UDPAddr),
 	}
@@ -80,7 +88,8 @@ func (u *UDPTransport) Register(id NodeID, h Handler) error {
 	return nil
 }
 
-// receiveLoop decodes datagrams and dispatches them to the handler.
+// receiveLoop decodes datagrams and dispatches them to the handler, on the
+// clock.
 func (u *UDPTransport) receiveLoop(id NodeID, n *udpNode) {
 	defer u.wg.Done()
 	buf := make([]byte, udpHeader+maxUDPPayload)
@@ -93,7 +102,8 @@ func (u *UDPTransport) receiveLoop(id NodeID, n *udpNode) {
 		if err != nil || to != id {
 			continue // stray or misdelivered
 		}
-		n.handler(Message{From: from, To: to, Payload: append([]byte(nil), payload...)})
+		msg := Message{From: from, To: to, Payload: append([]byte(nil), payload...)}
+		u.clock.Do(func() { n.handler(msg) })
 	}
 }
 
@@ -169,7 +179,9 @@ func getNodeID(b []byte) NodeID {
 	return NodeID(int32(uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])))
 }
 
-// Close shuts every socket and waits for the receive loops to exit.
+// Close shuts every socket and waits for the receive loops to exit. It
+// must not run on the clock (inside WallClock.Do or a handler): a receive
+// loop may be waiting for the clock.
 func (u *UDPTransport) Close() error {
 	u.mu.Lock()
 	if u.closed {

@@ -41,13 +41,23 @@ func (c *collector) waitFor(t *testing.T, n int) []Message {
 
 func newUDP(t *testing.T) *UDPTransport {
 	t.Helper()
-	u := NewUDPTransport()
+	u := NewUDPTransport(testClock(t))
 	t.Cleanup(func() {
 		if err := u.Close(); err != nil {
 			t.Errorf("Close: %v", err)
 		}
 	})
 	return u
+}
+
+// testClock is the wall clock a test transport delivers on.
+func testClock(t *testing.T) *WallClock {
+	t.Helper()
+	c, err := NewWallClock(time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestUDPRoundTrip(t *testing.T) {
@@ -124,7 +134,7 @@ func TestUDPErrors(t *testing.T) {
 }
 
 func TestUDPClose(t *testing.T) {
-	u := NewUDPTransport()
+	u := NewUDPTransport(testClock(t))
 	if err := u.Register(0, func(Message) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +213,7 @@ func TestUDPFrameLength(t *testing.T) {
 func TestUDPClosedBeatsPayloadValidation(t *testing.T) {
 	// After Close, even an oversized payload reports ErrClosed: the
 	// transport's lifecycle error wins over payload validation.
-	u := NewUDPTransport()
+	u := NewUDPTransport(testClock(t))
 	if err := u.Register(0, func(Message) {}); err != nil {
 		t.Fatal(err)
 	}

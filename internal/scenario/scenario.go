@@ -79,7 +79,7 @@ func MeasureDetection(cfg DetectionConfig) (*DetectionResult, error) {
 		}
 		crashAt := cfg.CrashAt
 		if cfg.CrashJitter > 0 {
-			crashAt += sim.Time(c.Sim.Rand().Int63n(int64(cfg.CrashJitter)))
+			crashAt += sim.Time(c.Net.Rand().Int63n(int64(cfg.CrashJitter)))
 		}
 		c.Sim.RunUntil(crashAt)
 		victim, ok := c.Participants[cfg.Victim]

@@ -9,15 +9,6 @@ func (t Timer) Active() bool {
 	return t.s != nil && t.s.wheel.Active(t.wt)
 }
 
-// At reports the virtual time a pending timer fires at; 0 once the timer
-// has fired or been cancelled.
-func (t Timer) At() Time {
-	if !t.Active() {
-		return 0
-	}
-	return t.s.slots[t.wt.idx].at
-}
-
 // Pending returns the exact number of events waiting in the queue:
 // cancelled timers leave the count at once, whenever the wheel gets round
 // to reclaiming their storage.

@@ -6,14 +6,15 @@
 // lets protocol code express the "simultaneous events" races that the
 // accelerated heartbeat analysis exercises.
 //
-// The hot path is allocation-free: the event queue is a hierarchical
-// TimerWheel whose slots are append-only logs of 8-byte entries in pooled
-// chunks, the callbacks sit in a slice indexed by the wheel's timer id, and
-// handles are plain values guarded by the wheel's generation counters — no
-// per-event allocation, no interface boxing, O(1) Schedule and Cancel.
-// Cancel takes effect at once (the event will not run and Pending drops);
-// the cancelled entry's storage is reclaimed when its slot is next read or
-// swept, and stays within a constant factor of the pending population.
+// The hot path is allocation-free: the event queue is a TimerWheel — a
+// calendar ring of append-only slot logs, with a small heap for the few
+// events due beyond the ring — the callbacks sit in a slice indexed by the
+// wheel's timer id, and handles are plain values guarded by the wheel's
+// generation counters: no per-event allocation, no interface boxing, O(1)
+// Schedule and Cancel for every event inside the ring. Cancel takes effect
+// at once (the event will not run and Pending drops); the cancelled entry's
+// storage is reclaimed when its word is next read or swept, and stays
+// within a constant factor of the pending population.
 //
 // A Simulator is not safe for concurrent use; it is single-threaded by
 // design so that every run with the same seed and the same scheduling
@@ -35,11 +36,6 @@ type Time int64
 // ErrPastTime is returned when an event is scheduled before the current
 // virtual time.
 var ErrPastTime = errors.New("sim: schedule time is in the past")
-
-// ErrHorizon is returned when an event is scheduled 2^48 ticks or more past
-// the event queue's horizon: the tick of the last executed event, or of the
-// next pending one once RunUntil has looked ahead to it.
-var ErrHorizon = errors.New("sim: schedule time is beyond the 2^48-tick horizon")
 
 // Event is a callback executed when its scheduled time is reached.
 type Event func()
@@ -65,28 +61,25 @@ func (t Timer) Cancel() bool {
 	if s == nil || !s.wheel.Cancel(t.wt) {
 		return false
 	}
-	s.slots[t.wt.idx].fn = nil // release the closure
+	s.fns[t.wt.idx] = nil // release the closure
 	return true
 }
 
 // Simulator owns a virtual clock and an event queue.
 type Simulator struct {
 	now   Time
-	wheel *TimerWheel
-	// slots[i] is the callback and tick of wheel timer id i while it is
-	// pending; the wheel owns everything else about a timer (order, handle
+	wheel TimerWheel
+	// fns[i] is the callback of wheel timer id i while it is pending; the
+	// wheel owns everything else about a timer (tick, order, handle
 	// generation).
-	slots    []timerSlot
+	fns []Event
+	// rng is nil until the first Rand call seeds it from seed.
+	seed     int64
 	rng      *rand.Rand
 	executed uint64
 	// scheduled counts accepted Schedule calls; the package's tests read
 	// it.
 	scheduled uint64
-}
-
-type timerSlot struct {
-	fn Event
-	at Time
 }
 
 // Option configures a Simulator.
@@ -95,18 +88,15 @@ type Option func(*Simulator)
 // WithSeed seeds the simulator's random source. Two simulators with the
 // same seed and the same scheduling sequence behave identically.
 func WithSeed(seed int64) Option {
-	return func(s *Simulator) { s.rng = rand.New(rand.NewSource(seed)) }
+	return func(s *Simulator) { s.seed = seed }
 }
 
 // New returns a Simulator with virtual time 0, seeded with 1 unless an
 // option seeds it.
 func New(opts ...Option) *Simulator {
-	s := &Simulator{wheel: NewTimerWheel()}
+	s := &Simulator{wheel: newWheel(), seed: 1}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(1))
 	}
 	return s
 }
@@ -114,8 +104,15 @@ func New(opts ...Option) *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Rand returns the simulator's deterministic random source.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
+// Rand returns the simulator's deterministic random source. The source is
+// seeded on the first call, so a run that never draws never seeds one; the
+// stream is the one an eagerly seeded source would give.
+func (s *Simulator) Rand() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	}
+	return s.rng
+}
 
 // EventsExecuted returns the number of events run so far.
 //
@@ -130,8 +127,8 @@ func (s *Simulator) Schedule(d Time, fn Event) (Timer, error) {
 	return s.ScheduleAt(s.now+d, fn)
 }
 
-// ScheduleAt runs fn at absolute virtual time t: ErrPastTime before the
-// current time, ErrHorizon 2^48 ticks or more past the queue's horizon.
+// ScheduleAt runs fn at absolute virtual time t; before the current time
+// it is ErrPastTime.
 //
 //hbvet:noalloc
 func (s *Simulator) ScheduleAt(t Time, fn Event) (Timer, error) {
@@ -139,18 +136,14 @@ func (s *Simulator) ScheduleAt(t Time, fn Event) (Timer, error) {
 		//lint:allow noalloc-closure cold error path; scheduling in the past is a caller bug, not a hot-path event
 		return Timer{}, fmt.Errorf("%w: at %d, now %d", ErrPastTime, t, s.now)
 	}
-	if t-s.wheel.Now() >= wheelHorizon {
-		//lint:allow noalloc-closure cold error path; no protocol timer approaches the wheel's horizon
-		return Timer{}, fmt.Errorf("%w: at %d, now %d", ErrHorizon, t, s.now)
-	}
 	s.scheduled++
-	wt := s.wheel.Schedule(t, 0)
-	if int(wt.idx) == len(s.slots) {
-		s.slots = append(s.slots, timerSlot{fn: fn, at: t})
+	id := s.wheel.add(t)
+	if int(id) == len(s.fns) {
+		s.fns = append(s.fns, fn)
 	} else {
-		s.slots[wt.idx] = timerSlot{fn: fn, at: t}
+		s.fns[id] = fn
 	}
-	return Timer{s: s, wt: wt}, nil
+	return Timer{s: s, wt: WheelTimer{idx: id, gen: s.wheel.state[id]}}, nil
 }
 
 // Step executes the next pending event, advancing virtual time to its
@@ -168,14 +161,14 @@ func (s *Simulator) stepUntil(deadline Time) bool {
 	// The wheel recycles the id before fn runs: fn may re-enter Schedule,
 	// and the stale generation keeps the event's own Timer handle inert
 	// either way.
-	id, _, at, ok := s.wheel.popUntil(deadline)
+	id, at, ok := s.wheel.popUntil(deadline)
 	if !ok {
 		return false
 	}
 	s.now = at
 	s.executed++
-	fn := s.slots[id].fn
-	s.slots[id].fn = nil
+	fn := s.fns[id]
+	s.fns[id] = nil
 	//lint:allow noalloc-closure the event callback is the scheduled work itself; each callee is proven at its own //hbvet:noalloc annotation
 	fn()
 	return true

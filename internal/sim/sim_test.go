@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -66,27 +67,28 @@ func TestNegativeDelayRejected(t *testing.T) {
 	}
 }
 
-// TestScheduleHorizon drives the boundary of the queue's 2^48-tick horizon
-// through both entry points: one tick inside is accepted and fires at its
-// tick, the horizon itself is ErrHorizon with nothing scheduled — never the
-// wheel's panic, also when RunUntil has moved the clock past an idle queue's
-// horizon.
-func TestScheduleHorizon(t *testing.T) {
-	const horizon = Time(1) << 48
+// TestScheduleHasNoHorizon: the queue takes any tick the clock can name.
+// Ticks far beyond the ring — past 2^48, up to the largest Time — are
+// accepted through both entry points and fire at their tick after
+// everything nearer, also when RunUntil has moved the clock past an idle
+// queue. One tick past the largest Time overflows the relative form, which
+// is reported as a time in the past, with nothing scheduled.
+func TestScheduleHasNoHorizon(t *testing.T) {
+	const maxTime = Time(math.MaxInt64)
 	for _, tc := range []struct {
 		name     string
 		idleTo   Time // RunUntil on the empty queue first
 		at       Time // absolute
 		relative bool // through Schedule rather than ScheduleAt
-		wantErr  bool
+		overflow bool // d = maxTime - now + 1
 	}{
-		{name: "Schedule inside", at: horizon - 1, relative: true},
-		{name: "Schedule at horizon", at: horizon, relative: true, wantErr: true},
-		{name: "ScheduleAt inside", at: horizon - 1},
-		{name: "ScheduleAt at horizon", at: horizon, wantErr: true},
-		{name: "ScheduleAt far beyond", at: 1<<63 - 1, wantErr: true},
-		{name: "idle clock ahead of the queue", idleTo: 1000, at: horizon + 999, relative: true, wantErr: true},
-		{name: "idle clock, inside", idleTo: 1000, at: horizon - 1, relative: true},
+		{name: "Schedule at 2^48-1", at: 1<<48 - 1, relative: true},
+		{name: "Schedule at 2^48", at: 1 << 48, relative: true},
+		{name: "ScheduleAt 2^48", at: 1 << 48},
+		{name: "ScheduleAt the largest Time", at: maxTime},
+		{name: "Schedule to the largest Time", idleTo: 1000, at: maxTime, relative: true},
+		{name: "idle clock, one past the ring", idleTo: 1000, at: 1000 + wheelRing, relative: true},
+		{name: "Schedule one past the largest Time", idleTo: 1000, relative: true, overflow: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New()
@@ -97,14 +99,17 @@ func TestScheduleHorizon(t *testing.T) {
 			fn := func() { fired = s.Now() }
 			var tm Timer
 			var err error
-			if tc.relative {
+			switch {
+			case tc.overflow:
+				tm, err = s.Schedule(maxTime-s.Now()+1, fn)
+			case tc.relative:
 				tm, err = s.Schedule(tc.at-s.Now(), fn)
-			} else {
+			default:
 				tm, err = s.ScheduleAt(tc.at, fn)
 			}
-			if tc.wantErr {
-				if !errors.Is(err, ErrHorizon) {
-					t.Fatalf("err = %v, want ErrHorizon", err)
+			if tc.overflow {
+				if !errors.Is(err, ErrPastTime) {
+					t.Fatalf("err = %v, want ErrPastTime", err)
 				}
 				if tm.Active() || s.Pending() != 1 || s.scheduled != 2 {
 					t.Fatalf("rejected event left a trace: active %v, pending %d, scheduled %d",
@@ -119,8 +124,12 @@ func TestScheduleHorizon(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tm.At() != tc.at || s.Pending() != 2 {
-				t.Fatalf("At() = %d, Pending() = %d, want %d, 2", tm.At(), s.Pending(), tc.at)
+			if !tm.Active() || s.Pending() != 2 {
+				t.Fatalf("Active() = %v, Pending() = %d, want true, 2", tm.Active(), s.Pending())
+			}
+			s.RunUntil(tc.at - 1)
+			if fired != -1 || keep.Active() || !tm.Active() {
+				t.Fatalf("by %d: far event fired at %d, nearer timer active %v", tc.at-1, fired, keep.Active())
 			}
 			if end := s.Run(); fired != tc.at || end != tc.at {
 				t.Fatalf("fired at %d, run ended at %d, want %d", fired, end, tc.at)

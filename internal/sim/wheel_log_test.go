@@ -6,31 +6,36 @@ import (
 	"testing"
 )
 
-// The wheel keeps no sequence number: same-tick order rests on the ordering
-// lemma in wheel.go's header, which only bites when one tick receives
-// entries first filed at different levels — the same tick scheduled from
-// far away, then from closer, then from next door. runWheelProgram drives
+// Same-tick order rests on the far heap's entries for a tick reaching the
+// ring before any nearer entry for that tick can be added (wheel.go's
+// header). That only bites when one tick receives entries first from
+// beyond the ring's window and then from inside it. runWheelProgram drives
 // exactly that: a byte program of two-byte ops (kind, argument) scheduling
-// onto a handful of fixed ticks — near, a level-1 window away, level 2,
-// level 3, and their +1 neighbours — and onto stepping stones that move the
-// horizon to arbitrary places in between, interleaved with pops, peeks and
-// cancels, against a reference that knows only (at, schedule order).
+// onto a handful of fixed ticks and onto stepping stones whose delays put
+// the clock R+1, R and R-1 ticks short of a fixed tick (so that the next
+// schedule onto it is far, far at the window's very edge, or in the ring),
+// interleaved with pops, bounded pops and cancels, against a reference
+// that knows only (at, schedule order).
 //
-// Mutant check, done by hand when the wheel changed: with collect's origin
-// sort removed, TestWheelMixedOriginOrder fails (first at seed 2, step 222)
-// and so does TestSimulatorRandomOpsMatchSortedQueue (seed 1, trace[32]).
+// Mutant check, done by hand when the wheel changed: with migrate's loop
+// bound moved one tick early (a far entry left in the heap until the tick
+// after its window opens), TestWheelMixedOriginOrder fails.
 
 // wheelProgramPeriod spaces repetitions of the fixed ticks: past one set,
 // the program schedules onto the next.
-const wheelProgramPeriod = 1 << 25
+const wheelProgramPeriod = 1 << 13
 
 var (
-	// Delays from a horizon at the start of a period: levels 0, 0, 1, 1,
-	// 2, 2, 3, 3.
-	wheelProgramTicks = [8]Time{200, 201, 3000, 3001, 70_000, 70_001, 20_000_000, 20_000_001}
+	// Fixed ticks from the start of a period, each with its neighbour.
+	wheelProgramTicks = [8]Time{300, 301, 555, 556, 1000, 1001, 4000, 4001}
 	// Stepping stones, as delays from the caller's clock: both sides of
-	// every level boundary the fixed ticks cross.
-	wheelProgramSteps = [16]Time{0, 1, 17, 199, 255, 256, 257, 2800, 4000, 65_535, 65_536, 66_000, 69_800, 1 << 20, 1<<24 - 1, 1 << 24}
+	// the window's edge, and a long way out.
+	wheelProgramSteps = [8]Time{0, 1, 17, wheelRing - 1, wheelRing, wheelRing + 1, 2 * wheelRing, 3000}
+	// Approaches, as ticks before a fixed tick: a stone there leaves the
+	// clock that far short of the fixed tick once it pops, so that the
+	// next schedule onto the fixed tick is a delay of R+1 or R (the far
+	// heap) or R-1 (the ring).
+	wheelProgramApproaches = [4]Time{wheelRing + 1, wheelRing, wheelRing - 1, 1}
 )
 
 type refEntry struct {
@@ -65,14 +70,12 @@ func runWheelProgram(prog []byte) error {
 	for step := 0; step+1 < len(prog); step += 2 {
 		kind, arg := prog[step]%16, int(prog[step+1])
 		switch {
-		case kind < 6: // onto a fixed tick, from wherever the horizon is
-			at := clock&^(wheelProgramPeriod-1) + wheelProgramTicks[arg%len(wheelProgramTicks)]
-			if at < clock {
-				at += wheelProgramPeriod
-			}
-			schedule(at)
-		case kind < 9: // a stepping stone
+		case kind < 5: // onto a fixed tick, from wherever the clock is
+			schedule(fixedTick(clock, arg))
+		case kind < 7: // a stepping stone
 			schedule(clock + wheelProgramSteps[arg%len(wheelProgramSteps)])
+		case kind < 9: // an approach to a fixed tick
+			schedule(max(clock, fixedTick(clock, arg)-wheelProgramApproaches[arg/8%len(wheelProgramApproaches)]))
 		case kind < 11: // cancel the k-th handle ever issued, live or stale
 			if len(handles) == 0 {
 				break
@@ -111,11 +114,26 @@ func runWheelProgram(prog []byte) error {
 				ref = append(ref[:i], ref[i+1:]...)
 				clock = at
 			}
-		default: // peek
-			at, ok := w.nextAt()
-			if ok != (len(ref) > 0) || (ok && at != ref[refMin()].at) {
-				return fmt.Errorf("step %d: nextAt = (%d, %v) with %d entries in the reference", step/2, at, ok, len(ref))
+		default: // pop everything due by a deadline at or around the window's edge
+			deadline := clock + []Time{0, 1, wheelRing - 1, wheelRing, wheelRing + 1, 4000}[arg%6]
+			for {
+				id, at, ok := w.popUntil(deadline)
+				if due := len(ref) > 0 && ref[refMin()].at <= deadline; ok != due {
+					return fmt.Errorf("step %d: popUntil(%d) = %v, reference says %v", step/2, deadline, ok, due)
+				}
+				if !ok {
+					break
+				}
+				i := refMin()
+				if want := ref[i]; w.payloads[id] != want.payload || at != want.at {
+					return fmt.Errorf("step %d: popUntil(%d) = (payload %d, at %d), want (%d, %d)",
+						step/2, deadline, w.payloads[id], at, want.payload, want.at)
+				}
+				ref = append(ref[:i], ref[i+1:]...)
+				clock = at
 			}
+			// As RunUntil does, the caller's clock moves to the deadline.
+			clock = deadline
 		}
 		if w.Len() != len(ref) {
 			return fmt.Errorf("step %d: Len() = %d, reference holds %d", step/2, w.Len(), len(ref))
@@ -126,6 +144,16 @@ func runWheelProgram(prog []byte) error {
 		}
 	}
 	return nil
+}
+
+// fixedTick is the first occurrence, at or after clock, of the fixed tick
+// arg selects.
+func fixedTick(clock Time, arg int) Time {
+	at := clock&^(wheelProgramPeriod-1) + wheelProgramTicks[arg%len(wheelProgramTicks)]
+	if at < clock {
+		at += wheelProgramPeriod
+	}
+	return at
 }
 
 // randomWheelProgram is the property test's generator and the fuzz
@@ -158,32 +186,35 @@ func FuzzTimerWheel(f *testing.F) {
 }
 
 // wheelFootprint is what a wheel has ever had to allocate: arena, in
-// full-size chunks, and id-table entries.
-func wheelFootprint(w *TimerWheel) (chunks, ids int) {
-	return len(w.words) >> chunkShift, len(w.state)
+// chunks, id-table entries and far-heap entries.
+func wheelFootprint(w *TimerWheel) (chunks, ids, far int) {
+	return len(w.cal.arena) >> chunkShift, len(w.state), cap(w.far)
 }
 
 // TestWheelMemoryFollowsLivePopulation pins the memory bound for the two
 // patterns in which the clock never reaches the cancelled words by itself,
 // so that only the sweep stands between the wheel and unbounded growth: a
-// set of watchdogs re-armed under a frozen clock (bench's sim.heap_rearm_ns
-// probe), and one far timer pushed out on every tick of a running clock.
+// set of watchdogs re-armed under a frozen clock (bench's sim.*_rearm_ns
+// probes), and one far timer pushed out on every tick of a running clock.
 // Ids — and with them the Simulator's callback slots — stay below
 // 3*live + sweepSlack + 1 (the live entries, the tombstones the sweep rule
-// tolerates, the cancel that triggers it); the arena below, per slot the
-// pattern can occupy, a small first chunk (an eighth of a full-size one) and
-// a partly filled full-size one, plus two words per id, plus the spare a
-// sweep takes.
+// tolerates, the cancel that triggers it); the arena below a chunk per
+// slot the pattern can occupy, plus a chunk per 63 ids, plus the spares a
+// sweep takes while it rewrites a slot; the far heap below the id count,
+// plus its append slack.
 func TestWheelMemoryFollowsLivePopulation(t *testing.T) {
 	check := func(t *testing.T, s *Simulator, live, slots int) {
 		t.Helper()
-		chunks, ids := wheelFootprint(s.wheel)
+		chunks, ids, far := wheelFootprint(&s.wheel)
 		maxIDs := 3*live + sweepSlack + 1
-		if ids > maxIDs || len(s.slots) != ids {
-			t.Errorf("%d ids and %d callback slots for %d live timers, want at most %d", ids, len(s.slots), live, maxIDs)
+		if ids > maxIDs || len(s.fns) != ids {
+			t.Errorf("%d ids and %d callback slots for %d live timers, want at most %d", ids, len(s.fns), live, maxIDs)
 		}
-		if maxChunks := slots + slots/8 + 2*maxIDs/(chunkWords-1) + 2; chunks > maxChunks {
-			t.Errorf("%d full-size chunks of arena for %d live timers over %d slots, want at most %d", chunks, live, slots, maxChunks)
+		if maxChunks := slots + maxIDs/(chunkWords-1) + 2; chunks > maxChunks {
+			t.Errorf("%d chunks of arena for %d live timers over %d slots, want at most %d", chunks, live, slots, maxChunks)
+		}
+		if far > 2*maxIDs {
+			t.Errorf("far heap of capacity %d for %d live timers, want at most %d", far, live, 2*maxIDs)
 		}
 		if s.Pending() != live {
 			t.Errorf("Pending() = %d, want %d", s.Pending(), live)
@@ -214,8 +245,9 @@ func TestWheelMemoryFollowsLivePopulation(t *testing.T) {
 		ticks := 0
 		var tick Event
 		tick = func() {
-			// 100k ticks out is level 2: no cascade reaches the cancelled
-			// words for the next 34k ticks, and by then there are 34k more.
+			// 100k ticks out is the far heap: the window reaches a cancelled
+			// entry 100k ticks after it was cancelled, and by then there are
+			// 100k more.
 			far.Cancel()
 			far = mustSchedule(t, s, 100_000, nop)
 			if ticks++; ticks < 1_000_000 {
@@ -224,10 +256,9 @@ func TestWheelMemoryFollowsLivePopulation(t *testing.T) {
 		}
 		mustSchedule(t, s, 1, tick)
 		s.RunUntil(1_000_000)
-		// Between sweeps the tombstones sit in the one or two level-2 slots
-		// 100k ticks ahead; the live far timer and the ticker take a slot
-		// or two each on their way down.
-		check(t, s, 1, 8)
+		// The ticker's word is the ring's only one; the tombstones sit in
+		// the heap between sweeps.
+		check(t, s, 1, 2)
 	})
 }
 

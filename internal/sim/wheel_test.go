@@ -8,8 +8,8 @@ import (
 
 // TestWheelFireOrderMatchesReference pops a randomized schedule out of the
 // wheel and checks the exact (time, sequence) order against a sorted
-// reference, across delays that exercise every wheel level and the
-// cascade paths between them.
+// reference, across delays inside the ring, at its edge and beyond it, so
+// that ticks filled from the far heap and from the ring interleave.
 func TestWheelFireOrderMatchesReference(t *testing.T) {
 	type entry struct {
 		at      Time
@@ -27,13 +27,13 @@ func TestWheelFireOrderMatchesReference(t *testing.T) {
 			case 0:
 				d = 0
 			case 1, 2, 3:
-				d = Time(rng.Int63n(wheelSlots)) // level 0
-			case 4, 5, 6:
-				d = Time(rng.Int63n(wheelSlots * wheelSlots)) // level 1
-			case 7, 8:
-				d = Time(rng.Int63n(1 << (wheelSlotBits * 3))) // level 2
+				d = Time(rng.Int63n(wheelRing)) // the ring
+			case 4, 5:
+				d = wheelRing - 2 + Time(rng.Int63n(4)) // its edge
+			case 6, 7:
+				d = Time(rng.Int63n(8 * wheelRing)) // a few windows out
 			default:
-				d = Time(rng.Int63n(1 << (wheelSlotBits * 4))) // level 3
+				d = Time(rng.Int63n(1 << 32)) // far out
 			}
 			at := base + d
 			w.Schedule(at, uint32(i))
@@ -70,8 +70,8 @@ func TestWheelFireOrderMatchesReference(t *testing.T) {
 // re-arms, cancel-inside-event, single steps and RunUntil windows, and
 // requires identical fire traces (event and clock at each fire). The
 // reference shares no code with the wheel, so any perturbation of the
-// wheel's order (cascade, same-tick sort, below-horizon insert) shows as a
-// diverging trace.
+// wheel's order (a far entry moved into the ring late, a zero-delay event
+// read before its tick's older entries) shows as a diverging trace.
 func TestSimulatorRandomOpsMatchSortedQueue(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		want := runRandomProgram(t, seed, &refKernel{})
@@ -255,8 +255,8 @@ func runRandomProgram(t *testing.T, seed int64, k kernel) []fireRecord {
 }
 
 // TestWheelCancelSemantics pins the cancel edge cases: zero-value
-// handles, double cancel, cancel of a collected-but-unpopped (due) entry,
-// and handle reuse across generations.
+// handles, double cancel, cancel of an entry in the tick being read, and
+// handle reuse across generations.
 func TestWheelCancelSemantics(t *testing.T) {
 	w := NewTimerWheel()
 	if w.Cancel(WheelTimer{}) {
@@ -265,29 +265,31 @@ func TestWheelCancelSemantics(t *testing.T) {
 	a := w.Schedule(10, 1)
 	b := w.Schedule(10, 2)
 	c := w.Schedule(10, 3)
+	d := w.Schedule(10, 4)
 	if !w.Cancel(b) {
 		t.Fatal("first cancel failed")
 	}
 	if w.Cancel(b) {
 		t.Fatal("double cancel reported success")
 	}
-	// Peek collects the tick-10 slot into the due buffer; cancelling a
-	// due entry must still work and must not break the pop sequence.
-	if at, ok := w.nextAt(); !ok || at != 10 {
-		t.Fatalf("nextAt = (%d, %v), want (10, true)", at, ok)
-	}
-	if !w.Cancel(c) {
-		t.Fatal("cancel of due entry failed")
-	}
-	if w.Active(c) {
-		t.Fatal("cancelled due entry still active")
-	}
 	payload, at, ok := w.Pop()
 	if !ok || payload != 1 || at != 10 {
 		t.Fatalf("Pop = (%d, %d, %v), want (1, 10, true)", payload, at, ok)
 	}
-	if w.Cancel(a) {
-		t.Fatal("cancel of fired entry reported success")
+	// Tick 10's log is detached and half read; cancelling an entry in it
+	// must still work and must not break the pop sequence.
+	if !w.Cancel(c) {
+		t.Fatal("cancel of an entry in the tick being read failed")
+	}
+	if w.Active(c) {
+		t.Fatal("cancelled entry still active")
+	}
+	payload, at, ok = w.Pop()
+	if !ok || payload != 4 || at != 10 {
+		t.Fatalf("Pop = (%d, %d, %v), want (4, 10, true)", payload, at, ok)
+	}
+	if w.Cancel(a) || w.Cancel(d) {
+		t.Fatal("cancel of a fired entry reported success")
 	}
 	if _, _, ok := w.Pop(); ok {
 		t.Fatal("wheel should be empty")
@@ -295,61 +297,22 @@ func TestWheelCancelSemantics(t *testing.T) {
 	if w.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0", w.Len())
 	}
-	// The freed nodes are reused; stale handles must stay inert.
-	d := w.Schedule(20, 4)
-	if w.Cancel(a) || w.Cancel(b) || w.Cancel(c) {
-		t.Fatal("stale handle cancelled a reused node")
+	// The freed ids are reused; stale handles must stay inert.
+	e := w.Schedule(20, 5)
+	if w.Cancel(a) || w.Cancel(b) || w.Cancel(c) || w.Cancel(d) {
+		t.Fatal("stale handle cancelled a reused id")
 	}
-	if !w.Active(d) {
+	if !w.Active(e) {
 		t.Fatal("fresh handle not active")
 	}
 }
 
-// TestWheelScheduleBelowHorizon pins the peek-ahead contract: nextAt may
-// advance the wheel's horizon past the caller's clock, and a subsequent
-// Schedule below the horizon still fires in exact (time, seq) order.
-func TestWheelScheduleBelowHorizon(t *testing.T) {
-	w := NewTimerWheel()
-	w.Schedule(100, 1)
-	if at, ok := w.nextAt(); !ok || at != 100 {
-		t.Fatalf("nextAt = (%d, %v), want (100, true)", at, ok)
-	}
-	if w.Now() != 100 {
-		t.Fatalf("horizon = %d, want 100 after peek", w.Now())
-	}
-	// Caller's clock is still < 100; it schedules for t=50 and t=100.
-	w.Schedule(50, 2)
-	w.Schedule(100, 3)
-	wantOrder := []struct {
-		payload uint32
-		at      Time
-	}{{2, 50}, {1, 100}, {3, 100}}
-	for i, want := range wantOrder {
-		payload, at, ok := w.Pop()
-		if !ok || payload != want.payload || at != want.at {
-			t.Fatalf("pop %d = (%d, %d, %v), want (%d, %d, true)",
-				i, payload, at, ok, want.payload, want.at)
-		}
-	}
-}
-
-// TestWheelHorizonPanic pins the overflow policy: scheduling beyond the
-// 2^48-tick horizon panics rather than silently misfiling.
-func TestWheelHorizonPanic(t *testing.T) {
-	w := NewTimerWheel()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected horizon panic")
-		}
-	}()
-	w.Schedule(1<<(wheelSlotBits*wheelLevels), 0)
-}
-
 // TestWheelSteadyStateAllocFree pins the wheel's own 0-alloc steady
-// state: once the id table, chunk arena and due buffer are warm,
-// schedule/cancel/pop cycles allocate nothing — including the sweeps forced
-// by a far watchdog that is pushed out every cycle and never reached, one
-// tombstone a cycle against a sweep rule of a few hundred.
+// state: once the id table, chunk arena and far heap are warm,
+// schedule/cancel/pop cycles allocate nothing — including the moves from
+// the far heap into the ring, and the sweeps forced by a far watchdog that
+// is pushed out every cycle and never reached, one tombstone a cycle
+// against a sweep rule of a few hundred.
 func TestWheelSteadyStateAllocFree(t *testing.T) {
 	w := NewTimerWheel()
 	var at Time
@@ -359,24 +322,22 @@ func TestWheelSteadyStateAllocFree(t *testing.T) {
 		at += 3
 		a := w.Schedule(at+7, 1)
 		b := w.Schedule(at+13, 2)
-		w.Schedule(at+257, 3) // level-1 insert + later cascade
+		w.Schedule(at+wheelRing+1, 3) // the far heap, then the ring
 		w.Cancel(b)
 		_ = a
 		w.Cancel(far)
-		far = w.Schedule(at+1<<20, 4) // level 2
+		far = w.Schedule(at+1<<20, 4)
 		maxLen = max(maxLen, w.Len())
 		for {
-			nx, ok := w.nextAt()
-			if !ok || nx > at {
+			if _, _, ok := w.popUntil(at); !ok {
 				break
 			}
-			w.Pop()
 		}
 	}
 	// AllocsPerRun rounds its average down, which would hide a sweep that
 	// allocates once every few hundred cycles: measure one run of 2000
-	// cycles. Its warm-up call fills the id table, chunk arena and due
-	// buffer and passes the first sweeps.
+	// cycles. Its warm-up call fills the id table, chunk arena and far heap
+	// and passes the first sweeps.
 	if n := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 2000; i++ {
 			cycle()
@@ -384,14 +345,14 @@ func TestWheelSteadyStateAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("2000 steady-state wheel cycles allocate %v times, want 0", n)
 	}
-	if _, ids := wheelFootprint(w); ids > 3*maxLen+sweepSlack+1 {
+	if _, ids, _ := wheelFootprint(w); ids > 3*maxLen+sweepSlack+1 {
 		t.Fatalf("%d ids for at most %d pending entries: 4000 far re-arms were never swept", ids, maxLen)
 	}
 }
 
 // TestSimulatorWheelAllocFree is alloc_test.go's pin under RunUntil
-// windows, whose peeks run the wheel's horizon ahead of the clock: the
-// schedule/cancel/run cycle stays 0-alloc, sweeps of a never-reached
+// windows, which stop short of the next pending tick: the
+// schedule/cancel/run cycle stays 0-alloc, sweeps of a never-reached far
 // watchdog's tombstones included.
 func TestSimulatorWheelAllocFree(t *testing.T) {
 	s := New()
@@ -426,59 +387,80 @@ func TestSimulatorWheelAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("2000 steady-state simulator cycles allocate %v times, want 0", n)
 	}
-	if len(s.slots) > 3*8+sweepSlack+1 {
-		t.Fatalf("%d callback slots for a handful of pending timers: 3500 far re-arms were never swept", len(s.slots))
+	if len(s.fns) > 3*8+sweepSlack+1 {
+		t.Fatalf("%d callback slots for a handful of pending timers: 3500 far re-arms were never swept", len(s.fns))
 	}
 }
 
-// TestWheelPopUntilIsPeekThenPop drives two wheels through the same random
-// schedule/cancel/drain program, one drained with popUntil and one with the
-// nextAt-then-Pop pair it replaces: same entries in the same order, the
-// same entries left behind, and the same horizon afterwards — a deadline
-// that stops short of the next entry still looks ahead to it.
-func TestWheelPopUntilIsPeekThenPop(t *testing.T) {
-	for seed := int64(1); seed <= 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		one, two := NewTimerWheel(), NewTimerWheel()
-		var pending [][2]WheelTimer
-		var now Time
-		for step := 0; step < 300; step++ {
-			switch op := rng.Intn(4); {
-			case op <= 1:
-				// Spread over three levels; never below the horizon's tick.
-				at := max(now, one.Now()) + Time(rng.Intn(3))*Time(rng.Intn(70000)) + Time(rng.Intn(40))
-				payload := uint32(step)
-				pending = append(pending, [2]WheelTimer{one.Schedule(at, payload), two.Schedule(at, payload)})
-			case op == 2 && len(pending) > 0:
-				i := rng.Intn(len(pending))
-				if one.Cancel(pending[i][0]) != two.Cancel(pending[i][1]) {
-					t.Fatalf("seed %d step %d: Cancel disagrees", seed, step)
-				}
-				pending = append(pending[:i], pending[i+1:]...)
-			default:
-				now += Time(rng.Intn(300))
-				for {
-					_, p1, at1, ok1 := one.popUntil(now)
-					at2, ok2 := two.nextAt()
-					var p2 uint32
-					if ok2 = ok2 && at2 <= now; ok2 {
-						p2, at2, _ = two.Pop()
-					} else {
-						at2 = 0
-					}
-					if p1 != p2 || at1 != at2 || ok1 != ok2 {
-						t.Fatalf("seed %d step %d: popUntil(%d) = (%d, %d, %v), nextAt+Pop = (%d, %d, %v)",
-							seed, step, now, p1, at1, ok1, p2, at2, ok2)
-					}
-					if !ok1 {
-						break
-					}
+// TestSweepMidTickKeepsOrder forces a sweep while a tick is half read: the
+// first event of a crowded tick schedules zero-delay events onto it and then
+// cancels most of what is pending — entries later in its own tick, in the
+// ring and in the far heap — which passes the sweep rule. The sweep re-files
+// the rest of the tick's log ahead of the zero-delay events, so the fire
+// trace still matches the sorted reference.
+func TestSweepMidTickKeepsOrder(t *testing.T) {
+	run := func(k kernel) []fireRecord {
+		var trace []fireRecord
+		var cancels []func() bool
+		fire := func(id int) Event {
+			return func() { trace = append(trace, fireRecord{at: k.now(), id: id}) }
+		}
+		id := 0
+		add := func(d Time) {
+			cancels = append(cancels, k.schedule(d, fire(id)))
+			id++
+		}
+		k.schedule(10, func() {
+			trace = append(trace, fireRecord{at: k.now(), id: -1})
+			for i := 0; i < 5; i++ {
+				add(0)
+			}
+			for i := 0; i < len(cancels); i++ {
+				if i%7 != 0 {
+					cancels[i]()
 				}
 			}
-			if one.Len() != two.Len() || one.Now() != two.Now() {
-				t.Fatalf("seed %d step %d: Len %d horizon %d, peek-then-pop twin %d %d",
-					seed, step, one.Len(), one.Now(), two.Len(), two.Now())
+			if k.pending() == 0 {
+				t.Error("the storm cancelled everything")
+			}
+		})
+		for i := 0; i < 1200; i++ {
+			switch i % 3 {
+			case 0:
+				add(10) // the crowded tick, behind the storm
+			case 1:
+				add(Time(11 + i%280)) // the ring, and just past it
+			default:
+				add(Time(300 + i*17)) // the far heap
 			}
 		}
+		for k.step() {
+		}
+		return trace
 	}
+	s := New()
+	got := run(simKernel{s})
+	want := run(&refKernel{})
+	if i := firstFireDiff(got, want); i >= 0 {
+		t.Fatalf("trace[%d]: simulator %+v, reference %+v (of %d and %d fires)", i, fireAt(got, i), fireAt(want, i), len(got), len(want))
+	}
+	if s.wheel.dead != 0 {
+		t.Fatalf("%d tombstones left after the run", s.wheel.dead)
+	}
+}
+
+func firstFireDiff(a, b []fireRecord) int {
+	for i := 0; i < max(len(a), len(b)); i++ {
+		if i >= len(a) || i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+func fireAt(s []fireRecord, i int) fireRecord {
+	if i < len(s) {
+		return s[i]
+	}
+	return fireRecord{}
 }
