@@ -10,9 +10,10 @@ import (
 )
 
 // TestAnalyzeAllVariantsClean runs the structural model analysis over
-// every variant, original and corrected: the shipped models must be free
-// of dead locations, dead channels, unsatisfiable guards, useless resets,
-// and cap-soundness violations. This is the test behind the
+// every variant, original and corrected, with the R1 monitors and with the
+// shutdown monitor: the shipped models must be free of undeclared
+// footprints, dead locations, dead channels, unsatisfiable guards, useless
+// resets, and cap-soundness violations. This is the test behind the
 // `hbcheck -analyze` CI gate.
 func TestAnalyzeAllVariantsClean(t *testing.T) {
 	t.Parallel()
@@ -28,6 +29,15 @@ func TestAnalyzeAllVariantsClean(t *testing.T) {
 			}
 			for _, p := range m.Net.Analyze() {
 				t.Errorf("%v fixed=%v: %s", v, fixed, p)
+			}
+			sliced := m.Cfg
+			sliced.NoMonitor = true
+			sm, err := BuildWithShutdownMonitor(sliced, sliced.ShutdownBound())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range sm.Net.Analyze() {
+				t.Errorf("%v fixed=%v shutdown: %s", v, fixed, p)
 			}
 		}
 	}
@@ -49,9 +59,11 @@ func TestAnalyzeAllVariantsClean(t *testing.T) {
 
 // TestAnalyzePreflightCost pins the EXPERIMENTS.md claim that the
 // -analyze pre-flight is negligible next to any exploration that is
-// itself expensive. The probe grid is polynomial in the model's
-// structure (locations x clocks x caps), the BFS exponential in its
-// behavior: static at n=3 analyzes in well under a second while its BFS
+// itself expensive. The probe grid is polynomial in the model's size —
+// per guard or invariant, base configurations and single and pairwise
+// scans over every location, every clock value 0..cap and every variable
+// candidate, the cap check only over the clocks its footprint reads — the
+// BFS exponential in its behavior: static at n=3 analyzes in well under a second while its BFS
 // passes 8M states even on the quotient Verify explores. The smallest
 // table configurations explore in tens of milliseconds — there the
 // pre-flight is a fixed sub-second cost, not a relative saving — so the

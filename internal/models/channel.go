@@ -18,61 +18,51 @@ func (m *Model) buildChannel(i int) {
 	rt := net.Clock("rt_"+pname(i), tmin+1)
 	jnd := m.vJnd[i]
 	active := m.vActive[i]
-	lost := m.vLost
+	lose := []ta.Assign{ta.Set(m.vLost, 1)}
 	dynamic := cfg.Variant == Dynamic
 
 	var c chanRefs
 	c.rt = rt
 	a := &ta.Automaton{Name: "Ch" + pname(i)}
+	budget := func(name string) ta.Location {
+		return ta.Location{
+			Name:      name,
+			Invariant: func(s *ta.State) bool { return s.Clocks[rt] <= tmin },
+			Footprint: &ta.Footprint{Clocks: []int{rt}},
+		}
+	}
 	c.idle = addLoc(a, ta.Location{Name: "Idle"})
-	c.fly = addLoc(a, ta.Location{
-		Name:      "Fwd",
-		Invariant: func(s *ta.State) bool { return s.Clocks[rt] <= tmin },
-	})
+	c.fly = addLoc(a, budget("Fwd"))
 	// Await is transient within an instant: p[i] either replies from its
 	// committed Rcvd location or, being inactive, never will.
 	c.await = addLoc(a, ta.Location{Name: "Await", Kind: ta.Urgent})
-	c.replyTrue = addLoc(a, ta.Location{
-		Name:      "Reply",
-		Invariant: func(s *ta.State) bool { return s.Clocks[rt] <= tmin },
-	})
+	c.replyTrue = addLoc(a, budget("Reply"))
 	c.replyFalse = -1
 	if dynamic {
-		c.replyFalse = addLoc(a, ta.Location{
-			Name:      "ReplyFalse",
-			Invariant: func(s *ta.State) bool { return s.Clocks[rt] <= tmin },
-		})
+		c.replyFalse = addLoc(a, budget("ReplyFalse"))
 	}
 	a.Init = c.idle
 
 	// Accept p[0]'s broadcast for joined members; the budget starts now.
+	member := func(s *ta.State) bool { return s.Vars[jnd] == 1 }
+	joined := &ta.Footprint{Vars: []int{jnd}}
 	a.Edges = append(a.Edges, ta.Edge{
 		From: c.idle, To: c.fly,
-		Chan:   m.chBcast,
-		Guard:  func(s *ta.State) bool { return s.Vars[jnd] == 1 },
-		Update: func(s *ta.State) { s.Clocks[rt] = 0 },
+		Chan:      m.chBcast,
+		Guard:     member,
+		Footprint: joined,
+		Assign:    []ta.Assign{ta.Reset(rt)},
 	})
 	// Forward leg: deliver to p[i] (keeping the budget running), or lose.
-	a.Edges = append(a.Edges,
-		ta.Edge{
-			From: c.fly, To: c.await,
-			Chan: m.chDlv[i], Send: true,
-			Label: alphabet.DeliverBeat.Of(i + 1),
-			Class: ta.ClassDeliver,
-		},
-		ta.Edge{
-			From: c.fly, To: c.idle,
-			Label:  alphabet.LoseBeatTo.Of(i + 1),
-			Update: func(s *ta.State) { s.Vars[lost] = 1 },
-		},
-	)
+	a.Edges = append(a.Edges, m.leg(c.fly, c.await, c.idle, m.chDlv[i], alphabet.DeliverBeat.Of(i+1), alphabet.LoseBeatTo.Of(i+1))...)
 	// The reply, if any, arrives in the same instant as the delivery.
 	a.Edges = append(a.Edges,
 		ta.Edge{From: c.await, To: c.replyTrue, Chan: m.chReply[i]},
 		ta.Edge{
 			From: c.await, To: c.idle,
-			Guard: func(s *ta.State) bool { return s.Vars[active] == 0 },
-			Label: alphabet.NoReply.Of(i + 1),
+			Guard:     func(s *ta.State) bool { return s.Vars[active] == 0 },
+			Footprint: &ta.Footprint{Vars: []int{active}},
+			Label:     alphabet.NoReply.Of(i + 1),
 		},
 	)
 	if dynamic {
@@ -81,60 +71,30 @@ func (m *Model) buildChannel(i int) {
 		})
 	}
 	// Reply leg: deliver to p[0] within the remaining budget, or lose.
-	a.Edges = append(a.Edges,
-		ta.Edge{
-			From: c.replyTrue, To: c.idle,
-			Chan: m.chDlvTrue[i], Send: true,
-			Label: alphabet.DeliverBeatP0.Of(i + 1),
-			Class: ta.ClassDeliver,
-		},
-		ta.Edge{
-			From: c.replyTrue, To: c.idle,
-			Label:  alphabet.LoseBeatFrom.Of(i + 1),
-			Update: func(s *ta.State) { s.Vars[lost] = 1 },
-		},
-	)
+	a.Edges = append(a.Edges, m.leg(c.replyTrue, c.idle, c.idle, m.chDlvTrue[i], alphabet.DeliverBeatP0.Of(i+1), alphabet.LoseBeatFrom.Of(i+1))...)
 	if dynamic {
-		a.Edges = append(a.Edges,
-			ta.Edge{
-				From: c.replyFalse, To: c.idle,
-				Chan: m.chDlvFalse[i], Send: true,
-				Label: alphabet.DeliverLeaveP0.Of(i + 1),
-				Class: ta.ClassDeliver,
-			},
-			ta.Edge{
-				From: c.replyFalse, To: c.idle,
-				Label:  alphabet.LoseLeaveFrom.Of(i + 1),
-				Update: func(s *ta.State) { s.Vars[lost] = 1 },
-			},
-		)
+		a.Edges = append(a.Edges, m.leg(c.replyFalse, c.idle, c.idle, m.chDlvFalse[i], alphabet.DeliverLeaveP0.Of(i+1), alphabet.LoseLeaveFrom.Of(i+1))...)
 	}
 	// Input-enabledness: a beat arriving while the channel is busy is
 	// dropped and recorded as a loss (see the package comment for why
 	// this is sound for R1–R3).
-	for _, loc := range []int{c.fly, c.await, c.replyTrue} {
+	busy := []int{c.fly, c.await, c.replyTrue}
+	if dynamic {
+		busy = append(busy, c.replyFalse)
+	}
+	for _, loc := range busy {
 		a.Edges = append(a.Edges, ta.Edge{
 			From: loc, To: loc,
-			Chan:   m.chBcast,
-			Guard:  func(s *ta.State) bool { return s.Vars[jnd] == 1 },
-			Update: func(s *ta.State) { s.Vars[lost] = 1 },
-		})
-	}
-	if dynamic {
-		a.Edges = append(a.Edges, ta.Edge{
-			From: c.replyFalse, To: c.replyFalse,
-			Chan:   m.chBcast,
-			Guard:  func(s *ta.State) bool { return s.Vars[jnd] == 1 },
-			Update: func(s *ta.State) { s.Vars[lost] = 1 },
+			Chan:      m.chBcast,
+			Guard:     member,
+			Footprint: joined,
+			Assign:    lose,
 		})
 	}
 
 	c.aut = len(net.Automata())
 	net.Add(a)
 	m.chs = append(m.chs, c)
-	// Only the Fwd and Reply invariants read the budget, and the one way
-	// out of Idle resets it.
-	m.dead = append(m.dead, deadClock{clock: rt, aut: c.aut, locs: locSet(c.idle), v: noVar})
 	b := &m.blocks[i]
 	b.auts, b.clocks = append(b.auts, c.aut), append(b.clocks, rt)
 }
@@ -152,7 +112,6 @@ func (m *Model) buildJoinChannel(i int) {
 	net := m.Net
 	bound := cfg.TMax
 	rt := net.Clock("rtj_"+pname(i), bound+1)
-	lost := m.vLost
 
 	var c joinChanRefs
 	c.rt = rt
@@ -161,32 +120,29 @@ func (m *Model) buildJoinChannel(i int) {
 	c.fly = addLoc(a, ta.Location{
 		Name:      "Fwd",
 		Invariant: func(s *ta.State) bool { return s.Clocks[rt] <= bound },
+		Footprint: &ta.Footprint{Clocks: []int{rt}},
 	})
 	a.Init = c.idle
 
-	a.Edges = append(a.Edges,
-		ta.Edge{
-			From: c.idle, To: c.fly,
-			Chan:   m.chJoin[i],
-			Update: func(s *ta.State) { s.Clocks[rt] = 0 },
-		},
-		ta.Edge{
-			From: c.fly, To: c.idle,
-			Chan: m.chDlvTrue[i], Send: true,
-			Label: alphabet.DeliverJoinP0.Of(i + 1),
-			Class: ta.ClassDeliver,
-		},
-		ta.Edge{
-			From: c.fly, To: c.idle,
-			Label:  alphabet.LoseJoinFrom.Of(i + 1),
-			Update: func(s *ta.State) { s.Vars[lost] = 1 },
-		},
-	)
+	a.Edges = append(a.Edges, ta.Edge{
+		From: c.idle, To: c.fly,
+		Chan:   m.chJoin[i],
+		Assign: []ta.Assign{ta.Reset(rt)},
+	})
+	a.Edges = append(a.Edges, m.leg(c.fly, c.idle, c.idle, m.chDlvTrue[i], alphabet.DeliverJoinP0.Of(i+1), alphabet.LoseJoinFrom.Of(i+1))...)
 	c.aut = len(net.Automata())
 	net.Add(a)
 	m.jchs = append(m.jchs, c)
-	// As for the pair channel: read in Fwd only, reset on leaving Idle.
-	m.dead = append(m.dead, deadClock{clock: rt, aut: c.aut, locs: locSet(c.idle), v: noVar})
 	b := &m.blocks[i]
 	b.auts, b.clocks = append(b.auts, c.aut), append(b.clocks, rt)
+}
+
+// leg returns a channel's two ways out of location from: delivering on ch
+// into location to, or losing the message back to idle, which raises
+// lostMsg.
+func (m *Model) leg(from, to, idle int, ch ta.ChanID, deliver, lost alphabet.Label) []ta.Edge {
+	return []ta.Edge{
+		{From: from, To: to, Chan: ch, Send: true, Label: deliver, Class: ta.ClassDeliver},
+		{From: from, To: idle, Label: lost, Assign: []ta.Assign{ta.Set(m.vLost, 1)}},
+	}
 }

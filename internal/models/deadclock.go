@@ -5,72 +5,36 @@ import (
 	"repro/internal/ta"
 )
 
-// A clock is dead in a configuration when no guard, invariant or
-// requirement predicate can read it before its next reset. Its value then
-// decides nothing, yet it keeps counting to its cap and splits every
-// configuration it is dead in into cap+1 copies. The verdict path stores a
-// dead clock as 0 (the active-clock reduction UPPAAL applies by default):
-// mapping a configuration to that representative is a functional strong
-// bisimulation, so verdicts and counter-examples are those of the network
-// (DESIGN.md, "Verdicts explore a quotient"; quotient_test.go checks every
-// row below exhaustively against the unreduced successor relation). It
-// renames no label, so conformance specs store dead clocks as 0 too
-// (BuildLTS).
-
-// deadClock is one row of a model's dead-clock table. Each row is appended
-// by the build function that declares the clock, beside the automaton whose
-// edges reset and read it, and carries that automaton's reason.
-type deadClock struct {
-	clock int
-	// The clock is dead while automaton aut occupies a location of the
-	// bit set locs (bit l for location l) ...
-	aut  int
-	locs uint64
-	// ... and while variable v holds val; noVar means no such condition.
-	v   int
-	val int32
-}
-
-// noVar is the deadClock.v of a row with no variable condition (and what
-// Model.vLeave holds outside the dynamic protocol).
-const noVar = -1
-
-// locSet is the deadClock.locs bit set of the given locations.
-func locSet(locs ...int) uint64 {
-	var set uint64
-	for _, l := range locs {
-		set |= 1 << l
-	}
-	return set
-}
-
-// zeroDead stores every clock that is dead in s as 0.
-func (m *Model) zeroDead(s *ta.State) {
-	for i := range m.dead {
-		d := &m.dead[i]
-		if d.locs>>s.Locs[d.aut]&1 == 1 || d.v != noVar && s.Vars[d.v] == d.val {
-			s.Clocks[d.clock] = 0
-		}
-	}
-}
+// A clock is dead in a configuration when nothing can read it before its
+// next reset; its value decides nothing, yet it splits the configuration
+// into cap+1 copies. The verdict path stores a dead clock as 0, the
+// active-clock reduction UPPAAL applies: a functional strong bisimulation,
+// so verdicts and counter-examples are those of the network (DESIGN.md,
+// "Verdicts explore a quotient"). Build has ta derive where each clock is
+// dead from the footprints every guard, invariant and update declares
+// (ta.Network.DeadClocks): R1–R3, the loss prune and the shutdown predicate
+// read no clock. It renames no label, so conformance specs store dead
+// clocks as 0 too (BuildLTS). quotient_test.go checks all of it against
+// the unreduced successor relation.
 
 // canon rewrites s to the representative of its class: every clock that is
 // dead in s reads 0, then the interchangeable participants' blocks are
 // sorted (symmetry.go). It is the mc.Options.Canon of the verdict path, so
 // it must stay pure and allocation-free.
 func (m *Model) canon(s *ta.State) {
-	m.zeroDead(s)
+	m.dead.Zero(s)
 	m.sym.sort(s)
 }
 
 // traceCanon is the label-preserving canonicaliser of BuildLTS: dead clocks
-// and the observer-only variables read 0. It sorts no participants, since a
+// and the observer-only variables — those no guard, invariant or update
+// reads (ta.Network.Observers) — read 0. It sorts no participants, since a
 // permutation renames p[i] in the labels an LTS keeps. Observer-only
-// variables are read by the requirement predicates and the loss prune
-// alone, so it is sound only where neither is evaluated; like canon it is
-// pure and allocation-free.
+// variables may be read by the requirement predicates and the loss prune,
+// so it is sound only where neither is evaluated; like canon it is pure and
+// allocation-free.
 func (m *Model) traceCanon(s *ta.State) {
-	m.zeroDead(s)
+	m.dead.Zero(s)
 	for _, v := range m.observers {
 		s.Vars[v] = 0
 	}

@@ -31,9 +31,11 @@ func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
 	rcvd := net.Var("rcvd", 1)
 
 	p0 := &ta.Automaton{Name: "P0"}
+	roundLen := &ta.Footprint{Clocks: []int{waiting}, Vars: []int{t}}
 	alive := addLoc(p0, ta.Location{
 		Name:      "Alive",
 		Invariant: func(s *ta.State) bool { return s.Clocks[waiting] <= s.Vars[t] },
+		Footprint: roundLen,
 	})
 	timeout := addLoc(p0, ta.Location{Name: "TimeOut", Kind: ta.Committed})
 	vInact := addLoc(p0, ta.Location{Name: "VInact"})
@@ -53,30 +55,30 @@ func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
 		ta.Edge{From: alive, To: vInact, Label: alphabet.FigVInactivate.Of(0)},
 		ta.Edge{
 			From: alive, To: alive, Chan: rcv,
-			Update: func(s *ta.State) { s.Vars[rcvd] = 1 },
+			Assign: []ta.Assign{ta.Set(rcvd, 1)},
 		},
 		ta.Edge{From: vInact, To: vInact, Chan: rcv},
 		ta.Edge{From: nvInact, To: nvInact, Chan: rcv},
 		ta.Edge{
 			From: alive, To: timeout,
-			Guard: func(s *ta.State) bool { return s.Clocks[waiting] == s.Vars[t] },
-			Label: alphabet.FigTimeout.Of(0),
+			Guard:     func(s *ta.State) bool { return s.Clocks[waiting] == s.Vars[t] },
+			Footprint: roundLen,
+			Label:     alphabet.FigTimeout.Of(0),
 		},
 		ta.Edge{
 			From: timeout, To: alive,
 			Guard: func(s *ta.State) bool { _, ok := next(s); return ok },
 			Chan:  snd, Send: true,
-			Label: alphabet.Label{Kind: alphabet.FigBeatFor, A: 1, B: 0},
-			Update: func(s *ta.State) {
-				s.Vars[t], _ = next(s)
-				s.Vars[rcvd] = 0
-				s.Clocks[waiting] = 0
-			},
+			Label:     alphabet.Label{Kind: alphabet.FigBeatFor, A: 1, B: 0},
+			Update:    func(s *ta.State) { s.Vars[t], _ = next(s) },
+			Assign:    []ta.Assign{ta.Set(rcvd, 0), ta.Reset(waiting)},
+			Footprint: &ta.Footprint{Vars: []int{t, rcvd}, WriteVars: []int{t}},
 		},
 		ta.Edge{
 			From: timeout, To: nvInact,
-			Guard: func(s *ta.State) bool { _, ok := next(s); return !ok },
-			Label: alphabet.FigNVInactivate.Of(0),
+			Guard:     func(s *ta.State) bool { _, ok := next(s); return !ok },
+			Footprint: &ta.Footprint{Vars: []int{t, rcvd}},
+			Label:     alphabet.FigNVInactivate.Of(0),
 		},
 	)
 	net.Add(p0)
@@ -96,9 +98,11 @@ func BuildIsolatedP1(tmin, tmax int32) (*ta.Network, error) {
 	wfb := net.Clock("waitingforbeat", bound+1)
 
 	p1 := &ta.Automaton{Name: "P1"}
+	watchdog := &ta.Footprint{Clocks: []int{wfb}}
 	alive := addLoc(p1, ta.Location{
 		Name:      "Alive",
 		Invariant: func(s *ta.State) bool { return s.Clocks[wfb] <= bound },
+		Footprint: watchdog,
 	})
 	rcvd := addLoc(p1, ta.Location{Name: "Rcvd", Kind: ta.Committed})
 	vInact := addLoc(p1, ta.Location{Name: "VInact"})
@@ -114,12 +118,13 @@ func BuildIsolatedP1(tmin, tmax int32) (*ta.Network, error) {
 		ta.Edge{
 			From: rcvd, To: alive, Chan: snd, Send: true,
 			Label:  alphabet.Label{Kind: alphabet.FigBeatFor, A: 0, B: 1},
-			Update: func(s *ta.State) { s.Clocks[wfb] = 0 },
+			Assign: []ta.Assign{ta.Reset(wfb)},
 		},
 		ta.Edge{
 			From: alive, To: nvInact,
-			Guard: func(s *ta.State) bool { return s.Clocks[wfb] == bound },
-			Label: alphabet.FigNVInactivate.Of(1),
+			Guard:     func(s *ta.State) bool { return s.Clocks[wfb] == bound },
+			Footprint: watchdog,
+			Label:     alphabet.FigNVInactivate.Of(1),
 		},
 		ta.Edge{From: vInact, To: vInact, Chan: rcv},
 		ta.Edge{From: nvInact, To: nvInact, Chan: rcv},

@@ -38,7 +38,7 @@ func (m *Model) buildMonitor(i int) {
 		a.Edges = append(a.Edges, ta.Edge{
 			From: idle, To: mo.watch,
 			Chan:   m.chDlvTrue[i],
-			Update: func(s *ta.State) { s.Clocks[delay] = 0 },
+			Assign: []ta.Assign{ta.Reset(delay)},
 		})
 		if cfg.Variant == Dynamic {
 			a.Edges = append(a.Edges, ta.Edge{
@@ -53,15 +53,16 @@ func (m *Model) buildMonitor(i int) {
 		ta.Edge{
 			From: mo.watch, To: mo.watch,
 			Chan:   m.chDlvTrue[i],
-			Update: func(s *ta.State) { s.Clocks[delay] = 0 },
+			Assign: []ta.Assign{ta.Reset(delay)},
 		},
 		// R1 violation: the bound elapsed and p[0] is still active.
 		ta.Edge{
 			From: mo.watch, To: mo.errLoc,
 			Guard: func(s *ta.State) bool {
-				return s.Clocks[delay] > bound && s.Vars[active0] == 1
+				return s.Vars[active0] == 1 && s.Clocks[delay] > bound
 			},
-			Label: alphabet.ErrorR1.Of(i + 1),
+			Footprint: &ta.Footprint{Vars: []int{active0}, Unless: []ta.ClockVar{{Clock: delay, Var: active0, Val: 0}}},
+			Label:     alphabet.ErrorR1.Of(i + 1),
 		},
 	)
 	if cfg.Variant == Dynamic {
@@ -73,11 +74,6 @@ func (m *Model) buildMonitor(i int) {
 	mo.aut = len(net.Automata())
 	net.Add(a)
 	m.mons = append(m.mons, mo)
-	// Only the error edge out of Watch reads the watchdog, and only under
-	// active0 = 1, which never comes back; arming from Idle resets it,
-	// Error and Off are final.
-	notWatch := ^locSet(mo.watch)
-	m.dead = append(m.dead, deadClock{clock: delay, aut: mo.aut, locs: notWatch, v: active0, val: 0})
 	b := &m.blocks[i]
 	b.auts, b.clocks = append(b.auts, mo.aut), append(b.clocks, delay)
 }

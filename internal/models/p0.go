@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/alphabet"
 	"repro/internal/ta"
@@ -24,11 +25,13 @@ func (m *Model) buildP0() {
 
 	a := &ta.Automaton{Name: "P0"}
 	m.p0.init = addLoc(a, ta.Location{Name: "Init", Kind: ta.Committed})
+	roundLen := &ta.Footprint{Clocks: []int{waiting}, Vars: []int{tVar}}
 	m.p0.alive = addLoc(a, ta.Location{
 		Name: "Alive",
 		Invariant: func(s *ta.State) bool {
 			return s.Clocks[waiting] <= s.Vars[tVar]
 		},
+		Footprint: roundLen,
 	})
 	m.p0.timeout = addLoc(a, ta.Location{Name: "TimeOut", Kind: ta.Committed})
 	m.p0.vInact = addLoc(a, ta.Location{Name: "VInact"})
@@ -55,27 +58,30 @@ func (m *Model) buildP0() {
 	a.Edges = append(a.Edges, ta.Edge{
 		From: m.p0.alive, To: m.p0.vInact,
 		Label:  alphabet.Crash.Of(0),
-		Update: func(s *ta.State) { s.Vars[active0] = 0 },
+		Assign: []ta.Assign{ta.Set(active0, 0)},
 	})
 
 	// Round timeout: forced by the invariant at waiting == t.
 	a.Edges = append(a.Edges, ta.Edge{
 		From: m.p0.alive, To: m.p0.timeout,
-		Guard: func(s *ta.State) bool { return s.Clocks[waiting] == s.Vars[tVar] },
-		Label: alphabet.Timeout.Of(0),
-		Class: ta.ClassTimeout,
+		Guard:     func(s *ta.State) bool { return s.Clocks[waiting] == s.Vars[tVar] },
+		Footprint: roundLen,
+		Label:     alphabet.Timeout.Of(0),
+		Class:     ta.ClassTimeout,
 	})
 
 	// Decision: inactivate when some joined participant's waiting time
 	// decayed below tmin, otherwise commit the new round and broadcast.
+	decision := append(append(slices.Clone(m.vJnd), m.vTM...), m.vRcvd...)
 	a.Edges = append(a.Edges, ta.Edge{
 		From: m.p0.timeout, To: m.p0.nvInact,
 		Guard: func(s *ta.State) bool {
 			_, ok := m.timeoutOutcome(s)
 			return !ok
 		},
-		Label:  alphabet.Inactivate.Of(0),
-		Update: func(s *ta.State) { s.Vars[active0] = 0 },
+		Footprint: &ta.Footprint{Vars: decision},
+		Label:     alphabet.Inactivate.Of(0),
+		Assign:    []ta.Assign{ta.Set(active0, 0)},
 	})
 	a.Edges = append(a.Edges, ta.Edge{
 		From: m.p0.timeout, To: m.p0.alive,
@@ -84,14 +90,14 @@ func (m *Model) buildP0() {
 			return ok
 		},
 		Chan: m.chBcast, Send: true,
-		Label:  alphabet.SendBeat.Of(0),
-		Update: func(s *ta.State) { m.applyTimeout(s) },
+		Label:     alphabet.SendBeat.Of(0),
+		Update:    m.applyTimeout,
+		Assign:    []ta.Assign{ta.Reset(waiting)},
+		Footprint: &ta.Footprint{Vars: decision, WriteVars: append(append([]int{tVar}, m.vTM...), m.vRcvd...)},
 	})
 
 	m.p0.aut = len(net.Automata())
 	net.Add(a)
-	// An inactivated p[0] never leaves its location and times no round.
-	m.dead = append(m.dead, deadClock{clock: waiting, aut: m.p0.aut, locs: locSet(m.p0.vInact, m.p0.nvInact), v: noVar})
 }
 
 // wireP0Edges adds p[0]'s receive edges; deferred until all channels
@@ -107,14 +113,14 @@ func (m *Model) wireP0Edges() {
 			From: m.p0.alive, To: m.p0.alive,
 			Chan: m.chDlvTrue[i],
 			Update: func(s *ta.State) {
-				s.Vars[rcvd] = 1
-				s.Vars[ever] = 1
 				if s.Vars[jnd] == 0 {
 					// A new member starts with a grace round.
 					s.Vars[jnd] = 1
 					s.Vars[m.vTM[i]] = m.Cfg.TMax
 				}
 			},
+			Assign:    []ta.Assign{ta.Set(rcvd, 1), ta.Set(ever, 1)},
+			Footprint: &ta.Footprint{Vars: []int{jnd}, WriteVars: []int{jnd, m.vTM[i]}},
 		})
 		// Inactivated processes still receive, without reacting.
 		for _, loc := range []int{m.p0.vInact, m.p0.nvInact} {
@@ -126,11 +132,8 @@ func (m *Model) wireP0Edges() {
 			// A false beat is a leave: forget the member.
 			a.Edges = append(a.Edges, ta.Edge{
 				From: m.p0.alive, To: m.p0.alive,
-				Chan: m.chDlvFalse[i],
-				Update: func(s *ta.State) {
-					s.Vars[jnd] = 0
-					s.Vars[rcvd] = 0
-				},
+				Chan:   m.chDlvFalse[i],
+				Assign: []ta.Assign{ta.Set(jnd, 0), ta.Set(rcvd, 0)},
 			})
 			for _, loc := range []int{m.p0.vInact, m.p0.nvInact} {
 				a.Edges = append(a.Edges, ta.Edge{

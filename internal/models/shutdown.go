@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/alphabet"
 	"repro/internal/mc"
@@ -23,8 +24,6 @@ import (
 // take up to tmin to land, and the surviving participants' watchdogs
 // expire a responder bound later. A crashed coordinator needs only the
 // last two terms, so the sum covers both directions.
-//
-//lint:allow unused-export experiment G: go test -bench BenchmarkShutdownGoal -benchtime 1x .
 func (c Config) ShutdownBound() int32 {
 	inflight := c.TMin
 	if c.joinPhase() {
@@ -44,8 +43,6 @@ type ShutdownModel struct {
 // BuildWithShutdownMonitor builds the protocol model plus a monitor that
 // errors when, bound ticks after the first voluntary inactivation, some
 // process is still active (and, for dynamic, has not left).
-//
-//lint:allow unused-export experiment G: go test -bench BenchmarkShutdownGoal -benchtime 1x .
 func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 	if bound < 1 || bound > ta.MaxClockCap-2 {
 		return nil, fmt.Errorf("%w: shutdown bound must be in 1..%d", ErrConfig, ta.MaxClockCap-2)
@@ -59,9 +56,6 @@ func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 
 	sm.vCrashed = net.Var("crashed", 0)
 	clock := net.Clock("shutdown_delay", bound+2)
-	// The monitor reads its clock only under crashed = 1, and arming — the
-	// one way crashed leaves 0 — resets it. No location condition.
-	m.dead = append(m.dead, deadClock{clock: clock, v: sm.vCrashed, val: 0})
 
 	// Arm the monitor when a crash concerns the network: p[0] crashing,
 	// a joined participant crashing, or a beat from an already-crashed
@@ -69,21 +63,27 @@ func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 	// membership — a process whose only solicitation was lost was never
 	// part of the network, and p[0] rightly runs on without it).
 	crashed := sm.vCrashed
-	arm := func(s *ta.State) {
-		if s.Vars[crashed] == 0 {
-			s.Vars[crashed] = 1
-			s.Clocks[clock] = 0
+	arming := ta.ClockVar{Clock: clock, Var: crashed}
+	// instrument arms the monitor on e, unless it is armed already, when
+	// variable when holds want, and widens e's footprint by what that reads
+	// and writes.
+	instrument := func(e *ta.Edge, when int, want int32) {
+		prev, f := e.Update, ta.Footprint{}
+		if e.Footprint != nil {
+			f = *e.Footprint
 		}
-	}
-	instrument := func(e *ta.Edge, when func(s *ta.State) bool) {
-		prev := e.Update
+		f.Vars = append(slices.Clip(f.Vars), crashed, when)
+		f.WriteVars = append(slices.Clip(f.WriteVars), crashed)
+		f.WriteClocks = append(slices.Clip(f.WriteClocks), clock)
+		f.Resets = append(slices.Clip(f.Resets), arming)
+		e.Footprint = &f
 		e.Update = func(s *ta.State) {
-			armNow := when == nil || when(s) // evaluate before prev mutates
+			arm := s.Vars[crashed] == 0 && s.Vars[when] == want // before prev mutates
 			if prev != nil {
 				prev(s)
 			}
-			if armNow {
-				arm(s)
+			if arm {
+				s.Vars[crashed], s.Clocks[clock] = 1, 0
 			}
 		}
 	}
@@ -92,11 +92,10 @@ func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 			e := &a.Edges[ei]
 			switch {
 			case e.Label.Kind != alphabet.Crash:
-			case e.Label.A == 0:
-				instrument(e, nil)
+			case e.Label.A == 0: // always
+				instrument(e, crashed, 0)
 			default: // participant p[A], which is m.ps[A-1]
-				jnd := m.vJnd[e.Label.A-1]
-				instrument(e, func(s *ta.State) bool { return s.Vars[jnd] == 1 })
+				instrument(e, m.vJnd[e.Label.A-1], 1)
 			}
 		}
 	}
@@ -106,8 +105,7 @@ func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 		e := &p0aut.Edges[ei]
 		for i := range m.ps {
 			if e.Chan == m.chDlvTrue[i] && e.From == m.p0.alive {
-				active := m.vActive[i]
-				instrument(e, func(s *ta.State) bool { return s.Vars[active] == 0 })
+				instrument(e, m.vActive[i], 0)
 			}
 		}
 	}
@@ -142,15 +140,21 @@ func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 	watch := addLoc(mon, ta.Location{Name: "Watch"})
 	sm.errLoc = addLoc(mon, ta.Location{Name: "Error"})
 	mon.Init = watch
+	live := append(append([]int{m.vActive0}, m.vJnd...), m.vActive...)
+	if m.Cfg.Variant == Dynamic {
+		live = append(live, m.vLeave...)
+	}
 	mon.Edges = append(mon.Edges, ta.Edge{
 		From: watch, To: sm.errLoc,
 		Guard: func(s *ta.State) bool {
 			return s.Vars[crashed] == 1 && s.Clocks[clock] > bound && wronglyLive(s)
 		},
-		Label: alphabet.ErrorShutdown.Of(0),
+		Footprint: &ta.Footprint{Vars: live, Unless: []ta.ClockVar{arming}},
+		Label:     alphabet.ErrorShutdown.Of(0),
 	})
 	sm.monAut = len(net.Automata())
 	net.Add(mon)
+	m.dead, m.observers = net.DeadClocks(), net.Observers()
 	return sm, nil
 }
 

@@ -2,37 +2,33 @@ package ta
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // This file is the structural model analyzer behind `hbcheck -analyze` and
 // `hbvet`'s Layer 2: a pre-flight pass over a built Network that catches
-// model-construction bugs before any BFS runs. Guards, invariants, and
-// updates are opaque Go closures, so the analyzer cannot inspect them
-// symbolically; instead it evaluates them concretely over a deterministic
-// probe grid — a handful of base configurations (initial, all-zero,
-// all-at-cap) refined by single- and pairwise-coordinate scans over each
-// location index, each clock's landmark values ({0, 1, cap/2, cap-1,
-// cap}), and each variable's candidate constants (initials, clock caps,
-// small integers). The grid is deterministic, so the analyzer's verdict
-// is reproducible run to run.
-//
-// Satisfiability-style checks (unsat-guard, unsat-invariant, nondet-pair,
-// useless-reset) are therefore heuristic in one direction only: a guard
-// reported unsatisfiable was false on every probe, which for the guard
-// shapes this repository builds (conjunctions of interval bounds over at
-// most two coordinates) is a proof. A guard needing three or more
-// specific non-landmark coordinates simultaneously could in principle be
-// a false positive; none of the six protocol variants comes close. The
-// structural checks (edge ranges, unreachable locations, dead channels)
-// are exact.
+// model-construction bugs before any BFS runs. The structural checks and
+// useless-reset are exact: they read the edges and the declared footprints
+// (footprint.go). Whether a guard or invariant can hold, and whether two
+// effects agree, is not declared, so the other checks evaluate closures on
+// a deterministic probe grid (probe.go): base configurations (initial,
+// all-zero, all-at-cap) refined by single- and pairwise-coordinate scans
+// over each location, each clock's full range 0..cap, and each variable's
+// candidate constants (initials, clock caps, small integers). They are
+// heuristic in one direction only: a guard reported unsatisfiable was
+// false on every probe, which for the guard shapes this repository builds
+// (conjunctions of interval bounds over at most two coordinates) is a
+// proof; one needing three specific non-candidate coordinates at once
+// could in principle be a false positive.
 //
 // Checks:
 //
 //   - structure: edge endpoints or channel ids out of range, initial
 //     location out of range, more locations than the uint8 state vector
 //     can index, handshake sends with no possible partner (and the
-//     symmetric dead receives), channels declared but never used.
+//     symmetric dead receives), channels declared but never used, a
+//     guard, invariant or update that declares no footprint.
 //   - unreachable: locations no edge path from Init can reach (guards
 //     ignored, so a flagged location is unreachable under any valuation).
 //   - unsat-invariant: a location invariant false on every probe: the
@@ -42,8 +38,8 @@ import (
 //   - nondet-pair: two same-label, same-channel edges from one location
 //     whose guards agree on every probe: either a duplicate edge (same
 //     effect) or unintended nondeterminism (different effect).
-//   - useless-reset: an update writes a clock that no guard, invariant,
-//     or other update ever reads.
+//   - useless-reset: an edge writes a clock that no guard, invariant, or
+//     update declares it reads.
 //   - clock-cap: a guard or invariant distinguishes clock values at or
 //     above the clock's cap, breaking the capping soundness condition
 //     documented on Network.Clock.
@@ -156,6 +152,13 @@ func (a *analysis) checkStructure() {
 			if e.Chan != 0 {
 				chanUsed[e.Chan] = true
 			}
+		}
+	}
+	for _, s := range n.sites() {
+		if s.f == nil && s.e != nil {
+			a.reportf("structure", s.aut, a.edgeDesc(s.aut, s.edge), "guard or update declares no footprint")
+		} else if s.f == nil {
+			a.reportf("structure", s.aut, "location "+n.automata[s.aut].Locations[s.loc].Name, "invariant declares no footprint")
 		}
 	}
 	for ci := 1; ci < len(n.channels); ci++ {
@@ -295,7 +298,7 @@ func (a *analysis) checkNondetPairs() {
 					continue
 				}
 				sameTarget := e1.To == e2.To &&
-					!a.pc.updatesDiffer(ai, e1.From, e1.Update, e2.Update)
+					!a.pc.updatesDiffer(ai, e1.From, e1.apply, e2.apply)
 				if sameTarget {
 					a.reportf("nondet-pair", ai, a.edgeDesc(ai, i),
 						"duplicate of %s: same guard, target, and effect on every probe", a.edgeDesc(ai, j))
@@ -319,27 +322,28 @@ func guardOrTrue(g Guard) Guard {
 // ---------------------------------------------------------------------------
 // useless clock resets
 
-// checkClockUse flags updates that write a clock no guard, invariant, or
-// update ever reads: the reset only inflates the state space.
+// checkClockUse flags edges that write a clock no guard, invariant, or
+// update declares it reads: the reset only inflates the state space.
 func (a *analysis) checkClockUse() {
 	n := a.n
-	if len(n.clockCaps) == 0 {
-		return
-	}
-	read := make([]bool, len(n.clockCaps))
-	for ci := range n.clockCaps {
-		read[ci] = a.pc.clockRead(ci)
-	}
-	for ai, aut := range n.automata {
-		for ei, e := range aut.Edges {
-			if e.Update == nil || e.From < 0 || e.From >= len(aut.Locations) {
-				continue
+	sites := n.sites()
+	for _, s := range sites {
+		if s.e == nil {
+			continue
+		}
+		var written []int
+		if s.e.Update != nil && s.f != nil {
+			written = slices.Clone(s.f.WriteClocks)
+		}
+		for _, as := range s.e.Assign {
+			if as.Clock {
+				written = append(written, as.Idx)
 			}
-			for _, ci := range a.pc.writtenClocks(ai, e.From, e.Update) {
-				if !read[ci] {
-					a.reportf("useless-reset", ai, a.edgeDesc(ai, ei),
-						"writes clock %q, which no guard, invariant, or update reads", n.clockNames[ci])
-				}
+		}
+		for _, ci := range written {
+			if ci >= 0 && ci < len(n.clockCaps) && !slices.ContainsFunc(sites, func(r site) bool { return r.f.readsClock(ci) }) {
+				a.reportf("useless-reset", s.aut, a.edgeDesc(s.aut, s.edge),
+					"writes clock %q, which no guard, invariant, or update reads", n.clockNames[ci])
 			}
 		}
 	}
@@ -358,7 +362,7 @@ func (a *analysis) checkClockCaps() {
 	for ci := range a.n.clockCaps {
 		for ai, aut := range a.n.automata {
 			for li, loc := range aut.Locations {
-				if loc.Invariant == nil {
+				if loc.Invariant == nil || !loc.Footprint.readsClock(ci) {
 					continue
 				}
 				if a.pc.capDistinguished(ai, li, ci, nil, loc.Invariant) {
@@ -368,7 +372,7 @@ func (a *analysis) checkClockCaps() {
 				}
 			}
 			for ei, e := range aut.Edges {
-				if e.Guard == nil || e.From < 0 || e.From >= len(aut.Locations) {
+				if e.Guard == nil || !e.Footprint.readsClock(ci) || e.From < 0 || e.From >= len(aut.Locations) {
 					continue
 				}
 				if a.pc.capDistinguished(ai, e.From, ci, aut.Locations[e.From].Invariant, e.Guard) {

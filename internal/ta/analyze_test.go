@@ -15,15 +15,17 @@ func twoLoc() *Network {
 	x := n.Clock("x", 4)
 	a := &Automaton{Name: "A"}
 	a.Locations = []Location{
-		{Name: "Idle", Invariant: func(s *State) bool { return s.Clocks[x] <= 3 }},
+		{Name: "Idle", Invariant: func(s *State) bool { return s.Clocks[x] <= 3 }, Footprint: &Footprint{Clocks: []int{x}}},
 		{Name: "Busy"},
 	}
 	a.Edges = []Edge{
 		{From: 0, To: 1, Label: alphabet.SendBeat.Of(0),
-			Guard:  func(s *State) bool { return s.Clocks[x] >= 1 },
-			Update: func(s *State) { s.Clocks[x] = 0 }},
+			Guard:     func(s *State) bool { return s.Clocks[x] >= 1 },
+			Assign:    []Assign{Reset(x)},
+			Footprint: &Footprint{Clocks: []int{x}}},
 		{From: 1, To: 0, Label: alphabet.Timeout.Of(0),
-			Guard: func(s *State) bool { return s.Clocks[x] >= 2 }},
+			Guard:     func(s *State) bool { return s.Clocks[x] >= 2 },
+			Footprint: &Footprint{Clocks: []int{x}}},
 	}
 	n.Add(a)
 	return n
@@ -60,7 +62,8 @@ func TestAnalyzeContradictoryGuard(t *testing.T) {
 	n := twoLoc()
 	a := n.Automata()[0]
 	a.Edges = append(a.Edges, Edge{From: 1, To: 0, Label: alphabet.Crash.Of(0),
-		Guard: func(s *State) bool { return s.Clocks[0] < 2 && s.Clocks[0] > 5 }})
+		Guard:     func(s *State) bool { return s.Clocks[0] < 2 && s.Clocks[0] > 5 },
+		Footprint: &Footprint{Clocks: []int{0}}})
 	ps := problemsWith(t, n, "unsat-guard")
 	if len(ps) != 1 || !strings.Contains(ps[0].Where, "crash p[0]") {
 		t.Fatalf("want one unsat-guard problem on the crash edge, got %v", ps)
@@ -77,12 +80,12 @@ func TestAnalyzeSwappedBounds(t *testing.T) {
 	x := n.Clock("x", 8)
 	a := &Automaton{Name: "A"}
 	a.Locations = []Location{
-		{Name: "Wait", Invariant: func(s *State) bool { return s.Clocks[x] <= tmax }},
+		{Name: "Wait", Invariant: func(s *State) bool { return s.Clocks[x] <= tmax }, Footprint: &Footprint{Clocks: []int{x}}},
 		{Name: "Fired"},
 	}
 	a.Edges = []Edge{
 		{From: 0, To: 1, Label: alphabet.Timeout.Of(0),
-			Guard: func(s *State) bool { return s.Clocks[x] >= tmin }},
+			Guard: func(s *State) bool { return s.Clocks[x] >= tmin }, Footprint: &Footprint{Clocks: []int{x}}},
 	}
 	n.Add(a)
 	ps := problemsWith(t, n, "unsat-guard")
@@ -95,6 +98,7 @@ func TestAnalyzeUnsatInvariant(t *testing.T) {
 	n := twoLoc()
 	a := n.Automata()[0]
 	a.Locations[1].Invariant = func(s *State) bool { return false }
+	a.Locations[1].Footprint = &Footprint{}
 	if ps := problemsWith(t, n, "unsat-invariant"); len(ps) != 1 {
 		t.Fatalf("want one unsat-invariant problem, got %v", ps)
 	}
@@ -104,7 +108,7 @@ func TestAnalyzeDuplicateEdge(t *testing.T) {
 	n := twoLoc()
 	a := n.Automata()[0]
 	a.Edges = append(a.Edges, Edge{From: 1, To: 0, Label: alphabet.Timeout.Of(0),
-		Guard: func(s *State) bool { return s.Clocks[0] >= 2 }})
+		Guard: func(s *State) bool { return s.Clocks[0] >= 2 }, Footprint: &Footprint{Clocks: []int{0}}})
 	ps := problemsWith(t, n, "nondet-pair")
 	if len(ps) != 1 || !strings.Contains(ps[0].Message, "duplicate") {
 		t.Fatalf("want one duplicate-edge problem, got %v", ps)
@@ -118,7 +122,7 @@ func TestAnalyzeNondetPair(t *testing.T) {
 	// Same label and guard as the timeout but a different target.
 	a.Edges = append(a.Edges,
 		Edge{From: 1, To: 2, Label: alphabet.Timeout.Of(0),
-			Guard: func(s *State) bool { return s.Clocks[0] >= 2 }},
+			Guard: func(s *State) bool { return s.Clocks[0] >= 2 }, Footprint: &Footprint{Clocks: []int{0}}},
 		Edge{From: 2, To: 0, Label: alphabet.Start.Of(0)})
 	ps := problemsWith(t, n, "nondet-pair")
 	if len(ps) != 1 || !strings.Contains(ps[0].Message, "nondeterminism") {
@@ -130,10 +134,38 @@ func TestAnalyzeUselessReset(t *testing.T) {
 	n := twoLoc()
 	y := n.Clock("y", 4) // declared, reset below, never read
 	a := n.Automata()[0]
-	a.Edges[1].Update = func(s *State) { s.Clocks[y] = 0 }
+	a.Edges[1].Assign = []Assign{Reset(y)}
 	ps := problemsWith(t, n, "useless-reset")
 	if len(ps) != 1 || !strings.Contains(ps[0].Message, `"y"`) {
 		t.Fatalf("want one useless-reset problem for clock y, got %v", ps)
+	}
+	// A computed update's declared write counts the same.
+	a.Edges[1].Assign = nil
+	a.Edges[1].Update = func(s *State) { s.Clocks[y] = s.Clocks[0] }
+	a.Edges[1].Footprint = &Footprint{Clocks: []int{0}, WriteClocks: []int{y}}
+	ps = problemsWith(t, n, "useless-reset")
+	if len(ps) != 1 || !strings.Contains(ps[0].Message, `"y"`) {
+		t.Fatalf("want one useless-reset problem for clock y, got %v", ps)
+	}
+}
+
+// TestAnalyzeUndeclaredFootprint: a guard, an invariant or an update with
+// no footprint is a structure problem, since nothing derived from the
+// footprints could trust it.
+func TestAnalyzeUndeclaredFootprint(t *testing.T) {
+	n := twoLoc()
+	a := n.Automata()[0]
+	a.Locations[0].Footprint = nil
+	a.Edges[1].Footprint = nil
+	a.Edges = append(a.Edges, Edge{From: 1, To: 1, Label: alphabet.Crash.Of(0), Update: func(s *State) { s.Clocks[0] = 1 }})
+	ps := problemsWith(t, n, "structure")
+	if len(ps) != 3 {
+		t.Fatalf("want three undeclared footprints, got %v", ps)
+	}
+	for _, p := range ps {
+		if !strings.Contains(p.Message, "declares no footprint") {
+			t.Errorf("unexpected structure problem: %s", p)
+		}
 	}
 }
 
@@ -145,7 +177,7 @@ func TestAnalyzeClockCapTooSmall(t *testing.T) {
 	// x == 3 at cap 3: the capped clock parks at 3 and stays enabled
 	// forever, while the true unbounded run passes 3 and disables it.
 	a.Edges = []Edge{{From: 0, To: 1, Label: alphabet.Crash.Of(1),
-		Guard: func(s *State) bool { return s.Clocks[x] == 3 }}}
+		Guard: func(s *State) bool { return s.Clocks[x] == 3 }, Footprint: &Footprint{Clocks: []int{x}}}}
 	n.Add(a)
 	ps := problemsWith(t, n, "clock-cap")
 	if len(ps) != 1 || !strings.Contains(ps[0].Message, `"x"`) {
@@ -200,7 +232,8 @@ func TestAnalyzePanickyGuard(t *testing.T) {
 				panic("synthetic state")
 			}
 			return s.Clocks[0] == 1
-		}})
+		},
+		Footprint: &Footprint{Clocks: []int{0}}})
 	for _, p := range n.Analyze() {
 		if p.Check != "nondet-pair" { // the touchy edge and the send edge may look alike; fine
 			t.Errorf("unexpected problem: %s", p)

@@ -1,10 +1,12 @@
 package ta
 
-// Probe-state machinery for the model analyzer (analyze.go). Guards and
-// updates are opaque closures, so the analyzer evaluates them over a
-// deterministic grid of configurations: a few base vectors refined by
-// single- and pairwise-coordinate scans. All enumeration is in declared
-// order, so results are reproducible.
+import "slices"
+
+// Probe-state machinery for the model analyzer (analyze.go). Whether a
+// guard can hold, or two effects agree, is not declared, so the analyzer
+// evaluates closures over a deterministic grid of configurations: a few
+// base vectors refined by single- and pairwise-coordinate scans. All
+// enumeration is in a fixed order, so results are reproducible.
 
 // probeCoord is one mutable coordinate of the probe grid: a location
 // index, a clock, or a variable, together with its candidate values.
@@ -33,12 +35,8 @@ func newProbeCtx(n *Network) *probeCtx {
 	// at their caps (variables at their initial values).
 	init := n.Initial()
 	zeros := init.Clone()
-	for i := range zeros.Clocks {
-		zeros.Clocks[i] = 0
-	}
-	for i := range zeros.Vars {
-		zeros.Vars[i] = 0
-	}
+	clear(zeros.Clocks)
+	clear(zeros.Vars)
 	caps := init.Clone()
 	for i, c := range n.clockCaps {
 		caps.Clocks[i] = c
@@ -48,14 +46,12 @@ func newProbeCtx(n *Network) *probeCtx {
 	// Variable candidates: small integers, every declared initial value,
 	// and every clock cap (the model constants — tmin, tmax, n — surface
 	// as caps), each ±1.
-	varVals := []int32{-1, 0, 1, 2}
-	for _, v := range n.varInit {
-		varVals = append(varVals, v)
-	}
+	varVals := append([]int32{-1, 0, 1, 2}, n.varInit...)
 	for _, c := range n.clockCaps {
 		varVals = append(varVals, c-1, c)
 	}
-	varVals = dedupInt32(varVals)
+	slices.Sort(varVals)
+	varVals = slices.Compact(varVals)
 
 	for ai, a := range n.automata {
 		locs := make([]int32, len(a.Locations))
@@ -81,18 +77,6 @@ func fullRange(cap int32) []int32 {
 	out := make([]int32, cap+1)
 	for i := range out {
 		out[i] = int32(i)
-	}
-	return out
-}
-
-func dedupInt32(vals []int32) []int32 {
-	seen := make(map[int32]bool, len(vals))
-	out := vals[:0]
-	for _, v := range vals {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
 	}
 	return out
 }
@@ -123,7 +107,16 @@ func (c probeCoord) set(s *State, v int32) {
 // location fixLoc: each base vector, then single-coordinate scans, then
 // ordered pairwise scans. visit returning true stops the enumeration
 // early. The state passed to visit is reused; visit must not retain it.
-func (pc *probeCtx) forEach(fixAut, fixLoc int, visit func(*State) bool) bool {
+//
+// lite enumerates a cheaper grid: single scans of locations and clocks
+// only. The clock-cap check varies one clock on top of each context, so
+// the combination still covers pairwise interactions; scanning variables
+// would probe values outside any reachable domain and manufacture spurious
+// cap-soundness differences.
+func (pc *probeCtx) forEach(fixAut, fixLoc int, lite bool, visit func(*State) bool) bool {
+	skip := func(c probeCoord) bool {
+		return c.kind == coordLoc && c.idx == fixAut || lite && c.kind == coordVar
+	}
 	for _, base := range pc.bases {
 		s := base.Clone()
 		if fixAut >= 0 {
@@ -133,7 +126,7 @@ func (pc *probeCtx) forEach(fixAut, fixLoc int, visit func(*State) bool) bool {
 			return true
 		}
 		for i, ci := range pc.coords {
-			if ci.kind == coordLoc && ci.idx == fixAut {
+			if skip(ci) {
 				continue // the probed automaton stays at fixLoc
 			}
 			save := ci.get(&s)
@@ -144,7 +137,7 @@ func (pc *probeCtx) forEach(fixAut, fixLoc int, visit func(*State) bool) bool {
 					return true
 				}
 				for _, cj := range pc.coords[i+1:] {
-					if cj.kind == coordLoc && cj.idx == fixAut {
+					if lite || skip(cj) {
 						continue
 					}
 					save2 := cj.get(&s)
@@ -165,54 +158,19 @@ func (pc *probeCtx) forEach(fixAut, fixLoc int, visit func(*State) bool) bool {
 	return false
 }
 
-// forEachLite enumerates a cheaper context grid: each base vector plus
-// single-coordinate scans only (no pairs). Used where the probed closure
-// itself supplies a further scanned dimension — clock-read and clock-cap
-// checks vary one clock on top of each context, so the combination still
-// covers pairwise interactions. withVars=false pins the variables at
-// their base values (the cap checks use this: scanning variables would
-// probe values outside any reachable domain and manufacture spurious
-// cap-soundness differences).
-func (pc *probeCtx) forEachLite(fixAut, fixLoc int, withVars bool, visit func(*State) bool) bool {
-	for _, base := range pc.bases {
-		s := base.Clone()
-		if fixAut >= 0 {
-			s.Locs[fixAut] = uint8(fixLoc)
-		}
-		if visit(&s) {
-			return true
-		}
-		for _, ci := range pc.coords {
-			if ci.kind == coordLoc && ci.idx == fixAut {
-				continue
-			}
-			if ci.kind == coordVar && !withVars {
-				continue
-			}
-			save := ci.get(&s)
-			for _, v := range ci.vals {
-				ci.set(&s, v)
-				if visit(&s) {
-					ci.set(&s, save)
-					return true
-				}
-			}
-			ci.set(&s, save)
-		}
-	}
-	return false
+// safely runs f, reporting false if it panicked: a closure indexing state
+// it was never meant to see makes the probe inconclusive rather than
+// crashing the analyzer.
+func safely(f func()) (ok bool) {
+	defer func() { ok = recover() == nil }()
+	f()
+	return true
 }
 
-// safeEval evaluates g on s, treating a panic (a closure indexing state
-// it was never meant to see) as "unknown": the probe is skipped rather
-// than crashing the analyzer.
+// safeEval evaluates g on s; ok is false if g panicked.
 func safeEval(g Guard, s *State) (result, ok bool) {
-	defer func() {
-		if recover() != nil {
-			result, ok = false, false
-		}
-	}()
-	return g(s), true
+	ok = safely(func() { result = g(s) })
+	return result, ok
 }
 
 // satisfiable reports whether pred is true on at least one probe state
@@ -221,7 +179,7 @@ func safeEval(g Guard, s *State) (result, ok bool) {
 // false alarm from a probe artefact).
 func (pc *probeCtx) satisfiable(aut, loc int, pred Guard) bool {
 	panicked := false
-	sat := pc.forEach(aut, loc, func(s *State) bool {
+	sat := pc.forEach(aut, loc, false, func(s *State) bool {
 		v, ok := safeEval(pred, s)
 		if !ok {
 			panicked = true
@@ -235,7 +193,7 @@ func (pc *probeCtx) satisfiable(aut, loc int, pred Guard) bool {
 // distinguishable reports whether g1 and g2 differ on any probe state
 // with automaton aut at location loc.
 func (pc *probeCtx) distinguishable(aut, loc int, g1, g2 Guard) bool {
-	return pc.forEach(aut, loc, func(s *State) bool {
+	return pc.forEach(aut, loc, false, func(s *State) bool {
 		v1, ok1 := safeEval(g1, s)
 		v2, ok2 := safeEval(g2, s)
 		if !ok1 || !ok2 {
@@ -248,154 +206,20 @@ func (pc *probeCtx) distinguishable(aut, loc int, g1, g2 Guard) bool {
 // safeApply runs update u on a clone of s and returns the result; ok is
 // false if u panicked.
 func safeApply(u Update, s *State) (out State, ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
 	out = s.Clone()
-	u(&out)
-	return out, true
+	ok = safely(func() { u(&out) })
+	return out, ok
 }
 
 // updatesDiffer reports whether u1 and u2 produce different states from
-// any probe state with automaton aut at location loc. nil updates are
-// identity.
+// any probe state with automaton aut at location loc.
 func (pc *probeCtx) updatesDiffer(aut, loc int, u1, u2 Update) bool {
-	id := func(s *State) { _ = s }
-	if u1 == nil {
-		u1 = id
-	}
-	if u2 == nil {
-		u2 = id
-	}
-	return pc.forEach(aut, loc, func(s *State) bool {
+	return pc.forEach(aut, loc, false, func(s *State) bool {
 		o1, ok1 := safeApply(u1, s)
 		o2, ok2 := safeApply(u2, s)
-		if !ok1 || !ok2 {
-			return true // inconclusive: treat as differing
-		}
-		return !statesEqual(&o1, &o2)
+		return !ok1 || !ok2 || // inconclusive: treat as differing
+			!slices.Equal(o1.Locs, o2.Locs) || !slices.Equal(o1.Clocks, o2.Clocks) || !slices.Equal(o1.Vars, o2.Vars)
 	})
-}
-
-func statesEqual(a, b *State) bool {
-	if len(a.Locs) != len(b.Locs) || len(a.Clocks) != len(b.Clocks) || len(a.Vars) != len(b.Vars) {
-		return false
-	}
-	for i := range a.Locs {
-		if a.Locs[i] != b.Locs[i] {
-			return false
-		}
-	}
-	for i := range a.Clocks {
-		if a.Clocks[i] != b.Clocks[i] {
-			return false
-		}
-	}
-	for i := range a.Vars {
-		if a.Vars[i] != b.Vars[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// writtenClocks returns the clocks that update u assigns a value
-// different from the one it read, on any probe state with automaton aut
-// at location loc.
-func (pc *probeCtx) writtenClocks(aut, loc int, u Update) []int {
-	written := make([]bool, len(pc.n.clockCaps))
-	pc.forEachLite(aut, loc, true, func(s *State) bool {
-		out, ok := safeApply(u, s)
-		if !ok {
-			return false
-		}
-		for i := range written {
-			if out.Clocks[i] != s.Clocks[i] {
-				written[i] = true
-			}
-		}
-		return false
-	})
-	var out []int
-	for i, w := range written {
-		if w {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// clockRead reports whether varying clock ci can change the value of any
-// guard or invariant, or the effect of any update on a coordinate other
-// than ci itself. A clock nothing reads only inflates the state space.
-func (pc *probeCtx) clockRead(ci int) bool {
-	n := pc.n
-	vals := fullRange(n.clockCaps[ci])
-	variesGuard := func(aut, loc int, g Guard) bool {
-		return pc.forEachLite(aut, loc, true, func(s *State) bool {
-			save := s.Clocks[ci]
-			defer func() { s.Clocks[ci] = save }()
-			first, any := false, false
-			for _, v := range vals {
-				s.Clocks[ci] = v
-				got, ok := safeEval(g, s)
-				if !ok {
-					return true // inconclusive: count as read
-				}
-				if !any {
-					first, any = got, true
-				} else if got != first {
-					return true
-				}
-			}
-			return false
-		})
-	}
-	variesUpdate := func(aut, loc int, u Update) bool {
-		return pc.forEachLite(aut, loc, true, func(s *State) bool {
-			save := s.Clocks[ci]
-			defer func() { s.Clocks[ci] = save }()
-			var first State
-			any := false
-			for _, v := range vals {
-				s.Clocks[ci] = v
-				out, ok := safeApply(u, s)
-				if !ok {
-					return true // inconclusive: count as read
-				}
-				// The written copy of ci itself trivially tracks the
-				// input; neutralise it before comparing effects.
-				out.Clocks[ci] = 0
-				if !any {
-					first, any = out, true
-				} else if !statesEqual(&first, &out) {
-					return true
-				}
-			}
-			return false
-		})
-	}
-	for ai, a := range n.automata {
-		for li, loc := range a.Locations {
-			if loc.Invariant != nil && variesGuard(ai, li, loc.Invariant) {
-				return true
-			}
-		}
-		for _, e := range a.Edges {
-			if e.From < 0 || e.From >= len(a.Locations) {
-				continue
-			}
-			if e.Guard != nil && variesGuard(ai, e.From, e.Guard) {
-				return true
-			}
-			if e.Update != nil && variesUpdate(ai, e.From, e.Update) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // capDistinguished reports whether g differs between clock ci at its cap
@@ -405,7 +229,7 @@ func (pc *probeCtx) clockRead(ci int) bool {
 // hold the clock at cap while the true run moves past it.
 func (pc *probeCtx) capDistinguished(aut, loc, ci int, inv, g Guard) bool {
 	cap := pc.n.clockCaps[ci]
-	return pc.forEachLite(aut, loc, false, func(s *State) bool {
+	return pc.forEach(aut, loc, true, func(s *State) bool {
 		save := s.Clocks[ci]
 		defer func() { s.Clocks[ci] = save }()
 		s.Clocks[ci] = cap

@@ -20,9 +20,7 @@ func (c *SuccCtx) ReferenceSuccessors(s *State, buf []Transition) []Transition {
 			var tr *Transition
 			buf, tr = appendTarget(buf, s)
 			tr.Target.Locs[ai] = uint8(e.To)
-			if e.Update != nil {
-				e.Update(&tr.Target)
-			}
+			e.apply(&tr.Target)
 			tr.Label, tr.Class, tr.src = e.Label, e.Class, ai
 		}
 	}

@@ -142,6 +142,8 @@ type Location struct {
 	// this location: a delay is allowed only if the invariant still
 	// holds after all clocks advance. nil means no constraint.
 	Invariant Guard
+	// Footprint declares what Invariant reads (footprint.go).
+	Footprint *Footprint
 }
 
 // Edge is a transition of one automaton.
@@ -153,10 +155,46 @@ type Edge struct {
 	Chan   ChanID
 	Send   bool
 	Update Update
+	// Assign lists the edge's constant assignments, made after Update.
+	Assign []Assign
 	// Label names the action for traces (the sending side's label wins
 	// for synchronisations unless it is tau, the zero Label).
 	Label alphabet.Label
 	Class EdgeClass
+	// Footprint declares what Guard and Update read and what Update
+	// writes (footprint.go).
+	Footprint *Footprint
+}
+
+// Assign is a constant assignment: clock (Clock set) or variable Idx
+// takes Val.
+type Assign struct {
+	Clock bool
+	Idx   int
+	Val   int32
+}
+
+// Reset assigns clock c zero.
+func Reset(c int) Assign { return Assign{Clock: true, Idx: c} }
+
+// Set assigns variable v the constant k.
+func Set(v int, k int32) Assign { return Assign{Idx: v, Val: k} }
+
+// apply runs e's effect on t: Update, then the constant assignments.
+//
+//hbvet:noalloc
+func (e *Edge) apply(t *State) {
+	if e.Update != nil {
+		//lint:allow noalloc-closure model-defined predicate (guard/update/invariant); the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
+		e.Update(t)
+	}
+	for _, as := range e.Assign {
+		if as.Clock {
+			t.Clocks[as.Idx] = as.Val
+		} else {
+			t.Vars[as.Idx] = as.Val
+		}
+	}
 }
 
 // Automaton is one component of the network.
@@ -476,10 +514,7 @@ func (c *SuccCtx) Successors(s *State, buf []Transition) []Transition {
 			var tr *Transition
 			buf, tr = appendTarget(buf, s)
 			tr.Target.Locs[ai] = uint8(e.To)
-			if e.Update != nil {
-				//lint:allow noalloc-closure model-defined predicate (guard/update/invariant); the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
-				e.Update(&tr.Target)
-			}
+			e.apply(&tr.Target)
 			tr.Label, tr.Class, tr.src = e.Label, e.Class, ai
 		}
 	}
@@ -545,14 +580,8 @@ func (n *Network) handshakeSuccessors(s *State, ch ChanID, committed []bool, buf
 			t := &tr.Target
 			t.Locs[sr.aut] = uint8(se.To)
 			t.Locs[rr.aut] = uint8(re.To)
-			if se.Update != nil {
-				//lint:allow noalloc-closure model-defined predicate (guard/update/invariant); the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
-				se.Update(t)
-			}
-			if re.Update != nil {
-				//lint:allow noalloc-closure model-defined predicate (guard/update/invariant); the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
-				re.Update(t)
-			}
+			se.apply(t)
+			re.apply(t)
 			tr.Label = se.Label
 			if tr.Label == (alphabet.Label{}) {
 				tr.Label = re.Label
@@ -616,18 +645,12 @@ func (c *SuccCtx) broadcastSuccessors(s *State, ch ChanID, committed []bool, buf
 		buf, tr = appendTarget(buf, s)
 		t := &tr.Target
 		t.Locs[sr.aut] = uint8(se.To)
-		if se.Update != nil {
-			//lint:allow noalloc-closure model-defined predicate (guard/update/invariant); the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
-			se.Update(t)
-		}
+		se.apply(t)
 		tr.Label, tr.Class, tr.src = se.Label, se.Class, sr.aut
 		for _, rr := range receivers {
 			re := &n.automata[rr.aut].Edges[rr.edge]
 			t.Locs[rr.aut] = uint8(re.To)
-			if re.Update != nil {
-				//lint:allow noalloc-closure model-defined predicate (guard/update/invariant); the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
-				re.Update(t)
-			}
+			re.apply(t)
 			if re.Class != ClassDefault {
 				tr.Class = re.Class
 			}
