@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/models"
 )
 
 // checkGolden runs hbcheck with args, expects the given exit status and
@@ -106,5 +108,41 @@ func TestMaxStatesIsAnError(t *testing.T) {
 	}
 	if !strings.Contains(errs.String(), "state limit exceeded") {
 		t.Fatalf("stderr does not name the limit:\n%s", errs.String())
+	}
+}
+
+// TestAnalyzeAll: -analyze alone analyzes every shipped network — twelve
+// variant builds, each with its shutdown network, and the two isolated
+// processes — and finds nothing.
+func TestAnalyzeAll(t *testing.T) {
+	var out, errs bytes.Buffer
+	if code := run([]string{"-analyze"}, &out, &errs); code != 0 {
+		t.Fatalf("exit %d, want 0\n%s%s", code, out.String(), errs.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != 26 || errs.Len() != 0 {
+		t.Fatalf("%d lines, want 26, stderr %q:\n%s", len(lines), errs.String(), out.String())
+	}
+	for _, l := range lines {
+		if !strings.HasSuffix(l, ": ok") {
+			t.Errorf("not ok: %s", l)
+		}
+	}
+}
+
+// TestAnalyzeSkipsShutdownOutOfRange: at constants Build accepts but whose
+// shutdown bound no clock can hold, the shutdown network is skipped with a
+// line on stdout instead of failing the analysis.
+func TestAnalyzeSkipsShutdownOutOfRange(t *testing.T) {
+	cfg := models.Config{TMin: 1, TMax: 7000, Variant: models.Binary, N: 1}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Build must accept %+v: %v", cfg, err)
+	}
+	var out, errs bytes.Buffer
+	if err := analyzeShutdown(&out, &errs, cfg); err != nil {
+		t.Fatalf("analyzeShutdown: %v", err)
+	}
+	if want := "analyze binary tmin=1 tmax=7000 fixed=false shutdown: skipped, bound "; !strings.HasPrefix(out.String(), want) || errs.Len() != 0 {
+		t.Fatalf("stdout %q, stderr %q; want a line starting %q", out.String(), errs.String(), want)
 	}
 }
