@@ -18,7 +18,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/ta"
 )
 
 // expectRow checks one protocol row against the analysis' verdicts.
@@ -207,9 +206,7 @@ func BenchmarkFig10Trace(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := m.VerifyGoal(func(s *ta.State) bool {
-			return m.R1Violated(s) && m.EverDelivered(s, 0) && !m.MessageLost(s)
-		}, mc.Options{})
+		res, err := m.VerifyGoal(m.StaleBeat, mc.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

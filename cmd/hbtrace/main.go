@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/mc"
 	"repro/internal/models"
-	"repro/internal/ta"
 	"repro/internal/trace"
 )
 
@@ -80,9 +79,7 @@ func witness(f models.Figure, opts mc.Options) ([]mc.Step, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := m.VerifyGoal(func(s *ta.State) bool {
-			return m.R1Violated(s) && m.EverDelivered(s, 0) && !m.MessageLost(s)
-		}, opts)
+		res, err := m.VerifyGoal(m.StaleBeat, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -389,12 +389,14 @@ func requireAgainstReference(t *testing.T, c *CampaignCheck, events []Event, los
 	return want
 }
 
-// refVerdicts evaluates R1–R3 (traceMonitor's doc states them) over a whole
-// trace, straight from their definitions: each requirement looks back over
-// the trace prefix it needs, and nothing is carried from event to event.
-// Violations are listed in the order the trace reveals them — at the event
-// that makes one observable, then the R1 intervals still open at the end,
-// by participant — which is the order a live checker finds them in.
+// refVerdicts evaluates R1–R3 (internal/models/requirements.go defines
+// them) over a whole trace, straight from their definitions: each
+// requirement looks back over the trace prefix it needs, and nothing is
+// carried from event to event. Each (property, participant) is reported
+// once, the first time it holds. Violations are listed in the order the
+// trace reveals them — at the event that makes one observable, then the R1
+// obligations still open at the end, by participant — which is the order
+// a live checker finds them in.
 func refVerdicts(cfg models.Config, events []Event, lost uint64, horizon core.Tick) TraceVerdicts {
 	n := cfg.N
 	bound := core.Tick(cfg.DetectionBound())
@@ -413,14 +415,26 @@ func refVerdicts(cfg models.Config, events []Event, lost uint64, horizon core.Ti
 		}
 		return 0, false
 	}
-	// excused: participant j is alive, or p[0] does not count it as a
-	// member, before event k.
+	nvInactivated := func(p, k int) bool {
+		for _, ev := range events[:k] {
+			if is(ev, alphabet.Inactivate, p) {
+				return true
+			}
+		}
+		return false
+	}
+	// excused: participant j is alive after events[:k], or p[0] does not
+	// count it as a member: it never joined, or its leave was the last
+	// delivery from it p[0] took while active.
 	excused := func(j, k int) bool {
 		if _, dead := stoppedBy(j, k); !dead {
 			return true
 		}
 		joined := fixedMembers
 		for _, ev := range events[:k] {
+			if stops(ev, 0) {
+				break
+			}
 			if delivery(ev, j) {
 				joined = ev.Label.Kind == alphabet.DeliverBeatP0
 			}
@@ -441,50 +455,63 @@ func refVerdicts(cfg models.Config, events []Event, lost uint64, horizon core.Ti
 		v  ReqViolation
 	}
 	var all []found
-	// R1: an interval opens at time 0 for a fixed member and at every beat
-	// p[0] receives, and lasts until p[0]'s next delivery from the same
-	// participant. It is violated when the bound elapses inside it, before
-	// the horizon, with p[0] still active.
+	// R1: an obligation is armed at time 0 for a fixed member and at every
+	// beat p[0] receives, until p[0]'s next delivery from the same
+	// participant; a delivered leave ends it for good. It is violated when
+	// the bound elapses inside it, before the horizon, with p[0] still
+	// active.
 	for i := 1; i <= n; i++ {
-		open, start := fixedMembers, core.Tick(0)
-		closeAt := func(k int, next core.Tick, ended bool) {
+		open, ended, start := fixedMembers, false, core.Tick(0)
+		closeAt := func(k int, next core.Tick, atEnd bool) bool {
 			if !open || start >= horizon-bound {
-				return
+				return false
 			}
 			deadline := start + bound
 			if stop, ok := stoppedBy(0, k); ok && stop <= deadline {
-				return
+				return false
 			}
-			if ended || next > deadline {
+			if atEnd || next > deadline {
 				all = append(all, found{k, ReqViolation{Prop: models.R1, Proc: i, Time: deadline + 1}})
+				return true
 			}
+			return false
 		}
+		violated := false
 		for k, ev := range events {
-			if delivery(ev, i) {
-				closeAt(k, ev.Time, false)
-				open, start = ev.Label.Kind == alphabet.DeliverBeatP0, ev.Time
+			if delivery(ev, i) && !violated {
+				violated = closeAt(k, ev.Time, false)
+				ended = ended || ev.Label.Kind == alphabet.DeliverLeaveP0
+				open, start = !ended, ev.Time
 			}
 		}
-		closeAt(len(events), 0, true)
+		if !violated {
+			closeAt(len(events), 0, true)
+		}
 	}
-	// R2 and R3 are judged at each non-voluntary inactivation, and only
-	// on loss-free runs.
-	for k, ev := range events {
-		if lost != 0 || ev.Label.Kind != alphabet.Inactivate {
-			continue
-		}
-		switch p := int(ev.Label.A); {
-		case p == 0 && allExcusedBut(0, k):
-			all = append(all, found{k, ReqViolation{Prop: models.R3, Time: ev.Time}})
-		case p >= 1 && p <= n:
-			if _, down := stoppedBy(0, k); !down && allExcusedBut(p, k) {
-				all = append(all, found{k, ReqViolation{Prop: models.R2, Proc: p, Time: ev.Time}})
+	// R2 and R3 are re-judged after every event, and only on loss-free
+	// runs.
+	r2, r3 := make([]bool, n+1), false
+	for k := 1; k <= len(events) && lost == 0; k++ {
+		ev := events[k-1]
+		if _, down := stoppedBy(0, k); !down {
+			for p := 1; p <= n; p++ {
+				if !r2[p] && nvInactivated(p, k) && allExcusedBut(p, k) {
+					r2[p] = true
+					all = append(all, found{k - 1, ReqViolation{Prop: models.R2, Proc: p, Time: ev.Time}})
+				}
 			}
+		}
+		if !r3 && nvInactivated(0, k) && allExcusedBut(0, k) {
+			r3 = true
+			all = append(all, found{k - 1, ReqViolation{Prop: models.R3, Time: ev.Time}})
 		}
 	}
 	sort.SliceStable(all, func(a, b int) bool {
 		if all[a].at != all[b].at {
 			return all[a].at < all[b].at
+		}
+		if all[a].v.Prop != all[b].v.Prop {
+			return all[a].v.Prop < all[b].v.Prop
 		}
 		return all[a].v.Proc < all[b].v.Proc
 	})

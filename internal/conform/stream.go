@@ -3,6 +3,7 @@ package conform
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -225,189 +226,112 @@ func (e *streamEngine) levelInForce() int {
 	return e.level
 }
 
-// monViolation is a requirement violation observed online, possibly
-// contingent on the run's final loss count (the no-loss premise of
-// R2/R3, which a live checker only learns at Finish).
-type monViolation struct {
-	v             ReqViolation
-	needsLossFree bool
+// monitor interprets R1–R3 as internal/models defines them, one event at
+// a time, in O(n) state: it keeps the models.Observables as the model's
+// edges drive the slots they are read from, and after every event reports
+// each (property, process) the first time its rule holds. Loss leaves no
+// event, so Lost stays false and R2/R3 reports wait for Finish's loss
+// count. An armed R1 obligation is judged when the next delivery from its
+// participant moves it, or at the end of the run, if the horizon covers
+// its deadline.
+type monitor struct {
+	bound, horizon core.Tick
+
+	obs   models.Observables
+	p0End core.Tick             // when p[0] first stopped; farFuture before
+	r1    []models.R1Obligation // by participant
+	armed []core.Tick           // when each obligation was last armed
+
+	seen [models.R3 + 1]models.Members // the processes reported, by property
+	viol []ReqViolation                // in trace order
 }
 
-// traceMonitor evaluates the paper's requirements incrementally, one event
-// at a time, with O(n) state and no retained trace, mirroring the model
-// predicates of internal/models/requirements.go:
-//
-//   - R1: after the last beat delivered from p[i] (or from the start, for
-//     fixed-membership variants), p[0] must stop being active within the
-//     claimed detection bound. Only violations observable within the
-//     horizon are reported (the bound must elapse before the run ends).
-//   - R2: no participant non-voluntarily inactivates while no message was
-//     lost, p[0] is active, and every other participant is alive or
-//     excused (never joined, or left).
-//   - R3: p[0] does not non-voluntarily inactivate while no message was
-//     lost and every participant is alive or excused.
-//
-// "Joined" is p[0]'s view, reconstructed from delivery events exactly as
-// the model's jnd variables are driven by the delivery channels. R1
-// violations are definitive the moment their monitoring interval closes;
-// R2/R3 candidates are buffered in trace order and resolved against the
-// loss count, which a live checker only learns at Finish.
-type traceMonitor struct {
-	n       int
-	bound   core.Tick
-	horizon core.Tick
-
-	active0  bool
-	p0End    core.Tick
-	activeP  []bool
-	jnd      []bool
-	armed    []bool
-	lastBeat []core.Tick
-
-	viol   []monViolation
-	fresh  []ReqViolation // R1s confirmed by the last observe; reused
-	closed bool
-}
-
-func newTraceMonitor(cfg models.Config, horizon core.Tick) *traceMonitor {
-	n := cfg.N
-	fixedMembers := true
-	switch cfg.Variant {
-	case models.Expanding, models.Dynamic:
-		fixedMembers = false
+func newMonitor(cfg models.Config, horizon core.Tick) *monitor {
+	m := &monitor{
+		bound:   core.Tick(cfg.DetectionBound()),
+		horizon: horizon,
+		obs:     cfg.Initial(),
+		p0End:   farFuture,
+		r1:      make([]models.R1Obligation, cfg.N+1),
+		armed:   make([]core.Tick, cfg.N+1),
 	}
-	m := &traceMonitor{
-		n:        n,
-		bound:    core.Tick(cfg.DetectionBound()),
-		horizon:  horizon,
-		active0:  true,
-		p0End:    farFuture,
-		activeP:  make([]bool, n+1),
-		jnd:      make([]bool, n+1),
-		armed:    make([]bool, n+1),
-		lastBeat: make([]core.Tick, n+1),
-	}
-	for i := 1; i <= n; i++ {
-		m.activeP[i] = true
-		m.jnd[i] = fixedMembers
-		m.armed[i] = fixedMembers
+	for i := range m.r1 {
+		m.r1[i] = cfg.R1Start()
 	}
 	return m
 }
 
-// closeR1 checks the monitoring interval (lastBeat, next] for p[i]: a
-// violation exists when the deadline elapsed with no delivery while p[0]
-// stayed active, observably within the horizon.
-func (m *traceMonitor) closeR1(i int, next core.Tick) {
-	if m.lastBeat[i] >= m.horizon-m.bound {
-		// The bound elapses at or past the horizon. Testing this first also
-		// keeps the deadline below from overflowing on far-future times.
+// report records v unless its property was reported for its process.
+func (m *monitor) report(v ReqViolation) {
+	if m.seen[v.Prop]&models.Member(v.Proc) == 0 {
+		m.seen[v.Prop] |= models.Member(v.Proc)
+		m.viol = append(m.viol, v)
+	}
+}
+
+// closeR1 judges participant i's obligation up to next. The horizon test
+// keeps the deadline from overflowing on far-future times.
+func (m *monitor) closeR1(i int, next core.Tick) {
+	if m.r1[i] != models.R1Armed || m.armed[i] >= m.horizon-m.bound {
 		return
 	}
-	deadline := m.lastBeat[i] + m.bound
-	if next > deadline && m.p0End > deadline {
-		v := ReqViolation{Prop: models.R1, Proc: i, Time: deadline + 1}
-		m.viol = append(m.viol, monViolation{v: v})
-		m.fresh = append(m.fresh, v)
+	if deadline := m.armed[i] + m.bound; next > deadline && m.p0End > deadline {
+		m.report(ReqViolation{Prop: models.R1, Proc: i, Time: deadline + 1})
 	}
 }
 
-func (m *traceMonitor) allOKExcept(skip int) bool {
-	for j := 1; j <= m.n; j++ {
-		if j != skip && !(m.activeP[j] || !m.jnd[j]) {
-			return false
-		}
-	}
-	return true
-}
-
-// observe consumes one event and returns the R1 violations it confirmed.
-// The returned slice is valid until the next observe or finishTime call.
+// observe consumes one event and returns the violations it revealed.
 // Only deliveries at p[0], inactivations and crashes move the monitor, and
-// only when they are about p[0] or a participant it tracks.
-func (m *traceMonitor) observe(ev Event) []ReqViolation {
-	m.fresh = m.fresh[:0]
-	p := int(ev.Label.A)
-	member := p >= 1 && p <= m.n
-	switch ev.Label.Kind {
-	case alphabet.DeliverBeatP0:
-		if member {
-			if m.armed[p] {
-				m.closeR1(p, ev.Time)
-			}
-			m.armed[p] = true
-			m.lastBeat[p] = ev.Time
-			m.jnd[p] = true
+// only when they are about p[0] or a participant it tracks; the rules are
+// evaluated again only when the vector moved.
+func (m *monitor) observe(ev Event) []ReqViolation {
+	before, o := len(m.viol), &m.obs
+	p, k := int(ev.Label.A), ev.Label.Kind
+	member := p >= 1 && p < len(m.r1)
+	switch {
+	case (k == alphabet.DeliverBeatP0 || k == alphabet.DeliverLeaveP0) && member:
+		m.closeR1(p, ev.Time)
+		if m.r1[p] = m.r1[p].Next(k); m.r1[p] == models.R1Armed {
+			m.armed[p] = ev.Time
 		}
-	case alphabet.DeliverLeaveP0:
-		if member {
-			if m.armed[p] {
-				m.closeR1(p, ev.Time)
+		joined := o.Joined
+		if o.Active&models.Member(0) != 0 { // only p[0] alive counts members
+			o.Joined &^= models.Member(p)
+			if k == alphabet.DeliverBeatP0 {
+				o.Joined |= models.Member(p)
 			}
-			m.armed[p] = false
-			m.jnd[p] = false
 		}
-	case alphabet.Inactivate:
-		switch {
-		case p == 0:
-			if m.allOKExcept(0) {
-				v := ReqViolation{Prop: models.R3, Time: ev.Time}
-				m.viol = append(m.viol, monViolation{v: v, needsLossFree: true})
-			}
-			m.endP0(ev.Time)
-		case member:
-			if m.active0 && m.allOKExcept(p) {
-				v := ReqViolation{Prop: models.R2, Proc: p, Time: ev.Time}
-				m.viol = append(m.viol, monViolation{v: v, needsLossFree: true})
-			}
-			m.activeP[p] = false
+		if o.Joined == joined {
+			return m.viol[before:]
 		}
-	case alphabet.Crash:
-		switch {
-		case p == 0:
-			m.endP0(ev.Time)
-		case member:
-			m.activeP[p] = false
+	case (k == alphabet.Inactivate || k == alphabet.Crash) && (p == 0 || member):
+		o.Active &^= models.Member(p)
+		if k == alphabet.Inactivate {
+			o.NVInact |= models.Member(p)
 		}
+		if p == 0 && m.p0End == farFuture {
+			m.p0End = ev.Time
+		}
+	default:
+		return nil
 	}
-	return m.fresh
+	for r2 := o.R2(); r2 != 0; r2 &= r2 - 1 {
+		m.report(ReqViolation{Prop: models.R2, Proc: bits.TrailingZeros64(uint64(r2)), Time: ev.Time})
+	}
+	if o.R3() {
+		m.report(ReqViolation{Prop: models.R3, Time: ev.Time})
+	}
+	return m.viol[before:]
 }
 
-// endP0 records p[0]'s inactivation; the first one ends its obligations.
-func (m *traceMonitor) endP0(at core.Tick) {
-	m.active0 = false
-	if m.p0End == farFuture {
-		m.p0End = at
+// finishTime closes the still-armed R1 obligations at the end of the run
+// and returns the violations that revealed.
+func (m *monitor) finishTime() []ReqViolation {
+	before := len(m.viol)
+	for i := 1; i < len(m.r1); i++ {
+		m.closeR1(i, farFuture)
 	}
-}
-
-// finishTime closes the still-armed R1 monitoring intervals at the end of
-// the run. The returned slice is reused like observe's. Idempotent.
-func (m *traceMonitor) finishTime() []ReqViolation {
-	m.fresh = m.fresh[:0]
-	if m.closed {
-		return m.fresh
-	}
-	m.closed = true
-	for i := 1; i <= m.n; i++ {
-		if m.armed[i] {
-			m.closeR1(i, farFuture)
-		}
-	}
-	return m.fresh
-}
-
-// verdicts resolves the loss-contingent candidates against the final loss
-// count.
-func (m *traceMonitor) verdicts(lost uint64) TraceVerdicts {
-	tv := TraceVerdicts{LossFree: lost == 0}
-	for _, pv := range m.viol {
-		if pv.needsLossFree && lost != 0 {
-			continue
-		}
-		tv.Violations = append(tv.Violations, pv.v)
-	}
-	return tv
+	return m.viol[before:]
 }
 
 // IncidentKind classifies structured incidents.
@@ -564,7 +488,7 @@ type StreamConfig struct {
 type StreamChecker struct {
 	cfg    StreamConfig
 	eng    *streamEngine
-	mon    *traceMonitor
+	mon    *monitor
 	monCfg models.Config
 	sup    *detector.Supervisor
 
@@ -614,7 +538,7 @@ func NewStreamChecker(cfg StreamConfig) (*StreamChecker, error) {
 	sc := &StreamChecker{
 		cfg:    cfg,
 		eng:    eng,
-		mon:    newTraceMonitor(monCfg, cfg.Horizon),
+		mon:    newMonitor(monCfg, cfg.Horizon),
 		monCfg: monCfg,
 		tail:   make([]Event, mscTail),
 	}
@@ -664,7 +588,9 @@ func (sc *StreamChecker) feed(ev Event) {
 		}
 	}
 	for _, v := range sc.mon.observe(ev) {
-		sc.violationIncident(v, i)
+		if v.Prop == models.R1 {
+			sc.violationIncident(v, i)
+		}
 	}
 	sc.tail[i%len(sc.tail)] = ev
 	sc.seq++
@@ -778,11 +704,14 @@ func (sc *StreamChecker) Finish(lost uint64) (*StreamResult, error) {
 	for _, v := range sc.mon.finishTime() {
 		sc.violationIncident(v, sc.seq)
 	}
-	if lost == 0 {
-		for _, pv := range sc.mon.viol {
-			if pv.needsLossFree {
-				sc.violationIncident(pv.v, sc.seq)
-			}
+	// The loss-gated R2/R3 reports stand on a loss-free run only.
+	tv := TraceVerdicts{LossFree: lost == 0}
+	for _, v := range sc.mon.viol {
+		if v.Prop == models.R1 || lost == 0 {
+			tv.Violations = append(tv.Violations, v)
+		}
+		if v.Prop != models.R1 && lost == 0 {
+			sc.violationIncident(v, sc.seq)
 		}
 	}
 	finalLevel := baseLevel
@@ -799,7 +728,7 @@ func (sc *StreamChecker) Finish(lost uint64) (*StreamResult, error) {
 		Saturations:     sc.eng.saturations,
 		FinalLevel:      finalLevel,
 		MaxFrontierSeen: sc.eng.maxFrontierSeen,
-		Verdicts:        sc.mon.verdicts(lost),
+		Verdicts:        tv,
 	}
 	return sc.result, sc.failed
 }

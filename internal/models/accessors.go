@@ -12,9 +12,11 @@ func (m *Model) P0NVInactivated(s *ta.State) bool {
 	return int(s.Locs[m.p0.aut]) == m.p0.nvInact
 }
 
-// EverDelivered reports whether p[0] has ever received a beat from p[i+1].
-func (m *Model) EverDelivered(s *ta.State, i int) bool {
-	return s.Vars[m.vEver[i]] == 1
+// StaleBeat is Figure 10a's goal: R1 is violated on a loss-free run
+// although p[0] has received a beat from p[1] — the stale reply that
+// restores tmax, which Figure 10b's plain decay lacks.
+func (m *Model) StaleBeat(s *ta.State) bool {
+	return m.R1Violated(s) && s.Vars[m.vEver[0]] == 1 && !m.MessageLost(s)
 }
 
 // MessageLost reports whether any message was lost so far.

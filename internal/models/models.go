@@ -149,8 +149,8 @@ func (c Config) Validate() error {
 	if !slices.Contains(Variants, c.Variant) {
 		return fmt.Errorf("%w: unknown variant %d", ErrConfig, int(c.Variant))
 	}
-	if c.N < 1 {
-		return fmt.Errorf("%w: need at least one participant", ErrConfig)
+	if c.N < 1 || c.N > maxMembers {
+		return fmt.Errorf("%w: need 1 to %d participants, got %d", ErrConfig, maxMembers, c.N)
 	}
 	// The first test keeps the bounds behind the second inside int32.
 	if c.watchdogTMax() > ta.MaxClockCap || c.maxClockCap() > ta.MaxClockCap {
@@ -271,9 +271,9 @@ type joinChanRefs struct {
 
 // monRefs locates the R1 monitor for participant i.
 type monRefs struct {
-	aut                int
-	watch, errLoc, off int
-	delay              int // clock
+	aut           int
+	watch, errLoc int
+	delay         int // clock
 }
 
 // noVar is the vLeave entry of a participant outside the dynamic protocol.

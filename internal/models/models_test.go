@@ -21,6 +21,9 @@ func TestConfigValidation(t *testing.T) {
 		{"tmax below tmin", Config{TMin: 5, TMax: 4, Variant: Binary, N: 1}, false},
 		{"no variant", Config{TMin: 1, TMax: 10, N: 1}, false},
 		{"zero participants", Config{TMin: 1, TMax: 10, Variant: Static, N: 0}, false},
+		// A Members set holds p[0] and 63 participants.
+		{"63 participants", Config{TMin: 1, TMax: 10, Variant: Static, N: 63}, true},
+		{"64 participants", Config{TMin: 1, TMax: 10, Variant: Static, N: 64}, false},
 		// The watchdog clock's cap is 3·tmax − tmin + 1; ta.MaxClockCap
 		// (32767) is the most a state key holds.
 		{"watchdog cap at the key limit", Config{TMin: 3, TMax: 10923, Variant: Binary, N: 1}, true},
@@ -263,4 +266,24 @@ func TestIsolatedP1StateSpace(t *testing.T) {
 func countStates(n *ta.Network, opts mc.Options) (states, transitions int, err error) {
 	res, err := mc.CheckReachability(n, nil, opts)
 	return res.StatesExplored, res.TransitionsExplored, err
+}
+
+// TestInitialObservables: the observables a run starts from, which the
+// stream monitor starts its vector at, are what the model reads off its
+// initial state — up to the 63 participants a Members set holds.
+func TestInitialObservables(t *testing.T) {
+	for _, cfg := range []Config{
+		{TMin: 1, TMax: 2, Variant: Binary, N: 1},
+		{TMin: 1, TMax: 2, Variant: Dynamic, N: 3},
+		{TMin: 1, TMax: 2, Variant: Static, N: 63},
+	} {
+		m, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := m.Net.Initial()
+		if got, want := m.Observe(&s), cfg.Initial(); got != want {
+			t.Errorf("%v n=%d: model observes %+v, Initial is %+v", cfg.Variant, cfg.N, got, want)
+		}
+	}
 }

@@ -6,11 +6,11 @@ import (
 )
 
 // buildMonitor constructs the R1 watchdog for participant i (Figure 9):
-// it observes every beat from p[i] delivered at p[0] and raises Error when
-// p[0] stays active for more than the claimed detection bound without one.
-// For the expanding/dynamic protocols the monitor arms on the first
-// delivery (p[0] cannot be obliged to react to a process it has never
-// heard from) and disarms when p[i]'s leave is delivered.
+// one location per R1Obligation, entered on the deliveries at p[0] that
+// R1Obligation.Next moves the obligation on, and an Error location raised
+// when p[0] stays active more than the claimed detection bound after the
+// obligation was armed last. Locations no delivery of the variant can
+// reach are left out (ta.Analyze flags dead ones).
 func (m *Model) buildMonitor(i int) {
 	cfg := m.Cfg
 	net := m.Net
@@ -18,59 +18,42 @@ func (m *Model) buildMonitor(i int) {
 	delay := net.Clock("r1delay_"+pname(i), bound+2)
 	active0 := m.vActive0
 
-	var mo monRefs
-	mo.delay = delay
 	a := &ta.Automaton{Name: "MonR1" + pname(i)}
-	idle := -1
-	if cfg.joinPhase() {
-		idle = addLoc(a, ta.Location{Name: "Idle"})
+	locs := [...]int{R1Idle: -1, R1Armed: -1, R1Ended: -1}
+	if cfg.R1Start() == R1Idle {
+		locs[R1Idle] = addLoc(a, ta.Location{Name: "Idle"})
 	}
-	mo.watch = addLoc(a, ta.Location{Name: "Watch"})
-	mo.errLoc = addLoc(a, ta.Location{Name: "Error"})
-	// Off is entered only by a delivered leave, which exists only in the
-	// dynamic protocol; elsewhere it would be dead (ta.Analyze flags it).
-	mo.off = -1
+	locs[R1Armed] = addLoc(a, ta.Location{Name: "Watch"})
+	mo := monRefs{watch: locs[R1Armed], errLoc: addLoc(a, ta.Location{Name: "Error"}), delay: delay}
+	// A leave exists only in the dynamic protocol: elsewhere its channel is
+	// 0, and Off would be dead.
 	if cfg.Variant == Dynamic {
-		mo.off = addLoc(a, ta.Location{Name: "Off"})
+		locs[R1Ended] = addLoc(a, ta.Location{Name: "Off"})
 	}
-	if idle >= 0 {
-		a.Init = idle
-		a.Edges = append(a.Edges, ta.Edge{
-			From: idle, To: mo.watch,
-			Chan:   m.chDlvTrue[i],
-			Assign: []ta.Assign{ta.Reset(delay)},
-		})
-		if cfg.Variant == Dynamic {
-			a.Edges = append(a.Edges, ta.Edge{
-				From: idle, To: mo.off, Chan: m.chDlvFalse[i],
-			})
+	a.Init = locs[cfg.R1Start()]
+	dlv := [...]ta.ChanID{alphabet.DeliverBeatP0: m.chDlvTrue[i], alphabet.DeliverLeaveP0: m.chDlvFalse[i]}
+	for _, from := range []R1Obligation{R1Idle, R1Armed} {
+		for k, ch := range dlv {
+			to := from.Next(alphabet.Kind(k))
+			if ch == 0 || locs[from] < 0 || to == from && to != R1Armed {
+				continue
+			}
+			e := ta.Edge{From: locs[from], To: locs[to], Chan: ch}
+			if to == R1Armed {
+				e.Assign = []ta.Assign{ta.Reset(delay)}
+			}
+			a.Edges = append(a.Edges, e)
 		}
-	} else {
-		a.Init = mo.watch
 	}
-	a.Edges = append(a.Edges,
-		// Every delivered beat from p[i] resets the watchdog.
-		ta.Edge{
-			From: mo.watch, To: mo.watch,
-			Chan:   m.chDlvTrue[i],
-			Assign: []ta.Assign{ta.Reset(delay)},
+	// R1 violation: the bound elapsed and p[0] is still active.
+	a.Edges = append(a.Edges, ta.Edge{
+		From: mo.watch, To: mo.errLoc,
+		Guard: func(s *ta.State) bool {
+			return s.Vars[active0] == 1 && s.Clocks[delay] > bound
 		},
-		// R1 violation: the bound elapsed and p[0] is still active.
-		ta.Edge{
-			From: mo.watch, To: mo.errLoc,
-			Guard: func(s *ta.State) bool {
-				return s.Vars[active0] == 1 && s.Clocks[delay] > bound
-			},
-			Footprint: &ta.Footprint{Vars: []int{active0}, Unless: []ta.ClockVar{{Clock: delay, Var: active0, Val: 0}}},
-			Label:     alphabet.ErrorR1.Of(i + 1),
-		},
-	)
-	if cfg.Variant == Dynamic {
-		// A delivered leave ends p[0]'s obligation for p[i].
-		a.Edges = append(a.Edges, ta.Edge{
-			From: mo.watch, To: mo.off, Chan: m.chDlvFalse[i],
-		})
-	}
+		Footprint: &ta.Footprint{Vars: []int{active0}, Unless: []ta.ClockVar{{Clock: delay, Var: active0, Val: 0}}},
+		Label:     alphabet.ErrorR1.Of(i + 1),
+	})
 	mo.aut = len(net.Automata())
 	net.Add(a)
 	m.mons = append(m.mons, mo)

@@ -3,6 +3,7 @@ package models
 import (
 	"fmt"
 
+	"repro/internal/alphabet"
 	"repro/internal/mc"
 	"repro/internal/ta"
 )
@@ -38,6 +39,103 @@ func (p Property) String() string {
 	}
 }
 
+// Members is a set of processes: p[i] is bit i.
+type Members uint64
+
+// maxMembers is the most participants a model has: a Members holds p[0]
+// and 63 more.
+const maxMembers = 63
+
+// Member returns the set holding p[i] alone.
+func Member(i int) Members { return 1 << i }
+
+// Observables is the vector R2 and R3 are defined over, and R1's
+// obligation is kept beside: what a run shows of its processes, with no
+// clock in it. The model reads it from its state slots (Observe); conform's
+// stream interpreter keeps it from the labels a run emits, as the model's
+// edges drive those slots.
+type Observables struct {
+	Lost    bool    // some message was lost (lostMsg)
+	Active  Members // active processes
+	NVInact Members // non-voluntarily inactivated processes
+	Joined  Members // participants p[0] counts as joined (jnd)
+}
+
+// Initial returns the observables at the start of a run of c: every
+// process active, and every participant joined iff membership is fixed.
+func (c Config) Initial() Observables {
+	o := Observables{Active: Member(c.N+1) - 1}
+	if c.binaryFamily() {
+		o.Joined = o.Active &^ Member(0)
+	}
+	return o
+}
+
+// down is the set a network-wide inactivation can be blamed on: the
+// participants that are inactive while p[0] still counts them. A
+// participant is excused while it is active, before it joins, and once its
+// leave has reached p[0] — also when it crashed after sending that leave.
+func (o Observables) down() Members { return o.Joined &^ o.Active }
+
+// R2 returns the participants R2 is violated for: p[i] was
+// non-voluntarily inactivated although no message was lost, p[0] is
+// active, and every other participant is excused.
+func (o Observables) R2() Members {
+	if o.Lost || o.Active&Member(0) == 0 {
+		return 0
+	}
+	switch d := o.down(); {
+	case d == 0:
+		return o.NVInact
+	case d&(d-1) == 0:
+		return o.NVInact & d
+	}
+	return 0
+}
+
+// R3 reports whether R3 is violated: p[0] was non-voluntarily inactivated
+// although no message was lost and every participant is excused.
+func (o Observables) R3() bool { return !o.Lost && o.NVInact&Member(0) != 0 && o.down() == 0 }
+
+// R1Obligation is what R1 asks of p[0] toward one participant: the
+// locations of Figure 9's monitor, but for its Error.
+type R1Obligation uint8
+
+// R1's obligations.
+const (
+	// R1Idle: p[0] has heard nothing from the participant yet.
+	R1Idle R1Obligation = iota
+	// R1Armed: p[0] must stop being active within DetectionBound ticks of
+	// the delivery that armed it last, or R1 is violated.
+	R1Armed
+	// R1Ended: the participant's leave reached p[0]; nothing is owed any
+	// more, whatever is delivered later.
+	R1Ended
+)
+
+// R1Start is R1's obligation toward every participant at the start of a
+// run of c: armed iff membership is fixed.
+func (c Config) R1Start() R1Obligation {
+	if c.binaryFamily() {
+		return R1Armed
+	}
+	return R1Idle
+}
+
+// Next is the obligation after p[0] is delivered a label of kind k from
+// the participant: a beat arms it, restarting the bound, and a leave ends
+// it for good.
+func (o R1Obligation) Next(k alphabet.Kind) R1Obligation {
+	switch {
+	case o == R1Ended:
+	case k == alphabet.DeliverBeatP0:
+		return R1Armed
+	case k == alphabet.DeliverLeaveP0:
+		return R1Ended
+	}
+	return o
+}
+
 // R1Violated reports whether any R1 monitor reached its Error location.
 func (m *Model) R1Violated(s *ta.State) bool {
 	for _, mo := range m.mons {
@@ -48,54 +146,41 @@ func (m *Model) R1Violated(s *ta.State) bool {
 	return false
 }
 
-// participantOK reports whether participant i cannot legitimately be
-// blamed for a network-wide inactivation: it is currently alive, or p[0]
-// does not (or no longer) count on it — which covers completed leaves,
-// whose false beat clears jnd at p[0]. A process that crashes mid-leave is
-// NOT excused: a crash is a crash, and network-wide inactivation is then
-// the intended outcome.
-func (m *Model) participantOK(s *ta.State, i int) bool {
-	return s.Vars[m.vActive[i]] == 1 || s.Vars[m.vJnd[i]] == 0
-}
-
-// R2Violated: some participant is non-voluntarily inactivated although no
-// message was lost, p[0] is still active, and every other participant is
-// alive or excused.
-func (m *Model) R2Violated(s *ta.State) bool {
-	if s.Vars[m.vLost] == 1 || s.Vars[m.vActive0] != 1 {
-		return false
-	}
+// Observe reads the observables from s's slots.
+func (m *Model) Observe(s *ta.State) Observables {
+	o := m.observe0(s)
 	for i, p := range m.ps {
-		if int(s.Locs[p.aut]) != p.nvInact {
-			continue
-		}
-		ok := true
-		for j := range m.ps {
-			if j != i && !m.participantOK(s, j) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
+		// active and jnd hold 0 or 1.
+		o.Active |= Members(s.Vars[m.vActive[i]]) << (i + 1)
+		o.Joined |= Members(s.Vars[m.vJnd[i]]) << (i + 1)
+		if int(s.Locs[p.aut]) == p.nvInact {
+			o.NVInact |= Member(i + 1)
 		}
 	}
-	return false
+	return o
 }
 
-// R3Violated: p[0] is non-voluntarily inactivated although no message was
-// lost and every participant is alive or excused.
-func (m *Model) R3Violated(s *ta.State) bool {
-	if s.Vars[m.vLost] == 1 || int(s.Locs[m.p0.aut]) != m.p0.nvInact {
-		return false
+// observe0 reads the loss and p[0]'s slots alone: no participant is
+// active, inactivated or joined in it.
+func (m *Model) observe0(s *ta.State) Observables {
+	o := Observables{Lost: s.Vars[m.vLost] == 1, Active: Members(s.Vars[m.vActive0])}
+	if m.P0NVInactivated(s) {
+		o.NVInact = Member(0)
 	}
-	for i := range m.ps {
-		if !m.participantOK(s, i) {
-			return false
-		}
-	}
-	return true
+	return o
 }
+
+// R2Violated reports whether R2 is violated in s, reading the participants'
+// slots only if it holds with all of them inactivated and none down.
+func (m *Model) R2Violated(s *ta.State) bool {
+	bound := m.observe0(s)
+	bound.NVInact |= Member(len(m.ps)+1) - 2
+	return bound.R2() != 0 && m.Observe(s).R2() != 0
+}
+
+// R3Violated reports whether R3 is violated in s, reading the participants'
+// slots only if it holds with none of them down.
+func (m *Model) R3Violated(s *ta.State) bool { return m.observe0(s).R3() && m.Observe(s).R3() }
 
 // Violation returns the predicate for a property.
 func (m *Model) Violation(p Property) (func(*ta.State) bool, error) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/mc"
-	"repro/internal/ta"
 	"repro/internal/trace"
 )
 
@@ -164,9 +163,7 @@ func TestFigureCatalogue(t *testing.T) {
 		}
 		// The distinguishing feature of 10(a) over 10(b): p[0] received
 		// at least one beat from p[1] and still overshoots the bound.
-		res, err := m.VerifyGoal(func(s *ta.State) bool {
-			return m.R1Violated(s) && m.EverDelivered(s, 0) && !m.MessageLost(s)
-		}, opts)
+		res, err := m.VerifyGoal(m.StaleBeat, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
