@@ -115,8 +115,23 @@ func TestMaxStatesIsAnError(t *testing.T) {
 // variant builds, each with its shutdown network, and the two isolated
 // processes — and finds nothing.
 func TestAnalyzeAll(t *testing.T) {
+	checkAnalyzeAll(t, false, "-analyze")
+}
+
+// TestAnalyzeAllLargeTMax: clock atoms are solved, not scanned, so the
+// analysis costs the same at any tmax, and at tmax 7000 every network is
+// analyzed in well under a second. Only shutdown networks whose bound no
+// clock can hold are skipped.
+func TestAnalyzeAllLargeTMax(t *testing.T) {
+	checkAnalyzeAll(t, true, "-analyze", "-tmin", "1", "-tmax", "7000")
+}
+
+// checkAnalyzeAll runs hbcheck with args and wants one line per shipped
+// network: ok, or with skips a skipped shutdown network.
+func checkAnalyzeAll(t *testing.T, skips bool, args ...string) {
+	t.Helper()
 	var out, errs bytes.Buffer
-	if code := run([]string{"-analyze"}, &out, &errs); code != 0 {
+	if code := run(args, &out, &errs); code != 0 {
 		t.Fatalf("exit %d, want 0\n%s%s", code, out.String(), errs.String())
 	}
 	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
@@ -124,7 +139,7 @@ func TestAnalyzeAll(t *testing.T) {
 		t.Fatalf("%d lines, want 26, stderr %q:\n%s", len(lines), errs.String(), out.String())
 	}
 	for _, l := range lines {
-		if !strings.HasSuffix(l, ": ok") {
+		if !strings.HasSuffix(l, ": ok") && !(skips && strings.Contains(l, " shutdown: skipped, bound ")) {
 			t.Errorf("not ok: %s", l)
 		}
 	}

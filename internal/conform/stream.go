@@ -496,9 +496,9 @@ type StreamChecker struct {
 	obsNow core.Tick
 
 	seq         int
-	tail        []Event // ring buffer of the last len(tail) events
-	done        bool    // inclusion stopped at the first unconfirmed divergence
-	failed      error   // internal error (level spec construction)
+	tail        [mscTail]Event // ring buffer of the last mscTail events
+	done        bool           // inclusion stopped at the first unconfirmed divergence
+	failed      error          // internal error (level spec construction)
 	incidents   []*Incident
 	unconfirmed *Incident
 	finished    bool
@@ -540,7 +540,6 @@ func NewStreamChecker(cfg StreamConfig) (*StreamChecker, error) {
 		eng:    eng,
 		mon:    newMonitor(monCfg, cfg.Horizon),
 		monCfg: monCfg,
-		tail:   make([]Event, mscTail),
 	}
 	sc.add = func(label alphabet.Label) { sc.feed(Event{Time: sc.obsNow, Label: label}) }
 	return sc, nil
@@ -592,16 +591,13 @@ func (sc *StreamChecker) feed(ev Event) {
 			sc.violationIncident(v, i)
 		}
 	}
-	sc.tail[i%len(sc.tail)] = ev
+	sc.tail[i%mscTail] = ev
 	sc.seq++
 }
 
 // tailLen is the number of live ring entries.
 func (sc *StreamChecker) tailLen() int {
-	if sc.seq < len(sc.tail) {
-		return sc.seq
-	}
-	return len(sc.tail)
+	return min(sc.seq, mscTail)
 }
 
 // newIncident snapshots the bounded context shared by all incident kinds.
@@ -612,7 +608,7 @@ func (sc *StreamChecker) newIncident(kind IncidentKind, seq int) *Incident {
 	t := make([]Event, n)
 	start := sc.seq - n
 	for k := 0; k < n; k++ {
-		t[k] = sc.tail[(start+k)%len(sc.tail)]
+		t[k] = sc.tail[(start+k)%mscTail]
 	}
 	return &Incident{
 		Kind:    kind,

@@ -31,12 +31,12 @@ func counterNet(n int32) (*ta.Network, int) {
 		Edges: []ta.Edge{
 			{
 				From: 0, To: 0, Label: inc,
-				Guard:  func(s *ta.State) bool { return s.Vars[v] < n },
+				Guard:  ta.Guard{Pred: func(s *ta.State) bool { return s.Vars[v] < n }},
 				Update: func(s *ta.State) { s.Vars[v]++ },
 			},
 			{
 				From: 0, To: 1, Label: done,
-				Guard: func(s *ta.State) bool { return s.Vars[v] == n },
+				Guard: ta.Guard{Vars: []ta.Lit{ta.Is(v, n)}},
 			},
 		},
 	})
@@ -105,12 +105,12 @@ func TestTraceTimesCountTicks(t *testing.T) {
 	net.Add(&ta.Automaton{
 		Name: "w",
 		Locations: []ta.Location{
-			{Name: "Wait", Invariant: func(s *ta.State) bool { return s.Clocks[c] <= 3 }},
+			{Name: "Wait", Invariant: ta.Invariant{{Then: []ta.Atom{ta.Clk(c, ta.Le, 3)}}}},
 			{Name: "Done"},
 		},
 		Edges: []ta.Edge{{
 			From: 0, To: 1, Label: alphabet.Timeout.Of(0),
-			Guard: func(s *ta.State) bool { return s.Clocks[c] == 3 },
+			Guard: ta.Guard{Clocks: []ta.Atom{ta.Clk(c, ta.Eq, 3)}},
 		}},
 	})
 	res, err := CheckReachability(net, func(s *ta.State) bool { return s.Locs[0] == 1 }, Options{})

@@ -24,34 +24,26 @@ func (m *Model) buildChannel(i int) {
 	var c chanRefs
 	c.rt = rt
 	a := &ta.Automaton{Name: "Ch" + pname(i)}
-	budget := func(name string) ta.Location {
-		return ta.Location{
-			Name:      name,
-			Invariant: func(s *ta.State) bool { return s.Clocks[rt] <= tmin },
-			Footprint: &ta.Footprint{Clocks: []int{rt}},
-		}
-	}
+	budget := ta.Invariant{{Then: []ta.Atom{ta.Clk(rt, ta.Le, tmin)}}}
 	c.idle = addLoc(a, ta.Location{Name: "Idle"})
-	c.fly = addLoc(a, budget("Fwd"))
+	c.fly = addLoc(a, ta.Location{Name: "Fwd", Invariant: budget})
 	// Await is transient within an instant: p[i] either replies from its
 	// committed Rcvd location or, being inactive, never will.
 	c.await = addLoc(a, ta.Location{Name: "Await", Kind: ta.Urgent})
-	c.replyTrue = addLoc(a, budget("Reply"))
+	c.replyTrue = addLoc(a, ta.Location{Name: "Reply", Invariant: budget})
 	c.replyFalse = -1
 	if dynamic {
-		c.replyFalse = addLoc(a, budget("ReplyFalse"))
+		c.replyFalse = addLoc(a, ta.Location{Name: "ReplyFalse", Invariant: budget})
 	}
 	a.Init = c.idle
 
 	// Accept p[0]'s broadcast for joined members; the budget starts now.
-	member := func(s *ta.State) bool { return s.Vars[jnd] == 1 }
-	joined := &ta.Footprint{Vars: []int{jnd}}
+	member := ta.Guard{Vars: []ta.Lit{ta.Is(jnd, 1)}}
 	a.Edges = append(a.Edges, ta.Edge{
 		From: c.idle, To: c.fly,
-		Chan:      m.chBcast,
-		Guard:     member,
-		Footprint: joined,
-		Assign:    []ta.Assign{ta.Reset(rt)},
+		Chan:   m.chBcast,
+		Guard:  member,
+		Assign: []ta.Assign{ta.Reset(rt)},
 	})
 	// Forward leg: deliver to p[i] (keeping the budget running), or lose.
 	a.Edges = append(a.Edges, m.leg(c.fly, c.await, c.idle, m.chDlv[i], alphabet.DeliverBeat.Of(i+1), alphabet.LoseBeatTo.Of(i+1))...)
@@ -60,9 +52,8 @@ func (m *Model) buildChannel(i int) {
 		ta.Edge{From: c.await, To: c.replyTrue, Chan: m.chReply[i]},
 		ta.Edge{
 			From: c.await, To: c.idle,
-			Guard:     func(s *ta.State) bool { return s.Vars[active] == 0 },
-			Footprint: &ta.Footprint{Vars: []int{active}},
-			Label:     alphabet.NoReply.Of(i + 1),
+			Guard: ta.Guard{Vars: []ta.Lit{ta.Is(active, 0)}},
+			Label: alphabet.NoReply.Of(i + 1),
 		},
 	)
 	if dynamic {
@@ -85,10 +76,9 @@ func (m *Model) buildChannel(i int) {
 	for _, loc := range busy {
 		a.Edges = append(a.Edges, ta.Edge{
 			From: loc, To: loc,
-			Chan:      m.chBcast,
-			Guard:     member,
-			Footprint: joined,
-			Assign:    lose,
+			Chan:   m.chBcast,
+			Guard:  member,
+			Assign: lose,
 		})
 	}
 
@@ -117,11 +107,7 @@ func (m *Model) buildJoinChannel(i int) {
 	c.rt = rt
 	a := &ta.Automaton{Name: "JoinCh" + pname(i)}
 	c.idle = addLoc(a, ta.Location{Name: "Idle"})
-	c.fly = addLoc(a, ta.Location{
-		Name:      "Fwd",
-		Invariant: func(s *ta.State) bool { return s.Clocks[rt] <= bound },
-		Footprint: &ta.Footprint{Clocks: []int{rt}},
-	})
+	c.fly = addLoc(a, ta.Location{Name: "Fwd", Invariant: ta.Invariant{{Then: []ta.Atom{ta.Clk(rt, ta.Le, bound)}}}})
 	a.Init = c.idle
 
 	a.Edges = append(a.Edges, ta.Edge{

@@ -11,9 +11,9 @@ import (
 // active-clock reduction UPPAAL applies: a functional strong bisimulation,
 // so verdicts and counter-examples are those of the network (DESIGN.md,
 // "Verdicts explore a quotient"). Build has ta derive where each clock is
-// dead from the footprints every guard, invariant and update declares
-// (ta.Network.DeadClocks): R1–R3, the loss prune and the shutdown predicate
-// read no clock. It renames no label, so conformance specs store dead
+// dead from the clock atoms of every guard and invariant and the literals
+// they sit under (ta.Network.DeadClocks): no closure, nor R1–R3, the loss
+// prune or the shutdown predicate, reads a clock. It renames no label, so conformance specs store dead
 // clocks as 0 too (BuildLTS). quotient_test.go checks all of it against
 // the unreduced successor relation.
 

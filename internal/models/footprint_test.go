@@ -10,10 +10,11 @@ import (
 	"repro/internal/ta"
 )
 
-// The quotient tables are derived from what each guard, invariant and
-// update declares it reads and writes (ta.Footprint). This oracle holds
-// every declaration to its closure on every reachable state of the models
-// the quotient oracles cover.
+// The quotient tables are derived from the clock atoms and literals, which
+// are data, and from what each guard predicate and computed update declares
+// it reads and writes (ta.Footprint). This oracle holds every declaration
+// to its closure on every reachable state of the models the quotient
+// oracles cover.
 
 // slot is one component of the state vector: the location of automaton idx
 // (kind slotLoc), clock idx or variable idx.
@@ -52,14 +53,14 @@ func (sl slot) set(s *ta.State, v int32) {
 
 // footprintOracle is a goal predicate for the unreduced checker: broken(s)
 // reports that, at s, a closure depends on or writes a slot its footprint
-// does not declare. Each invariant of a current location, each guard of an
-// edge leaving one and each update of such an edge whose guard holds is
+// does not declare. Each guard predicate of an edge leaving a current
+// location and each update of such an edge whose predicate holds is
 // evaluated again with one undeclared slot perturbed at a time: a location
 // to each other location of its automaton, a clock to 0 and to the largest
-// value it reaches, a variable to each other value it reaches; a clock an
-// "unless v == k" declaration excuses counts as undeclared while v == k. A
-// guard or invariant must keep its result; an update must write the same
-// values to its declared writes and leave every other slot as it found it,
+// value it reaches, a variable to each other value it reaches. No closure
+// may read a clock, so every clock an update does not write is undeclared.
+// A predicate must keep its result; an update must write the same values
+// to its declared writes and leave every other slot as it found it,
 // perturbed or not; and where it moves v off k, a clock it declares reset
 // with that move must get a value its old one does not decide. The
 // requirement predicates, declared to read no clock, are held to that too.
@@ -136,15 +137,12 @@ func (o *footprintOracle) perturb(s *ta.State, f *ta.Footprint, try func(sl slot
 		}
 	}
 	for c := range s.Clocks {
-		declared := slices.Contains(f.Clocks, c) || slices.Contains(f.WriteClocks, c) ||
-			slices.ContainsFunc(f.Unless, func(u ta.ClockVar) bool { return u.Clock == c && s.Vars[u.Var] != u.Val })
-		if !declared && each(slot{slotClock, c}, []int32{0, o.top[c]}) {
+		if !slices.Contains(f.WriteClocks, c) && each(slot{slotClock, c}, []int32{0, o.top[c]}) {
 			return true
 		}
 	}
 	for v := range s.Vars {
-		declared := slices.Contains(f.Vars, v) || slices.Contains(f.WriteVars, v) ||
-			slices.ContainsFunc(f.Unless, func(u ta.ClockVar) bool { return u.Var == v })
+		declared := slices.Contains(f.Vars, v) || slices.Contains(f.WriteVars, v)
 		if !declared && each(slot{slotVar, v}, o.vals[v]) {
 			return true
 		}
@@ -152,25 +150,23 @@ func (o *footprintOracle) perturb(s *ta.State, f *ta.Footprint, try func(sl slot
 	return false
 }
 
-// closure names what the oracle evaluates: the invariant of location loc
-// of aut, its edge number edge, or with no aut requirement predicate loc.
+// closure names what the oracle evaluates: edge number edge of aut, or
+// with no aut requirement predicate edge.
 type closure struct {
-	aut       *ta.Automaton
-	loc, edge int
+	aut  *ta.Automaton
+	edge int
 }
 
 func (c closure) String() string {
-	switch {
-	case c.aut == nil:
-		return fmt.Sprintf("predicate %d", c.loc)
-	case c.edge < 0:
-		return c.aut.Name + "." + c.aut.Locations[c.loc].Name
+	if c.aut == nil {
+		return fmt.Sprintf("predicate %d", c.edge)
 	}
 	return fmt.Sprintf("%s edge %d (%s)", c.aut.Name, c.edge, c.aut.Edges[c.edge].Label)
 }
 
-// guard reports a result of g at s that an undeclared slot changes.
-func (o *footprintOracle) guard(s *ta.State, g ta.Guard, f *ta.Footprint, what closure) bool {
+// guard reports a result of predicate g at s that an undeclared slot
+// changes.
+func (o *footprintOracle) guard(s *ta.State, g func(*ta.State) bool, f *ta.Footprint, what closure) bool {
 	if f == nil {
 		o.why = what.String() + " declares no footprint"
 		return true
@@ -254,27 +250,22 @@ func (o *footprintOracle) broken(s *ta.State) bool {
 	copyState(&o.in, s)
 	s = &o.in // perturbed in place, so never the explorer's state
 	for ai, aut := range o.auts {
-		l := int(s.Locs[ai])
-		loc := &aut.Locations[l]
-		if loc.Invariant != nil && o.guard(s, loc.Invariant, loc.Footprint, closure{aut, l, -1}) {
-			return true
-		}
 		for ei := range aut.Edges {
 			e := &aut.Edges[ei]
-			if e.From != l {
+			if e.From != int(s.Locs[ai]) {
 				continue
 			}
-			what := closure{aut, l, ei}
-			if e.Guard != nil && o.guard(s, e.Guard, e.Footprint, what) {
+			what, pred := closure{aut, ei}, e.Guard.Pred
+			if pred != nil && o.guard(s, pred, e.Footprint, what) {
 				return true
 			}
-			if e.Update != nil && (e.Guard == nil || e.Guard(s)) && o.update(s, e.Update, e.Footprint, what) {
+			if e.Update != nil && (pred == nil || pred(s)) && o.update(s, e.Update, e.Footprint, what) {
 				return true
 			}
 		}
 	}
 	for i, pred := range o.preds {
-		if o.guard(s, pred, o.noClock, closure{nil, i, -1}) {
+		if o.guard(s, pred, o.noClock, closure{nil, i}) {
 			return true
 		}
 	}
@@ -344,7 +335,9 @@ const footprintPrefix = 600
 
 // TestFootprintOracle holds every declared footprint to its closure over
 // the footprint grid: 0 failures. By name it walks every reachable state
-// of each model; a plain go test walks a prefix of each.
+// of each model; a plain go test walks a prefix of each. An update is
+// checked wherever its edge's predicate holds, whatever its literals and
+// atoms say: a superset of the states it runs in.
 func TestFootprintOracle(t *testing.T) {
 	t.Parallel()
 	grid, total := footprintGrid(t), 0
@@ -362,10 +355,9 @@ func TestFootprintOracle(t *testing.T) {
 }
 
 // TestFootprintOracleCatchesMutants: the oracle can fail, once per kind of
-// wrong declaration. The responder's watchdog invariant leaves wfb out;
-// p[0]'s round update leaves the round length it writes out; the joiner's
-// Alive invariant excuses its solicitation timer while joined = 0 instead
-// of 1.
+// wrong declaration. The responder's watchdog expiry gets a predicate that
+// reads its clock; p[0]'s round update leaves the round length it writes
+// out.
 func TestFootprintOracleCatchesMutants(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -373,7 +365,13 @@ func TestFootprintOracleCatchesMutants(t *testing.T) {
 		mutate func(m *Model)
 	}{
 		{"undeclared clock read", Config{TMin: 1, TMax: 3, Variant: Binary, N: 1, NoMonitor: true}, func(m *Model) {
-			m.Net.Automata()[m.ps[0].aut].Locations[m.ps[0].alive].Footprint = &ta.Footprint{}
+			for ei := range m.Net.Automata()[m.ps[0].aut].Edges {
+				if e := &m.Net.Automata()[m.ps[0].aut].Edges[ei]; e.From == m.ps[0].alive && e.To == m.ps[0].nvInact {
+					bound := m.Cfg.responderBound()
+					e.Guard.Pred = func(s *ta.State) bool { return s.Clocks[m.ps[0].wfb] == bound }
+					e.Footprint = &ta.Footprint{}
+				}
+			}
 		}},
 		{"undeclared write", Config{TMin: 1, TMax: 3, Variant: Binary, N: 1, NoMonitor: true}, func(m *Model) {
 			for ei := range m.Net.Automata()[m.p0.aut].Edges {
@@ -383,17 +381,6 @@ func TestFootprintOracleCatchesMutants(t *testing.T) {
 					e.Footprint = &f
 				}
 			}
-		}},
-		{"wrong unless literal", Config{TMin: 2, TMax: 3, Variant: Expanding, N: 1, NoMonitor: true}, func(m *Model) {
-			loc := &m.Net.Automata()[m.ps[0].aut].Locations[m.ps[0].alive]
-			f := *loc.Footprint
-			f.Unless = slices.Clone(f.Unless)
-			for i := range f.Unless {
-				if f.Unless[i].Clock == m.ps[0].wtj {
-					f.Unless[i].Val = 0
-				}
-			}
-			loc.Footprint = &f
 		}},
 	} {
 		m, err := Build(tc.cfg)

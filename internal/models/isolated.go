@@ -31,12 +31,7 @@ func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
 	rcvd := net.Var("rcvd", 1)
 
 	p0 := &ta.Automaton{Name: "P0"}
-	roundLen := &ta.Footprint{Clocks: []int{waiting}, Vars: []int{t}}
-	alive := addLoc(p0, ta.Location{
-		Name:      "Alive",
-		Invariant: func(s *ta.State) bool { return s.Clocks[waiting] <= s.Vars[t] },
-		Footprint: roundLen,
-	})
+	alive := addLoc(p0, ta.Location{Name: "Alive", Invariant: ta.Invariant{{Then: []ta.Atom{ta.ClkVar(waiting, ta.Le, t)}}}})
 	timeout := addLoc(p0, ta.Location{Name: "TimeOut", Kind: ta.Committed})
 	vInact := addLoc(p0, ta.Location{Name: "VInact"})
 	nvInact := addLoc(p0, ta.Location{Name: "NVInact"})
@@ -61,13 +56,12 @@ func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
 		ta.Edge{From: nvInact, To: nvInact, Chan: rcv},
 		ta.Edge{
 			From: alive, To: timeout,
-			Guard:     func(s *ta.State) bool { return s.Clocks[waiting] == s.Vars[t] },
-			Footprint: roundLen,
-			Label:     alphabet.FigTimeout.Of(0),
+			Guard: ta.Guard{Clocks: []ta.Atom{ta.ClkVar(waiting, ta.Eq, t)}},
+			Label: alphabet.FigTimeout.Of(0),
 		},
 		ta.Edge{
 			From: timeout, To: alive,
-			Guard: func(s *ta.State) bool { _, ok := next(s); return ok },
+			Guard: ta.Guard{Pred: func(s *ta.State) bool { _, ok := next(s); return ok }},
 			Chan:  snd, Send: true,
 			Label:     alphabet.Label{Kind: alphabet.FigBeatFor, A: 1, B: 0},
 			Update:    func(s *ta.State) { s.Vars[t], _ = next(s) },
@@ -76,7 +70,7 @@ func BuildIsolatedP0(tmin, tmax int32) (*ta.Network, error) {
 		},
 		ta.Edge{
 			From: timeout, To: nvInact,
-			Guard:     func(s *ta.State) bool { _, ok := next(s); return !ok },
+			Guard:     ta.Guard{Pred: func(s *ta.State) bool { _, ok := next(s); return !ok }},
 			Footprint: &ta.Footprint{Vars: []int{t, rcvd}},
 			Label:     alphabet.FigNVInactivate.Of(0),
 		},
@@ -98,12 +92,7 @@ func BuildIsolatedP1(tmin, tmax int32) (*ta.Network, error) {
 	wfb := net.Clock("waitingforbeat", bound+1)
 
 	p1 := &ta.Automaton{Name: "P1"}
-	watchdog := &ta.Footprint{Clocks: []int{wfb}}
-	alive := addLoc(p1, ta.Location{
-		Name:      "Alive",
-		Invariant: func(s *ta.State) bool { return s.Clocks[wfb] <= bound },
-		Footprint: watchdog,
-	})
+	alive := addLoc(p1, ta.Location{Name: "Alive", Invariant: ta.Invariant{{Then: []ta.Atom{ta.Clk(wfb, ta.Le, bound)}}}})
 	rcvd := addLoc(p1, ta.Location{Name: "Rcvd", Kind: ta.Committed})
 	vInact := addLoc(p1, ta.Location{Name: "VInact"})
 	nvInact := addLoc(p1, ta.Location{Name: "NVInact"})
@@ -122,9 +111,8 @@ func BuildIsolatedP1(tmin, tmax int32) (*ta.Network, error) {
 		},
 		ta.Edge{
 			From: alive, To: nvInact,
-			Guard:     func(s *ta.State) bool { return s.Clocks[wfb] == bound },
-			Footprint: watchdog,
-			Label:     alphabet.FigNVInactivate.Of(1),
+			Guard: ta.Guard{Clocks: []ta.Atom{ta.Clk(wfb, ta.Eq, bound)}},
+			Label: alphabet.FigNVInactivate.Of(1),
 		},
 		ta.Edge{From: vInact, To: vInact, Chan: rcv},
 		ta.Edge{From: nvInact, To: nvInact, Chan: rcv},

@@ -292,7 +292,8 @@ type Model struct {
 	mons []monRefs
 	// dead is the dead-clock table the verdict path canonicalises with,
 	// and observers the observer-only variables traceCanon stores as 0;
-	// both are derived from the network's footprints (deadclock.go).
+	// both are derived from the network's guards, invariants and
+	// footprints (deadclock.go).
 	dead      ta.DeadTable
 	observers []int
 	// blocks holds each participant's slots, appended by the build

@@ -48,11 +48,8 @@ func (m *Model) buildMonitor(i int) {
 	// R1 violation: the bound elapsed and p[0] is still active.
 	a.Edges = append(a.Edges, ta.Edge{
 		From: mo.watch, To: mo.errLoc,
-		Guard: func(s *ta.State) bool {
-			return s.Vars[active0] == 1 && s.Clocks[delay] > bound
-		},
-		Footprint: &ta.Footprint{Vars: []int{active0}, Unless: []ta.ClockVar{{Clock: delay, Var: active0, Val: 0}}},
-		Label:     alphabet.ErrorR1.Of(i + 1),
+		Guard: ta.Guard{Vars: []ta.Lit{ta.Is(active0, 1)}, Clocks: []ta.Atom{ta.Clk(delay, ta.Gt, bound)}},
+		Label: alphabet.ErrorR1.Of(i + 1),
 	})
 	mo.aut = len(net.Automata())
 	net.Add(a)

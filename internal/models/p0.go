@@ -25,14 +25,7 @@ func (m *Model) buildP0() {
 
 	a := &ta.Automaton{Name: "P0"}
 	m.p0.init = addLoc(a, ta.Location{Name: "Init", Kind: ta.Committed})
-	roundLen := &ta.Footprint{Clocks: []int{waiting}, Vars: []int{tVar}}
-	m.p0.alive = addLoc(a, ta.Location{
-		Name: "Alive",
-		Invariant: func(s *ta.State) bool {
-			return s.Clocks[waiting] <= s.Vars[tVar]
-		},
-		Footprint: roundLen,
-	})
+	m.p0.alive = addLoc(a, ta.Location{Name: "Alive", Invariant: ta.Invariant{{Then: []ta.Atom{ta.ClkVar(waiting, ta.Le, tVar)}}}})
 	m.p0.timeout = addLoc(a, ta.Location{Name: "TimeOut", Kind: ta.Committed})
 	m.p0.vInact = addLoc(a, ta.Location{Name: "VInact"})
 	m.p0.nvInact = addLoc(a, ta.Location{Name: "NVInact"})
@@ -64,10 +57,9 @@ func (m *Model) buildP0() {
 	// Round timeout: forced by the invariant at waiting == t.
 	a.Edges = append(a.Edges, ta.Edge{
 		From: m.p0.alive, To: m.p0.timeout,
-		Guard:     func(s *ta.State) bool { return s.Clocks[waiting] == s.Vars[tVar] },
-		Footprint: roundLen,
-		Label:     alphabet.Timeout.Of(0),
-		Class:     ta.ClassTimeout,
+		Guard: ta.Guard{Clocks: []ta.Atom{ta.ClkVar(waiting, ta.Eq, tVar)}},
+		Label: alphabet.Timeout.Of(0),
+		Class: ta.ClassTimeout,
 	})
 
 	// Decision: inactivate when some joined participant's waiting time
@@ -75,20 +67,20 @@ func (m *Model) buildP0() {
 	decision := append(append(slices.Clone(m.vJnd), m.vTM...), m.vRcvd...)
 	a.Edges = append(a.Edges, ta.Edge{
 		From: m.p0.timeout, To: m.p0.nvInact,
-		Guard: func(s *ta.State) bool {
+		Guard: ta.Guard{Pred: func(s *ta.State) bool {
 			_, ok := m.timeoutOutcome(s)
 			return !ok
-		},
+		}},
 		Footprint: &ta.Footprint{Vars: decision},
 		Label:     alphabet.Inactivate.Of(0),
 		Assign:    []ta.Assign{ta.Set(active0, 0)},
 	})
 	a.Edges = append(a.Edges, ta.Edge{
 		From: m.p0.timeout, To: m.p0.alive,
-		Guard: func(s *ta.State) bool {
+		Guard: ta.Guard{Pred: func(s *ta.State) bool {
 			_, ok := m.timeoutOutcome(s)
 			return ok
-		},
+		}},
 		Chan: m.chBcast, Send: true,
 		Label:     alphabet.SendBeat.Of(0),
 		Update:    m.applyTimeout,

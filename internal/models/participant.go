@@ -26,12 +26,7 @@ func (m *Model) buildResponder(i int) {
 
 	p := piRefs{start: -1, wfb: wfb, wtj: -1}
 	a := &ta.Automaton{Name: "P" + pname(i)}
-	watchdog := &ta.Footprint{Clocks: []int{wfb}}
-	p.alive = addLoc(a, ta.Location{
-		Name:      "Alive",
-		Invariant: func(s *ta.State) bool { return s.Clocks[wfb] <= bound },
-		Footprint: watchdog,
-	})
+	p.alive = addLoc(a, ta.Location{Name: "Alive", Invariant: ta.Invariant{{Then: []ta.Atom{ta.Clk(wfb, ta.Le, bound)}}}})
 	p.rcvd = addLoc(a, ta.Location{Name: "Rcvd", Kind: ta.Committed})
 	p.vInact = addLoc(a, ta.Location{Name: "VInact"})
 	p.nvInact = addLoc(a, ta.Location{Name: "NVInact"})
@@ -51,11 +46,10 @@ func (m *Model) buildResponder(i int) {
 		// Watchdog expiry.
 		ta.Edge{
 			From: p.alive, To: p.nvInact,
-			Guard:     func(s *ta.State) bool { return s.Clocks[wfb] == bound },
-			Footprint: watchdog,
-			Label:     alphabet.Inactivate.Of(i + 1),
-			Assign:    []ta.Assign{ta.Set(active, 0)},
-			Class:     ta.ClassTimeout,
+			Guard:  ta.Guard{Clocks: []ta.Atom{ta.Clk(wfb, ta.Eq, bound)}},
+			Label:  alphabet.Inactivate.Of(i + 1),
+			Assign: []ta.Assign{ta.Set(active, 0)},
+			Class:  ta.ClassTimeout,
 		},
 	)
 	m.addParticipant(i, a, p)
@@ -91,11 +85,7 @@ func (m *Model) buildJoiner(i int) {
 	dynamic := cfg.Variant == Dynamic
 	jb := cfg.joinerBound()
 	rb := cfg.responderBound()
-	maxBound := jb
-	if rb > maxBound {
-		maxBound = rb
-	}
-	wfb := net.Clock("wfb_"+pname(i), maxBound+1)
+	wfb := net.Clock("wfb_"+pname(i), max(jb, rb)+1)
 	wtj := net.Clock("wtj_"+pname(i), cfg.TMin+1)
 	joined := net.Var("joined_"+pname(i), 0)
 	active := m.vActive[i]
@@ -104,34 +94,25 @@ func (m *Model) buildJoiner(i int) {
 	p := piRefs{wfb: wfb, wtj: wtj}
 	a := &ta.Automaton{Name: "P" + pname(i)}
 	p.start = addLoc(a, ta.Location{Name: "Start", Kind: ta.Urgent})
-	// The solicitation timer is read only before joining, and the watchdog
-	// not at all once leaving.
-	soliciting := ta.ClockVar{Clock: wtj, Var: joined, Val: 1}
-	watchdog := &ta.Footprint{Vars: []int{joined}, Clocks: []int{wfb}}
-	alive := &ta.Footprint{Vars: []int{joined}, Clocks: []int{wfb}, Unless: []ta.ClockVar{soliciting}}
+	// Leaving processes are exempt from the watchdog.
+	var staying []ta.Lit
 	if dynamic {
-		leaving := ta.ClockVar{Clock: wfb, Var: leave, Val: 1}
-		watchdog = &ta.Footprint{Vars: []int{joined, leave}, Unless: []ta.ClockVar{leaving}}
-		alive = &ta.Footprint{Vars: []int{joined, leave}, Unless: []ta.ClockVar{leaving, soliciting}}
+		staying = []ta.Lit{ta.IsNot(leave, 1)}
 	}
-	p.alive = addLoc(a, ta.Location{
-		Name: "Alive",
-		Invariant: func(s *ta.State) bool {
-			// Unjoined: next solicitation is due within tmin.
-			if s.Vars[joined] == 0 && s.Clocks[wtj] > cfg.TMin {
-				return false
-			}
-			// Leaving processes are exempt from the watchdog.
-			if dynamic && s.Vars[leave] == 1 {
-				return true
-			}
-			if s.Vars[joined] == 1 {
-				return s.Clocks[wfb] <= rb
-			}
-			return s.Clocks[wfb] <= jb
-		},
-		Footprint: alive,
-	})
+	// watchdog compares wfb by op with the joiner bound before joining, and
+	// with the responder bound after.
+	watchdog := func(wantJoined bool, op ta.Op) ta.Case {
+		if wantJoined {
+			return ta.Case{When: append(staying, ta.Is(joined, 1)), Then: []ta.Atom{ta.Clk(wfb, op, rb)}}
+		}
+		return ta.Case{When: append(staying, ta.IsNot(joined, 1)), Then: []ta.Atom{ta.Clk(wfb, op, jb)}}
+	}
+	p.alive = addLoc(a, ta.Location{Name: "Alive", Invariant: ta.Invariant{
+		// Unjoined: next solicitation is due within tmin.
+		{When: []ta.Lit{ta.Is(joined, 0)}, Then: []ta.Atom{ta.Clk(wtj, ta.Le, cfg.TMin)}},
+		watchdog(true, ta.Le),
+		watchdog(false, ta.Le),
+	}})
 	p.rcvd = addLoc(a, ta.Location{Name: "Rcvd", Kind: ta.Committed})
 	p.vInact = addLoc(a, ta.Location{Name: "VInact"})
 	p.nvInact = addLoc(a, ta.Location{Name: "NVInact"})
@@ -149,25 +130,27 @@ func (m *Model) buildJoiner(i int) {
 	// solicitation is still in flight, in which case the duplicate is
 	// suppressed (solicitations are idempotent; see buildJoinChannel).
 	jch := m.jchs[i]
-	jchIdle := func(s *ta.State) bool { return int(s.Locs[jch.aut]) == jch.idle }
-	resolicit := &ta.Footprint{Vars: []int{joined}, Locs: []int{jch.aut}, Unless: []ta.ClockVar{soliciting}}
+	resolicit := func(idle bool) ta.Guard {
+		return ta.Guard{
+			Vars:   []ta.Lit{ta.Is(joined, 0)},
+			Clocks: []ta.Atom{ta.Clk(wtj, ta.Eq, cfg.TMin)},
+			Pred:   func(s *ta.State) bool { return (int(s.Locs[jch.aut]) == jch.idle) == idle },
+		}
+	}
+	jchRead := &ta.Footprint{Locs: []int{jch.aut}}
 	a.Edges = append(a.Edges,
 		ta.Edge{
 			From: p.alive, To: p.alive,
-			Guard: func(s *ta.State) bool {
-				return s.Vars[joined] == 0 && s.Clocks[wtj] == cfg.TMin && jchIdle(s)
-			},
-			Footprint: resolicit,
+			Guard:     resolicit(true),
+			Footprint: jchRead,
 			Chan:      m.chJoin[i], Send: true,
 			Label:  alphabet.SendJoin.Of(i + 1),
 			Assign: []ta.Assign{ta.Reset(wtj)},
 		},
 		ta.Edge{
 			From: p.alive, To: p.alive,
-			Guard: func(s *ta.State) bool {
-				return s.Vars[joined] == 0 && s.Clocks[wtj] == cfg.TMin && !jchIdle(s)
-			},
-			Footprint: resolicit,
+			Guard:     resolicit(false),
+			Footprint: jchRead,
 			Label:     alphabet.SuppressJoin.Of(i + 1),
 			Assign:    []ta.Assign{ta.Reset(wtj)},
 		},
@@ -187,45 +170,33 @@ func (m *Model) buildJoiner(i int) {
 	if !dynamic {
 		a.Edges = append(a.Edges, reply)
 	} else {
-		leaving := &ta.Footprint{Vars: []int{leave}}
-		reply.Guard, reply.Footprint = func(s *ta.State) bool { return s.Vars[leave] == 0 }, leaving
+		reply.Guard = ta.Guard{Vars: []ta.Lit{ta.Is(leave, 0)}}
 		a.Edges = append(a.Edges, reply, ta.Edge{
 			From: p.rcvd, To: p.alive,
-			Guard:     func(s *ta.State) bool { return s.Vars[leave] == 1 },
-			Footprint: leaving,
-			Chan:      m.chReplyFalse[i], Send: true,
+			Guard: ta.Guard{Vars: []ta.Lit{ta.Is(leave, 1)}},
+			Chan:  m.chReplyFalse[i], Send: true,
 			Label:  alphabet.SendLeave.Of(i + 1),
 			Assign: []ta.Assign{ta.Reset(wfb)},
 		})
 		// The decision to leave, any time after joining.
 		a.Edges = append(a.Edges, ta.Edge{
 			From: p.alive, To: p.alive,
-			Guard: func(s *ta.State) bool {
-				return s.Vars[joined] == 1 && s.Vars[leave] == 0
-			},
-			Footprint: &ta.Footprint{Vars: []int{joined, leave}},
-			Label:     alphabet.DecideLeave.Of(i + 1),
-			Assign:    []ta.Assign{ta.Set(leave, 1)},
+			Guard:  ta.Guard{Vars: []ta.Lit{ta.Is(joined, 1), ta.Is(leave, 0)}},
+			Label:  alphabet.DecideLeave.Of(i + 1),
+			Assign: []ta.Assign{ta.Set(leave, 1)},
 		})
 	}
-	// Watchdog expiry: before joining at the joiner bound, after joining
-	// at the responder bound; leaving processes are exempt.
-	expiry := func(wantJoined bool, bound int32) ta.Edge {
-		return ta.Edge{
+	// Watchdog expiry.
+	for _, j := range []bool{false, true} {
+		w := watchdog(j, ta.Eq)
+		a.Edges = append(a.Edges, ta.Edge{
 			From: p.alive, To: p.nvInact,
-			Guard: func(s *ta.State) bool {
-				if dynamic && s.Vars[leave] == 1 {
-					return false
-				}
-				return (s.Vars[joined] == 1) == wantJoined && s.Clocks[wfb] == bound
-			},
-			Footprint: watchdog,
-			Label:     alphabet.Inactivate.Of(i + 1),
-			Assign:    []ta.Assign{ta.Set(active, 0)},
-			Class:     ta.ClassTimeout,
-		}
+			Guard:  ta.Guard{Vars: w.When, Clocks: w.Then},
+			Label:  alphabet.Inactivate.Of(i + 1),
+			Assign: []ta.Assign{ta.Set(active, 0)},
+			Class:  ta.ClassTimeout,
+		})
 	}
-	a.Edges = append(a.Edges, expiry(false, jb), expiry(true, rb))
 	m.addParticipant(i, a, p)
 	b := &m.blocks[i]
 	b.vars, b.clocks = append(b.vars, joined), append(b.clocks, wfb, wtj)

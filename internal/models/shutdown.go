@@ -146,10 +146,8 @@ func BuildWithShutdownMonitor(cfg Config, bound int32) (*ShutdownModel, error) {
 	}
 	mon.Edges = append(mon.Edges, ta.Edge{
 		From: watch, To: sm.errLoc,
-		Guard: func(s *ta.State) bool {
-			return s.Vars[crashed] == 1 && s.Clocks[clock] > bound && wronglyLive(s)
-		},
-		Footprint: &ta.Footprint{Vars: live, Unless: []ta.ClockVar{arming}},
+		Guard:     ta.Guard{Vars: []ta.Lit{ta.Is(crashed, 1)}, Clocks: []ta.Atom{ta.Clk(clock, ta.Gt, bound)}, Pred: wronglyLive},
+		Footprint: &ta.Footprint{Vars: live},
 		Label:     alphabet.ErrorShutdown.Of(0),
 	})
 	sm.monAut = len(net.Automata())

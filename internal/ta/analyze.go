@@ -2,25 +2,26 @@ package ta
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
 
 // This file is the structural model analyzer behind `hbcheck -analyze` and
 // `hbvet`'s Layer 2: a pre-flight pass over a built Network that catches
-// model-construction bugs before any BFS runs. The structural checks and
-// useless-reset are exact: they read the edges and the declared footprints
-// (footprint.go). Whether a guard or invariant can hold, and whether two
-// effects agree, is not declared, so the other checks evaluate closures on
-// a deterministic probe grid (probe.go): base configurations (initial,
-// all-zero, all-at-cap) refined by single- and pairwise-coordinate scans
-// over each location, each clock's full range 0..cap, and each variable's
-// candidate constants (initials, clock caps, small integers). They are
-// heuristic in one direction only: a guard reported unsatisfiable was
-// false on every probe, which for the guard shapes this repository builds
-// (conjunctions of interval bounds over at most two coordinates) is a
-// proof; one needing three specific non-candidate coordinates at once
-// could in principle be a false positive.
+// model-construction bugs before any BFS runs. The structural checks,
+// useless-reset and clock-cap are exact: they read the edges, the clock
+// atoms and the declared footprints (footprint.go). Whether guards and
+// invariants can hold, and whether two guards or effects agree, also
+// depends on predicate closures and computed updates, so those checks go
+// over a deterministic probe grid (probe.go): base configurations
+// (initial, all-zero, clocks at cap) refined by single- and pairwise scans
+// over each location and each variable's candidate constants (initials,
+// clock caps, small integers). At each grid point the clock atoms are
+// solved exactly, as an interval per clock. The checks are heuristic in
+// the variables only: a guard reported unsatisfiable is false at every
+// grid point for every clock value, and one needing three specific
+// non-candidate variable values at once could be a false positive.
 //
 // Checks:
 //
@@ -28,7 +29,7 @@ import (
 //     location out of range, more locations than the uint8 state vector
 //     can index, handshake sends with no possible partner (and the
 //     symmetric dead receives), channels declared but never used, a
-//     guard, invariant or update that declares no footprint.
+//     guard predicate or update that declares no footprint.
 //   - unreachable: locations no edge path from Init can reach (guards
 //     ignored, so a flagged location is unreachable under any valuation).
 //   - unsat-invariant: a location invariant false on every probe: the
@@ -38,11 +39,13 @@ import (
 //   - nondet-pair: two same-label, same-channel edges from one location
 //     whose guards agree on every probe: either a duplicate edge (same
 //     effect) or unintended nondeterminism (different effect).
-//   - useless-reset: an edge writes a clock that no guard, invariant, or
-//     update declares it reads.
-//   - clock-cap: a guard or invariant distinguishes clock values at or
-//     above the clock's cap, breaking the capping soundness condition
-//     documented on Network.Clock.
+//   - useless-reset: an edge writes a clock that no atom compares.
+//   - clock-cap: an atom distinguishes clock values at or above the
+//     clock's cap, breaking the capping soundness condition documented on
+//     Network.Clock. An atom bounded by a variable counts at the largest
+//     value the variable starts at or is Set to; a computed update's
+//     writes are not data, so a model that lets one raise such a bound
+//     must keep it below the cap itself.
 type Problem struct {
 	// Check names the analysis that fired (see the list above).
 	Check string
@@ -155,10 +158,8 @@ func (a *analysis) checkStructure() {
 		}
 	}
 	for _, s := range n.sites() {
-		if s.f == nil && s.e != nil {
-			a.reportf("structure", s.aut, a.edgeDesc(s.aut, s.edge), "guard or update declares no footprint")
-		} else if s.f == nil {
-			a.reportf("structure", s.aut, "location "+n.automata[s.aut].Locations[s.loc].Name, "invariant declares no footprint")
+		if s.f == nil {
+			a.reportf("structure", s.aut, a.edgeDesc(s.aut, s.edge), "guard predicate or update declares no footprint")
 		}
 	}
 	for ci := 1; ci < len(n.channels); ci++ {
@@ -247,26 +248,18 @@ func (a *analysis) checkGuards() {
 	for ai, aut := range a.n.automata {
 		invSat := make([]bool, len(aut.Locations))
 		for li, loc := range aut.Locations {
-			inv := loc.Invariant
-			invSat[li] = inv == nil || a.pc.satisfiable(ai, li, inv)
+			invSat[li] = a.pc.satisfiable(ai, li, loc.Invariant, &Guard{})
 			if !invSat[li] {
 				a.reportf("unsat-invariant", ai, fmt.Sprintf("location %s", loc.Name),
 					"invariant is false on every probe state; the location can never be occupied")
 			}
 		}
-		for ei, e := range aut.Edges {
-			if e.Guard == nil || e.From < 0 || e.From >= len(aut.Locations) {
-				continue
+		for ei := range aut.Edges {
+			e := &aut.Edges[ei]
+			if e.From < 0 || e.From >= len(aut.Locations) || !invSat[e.From] {
+				continue // out of range, or cascading from the invariant problem
 			}
-			if !invSat[e.From] {
-				continue // cascading; the invariant problem covers it
-			}
-			inv := aut.Locations[e.From].Invariant
-			guard := e.Guard
-			pred := func(s *State) bool {
-				return (inv == nil || inv(s)) && guard(s)
-			}
-			if !a.pc.satisfiable(ai, e.From, pred) {
+			if !a.pc.satisfiable(ai, e.From, aut.Locations[e.From].Invariant, &e.Guard) {
 				a.reportf("unsat-guard", ai, a.edgeDesc(ai, ei),
 					"guard is false on every probe state satisfying %s's invariant; the edge can never fire",
 					aut.Locations[e.From].Name)
@@ -284,9 +277,10 @@ func (a *analysis) checkGuards() {
 // they differ.
 func (a *analysis) checkNondetPairs() {
 	for ai, aut := range a.n.automata {
-		for i, e1 := range aut.Edges {
+		for i := range aut.Edges {
+			e1 := &aut.Edges[i]
 			for j := i + 1; j < len(aut.Edges); j++ {
-				e2 := aut.Edges[j]
+				e2 := &aut.Edges[j]
 				if e1.From != e2.From || e1.Label != e2.Label ||
 					e1.Chan != e2.Chan || e1.Send != e2.Send || e1.Class != e2.Class {
 					continue
@@ -294,11 +288,10 @@ func (a *analysis) checkNondetPairs() {
 				if e1.From < 0 || e1.From >= len(aut.Locations) {
 					continue
 				}
-				if a.pc.distinguishable(ai, e1.From, guardOrTrue(e1.Guard), guardOrTrue(e2.Guard)) {
+				if a.pc.distinguishable(ai, e1.From, &e1.Guard, &e2.Guard) {
 					continue
 				}
-				sameTarget := e1.To == e2.To &&
-					!a.pc.updatesDiffer(ai, e1.From, e1.apply, e2.apply)
+				sameTarget := e1.To == e2.To && !a.pc.effectsDiffer(ai, e1.From, e1, e2)
 				if sameTarget {
 					a.reportf("nondet-pair", ai, a.edgeDesc(ai, i),
 						"duplicate of %s: same guard, target, and effect on every probe", a.edgeDesc(ai, j))
@@ -312,18 +305,11 @@ func (a *analysis) checkNondetPairs() {
 	}
 }
 
-func guardOrTrue(g Guard) Guard {
-	if g == nil {
-		return func(*State) bool { return true }
-	}
-	return g
-}
-
 // ---------------------------------------------------------------------------
 // useless clock resets
 
-// checkClockUse flags edges that write a clock no guard, invariant, or
-// update declares it reads: the reset only inflates the state space.
+// checkClockUse flags edges that write a clock no atom compares: the reset
+// only inflates the state space.
 func (a *analysis) checkClockUse() {
 	n := a.n
 	sites := n.sites()
@@ -341,9 +327,9 @@ func (a *analysis) checkClockUse() {
 			}
 		}
 		for _, ci := range written {
-			if ci >= 0 && ci < len(n.clockCaps) && !slices.ContainsFunc(sites, func(r site) bool { return r.f.readsClock(ci) }) {
+			if ci >= 0 && ci < len(n.clockCaps) && !slices.ContainsFunc(sites, func(r site) bool { return r.readsClock(ci) }) {
 				a.reportf("useless-reset", s.aut, a.edgeDesc(s.aut, s.edge),
-					"writes clock %q, which no guard, invariant, or update reads", n.clockNames[ci])
+					"writes clock %q, which no guard or invariant reads", n.clockNames[ci])
 			}
 		}
 	}
@@ -353,32 +339,28 @@ func (a *analysis) checkClockUse() {
 // clock cap soundness
 
 // checkClockCaps verifies the soundness condition documented on
-// Network.Clock: capping is exact only while no guard or invariant
-// distinguishes clock values at or above the cap. Each guard is probed at
-// cap versus cap+1 and cap+2 (in contexts where the source invariant
-// admits both values); a difference means the capped exploration diverges
-// from the true unbounded semantics.
+// Network.Clock: capping is exact only while no atom distinguishes clock
+// values at or above the cap. An atom is monotone in its bound, so a
+// variable bound is judged at its largest initial or Set value.
 func (a *analysis) checkClockCaps() {
-	for ci := range a.n.clockCaps {
-		for ai, aut := range a.n.automata {
-			for li, loc := range aut.Locations {
-				if loc.Invariant == nil || !loc.Footprint.readsClock(ci) {
-					continue
+	n := a.n
+	for _, s := range n.sites() {
+		what, where := "invariant", ""
+		if s.e != nil {
+			what, where = "guard", a.edgeDesc(s.aut, s.edge)
+		} else {
+			where = "location " + n.automata[s.aut].Locations[s.loc].Name
+		}
+		for _, cs := range s.cases {
+			for _, at := range cs.Then {
+				k := at.K
+				if at.Var >= 0 {
+					k = slices.Max(n.values(at.Var))
 				}
-				if a.pc.capDistinguished(ai, li, ci, nil, loc.Invariant) {
-					a.reportf("clock-cap", ai, fmt.Sprintf("location %s", loc.Name),
-						"invariant distinguishes %q values at or above its cap %d; raise the cap",
-						a.n.clockNames[ci], a.n.clockCaps[ci])
-				}
-			}
-			for ei, e := range aut.Edges {
-				if e.Guard == nil || !e.Footprint.readsClock(ci) || e.From < 0 || e.From >= len(aut.Locations) {
-					continue
-				}
-				if a.pc.capDistinguished(ai, e.From, ci, aut.Locations[e.From].Invariant, e.Guard) {
-					a.reportf("clock-cap", ai, a.edgeDesc(ai, ei),
-						"guard distinguishes %q values at or above its cap %d; raise the cap",
-						a.n.clockNames[ci], a.n.clockCaps[ci])
+				cap := n.clockCaps[at.Clock]
+				if lo, hi := at.narrow(k, cap, math.MaxInt32); lo <= hi && (lo > cap || hi < math.MaxInt32) {
+					a.reportf("clock-cap", s.aut, where, "%s distinguishes %q values at or above its cap %d; raise the cap",
+						what, n.clockNames[at.Clock], cap)
 				}
 			}
 		}

@@ -15,17 +15,15 @@ func twoLoc() *Network {
 	x := n.Clock("x", 4)
 	a := &Automaton{Name: "A"}
 	a.Locations = []Location{
-		{Name: "Idle", Invariant: func(s *State) bool { return s.Clocks[x] <= 3 }, Footprint: &Footprint{Clocks: []int{x}}},
+		{Name: "Idle", Invariant: Invariant{{Then: []Atom{Clk(x, Le, 3)}}}},
 		{Name: "Busy"},
 	}
 	a.Edges = []Edge{
 		{From: 0, To: 1, Label: alphabet.SendBeat.Of(0),
-			Guard:     func(s *State) bool { return s.Clocks[x] >= 1 },
-			Assign:    []Assign{Reset(x)},
-			Footprint: &Footprint{Clocks: []int{x}}},
+			Guard:  Guard{Clocks: []Atom{Clk(x, Ge, 1)}},
+			Assign: []Assign{Reset(x)}},
 		{From: 1, To: 0, Label: alphabet.Timeout.Of(0),
-			Guard:     func(s *State) bool { return s.Clocks[x] >= 2 },
-			Footprint: &Footprint{Clocks: []int{x}}},
+			Guard: Guard{Clocks: []Atom{Clk(x, Ge, 2)}}},
 	}
 	n.Add(a)
 	return n
@@ -62,8 +60,7 @@ func TestAnalyzeContradictoryGuard(t *testing.T) {
 	n := twoLoc()
 	a := n.Automata()[0]
 	a.Edges = append(a.Edges, Edge{From: 1, To: 0, Label: alphabet.Crash.Of(0),
-		Guard:     func(s *State) bool { return s.Clocks[0] < 2 && s.Clocks[0] > 5 },
-		Footprint: &Footprint{Clocks: []int{0}}})
+		Guard: Guard{Clocks: []Atom{Clk(0, Lt, 2), Clk(0, Gt, 5)}}})
 	ps := problemsWith(t, n, "unsat-guard")
 	if len(ps) != 1 || !strings.Contains(ps[0].Where, "crash p[0]") {
 		t.Fatalf("want one unsat-guard problem on the crash edge, got %v", ps)
@@ -80,12 +77,12 @@ func TestAnalyzeSwappedBounds(t *testing.T) {
 	x := n.Clock("x", 8)
 	a := &Automaton{Name: "A"}
 	a.Locations = []Location{
-		{Name: "Wait", Invariant: func(s *State) bool { return s.Clocks[x] <= tmax }, Footprint: &Footprint{Clocks: []int{x}}},
+		{Name: "Wait", Invariant: Invariant{{Then: []Atom{Clk(x, Le, tmax)}}}},
 		{Name: "Fired"},
 	}
 	a.Edges = []Edge{
 		{From: 0, To: 1, Label: alphabet.Timeout.Of(0),
-			Guard: func(s *State) bool { return s.Clocks[x] >= tmin }, Footprint: &Footprint{Clocks: []int{x}}},
+			Guard: Guard{Clocks: []Atom{Clk(x, Ge, tmin)}}},
 	}
 	n.Add(a)
 	ps := problemsWith(t, n, "unsat-guard")
@@ -97,8 +94,7 @@ func TestAnalyzeSwappedBounds(t *testing.T) {
 func TestAnalyzeUnsatInvariant(t *testing.T) {
 	n := twoLoc()
 	a := n.Automata()[0]
-	a.Locations[1].Invariant = func(s *State) bool { return false }
-	a.Locations[1].Footprint = &Footprint{}
+	a.Locations[1].Invariant = Invariant{{Then: []Atom{Clk(0, Lt, 0)}}}
 	if ps := problemsWith(t, n, "unsat-invariant"); len(ps) != 1 {
 		t.Fatalf("want one unsat-invariant problem, got %v", ps)
 	}
@@ -108,7 +104,7 @@ func TestAnalyzeDuplicateEdge(t *testing.T) {
 	n := twoLoc()
 	a := n.Automata()[0]
 	a.Edges = append(a.Edges, Edge{From: 1, To: 0, Label: alphabet.Timeout.Of(0),
-		Guard: func(s *State) bool { return s.Clocks[0] >= 2 }, Footprint: &Footprint{Clocks: []int{0}}})
+		Guard: Guard{Clocks: []Atom{Clk(0, Ge, 2)}}})
 	ps := problemsWith(t, n, "nondet-pair")
 	if len(ps) != 1 || !strings.Contains(ps[0].Message, "duplicate") {
 		t.Fatalf("want one duplicate-edge problem, got %v", ps)
@@ -122,7 +118,7 @@ func TestAnalyzeNondetPair(t *testing.T) {
 	// Same label and guard as the timeout but a different target.
 	a.Edges = append(a.Edges,
 		Edge{From: 1, To: 2, Label: alphabet.Timeout.Of(0),
-			Guard: func(s *State) bool { return s.Clocks[0] >= 2 }, Footprint: &Footprint{Clocks: []int{0}}},
+			Guard: Guard{Clocks: []Atom{Clk(0, Ge, 2)}}},
 		Edge{From: 2, To: 0, Label: alphabet.Start.Of(0)})
 	ps := problemsWith(t, n, "nondet-pair")
 	if len(ps) != 1 || !strings.Contains(ps[0].Message, "nondeterminism") {
@@ -141,26 +137,25 @@ func TestAnalyzeUselessReset(t *testing.T) {
 	}
 	// A computed update's declared write counts the same.
 	a.Edges[1].Assign = nil
-	a.Edges[1].Update = func(s *State) { s.Clocks[y] = s.Clocks[0] }
-	a.Edges[1].Footprint = &Footprint{Clocks: []int{0}, WriteClocks: []int{y}}
+	a.Edges[1].Update = func(s *State) { s.Clocks[y] = 1 }
+	a.Edges[1].Footprint = &Footprint{WriteClocks: []int{y}}
 	ps = problemsWith(t, n, "useless-reset")
 	if len(ps) != 1 || !strings.Contains(ps[0].Message, `"y"`) {
 		t.Fatalf("want one useless-reset problem for clock y, got %v", ps)
 	}
 }
 
-// TestAnalyzeUndeclaredFootprint: a guard, an invariant or an update with
-// no footprint is a structure problem, since nothing derived from the
+// TestAnalyzeUndeclaredFootprint: a guard predicate or an update with no
+// footprint is a structure problem, since nothing derived from the
 // footprints could trust it.
 func TestAnalyzeUndeclaredFootprint(t *testing.T) {
 	n := twoLoc()
 	a := n.Automata()[0]
-	a.Locations[0].Footprint = nil
-	a.Edges[1].Footprint = nil
+	a.Edges[1].Guard.Pred = func(s *State) bool { return s.Locs[0] == 1 }
 	a.Edges = append(a.Edges, Edge{From: 1, To: 1, Label: alphabet.Crash.Of(0), Update: func(s *State) { s.Clocks[0] = 1 }})
 	ps := problemsWith(t, n, "structure")
-	if len(ps) != 3 {
-		t.Fatalf("want three undeclared footprints, got %v", ps)
+	if len(ps) != 2 {
+		t.Fatalf("want two undeclared footprints, got %v", ps)
 	}
 	for _, p := range ps {
 		if !strings.Contains(p.Message, "declares no footprint") {
@@ -177,11 +172,35 @@ func TestAnalyzeClockCapTooSmall(t *testing.T) {
 	// x == 3 at cap 3: the capped clock parks at 3 and stays enabled
 	// forever, while the true unbounded run passes 3 and disables it.
 	a.Edges = []Edge{{From: 0, To: 1, Label: alphabet.Crash.Of(1),
-		Guard: func(s *State) bool { return s.Clocks[x] == 3 }, Footprint: &Footprint{Clocks: []int{x}}}}
+		Guard: Guard{Clocks: []Atom{Clk(x, Eq, 3)}}}}
 	n.Add(a)
 	ps := problemsWith(t, n, "clock-cap")
 	if len(ps) != 1 || !strings.Contains(ps[0].Message, `"x"`) {
 		t.Fatalf("want one clock-cap problem for x, got %v", ps)
+	}
+}
+
+// TestAnalyzeClockCapVariableBound: an atom bounded by a variable is judged
+// at the largest value the variable starts at or is Set to. x <= t is
+// sound while t stays below x's cap 4, and a finding once an edge may Set
+// t to 4.
+func TestAnalyzeClockCapVariableBound(t *testing.T) {
+	build := func(raise int32) *Network {
+		n := NewNetwork()
+		x, tv := n.Clock("x", 4), n.Var("t", 2)
+		a := &Automaton{Name: "A"}
+		a.Locations = []Location{{Name: "Wait", Invariant: Invariant{{Then: []Atom{ClkVar(x, Le, tv)}}}}}
+		a.Edges = []Edge{{From: 0, To: 0, Label: alphabet.Timeout.Of(0),
+			Guard: Guard{Clocks: []Atom{ClkVar(x, Eq, tv)}}, Assign: []Assign{Reset(x), Set(tv, raise)}}}
+		n.Add(a)
+		return n
+	}
+	if ps := problemsWith(t, build(3), "clock-cap"); len(ps) != 0 {
+		t.Fatalf("t at most 3 under cap 4: want no clock-cap problem, got %v", ps)
+	}
+	ps := problemsWith(t, build(4), "clock-cap")
+	if len(ps) != 2 || !strings.Contains(ps[0].Message, `"x"`) {
+		t.Fatalf("t Set to 4 at cap 4: want a clock-cap problem for the invariant and the guard, got %v", ps)
 	}
 }
 
@@ -220,20 +239,21 @@ func TestAnalyzeEdgeOutOfRange(t *testing.T) {
 	}
 }
 
-// TestAnalyzePanickyGuard checks that a closure panicking on synthetic
+// TestAnalyzePanickyGuard checks that a predicate panicking on synthetic
 // probe states makes checks inconclusive rather than crashing or
 // reporting false problems.
 func TestAnalyzePanickyGuard(t *testing.T) {
 	n := twoLoc()
+	v := n.Var("v", 0)
 	a := n.Automata()[0]
 	a.Edges = append(a.Edges, Edge{From: 0, To: 1, Label: alphabet.Crash.Of(2),
-		Guard: func(s *State) bool {
-			if s.Clocks[0] > 2 {
+		Guard: Guard{Pred: func(s *State) bool {
+			if s.Vars[v] > 2 {
 				panic("synthetic state")
 			}
-			return s.Clocks[0] == 1
-		},
-		Footprint: &Footprint{Clocks: []int{0}}})
+			return s.Vars[v] == 1
+		}},
+		Footprint: &Footprint{Vars: []int{v}}})
 	for _, p := range n.Analyze() {
 		if p.Check != "nondet-pair" { // the touchy edge and the send edge may look alike; fine
 			t.Errorf("unexpected problem: %s", p)

@@ -16,10 +16,9 @@
 // counting stopwatches), so exploring integer clock valuations — capped at
 // each clock's largest relevant constant — is exact for this model class.
 //
-// Because clocks are plain integers in the state vector, updates may
-// assign them arbitrarily (e.g. copying one clock into another), which the
-// channel models use to share a round-trip budget across the two legs of a
-// heartbeat exchange.
+// Clock constraints are data, as in UPPAAL: guards and invariants compare
+// clocks only through atoms (clock op constant or variable), so what reads
+// a clock, and against which constants, is known without running a model.
 package ta
 
 import (
@@ -124,8 +123,135 @@ func (s *State) DecodeKey(key []byte, numLocs, numClocks int) {
 // value AppendKey's 16-bit fields round-trip through DecodeKey.
 const MaxClockCap = math.MaxInt16
 
-// Guard is a predicate over a configuration; nil means true.
-type Guard func(s *State) bool
+// Op is the comparison of a clock atom: the set of orderings of the clock
+// against its bound that satisfy it.
+type Op uint8
+
+// Comparisons.
+const (
+	Lt Op = 1 << iota
+	Eq
+	Gt
+	Le = Lt | Eq
+	Ge = Gt | Eq
+)
+
+// Atom is a clock constraint, data as in UPPAAL: Clock Op K, or with Var
+// >= 0 Clock Op the value of variable Var. Build atoms with Clk and ClkVar.
+type Atom struct {
+	Clock, Var int
+	Op         Op
+	K          int32
+}
+
+// Clk returns the atom clock c op k.
+func Clk(c int, op Op, k int32) Atom { return Atom{Clock: c, Op: op, K: k, Var: -1} }
+
+// ClkVar returns the atom clock c op variable v.
+func ClkVar(c int, op Op, v int) Atom { return Atom{Clock: c, Op: op, Var: v} }
+
+// bound returns what the atom compares its clock with under vars.
+func (a *Atom) bound(vars []int32) int32 {
+	if a.Var >= 0 {
+		return vars[a.Var]
+	}
+	return a.K
+}
+
+// narrow intersects the clock values lo..hi with those the atom admits
+// when its bound is k.
+func (a *Atom) narrow(k, lo, hi int32) (int32, int32) {
+	strict := int32(1) // the bound itself is excluded
+	if a.Op&Eq != 0 {
+		strict = 0
+	}
+	if a.Op&Lt == 0 {
+		lo = max(lo, k+strict)
+	}
+	if a.Op&Gt == 0 {
+		hi = min(hi, k-strict)
+	}
+	return lo, hi
+}
+
+// atomsHold reports whether every atom of as holds in s.
+func atomsHold(as []Atom, s *State) bool {
+	for i := range as {
+		d := s.Clocks[as[i].Clock] - as[i].bound(s.Vars)
+		sign := d>>31 | int32(uint32(-d)>>31) // -1, 0 or 1, without a branch
+		if as[i].Op&(1<<uint(sign+1)) == 0 {  // Lt, Eq or Gt
+			return false
+		}
+	}
+	return true
+}
+
+// Lit is a variable literal: Var == K, or with Not Var != K.
+type Lit struct {
+	Var int
+	K   int32
+	Not bool
+}
+
+// Is returns the literal v == k.
+func Is(v int, k int32) Lit { return Lit{Var: v, K: k} }
+
+// IsNot returns the literal v != k.
+func IsNot(v int, k int32) Lit { return Lit{Var: v, K: k, Not: true} }
+
+// excludes reports whether l is false while variable v holds k.
+func (l Lit) excludes(v int, k int32) bool { return l.Var == v && (l.K == k) == l.Not }
+
+// litsHold reports whether every literal of ls holds under vars.
+func litsHold(ls []Lit, vars []int32) bool {
+	for _, l := range ls {
+		if (vars[l.Var] == l.K) == l.Not {
+			return false
+		}
+	}
+	return true
+}
+
+// Guard is a conjunction: the variable literals Vars, the clock atoms
+// Clocks and, unless nil, Pred, a predicate over variables and locations
+// that reads no clock. Clock reads are data, so what a guard reads of the
+// clocks is known exactly; what Pred reads is declared by its edge's
+// Footprint. The zero Guard is true.
+type Guard struct {
+	Vars   []Lit
+	Clocks []Atom
+	Pred   func(s *State) bool
+}
+
+// always reports whether g is the zero Guard, which callers need not
+// evaluate.
+func (g *Guard) always() bool { return g.Vars == nil && g.Clocks == nil && g.Pred == nil }
+
+// holds reports whether g holds in s.
+func (g *Guard) holds(s *State) bool {
+	//lint:allow noalloc-closure model-defined predicate; the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
+	return litsHold(g.Vars, s.Vars) && atomsHold(g.Clocks, s) && (g.Pred == nil || g.Pred(s))
+}
+
+// Case is one case of an invariant: while every literal of When holds,
+// every atom of Then must.
+type Case struct {
+	When []Lit
+	Then []Atom
+}
+
+// Invariant is a location invariant, a list of cases; nil is true.
+type Invariant []Case
+
+// holds reports whether inv holds in s.
+func (inv Invariant) holds(s *State) bool {
+	for _, c := range inv {
+		if litsHold(c.When, s.Vars) && !atomsHold(c.Then, s) {
+			return false
+		}
+	}
+	return true
+}
 
 // Update mutates a configuration; nil means no effect.
 type Update func(s *State)
@@ -140,10 +266,9 @@ type Location struct {
 	Kind LocKind
 	// Invariant must hold for time to pass while the automaton occupies
 	// this location: a delay is allowed only if the invariant still
-	// holds after all clocks advance. nil means no constraint.
-	Invariant Guard
-	// Footprint declares what Invariant reads (footprint.go).
-	Footprint *Footprint
+	// holds after all clocks advance. It is data, so it needs no
+	// footprint.
+	Invariant Invariant
 }
 
 // Edge is a transition of one automaton.
@@ -161,8 +286,8 @@ type Edge struct {
 	// for synchronisations unless it is tau, the zero Label).
 	Label alphabet.Label
 	Class EdgeClass
-	// Footprint declares what Guard and Update read and what Update
-	// writes (footprint.go).
+	// Footprint declares what Guard.Pred and Update read and what Update
+	// writes (footprint.go); an edge with neither needs none.
 	Footprint *Footprint
 }
 
@@ -185,7 +310,7 @@ func Set(v int, k int32) Assign { return Assign{Idx: v, Val: k} }
 //hbvet:noalloc
 func (e *Edge) apply(t *State) {
 	if e.Update != nil {
-		//lint:allow noalloc-closure model-defined predicate (guard/update/invariant); the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
+		//lint:allow noalloc-closure model-defined update; the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
 		e.Update(t)
 	}
 	for _, as := range e.Assign {
@@ -376,11 +501,7 @@ func (n *Network) compile() {
 //
 //hbvet:noalloc
 func (n *Network) enabled(s *State, a int, e *Edge) bool {
-	if int(s.Locs[a]) != e.From {
-		return false
-	}
-	//lint:allow noalloc-closure model-defined predicate (guard/update/invariant); the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
-	return e.Guard == nil || e.Guard(s)
+	return int(s.Locs[a]) == e.From && (e.Guard.always() || e.Guard.holds(s))
 }
 
 // SuccCtx is a successor-generation context: it owns the scratch buffers
@@ -446,7 +567,7 @@ func (c *SuccCtx) committedActive(s *State) []bool {
 // beyond len(buf) by a caller recycling its buffer with buf[:0] donate
 // their slices), and returns the grown buffer plus a pointer to the new
 // entry for the caller to finish. Building the target in place keeps it
-// off the heap: guard and update closures receive a pointer into buf's
+// off the heap: predicate and update closures receive a pointer into buf's
 // backing array, not a stack local that escape analysis would box per
 // transition. A caller that decides against the transition simply keeps
 // the shorter original buffer.
@@ -475,7 +596,7 @@ func appendTarget(buf []Transition, src *State) ([]Transition, *Transition) {
 // Transition.Target from an earlier call while doing so (copy the state or
 // its key first). This method reuses one internal default context, so it
 // must not be called concurrently on one Network, nor re-entered from a
-// Guard, Invariant, or Update closure. Concurrent exploration goes through
+// guard predicate or an Update. Concurrent exploration goes through
 // per-worker contexts from NewSuccCtx instead.
 //
 //lint:allow unused-export bench/ is its only caller (ROADMAP item 2)
@@ -507,8 +628,9 @@ func (c *SuccCtx) Successors(s *State, buf []Transition) []Transition {
 		}
 		for _, ei := range n.internalAt[ai][s.Locs[ai]] {
 			e := &a.Edges[ei]
-			//lint:allow noalloc-closure model-defined predicate (guard/update/invariant); the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
-			if e.Guard != nil && !e.Guard(s) {
+			g := &e.Guard // Guard.holds, inlined
+			//lint:allow noalloc-closure model-defined predicate; the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
+			if !litsHold(g.Vars, s.Vars) || !atomsHold(g.Clocks, s) || g.Pred != nil && !g.Pred(s) {
 				continue
 			}
 			var tr *Transition
@@ -679,12 +801,12 @@ func (n *Network) appendDelay(s *State, committed []bool, buf []Transition) []Tr
 		}
 	}
 	for i, a := range n.automata {
-		inv := a.Locations[s.Locs[i]].Invariant
-		//lint:allow noalloc-closure model-defined predicate (guard/update/invariant); the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
-		if inv != nil && !inv(t) {
-			// Retract the speculative entry: the shorter buf leaves the
-			// slot (and its slices) in spare capacity for the next reuse.
-			return buf
+		for _, c := range a.Locations[s.Locs[i]].Invariant { // Invariant.holds, inlined
+			if litsHold(c.When, t.Vars) && !atomsHold(c.Then, t) {
+				// Retract the speculative entry: the shorter buf leaves the
+				// slot (and its slices) in spare capacity for the next reuse.
+				return buf
+			}
 		}
 	}
 	tr.Label, tr.Delay = alphabet.Label{Kind: alphabet.Tick}, true
@@ -755,9 +877,7 @@ func (c *SuccCtx) mustMoveNow(s *State) []bool {
 	}
 	out := c.scratchMust
 	for i, a := range n.automata {
-		inv := a.Locations[s.Locs[i]].Invariant
-		//lint:allow noalloc-closure model-defined predicate (guard/update/invariant); the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
-		out[i] = inv != nil && !inv(t)
+		out[i] = !a.Locations[s.Locs[i]].Invariant.holds(t)
 	}
 	return out
 }

@@ -27,13 +27,13 @@ func tinyTimer(limit int32) (*Network, *Automaton) {
 	a := n.Add(&Automaton{
 		Name: "timer",
 		Locations: []Location{
-			{Name: "Wait", Invariant: func(s *State) bool { return s.Clocks[c] <= limit }},
+			{Name: "Wait", Invariant: Invariant{{Then: []Atom{Clk(c, Le, limit)}}}},
 			{Name: "Done"},
 		},
 		Edges: []Edge{{
 			From:  0,
 			To:    1,
-			Guard: func(s *State) bool { return s.Clocks[c] == limit },
+			Guard: Guard{Clocks: []Atom{Clk(c, Eq, limit)}},
 			Label: fire,
 		}},
 	})
@@ -87,10 +87,10 @@ func TestGuardBeforeBoundAllowsBoth(t *testing.T) {
 	n.Add(&Automaton{
 		Name: "a",
 		Locations: []Location{
-			{Name: "Wait", Invariant: func(s *State) bool { return s.Clocks[c] <= 3 }},
+			{Name: "Wait", Invariant: Invariant{{Then: []Atom{Clk(c, Le, 3)}}}},
 			{Name: "Done"},
 		},
-		Edges: []Edge{{From: 0, To: 1, Guard: func(s *State) bool { return s.Clocks[c] >= 1 }, Label: fire}},
+		Edges: []Edge{{From: 0, To: 1, Guard: Guard{Clocks: []Atom{Clk(c, Ge, 1)}}, Label: fire}},
 	})
 	s := n.Initial()
 	s = n.Successors(&s, nil)[0].Target // only tick at x=0
@@ -296,7 +296,7 @@ func priorityNet(priority bool, bound int32) *Network {
 	n.Add(&Automaton{
 		Name: "chan",
 		Locations: []Location{
-			{Name: "Fly", Invariant: func(s *State) bool { return s.Clocks[c] <= bound }},
+			{Name: "Fly", Invariant: Invariant{{Then: []Atom{Clk(c, Le, bound)}}}},
 			{Name: "Done"},
 		},
 		Edges: []Edge{{From: 0, To: 1, Label: deliver, Class: ClassDeliver}},
@@ -304,12 +304,12 @@ func priorityNet(priority bool, bound int32) *Network {
 	n.Add(&Automaton{
 		Name: "proc",
 		Locations: []Location{
-			{Name: "Wait", Invariant: func(s *State) bool { return s.Clocks[c] <= bound }},
+			{Name: "Wait", Invariant: Invariant{{Then: []Atom{Clk(c, Le, bound)}}}},
 			{Name: "Dead"},
 		},
 		Edges: []Edge{{
 			From: 0, To: 1, Label: timeoutStep, Class: ClassTimeout,
-			Guard: func(s *State) bool { return s.Clocks[c] == bound },
+			Guard: Guard{Clocks: []Atom{Clk(c, Eq, bound)}},
 		}},
 	})
 	return n
@@ -360,7 +360,7 @@ func TestReceivePriorityAllowsTimeoutWhileDeliveryCanWait(t *testing.T) {
 	n.Add(&Automaton{
 		Name: "chan",
 		Locations: []Location{
-			{Name: "Fly", Invariant: func(s *State) bool { return s.Clocks[c] <= 8 }},
+			{Name: "Fly", Invariant: Invariant{{Then: []Atom{Clk(c, Le, 8)}}}},
 			{Name: "Done"},
 		},
 		Edges: []Edge{{From: 0, To: 1, Label: deliver, Class: ClassDeliver}},
@@ -368,12 +368,12 @@ func TestReceivePriorityAllowsTimeoutWhileDeliveryCanWait(t *testing.T) {
 	n.Add(&Automaton{
 		Name: "proc",
 		Locations: []Location{
-			{Name: "Wait", Invariant: func(s *State) bool { return s.Clocks[c] <= 3 }},
+			{Name: "Wait", Invariant: Invariant{{Then: []Atom{Clk(c, Le, 3)}}}},
 			{Name: "Dead"},
 		},
 		Edges: []Edge{{
 			From: 0, To: 1, Label: timeoutStep, Class: ClassTimeout,
-			Guard: func(s *State) bool { return s.Clocks[c] == 3 },
+			Guard: Guard{Clocks: []Atom{Clk(c, Eq, 3)}},
 		}},
 	})
 	s := advanceTo(t, n, n.Initial(), 3)
@@ -560,5 +560,35 @@ func TestKeyHoldsLargestClock(t *testing.T) {
 	other := State{Locs: []uint8{0}, Clocks: []int32{MaxClockCap + 1, 0}}
 	if string(wrapped.AppendKey(nil)) != string(other.AppendKey(nil)) {
 		t.Fatal("expected values 2^16 apart to collide: the key format changed, revisit MaxClockCap")
+	}
+}
+
+// TestAtomOps pins each comparison against its Go operator, through a
+// guard (the successor path), through narrow (the analyzer's interval
+// solver), and with the bound a constant or a variable.
+func TestAtomOps(t *testing.T) {
+	ops := []struct {
+		op  Op
+		cmp func(x, k int32) bool
+	}{
+		{Lt, func(x, k int32) bool { return x < k }},
+		{Le, func(x, k int32) bool { return x <= k }},
+		{Eq, func(x, k int32) bool { return x == k }},
+		{Ge, func(x, k int32) bool { return x >= k }},
+		{Gt, func(x, k int32) bool { return x > k }},
+	}
+	for _, o := range ops {
+		for _, k := range []int32{0, 3, MaxClockCap} {
+			for _, x := range []int32{0, k - 1, k, k + 1, MaxClockCap} {
+				s := &State{Clocks: []int32{x}, Vars: []int32{k}}
+				for _, a := range []Atom{Clk(0, o.op, k), ClkVar(0, o.op, 0)} {
+					g := Guard{Clocks: []Atom{a}}
+					lo, hi := a.narrow(k, x, x)
+					if want := o.cmp(x, k); g.holds(s) != want || (lo <= hi) != want {
+						t.Errorf("op %03b bound %d (var %v) at %d: holds %v, narrow [%d, %d], want %v", o.op, k, a.Var >= 0, x, g.holds(s), lo, hi, want)
+					}
+				}
+			}
+		}
 	}
 }
