@@ -318,3 +318,28 @@ func TestMonitorR1EndsAtLeave(t *testing.T) {
 		t.Fatalf("violations %+v, want none", res.Verdicts.Violations)
 	}
 }
+
+// TestMonitorJudgesR1OnTime: a live checker learns of an R1 violation at
+// the first event whose time passes the obligation's deadline, whatever
+// the event, not at the participant's next delivery or the end of the run;
+// and an event that passes no deadline costs no allocation. Binary fixes
+// p[1]'s membership, so its obligation is armed at 0.
+func TestMonitorJudgesR1OnTime(t *testing.T) {
+	cfg := models.Config{TMin: 1, TMax: 3, Variant: models.Binary, N: 1}
+	m := newMonitor(cfg, 100)
+	bound := core.Tick(cfg.DetectionBound())
+	timeout := func(at core.Tick) Event { return Event{Time: at, Label: alphabet.Timeout.Of(0)} }
+	if v := m.observe(timeout(bound)); len(v) != 0 {
+		t.Fatalf("at the deadline: %+v, want nothing", v)
+	}
+	want := []ReqViolation{{Prop: models.R1, Proc: 1, Time: bound + 1}}
+	if v := m.observe(timeout(bound + 1)); !slices.Equal(v, want) {
+		t.Fatalf("past the deadline: %+v, want %+v", v, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.observe(timeout(bound + 2)) }); allocs != 0 {
+		t.Fatalf("observe allocates %.0f/event", allocs)
+	}
+	if v := m.finishTime(); len(v) != 0 {
+		t.Fatalf("at the end: %+v, want nothing more", v)
+	}
+}

@@ -394,9 +394,10 @@ func requireAgainstReference(t *testing.T, c *CampaignCheck, events []Event, los
 // requirement looks back over the trace prefix it needs, and nothing is
 // carried from event to event. Each (property, participant) is reported
 // once, the first time it holds. Violations are listed in the order the
-// trace reveals them — at the event that makes one observable, then the R1
-// obligations still open at the end, by participant — which is the order
-// a live checker finds them in.
+// trace reveals them — at the event that makes one observable (for R1, the
+// first whose time passes the deadline), then the R1 obligations still
+// open at the end, by participant — which is the order a live checker
+// finds them in.
 func refVerdicts(cfg models.Config, events []Event, lost uint64, horizon core.Tick) TraceVerdicts {
 	n := cfg.N
 	bound := core.Tick(cfg.DetectionBound())
@@ -459,33 +460,35 @@ func refVerdicts(cfg models.Config, events []Event, lost uint64, horizon core.Ti
 	// beat p[0] receives, until p[0]'s next delivery from the same
 	// participant; a delivered leave ends it for good. It is violated when
 	// the bound elapses inside it, before the horizon, with p[0] still
-	// active.
+	// active, and the violation is revealed by the first event whose time
+	// passes the deadline, or by the end of the run.
 	for i := 1; i <= n; i++ {
 		open, ended, start := fixedMembers, false, core.Tick(0)
-		closeAt := func(k int, next core.Tick, atEnd bool) bool {
-			if !open || start >= horizon-bound {
-				return false
-			}
+		// judge reports whether the open obligation, judged at events[k]
+		// (the end of the run when k is len(events)), is violated.
+		judge := func(k int) bool {
 			deadline := start + bound
 			if stop, ok := stoppedBy(0, k); ok && stop <= deadline {
 				return false
 			}
-			if atEnd || next > deadline {
-				all = append(all, found{k, ReqViolation{Prop: models.R1, Proc: i, Time: deadline + 1}})
-				return true
-			}
-			return false
+			all = append(all, found{k, ReqViolation{Prop: models.R1, Proc: i, Time: deadline + 1}})
+			return true
 		}
 		violated := false
 		for k, ev := range events {
-			if delivery(ev, i) && !violated {
-				violated = closeAt(k, ev.Time, false)
+			if open && start < horizon-bound && ev.Time > start+bound {
+				open, violated = false, judge(k)
+			}
+			if violated {
+				break
+			}
+			if delivery(ev, i) {
 				ended = ended || ev.Label.Kind == alphabet.DeliverLeaveP0
 				open, start = !ended, ev.Time
 			}
 		}
-		if !violated {
-			closeAt(len(events), 0, true)
+		if open && !violated && start < horizon-bound {
+			judge(len(events))
 		}
 	}
 	// R2 and R3 are re-judged after every event, and only on loss-free

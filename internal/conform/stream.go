@@ -231,16 +231,21 @@ func (e *streamEngine) levelInForce() int {
 // edges drive the slots they are read from, and after every event reports
 // each (property, process) the first time its rule holds. Loss leaves no
 // event, so Lost stays false and R2/R3 reports wait for Finish's loss
-// count. An armed R1 obligation is judged when the next delivery from its
-// participant moves it, or at the end of the run, if the horizon covers
-// its deadline.
+// count. An armed R1 obligation is judged at the first event whose time
+// passes its deadline, or at the end of the run, if the horizon covers its
+// deadline: a live checker learns of a silent participant's R1 as soon as
+// any event shows time past it.
 type monitor struct {
 	bound, horizon core.Tick
 
 	obs   models.Observables
 	p0End core.Tick             // when p[0] first stopped; farFuture before
 	r1    []models.R1Obligation // by participant
-	armed []core.Tick           // when each obligation was last armed
+	// armed holds when each obligation was last armed, farFuture once it
+	// is judged; due is at most the earliest deadline still unjudged, so an
+	// event that passes no deadline costs one comparison.
+	armed []core.Tick
+	due   core.Tick
 
 	seen [models.R3 + 1]models.Members // the processes reported, by property
 	viol []ReqViolation                // in trace order
@@ -269,14 +274,25 @@ func (m *monitor) report(v ReqViolation) {
 	}
 }
 
-// closeR1 judges participant i's obligation up to next. The horizon test
-// keeps the deadline from overflowing on far-future times.
-func (m *monitor) closeR1(i int, next core.Tick) {
-	if m.r1[i] != models.R1Armed || m.armed[i] >= m.horizon-m.bound {
-		return
-	}
-	if deadline := m.armed[i] + m.bound; next > deadline && m.p0End > deadline {
-		m.report(ReqViolation{Prop: models.R1, Proc: i, Time: deadline + 1})
+// closeDue judges every armed obligation whose deadline now passes, and
+// moves due to the earliest deadline left (farFuture if none). The horizon
+// test keeps deadlines from overflowing on far-future times and skips a
+// judged obligation.
+func (m *monitor) closeDue(now core.Tick) {
+	m.due = farFuture
+	for i := 1; i < len(m.r1); i++ {
+		if m.r1[i] != models.R1Armed || m.armed[i] >= m.horizon-m.bound {
+			continue
+		}
+		deadline := m.armed[i] + m.bound
+		if now <= deadline {
+			m.due = min(m.due, deadline)
+			continue
+		}
+		if m.p0End > deadline {
+			m.report(ReqViolation{Prop: models.R1, Proc: i, Time: deadline + 1})
+		}
+		m.armed[i] = farFuture
 	}
 }
 
@@ -286,13 +302,16 @@ func (m *monitor) closeR1(i int, next core.Tick) {
 // evaluated again only when the vector moved.
 func (m *monitor) observe(ev Event) []ReqViolation {
 	before, o := len(m.viol), &m.obs
+	if ev.Time > m.due {
+		m.closeDue(ev.Time)
+	}
 	p, k := int(ev.Label.A), ev.Label.Kind
 	member := p >= 1 && p < len(m.r1)
 	switch {
 	case (k == alphabet.DeliverBeatP0 || k == alphabet.DeliverLeaveP0) && member:
-		m.closeR1(p, ev.Time)
 		if m.r1[p] = m.r1[p].Next(k); m.r1[p] == models.R1Armed {
 			m.armed[p] = ev.Time
+			m.due = min(m.due, ev.Time+m.bound)
 		}
 		joined := o.Joined
 		if o.Active&models.Member(0) != 0 { // only p[0] alive counts members
@@ -313,7 +332,7 @@ func (m *monitor) observe(ev Event) []ReqViolation {
 			m.p0End = ev.Time
 		}
 	default:
-		return nil
+		return m.viol[before:]
 	}
 	for r2 := o.R2(); r2 != 0; r2 &= r2 - 1 {
 		m.report(ReqViolation{Prop: models.R2, Proc: bits.TrailingZeros64(uint64(r2)), Time: ev.Time})
@@ -328,9 +347,7 @@ func (m *monitor) observe(ev Event) []ReqViolation {
 // and returns the violations that revealed.
 func (m *monitor) finishTime() []ReqViolation {
 	before := len(m.viol)
-	for i := 1; i < len(m.r1); i++ {
-		m.closeR1(i, farFuture)
-	}
+	m.closeDue(farFuture)
 	return m.viol[before:]
 }
 

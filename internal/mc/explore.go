@@ -9,7 +9,11 @@ package mc
 //
 //   - states commit in discovery order, and a successor already in the
 //     store — from an earlier level or earlier in this one — is the stored
-//     state, so the first occurrence names the parent of the witness;
+//     state, so the first occurrence names the parent of the witness. In a
+//     covering search "in the store" means covered: the key with the
+//     lower-bound clocks at 0 is stored, and the id it names holds values
+//     of those clocks at least the successor's; one not covered commits
+//     under its key as a new id, which the key names from then on;
 //   - the level on which a goal state commits, or on which the state limit
 //     is crossed, is still expanded to its end, so TransitionsExplored
 //     counts whole levels: a goal's counts are those at the end of the
@@ -24,10 +28,13 @@ package mc
 //     no LTS ever shows one).
 //
 // Which states commit, and in what order, depends on the network, the
-// prune, the canonicaliser and the limit alone — never on the goals — so
-// each goal's witness, counts and error are exactly those of an
-// exploration for it alone. reference_test.go's map-based BFS pins all
-// four rules against real models, one goal at a time and shared.
+// prune, the canonicaliser, the limit and whether the search covers alone
+// — never on what the goals are — so each goal's witness, counts and error
+// are exactly those of an exploration for it alone (with a nil goal
+// beside it, of an exact one). reference_test.go's map-based BFS pins all
+// four rules against real models, one goal at a time and shared, covering
+// as the explorer does; an exact search is the second oracle of the
+// covering one.
 
 import (
 	"fmt"
@@ -72,6 +79,11 @@ type explorer struct {
 	store *stateStore
 	// info has one record per committed state: info.n is the state count.
 	info paged[nodeInfo]
+	// lower lists the clocks the search covers on (coverage, below), nil in
+	// an exact search. Their fields read 0 in every stored key; vals holds
+	// each id's values of them, len(lower) records per id.
+	lower []int
+	vals  paged[int32]
 	// trans logs every generated transition when withTrans is set.
 	trans paged[rawTrans]
 	// transitions counts successors generated across all levels.
@@ -109,6 +121,9 @@ func newExplorer(n *ta.Network, preds []func(*ta.State) bool, opts Options, with
 		init:      init,
 		scratch:   init.Clone(),
 	}
+	if covering(preds, withTrans) {
+		e.lower = lowerClocks(n)
+	}
 	// A transition's label is tick, which every index covers, or an edge's
 	// (ta.Transition), so the index is complete up front.
 	for _, a := range n.Automata() {
@@ -122,8 +137,10 @@ func newExplorer(n *ta.Network, preds []func(*ta.State) bool, opts Options, with
 		return nil, fmt.Errorf("%w: %d ids", ErrLabelLimit, e.labels.Len())
 	}
 	key := init.AppendKey(make([]byte, 0, e.store.keyLen))
+	e.zeroLower(key)
 	e.store.intern(key, hashKey(key))
 	e.info.push(nodeInfo{parent: -1})
+	e.pushLower(&init)
 	for i, pred := range preds {
 		e.goals[i] = goal{pred: pred, witness: -1}
 		e.evalGoal(i, 0, &init)
@@ -195,6 +212,7 @@ func (e *explorer) endLevel() {
 func (e *explorer) expand(id int, limitHit *bool) {
 	st := e.store
 	e.scratch.DecodeKey(st.key(id), e.numLocs, e.numClocks)
+	e.restoreLower(id, &e.scratch)
 	//lint:allow noalloc-closure prune/goal predicates are exploration configuration; the Options contract requires pure, allocation-free predicates
 	if e.prune != nil && e.prune(&e.scratch) {
 		return
@@ -208,16 +226,22 @@ func (e *explorer) expand(id int, limitHit *bool) {
 			e.canon(&tr.Target)
 		}
 		e.keyBuf = tr.Target.AppendKey(e.keyBuf[:0])
+		e.zeroLower(e.keyBuf)
 		h := hashKey(e.keyBuf)
 		to, slot, seen := st.find(e.keyBuf, h)
 		switch {
-		case seen:
+		case seen && e.covers(to, &tr.Target):
 		case *limitHit || e.info.n >= e.limit:
 			*limitHit = true
 			to = -1
 		default:
-			to = st.insert(e.keyBuf, h, slot)
+			if seen {
+				to = st.replace(e.keyBuf, h, slot)
+			} else {
+				to = st.insert(e.keyBuf, h, slot)
+			}
 			e.info.push(nodeInfo{parent: int32(id), delay: tr.Delay})
+			e.pushLower(&tr.Target)
 			for g := range e.goals {
 				e.evalGoal(g, to, &tr.Target)
 			}
@@ -227,6 +251,68 @@ func (e *explorer) expand(id int, limitHit *bool) {
 			e.trans.push(rawTrans{from: int32(id), to: int32(to), label: uint16(label)})
 		}
 	}
+}
+
+// lowerClocks is the rule naming the clocks a goal search covers on; a
+// variable so that tests can run the explorer on a mutated rule.
+var lowerClocks = (*ta.Network).LowerClocks
+
+// covering reports whether a search for preds covers: a goal search does,
+// and a search that must count or record every state does not — one with
+// no goal, with a nil goal (which counts the whole space), or for an LTS.
+func covering(preds []func(*ta.State) bool, withTrans bool) bool {
+	for _, p := range preds {
+		if p == nil {
+			return false
+		}
+	}
+	return len(preds) > 0 && !withTrans
+}
+
+// zeroLower clears the covered clocks' fields of key.
+//
+//hbvet:noalloc
+func (e *explorer) zeroLower(key []byte) {
+	for _, c := range e.lower {
+		off := e.numLocs + 2*c
+		key[off], key[off+1] = 0, 0
+	}
+}
+
+// pushLower records the values of s's covered clocks for the id just
+// committed.
+//
+//hbvet:noalloc
+func (e *explorer) pushLower(s *ta.State) {
+	for _, c := range e.lower {
+		e.vals.push(s.Clocks[c])
+	}
+}
+
+// restoreLower gives s, decoded from id's stored key, id's values of the
+// covered clocks.
+//
+//hbvet:noalloc
+func (e *explorer) restoreLower(id int, s *ta.State) {
+	at := id * len(e.lower)
+	for j, c := range e.lower {
+		s.Clocks[c] = *e.vals.at(at + j)
+	}
+}
+
+// covers reports whether stored id, whose key is s's, holds at least s's
+// value of every covered clock: whether id simulates s. In an exact search
+// it always does.
+//
+//hbvet:noalloc
+func (e *explorer) covers(id int, s *ta.State) bool {
+	at := id * len(e.lower)
+	for j, c := range e.lower {
+		if *e.vals.at(at + j) < s.Clocks[c] {
+			return false
+		}
+	}
+	return true
 }
 
 // lts copies the transition log into the finished LTS.

@@ -34,7 +34,8 @@ type Options struct {
 	// (the pruned state itself is recorded but not expanded). Pruning is
 	// sound for a reachability goal only if no goal state is reachable
 	// through a pruned state — e.g. pruning on a monotone flag the goal
-	// negates.
+	// negates. Like a goal it must not tell a state from one that covers
+	// it (CheckReachability).
 	Prune func(*ta.State) bool
 	// Canon, if non-nil, rewrites every generated successor in place to
 	// the canonical member of its class before it is hashed, so the search
@@ -92,7 +93,9 @@ type Result struct {
 	Reachable bool
 	// StatesExplored counts distinct configurations visited: classes of
 	// the explored quotient when Options.Canon is set (under the models
-	// verdict path it always is), states of the network otherwise.
+	// verdict path it always is), states of the network otherwise. A goal
+	// search does not count the covered states it skips
+	// (CheckReachability).
 	StatesExplored int
 	// TransitionsExplored counts transitions generated.
 	TransitionsExplored int
@@ -117,6 +120,19 @@ type Result struct {
 // is rebuilt by replaying its quotient path through the network, taking at
 // each step the first successor in enumeration order that falls into the
 // next class.
+//
+// A search for a goal covers on the network's lower-bound clocks
+// (ta.Network.LowerClocks): a successor is skipped, counted as a
+// transition but not as a state, when the state stored for its class with
+// those clocks at 0 holds at least its values of them, and otherwise it
+// commits even if that class is stored, and is the one the class names
+// from then on. The larger values simulate the smaller, so a skipped
+// successor reaches no goal its coverer does not, at no greater depth:
+// verdict and witness length are an exact search's, and the witness is
+// still a run of the network (DESIGN.md, "Verdicts explore a quotient").
+// This needs goal and Prune to read no clock, which the models' predicates
+// do not. A nil goal counts the whole space, so its search is exact, as is
+// BuildLTS.
 func CheckReachability(n *ta.Network, goal func(*ta.State) bool, opts Options) (Result, error) {
 	res, errs := CheckGoals(n, []func(*ta.State) bool{goal}, opts)
 	return res[0], errs[0]
@@ -128,7 +144,12 @@ func CheckReachability(n *ta.Network, goal func(*ta.State) bool, opts Options) (
 // and error (ErrStateLimit when the limit is crossed before goals[i] has a
 // witness, even if an earlier goal got one). The goals share opts, so
 // Prune and Canon must be sound for each of them. The search stops at the
-// end of the level on which the last goal's witness commits.
+// end of the level on which the last goal's witness commits. A nil goal
+// among them makes the one search exact for all: each other goal then gets
+// what an exact search gets, the same verdict and witness length in as
+// many states as the network (or quotient) holds up to its level. That
+// serves a goal that reads clocks, such as a test oracle evaluated on
+// every reachable state.
 func CheckGoals(n *ta.Network, goals []func(*ta.State) bool, opts Options) (res []Result, errs []error) {
 	res, errs = make([]Result, len(goals)), make([]error, len(goals))
 	e, err := explore(n, goals, opts, false)
@@ -174,11 +195,11 @@ func rebuildTrace(e *explorer, goal int) []Step {
 	steps := make([]Step, 1, len(path)+1)
 	steps[0].State = e.init // reached by no transition
 	for _, id := range path {
-		want, delay := e.store.key(id), e.info.at(id).delay
+		delay := e.info.at(id).delay
 		last := &steps[len(steps)-1]
 		e.buf = e.ctx.Successors(&last.State, e.buf[:0])
 		k := 0
-		for k < len(e.buf) && (e.buf[k].Delay != delay || !e.recordedAs(&e.buf[k].Target, want)) {
+		for k < len(e.buf) && (e.buf[k].Delay != delay || !e.recordedAs(&e.buf[k].Target, id)) {
 			k++
 		}
 		if k == len(e.buf) {
@@ -193,9 +214,10 @@ func rebuildTrace(e *explorer, goal int) []Step {
 	return steps
 }
 
-// recordedAs reports whether s is stored under key: whether the key of its
-// representative, computed on a copy so that s keeps its values, is key.
-func (e *explorer) recordedAs(s *ta.State, key []byte) bool {
+// recordedAs reports whether s is recorded as id: whether its
+// representative, computed on a copy so that s keeps its values, has id's
+// key and id's values of the covered clocks.
+func (e *explorer) recordedAs(s *ta.State, id int) bool {
 	if e.canon != nil {
 		e.scratch.Locs = append(e.scratch.Locs[:0], s.Locs...)
 		e.scratch.Clocks = append(e.scratch.Clocks[:0], s.Clocks...)
@@ -204,5 +226,12 @@ func (e *explorer) recordedAs(s *ta.State, key []byte) bool {
 		s = &e.scratch
 	}
 	e.keyBuf = s.AppendKey(e.keyBuf[:0])
-	return bytes.Equal(e.keyBuf, key)
+	e.zeroLower(e.keyBuf)
+	at := id * len(e.lower)
+	for j, c := range e.lower {
+		if *e.vals.at(at + j) != s.Clocks[c] {
+			return false
+		}
+	}
+	return bytes.Equal(e.keyBuf, e.store.key(id))
 }

@@ -21,7 +21,10 @@ import (
 // its end, nothing commits past the limit, and the first goal state
 // committed, in discovery order, is the witness. A canonicaliser (nil:
 // none) rewrites each successor before it is looked up, as Options.Canon
-// does.
+// does. With a goal it covers as the explorer does (Options): the map is
+// keyed by the state with its lower-bound clocks at 0 and names the id
+// committed last under that key, and a successor whose values of those
+// clocks that id's all reach is covered — it commits nothing.
 type reference struct {
 	states   []ta.State
 	parent   []int
@@ -34,11 +37,37 @@ type reference struct {
 }
 
 func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool, canon func(*ta.State), limit int) *reference {
+	var lower []int
+	if goal != nil {
+		lower = n.LowerClocks()
+	}
+	return bfs(n, goal, prune, canon, limit, lower)
+}
+
+// exactBFS is the reference with no coverage: every state of the network,
+// or of the canonicaliser's quotient, commits once.
+func exactBFS(n *ta.Network, goal, prune func(*ta.State) bool, canon func(*ta.State), limit int) *reference {
+	return bfs(n, goal, prune, canon, limit, nil)
+}
+
+// bfs is the reference search covering on the clocks lower.
+func bfs(n *ta.Network, goal, prune func(*ta.State) bool, canon func(*ta.State), limit int, lower []int) *reference {
 	r := &reference{goalID: -1}
 	ids := map[string]int{}
+	rest := func(s *ta.State) string {
+		z := s.Clone()
+		for _, c := range lower {
+			z.Clocks[c] = 0
+		}
+		return string(z.AppendKey(nil))
+	}
+	covered := func(s *ta.State) (int, bool) {
+		id, seen := ids[rest(s)]
+		return id, seen && !slices.ContainsFunc(lower, func(c int) bool { return r.states[id].Clocks[c] < s.Clocks[c] })
+	}
 	add := func(s *ta.State, parent int, label alphabet.Label, delay bool) int {
 		id := len(r.states)
-		ids[string(s.AppendKey(nil))] = id
+		ids[rest(s)] = id
 		r.states = append(r.states, s.Clone())
 		r.parent = append(r.parent, parent)
 		r.label = append(r.label, label)
@@ -62,7 +91,7 @@ func referenceBFS(n *ta.Network, goal, prune func(*ta.State) bool, canon func(*t
 				if canon != nil {
 					canon(&tr.Target)
 				}
-				to, seen := ids[string(tr.Target.AppendKey(nil))]
+				to, seen := covered(&tr.Target)
 				switch {
 				case seen:
 				case limit > 0 && len(r.states) >= limit:
@@ -174,7 +203,9 @@ func TestSerialMatchesReferenceLTS(t *testing.T) {
 // TestSerialMatchesReferenceChecks pins counts, parents and witness: a
 // satisfied property (full exploration, with and without pruning) and the
 // counter-example of binary tmin=1 R1, step for step — each on the network
-// and on the quotient a canonicaliser leaves of it.
+// and on the quotient a canonicaliser leaves of it — and, against the exact
+// reference, the verdict and the witness's labels and times in no more
+// states.
 func TestSerialMatchesReferenceChecks(t *testing.T) {
 	for _, tc := range []struct {
 		cfg       models.Config
@@ -214,6 +245,10 @@ func TestSerialMatchesReferenceChecks(t *testing.T) {
 					t.Fatalf("reachable = %v, want %v", res.Reachable, tc.reachable)
 				}
 				matchReference(t, m.Net, canon, res, ref)
+				exact := exactBFS(m.Net, goal, prune, canon, 0)
+				if err := sameWitness(res, exact.goalID >= 0, len(exact.states), exact.trace()); err != nil {
+					t.Fatalf("against the exact reference: %v", err)
+				}
 				if quotient && !tc.reachable {
 					if whole := referenceBFS(m.Net, goal, prune, nil, 0); len(ref.states) >= len(whole.states) {
 						t.Fatalf("the quotient has %d states, the network %d: the canonicaliser merges nothing", len(ref.states), len(whole.states))
@@ -258,6 +293,135 @@ func matchReference(t *testing.T, n *ta.Network, canon func(*ta.State), res mc.R
 			return tr.Label == got.Label && tr.Delay == got.Delay && string(tr.Target.AppendKey(nil)) == string(got.State.AppendKey(nil))
 		}) {
 			t.Fatalf("step %d, %q to %v, is no transition of the network", i, got.Label, got.State)
+		}
+	}
+}
+
+// sameWitness compares a covering check's result with an exact search's:
+// the same verdict, a witness with the same labels, delays and times, and
+// no more states.
+func sameWitness(res mc.Result, reachable bool, states int, trace []mc.Step) error {
+	if res.Reachable != reachable {
+		return fmt.Errorf("reachable = %v, exact %v", res.Reachable, reachable)
+	}
+	if res.StatesExplored > states {
+		return fmt.Errorf("%d states, exact %d", res.StatesExplored, states)
+	}
+	if len(res.Trace) != len(trace) {
+		return fmt.Errorf("witness of %d steps, exact %d", len(res.Trace), len(trace))
+	}
+	for i, got := range res.Trace {
+		if w := trace[i]; got.Label != w.Label || got.Delay != w.Delay || got.Time != w.Time {
+			return fmt.Errorf("step %d = %q delay=%v t=%d, exact %q delay=%v t=%d", i, got.Label, got.Delay, got.Time, w.Label, w.Delay, w.Time)
+		}
+	}
+	return nil
+}
+
+// TestSerialCoverageMatchesExact keeps the exact search as the oracle of
+// coverage where the verdicts are the paper's: every cell of the four
+// tables hbcheck prints (tmax 10; the binary family and static at N=2,
+// expanding and dynamic at N=1; original and corrected) and the two R1
+// figures, 10a (the stale-beat goal on the unreduced network) and 10b.
+// Each check is run covering and exact (SetLowerClocks with a rule naming
+// no clock); the verdicts and witnesses must be the same and the covering
+// count no higher.
+func TestSerialCoverageMatchesExact(t *testing.T) {
+	exactly := func(f func()) {
+		restore := mc.SetLowerClocks(func(*ta.Network) []int { return nil })
+		defer restore()
+		f()
+	}
+	family := []models.Variant{models.Binary, models.RevisedBinary, models.TwoPhase, models.Static}
+	var covered, exact int
+	for _, fixed := range []bool{false, true} {
+		for _, spec := range []models.TableSpec{
+			{Variants: family, TMins: models.DefaultTMins(), TMax: 10, N: 2, Fixed: fixed},
+			{Variants: []models.Variant{models.Expanding, models.Dynamic}, TMins: models.DefaultTMins(), TMax: 10, N: 1, Fixed: fixed},
+		} {
+			got, err := models.RunTable(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []models.Cell
+			exactly(func() { want, err = models.RunTable(spec) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range got {
+				w := want[i].Verdict
+				if err := sameWitness(c.Verdict.Result, !w.Satisfied, w.Result.StatesExplored, w.Result.Trace); err != nil {
+					t.Errorf("%v tmin=%d fixed=%v %v: %v", c.Variant, c.TMin, fixed, c.Prop, err)
+				}
+				covered += c.Verdict.Result.StatesExplored
+				exact += w.Result.StatesExplored
+			}
+		}
+	}
+	t.Logf("tables: %d states covering, %d exact", covered, exact)
+	if covered >= exact {
+		t.Fatalf("tables: %d states covering, %d exact: coverage skips nothing", covered, exact)
+	}
+	for _, f := range models.Figures() {
+		if f.Prop != models.R1 {
+			continue
+		}
+		check := func() (mc.Result, error) {
+			if f.ID == "10a" {
+				m := buildModel(t, f.Cfg)
+				return m.VerifyGoal(m.StaleBeat, mc.Options{})
+			}
+			v, err := f.Reproduce(mc.Options{})
+			return v.Result, err
+		}
+		got, err := check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want mc.Result
+		exactly(func() { want, err = check() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Reachable {
+			t.Fatalf("figure %s: no counter-example", f.ID)
+		}
+		if err := sameWitness(got, true, want.StatesExplored, want.Trace); err != nil {
+			t.Errorf("figure %s: %v", f.ID, err)
+		}
+		t.Logf("figure %s: %d states covering, %d exact", f.ID, got.StatesExplored, want.StatesExplored)
+	}
+}
+
+// TestSerialCoverageOnEqualityIsWrong is the mutant of the coverage rule
+// that admits ==: clock x reaches its goal only through x == 1, and the
+// search meets x = 3 (an edge sets it) before x = 1 (a tick). Covering on
+// x, as a rule admitting == would, skips x = 1 and finds nothing; the exact
+// reference finds the goal, and the derived rule names no clock.
+func TestSerialCoverageOnEqualityIsWrong(t *testing.T) {
+	for _, op := range []ta.Op{ta.Eq, ta.Ge} {
+		n := ta.NewNetwork()
+		x := n.Clock("x", 5)
+		n.Add(&ta.Automaton{
+			Name:      "A",
+			Locations: []ta.Location{{Name: "Run"}, {Name: "Goal"}},
+			Edges: []ta.Edge{
+				{From: 0, To: 0, Label: alphabet.SendBeat.Of(0), Assign: []ta.Assign{{Clock: true, Idx: x, Val: 3}}},
+				{From: 0, To: 1, Label: alphabet.Crash.Of(0), Guard: ta.Guard{Clocks: []ta.Atom{ta.Clk(x, op, 1)}}},
+			},
+		})
+		goal := func(s *ta.State) bool { return s.Locs[0] == 1 }
+		if ref := exactBFS(n, goal, nil, nil, 0); ref.goalID < 0 {
+			t.Fatalf("%v: the exact reference finds no goal", op)
+		}
+		derived, _ := mc.CheckReachability(n, goal, mc.Options{})
+		restore := mc.SetLowerClocks(func(*ta.Network) []int { return []int{x} })
+		mutant, _ := mc.CheckReachability(n, goal, mc.Options{})
+		restore()
+		if lower := n.LowerClocks(); op == ta.Eq && (len(lower) != 0 || !derived.Reachable || mutant.Reachable) {
+			t.Errorf("==: derived %v (reachable %v), covering on x reachable %v; want none, true, false", lower, derived.Reachable, mutant.Reachable)
+		} else if op == ta.Ge && (!slices.Equal(lower, []int{x}) || !derived.Reachable || !mutant.Reachable) {
+			t.Errorf(">=: derived %v, reachable %v and %v; want [x], true, true", lower, derived.Reachable, mutant.Reachable)
 		}
 	}
 }

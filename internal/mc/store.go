@@ -104,6 +104,18 @@ func (st *stateStore) find(key []byte, h uint64) (id int, slot uint32, found boo
 // insert stores a copy of key — which find just reported absent, at slot
 // — and returns its fresh id. key itself is never retained.
 func (st *stateStore) insert(key []byte, h uint64, slot uint32) int {
+	id := st.replace(key, h, slot)
+	if (st.n+1)*4 > len(st.table)*3 {
+		st.grow()
+	}
+	return id
+}
+
+// replace stores a copy of key as a fresh id and points slot, where find
+// just reported key, at it: the older id keeps its bytes but is found no
+// more, and the table gains no entry. (insert is replace into an empty
+// slot, then growth.)
+func (st *stateStore) replace(key []byte, h uint64, slot uint32) int {
 	id := st.n
 	if id>>pageBits == len(st.pages) {
 		//lint:allow noalloc-closure page allocation; one per pageSize keys and absent from the steady-state pins
@@ -112,9 +124,6 @@ func (st *stateStore) insert(key []byte, h uint64, slot uint32) int {
 	copy(st.pages[id>>pageBits][(id&pageMask)*st.keyLen:], key[:st.keyLen])
 	st.n++
 	st.table[slot] = uint64(uint32(h))<<32 | uint64(id+1)
-	if (st.n+1)*4 > len(st.table)*3 {
-		st.grow()
-	}
 	return id
 }
 

@@ -116,6 +116,33 @@ func TestStateStoreDoesNotRetainCaller(t *testing.T) {
 	}
 }
 
+// TestStateStoreReplace: replacing a present key gives a fresh id that
+// find returns from then on, keeps the older id's bytes, and adds no table
+// entry — a table of few slots fills no faster under replaces.
+func TestStateStoreReplace(t *testing.T) {
+	st := newStateStore(testKeyLen)
+	keys := testKeys(40)
+	internAll(t, st, keys)
+	table := len(st.table)
+	for round := range 100 {
+		k := keys[round%len(keys)]
+		old, slot, found := st.find(k, hashKey(k))
+		if !found {
+			t.Fatalf("round %d: key %d not found", round, round%len(keys))
+		}
+		id := st.replace(k, hashKey(k), slot)
+		if id != len(keys)+round || !bytes.Equal(st.key(old), k) || !bytes.Equal(st.key(id), k) {
+			t.Fatalf("round %d: replace gave id %d (old %d) with keys %x, %x", round, id, old, st.key(old), st.key(id))
+		}
+		if got, _, _ := st.find(k, hashKey(k)); got != id {
+			t.Fatalf("round %d: find gives %d after replace, want %d", round, got, id)
+		}
+	}
+	if len(st.table) != table {
+		t.Fatalf("table grew from %d to %d slots under replaces alone", table, len(st.table))
+	}
+}
+
 func TestStateStoreLookupAllocs(t *testing.T) {
 	st := newStateStore(testKeyLen)
 	keys := testKeys(1000)

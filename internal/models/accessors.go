@@ -25,7 +25,10 @@ func (m *Model) MessageLost(s *ta.State) bool {
 }
 
 // VerifyGoal checks reachability of an arbitrary goal predicate on the
-// model, for scenario-shaped queries beyond R1–R3.
+// model, for scenario-shaped queries beyond R1–R3. The network is not
+// reduced, but the search covers on its lower-bound clocks
+// (mc.CheckReachability), so goal must read no clock, as the model's own
+// predicates do.
 func (m *Model) VerifyGoal(goal func(*ta.State) bool, opts mc.Options) (mc.Result, error) {
 	res, err := mc.CheckReachability(m.Net, goal, opts)
 	if err != nil {

@@ -98,7 +98,7 @@ func newFootprintOracle(net *ta.Network, preds []func(*ta.State) bool, opts mc.O
 	for v := range init.Vars {
 		o.all, o.noClock.Vars = append(o.all, slot{slotVar, v}), append(o.noClock.Vars, v)
 	}
-	_, err := mc.CheckReachability(net, func(s *ta.State) bool {
+	_, err := exactCheck(net, func(s *ta.State) bool {
 		for v, x := range s.Vars {
 			if !slices.Contains(o.vals[v], x) {
 				o.vals[v] = append(o.vals[v], x)

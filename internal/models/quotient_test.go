@@ -103,7 +103,7 @@ func runOracle(net *ta.Network, broken func(*ta.State) bool, why *string, prefix
 	if prefix && opts.MaxStates == 0 {
 		opts.MaxStates = 20_000
 	}
-	res, err := mc.CheckReachability(net, broken, opts)
+	res, err := exactCheck(net, broken, opts)
 	if prefix && errors.Is(err, mc.ErrStateLimit) {
 		err = nil
 	}
@@ -112,6 +112,16 @@ func runOracle(net *ta.Network, broken func(*ta.State) bool, why *string, prefix
 		failure = fmt.Sprintf("at %v: %s\n%s", last.State, *why, summary(res.Trace))
 	}
 	return res.StatesExplored, failure, err
+}
+
+// exactCheck is mc.CheckReachability on an exact search: a nil goal beside
+// goal stops the search covering on the lower-bound clocks, so goal is
+// evaluated on every reachable state, as an oracle must be, however it
+// reads the clocks. The search runs to the end of the space, or to the
+// limit.
+func exactCheck(net *ta.Network, goal func(*ta.State) bool, opts mc.Options) (mc.Result, error) {
+	res, errs := mc.CheckGoals(net, []func(*ta.State) bool{goal, nil}, opts)
+	return res[0], errs[0]
 }
 
 // equivOracle is a goal predicate for the unreduced checker: broken(s)

@@ -104,9 +104,9 @@ func TestCampaignRecordedDigests(t *testing.T) {
 			}
 			return adaptiveCampaign(models.Static, sc, 1, 1)
 		}, []campaignPin{
-			{125, 124, 0, faults.Stats{Intercepted: 576, DroppedLoss: 58}, 126, 0, []string{"R1 violated at t=219 by p[2] (event 1220)"}},
-			{124, 123, 0, faults.Stats{Intercepted: 580, DroppedLoss: 59}, 125, 0, []string{"R1 violated at t=227 by p[2] (event 1226)"}},
-			{124, 123, 0, faults.Stats{Intercepted: 575, DroppedLoss: 59}, 125, 0, []string{"R1 violated at t=227 by p[2] (event 1216)"}},
+			{125, 124, 0, faults.Stats{Intercepted: 576, DroppedLoss: 58}, 126, 0, []string{"R1 violated at t=219 by p[2] (event 413)"}},
+			{124, 123, 0, faults.Stats{Intercepted: 580, DroppedLoss: 59}, 125, 0, []string{"R1 violated at t=227 by p[2] (event 427)"}},
+			{124, 123, 0, faults.Stats{Intercepted: 575, DroppedLoss: 59}, 125, 0, []string{"R1 violated at t=227 by p[2] (event 419)"}},
 		}},
 		{"dup, reorder, delay range", func(t *testing.T) CampaignConfig {
 			return CampaignConfig{

@@ -250,6 +250,52 @@ func (n *Network) deadLocs(sites []site, aut, c int) uint64 {
 	return dead
 }
 
+// LowerClocks returns, ascending, the clocks only lower bounds read: a
+// guard atom compares the clock, every atom that compares it is > or >=,
+// and no invariant compares it. Of two configurations equal but for larger
+// values of these clocks, the larger then simulates the smaller: it enables
+// every edge the smaller enables, with targets again equal but for larger
+// values (updates read no clock, resets are constants, caps are monotone),
+// and the same delay, which only invariants decide. So a goal search may
+// skip a configuration once it holds one that covers it (mc's coverage).
+// The edges whose enabledness changes another transition read none of
+// them either, or the larger could fire differently: a broadcast receive,
+// which joins its channel's every firing, and under receive priority a
+// synchronising or delivery edge, which can make a delivery due and so
+// suppress the timeouts.
+func (n *Network) LowerClocks() []int {
+	seen := make([]int8, len(n.clockCaps)) // 1: only lower bounds so far, -1: excluded
+	for _, s := range n.sites() {
+		for _, k := range s.cases {
+			for _, a := range k.Then {
+				switch {
+				case s.e == nil || a.Op&Lt != 0 || a.Op&Gt == 0 || n.decidesOthers(s.e):
+					seen[a.Clock] = -1
+				case seen[a.Clock] == 0:
+					seen[a.Clock] = 1
+				}
+			}
+		}
+	}
+	var out []int
+	for c, v := range seen {
+		if v == 1 {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// decidesOthers reports whether e's being enabled can change a transition
+// other than its own: e is a broadcast receive, or the network has receive
+// priority and e synchronises or is a delivery.
+func (n *Network) decidesOthers(e *Edge) bool {
+	if e.Chan > 0 && int(e.Chan) < len(n.channels) && n.channels[e.Chan].Broadcast && !e.Send {
+		return true
+	}
+	return n.priority && (e.Chan != 0 || e.Class == ClassDeliver)
+}
+
 // Observers returns the variables no guard, invariant or update reads,
 // ascending. Their values decide no transition, so a checker that
 // evaluates no predicate on states may store them as 0: with the dead

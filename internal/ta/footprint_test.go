@@ -56,3 +56,58 @@ func TestDeadClocksRules(t *testing.T) {
 		}
 	}
 }
+
+// TestLowerClocksRules pins the lower-bound clock rule: a clock qualifies
+// when a guard atom compares it and every atom on it is > or >= (against a
+// constant or a variable); <, <=, == or a read by an invariant excludes it,
+// as does a read on an edge whose enabledness changes other transitions —
+// a broadcast receive, or under receive priority a synchronising edge.
+func TestLowerClocksRules(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		atom     func(c, v int) Atom
+		inv      bool // the clock is also compared by an invariant x <= 4
+		bcast    bool // the guard sits on a broadcast receive
+		priority bool // the guard sits on a handshake send under receive priority
+		want     bool
+	}{
+		{name: ">", atom: func(c, _ int) Atom { return Clk(c, Gt, 2) }, want: true},
+		{name: ">=", atom: func(c, _ int) Atom { return Clk(c, Ge, 2) }, want: true},
+		{name: "> variable", atom: func(c, v int) Atom { return ClkVar(c, Gt, v) }, want: true},
+		{name: ">= variable", atom: func(c, v int) Atom { return ClkVar(c, Ge, v) }, want: true},
+		{name: "<", atom: func(c, _ int) Atom { return Clk(c, Lt, 2) }},
+		{name: "<=", atom: func(c, _ int) Atom { return Clk(c, Le, 2) }},
+		{name: "==", atom: func(c, _ int) Atom { return Clk(c, Eq, 2) }},
+		{name: "== variable", atom: func(c, v int) Atom { return ClkVar(c, Eq, v) }},
+		{name: "> and an invariant", atom: func(c, _ int) Atom { return Clk(c, Gt, 2) }, inv: true},
+		{name: "> on a broadcast receive", atom: func(c, _ int) Atom { return Clk(c, Gt, 2) }, bcast: true},
+		{name: "> on a send under priority", atom: func(c, _ int) Atom { return Clk(c, Gt, 2) }, priority: true},
+	} {
+		n := NewNetwork()
+		x, y := n.Clock("x", 5), n.Clock("y", 5) // y: compared by no atom
+		v := n.Var("v", 2)
+		ch := n.Chan("c", tc.bcast)
+		n.SetReceivePriority(tc.priority)
+		a := &Automaton{Name: "A", Locations: []Location{{Name: "Run"}, {Name: "End"}}}
+		if tc.inv {
+			a.Locations[0].Invariant = Invariant{{Then: []Atom{Clk(x, Le, 4)}}}
+		}
+		g := Edge{From: 0, To: 1, Label: alphabet.Crash.Of(0), Guard: Guard{Clocks: []Atom{tc.atom(x, v)}}, Assign: []Assign{Reset(y)}}
+		b := &Automaton{Name: "B", Locations: []Location{{Name: "Run"}}}
+		switch {
+		case tc.bcast:
+			g.Chan = ch
+			b.Edges = []Edge{{From: 0, To: 0, Chan: ch, Send: true, Label: alphabet.SendBeat.Of(1)}}
+		case tc.priority:
+			g.Chan, g.Send = ch, true
+			b.Edges = []Edge{{From: 0, To: 0, Chan: ch}}
+		}
+		a.Edges = []Edge{g}
+		n.Add(a)
+		n.Add(b)
+		got := n.LowerClocks()
+		if want := []int{x}; tc.want && !reflect.DeepEqual(got, want) || !tc.want && len(got) != 0 {
+			t.Errorf("%s: lower clocks %v, want x: %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -223,16 +223,6 @@ type Guard struct {
 	Pred   func(s *State) bool
 }
 
-// always reports whether g is the zero Guard, which callers need not
-// evaluate.
-func (g *Guard) always() bool { return g.Vars == nil && g.Clocks == nil && g.Pred == nil }
-
-// holds reports whether g holds in s.
-func (g *Guard) holds(s *State) bool {
-	//lint:allow noalloc-closure model-defined predicate; the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
-	return litsHold(g.Vars, s.Vars) && atomsHold(g.Clocks, s) && (g.Pred == nil || g.Pred(s))
-}
-
 // Case is one case of an invariant: while every literal of When holds,
 // every atom of Then must.
 type Case struct {
@@ -497,11 +487,16 @@ func (n *Network) compile() {
 }
 
 // enabled reports whether edge e of automaton a can fire in s (location
-// and guard only; synchronisation is the caller's concern).
+// and guard only; synchronisation is the caller's concern). The
+// synchronisation paths call it for every send and receive edge they
+// consider, so it evaluates the literals and atoms inline, as the
+// internal-edge loop does.
 //
 //hbvet:noalloc
 func (n *Network) enabled(s *State, a int, e *Edge) bool {
-	return int(s.Locs[a]) == e.From && (e.Guard.always() || e.Guard.holds(s))
+	g := &e.Guard
+	//lint:allow noalloc-closure model-defined predicate; the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
+	return int(s.Locs[a]) == e.From && litsHold(g.Vars, s.Vars) && atomsHold(g.Clocks, s) && (g.Pred == nil || g.Pred(s))
 }
 
 // SuccCtx is a successor-generation context: it owns the scratch buffers
@@ -628,7 +623,7 @@ func (c *SuccCtx) Successors(s *State, buf []Transition) []Transition {
 		}
 		for _, ei := range n.internalAt[ai][s.Locs[ai]] {
 			e := &a.Edges[ei]
-			g := &e.Guard // Guard.holds, inlined
+			g := &e.Guard
 			//lint:allow noalloc-closure model-defined predicate; the automaton definition contract requires it allocation-free, pinned by the mc alloc tests
 			if !litsHold(g.Vars, s.Vars) || !atomsHold(g.Clocks, s) || g.Pred != nil && !g.Pred(s) {
 				continue

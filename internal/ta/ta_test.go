@@ -563,8 +563,8 @@ func TestKeyHoldsLargestClock(t *testing.T) {
 	}
 }
 
-// TestAtomOps pins each comparison against its Go operator, through a
-// guard (the successor path), through narrow (the analyzer's interval
+// TestAtomOps pins each comparison against its Go operator, through
+// atomsHold (the successor path), through narrow (the analyzer's interval
 // solver), and with the bound a constant or a variable.
 func TestAtomOps(t *testing.T) {
 	ops := []struct {
@@ -582,10 +582,10 @@ func TestAtomOps(t *testing.T) {
 			for _, x := range []int32{0, k - 1, k, k + 1, MaxClockCap} {
 				s := &State{Clocks: []int32{x}, Vars: []int32{k}}
 				for _, a := range []Atom{Clk(0, o.op, k), ClkVar(0, o.op, 0)} {
-					g := Guard{Clocks: []Atom{a}}
+					holds := atomsHold([]Atom{a}, s)
 					lo, hi := a.narrow(k, x, x)
-					if want := o.cmp(x, k); g.holds(s) != want || (lo <= hi) != want {
-						t.Errorf("op %03b bound %d (var %v) at %d: holds %v, narrow [%d, %d], want %v", o.op, k, a.Var >= 0, x, g.holds(s), lo, hi, want)
+					if want := o.cmp(x, k); holds != want || (lo <= hi) != want {
+						t.Errorf("op %03b bound %d (var %v) at %d: holds %v, narrow [%d, %d], want %v", o.op, k, a.Var >= 0, x, holds, lo, hi, want)
 					}
 				}
 			}
