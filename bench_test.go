@@ -308,10 +308,10 @@ func BenchmarkReliabilitySweep(b *testing.B) {
 				b.Fatal(err)
 			}
 			plain, err := scenario.MeasureReliability(scenario.ReliabilityConfig{
+				// The plain baseline: the accelerated protocol at tmin = tmax.
 				Cluster: detector.ClusterConfig{
-					Protocol: detector.ProtocolPlain,
-					Plain:    core.PlainConfig{Period: 16, MissLimit: 1},
-					N:        1,
+					Protocol: detector.ProtocolBinary,
+					Core:     core.Config{TMin: 16, TMax: 16},
 				},
 				LossProb: loss,
 				Horizon:  3000,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,6 +51,33 @@ func TestGoldenFigure11(t *testing.T) {
 func TestGoldenStaticTwoParticipants(t *testing.T) {
 	checkGolden(t, "static_n2", 0, "-variant", "static", "-tmin", "9", "-prop", "R2")
 	checkGolden(t, "static_n2_witness", 2, "-variant", "static", "-tmin", "10", "-prop", "R2", "-trace")
+}
+
+// TestPlainBaselineVerdicts pins the plain heartbeat's verdicts: it is the
+// binary protocol at tmin = tmax, so it has a model. Unfixed, a reply that
+// lands on its round's timeout tick makes p[0] suspect a live p[1] (R2 and
+// R3 violated); with the §6 fixes every requirement holds.
+func TestPlainBaselineVerdicts(t *testing.T) {
+	for _, tc := range []struct {
+		prop  string
+		fixed bool
+		code  int
+		want  string
+	}{
+		{"R1", false, 0, "satisfied (2949 states, 9683 transitions)"},
+		{"R2", false, 2, "VIOLATED (853 states, 2028 transitions)"},
+		{"R3", false, 2, "VIOLATED (937 states, 2249 transitions)"},
+		{"R1", true, 0, "satisfied (2747 states, 9229 transitions)"},
+		{"R2", true, 0, "satisfied (2600 states, 6991 transitions)"},
+		{"R3", true, 0, "satisfied (2600 states, 6991 transitions)"},
+	} {
+		args := []string{"-variant", "binary", "-tmin", "16", "-tmax", "16", "-prop", tc.prop, fmt.Sprintf("-fixed=%v", tc.fixed)}
+		want := fmt.Sprintf("binary %s tmin=16 tmax=16 fixed=%v: %s\n", tc.prop, tc.fixed, tc.want)
+		var out, errs bytes.Buffer
+		if code := run(args, &out, &errs); code != tc.code || out.String() != want {
+			t.Errorf("run(%q) = %d, %q; want %d, %q\n%s", args, code, out.String(), tc.code, want, errs.String())
+		}
+	}
 }
 
 func TestGoldenTable2(t *testing.T) { checkGolden(t, "table_2", 0, "-table", "2") }

@@ -302,12 +302,10 @@ func reliability(w io.Writer, trials int, seed int64) error {
 		if err != nil {
 			return err
 		}
+		// The plain heartbeat is the accelerated protocol at tmin = tmax:
+		// the wait never decays, so the first miss is fatal.
 		plain, err := scenario.MeasureReliability(scenario.ReliabilityConfig{
-			Cluster: detector.ClusterConfig{
-				Protocol: detector.ProtocolPlain,
-				Plain:    core.PlainConfig{Period: 16, MissLimit: 1},
-				N:        1,
-			},
+			Cluster:  acceleratedCluster(16, 16),
 			LossProb: loss,
 			Horizon:  horizon,
 			Trials:   trials,

@@ -211,13 +211,15 @@ func TestCoordinatorRandomChurnMatchesMapReference(t *testing.T) {
 	}
 }
 
-// refPlainCoordinator is the same oracle for PlainCoordinator: rcvd and
-// misses in maps, suspects sorted after the fact.
+// refPlainCoordinator is the plain heartbeat the 1998 paper improves on,
+// written as that paper's baseline with no acceleration rule in it: a fixed
+// period, rcvd in a map, and the first round without a reply from a member
+// suspects it. It is the oracle for the Coordinator at tmin = tmax.
 type refPlainCoordinator struct {
-	cfg    PlainConfig
-	status Status
-	rcvd   map[ProcID]bool
-	misses map[ProcID]int
+	period  Tick
+	members []ProcID // ascending: beats go out in ID order
+	status  Status
+	rcvd    map[ProcID]bool
 }
 
 func (r *refPlainCoordinator) OnBeat(b Beat) {
@@ -226,68 +228,98 @@ func (r *refPlainCoordinator) OnBeat(b Beat) {
 	}
 }
 
-func (r *refPlainCoordinator) OnTimer() []Action {
-	if r.status != StatusActive {
+func (r *refPlainCoordinator) OnTimer(id TimerID) []Action {
+	if r.status != StatusActive || id != TimerRound {
 		return nil
 	}
-	var suspects []ProcID
-	for _, pid := range r.cfg.Members {
-		if r.rcvd[pid] {
-			r.misses[pid] = 0
-		} else if r.misses[pid]++; r.misses[pid] >= r.cfg.MissLimit {
-			suspects = append(suspects, pid)
+	var actions []Action
+	for _, pid := range r.members {
+		if !r.rcvd[pid] {
+			actions = append(actions, Suspect(pid))
 		}
 		r.rcvd[pid] = false
 	}
-	var actions []Action
-	if len(suspects) > 0 {
-		sort.Slice(suspects, func(i, j int) bool { return suspects[i] < suspects[j] })
+	if len(actions) > 0 {
 		r.status = StatusInactive
-		for _, pid := range suspects {
-			actions = append(actions, Suspect(pid))
-		}
 		return append(actions, Inactivate(false))
 	}
-	for _, pid := range r.cfg.Members {
+	for _, pid := range r.members {
 		actions = append(actions, SendBeat(pid, Beat{From: CoordinatorID, Stay: true}))
 	}
-	return append(actions, SetTimer(TimerRound, r.cfg.Period))
+	return append(actions, SetTimer(TimerRound, r.period))
 }
 
-// TestPlainCoordinatorMatchesMapReference: the baseline's members arrive in
-// configuration order, not sorted, and its beats go out in that order while
-// its suspects come out ascending — so its state slice is indexed through a
-// sorted copy, which a member list like {7, 3, 5} tells apart from the
-// configuration order.
-func TestPlainCoordinatorMatchesMapReference(t *testing.T) {
-	for seed := int64(1); seed <= 50; seed++ {
+// TestPlainCoordinatorIsCoordinatorAtTMinEqualsTMax: the plain baseline is
+// the accelerated coordinator at tmin = tmax = P. Driven by the same random
+// beats and timers, the Coordinator must emit exactly the reference's
+// action lists. The members arrive unsorted ({7, 3, 5, …}), so the
+// reference's ascending send and suspect order is checked against the
+// Coordinator's own sorting, not the configuration order.
+func TestPlainCoordinatorIsCoordinatorAtTMinEqualsTMax(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := PlainConfig{Period: 4, MissLimit: 1 + int(seed%3), Members: []ProcID{7, 3, 5, 9, 1}[:2+seed%4]}
-		c, err := NewPlainCoordinator(cfg)
+		period := []Tick{1, 2, 5, 16}[seed%4]
+		members := []ProcID{7, 3, 5, 9, 1}[:1+seed%5]
+		c, err := NewCoordinator(CoordinatorConfig{
+			Config:     Config{TMin: period, TMax: period},
+			Membership: MembershipFixed,
+			Members:    members,
+		})
 		if err != nil {
-			t.Fatalf("NewPlainCoordinator: %v", err)
+			t.Fatalf("NewCoordinator: %v", err)
 		}
-		c.Start(0)
-		ref := &refPlainCoordinator{cfg: cfg, status: StatusActive, rcvd: map[ProcID]bool{}, misses: map[ProcID]int{}}
-		for _, id := range cfg.Members {
-			ref.rcvd[id] = true
+		ref := &refPlainCoordinator{period: period, members: slices.Clone(members), status: StatusActive, rcvd: map[ProcID]bool{}}
+		slices.Sort(ref.members)
+		for _, id := range members {
+			ref.rcvd[id] = true // the first round is a grace round
+		}
+		if got, want := c.Start(0), []Action{SetTimer(TimerRound, period)}; !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Start %+v, reference %+v", seed, got, want)
 		}
 		for step := 0; step < 300 && c.Status() == StatusActive; step++ {
 			now := Tick(step)
-			if rng.Intn(6) == 0 {
-				got, want := c.OnTimer(TimerRound, now), ref.OnTimer()
+			if rng.Intn(4) == 0 {
+				id := []TimerID{TimerRound, TimerRound, TimerRound, TimerExpiry}[rng.Intn(4)]
+				got, want := c.OnTimer(id, now), ref.OnTimer(id)
 				if !slices.Equal(got, want) || c.Status() != ref.status {
-					t.Fatalf("seed %d step %d: round actions %+v status %v, reference %+v %v",
-						seed, step, got, c.Status(), want, ref.status)
+					t.Fatalf("seed %d step %d: timer %v actions %+v status %v, reference %+v %v",
+						seed, step, id, got, c.Status(), want, ref.status)
 				}
 				continue
 			}
-			b := Beat{From: ProcID(rng.Intn(11)), Stay: true}
-			c.OnBeat(b, now)
+			b := Beat{From: ProcID(rng.Intn(11)), Stay: rng.Intn(5) != 0}
+			if got := c.OnBeat(b, now); got != nil {
+				t.Fatalf("seed %d step %d: beat %+v answered %+v; the reference answers nothing", seed, step, b, got)
+			}
 			ref.OnBeat(b)
 		}
 		if c.Status() != StatusInactive {
 			t.Fatalf("seed %d: the run never reached a suspicion", seed)
+		}
+	}
+}
+
+// TestNewPlainCoordinator: the baseline's constructor is the Coordinator at
+// tmin = tmax = Period, and it refuses every miss limit but 1 and every
+// configuration the Coordinator refuses.
+func TestNewPlainCoordinator(t *testing.T) {
+	c, err := NewPlainCoordinator(PlainConfig{Period: 5, MissLimit: 1, Members: []ProcID{1}})
+	if err != nil {
+		t.Fatalf("NewPlainCoordinator: %v", err)
+	}
+	if c.cfg.TMin != 5 || c.cfg.TMax != 5 || c.cfg.Membership != MembershipFixed {
+		t.Fatalf("built %+v, want a fixed-membership coordinator at tmin = tmax = 5", c.cfg)
+	}
+	for _, cfg := range []PlainConfig{
+		{Period: 0, MissLimit: 1, Members: []ProcID{1}},
+		{Period: 5, MissLimit: 0, Members: []ProcID{1}},
+		{Period: 5, MissLimit: 2, Members: []ProcID{1}},
+		{Period: 5, MissLimit: 1},
+		{Period: 5, MissLimit: 1, Members: []ProcID{0}},
+		{Period: 5, MissLimit: 1, Members: []ProcID{1, 1}},
+	} {
+		if _, err := NewPlainCoordinator(cfg); err == nil {
+			t.Errorf("config %+v accepted", cfg)
 		}
 	}
 }

@@ -2,13 +2,14 @@ package core
 
 import "fmt"
 
-// Responder implements p[1] of the binary protocol, p[i] of the static
-// protocol and the plain baseline's responder: it answers every beat from
-// p[0] immediately and inactivates after bound ticks without one.
+// Responder implements p[1] of the binary protocol and p[i] of the static
+// protocol (the plain baseline is the binary protocol at tmin = tmax): it
+// answers every beat from p[0] immediately and inactivates after bound
+// ticks without one.
 type Responder struct {
 	id ProcID
-	// bound is the watchdog, computed once at construction: the variant's
-	// ResponderBound, or whatever NewPlainResponder was given.
+	// bound is the watchdog, the variant's ResponderBound, computed once at
+	// construction.
 	bound   Tick
 	status  Status
 	started bool
@@ -25,20 +26,10 @@ func NewResponder(cfg Config, id ProcID) (*Responder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return NewPlainResponder(id, cfg.ResponderBound())
-}
-
-// NewPlainResponder builds a responder with an explicit watchdog bound, for
-// the plain baseline (PlainCoordinator). A sound bound is
-// (MissLimit+1)·Period plus the one-way delay allowance.
-func NewPlainResponder(id ProcID, bound Tick) (*Responder, error) {
 	if id == CoordinatorID {
 		return nil, fmt.Errorf("%w: responder cannot be process 0", ErrConfig)
 	}
-	if bound <= 0 {
-		return nil, fmt.Errorf("%w: bound %d must be positive", ErrConfig, bound)
-	}
-	return &Responder{id: id, bound: bound, status: StatusActive}, nil
+	return &Responder{id: id, bound: cfg.ResponderBound(), status: StatusActive}, nil
 }
 
 // Status implements Machine.

@@ -253,75 +253,54 @@ func TestParticipantIgnoresStrayLeaveAck(t *testing.T) {
 	}
 }
 
+// TestPlainProtocolRoundTrip: the plain baseline's p[0] and p[1] exchange
+// beats every Period while the replies arrive, and the first round without
+// one suspects the member: the miss limit is 1.
 func TestPlainProtocolRoundTrip(t *testing.T) {
-	cfg := PlainConfig{Period: 5, MissLimit: 3, Members: []ProcID{1}}
-	c, err := NewPlainCoordinator(cfg)
+	const period = 5
+	c, err := NewPlainCoordinator(PlainConfig{Period: period, MissLimit: 1, Members: []ProcID{1}})
 	if err != nil {
 		t.Fatalf("NewPlainCoordinator: %v", err)
 	}
+	r := newResponder(t, Config{TMin: period, TMax: period})
 	c.Start(0)
-	c.OnTimer(TimerRound, 5) // grace
-	// Two misses tolerated, third suspects.
-	for i := 0; i < 2; i++ {
-		acts := c.OnTimer(TimerRound, Tick(10+5*i))
+	r.Start(0)
+	now := Tick(0)
+	for round := 0; round < 3; round++ {
+		now += period
+		acts := c.OnTimer(TimerRound, now)
 		if hasAction(acts, ActInactivate) {
-			t.Fatalf("suspected after %d misses", i+1)
+			t.Fatalf("round %d: suspected although every reply arrived: %v", round, acts)
 		}
-	}
-	acts := c.OnTimer(TimerRound, 20)
-	if !hasAction(acts, ActInactivate) || c.Status() != StatusInactive {
-		t.Fatalf("third miss: %v, status %v", acts, c.Status())
-	}
-}
-
-func TestPlainBeatResetsMisses(t *testing.T) {
-	cfg := PlainConfig{Period: 5, MissLimit: 2, Members: []ProcID{1}}
-	c, err := NewPlainCoordinator(cfg)
-	if err != nil {
-		t.Fatalf("NewPlainCoordinator: %v", err)
-	}
-	c.Start(0)
-	c.OnTimer(TimerRound, 5)  // grace
-	c.OnTimer(TimerRound, 10) // miss 1
-	c.OnBeat(Beat{From: 1, Stay: true}, 12)
-	c.OnTimer(TimerRound, 15) // reset
-	c.OnTimer(TimerRound, 20) // miss 1 again
-	if c.Status() != StatusActive {
-		t.Fatal("suspected despite reset")
-	}
-	c.OnTimer(TimerRound, 25) // miss 2 → suspect
-	if c.Status() != StatusInactive {
-		t.Fatal("not suspected at miss limit")
-	}
-}
-
-func TestPlainConfigValidate(t *testing.T) {
-	good := PlainConfig{Period: 5, MissLimit: 1, Members: []ProcID{1}}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	bad := []PlainConfig{
-		{Period: 0, MissLimit: 1, Members: []ProcID{1}},
-		{Period: 5, MissLimit: 0, Members: []ProcID{1}},
-		{Period: 5, MissLimit: 1},
-		{Period: 5, MissLimit: 1, Members: []ProcID{0}},
-		{Period: 5, MissLimit: 1, Members: []ProcID{1, 1}},
-	}
-	for _, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %+v accepted", cfg)
+		beats := actionsOf(acts, ActSendBeat)
+		if len(beats) != 1 || beats[0].To != 1 {
+			t.Fatalf("round %d: beats %v, want one to p[1]", round, beats)
 		}
+		replies := actionsOf(r.OnBeat(beats[0].Beat, now), ActSendBeat)
+		if len(replies) != 1 || replies[0].To != CoordinatorID {
+			t.Fatalf("round %d: replies %v, want one to p[0]", round, replies)
+		}
+		c.OnBeat(replies[0].Beat, now)
 	}
-	if got := good.DetectionBound(); got != 10 {
-		t.Fatalf("DetectionBound = %d, want 10", got)
+	// The last reply counts for this round; its beat is lost.
+	now += period
+	if acts := c.OnTimer(TimerRound, now); hasAction(acts, ActInactivate) {
+		t.Fatalf("suspected although the last reply arrived: %v", acts)
+	}
+	acts := c.OnTimer(TimerRound, now+period)
+	if !hasAction(acts, ActSuspect) || !hasAction(acts, ActInactivate) || c.Status() != StatusInactive {
+		t.Fatalf("first missed reply: %v, status %v; want a suspicion", acts, c.Status())
 	}
 }
 
+// TestPlainResponder: the baseline's responder is the binary protocol's at
+// tmin = tmax, so its watchdog is ResponderBound = 2·Period.
 func TestPlainResponder(t *testing.T) {
-	r, err := NewPlainResponder(1, 20)
-	if err != nil {
-		t.Fatalf("NewPlainResponder: %v", err)
+	cfg := Config{TMin: 10, TMax: 10}
+	if got := cfg.ResponderBound(); got != 20 {
+		t.Fatalf("ResponderBound = %d, want 20", got)
 	}
+	r := newResponder(t, cfg)
 	r.Start(0)
 	acts := r.OnBeat(Beat{From: 0, Stay: true}, 5)
 	if !hasAction(acts, ActSendBeat) {
@@ -331,10 +310,10 @@ func TestPlainResponder(t *testing.T) {
 	if r.Status() != StatusInactive {
 		t.Fatalf("status = %v", r.Status())
 	}
-	if _, err := NewPlainResponder(0, 20); err == nil {
+	if _, err := NewResponder(cfg, CoordinatorID); err == nil {
 		t.Fatal("plain responder with ID 0 accepted")
 	}
-	if _, err := NewPlainResponder(1, 0); err == nil {
-		t.Fatal("plain responder with zero bound accepted")
+	if _, err := NewResponder(Config{}, 1); err == nil {
+		t.Fatal("plain responder with zero period accepted")
 	}
 }

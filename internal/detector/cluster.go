@@ -23,9 +23,6 @@ const (
 	ProtocolExpanding
 	// ProtocolDynamic additionally supports graceful leave.
 	ProtocolDynamic
-	// ProtocolPlain is the non-accelerated baseline the 1998 paper compares
-	// against: fixed period, fixed miss limit (ClusterConfig.Plain).
-	ProtocolPlain
 )
 
 // String implements fmt.Stringer.
@@ -39,8 +36,6 @@ func (p Protocol) String() string {
 		return "expanding"
 	case ProtocolDynamic:
 		return "dynamic"
-	case ProtocolPlain:
-		return "plain"
 	default:
 		return fmt.Sprintf("Protocol(%d)", int(p))
 	}
@@ -51,13 +46,11 @@ func (p Protocol) String() string {
 type ClusterConfig struct {
 	// Protocol selects the variant.
 	Protocol Protocol
-	// Core carries tmin/tmax and the variant/fix switches.
+	// Core carries tmin/tmax and the variant/fix switches. The plain
+	// heartbeat the 1998 paper compares against (fixed period P, the first
+	// miss is fatal) is ProtocolBinary, or ProtocolStatic for N > 1, at
+	// TMin = TMax = P.
 	Core core.Config
-	// Plain carries the baseline's period and miss limit; ProtocolPlain
-	// reads it instead of Core and derives its Members from N. Each
-	// responder's watchdog is (MissLimit+2)·Period: the coordinator's
-	// detection bound plus a round-trip allowance.
-	Plain core.PlainConfig
 	// N is the number of participants (ignored for ProtocolBinary,
 	// which always has exactly one).
 	N int
@@ -70,7 +63,9 @@ type ClusterConfig struct {
 	Adaptive *core.AdaptiveOptions
 	// Link is the default unidirectional link shape. To honour the
 	// papers' round-trip bound, keep MaxDelay at or below tmin/2 per
-	// direction (zero-delay links are always safe).
+	// direction (zero-delay links are always safe). At exactly tmin/2 a
+	// reply can land on the tick a tmin-long round times out, which
+	// without Core.Fixed is a false suspicion (the §6.1 race).
 	Link netem.LinkConfig
 	// Seed drives the simulator's randomness (loss, delays).
 	Seed int64
@@ -143,9 +138,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("%w: cluster needs at least one participant", ErrNodeConfig)
 	}
 	if cfg.Adaptive != nil {
-		if cfg.Protocol == ProtocolPlain {
-			return nil, fmt.Errorf("%w: the plain baseline has no adaptive variant", ErrNodeConfig)
-		}
 		if err := cfg.Adaptive.Validate(); err != nil {
 			return nil, err
 		}
@@ -154,12 +146,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// derivations (bounds, link-delay sanity) see real values.
 		cfg.Core.TMin, cfg.Core.TMax = cfg.Adaptive.Envelope.Point(0)
 	}
-	// The baseline is shaped by Plain alone, which NewPlainCoordinator
-	// validates; its Core stays zero.
-	if cfg.Protocol != ProtocolPlain {
-		if err := cfg.Core.Validate(); err != nil {
-			return nil, err
-		}
+	if err := cfg.Core.Validate(); err != nil {
+		return nil, err
 	}
 	s := sim.New(sim.WithSeed(cfg.Seed))
 	clock := netem.SimClock{Sim: s}
@@ -263,7 +251,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 func newCoordinatorMachine(cfg ClusterConfig) (core.Machine, error) {
 	cc := core.CoordinatorConfig{Config: cfg.Core}
 	switch cfg.Protocol {
-	case ProtocolBinary, ProtocolStatic, ProtocolPlain:
+	case ProtocolBinary, ProtocolStatic:
 		cc.Membership = core.MembershipFixed
 		cc.Members = make([]core.ProcID, cfg.N)
 		for i := range cc.Members {
@@ -279,13 +267,9 @@ func newCoordinatorMachine(cfg ClusterConfig) (core.Machine, error) {
 	}
 	var m core.Machine
 	var err error
-	switch {
-	case cfg.Protocol == ProtocolPlain:
-		cfg.Plain.Members = cc.Members
-		m, err = core.NewPlainCoordinator(cfg.Plain)
-	case cfg.Adaptive != nil:
+	if cfg.Adaptive != nil {
 		m, err = core.NewAdaptiveCoordinator(cc, *cfg.Adaptive)
-	default:
+	} else {
 		m, err = core.NewCoordinator(cc)
 	}
 	if err != nil {
@@ -307,8 +291,6 @@ func newParticipantMachine(cfg ClusterConfig, pid core.ProcID) (core.Machine, er
 		m, err = core.NewParticipant(cfg.Core, pid, false)
 	case ProtocolDynamic:
 		m, err = core.NewParticipant(cfg.Core, pid, true)
-	case ProtocolPlain:
-		m, err = core.NewPlainResponder(pid, core.Tick(cfg.Plain.MissLimit+2)*cfg.Plain.Period)
 	default:
 		return nil, fmt.Errorf("%w: unknown protocol %d", ErrNodeConfig, int(cfg.Protocol))
 	}

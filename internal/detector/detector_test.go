@@ -288,11 +288,6 @@ func TestClusterConfigValidation(t *testing.T) {
 		{Protocol: ProtocolStatic, Core: core.Config{TMin: 1, TMax: 2}, N: 0},
 		{Protocol: ProtocolStatic, Core: core.Config{TMin: 0, TMax: 2}, N: 1},
 		{Protocol: Protocol(99), Core: core.Config{TMin: 1, TMax: 2}, N: 1},
-		{Protocol: ProtocolPlain, Plain: core.PlainConfig{Period: 8, MissLimit: 1}, N: 0},
-		{Protocol: ProtocolPlain, Plain: core.PlainConfig{Period: 0, MissLimit: 1}, N: 1},
-		{Protocol: ProtocolPlain, Plain: core.PlainConfig{Period: 8, MissLimit: 0}, N: 1},
-		{Protocol: ProtocolPlain, Plain: core.PlainConfig{Period: 8, MissLimit: 1}, N: 1,
-			Adaptive: &core.AdaptiveOptions{Envelope: core.Envelope{TMinLo: 2, TMinHi: 2, TMaxLo: 4, TMaxHi: 8}}},
 	}
 	for _, cfg := range bad {
 		if _, err := NewCluster(cfg); err == nil {
@@ -307,7 +302,6 @@ func TestProtocolString(t *testing.T) {
 		ProtocolStatic:    "static",
 		ProtocolExpanding: "expanding",
 		ProtocolDynamic:   "dynamic",
-		ProtocolPlain:     "plain",
 		Protocol(42):      "Protocol(42)",
 	} {
 		if got := p.String(); got != want {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/detector"
 	"repro/internal/netem"
 )
 
@@ -101,13 +100,12 @@ func TestEnsembleRunRepeatable(t *testing.T) {
 func TestEnsembleValidation(t *testing.T) {
 	bad := []Config{
 		{}, // unknown protocol
-		func() Config { c := q3Config(10, 1); c.Protocol = detector.ProtocolPlain; return c }(), // baseline not vectorized
-		func() Config { c := q3Config(10, 1); c.Link.MaxDelay = 2; return c }(),                 // MaxDelay >= TMin
-		func() Config { c := q3Config(10, 1); c.Trials = 0; return c }(),                        // no trials
-		func() Config { c := q3Config(10, 1); c.CrashAt = 5; return c }(),                       // crash without victim
-		func() Config { c := q3Config(10, 1); c.Victim = 4; c.CrashAt = 5; return c }(),         // victim out of range
-		func() Config { c := q3Config(10, 1); c.Core = core.Config{TMax: 4}; return c }(),       // core invalid
-		func() Config { c := q3Config(10, 1); c.Link.LossProb = 1.5; return c }(),               // loss out of range
+		func() Config { c := q3Config(10, 1); c.Link.MaxDelay = 2; return c }(),           // MaxDelay >= TMin
+		func() Config { c := q3Config(10, 1); c.Trials = 0; return c }(),                  // no trials
+		func() Config { c := q3Config(10, 1); c.CrashAt = 5; return c }(),                 // crash without victim
+		func() Config { c := q3Config(10, 1); c.Victim = 4; c.CrashAt = 5; return c }(),   // victim out of range
+		func() Config { c := q3Config(10, 1); c.Core = core.Config{TMax: 4}; return c }(), // core invalid
+		func() Config { c := q3Config(10, 1); c.Link.LossProb = 1.5; return c }(),         // loss out of range
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

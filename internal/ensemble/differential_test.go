@@ -19,9 +19,10 @@ type diffVariant struct {
 }
 
 // diffVariants covers all six paper variants plus §6-fixed instances (the
-// Fixed flag switches the engine onto the receive-priority hop path), and
-// a static row at n=16, whose ticks queue more events than one member's
-// five slots hold.
+// Fixed flag switches the engine onto the receive-priority hop path), the
+// plain heartbeat (binary at tmin = tmax, with and without the fix), and a
+// static row at n=16, whose ticks queue more events than one member's five
+// slots hold.
 func diffVariants(tmin, tmax core.Tick) []diffVariant {
 	return []diffVariant{
 		{"binary", ProtocolBinary, core.Config{TMin: tmin, TMax: tmax}, 1},
@@ -35,6 +36,8 @@ func diffVariants(tmin, tmax core.Tick) []diffVariant {
 		{"expanding-fixed", ProtocolExpanding, core.Config{TMin: tmin, TMax: tmax, Fixed: true}, 2},
 		{"dynamic-fixed", ProtocolDynamic, core.Config{TMin: tmin, TMax: tmax, Fixed: true}, 2},
 		{"static-16", ProtocolStatic, core.Config{TMin: tmin, TMax: tmax}, 16},
+		{"plain", ProtocolBinary, core.Config{TMin: tmax, TMax: tmax}, 1},
+		{"plain-fixed", ProtocolBinary, core.Config{TMin: tmax, TMax: tmax, Fixed: true}, 1},
 	}
 }
 

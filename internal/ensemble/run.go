@@ -28,8 +28,7 @@ const (
 // crash injection (the Q2 detection workload) on top of the always-on
 // false-detection bookkeeping (the Q3 reliability workload).
 type Config struct {
-	// Protocol selects the variant; ProtocolBinary forces N to 1. The plain
-	// baseline (detector.ProtocolPlain) is not vectorized and is rejected.
+	// Protocol selects the variant; ProtocolBinary forces N to 1.
 	Protocol Protocol
 	// Core carries tmin/tmax and the TwoPhase/Revised/Fixed variant flags.
 	Core core.Config

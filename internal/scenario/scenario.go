@@ -4,7 +4,8 @@
 // regenerate the quantitative trade-off the ICDCS'98 paper argues for —
 // acceleration keeps the plain protocol's detection latency at a fraction
 // of its message rate, and tolerates bursts of ~log2(tmax/tmin) losses
-// where the plain protocol tolerates MissLimit.
+// where the plain protocol, the same protocol at tmin = tmax, tolerates
+// none.
 package scenario
 
 import (
@@ -99,12 +100,8 @@ func MeasureDetection(cfg DetectionConfig) (*DetectionResult, error) {
 
 // detectionBound is the configured protocol's worst-case crash-to-suspicion
 // latency: the coordinator's detection bound from the last beat it received,
-// plus the offset from that beat to the crash (at most one tmin round trip;
-// one tick for the plain baseline's zero-delay exchange).
+// plus the offset from that beat to the crash (at most one tmin round trip).
 func detectionBound(cc detector.ClusterConfig) core.Tick {
-	if cc.Protocol == detector.ProtocolPlain {
-		return cc.Plain.DetectionBound() + 1
-	}
 	return cc.Core.CoordinatorDetectionBound() + cc.Core.TMin
 }
 

@@ -72,8 +72,8 @@ func TestMeasureOverheadAcceleratedVsPlain(t *testing.T) {
 		t.Fatalf("accelerated rate %v, want about %v", res.MessagesPerTick, want)
 	}
 	// A plain protocol matching the accelerated detection bound (about
-	// 3·tmax − tmin = 46 ticks) with MissLimit 2 needs period ~15, i.e.
-	// roughly the same rate; matching the accelerated protocol's
+	// 3·tmax − tmin = 46 ticks) while tolerating two misses needs period
+	// ~15, i.e. roughly the same rate; matching the accelerated protocol's
 	// worst-case loss tolerance (3 consecutive losses) at that detection
 	// bound needs period ~11, i.e. more traffic.
 	plain := PlainOverhead(1, 11)
@@ -111,18 +111,24 @@ func TestMeasureReliabilityMonotoneInLoss(t *testing.T) {
 	}
 }
 
-// plainCluster is the baseline as one more detector.ClusterConfig.
-func plainCluster(period core.Tick, missLimit, n int) detector.ClusterConfig {
+// plainCluster is the plain heartbeat (fixed period, the first miss is
+// fatal): the accelerated protocol at tmin = tmax = period, binary for one
+// participant and static for any other count.
+func plainCluster(period core.Tick, n int) detector.ClusterConfig {
+	protocol := detector.ProtocolStatic
+	if n == 1 {
+		protocol = detector.ProtocolBinary
+	}
 	return detector.ClusterConfig{
-		Protocol: detector.ProtocolPlain,
-		Plain:    core.PlainConfig{Period: period, MissLimit: missLimit},
+		Protocol: protocol,
+		Core:     core.Config{TMin: period, TMax: period},
 		N:        n,
 	}
 }
 
 func TestPlainClusterRunsAndDetects(t *testing.T) {
 	res, err := MeasureDetection(DetectionConfig{
-		Cluster: plainCluster(8, 3, 2), CrashAt: 100, Horizon: 400, Trials: 10, Seed: 3,
+		Cluster: plainCluster(8, 2), CrashAt: 100, Horizon: 400, Trials: 10, Seed: 3,
 	})
 	if err != nil {
 		t.Fatalf("MeasureDetection: %v", err)
@@ -130,15 +136,18 @@ func TestPlainClusterRunsAndDetects(t *testing.T) {
 	if res.Missed != 0 {
 		t.Fatalf("missed %d", res.Missed)
 	}
+	if res.Bound != 24 {
+		t.Fatalf("bound %d, want 2·8 from the last beat plus one 8-tick round trip", res.Bound)
+	}
 	maxDelay, _ := res.Delays.Max()
-	if maxDelay > float64(res.Bound)+8 {
+	if maxDelay > float64(res.Bound) {
 		t.Fatalf("delay %v beyond bound %d", maxDelay, res.Bound)
 	}
 }
 
 func TestPlainMoreFragileAtEqualRate(t *testing.T) {
-	// At roughly equal steady-state rates, the plain protocol with
-	// MissLimit 1 breaks far more often than the accelerated one, whose
+	// At roughly equal steady-state rates, the plain protocol, whose first
+	// miss is fatal, breaks far more often than the accelerated one, whose
 	// effective miss budget is log2(tmax/tmin) consecutive rounds.
 	loss := 0.15
 	horizon := 3000
@@ -153,7 +162,7 @@ func TestPlainMoreFragileAtEqualRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain, err := MeasureReliability(ReliabilityConfig{
-		Cluster:  plainCluster(16, 1, 1), // 2/16 msgs/tick
+		Cluster:  plainCluster(16, 1), // 2/16 msgs/tick
 		LossProb: loss,
 		Horizon:  3000,
 		Trials:   60,
@@ -171,21 +180,23 @@ func TestPlainMoreFragileAtEqualRate(t *testing.T) {
 }
 
 func TestPlainClusterValidation(t *testing.T) {
-	if _, err := detector.NewCluster(plainCluster(8, 1, 0)); err == nil {
+	if _, err := detector.NewCluster(plainCluster(8, 0)); err == nil {
 		t.Fatal("zero participants accepted")
 	}
-	if _, err := MeasureReliability(ReliabilityConfig{Cluster: plainCluster(8, 1, 1), LossProb: 0.1, Horizon: 0, Trials: 1, Seed: 1}); err == nil {
+	if _, err := MeasureReliability(ReliabilityConfig{Cluster: plainCluster(8, 1), LossProb: 0.1, Horizon: 0, Trials: 1, Seed: 1}); err == nil {
 		t.Fatal("zero horizon accepted")
 	}
-	if _, err := MeasureDetection(DetectionConfig{Cluster: plainCluster(8, 1, 1), CrashAt: 10, Horizon: 5, Trials: 1, Seed: 1}); err == nil {
+	if _, err := MeasureDetection(DetectionConfig{Cluster: plainCluster(8, 1), CrashAt: 10, Horizon: 5, Trials: 1, Seed: 1}); err == nil {
 		t.Fatal("bad horizon accepted")
 	}
 }
 
-// TestPlainThroughOneAssemblerMatchesRecorded pins the baseline assembled
-// by detector.NewCluster to what the deleted scenario.PlainCluster /
-// MeasurePlainReliability / MeasurePlainDetection produced, recorded from
-// the last commit that had them: same seeds, same draws, same numbers.
+// TestPlainThroughOneAssemblerMatchesRecorded pins the baseline, now the
+// binary protocol at tmin = tmax, to what the deleted scenario.PlainCluster
+// / MeasurePlainReliability / MeasurePlainDetection produced at miss limit
+// 1, recorded from the last commit that had them: same seeds, same draws,
+// same numbers. The detection bound is the binary protocol's own, 2·tmax
+// plus a tmin round trip.
 func TestPlainThroughOneAssemblerMatchesRecorded(t *testing.T) {
 	for _, tc := range []struct {
 		cluster          detector.ClusterConfig
@@ -196,8 +207,7 @@ func TestPlainThroughOneAssemblerMatchesRecorded(t *testing.T) {
 		sum              float64
 		bound            core.Tick
 	}{
-		{plainCluster(8, 3, 2), 100, 400, 10, 3, 10, 280, 33},
-		{plainCluster(8, 1, 1), 10, 100, 5, 1, 5, 70, 17},
+		{plainCluster(8, 1), 10, 100, 5, 1, 5, 70, 24},
 	} {
 		res, err := MeasureDetection(DetectionConfig{
 			Cluster: tc.cluster, CrashAt: sim.Time(tc.crashAt), Horizon: sim.Time(tc.horizon),
@@ -208,7 +218,7 @@ func TestPlainThroughOneAssemblerMatchesRecorded(t *testing.T) {
 		}
 		if res.Missed != 0 || res.Delays.N() != tc.n || res.Delays.Sum() != tc.sum || res.Bound != tc.bound {
 			t.Errorf("detection %+v: missed %d, n %d, sum %v, bound %d; recorded 0, %d, %v, %d",
-				tc.cluster.Plain, res.Missed, res.Delays.N(), res.Delays.Sum(), res.Bound, tc.n, tc.sum, tc.bound)
+				tc.cluster.Core, res.Missed, res.Delays.N(), res.Delays.Sum(), res.Bound, tc.n, tc.sum, tc.bound)
 		}
 	}
 	for _, tc := range []struct {
@@ -220,10 +230,9 @@ func TestPlainThroughOneAssemblerMatchesRecorded(t *testing.T) {
 		failed  int
 		sum     float64
 	}{
-		{plainCluster(16, 1, 1), 0.15, 3000, 60, 11, 60, 4336},
-		{plainCluster(16, 1, 1), 0.02, 1000, 40, 7, 33, 10864},
-		{plainCluster(8, 1, 1), 0.02, 1000, 40, 7, 40, 9736},
-		{plainCluster(8, 3, 2), 0.2, 1000, 40, 7, 40, 5704},
+		{plainCluster(16, 1), 0.15, 3000, 60, 11, 60, 4336},
+		{plainCluster(16, 1), 0.02, 1000, 40, 7, 33, 10864},
+		{plainCluster(8, 1), 0.02, 1000, 40, 7, 40, 9736},
 	} {
 		res, err := MeasureReliability(ReliabilityConfig{
 			Cluster: tc.cluster, LossProb: tc.loss, Horizon: sim.Time(tc.horizon),
@@ -235,7 +244,7 @@ func TestPlainThroughOneAssemblerMatchesRecorded(t *testing.T) {
 		if res.FalseDetection.Successes != tc.failed || res.FalseDetection.Trials != tc.trials ||
 			res.TimeToFalse.N() != tc.failed || res.TimeToFalse.Sum() != tc.sum {
 			t.Errorf("reliability %+v loss %v: %+v, time-to-false n %d sum %v; recorded %d/%d, sum %v",
-				tc.cluster.Plain, tc.loss, res.FalseDetection, res.TimeToFalse.N(), res.TimeToFalse.Sum(),
+				tc.cluster.Core, tc.loss, res.FalseDetection, res.TimeToFalse.N(), res.TimeToFalse.Sum(),
 				tc.failed, tc.trials, tc.sum)
 		}
 	}
@@ -246,7 +255,7 @@ func TestPlainThroughOneAssemblerMatchesRecorded(t *testing.T) {
 // an observer attached, detects within its own configured bound.
 func TestPlainClusterUnderFaultSchedule(t *testing.T) {
 	const crashAt = 203
-	cc := plainCluster(8, 3, 2)
+	cc := plainCluster(8, 2)
 	sched, err := faults.ParseSchedule("crash t=203 node=1")
 	if err != nil {
 		t.Fatal(err)
@@ -269,11 +278,38 @@ func TestPlainClusterUnderFaultSchedule(t *testing.T) {
 	if !ok || ev.Proc != 1 {
 		t.Fatalf("coordinator never suspected p[1]: %+v (events %v)", ev, c.Events)
 	}
-	if delay, bound := ev.Time-crashAt, cc.Plain.DetectionBound(); delay <= 0 || delay > bound {
+	if delay, bound := ev.Time-crashAt, cc.Core.CoordinatorDetectionBound(); delay <= 0 || delay > bound {
 		t.Fatalf("suspected %d ticks after the crash, want within (0, %d]", delay, bound)
 	}
 	if len(rec.Events()) == 0 {
 		t.Fatal("observer saw no machine steps")
+	}
+}
+
+// TestPlainInheritsReceivePriorityRace pins the §6.1 race the plain
+// baseline inherits from the accelerated protocol. With delay jitter up to
+// P/2 a reply can land on the very tick its round times out; without
+// receive priority the timeout runs first and p[0] suspects a live
+// participant. On this loss-free seed the unfixed baseline does so at
+// t=2336, and the Fixed one (deliveries before same-instant timeouts)
+// never does.
+func TestPlainInheritsReceivePriorityRace(t *testing.T) {
+	for _, tc := range []struct {
+		fixed bool
+		falsy int
+		at    float64
+	}{{false, 1, 2336}, {true, 0, 0}} {
+		cc := plainCluster(16, 1)
+		cc.Core.Fixed = tc.fixed
+		cc.Link.MaxDelay = 8
+		res, err := MeasureReliability(ReliabilityConfig{Cluster: cc, Horizon: 3000, Trials: 1, Seed: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FalseDetection.Successes != tc.falsy || tc.falsy > 0 && res.TimeToFalse.Sum() != tc.at {
+			t.Errorf("fixed=%v: %d false suspicions (first at %v), want %d (at %v)",
+				tc.fixed, res.FalseDetection.Successes, res.TimeToFalse.Values(), tc.falsy, tc.at)
+		}
 	}
 }
 
