@@ -61,4 +61,18 @@ func TestBadFlagOnStderr(t *testing.T) {
 	if out.Len() != 0 {
 		t.Errorf("flag error wrote to stdout:\n%s", out.String())
 	}
+
+	// A member count whose trials outrun the per-trial event limit is an
+	// error, not a panic.
+	out.Reset()
+	errs.Reset()
+	if code := run([]string{"-q1", "-n", "6000"}, &out, &errs); code != 1 {
+		t.Errorf("run(-q1 -n 6000) = %d, want 1", code)
+	}
+	if !strings.HasPrefix(errs.String(), "hbmc: ") || !strings.Contains(errs.String(), "per-trial limit") {
+		t.Errorf("stderr does not report the per-trial event limit:\n%s", errs.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("run error wrote to stdout:\n%s", out.String())
+	}
 }

@@ -10,8 +10,8 @@
 //     inactivate, …), as typed values with virtual timestamps, and checks
 //     each event as it happens. It is the one checker: a live run attaches
 //     it as the cluster's observer (RunStream, campaign trials, walks,
-//     shrinking), and a recorded trace (Recorder, Run) is checked by
-//     calling Feed per event, then Finish.
+//     shrinking), and a trace a Recorder kept is checked by calling Feed
+//     per event, then Finish.
 //   - A Spec is the variant's model LTS (built monitor-free via
 //     mc.BuildLTS) with unobservable labels hidden and the join-delivery
 //     labels merged into the plain delivery labels (the wire does not

@@ -1,10 +1,14 @@
 package ensemble
 
 import (
+	"errors"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/netem"
+	"repro/internal/sim"
 )
 
 // q3Config is the Q3 false-detection workload: binary {2,16} under loss,
@@ -110,6 +114,58 @@ func TestEnsembleValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+
+	// The per-trial event limit. A lossless, delay-free binary trial
+	// schedules two events at Start and four per round (the beat, the
+	// round re-arm, the reply, the watchdog re-arm), one round every TMax
+	// ticks, so round R leaves the seq counter at 2+4R. The first round
+	// that would pass seqMask-1 runs at tick rounds·TMax: a horizon one
+	// tick short of it runs, one that reaches it fails with the limit.
+	const tmax = 2
+	rounds := sim.Time((seqMask-1-2)/4 + 1)
+	limit := func(horizon sim.Time, trials, workers int) Config {
+		return Config{Protocol: ProtocolBinary, Core: core.Config{TMin: tmax, TMax: tmax}, N: 1,
+			Horizon: horizon, Trials: trials, Seed: 1, Workers: workers, Block: 1}
+	}
+	res, err := Run(limit(rounds*tmax-1, 1, 1))
+	if err != nil {
+		t.Errorf("horizon %d, one tick below the event limit: %v", rounds*tmax-1, err)
+	} else if res.Rounds != uint64(rounds-1) {
+		t.Errorf("horizon %d ran %d rounds, want %d", rounds*tmax-1, res.Rounds, rounds-1)
+	}
+	for _, workers := range []int{1, 2} {
+		_, err := Run(limit(rounds*tmax, 2, workers))
+		if !errors.Is(err, errSeqOverflow) || !strings.Contains(err.Error(), strconv.FormatUint(seqMask-1, 10)) {
+			t.Errorf("horizon %d at %d workers: %v, want the per-trial event limit %d", rounds*tmax, workers, err, seqMask-1)
+		}
+	}
+}
+
+// TestEnsembleSlotsSuffice shows the engine's slot-overflow panics cannot
+// be reached from a Config: at the largest MaxDelay validation accepts,
+// TMin-1, every variant runs lossy, jittered trials to completion (with
+// a crash, §6.1 hops and blocks that do not divide the trials), and at
+// MaxDelay = TMin Run refuses the config.
+func TestEnsembleSlotsSuffice(t *testing.T) {
+	for _, fixed := range []bool{false, true} {
+		for _, v := range Variants(3) {
+			c := v.coreFor(3, 24)
+			c.Fixed = fixed
+			cfg := Config{
+				Protocol: v.Protocol, Core: c, N: v.N,
+				Link:   netem.LinkConfig{LossProb: 0.2, MaxDelay: sim.Time(c.TMin) - 1},
+				Victim: 1, CrashAt: 300, CrashJitter: 24,
+				Horizon: 1500, Trials: 150, Seed: 5, Workers: 2, Block: 40,
+			}
+			if _, err := Run(cfg); err != nil {
+				t.Errorf("%s fixed=%v at MaxDelay = TMin-1: %v", v.Name, fixed, err)
+			}
+			cfg.Link.MaxDelay = sim.Time(c.TMin)
+			if _, err := Run(cfg); err == nil {
+				t.Errorf("%s fixed=%v at MaxDelay = TMin accepted", v.Name, fixed)
+			}
 		}
 	}
 }

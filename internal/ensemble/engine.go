@@ -44,6 +44,8 @@
 package ensemble
 
 import (
+	"errors"
+
 	"repro/internal/core"
 )
 
@@ -79,8 +81,8 @@ const inert = int64(-1)
 // Event-slot keys pack (at, seq) into one uint64 — uint64(at)<<seqBits |
 // seq — so (time, seq) order is plain integer order and a tick's earliest
 // event is a single-word min-scan. seqBits leaves 42 bits of tick range; validation
-// caps ticks at maxTick and nextSeq panics before a seq can wrap into
-// the tick field.
+// caps ticks at maxTick and nextSeq stops the run before a seq can wrap
+// into the tick field.
 const (
 	seqBits  = 22
 	seqMask  = uint64(1)<<seqBits - 1
@@ -222,15 +224,21 @@ func (e *engine) slot(t, m, s int) int {
 	return t*e.stride + 1 + slotsPerMember*m + s
 }
 
+// errSeqOverflow reports a trial that needs more events than the seq field
+// of the packed key can number. How many a trial schedules depends on N,
+// the horizon and every loss roll, so it is found by running, not by
+// validation: nextSeq panics with it, and Run recovers it as its error.
+var errSeqOverflow = errors.New("ensemble: a trial scheduled more than 4194302 events, the per-trial limit; lower N or Horizon")
+
 // nextSeq mirrors sim.Simulator's Schedule-time sequence assignment. A
-// trial that exhausts the seq field of the packed key panics rather than
-// silently corrupting event order (2^22 events per trial).
+// trial that exhausts the seq field of the packed key stops the run with
+// errSeqOverflow rather than silently corrupting event order.
 //
 //hbvet:noalloc
 func (e *engine) nextSeq(t int) uint64 {
 	e.seqc[t]++
 	if e.seqc[t] >= seqMask {
-		panic("ensemble: per-trial event sequence overflow")
+		panic(errSeqOverflow)
 	}
 	return e.seqc[t]
 }

@@ -262,8 +262,15 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Record {
 		outcomes = make([]Outcome, cfg.Trials)
 	}
-	// A block cannot fail, so Do's (done, err) is always (nBlocks, nil).
-	par.Do(nBlocks, len(ws), func(w, b int) error {
+	// A block fails only when a trial outruns the per-trial event limit.
+	_, err = par.Do(nBlocks, len(ws), func(w, b int) (err error) {
+		defer func() {
+			if r := recover(); r == errSeqOverflow {
+				err = errSeqOverflow
+			} else if r != nil {
+				panic(r)
+			}
+		}()
 		wk := &ws[w]
 		if wk.eng == nil {
 			// No block holds more than Trials trials.
@@ -276,6 +283,9 @@ func Run(cfg Config) (*Result, error) {
 		wk.eng.collect(&blocks[b], wk.delayQ, wk.ttfQ, outcomes)
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Result{Trials: cfg.Trials, Outcomes: outcomes}
 	res.DelayQ, res.TimeToFalseQ = newSketches(cfg)

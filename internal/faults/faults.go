@@ -84,38 +84,12 @@ const (
 	KindRejoin
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: a kind's name is its directive's.
 func (k Kind) String() string {
-	switch k {
-	case KindCrash:
-		return "crash"
-	case KindRestart:
-		return "restart"
-	case KindPartition:
-		return "partition"
-	case KindHeal:
-		return "heal"
-	case KindLinkDown:
-		return "linkdown"
-	case KindLinkUp:
-		return "linkup"
-	case KindLoss:
-		return "loss"
-	case KindDup:
-		return "dup"
-	case KindReorder:
-		return "reorder"
-	case KindDrift:
-		return "drift"
-	case KindDelay:
-		return "delay"
-	case KindLeave:
-		return "leave"
-	case KindRejoin:
-		return "rejoin"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if d := row(k); d != nil {
+		return d.name
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Event is one timed fault. Which fields are meaningful depends on Kind.
@@ -125,12 +99,14 @@ type Event struct {
 	At sim.Time
 	// Kind selects the fault type.
 	Kind Kind
-	// Node is the target process for Crash/Restart/Partition/Heal/Drift.
+	// Node is the target process for Crash/Restart/Partition/Heal/Drift
+	// and Leave/Rejoin.
 	Node netem.NodeID
 	// From and To name the unidirectional link for LinkDown/LinkUp and
-	// for per-link Loss.
+	// for per-link Loss and Delay.
 	From, To netem.NodeID
-	// AllLinks makes a Loss event apply to every link instead of From→To.
+	// AllLinks makes a Loss or Delay event apply to every link instead of
+	// From→To.
 	AllLinks bool
 	// GE is the loss channel for KindLoss; nil clears the channel.
 	GE *GilbertElliott

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -11,7 +12,8 @@ import (
 // the parser accepts must Format to text that reparses to a deeply equal
 // schedule, and Format must be a fixpoint from then on. This property is
 // what lets hbconform print a failing walk's schedule inline as a
-// copy-pasteable reproduction.
+// copy-pasteable reproduction. Every input the parser rejects must be
+// rejected with ErrSchedule.
 //
 // Every drift event of an accepted schedule is also applied to a DriftClock
 // and must leave its timer arithmetic inside int64.
@@ -49,6 +51,9 @@ func FuzzParseSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := ParseSchedule(text)
 		if err != nil {
+			if !errors.Is(err, ErrSchedule) {
+				t.Fatalf("rejection is not ErrSchedule: %v\ninput: %q", err, text)
+			}
 			return // rejected input: nothing to round-trip
 		}
 		formatted := s.Format()

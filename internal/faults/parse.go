@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -13,8 +14,9 @@ import (
 
 // ParseSchedule parses the textual fault-schedule format used by scenario
 // files and hbsim's -faults flag. Directives are separated by newlines or
-// semicolons; '#' starts a comment. Each directive is a kind followed by
-// key=value fields (and the bare flag "all" for loss):
+// semicolons; '#' starts a comment. Each directive is a name followed by
+// key=value fields (and, for loss and delay, the bare flag "all" in place
+// of from/to):
 //
 //	seed 42
 //	loss      t=0 all pgb=0.05 pbg=0.5 lg=0 lb=0.9   # Gilbert–Elliott
@@ -43,7 +45,11 @@ import (
 //	zonedelay t=50 from=0 to=1 mindelay=2 maxdelay=4 # one direction only
 //	churn     t=100 stagger=10 down=40 nodes=1,2,3
 //
-// Omitted Gilbert–Elliott fields default to zero, matching the struct.
+// Every directive but seed and topo is one row of the directives table,
+// which is the grammar's single definition: a directive accepts exactly
+// the fields its row lists (t, or its alias at, is every row's), and
+// Format renders exactly those. Omitted fields default to zero, except
+// drift's rate, which defaults to 1/1.
 //
 // ParseSchedule additionally rejects overlapping fault windows: a
 // partition of an already-partitioned node, a linkdown of a link that is
@@ -53,47 +59,30 @@ func ParseSchedule(text string) (*Schedule, error) {
 	s := &Schedule{}
 	var topo *Topology
 	lines := strings.FieldsFunc(text, func(r rune) bool { return r == '\n' || r == ';' })
-	for li, raw := range lines {
-		line := raw
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
+	for li, line := range lines {
+		line, _, _ = strings.Cut(line, "#")
+		words := strings.Fields(line)
+		if len(words) == 0 {
 			continue
 		}
-		kindWord, args := strings.ToLower(fields[0]), fields[1:]
-		switch kindWord {
+		var err error
+		switch name, words := strings.ToLower(words[0]), words[1:]; name {
 		case "seed":
-			if len(args) != 1 {
-				return nil, fmt.Errorf("%w: line %d: seed takes one value", ErrSchedule, li+1)
+			if len(words) != 1 {
+				err = fmt.Errorf("%w: seed takes one value, got %q", ErrSchedule, line)
+			} else if s.Seed, err = strconv.ParseInt(words[0], 10, 64); err != nil {
+				err = fmt.Errorf("%w: bad seed %q", ErrSchedule, words[0])
 			}
-			v, err := strconv.ParseInt(args[0], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("%w: line %d: bad seed %q", ErrSchedule, li+1, args[0])
-			}
-			s.Seed = v
-			continue
 		case "topo":
-			t, err := parseTopo(args)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", li+1, err)
-			}
-			topo = t
-			continue
-		case "rackfail", "rackheal", "rackloss", "zonedelay", "churn":
-			evs, err := expandTopo(topo, kindWord, args)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", li+1, err)
-			}
+			topo, err = parseTopo(words)
+		default:
+			var evs []Event
+			evs, err = parseDirective(name, words, topo)
 			s.Events = append(s.Events, evs...)
-			continue
 		}
-		ev, err := parseEvent(kindWord, args)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", li+1, err)
 		}
-		s.Events = append(s.Events, ev)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -105,167 +94,282 @@ func ParseSchedule(text string) (*Schedule, error) {
 }
 
 // parseTopo parses "topo racks=node:rack,... [zones=rack:zone,...]".
-func parseTopo(args []string) (*Topology, error) {
+func parseTopo(words []string) (*Topology, error) {
 	t := &Topology{Racks: map[netem.NodeID]int{}, Zones: map[int]int{}}
-	for _, arg := range args {
-		key, val, found := strings.Cut(arg, "=")
-		if !found {
-			return nil, fmt.Errorf("%w: expected key=value, got %q", ErrSchedule, arg)
-		}
+	for _, w := range words {
+		key, val, _ := strings.Cut(w, "=")
+		var put func(a, b int)
 		switch strings.ToLower(key) {
 		case "racks":
-			for _, pair := range strings.Split(val, ",") {
-				ns, rs, ok := strings.Cut(pair, ":")
-				if !ok {
-					return nil, fmt.Errorf("%w: racks wants node:rack pairs, got %q", ErrSchedule, pair)
-				}
-				n, err1 := strconv.Atoi(ns)
-				r, err2 := strconv.Atoi(rs)
-				if err1 != nil || err2 != nil {
-					return nil, fmt.Errorf("%w: bad racks pair %q", ErrSchedule, pair)
-				}
-				t.Racks[netem.NodeID(n)] = r
-			}
+			put = func(node, rack int) { t.Racks[netem.NodeID(node)] = rack }
 		case "zones":
-			for _, pair := range strings.Split(val, ",") {
-				rs, zs, ok := strings.Cut(pair, ":")
-				if !ok {
-					return nil, fmt.Errorf("%w: zones wants rack:zone pairs, got %q", ErrSchedule, pair)
-				}
-				r, err1 := strconv.Atoi(rs)
-				z, err2 := strconv.Atoi(zs)
-				if err1 != nil || err2 != nil {
-					return nil, fmt.Errorf("%w: bad zones pair %q", ErrSchedule, pair)
-				}
-				t.Zones[r] = z
-			}
+			put = func(rack, zone int) { t.Zones[rack] = zone }
 		default:
-			return nil, fmt.Errorf("%w: topo does not take field %q", ErrSchedule, key)
+			return nil, fmt.Errorf("%w: topo does not take %q", ErrSchedule, w)
+		}
+		for _, pair := range strings.Split(val, ",") {
+			as, bs, _ := strings.Cut(pair, ":")
+			a, err1 := strconv.Atoi(as)
+			b, err2 := strconv.Atoi(bs)
+			if err1 != nil || err2 != nil {
+				return nil, fmt.Errorf("%w: %s wants a:b pairs, got %q", ErrSchedule, key, pair)
+			}
+			put(a, b)
 		}
 	}
 	return t, t.Validate()
 }
 
-// topoKeys lists the fields each topology directive understands.
-var topoKeys = map[string]string{
-	"rackfail":  " rack ",
-	"rackheal":  " rack ",
-	"rackloss":  " rack pgb pbg lg lb ",
-	"zonedelay": " from to mindelay maxdelay ",
-	"churn":     " stagger down nodes ",
+// directive is one row of the schedule grammar: a name, the Kind of the
+// Event it parses to (none for a topology directive, which expand turns
+// into primitive events instead), whether it takes the bare flag "all" in
+// place of from/to, and its fields beyond t in the order Format renders
+// them.
+type directive struct {
+	name   string
+	kind   Kind
+	all    bool
+	fields []*field
+	expand func(t *Topology, a *args) []Event
 }
 
-// expandTopo expands one topology directive into primitive events.
-func expandTopo(topo *Topology, kindWord string, args []string) ([]Event, error) {
-	if topo == nil {
-		return nil, fmt.Errorf("%w: %s needs a prior topo directive", ErrSchedule, kindWord)
+// args is what a directive's fields decode into: the Event of a primitive
+// directive, plus the fields only topology directives take.
+type args struct {
+	Event
+	rack          int
+	stagger, down sim.Time
+	nodes         []netem.NodeID
+}
+
+// ge returns the loss channel the Gilbert–Elliott fields fill, made by the
+// first of them.
+func (a *args) ge() *GilbertElliott {
+	if a.GE == nil {
+		a.GE = new(GilbertElliott)
 	}
-	var (
-		at         = sim.Time(-1)
-		rack       int
-		fromZ, toZ int
-		minD, maxD sim.Time
-		stagger    sim.Time
-		down       sim.Time
-		nodes      []netem.NodeID
-		ge         GilbertElliott
-		haveGE     bool
-	)
-	for _, arg := range args {
-		key, val, found := strings.Cut(arg, "=")
-		if !found {
-			return nil, fmt.Errorf("%w: expected key=value, got %q", ErrSchedule, arg)
-		}
-		key = strings.ToLower(key)
-		if key != "t" && key != "at" && !strings.Contains(topoKeys[kindWord], " "+key+" ") {
-			return nil, fmt.Errorf("%w: %s does not take field %q", ErrSchedule, kindWord, key)
-		}
-		var intDst *sim.Time
-		switch key {
-		case "t", "at":
-			intDst = &at
-		case "mindelay":
-			intDst = &minD
-		case "maxdelay":
-			intDst = &maxD
-		case "stagger":
-			intDst = &stagger
-		case "down":
-			intDst = &down
-		}
-		switch key {
-		case "t", "at", "mindelay", "maxdelay", "stagger", "down":
-			v, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("%w: bad %s %q", ErrSchedule, key, val)
+	return a.GE
+}
+
+// A field is one key=value codec: its key, how a value decodes into args,
+// and how Format renders it back. Format leaves the field out when omit is
+// set and reports true. Fields only topology directives take have no
+// render: Format sees their expansion, never the directive.
+type field struct {
+	key    string
+	decode func(a *args, v string) error
+	render func(a *args) string
+	omit   func(a *args) bool
+}
+
+// unless sets f's omit and returns f.
+func (f *field) unless(omit func(a *args) bool) *field {
+	f.omit = omit
+	return f
+}
+
+// intField is a base-10 integer field stored at at.
+func intField[T ~int | ~int64](key string, at func(*args) *T) *field {
+	return &field{key: key,
+		decode: func(a *args, v string) error {
+			n, err := strconv.ParseInt(v, 10, 64)
+			*at(a) = T(n)
+			return err
+		},
+		render: func(a *args) string { return fmt.Sprintf(" %s=%d", key, *at(a)) },
+	}
+}
+
+// floatField is a float field stored at at.
+func floatField(key string, at func(*args) *float64) *field {
+	return &field{key: key,
+		decode: func(a *args, v string) (err error) {
+			*at(a), err = strconv.ParseFloat(v, 64)
+			return err
+		},
+		render: func(a *args) string { return fmt.Sprintf(" %s=%g", key, *at(a)) },
+	}
+}
+
+func allLinks(a *args) bool { return a.AllLinks }
+func noGE(a *args) bool     { return a.GE == nil }
+
+// The field codecs the directives share.
+var (
+	fTime     = intField("t", func(a *args) *sim.Time { return &a.At })
+	fNode     = intField("node", func(a *args) *netem.NodeID { return &a.Node })
+	fFrom     = intField("from", func(a *args) *netem.NodeID { return &a.From }).unless(allLinks)
+	fTo       = intField("to", func(a *args) *netem.NodeID { return &a.To }).unless(allLinks)
+	fProb     = floatField("prob", func(a *args) *float64 { return &a.Prob })
+	fMinDelay = intField("mindelay", func(a *args) *sim.Time { return &a.MinDelay })
+	fMaxDelay = intField("maxdelay", func(a *args) *sim.Time { return &a.MaxDelay })
+	fGE       = []*field{
+		floatField("pgb", func(a *args) *float64 { return &a.ge().PGoodBad }).unless(noGE),
+		floatField("pbg", func(a *args) *float64 { return &a.ge().PBadGood }).unless(noGE),
+		floatField("lg", func(a *args) *float64 { return &a.ge().LossGood }).unless(noGE),
+		floatField("lb", func(a *args) *float64 { return &a.ge().LossBad }).unless(noGE),
+	}
+	fRate = &field{key: "rate",
+		decode: func(a *args, v string) error {
+			num, den, found := strings.Cut(v, "/")
+			if !found {
+				den = "1"
 			}
-			*intDst = sim.Time(v)
-		case "rack", "from", "to":
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("%w: bad %s %q", ErrSchedule, key, val)
-			}
-			switch key {
-			case "rack":
-				rack = v
-			case "from":
-				fromZ = v
-			case "to":
-				toZ = v
-			}
-		case "nodes":
-			for _, ns := range strings.Split(val, ",") {
-				n, err := strconv.Atoi(ns)
+			var err1, err2 error
+			a.Num, err1 = strconv.ParseInt(num, 10, 64)
+			a.Den, err2 = strconv.ParseInt(den, 10, 64)
+			return errors.Join(err1, err2)
+		},
+		render: func(a *args) string { return fmt.Sprintf(" rate=%d/%d", a.Num, a.Den) },
+	}
+	fSkew    = intField("skew", func(a *args) *core.Tick { return &a.Skew })
+	fRack    = intField("rack", func(a *args) *int { return &a.rack })
+	fStagger = intField("stagger", func(a *args) *sim.Time { return &a.stagger })
+	fDown    = intField("down", func(a *args) *sim.Time { return &a.down })
+	fNodes   = &field{key: "nodes",
+		decode: func(a *args, v string) error {
+			for _, s := range strings.Split(v, ",") {
+				n, err := strconv.Atoi(s)
 				if err != nil {
-					return nil, fmt.Errorf("%w: bad node %q in nodes", ErrSchedule, ns)
+					return err
 				}
-				nodes = append(nodes, netem.NodeID(n))
+				a.nodes = append(a.nodes, netem.NodeID(n))
 			}
-		case "pgb", "pbg", "lg", "lb":
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("%w: bad %s %q", ErrSchedule, key, val)
-			}
-			haveGE = true
-			switch key {
-			case "pgb":
-				ge.PGoodBad = v
-			case "pbg":
-				ge.PBadGood = v
-			case "lg":
-				ge.LossGood = v
-			case "lb":
-				ge.LossBad = v
-			}
+			return nil
+		},
+	}
+)
+
+// directives is the schedule grammar. Kind.String and Format read a
+// kind's name and fields from its row.
+var directives = []directive{
+	{name: "crash", kind: KindCrash, fields: []*field{fNode}},
+	{name: "restart", kind: KindRestart, fields: []*field{fNode}},
+	{name: "partition", kind: KindPartition, fields: []*field{fNode}},
+	{name: "heal", kind: KindHeal, fields: []*field{fNode}},
+	{name: "linkdown", kind: KindLinkDown, fields: []*field{fFrom, fTo}},
+	{name: "linkup", kind: KindLinkUp, fields: []*field{fFrom, fTo}},
+	{name: "loss", kind: KindLoss, all: true, fields: append([]*field{fFrom, fTo}, fGE...)},
+	{name: "dup", kind: KindDup, fields: []*field{fProb}},
+	{name: "reorder", kind: KindReorder, fields: []*field{fProb, fMaxDelay}},
+	{name: "drift", kind: KindDrift, fields: []*field{fNode, fRate, fSkew}},
+	{name: "delay", kind: KindDelay, all: true, fields: []*field{fFrom, fTo, fMinDelay, fMaxDelay}},
+	{name: "leave", kind: KindLeave, fields: []*field{fNode}},
+	{name: "rejoin", kind: KindRejoin, fields: []*field{fNode}},
+
+	{name: "rackfail", fields: []*field{fRack},
+		expand: func(t *Topology, a *args) []Event { return t.RackFail(a.At, a.rack) }},
+	{name: "rackheal", fields: []*field{fRack},
+		expand: func(t *Topology, a *args) []Event { return t.RackHeal(a.At, a.rack) }},
+	{name: "rackloss", fields: append([]*field{fRack}, fGE...),
+		expand: func(t *Topology, a *args) []Event { return t.RackLoss(a.At, a.rack, a.GE) }},
+	{name: "zonedelay", fields: []*field{fFrom, fTo, fMinDelay, fMaxDelay},
+		expand: func(t *Topology, a *args) []Event {
+			return t.ZoneDelay(a.At, int(a.From), int(a.To), a.MinDelay, a.MaxDelay)
+		}},
+	{name: "churn", fields: []*field{fStagger, fDown, fNodes},
+		expand: func(_ *Topology, a *args) []Event { return ChurnStorm(a.At, a.stagger, a.down, a.nodes) }},
+}
+
+// row returns kind k's directive, or nil when the grammar has no such kind.
+func row(k Kind) *directive {
+	for i := range directives {
+		if d := &directives[i]; d.kind == k && k != 0 {
+			return d
 		}
 	}
-	if at < 0 {
-		return nil, fmt.Errorf("%w: %s needs t=<time>", ErrSchedule, kindWord)
-	}
-	var evs []Event
-	switch kindWord {
-	case "rackfail":
-		evs = topo.RackFail(at, rack)
-	case "rackheal":
-		evs = topo.RackHeal(at, rack)
-	case "rackloss":
-		var g *GilbertElliott
-		if haveGE {
-			g = &ge
+	return nil
+}
+
+// lookup returns the directive called name, or nil.
+func lookup(name string) *directive {
+	for i := range directives {
+		if d := &directives[i]; d.name == name {
+			return d
 		}
-		evs = topo.RackLoss(at, rack, g)
-	case "zonedelay":
-		evs = topo.ZoneDelay(at, fromZ, toZ, minD, maxD)
-	case "churn":
-		if len(nodes) == 0 {
-			return nil, fmt.Errorf("%w: churn needs nodes=<id,...>", ErrSchedule)
-		}
-		evs = ChurnStorm(at, stagger, down, nodes)
 	}
+	return nil
+}
+
+// field returns d's codec for key; every directive takes t (or at).
+func (d *directive) field(key string) *field {
+	if key == "t" || key == "at" {
+		return fTime
+	}
+	for _, f := range d.fields {
+		if f.key == key {
+			return f
+		}
+	}
+	return nil
+}
+
+// parseDirective decodes one directive through its row and returns its
+// events: the one a primitive directive stands for, or the expansion of a
+// topology directive over topo.
+func parseDirective(name string, words []string, topo *Topology) ([]Event, error) {
+	d := lookup(name)
+	switch {
+	case d == nil:
+		return nil, fmt.Errorf("%w: unknown directive %q", ErrSchedule, name)
+	case d.expand != nil && topo == nil:
+		return nil, fmt.Errorf("%w: %s needs a prior topo directive", ErrSchedule, name)
+	}
+	a := args{Event: Event{Kind: d.kind, At: -1, Num: 1, Den: 1}}
+	for _, w := range words {
+		if d.all && strings.EqualFold(w, "all") {
+			a.AllLinks = true
+			continue
+		}
+		key, val, found := strings.Cut(w, "=")
+		f := d.field(strings.ToLower(key))
+		switch {
+		case f == nil:
+			return nil, fmt.Errorf("%w: %s does not take %q", ErrSchedule, name, w)
+		case !found:
+			return nil, fmt.Errorf("%w: %s wants key=value, got %q", ErrSchedule, name, w)
+		}
+		if err := f.decode(&a, val); err != nil {
+			return nil, fmt.Errorf("%w: bad %s %q", ErrSchedule, key, val)
+		}
+	}
+	if a.At < 0 {
+		return nil, fmt.Errorf("%w: %s needs t=<time>", ErrSchedule, name)
+	}
+	if d.expand == nil {
+		return []Event{a.Event}, nil
+	}
+	evs := d.expand(topo, &a)
 	if len(evs) == 0 {
-		return nil, fmt.Errorf("%w: %s expands to no events (empty fault domain)", ErrSchedule, kindWord)
+		return nil, fmt.Errorf("%w: %s expands to no events (empty fault domain)", ErrSchedule, name)
 	}
 	return evs, nil
+}
+
+// Format renders the schedule back to the textual form ParseSchedule
+// accepts, for logging and round-trip tests: each event as its kind's row,
+// t first, then the row's fields.
+func (s *Schedule) Format() string {
+	var b strings.Builder
+	if s.Seed != 0 {
+		fmt.Fprintf(&b, "seed %d\n", s.Seed)
+	}
+	for _, e := range s.Events {
+		a := args{Event: e}
+		b.WriteString(e.Kind.String() + fTime.render(&a))
+		if d := row(e.Kind); d != nil {
+			if a.AllLinks = e.AllLinks && d.all; a.AllLinks {
+				b.WriteString(" all")
+			}
+			for _, f := range d.fields {
+				if f.omit == nil || !f.omit(&a) {
+					b.WriteString(f.render(&a))
+				}
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // checkWindows rejects overlapping fault windows: opening a window that
@@ -317,195 +421,4 @@ func checkWindows(s *Schedule) error {
 		}
 	}
 	return nil
-}
-
-var kindNames = map[string]Kind{
-	"crash":     KindCrash,
-	"restart":   KindRestart,
-	"partition": KindPartition,
-	"heal":      KindHeal,
-	"linkdown":  KindLinkDown,
-	"linkup":    KindLinkUp,
-	"loss":      KindLoss,
-	"dup":       KindDup,
-	"reorder":   KindReorder,
-	"drift":     KindDrift,
-	"delay":     KindDelay,
-	"leave":     KindLeave,
-	"rejoin":    KindRejoin,
-}
-
-// eventKeys lists the key=value fields each directive understands, beyond
-// the universal t/at. Fields outside this list are rejected: Format only
-// renders a kind's own fields, so a stray field would otherwise parse,
-// silently set an unused Event field, and be lost on the round trip.
-var eventKeys = map[Kind]string{
-	KindCrash:     " node ",
-	KindRestart:   " node ",
-	KindPartition: " node ",
-	KindHeal:      " node ",
-	KindLinkDown:  " from to ",
-	KindLinkUp:    " from to ",
-	KindLoss:      " from to pgb pbg lg lb ",
-	KindDup:       " prob ",
-	KindReorder:   " prob maxdelay ",
-	KindDrift:     " node rate skew ",
-	KindDelay:     " from to mindelay maxdelay ",
-	KindLeave:     " node ",
-	KindRejoin:    " node ",
-}
-
-func parseEvent(kindWord string, args []string) (Event, error) {
-	kind, ok := kindNames[kindWord]
-	if !ok {
-		return Event{}, fmt.Errorf("%w: unknown directive %q", ErrSchedule, kindWord)
-	}
-	ev := Event{Kind: kind, At: -1, Num: 1, Den: 1}
-	var ge GilbertElliott
-	var haveGE bool
-	for _, arg := range args {
-		if strings.EqualFold(arg, "all") {
-			if kind != KindLoss && kind != KindDelay {
-				return Event{}, fmt.Errorf("%w: %s does not take %q", ErrSchedule, kindWord, arg)
-			}
-			ev.AllLinks = true
-			continue
-		}
-		key, val, found := strings.Cut(arg, "=")
-		if !found {
-			return Event{}, fmt.Errorf("%w: expected key=value, got %q", ErrSchedule, arg)
-		}
-		key = strings.ToLower(key)
-		if key != "t" && key != "at" && !strings.Contains(eventKeys[kind], " "+key+" ") {
-			return Event{}, fmt.Errorf("%w: %s does not take field %q", ErrSchedule, kindWord, key)
-		}
-		switch key {
-		case "t", "at":
-			v, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return Event{}, fmt.Errorf("%w: bad time %q", ErrSchedule, val)
-			}
-			ev.At = sim.Time(v)
-		case "node":
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return Event{}, fmt.Errorf("%w: bad node %q", ErrSchedule, val)
-			}
-			ev.Node = netem.NodeID(v)
-		case "from", "to":
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return Event{}, fmt.Errorf("%w: bad %s %q", ErrSchedule, key, val)
-			}
-			if key == "from" {
-				ev.From = netem.NodeID(v)
-			} else {
-				ev.To = netem.NodeID(v)
-			}
-		case "prob":
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return Event{}, fmt.Errorf("%w: bad probability %q", ErrSchedule, val)
-			}
-			ev.Prob = v
-		case "mindelay", "maxdelay":
-			v, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return Event{}, fmt.Errorf("%w: bad %s %q", ErrSchedule, key, val)
-			}
-			if key == "mindelay" {
-				ev.MinDelay = sim.Time(v)
-			} else {
-				ev.MaxDelay = sim.Time(v)
-			}
-		case "pgb", "pbg", "lg", "lb":
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return Event{}, fmt.Errorf("%w: bad %s %q", ErrSchedule, key, val)
-			}
-			haveGE = true
-			switch key {
-			case "pgb":
-				ge.PGoodBad = v
-			case "pbg":
-				ge.PBadGood = v
-			case "lg":
-				ge.LossGood = v
-			case "lb":
-				ge.LossBad = v
-			}
-		case "rate":
-			num, den, found := strings.Cut(val, "/")
-			if !found {
-				den = "1"
-			}
-			n, err1 := strconv.ParseInt(num, 10, 64)
-			d, err2 := strconv.ParseInt(den, 10, 64)
-			if err1 != nil || err2 != nil {
-				return Event{}, fmt.Errorf("%w: bad rate %q", ErrSchedule, val)
-			}
-			ev.Num, ev.Den = n, d
-		case "skew":
-			v, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return Event{}, fmt.Errorf("%w: bad skew %q", ErrSchedule, val)
-			}
-			ev.Skew = core.Tick(v)
-		default:
-			return Event{}, fmt.Errorf("%w: unknown field %q", ErrSchedule, key)
-		}
-	}
-	if ev.At < 0 {
-		return Event{}, fmt.Errorf("%w: %s needs t=<time>", ErrSchedule, kindWord)
-	}
-	if kind == KindLoss && haveGE {
-		ev.GE = &ge
-	}
-	return ev, nil
-}
-
-// Format renders the schedule back to the textual form ParseSchedule
-// accepts, for logging and round-trip tests.
-func (s *Schedule) Format() string {
-	var b strings.Builder
-	if s.Seed != 0 {
-		fmt.Fprintf(&b, "seed %d\n", s.Seed)
-	}
-	for _, e := range s.Events {
-		name := e.Kind.String()
-		fmt.Fprintf(&b, "%s t=%d", name, e.At)
-		switch e.Kind {
-		case KindCrash, KindRestart, KindPartition, KindHeal:
-			fmt.Fprintf(&b, " node=%d", e.Node)
-		case KindLinkDown, KindLinkUp:
-			fmt.Fprintf(&b, " from=%d to=%d", e.From, e.To)
-		case KindLoss:
-			if e.AllLinks {
-				b.WriteString(" all")
-			} else {
-				fmt.Fprintf(&b, " from=%d to=%d", e.From, e.To)
-			}
-			if e.GE != nil {
-				fmt.Fprintf(&b, " pgb=%g pbg=%g lg=%g lb=%g",
-					e.GE.PGoodBad, e.GE.PBadGood, e.GE.LossGood, e.GE.LossBad)
-			}
-		case KindDup:
-			fmt.Fprintf(&b, " prob=%g", e.Prob)
-		case KindReorder:
-			fmt.Fprintf(&b, " prob=%g maxdelay=%d", e.Prob, e.MaxDelay)
-		case KindDrift:
-			fmt.Fprintf(&b, " node=%d rate=%d/%d skew=%d", e.Node, e.Num, e.Den, e.Skew)
-		case KindDelay:
-			if e.AllLinks {
-				b.WriteString(" all")
-			} else {
-				fmt.Fprintf(&b, " from=%d to=%d", e.From, e.To)
-			}
-			fmt.Fprintf(&b, " mindelay=%d maxdelay=%d", e.MinDelay, e.MaxDelay)
-		case KindLeave, KindRejoin:
-			fmt.Fprintf(&b, " node=%d", e.Node)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -2,7 +2,9 @@ package faults
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -50,18 +52,83 @@ drift     t=0 node=2 rate=102/100 skew=5
 	}
 }
 
+// TestParseScheduleRoundTrip pins Format for one line of every directive,
+// every field set away from its default, and the expansion of every
+// topology directive; the rendering must reparse to the same schedule.
 func TestParseScheduleRoundTrip(t *testing.T) {
-	text := "seed 7\ncrash t=10 node=3\nloss t=0 all pgb=0.1 pbg=0.5 lg=0 lb=1\nreorder t=5 prob=0.2 maxdelay=4\n"
+	text := `seed 7
+crash t=10 node=3
+restart t=20 node=3
+partition t=30 node=4
+heal t=40 node=4
+linkdown t=50 from=1 to=2
+linkup at=60 from=1 to=2
+loss t=0 all pgb=0.1 pbg=0.5 lg=0.01 lb=1
+loss t=5 from=2 to=1 pgb=0.2 pbg=0.3 lg=0.02 lb=0.9
+dup t=5 prob=0.05
+reorder t=5 prob=0.2 maxdelay=4
+drift t=7 node=2 rate=102/100 skew=5
+delay t=8 from=0 to=1 mindelay=2 maxdelay=4
+delay t=9 all mindelay=1 maxdelay=3
+leave t=100 node=5
+rejoin t=300 node=5
+topo racks=0:0,1:1 zones=1:1
+rackfail t=400 rack=1
+rackheal t=500 rack=1
+rackloss t=410 rack=1 pgb=0.1 pbg=0.5 lg=0.05 lb=0.9
+zonedelay t=420 from=0 to=1 mindelay=2 maxdelay=4
+churn t=600 stagger=10 down=40 nodes=0,1
+`
+	want := `seed 7
+crash t=10 node=3
+restart t=20 node=3
+partition t=30 node=4
+heal t=40 node=4
+linkdown t=50 from=1 to=2
+linkup t=60 from=1 to=2
+loss t=0 all pgb=0.1 pbg=0.5 lg=0.01 lb=1
+loss t=5 from=2 to=1 pgb=0.2 pbg=0.3 lg=0.02 lb=0.9
+dup t=5 prob=0.05
+reorder t=5 prob=0.2 maxdelay=4
+drift t=7 node=2 rate=102/100 skew=5
+delay t=8 from=0 to=1 mindelay=2 maxdelay=4
+delay t=9 all mindelay=1 maxdelay=3
+leave t=100 node=5
+rejoin t=300 node=5
+linkdown t=400 from=0 to=1
+linkdown t=400 from=1 to=0
+linkup t=500 from=0 to=1
+linkup t=500 from=1 to=0
+loss t=410 from=0 to=1 pgb=0.1 pbg=0.5 lg=0.05 lb=0.9
+loss t=410 from=1 to=0 pgb=0.1 pbg=0.5 lg=0.05 lb=0.9
+delay t=420 from=0 to=1 mindelay=2 maxdelay=4
+leave t=600 node=0
+rejoin t=640 node=0
+leave t=610 node=1
+rejoin t=650 node=1
+`
 	s, err := ParseSchedule(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := ParseSchedule(s.Format())
-	if err != nil {
-		t.Fatalf("reparse of %q: %v", s.Format(), err)
+	if got := s.Format(); got != want {
+		t.Fatalf("Format:\n%s\nwant:\n%s", got, want)
 	}
-	if again.Format() != s.Format() {
-		t.Fatalf("round trip diverged:\n%s\nvs\n%s", s.Format(), again.Format())
+	again, err := ParseSchedule(want)
+	if err != nil {
+		t.Fatalf("reparse of Format: %v", err)
+	}
+	// Expanded events carry Num = Den = 0 where parsed ones carry 1/1, so
+	// the reparse is compared as text.
+	if got := again.Format(); got != want {
+		t.Fatalf("Format not a fixpoint:\n%s", got)
+	}
+	names := []string{"Kind(0)", "crash", "restart", "partition", "heal", "linkdown", "linkup",
+		"loss", "dup", "reorder", "drift", "delay", "leave", "rejoin", "Kind(14)"}
+	for k, name := range names {
+		if got := Kind(k).String(); got != name {
+			t.Errorf("Kind(%d).String() = %q, want %q", k, got, name)
+		}
 	}
 }
 
@@ -70,6 +137,7 @@ func TestParseScheduleErrors(t *testing.T) {
 		"explode t=1",                                          // unknown directive
 		"crash node=1",                                         // missing time
 		"crash t=x node=1",                                     // bad time
+		"crash t node=1",                                       // no value
 		"dup t=0 prob=nope",                                    // bad float
 		"crash t=0 node=1 x=2",                                 // unknown field
 		"drift t=0 node=1 rate=0/0",                            // zero rate
@@ -85,9 +153,69 @@ func TestParseScheduleErrors(t *testing.T) {
 		"drift t=0 node=1 rate=1/1 skew=-1099511627777",        //
 		"drift t=5 node=1 rate=1/1 skew=9223372036854775807",   // wrapped local time negative
 		"delay t=0 all mindelay=0 maxdelay=999999999999999999", // far past MaxTicks
+		"rackfail t=0 rack=1",                                  // no topo
+		"topo racks=0:0,1:1; rackfail t=0 rack=2",              // empty fault domain
+		"topo racks=0:0,1:1; churn t=0 stagger=1 down=2",       // no nodes
+		"topo racks=0",                                         // not a pair
+		"topo racks=0:0 rack=1",                                // field of another directive
 	} {
 		if _, err := ParseSchedule(text); !errors.Is(err, ErrSchedule) {
 			t.Errorf("ParseSchedule(%q) = %v, want ErrSchedule", text, err)
+		}
+	}
+}
+
+// TestParseScheduleStrayFields: every directive rejects a field only other
+// directives take, and the bare "all" unless it is loss or delay, naming
+// the line and the word. Each base schedule parses on its own, so the
+// stray word on its last line is what the error is about.
+func TestParseScheduleStrayFields(t *testing.T) {
+	const topo = "topo racks=0:0,1:1 zones=1:1\n"
+	for _, tc := range []struct{ base, stray string }{
+		{"crash t=0 node=1", "prob=0.5"},
+		{"restart t=0 node=1", "from=1"},
+		{"partition t=0 node=1", "rate=2/1"},
+		{"partition t=0 node=1\nheal t=1 node=1", "skew=1"},
+		{"linkdown t=0 from=1 to=0", "node=1"},
+		{"linkdown t=0 from=1 to=0\nlinkup t=1 from=1 to=0", "prob=0.1"},
+		{"loss t=0 all", "mindelay=1"},
+		{"dup t=0 prob=0.1", "maxdelay=3"},
+		{"reorder t=0 prob=0.1 maxdelay=3", "mindelay=1"},
+		{"drift t=0 node=1", "prob=0.1"},
+		{"delay t=0 all", "pgb=0.1"},
+		{"leave t=0 node=1", "rate=1/1"},
+		{"rejoin t=0 node=1", "stagger=1"},
+		{topo + "rackfail t=0 rack=1", "node=1"},
+		{topo + "rackfail t=0 rack=1\nrackheal t=1 rack=1", "pgb=0.1"},
+		{topo + "rackloss t=0 rack=1", "prob=0.1"},
+		{topo + "zonedelay t=0 from=0 to=1", "rack=1"},
+		{topo + "churn t=0 nodes=1", "node=1"},
+		{"crash t=0 node=1", "all"},
+		{"restart t=0 node=1", "all"},
+		{"partition t=0 node=1", "all"},
+		{"partition t=0 node=1\nheal t=1 node=1", "all"},
+		{"linkdown t=0 from=1 to=0", "all"},
+		{"linkdown t=0 from=1 to=0\nlinkup t=1 from=1 to=0", "all"},
+		{"dup t=0 prob=0.1", "all"},
+		{"reorder t=0 prob=0.1 maxdelay=3", "all"},
+		{"drift t=0 node=1", "all"},
+		{"leave t=0 node=1", "all"},
+		{"rejoin t=0 node=1", "all"},
+		{topo + "rackfail t=0 rack=1", "all"},
+		{topo + "rackfail t=0 rack=1\nrackheal t=1 rack=1", "all"},
+		{topo + "rackloss t=0 rack=1", "all"},
+		{topo + "zonedelay t=0 from=0 to=1", "all"},
+		{topo + "churn t=0 nodes=1", "all"},
+	} {
+		if _, err := ParseSchedule(tc.base); err != nil {
+			t.Errorf("base %q rejected: %v", tc.base, err)
+			continue
+		}
+		text := tc.base + " " + tc.stray
+		line := fmt.Sprintf("line %d:", strings.Count(text, "\n")+1)
+		_, err := ParseSchedule(text)
+		if !errors.Is(err, ErrSchedule) || !strings.Contains(err.Error(), line) || !strings.Contains(err.Error(), tc.stray) {
+			t.Errorf("ParseSchedule(%q) = %v, want ErrSchedule naming %q and %q", text, err, line, tc.stray)
 		}
 	}
 }

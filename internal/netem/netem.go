@@ -219,7 +219,7 @@ func (n *Network) SetLink(from, to NodeID, cfg LinkConfig) error {
 
 // Send implements Transport.
 //
-//lint:allow noalloc-closure queued-delivery network allocates pooled deliveries per send; the 0-alloc pin drives nodes over the zero-copy sim transport
+//lint:allow noalloc-closure queued-delivery network allocates pooled deliveries per send; the 0-alloc pins (detector/timer_test.go, sim/alloc_test.go) drive timer rearms and the sim kernel, which send nothing
 func (n *Network) Send(from, to NodeID, payload []byte) error {
 	if src := n.tab.Node(from); src == nil || *src == nil {
 		return fmt.Errorf("%w: sender %d", ErrUnknownNode, from)
