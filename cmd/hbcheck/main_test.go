@@ -64,12 +64,12 @@ func TestPlainBaselineVerdicts(t *testing.T) {
 		code  int
 		want  string
 	}{
-		{"R1", false, 0, "satisfied (2949 states, 9683 transitions)"},
-		{"R2", false, 2, "VIOLATED (853 states, 2028 transitions)"},
-		{"R3", false, 2, "VIOLATED (937 states, 2249 transitions)"},
-		{"R1", true, 0, "satisfied (2747 states, 9229 transitions)"},
-		{"R2", true, 0, "satisfied (2600 states, 6991 transitions)"},
-		{"R3", true, 0, "satisfied (2600 states, 6991 transitions)"},
+		{"R1", false, 0, "satisfied (1783 states, 6155 transitions)"},
+		{"R2", false, 2, "VIOLATED (406 states, 1309 transitions)"},
+		{"R3", false, 2, "VIOLATED (447 states, 1454 transitions)"},
+		{"R1", true, 0, "satisfied (1715 states, 6017 transitions)"},
+		{"R2", true, 0, "satisfied (1015 states, 4055 transitions)"},
+		{"R3", true, 0, "satisfied (1015 states, 4055 transitions)"},
 	} {
 		args := []string{"-variant", "binary", "-tmin", "16", "-tmax", "16", "-prop", tc.prop, fmt.Sprintf("-fixed=%v", tc.fixed)}
 		want := fmt.Sprintf("binary %s tmin=16 tmax=16 fixed=%v: %s\n", tc.prop, tc.fixed, tc.want)

@@ -8,7 +8,7 @@ import (
 )
 
 // TestGoldenVerify pins the whole run: the state counts README quotes
-// (415 and 1,479), the rendered counter-example and the custom goal's
+// (196 and 496), the rendered counter-example and the custom goal's
 // time. The golden was written by the binary of the commit before witnesses
 // were replayed through the network, so it also pins that the replay
 // renders the same chart; regenerate with

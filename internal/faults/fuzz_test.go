@@ -45,6 +45,10 @@ func FuzzParseSchedule(f *testing.F) {
 		"drift t=7 node=0 rate=32768/32768 skew=-3",
 		"drift t=5 node=1 rate=1/1 skew=9223372036854775807",
 		"drift t=5 node=1 rate=1/1 skew=-9223372036854775808",
+		"topo racks=0:0,1:1,2:1 zones=1:1\nrackfail t=10 rack=1\nrackheal t=20 rack=1",
+		"topo racks=0:0,1:1 zones=1:1\nrackloss t=5 rack=1 pgb=0.1 pbg=0.5 lb=0.9\nzonedelay t=6 from=0 to=1 mindelay=1 maxdelay=3",
+		"churn t=0 stagger=5 down=20 nodes=2,1",
+		"topo racks=0:0,1:1\nchurn t=10 stagger=0 down=1 nodes=0",
 	} {
 		f.Add(seed)
 	}

@@ -153,13 +153,17 @@ func (a *args) ge() *GilbertElliott {
 
 // A field is one key=value codec: its key, how a value decodes into args,
 // and how Format renders it back. Format leaves the field out when omit is
-// set and reports true. Fields only topology directives take have no
-// render: Format sees their expansion, never the directive.
+// set and reports true. A field's preset, if any, sets its default before a
+// directive that takes the field is decoded; every other Event field starts
+// at zero, as in an Event the Topology helpers build. Fields only topology
+// directives take have no render: Format sees their expansion, never the
+// directive.
 type field struct {
 	key    string
 	decode func(a *args, v string) error
 	render func(a *args) string
 	omit   func(a *args) bool
+	preset func(a *args)
 }
 
 // unless sets f's omit and returns f.
@@ -221,6 +225,7 @@ var (
 			return errors.Join(err1, err2)
 		},
 		render: func(a *args) string { return fmt.Sprintf(" rate=%d/%d", a.Num, a.Den) },
+		preset: func(a *args) { a.Num, a.Den = 1, 1 },
 	}
 	fSkew    = intField("skew", func(a *args) *core.Tick { return &a.Skew })
 	fRack    = intField("rack", func(a *args) *int { return &a.rack })
@@ -315,7 +320,13 @@ func parseDirective(name string, words []string, topo *Topology) ([]Event, error
 	case d.expand != nil && topo == nil:
 		return nil, fmt.Errorf("%w: %s needs a prior topo directive", ErrSchedule, name)
 	}
-	a := args{Event: Event{Kind: d.kind, At: -1, Num: 1, Den: 1}}
+	a := args{Event: Event{Kind: d.kind, At: -1}}
+	for _, f := range d.fields {
+		if f.preset != nil {
+			f.preset(&a)
+		}
+	}
+	var omissible []*field // given fields Format may leave out
 	for _, w := range words {
 		if d.all && strings.EqualFold(w, "all") {
 			a.AllLinks = true
@@ -331,6 +342,16 @@ func parseDirective(name string, words []string, topo *Topology) ([]Event, error
 		}
 		if err := f.decode(&a, val); err != nil {
 			return nil, fmt.Errorf("%w: bad %s %q", ErrSchedule, key, val)
+		}
+		if f.omit != nil {
+			omissible = append(omissible, f)
+		}
+	}
+	// A field Format leaves out (from/to beside all) would not survive a
+	// round trip, so it cannot be given.
+	for _, f := range omissible {
+		if f.omit(&a) {
+			return nil, fmt.Errorf("%w: %s all does not take %s", ErrSchedule, name, f.key)
 		}
 	}
 	if a.At < 0 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -118,10 +119,8 @@ rejoin t=650 node=1
 	if err != nil {
 		t.Fatalf("reparse of Format: %v", err)
 	}
-	// Expanded events carry Num = Den = 0 where parsed ones carry 1/1, so
-	// the reparse is compared as text.
-	if got := again.Format(); got != want {
-		t.Fatalf("Format not a fixpoint:\n%s", got)
+	if !reflect.DeepEqual(s, again) {
+		t.Fatalf("reparse of Format diverged:\nfirst: %+v\nsecond: %+v", s, again)
 	}
 	names := []string{"Kind(0)", "crash", "restart", "partition", "heal", "linkdown", "linkup",
 		"loss", "dup", "reorder", "drift", "delay", "leave", "rejoin", "Kind(14)"}
@@ -158,6 +157,8 @@ func TestParseScheduleErrors(t *testing.T) {
 		"topo racks=0:0,1:1; churn t=0 stagger=1 down=2",       // no nodes
 		"topo racks=0",                                         // not a pair
 		"topo racks=0:0 rack=1",                                // field of another directive
+		"loss t=0 All from=1",                                  // a link beside all, lost by Format
+		"delay t=0 to=2 all mindelay=1 maxdelay=2",             //
 	} {
 		if _, err := ParseSchedule(text); !errors.Is(err, ErrSchedule) {
 			t.Errorf("ParseSchedule(%q) = %v, want ErrSchedule", text, err)

@@ -27,6 +27,13 @@ package mc
 //     state has no target id (BuildLTS fails with ErrStateLimit then, so
 //     no LTS ever shows one).
 //
+// A successor the prune holds on is dropped before all of this: it counts
+// as a transition and nothing else. Where the prune is closed under
+// successors, as a sound one is (Options.Prune), the states it drops would
+// only ever have reached more of it, so every other state commits on the
+// same level, in the same order, with the same parent as in the unpruned
+// search.
+//
 // Which states commit, and in what order, depends on the network, the
 // prune, the canonicaliser, the limit and whether the search covers alone
 // — never on what the goals are — so each goal's witness, counts and error
@@ -121,6 +128,9 @@ func newExplorer(n *ta.Network, preds []func(*ta.State) bool, opts Options, with
 		init:      init,
 		scratch:   init.Clone(),
 	}
+	if uncut {
+		e.prune = nil
+	}
 	if covering(preds, withTrans) {
 		e.lower = lowerClocks(n)
 	}
@@ -166,6 +176,9 @@ func explore(n *ta.Network, preds []func(*ta.State) bool, opts Options, withTran
 // goals at all it runs to the end, as for one that matches nothing.
 func (e *explorer) run() error {
 	levelStart, levelEnd := 0, 1
+	if e.prune != nil && e.prune(&e.init) {
+		levelEnd = 0 // stored, as the initial configuration always is, but not expanded
+	}
 	for levelStart < levelEnd && (e.open > 0 || len(e.goals) == 0) {
 		limitHit := false
 		for id := levelStart; id < levelEnd; id++ {
@@ -213,14 +226,14 @@ func (e *explorer) expand(id int, limitHit *bool) {
 	st := e.store
 	e.scratch.DecodeKey(st.key(id), e.numLocs, e.numClocks)
 	e.restoreLower(id, &e.scratch)
-	//lint:allow noalloc-closure prune/goal predicates are exploration configuration; the Options contract requires pure, allocation-free predicates
-	if e.prune != nil && e.prune(&e.scratch) {
-		return
-	}
 	e.buf = e.ctx.Successors(&e.scratch, e.buf[:0])
 	e.transitions += len(e.buf)
 	for i := range e.buf {
 		tr := &e.buf[i]
+		//lint:allow noalloc-closure prune/goal predicates are exploration configuration; the Options contract requires pure, allocation-free predicates
+		if e.prune != nil && e.prune(&tr.Target) {
+			continue
+		}
 		if e.canon != nil {
 			//lint:allow noalloc-closure the canonicaliser is exploration configuration; the Options contract requires it pure and allocation-free
 			e.canon(&tr.Target)
@@ -256,6 +269,10 @@ func (e *explorer) expand(id int, limitHit *bool) {
 // lowerClocks is the rule naming the clocks a goal search covers on; a
 // variable so that tests can run the explorer on a mutated rule.
 var lowerClocks = (*ta.Network).LowerClocks
+
+// uncut makes every search ignore Options.Prune; a variable so that tests
+// can run the uncut search as an oracle.
+var uncut bool
 
 // covering reports whether a search for preds covers: a goal search does,
 // and a search that must count or record every state does not — one with

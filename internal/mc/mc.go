@@ -30,12 +30,17 @@ var ErrLabelLimit = errors.New("mc: edge labels outside the 16-bit label ids")
 type Options struct {
 	// MaxStates bounds exploration; 0 means DefaultMaxStates.
 	MaxStates int
-	// Prune, if non-nil, stops exploration below states satisfying it
-	// (the pruned state itself is recorded but not expanded). Pruning is
-	// sound for a reachability goal only if no goal state is reachable
-	// through a pruned state — e.g. pruning on a monotone flag the goal
-	// negates. Like a goal it must not tell a state from one that covers
-	// it (CheckReachability).
+	// Prune, if non-nil, cuts the search: a generated successor it holds on
+	// is dropped before Canon sees it — counted as a transition, never
+	// hashed, stored, evaluated as a goal or expanded. The initial
+	// configuration is stored whatever Prune says, and not expanded if
+	// Prune holds on it. The search thus explores the runs that avoid the
+	// states Prune holds on. It answers for the whole network when Prune
+	// holds on no goal state and on every successor of a state it holds on
+	// (e.g. a monotone flag the goal negates): only whole subtrees without
+	// a goal state go, so verdicts and witnesses are the unpruned search's.
+	// Like a goal it must read no clock, so it does not tell a state from
+	// one that covers it (CheckReachability). BuildLTS ignores it.
 	Prune func(*ta.State) bool
 	// Canon, if non-nil, rewrites every generated successor in place to
 	// the canonical member of its class before it is hashed, so the search
@@ -93,9 +98,9 @@ type Result struct {
 	Reachable bool
 	// StatesExplored counts distinct configurations visited: classes of
 	// the explored quotient when Options.Canon is set (under the models
-	// verdict path it always is), states of the network otherwise. A goal
-	// search does not count the covered states it skips
-	// (CheckReachability).
+	// verdict path it always is), states of the network otherwise. Neither
+	// the successors Options.Prune drops nor, in a goal search, the covered
+	// states it skips (CheckReachability) are counted.
 	StatesExplored int
 	// TransitionsExplored counts transitions generated.
 	TransitionsExplored int

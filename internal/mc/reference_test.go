@@ -19,12 +19,15 @@ import (
 // shares only the level contract with the explorer: a level on which the
 // goal turns up or the state limit (0: none) is crossed is expanded to
 // its end, nothing commits past the limit, and the first goal state
-// committed, in discovery order, is the witness. A canonicaliser (nil:
-// none) rewrites each successor before it is looked up, as Options.Canon
-// does. With a goal it covers as the explorer does (Options): the map is
-// keyed by the state with its lower-bound clocks at 0 and names the id
-// committed last under that key, and a successor whose values of those
-// clocks that id's all reach is covered — it commits nothing.
+// committed, in discovery order, is the witness. A successor the prune
+// (nil: none) holds on is counted and dropped, as Options.Prune has it; the
+// initial state is kept, but not expanded if the prune holds on it. A
+// canonicaliser (nil: none) rewrites each successor kept before it is
+// looked up, as Options.Canon does. With a goal it covers as the explorer
+// does (Options): the map is keyed by the state with its lower-bound
+// clocks at 0 and names the id committed last under that key, and a
+// successor whose values of those clocks that id's all reach is covered —
+// it commits nothing.
 type reference struct {
 	states   []ta.State
 	parent   []int
@@ -80,14 +83,18 @@ func bfs(n *ta.Network, goal, prune func(*ta.State) bool, canon func(*ta.State),
 	init := n.Initial()
 	add(&init, -1, alphabet.Label{}, false)
 	ctx := n.NewSuccCtx()
-	for lo, hi := 0, 1; lo < hi && r.goalID < 0 && !r.limitHit; lo, hi = hi, len(r.states) {
+	hi := 1
+	if prune != nil && prune(&init) {
+		hi = 0
+	}
+	for lo := 0; lo < hi && r.goalID < 0 && !r.limitHit; lo, hi = hi, len(r.states) {
 		for from := lo; from < hi; from++ {
 			src := r.states[from].Clone()
-			if prune != nil && prune(&src) {
-				continue
-			}
 			for _, tr := range ctx.Successors(&src, nil) {
 				r.nTrans++
+				if prune != nil && prune(&tr.Target) {
+					continue
+				}
 				if canon != nil {
 					canon(&tr.Target)
 				}
@@ -318,78 +325,130 @@ func sameWitness(res mc.Result, reachable bool, states int, trace []mc.Step) err
 	return nil
 }
 
-// TestSerialCoverageMatchesExact keeps the exact search as the oracle of
-// coverage where the verdicts are the paper's: every cell of the four
+// paperCheck is one result of paperChecks.
+type paperCheck struct {
+	name  string
+	table bool // a table cell; otherwise an R1 figure
+	res   mc.Result
+}
+
+// paperChecks runs, as the verdict path runs them, every cell of the four
 // tables hbcheck prints (tmax 10; the binary family and static at N=2,
 // expanding and dynamic at N=1; original and corrected) and the two R1
-// figures, 10a (the stale-beat goal on the unreduced network) and 10b.
-// Each check is run covering and exact (SetLowerClocks with a rule naming
-// no clock); the verdicts and witnesses must be the same and the covering
-// count no higher.
-func TestSerialCoverageMatchesExact(t *testing.T) {
-	exactly := func(f func()) {
-		restore := mc.SetLowerClocks(func(*ta.Network) []int { return nil })
-		defer restore()
-		f()
-	}
+// figures, 10a (the stale-beat goal on the unreduced network) and 10b, in
+// that order.
+func paperChecks(t *testing.T) []paperCheck {
+	t.Helper()
 	family := []models.Variant{models.Binary, models.RevisedBinary, models.TwoPhase, models.Static}
-	var covered, exact int
+	var out []paperCheck
 	for _, fixed := range []bool{false, true} {
 		for _, spec := range []models.TableSpec{
 			{Variants: family, TMins: models.DefaultTMins(), TMax: 10, N: 2, Fixed: fixed},
 			{Variants: []models.Variant{models.Expanding, models.Dynamic}, TMins: models.DefaultTMins(), TMax: 10, N: 1, Fixed: fixed},
 		} {
-			got, err := models.RunTable(spec)
+			cells, err := models.RunTable(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want []models.Cell
-			exactly(func() { want, err = models.RunTable(spec) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, c := range got {
-				w := want[i].Verdict
-				if err := sameWitness(c.Verdict.Result, !w.Satisfied, w.Result.StatesExplored, w.Result.Trace); err != nil {
-					t.Errorf("%v tmin=%d fixed=%v %v: %v", c.Variant, c.TMin, fixed, c.Prop, err)
-				}
-				covered += c.Verdict.Result.StatesExplored
-				exact += w.Result.StatesExplored
+			for _, c := range cells {
+				out = append(out, paperCheck{fmt.Sprintf("%v tmin=%d fixed=%v %v", c.Variant, c.TMin, fixed, c.Prop), true, c.Verdict.Result})
 			}
 		}
-	}
-	t.Logf("tables: %d states covering, %d exact", covered, exact)
-	if covered >= exact {
-		t.Fatalf("tables: %d states covering, %d exact: coverage skips nothing", covered, exact)
 	}
 	for _, f := range models.Figures() {
 		if f.Prop != models.R1 {
 			continue
 		}
-		check := func() (mc.Result, error) {
-			if f.ID == "10a" {
-				m := buildModel(t, f.Cfg)
-				return m.VerifyGoal(m.StaleBeat, mc.Options{})
-			}
-			v, err := f.Reproduce(mc.Options{})
-			return v.Result, err
+		var res mc.Result
+		var err error
+		if f.ID == "10a" {
+			m := buildModel(t, f.Cfg)
+			res, err = m.VerifyGoal(m.StaleBeat, mc.Options{})
+		} else {
+			var v models.Verdict
+			v, err = f.Reproduce(mc.Options{})
+			res = v.Result
 		}
-		got, err := check()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want mc.Result
-		exactly(func() { want, err = check() })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !want.Reachable {
+		if !res.Reachable {
 			t.Fatalf("figure %s: no counter-example", f.ID)
 		}
-		if err := sameWitness(got, true, want.StatesExplored, want.Trace); err != nil {
-			t.Errorf("figure %s: %v", f.ID, err)
+		out = append(out, paperCheck{"figure " + f.ID, false, res})
+	}
+	return out
+}
+
+// matchPaperChecks compares paperChecks run as the verdict path runs them
+// with a run under an oracle's hook (it sets the hook and returns the
+// function that restores it): the same verdicts and witnesses in no more
+// states. It returns both sides' state totals over the table cells.
+func matchPaperChecks(t *testing.T, hook func() (restore func())) (got, want int) {
+	t.Helper()
+	reduced := paperChecks(t)
+	restore := hook()
+	oracle := paperChecks(t)
+	restore()
+	for i, c := range reduced {
+		w := oracle[i].res
+		if err := sameWitness(c.res, w.Reachable, w.StatesExplored, w.Trace); err != nil {
+			t.Errorf("%s: %v", c.name, err)
 		}
-		t.Logf("figure %s: %d states covering, %d exact", f.ID, got.StatesExplored, want.StatesExplored)
+		if c.table {
+			got += c.res.StatesExplored
+			want += w.StatesExplored
+		} else {
+			t.Logf("%s: %d states, %d under the oracle", c.name, c.res.StatesExplored, w.StatesExplored)
+		}
+	}
+	return got, want
+}
+
+// TestSerialCoverageMatchesExact keeps the exact search as the oracle of
+// coverage where the verdicts are the paper's (paperChecks). Each check is
+// run covering and exact (SetLowerClocks with a rule naming no clock); the
+// verdicts and witnesses must be the same and the covering count no
+// higher.
+func TestSerialCoverageMatchesExact(t *testing.T) {
+	covered, exact := matchPaperChecks(t, func() func() {
+		return mc.SetLowerClocks(func(*ta.Network) []int { return nil })
+	})
+	t.Logf("tables: %d states covering, %d exact", covered, exact)
+	if covered >= exact {
+		t.Fatalf("tables: %d states covering, %d exact: coverage skips nothing", covered, exact)
+	}
+}
+
+// TestSerialCutMatchesUncut keeps the uncut exact search as the oracle of
+// the verdict path's cuts, which drop unstored the successors from which no
+// goal is reachable (Options.Prune), where the verdicts are the paper's
+// (paperChecks). Each check is run as the verdict path runs it, cut and
+// covering, and with neither (IgnorePrune, SetLowerClocks with a rule
+// naming no clock): the verdicts and witnesses must be the same and the cut
+// count no higher. Run uncut but covering, the tables must take more
+// states than cut: the cut skips something. It runs on one goroutine, so
+// the -short race sweep leaves it to the plain run.
+func TestSerialCutMatchesUncut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-runs every table cell uncut and exact; skipped in -short")
+	}
+	reduced, whole := matchPaperChecks(t, func() func() {
+		restoreCut := mc.IgnorePrune()
+		restoreLower := mc.SetLowerClocks(func(*ta.Network) []int { return nil })
+		return func() { restoreLower(); restoreCut() }
+	})
+	restore := mc.IgnorePrune()
+	uncut := 0
+	for _, c := range paperChecks(t) {
+		if c.table {
+			uncut += c.res.StatesExplored
+		}
+	}
+	restore()
+	t.Logf("tables: %d states cut, %d uncut, %d uncut and exact", reduced, uncut, whole)
+	if reduced >= uncut {
+		t.Fatalf("tables: %d states cut, %d uncut: the cut skips nothing", reduced, uncut)
 	}
 }
 
@@ -483,8 +542,8 @@ func TestSerialStateLimitSemantics(t *testing.T) {
 // shared exploration: checked together by CheckGoals, R2 and R3 each get
 // exactly what a search for it alone gets — verdict, counts, witness and
 // error — on the sliced model of every table cell (variant × tmin at tmax
-// 10, original and corrected), pruned at the first loss as the verdict
-// path prunes, on the network and on a quotient of it. Each goal's solo
+// 10, original and corrected), pruned at the first loss, on the network
+// and on a quotient of it. Each goal's solo
 // run is the reference BFS. State limits go just before, between and just
 // after the two witnesses (or around the one witness when a goal is
 // unreachable), so that a limit can end one goal in ErrStateLimit after

@@ -12,8 +12,8 @@ import (
 // so verdicts and counter-examples are those of the network (DESIGN.md,
 // "Verdicts explore a quotient"). Build has ta derive where each clock is
 // dead from the clock atoms of every guard and invariant and the literals
-// they sit under (ta.Network.DeadClocks): no closure, nor R1–R3, the loss
-// prune or the shutdown predicate, reads a clock. It renames no label, so conformance specs store dead
+// they sit under (ta.Network.DeadClocks): no closure, nor R1–R3, the cuts
+// or the shutdown predicate, reads a clock. It renames no label, so conformance specs store dead
 // clocks as 0 too (BuildLTS). quotient_test.go checks all of it against
 // the unreduced successor relation.
 
@@ -30,7 +30,7 @@ func (m *Model) canon(s *ta.State) {
 // and the observer-only variables — those no guard, invariant or update
 // reads (ta.Network.Observers) — read 0. It sorts no participants, since a
 // permutation renames p[i] in the labels an LTS keeps. Observer-only
-// variables may be read by the requirement predicates and the loss prune,
+// variables may be read by the requirement predicates and the cuts,
 // so it is sound only where neither is evaluated; like canon it is pure and
 // allocation-free.
 func (m *Model) traceCanon(s *ta.State) {
@@ -50,14 +50,13 @@ func (m *Model) BuildLTS(opts mc.Options) (*mc.LTS, error) {
 }
 
 // reduced folds the model's hooks into the caller's so that neither side's
-// is dropped: the canonicaliser always, and for a requirement
-// that excludes lossy traces by premise the prune at the first message
-// loss (sound: lostMsg is monotone and the predicate requires it clear).
-func (m *Model) reduced(opts mc.Options, lossless bool) mc.Options {
-	if prune := opts.Prune; lossless && prune != nil {
-		opts.Prune = func(s *ta.State) bool { return m.MessageLost(s) || prune(s) }
-	} else if lossless {
-		opts.Prune = m.MessageLost
+// is dropped: the canonicaliser always, and the search's cut (nil: none) as
+// the prune, after the caller's.
+func (m *Model) reduced(opts mc.Options, cut func(*ta.State) bool) mc.Options {
+	if prune := opts.Prune; cut != nil && prune != nil {
+		opts.Prune = func(s *ta.State) bool { return prune(s) || cut(s) }
+	} else if cut != nil {
+		opts.Prune = cut
 	}
 	if canon := opts.Canon; canon != nil {
 		opts.Canon = func(s *ta.State) { m.canon(s); canon(s) }

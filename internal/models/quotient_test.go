@@ -300,9 +300,9 @@ func quotientGrid() []quotientCase {
 }
 
 // requirementPreds are the predicates the verdict path evaluates on
-// quotient states: the three goals and the prune.
+// quotient states: the three goals and the two cuts.
 func (m *Model) requirementPreds() []func(*ta.State) bool {
-	return []func(*ta.State) bool{m.R1Violated, m.R2Violated, m.R3Violated, m.MessageLost}
+	return []func(*ta.State) bool{m.R1Violated, m.R2Violated, m.R3Violated, m.r1Settled, m.lostOrQuit}
 }
 
 // TestQuotientIsBisimulation is the oracle for every derived dead-clock
@@ -818,8 +818,8 @@ func TestQuotientSymmetryMatchesDeadClocks(t *testing.T) {
 		}
 		symmetric += got.Result.StatesExplored
 		deadOnly += want.Result.StatesExplored
-		if c == checkLarge && (got.Result.StatesExplored != 24_694 || want.Result.StatesExplored != 48_552) {
-			t.Errorf("%s: %d symmetric and %d dead-clock states, pinned 24,694 and 48,552",
+		if c == checkLarge && (got.Result.StatesExplored != 5_780 || want.Result.StatesExplored != 11_142) {
+			t.Errorf("%s: %d symmetric and %d dead-clock states, pinned 5,780 and 11,142",
 				name, got.Result.StatesExplored, want.Result.StatesExplored)
 		}
 		if got.Satisfied != want.Satisfied {
@@ -899,16 +899,33 @@ func TestVerifyKeepsCallerHooks(t *testing.T) {
 			t.Errorf("%v under a prune-everything caller: %d states, want 1", c.Prop, got)
 		}
 	}
-	// A caller's canonicaliser sees every successor, after the model's own
-	// has rewritten it (and, for a violated cell, the candidates the witness
-	// replay tries besides), and the model's prune and rewrite still apply.
-	// R2 and R3 share one exploration, which generates the larger of their
-	// two transition counts.
-	spec.Opts.Prune = nil
-	calls, live := 0, 0
-	m, err := Build(Config{TMin: 2, TMax: 4, Variant: Binary, N: 1})
+	// A caller's prune sees every successor and each search's initial
+	// configuration, before the model's cut. Its canonicaliser sees every
+	// successor the cut keeps, after the model's own rewrite (and, for a
+	// violated cell, the candidates the witness replay tries besides), and
+	// the model's cut and rewrite still apply. R2 and R3 share one
+	// exploration, which generates the larger of their two transition counts.
+	cfg := Config{TMin: 2, TMax: 4, Variant: Binary, N: 1}
+	m, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	cfg.NoMonitor = true
+	sliced, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls, live, seen, kept := 0, 0, 0, 0
+	spec.Opts.Prune = func(s *ta.State) bool {
+		seen++
+		cut := sliced.lostOrQuit
+		if len(s.Locs) == len(m.Net.Automata()) {
+			cut = m.r1Settled
+		}
+		if !cut(s) {
+			kept++
+		}
+		return false
 	}
 	spec.Opts.Canon = func(s *ta.State) {
 		calls++
@@ -933,8 +950,12 @@ func TestVerifyKeepsCallerHooks(t *testing.T) {
 				c.Prop, c.Verdict.Result.StatesExplored, free[i].Verdict.Result.StatesExplored)
 		}
 	}
-	if calls < transitions || live != 0 {
-		t.Errorf("caller's canonicaliser saw %d of %d successors, %d of them not yet rewritten", calls, transitions, live)
+	// Two searches: R1's, and R2's and R3's.
+	if seen != transitions+2 || kept >= seen {
+		t.Errorf("caller's prune saw %d states, want %d successors and 2 initial configurations; the cut kept %d", seen, transitions, kept)
+	}
+	if calls < kept-2 || live != 0 {
+		t.Errorf("caller's canonicaliser saw %d of the %d successors the cut kept, %d of them not yet rewritten", calls, kept-2, live)
 	}
 }
 

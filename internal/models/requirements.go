@@ -228,7 +228,7 @@ func Verify(cfg Config, prop Property, opts mc.Options) (Verdict, error) {
 // verifyAll checks props of cfg as Verify checks each, and returns what
 // calling Verify on each in turn returns, stopping at the first error: the
 // verdicts before it, in order, and that error. The properties one model
-// answers under one prune — R2 and R3 on the sliced model — share one
+// answers under one cut — R2 and R3 on the sliced model — share one
 // exploration, run when the first of them comes up.
 func verifyAll(cfg Config, props []Property, opts mc.Options) ([]Verdict, error) {
 	// The verdict is about cfg, monitor and all: constants only the slice
@@ -262,10 +262,35 @@ func verifyAll(cfg Config, props []Property, opts mc.Options) ([]Verdict, error)
 }
 
 // sliced reports whether prop is checked on the model built without the R1
-// monitor, pruned at the first message loss.
+// monitor, under the cut R2 and R3 share (cut).
 func sliced(prop Property) bool { return prop == R2 || prop == R3 }
 
-// verifyGroup checks props, which one model answers under one prune, in
+// cut returns the states a verdict search for props stops at: states from
+// which no goal of props is reachable, closed under successors, reading no
+// clock and respected by canon. The search drops them unstored (mc.Options
+// Prune), so only whole subtrees without a goal in them go, and every
+// verdict and witness stays the uncut search's (DESIGN.md, "Verdicts
+// explore a quotient").
+func (m *Model) cut(props []Property) func(*ta.State) bool {
+	if sliced(props[0]) {
+		return m.lostOrQuit
+	}
+	return m.r1Settled
+}
+
+// r1Settled: p[0] is inactive and no R1 monitor is in Error. active0 is only
+// ever set to 0 and the Error edge reads active0 = 1, so no monitor reaches
+// Error from here.
+func (m *Model) r1Settled(s *ta.State) bool { return s.Vars[m.vActive0] == 0 && !m.R1Violated(s) }
+
+// lostOrQuit: a message was lost, which R2 and R3 exclude by premise and
+// lostMsg never clears, or p[0] is in VInact, which has only self-loops,
+// while R2 needs p[0] active and R3 needs it non-voluntarily inactivated.
+func (m *Model) lostOrQuit(s *ta.State) bool {
+	return m.MessageLost(s) || int(s.Locs[m.p0.aut]) == m.p0.vInact
+}
+
+// verifyGroup checks props, which one model answers under one cut, in
 // one exploration of that model.
 func verifyGroup(cfg Config, props []Property, opts mc.Options) ([]Verdict, []error) {
 	built := cfg
@@ -287,9 +312,9 @@ func verifyGroup(cfg Config, props []Property, opts mc.Options) ([]Verdict, []er
 
 // Verify model-checks one property on an already-built model, monitors and
 // all, with its dead clocks stored as 0 and its interchangeable
-// participants sorted into one order. R2 and R3 exclude lossy traces by
-// premise, so exploration is pruned at the first message loss. A caller's
-// opts.Prune and opts.Canon stay in force beside the model's own.
+// participants sorted into one order. The search stops at states from which
+// the property's violation is unreachable (cut). A caller's opts.Prune and
+// opts.Canon stay in force beside the model's own.
 //
 //lint:allow unused-export oracle: the symmetric-vs-dead-clock differential checks hand-built models with it (go test -run TestQuotientSymmetryMatchesDeadClocks ./internal/models/)
 func (m *Model) Verify(prop Property, opts mc.Options) (Verdict, error) {
@@ -298,7 +323,7 @@ func (m *Model) Verify(prop Property, opts mc.Options) (Verdict, error) {
 }
 
 // verify checks props on m in one exploration, as Verify checks each; they
-// must share the loss prune (all sliced or none).
+// must share the cut (all sliced or none).
 func (m *Model) verify(props []Property, opts mc.Options) ([]Verdict, []error) {
 	verdicts, errs := make([]Verdict, len(props)), make([]error, len(props))
 	preds := make([]func(*ta.State) bool, len(props))
@@ -312,7 +337,7 @@ func (m *Model) verify(props []Property, opts mc.Options) ([]Verdict, []error) {
 		}
 		preds[i] = pred
 	}
-	res, cerrs := mc.CheckGoals(m.Net, preds, m.reduced(opts, sliced(props[0])))
+	res, cerrs := mc.CheckGoals(m.Net, preds, m.reduced(opts, m.cut(props)))
 	for i, p := range props {
 		if cerrs[i] != nil {
 			errs[i] = fmt.Errorf("checking %v on %v: %w", p, m.Cfg.Variant, cerrs[i])

@@ -68,12 +68,12 @@ func TestRunTableParallelDeterminism(t *testing.T) {
 // earliest is (Binary, tmin=1, R1), so no clean prefix exists. In the
 // second R2 and R3 share one exploration and the limit falls between their
 // verdicts: R2's witness commits under it and R3 needs more states, so the
-// R2 cell is clean and the error is R3's. Dynamic tmin=1 tmax=2 is the one
-// N=1 model up to tmax 4 where that holds on the quotient Verify explores:
-// every limit in 1,275..1,389 does. (No table model settles R1 in
-// fewer states than R3's witness needs when R2 and R3 both fail, so R3 is
-// satisfied there without the limit; mc's shared-goal differential places
-// limits between two witnesses.)
+// R2 cell is clean and the error is R3's. Where verdict searches stop at
+// dead ends no N=1 model up to tmax 10 settles R1 in fewer states than R3
+// needs; dynamic N=2 tmin=1 tmax=2 is the one model that does among the N=2
+// ones up to tmax 4 (dynamic: tmax 2): every limit in 18,584..36,341
+// splits it. (R3 is satisfied there without the limit; mc's shared-goal
+// differential places limits between two witnesses.)
 func TestRunTableErrorPrefix(t *testing.T) {
 	for _, tc := range []struct {
 		cfg   Config
@@ -82,7 +82,7 @@ func TestRunTableErrorPrefix(t *testing.T) {
 		clean []Property
 	}{
 		{Config{Variant: Binary, N: 1, TMin: 1, TMax: 4}, 1, "table cell binary tmin=1 R1", nil},
-		{Config{Variant: Dynamic, N: 1, TMin: 1, TMax: 2}, 1300, "table cell dynamic tmin=1 R3", []Property{R1, R2}},
+		{Config{Variant: Dynamic, N: 2, TMin: 1, TMax: 2}, 27_000, "table cell dynamic tmin=1 R3", []Property{R1, R2}},
 	} {
 		opts := mc.Options{MaxStates: tc.limit}
 		solo := map[Property]Verdict{}
@@ -93,7 +93,7 @@ func TestRunTableErrorPrefix(t *testing.T) {
 			}
 			solo[p] = v
 		}
-		spec := TableSpec{Variants: []Variant{tc.cfg.Variant}, TMins: []int32{tc.cfg.TMin, tc.cfg.TMin + 1}, TMax: tc.cfg.TMax, N: 1, Opts: opts}
+		spec := TableSpec{Variants: []Variant{tc.cfg.Variant}, TMins: []int32{tc.cfg.TMin, tc.cfg.TMin + 1}, TMax: tc.cfg.TMax, N: tc.cfg.N, Opts: opts}
 		for _, workers := range []int{1, 4} {
 			spec.Workers = workers
 			cells, err := RunTable(spec)
