@@ -64,12 +64,12 @@ func TestPlainBaselineVerdicts(t *testing.T) {
 		code  int
 		want  string
 	}{
-		{"R1", false, 0, "satisfied (1783 states, 6155 transitions)"},
-		{"R2", false, 2, "VIOLATED (406 states, 1309 transitions)"},
-		{"R3", false, 2, "VIOLATED (447 states, 1454 transitions)"},
-		{"R1", true, 0, "satisfied (1715 states, 6017 transitions)"},
-		{"R2", true, 0, "satisfied (1015 states, 4055 transitions)"},
-		{"R3", true, 0, "satisfied (1015 states, 4055 transitions)"},
+		{"R1", false, 0, "satisfied (1218 states, 4304 transitions)"},
+		{"R2", false, 2, "VIOLATED (377 states, 1241 transitions)"},
+		{"R3", false, 2, "VIOLATED (416 states, 1381 transitions)"},
+		{"R1", true, 0, "satisfied (1178 states, 4222 transitions)"},
+		{"R2", true, 0, "satisfied (720 states, 2912 transitions)"},
+		{"R3", true, 0, "satisfied (720 states, 2912 transitions)"},
 	} {
 		args := []string{"-variant", "binary", "-tmin", "16", "-tmax", "16", "-prop", tc.prop, fmt.Sprintf("-fixed=%v", tc.fixed)}
 		want := fmt.Sprintf("binary %s tmin=16 tmax=16 fixed=%v: %s\n", tc.prop, tc.fixed, tc.want)

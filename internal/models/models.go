@@ -291,9 +291,9 @@ type Model struct {
 	jchs []joinChanRefs
 	mons []monRefs
 	// dead is the dead-clock table the verdict path canonicalises with,
-	// and observers the observer-only variables traceCanon stores as 0;
-	// both are derived from the network's guards, invariants and
-	// footprints (deadclock.go).
+	// and observers the observer-only variables a search stores as 0
+	// where its predicates do not read them (quotient); both are derived
+	// from the network's guards, invariants and footprints (deadclock.go).
 	dead      ta.DeadTable
 	observers []int
 	// blocks holds each participant's slots, appended by the build

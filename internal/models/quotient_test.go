@@ -334,9 +334,10 @@ func TestQuotientIsBisimulation(t *testing.T) {
 	t.Logf("%d models, %d unreduced states checked", len(grid), total)
 }
 
-// traceQuotientGrid is every model the oracle covers for traceCanon: the
-// sliced models of the grid, and the six specifications the streaming
-// checker of hbsim -exp topo builds — rack loss (static, n=2), WAN delay
+// traceQuotientGrid is every model the oracle covers for the spec's
+// canonicaliser (quotient with no reads, unsorted): the sliced models of
+// the grid, and the six specifications the streaming checker of hbsim
+// -exp topo builds — rack loss (static, n=2), WAN delay
 // (expanding) and churn storm (dynamic), corrected, at both levels of the
 // campaigns' envelope. Those six hold 0.8M unreduced states, rack loss at
 // level 1 alone 517,108, so they are wide.
@@ -361,9 +362,9 @@ func traceQuotientGrid() []quotientCase {
 }
 
 // TestTraceQuotientIsBisimulation is the oracle for the conformance specs'
-// quotient: traceCanon is a label-preserving functional strong bisimulation
-// on every model of the trace grid, checked with no predicate, as a spec
-// evaluates none. A plain go test walks a prefix of the six wide ones.
+// quotient: its canonicaliser is a label-preserving functional strong
+// bisimulation on every model of the trace grid, checked with no
+// predicate, as a spec evaluates none. A plain go test walks a prefix of the six wide ones.
 func TestTraceQuotientIsBisimulation(t *testing.T) {
 	t.Parallel()
 	grid, total := traceQuotientGrid(), 0
@@ -376,7 +377,7 @@ func TestTraceQuotientIsBisimulation(t *testing.T) {
 		if tc.lossless {
 			opts.Prune = m.MessageLost
 		}
-		states, failure, err := checkBisimulation(m.Net, m.traceCanon, nil, tc.wide && !fullScale(), opts)
+		states, failure, err := checkBisimulation(m.Net, m.quotient(nil, false), nil, tc.wide && !fullScale(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,16 +389,18 @@ func TestTraceQuotientIsBisimulation(t *testing.T) {
 	t.Logf("%d models, %d unreduced states checked (full scale: %v)", len(grid), total, fullScale())
 }
 
-// TestTraceCanonAllocFree: traceCanon runs on every successor BuildLTS
-// generates, inside the explorer's allocation-free expansion loop.
+// TestTraceCanonAllocFree: the spec's canonicaliser runs on every
+// successor BuildLTS generates, inside the explorer's allocation-free
+// expansion loop.
 func TestTraceCanonAllocFree(t *testing.T) {
 	m, err := Build(Config{TMin: 2, TMax: 4, Variant: Dynamic, N: 2, Fixed: true, NoMonitor: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	canon := m.quotient(nil, false)
 	s := m.Net.Initial()
-	if allocs := testing.AllocsPerRun(100, func() { m.traceCanon(&s) }); allocs != 0 {
-		t.Fatalf("traceCanon allocates %.0f/op", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { canon(&s) }); allocs != 0 {
+		t.Fatalf("the spec's canonicaliser allocates %.0f/op", allocs)
 	}
 }
 
@@ -418,7 +421,7 @@ func TestTraceQuotientOracleCatchesMutants(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.observers = tc.mutate(m)
-		_, failure, err := checkBisimulation(m.Net, m.traceCanon, nil, false, mc.Options{})
+		_, failure, err := checkBisimulation(m.Net, m.quotient(nil, false), nil, false, mc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -818,8 +821,8 @@ func TestQuotientSymmetryMatchesDeadClocks(t *testing.T) {
 		}
 		symmetric += got.Result.StatesExplored
 		deadOnly += want.Result.StatesExplored
-		if c == checkLarge && (got.Result.StatesExplored != 5_780 || want.Result.StatesExplored != 11_142) {
-			t.Errorf("%s: %d symmetric and %d dead-clock states, pinned 5,780 and 11,142",
+		if c == checkLarge && (got.Result.StatesExplored != 4_116 || want.Result.StatesExplored != 7_946) {
+			t.Errorf("%s: %d symmetric and %d dead-clock states, pinned 4,116 and 7,946",
 				name, got.Result.StatesExplored, want.Result.StatesExplored)
 		}
 		if got.Satisfied != want.Satisfied {

@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/alphabet"
 	"repro/internal/mc"
@@ -211,10 +212,11 @@ type Verdict struct {
 // of its network. R2 and R3 never read the R1 monitor — a passive observer
 // with no invariant, broadcast receives only and no write to a shared
 // variable — so they are checked on the model built without it; every
-// property is checked with dead clocks stored as 0 and the identical
-// participants sorted (see (*Model).Verify). Result.StatesExplored
-// therefore counts quotient states (mc.CheckReachability on Build(cfg).Net
-// with a nil goal gives the size of the network itself). A counter-example
+// property is checked with dead clocks and the observer-only variables its
+// search does not read stored as 0 and the identical participants sorted
+// (see (*Model).Verify). Result.StatesExplored therefore counts quotient
+// states (mc.CheckReachability on Build(cfg).Net with a nil goal gives the
+// size of the network itself). A counter-example
 // is a run of the network the check built: for R2 or R3, that of the
 // model Build returns for cfg with NoMonitor set.
 func Verify(cfg Config, prop Property, opts mc.Options) (Verdict, error) {
@@ -267,10 +269,10 @@ func sliced(prop Property) bool { return prop == R2 || prop == R3 }
 
 // cut returns the states a verdict search for props stops at: states from
 // which no goal of props is reachable, closed under successors, reading no
-// clock and respected by canon. The search drops them unstored (mc.Options
-// Prune), so only whole subtrees without a goal in them go, and every
-// verdict and witness stays the uncut search's (DESIGN.md, "Verdicts
-// explore a quotient").
+// clock and respected by the search's canonicaliser. The search drops them
+// unstored (mc.Options Prune), so only whole subtrees without a goal in
+// them go, and every verdict and witness stays the uncut search's
+// (DESIGN.md, "Verdicts explore a quotient").
 func (m *Model) cut(props []Property) func(*ta.State) bool {
 	if sliced(props[0]) {
 		return m.lostOrQuit
@@ -288,6 +290,20 @@ func (m *Model) r1Settled(s *ta.State) bool { return s.Vars[m.vActive0] == 0 && 
 // while R2 needs p[0] active and R3 needs it non-voluntarily inactivated.
 func (m *Model) lostOrQuit(s *ta.State) bool {
 	return m.MessageLost(s) || int(s.Locs[m.p0.aut]) == m.p0.vInact
+}
+
+// reads returns the variables the goals of props and their cut read: the
+// observer-only variables a verdict search keeps (quotient), where it stores
+// the others as 0. R1Violated reads monitor locations alone, r1Settled
+// active0 besides. R2Violated and R3Violated read the Observables —
+// lostMsg, active0, each participant's active and jnd — and locations,
+// lostOrQuit lostMsg and p[0]'s location. So no search keeps ever_i, and
+// R1's keeps no lostMsg.
+func (m *Model) reads(props []Property) []int {
+	if sliced(props[0]) {
+		return slices.Concat([]int{m.vLost, m.vActive0}, m.vActive, m.vJnd)
+	}
+	return []int{m.vActive0}
 }
 
 // verifyGroup checks props, which one model answers under one cut, in
@@ -311,9 +327,10 @@ func verifyGroup(cfg Config, props []Property, opts mc.Options) ([]Verdict, []er
 }
 
 // Verify model-checks one property on an already-built model, monitors and
-// all, with its dead clocks stored as 0 and its interchangeable
-// participants sorted into one order. The search stops at states from which
-// the property's violation is unreachable (cut). A caller's opts.Prune and
+// all, with its dead clocks and the observer-only variables the search
+// does not read (reads) stored as 0 and its interchangeable participants
+// sorted into one order. The search stops at states from which the
+// property's violation is unreachable (cut). A caller's opts.Prune and
 // opts.Canon stay in force beside the model's own.
 //
 //lint:allow unused-export oracle: the symmetric-vs-dead-clock differential checks hand-built models with it (go test -run TestQuotientSymmetryMatchesDeadClocks ./internal/models/)
@@ -337,7 +354,7 @@ func (m *Model) verify(props []Property, opts mc.Options) ([]Verdict, []error) {
 		}
 		preds[i] = pred
 	}
-	res, cerrs := mc.CheckGoals(m.Net, preds, m.reduced(opts, m.cut(props)))
+	res, cerrs := mc.CheckGoals(m.Net, preds, reduced(opts, m.quotient(m.reads(props), true), m.cut(props)))
 	for i, p := range props {
 		if cerrs[i] != nil {
 			errs[i] = fmt.Errorf("checking %v on %v: %w", p, m.Cfg.Variant, cerrs[i])

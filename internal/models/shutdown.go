@@ -181,7 +181,7 @@ func VerifyShutdown(cfg Config, bound int32, opts mc.Options) (Verdict, error) {
 	if err != nil {
 		return Verdict{}, err
 	}
-	res, err := mc.CheckReachability(sm.Net, sm.Violated, sm.reduced(opts, nil))
+	res, err := mc.CheckReachability(sm.Net, sm.Violated, reduced(opts, sm.canon, nil))
 	if err != nil {
 		return Verdict{}, fmt.Errorf("checking shutdown on %v: %w", cfg.Variant, err)
 	}

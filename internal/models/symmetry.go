@@ -7,10 +7,11 @@ import "repro/internal/ta"
 // state vector they own. Exchanging two participants' slots maps every run
 // of the network onto a run (labels renamed), so a configuration and each
 // of its permutations decide the same verdicts. The verdict path stores one
-// member of each orbit: after zeroing dead clocks, canon sorts the
-// participants' blocks into lexicographic order (DESIGN.md, "Verdicts
-// explore a quotient"; quotient_test.go's equivariance oracle checks every
-// block against the unreduced successor relation).
+// member of each orbit: after zeroing dead clocks and unread observer-only
+// variables, its canonicaliser sorts the participants' blocks into
+// lexicographic order (DESIGN.md, "Verdicts explore a quotient";
+// quotient_test.go's equivariance oracle checks every block against the
+// unreduced successor relation).
 
 // block is one participant's share of the state vector. Each build function
 // appends the slots it declares for participant i to m.blocks[i], beside
@@ -59,7 +60,7 @@ func (m *Model) group() symmetry {
 }
 
 // sort insertion-sorts the members' blocks of s by (locations, variables,
-// clocks). Pure and allocation-free, as canon must be.
+// clocks). Pure and allocation-free, as a canonicaliser must be.
 func (sy *symmetry) sort(s *ta.State) {
 	for i := 1; i < sy.members; i++ {
 		for j := i; j > 0 && sy.compare(s, j, j-1) < 0; j-- {

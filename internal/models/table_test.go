@@ -68,11 +68,12 @@ func TestRunTableParallelDeterminism(t *testing.T) {
 // earliest is (Binary, tmin=1, R1), so no clean prefix exists. In the
 // second R2 and R3 share one exploration and the limit falls between their
 // verdicts: R2's witness commits under it and R3 needs more states, so the
-// R2 cell is clean and the error is R3's. Where verdict searches stop at
-// dead ends no N=1 model up to tmax 10 settles R1 in fewer states than R3
-// needs; dynamic N=2 tmin=1 tmax=2 is the one model that does among the N=2
-// ones up to tmax 4 (dynamic: tmax 2): every limit in 18,584..36,341
-// splits it. (R3 is satisfied there without the limit; mc's shared-goal
+// R2 cell is clean and the error is R3's. Dynamic N=2 tmin=1 tmax=2 splits
+// at every limit in 14,201..36,341. Since R1's search stores ever_i and
+// lostMsg as 0, five N=1 models up to tmax 10 split too (expanding at
+// tmin=1 tmax=2 and tmin=2 tmax=4, dynamic at tmin = tmax/2 up to 3), but
+// only within windows of a few hundred states (expanding tmin=1 tmax=2:
+// 356..385). (R3 is satisfied in both without the limit; mc's shared-goal
 // differential places limits between two witnesses.)
 func TestRunTableErrorPrefix(t *testing.T) {
 	for _, tc := range []struct {

@@ -565,7 +565,10 @@ func (c *SuccCtx) committedActive(s *State) []bool {
 // off the heap: predicate and update closures receive a pointer into buf's
 // backing array, not a stack local that escape analysis would box per
 // transition. A caller that decides against the transition simply keeps
-// the shorter original buffer.
+// the shorter original buffer. A recycled slot already has the source's
+// lengths — every state of a network has one shape — so its slices are
+// copied into, not re-appended: storing a slice header into the heap
+// array costs a write barrier while the collector marks.
 //
 //hbvet:noalloc
 func appendTarget(buf []Transition, src *State) ([]Transition, *Transition) {
@@ -578,6 +581,12 @@ func appendTarget(buf []Transition, src *State) ([]Transition, *Transition) {
 	tr := &buf[i]
 	tr.Label, tr.Delay, tr.Class, tr.src = alphabet.Label{}, false, ClassDefault, 0
 	t := &tr.Target
+	if len(t.Locs) == len(src.Locs) && len(t.Clocks) == len(src.Clocks) && len(t.Vars) == len(src.Vars) {
+		copy(t.Locs, src.Locs)
+		copy(t.Clocks, src.Clocks)
+		copy(t.Vars, src.Vars)
+		return buf, tr
+	}
 	t.Locs = append(t.Locs[:0], src.Locs...)
 	t.Clocks = append(t.Clocks[:0], src.Clocks...)
 	t.Vars = append(t.Vars[:0], src.Vars...)
