@@ -12,12 +12,13 @@
 //     it as the cluster's observer (RunStream, campaign trials, walks,
 //     shrinking), and a trace a Recorder kept is checked by calling Feed
 //     per event, then Finish.
-//   - A Spec is the variant's model LTS (built monitor-free via
-//     mc.BuildLTS) with unobservable labels hidden and the join-delivery
-//     labels merged into the plain delivery labels (the wire does not
-//     distinguish them). The checker advances a frontier of model states
-//     by antichain simulation through tau-closure, "tick" steps for time
-//     passing, and the visible labels of the trace. Frontiers are the
+//   - A Spec is the variant's model LTS (explored monitor-free via
+//     mc.ExploreLTS and compiled as the transitions stream out) with
+//     unobservable labels hidden and the join-delivery labels merged into
+//     the plain delivery labels (the wire does not distinguish them). The
+//     checker advances a frontier of model states by antichain simulation
+//     through tau-closure, "tick" steps for time passing, and the visible
+//     labels of the trace. Frontiers are the
 //     nodes of one graph per Spec, shared by all its checkers: equal sets
 //     are one node, and a step is a lookup of the node's successor. An
 //     empty frontier is a divergence — the runtime did something (or let

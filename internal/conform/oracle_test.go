@@ -29,8 +29,8 @@ import (
 // refSpecs caches the reference's specifications by model configuration.
 var refSpecs par.Memo[models.Config, *Spec]
 
-// refSpec is the reference's specification of cfg: newSpec over the LTS of
-// the network as built, with no canonicaliser.
+// refSpec is the reference's specification of cfg: the LTS of the network
+// as built, with no canonicaliser, fed through the spec builder.
 func refSpec(t *testing.T, cfg models.Config) *Spec {
 	t.Helper()
 	sp, err := refSpecs.Get(cfg, func(cfg models.Config) (*Spec, error) {
@@ -43,7 +43,7 @@ func refSpec(t *testing.T, cfg models.Config) *Spec {
 		if err != nil {
 			return nil, err
 		}
-		return newSpec(cfg, m, lts)
+		return feedSpec(cfg, m, lts)
 	})
 	if err != nil {
 		t.Fatalf("reference spec of %+v: %v", cfg, err)
@@ -717,7 +717,7 @@ func TestSpecQuotientKeepsWeakTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			network, quotient := weak(mc.BuildLTS(m.Net, mc.Options{})), weak(m.BuildLTS(mc.Options{}))
+			network, quotient := weak(mc.BuildLTS(m.Net, mc.Options{})), weak(quotientLTS(m))
 			if network != quotient {
 				got, _, _ := strings.Cut(quotient, "\n")
 				want, _, _ := strings.Cut(network, "\n")

@@ -23,9 +23,9 @@ package mc
 //     satisfy it is its witness. On a level that also crosses the limit a
 //     goal wins if it committed before the crossing, otherwise it ends in
 //     ErrStateLimit — as every goal still without a witness does;
-//   - past the limit nothing commits, and a recorded transition to such a
-//     state has no target id (BuildLTS fails with ErrStateLimit then, so
-//     no LTS ever shows one).
+//   - past the limit nothing commits, and a transition to such a state
+//     has no target id: an LTS sink never receives it, and the
+//     exploration fails with ErrStateLimit at the end of the level.
 //
 // A successor the prune holds on is dropped before all of this: it counts
 // as a transition and nothing else. Where the prune is closed under
@@ -51,14 +51,6 @@ import (
 	"repro/internal/ta"
 )
 
-// rawTrans is a transition recorded for LTS builds, in (from, successor
-// index) order: label is the label's id in the explorer's index. to is -1
-// for a target past the state limit.
-type rawTrans struct {
-	from, to int32
-	label    uint16
-}
-
 // goal is one reachability goal of an exploration and what it found.
 type goal struct {
 	pred func(*ta.State) bool // nil matches nothing
@@ -71,15 +63,17 @@ type goal struct {
 }
 
 // explorer holds one exploration: the store, the node records, the goals,
-// the label index and the scratch the expansion loop recycles.
+// the LTS sink and the scratch the expansion loop recycles.
 type explorer struct {
 	goals []goal
 	// open counts the goals whose witness level has not ended.
-	open      int
-	prune     func(*ta.State) bool
-	canon     func(*ta.State)
-	limit     int
-	withTrans bool
+	open  int
+	prune func(*ta.State) bool
+	canon func(*ta.State)
+	limit int
+	// sink, when set, receives every transition whose target is stored:
+	// all of them until the state limit is crossed (ExploreLTS).
+	sink Sink
 
 	numLocs, numClocks int
 
@@ -91,14 +85,8 @@ type explorer struct {
 	// each id's values of them, len(lower) records per id.
 	lower []int
 	vals  paged[int32]
-	// trans logs every generated transition when withTrans is set.
-	trans paged[rawTrans]
 	// transitions counts successors generated across all levels.
 	transitions int
-
-	// labels numbers every label a transition of the network can carry,
-	// for the transition records; complete before exploring.
-	labels alphabet.Index
 
 	// ctx.Successors is not reentrant: each call recycles the context's
 	// scratch masks and, handed buf back, the previous call's Transition
@@ -110,9 +98,12 @@ type explorer struct {
 	keyBuf  []byte
 }
 
-// newExplorer builds the store and the label index and commits the initial
-// configuration as state 0, level 0 of the search.
-func newExplorer(n *ta.Network, preds []func(*ta.State) bool, opts Options, withTrans bool) (*explorer, error) {
+// newExplorer builds the store and commits the initial configuration as
+// state 0, level 0 of the search.
+func newExplorer(n *ta.Network, preds []func(*ta.State) bool, opts Options, sink Sink) (*explorer, error) {
+	if _, err := labelIndex(n); err != nil {
+		return nil, err
+	}
 	init := n.Initial()
 	e := &explorer{
 		goals:     make([]goal, len(preds)),
@@ -120,35 +111,24 @@ func newExplorer(n *ta.Network, preds []func(*ta.State) bool, opts Options, with
 		prune:     opts.Prune,
 		canon:     opts.Canon,
 		limit:     min(opts.maxStates(), math.MaxInt32-1), // ids are int32 in the records
-		withTrans: withTrans,
+		sink:      sink,
 		numLocs:   len(init.Locs),
 		numClocks: len(init.Clocks),
 		store:     newStateStore(init.KeyLen()),
 		ctx:       n.NewSuccCtx(),
 		init:      init,
 		scratch:   init.Clone(),
+		keyBuf:    make([]byte, 0, init.KeyLen()),
 	}
 	if uncut {
 		e.prune = nil
 	}
-	if covering(preds, withTrans) {
+	if covering(preds, sink != nil) {
 		e.lower = lowerClocks(n)
 	}
-	// A transition's label is tick, which every index covers, or an edge's
-	// (ta.Transition), so the index is complete up front.
-	for _, a := range n.Automata() {
-		for i := range a.Edges {
-			if !e.labels.Cover(a.Edges[i].Label) {
-				return nil, fmt.Errorf("%w: %v", ErrLabelLimit, a.Edges[i].Label)
-			}
-		}
-	}
-	if e.labels.Len() > math.MaxUint16+1 {
-		return nil, fmt.Errorf("%w: %d ids", ErrLabelLimit, e.labels.Len())
-	}
-	key := init.AppendKey(make([]byte, 0, e.store.keyLen))
-	e.zeroLower(key)
-	e.store.intern(key, hashKey(key))
+	e.keyBuf = init.AppendKey(e.keyBuf)
+	e.zeroLower(e.keyBuf)
+	e.store.intern(e.keyBuf, hashKey(e.keyBuf))
 	e.info.push(nodeInfo{parent: -1})
 	e.pushLower(&init)
 	for i, pred := range preds {
@@ -159,13 +139,33 @@ func newExplorer(n *ta.Network, preds []func(*ta.State) bool, opts Options, with
 	return e, nil
 }
 
+// labelIndex numbers every label a transition of n can carry: tick, which
+// every index covers, and each edge's (ta.Transition), so it is complete
+// before exploring. Every entry point rejects, with ErrLabelLimit, a
+// network whose labels the 16-bit ids of BuildLTS's records cannot number.
+func labelIndex(n *ta.Network) (alphabet.Index, error) {
+	var x alphabet.Index
+	for _, a := range n.Automata() {
+		for i := range a.Edges {
+			if !x.Cover(a.Edges[i].Label) {
+				return x, fmt.Errorf("%w: %v", ErrLabelLimit, a.Edges[i].Label)
+			}
+		}
+	}
+	if x.Len() > math.MaxUint16+1 {
+		return x, fmt.Errorf("%w: %d ids", ErrLabelLimit, x.Len())
+	}
+	return x, nil
+}
+
 // explore runs the BFS from the network's initial configuration for the
 // goals preds, until every goal has a witness, the space is exhausted or
 // the state limit is crossed (ErrStateLimit, which concerns only the goals
 // left without a witness). The explorer it returns holds each goal's
-// outcome and serves trace and LTS reconstruction.
-func explore(n *ta.Network, preds []func(*ta.State) bool, opts Options, withTrans bool) (*explorer, error) {
-	e, err := newExplorer(n, preds, opts, withTrans)
+// outcome and serves trace reconstruction; a non-nil sink receives the
+// transitions as they are generated.
+func explore(n *ta.Network, preds []func(*ta.State) bool, opts Options, sink Sink) (*explorer, error) {
+	e, err := newExplorer(n, preds, opts, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -219,17 +219,29 @@ func (e *explorer) endLevel() {
 // expand generates id's successors, rewrites each to its class
 // representative when a canonicaliser is set, and commits first
 // occurrences as it meets them: one probe, insert at the slot the probe
-// ended on, check the goals.
+// ended on, check the goals, hand the transition to the sink.
+//
+// The successor and key buffers live in locals for the loop: a slice
+// header stored into the heap costs a write barrier while the collector
+// marks. The successor buffer goes back into the explorer only when it
+// grew; the key buffer never grows, since every key has the capacity
+// newExplorer gave it.
 //
 //hbvet:noalloc
 func (e *explorer) expand(id int, limitHit *bool) {
 	st := e.store
 	e.scratch.DecodeKey(st.key(id), e.numLocs, e.numClocks)
 	e.restoreLower(id, &e.scratch)
-	e.buf = e.ctx.Successors(&e.scratch, e.buf[:0])
-	e.transitions += len(e.buf)
-	for i := range e.buf {
-		tr := &e.buf[i]
+	buf := e.buf
+	buf = e.ctx.Successors(&e.scratch, buf[:0])
+	if cap(buf) != cap(e.buf) {
+		//lint:allow buffer-reuse the grown buffer goes back to the field it was taken from, which the next expansion recycles; only the header store is conditional
+		e.buf = buf
+	}
+	key := e.keyBuf
+	e.transitions += len(buf)
+	for i := range buf {
+		tr := &buf[i]
 		//lint:allow noalloc-closure prune/goal predicates are exploration configuration; the Options contract requires pure, allocation-free predicates
 		if e.prune != nil && e.prune(&tr.Target) {
 			continue
@@ -238,20 +250,20 @@ func (e *explorer) expand(id int, limitHit *bool) {
 			//lint:allow noalloc-closure the canonicaliser is exploration configuration; the Options contract requires it pure and allocation-free
 			e.canon(&tr.Target)
 		}
-		e.keyBuf = tr.Target.AppendKey(e.keyBuf[:0])
-		e.zeroLower(e.keyBuf)
-		h := hashKey(e.keyBuf)
-		to, slot, seen := st.find(e.keyBuf, h)
+		key = tr.Target.AppendKey(key[:0])
+		e.zeroLower(key)
+		h := hashKey(key)
+		to, slot, seen := st.find(key, h)
 		switch {
 		case seen && e.covers(to, &tr.Target):
 		case *limitHit || e.info.n >= e.limit:
 			*limitHit = true
-			to = -1
+			continue
 		default:
 			if seen {
-				to = st.replace(e.keyBuf, h, slot)
+				to = st.replace(key, h, slot)
 			} else {
-				to = st.insert(e.keyBuf, h, slot)
+				to = st.insert(key, h, slot)
 			}
 			e.info.push(nodeInfo{parent: int32(id), delay: tr.Delay})
 			e.pushLower(&tr.Target)
@@ -259,9 +271,9 @@ func (e *explorer) expand(id int, limitHit *bool) {
 				e.evalGoal(g, to, &tr.Target)
 			}
 		}
-		if e.withTrans {
-			label, _ := e.labels.ID(tr.Label)
-			e.trans.push(rawTrans{from: int32(id), to: int32(to), label: uint16(label)})
+		if e.sink != nil {
+			//lint:allow noalloc-closure the LTS sink is exploration configuration; ExploreLTS's contract requires it allocation-free per transition, its own amortised growth aside
+			e.sink(id, to, tr.Label)
 		}
 	}
 }
@@ -277,13 +289,13 @@ var uncut bool
 // covering reports whether a search for preds covers: a goal search does,
 // and a search that must count or record every state does not — one with
 // no goal, with a nil goal (which counts the whole space), or for an LTS.
-func covering(preds []func(*ta.State) bool, withTrans bool) bool {
+func covering(preds []func(*ta.State) bool, lts bool) bool {
 	for _, p := range preds {
 		if p == nil {
 			return false
 		}
 	}
-	return len(preds) > 0 && !withTrans
+	return len(preds) > 0 && !lts
 }
 
 // zeroLower clears the covered clocks' fields of key.
@@ -330,14 +342,4 @@ func (e *explorer) covers(id int, s *ta.State) bool {
 		}
 	}
 	return true
-}
-
-// lts copies the transition log into the finished LTS.
-func (e *explorer) lts() *LTS {
-	l := &LTS{NumStates: e.info.n, Transitions: make([]Trans, e.trans.n)}
-	for i := range l.Transitions {
-		rt := e.trans.at(i)
-		l.Transitions[i] = Trans{From: int(rt.from), Label: e.labels.Label(int(rt.label)), To: int(rt.to)}
-	}
-	return l
 }

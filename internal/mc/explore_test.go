@@ -138,7 +138,7 @@ func TestCanonExploresQuotient(t *testing.T) {
 // states BuildLTS numbers.
 func committedStates(t *testing.T, net *ta.Network, opts Options) []ta.State {
 	t.Helper()
-	e, err := explore(net, nil, opts, true)
+	e, err := explore(net, nil, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,16 +28,62 @@ type LTS struct {
 	Transitions []Trans
 }
 
+// A Sink receives the transitions of an LTS exploration (ExploreLTS) as
+// they are generated: grouped by source, sources in ascending id order
+// from 0, the initial configuration, each source's in successor
+// enumeration order. A target id may be
+// one the source's own transitions just discovered, but every id is below
+// the state count the exploration returns; states with no transition are
+// skipped. A sink runs inside the explorer's allocation-free loop, so it
+// must not allocate per transition beyond amortised growth of its own.
+type Sink func(from, to int, label alphabet.Label)
+
+// ExploreLTS generates the full reachable transition system of a network,
+// or of its quotient under opts.Canon (see Options.Canon for the stricter
+// contract that hook has here), and hands each transition to sink instead
+// of keeping it: the caller builds whatever form of the LTS it needs in
+// one pass. It returns the number of states. Prune is ignored. Past
+// opts.MaxStates it fails with ErrStateLimit at the end of that BFS level;
+// the transitions the sink got by then describe no LTS, and a caller drops
+// them.
+func ExploreLTS(n *ta.Network, opts Options, sink Sink) (states int, err error) {
+	e, err := explore(n, nil, Options{MaxStates: opts.MaxStates, Canon: opts.Canon}, sink)
+	if err != nil {
+		return 0, err
+	}
+	return e.info.n, nil
+}
+
+// rawTrans is one transition BuildLTS logs while exploring: label is the
+// label's id in the network's labelIndex.
+type rawTrans struct {
+	from, to int32
+	label    uint16
+}
+
 // BuildLTS generates the full reachable transition system of a network, or
-// of its quotient under opts.Canon (see Options.Canon for the stricter
-// contract that hook has here). Transitions come out in (source id,
-// successor enumeration) order.
+// of its quotient under opts.Canon, as an LTS: ExploreLTS with a sink that
+// logs 12-byte records and copies them into Transitions once the count is
+// known. Transitions come out in (source id, successor enumeration) order.
 func BuildLTS(n *ta.Network, opts Options) (*LTS, error) {
-	e, err := explore(n, nil, Options{MaxStates: opts.MaxStates, Canon: opts.Canon}, true)
+	x, err := labelIndex(n)
 	if err != nil {
 		return nil, err
 	}
-	return e.lts(), nil
+	var log paged[rawTrans]
+	states, err := ExploreLTS(n, opts, func(from, to int, label alphabet.Label) {
+		id, _ := x.ID(label)
+		log.push(rawTrans{from: int32(from), to: int32(to), label: uint16(id)})
+	})
+	if err != nil {
+		return nil, err
+	}
+	l := &LTS{NumStates: states, Transitions: make([]Trans, log.n)}
+	for i := range l.Transitions {
+		rt := log.at(i)
+		l.Transitions[i] = Trans{From: int(rt.from), Label: x.Label(int(rt.label)), To: int(rt.to)}
+	}
+	return l, nil
 }
 
 // Hide renames every transition whose label satisfies hidden to tau.

@@ -40,7 +40,8 @@ type Options struct {
 	// (e.g. a monotone flag the goal negates): only whole subtrees without
 	// a goal state go, so verdicts and witnesses are the unpruned search's.
 	// Like a goal it must read no clock, so it does not tell a state from
-	// one that covers it (CheckReachability). BuildLTS ignores it.
+	// one that covers it (CheckReachability). An LTS exploration
+	// (ExploreLTS, BuildLTS) ignores it.
 	Prune func(*ta.State) bool
 	// Canon, if non-nil, rewrites every generated successor in place to
 	// the canonical member of its class before it is hashed, so the search
@@ -57,12 +58,12 @@ type Options struct {
 	// it must be pure and allocation-free. The initial configuration is
 	// stored as given.
 	//
-	// Under BuildLTS the contract is stricter, because an LTS keeps every
-	// label: Canon must be a label-preserving functional strong
+	// Under an LTS exploration the contract is stricter, because an LTS
+	// keeps every label: Canon must be a label-preserving functional strong
 	// bisimulation — for each transition of one member every other member
 	// has one with the same label into the same class — and a class's
 	// transitions are those of its representative, the state stored for it.
-	// BuildLTS still ignores Prune.
+	// An LTS exploration still ignores Prune.
 	Canon func(*ta.State)
 	// Workers is ignored; it stays declared only until bench/ stops setting it.
 	//
@@ -157,7 +158,7 @@ func CheckReachability(n *ta.Network, goal func(*ta.State) bool, opts Options) (
 // every reachable state.
 func CheckGoals(n *ta.Network, goals []func(*ta.State) bool, opts Options) (res []Result, errs []error) {
 	res, errs = make([]Result, len(goals)), make([]error, len(goals))
-	e, err := explore(n, goals, opts, false)
+	e, err := explore(n, goals, opts, nil)
 	if e == nil {
 		for i := range errs {
 			errs[i] = err
@@ -221,22 +222,25 @@ func rebuildTrace(e *explorer, goal int) []Step {
 
 // recordedAs reports whether s is recorded as id: whether its
 // representative, computed on a copy so that s keeps its values, has id's
-// key and id's values of the covered clocks.
+// key and id's values of the covered clocks. The copy goes into the
+// scratch state, which has every state's shape, and the key into a local:
+// no slice header is stored into the explorer (see expand).
 func (e *explorer) recordedAs(s *ta.State, id int) bool {
 	if e.canon != nil {
-		e.scratch.Locs = append(e.scratch.Locs[:0], s.Locs...)
-		e.scratch.Clocks = append(e.scratch.Clocks[:0], s.Clocks...)
-		e.scratch.Vars = append(e.scratch.Vars[:0], s.Vars...)
+		copy(e.scratch.Locs, s.Locs)
+		copy(e.scratch.Clocks, s.Clocks)
+		copy(e.scratch.Vars, s.Vars)
 		e.canon(&e.scratch)
 		s = &e.scratch
 	}
-	e.keyBuf = s.AppendKey(e.keyBuf[:0])
-	e.zeroLower(e.keyBuf)
+	key := e.keyBuf
+	key = s.AppendKey(key[:0])
+	e.zeroLower(key)
 	at := id * len(e.lower)
 	for j, c := range e.lower {
 		if *e.vals.at(at + j) != s.Clocks[c] {
 			return false
 		}
 	}
-	return bytes.Equal(e.keyBuf, e.store.key(id))
+	return bytes.Equal(key, e.store.key(id))
 }

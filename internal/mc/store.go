@@ -2,7 +2,7 @@ package mc
 
 import "math/bits"
 
-// pageBits fixes the page size of key pages, node records and the
+// pageBits fixes the page size of key pages, node records and BuildLTS's
 // transition log alike. A page is allocated once at full size and never
 // copied again: growth costs one allocation per page, not the repeated
 // memmove of an append-grown slice. Every check pays for its first pages

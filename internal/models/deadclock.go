@@ -16,28 +16,21 @@ import (
 // dead from the clock atoms of every guard and invariant and the literals
 // they sit under (ta.Network.DeadClocks): no closure, nor R1–R3, the cuts
 // or the shutdown predicate, reads a clock. It renames no label, so
-// conformance specs store dead clocks as 0 too (BuildLTS). A variable no
+// conformance specs store dead clocks as 0 too (ExploreLTS). A variable no
 // guard, invariant or update reads (ta.Network.Observers) decides nothing
 // either: each verdict search stores as 0 those its own goals and cut do
-// not read, a conformance spec all of them (quotient). quotient_test.go
-// checks all of it against the unreduced successor relation.
-
-// canon rewrites s to the representative of its class: every clock that is
-// dead in s reads 0, then the interchangeable participants' blocks are
-// sorted (symmetry.go). It is the mc.Options.Canon of VerifyShutdown, so it
-// must stay pure and allocation-free.
-func (m *Model) canon(s *ta.State) {
-	m.dead.Zero(s)
-	m.sym.sort(s)
-}
+// not read, the shutdown search and a conformance spec all of them
+// (quotient). quotient_test.go checks all of it against the unreduced
+// successor relation.
 
 // quotient returns the canonicaliser of a search whose predicates read
 // the variables in reads: dead clocks and every observer-only variable —
 // one no guard, invariant or update reads (ta.Network.Observers) — outside
-// reads read 0, then, if sorted, the participants' blocks are sorted. A
-// verdict search passes the variables its goals and cut read ((*Model).reads)
-// and sorts; BuildLTS, whose spec evaluates no predicate and may rename no
-// label, passes none and does not sort. Zeroing a variable nothing reads
+// reads read 0, then, if sorted, the participants' blocks are sorted
+// (symmetry.go). A verdict search passes the variables its goals and cut
+// read ((*Model).reads) and sorts, VerifyShutdown passes none and sorts;
+// ExploreLTS, whose spec evaluates no predicate and may rename no label,
+// passes none and does not sort. Zeroing a variable nothing reads
 // is a label-preserving strong bisimulation (DESIGN.md, "Verdicts explore a
 // quotient"). The returned function is pure and allocation-free.
 func (m *Model) quotient(reads []int, sorted bool) func(*ta.State) {
@@ -53,13 +46,15 @@ func (m *Model) quotient(reads []int, sorted bool) func(*ta.State) {
 	}
 }
 
-// BuildLTS builds the LTS of the model's label-preserving quotient
-// (quotient with no reads, unsorted): the weak traces of the network, over
-// fewer states (DESIGN.md, "Conformance specs explore a quotient"). It
-// replaces any Canon in opts; Prune is ignored, as mc.BuildLTS ignores it.
-func (m *Model) BuildLTS(opts mc.Options) (*mc.LTS, error) {
+// ExploreLTS explores the LTS of the model's label-preserving quotient
+// (quotient with no reads, unsorted) and hands each transition to sink, in
+// mc.ExploreLTS's order: the weak traces of the network, over fewer states
+// (DESIGN.md, "Conformance specs explore a quotient"). It returns the
+// number of states. It replaces any Canon in opts; Prune is ignored, as
+// mc.ExploreLTS ignores it.
+func (m *Model) ExploreLTS(opts mc.Options, sink mc.Sink) (int, error) {
 	opts.Canon = m.quotient(nil, false)
-	return mc.BuildLTS(m.Net, opts)
+	return mc.ExploreLTS(m.Net, opts, sink)
 }
 
 // reduced folds a search's hooks into the caller's so that neither side's

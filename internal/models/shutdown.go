@@ -163,10 +163,19 @@ func (sm *ShutdownModel) Violated(s *ta.State) bool {
 	return int(s.Locs[sm.monAut]) == sm.errLoc
 }
 
+// canon is the canonicaliser of the shutdown search: dead clocks read 0,
+// the participants' blocks are sorted, as in Verify's R2/R3 search (the
+// monitor is global, so the participants stay interchangeable), and every
+// observer-only variable reads 0, since the goal reads only the monitor's
+// location and the search has no cut. Variables the monitor's guard reads
+// are not observer-only: Observers is derived with the monitor in place.
+func (sm *ShutdownModel) canon() func(*ta.State) {
+	return sm.quotient(nil, true)
+}
+
 // VerifyShutdown builds the model with the shutdown monitor in place of
 // the R1 monitors, which the property never reads, and checks it on the
-// quotient Verify explores for R2 and R3: the monitor is global, so the
-// participants stay interchangeable. Satisfied means every
+// shutdown search's quotient (canon). Satisfied means every
 // reachable post-crash configuration winds the whole network down within
 // the bound.
 //
@@ -181,7 +190,7 @@ func VerifyShutdown(cfg Config, bound int32, opts mc.Options) (Verdict, error) {
 	if err != nil {
 		return Verdict{}, err
 	}
-	res, err := mc.CheckReachability(sm.Net, sm.Violated, reduced(opts, sm.canon, nil))
+	res, err := mc.CheckReachability(sm.Net, sm.Violated, reduced(opts, sm.canon(), nil))
 	if err != nil {
 		return Verdict{}, fmt.Errorf("checking shutdown on %v: %w", cfg.Variant, err)
 	}

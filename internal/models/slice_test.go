@@ -291,3 +291,30 @@ func TestObserverSliceMatchesUnslicedAtTableScale(t *testing.T) {
 		t.Errorf("%d states sliced, %d unsliced: the slice merges nothing", got[""], want[""])
 	}
 }
+
+// TestShutdownSliceOracleCatchesMutant: the shutdown search stores every
+// observer-only variable as 0 (ShutdownModel.canon), which is sound only
+// because Observers is derived with the monitor in place, so no variable
+// the monitor reads is among them. TestQuotientIsBisimulationShutdown holds
+// that canonicaliser to the monitor; here it must reject the slice that
+// also zeroes crashed, which the monitor's guard and the arming updates
+// read, on some shutdown model.
+func TestShutdownSliceOracleCatchesMutant(t *testing.T) {
+	for _, cfg := range shutdownOracleConfigs() {
+		sm, err := BuildWithShutdownMonitor(cfg, cfg.ShutdownBound())
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadClocksOnly(sm.Model)
+		sm.observers = append(slices.Clone(sm.observers), sm.vCrashed)
+		_, failure, err := checkBisimulation(sm.Net, sm.canon(), []func(*ta.State) bool{sm.Violated}, false, mc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failure != "" {
+			t.Logf("caught at %+v: %s", cfg, failure)
+			return
+		}
+	}
+	t.Error("the oracle accepts crashed as observer-only on every shutdown model")
+}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/alphabet"
 )
@@ -102,20 +103,27 @@ func (s *State) KeyLen() int {
 // is the remainder of the key. Values round-trip exactly when they fit in
 // int16 — the same 16-bit truncation AppendKey applies (wider values
 // already collide as keys, so no checker that dedups on keys can tell the
-// difference).
+// difference). When s already has the layout's lengths, as a scratch state
+// decoded into over and over does, the values are copied into its slices
+// and no slice header is stored: in the heap that would cost a write
+// barrier while the collector marks (as in appendTarget).
 //
 //hbvet:noalloc
 func (s *State) DecodeKey(key []byte, numLocs, numClocks int) {
-	s.Locs = append(s.Locs[:0], key[:numLocs]...)
+	numVars := (len(key) - numLocs - 2*numClocks) / 2
+	if len(s.Locs) != numLocs || len(s.Clocks) != numClocks || len(s.Vars) != numVars {
+		s.Locs = slices.Grow(s.Locs[:0], numLocs)[:numLocs]
+		s.Clocks = slices.Grow(s.Clocks[:0], numClocks)[:numClocks]
+		s.Vars = slices.Grow(s.Vars[:0], numVars)[:numVars]
+	}
+	copy(s.Locs, key)
 	key = key[numLocs:]
-	s.Clocks = s.Clocks[:0]
-	for i := 0; i < numClocks; i++ {
-		s.Clocks = append(s.Clocks, int32(int16(uint16(key[2*i])<<8|uint16(key[2*i+1]))))
+	for i := range s.Clocks {
+		s.Clocks[i] = int32(int16(uint16(key[2*i])<<8 | uint16(key[2*i+1])))
 	}
 	key = key[2*numClocks:]
-	s.Vars = s.Vars[:0]
-	for i := 0; i+1 < len(key); i += 2 {
-		s.Vars = append(s.Vars, int32(int16(uint16(key[i])<<8|uint16(key[i+1]))))
+	for i := range s.Vars {
+		s.Vars[i] = int32(int16(uint16(key[2*i])<<8 | uint16(key[2*i+1])))
 	}
 }
 

@@ -1,6 +1,7 @@
 package ta
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -451,12 +452,19 @@ func TestDecodeKeyRoundTrip(t *testing.T) {
 			Clocks: []int32{int32(c1), int32(c2)},
 			Vars:   []int32{int32(v1), int32(v2), int32(v3)},
 		}
-		var d State
-		d.DecodeKey(s.AppendKey(nil), len(s.Locs), len(s.Clocks))
-		return string(d.AppendKey(nil)) == string(s.AppendKey(nil)) &&
-			d.Locs[0] == l1 && d.Locs[1] == l2 &&
-			d.Clocks[0] == int32(c1) && d.Clocks[1] == int32(c2) &&
-			d.Vars[0] == int32(v1) && d.Vars[1] == int32(v2) && d.Vars[2] == int32(v3)
+		// Into an empty state, one of the key's shape holding other
+		// values (decoded in place), and one of another shape.
+		for _, d := range []State{
+			{},
+			{Locs: []uint8{9, 9}, Clocks: []int32{7, 7}, Vars: []int32{5, 5, 5}},
+			{Locs: make([]uint8, 5), Vars: []int32{1}},
+		} {
+			d.DecodeKey(s.AppendKey(nil), len(s.Locs), len(s.Clocks))
+			if !slices.Equal(d.Locs, s.Locs) || !slices.Equal(d.Clocks, s.Clocks) || !slices.Equal(d.Vars, s.Vars) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
