@@ -54,6 +54,10 @@ func run(args []string, w, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *epochs < 0 || *warmup < 0 {
+		fmt.Fprintf(stderr, "hbfleet: -epochs %d and -warmup %d must not be negative\n", *epochs, *warmup)
+		return 2
+	}
 
 	cfg := fleet.Config{
 		Clusters:    *clusters,
@@ -70,8 +74,10 @@ func run(args []string, w, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hbfleet:", err)
 		return 1
 	}
+	// The fleet as New settled it: defaults filled, shards clamped.
+	built := f.Config()
 	fmt.Fprintf(w, "fleet: %d endpoints (%d clusters x %d), %d shards, %d workers\n",
-		f.Endpoints(), *clusters, *members, *shards, *workers)
+		f.Endpoints(), built.Clusters, built.ClusterSize, built.Shards, built.Workers)
 
 	if err := f.RunEpochs(*warmup); err != nil {
 		fmt.Fprintln(stderr, "hbfleet:", err)

@@ -32,6 +32,19 @@ func TestSmoke10kEndpoints(t *testing.T) {
 	}
 }
 
+// The header reports the fleet New built, not the flags: 10 clusters
+// cannot fill 64 shards, and a worker count of 0 means one worker.
+func TestHeaderReportsSettledFleet(t *testing.T) {
+	var out, errs strings.Builder
+	code := run([]string{"-clusters", "10", "-members", "4", "-shards", "64", "-workers", "0", "-epochs", "1", "-warmup", "0"}, &out, &errs)
+	if code != 0 {
+		t.Fatalf("run = %d:\n%s%s", code, out.String(), errs.String())
+	}
+	if want := "fleet: 40 endpoints (10 clusters x 4), 10 shards, 1 workers\n"; !strings.HasPrefix(out.String(), want) {
+		t.Errorf("header:\n%s\nwant %q", out.String(), want)
+	}
+}
+
 func TestBadFlagsRejected(t *testing.T) {
 	var out, buf strings.Builder
 	if code := run([]string{"-clusters", "0"}, &out, &buf); code == 0 {
@@ -39,6 +52,12 @@ func TestBadFlagsRejected(t *testing.T) {
 	}
 	if code := run([]string{"-nope"}, &out, &buf); code != 2 {
 		t.Error("unknown flag not a usage error")
+	}
+	for _, args := range [][]string{{"-epochs", "-1"}, {"-warmup", "-1"}} {
+		buf.Reset()
+		if code := run(args, &out, &buf); code != 2 || !strings.Contains(buf.String(), "must not be negative") {
+			t.Errorf("run(%q) = %d, want 2 with a usage message:\n%s", args, code, buf.String())
+		}
 	}
 	// Values fleet.New used to take on trust: the first died with
 	// "runtime: out of memory", the second silently lost every message.

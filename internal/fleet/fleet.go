@@ -11,17 +11,23 @@
 // subtrees hosted on other shards through a batched wire codec, and
 // aggregators merge into a fleet-wide root summary at every barrier.
 //
-// Determinism: each shard owns a private RNG and calendar, consumed in
-// the shard's own event order; cross-shard traffic moves only at epoch
-// barriers, in per-(source, destination) buffers ingested in source
-// order. Worker goroutines claim whole shards, so the worker count
+// Determinism: each shard owns a private random stream and calendar,
+// consumed in the shard's own event order; cross-shard traffic moves only
+// at epoch barriers, in per-(source, destination) buffers ingested in
+// source order. Worker goroutines claim whole shards, so the worker count
 // changes nothing — Digest() is byte-identical at any Workers value
 // (pinned by TestFleetDigestIdenticalAcrossWorkers).
+//
+// A shard's stream (stream.go) is math/rand's seeded source continued as
+// a concrete lagged-Fibonacci register, so its values are the ones every
+// recorded digest was drawn from, without a call through rand.Source per
+// draw. A loss roll compares one Int63 draw with an integer cut that New
+// derives from LossProb, which reaches Float64's verdict from the same
+// draws.
 package fleet
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -143,10 +149,15 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Clusters > 1<<20 || cfg.ClusterSize > 1<<16 {
 		return nil, fmt.Errorf("fleet: %d x %d exceeds supported scale", cfg.Clusters, cfg.ClusterSize)
 	}
+	// A calendar word names its row in kindShift bits: a row past them
+	// would read as another kind's word for a lower row.
+	perShard := (cfg.Clusters + cfg.Shards - 1) / cfg.Shards
+	if perShard*cfg.ClusterSize > idxMask+1 {
+		return nil, fmt.Errorf("fleet: more than 2^29 endpoint rows in one shard, the most a calendar word can name; use more shards")
+	}
 
 	numAggs := (cfg.Clusters + cfg.AggFanout - 1) / cfg.AggFanout
 	f := &Fleet{cfg: cfg, numAggs: numAggs}
-	perShard := (cfg.Clusters + cfg.Shards - 1) / cfg.Shards
 	respBound := sim.Time(cfg.Core.ResponderBound())
 	tmax := sim.Time(cfg.Core.TMax)
 	// The longest delay New or a round schedules is a watchdog's: the
@@ -163,11 +174,11 @@ func New(cfg Config) (*Fleet, error) {
 			numShards:   cfg.Shards,
 			aggFanout:   uint32(cfg.AggFanout),
 			cal:         sim.NewCalendar(maxDelay),
-			rng:         rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9E3779B9)),
+			rng:         newStream(cfg.Seed + int64(id)*0x9E3779B9),
 			cfg:         cfg.Core,
 			respBound:   respBound,
 			linkDelay:   cfg.LinkDelay,
-			lossProb:    cfg.LossProb,
+			lossCut:     lossCut(cfg.LossProb),
 			killEvery:   cfg.KillEvery,
 			clusterSize: int32(cfg.ClusterSize),
 			clusterLo:   int32(lo),
@@ -222,6 +233,10 @@ func New(cfg Config) (*Fleet, error) {
 	f.ingestShard = func(_, i int) error { return f.shards[i].ingest(f.shards, f.epoch) }
 	return f, nil
 }
+
+// Config returns the configuration the fleet runs: New's, with its
+// defaults filled in and Shards clamped to Clusters.
+func (f *Fleet) Config() Config { return f.cfg }
 
 // Now returns the fleet's virtual clock (the last completed barrier).
 func (f *Fleet) Now() sim.Time { return f.clock }
