@@ -54,9 +54,14 @@ func run(args []string, w, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *epochs < 0 || *warmup < 0 {
-		fmt.Fprintf(stderr, "hbfleet: -epochs %d and -warmup %d must not be negative\n", *epochs, *warmup)
-		return 2
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"epochs", *epochs}, {"warmup", *warmup}, {"shards", *shards}, {"workers", *workers}} {
+		if f.v < 0 {
+			fmt.Fprintf(stderr, "hbfleet: -%s %d must not be negative\n", f.name, f.v)
+			return 2
+		}
 	}
 
 	cfg := fleet.Config{

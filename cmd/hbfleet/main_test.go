@@ -53,7 +53,10 @@ func TestBadFlagsRejected(t *testing.T) {
 	if code := run([]string{"-nope"}, &out, &buf); code != 2 {
 		t.Error("unknown flag not a usage error")
 	}
-	for _, args := range [][]string{{"-epochs", "-1"}, {"-warmup", "-1"}} {
+	for _, args := range [][]string{
+		{"-epochs", "-1"}, {"-warmup", "-1"}, {"-shards", "-3"}, {"-workers", "-2"},
+		{"-clusters", "100", "-members", "4", "-shards", "-3", "-workers", "-2", "-epochs", "1"},
+	} {
 		buf.Reset()
 		if code := run(args, &out, &buf); code != 2 || !strings.Contains(buf.String(), "must not be negative") {
 			t.Errorf("run(%q) = %d, want 2 with a usage message:\n%s", args, code, buf.String())

@@ -98,10 +98,16 @@ type Coordinator struct {
 	t      Tick // current round length
 	// order holds the member IDs in ascending order and state[i] the
 	// bookkeeping of order[i]; both move together on every join and leave.
-	// Per-round iteration neither sorts nor allocates, and a beat finds its
-	// member by binary search.
+	// Per-round iteration neither sorts nor allocates.
 	order []ProcID
 	state []memberState
+	// index[id] is 1 + the position of member id in order, or 0 for an id
+	// that is not a member, for every id below len(index): a beat finds its
+	// member with one load. It grows on demand to the highest member
+	// admitted below indexLimit (a wire beat's 16-bit ID is below it), and
+	// every join and leave rewrites the entries of the members it shifts.
+	// A member outside [0, indexLimit) is found by a scan of order.
+	index []int32
 	// left records departed peers and the incarnation that left; without
 	// AllowRejoin, departure is permanent.
 	left    map[ProcID]uint8
@@ -128,16 +134,58 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		// rcvd starts true, as in the mCRL2 model: the first round is a
 		// grace round; a peer is only suspected after missing a full
 		// exchange it was given the chance to answer.
-		i, _ := slices.BinarySearch(c.order, id)
-		c.insert(i, id, memberState{rcvd: true, tm: cfg.TMax})
+		c.insert(id, memberState{rcvd: true, tm: cfg.TMax})
 	}
 	return c, nil
 }
 
-// insert admits id with state m at position i of the sorted member list.
-func (c *Coordinator) insert(i int, id ProcID, m memberState) {
+// indexLimit bounds the dense member index: a beat's sender is a 16-bit
+// signed integer on the wire, so every wire ID a member can have is below
+// it, and the index holds at most 2^15 entries.
+const indexLimit = 1 << 15
+
+// find returns the position of member id in order, or -1 if id is not a
+// member.
+func (c *Coordinator) find(id ProcID) int {
+	if uint(id) < uint(len(c.index)) {
+		return int(c.index[id]) - 1
+	}
+	if id >= 0 && id < indexLimit {
+		return -1 // the index covers every member below indexLimit
+	}
+	return slices.Index(c.order, id)
+}
+
+// insert admits id, not yet a member, with state m at its place in the
+// sorted member list.
+func (c *Coordinator) insert(id ProcID, m memberState) {
+	i, _ := slices.BinarySearch(c.order, id)
 	c.order = slices.Insert(c.order, i, id)
 	c.state = slices.Insert(c.state, i, m)
+	if id >= 0 && id < indexLimit && int(id) >= len(c.index) {
+		c.index = append(c.index, make([]int32, int(id)+1-len(c.index))...)
+	}
+	c.reindex(i)
+}
+
+// remove drops the member at position i of the member list.
+func (c *Coordinator) remove(i int) {
+	if id := c.order[i]; uint(id) < uint(len(c.index)) {
+		c.index[id] = 0
+	}
+	c.order = slices.Delete(c.order, i, i+1)
+	c.state = slices.Delete(c.state, i, i+1)
+	c.reindex(i)
+}
+
+// reindex rewrites the index entries of the members from position i on,
+// which a join or a leave at i shifted.
+func (c *Coordinator) reindex(i int) {
+	for ; i < len(c.order); i++ {
+		if id := c.order[i]; uint(id) < uint(len(c.index)) {
+			c.index[id] = int32(i + 1)
+		}
+	}
 }
 
 // Status implements Machine.
@@ -215,8 +263,7 @@ func (c *Coordinator) OnBeat(b Beat, now Tick) []Action {
 	if !b.Stay && c.cfg.Membership == MembershipDynamic {
 		return c.onLeave(b.From, b.Inc)
 	}
-	i, known := slices.BinarySearch(c.order, b.From)
-	if known {
+	if i := c.find(b.From); i >= 0 {
 		m := &c.state[i]
 		if b.Inc < m.inc {
 			return nil // stale beat from an earlier incarnation
@@ -237,7 +284,7 @@ func (c *Coordinator) OnBeat(b Beat, now Tick) []Action {
 		// Admit the joiner. It learns of its admission from p[0]'s next
 		// round broadcast, exactly as in the expanding protocol: p[0]
 		// does not acknowledge out of band.
-		c.insert(i, b.From, memberState{rcvd: true, tm: c.cfg.TMax, inc: b.Inc})
+		c.insert(b.From, memberState{rcvd: true, tm: c.cfg.TMax, inc: b.Inc})
 		return nil
 	default:
 		return nil // fixed membership ignores strangers
@@ -250,12 +297,11 @@ func (c *Coordinator) OnBeat(b Beat, now Tick) []Action {
 // from an incarnation older than the current member is stale — the peer
 // has already rejoined — and is ignored.
 func (c *Coordinator) onLeave(from ProcID, inc uint8) []Action {
-	if i, known := slices.BinarySearch(c.order, from); known {
+	if i := c.find(from); i >= 0 {
 		if inc < c.state[i].inc {
 			return nil // stale leave from a previous incarnation
 		}
-		c.order = slices.Delete(c.order, i, i+1)
-		c.state = slices.Delete(c.state, i, i+1)
+		c.remove(i)
 	}
 	if prev, ok := c.left[from]; !ok || inc > prev {
 		c.left[from] = inc

@@ -137,6 +137,15 @@ func (p *coordinatorPair) check(what string, got, want []Action) {
 		if p.c.state[i] != *p.ref.members[id] {
 			p.t.Fatalf("%s at %d: member %d state %+v, reference %+v", what, p.now, id, p.c.state[i], *p.ref.members[id])
 		}
+		if got := p.c.find(id); got != i {
+			p.t.Fatalf("%s at %d: member %d at position %d is found at %d", what, p.now, id, i, got)
+		}
+	}
+	// No index entry outlives its member or points at another one.
+	for id, e := range p.c.index {
+		if e != 0 && (int(e) > len(p.c.order) || p.c.order[e-1] != ProcID(id)) {
+			p.t.Fatalf("%s at %d: index entry %d for %d, members %v", what, p.now, e, id, p.c.order)
+		}
 	}
 }
 
@@ -192,8 +201,12 @@ func TestCoordinatorChurnKeepsStateWithOrder(t *testing.T) {
 }
 
 // TestCoordinatorRandomChurnMatchesMapReference drives random joins,
-// beats, leaves, rejoins and rounds through both.
+// beats, leaves, rejoins and rounds through both. Most beats come from the
+// dense IDs 0..6; the rest from sparse ones, among them a negative ID, the
+// highest wire ID 2^15-1 and 2^15 just past it, which the coordinator's
+// dense index does not cover.
 func TestCoordinatorRandomChurnMatchesMapReference(t *testing.T) {
+	sparse := []ProcID{9, 64, 1000, 4095, -1, -(1 << 15), 1<<15 - 1, 1 << 15, 1 << 40}
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := newCoordinatorPair(t, CoordinatorConfig{
@@ -206,7 +219,11 @@ func TestCoordinatorRandomChurnMatchesMapReference(t *testing.T) {
 				p.round()
 				continue
 			}
-			p.beat(Beat{From: ProcID(rng.Intn(7)), Stay: rng.Intn(6) != 0, Inc: uint8(rng.Intn(3))})
+			from := ProcID(rng.Intn(7))
+			if rng.Intn(3) == 0 {
+				from = sparse[rng.Intn(len(sparse))]
+			}
+			p.beat(Beat{From: from, Stay: rng.Intn(6) != 0, Inc: uint8(rng.Intn(3))})
 		}
 	}
 }

@@ -18,7 +18,7 @@
 // changes nothing — Digest() is byte-identical at any Workers value
 // (pinned by TestFleetDigestIdenticalAcrossWorkers).
 //
-// A shard's stream (stream.go) is math/rand's seeded source continued as
+// A shard's stream (sim.Stream) is math/rand's seeded source continued as
 // a concrete lagged-Fibonacci register, so its values are the ones every
 // recorded digest was drawn from, without a call through rand.Source per
 // draw. A loss roll compares one Int63 draw with an integer cut that New
@@ -112,17 +112,25 @@ func New(cfg Config) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: %s %d outside [0, %d] ticks", t.name, t.v, int64(faults.MaxTicks))
 		}
 	}
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"Shards", cfg.Shards}, {"Workers", cfg.Workers}, {"AggFanout", cfg.AggFanout}} {
+		if c.v < 0 {
+			return nil, fmt.Errorf("fleet: %s %d is negative", c.name, c.v)
+		}
+	}
 	if cfg.Core.TMax == 0 {
 		cfg.Core = core.Config{TMin: 2, TMax: 16}
 	}
 	if err := cfg.Core.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards <= 0 {
+	if cfg.Shards == 0 {
 		cfg.Shards = 64
 	}
 	cfg.Shards = min(cfg.Shards, cfg.Clusters)
-	if cfg.Workers <= 0 {
+	if cfg.Workers == 0 {
 		cfg.Workers = 1
 	}
 	if cfg.LinkDelay == 0 {
@@ -143,7 +151,7 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Epoch == 0 {
 		cfg.Epoch = 2 * sim.Time(cfg.Core.TMax)
 	}
-	if cfg.AggFanout <= 0 {
+	if cfg.AggFanout == 0 {
 		cfg.AggFanout = 64
 	}
 	if cfg.Clusters > 1<<20 || cfg.ClusterSize > 1<<16 {
@@ -174,11 +182,11 @@ func New(cfg Config) (*Fleet, error) {
 			numShards:   cfg.Shards,
 			aggFanout:   uint32(cfg.AggFanout),
 			cal:         sim.NewCalendar(maxDelay),
-			rng:         newStream(cfg.Seed + int64(id)*0x9E3779B9),
+			rng:         sim.NewStream(cfg.Seed + int64(id)*0x9E3779B9),
 			cfg:         cfg.Core,
 			respBound:   respBound,
 			linkDelay:   cfg.LinkDelay,
-			lossCut:     lossCut(cfg.LossProb),
+			lossCut:     sim.LossCut(cfg.LossProb),
 			killEvery:   cfg.KillEvery,
 			clusterSize: int32(cfg.ClusterSize),
 			clusterLo:   int32(lo),

@@ -451,6 +451,13 @@ func TestFleetConfigBounds(t *testing.T) {
 		// word of row 2^29+k would read as row k's watchdog word and be
 		// skipped, leaving the member unmonitored. (No accept row at 2^29:
 		// it would allocate gigabytes.)
+		{"shards 0 (default)", base(func(c *Config) { c.Shards = 0 }), true},
+		{"shards -1", base(func(c *Config) { c.Shards = -1 }), false},
+		{"shards -3", base(func(c *Config) { c.Shards = -3 }), false},
+		{"workers 0 (default)", base(func(c *Config) { c.Workers = 0 }), true},
+		{"workers -1", base(func(c *Config) { c.Workers = -1 }), false},
+		{"agg fanout 0 (default)", base(func(c *Config) { c.AggFanout = 0 }), true},
+		{"agg fanout -1", base(func(c *Config) { c.AggFanout = -1 }), false},
 		{"2^29 + 2^16 rows in one shard", base(func(c *Config) { c.Clusters, c.ClusterSize, c.Shards = 8193, 1<<16, 1 }), false},
 		{"2^29 + 2^16 rows in the first of two shards", base(func(c *Config) { c.Clusters, c.ClusterSize, c.Shards = 16385, 1<<16, 2 }), false},
 	} {

@@ -2,7 +2,7 @@ package fleet
 
 // One shard of the fleet: a slice of the endpoint population driven by a
 // private calendar ring (sim.Calendar), a private random stream (math/rand's
-// source continued without its interface, stream.go), and nothing else —
+// source continued without its interface, sim.Stream), and nothing else —
 // shards share no mutable state during an epoch, which is what makes fleet
 // runs byte-identical at any worker count (see fleet.go). A loss roll is
 // one integer compare of a draw with the shard's lossCut.
@@ -44,7 +44,7 @@ type shard struct {
 	numShards int
 	aggFanout uint32
 	cal       sim.Calendar
-	rng       *stream
+	rng       *sim.Stream
 	now       sim.Time // the tick being drained, or the last one drained
 	// nextKill is the injector's next tick when KillEvery is at least the
 	// ring size, 0 when its word goes into the ring like any other.
@@ -53,7 +53,7 @@ type shard struct {
 	cfg         core.Config
 	respBound   sim.Time
 	linkDelay   sim.Time
-	lossCut     int64 // lossCut(LossProb): a draw below it is a lost message
+	lossCut     int64 // sim.LossCut(LossProb): a draw below it is a lost message
 	killEvery   sim.Time
 	clusterSize int32
 	clusterLo   int32 // global id of this shard's first cluster
@@ -165,7 +165,7 @@ func (s *shard) schedule(at sim.Time, word uint32) int32 {
 //hbvet:noalloc
 func (s *shard) roll() bool {
 	for {
-		if x := s.rng.int63(); x < float64One {
+		if x := s.rng.Int63(); x < sim.Float64One {
 			return x < s.lossCut
 		}
 	}
@@ -247,7 +247,7 @@ func (s *shard) onWatch(e int32) {
 //hbvet:noalloc
 func (s *shard) onKill() {
 	for try := 0; try < 8; try++ {
-		e := s.rng.intn(int32(len(s.flags)))
+		e := s.rng.Int31n(int32(len(s.flags)))
 		if s.flags[e]&(fKilled|fSuspected|fInactive) == 0 {
 			s.flags[e] |= fKilled
 			s.killAt[e] = int64(s.now)

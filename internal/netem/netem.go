@@ -19,7 +19,6 @@ package netem
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/sim"
 )
@@ -98,13 +97,13 @@ var (
 // It is not safe for concurrent use (the simulator is single-threaded).
 type Network struct {
 	simr *sim.Simulator
-	// rng is the simulator's source, taken on the first lossy or jittered
+	// rng is the simulator's stream, taken on the first lossy or jittered
 	// send. owed counts the loss draws of the lossless, jitter-free sends
 	// since the last draw: they cannot lose, so they draw nothing, and the
 	// next draw takes them first (settle). Every draw is therefore the
 	// one an eagerly seeded network would make, and a run that never loses
 	// or jitters never seeds a source.
-	rng  *rand.Rand
+	rng  *sim.Stream
 	owed int
 	// tab holds every node's handler (nil until registered) and every
 	// link's override and counters, indexed by NodeID: a Send hashes
@@ -113,8 +112,8 @@ type Network struct {
 	def   LinkConfig
 	total LinkStats
 	// pool recycles delivery records so the send hot path does not
-	// allocate: each record carries a reusable payload buffer and a
-	// pre-built scheduling closure.
+	// allocate: each record carries room for a small payload, a reusable
+	// buffer for larger ones and a pre-built scheduling closure.
 	pool []*delivery
 }
 
@@ -126,12 +125,31 @@ type link struct {
 	stats  LinkStats
 }
 
-// delivery is a pooled in-flight message.
+// inlinePayload is the largest payload a delivery record holds in place:
+// a beat is 4 bytes, so a beat's copy is a fixed-size move into the record
+// rather than an append into a separate buffer.
+const inlinePayload = 8
+
+// delivery is a pooled in-flight message. msg.Payload points into inline
+// for a payload of at most inlinePayload bytes, and into big otherwise.
 type delivery struct {
-	net *Network
-	h   Handler
-	msg Message
-	fn  sim.Event
+	net    *Network
+	h      Handler
+	msg    Message
+	fn     sim.Event
+	inline [inlinePayload]byte
+	big    []byte
+}
+
+// setPayload copies p into the record, so the sender may reuse p as soon
+// as Send returns.
+func (d *delivery) setPayload(p []byte) {
+	if len(p) <= inlinePayload {
+		d.msg.Payload = d.inline[:copy(d.inline[:], p)]
+		return
+	}
+	d.big = append(d.big[:0], p...)
+	d.msg.Payload = d.big
 }
 
 // newDelivery draws a record from the pool, creating one (with its
@@ -168,12 +186,12 @@ func NewNetwork(s *sim.Simulator, def LinkConfig) (*Network, error) {
 // Rand returns the network's random stream, the simulator's, with every
 // loss draw the network owes taken first: a caller sharing the stream with
 // the network draws what it would draw beside an eagerly seeded one.
-func (n *Network) Rand() *rand.Rand {
+func (n *Network) Rand() *sim.Stream {
 	n.settle()
 	return n.rng
 }
 
-// settle takes the simulator's source if the network has not yet, and the
+// settle takes the simulator's stream if the network has not yet, and the
 // loss draws it owes.
 func (n *Network) settle() {
 	if n.rng == nil {
@@ -254,11 +272,10 @@ func (n *Network) Send(from, to NodeID, payload []byte) error {
 	} else {
 		n.owed++
 	}
-	// The payload is copied into a pooled record's reusable buffer, so the
-	// caller may reuse payload as soon as Send returns.
 	d := n.newDelivery()
 	d.h = h
-	d.msg = Message{From: from, To: to, Payload: append(d.msg.Payload[:0], payload...)}
+	d.msg.From, d.msg.To = from, to
+	d.setPayload(payload)
 	if _, err := n.simr.Schedule(delay, d.fn); err != nil {
 		d.h = nil
 		n.pool = append(n.pool, d)

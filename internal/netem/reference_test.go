@@ -14,7 +14,10 @@ import (
 // per-link counters each in a Go map keyed by NodeID or [2]NodeID, a link's
 // counters written back once the send is accounted for. It shares nothing
 // with Network but the channel contract: one Float64 per Send between
-// registered nodes, one Int63n per surviving delivery on a jittered link.
+// registered nodes, one Int63n per surviving delivery on a jittered link,
+// drawn from math/rand's own source on the simulator's seed (so the
+// simulator's sim.Stream is held to math/rand here too), and every
+// payload copied into a buffer of its own.
 type refNetwork struct {
 	simr     *sim.Simulator
 	rng      *rand.Rand
@@ -24,10 +27,10 @@ type refNetwork struct {
 	stats    Stats
 }
 
-func newRefNetwork(s *sim.Simulator, def LinkConfig) *refNetwork {
+func newRefNetwork(s *sim.Simulator, seed int64, def LinkConfig) *refNetwork {
 	return &refNetwork{
 		simr:     s,
-		rng:      s.Rand(),
+		rng:      rand.New(rand.NewSource(seed)),
 		handlers: make(map[NodeID]Handler),
 		links:    make(map[[2]NodeID]LinkConfig),
 		def:      def,
@@ -94,15 +97,24 @@ type arrival struct {
 	payload  string
 }
 
-// Rand is the reference's stream: the simulator's, taken eagerly.
-func (n *refNetwork) Rand() *rand.Rand { return n.rng }
-
 // netUnderTest is what a random program drives: Network and refNetwork.
 type netUnderTest interface {
 	Transport
 	SetLink(from, to NodeID, cfg LinkConfig) error
-	Rand() *rand.Rand
 }
+
+// draw is a caller's draw from n's stream: Network.Rand's, or the
+// reference's math/rand source, taken eagerly.
+func draw(n netUnderTest) int64 {
+	if ref, ok := n.(*refNetwork); ok {
+		return ref.rng.Int63n(1000)
+	}
+	return n.(*Network).Rand().Int63n(1000)
+}
+
+// payloadSizes straddle the inline room of a delivery record: empty, a
+// beat, the room exactly, one byte past it, and a kilobyte.
+var payloadSizes = []int{0, 4, inlinePayload, inlinePayload + 1, 1024}
 
 // runProgram drives one random Register/SetLink/Send/RunUntil program,
 // a function of seed alone, and returns everything observable: each call's
@@ -137,6 +149,7 @@ func runProgram(seed int64, lossless bool, build func(*sim.Simulator, LinkConfig
 		}
 		return NodeID(prog.Intn(ids))
 	}
+	buf := make([]byte, 0, 1024)
 	for step := 0; step < 400; step++ {
 		switch op := prog.Intn(10); {
 		case op == 0:
@@ -153,9 +166,18 @@ func runProgram(seed int64, lossless bool, build func(*sim.Simulator, LinkConfig
 		case op == 2:
 			s.RunUntil(s.Now() + sim.Time(prog.Intn(3)))
 		case op == 3 && lossless:
-			got = append(got, arrival{tick: s.Now(), payload: fmt.Sprintf("draw %d", n.Rand().Int63n(1000))})
+			got = append(got, arrival{tick: s.Now(), payload: fmt.Sprintf("draw %d", draw(n))})
 		default:
-			note(n.Send(id(), id(), []byte{byte(step), byte(step >> 8)}))
+			// The caller's buffer is overwritten as soon as Send returns,
+			// as a sender reusing one scratch buffer does.
+			buf = buf[:payloadSizes[prog.Intn(len(payloadSizes))]]
+			for i := range buf {
+				buf[i] = byte(step + i*7)
+			}
+			note(n.Send(id(), id(), buf))
+			for i := range buf {
+				buf[i] = 0xEE
+			}
 		}
 	}
 	s.Run()
@@ -179,7 +201,7 @@ func TestNetworkMatchesMapReference(t *testing.T) {
 			return n
 		})
 		errsR, gotR := runProgram(seed, false, func(s *sim.Simulator, def LinkConfig) netUnderTest {
-			ref = newRefNetwork(s, def)
+			ref = newRefNetwork(s, seed, def)
 			return ref
 		})
 		if i := firstDiff(errsD, errsR); i >= 0 {
@@ -223,7 +245,7 @@ func TestLazyNetworkDrawsEagerStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newRefNetwork(sim.New(sim.WithSeed(7)), LinkConfig{MinDelay: 1, MaxDelay: 1})
+	ref := newRefNetwork(sim.New(sim.WithSeed(7)), 7, LinkConfig{MinDelay: 1, MaxDelay: 1})
 	for id := NodeID(0); id < 2; id++ {
 		register(t, n, id, func(Message) {})
 		if err := ref.Register(id, func(Message) {}); err != nil {
@@ -242,7 +264,7 @@ func TestLazyNetworkDrawsEagerStream(t *testing.T) {
 	if n.rng != nil || n.owed != 100 {
 		t.Fatalf("100 lossless sends took a source (%v) and owe %d draws, want none and 100", n.rng != nil, n.owed)
 	}
-	if got, want := n.Rand().Int63(), ref.Rand().Int63(); got != want {
+	if got, want := n.Rand().Int63(), ref.rng.Int63(); got != want {
 		t.Fatalf("first draw after 100 lossless sends = %d, eager stream gives %d", got, want)
 	}
 	if n.owed != 0 {
@@ -259,7 +281,7 @@ func TestLazyNetworkDrawsEagerStream(t *testing.T) {
 			return n
 		})
 		errsE, gotE := runProgram(seed, true, func(s *sim.Simulator, def LinkConfig) netUnderTest {
-			return newRefNetwork(s, def)
+			return newRefNetwork(s, seed, def)
 		})
 		if i := firstDiff(errsL, errsE); i >= 0 {
 			t.Fatalf("seed %d: call %d: lazy %q, eager %q", seed, i, at(errsL, i), at(errsE, i))

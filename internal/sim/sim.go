@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Time is a point in virtual time, measured in ticks. The tick has no fixed
@@ -75,7 +74,7 @@ type Simulator struct {
 	fns []Event
 	// rng is nil until the first Rand call seeds it from seed.
 	seed     int64
-	rng      *rand.Rand
+	rng      *Stream
 	executed uint64
 	// scheduled counts accepted Schedule calls; the package's tests read
 	// it.
@@ -104,12 +103,13 @@ func New(opts ...Option) *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Rand returns the simulator's deterministic random source. The source is
-// seeded on the first call, so a run that never draws never seeds one; the
-// stream is the one an eagerly seeded source would give.
-func (s *Simulator) Rand() *rand.Rand {
+// Rand returns the simulator's deterministic random stream, the values of
+// rand.New(rand.NewSource(seed)). The stream is seeded on the first call,
+// so a run that never draws never seeds one; its draws are the ones an
+// eagerly seeded source would give.
+func (s *Simulator) Rand() *Stream {
 	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(s.seed))
+		s.rng = NewStream(s.seed)
 	}
 	return s.rng
 }
