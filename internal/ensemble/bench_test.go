@@ -3,6 +3,7 @@ package ensemble
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/scenario"
 )
@@ -72,4 +73,21 @@ func BenchmarkScenarioBaseline(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/sec")
+}
+
+// BenchmarkEnsembleSweep runs the bench's mc_sweep pass — the Q2 and Q3
+// sweeps of Variants(3) at its six (tmin, tmax) points and seven loss
+// rates — at 200 trials a point, on one worker: the shape whose CPU profile
+// EXPERIMENTS.md reads.
+func BenchmarkEnsembleSweep(b *testing.B) {
+	times := [][2]core.Tick{{2, 8}, {2, 16}, {4, 16}, {8, 16}, {2, 32}, {8, 32}}
+	losses := []float64{.01, .02, .05, .1, .2, .3, .5}
+	for i := 0; i < b.N; i++ {
+		if _, err := SweepDetection(Variants(3), times, 200, int64(i), 1); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := SweepReliability(Variants(3), 2, 16, losses, 200, int64(i), 1); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -107,8 +107,8 @@ const (
 	slotsPerMember
 )
 
-// qent is one tick-queue entry: a key slot and the key it held when
-// queued.
+// qent is one tick-queue entry: a key slot of the trial's row and the key
+// it held when queued.
 type qent struct {
 	key  uint64
 	slot int
@@ -160,9 +160,8 @@ type engine struct {
 	stride int // 1 + slotsPerMember*n
 	keys   []uint64
 
-	// q[:qn] is the running tick's queue, in key order (see runTrial).
-	q  []qent
-	qn int
+	// q backs the running trial's tick queue (see trial.collect).
+	q []qent
 
 	// per-trial x member state (index t*n + m)
 	tm     []int64
@@ -216,12 +215,12 @@ func newEngine(cfg Config, capacity int) *engine {
 	return e
 }
 
-// slot returns the key index of member m's slot s in trial t's row; the
+// slot returns the index of member m's slot s in a trial's key row; the
 // row's word 0 is the coordinator round timer.
 //
 //hbvet:noalloc
-func (e *engine) slot(t, m, s int) int {
-	return t*e.stride + 1 + slotsPerMember*m + s
+func slot(m, s int) int {
+	return 1 + slotsPerMember*m + s
 }
 
 // errSeqOverflow reports a trial that needs more events than the seq field
@@ -230,17 +229,79 @@ func (e *engine) slot(t, m, s int) int {
 // validation: nextSeq panics with it, and Run recovers it as its error.
 var errSeqOverflow = errors.New("ensemble: a trial scheduled more than 4194302 events, the per-trial limit; lower N or Horizon")
 
-// nextSeq mirrors sim.Simulator's Schedule-time sequence assignment. A
-// trial that exhausts the seq field of the packed key stops the run with
-// errSeqOverflow rather than silently corrupting event order.
+// nextSeq advances a trial's seq counter c, mirroring sim.Simulator's
+// Schedule-time sequence assignment. A trial that exhausts the seq field of
+// the packed key stops the run with errSeqOverflow rather than silently
+// corrupting event order.
 //
 //hbvet:noalloc
-func (e *engine) nextSeq(t int) uint64 {
-	e.seqc[t]++
-	if e.seqc[t] >= seqMask {
+func nextSeq(c *uint64) uint64 {
+	*c++
+	if *c >= seqMask {
 		panic(errSeqOverflow)
 	}
-	return e.seqc[t]
+	return *c
+}
+
+// trial is the view one trial runs from, held on the stack of start or
+// runTrial: its key row, member flags and waits as sub-slices of the
+// engine's arrays, taken once, and its per-trial counters as fields,
+// loaded when the view is built (view) and stored back once (store). Slot
+// indices are relative to the row and member indices to the trial.
+type trial struct {
+	e     *engine
+	row   []uint64 // the trial's key row
+	flags []uint8  // per-member flags
+	tm    []int64  // per-member waiting budgets
+
+	// q[:qn] is the running tick's queue, in key order (see collect).
+	q  []qent
+	qn int
+
+	rng       rngState
+	seq       uint64
+	sent      uint64
+	rounds    uint64
+	tflags    uint8
+	suspectAt int64
+	falseAt   int64
+	crashDue  int64
+}
+
+// view loads trial t's view.
+//
+//hbvet:noalloc
+func (e *engine) view(t int) trial {
+	return trial{
+		e:         e,
+		row:       e.keys[t*e.stride : (t+1)*e.stride],
+		flags:     e.mflags[t*e.n : (t+1)*e.n],
+		tm:        e.tm[t*e.n : (t+1)*e.n],
+		q:         e.q,
+		rng:       e.rng[t],
+		seq:       e.seqc[t],
+		sent:      e.sent[t],
+		rounds:    e.rounds[t],
+		tflags:    e.tflags[t],
+		suspectAt: e.suspectAt[t],
+		falseAt:   e.falseAt[t],
+		crashDue:  e.crashDue[t],
+	}
+}
+
+// store writes v's counters back as trial t's; the sub-slices share the
+// engine's arrays and need no copy.
+//
+//hbvet:noalloc
+func (e *engine) store(t int, v *trial) {
+	e.rng[t] = v.rng
+	e.seqc[t] = v.seq
+	e.sent[t] = v.sent
+	e.rounds[t] = v.rounds
+	e.tflags[t] = v.tflags
+	e.suspectAt[t] = v.suspectAt
+	e.falseAt[t] = v.falseAt
+	e.crashDue[t] = v.crashDue
 }
 
 // start initialises trial t of the block and replays its Cluster.Start:
@@ -250,41 +311,34 @@ func (e *engine) nextSeq(t int) uint64 {
 // solicitation and arms resend + give-up timers), then the
 // MeasureDetection crash-jitter draw. Exact RNG mode allocates one
 // math/rand source per trial; the fast counter-stream mode allocates
-// nothing. Zero-delay sends enqueue as they would inside a tick; the
-// trial's first tick collects its row afresh.
+// nothing. It runs on the same view as runTrial and stores it back before
+// either kernel runs. Zero-delay sends enqueue as they would inside a
+// tick; the trial's first tick collects its row afresh.
 func (e *engine) start(t int) {
-	e.rng[t].init(e.seed, int64(e.first+t), e.exact)
-	e.seqc[t] = 0
-	e.tflags[t] = 0
-	e.crashDue[t] = inert
+	v := e.view(t)
+	v.rng.init(e.seed, int64(e.first+t), e.exact)
+	v.seq, v.sent, v.rounds, v.tflags = 0, 0, 0, 0
+	v.suspectAt, v.falseAt, v.crashDue = inert, inert, inert
 	e.crashTick[t] = inert
-	e.sent[t] = 0
-	e.rounds[t] = 0
-	e.suspectAt[t] = inert
-	e.falseAt[t] = inert
-	e.qn = 0
-	base := t * e.n
-	row := e.keys[t*e.stride : (t+1)*e.stride]
-	for p := range row {
-		row[p] = inertKey
+	for p := range v.row {
+		v.row[p] = inertKey
 	}
-	for m := 0; m < e.n; m++ {
-		i := base + m
-		e.tm[i] = e.tmax
+	for m := range v.flags {
+		v.tm[m] = e.tmax
 		if e.joining {
-			e.mflags[i] = 0
+			v.flags[m] = 0
 		} else {
 			// Fixed members start known with rcvd=true: the first
 			// round is a grace round (see core.NewCoordinator).
-			e.mflags[i] = mfKnown | mfRcvd
+			v.flags[m] = mfKnown | mfRcvd
 		}
 	}
 	// Coordinator.Start: SetTimer(Round, tmax) first, then the
 	// revised variant's immediate broadcast in ascending ID order.
-	row[0] = evkey(e.tmax, e.nextSeq(t))
+	v.row[0] = evkey(e.tmax, nextSeq(&v.seq))
 	if e.cc.Revised && !e.joining {
 		for m := 0; m < e.n; m++ {
-			e.sendDown(t, m, 0)
+			v.sendDown(m, 0)
 		}
 	}
 	// Participant/Responder.Start in ascending ID order.
@@ -292,11 +346,11 @@ func (e *engine) start(t int) {
 		if e.joining {
 			// SendBeat(solicit), SetTimer(JoinResend, tmin),
 			// SetTimer(Expiry, JoinerBound) — in that action order.
-			e.sendUp(t, m, 0)
-			e.keys[e.slot(t, m, sResend)] = evkey(e.tmin, e.nextSeq(t))
-			e.keys[e.slot(t, m, sWatch)] = evkey(e.joinBound, e.nextSeq(t))
+			v.sendUp(m, 0)
+			v.row[slot(m, sResend)] = evkey(e.tmin, nextSeq(&v.seq))
+			v.row[slot(m, sWatch)] = evkey(e.joinBound, nextSeq(&v.seq))
 		} else {
-			e.keys[e.slot(t, m, sWatch)] = evkey(e.respBound, e.nextSeq(t))
+			v.row[slot(m, sWatch)] = evkey(e.respBound, nextSeq(&v.seq))
 		}
 	}
 	// MeasureDetection resolves the crash tick after Start, before
@@ -304,11 +358,12 @@ func (e *engine) start(t int) {
 	if e.crashBase >= 0 {
 		at := e.crashBase
 		if e.jitter > 0 {
-			at += e.rng[t].int63n(e.jitter)
+			at += v.rng.int63n(e.jitter)
 		}
-		e.crashDue[t] = at
+		v.crashDue = at
 		e.crashTick[t] = at
 	}
+	e.store(t, &v)
 }
 
 // sendDown rolls one p[0]->member beat: one Float64 loss roll per Send
@@ -316,24 +371,23 @@ func (e *engine) start(t int) {
 // jitters. A surviving beat occupies the member's single inbound slot.
 //
 //hbvet:noalloc
-func (e *engine) sendDown(t, m int, now int64) {
-	e.sent[t]++
-	r := &e.rng[t]
-	lost := r.float64() < e.loss
-	if lost {
+func (v *trial) sendDown(m int, now int64) {
+	e := v.e
+	v.sent++
+	if v.rng.float64() < e.loss {
 		return
 	}
 	d := e.minD
 	if e.maxD > e.minD {
-		d += r.int63n(e.maxD - e.minD + 1)
+		d += v.rng.int63n(e.maxD - e.minD + 1)
 	}
-	i := e.slot(t, m, sDown)
-	if e.keys[i] != inertKey {
+	i := slot(m, sDown)
+	if v.row[i] != inertKey {
 		panic("ensemble: down-slot overflow (MaxDelay too large for TMin)")
 	}
-	e.keys[i] = evkey(now+d, e.nextSeq(t))
+	v.row[i] = evkey(now+d, nextSeq(&v.seq))
 	if d == 0 {
-		e.enqueue(i)
+		v.enqueue(i)
 	}
 }
 
@@ -341,27 +395,26 @@ func (e *engine) sendDown(t, m int, now int64) {
 // free upstream slot.
 //
 //hbvet:noalloc
-func (e *engine) sendUp(t, m int, now int64) {
-	e.sent[t]++
-	r := &e.rng[t]
-	lost := r.float64() < e.loss
-	if lost {
+func (v *trial) sendUp(m int, now int64) {
+	e := v.e
+	v.sent++
+	if v.rng.float64() < e.loss {
 		return
 	}
 	d := e.minD
 	if e.maxD > e.minD {
-		d += r.int63n(e.maxD - e.minD + 1)
+		d += v.rng.int63n(e.maxD - e.minD + 1)
 	}
-	i := e.slot(t, m, sUp0)
-	if e.keys[i] != inertKey {
+	i := slot(m, sUp0)
+	if v.row[i] != inertKey {
 		i++
-		if e.keys[i] != inertKey {
+		if v.row[i] != inertKey {
 			panic("ensemble: up-slot overflow (MaxDelay too large for TMin)")
 		}
 	}
-	e.keys[i] = evkey(now+d, e.nextSeq(t))
+	v.row[i] = evkey(now+d, nextSeq(&v.seq))
 	if d == 0 {
-		e.enqueue(i)
+		v.enqueue(i)
 	}
 }
 
@@ -374,7 +427,7 @@ func (e *engine) runBlock(first, count int) {
 	}
 	e.first = first
 	e.trials = count
-	binary := e.n == 1 && !e.fixed && !e.joining
+	binary := e.n == 1 && !e.fixed && !e.joining && !genericOnly
 	for t := 0; t < count; t++ {
 		e.start(t)
 		if binary {
@@ -385,14 +438,18 @@ func (e *engine) runBlock(first, count int) {
 	}
 }
 
-// runTrial runs trial t to completion one tick at a time: one scan of the
-// row finds the earliest tick T, a second collects the slots due at T in
-// key (so seq) order into the tick queue, and the queue fires in order.
-// An event armed for T while the tick runs — a zero-delay delivery or a
-// §6.1 hop — takes a fresh seq, larger than every pending one, so it
-// joins at the tail; a queued entry whose slot no longer holds its key
-// was cancelled or re-armed and is skipped. This is the simulator's
-// (time, seq) order without a per-event scan.
+// genericOnly routes every trial to runTrial; a variable so that tests can
+// hold the binary kernel to the generic one.
+var genericOnly bool
+
+// runTrial runs trial t to completion one tick at a time from its view: one
+// pass over the row collects the earliest tick's slots in key (so seq)
+// order into the tick queue, and the queue fires in order. An event armed
+// for the running tick — a zero-delay delivery or a §6.1 hop — takes a
+// fresh seq, larger than every pending one, so it joins at the tail; a
+// queued entry whose slot no longer holds its key was cancelled or
+// re-armed and is skipped. This is the simulator's (time, seq) order
+// without a per-event scan.
 //
 // The crash injection behaves as an event with infinite seq at its tick:
 // scenario.MeasureDetection runs every event at or before the crash tick
@@ -401,79 +458,95 @@ func (e *engine) runBlock(first, count int) {
 //
 //hbvet:noalloc
 func (e *engine) runTrial(t int) {
-	base := t * e.stride
-	row := e.keys[base : base+e.stride]
+	v := e.view(t)
 	for {
-		best := inertKey
-		for _, k := range row {
-			if k < best {
-				best = k
-			}
-		}
+		best := v.collect()
 		now := int64(best >> seqBits)
 		// A pending crash loses same-tick ties but beats any strictly
 		// later tick — and an all-inert row by construction.
-		if c := e.crashDue[t]; c != inert && c < now {
-			e.crashDue[t] = inert
-			e.fireCrash(t, c)
+		if c := v.crashDue; c != inert && c < now {
+			v.crashDue = inert
+			v.fireCrash()
 			continue
 		}
 		// Ticks run while they are at or before the bound: the horizon,
 		// stretched to the crash tick while a later crash is still pending.
-		bound := max(e.horizon, e.crashDue[t])
+		bound := max(e.horizon, v.crashDue)
 		if best == inertKey || now > bound {
-			return
+			break
 		}
-		// Insertion sort: rows are nearly in seq order already, since
-		// a round arms its members' slots in ascending order.
-		lim := uint64(now+1) << seqBits
-		e.qn = 0
-		for p, k := range row {
-			if k >= lim {
-				continue
-			}
-			j := e.qn
-			for ; j > 0 && e.q[j-1].key > k; j-- {
-				e.q[j] = e.q[j-1]
-			}
-			e.q[j] = qent{key: k, slot: base + p}
-			e.qn++
-		}
-		for h := 0; h < e.qn; h++ {
-			if q := e.q[h]; e.keys[q.slot] == q.key {
-				e.fire(t, q.slot, now)
+		for h := 0; h < v.qn; h++ {
+			if q := v.q[h]; v.row[q.slot] == q.key {
+				v.fire(q.slot, now)
 			}
 		}
 	}
+	e.store(t, &v)
 }
 
-// fire runs the event in key slot i of trial t's row at tick now.
+// collect fills the tick queue with the row's slots due at the earliest
+// pending tick, in key order, in one pass: a slot of that tick is
+// insertion-sorted in (rows are nearly in seq order already, since a round
+// arms its members' slots in ascending order), and a slot of an earlier
+// tick restarts the collection. It returns the queue's first key, inertKey
+// when nothing is pending.
 //
 //hbvet:noalloc
-func (e *engine) fire(t, i int, now int64) {
-	p := i - t*e.stride
-	if p == 0 {
-		if !e.hop(t, i, &e.tflags[t], tfRoundHop, now) {
-			e.fireRound(t, now)
+func (v *trial) collect() uint64 {
+	q := v.q
+	qn := 0
+	// [lo, lim) is the key range of the tick being collected; inert keys
+	// are never below lim.
+	lo, lim := inertKey, inertKey
+	for p, k := range v.row {
+		if k >= lim {
+			continue
+		}
+		if k < lo {
+			lo = k &^ seqMask
+			lim = lo + 1<<seqBits
+			qn = 0
+		}
+		j := qn
+		for ; j > 0 && q[j-1].key > k; j-- {
+			q[j] = q[j-1]
+		}
+		q[j] = qent{key: k, slot: p}
+		qn++
+	}
+	v.qn = qn
+	if qn == 0 {
+		return inertKey
+	}
+	return q[0].key
+}
+
+// fire runs the event in slot i of the row at tick now.
+//
+//hbvet:noalloc
+func (v *trial) fire(i int, now int64) {
+	if i == 0 {
+		if !v.hop(i, &v.tflags, tfRoundHop, now) {
+			v.fireRound(now)
 		}
 		return
 	}
-	m := (p - 1) / slotsPerMember
-	switch (p - 1) % slotsPerMember {
+	m := (i - 1) / slotsPerMember
+	switch (i - 1) % slotsPerMember {
 	case sWatch:
-		if !e.hop(t, i, &e.mflags[t*e.n+m], mfWatchHop, now) {
-			e.fireWatch(t, m, now)
+		if !v.hop(i, &v.flags[m], mfWatchHop, now) {
+			v.fireWatch(m, now)
 		}
 	case sResend:
-		if !e.hop(t, i, &e.mflags[t*e.n+m], mfResendHop, now) {
-			e.fireResend(t, m, now)
+		if !v.hop(i, &v.flags[m], mfResendHop, now) {
+			v.fireResend(m, now)
 		}
 	case sDown:
-		e.keys[i] = inertKey
-		e.fireDown(t, m, now)
+		v.row[i] = inertKey
+		v.fireDown(m, now)
 	default: // sUp0, sUp1
-		e.keys[i] = inertKey
-		e.fireUp(t, m, now)
+		v.row[i] = inertKey
+		v.fireUp(m)
 	}
 }
 
@@ -484,14 +557,14 @@ func (e *engine) fire(t, i int, now int64) {
 // slot i hopped; when it fires instead, its hop bit is cleared.
 //
 //hbvet:noalloc
-func (e *engine) hop(t, i int, flags *uint8, bit uint8, now int64) bool {
-	if !e.fixed || *flags&bit != 0 {
+func (v *trial) hop(i int, flags *uint8, bit uint8, now int64) bool {
+	if !v.e.fixed || *flags&bit != 0 {
 		*flags &^= bit
 		return false
 	}
 	*flags |= bit
-	e.keys[i] = evkey(now, e.nextSeq(t))
-	e.enqueue(i)
+	v.row[i] = evkey(now, nextSeq(&v.seq))
+	v.enqueue(i)
 	return true
 }
 
@@ -504,9 +577,9 @@ func (e *engine) hop(t, i int, flags *uint8, bit uint8, now int64) bool {
 // tick.
 //
 //hbvet:noalloc
-func (e *engine) enqueue(i int) {
-	e.q[e.qn] = qent{key: e.keys[i], slot: i}
-	e.qn++
+func (v *trial) enqueue(i int) {
+	v.q[v.qn] = qent{key: v.row[i], slot: i}
+	v.qn++
 }
 
 // runTrialBinary is runTrial specialised for single-member fixed
@@ -586,9 +659,9 @@ func (e *engine) runTrialBinary(t int) {
 				if down != inertKey {
 					panic("ensemble: down-slot overflow (MaxDelay too large for TMin)")
 				}
-				down = evkey(now+d, e.nextSeq(t))
+				down = evkey(now+d, nextSeq(&e.seqc[t]))
 			}
-			round = evkey(now+int64(tm), e.nextSeq(t))
+			round = evkey(now+int64(tm), nextSeq(&e.seqc[t]))
 		case kWatch:
 			watch = inertKey
 			if e.mflags[t]&(mfCrashed|mfInactive) == 0 {
@@ -608,7 +681,7 @@ func (e *engine) runTrialBinary(t int) {
 					if e.maxD > e.minD {
 						d += r.int63n(e.maxD - e.minD + 1)
 					}
-					k := evkey(now+d, e.nextSeq(t))
+					k := evkey(now+d, nextSeq(&e.seqc[t]))
 					if up0 == inertKey {
 						up0 = k
 					} else if up1 == inertKey {
@@ -617,7 +690,7 @@ func (e *engine) runTrialBinary(t int) {
 						panic("ensemble: up-slot overflow (MaxDelay too large for TMin)")
 					}
 				}
-				watch = evkey(now+e.respBound, e.nextSeq(t))
+				watch = evkey(now+e.respBound, nextSeq(&e.seqc[t]))
 			}
 		case kUp0, kUp1:
 			if kind == kUp0 {
@@ -639,63 +712,61 @@ func (e *engine) runTrialBinary(t int) {
 // and re-arm with the minimum waiting time.
 //
 //hbvet:noalloc
-func (e *engine) fireRound(t int, now int64) {
-	e.rounds[t]++
-	base := t * e.n
+func (v *trial) fireRound(now int64) {
+	e := v.e
+	v.rounds++
 	suspected := false
 	next := e.tmax // round length with no members: idle at tmax
-	for m := 0; m < e.n; m++ {
-		i := base + m
-		if e.mflags[i]&mfKnown == 0 {
+	for m, f := range v.flags {
+		if f&mfKnown == 0 {
 			continue
 		}
-		tm, ok := e.cc.NextWait(core.Tick(e.tm[i]), e.mflags[i]&mfRcvd != 0)
+		tm, ok := e.cc.NextWait(core.Tick(v.tm[m]), f&mfRcvd != 0)
 		if !ok {
 			suspected = true
 		}
-		e.tm[i] = int64(tm)
-		e.mflags[i] &^= mfRcvd
+		v.tm[m] = int64(tm)
+		v.flags[m] = f &^ mfRcvd
 		if int64(tm) < next {
 			next = int64(tm)
 		}
 	}
 	if suspected {
-		e.tflags[t] |= tfCoordInactive
-		if e.suspectAt[t] == inert {
-			e.suspectAt[t] = now
+		v.tflags |= tfCoordInactive
+		if v.suspectAt == inert {
+			v.suspectAt = now
 		}
-		if e.falseAt[t] == inert {
-			e.falseAt[t] = now // Inactivate(voluntary=false) on p[0]
+		if v.falseAt == inert {
+			v.falseAt = now // Inactivate(voluntary=false) on p[0]
 		}
-		e.keys[t*e.stride] = inertKey
+		v.row[0] = inertKey
 		return
 	}
-	for m := 0; m < e.n; m++ {
-		if e.mflags[base+m]&mfKnown != 0 {
-			e.sendDown(t, m, now)
+	for m := range v.flags {
+		if v.flags[m]&mfKnown != 0 {
+			v.sendDown(m, now)
 		}
 	}
-	e.keys[t*e.stride] = evkey(now+next, e.nextSeq(t))
+	v.row[0] = evkey(now+next, nextSeq(&v.seq))
 }
 
 // fireDown is the member's OnBeat for a beat from p[0]: reply, push out
 // the watchdog, and (first time, joining protocols) leave the join phase.
 //
 //hbvet:noalloc
-func (e *engine) fireDown(t, m int, now int64) {
-	i := t*e.n + m
-	if e.mflags[i]&(mfCrashed|mfInactive) != 0 {
+func (v *trial) fireDown(m int, now int64) {
+	if v.flags[m]&(mfCrashed|mfInactive) != 0 {
 		return
 	}
 	// SendBeat(reply) then SetTimer(Expiry, ResponderBound), in action
 	// order; joining first-acknowledgement additionally cancels the
 	// resend timer.
-	e.sendUp(t, m, now)
-	e.keys[e.slot(t, m, sWatch)] = evkey(now+e.respBound, e.nextSeq(t))
-	e.mflags[i] &^= mfWatchHop
-	if e.joining && e.mflags[i]&mfJoined == 0 {
-		e.mflags[i] |= mfJoined
-		e.keys[e.slot(t, m, sResend)] = inertKey
+	v.sendUp(m, now)
+	v.row[slot(m, sWatch)] = evkey(now+v.e.respBound, nextSeq(&v.seq))
+	v.flags[m] &^= mfWatchHop
+	if v.e.joining && v.flags[m]&mfJoined == 0 {
+		v.flags[m] |= mfJoined
+		v.row[slot(m, sResend)] = inertKey
 	}
 }
 
@@ -704,35 +775,33 @@ func (e *engine) fireDown(t, m int, now int64) {
 // admitted silently (it learns from the next broadcast).
 //
 //hbvet:noalloc
-func (e *engine) fireUp(t, m int, now int64) {
-	if e.tflags[t]&tfCoordInactive != 0 {
+func (v *trial) fireUp(m int) {
+	if v.tflags&tfCoordInactive != 0 {
 		return
 	}
-	i := t*e.n + m
-	if e.mflags[i]&mfKnown == 0 {
-		if !e.joining {
+	if v.flags[m]&mfKnown == 0 {
+		if !v.e.joining {
 			return // fixed membership ignores strangers (unreachable)
 		}
-		e.mflags[i] |= mfKnown
+		v.flags[m] |= mfKnown
 	}
-	e.mflags[i] |= mfRcvd
-	e.tm[i] = e.tmax
+	v.flags[m] |= mfRcvd
+	v.tm[m] = v.e.tmax
 }
 
 // fireWatch is the member watchdog: Inactivate(voluntary=false), joining
 // protocols also cancel the resend timer.
 //
 //hbvet:noalloc
-func (e *engine) fireWatch(t, m int, now int64) {
-	i := t*e.n + m
-	e.keys[e.slot(t, m, sWatch)] = inertKey
-	if e.mflags[i]&(mfCrashed|mfInactive) != 0 {
+func (v *trial) fireWatch(m int, now int64) {
+	v.row[slot(m, sWatch)] = inertKey
+	if v.flags[m]&(mfCrashed|mfInactive) != 0 {
 		return
 	}
-	e.mflags[i] |= mfInactive
-	e.keys[e.slot(t, m, sResend)] = inertKey
-	if e.falseAt[t] == inert {
-		e.falseAt[t] = now
+	v.flags[m] |= mfInactive
+	v.row[slot(m, sResend)] = inertKey
+	if v.falseAt == inert {
+		v.falseAt = now
 	}
 }
 
@@ -740,15 +809,14 @@ func (e *engine) fireWatch(t, m int, now int64) {
 // tmin until acknowledged.
 //
 //hbvet:noalloc
-func (e *engine) fireResend(t, m int, now int64) {
-	i := t*e.n + m
-	if e.mflags[i]&(mfCrashed|mfInactive) != 0 || e.mflags[i]&mfJoined != 0 {
-		e.keys[e.slot(t, m, sResend)] = inertKey
+func (v *trial) fireResend(m int, now int64) {
+	if v.flags[m]&(mfCrashed|mfInactive|mfJoined) != 0 {
+		v.row[slot(m, sResend)] = inertKey
 		return
 	}
-	e.sendUp(t, m, now)
-	e.keys[e.slot(t, m, sResend)] = evkey(now+e.tmin, e.nextSeq(t))
-	e.mflags[i] &^= mfResendHop
+	v.sendUp(m, now)
+	v.row[slot(m, sResend)] = evkey(now+v.e.tmin, nextSeq(&v.seq))
+	v.flags[m] &^= mfResendHop
 }
 
 // fireCrash applies the victim's crash: cancel its timers and mark it
@@ -757,12 +825,12 @@ func (e *engine) fireResend(t, m int, now int64) {
 // non-active process.
 //
 //hbvet:noalloc
-func (e *engine) fireCrash(t int, now int64) {
-	i := t*e.n + e.victim
-	if e.mflags[i]&(mfCrashed|mfInactive) != 0 {
+func (v *trial) fireCrash() {
+	m := v.e.victim
+	if v.flags[m]&(mfCrashed|mfInactive) != 0 {
 		return
 	}
-	e.mflags[i] |= mfCrashed
-	e.keys[e.slot(t, e.victim, sWatch)] = inertKey
-	e.keys[e.slot(t, e.victim, sResend)] = inertKey
+	v.flags[m] |= mfCrashed
+	v.row[slot(m, sWatch)] = inertKey
+	v.row[slot(m, sResend)] = inertKey
 }

@@ -19,6 +19,9 @@ import (
 //     campaigns stay embarrassingly parallel and byte-identical at any
 //     worker count. Not bitwise-comparable to math/rand, statistically
 //     equivalent for Monte-Carlo use.
+//
+// A running trial draws from a copy held in its view (see trial), stored
+// back when the trial ends; an Exact copy shares its source by pointer.
 type rngState struct {
 	state uint64
 	exact *rand.Rand

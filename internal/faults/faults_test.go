@@ -3,7 +3,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/netem"
@@ -92,7 +91,7 @@ func TestGilbertElliottBursts(t *testing.T) {
 	// loss bursts; the good state is lossless, so every loss burst is a
 	// bad-state excursion.
 	ch := geChannel{params: GilbertElliott{PGoodBad: 0.05, PBadGood: 0.2, LossGood: 0, LossBad: 1}}
-	rng := rand.New(rand.NewSource(7))
+	rng := sim.NewStream(7)
 	const n = 20000
 	losses, bursts, cur := 0, 0, 0
 	var maxBurst int

@@ -2,7 +2,8 @@ package faults
 
 import (
 	"fmt"
-	"math/rand"
+
+	"repro/internal/sim"
 )
 
 // GilbertElliott parameterises the classic two-state bursty-loss channel:
@@ -55,7 +56,7 @@ type geChannel struct {
 // lost, drawing from the caller's seeded stream.
 //
 //hbvet:noalloc
-func (c *geChannel) Lose(rng *rand.Rand) bool {
+func (c *geChannel) Lose(rng *sim.Stream) bool {
 	if c.bad {
 		if rng.Float64() < c.params.PBadGood {
 			c.bad = false

@@ -2,8 +2,9 @@ package faults
 
 import (
 	"math"
-	"math/rand"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestGilbertElliottSteadyState checks the chain's long-run loss rate
@@ -22,7 +23,7 @@ func TestGilbertElliottSteadyState(t *testing.T) {
 	}
 	const messages = 400_000
 	for i, g := range cases {
-		rng := rand.New(rand.NewSource(int64(1000 + i)))
+		rng := sim.NewStream(int64(1000 + i))
 		ch := geChannel{params: g}
 		lost := 0
 		for m := 0; m < messages; m++ {

@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"math/rand"
-
 	"repro/internal/netem"
 	"repro/internal/sim"
 )
@@ -42,7 +40,7 @@ type FaultableTransport struct {
 	inner netem.Transport
 	clock netem.Clock
 	seed  int64
-	rng   *rand.Rand // nil until the first draw; see stream
+	rng   *sim.Stream // nil until the first draw; see stream
 
 	// tab holds the per-node and per-link fault state, indexed by NodeID
 	// as in netem.Network: a Send hashes nothing. A fault naming an ID
@@ -71,10 +69,11 @@ func Wrap(inner netem.Transport, clock netem.Clock, seed int64) *FaultableTransp
 // stream returns the fault layer's random stream, seeding it on the first
 // draw: a schedule that never draws never seeds. The stream, and so every
 // decision, is the one an eagerly seeded source would give.
-func (f *FaultableTransport) stream() *rand.Rand {
+//
+//lint:allow noalloc-closure one seeded stream per transport, built on the first draw and kept, like channel's Gilbert-Elliott state
+func (f *FaultableTransport) stream() *sim.Stream {
 	if f.rng == nil {
-		//lint:allow noalloc-closure one seeded source per transport, built on the first draw and kept, like channel's Gilbert-Elliott state
-		f.rng = rand.New(rand.NewSource(f.seed))
+		f.rng = sim.NewStream(f.seed)
 	}
 	return f.rng
 }

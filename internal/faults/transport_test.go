@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -57,7 +56,7 @@ func TestFaultStreamMatchesEagerSeed(t *testing.T) {
 		}
 		ft := Wrap(nw, netem.SimClock{Sim: s}, seed)
 		if eager {
-			ft.rng = rand.New(rand.NewSource(seed))
+			ft.rng = sim.NewStream(seed)
 		}
 		var got []delivery
 		for id := netem.NodeID(0); id < 3; id++ {

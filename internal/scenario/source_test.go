@@ -7,11 +7,15 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/models"
+	"repro/internal/sim"
 )
 
-// sourcesBuilt counts the math/rand sources built so far, as the heap
-// profile records them; with runtime.MemProfileRate at 1 it sees every
-// one.
+// sourcesBuilt counts the random sources built so far — math/rand
+// sources and sim.Streams — as the heap profile records them; with
+// runtime.MemProfileRate at 1 it sees every one. A stream is counted where
+// sim.NewStream allocates it: after the first stream in a process, which
+// recovers math/rand's table from one math/rand source, it calls no
+// math/rand function at all.
 func sourcesBuilt() int64 {
 	// A profile is published by the garbage collections after the
 	// allocations it records.
@@ -32,7 +36,7 @@ func sourcesBuilt() int64 {
 		frames := runtime.CallersFrames(r.Stack())
 		for {
 			f, more := frames.Next()
-			if f.Function == "math/rand.NewSource" {
+			if f.Function == "math/rand.NewSource" || f.Function == "repro/internal/sim.NewStream" {
 				built += r.AllocObjects
 				break
 			}
@@ -44,7 +48,10 @@ func sourcesBuilt() int64 {
 	return built
 }
 
-var sourceSink rand.Source
+var (
+	sourceSink rand.Source
+	streamSink *sim.Stream
+)
 
 // TestLosslessTrialBuildsNoSource: a campaign trial whose links are
 // lossless and jitter-free, under a schedule that draws nothing (a churn
@@ -56,10 +63,18 @@ func TestLosslessTrialBuildsNoSource(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 
+	// The process's first stream also builds the math/rand source its
+	// table is recovered from; the probe is checked past it.
+	streamSink = sim.NewStream(1)
 	before := sourcesBuilt()
 	sourceSink = rand.NewSource(1)
 	if got := sourcesBuilt() - before; got != 1 {
 		t.Fatalf("the probe counted %d sources for one rand.NewSource", got)
+	}
+	before = sourcesBuilt()
+	streamSink = sim.NewStream(1)
+	if got := sourcesBuilt() - before; got != 1 {
+		t.Fatalf("the probe counted %d sources for one sim.NewStream", got)
 	}
 
 	churn, err := ChurnStormScenario(campaignN(models.Dynamic))

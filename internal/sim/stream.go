@@ -3,21 +3,25 @@ package sim
 // The simulator's random stream: math/rand's default Source, continued as
 // a concrete type, so that a draw is an inlined add instead of a call
 // through the rand.Source interface. The Simulator's Rand hands it out
-// (netem's loss and delay draws, a scenario's crash jitter) and every fleet
-// shard owns one.
+// (netem's loss and delay draws, a scenario's crash jitter), the fault
+// layer draws from one, and every fleet shard owns one.
 //
 // rand.NewSource is an additive lagged-Fibonacci generator: its n-th
 // Uint64 output is y_n = y_(n-607) + y_(n-273) mod 2^64 (rngSource.Uint64
 // in math/rand/rng.go), over a register its Seed fills with
 // seedrand(seed)-chain values XORed with the rngCooked table. NewStream
-// fills the register the same way. It does not copy rngCooked: the table is
-// recovered once per process from one seeded math/rand source, by draining
-// its first 607 outputs, solving the recurrence backwards for the register
-// before them and XORing out that seed's chain. So the values — and with
-// them every digest recorded while the simulator and the fleet drew through
-// rand.Rand — are math/rand's, with no math/rand call after the first
-// stream. TestStreamMatchesMathRand holds Int63, Int31n, Int63n and Float64
-// to rand.New(rand.NewSource(seed)).
+// fills the register with the same values, but does not walk the chain:
+// seedrand multiplies by 48271 modulo 2^31 - 1, so the chain's j-th value
+// is 48271^j·seed mod (2^31 - 1), one product with a table of powers, and
+// no value waits for the one before it. Nor does it copy rngCooked: the
+// table is recovered once per process from one seeded math/rand source, by
+// draining its first 607 outputs, solving the recurrence backwards for the
+// register before them and XORing out that seed's chain. So the values —
+// and with them every digest recorded while the simulator and the fleet
+// drew through rand.Rand — are math/rand's, with no math/rand call after
+// the first stream. TestStreamMatchesMathRand holds Int63, Int31n, Int63n
+// and Float64 to rand.New(rand.NewSource(seed)), and
+// TestSeedPowersMatchSeedrand the table of powers to the iterated chain.
 
 import (
 	"math/rand"
@@ -47,15 +51,28 @@ func NewStream(seed int64) *Stream {
 }
 
 // cooked is math/rand's rngCooked table in the Stream's register layout,
-// recovered on the first NewStream.
+// and seedPowers the multipliers of the seed chain, both filled on the
+// first NewStream.
 var (
 	cookedOnce sync.Once
 	cooked     [streamLen]uint64
+	seedPowers [streamLen][3]uint32
 )
 
-// recoverCooked fills cooked from the source of seed 1: its register,
-// solved back from its first 607 outputs, with seed 1's chain XORed out.
+// recoverCooked fills seedPowers, then cooked from the source of seed 1:
+// its register, solved back from its first 607 outputs, with seed 1's
+// chain XORed out.
 func recoverCooked() {
+	p := uint64(1)
+	for j := 1; j <= seedSkip; j++ {
+		p = mulMod(p, seedMul)
+	}
+	for w := range seedPowers {
+		for i := range seedPowers[w] {
+			p = mulMod(p, seedMul)
+			seedPowers[w][i] = uint32(p) // 48271^(21+3w+i)
+		}
+	}
 	src := rand.NewSource(1).(rand.Source64) // documented to hold
 	for k := range cooked {
 		cooked[k] = src.Uint64() // y_k
@@ -68,53 +85,53 @@ func recoverCooked() {
 	xorSeedChain(&cooked, 1)
 }
 
+// The seed chain: math/rand's seedrand steps x to 48271·x mod (2^31 - 1),
+// and rngSource.Seed discards the first seedSkip values of the chain from
+// the normalised seed before it fills the register.
+const (
+	seedMod  = 1<<31 - 1
+	seedMul  = 48271
+	seedSkip = 20
+)
+
+// mulMod returns a·x mod (2^31 - 1) for a, x below 2^31 - 1: the
+// product's low 31 bits and the bits above them add up to it modulo the
+// Mersenne prime, and their sum is below twice the prime.
+func mulMod(a, x uint64) uint64 {
+	p := a * x
+	r := p&seedMod + p>>31
+	if r >= seedMod {
+		r -= seedMod
+	}
+	return r
+}
+
 // xorSeedChain XORs into vec the values rngSource.Seed(seed) XORs with
 // rngCooked, each into the slot that holds its register word. Seed fills
-// word w of its register (w = 0..606) and the source's draw n reads word
+// word w of its register (w = 0..606) from chain values 21+3w, 22+3w and
+// 23+3w, the chain starting at the normalised seed x; value j is
+// 48271^j·x mod (2^31 - 1), so each is one product with seedPowers and no
+// value waits for the one before it. The source's draw n reads word
 // (333-n) mod 607 as y_(n-607); the Stream keeps y_(k-607) in vec[k], so
 // word w lands in vec[(333-w) mod 607].
 func xorSeedChain(vec *[streamLen]uint64, seed int64) {
-	const int32max = 1<<31 - 1
-	seed %= int32max
+	seed %= seedMod
 	if seed < 0 {
-		seed += int32max
+		seed += seedMod
 	}
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := int32(seed)
-	for w := -20; w < 0; w++ {
-		x = seedrand(x)
-	}
+	x := uint64(seed)
 	k := streamLen - streamTap - 1
-	for w := 0; w < streamLen; w++ {
-		x = seedrand(x)
-		u := int64(x) << 40
-		x = seedrand(x)
-		u ^= int64(x) << 20
-		x = seedrand(x)
-		u ^= int64(x)
-		vec[k] ^= uint64(u)
+	for w := range seedPowers {
+		p := &seedPowers[w]
+		u := mulMod(uint64(p[0]), x)<<40 ^ mulMod(uint64(p[1]), x)<<20 ^ mulMod(uint64(p[2]), x)
+		vec[k] ^= u
 		if k--; k < 0 {
 			k = streamLen - 1
 		}
 	}
-}
-
-// seedrand is math/rand's: x[n+1] = 48271 * x[n] mod (2^31 - 1).
-func seedrand(x int32) int32 {
-	const (
-		a = 48271
-		q = 44488
-		r = 3399
-	)
-	hi := x / q
-	lo := x % q
-	x = a*lo - r*hi
-	if x < 0 {
-		x += 1<<31 - 1
-	}
-	return x
 }
 
 // Int63 returns the next value of rand.Rand.Int63: the source's next

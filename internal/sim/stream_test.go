@@ -55,6 +55,58 @@ func TestStreamMatchesMathRand(t *testing.T) {
 	}
 }
 
+// seedrand is math/rand's: x[n+1] = 48271 * x[n] mod (2^31 - 1), by
+// Schrage's method.
+func seedrand(x int32) int32 {
+	const (
+		a = 48271
+		q = 44488
+		r = 3399
+	)
+	hi := x / q
+	lo := x % q
+	x = a*lo - r*hi
+	if x < 0 {
+		x += 1<<31 - 1
+	}
+	return x
+}
+
+// TestSeedPowersMatchSeedrand holds the seeding table to the chain it
+// replaces: entry [w][i] is the chain's value 21+3w+i from 1, the 20
+// discarded values and 3w+i more iterated seedrand steps on; and a product with it is
+// the chain's value 21+k from any other start, checked at both ends of the
+// seed range and at seeds math/rand folds.
+func TestSeedPowersMatchSeedrand(t *testing.T) {
+	NewStream(0) // fills the table
+	x := int32(1)
+	for j := 0; j < seedSkip; j++ {
+		x = seedrand(x)
+	}
+	for k, p := range seedPowers {
+		for i, p := range p {
+			x = seedrand(x)
+			if int32(p) != x {
+				t.Fatalf("seedPowers[%d][%d] = %d, the chain's value %d from 1 is %d", k, i, p, seedSkip+1+3*k+i, x)
+			}
+		}
+	}
+	for _, start := range []int32{1, 2, 7, 89482311, seedMod - 2, seedMod - 1} {
+		x := start
+		for j := 0; j < seedSkip; j++ {
+			x = seedrand(x)
+		}
+		for k, p := range seedPowers {
+			for i, p := range p {
+				x = seedrand(x)
+				if got := mulMod(uint64(p), uint64(start)); got != uint64(x) {
+					t.Fatalf("start %d: value %d is %d by the table, %d by the chain", start, seedSkip+1+3*k+i, got, x)
+				}
+			}
+		}
+	}
+}
+
 // int63ns are the bounds Int63n is held to math/rand at: the smallest
 // non-trivial power of two, 3 (the smallest n that redraws), powers of two
 // up to 2^62, and 2^40+1, whose redraw bound sits far below 2^63.
